@@ -83,11 +83,11 @@ def main(out_path: str = None) -> None:
     cache_dir = tempfile.mkdtemp(prefix="repro-explore-bench-")
 
     start = time.perf_counter()
-    cold = run_explore(depth=3, max_eval=12, cache_dir=cache_dir)
+    cold = run_explore(depth=3, max_eval=12, cache=TuningCache(cache_dir))
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = run_explore(depth=3, max_eval=12, cache_dir=cache_dir)
+    warm = run_explore(depth=3, max_eval=12, cache=TuningCache(cache_dir))
     warm_seconds = time.perf_counter() - start
 
     summary = {}

@@ -19,14 +19,15 @@ The life cycle mirrors an OpenCL driver:
     object, which the runtime shares per source through an LRU.
 
 ``run``
-    Execute one launch.  Returns ``True`` on success (buffers written,
-    counters merged).  Returns ``False`` for a *dynamic* refusal — the
-    backend noticed mid-launch that it cannot reproduce the scalar
-    semantics (e.g. a cross-lane data race) and has already rolled the
-    global buffers back to their pre-launch contents.  It may also
-    raise :class:`CompileUnsupported` for launch-shape refusals that
-    occur before any buffer is touched (e.g. the fused backend's
-    whole-grid lane cap).
+    Execute one launch; returning means success (buffers written,
+    counters merged).  A *dynamic* refusal — the backend noticed
+    mid-launch that it cannot reproduce the scalar semantics (e.g. a
+    cross-lane data race) — rolls the global buffers back to their
+    pre-launch contents and raises :class:`VectorUnsupported`, whose
+    message is the reason the chain ledgers.  It may also raise
+    :class:`CompileUnsupported` for launch-shape refusals that occur
+    before any buffer is touched (e.g. the fused backend's whole-grid
+    lane cap).
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from typing import Any, Mapping, Optional, Sequence
 # backend-level one: "this backend cannot run this kernel, try the next
 # one".  Sharing the type keeps the fallback seam identical whether the
 # refusal comes from closure compilation or from a backend adapter.
+from repro.opencl.simt import VectorUnsupported
 from repro.opencl.simt_compile import CompileUnsupported
 
 __all__ = [
     "Backend",
     "CompileUnsupported",
     "ExecutionRequest",
+    "VectorUnsupported",
 ]
 
 
@@ -99,9 +102,9 @@ class Backend:
         decline.  The returned object is passed back to :meth:`run`."""
         raise NotImplementedError
 
-    def run(self, plan, request: ExecutionRequest) -> bool:
-        """Execute one launch; ``False`` = dynamic refusal after
-        rollback (see the module docstring)."""
+    def run(self, plan, request: ExecutionRequest) -> None:
+        """Execute one launch; raise :class:`VectorUnsupported` for a
+        dynamic refusal after rollback (see the module docstring)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -47,9 +47,10 @@ Anything outside this algebra degrades gracefully, never incorrectly:
   whole-grid lane cap) raises
   :class:`~repro.backend.base.CompileUnsupported` and the engine chain
   falls back to the compiled tier;
-* a *dynamic* bail-out (cross-lane race, masked type mixing) restores
-  the written buffers from a snapshot and reports ``False`` so the
-  chain continues — the whole-grid race detector is more conservative
+* a *dynamic* bail-out (a cross-lane race) restores the written
+  buffers from a snapshot and re-raises the ``VectorUnsupported`` whose
+  message the chain ledgers before it continues — the whole-grid race
+  detector is more conservative
   than the blocked one (it sees cross-group conflicts blocks order by
   construction), which is safe: the fallback reproduces the scalar
   result bit for bit.
@@ -73,7 +74,14 @@ from repro.backend.base import Backend, CompileUnsupported, ExecutionRequest
 from repro.backend.registry import register_backend, register_engine
 from repro.opencl import simt, simt_compile
 from repro.opencl.cparser import ParsedProgram
-from repro.opencl.interp import Counters, ExecError, Pointer, _MATH_BUILTINS
+from repro.opencl.interp import (
+    Counters,
+    ExecError,
+    Pointer,
+    _MATH_BUILTINS,
+    array_dtype,
+    typed_zero,
+)
 from repro.opencl.simt import (
     RowPtr,
     VPtr,
@@ -82,6 +90,7 @@ from repro.opencl.simt import (
     _Frame,
     _LoadLog,
     _VMATH,
+    _convert,
     _is_uniform,
     _release_hazards,
     _pool_tls,
@@ -677,7 +686,7 @@ class _FCtx:
 
     def __init__(self, parsed: ParsedProgram, kernel: c.CFunctionDef):
         self.parsed = parsed
-        self.sctx = simt_compile._Ctx(parsed)
+        self.sctx = simt_compile._Ctx(parsed, kernel)
         self.uniform_names = _grid_uniform_names(kernel)
         qualified, sole_sites = _sole_store_sites(kernel)
         self.sole_names = qualified
@@ -920,7 +929,7 @@ def _fuse_stmt(s, fc: _FCtx, masked: bool):
         if masked:
             raise _Unfusable("fused: variable binding under a mask")
         if isinstance(s.target, c.CIdent):
-            return _fuse_assign_ident(s, fc)
+            return _fuse_bind(s.target.name, _compound_value(s, fc), fc)
         raise _Unfusable(f"fused: cannot assign to {s.target!r}")
     if t is c.CExprStmt:
         expr = _fuse_expr(s.expr, fc)
@@ -968,14 +977,19 @@ def _compound_value(s: c.CAssign, fc: _FCtx):
     return compound
 
 
-def _fuse_assign_ident(s: c.CAssign, fc: _FCtx):
-    value_c = _compound_value(s, fc)
-    name = s.target.name
+def _fuse_bind(name: str, value_c, fc: _FCtx):
+    """The unmasked store ``name = value_c(...)`` (k == L by
+    construction), converted to the declared kind of ``name`` —
+    resolved at plan time, like ``simt_compile._Ctx.bind``."""
+    kind = fc.sctx.kinds.get(name)
 
-    def assign(b, k):  # unmasked: k == L by construction
-        b.env[name] = value_c(b, k)
+    def bind(b, k):
+        v = value_c(b, k)
+        if kind == "f" and type(v) is Aff:  # Aff: integer lane vector
+            v = b.aff_values(v, k)
+        b.env[name] = _convert(kind, v)
 
-    return assign
+    return bind
 
 
 def _fuse_store(s: c.CAssign, fc: _FCtx):
@@ -1006,35 +1020,16 @@ def _fuse_decl(decl: c.CDecl, fc: _FCtx):
 
         return check_local
     if decl.array_size is not None:
-        dtype = (
-            np.int64 if decl.type_name in ("int", "uint", "long")
-            else np.float64
-        )
-        size = decl.array_size
-
-        def alloc_private(b, k):
-            b.env[name] = RowPtr(
-                np.zeros((b.L, size), dtype=dtype), b._lane_ids, 0, "private"
-            )
-
-        return alloc_private
+        size, dtype = decl.array_size, array_dtype(decl.type_name)
+        return lambda b, k: b._alloc_private(name, size, dtype)
     if decl.init is not None:
-        init_c = _fuse_expr(decl.init, fc)
+        return _fuse_bind(name, _fuse_expr(decl.init, fc), fc)
+    zero = typed_zero(decl.type_name, fc.parsed.structs)
+    if not isinstance(zero, (int, float)):
+        raise _Unfusable("fused: struct or vector declaration")
 
-        def declare_init(b, k):
-            b.env[name] = init_c(b, k)
-
-        return declare_init
-    if fc.parsed.structs.get(decl.type_name) is not None:
-        raise _Unfusable("fused: struct declaration")
-    base_type = decl.type_name.rstrip("1234568")
-    if base_type != decl.type_name and base_type in (
-        "float", "int", "uint", "double"
-    ):
-        raise _Unfusable("fused: vector declaration")
-
-    def declare_zero(b, k):
-        b.env[name] = 0
+    def declare_zero(b, k):  # unmasked: k == L by construction
+        b.env[name] = zero
 
     return declare_zero
 
@@ -1206,7 +1201,7 @@ class FusedKernel:
         self.sole_names = sole_names
         self.fused_segment_count = fused_segment_count
 
-    def execute(self, request: ExecutionRequest) -> bool:
+    def execute(self, request: ExecutionRequest) -> None:
         gsize, lsize = request.gsize, request.lsize
         total = request.total_work_items
         if total > FUSED_MAX_LANES:
@@ -1240,12 +1235,9 @@ class FusedKernel:
             else:
                 env[name] = v
         for decl in request.local_decls:
-            dtype = (
-                np.int64 if decl.type_name in ("int", "uint", "long")
-                else np.float64
-            )
             local_array = np.zeros(
-                (geo["n_groups"], decl.array_size), dtype=dtype
+                (geo["n_groups"], decl.array_size),
+                dtype=array_dtype(decl.type_name),
             )
             env[decl.name] = RowPtr(local_array, group_row, 0, "local")
             if decl.name in written:
@@ -1316,7 +1308,7 @@ class FusedKernel:
                             deltas["load_events"] = load_events
                         prof.record_segment_counters(index, kind, deltas)
                 block._flush_load_log()
-        except (VectorUnsupported, MemoryError):
+        except (VectorUnsupported, MemoryError) as exc:
             # MemoryError: the whole-grid layout multiplies per-lane
             # state (private arrays, temporaries) by the entire launch;
             # a failed allocation is a dynamic refusal like any other —
@@ -1324,13 +1316,16 @@ class FusedKernel:
             # blocks.
             for array, saved in snapshot.values():
                 array[:] = saved
-            return False
+            if isinstance(exc, VectorUnsupported):
+                raise
+            raise VectorUnsupported(
+                "whole-grid layout ran out of memory"
+            ) from exc
         finally:
             _pool_tls.epoch = block._segment + 1
             _release_hazards(block._hazards)
         request.counters.merge_in(staged)
         request.counters.work_items += total
-        return True
 
 
 def _build_fused(
@@ -1428,8 +1423,8 @@ class FusedBackend(Backend):
             raise CompileUnsupported(reason)
         return fused
 
-    def run(self, plan: FusedKernel, request: ExecutionRequest) -> bool:
-        return plan.execute(request)
+    def run(self, plan: FusedKernel, request: ExecutionRequest) -> None:
+        plan.execute(request)
 
 
 register_backend(FusedBackend())

@@ -21,8 +21,9 @@ Decline kinds:
     ``plan``/``run`` raised :class:`~repro.backend.base.CompileUnsupported`
     before touching buffers.
 ``dynamic``
-    ``run`` returned ``False`` after rolling buffers back (e.g. a
-    cross-lane race detected mid-launch).
+    ``run`` raised ``VectorUnsupported`` after rolling buffers back
+    (e.g. a cross-lane race detected mid-launch); the reason is
+    ``"<kernel>: <the exception's message>"``.
 ``crash``
     ``plan`` raised an unexpected exception; the chain shields the
     launch and falls through (the final member re-raises).

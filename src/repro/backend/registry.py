@@ -18,8 +18,8 @@ Chain semantics (:meth:`ResolvedChain.execute`):
    (:class:`CompileUnsupported` from ``plan`` — or from ``run`` before
    any buffer was touched, e.g. a launch-shape cap) falls through to
    the next backend.
-2. A *dynamic* refusal (``run`` returns ``False`` after rolling the
-   buffers back) skips every remaining backend of the same
+2. A *dynamic* refusal (``run`` raises ``VectorUnsupported`` after
+   rolling the buffers back) skips every remaining backend of the same
    ``dynamic_class`` — a same-class backend would detect the same
    condition — and continues with the next class.
 3. A strict chain that runs out of backends raises
@@ -49,7 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.backend.base import Backend, CompileUnsupported, ExecutionRequest
+from repro.backend.base import (
+    Backend,
+    CompileUnsupported,
+    ExecutionRequest,
+    VectorUnsupported,
+)
 
 __all__ = [
     "EngineSpec",
@@ -217,34 +222,38 @@ class ResolvedChain:
                     f"{backend.name}: crashed in plan ({type(exc).__name__})"
                 )
                 continue
-            try:
-                with span(
-                    "run", backend=backend.name, engine=self.name,
-                    kernel=request.kernel.name,
-                ):
-                    done = backend.run(plan, request)
-            except CompileUnsupported as exc:
-                # Launch-shape refusal before any buffer was touched.
-                ledger.record(self.name, backend.name, "static", str(exc))
-                refusals.append(f"{backend.name}: {exc}")
-                if board is not None and backend is not last:
-                    board.release(backend.name)  # no verdict: free probe
-                continue
-            if done:
-                metrics.inc(f"launch.served.{backend.name}")
-                if board is not None:
-                    # Only health outcomes feed the breaker: a served
-                    # launch closes it; static/dynamic refusals are the
-                    # backend working as designed and count as neither.
-                    board.success(backend.name)
-                return
+            kernel = request.kernel.name
+            with span(
+                "run", backend=backend.name, engine=self.name, kernel=kernel,
+            ) as run_span:
+                try:
+                    backend.run(plan, request)
+                except (CompileUnsupported, VectorUnsupported) as exc:
+                    # Static: a launch-shape refusal before any buffer
+                    # was touched.  Dynamic: noticed mid-launch, buffers
+                    # already rolled back; a same-class backend would
+                    # detect the same condition.
+                    dynamic = isinstance(exc, VectorUnsupported)
+                    reason = f"{kernel}: {exc}" if dynamic else str(exc)
+                    run_span.attrs["reason"] = reason
+                else:
+                    metrics.inc(f"launch.served.{backend.name}")
+                    if board is not None:
+                        # Only health outcomes feed the breaker: a
+                        # served launch closes it; static/dynamic
+                        # refusals are the backend working as designed
+                        # and count as neither.
+                        board.success(backend.name)
+                    return
             ledger.record(
-                self.name, backend.name, "dynamic", "dynamic bail-out"
+                self.name, backend.name, "dynamic" if dynamic else "static",
+                reason,
             )
-            refusals.append(f"{backend.name}: dynamic bail-out")
+            refusals.append(f"{backend.name}: {reason}")
             if board is not None and backend is not last:
                 board.release(backend.name)  # no verdict: free probe
-            skip_classes.add(backend.dynamic_class)
+            if dynamic:
+                skip_classes.add(backend.dynamic_class)
         detail = "; ".join(refusals) or "empty backend chain"
         kind = "strict engine" if self.strict else "engine"
         raise VectorizationError(

@@ -31,6 +31,8 @@ from repro.opencl.interp import (
     Pointer,
     WorkItem,
     _Return,
+    array_dtype,
+    declared_kinds,
 )
 
 __all__ = ["ScalarBackend", "InterpBackend", "CompiledBackend"]
@@ -55,6 +57,7 @@ def _run_group(
     lsize: tuple,
 ) -> None:
     generators = []
+    kinds = declared_kinds(kernel)
     for lz in range(lsize[2]):
         for ly in range(lsize[1]):
             for lx in range(lsize[0]):
@@ -62,7 +65,7 @@ def _run_group(
                 gid = tuple(
                     group[d] * lsize[d] + lid[d] for d in range(3)
                 )
-                item = WorkItem(ctx, dict(group_env), gid, lid, group)
+                item = WorkItem(ctx, dict(group_env), gid, lid, group, kinds)
                 generators.append(_item_driver(item, kernel.body))
 
     alive = list(generators)
@@ -93,7 +96,7 @@ class ScalarBackend(Backend):
     def plan(self, parsed, kernel):
         return None
 
-    def run(self, plan, request: ExecutionRequest) -> bool:
+    def run(self, plan, request: ExecutionRequest) -> None:
         kernel = request.kernel
         gsize, lsize = request.gsize, request.lsize
         counters = request.counters
@@ -106,17 +109,14 @@ class ScalarBackend(Backend):
                     group = (gx, gy, gz)
                     group_env = dict(request.base_env)
                     for decl in request.local_decls:
-                        dtype = (
-                            np.int64
-                            if decl.type_name in ("int", "uint", "long")
-                            else np.float64
-                        )
                         group_env[decl.name] = Pointer(
-                            np.zeros(decl.array_size, dtype=dtype), 0, "local"
+                            np.zeros(
+                                decl.array_size, dtype=array_dtype(decl.type_name)
+                            ),
+                            0, "local",
                         )
                     _run_group(ctx, kernel, group_env, group, lsize)
                     counters.work_items += items_per_group
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +136,11 @@ class InterpBackend(Backend):
             raise CompileUnsupported(reason)
         return None
 
-    def run(self, plan, request: ExecutionRequest) -> bool:
-        return simt.try_launch(
+    def run(self, plan, request: ExecutionRequest) -> None:
+        simt.try_launch(
             request.parsed, request.kernel, request.gsize, request.lsize,
             dict(request.base_env), request.local_decls, request.counters,
-            strict=False, pipeline=plan,
+            pipeline=plan,
         )
 
 

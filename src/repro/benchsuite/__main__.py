@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="run figure8 without the tuning cache",
+        help="run figure8/explore without the tuning cache",
     )
     parser.add_argument(
         "--engine", default=None,
@@ -139,11 +139,7 @@ def main(argv=None) -> int:
     if args.experiment in ("figure8", "all"):
         from repro.benchsuite.figure8 import format_figure8, run_figure8
 
-        cache = None
-        if not args.no_cache:
-            from repro.cache import TuningCache
-
-            cache = TuningCache(args.cache_dir)
+        cache = _tuning_cache(args)
         cells = run_figure8(
             args.benchmarks, sizes=tuple(args.sizes), cache=cache,
             engine=args.engine,
@@ -207,7 +203,7 @@ def main(argv=None) -> int:
             depth=args.depth,
             max_eval=args.max_eval,
             size=args.sizes[0],
-            cache_dir=args.cache_dir,
+            cache=_tuning_cache(args),
             device=args.device,
             engine=args.engine,
         )
@@ -229,6 +225,16 @@ def main(argv=None) -> int:
             print(f"[trace written to {path}]", file=sys.stderr)
 
     return status
+
+
+def _tuning_cache(args):
+    """The tuning cache figure8/explore run against; ``None`` under
+    ``--no-cache`` (nothing is read from or written to disk)."""
+    if args.no_cache:
+        return None
+    from repro.cache import TuningCache
+
+    return TuningCache(args.cache_dir)
 
 
 def _print_cache_recoveries(stats) -> None:

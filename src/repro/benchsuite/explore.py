@@ -106,11 +106,12 @@ def run_explore(
     depth: int = 3,
     max_eval: int = 12,
     size: str = "small",
-    cache_dir: Optional[str] = None,
+    cache: Optional[TuningCache] = None,
     device: str = "nvidia",
     engine: Optional[str] = None,
 ) -> dict:
-    cache = TuningCache(cache_dir) if cache_dir is not None else TuningCache()
+    """Explore ``names``; ``cache=None`` runs without a tuning cache
+    (nothing is read from or written to disk)."""
     entries = [
         explore_benchmark(
             name, depth=depth, max_eval=max_eval, size=size, cache=cache,
@@ -124,7 +125,7 @@ def run_explore(
             "max_eval": max_eval,
             "size": size,
             "device": device,
-            "cache_dir": str(cache.root),
+            "cache_dir": str(cache.root) if cache is not None else "off",
         },
         "benchmarks": entries,
     }

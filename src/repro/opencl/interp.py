@@ -121,6 +121,89 @@ def _c_int_mod(a: int, b: int) -> int:
     return a - _c_int_div(a, b) * b
 
 
+# -- static typing: the declared C type wins (ENGINES.md, "Typing") ---------
+
+#: Declared scalar type name -> ``"f"`` / ``"i"`` (``None``: anything else).
+scalar_kind = {
+    "float": "f", "double": "f",
+    **dict.fromkeys(("int", "uint", "long", "bool", "char", "size_t"), "i"),
+}.get
+
+
+def array_dtype(type_name: str):
+    """Element dtype of a buffer declared with this element type."""
+    return np.int64 if scalar_kind(type_name) == "i" else np.float64
+
+
+def typed_zero(type_name: str, structs: dict, lanes: Optional[int] = None):
+    """What an uninitialised ``T x;`` holds: ``0.0`` or ``0`` by the
+    declared kind, a vector of zeros (``(lanes, width)`` in the lane
+    tiers), or a struct of typed member zeros."""
+    struct = structs.get(type_name)
+    if struct is not None:
+        return {m: typed_zero(t, structs, lanes) for t, m in struct.members}
+    base = type_name.rstrip("0123456789")
+    width = type_name[len(base):]
+    if width and scalar_kind(base):
+        return np.zeros(int(width) if lanes is None else (lanes, int(width)))
+    return 0.0 if scalar_kind(type_name) == "f" else 0
+
+
+def convert(kind: Optional[str], v: Any) -> Any:
+    """C's implicit conversion of a scalar ``v`` stored into a location
+    of declared ``kind``: int -> float is exact, float -> int truncates
+    toward zero.  Non-scalars and untyped locations pass through."""
+    if kind == "f" and isinstance(v, (int, np.integer, np.bool_)):
+        return float(v)
+    if kind == "i" and isinstance(v, (float, np.floating, bool, np.bool_)):
+        return int(v)
+    return v
+
+
+def kind_of(v: Any) -> Optional[str]:
+    """Kind of a scalar value (a struct member's old value names its type)."""
+    if isinstance(v, (float, np.floating)):
+        return "f"
+    return "i" if isinstance(v, (int, np.integer, np.bool_)) else None
+
+
+def iter_decls(stmt):
+    """Every ``CDecl`` under ``stmt``, in source order."""
+    if isinstance(stmt, c.CDecl):
+        yield stmt
+    elif isinstance(stmt, c.CBlock):
+        for s in stmt.stmts:
+            yield from iter_decls(s)
+    elif isinstance(stmt, c.CFor):
+        for part in (stmt.init, stmt.body, stmt.step):
+            if part is not None:
+                yield from iter_decls(part)
+    elif isinstance(stmt, c.CIf):
+        yield from iter_decls(stmt.then)
+        if stmt.otherwise is not None:
+            yield from iter_decls(stmt.otherwise)
+
+
+def declared_kinds(fn: c.CFunctionDef) -> dict:
+    """``name -> "f" | "i" | None`` (pointer, array, vector, struct) for
+    the parameters and declarations of one function; every tier resolves
+    stores through it.  The environment is flat per function, so a name
+    declared with two kinds is ``"mixed"``: untyped in the oracle, a
+    static refusal in the lane tiers.  Cached on the function node."""
+    kinds = fn.__dict__.get("_declared_kinds")
+    if kinds is None:
+        kinds = {}
+        for p in fn.params:
+            kinds[p.name] = None if p.is_pointer else scalar_kind(p.type_name)
+        for d in iter_decls(fn.body):
+            indirect = d.is_pointer or d.array_size is not None
+            kind = None if indirect else scalar_kind(d.type_name)
+            if kinds.setdefault(d.name, kind) != kind:
+                kinds[d.name] = "mixed"
+        fn._declared_kinds = kinds
+    return kinds
+
+
 class LaunchContext:
     """Per-launch state: counters, geometry, struct definitions."""
 
@@ -166,9 +249,10 @@ class WorkItem:
     """One OpenCL work-item executing a kernel body."""
 
     def __init__(self, ctx: LaunchContext, env: dict, gid: tuple, lid: tuple,
-                 group: tuple):
+                 group: tuple, kinds: Optional[dict] = None):
         self.ctx = ctx
         self.env = env
+        self.kinds = kinds or {}  # declared_kinds of the running function
         self.gid = gid
         self.lid = lid
         self.group = group
@@ -255,25 +339,14 @@ class WorkItem:
                 raise ExecError(f"local buffer {name} was not pre-allocated")
             return
         if decl.array_size is not None:
-            dtype = np.int64 if decl.type_name in ("int", "uint", "long") else np.float64
             self.env[name] = Pointer(
-                np.zeros(decl.array_size, dtype=dtype), 0, "private"
+                np.zeros(decl.array_size, dtype=array_dtype(decl.type_name)),
+                0, "private",
             )
-            return
-        if decl.init is not None:
-            self.env[name] = self.eval(decl.init)
-            return
-        struct = self.ctx.program.structs.get(decl.type_name)
-        if struct is not None:
-            self.env[name] = {m: 0.0 for _, m in struct.members}
-        elif decl.type_name.rstrip("1234568") in ("float", "int", "uint", "double"):
-            width = decl.type_name.lstrip("floatinudbe")
-            if width and width in ("2", "3", "4", "8", "16"):
-                self.env[name] = np.zeros(int(width), dtype=np.float64)
-            else:
-                self.env[name] = 0
+        elif decl.init is not None:
+            self.env[name] = convert(self.kinds.get(name), self.eval(decl.init))
         else:
-            self.env[name] = 0
+            self.env[name] = typed_zero(decl.type_name, self.ctx.program.structs)
 
     def _assign(self, stmt: c.CAssign) -> None:
         value = self.eval(stmt.value)
@@ -284,7 +357,7 @@ class WorkItem:
             self._count_binop(op, current, value)
         target = stmt.target
         if isinstance(target, c.CIdent):
-            self.env[target.name] = value
+            self.env[target.name] = convert(self.kinds.get(target.name), value)
         elif isinstance(target, c.CIndex):
             base = self.eval(target.base)
             index = self.eval(target.index)
@@ -295,7 +368,8 @@ class WorkItem:
         elif isinstance(target, c.CMember):
             container = self.eval(target.base)
             if isinstance(container, dict):
-                container[target.member] = value
+                old = container.get(target.member, 0.0)
+                container[target.member] = convert(kind_of(old), value)
             elif isinstance(container, np.ndarray):
                 container[_VEC_MEMBERS[target.member]] = value
             else:
@@ -421,25 +495,24 @@ class WorkItem:
         return self._call_helper(fn_def, args)
 
     def _call_helper(self, fn: c.CFunctionDef, args: list) -> Any:
-        saved = self.env
-        # C passes structs and vectors by value.
-        by_value = [
-            dict(a) if isinstance(a, dict)
+        saved = self.env, self.kinds
+        kinds = self.kinds = declared_kinds(fn)
+        # C passes structs and vectors by value, scalars converted to
+        # the parameter's declared type.
+        self.env = {
+            p.name: dict(a) if isinstance(a, dict)
             else a.copy() if isinstance(a, np.ndarray)
-            else a
-            for a in args
-        ]
-        self.env = dict(
-            (p.name, a) for p, a in zip(fn.params, by_value)
-        )
+            else convert(kinds[p.name], a)
+            for p, a in zip(fn.params, args)
+        }
         # Helpers share geometry builtins but not local variables.
         try:
             self.run_fast(fn.body)
             result = None
         except _Return as r:
-            result = r.value
+            result = convert(scalar_kind(fn.return_type), r.value)
         finally:
-            self.env = saved
+            self.env, self.kinds = saved
         return result
 
     def _geometry(self, name: str, dim: int) -> int:

@@ -38,7 +38,14 @@ import numpy as np
 
 from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram, parse
-from repro.opencl.interp import Counters, Pointer
+from repro.opencl.interp import (
+    Counters,
+    Pointer,
+    array_dtype,
+    convert,
+    declared_kinds,
+    iter_decls,
+)
 
 
 @dataclass
@@ -49,8 +56,7 @@ class Buffer:
 
     @staticmethod
     def zeros(count: int, dtype: str = "float") -> "Buffer":
-        np_dtype = np.int64 if dtype in ("int", "uint", "long") else np.float64
-        return Buffer(np.zeros(count, dtype=np_dtype))
+        return Buffer(np.zeros(count, dtype=array_dtype(dtype)))
 
     @staticmethod
     def from_array(values) -> "Buffer":
@@ -100,21 +106,6 @@ def _normalize_size(size) -> tuple:
     return size + (1,) * (3 - len(size))
 
 
-def _collect_local_decls(stmt: c.CStmt, out: list) -> None:
-    if isinstance(stmt, c.CDecl):
-        if stmt.qualifier == "local" and stmt.array_size is not None:
-            out.append(stmt)
-    elif isinstance(stmt, c.CBlock):
-        for s in stmt.stmts:
-            _collect_local_decls(s, out)
-    elif isinstance(stmt, c.CFor):
-        _collect_local_decls(stmt.body, out)
-    elif isinstance(stmt, c.CIf):
-        _collect_local_decls(stmt.then, out)
-        if stmt.otherwise is not None:
-            _collect_local_decls(stmt.otherwise, out)
-
-
 def _local_decls_of(parsed: ParsedProgram, kernel: c.CFunctionDef) -> list:
     """Local-buffer declarations, memoized per kernel on the parsed
     program (the AST is immutable during execution)."""
@@ -124,9 +115,10 @@ def _local_decls_of(parsed: ParsedProgram, kernel: c.CFunctionDef) -> list:
         parsed._local_decls = cache
     decls = cache.get(kernel.name)
     if decls is None:
-        decls = []
-        _collect_local_decls(kernel.body, decls)
-        cache[kernel.name] = decls
+        decls = cache[kernel.name] = [
+            d for d in iter_decls(kernel.body)
+            if d.qualifier == "local" and d.array_size is not None
+        ]
     return decls
 
 
@@ -180,6 +172,7 @@ def launch(
     counters = counters if counters is not None else Counters()
 
     base_env: dict[str, Any] = {}
+    kinds = declared_kinds(kernel)
     for p in kernel.params:
         if p.name not in args:
             raise KeyError(f"missing kernel argument {p.name!r}")
@@ -192,7 +185,9 @@ def launch(
             else:
                 raise TypeError(f"buffer expected for parameter {p.name}")
         else:
-            base_env[p.name] = value
+            # A scalar argument takes the parameter's declared type
+            # (``5`` for a ``float alpha`` is ``5.0`` in every tier).
+            base_env[p.name] = convert(kinds[p.name], value)
 
     from repro.obs import span
 

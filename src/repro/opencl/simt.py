@@ -48,13 +48,16 @@ multiply-add chain (:func:`_lane_dot`), so vector-geometry kernels stay
 on the lane-batched path with bitwise-identical results.
 
 A handful of *dynamic* situations raise :class:`VectorUnsupported`; the
-launcher then restores the global buffers from a snapshot and re-runs
-the whole launch on the scalar path, so ``launch()`` keeps its exact
-API and semantics.  The two big ones: a cross-lane data race (a store
-whose value another work-item could observe order-dependently — see
-:class:`_Hazard`), and a masked assignment that would mix integer and
-floating-point lanes in one variable (which the scalar interpreter's
-per-item dynamic typing allows).
+launcher then restores the global buffers from a snapshot and re-raises,
+and the backend chain re-runs the whole launch on the scalar path, so
+``launch()`` keeps its exact API and semantics.  The big one: a
+cross-lane data race (a store whose value another work-item could
+observe order-dependently — see :class:`_Hazard`).
+
+Variables are statically typed, as in C: every store into a declared
+scalar converts to the declared kind (:func:`_convert`, the lane-array
+twin of :func:`repro.opencl.interp.convert`), so one variable never
+holds integer and floating-point lanes at once.
 
 Known (documented) divergence, outside defined OpenCL behaviour:
 reading a variable that only a *different* lane's control path declared
@@ -80,6 +83,11 @@ from repro.opencl.interp import (
     _MATH_BUILTINS,
     _c_int_div,
     _c_int_mod,
+    array_dtype,
+    convert,
+    declared_kinds,
+    scalar_kind,
+    typed_zero,
 )
 
 #: Lanes batched together (across whole work-groups) per executor block.
@@ -160,6 +168,9 @@ def _check_function(
 ) -> Optional[str]:
     if fn.name in stack:
         return f"recursive helper function {fn.name!r}"
+    for name, kind in declared_kinds(fn).items():
+        if kind == "mixed":
+            return f"{name!r} is declared with two types in {fn.name!r}"
     stack = stack | {fn.name}
     return _check_stmt(parsed, fn.body, stack, is_kernel)
 
@@ -603,9 +614,10 @@ class RowPtr:
 class _Frame:
     """Per-function-body return state (lanes that hit ``return``)."""
 
-    __slots__ = ("ret_mask", "ret_val", "returned_any", "has_value")
+    __slots__ = ("ret_mask", "ret_val", "returned_any", "has_value", "kind")
 
-    def __init__(self, lanes: int):
+    def __init__(self, lanes: int, kind: Optional[str] = None):
+        self.kind = kind  # scalar kind of the declared return type
         self.ret_mask = np.zeros(lanes, dtype=bool)
         self.ret_val: Any = None
         self.returned_any = False
@@ -633,6 +645,31 @@ def _kind(v) -> str:
     if isinstance(v, dict):
         return "struct"
     return "other"
+
+
+#: Lane dtype per declared scalar kind (the kinds are numpy's own
+#: ``dtype.kind`` letters, so "already converted" is one comparison).
+_LANE_DTYPE = {"f": np.float64, "i": np.int64}
+
+
+def _convert(kind, v):
+    """Lane-array twin of :func:`repro.opencl.interp.convert`; no copy
+    when the lanes already have the kind (the full-mask hot path), and
+    ``astype(int64)`` truncates toward zero, like C."""
+    if type(v) is np.ndarray:
+        if v.dtype.kind != kind and v.ndim == 1 and kind in _LANE_DTYPE:
+            return v.astype(_LANE_DTYPE[kind])
+        return v
+    return convert(kind, v)
+
+
+def _by_value(kind, a):
+    """A helper argument as a parameter of declared ``kind`` receives
+    it: structs and vectors (updated in place by member stores) are
+    copied; scalar lane arrays are never mutated and are shared."""
+    if type(a) is np.ndarray:
+        return a.copy() if a.ndim == 2 else _convert(kind, a)
+    return dict(a) if isinstance(a, dict) else convert(kind, a)
 
 
 def _vec_width(v) -> int:
@@ -692,6 +729,7 @@ class _Block:
         self.local_size = local_size
         self.num_groups = num_groups
         self.env: dict = {}
+        self.kinds: dict = {}  # declared_kinds of the function being walked
         self._lane_ids = lane_ids if lane_ids is not None else np.arange(lanes)
         self._load_log: dict = {}  # (id(buffer), width) -> _LoadLog
         # Race detectors live for one block (blocks run in the scalar
@@ -711,6 +749,7 @@ class _Block:
     # -- top level -------------------------------------------------------
     def run(self, kernel: c.CFunctionDef) -> None:
         frame = _Frame(self.L)
+        self.kinds = declared_kinds(kernel)
         self.exec_stmt(kernel.body, self._full, self.L, frame)
         self._flush_load_log()
 
@@ -780,6 +819,11 @@ class _Block:
             raise VectorUnsupported(f"cannot execute {s!r}")
 
     def _set_return(self, frame, m, value) -> None:
+        kind = frame.kind  # the declared return type converts like a store
+        if kind is not None and (
+            type(value) is not np.ndarray or value.dtype.kind != kind
+        ):
+            value = _convert(kind, value)
         if value is None:
             if frame.has_value:
                 raise VectorUnsupported("mixed void and value returns")
@@ -801,35 +845,19 @@ class _Block:
                 raise ExecError(f"local buffer {name} was not pre-allocated")
             return
         if decl.array_size is not None:
-            dtype = (
-                np.int64 if decl.type_name in ("int", "uint", "long") else np.float64
-            )
-            self.env[name] = RowPtr(
-                np.zeros((self.L, decl.array_size), dtype=dtype),
-                self._lane_ids,
-                0,
-                "private",
-            )
+            self._alloc_private(name, decl.array_size, array_dtype(decl.type_name))
             return
         if decl.init is not None:
-            self._bind(name, self.eval(decl.init, m, n), m, n, declaring=True)
-            return
-        struct = self.parsed.structs.get(decl.type_name)
-        if struct is not None:
-            self._bind(
-                name, {member: 0.0 for _, member in struct.members}, m, n,
-                declaring=True,
-            )
-        elif decl.type_name.rstrip("1234568") in ("float", "int", "uint", "double"):
-            width = decl.type_name.lstrip("floatinudbe")
-            if width and width in ("2", "3", "4", "8", "16"):
-                self._bind(
-                    name, np.zeros((self.L, int(width))), m, n, declaring=True
-                )
-            else:
-                self._bind(name, 0, m, n, declaring=True)
+            value = _convert(self.kinds.get(name), self.eval(decl.init, m, n))
         else:
-            self._bind(name, 0, m, n, declaring=True)
+            value = typed_zero(decl.type_name, self.parsed.structs, self.L)
+        self._bind(name, value, m, n, declaring=True)
+
+    def _alloc_private(self, name, size, dtype) -> None:
+        """``T name[size];`` — one zeroed row per work-item."""
+        self.env[name] = RowPtr(
+            np.zeros((self.L, size), dtype=dtype), self._lane_ids, 0, "private"
+        )
 
     # -- assignment ------------------------------------------------------
     def _assign(self, s: c.CAssign, m, n) -> None:
@@ -841,6 +869,7 @@ class _Block:
             self._count_binop(op, current, value, n)
         target = s.target
         if isinstance(target, c.CIdent):
+            value = _convert(self.kinds.get(target.name), value)
             self._bind(target.name, value, m, n)
         elif isinstance(target, c.CIndex):
             base = self.eval(target.base, m, n)
@@ -851,11 +880,7 @@ class _Block:
         elif isinstance(target, c.CMember):
             container = self.eval(target.base, m, n)
             if isinstance(container, dict):
-                if n == self.L:
-                    container[target.member] = value
-                else:
-                    old = container.get(target.member, 0.0)
-                    container[target.member] = self._merge(old, value, m)
+                self._store_member(container, target.member, value, m, n)
             elif isinstance(container, np.ndarray) and container.ndim == 2:
                 col = _VEC_MEMBERS[target.member]
                 if n == self.L:
@@ -866,6 +891,15 @@ class _Block:
                 raise ExecError(f"member store into {container!r}")
         else:
             raise ExecError(f"cannot assign to {target!r}")
+
+    def _store_member(self, struct: dict, member, value, m, n) -> None:
+        """A struct member keeps the kind of its typed zero, so the old
+        value names the declared type the store converts to."""
+        old = struct.get(member, 0.0)
+        tv = type(value)
+        if tv is not type(old) or (tv is np.ndarray and value.dtype != old.dtype):
+            value = _convert(_kind(old), value)
+        struct[member] = value if n == self.L else self._merge(old, value, m)
 
     def _bind(self, name, value, m, n, declaring: bool = False) -> None:
         if n == self.L:
@@ -903,10 +937,8 @@ class _Block:
             return old
         ko, kn = _kind(old), _kind(new)
         if ko in ("i", "f") and kn in ("i", "f"):
-            if ko != kn:
-                raise VectorUnsupported(
-                    "masked assignment mixes integer and float lanes"
-                )
+            # Stores arrive converted to the declared kind, so both
+            # sides agree (ternary arms are checked in ``_select``).
             if _is_uniform(old) and _is_uniform(new) and old == new:
                 return old
             return np.where(m, new, old)
@@ -932,6 +964,16 @@ class _Block:
                 return RowPtr(old.array, old.rows, offset, old.space)
             return VPtr(old.array, offset, old.space)
         raise VectorUnsupported(f"cannot merge {ko} with {kn}")
+
+    def _select(self, cv, tv, fv):
+        """``cv ? tv : fv`` over divergent lanes.  Expressions, unlike
+        variables, carry no declared type: arms of different arithmetic
+        kinds (``c ? x : 0``) stay per-work-item values (scalar tier)."""
+        if {_kind(tv), _kind(fv)} == {"i", "f"}:
+            raise VectorUnsupported(
+                "ternary arms of different arithmetic types on divergent lanes"
+            )
+        return self._merge(fv, tv, cv)
 
     def _merge_offsets(self, old, new, m):
         if _is_uniform(old) and _is_uniform(new) and old == new:
@@ -985,7 +1027,7 @@ class _Block:
                 return self.eval(e.otherwise, mf, nf)
             tv = self.eval(e.then, mt, nt)
             fv = self.eval(e.otherwise, mf, nf)
-            return self._merge(fv, tv, cv)
+            return self._select(cv, tv, fv)
         if t is c.CIndex:
             base = self.eval(e.base, m, n)
             index = self.eval(e.index, m, n)
@@ -1084,20 +1126,16 @@ class _Block:
         return self._call_helper(fn_def, args, m, n)
 
     def _call_helper(self, fn: c.CFunctionDef, args, m, n):
-        saved = self.env
-        # C passes structs and vectors by value.
-        by_value = [
-            dict(a) if isinstance(a, dict)
-            else a.copy() if isinstance(a, np.ndarray)
-            else a
-            for a in args
-        ]
-        self.env = dict((p.name, a) for p, a in zip(fn.params, by_value))
-        frame = _Frame(self.L)
+        saved = self.env, self.kinds
+        kinds = self.kinds = declared_kinds(fn)
+        self.env = {
+            p.name: _by_value(kinds[p.name], a) for p, a in zip(fn.params, args)
+        }
+        frame = _Frame(self.L, scalar_kind(fn.return_type))
         try:
             self.exec_stmt(fn.body, m, n, frame)
         finally:
-            self.env = saved
+            self.env, self.kinds = saved
         if not frame.has_value:
             return None
         if bool((m & ~frame.ret_mask).any()):
@@ -1921,16 +1959,13 @@ def try_launch(
     base_env: dict,
     local_decls: list,
     counters: Counters,
-    strict: bool = False,
     pipeline=None,
-) -> bool:
-    """Run the launch on the vector engine.
-
-    Returns ``True`` on success (counters merged, buffers written).  On a
-    dynamic :class:`VectorUnsupported` the global buffers are restored
-    from a snapshot and ``False`` is returned so the caller can re-run
-    the scalar path — unless ``strict`` (``engine="vector"``), which
-    re-raises as :class:`VectorizationError`.
+) -> None:
+    """Run the launch on the vector engine (counters merged, buffers
+    written).  On a dynamic :class:`VectorUnsupported` the global
+    buffers are restored from a snapshot and the exception — whose
+    message is the decline reason the ledger records — propagates, so
+    the caller can re-run the launch on the scalar path.
 
     ``pipeline`` is an optional compiled closure pipeline from
     :mod:`repro.opencl.simt_compile`; without one each block interprets
@@ -1948,14 +1983,11 @@ def try_launch(
                 parsed, kernel, gsize, lsize, base_env, local_decls, staged,
                 pipeline,
             )
-    except VectorUnsupported as exc:
-        if strict:
-            raise VectorizationError(str(exc)) from exc
+    except VectorUnsupported:
         for array, saved in snapshot:
             array[:] = saved
-        return False
+        raise
     counters.merge_in(staged)
-    return True
 
 
 def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dict:
@@ -2076,10 +2108,9 @@ def _run_blocks(
         block_tracked = tracked
         env = dict(vptr_env)
         for decl in local_decls:
-            dtype = (
-                np.int64 if decl.type_name in ("int", "uint", "long") else np.float64
+            local_array = np.zeros(
+                (n_groups, decl.array_size), dtype=array_dtype(decl.type_name)
             )
-            local_array = np.zeros((n_groups, decl.array_size), dtype=dtype)
             env[decl.name] = RowPtr(local_array, group_row, 0, "local")
             if prof is not None:
                 prof.map_buffer(local_array, decl.name)

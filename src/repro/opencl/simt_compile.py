@@ -58,14 +58,23 @@ from repro.obs import profile as _obs_profile
 
 from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram
-from repro.opencl.interp import ExecError
+from repro.opencl.interp import (
+    ExecError,
+    array_dtype,
+    declared_kinds,
+    scalar_kind,
+    typed_zero,
+)
 from repro.opencl.simt import (
     RowPtr,
     VPtr,
     VectorUnsupported,
     _Block,
     _Frame,
+    _LANE_DTYPE,
     _VMATH,
+    _by_value,
+    _convert,
     _is_floatish,
     _is_int_like,
     _is_uniform,
@@ -112,12 +121,32 @@ _ARITH_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class _Ctx:
-    """Per-pipeline compilation state (helper memoization)."""
+    """Per-pipeline compilation state (helper memoization, and the
+    declared kinds of the function being compiled — stores resolve
+    their conversion here, at plan time)."""
 
-    def __init__(self, parsed: ParsedProgram):
+    def __init__(self, parsed: ParsedProgram, fn: c.CFunctionDef):
         self.parsed = parsed
+        self.kinds = declared_kinds(fn)
         self.helpers: dict = {}
         self.in_progress: set = set()
+
+    def bind(self, name: str, value_c: ExprFn, declaring: bool) -> StmtFn:
+        """The store ``name = value_c(...)``, converted to the declared
+        kind of ``name`` — resolved here, once, at plan time."""
+        kind = self.kinds.get(name)
+        if kind not in _LANE_DTYPE:
+            return lambda b, m, n, frame: b._bind(
+                name, value_c(b, m, n), m, n, declaring
+            )
+
+        def bind_typed(b, m, n, frame):
+            v = value_c(b, m, n)
+            if type(v) is not np.ndarray or v.dtype.kind != kind:
+                v = _convert(kind, v)  # lanes of the kind: no call, no copy
+            b._bind(name, v, m, n, declaring)
+
+        return bind_typed
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +315,7 @@ def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
             return other(b, mf, nf)
         tv = then(b, mt, nt)
         fv = other(b, mf, nf)
-        return b._merge(fv, tv, cv)
+        return b._select(cv, tv, fv)
 
     return ternary
 
@@ -506,32 +535,35 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
 def _compile_helper_call(e: c.CCall, fn: c.CFunctionDef, ctx: _Ctx) -> ExprFn:
     if fn.name in ctx.in_progress:
         raise CompileUnsupported(f"recursive helper function {fn.name!r}")
+    kinds = declared_kinds(fn)
     body = ctx.helpers.get(fn.name)
     if body is None:
         ctx.in_progress.add(fn.name)
+        caller_kinds, ctx.kinds = ctx.kinds, kinds
         try:
             body = _compile_stmt(fn.body, ctx, has_returns=True)
         finally:
+            ctx.kinds = caller_kinds
             ctx.in_progress.discard(fn.name)
         ctx.helpers[fn.name] = body
-    param_names = tuple(p.name for p in fn.params)
+    params = tuple((p.name, kinds[p.name]) for p in fn.params)
     arg_cs = [_compile_expr(a, ctx) for a in e.args]
     helper_name = fn.name
+    ret_kind = scalar_kind(fn.return_type)
 
     def call_helper(b, m, n):
-        # C passes structs and vectors by value.
         env = {}
-        for pname, ac in zip(param_names, arg_cs):
+        for (pname, kind), ac in zip(params, arg_cs):
             a = ac(b, m, n)
-            if isinstance(a, dict):
-                a = dict(a)
-            elif isinstance(a, np.ndarray):
-                a = a.copy()
+            if type(a) is not np.ndarray or a.ndim != 1 or (
+                kind is not None and a.dtype.kind != kind
+            ):  # not lanes of the declared kind (those pass as they are)
+                a = _by_value(kind, a)
             env[pname] = a
         b.counters.calls += n
         saved = b.env
         b.env = env
-        frame = _Frame(b.L)
+        frame = _Frame(b.L, ret_kind)
         try:
             body(b, m, n, frame)
         finally:
@@ -631,12 +663,7 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
 
     target = s.target
     if isinstance(target, c.CIdent):
-        name = target.name
-
-        def assign_ident(b, m, n, frame):
-            b._bind(name, value_c(b, m, n), m, n)
-
-        return assign_ident
+        return ctx.bind(target.name, value_c, False)
 
     if isinstance(target, c.CIndex):
         base_c = _compile_expr(target.base, ctx)
@@ -661,11 +688,7 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
             v = value_c(b, m, n)
             container = base_c(b, m, n)
             if isinstance(container, dict):
-                if n == b.L:
-                    container[member] = v
-                else:
-                    old = container.get(member, 0.0)
-                    container[member] = b._merge(old, v, m)
+                b._store_member(container, member, v, m, n)
             elif isinstance(container, np.ndarray) and container.ndim == 2:
                 if vec_col is None:
                     # Same KeyError the other engines' _VEC_MEMBERS
@@ -694,51 +717,15 @@ def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
         return check_local
 
     if decl.array_size is not None:
-        dtype = (
-            np.int64 if decl.type_name in ("int", "uint", "long") else np.float64
-        )
-        size = decl.array_size
-
-        def alloc_private(b, m, n, frame):
-            b.env[name] = RowPtr(
-                np.zeros((b.L, size), dtype=dtype), b._lane_ids, 0, "private"
-            )
-
-        return alloc_private
+        size, dtype = decl.array_size, array_dtype(decl.type_name)
+        return lambda b, m, n, frame: b._alloc_private(name, size, dtype)
 
     if decl.init is not None:
-        init_c = _compile_expr(decl.init, ctx)
-
-        def declare_init(b, m, n, frame):
-            b._bind(name, init_c(b, m, n), m, n, declaring=True)
-
-        return declare_init
-
-    struct = ctx.parsed.structs.get(decl.type_name)
-    if struct is not None:
-        members = tuple(member for _, member in struct.members)
-
-        def declare_struct(b, m, n, frame):
-            b._bind(
-                name, {member: 0.0 for member in members}, m, n, declaring=True
-            )
-
-        return declare_struct
-
-    if decl.type_name.rstrip("1234568") in ("float", "int", "uint", "double"):
-        width = decl.type_name.lstrip("floatinudbe")
-        if width and width in ("2", "3", "4", "8", "16"):
-            w = int(width)
-
-            def declare_vector(b, m, n, frame):
-                b._bind(name, np.zeros((b.L, w)), m, n, declaring=True)
-
-            return declare_vector
-
-    def declare_zero(b, m, n, frame):
-        b._bind(name, 0, m, n, declaring=True)
-
-    return declare_zero
+        return ctx.bind(name, _compile_expr(decl.init, ctx), True)
+    type_name, structs = decl.type_name, ctx.parsed.structs
+    return lambda b, m, n, frame: b._bind(
+        name, typed_zero(type_name, structs, b.L), m, n, True
+    )
 
 
 def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
@@ -904,7 +891,7 @@ def compile_kernel_pipeline(
     Raises :class:`CompileUnsupported` when some construct has no
     closure lowering; the caller then uses the interpretive walk.
     """
-    ctx = _Ctx(parsed)
+    ctx = _Ctx(parsed, kernel)
     has_returns = _contains_return(kernel.body)
 
     segments: list = []

@@ -102,3 +102,43 @@ def test_optimizations_never_hurt_for_gemv():
         by_level.setdefault(c.level, []).append(c.relative_performance)
     assert np.mean(by_level["all"]) >= np.mean(by_level["barrier_cf"])
     assert np.mean(by_level["barrier_cf"]) >= np.mean(by_level["none"]) - 1e-9
+
+
+@pytest.mark.parametrize("engine", ["auto", "fused"])
+@pytest.mark.parametrize("name", ALL_BENCHMARKS)
+def test_no_scalar_cliff(name, engine, fault_free):
+    """No benchsuite launch — reference or generated, at any
+    optimization level — falls to the per-work-item scalar tier or is
+    declined dynamically by a lane-batched one (the scalar cliff under
+    Figure 8: 12 of 52 launches before declared types became
+    authoritative)."""
+    from repro.backend import ledger
+    from repro.obs import metrics
+
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    ledger.clear()
+    scalar_before = metrics.REGISTRY.counter("launch.served.scalar")
+    bench.run_reference(inputs, size_env, engine=engine)
+    for factory in OPTIMIZATION_LEVELS.values():
+        bench.run_generated(
+            inputs, size_env, options_factory=factory, engine=engine
+        )
+    assert metrics.REGISTRY.counter("launch.served.scalar") == scalar_before
+    dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
+    assert not dynamic, dynamic
+
+
+def test_explore_no_cache_leaves_the_cache_dir_empty(
+    tmp_path, monkeypatch, capsys, fault_free
+):
+    """``benchsuite explore --no-cache`` must not touch the default
+    cache directory (it used to write ``~/.cache/repro``)."""
+    from repro.benchsuite.__main__ import main
+
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    main(["explore", "--benchmarks", "nn", "--no-cache",
+          "--depth", "1", "--max-eval", "2"])
+    assert "cache off" in capsys.readouterr().out
+    assert not cache_dir.exists() or not any(cache_dir.rglob("*"))

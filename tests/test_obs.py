@@ -364,6 +364,34 @@ class TestOutOfBand:
         # parsed SAXPY); launch/plan/run always fire.
         assert {"launch", "plan", "run"} <= names
 
+    def test_run_span_of_a_decline_carries_its_reason(
+        self, tmp_path, no_tracing, fault_free
+    ):
+        race = """
+        kernel void RACE(const global float * restrict x,
+                         global float *scratch, global float *out) {
+          int i = get_global_id(0);
+          scratch[0] = x[i];
+          out[i] = scratch[0] * 2.0f;
+        }
+        """
+        path = tmp_path / "trace.json"
+        obs.start_tracing(path)
+        launch(
+            OpenCLProgram(race), 8, 4,
+            {"x": Buffer.from_array(np.arange(8.0)),
+             "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)},
+            engine="auto",
+        )
+        obs.stop_tracing()
+        runs = {
+            e["args"]["backend"]: e["args"]
+            for e in read_trace(path)["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "run"
+        }
+        assert runs["compiled"]["reason"].startswith("RACE: cross-lane ")
+        assert "reason" not in runs["scalar"]  # served, nothing to explain
+
     def test_launch_metrics_count_per_tier(self, no_tracing):
         before = metrics_mod.REGISTRY.counter("launch.total")
         served = metrics_mod.REGISTRY.counter("launch.served.scalar")

@@ -55,10 +55,12 @@ def run_both(source, global_size, local_size, make_args, kernel_name=None,
     return results
 
 
-def assert_engines_agree(source, global_size, local_size, make_args):
-    results = run_both(source, global_size, local_size, make_args)
+def assert_engines_agree(source, global_size, local_size, make_args,
+                         engines=ENGINES):
+    results = run_both(source, global_size, local_size, make_args,
+                       engines=engines)
     (outs_s, c_s) = results[0]
-    for engine, (outs, counters) in zip(ENGINES[1:], results[1:]):
+    for engine, (outs, counters) in zip(engines[1:], results[1:]):
         for name in outs_s:
             np.testing.assert_array_equal(
                 outs_s[name], outs[name],
@@ -246,6 +248,199 @@ class TestDivergentControlFlow:
             np.testing.assert_array_equal(outs_s["out"], outs_v["out"])
 
 
+def assert_typed_everywhere(source, global_size, local_size, make_args):
+    """Bitwise buffers + equal Counters vs scalar on every engine, each
+    launch served by the engine's *first* chain member (the backend the
+    engine is named after) with no ledger event: declared C types leave
+    nothing for a tier to decline."""
+    from repro.backend import ledger
+    from repro.obs import metrics
+
+    ledger.clear()
+    before = {
+        b: metrics.REGISTRY.counter(f"launch.served.{b}")
+        for b in ENGINES
+    }
+    assert_engines_agree(source, global_size, local_size, make_args)
+    assert ledger.events() == ()
+    for backend, count in before.items():
+        served = metrics.REGISTRY.counter(f"launch.served.{backend}")
+        assert served == count + 1, f"{backend} did not serve its launch"
+
+
+@pytest.mark.usefixtures("fault_free")
+class TestDeclaredTypes:
+    """The declared C type of a variable, parameter, return value or
+    struct member is authoritative in every tier (ENGINES.md, Typing)."""
+
+    def test_uninitialised_float_first_assigned_under_partial_mask(self):
+        # The generated atax/gemv/gesummv shape: ``float acc;`` hoisted
+        # to the kernel top, first written under ``if (l_id < size/2)``.
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          float acc;
+          int i = get_global_id(0);
+          if (get_local_id(0) < 4) { acc = 0.0f; acc = acc + x[i]; }
+          out[i] = acc / 2;
+        }
+        """
+        x = np.arange(32, dtype=float) + 0.5
+        assert_typed_everywhere(
+            src, 32, 8,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(32)},
+        )
+        outs, counters = run_both(
+            src, 32, 8,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(32)},
+            engines=("scalar",),
+        )[0]
+        lanes = np.arange(32)
+        expected = np.where(lanes % 8 < 4, x / 2, 0.0)
+        np.testing.assert_array_equal(outs["out"], expected)
+        # ``acc / 2`` divides a float on every lane, active or not.
+        assert counters.idivmod_const == 0 and counters.flops == 32 + 16
+
+    def test_int_initialised_float_accumulates_in_divergent_loop(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          float s = 0;
+          for (int k = 0; k < i % 5; k += 1) { s += x[i] * k; }
+          out[i] = s / 2;
+        }
+        """
+        x = np.linspace(0.25, 4.0, 32)
+        assert_typed_everywhere(
+            src, 32, 8,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(32)},
+        )
+
+    def test_float_to_int_truncates_toward_zero(self):
+        src = """
+        kernel void K(global int *out, global float *half) {
+          int g = get_global_id(0);
+          int i = 2.7f;
+          out[g] = i;
+          if (g % 2 == 0) { i = -2.7f; out[g] = i; }
+          i = i / 2;
+          half[g] = i;
+        }
+        """
+        make = lambda: {"out": Buffer.zeros(16, "int"), "half": Buffer.zeros(16)}
+        assert_typed_everywhere(src, 16, 8, make)
+        outs, _ = run_both(src, 16, 8, make, engines=("scalar",))[0]
+        even = np.arange(16) % 2 == 0
+        np.testing.assert_array_equal(outs["out"], np.where(even, -2, 2))
+        np.testing.assert_array_equal(outs["half"], np.where(even, -1.0, 1.0))
+
+    def test_helper_parameter_and_return_convert(self):
+        src = """
+        float halve(float v) { return v / 2; }
+        float one(float v) { if (v > 2.0f) { return 1; } return 0.5f; }
+        int whole(float v) { return v; }
+        kernel void K(const global float * restrict x, global float *out,
+                      global int *trunc) {
+          int i = get_global_id(0);
+          out[i] = halve(3) + one(x[i]) / 2;
+          trunc[i] = whole(x[i] * 1.5f) / 2;
+        }
+        """
+        x = np.linspace(-4.0, 4.0, 32)
+        make = lambda: {"x": Buffer.from_array(x.copy()),
+                        "out": Buffer.zeros(32),
+                        "trunc": Buffer.zeros(32, "int")}
+        assert_typed_everywhere(src, 32, 8, make)
+        outs, _ = run_both(src, 32, 8, make, engines=("scalar",))[0]
+        np.testing.assert_array_equal(
+            outs["out"], 1.5 + np.where(x > 2.0, 1.0, 0.5) / 2
+        )
+        np.testing.assert_array_equal(
+            outs["trunc"], np.trunc(np.trunc(x * 1.5) / 2).astype(np.int64)
+        )
+
+    def test_python_int_argument_for_float_parameter(self):
+        src = """
+        kernel void K(global float *out, float alpha, int n) {
+          int i = get_global_id(0);
+          if (i < n) { out[i] = alpha / 2; }
+        }
+        """
+        make = lambda: {"out": Buffer.zeros(16), "alpha": 5, "n": 12.0}
+        assert_typed_everywhere(src, 16, 8, make)
+        outs, counters = run_both(src, 16, 8, make, engines=("scalar",))[0]
+        np.testing.assert_array_equal(
+            outs["out"], np.where(np.arange(16) < 12, 2.5, 0.0)
+        )
+        assert counters.flops == 12 and counters.idivmod_const == 0
+
+    def test_struct_member_store_converts_to_member_type(self):
+        src = """
+        typedef struct { float sum; int count; } Acc;
+        Acc step(Acc a, float v) { a.sum = a.sum + v; a.count = a.count + 1.9f; return a; }
+        kernel void K(const global float * restrict x, global float *out,
+                      global int *cnt) {
+          int i = get_global_id(0);
+          Acc a;
+          a.sum = 1;
+          if (x[i] > 0.0f) { a.sum = 2; a.count = 2.5f; }
+          a = step(a, x[i]);
+          out[i] = a.sum / 2;
+          cnt[i] = a.count / 2;
+        }
+        """
+        x = np.linspace(-1.0, 1.0, 32)
+        make = lambda: {"x": Buffer.from_array(x.copy()),
+                        "out": Buffer.zeros(32),
+                        "cnt": Buffer.zeros(32, "int")}
+        assert_typed_everywhere(src, 32, 8, make)
+        outs, _ = run_both(src, 32, 8, make, engines=("scalar",))[0]
+        pos = x > 0.0
+        np.testing.assert_array_equal(
+            outs["out"], (np.where(pos, 2.0, 1.0) + x) / 2
+        )
+        # count: 0 or 2, plus trunc(count + 1.9) -> +1, then int / 2.
+        np.testing.assert_array_equal(outs["cnt"], np.where(pos, 1, 0))
+
+    def test_two_types_for_one_name_is_a_static_decline(self):
+        src = """
+        kernel void K(global float *out) {
+          int g = get_global_id(0);
+          for (int i = 0; i < 2; i += 1) { out[g] = i; }
+          for (float i = 0.5f; i < 2.0f; i += 1.0f) { out[g] = out[g] + i; }
+        }
+        """
+        program = OpenCLProgram(src)
+        reason = analyze_kernel(program.parsed, program.kernel())
+        assert reason is not None and "two types" in reason
+        # The graceful chains still agree with the scalar oracle.
+        assert_engines_agree(
+            src, 8, 8, lambda: {"out": Buffer.zeros(8)},
+            engines=("scalar", "auto", "fused"),
+        )
+
+    def test_mixed_ternary_arms_decline_with_their_reason(self):
+        from repro.backend import ledger
+
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = ((x[i] > 0.0f) ? x[i] : 0) / 2;
+        }
+        """
+        x = np.linspace(-1.0, 1.0, 16)
+        make = lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(16)}
+        with pytest.raises(VectorizationError, match="K: ternary arms"):
+            launch(OpenCLProgram(src), 16, 8, make(), engine="compiled")
+        ledger.clear()
+        assert_engines_agree(
+            src, 16, 8, make, engines=("scalar", "auto", "fused")
+        )
+        reasons = {e.reason for e in ledger.events() if e.kind == "dynamic"}
+        assert reasons == {
+            "K: ternary arms of different arithmetic types on divergent lanes"
+        }
+
+
 class TestBarriers:
     def test_group_uniform_barrier_loop(self):
         # Strided work-group loop with a barrier inside: the trip count
@@ -397,7 +592,7 @@ class TestFallback:
         program = OpenCLProgram(src)
         assert analyze_kernel(program.parsed, program.kernel()) is not None
 
-    def test_dynamic_race_falls_back_to_scalar(self):
+    def test_dynamic_race_falls_back_to_scalar(self, fault_free):
         # Every work-item stages its value through the *same* scratch
         # cell — the scalar interpreter's sequential item order makes
         # this "work"; the vector engine must detect the cross-lane race
@@ -418,14 +613,21 @@ class TestFallback:
             return {"x": Buffer.from_array(x.copy()),
                     "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
 
+        from repro.backend import ledger
+
         a_s = args()
         c_s = launch(program, 8, 4, a_s, engine="scalar")
         a_auto = args()
-        c_auto = launch(program, 8, 4, a_auto)  # auto: tries vector, falls back
+        ledger.clear()
+        c_auto = launch(program, 8, 4, a_auto, engine="auto")  # falls back
         np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
         np.testing.assert_array_equal(a_s["scratch"].data, a_auto["scratch"].data)
         assert vars(c_s) == vars(c_auto)
-        with pytest.raises(VectorizationError):
+        # The decline keeps its real reason: kernel + the engine's message.
+        dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
+        assert [(e.engine, e.backend) for e in dynamic] == [("auto", "compiled")]
+        assert dynamic[0].reason.startswith("K: cross-lane ")
+        with pytest.raises(VectorizationError, match="compiled: K: cross-lane "):
             launch(program, 8, 4, args(), engine="vector")
 
     def test_cross_group_race_across_barrier_falls_back(self):
