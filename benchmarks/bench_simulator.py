@@ -3,11 +3,11 @@
 Tracks how many work-items per second the NDRange simulator executes for
 representative kernels — useful for sizing future experiments.  Each
 benchmark is parametrized over the execution backend (``scalar``
-reference interpreter, ``interp``retive lane-batched walk, ``compiled``
-closure pipeline, ``fused`` whole-grid numpy programs) so each
-backend's speedup is tracked as a first-class number (baseline:
-``BENCH_simulator.json``; regression gate: ``check_perf_regression.py``,
-which also gates the fused-vs-compiled SAXPY ratio — the fusion win).
+reference interpreter, ``compiled`` closure pipeline, ``fused``
+whole-grid numpy programs) so each backend's speedup is tracked as a
+first-class number (baseline: ``BENCH_simulator.json``; regression
+gate: ``check_perf_regression.py``, which also gates the
+fused-vs-compiled SAXPY ratio — the fusion win).
 """
 
 import pytest
@@ -45,7 +45,7 @@ kernel void REDUCE(const global float * restrict x, global float *out) {
 REDUCTION_N = 1024
 REDUCTION_LOCAL = 64
 
-ENGINES = ("scalar", "interp", "compiled", "fused")
+ENGINES = ("scalar", "compiled", "fused")
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -85,7 +85,7 @@ def test_simulator_barrier_lockstep_throughput(benchmark, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_simulator_engines_agree(engine, tmp_path):
-    """Both engines produce identical buffers and counters (sanity tie-in
+    """Every engine produces identical buffers and counters (sanity tie-in
     for the throughput numbers above; the exhaustive check lives in
     tests/test_simt.py)."""
     n = 1024

@@ -8,9 +8,8 @@ intermediate arrays are ever materialized.
 """
 
 import numpy as np
-from scipy.signal import correlate2d
 
-from repro.benchsuite.convolution import K, T, _program
+from repro.benchsuite.convolution import K, T, _program, correlate_valid
 from repro.compiler import CompilerOptions, compile_kernel, execute_kernel
 
 
@@ -31,9 +30,9 @@ def main() -> None:
         kernel, {"img": img, "weights": weights}, {},
         global_size=(w, h, 1), local_size=(T, T, 1),
     )
-    expected = correlate2d(img, weights, "valid").ravel()
+    expected = correlate_valid(img, weights).ravel()
     np.testing.assert_allclose(result.output, expected, rtol=1e-9)
-    print("result matches scipy.signal.correlate2d: OK")
+    print("result matches the numpy cross-correlation oracle: OK")
     print(f"local memory traffic: {result.counters.local_loads} loads / "
           f"{result.counters.local_stores} stores "
           f"(the staged tile is reused {result.counters.local_loads // max(result.counters.local_stores, 1)}x)")

@@ -1,9 +1,9 @@
 """Common protocol of the pluggable execution backends.
 
 A *backend* is one way of running a kernel launch on the simulated
-device: the scalar reference interpreter, the lane-batched interpretive
-walk, the closure-compiled pipeline, or the whole-grid fused-numpy
-engine.  Every backend obeys one contract — **bitwise-identical buffer
+device: the scalar reference interpreter, the closure-compiled
+lane-batched pipeline, or the whole-grid fused-numpy engine.  Every
+backend obeys one contract — **bitwise-identical buffer
 contents and identical** :class:`~repro.opencl.interp.Counters` for
 every launch it completes — so the launcher may pick any of them (and
 fall through a chain of them) without observable differences beyond
@@ -35,12 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-# The closure compiler's static-refusal exception doubles as the
-# backend-level one: "this backend cannot run this kernel, try the next
-# one".  Sharing the type keeps the fallback seam identical whether the
-# refusal comes from closure compilation or from a backend adapter.
 from repro.opencl.simt import VectorUnsupported
-from repro.opencl.simt_compile import CompileUnsupported
 
 __all__ = [
     "Backend",
@@ -48,6 +43,12 @@ __all__ = [
     "ExecutionRequest",
     "VectorUnsupported",
 ]
+
+
+class CompileUnsupported(Exception):
+    """Static refusal: this backend cannot run the kernel (or this launch
+    shape), try the next one.  The message is the reason the chain
+    ledgers."""
 
 
 @dataclass
@@ -83,11 +84,10 @@ class Backend:
     behaviour: when a backend refuses a launch *dynamically*, trying
     another backend of the same class is pointless (it would detect the
     same condition), so the fallback chain skips ahead to the next
-    class.  The lane-batched tiers (interpretive and compiled) share
-    ``"blocked"``; the fused whole-grid engine is ``"grid"`` (its race
-    detector sees cross-group conflicts the blocked tiers order by
-    construction); the scalar reference is ``"scalar"`` and never
-    refuses.
+    class.  The block-by-block compiled tier is ``"blocked"``; the
+    fused whole-grid engine is ``"grid"`` (its race detector sees
+    cross-group conflicts the blocked tier orders by construction);
+    the scalar reference is ``"scalar"`` and never refuses.
     """
 
     #: Registry name (also the ``launch(engine=...)`` spelling).

@@ -1,7 +1,7 @@
 """The whole-grid fused-numpy execution backend.
 
-The blocked tiers (:mod:`repro.opencl.simt` / ``simt_compile``) execute
-one block of work-groups at a time and pay, per element, a handful of
+The blocked tier (:mod:`repro.opencl.simt` / ``simt_compile``) executes
+one block of work-groups at a time and pays, per element, a handful of
 numpy passes for dynamic race detection and fancy-indexed memory
 traffic.  This backend executes the **entire launch as one block** —
 one ``(num_groups, lanes_per_group)`` axis, flattened — and compiles
@@ -43,10 +43,10 @@ Anything outside this algebra degrades gracefully, never incorrectly:
   kernels like the gemv reference run here: still zero per-work-group
   Python loop iterations, every statement executes once for the whole
   grid);
-* a *kernel* the closure compiler refuses (or a launch beyond the
+* a *kernel* the static analysis refuses (or a launch beyond the
   whole-grid lane cap) raises
   :class:`~repro.backend.base.CompileUnsupported` and the engine chain
-  falls back to the compiled tier;
+  moves on to the next backend;
 * a *dynamic* bail-out (a cross-lane race) restores the written
   buffers from a snapshot and re-raises the ``VectorUnsupported`` whose
   message the chain ledgers before it continues — the whole-grid race
@@ -63,7 +63,6 @@ reference for every launch it completes.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Optional
 
 import numpy as np
@@ -836,7 +835,7 @@ def _fuse_call(e: c.CCall, fc: _FCtx):
 
         return geometry
     builtin = _VMATH.get(name)
-    if builtin is not None and name not in simt._UNSUPPORTED_BUILTINS:
+    if builtin is not None:
         cost, fn = builtin
         arg_cs = [_fuse_expr(a, fc) for a in e.args]
 
@@ -1101,15 +1100,12 @@ def _fuse_if(s: c.CIf, fc: _FCtx):
     # Generic closures for the array-mask path (and fused-refused
     # branches); compiled through the shared closure compiler so counts
     # and semantics match the blocked engine exactly.
-    try:
-        then_g = simt_compile._compile_stmt(s.then, fc.sctx, has_returns=False)
-        else_g = (
-            simt_compile._compile_stmt(s.otherwise, fc.sctx, has_returns=False)
-            if s.otherwise is not None
-            else None
-        )
-    except simt_compile.CompileUnsupported as exc:
-        raise _Unfusable(str(exc)) from None
+    then_g = simt_compile._compile_stmt(s.then, fc.sctx, has_returns=False)
+    else_g = (
+        simt_compile._compile_stmt(s.otherwise, fc.sctx, has_returns=False)
+        if s.otherwise is not None
+        else None
+    )
     has_else = s.otherwise is not None
 
     def run_then(b, k):
@@ -1247,7 +1243,7 @@ class FusedKernel:
 
         staged = Counters()
         block = _GridBlock(
-            parsed, staged, geo["lanes"], group_row, geo["lid"], geo["gid"],
+            staged, geo["lanes"], group_row, geo["lid"], geo["gid"],
             geo["group_ids"], gsize, lsize, geometry["num_groups"],
             seg_start=getattr(_pool_tls, "epoch", 0),
             tracked=tracked,
@@ -1290,29 +1286,15 @@ class FusedKernel:
                     if prof is None:
                         fn(block, m, n, frame)
                     else:
-                        before = dict(vars(block.counters))
-                        loads0 = block._obs_load_events()
-                        t0 = time.perf_counter()
-                        fn(block, m, n, frame)
-                        prof.record_segment(
-                            index, kind, time.perf_counter() - t0
+                        simt_compile.run_segment_profiled(
+                            prof, index, kind, fn, block, m, n, frame
                         )
-                        after = vars(block.counters)
-                        deltas = {
-                            k: after[k] - v
-                            for k, v in before.items()
-                            if after[k] != v
-                        }
-                        load_events = block._obs_load_events() - loads0
-                        if load_events:
-                            deltas["load_events"] = load_events
-                        prof.record_segment_counters(index, kind, deltas)
                 block._flush_load_log()
         except (VectorUnsupported, MemoryError) as exc:
             # MemoryError: the whole-grid layout multiplies per-lane
             # state (private arrays, temporaries) by the entire launch;
             # a failed allocation is a dynamic refusal like any other —
-            # restore and let the blocked tiers run it in cache-sized
+            # restore and let the blocked tier run it in cache-sized
             # blocks.
             for array, saved in snapshot.values():
                 array[:] = saved
@@ -1332,37 +1314,20 @@ def _build_fused(
     parsed: ParsedProgram, kernel: c.CFunctionDef, pipeline
 ) -> FusedKernel:
     fc = _FCtx(parsed, kernel)
-    entries: list = []
-    current: list = []
-    for stmt in kernel.body.stmts:
-        if type(stmt) is c.CBarrier:
-            if current:
-                entries.append(current)
-                current = []
-            entries.append("barrier")
-        else:
-            current.append(stmt)
-    if current or not entries:
-        entries.append(current)
-    if len(entries) != pipeline.segment_count:
-        # The split above must mirror compile_kernel_pipeline's; if the
-        # shared segmentation ever changes shape, decline instead of
-        # pairing segments with the wrong closures.
-        raise CompileUnsupported(
-            "whole-grid segmentation no longer matches the closure pipeline"
-        )
-
     segments: list = []
     fused_count = 0
-    for i, entry in enumerate(entries):
-        generic = pipeline.segments[i]
-        if entry == "barrier":
+    # The same split the pipeline was built from pairs each region with
+    # its generic closure.
+    for region, generic in zip(
+        simt_compile.split_at_barriers(kernel), pipeline.segments
+    ):
+        if type(region) is c.CBarrier:
             segments.append(("fused", _wrap_fused(_barrier_closure)))
         elif pipeline.has_returns:
             segments.append(("generic", generic))
         else:
             try:
-                stmt_c = _fuse_stmt(c.CBlock(list(entry)), fc, masked=False)
+                stmt_c = _fuse_stmt(region, fc, masked=False)
             except _Unfusable:
                 segments.append(("generic", generic))
             else:
@@ -1381,9 +1346,9 @@ _MISSING = object()
 def get_fused_kernel(
     parsed: ParsedProgram, kernel: c.CFunctionDef
 ) -> Optional[FusedKernel]:
-    """The whole-grid compilation of a kernel, or ``None`` when the
-    static analysis / closure compiler refuse it.  Cached on the parsed
-    program like the closure pipelines."""
+    """The whole-grid compilation of a kernel, or ``None`` when
+    :func:`~repro.opencl.simt.analyze_kernel` refuses it.  Cached on the
+    parsed program like the closure pipelines."""
     cache = getattr(parsed, "_fused_kernels", None)
     if cache is not None:
         entry = cache.get(kernel.name, _MISSING)
@@ -1397,14 +1362,12 @@ def get_fused_kernel(
         entry = cache.get(kernel.name, _MISSING)
         if entry is not _MISSING:
             return entry
-        fused: Optional[FusedKernel] = None
-        if analyze_kernel(parsed, kernel) is None:
-            pipeline = simt_compile.get_pipeline(parsed, kernel)
-            if pipeline is not None:
-                try:
-                    fused = _build_fused(parsed, kernel, pipeline)
-                except CompileUnsupported:
-                    fused = None
+        pipeline = simt_compile.get_pipeline(parsed, kernel)
+        fused = (
+            _build_fused(parsed, kernel, pipeline)
+            if pipeline is not None
+            else None
+        )
         cache[kernel.name] = fused
         return fused
 
@@ -1417,11 +1380,10 @@ class FusedBackend(Backend):
     description = "whole-grid fused numpy array programs"
 
     def plan(self, parsed, kernel):
-        fused = get_fused_kernel(parsed, kernel)
-        if fused is None:
-            reason = analyze_kernel(parsed, kernel) or "no closure pipeline"
+        reason = analyze_kernel(parsed, kernel)
+        if reason is not None:
             raise CompileUnsupported(reason)
-        return fused
+        return get_fused_kernel(parsed, kernel)
 
     def run(self, plan: FusedKernel, request: ExecutionRequest) -> None:
         plan.execute(request)
@@ -1430,6 +1392,6 @@ class FusedBackend(Backend):
 register_backend(FusedBackend())
 register_engine(
     "fused",
-    ("fused", "compiled", "interp", "scalar"),
-    description="whole-grid fused numpy -> compiled -> interp -> scalar",
+    ("fused", "compiled", "scalar"),
+    description="whole-grid fused numpy -> compiled -> scalar",
 )

@@ -3,14 +3,14 @@
 Two name spaces live here:
 
 * **backend names** — concrete :class:`~repro.backend.base.Backend`
-  implementations (``scalar``, ``interp``, ``compiled``, ``fused``),
-  registered with :func:`register_backend`;
+  implementations (``scalar``, ``compiled``, ``fused``), registered
+  with :func:`register_backend`;
 * **engine names** — what ``launch(engine=...)`` / ``REPRO_SIM_ENGINE``
   accept.  Every engine name resolves to an ordered *fallback chain* of
   backends plus a strictness flag, registered with
   :func:`register_engine`.  Single-backend strict engines (``compiled``)
   and multi-tier preferences (``auto``, ``fused``) are the same
-  mechanism; the historical tier names stay as chain aliases.
+  mechanism.
 
 Chain semantics (:meth:`ResolvedChain.execute`):
 
@@ -23,9 +23,8 @@ Chain semantics (:meth:`ResolvedChain.execute`):
    ``dynamic_class`` — a same-class backend would detect the same
    condition — and continues with the next class.
 3. A strict chain that runs out of backends raises
-   :class:`~repro.opencl.simt.VectorizationError` (the historical
-   behaviour of forcing ``engine="vector"`` onto an unsupported
-   kernel); graceful chains end in ``scalar``, which always succeeds.
+   :class:`~repro.opencl.simt.VectorizationError` naming every
+   refusal; graceful chains end in ``scalar``, which always succeeds.
 4. Every decline — static, dynamic, an unexpected ``plan()`` crash
    (shielded for non-final members), an injected ``backend-run``
    fault, or an open circuit breaker — is recorded in the degradation
@@ -38,10 +37,9 @@ Chain semantics (:meth:`ResolvedChain.execute`):
 
 ``REPRO_SIM_ENGINE`` expresses a *preferred default*, not a hard
 requirement: resolving a strict engine name from the environment
-(:func:`resolve` with ``prefer=True``) extends the chain with the
-remaining graceful tiers so a whole test-suite run can be steered
-through one backend without breaking kernels only the scalar reference
-supports.
+(:func:`resolve` with ``prefer=True``) appends the ``scalar`` oracle so
+a whole test-suite run can be steered through one backend without
+breaking kernels only the scalar reference supports.
 """
 
 from __future__ import annotations
@@ -190,8 +188,14 @@ class ResolvedChain:
                         board.failure(backend.name)
                     continue
             try:
-                with span("plan", backend=backend.name, engine=self.name):
-                    plan = backend.plan(request.parsed, request.kernel)
+                with span(
+                    "plan", backend=backend.name, engine=self.name
+                ) as plan_span:
+                    try:
+                        plan = backend.plan(request.parsed, request.kernel)
+                    except CompileUnsupported as exc:
+                        plan_span.attrs["reason"] = str(exc)
+                        raise
             except CompileUnsupported as exc:
                 ledger.record(self.name, backend.name, "static", str(exc))
                 refusals.append(f"{backend.name}: {exc}")
@@ -266,8 +270,8 @@ def resolve(name: str, prefer: bool = False) -> ResolvedChain:
     """Resolve an engine name to its backend chain.
 
     ``prefer`` marks the name as a *preference* (the ``REPRO_SIM_ENGINE``
-    path): strict chains gain the remaining graceful tiers so the run
-    never fails on kernels the preferred backend cannot execute.
+    path): a strict chain gains the ``scalar`` tail so the run never
+    fails on kernels the preferred backend cannot execute.
     """
     spec = _ENGINES.get(name)
     if spec is None:
@@ -278,9 +282,7 @@ def resolve(name: str, prefer: bool = False) -> ResolvedChain:
     members = list(spec.members)
     strict = spec.strict
     if prefer and strict:
-        for tail in ("interp", "scalar"):
-            if tail in _BACKENDS and tail not in members:
-                members.append(tail)
+        members.append("scalar")
         strict = False
     return ResolvedChain(
         spec.name, tuple(get_backend(m) for m in members), strict

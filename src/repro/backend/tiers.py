@@ -1,15 +1,14 @@
-"""Backend adapters for the three original SIMT execution tiers.
+"""Backend adapters for the scalar oracle and the blocked lane tier.
 
-These wrap the pre-existing engines behind the
+These wrap the two engines of :mod:`repro.opencl` behind the
 :class:`~repro.backend.base.Backend` protocol:
 
 * :class:`ScalarBackend` — the per-work-item reference interpreter of
   :mod:`repro.opencl.interp` (generators synchronizing at barriers);
   defines the semantics every other backend must reproduce bit for bit.
-* :class:`InterpBackend` — the lane-batched interpretive walk of
-  :mod:`repro.opencl.simt` (one block of work-groups per step).
-* :class:`CompiledBackend` — the same block runtime driven by the
-  closure pipeline of :mod:`repro.opencl.simt_compile`.
+* :class:`CompiledBackend` — the lane-batched block runtime of
+  :mod:`repro.opencl.simt` (one block of work-groups per step) driven
+  by the closure pipeline of :mod:`repro.opencl.simt_compile`.
 
 The module only *adapts*; all execution semantics live in the wrapped
 modules.  The scalar group scheduler (formerly inlined in
@@ -35,7 +34,7 @@ from repro.opencl.interp import (
     declared_kinds,
 )
 
-__all__ = ["ScalarBackend", "InterpBackend", "CompiledBackend"]
+__all__ = ["ScalarBackend", "CompiledBackend"]
 
 
 # ---------------------------------------------------------------------------
@@ -120,32 +119,11 @@ class ScalarBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# lane-batched tiers
+# lane-batched tier
 # ---------------------------------------------------------------------------
 
-class InterpBackend(Backend):
-    """Lane-batched interpretive walk (blocked, AST per statement)."""
-
-    name = "interp"
-    dynamic_class = "blocked"
-    description = "lane-batched interpretive vector walk"
-
-    def plan(self, parsed, kernel):
-        reason = simt.analyze_kernel(parsed, kernel)
-        if reason is not None:
-            raise CompileUnsupported(reason)
-        return None
-
-    def run(self, plan, request: ExecutionRequest) -> None:
-        simt.try_launch(
-            request.parsed, request.kernel, request.gsize, request.lsize,
-            dict(request.base_env), request.local_decls, request.counters,
-            pipeline=plan,
-        )
-
-
-class CompiledBackend(InterpBackend):
-    """Lane-batched runtime driven by the closure pipeline."""
+class CompiledBackend(Backend):
+    """Lane-batched block runtime driven by the closure pipeline."""
 
     name = "compiled"
     dynamic_class = "blocked"
@@ -155,37 +133,30 @@ class CompiledBackend(InterpBackend):
         reason = simt.analyze_kernel(parsed, kernel)
         if reason is not None:
             raise CompileUnsupported(reason)
-        pipeline = simt_compile.get_pipeline(parsed, kernel)
-        if pipeline is None:
-            raise CompileUnsupported(
-                f"kernel {kernel.name!r} has no closure pipeline"
-            )
-        return pipeline
+        return simt_compile.get_pipeline(parsed, kernel)
+
+    def run(self, plan, request: ExecutionRequest) -> None:
+        simt.try_launch(
+            request.parsed, request.kernel, request.gsize, request.lsize,
+            dict(request.base_env), request.local_decls, request.counters,
+            plan,
+        )
 
 
 def _register_default_tiers() -> None:
     register_backend(ScalarBackend())
-    register_backend(InterpBackend())
     register_backend(CompiledBackend())
     register_engine(
         "scalar", ("scalar",),
         description="reference interpreter only",
     )
     register_engine(
-        "interp", ("interp",), strict=True,
-        description="interpretive vector walk, strict",
-    )
-    register_engine(
         "compiled", ("compiled",), strict=True,
         description="closure pipeline, strict",
     )
     register_engine(
-        "vector", ("compiled", "interp"), strict=True,
-        description="lane-batched (compiled when possible), strict",
-    )
-    register_engine(
-        "auto", ("compiled", "interp", "scalar"),
-        description="compiled -> interpretive vector -> scalar",
+        "auto", ("compiled", "scalar"),
+        description="compiled -> scalar",
     )
 
 

@@ -36,8 +36,8 @@ def execute_kernel(
 ) -> RunResult:
     """Run a compiled kernel on the simulated device.
 
-    ``engine`` selects the execution engine (``"auto"``/``"vector"``/
-    ``"scalar"``, see :func:`repro.opencl.launch`).
+    ``engine`` selects the execution engine (``"auto"``/``"fused"``/
+    ``"compiled"``/``"scalar"``, see :func:`repro.opencl.launch`).
     """
     program = OpenCLProgram(compiled.source)
     args: dict[str, Any] = {}

@@ -149,6 +149,18 @@ def typed_zero(type_name: str, structs: dict, lanes: Optional[int] = None):
     return 0.0 if scalar_kind(type_name) == "f" else 0
 
 
+def vector_literal_width(e: c.CVectorLiteral) -> int:
+    """Width of ``(floatN)(...)``, whose items are one value (a splat) or
+    one per component; any other count is an error in every tier (the
+    oracle raises it, the lane tiers refuse the kernel with its message)."""
+    width = int("".join(ch for ch in e.type_name if ch.isdigit()))
+    if len(e.items) not in (1, width):
+        raise ExecError(
+            f"vector literal {e.type_name} with {len(e.items)} items"
+        )
+    return width
+
+
 def convert(kind: Optional[str], v: Any) -> Any:
     """C's implicit conversion of a scalar ``v`` stored into a location
     of declared ``kind``: int -> float is exact, float -> int truncates
@@ -447,8 +459,8 @@ class WorkItem:
                 return float(v)
             return v
         if isinstance(e, c.CVectorLiteral):
+            width = vector_literal_width(e)
             items = [self.eval(i) for i in e.items]
-            width = int("".join(ch for ch in e.type_name if ch.isdigit()))
             if len(items) == 1:
                 items = items * width
             return np.array(items, dtype=np.float64)

@@ -6,25 +6,24 @@ lock-step between barriers via the generator mechanism of
 :mod:`repro.opencl.interp`.
 
 Execution is delegated to the pluggable backend subsystem of
-:mod:`repro.backend` (see ``ENGINES.md`` in this package).  Four
+:mod:`repro.backend` (see ``ENGINES.md`` in this package).  Three
 backends are registered out of the box:
 
 * ``"fused"`` — whole-grid fused numpy array programs
   (:mod:`repro.backend.fused`);
-* ``"compiled"`` — the lane-batched SIMT engine driven by the closure
-  pipeline of :mod:`repro.opencl.simt_compile` (kernel AST lowered once
-  per program);
-* ``"interp"`` — the same lane-batched engine interpreting the AST per
-  block (:mod:`repro.opencl.simt`);
-* ``"scalar"`` — the per-work-item reference interpreter.
+* ``"compiled"`` — the lane-batched SIMT runtime of
+  :mod:`repro.opencl.simt` driven by the closure pipeline of
+  :mod:`repro.opencl.simt_compile` (kernel AST lowered once per
+  program);
+* ``"scalar"`` — the per-work-item reference interpreter, the oracle.
 
 Engine names resolve through :mod:`repro.backend.registry` to fallback
-chains: ``"auto"`` (the default) runs compiled -> interp -> scalar,
-``"fused"`` prepends the whole-grid backend to that chain, and
-``"vector"`` keeps its historical strict lane-batched meaning.
-``REPRO_SIM_ENGINE`` overrides the default with a *preference* — a
-strict name set through the environment still falls back gracefully so
-unsupported kernels keep running on the reference path.
+chains: ``"auto"`` (the default) runs compiled -> scalar, ``"fused"``
+prepends the whole-grid backend to that chain, and ``"compiled"`` alone
+is strict.  ``REPRO_SIM_ENGINE`` overrides the default with a
+*preference* — a strict name set through the environment still falls
+back gracefully so unsupported kernels keep running on the reference
+path.
 """
 
 from __future__ import annotations

@@ -1,51 +1,49 @@
-"""Lane-batched SIMT execution engine for the OpenCL simulator.
+"""Lane-batched SIMT runtime for the OpenCL simulator.
 
 The scalar interpreter in :mod:`repro.opencl.interp` walks the kernel AST
-once per work-item, which makes the Figure 8 runs and the autotuner's
-execute-and-rank loop interpreter-bound.  This module executes the kernel
-body *once per block of work-groups*, holding every scalar variable as a
-numpy array over lanes (one lane per work-item) and turning control flow
-into boolean lane masks:
+once per work-item.  The lane tiers execute the kernel body *once per
+block of work-groups* instead, holding every scalar variable as a numpy
+array over lanes (one lane per work-item) and turning control flow into
+boolean lane masks.  This module is what those tiers share: the static
+analysis that admits a kernel (:func:`analyze_kernel`,
+:func:`written_pointer_roots`) and the :class:`_Block` runtime —
+lane values, masked binds and merges, memory traffic, the cross-lane
+race detector and cached-load accounting.  The kernel AST itself is
+walked in exactly one place, :mod:`repro.opencl.simt_compile`, which
+lowers it once into closures over a :class:`_Block`; ``compiled`` runs
+those closures block by block (:func:`try_launch`), ``fused``
+(:mod:`repro.backend.fused`) over one whole-grid block.
 
-* ``if``      — both branches execute under complementary sub-masks; a
-  branch with no active lane is skipped entirely.
-* ``for`` / ``while`` — iterate while any lane is still active; a lane
-  whose condition fails (or that hit ``return``) drops out of the mask.
-* ``barrier`` — trivially satisfied: lanes execute in lock-step.  A
-  static analysis (:func:`analyze_kernel`) only admits kernels whose
-  barriers sit under *group-uniform* control flow, so within each
-  work-group the mask at a barrier is all-or-nothing, which is exactly
-  the OpenCL contract.
-* loads/stores — gathers and scatters (`numpy` fancy indexing); scatter
+* ``barrier`` is trivially satisfied: lanes execute in lock-step.  The
+  analysis only admits kernels whose barriers sit under *group-uniform*
+  control flow, so within each work-group the mask at a barrier is
+  all-or-nothing, which is exactly the OpenCL contract.
+* loads/stores are gathers and scatters (`numpy` fancy indexing); scatter
   writes resolve duplicate addresses in ascending lane order, which is a
   conforming behaviour for data-race-free kernels (the only ones whose
   result OpenCL defines).
 
-The engine is an exact stand-in for the scalar path: it produces
-bitwise-identical buffer contents *and* identical :class:`Counters`
-(memory ops per address space, flops, barriers, branches, cached loads)
-for every supported kernel.  Cached-load accounting mirrors the
-per-work-item ``_touched`` set of the scalar interpreter with an
-order-independent log: per buffer, the cached total equals load events
-minus distinct ``(lane, address)`` pairs, settled with one ``np.unique``
-per block (see :class:`_LoadLog`).
+The runtime is an exact stand-in for the scalar path: bitwise-identical
+buffer contents *and* identical :class:`Counters` for every supported
+kernel.  Cached-load accounting mirrors the per-work-item ``_touched``
+set of the scalar interpreter with an order-independent log: per buffer,
+the cached total equals load events minus distinct ``(lane, address)``
+pairs, settled once per block (see :class:`_LoadLog`).
 
 Fallback rules
 --------------
-A kernel falls back to the scalar interpreter (per launch) when the
-static analysis finds a construct whose lane-batched execution could
-diverge from scalar semantics:
+:func:`analyze_kernel` is the one place a kernel is refused statically;
+the launch then runs on the scalar interpreter.  It refuses a construct
+whose lane-batched execution could diverge from scalar semantics, or
+that the oracle rejects with a typed error:
 
 * a barrier under lane-divergent control flow (this is also how
   ``BarrierDivergence`` keeps being raised: the scalar path detects it),
 * a barrier combined with an early ``return``, or inside a helper,
-* recursive helper functions, calls to unknown functions.
-
-The ``dot`` / ``length`` builtins used to force the scalar fallback
-(their scalar implementation reduced with BLAS, whose summation order is
-shape-dependent); both engines now share an explicitly-ordered
-multiply-add chain (:func:`_lane_dot`), so vector-geometry kernels stay
-on the lane-batched path with bitwise-identical results.
+* recursive helper functions, calls to unknown functions,
+* a name declared with two types in one function,
+* a vector literal with a wrong item count, an assignment to a
+  non-lvalue.
 
 A handful of *dynamic* situations raise :class:`VectorUnsupported`; the
 launcher then restores the global buffers from a snapshot and re-raises,
@@ -86,8 +84,7 @@ from repro.opencl.interp import (
     array_dtype,
     convert,
     declared_kinds,
-    scalar_kind,
-    typed_zero,
+    vector_literal_width,
 )
 
 #: Lanes batched together (across whole work-groups) per executor block.
@@ -99,10 +96,8 @@ class VectorUnsupported(Exception):
 
 
 class VectorizationError(ExecError):
-    """Raised when ``engine="vector"`` is forced on an unsupported kernel."""
+    """Raised when a strict engine is forced on an unsupported kernel."""
 
-
-_VEC_MEMBERS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 _GEOM_UNIFORM = {
     "get_group_id",
@@ -112,14 +107,6 @@ _GEOM_UNIFORM = {
 }
 _GEOM_LANE = {"get_local_id", "get_global_id"}
 _GEOMETRY = _GEOM_UNIFORM | _GEOM_LANE
-
-#: Builtins with no lane-batched implementation.  ``dot``/``length`` used
-#: to live here while their scalar implementation reduced with BLAS
-#: (``np.dot``); both engines now share an explicitly-ordered reduction
-#: (see :func:`_lane_dot`), so the set is currently empty.
-_UNSUPPORTED_BUILTINS: set = set()
-
-_CMP_OPS = ("==", "!=", "<", ">", "<=", ">=")
 
 
 def _is_vload(name: str) -> bool:
@@ -187,6 +174,8 @@ def _check_stmt(parsed, s, stack, is_kernel) -> Optional[str]:
     if isinstance(s, c.CDecl):
         return _check_expr(parsed, s.init, stack, is_kernel) if s.init else None
     if isinstance(s, c.CAssign):
+        if not isinstance(s.target, (c.CIdent, c.CIndex, c.CMember)):
+            return f"assignment to non-lvalue {type(s.target).__name__}"
         return (
             _check_expr(parsed, s.target, stack, is_kernel)
             or _check_expr(parsed, s.value, stack, is_kernel)
@@ -240,6 +229,10 @@ def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
     if isinstance(e, c.CCast):
         return _check_expr(parsed, e.operand, stack, is_kernel)
     if isinstance(e, c.CVectorLiteral):
+        try:
+            vector_literal_width(e)
+        except ExecError as exc:
+            return str(exc)
         for item in e.items:
             r = _check_expr(parsed, item, stack, is_kernel)
             if r:
@@ -255,8 +248,6 @@ def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
             return None if name in _GEOMETRY else f"unknown geometry builtin {name!r}"
         if _is_vload(name) or _is_vstore(name):
             return None
-        if name in _UNSUPPORTED_BUILTINS:
-            return f"builtin {name!r} is not bitwise-stable under lane batching"
         if name in _MATH_BUILTINS:
             return None
         fn = parsed.functions.get(name)
@@ -340,9 +331,7 @@ def _expr_uniform(e, uniform: set) -> bool:
     if isinstance(e, c.CCast):
         return _expr_uniform(e.operand, uniform)
     if isinstance(e, c.CCall):
-        if e.func in _GEOM_UNIFORM:
-            return all(_expr_uniform(a, uniform) for a in e.args)
-        if e.func in _MATH_BUILTINS and e.func not in _UNSUPPORTED_BUILTINS:
+        if e.func in _GEOM_UNIFORM or e.func in _MATH_BUILTINS:
             return all(_expr_uniform(a, uniform) for a in e.args)
         return False  # lane getters, loads via vload, helper calls
     # CIndex (memory load), CMember, CVectorLiteral: conservative.
@@ -672,28 +661,6 @@ def _by_value(kind, a):
     return dict(a) if isinstance(a, dict) else convert(kind, a)
 
 
-def _vec_width(v) -> int:
-    """Width the scalar interpreter's ``_width_of`` would report."""
-    if isinstance(v, np.ndarray) and v.ndim == 2:
-        return v.shape[1]
-    return 1
-
-
-def _is_floatish(v) -> bool:
-    if isinstance(v, np.ndarray):
-        return v.dtype.kind == "f"
-    return isinstance(v, (float, np.floating))
-
-
-def _is_int_like(v) -> bool:
-    """Mirror of the scalar ``_is_int`` (bools are *not* C integers)."""
-    if isinstance(v, np.ndarray):
-        return v.ndim == 1 and v.dtype.kind in "iu"
-    return isinstance(v, (int, np.integer)) and not isinstance(
-        v, (bool, np.bool_)
-    )
-
-
 # ---------------------------------------------------------------------------
 # block executor
 # ---------------------------------------------------------------------------
@@ -703,7 +670,6 @@ class _Block:
 
     def __init__(
         self,
-        parsed: ParsedProgram,
         counters: Counters,
         lanes: int,
         group_row: np.ndarray,
@@ -718,7 +684,6 @@ class _Block:
         lane_ids: Optional[np.ndarray] = None,
         full: Optional[np.ndarray] = None,
     ):
-        self.parsed = parsed
         self.counters = counters
         self.L = lanes
         self.group_row = group_row
@@ -729,7 +694,6 @@ class _Block:
         self.local_size = local_size
         self.num_groups = num_groups
         self.env: dict = {}
-        self.kinds: dict = {}  # declared_kinds of the function being walked
         self._lane_ids = lane_ids if lane_ids is not None else np.arange(lanes)
         self._load_log: dict = {}  # (id(buffer), width) -> _LoadLog
         # Race detectors live for one block (blocks run in the scalar
@@ -745,78 +709,6 @@ class _Block:
         self._segment = seg_start
         self._lanes_per_group = local_size[0] * local_size[1] * local_size[2]
         self._full = full if full is not None else np.ones(lanes, dtype=bool)
-
-    # -- top level -------------------------------------------------------
-    def run(self, kernel: c.CFunctionDef) -> None:
-        frame = _Frame(self.L)
-        self.kinds = declared_kinds(kernel)
-        self.exec_stmt(kernel.body, self._full, self.L, frame)
-        self._flush_load_log()
-
-    # -- statements ------------------------------------------------------
-    def exec_stmt(self, s, m, n, frame) -> None:
-        t = type(s)
-        if t is c.CBlock:
-            for sub in s.stmts:
-                if frame.returned_any:
-                    m = m & ~frame.ret_mask
-                    n = int(np.count_nonzero(m))
-                    if n == 0:
-                        return
-                self.exec_stmt(sub, m, n, frame)
-        elif t is c.CAssign:
-            self._assign(s, m, n)
-        elif t is c.CDecl:
-            self._declare(s, m, n)
-        elif t is c.CFor:
-            if s.init is not None:
-                self.exec_stmt(s.init, m, n, frame)
-            active = m & ~frame.ret_mask if frame.returned_any else m
-            while True:
-                na = int(np.count_nonzero(active))
-                if na == 0:
-                    break
-                if s.cond is not None:
-                    cv = self._as_bool(self.eval(s.cond, active, na), active)
-                    active = active & cv
-                    na = int(np.count_nonzero(active))
-                    if na == 0:
-                        break
-                self.counters.loop_iterations += na
-                self.exec_stmt(s.body, active, na, frame)
-                if frame.returned_any:
-                    active = active & ~frame.ret_mask
-                    na = int(np.count_nonzero(active))
-                    if na == 0:
-                        break
-                if s.step is not None:
-                    self.exec_stmt(s.step, active, na, frame)
-        elif t is c.CIf:
-            self.counters.branches += n
-            cv = self._as_bool(self.eval(s.cond, m, n), m)
-            mt = m & cv
-            nt = int(np.count_nonzero(mt))
-            if nt:
-                self.exec_stmt(s.then, mt, nt, frame)
-            if s.otherwise is not None and nt < n:
-                mf = m & ~cv
-                self.exec_stmt(s.otherwise, mf, n - nt, frame)
-        elif t is c.CExprStmt:
-            self.eval(s.expr, m, n)
-        elif t is c.CReturn:
-            value = self.eval(s.value, m, n) if s.value is not None else None
-            self._set_return(frame, m, value)
-        elif t is c.CComment:
-            pass
-        elif t is c.CBarrier:
-            # The static analysis guarantees the mask is all-or-nothing
-            # per work-group here, so lock-step execution satisfies the
-            # barrier and each active item counts one, as in the scalar
-            # generator path.
-            self.counters.barriers += n
-            self._segment += 1
-        else:
-            raise VectorUnsupported(f"cannot execute {s!r}")
 
     def _set_return(self, frame, m, value) -> None:
         kind = frame.kind  # the declared return type converts like a store
@@ -837,60 +729,11 @@ class _Block:
         frame.ret_mask |= m
         frame.returned_any = True
 
-    # -- declarations ----------------------------------------------------
-    def _declare(self, decl: c.CDecl, m, n) -> None:
-        name = decl.name
-        if decl.qualifier == "local" and decl.array_size is not None:
-            if name not in self.env:
-                raise ExecError(f"local buffer {name} was not pre-allocated")
-            return
-        if decl.array_size is not None:
-            self._alloc_private(name, decl.array_size, array_dtype(decl.type_name))
-            return
-        if decl.init is not None:
-            value = _convert(self.kinds.get(name), self.eval(decl.init, m, n))
-        else:
-            value = typed_zero(decl.type_name, self.parsed.structs, self.L)
-        self._bind(name, value, m, n, declaring=True)
-
     def _alloc_private(self, name, size, dtype) -> None:
         """``T name[size];`` — one zeroed row per work-item."""
         self.env[name] = RowPtr(
             np.zeros((self.L, size), dtype=dtype), self._lane_ids, 0, "private"
         )
-
-    # -- assignment ------------------------------------------------------
-    def _assign(self, s: c.CAssign, m, n) -> None:
-        value = self.eval(s.value, m, n)
-        if s.op != "=":
-            current = self.eval(s.target, m, n)
-            op = s.op[0]
-            value = self._binop_value(op, current, value, m, n)
-            self._count_binop(op, current, value, n)
-        target = s.target
-        if isinstance(target, c.CIdent):
-            value = _convert(self.kinds.get(target.name), value)
-            self._bind(target.name, value, m, n)
-        elif isinstance(target, c.CIndex):
-            base = self.eval(target.base, m, n)
-            index = self.eval(target.index, m, n)
-            if not isinstance(base, (VPtr, RowPtr)):
-                raise ExecError(f"indexed store into non-pointer {target.base!r}")
-            self._scatter(base, index, value, m, n)
-        elif isinstance(target, c.CMember):
-            container = self.eval(target.base, m, n)
-            if isinstance(container, dict):
-                self._store_member(container, target.member, value, m, n)
-            elif isinstance(container, np.ndarray) and container.ndim == 2:
-                col = _VEC_MEMBERS[target.member]
-                if n == self.L:
-                    container[:, col] = value
-                else:
-                    container[m, col] = self._lanes(value)[m]
-            else:
-                raise ExecError(f"member store into {container!r}")
-        else:
-            raise ExecError(f"cannot assign to {target!r}")
 
     def _store_member(self, struct: dict, member, value, m, n) -> None:
         """A struct member keeps the kind of its typed zero, so the old
@@ -979,185 +822,6 @@ class _Block:
         if _is_uniform(old) and _is_uniform(new) and old == new:
             return old
         return np.where(m, new, old)
-
-    # -- expressions -----------------------------------------------------
-    def eval(self, e, m, n):
-        t = type(e)
-        if t is c.CInt:
-            return e.value
-        if t is c.CFloat:
-            return e.value
-        if t is c.CIdent:
-            try:
-                return self.env[e.name]
-            except KeyError:
-                raise ExecError(f"undefined identifier {e.name!r}") from None
-        if t is c.CBinOp:
-            op = e.op
-            if op == "&&" or op == "||":
-                lb = self._as_bool(self.eval(e.lhs, m, n), m)
-                m2 = (m & lb) if op == "&&" else (m & ~lb)
-                n2 = int(np.count_nonzero(m2))
-                if n2:
-                    rb = self._as_bool(self.eval(e.rhs, m2, n2), m2)
-                else:
-                    rb = np.zeros(self.L, dtype=bool)
-                return (lb & rb) if op == "&&" else (lb | rb)
-            lhs = self.eval(e.lhs, m, n)
-            rhs = self.eval(e.rhs, m, n)
-            self._count_binop(op, lhs, rhs, n, const_rhs=type(e.rhs) is c.CInt)
-            return self._binop_value(op, lhs, rhs, m, n)
-        if t is c.CUnOp:
-            v = self.eval(e.operand, m, n)
-            if e.op == "-":
-                return -v
-            if e.op == "!":
-                return ~self._as_bool(v, m)
-            raise ExecError(f"unknown unary operator {e.op}")
-        if t is c.CTernary:
-            self.counters.branches += n
-            cv = self._as_bool(self.eval(e.cond, m, n), m)
-            mt = m & cv
-            nt = int(np.count_nonzero(mt))
-            nf = n - nt
-            if nf == 0:
-                return self.eval(e.then, mt, nt)
-            mf = m & ~cv
-            if nt == 0:
-                return self.eval(e.otherwise, mf, nf)
-            tv = self.eval(e.then, mt, nt)
-            fv = self.eval(e.otherwise, mf, nf)
-            return self._select(cv, tv, fv)
-        if t is c.CIndex:
-            base = self.eval(e.base, m, n)
-            index = self.eval(e.index, m, n)
-            if isinstance(base, (VPtr, RowPtr)):
-                return self._gather(base, index, m, n)
-            if isinstance(base, np.ndarray) and base.ndim == 2:
-                if _is_uniform(index):
-                    return base[:, int(index)]
-                idx = np.where(m, index, 0)
-                return np.take_along_axis(base, idx[:, None], 1)[:, 0]
-            raise ExecError(f"cannot index {base!r}")
-        if t is c.CMember:
-            container = self.eval(e.base, m, n)
-            if isinstance(container, dict):
-                return container[e.member]
-            if isinstance(container, np.ndarray) and container.ndim == 2:
-                member = e.member
-                if member in _VEC_MEMBERS:
-                    return container[:, _VEC_MEMBERS[member]]
-                if member.startswith("s"):
-                    return container[:, int(member[1:], 16)]
-                if member == "lo":
-                    return container[:, : container.shape[1] // 2].copy()
-                if member == "hi":
-                    return container[:, container.shape[1] // 2 :].copy()
-            raise ExecError(f"cannot take member {e.member} of {container!r}")
-        if t is c.CCall:
-            return self._call(e, m, n)
-        if t is c.CCast:
-            v = self.eval(e.operand, m, n)
-            if e.type_name in ("int", "uint", "long"):
-                if isinstance(v, np.ndarray):
-                    return v.astype(np.int64)  # truncates toward zero, like C
-                return int(v)
-            if e.type_name in ("float", "double"):
-                if isinstance(v, np.ndarray):
-                    return v.astype(np.float64)
-                return float(v)
-            return v
-        if t is c.CVectorLiteral:
-            items = [self.eval(i, m, n) for i in e.items]
-            width = int("".join(ch for ch in e.type_name if ch.isdigit()))
-            if len(items) == 1:
-                items = items * width
-            out = np.empty((self.L, width), dtype=np.float64)
-            for col, item in enumerate(items):
-                out[:, col] = item
-            return out
-        raise VectorUnsupported(f"cannot evaluate {e!r}")
-
-    # -- calls and built-ins ---------------------------------------------
-    def _call(self, e: c.CCall, m, n):
-        name = e.func
-        if name.startswith("get_"):
-            if e.args:
-                dim = self.eval(e.args[0], m, n)
-                if not _is_uniform(dim):
-                    raise VectorUnsupported("lane-varying geometry dimension")
-                dim = int(dim)
-            else:
-                dim = 0
-            return self._geometry(name, dim)
-        if _is_vload(name):
-            width = int(name[5:])
-            offset = self.eval(e.args[0], m, n)
-            ptr = self.eval(e.args[1], m, n)
-            assert isinstance(ptr, (VPtr, RowPtr))
-            return self._vload(ptr, offset, width, m, n)
-        if _is_vstore(name):
-            width = int(name[6:])
-            value = self.eval(e.args[0], m, n)
-            offset = self.eval(e.args[1], m, n)
-            ptr = self.eval(e.args[2], m, n)
-            assert isinstance(ptr, (VPtr, RowPtr))
-            self._vstore(ptr, offset, width, value, m, n)
-            return None
-
-        args = [self.eval(a, m, n) for a in e.args]
-        builtin = _VMATH.get(name)
-        if builtin is not None:
-            cost, fn = builtin
-            width = 1
-            for a in args:
-                if isinstance(a, np.ndarray) and a.ndim == 2:
-                    width = a.shape[1]
-                    break
-            self.counters.flops += cost * width * n
-            return fn(*args)
-        if name in _UNSUPPORTED_BUILTINS:
-            raise VectorUnsupported(f"builtin {name!r}")
-
-        fn_def = self.parsed.functions.get(name)
-        if fn_def is None:
-            raise ExecError(f"call to unknown function {name!r}")
-        self.counters.calls += n
-        return self._call_helper(fn_def, args, m, n)
-
-    def _call_helper(self, fn: c.CFunctionDef, args, m, n):
-        saved = self.env, self.kinds
-        kinds = self.kinds = declared_kinds(fn)
-        self.env = {
-            p.name: _by_value(kinds[p.name], a) for p, a in zip(fn.params, args)
-        }
-        frame = _Frame(self.L, scalar_kind(fn.return_type))
-        try:
-            self.exec_stmt(fn.body, m, n, frame)
-        finally:
-            self.env, self.kinds = saved
-        if not frame.has_value:
-            return None
-        if bool((m & ~frame.ret_mask).any()):
-            raise VectorUnsupported(
-                f"helper {fn.name!r} returns a value on only some lanes"
-            )
-        return frame.ret_val
-
-    def _geometry(self, name: str, dim: int):
-        if name == "get_global_id":
-            return self.gid[dim]
-        if name == "get_local_id":
-            return self.lid[dim]
-        if name == "get_group_id":
-            return self.group_ids[dim]
-        if name == "get_local_size":
-            return self.local_size[dim]
-        if name == "get_global_size":
-            return self.global_size[dim]
-        if name == "get_num_groups":
-            return self.num_groups[dim]
-        raise ExecError(f"unknown geometry builtin {name}")
 
     # -- memory ----------------------------------------------------------
     def _lanes(self, v) -> np.ndarray:
@@ -1440,42 +1104,6 @@ class _Block:
                 lhs = lhs[:, None]
         return lhs, rhs
 
-    def _binop_value(self, op, lhs, rhs, m, n):
-        if isinstance(lhs, (VPtr, RowPtr)):
-            if op == "+":
-                return lhs.plus(rhs)
-            if op == "-":
-                return lhs.plus(-rhs)
-            raise ExecError(f"unsupported pointer operation {op}")
-        lhs, rhs = self._align(lhs, rhs)
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if _is_int_like(lhs) and _is_int_like(rhs):
-                return self._int_div(lhs, rhs, m)
-            return lhs / rhs
-        if op == "%":
-            if _is_int_like(lhs) and _is_int_like(rhs):
-                return self._int_mod(lhs, rhs, m)
-            return np.fmod(lhs, rhs)  # C fmod semantics, like math.fmod
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if op == "<":
-            return lhs < rhs
-        if op == ">":
-            return lhs > rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">=":
-            return lhs >= rhs
-        raise ExecError(f"unknown operator {op}")
-
     def _int_div(self, a, b, m):
         if _is_uniform(a) and _is_uniform(b):
             return _c_int_div(int(a), int(b))
@@ -1492,30 +1120,6 @@ class _Block:
         q = self._int_div(a, b, m)
         safe = np.where(np.equal(b, 0), 1, b)
         return a - q * safe
-
-    def _count_binop(self, op, lhs, rhs, n, const_rhs: bool = False) -> None:
-        counters = self.counters
-        if op in _CMP_OPS:
-            counters.iops += n
-            return
-        if _is_floatish(lhs) or _is_floatish(rhs):
-            counters.flops += max(_vec_width(lhs), _vec_width(rhs)) * n
-        elif op in ("/", "%"):
-            if (
-                const_rhs
-                and _is_int_like(rhs)
-                and _is_uniform(rhs)
-                and int(rhs) > 0
-                and (int(rhs) & (int(rhs) - 1)) == 0
-            ):
-                counters.iops += n
-            elif const_rhs:
-                counters.idivmod_const += n
-            else:
-                counters.idivmod += n
-        else:
-            counters.iops += n
-
 
 _MISSING = object()
 
@@ -1959,17 +1563,15 @@ def try_launch(
     base_env: dict,
     local_decls: list,
     counters: Counters,
-    pipeline=None,
+    pipeline,
 ) -> None:
-    """Run the launch on the vector engine (counters merged, buffers
-    written).  On a dynamic :class:`VectorUnsupported` the global
-    buffers are restored from a snapshot and the exception — whose
-    message is the decline reason the ledger records — propagates, so
-    the caller can re-run the launch on the scalar path.
-
-    ``pipeline`` is an optional compiled closure pipeline from
-    :mod:`repro.opencl.simt_compile`; without one each block interprets
-    the kernel AST.
+    """Run ``pipeline`` (the kernel's compiled closure pipeline from
+    :mod:`repro.opencl.simt_compile`) over the launch, one block of
+    work-groups at a time (counters merged, buffers written).  On a
+    dynamic :class:`VectorUnsupported` the global buffers are restored
+    from a snapshot and the exception — whose message is the decline
+    reason the ledger records — propagates, so the caller can re-run
+    the launch on the scalar path.
     """
     snapshot = [
         (v.array, v.array.copy())
@@ -2077,8 +1679,7 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
 
 
 def _run_blocks(
-    parsed, kernel, gsize, lsize, base_env, local_decls, counters,
-    pipeline=None,
+    parsed, kernel, gsize, lsize, base_env, local_decls, counters, pipeline,
 ):
     geometry = _block_geometry(gsize, lsize)
     num_groups = geometry["num_groups"]
@@ -2120,7 +1721,7 @@ def _run_blocks(
                 block_tracked.add(id(local_array))
 
         block = _Block(
-            parsed, counters, geo["lanes"], group_row, geo["lid"],
+            counters, geo["lanes"], group_row, geo["lid"],
             geo["gid"], geo["group_ids"], gsize, lsize, num_groups,
             seg_start=getattr(_pool_tls, "epoch", 0),
             tracked=block_tracked,
@@ -2129,11 +1730,8 @@ def _run_blocks(
         )
         block.env = env
         try:
-            if pipeline is not None:
-                pipeline.run(block)
-                block._flush_load_log()
-            else:
-                block.run(kernel)
+            pipeline.run(block)
+            block._flush_load_log()
         finally:
             _pool_tls.epoch = block._segment + 1
             _release_hazards(block._hazards)

@@ -1,16 +1,14 @@
-"""Closure compilation for the lane-batched SIMT engine.
+"""Closure compilation for the lane-batched SIMT runtime.
 
-The interpretive vector engine of :mod:`repro.opencl.simt` re-walks the
-kernel AST for every block of work-groups: each statement pays a type
-dispatch, each operator a string comparison, each builtin a table
-lookup.  After the PR 1/PR 2 batching work those dispatch costs — not
-the numpy arithmetic — dominate the simulator, because every block (and
-every launch of the autotune/explore loops) repeats them unchanged.
-
-This module pays the walk **once per kernel**: the AST is lowered into a
-pipeline of Python closures over the lane-array runtime of
-:class:`repro.opencl.simt._Block`.  Compilation resolves statically
-everything the interpreter re-derives dynamically:
+Walking the kernel AST for every block of work-groups pays a type
+dispatch per statement, a string comparison per operator and a table
+lookup per builtin — and every block (and every launch of the
+autotune/explore loops) would repeat them unchanged.  This module pays
+the walk **once per kernel**: the AST is lowered into a pipeline of
+Python closures over the lane-array runtime of
+:class:`repro.opencl.simt._Block`.  It is the only lane-array evaluator
+of the AST; compilation resolves statically everything a walk would
+re-derive per block:
 
 * statement and expression dispatch (one closure per node, built once);
 * operator selection (``+`` compiles to ``operator.add``, comparisons to
@@ -21,23 +19,23 @@ everything the interpreter re-derives dynamically:
 * helper functions (compiled once, called with by-value argument
   copies and their own return-mask frame);
 * group-uniform conditions: a loop or branch condition that evaluates to
-  a Python scalar skips the mask-materialization entirely (the
-  interpreter broadcasts it to a full lane mask and re-ands).
+  a Python scalar skips the mask materialization entirely.
 
 The compiled pipeline is segmented at top-level barriers — one closure
-sequence per barrier-delimited region — mirroring how the scalar engine
-schedules whole segments between synchronization points.  Barriers
-nested in (group-uniform) loops stay inside their segment's loop
-closure.
+sequence per barrier-delimited region (:func:`split_at_barriers`) —
+mirroring how the scalar engine schedules whole segments between
+synchronization points.  Barriers nested in (group-uniform) loops stay
+inside their segment's loop closure.
 
-Closures run against a :class:`~repro.opencl.simt._Block` instance and
-call the exact same memory, merge and counter helpers as the
-interpretive walk, so compiled execution is bitwise-identical by
-construction: same buffer contents, same :class:`Counters`.  Anything
-the compiler cannot express raises :class:`CompileUnsupported` at
-compile time and the launcher falls back to the interpretive vector
-walk (and from there, dynamically, to the scalar reference
-interpreter) — the three execution tiers behind ``engine="auto"``.
+Closures run against a :class:`~repro.opencl.simt._Block` instance, whose
+memory, merge and counter helpers reproduce the scalar interpreter bit
+for bit: same buffer contents, same :class:`Counters`.
+
+Static refusals live in :func:`repro.opencl.simt.analyze_kernel`, not
+here: every kernel it admits compiles, so the lowering below has no
+refusal arms of its own (an assertion marks each place that relies on
+it), and a kernel it refuses has no pipeline — the launch falls
+straight to the scalar oracle, with the analysis' reason in the ledger.
 
 Pipelines are cached on the parsed program (which the runtime shares
 per source through an LRU), alongside the vectorizability analysis, so
@@ -60,10 +58,12 @@ from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram
 from repro.opencl.interp import (
     ExecError,
+    _VEC_MEMBERS,
     array_dtype,
     declared_kinds,
     scalar_kind,
     typed_zero,
+    vector_literal_width,
 )
 from repro.opencl.simt import (
     RowPtr,
@@ -74,22 +74,15 @@ from repro.opencl.simt import (
     _LANE_DTYPE,
     _VMATH,
     _by_value,
+    _contains,
     _convert,
-    _is_floatish,
-    _is_int_like,
     _is_uniform,
     _is_vload,
     _is_vstore,
-    _vec_width,
     analyze_kernel,
 )
-from repro.opencl.simt import _VEC_MEMBERS, _UNSUPPORTED_BUILTINS
 
 _align = _Block._align
-
-
-class CompileUnsupported(Exception):
-    """Static refusal: run the interpretive vector walk instead."""
 
 
 # Expression closures take ``(block, mask, active_count)`` and return a
@@ -120,6 +113,28 @@ _CMP_UFUNC = {
 _ARITH_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+def _vec_width(v) -> int:
+    """Width the scalar interpreter's ``_width_of`` would report."""
+    if isinstance(v, np.ndarray) and v.ndim == 2:
+        return v.shape[1]
+    return 1
+
+
+def _is_floatish(v) -> bool:
+    if isinstance(v, np.ndarray):
+        return v.dtype.kind == "f"
+    return isinstance(v, (float, np.floating))
+
+
+def _is_int_like(v) -> bool:
+    """Mirror of the scalar ``_is_int`` (bools are *not* C integers)."""
+    if isinstance(v, np.ndarray):
+        return v.ndim == 1 and v.dtype.kind in "iu"
+    return isinstance(v, (int, np.integer)) and not isinstance(
+        v, (bool, np.bool_)
+    )
+
+
 class _Ctx:
     """Per-pipeline compilation state (helper memoization, and the
     declared kinds of the function being compiled — stores resolve
@@ -129,7 +144,6 @@ class _Ctx:
         self.parsed = parsed
         self.kinds = declared_kinds(fn)
         self.helpers: dict = {}
-        self.in_progress: set = set()
 
     def bind(self, name: str, value_c: ExprFn, declaring: bool) -> StmtFn:
         """The store ``name = value_c(...)``, converted to the declared
@@ -177,9 +191,8 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
         operand = _compile_expr(e.operand, ctx)
         if e.op == "-":
             return lambda b, m, n: -operand(b, m, n)
-        if e.op == "!":
-            return lambda b, m, n: ~b._as_bool(operand(b, m, n), m)
-        raise CompileUnsupported(f"unknown unary operator {e.op}")
+        assert e.op == "!", e  # the parser's only other unary operator
+        return lambda b, m, n: ~b._as_bool(operand(b, m, n), m)
     if t is c.CTernary:
         return _compile_ternary(e, ctx)
     if t is c.CIndex:
@@ -190,9 +203,8 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
         return _compile_call(e, ctx)
     if t is c.CCast:
         return _compile_cast(e, ctx)
-    if t is c.CVectorLiteral:
-        return _compile_vector_literal(e, ctx)
-    raise CompileUnsupported(f"cannot compile expression {e!r}")
+    assert t is c.CVectorLiteral, e  # analyze_kernel admits no other node
+    return _compile_vector_literal(e, ctx)
 
 
 def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
@@ -239,11 +251,8 @@ def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
 
 
 def _binop_parts(op: str, const_rhs: bool):
-    """(value_of(b, l, r, m), count(b, l, r, n)) for one operator.
-
-    Mirrors ``_Block._binop_value`` / ``_Block._count_binop`` with the
-    operator dispatch resolved at compile time.
-    """
+    """(value_of(b, l, r, m), count(b, l, r, n)) for one arithmetic
+    operator, with the operator dispatch resolved at compile time."""
     simple = _ARITH_OP.get(op)
     if simple is not None:
         is_add_sub = op in ("+", "-")
@@ -264,37 +273,35 @@ def _binop_parts(op: str, const_rhs: bool):
 
         return value_of, count
 
-    if op == "/" or op == "%":
-        is_div = op == "/"
+    assert op in ("/", "%"), op  # the parser's remaining binary operators
+    is_div = op == "/"
 
-        def value_of(b, l, r, m):
-            if isinstance(l, (VPtr, RowPtr)):
-                raise ExecError(f"unsupported pointer operation {op}")
-            if _is_int_like(l) and _is_int_like(r):
-                return b._int_div(l, r, m) if is_div else b._int_mod(l, r, m)
-            l, r = _align(l, r)
-            return l / r if is_div else np.fmod(l, r)
+    def value_of(b, l, r, m):
+        if isinstance(l, (VPtr, RowPtr)):
+            raise ExecError(f"unsupported pointer operation {op}")
+        if _is_int_like(l) and _is_int_like(r):
+            return b._int_div(l, r, m) if is_div else b._int_mod(l, r, m)
+        l, r = _align(l, r)
+        return l / r if is_div else np.fmod(l, r)  # C fmod, like math.fmod
 
-        def count(b, l, r, n):
-            counters = b.counters
-            if _is_floatish(l) or _is_floatish(r):
-                counters.flops += max(_vec_width(l), _vec_width(r)) * n
-            elif (
-                const_rhs
-                and _is_int_like(r)
-                and _is_uniform(r)
-                and int(r) > 0
-                and (int(r) & (int(r) - 1)) == 0
-            ):
-                counters.iops += n
-            elif const_rhs:
-                counters.idivmod_const += n
-            else:
-                counters.idivmod += n
+    def count(b, l, r, n):
+        counters = b.counters
+        if _is_floatish(l) or _is_floatish(r):
+            counters.flops += max(_vec_width(l), _vec_width(r)) * n
+        elif (
+            const_rhs
+            and _is_int_like(r)
+            and _is_uniform(r)
+            and int(r) > 0
+            and (int(r) & (int(r) - 1)) == 0
+        ):
+            counters.iops += n
+        elif const_rhs:
+            counters.idivmod_const += n
+        else:
+            counters.idivmod += n
 
-        return value_of, count
-
-    raise CompileUnsupported(f"unknown operator {op}")
+    return value_of, count
 
 
 def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
@@ -395,7 +402,7 @@ def _compile_cast(e: c.CCast, ctx: _Ctx) -> ExprFn:
 
 
 def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
-    width = int("".join(ch for ch in e.type_name if ch.isdigit()))
+    width = vector_literal_width(e)
     items = [_compile_expr(i, ctx) for i in e.items]
 
     if len(items) == 1:
@@ -409,11 +416,6 @@ def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
             return out
 
         return splat
-
-    if len(items) != width:
-        raise CompileUnsupported(
-            f"vector literal {e.type_name} with {len(items)} items"
-        )
 
     def build(b, m, n):
         out = np.empty((b.L, width), dtype=np.float64)
@@ -430,9 +432,7 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     name = e.func
 
     if name.startswith("get_"):
-        field = _GEOMETRY_FIELDS.get(name)
-        if field is None:
-            raise CompileUnsupported(f"unknown geometry builtin {name!r}")
+        field = _GEOMETRY_FIELDS[name]
         if not e.args:
             return lambda b, m, n: getattr(b, field)[0]
         if type(e.args[0]) is c.CInt:
@@ -476,9 +476,6 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
             return None
 
         return vstore
-
-    if name in _UNSUPPORTED_BUILTINS:
-        raise CompileUnsupported(f"builtin {name!r}")
 
     builtin = _VMATH.get(name)
     if builtin is not None:
@@ -526,25 +523,18 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
 
         return calln
 
-    fn_def = ctx.parsed.functions.get(name)
-    if fn_def is None:
-        raise CompileUnsupported(f"call to unknown function {name!r}")
-    return _compile_helper_call(e, fn_def, ctx)
+    return _compile_helper_call(e, ctx.parsed.functions[name], ctx)
 
 
 def _compile_helper_call(e: c.CCall, fn: c.CFunctionDef, ctx: _Ctx) -> ExprFn:
-    if fn.name in ctx.in_progress:
-        raise CompileUnsupported(f"recursive helper function {fn.name!r}")
     kinds = declared_kinds(fn)
     body = ctx.helpers.get(fn.name)
-    if body is None:
-        ctx.in_progress.add(fn.name)
+    if body is None:  # helpers never recurse (analyze_kernel)
         caller_kinds, ctx.kinds = ctx.kinds, kinds
         try:
             body = _compile_stmt(fn.body, ctx, has_returns=True)
         finally:
             ctx.kinds = caller_kinds
-            ctx.in_progress.discard(fn.name)
         ctx.helpers[fn.name] = body
     params = tuple((p.name, kinds[p.name]) for p in fn.params)
     arg_cs = [_compile_expr(a, ctx) for a in e.args]
@@ -605,15 +595,15 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
         # The static analysis guarantees the mask is all-or-nothing per
-        # work-group here (see ``_Block.exec_stmt``).
+        # work-group here, so lock-step execution satisfies the barrier
+        # and each active item counts one, as in the scalar path.
         def barrier(b, m, n, frame):
             b.counters.barriers += n
             b._segment += 1
 
         return barrier
-    if t is c.CComment:
-        return None  # dropped from the statement list
-    raise CompileUnsupported(f"cannot compile statement {s!r}")
+    assert t is c.CComment, s  # analyze_kernel admits no other statement
+    return None  # dropped from the statement list
 
 
 def _compile_block(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
@@ -679,31 +669,29 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
 
         return assign_index
 
-    if isinstance(target, c.CMember):
-        base_c = _compile_expr(target.base, ctx)
-        member = target.member
-        vec_col = _VEC_MEMBERS.get(member)
+    assert isinstance(target, c.CMember), target  # lvalues: analyze_kernel
+    base_c = _compile_expr(target.base, ctx)
+    member = target.member
+    vec_col = _VEC_MEMBERS.get(member)
 
-        def assign_member(b, m, n, frame):
-            v = value_c(b, m, n)
-            container = base_c(b, m, n)
-            if isinstance(container, dict):
-                b._store_member(container, member, v, m, n)
-            elif isinstance(container, np.ndarray) and container.ndim == 2:
-                if vec_col is None:
-                    # Same KeyError the other engines' _VEC_MEMBERS
-                    # lookup raises for non-xyzw stores.
-                    raise KeyError(member)
-                if n == b.L:
-                    container[:, vec_col] = v
-                else:
-                    container[m, vec_col] = b._lanes(v)[m]
+    def assign_member(b, m, n, frame):
+        v = value_c(b, m, n)
+        container = base_c(b, m, n)
+        if isinstance(container, dict):
+            b._store_member(container, member, v, m, n)
+        elif isinstance(container, np.ndarray) and container.ndim == 2:
+            if vec_col is None:
+                # Same KeyError the oracle's _VEC_MEMBERS lookup
+                # raises for non-xyzw stores.
+                raise KeyError(member)
+            if n == b.L:
+                container[:, vec_col] = v
             else:
-                raise ExecError(f"member store into {container!r}")
+                container[m, vec_col] = b._lanes(v)[m]
+        else:
+            raise ExecError(f"member store into {container!r}")
 
-        return assign_member
-
-    raise CompileUnsupported(f"cannot assign to {target!r}")
+    return assign_member
 
 
 def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
@@ -830,111 +818,75 @@ class Pipeline:
         self.segments = segments
         self.has_returns = has_returns
 
-    @property
-    def segment_count(self) -> int:
-        return len(self.segments)
-
     def run(self, block: _Block) -> None:
         """Execute one block of work-groups through the pipeline."""
-        if _obs_profile.ACTIVE is not None:
-            return self._run_profiled(block, _obs_profile.ACTIVE)
+        prof = _obs_profile.ACTIVE
         frame = _Frame(block.L)
         m = block._full
         n = block.L
-        if not self.has_returns:
-            for segment in self.segments:
-                segment(block, m, n, frame)
-            return
-        for segment in self.segments:
+        for index, segment in enumerate(self.segments):
             if frame.returned_any:
                 m = m & ~frame.ret_mask
                 n = int(np.count_nonzero(m))
                 if n == 0:
                     return
-            segment(block, m, n, frame)
+            if prof is None:
+                segment(block, m, n, frame)
+            else:
+                run_segment_profiled(
+                    prof, index, "compiled", segment, block, m, n, frame
+                )
 
-    def _run_profiled(self, block: _Block, prof) -> None:
-        """:meth:`run` with a clock read around every segment.
 
-        A separate method so the unprofiled path pays exactly one
-        module-attribute check per block; execution itself is identical
-        (same closures, same frame/mask handling)."""
-        frame = _Frame(block.L)
-        m = block._full
-        n = block.L
-        for index, segment in enumerate(self.segments):
-            if self.has_returns and frame.returned_any:
-                m = m & ~frame.ret_mask
-                n = int(np.count_nonzero(m))
-                if n == 0:
-                    return
-            before = dict(vars(block.counters))
-            loads0 = block._obs_load_events()
-            t0 = time.perf_counter()
-            segment(block, m, n, frame)
-            prof.record_segment(index, "compiled", time.perf_counter() - t0)
-            after = vars(block.counters)
-            deltas = {
-                k: after[k] - v for k, v in before.items() if after[k] != v
-            }
-            load_events = block._obs_load_events() - loads0
-            if load_events:
-                deltas["load_events"] = load_events
-            prof.record_segment_counters(index, "compiled", deltas)
+def run_segment_profiled(prof, index, kind, segment, block, m, n, frame):
+    """One segment with a clock read and a ``Counters`` diff around it
+    (the kernel profiler's per-segment attribution); execution itself
+    is identical to calling ``segment`` directly."""
+    before = dict(vars(block.counters))
+    loads0 = block._obs_load_events()
+    t0 = time.perf_counter()
+    segment(block, m, n, frame)
+    prof.record_segment(index, kind, time.perf_counter() - t0)
+    after = vars(block.counters)
+    deltas = {k: after[k] - v for k, v in before.items() if after[k] != v}
+    load_events = block._obs_load_events() - loads0
+    if load_events:
+        deltas["load_events"] = load_events
+    prof.record_segment_counters(index, kind, deltas)
+
+
+def split_at_barriers(kernel: c.CFunctionDef) -> list:
+    """The kernel body cut at its top-level barriers: each region is a
+    ``CBarrier`` or a ``CBlock`` of the statements between two of them.
+    One pipeline segment per region; the fused backend pairs its own
+    segments with them through the same split."""
+    regions: list = []
+    current: list = []
+    for stmt in kernel.body.stmts:
+        if type(stmt) is c.CBarrier:
+            if current:
+                regions.append(c.CBlock(current))
+                current = []
+            regions.append(stmt)
+        else:
+            current.append(stmt)
+    if current or not regions:
+        regions.append(c.CBlock(current))
+    return regions
 
 
 def compile_kernel_pipeline(
     parsed: ParsedProgram, kernel: c.CFunctionDef
 ) -> Pipeline:
-    """Lower a kernel AST into a compiled closure pipeline.
-
-    Raises :class:`CompileUnsupported` when some construct has no
-    closure lowering; the caller then uses the interpretive walk.
-    """
+    """Lower a kernel :func:`~repro.opencl.simt.analyze_kernel` admits
+    into a compiled closure pipeline."""
     ctx = _Ctx(parsed, kernel)
-    has_returns = _contains_return(kernel.body)
-
-    segments: list = []
-    current: list = []
-    for stmt in kernel.body.stmts:
-        if type(stmt) is c.CBarrier:
-            barrier = _compile_stmt(stmt, ctx, has_returns)
-            if current:
-                segments.append(
-                    _compile_block_list(current, ctx, has_returns)
-                )
-                current = []
-            segments.append(barrier)
-        else:
-            current.append(stmt)
-    if current or not segments:
-        segments.append(_compile_block_list(current, ctx, has_returns))
+    has_returns = _contains(kernel.body, c.CReturn)
+    segments = [
+        _compile_stmt(region, ctx, has_returns)
+        for region in split_at_barriers(kernel)
+    ]
     return Pipeline(kernel.name, segments, has_returns)
-
-
-def _compile_block_list(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
-    block = c.CBlock(list(stmts))
-    fn = _compile_stmt(block, ctx, has_returns)
-    if fn is None:  # a segment of only comments
-        return lambda b, m, n, frame: None
-    return fn
-
-
-def _contains_return(stmt) -> bool:
-    if isinstance(stmt, c.CReturn):
-        return True
-    if isinstance(stmt, c.CBlock):
-        return any(_contains_return(s) for s in stmt.stmts)
-    if isinstance(stmt, c.CFor):
-        return any(
-            part is not None and _contains_return(part)
-            for part in (stmt.init, stmt.body, stmt.step)
-        )
-    if isinstance(stmt, c.CIf):
-        if _contains_return(stmt.then):
-            return True
-        return stmt.otherwise is not None and _contains_return(stmt.otherwise)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -959,8 +911,9 @@ def compile_count() -> int:
 def get_pipeline(
     parsed: ParsedProgram, kernel: c.CFunctionDef
 ) -> Optional[Pipeline]:
-    """The compiled pipeline for a kernel, or ``None`` when the static
-    analysis refuses it or closure compilation is unsupported.
+    """The compiled pipeline for a kernel, or ``None`` when
+    :func:`~repro.opencl.simt.analyze_kernel` refuses it (its reason is
+    the decline reason; every kernel it admits compiles).
 
     Cached on the parsed program object; the runtime shares parse
     results per source through an LRU, so each distinct kernel compiles
@@ -980,18 +933,14 @@ def get_pipeline(
         entry = cache.get(kernel.name, _MISSING)
         if entry is not _MISSING:
             return entry
-        if analyze_kernel(parsed, kernel) is not None:
-            pipeline: Optional[Pipeline] = None
-        else:
+        pipeline: Optional[Pipeline] = None
+        if analyze_kernel(parsed, kernel) is None:
             from repro.obs import span
 
-            try:
-                with span("simt_compile", kernel=kernel.name):
-                    pipeline = compile_kernel_pipeline(parsed, kernel)
-                global _compile_counter
-                _compile_counter += 1
-            except CompileUnsupported:
-                pipeline = None
+            with span("simt_compile", kernel=kernel.name):
+                pipeline = compile_kernel_pipeline(parsed, kernel)
+            global _compile_counter
+            _compile_counter += 1
         cache[kernel.name] = pipeline
         return pipeline
 

@@ -58,11 +58,10 @@ def run_saxpy(engine, n=64, local=16, **overrides):
 
 class TestRegistry:
     def test_default_backends_registered(self):
-        assert set(backend_names()) >= {"scalar", "interp", "compiled", "fused"}
+        assert set(backend_names()) == {"scalar", "compiled", "fused"}
 
     def test_default_engines_include_tier_aliases(self):
-        names = set(engine_names())
-        assert {"auto", "vector", "scalar", "interp", "compiled", "fused"} <= names
+        assert set(engine_names()) == {"auto", "fused", "compiled", "scalar"}
 
     def test_lookup_returns_the_backend(self):
         backend = get_backend("fused")
@@ -119,21 +118,38 @@ class TestRegistry:
         program = OpenCLProgram(src)
         with pytest.raises(VectorizationError):
             launch(program, 4, 4, {"x": Buffer.zeros(4), "n": 4},
-                   engine="vector")
+                   engine="compiled")
 
 
 class TestEngineResolution:
-    def test_launch_unknown_engine_lists_valid_names(self):
+    @staticmethod
+    def _assert_lists_the_valid_engines(err):
+        assert str(err.value).endswith(
+            "valid engines are auto, compiled, fused, scalar"
+        )
+
+    def test_launch_unknown_engine_lists_valid_names(self, monkeypatch):
+        # The removed ``interp`` tier and ``vector`` alias are unknown
+        # names like any other, at every place an engine is named.
+        from repro.benchsuite.__main__ import main
+
         program = OpenCLProgram(SAXPY)
-        with pytest.raises(ValueError) as err:
-            launch(program, 16, 16, saxpy_args(16), engine="warp-speed")
-        message = str(err.value)
-        for name in engine_names():
-            assert name in message
+        for unknown in ("warp-speed", "interp", "vector"):
+            with pytest.raises(ValueError) as err:
+                launch(program, 16, 16, saxpy_args(16), engine=unknown)
+            self._assert_lists_the_valid_engines(err)
+            with pytest.raises(ValueError) as err:
+                main(["figure8", "--benchmarks", "nn", "--engine", unknown])
+            self._assert_lists_the_valid_engines(err)
+            monkeypatch.setenv("REPRO_SIM_ENGINE", unknown)
+            with pytest.raises(ValueError) as err:
+                launch(program, 16, 16, saxpy_args(16))
+            self._assert_lists_the_valid_engines(err)
+            monkeypatch.delenv("REPRO_SIM_ENGINE")
 
     def test_env_var_accepts_backend_names(self, monkeypatch):
         ref, ref_counters = run_saxpy("scalar")
-        for name in ("fused", "compiled", "interp"):
+        for name in ("fused", "compiled"):
             monkeypatch.setenv("REPRO_SIM_ENGINE", name)
             out, counters = run_saxpy(None)
             np.testing.assert_array_equal(out, ref)

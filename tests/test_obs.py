@@ -21,6 +21,7 @@ from repro.obs import metrics as metrics_mod
 from repro.obs import profile as profile_mod
 from repro.obs import trace as trace_mod
 from repro.opencl import Buffer, OpenCLProgram, launch
+from repro.opencl.interp import ExecError
 
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
@@ -391,6 +392,30 @@ class TestOutOfBand:
         }
         assert runs["compiled"]["reason"].startswith("RACE: cross-lane ")
         assert "reason" not in runs["scalar"]  # served, nothing to explain
+
+    def test_plan_span_of_a_static_decline_carries_its_reason(
+        self, tmp_path, no_tracing, fault_free
+    ):
+        bad = """
+        kernel void K(global float *x) {
+          float4 v = (float4)(1.0f, 2.0f);
+          x[get_global_id(0)] = v.z;
+        }
+        """
+        path = tmp_path / "trace.json"
+        obs.start_tracing(path)
+        with pytest.raises(ExecError, match="vector literal float4"):
+            launch(OpenCLProgram(bad), 4, 4, {"x": Buffer.zeros(4)},
+                   engine="fused")
+        obs.stop_tracing()
+        plans = {
+            e["args"]["backend"]: e["args"]
+            for e in read_trace(path)["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "plan"
+        }
+        reason = "vector literal float4 with 2 items"
+        assert plans["fused"]["reason"] == plans["compiled"]["reason"] == reason
+        assert "reason" not in plans["scalar"]  # planned; it raises in run
 
     def test_launch_metrics_count_per_tier(self, no_tracing):
         before = metrics_mod.REGISTRY.counter("launch.total")

@@ -441,12 +441,9 @@ class TestBackendRunFaultSite:
         np.testing.assert_array_equal(
             out, 2.0 * np.arange(32, dtype=float) + 1.0
         )
-        # auto = compiled -> interp -> scalar: the two non-final members
-        # were declined by injection, scalar (exempt) served the launch.
-        counts = ledger.counts()
-        assert counts.get(("auto", "compiled", "fault")) == 1
-        assert counts.get(("auto", "interp", "fault")) == 1
-        assert ("auto", "scalar", "fault") not in counts
+        # auto = compiled -> scalar: the one non-final member was
+        # declined by injection, scalar (exempt) served the launch.
+        assert ledger.counts() == {("auto", "compiled", "fault"): 1}
 
     def test_chaos_run_is_bitwise_identical_to_clean_run(self):
         clean = _run_saxpy(engine="auto")

@@ -18,16 +18,15 @@ from repro.opencl import (
     analyze_kernel,
     launch,
 )
-from repro.opencl.interp import BarrierDivergence
+from repro.opencl.interp import BarrierDivergence, ExecError
 from repro.opencl.runtime import _parse_cached
 
 
 #: The execution backends whose results must agree bitwise: the scalar
-#: reference interpreter, the interpretive lane-batched walk, the
-#: closure-compiled pipeline, and the whole-grid fused-numpy backend
-#: (whose chain falls back through compiled/scalar on refusals — the
-#: agreement must hold either way).
-ENGINES = ("scalar", "interp", "compiled", "fused")
+#: reference interpreter, the closure-compiled pipeline, and the
+#: whole-grid fused-numpy backend (whose chain falls back through
+#: compiled/scalar on refusals — the agreement must hold either way).
+ENGINES = ("scalar", "compiled", "fused")
 
 
 def run_both(source, global_size, local_size, make_args, kernel_name=None,
@@ -501,7 +500,7 @@ class TestBarriers:
         with pytest.raises(BarrierDivergence):
             launch(program, 2, 2, {"x": Buffer.zeros(2)})
         with pytest.raises(VectorizationError):
-            launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine="vector")
+            launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine="compiled")
 
 
 class TestVectorGeometryBuiltins:
@@ -559,7 +558,7 @@ class TestVectorGeometryBuiltins:
 
         program = OpenCLProgram(self._SRC)
         a = args()
-        launch(program, n, 8, a, engine="vector")
+        launch(program, n, 8, a, engine="compiled")
         pv, qv = p.reshape(n, 4), q.reshape(n, 4)
         for i in range(n):
             acc = pv[i, 0] * qv[i, 0]
@@ -628,7 +627,7 @@ class TestFallback:
         assert [(e.engine, e.backend) for e in dynamic] == [("auto", "compiled")]
         assert dynamic[0].reason.startswith("K: cross-lane ")
         with pytest.raises(VectorizationError, match="compiled: K: cross-lane "):
-            launch(program, 8, 4, args(), engine="vector")
+            launch(program, 8, 4, args(), engine="compiled")
 
     def test_cross_group_race_across_barrier_falls_back(self):
         # Barriers order work-items *within* a group, never groups; the
@@ -659,7 +658,7 @@ class TestFallback:
         np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
         assert vars(c_s) == vars(c_auto)
         with pytest.raises(VectorizationError):
-            launch(program, 8, 4, args(), engine="vector")
+            launch(program, 8, 4, args(), engine="compiled")
 
     def test_rollback_restores_buffers(self):
         # The race is only hit after some lanes already stored; auto mode
@@ -681,6 +680,46 @@ class TestFallback:
         launch(program, 8, 8, {"out": expected, "scratch": scratch2},
                engine="scalar")
         np.testing.assert_array_equal(out.data, expected.data)
+
+    @pytest.mark.parametrize("engine", ("auto",) + ENGINES)
+    def test_vector_literal_arity_is_a_typed_error(self, engine):
+        # Neither a splat nor one item per component: the oracle raises,
+        # the lane tiers refuse statically with the oracle's message, and
+        # no tier writes the output (a tier that accepted the kernel used
+        # to store uninitialised memory).
+        from repro.backend import ledger
+
+        src = """
+        kernel void K(global float *x) {
+          float4 v = (float4)(1.0f, 2.0f);
+          x[get_global_id(0)] = v.z;
+        }
+        """
+        x = Buffer.from_array(np.full(8, 7.0))
+        ledger.clear()
+        with pytest.raises(ExecError) as err:
+            launch(OpenCLProgram(src), 8, 4, {"x": x}, engine=engine)
+        assert "vector literal float4 with 2 items" in str(err.value)
+        np.testing.assert_array_equal(x.data, np.full(8, 7.0))
+        # One static decline per lane-batched member of the chain, each
+        # naming the construct.
+        lane_members = {"scalar": 0, "auto": 1, "compiled": 1, "fused": 2}
+        assert [e.reason for e in ledger.events()] == (
+            ["vector literal float4 with 2 items"] * lane_members[engine]
+        )
+
+    def test_non_lvalue_assignment_is_a_static_decline(self):
+        # The parser takes any expression left of ``=``; the analysis is
+        # where the lane tiers refuse it, the oracle where it raises.
+        program = OpenCLProgram(
+            "kernel void K(global float *x) { 3 = 1; x[0] = 1.0f; }"
+        )
+        reason = analyze_kernel(program.parsed, program.kernel())
+        assert reason == "assignment to non-lvalue CInt"
+        with pytest.raises(VectorizationError, match=reason):
+            launch(program, 1, 1, {"x": Buffer.zeros(1)}, engine="compiled")
+        with pytest.raises(ExecError, match="cannot assign to"):
+            launch(program, 1, 1, {"x": Buffer.zeros(1)})
 
     def test_unknown_engine_rejected(self):
         program = OpenCLProgram(
