@@ -116,9 +116,12 @@ def main(out_path: str = None) -> None:
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
             "(parallelism-aware) per benchmark; last refreshed on the "
-            "backend-subsystem PR (the fixed autotune menu now derives "
-            "the 2-D tiled mm too, so mm best-vs-menu parity is expected; "
-            "the derivation itself is gated via best_trace)."
+            "explore-cliff PR (no explorer launch falls to the scalar "
+            "tier any more, so the cold pass roughly halved and the "
+            "warm-cache speedup baseline moved from ~3.8x to ~1.9x with "
+            "it; the fixed autotune menu derives the 2-D tiled mm too, "
+            "so mm best-vs-menu parity is expected and the derivation "
+            "itself is gated via best_trace)."
         ),
         "config": cold["config"],
         "cold_total_seconds": round(cold_seconds, 3),

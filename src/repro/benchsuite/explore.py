@@ -61,7 +61,8 @@ def explore_benchmark(
 
     with obs.timed_span("menu", benchmark=name, size=size) as menu_span:
         menu_results = autotune(
-            high_level, inputs, size_env, device=device, engine=engine
+            high_level, inputs, size_env, device=device, engine=engine,
+            reference=result.reference,
         )
     explore_seconds = explore_span.elapsed
     menu_seconds = menu_span.elapsed
@@ -158,7 +159,7 @@ def format_explore(data: dict) -> str:
         lines.append(
             "  derivation: " + (" -> ".join(trace) if trace else "(original)")
         )
-        lines.append(
+        search = (
             f"  search: {stats['enumerated']} enumerated, "
             f"dedup hit-rate {stats['dedup_hit_rate']:.0%}, "
             f"{stats['evaluated']} evaluated, "
@@ -166,6 +167,13 @@ def format_explore(data: dict) -> str:
             f"kernel cache hit-rate {stats['kernel_cache_hit_rate']:.0%}, "
             f"cycle cache hit-rate {stats['cycle_cache_hit_rate']:.0%}"
         )
+        declined = stats.get("declined_launches")
+        if declined:
+            search += (
+                f", {declined} launch(es) DECLINED by a backend and re-run "
+                "on a slower tier (see the ledger)"
+            )
+        lines.append(search)
         lines.append(
             f"  time: explore {entry['explore_seconds']:.2f}s, "
             f"menu {entry['menu_seconds']:.2f}s"

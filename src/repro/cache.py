@@ -76,10 +76,13 @@ from repro.ir.nodes import FunDecl
 from repro.ir.structural import canonical
 from repro.opencl.interp import Counters
 
-#: Bump when the on-disk layout or any pickled class changes shape.
+#: Bump when the on-disk layout or any pickled class changes shape, or
+#: when the compiler emits different code for an unchanged program.
 #: v3: entries carry a checksummed header; corrupt/stale entries are
 #: quarantined instead of unlinked.
-CACHE_VERSION = 3
+#: v4: codegen multiplies map intermediates by the enclosing parallel
+#: maps; kernels cached before could carry a racy staging row.
+CACHE_VERSION = 4
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"

@@ -17,6 +17,11 @@ matching OpenCL snippet for every pattern:
 Array accesses are produced by consuming views (section 5.3); the
 resulting index expressions are passed through the arithmetic simplifier
 only when array-access simplification is enabled.
+
+Memory for a result nobody passed a destination for — a staged scalar or
+a whole map intermediate — follows section 5.2's multiplier rule: one
+copy per index of every enclosing parallel map whose work-items share
+that address space (``KernelGenerator._alloc_staged``).
 """
 
 from __future__ import annotations
@@ -441,27 +446,36 @@ class KernelGenerator:
         value: c.CExpr = c.CCall(f.name, args)
         if dest is None:
             # A value materialized without a destination is a staging
-            # slot.  In local/global memory one shared cell would be
-            # written concurrently by every work-item of the enclosing
-            # parallel maps (the nbody kernels' p1 staging) — give each
-            # work-item its own slot, indexed by the parallel loop
-            # variables.
+            # slot (the nbody kernels' p1 staging).
             space = call.addr_space or AddressSpace.PRIVATE
-            wrap = self._staging_wrap(space)
-            logical: DataType = call.type
-            for _, length in reversed(wrap):
-                logical = ArrayType(logical, length)
-            mem = self.alloc.alloc(logical, space)
-            view: View = MemView(mem, logical)
-            for idx, _ in wrap:
-                view = ArrayAccessView(view, idx)
+            _, view = self._alloc_staged(call.type, space)
             self._emit_store(view, call.type, value, block)
             return GenResult(view, wrote=True)
         self._emit_store(dest.view, call.type, value, block)
         return GenResult(MemView(dest.memory, call.type), wrote=True)
 
+    def _alloc_staged(self, logical: DataType, space: AddressSpace) -> tuple:
+        """Allocate a destination-less result; returns ``(memory, view)``.
+
+        Section 5.2's multiplier rule: a buffer in local or global memory
+        is multiplied by the trip count of every enclosing parallel map
+        whose work-items share that memory — one shared copy would be
+        written concurrently by all of them, and barrier elimination
+        (section 5.4) is only sound on top of per-index copies.  The
+        returned view is already indexed by those maps' loop variables,
+        so readers and writers see a value of type ``logical``."""
+        wrap = self._staging_wrap(space)
+        multiplied = logical
+        for _, length in reversed(wrap):
+            multiplied = ArrayType(multiplied, length)
+        mem = self.alloc.alloc(multiplied, space)
+        view: View = MemView(mem, multiplied)
+        for idx, _ in wrap:
+            view = ArrayAccessView(view, idx)
+        return mem, view
+
     def _staging_wrap(self, space: AddressSpace) -> list:
-        """The per-work-item slot indices a staging allocation needs.
+        """The ``(index, trip count)`` multipliers of :meth:`_alloc_staged`.
 
         Private memory is per-thread already.  Local memory is shared by
         the work-items of one group, so slots are needed per enclosing
@@ -511,10 +525,15 @@ class KernelGenerator:
         n = simplify(call.type.length)
 
         if dest is None:
+            # An intermediate result: one copy per enclosing parallel-map
+            # index (two mapLcl(1) rows staging through one shared row
+            # would race), and that indexed view is what readers get.
             space = call.addr_space or AddressSpace.GLOBAL
             logical = self._alloc_logical_type(call.type, space, kind)
-            mem = self.alloc.alloc(logical, space)
-            dest = WriteDest(mem, MemView(mem, mem.logical_type))
+            mem, result_view = self._alloc_staged(logical, space)
+            dest = WriteDest(mem, result_view)
+        else:
+            result_view = MemView(dest.memory, dest.memory.logical_type)
 
         lam = _unwrap_wrappers(f.f)
         if not isinstance(lam, Lambda):
@@ -529,7 +548,7 @@ class KernelGenerator:
                 inner = self.gen(lam.body, block, self._wrap_dest(dest, Cst(j), kind))
                 if not inner.wrote:
                     raise CodeGenError("map bodies must write memory")
-            return GenResult(MemView(dest.memory, dest.memory.logical_type), wrote=True)
+            return GenResult(result_view, wrote=True)
 
         body_block, idx = self._open_map_loop(block, n, kind, f)
         elem_view = ArrayAccessView(arg_result.view, idx)
@@ -559,7 +578,7 @@ class KernelGenerator:
             # barrier would sit inside a (possibly non-uniform) loop,
             # which OpenCL forbids.
             self._emit_barrier_after_map_lcl(call, block)
-        return GenResult(MemView(dest.memory, dest.memory.logical_type), wrote=True)
+        return GenResult(result_view, wrote=True)
 
     def _alloc_logical_type(
         self, call_type: ArrayType, space: AddressSpace, kind: str

@@ -5,6 +5,13 @@ whose function is a user function); data-layout patterns compile to views
 instead.  Every buffer holds elements of a single scalar type — vector
 values occupy ``width`` consecutive scalars, which matches how OpenCL
 lays out ``float4`` in memory and keeps the view algebra uniform.
+
+How *many* elements a buffer needs is the caller's business: the
+multiplier rules of section 5.2 (a local buffer inside ``mapLcl`` holds
+one copy per ``mapLcl`` index, a global one additionally per ``mapWrg``
+index, a private one is per-thread already) are applied by
+``KernelGenerator._alloc_staged`` to staged scalars and to map
+intermediates alike, by wrapping the logical type before it gets here.
 """
 
 from __future__ import annotations

@@ -301,6 +301,7 @@ def autotune(
     engine: Optional[str] = None,
     explore_config=None,
     cache=None,
+    reference: Optional[np.ndarray] = None,
 ) -> list:
     """Compile, run, verify and rank every candidate schedule.
 
@@ -325,7 +326,10 @@ def autotune(
     :class:`~repro.rewrite.explore.ExploreConfig`.  ``cache`` is an
     optional :class:`repro.cache.TuningCache`; the menu path uses it to
     skip recompilations, the explorer additionally caches measured
-    cycles.
+    cycles.  ``reference`` is the flat ``ir.interp`` result of
+    ``high_level`` when the caller has it already (an
+    :class:`~repro.rewrite.explore.ExplorationResult` carries one); the
+    menu candidates are checked against it instead of re-interpreting.
     """
     if candidates is None and explore_config is not None:
         from repro.rewrite.explore import explore_program
@@ -352,7 +356,6 @@ def autotune(
             n = len(np.asarray(next(iter(inputs.values()))).ravel())
         candidates = default_candidates(high_level, n, size_env=size_env)
 
-    reference = None
     profile = DEVICES[device]
     results = []
 

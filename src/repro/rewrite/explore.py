@@ -128,6 +128,7 @@ from repro.rewrite.rules import (
 )
 from repro.rewrite.strategies import exhaustively, one_step_rewrites
 from repro import faultinject, obs
+from repro.backend import LEDGER
 from repro.resilience import (
     TRANSIENT_ERRORS,
     Cancelled,
@@ -253,6 +254,11 @@ class ExploreStats:
     #: pipeline through the source-keyed parse LRU (see
     #: :mod:`repro.opencl.simt_compile`).
     pipeline_compiles: int = 0
+    #: Launches of this search that a backend declined (growth of the
+    #: process-wide degradation ledger over the evaluate stage, so
+    #: concurrent searches see each other's): each one re-ran on a
+    #: slower tier.  Non-zero is a defect to explain (ENGINES.md).
+    declined_launches: int = 0
 
     def dedup_hit_rate(self) -> float:
         return self.dedup_hits / self.enumerated if self.enumerated else 0.0
@@ -292,6 +298,7 @@ class ExploreStats:
             "cycle_cache_misses": self.cycle_cache_misses,
             "cycle_cache_hit_rate": round(self.cycle_cache_hit_rate(), 4),
             "pipeline_compiles": self.pipeline_compiles,
+            "declined_launches": self.declined_launches,
         }
 
 
@@ -326,6 +333,9 @@ class ExplorationResult:
     #: out or were cancelled (:class:`repro.resilience.FailureReport`);
     #: the search completes around them.
     failures: list = field(default_factory=list)
+    #: The ``ir.interp`` result of the high-level program (flat float
+    #: array) every candidate was verified against.
+    reference: Optional[np.ndarray] = None
 
     def best(self) -> ExploredCandidate:
         if not self.candidates:
@@ -463,6 +473,19 @@ def _nesting_ok(body: Expr) -> bool:
             ):
                 return False
     return True
+
+
+def _has_parallel(body: Expr) -> bool:
+    """Whether :func:`_collect_parallel` would find anything — without
+    needing types."""
+    for e in post_order(body):
+        if isinstance(e, FunCall):
+            f = e.f
+            while isinstance(f, pat.AddressSpaceWrapper):
+                f = f.f
+            if isinstance(f, pat.ParallelMap):
+                return True
+    return False
 
 
 def _splits_divide(body: Expr, size_env: Mapping[str, int]) -> bool:
@@ -744,6 +767,14 @@ def explore_program(
         finished: dict = {}
         for body, trace in derivations:
             for fin, finish_label in _finish_variants(body):
+                # Structural rejections first: they read no types, and
+                # most variants die here before being cloned and typed.
+                # An all-sequential schedule "wins" under the total-work
+                # cost model (no loop strides, no barriers) but is never a
+                # useful GPU schedule; the search only ranks parallel ones.
+                if not _nesting_ok(fin) or not _has_parallel(fin):
+                    stats.invalid += 1
+                    continue
                 full_trace = trace + ((finish_label,) if finish_label else ())
                 program = clone_decl(Lambda(list(high_level.params), fin))
                 assert isinstance(program, Lambda)
@@ -761,19 +792,10 @@ def explore_program(
                 except Exception:
                     stats.invalid += 1
                     continue
-                if not _nesting_ok(typed.body) or not _splits_divide(
-                    typed.body, size_env
-                ):
+                if not _splits_divide(typed.body, size_env):
                     stats.invalid += 1
                     continue
-                parallel = _collect_parallel(typed.body)
-                if not parallel:
-                    # An all-sequential schedule "wins" under the total-work
-                    # cost model (no loop strides, no barriers) but is never a
-                    # useful GPU schedule; the search only ranks parallel ones.
-                    stats.invalid += 1
-                    continue
-                geometry = _geometry(parallel, size_env)
+                geometry = _geometry(_collect_parallel(typed.body), size_env)
                 if geometry is None:
                     stats.invalid += 1
                     continue
@@ -1011,6 +1033,7 @@ def explore_program(
     }
 
     pipelines_before = simt_compile.compile_count()
+    declines_before = LEDGER.total()
     evaluated: list = []
     failures: list = []
     workload = config.workload or "adhoc"
@@ -1065,6 +1088,7 @@ def explore_program(
             )
     stats.evaluated = len(evaluated)
     stats.pipeline_compiles = simt_compile.compile_count() - pipelines_before
+    stats.declined_launches = LEDGER.total() - declines_before
 
     if cache is not None and cache_before is not None:
         after = cache.stats
@@ -1079,5 +1103,6 @@ def explore_program(
     # The latest search owns the metrics snapshot's "explore" slot.
     obs.register_explore(stats, failures)
     return ExplorationResult(
-        candidates=evaluated, stats=stats, failures=failures
+        candidates=evaluated, stats=stats, failures=failures,
+        reference=reference,
     )

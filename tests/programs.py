@@ -75,3 +75,26 @@ def simple_map_add_one(n=None):
         "plusOne", ["v"], "return v + 1.0f;", [FLOAT], FLOAT, py=lambda v: v + 1.0
     )
     return Lambda([x], map_glb(plus_one)(x))
+
+
+def double_staged_rows(rows=4, cols=16):
+    """A 2 x 2 grid of work-groups, each copying a ``rows`` x ``cols``
+    tile through *two* local stagings per row:
+
+        mapWrg(1)(mapWrg(0)(mapLcl(1)(
+            toGlobal(mapLcl(0)(id)) o toLocal(mapLcl(0)(id))
+                                    o toLocal(mapLcl(0)(id)))))
+
+    The inner staging has no destination of its own, so its buffer must
+    be multiplied by the enclosing ``mapLcl(1)`` trip count (paper
+    section 5.2) — with one shared row, the ``rows`` work-item rows race
+    (the schedule the explorer derives for ``mm`` via ``toLocal
+    insertion``).  ``rows`` may be symbolic."""
+    row = ArrayType(FLOAT, cols)
+    x = Param(ArrayType(ArrayType(ArrayType(row, rows), 2), 2), "x")
+
+    def copy(space):
+        return space(map_lcl(id_fun(), 0))
+
+    per_row = compose(copy(to_global), copy(to_local), copy(to_local))
+    return Lambda([x], map_wrg(map_wrg(map_lcl(per_row, 1), 0), 1)(x))

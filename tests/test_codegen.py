@@ -5,6 +5,8 @@ kernel executed on the simulated device must agree with the IR reference
 interpreter and with a NumPy oracle — at every optimization level.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,7 @@ from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import compile_and_run
 from repro.compiler.options import CompilerOptions
 
-from tests.programs import partial_dot, simple_map_add_one
+from tests.programs import double_staged_rows, partial_dot, simple_map_add_one
 
 ALL_LEVELS = [
     CompilerOptions.none,
@@ -291,6 +293,33 @@ class TestSemanticsAtEveryLevel:
             global_size=128, options=level(local_size=(64, 1, 1)),
         )
         assert result.counters.work_items == 128
+
+
+class TestIntermediateAllocation:
+    """Section 5.2: a map result without a destination of its own is
+    multiplied by the enclosing parallel maps that share its memory."""
+
+    OPTIONS = CompilerOptions(local_size=(4, 4, 1))
+
+    def test_local_intermediate_gets_one_row_per_outer_lcl_index(self):
+        src = compile_kernel(double_staged_rows(), self.OPTIONS).source
+        outer = re.search(r"int (l_id_\d+) = get_local_id\(1\);", src).group(1)
+        # Both stagings hold all four rows and are indexed by the row.
+        assert src.count("local float tmp1[64];") == 1
+        assert src.count("local float tmp2[64];") == 1
+        for tmp in ("tmp1", "tmp2"):
+            accesses = re.findall(rf"{tmp}\[([^\]]*)\]", src)[1:]  # [0]: decl
+            assert len(accesses) == 2  # one store, one load
+            assert all(f"16 * {outer}" in index for index in accesses)
+
+    def test_symbolic_trip_count_keeps_the_shared_cell(self):
+        # A local array needs a static size: _staging_wrap's documented
+        # exception.
+        src = compile_kernel(
+            double_staged_rows(rows=Var("R")), self.OPTIONS
+        ).source
+        assert "local float tmp1[16];" in src
+        assert "local float tmp2[16];" in src
 
 
 class TestVectorization:

@@ -294,6 +294,100 @@ def test_explorer_at_least_matches_the_menu(tmp_path, name):
     assert result.best().runtime <= menu_results[0].runtime
 
 
+@pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
+def test_exploration_has_no_scalar_cliff(name, fault_free):
+    """No explorer launch is declined by the first backend and re-run on
+    a slower tier (mm's two ``toLocal insertion`` schedules used to race
+    through an unmultiplied staging row and fall to ``scalar``)."""
+    from repro.backend import LEDGER
+    from repro.obs import metrics
+
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    declines_before = LEDGER.total()
+    scalar_before = metrics.REGISTRY.counter("launch.served.scalar")
+    result = explore_program(
+        bench.high_level(size_env), inputs, size_env,
+        config=ExploreConfig(depth=3, max_eval=12, engine="auto"),
+        cache=None,
+    )
+    assert result.stats.executions == 12 and not result.failures
+    assert LEDGER.total() == declines_before
+    assert metrics.REGISTRY.counter("launch.served.scalar") == scalar_before
+    assert result.stats.declined_launches == 0
+
+
+def test_declined_launches_are_counted_and_named(monkeypatch, fault_free):
+    """A candidate whose kernel races (here: every work-item writes and
+    reads back one local cell, result unused) still verifies — on the
+    scalar tier — and the search says so, per benchmark."""
+    import dataclasses
+    from repro.rewrite import explore as explore_mod
+    from repro.benchsuite.explore import explore_benchmark, format_explore
+
+    real_compile = explore_mod.compile_kernel
+
+    def racy_compile(program, options):
+        kernel = real_compile(program, options)
+        head, brace, body = kernel.source.partition(") {\n")
+        assert "kernel void" in head.splitlines()[-1]
+        return dataclasses.replace(
+            kernel,
+            source=head + brace
+            + "  local float race_cell[1];\n"
+            + "  race_cell[0] = 1.0f;\n"
+            + "  float race_read = race_cell[0];\n"
+            + body,
+        )
+
+    def entry_and_text():
+        entry = explore_benchmark("nn", depth=1, max_eval=2, engine="auto")
+        text = format_explore({
+            "config": {"depth": 1, "size": "small", "cache_dir": "off"},
+            "benchmarks": [entry],
+        })
+        return entry, text
+
+    entry, text = entry_and_text()
+    assert entry["stats"]["declined_launches"] == 0
+    assert "DECLINED" not in text
+
+    monkeypatch.setattr(explore_mod, "compile_kernel", racy_compile)
+    racy_entry, racy_text = entry_and_text()
+    stats = racy_entry["stats"]
+    assert stats["evaluated"] == 2 and stats["verify_failures"] == 0
+    assert stats["declined_launches"] == 2
+    search_line, = [l for l in racy_text.splitlines() if "search:" in l]
+    assert "2 launch(es) DECLINED by a backend" in search_line
+    # Same winner either way: the decline costs time, not correctness.
+    assert racy_entry["explorer_best_trace"] == entry["explorer_best_trace"]
+
+
+def test_menu_reuses_the_explorers_reference(monkeypatch):
+    """``explore_benchmark`` interprets the high-level program once: the
+    menu checks its candidates against the exploration's reference."""
+    from repro.rewrite import autotune as autotune_mod
+    from repro.benchsuite.explore import explore_benchmark
+
+    def no_second_interpretation(*args, **kwargs):
+        raise AssertionError("the menu re-interpreted the program")
+
+    monkeypatch.setattr(autotune_mod, "apply_fun", no_second_interpretation)
+    entry = explore_benchmark("nn", depth=1, max_eval=2)
+    assert entry["menu_best_runtime"] > 0
+
+    # ... and the menu's own check against it is still live.
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    high_level = bench.high_level(size_env)
+    result = explore_program(
+        high_level, inputs, size_env, config=ExploreConfig(depth=1, max_eval=2)
+    )
+    autotune(high_level, inputs, size_env, reference=result.reference)
+    with pytest.raises(AssertionError, match="computed a wrong result"):
+        autotune(high_level, inputs, size_env, reference=result.reference + 1)
+
+
 def test_explorer_derives_2d_tiled_mm(tmp_path):
     """The tentpole scenario: from the high-level mm expression the
     explorer derives a 2-D tiled schedule — nested mapWrg dims, mapLcl

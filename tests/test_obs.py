@@ -307,7 +307,11 @@ class TestKernelProfiler:
         )
         assert out_row["stores"] == 64
 
-    def test_fused_backend_records_fused_segments(self, no_profiling):
+    def test_fused_backend_records_fused_segments(
+        self, no_profiling, fault_free
+    ):
+        # Asserts which tier served the launch: an injected backend-run
+        # fault legitimately hands it to ``compiled``.
         prof = profile_mod.enable()
         prof.reset()
         run_saxpy("fused")

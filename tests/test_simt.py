@@ -681,6 +681,72 @@ class TestFallback:
                engine="scalar")
         np.testing.assert_array_equal(out.data, expected.data)
 
+    #: What codegen emitted for ``tests.programs.double_staged_rows()``
+    #: before map intermediates were multiplied by the enclosing
+    #: ``mapLcl(1)`` (paper section 5.2): four work-item rows stage
+    #: through one 16-float row with no barrier in between.
+    RACY_DOUBLE_STAGING = """
+    float id(float x) { return x; }
+
+    kernel void KERNEL(const global float * restrict x, global float * out) {
+      local float tmp1[16];
+      local float tmp2[16];
+      for (int wg_id_0 = get_group_id(1); wg_id_0 < 2; wg_id_0 += get_num_groups(1)) {
+        for (int wg_id_1 = get_group_id(0); wg_id_1 < 2; wg_id_1 += get_num_groups(0)) {
+          int l_id_2 = get_local_id(1);
+          for (int l_id_3 = get_local_id(0); l_id_3 < 16; l_id_3 += 4) {
+            tmp1[l_id_3] = id(x[16 * l_id_2 + l_id_3 + 128 * wg_id_0 + 64 * wg_id_1]);
+          }
+          for (int l_id_4 = get_local_id(0); l_id_4 < 16; l_id_4 += 4) {
+            tmp2[l_id_4] = id(tmp1[l_id_4]);
+          }
+          for (int l_id_5 = get_local_id(0); l_id_5 < 16; l_id_5 += 4) {
+            out[16 * l_id_2 + l_id_5 + 128 * wg_id_0 + 64 * wg_id_1] = id(tmp2[l_id_5]);
+          }
+          barrier(CLK_GLOBAL_MEM_FENCE);
+        }
+      }
+    }
+    """
+
+    @staticmethod
+    def _double_staging_args():
+        return {"x": Buffer.from_array(np.arange(256, dtype=float)),
+                "out": Buffer.zeros(256)}
+
+    def test_generated_double_staging_is_race_free(self, fault_free):
+        # The strict engine raises VectorizationError on any decline, so
+        # agreement here means ``compiled`` itself served the launch.
+        from repro.compiler.codegen import compile_kernel
+        from repro.compiler.options import CompilerOptions
+        from repro.ir.interp import apply_fun
+        from tests.programs import double_staged_rows
+
+        prog = double_staged_rows()
+        source = compile_kernel(
+            prog, CompilerOptions(local_size=(4, 4, 1))
+        ).source
+        (outs_s, c_s), (outs_c, c_c) = run_both(
+            source, (8, 8, 1), (4, 4, 1), self._double_staging_args,
+            engines=("scalar", "compiled"),
+        )
+        for name in outs_s:
+            np.testing.assert_array_equal(outs_s[name], outs_c[name])
+        assert vars(c_s) == vars(c_c)
+        nested = np.arange(256, dtype=float).reshape(2, 2, 4, 16).tolist()
+        np.testing.assert_array_equal(
+            outs_c["out"], np.asarray(apply_fun(prog, [nested], {})).ravel()
+        )
+
+    def test_pre_fix_double_staging_still_declines(self, fault_free):
+        # The fix is in the allocator; the hazard detector is unchanged
+        # and still refuses the old kernel text.
+        with pytest.raises(VectorizationError, match="KERNEL: cross-lane read"):
+            launch(
+                OpenCLProgram(self.RACY_DOUBLE_STAGING), (8, 8, 1), (4, 4, 1),
+                self._double_staging_args(), engine="compiled",
+            )
+
     @pytest.mark.parametrize("engine", ("auto",) + ENGINES)
     def test_vector_literal_arity_is_a_typed_error(self, engine):
         # Neither a splat nor one item per component: the oracle raises,
