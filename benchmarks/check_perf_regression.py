@@ -25,13 +25,19 @@ recorded on one box, CI runners are another), so the gate compares
   mm schedule (or the cost model stops preferring it), this gate fails.
   Both sides are simulated cycle estimates, so the ratios are
   machine-independent.
+* **front end** — reading a generated kernel back (``parse``, which
+  lexes) must stay cheaper than generating it (``compile_kernel``):
+  the ratio of the two medians over the level-``all`` small kernels of
+  the 13 stages must stay within ``TOLERANCE`` of the one recorded in
+  ``BENCH_frontend.json`` (0.46; it was 1.23 before the one-regex
+  lexer and the precedence-climbing parser).
 
 Exit status 0 = pass, 1 = regression (with a report on stdout).
 
 Usage::
 
     python benchmarks/check_perf_regression.py [--explore-json PATH]
-        [--baseline-dir benchmarks]
+        [--frontend-json PATH] [--baseline-dir benchmarks]
 """
 
 from __future__ import annotations
@@ -174,6 +180,63 @@ def check_simulator(baseline_path: Path) -> list:
                 f"{name}: {label} speedup {now:.1f}x below floor {floor:.1f}x"
             )
     return failures
+
+
+def measure_frontend() -> dict:
+    """Median seconds to ``parse`` and to ``compile_kernel`` one
+    level-``all`` small kernel, over the 13 stages, and their ratio."""
+    from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+    from repro.compiler import OPTIMIZATION_LEVELS, compile_kernel
+    from repro.opencl.cparser import parse
+
+    def best(fn, repeats=7):
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - t0)
+        return min(times), result
+
+    parse_s, compile_s = [], []
+    for name in ALL_BENCHMARKS:
+        bench = get_benchmark(name)
+        for stage in bench.stages:
+            fun = stage.build(dict(bench.sizes["small"]))
+            options = OPTIMIZATION_LEVELS["all"](local_size=stage.local_size)
+            seconds, kernel = best(
+                lambda: compile_kernel(fun, options, memo=False)
+            )
+            compile_s.append(seconds)
+            parse_s.append(best(lambda: parse(kernel.source))[0])
+    parse_median, compile_median = np.median(parse_s), np.median(compile_s)
+    return {
+        "kernels": len(parse_s),
+        "parse_median_s": float(parse_median),
+        "compile_median_s": float(compile_median),
+        "parse_over_compile": float(parse_median / compile_median),
+    }
+
+
+def check_frontend(baseline_path: Path, out_path=None) -> list:
+    base_ratio = json.loads(baseline_path.read_text())["parse_over_compile"]
+    measured = measure_frontend()
+    if out_path is not None:
+        out_path.write_text(json.dumps(measured, indent=2) + "\n")
+    now = measured["parse_over_compile"]
+    ceiling = base_ratio * (1.0 + TOLERANCE)
+    status = "ok" if now <= ceiling else "REGRESSION"
+    print(
+        f"[frontend] parse/compile_kernel time ratio {now:.2f} over "
+        f"{measured['kernels']} kernels (baseline {base_ratio:.2f}, "
+        f"ceiling {ceiling:.2f}) {status}"
+    )
+    if now > ceiling:
+        return [
+            f"frontend: parse/compile_kernel ratio {now:.2f} above ceiling "
+            f"{ceiling:.2f} - reading a kernel back got slower relative to "
+            "generating it"
+        ]
+    return []
 
 
 #: Absolute ceiling on one disabled ``obs.span()`` round-trip.  The
@@ -361,7 +424,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--baseline-dir", default=Path(__file__).parent, type=Path,
-        help="directory holding BENCH_simulator.json / BENCH_explore.json",
+        help="directory holding the BENCH_simulator / BENCH_frontend / "
+             "BENCH_explore baselines",
     )
     parser.add_argument(
         "--explore-json", default=None, type=Path,
@@ -373,9 +437,16 @@ def main(argv=None) -> int:
         help="metrics snapshot from a `benchsuite calibrate` run; the "
              "calibration gate is skipped when absent",
     )
+    parser.add_argument(
+        "--frontend-json", default=None, type=Path,
+        help="where to write the front-end ratio measured in this run",
+    )
     args = parser.parse_args(argv)
 
     failures = check_simulator(args.baseline_dir / "BENCH_simulator.json")
+    failures += check_frontend(
+        args.baseline_dir / "BENCH_frontend.json", args.frontend_json
+    )
     failures += check_obs_overhead()
     if args.explore_json is not None and args.explore_json.exists():
         failures += check_explore(

@@ -191,7 +191,8 @@ class CProgram:
 # printer
 # ---------------------------------------------------------------------------
 
-_PRECEDENCE = {
+#: Binary operators, loosest first; the parser climbs the same table.
+BINARY_PRECEDENCE = {
     "||": 1,
     "&&": 2,
     "==": 3,
@@ -217,7 +218,7 @@ def print_expr(e: CExpr, parent_prec: int = 0) -> str:
         text = repr(float(e.value))
         return f"{text}f"
     if isinstance(e, CBinOp):
-        prec = _PRECEDENCE.get(e.op, 5)
+        prec = BINARY_PRECEDENCE.get(e.op, 5)
         inner = f"{print_expr(e.lhs, prec)} {e.op} {print_expr(e.rhs, prec + 1)}"
         if prec < parent_prec:
             return f"({inner})"

@@ -44,21 +44,27 @@ class ParsedProgram:
 
 class Parser:
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
+        tokens = tokenize(source)
+        # ``next`` never steps over ``eof`` and no lookahead reaches past
+        # offset 2, so two more copies make every ``peek`` a plain index.
+        self.tokens = tokens + tokens[-1:] * 2
+        self.texts = [tok.text for tok in self.tokens]
         self.pos = 0
         self.structs: dict[str, StructDef] = {}
 
     # -- token helpers ----------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
+        if tok.kind == "eof":
+            raise ParseError(f"line {tok.line}: unexpected end of input")
         self.pos += 1
         return tok
 
     def accept(self, text: str) -> bool:
-        if self.peek().text == text:
+        if self.texts[self.pos] == text:
             self.pos += 1
             return True
         return False
@@ -204,7 +210,7 @@ class Parser:
                         f"line {size_tok.line}: array sizes must be integer "
                         f"literals, found {size_tok.text!r}"
                     )
-                array_size = int(size_tok.text)
+                array_size = int(size_tok.text, 0)
                 self.expect("]")
             if self.accept("="):
                 init = self.parse_expr()
@@ -276,84 +282,67 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
     def parse_expr(self) -> c.CExpr:
-        return self.parse_ternary()
-
-    def parse_ternary(self) -> c.CExpr:
         cond = self.parse_binary(1)
         if self.accept("?"):
             then = self.parse_expr()
             self.expect(":")
-            otherwise = self.parse_ternary()
-            return c.CTernary(cond, then, otherwise)
+            return c.CTernary(cond, then, self.parse_expr())
         return cond
 
-    _BIN_LEVELS = [
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("+", "-"),
-        ("*", "/", "%"),
-    ]
-
-    def parse_binary(self, level: int) -> c.CExpr:
-        if level > len(self._BIN_LEVELS):
-            return self.parse_unary()
-        ops = self._BIN_LEVELS[level - 1]
-        lhs = self.parse_binary(level + 1)
-        while self.peek().text in ops:
-            op = self.next().text
-            rhs = self.parse_binary(level + 1)
-            lhs = c.CBinOp(op, lhs, rhs)
-        return lhs
+    def parse_binary(self, min_prec: int) -> c.CExpr:
+        """Precedence climbing: operators binding at least ``min_prec``
+        tight, each left-associative."""
+        lhs = self.parse_unary()
+        while True:
+            op = self.texts[self.pos]
+            prec = c.BINARY_PRECEDENCE.get(op, 0)
+            if prec < min_prec:
+                return lhs
+            self.pos += 1
+            lhs = c.CBinOp(op, lhs, self.parse_binary(prec + 1))
 
     def parse_unary(self) -> c.CExpr:
-        tok = self.peek()
-        if tok.text in ("-", "!", "+"):
-            self.next()
+        text = self.texts[self.pos]
+        if text in ("-", "!", "+"):
+            self.pos += 1
             operand = self.parse_unary()
-            if tok.text == "+":
-                return operand
-            return c.CUnOp(tok.text, operand)
-        if tok.text == "(" and self._is_cast():
-            self.next()
-            type_name = self.next().text
-            self.expect(")")
-            if self.peek().text == "(" and type_name in _VECTOR_TYPES:
-                self.next()
+            return operand if text == "+" else c.CUnOp(text, operand)
+        if text == "(" and self._is_cast():
+            type_name = self.texts[self.pos + 1]
+            self.pos += 3
+            if type_name in _VECTOR_TYPES and self.accept("("):
                 items = [self.parse_expr()]
                 while self.accept(","):
                     items.append(self.parse_expr())
                 self.expect(")")
-                if len(items) == 1:
-                    return c.CVectorLiteral(type_name, items)
                 return c.CVectorLiteral(type_name, items)
             return c.CCast(type_name, self.parse_unary())
         return self.parse_postfix()
 
     def _is_cast(self) -> bool:
+        """At a ``(``: does ``type)`` follow?"""
         return (
-            self.peek().text == "("
+            self.texts[self.pos + 2] == ")"
             and self.peek(1).kind == "ident"
-            and self._is_type_name(self.peek(1).text)
-            and self.peek(2).text == ")"
+            and self._is_type_name(self.texts[self.pos + 1])
         )
 
     def parse_postfix(self) -> c.CExpr:
         expr = self.parse_primary()
         while True:
-            if self.accept("["):
+            text = self.texts[self.pos]
+            if text == "[":
+                self.pos += 1
                 index = self.parse_expr()
                 self.expect("]")
                 expr = c.CIndex(expr, index)
-            elif self.peek().text == "." and self.peek(1).kind == "ident":
-                self.next()
-                member = self.next().text
-                expr = c.CMember(expr, member)
-            elif self.peek().text == "(" and isinstance(expr, c.CIdent):
-                self.next()
+            elif text == "." and self.peek(1).kind == "ident":
+                expr = c.CMember(expr, self.texts[self.pos + 1])
+                self.pos += 2
+            elif text == "(" and isinstance(expr, c.CIdent):
+                self.pos += 1
                 args = []
-                if self.peek().text != ")":
+                if self.texts[self.pos] != ")":
                     args.append(self.parse_expr())
                     while self.accept(","):
                         args.append(self.parse_expr())
@@ -378,4 +367,7 @@ class Parser:
 
 
 def parse(source: str) -> ParsedProgram:
-    return Parser(source).parse_program()
+    try:
+        return Parser(source).parse_program()
+    except RecursionError:
+        raise ParseError("nesting too deep to parse") from None
