@@ -116,12 +116,14 @@ def main(out_path: str = None) -> None:
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
             "(parallelism-aware) per benchmark; last refreshed on the "
-            "explore-cliff PR (no explorer launch falls to the scalar "
-            "tier any more, so the cold pass roughly halved and the "
-            "warm-cache speedup baseline moved from ~3.8x to ~1.9x with "
-            "it; the fixed autotune menu derives the 2-D tiled mm too, "
-            "so mm best-vs-menu parity is expected and the derivation "
-            "itself is gated via best_trace)."
+            "one-evaluator PR: the fixed menu is now compiled, verified "
+            "and costed by the search's own loop (size-specialized like "
+            "every derived schedule), so nn's menu best moved 111.0 -> "
+            "109.0 (227328 -> 223232 cycles) and best-vs-menu is parity "
+            "on all three - the earlier 0.982 compared two compile "
+            "paths, not two schedules; every other per-benchmark field "
+            "is unchanged.  The menu derives the 2-D tiled mm too, so "
+            "the derivation itself is gated via best_trace."
         ),
         "config": cold["config"],
         "cold_total_seconds": round(cold_seconds, 3),

@@ -3,9 +3,10 @@
 
 The paper separates *what* to compute (high-level IL) from *how* (the
 OpenCL-specific low-level IL); the bridge is the rewrite system of its
-prior work [18].  This example takes a portable program, explores the
-rewrite space, lowers two variants, compiles both and compares their
-simulated performance.
+prior work [18].  This example takes a portable program, lowers two
+variants by hand, compiles both and compares their simulated
+performance, then lets the rewrite-space search derive and rank the
+schedules itself.
 """
 
 import numpy as np
@@ -18,8 +19,6 @@ from repro.ir.printer import print_decl
 from repro.compiler import CompilerOptions, compile_kernel, execute_kernel
 from repro.opencl.cost import DEVICES, estimate_cycles
 from repro.rewrite import lower_to_global, lower_to_work_groups
-from repro.rewrite.rules import lowering_rules
-from repro.rewrite.strategies import explore
 
 
 def high_level_program() -> Lambda:
@@ -38,12 +37,6 @@ def main() -> None:
     program = high_level_program()
     print("=== portable high-level program ===")
     print(print_decl(program))
-    print()
-
-    variants = explore(lowering_rules(), program.body, depth=1)
-    print(f"rewrite exploration (depth 1): {len(variants)} variants")
-    for _, trace in variants:
-        print("  applied:", " -> ".join(trace) if trace else "(original)")
     print()
 
     n = 1024

@@ -109,6 +109,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    if args.experiment in ("explore", "calibrate"):
+        from repro.benchsuite.explore import request_error
+
+        problem = request_error(args.benchmarks, args.max_eval)
+        if problem is not None:
+            print(f"{parser.prog} {args.experiment}: error: {problem}",
+                  file=sys.stderr)
+            return 2
+
     from repro import faultinject, obs
 
     if args.trace is not None:

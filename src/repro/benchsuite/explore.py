@@ -5,13 +5,13 @@ derivation-tree search of :mod:`repro.rewrite.explore` on each
 benchmark's portable high-level program, prints the winner with its
 derivation trace and launch geometry, and compares it against the fixed
 lowering menu of :func:`repro.rewrite.autotune.default_candidates` (the
-paper-era baseline).  Ranking is by parallelism-aware estimated runtime
+paper-era baseline; same evaluator, config and cache).  Ranking is by
+parallelism-aware estimated runtime
 (:func:`repro.opencl.cost.estimate_runtime`); the report also records
 where the measured winner sat in the *static* pre-execution ranking —
 the acceptance bar is that the parallelism-aware static model puts the
-derived schedule ahead before anything runs.  The same entry points feed
-``benchmarks/bench_explore.py``, which records the metrics in
-``BENCH_explore.json``.
+derived schedule ahead before anything runs.  The same entry points
+feed ``benchmarks/bench_explore.py`` (``BENCH_explore.json``).
 """
 
 from __future__ import annotations
@@ -29,6 +29,24 @@ from repro.benchsuite.common import get_benchmark
 #: is the registry alias for the matrix multiplication high-level
 #: program (shared by both Table 1 reference variants).
 EXPLORABLE = ("nn", "gemv", "mm")
+
+
+def request_error(
+    names: Optional[Sequence[str]], max_eval: int
+) -> Optional[str]:
+    """Why an ``explore`` / ``calibrate`` request cannot be served, or
+    ``None``: benchmarks outside :data:`EXPLORABLE` (multi-stage programs
+    have no single-kernel schedule to derive) and evaluation budgets that
+    leave nothing to rank are refused before any search starts."""
+    unknown = [n for n in names or () if n not in EXPLORABLE]
+    if unknown:
+        return (
+            f"cannot explore {', '.join(unknown)}: EXPLORABLE benchmarks "
+            f"are {', '.join(EXPLORABLE)}"
+        )
+    if max_eval < 1:
+        return f"--max-eval must be at least 1 (got {max_eval})"
+    return None
 
 
 def explore_benchmark(
@@ -51,7 +69,7 @@ def explore_benchmark(
 
     # timed_span measures whether or not tracing is active, so the
     # reported seconds equal the span durations in the trace — one
-    # clock, one mechanism (satellite of the repro.obs work).
+    # clock, one mechanism.
     with obs.timed_span(
         "explore", benchmark=name, size=size, depth=depth
     ) as explore_span:
@@ -60,17 +78,13 @@ def explore_benchmark(
         )
 
     with obs.timed_span("menu", benchmark=name, size=size) as menu_span:
-        menu_results = autotune(
-            high_level, inputs, size_env, device=device, engine=engine,
+        menu_best = autotune(
+            high_level, inputs, size_env, config=config, cache=cache,
             reference=result.reference,
-        )
-    explore_seconds = explore_span.elapsed
-    menu_seconds = menu_span.elapsed
+        )[0]
 
     best = result.best()
-    menu_best = menu_results[0]
     static_order = sorted(result.candidates, key=lambda c: c.static_cost)
-    winner_static_rank = static_order.index(best)
     return {
         "benchmark": name,
         "size": size,
@@ -80,15 +94,15 @@ def explore_benchmark(
         "explorer_best_trace": list(best.trace),
         "winner_local_size": list(best.local_size),
         "winner_global_size": list(best.global_size),
-        "winner_static_rank": winner_static_rank,
+        "winner_static_rank": static_order.index(best),
         "menu_best_runtime": menu_best.runtime,
         "menu_best_cycles": menu_best.cycles,
-        "menu_best_label": menu_best.candidate.label,
+        "menu_best_label": menu_best.label,
         "best_vs_menu": (
             best.runtime / menu_best.runtime if menu_best.runtime else None
         ),
-        "explore_seconds": round(explore_seconds, 3),
-        "menu_seconds": round(menu_seconds, 3),
+        "explore_seconds": round(explore_span.elapsed, 3),
+        "menu_seconds": round(menu_span.elapsed, 3),
         "stats": result.stats.as_dict(),
         "ranking": [
             {

@@ -7,16 +7,16 @@ reproduces that substrate: algorithmic rules (fusion, split-join,
 vectorization), lowering rules (map -> mapGlb/mapWrg/mapLcl/mapSeq), a
 small strategy language, the dimension-aware mapping layer
 (:mod:`repro.rewrite.mapping`, including the 2-D tiling macro rule),
-and deterministic lowering recipes.  ``src/repro/rewrite/REWRITE.md``
+deterministic lowering recipes, and the rewrite-space search with the
+one candidate evaluator (the fixed menu of
+:mod:`repro.rewrite.autotune` feeds it too).  ``src/repro/rewrite/REWRITE.md``
 documents the whole rewrite → explore → cost stack.
 """
 
 from repro.rewrite.rules import (
-    RULES,
     Rewrite,
     Rule,
     fusion_rules,
-    lowering_rules,
     simplification_rules,
 )
 from repro.rewrite.mapping import (
@@ -41,6 +41,7 @@ from repro.rewrite.explore import (
     ExploreConfig,
     ExploreStats,
     ExploredCandidate,
+    evaluate_candidates,
     explore_program,
 )
 
@@ -49,9 +50,9 @@ __all__ = [
     "ExploreConfig",
     "ExploreStats",
     "ExploredCandidate",
+    "evaluate_candidates",
     "explore_program",
     "MappingStrategy",
-    "RULES",
     "Rewrite",
     "Rule",
     "apply_at",
@@ -63,7 +64,6 @@ __all__ = [
     "global_nd",
     "lower_to_global",
     "lower_to_work_groups",
-    "lowering_rules",
     "replace_map_nest",
     "rewrite_first",
     "simplification_rules",

@@ -1,19 +1,20 @@
 """Derivation-tree exploration of the rewrite space.
 
 The paper's Figure 1 separates *optimization* (rewrite rules plus
-exploration, prior work [18]) from *code generation*.  The fixed menu in
-:mod:`repro.rewrite.autotune` covers the code-generation evaluation; this
-module closes the optimization loop with an actual search over the rule
-set of :mod:`repro.rewrite.rules`.
+exploration, prior work [18]) from *code generation*.  This module is
+the optimization side: a search over the rule set of
+:mod:`repro.rewrite.rules`, and the one compile → simulate → verify →
+rank loop (:func:`evaluate_candidates`) every candidate schedule goes
+through — the search's survivors and the fixed lowering menu of
+:mod:`repro.rewrite.autotune` alike.
 
 Search
 ------
 Starting from a high-level ``Lambda``, the engine runs a bounded
 breadth-first enumeration: at every level it applies each rule of the
-menu at every matching position (via
-:func:`repro.rewrite.strategies.find_matches` /
-:func:`~repro.rewrite.strategies.apply_at`), recording the derivation
-trace ``rule@position``.  The frontier is deduplicated with the
+menu at every matching position (one traversal per rule,
+:func:`repro.rewrite.strategies.one_step_rewrites`), recording the
+derivation trace ``rule@position``.  The frontier is deduplicated with the
 structural hash of :mod:`repro.ir.structural` — alpha-equivalent
 programs (every rule application clones and renames) collapse to one
 node — and capped at ``beam`` programs per level.
@@ -45,8 +46,8 @@ cheapest proceed.
 
 Evaluation
 ----------
-Survivors go through compile → simulate → verify on a
-``concurrent.futures`` thread pool.  Execution results are verified
+Survivors go through :func:`evaluate_candidates`: compile → simulate →
+verify on a ``concurrent.futures`` thread pool.  Results are verified
 *bitwise* against the reference interpreter running the original
 high-level program (our rules never reorder floating-point reductions,
 so a correct schedule reproduces the exact bits).  Ranking divides the
@@ -87,21 +88,24 @@ dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.arith import Cst, Var, simplify
+from repro.arith.expr import substitute
 from repro.types import ArrayType
 from repro.ir.nodes import Expr, FunCall, Lambda, Param
 from repro.ir import patterns as pat
 from repro.ir.interp import apply_fun
 from repro.ir.structural import canonical
 from repro.ir.typecheck import infer_types
-from repro.ir.visit import clone_decl, clone_expr, post_order
-from repro.arith import simplify
+from repro.ir.visit import clone_decl, clone_expr, post_order, transform_calls
+from repro.cache import fingerprint_inputs
 from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
@@ -111,7 +115,8 @@ from repro.opencl.cost import (
     runtime_from_cycles,
     static_program_cost,
 )
-from repro.rewrite.autotune import interp_args
+from repro.opencl import simt_compile
+from repro.rewrite.lowering import lower_inner_sequential
 from repro.rewrite.mapping import finish_mappings, tiling_rules
 from repro.rewrite.rules import (
     Rule,
@@ -126,7 +131,7 @@ from repro.rewrite.rules import (
     to_local_insertion,
     vectorize_map,
 )
-from repro.rewrite.strategies import exhaustively, one_step_rewrites
+from repro.rewrite.strategies import one_step_rewrites
 from repro import faultinject, obs
 from repro.backend import LEDGER
 from repro.resilience import (
@@ -273,53 +278,39 @@ class ExploreStats:
 
     def as_dict(self) -> dict:
         return {
-            "enumerated": self.enumerated,
-            "dedup_hits": self.dedup_hits,
+            **asdict(self),
             "dedup_hit_rate": round(self.dedup_hit_rate(), 4),
-            "finish_dedup_hits": self.finish_dedup_hits,
-            "finished": self.finished,
-            "invalid": self.invalid,
-            "pruned": self.pruned,
-            "evaluated": self.evaluated,
-            "compilations": self.compilations,
-            "executions": self.executions,
-            "compile_failures": self.compile_failures,
-            "verify_failures": self.verify_failures,
-            "simulate_failures": self.simulate_failures,
-            "infra_failures": self.infra_failures,
-            "timeouts": self.timeouts,
-            "cancelled": self.cancelled,
-            "retries": self.retries,
-            "aborted": self.aborted,
-            "kernel_cache_hits": self.kernel_cache_hits,
-            "kernel_cache_misses": self.kernel_cache_misses,
             "kernel_cache_hit_rate": round(self.kernel_cache_hit_rate(), 4),
-            "cycle_cache_hits": self.cycle_cache_hits,
-            "cycle_cache_misses": self.cycle_cache_misses,
             "cycle_cache_hit_rate": round(self.cycle_cache_hit_rate(), 4),
-            "pipeline_compiles": self.pipeline_compiles,
-            "declined_launches": self.declined_launches,
         }
 
 
 @dataclass
 class ExploredCandidate:
-    """One finished, schedulable point of the derivation space."""
+    """One finished, schedulable point of the derivation space — derived
+    by the search or generated by the fixed menu (``trace == ()``)."""
 
     label: str
     program: Lambda
-    trace: tuple
     local_size: tuple
     global_size: tuple
-    static_cost: float
+    trace: tuple = ()
+    #: Pre-execution estimate the search prunes by; the menu has none.
+    static_cost: Optional[float] = None
     cycles: Optional[float] = None
     #: ``cycles`` divided by the launch's effective parallelism — the
     #: quantity candidates are ranked by.
     runtime: Optional[float] = None
     kernel_source: Optional[str] = None
+    #: Wall-clock seconds of the successful evaluation (retries included).
+    eval_seconds: Optional[float] = None
     #: Canonical (alpha-equivalence) form of ``program`` — the dedup
     #: key, reused as the calibration/trace join key.
     canonical_form: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.canonical_form:
+            self.canonical_form = canonical(self.program)
 
     def describe_trace(self) -> str:
         return " -> ".join(self.trace) if self.trace else "(original)"
@@ -369,6 +360,43 @@ class ExplorationResult:
 # schedule validity and geometry
 # ---------------------------------------------------------------------------
 
+def typed_clone(fun: Lambda) -> Optional[Lambda]:
+    """A type-annotated clone of ``fun`` (inference annotates nodes in
+    place, and rewriting shares subtrees), or ``None`` when it does not
+    type-check."""
+    typed = clone_decl(fun)
+    assert isinstance(typed, Lambda)
+    try:
+        infer_types(typed.body)
+    except Exception:
+        return None
+    return typed
+
+
+def concrete_length(length, size_env: Mapping[str, int]) -> Optional[int]:
+    """``length`` (an arithmetic expression or ``None``) as an integer
+    under ``size_env``; ``None`` while it is still symbolic."""
+    if length is None:
+        return None
+    try:
+        return int(simplify(length).evaluate(dict(size_env)))
+    except Exception:
+        return None
+
+
+def _has_parallel(body: Expr) -> bool:
+    """Whether :func:`_collect_parallel` would find anything — without
+    needing types."""
+    for e in post_order(body):
+        if isinstance(e, FunCall):
+            f = e.f
+            while isinstance(f, pat.AddressSpaceWrapper):
+                f = f.f
+            if isinstance(f, pat.ParallelMap):
+                return True
+    return False
+
+
 def _finish_variants(body: Expr) -> list:
     """Lower whatever the search left high-level into executable forms.
 
@@ -377,13 +405,8 @@ def _finish_variants(body: Expr) -> list:
     (sequential lowering of the rest, label ``None``); one that did not
     yields one variant per applicable mapping strategy — the flat 1-D
     schedule and, for two-deep map nests, the 2-D ``mapGlb`` nest."""
-    has_parallel = any(
-        isinstance(e, FunCall) and isinstance(e.f, pat.ParallelMap)
-        for e in post_order(body)
-    )
-    seq_rules = [map_to_seq(), reduce_to_seq()]
     variants: list = []
-    if has_parallel:
+    if _has_parallel(body):
         mapped_bodies = [(body, None)]
     else:
         mapped_bodies = [
@@ -394,17 +417,10 @@ def _finish_variants(body: Expr) -> list:
             mapped_bodies = [(body, None)]
     for mapped, label in mapped_bodies:
         try:
-            variants.append((exhaustively(seq_rules, mapped), label))
+            variants.append((lower_inner_sequential(mapped), label))
         except RuntimeError:
             continue
     return variants
-
-
-def _finish(body: Expr) -> Optional[Expr]:
-    """First finishing variant (the flat 1-D default); kept for tests
-    and callers that need one deterministic schedule."""
-    variants = _finish_variants(body)
-    return variants[0][0] if variants else None
 
 
 def _nesting_ok(body: Expr) -> bool:
@@ -475,19 +491,6 @@ def _nesting_ok(body: Expr) -> bool:
     return True
 
 
-def _has_parallel(body: Expr) -> bool:
-    """Whether :func:`_collect_parallel` would find anything — without
-    needing types."""
-    for e in post_order(body):
-        if isinstance(e, FunCall):
-            f = e.f
-            while isinstance(f, pat.AddressSpaceWrapper):
-                f = f.f
-            if isinstance(f, pat.ParallelMap):
-                return True
-    return False
-
-
 def _splits_divide(body: Expr, size_env: Mapping[str, int]) -> bool:
     """Split factors and vector widths must divide their (typed) input
     lengths exactly (``asVector(4)`` over a one-element array would
@@ -495,17 +498,16 @@ def _splits_divide(body: Expr, size_env: Mapping[str, int]) -> bool:
     for e in post_order(body):
         if not isinstance(e, FunCall):
             continue
-        if isinstance(e.f, pat.Split) or isinstance(e.f, pat.AsVector):
+        if isinstance(e.f, (pat.Split, pat.AsVector)):
             arg_t = e.args[0].type
             if not isinstance(arg_t, ArrayType):
                 return False
-            try:
-                n = int(simplify(arg_t.length).evaluate(dict(size_env)))
-                if isinstance(e.f, pat.Split):
-                    k = int(simplify(e.f.n).evaluate(dict(size_env)))
-                else:
-                    k = int(e.f.width)
-            except Exception:
+            n = concrete_length(arg_t.length, size_env)
+            if isinstance(e.f, pat.Split):
+                k = concrete_length(e.f.n, size_env)
+            else:
+                k = int(e.f.width)
+            if n is None or k is None:
                 continue  # symbolic: let the type checker decide
             if k <= 0 or n <= 0 or n % k:
                 return False
@@ -555,6 +557,18 @@ def _collect_parallel(body: Expr) -> list:
 _MAX_LOCAL_PER_DIM = 64
 
 
+def flat_global_geometry(n: int) -> tuple:
+    """``(local_size, global_size)`` for a flat ``mapGlb`` schedule over
+    ``n`` items: the largest power-of-two local size dividing ``n`` (cap
+    64), and a global size capped at 1024 (generated kernels stride when
+    the NDRange is smaller than the data).  Shared by the fixed menu and
+    the search so both sides agree on geometry — and therefore on
+    tuning-cache keys — for the same schedule."""
+    local0 = math.gcd(n, 64) or 1
+    global0 = n if n <= 1024 else 1024 - (1024 % local0)
+    return (local0, 1, 1), (global0, 1, 1)
+
+
 def _geometry(
     parallel: list, size_env: Mapping[str, int]
 ) -> Optional[tuple]:
@@ -566,19 +580,11 @@ def _geometry(
     stride); pure ``mapGlb`` schedules keep the flat 1-D geometry of the
     fixed menu on dimension 0 and gain per-dimension sizes beyond it."""
 
-    def ev(length) -> Optional[int]:
-        if length is None:
-            return None
-        try:
-            return int(simplify(length).evaluate(dict(size_env)))
-        except Exception:
-            return None
-
     def first_per_dim(kind: str, include_staging: bool = True) -> dict:
         out: dict = {}
         for k, d, t, staging in parallel:
             if k == kind and d not in out and (include_staging or not staging):
-                out[d] = ev(t)
+                out[d] = concrete_length(t, size_env)
         return out
 
     wrg = first_per_dim("wrg")
@@ -602,8 +608,6 @@ def _geometry(
     if glb:
         if any(n is None for n in glb.values()):
             return None
-        from repro.rewrite.autotune import flat_global_geometry
-
         local = [1, 1, 1]
         glob = [1, 1, 1]
         if len(glb) == 1:
@@ -615,8 +619,6 @@ def _geometry(
             (l0, _, _), (g0, _, _) = flat_global_geometry(n)
             local[d], glob[d] = l0, g0
             return tuple(local), tuple(glob)
-        import math
-
         # Multi-dimensional global schedules split the flat path's
         # ~1024-item launch budget across dimensions (32 per dim);
         # generated kernels stride when the NDRange is smaller than
@@ -627,6 +629,54 @@ def _geometry(
             glob[d] = n if n <= per_dim_cap else per_dim_cap
         return tuple(local), tuple(glob)
     return (1, 1, 1), (1, 1, 1)
+
+
+def finish_candidates(
+    high_level: Lambda,
+    derivations: list,
+    size_env: Mapping[str, int],
+    stats: ExploreStats,
+) -> list:
+    """Turn ``(body, trace)`` derivations of ``high_level`` into the
+    distinct valid schedules they finish to, as unlabelled
+    :class:`ExploredCandidate` objects with program and launch geometry.
+
+    The one finish → validate → dedup → type → geometry step, shared by
+    the search (every enumerated derivation) and the fixed menu's 2-D
+    tilings; rejections and collapses are counted on ``stats``."""
+    finished: dict = {}
+    for body, trace in derivations:
+        for fin, finish_label in _finish_variants(body):
+            # Structural rejections first: they read no types, and
+            # most variants die here before being cloned and typed.
+            # An all-sequential schedule "wins" under the total-work
+            # cost model (no loop strides, no barriers) but is never a
+            # useful GPU schedule; only parallel ones are ranked.
+            if not _nesting_ok(fin) or not _has_parallel(fin):
+                stats.invalid += 1
+                continue
+            program = clone_decl(Lambda(list(high_level.params), fin))
+            assert isinstance(program, Lambda)
+            key = canonical(program)
+            if key in finished:
+                # Distinct derivations collapsing to one schedule after the
+                # finishing lowering; kept separate from the enumeration-time
+                # dedup_hits so dedup_hit_rate stays a fraction of enumerated.
+                stats.finish_dedup_hits += 1
+                continue
+            typed = typed_clone(program)
+            geometry = None
+            if typed is not None and _splits_divide(typed.body, size_env):
+                geometry = _geometry(_collect_parallel(typed.body), size_env)
+            if geometry is None:
+                stats.invalid += 1
+                continue
+            finished[key] = ExploredCandidate(
+                "", program, *geometry,
+                trace=trace + ((finish_label,) if finish_label else ()),
+                canonical_form=key,
+            )
+    return list(finished.values())
 
 
 def specialize_sizes(fun: Lambda, size_env: Mapping[str, int]) -> Lambda:
@@ -640,11 +690,6 @@ def specialize_sizes(fun: Lambda, size_env: Mapping[str, int]) -> Lambda:
     specialization, because OpenCL local arrays must have static sizes.
     Kernel cache keys stay on the *symbolic* program — the size
     environment is part of the key already."""
-    from repro.arith import Cst, Var
-    from repro.arith.expr import substitute
-    from repro.types import ArrayType
-    from repro.ir.visit import transform_calls
-
     env = {Var(k): Cst(int(v)) for k, v in size_env.items()}
 
     def subst_arith(x):
@@ -738,116 +783,59 @@ def _enumerate(
     return derivations
 
 
-def explore_program(
-    high_level: Lambda,
-    inputs: Mapping[str, Any],
-    size_env: Mapping[str, int],
-    config: Optional[ExploreConfig] = None,
-    cache=None,
-) -> ExplorationResult:
-    """Search the rewrite space of ``high_level`` and rank the survivors.
-
-    ``inputs`` maps the program's parameter names to concrete values
-    (arrays may be any shape; they are flattened for the simulator and
-    nested for the interpreter).  ``cache`` is an optional
-    :class:`repro.cache.TuningCache`.
-    """
-    config = config or ExploreConfig()
-    stats = ExploreStats()
-    profile = DEVICES[config.device]
-    rules = config.rule_menu()
-
-    with obs.span(
-        "explore.enumerate", depth=config.depth, rules=len(rules)
-    ):
-        derivations = _enumerate(high_level.body, rules, config, stats)
-
-    # -- finish, validate, dedup ----------------------------------------
-    with obs.span("explore.finish", derivations=len(derivations)):
-        finished: dict = {}
-        for body, trace in derivations:
-            for fin, finish_label in _finish_variants(body):
-                # Structural rejections first: they read no types, and
-                # most variants die here before being cloned and typed.
-                # An all-sequential schedule "wins" under the total-work
-                # cost model (no loop strides, no barriers) but is never a
-                # useful GPU schedule; the search only ranks parallel ones.
-                if not _nesting_ok(fin) or not _has_parallel(fin):
-                    stats.invalid += 1
-                    continue
-                full_trace = trace + ((finish_label,) if finish_label else ())
-                program = clone_decl(Lambda(list(high_level.params), fin))
-                assert isinstance(program, Lambda)
-                key = canonical(program)
-                if key in finished:
-                    # Distinct derivations collapsing to one schedule after the
-                    # finishing lowering; kept separate from the enumeration-time
-                    # dedup_hits so dedup_hit_rate stays a fraction of enumerated.
-                    stats.finish_dedup_hits += 1
-                    continue
-                typed = clone_decl(program)
-                assert isinstance(typed, Lambda)
-                try:
-                    infer_types(typed.body)
-                except Exception:
-                    stats.invalid += 1
-                    continue
-                if not _splits_divide(typed.body, size_env):
-                    stats.invalid += 1
-                    continue
-                geometry = _geometry(_collect_parallel(typed.body), size_env)
-                if geometry is None:
-                    stats.invalid += 1
-                    continue
-                local_size, global_size = geometry
-                try:
-                    static_cost = static_program_cost(
-                        program, size_env, profile,
-                        local_size=local_size, global_size=global_size,
-                    )
-                except Exception:
-                    stats.invalid += 1
-                    continue
-                finished[key] = ExploredCandidate(
-                    label="",
-                    program=program,
-                    trace=full_trace,
-                    local_size=local_size,
-                    global_size=global_size,
-                    static_cost=static_cost,
-                    canonical_form=key,
-                )
-    stats.finished = len(finished)
-
-    # -- static prune ----------------------------------------------------
-    ranked = sorted(
-        finished.values(), key=lambda c: (c.static_cost, len(c.trace), c.trace)
-    )
-    survivors = ranked[: config.max_eval]
-    stats.pruned = len(ranked) - len(survivors)
-    for i, cand in enumerate(survivors):
-        head = cand.trace[-1].split("@")[0] if cand.trace else "original"
-        cand.label = f"#{i} {head} (depth {len(cand.trace)})"
-
-    # -- reference -------------------------------------------------------
+def reference_output(
+    high_level: Lambda, inputs: Mapping[str, Any], size_env: Mapping[str, int]
+) -> np.ndarray:
+    """The ``ir.interp`` result of the high-level program as a flat float
+    array — the oracle every candidate schedule is verified against.
+    Inputs are shaped per the parameter types (nested lists for
+    multi-dimensional arrays)."""
     with obs.span("explore.reference"):
-        reference = np.asarray(
-            apply_fun(
-                high_level, interp_args(high_level, inputs, size_env), size_env
-            ),
-            dtype=float,
+        args = []
+        for p in high_level.params:
+            value = inputs[p.name]
+            if isinstance(p.type, ArrayType):
+                dims = []
+                t = p.type
+                while isinstance(t, ArrayType):
+                    dims.append(int(simplify(t.length).evaluate(dict(size_env))))
+                    t = t.elem
+                value = np.asarray(value, dtype=float).reshape(dims).tolist()
+            args.append(value)
+        return np.asarray(
+            apply_fun(high_level, args, size_env), dtype=float
         ).ravel()
 
-    # -- compile, simulate, verify --------------------------------------
-    from repro.cache import fingerprint_inputs
 
+def evaluate_candidates(
+    candidates: Sequence[ExploredCandidate],
+    inputs: Mapping[str, Any],
+    size_env: Mapping[str, int],
+    reference: np.ndarray,
+    config: ExploreConfig,
+    cache=None,
+) -> tuple:
+    """Compile → simulate → verify → cost every candidate schedule.
+
+    The single place that decides how a schedule is compiled
+    (size-specialized, keyed on the symbolic program), launched,
+    verified (bitwise, or ``config.rtol``) against ``reference`` and
+    costed, with the tuning-cache lookups, retries, watchdog,
+    cancellation and fault sites of the module docstring.  Successful
+    candidates get ``cycles`` / ``runtime`` / ``kernel_source`` /
+    ``eval_seconds`` filled in.
+
+    Returns ``(ranked, failures, events)``: the verified candidates best
+    first (stable on ``(runtime, len(trace), trace)``, so ties keep the
+    caller's order), one :class:`~repro.resilience.FailureReport` per
+    quarantined candidate, and the ``compiled`` / ``executed`` /
+    ``retries`` event totals."""
+    profile = DEVICES[config.device]
     inputs_fp = fingerprint_inputs(inputs) if cache is not None else ""
-    cache_before = replace(cache.stats) if cache is not None else None
-
     search_token = config.cancellation
 
     def _evaluate_once(
-        cand: ExploredCandidate, events: dict, token: Optional[CancellationToken]
+        cand: ExploredCandidate, events: dict, token: CancellationToken
     ) -> ExploredCandidate:
         """One evaluation attempt: compile → simulate → verify.
 
@@ -856,8 +844,7 @@ def explore_program(
         token was cancelled, and lets transient errors (injected faults,
         ``OSError``...) propagate to the retry loop in ``evaluate``.
         """
-        if token is not None:
-            token.raise_if_cancelled()
+        token.raise_if_cancelled()
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
         options = CompilerOptions(local_size=cand.local_size)
         kernel = None
@@ -882,8 +869,7 @@ def explore_program(
             if cache is not None:
                 cache.put_kernel(key, kernel)
 
-        if token is not None:
-            token.raise_if_cancelled()
+        token.raise_if_cancelled()
         cycles = None
         ck = None
         if cache is not None:
@@ -905,29 +891,22 @@ def explore_program(
                         kernel, kernel_inputs, size_env, cand.global_size,
                         local_size=cand.local_size, engine=config.engine,
                     )
-            except (Cancelled, DeadlineExceeded):
-                raise
-            except TRANSIENT_ERRORS:
+            except (Cancelled, DeadlineExceeded, *TRANSIENT_ERRORS):
                 raise
             except Exception as exc:
                 raise _StageFailure("simulate", str(exc)) from exc
             events["executed"] += 1
-            if token is not None:
-                token.raise_if_cancelled()
+            token.raise_if_cancelled()
             faultinject.survive("verify")
             with obs.span(
                 "explore.verify", candidate=cand.label,
                 structural_hash=cand_hash,
             ):
                 out = np.asarray(run.output, dtype=float).ravel()
-                if config.rtol is None:
-                    ok = out.shape == reference.shape and np.array_equal(
-                        out, reference
-                    )
-                else:
-                    ok = out.shape == reference.shape and np.allclose(
-                        out, reference, rtol=config.rtol
-                    )
+                ok = out.shape == reference.shape and (
+                    np.array_equal(out, reference) if config.rtol is None
+                    else np.allclose(out, reference, rtol=config.rtol)
+                )
             if not ok:
                 raise _StageFailure("verify", "result differs from reference")
             cycles = estimate_cycles(run.counters, profile)
@@ -988,7 +967,7 @@ def explore_program(
                     )
                 else:
                     result = _evaluate_once(cand, events, attempt_token)
-                events["elapsed"] = time.monotonic() - start
+                result.eval_seconds = time.monotonic() - start
                 return result, dict(events), None
             except _StageFailure as exc:
                 return fail(exc.kind, exc.message, attempt)
@@ -1021,33 +1000,18 @@ def explore_program(
                     attempt,
                 )
 
-    from repro.opencl import simt_compile
-
-    _FAILURE_STAT = {
-        "compile": "compile_failures",
-        "simulate": "simulate_failures",
-        "verify": "verify_failures",
-        "infra": "infra_failures",
-        "timeout": "timeouts",
-        "cancelled": "cancelled",
-    }
-
-    pipelines_before = simt_compile.compile_count()
-    declines_before = LEDGER.total()
-    evaluated: list = []
+    ranked: list = []
     failures: list = []
-    workload = config.workload or "adhoc"
+    totals = {"compiled": 0, "executed": 0, "retries": 0}
     with obs.span(
-        "explore.evaluate", candidates=len(survivors),
+        "explore.evaluate", candidates=len(candidates),
         workers=max(1, config.workers),
         engine=config.engine or "auto", device=config.device,
-        workload=workload,
+        workload=config.workload or "adhoc",
     ), ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
         scheduled = []
-        for cand in survivors:
+        for cand in candidates:
             if search_token is not None and search_token.cancelled:
-                stats.aborted = True
-                stats.cancelled += 1
                 failures.append(
                     FailureReport(
                         label=cand.label, trace=cand.trace, kind="cancelled",
@@ -1059,38 +1023,93 @@ def explore_program(
             scheduled.append(pool.submit(evaluate, cand))
         for future in scheduled:
             cand, events, report = future.result()
-            stats.compilations += events["compiled"]
-            stats.executions += events["executed"]
-            stats.retries += events["retries"]
+            for name in totals:
+                totals[name] += events[name]
             if report is not None:
                 failures.append(report)
-                setattr(
-                    stats,
-                    _FAILURE_STAT[report.kind],
-                    getattr(stats, _FAILURE_STAT[report.kind]) + 1,
+            else:
+                ranked.append(cand)
+    ranked.sort(key=lambda c: (c.runtime, len(c.trace), c.trace))
+    return ranked, failures, totals
+
+
+_FAILURE_STAT = {
+    "compile": "compile_failures",
+    "simulate": "simulate_failures",
+    "verify": "verify_failures",
+    "infra": "infra_failures",
+    "timeout": "timeouts",
+    "cancelled": "cancelled",
+}
+
+
+def explore_program(
+    high_level: Lambda,
+    inputs: Mapping[str, Any],
+    size_env: Mapping[str, int],
+    config: Optional[ExploreConfig] = None,
+    cache=None,
+) -> ExplorationResult:
+    """Search the rewrite space of ``high_level`` and rank the survivors.
+
+    ``inputs`` maps the program's parameter names to concrete values
+    (arrays may be any shape; they are flattened for the simulator and
+    nested for the interpreter).  ``cache`` is an optional
+    :class:`repro.cache.TuningCache`.
+    """
+    config = config or ExploreConfig()
+    stats = ExploreStats()
+    profile = DEVICES[config.device]
+    rules = config.rule_menu()
+
+    with obs.span(
+        "explore.enumerate", depth=config.depth, rules=len(rules)
+    ):
+        derivations = _enumerate(high_level.body, rules, config, stats)
+
+    with obs.span("explore.finish", derivations=len(derivations)):
+        finished = []
+        for cand in finish_candidates(high_level, derivations, size_env, stats):
+            try:
+                cand.static_cost = static_program_cost(
+                    cand.program, size_env, profile,
+                    local_size=cand.local_size, global_size=cand.global_size,
                 )
-                if report.kind == "cancelled":
-                    stats.aborted = True
+            except Exception:
+                stats.invalid += 1
                 continue
-            evaluated.append(cand)
-            # Out-of-band calibration record: prediction (static cost)
-            # next to measurement (counter-model runtime) — what
-            # ``benchsuite calibrate`` summarizes and CI gates on.
-            obs.analysis.record_candidate(
-                workload=workload,
-                label=cand.label,
-                canonical_text=cand.canonical_form,
-                trace=cand.trace,
-                static_cost=cand.static_cost,
-                modeled_runtime=cand.runtime,
-                measured_cycles=cand.cycles,
-                wall_seconds=events.get("elapsed"),
-            )
+            finished.append(cand)
+    stats.finished = len(finished)
+
+    # -- static prune ----------------------------------------------------
+    finished.sort(key=lambda c: (c.static_cost, len(c.trace), c.trace))
+    survivors = finished[: config.max_eval]
+    stats.pruned = len(finished) - len(survivors)
+    for i, cand in enumerate(survivors):
+        head = cand.trace[-1].split("@")[0] if cand.trace else "original"
+        cand.label = f"#{i} {head} (depth {len(cand.trace)})"
+
+    reference = reference_output(high_level, inputs, size_env)
+
+    # -- compile, simulate, verify --------------------------------------
+    cache_before = replace(cache.stats) if cache is not None else None
+    pipelines_before = simt_compile.compile_count()
+    declines_before = LEDGER.total()
+    evaluated, failures, events = evaluate_candidates(
+        survivors, inputs, size_env, reference, config, cache
+    )
     stats.evaluated = len(evaluated)
+    stats.compilations = events["compiled"]
+    stats.executions = events["executed"]
+    stats.retries = events["retries"]
     stats.pipeline_compiles = simt_compile.compile_count() - pipelines_before
     stats.declined_launches = LEDGER.total() - declines_before
-
-    if cache is not None and cache_before is not None:
+    for report in failures:
+        counter = _FAILURE_STAT[report.kind]
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        if report.kind == "cancelled":
+            stats.aborted = True
+    if cache_before is not None:
         after = cache.stats
         stats.kernel_cache_hits = after.kernel_hits - cache_before.kernel_hits
         stats.kernel_cache_misses = (
@@ -1099,7 +1118,22 @@ def explore_program(
         stats.cycle_cache_hits = after.cycle_hits - cache_before.cycle_hits
         stats.cycle_cache_misses = after.cycle_misses - cache_before.cycle_misses
 
-    evaluated.sort(key=lambda c: (c.runtime, len(c.trace), c.trace))
+    # Out-of-band calibration records, in static-rank order: prediction
+    # (static cost) next to measurement (counter-model runtime) — what
+    # ``benchsuite calibrate`` summarizes and CI gates on.
+    verified = {id(c) for c in evaluated}
+    for cand in survivors:
+        if id(cand) in verified:
+            obs.analysis.record_candidate(
+                workload=config.workload or "adhoc",
+                label=cand.label,
+                canonical_text=cand.canonical_form,
+                trace=cand.trace,
+                static_cost=cand.static_cost,
+                modeled_runtime=cand.runtime,
+                measured_cycles=cand.cycles,
+                wall_seconds=cand.eval_seconds,
+            )
     # The latest search owns the metrics snapshot's "explore" slot.
     obs.register_explore(stats, failures)
     return ExplorationResult(

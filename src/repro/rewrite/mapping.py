@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.arith import ArithExpr, Cst, simplify
+from repro.arith import ArithExpr, simplify
 from repro.arith.expr import IntDiv, Mod, Prod, Sum, to_expr
 from repro.types import ArrayType, ScalarType
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Param

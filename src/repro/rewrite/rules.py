@@ -322,16 +322,6 @@ def transpose_transpose_cancel() -> Rule:
 # rule collections
 # ---------------------------------------------------------------------------
 
-def lowering_rules(dim: int = 0) -> list:
-    return [
-        map_to_glb(dim),
-        map_to_wrg(dim),
-        map_to_lcl(dim),
-        map_to_seq(),
-        reduce_to_seq(),
-    ]
-
-
 def fusion_rules() -> list:
     return [map_fusion(), map_reduce_fusion()]
 
@@ -343,6 +333,3 @@ def simplification_rules() -> list:
         scalar_vector_cancel(),
         transpose_transpose_cancel(),
     ]
-
-
-RULES = lowering_rules() + fusion_rules() + simplification_rules()

@@ -1,13 +1,14 @@
 """Strategies: where and how often to apply rewrite rules.
 
-The engine is deliberately simple (the paper's contribution is the code
-generator, not the search): rules are applied at explicit positions or
-everywhere, optionally to a fixed point, always on cloned graphs.
+Deliberately simple combinators (the paper's contribution is the code
+generator): rules are applied at explicit positions or everywhere,
+optionally to a fixed point, always on cloned graphs.  The search over
+them is :mod:`repro.rewrite.explore`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param
 from repro.ir import patterns as pat
@@ -140,43 +141,3 @@ def exhaustively(rules: Iterable[Rule], expr: Expr, max_passes: int = 32) -> Exp
         if not changed[0]:
             return current
     raise RuntimeError("rewriting did not reach a fixed point")
-
-
-def explore(
-    rules: Iterable[Rule], expr: Expr, depth: int = 2, beam: int = 64
-) -> List[Tuple[Expr, List[str]]]:
-    """Bounded exhaustive exploration of the rewrite space.
-
-    Returns ``(program, trace)`` pairs for every program reachable in at
-    most ``depth`` rule applications; the frontier is capped at ``beam``
-    programs per level (deduplicated by printed form).
-    """
-    from repro.ir.printer import print_expr
-
-    seen = {print_expr(expr)}
-    frontier: list[tuple[Expr, list[str]]] = [(expr, [])]
-    results: list[tuple[Expr, list[str]]] = [(expr, [])]
-    rules = list(rules)
-
-    for _ in range(depth):
-        next_frontier: list[tuple[Expr, list[str]]] = []
-        for program, trace in frontier:
-            for rule in rules:
-                n_matches = len(find_matches(rule, program))
-                for position in range(n_matches):
-                    candidate = apply_at(rule, program, position)
-                    key = print_expr(candidate)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    entry = (candidate, trace + [rule.name])
-                    next_frontier.append(entry)
-                    results.append(entry)
-                    if len(next_frontier) >= beam:
-                        break
-                if len(next_frontier) >= beam:
-                    break
-            if len(next_frontier) >= beam:
-                break
-        frontier = next_frontier
-    return results

@@ -1,4 +1,5 @@
-"""Tests for the schedule auto-tuner."""
+"""Tests for the fixed lowering menu and its ``autotune`` front door:
+candidates come out of generators, evaluation is the explorer's."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,12 @@ from repro.arith import Var
 from repro.types import ArrayType, FLOAT
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.ir.dsl import map_
-from repro.rewrite.autotune import (
-    Candidate,
-    TuningError,
-    autotune,
-    default_candidates,
-    describe,
+from repro.rewrite.autotune import TuningError, autotune, default_candidates
+from repro.rewrite.explore import (
+    ExploreConfig,
+    ExploredCandidate,
+    evaluate_candidates,
+    reference_output,
 )
 
 
@@ -42,8 +43,7 @@ def test_autotune_ranks_and_verifies():
     assert runtimes == sorted(runtimes)
     assert all(r.runtime <= r.cycles for r in results)
     assert "kernel void" in results[0].kernel_source
-    text = describe(results)
-    assert "schedule ranking" in text
+    assert all(r.trace == () for r in results)
 
 
 def test_autotune_rejects_empty_candidate_list():
@@ -58,7 +58,7 @@ def test_autotune_skips_uncompilable_candidates():
     from repro.ir.dsl import join, split, pipe
 
     x = Param(ArrayType(FLOAT, Var("N")), "x")
-    broken = Candidate(
+    broken = ExploredCandidate(
         "pure-view (uncompilable)",
         Lambda([x], pipe(x, split(8), join())),
         (8, 1, 1),
@@ -67,8 +67,22 @@ def test_autotune_skips_uncompilable_candidates():
     results = autotune(
         _program(), {"x": data}, {"N": n}, candidates=[broken] + good
     )
-    assert all("uncompilable" not in r.candidate.label for r in results)
+    assert all("uncompilable" not in r.label for r in results)
     assert results
+
+    # The evaluator quarantines it as a *compile* failure.
+    ranked, failures, _ = evaluate_candidates(
+        [broken] + good, {"x": data}, {"N": n},
+        reference_output(_program(), {"x": data}, {"N": n}),
+        ExploreConfig(),
+    )
+    assert [f.kind for f in failures] == ["compile"]
+    assert failures[0].label == "pure-view (uncompilable)"
+    assert len(ranked) == len(good)
+
+    # ... and a menu with nothing else left is an error, not an empty list.
+    with pytest.raises(TuningError, match="pure-view"):
+        autotune(_program(), {"x": data}, {"N": n}, candidates=[broken])
 
 
 class TestTile2dMenu:
@@ -112,9 +126,9 @@ class TestTile2dMenu:
     def test_autotune_verifies_and_prefers_the_tiled_schedule(self):
         hl, flat, size_env = self._mm()
         results = autotune(hl, flat, size_env)
-        labels = [r.candidate.label for r in results]
+        labels = [r.label for r in results]
         assert "tile-2d(8x8,toLocal)" in labels
         # The staged 2-D tiling must win the fixed menu on estimated
         # runtime (the explorer derives the same schedule; see
         # REWRITE.md) — and autotune verified it bitwise on the way.
-        assert results[0].candidate.label == "tile-2d(8x8,toLocal)"
+        assert results[0].label == "tile-2d(8x8,toLocal)"

@@ -142,3 +142,31 @@ def test_explore_no_cache_leaves_the_cache_dir_empty(
           "--depth", "1", "--max-eval", "2"])
     assert "cache off" in capsys.readouterr().out
     assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["explore", "calibrate"])
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--benchmarks", "nn", "atax"], "EXPLORABLE benchmarks are nn, gemv, mm"),
+        (["--max-eval", "0"], "--max-eval must be at least 1"),
+    ],
+)
+def test_explore_cli_rejects_bad_requests_before_searching(
+    command, flags, needle, monkeypatch, capsys
+):
+    """atax has no single-kernel schedule to derive and a zero budget
+    leaves nothing to rank: exit status 2 and one line, not a traceback
+    out of the middle of a search."""
+    from repro.benchsuite import explore as benchsuite_explore
+    from repro.benchsuite.__main__ import main
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(benchsuite_explore, "explore_program", no_search)
+    assert main([command, "--no-cache"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, = captured.err.splitlines()
+    assert needle in message and f"{command}: error:" in message

@@ -17,7 +17,7 @@ from repro.rewrite.explore import (
     ExploreConfig,
     explore_program,
     _collect_parallel,
-    _finish,
+    _finish_variants,
     _nesting_ok,
     _splits_divide,
 )
@@ -155,8 +155,8 @@ class TestValidity:
         from repro.ir.nodes import FunCall
         from repro.ir.visit import post_order
 
-        finished = _finish(_toy_program().body)
-        assert finished is not None
+        (finished, label), = _finish_variants(_toy_program().body)
+        assert label == "finish:mapGlb(0)"
         highs = [
             e for e in post_order(finished)
             if isinstance(e, FunCall) and type(e.f) in (pat.Map, pat.Reduce)
@@ -366,15 +366,22 @@ def test_declined_launches_are_counted_and_named(monkeypatch, fault_free):
 def test_menu_reuses_the_explorers_reference(monkeypatch):
     """``explore_benchmark`` interprets the high-level program once: the
     menu checks its candidates against the exploration's reference."""
-    from repro.rewrite import autotune as autotune_mod
+    from repro.rewrite import explore as explore_mod
+    from repro.rewrite.autotune import TuningError
     from repro.benchsuite.explore import explore_benchmark
 
-    def no_second_interpretation(*args, **kwargs):
-        raise AssertionError("the menu re-interpreted the program")
+    calls = []
+    real_apply_fun = explore_mod.apply_fun
 
-    monkeypatch.setattr(autotune_mod, "apply_fun", no_second_interpretation)
+    def counting_apply_fun(*args, **kwargs):
+        calls.append(1)
+        return real_apply_fun(*args, **kwargs)
+
+    # explore.py is the one module of the rewrite package that interprets.
+    monkeypatch.setattr(explore_mod, "apply_fun", counting_apply_fun)
     entry = explore_benchmark("nn", depth=1, max_eval=2)
     assert entry["menu_best_runtime"] > 0
+    assert len(calls) == 1
 
     # ... and the menu's own check against it is still live.
     bench = get_benchmark("nn")
@@ -384,8 +391,63 @@ def test_menu_reuses_the_explorers_reference(monkeypatch):
         high_level, inputs, size_env, config=ExploreConfig(depth=1, max_eval=2)
     )
     autotune(high_level, inputs, size_env, reference=result.reference)
-    with pytest.raises(AssertionError, match="computed a wrong result"):
+    with pytest.raises(
+        TuningError, match="candidate mapGlb computed a wrong result"
+    ):
         autotune(high_level, inputs, size_env, reference=result.reference + 1)
+
+
+@pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
+def test_same_schedule_same_cost_whichever_generator(name):
+    """The menu's ``mapGlb`` and the search's ``finish:mapGlb(0)`` are
+    one schedule; one evaluator gives them one kernel and one cost."""
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    high_level = bench.high_level(size_env)
+    result = explore_program(
+        high_level, inputs, size_env,
+        config=ExploreConfig(depth=3, max_eval=12),
+    )
+    derived, = [
+        c for c in result.candidates if c.trace == ("finish:mapGlb(0)",)
+    ]
+    menu = autotune(high_level, inputs, size_env, reference=result.reference)
+    flat, = [c for c in menu if c.label == "mapGlb"]
+    assert (flat.cycles, flat.runtime) == (derived.cycles, derived.runtime)
+    assert (flat.local_size, flat.global_size) == (
+        derived.local_size, derived.global_size
+    )
+    assert flat.kernel_source == derived.kernel_source
+    if name == "nn":
+        chunk32, = [c for c in menu if c.label == "mapWrg/mapLcl(chunk=32)"]
+        assert (chunk32.cycles, chunk32.runtime) == (223232.0, 109.0)
+        assert menu[0] is chunk32
+
+
+def test_warm_explore_benchmark_launches_and_compiles_nothing(
+    tmp_path, fault_free
+):
+    """Warm means warm for the whole command: the menu is served from the
+    same cycles level as the search."""
+    from repro.obs import metrics
+    from repro.opencl import simt_compile
+    from repro.benchsuite.explore import explore_benchmark
+
+    def served() -> dict:
+        counters = metrics.REGISTRY.snapshot()["counters"]
+        return {
+            k: v for k, v in counters.items() if k.startswith("launch.served.")
+        }
+
+    cache = TuningCache(tmp_path)
+    cold = explore_benchmark("nn", cache=cache)
+    launches, pipelines = served(), simt_compile.compile_count()
+    assert sum(launches.values()) > 0
+    warm = explore_benchmark("nn", cache=cache)
+    assert served() == launches
+    assert simt_compile.compile_count() == pipelines
+    assert warm["menu_best_runtime"] == cold["menu_best_runtime"]
+    assert warm["stats"]["compilations"] == warm["stats"]["executions"] == 0
 
 
 def test_explorer_derives_2d_tiled_mm(tmp_path):
@@ -439,19 +501,6 @@ def test_explorer_derives_2d_tiled_mm(tmp_path):
     # ...and the static model already ranked it first.
     static_best = min(result.candidates, key=lambda c: c.static_cost)
     assert static_best is best
-
-
-def test_autotune_rewired_on_explorer(tmp_path):
-    prog = _toy_program()
-    results = autotune(
-        prog, {"x": np.arange(64, dtype=float)}, {"N": 64},
-        explore_config=ExploreConfig(depth=2, max_eval=6),
-        cache=TuningCache(tmp_path),
-    )
-    assert results
-    runtimes = [r.runtime for r in results]
-    assert runtimes == sorted(runtimes)
-    assert "kernel void" in results[0].kernel_source
 
 
 def test_default_candidates_tile_irregular_sizes():

@@ -158,16 +158,15 @@ class TestTile2d:
 
     @pytest.mark.parametrize("stage", [False, True])
     def test_tiled_mm_is_bitwise_correct(self, stage):
-        from repro.ir.interp import apply_fun
         from repro.compiler.codegen import compile_kernel
         from repro.compiler.kernel import execute_kernel
         from repro.compiler.options import CompilerOptions
-        from repro.rewrite.autotune import interp_args
         from repro.rewrite.explore import (
             _collect_parallel,
             _finish_variants,
             _geometry,
             _nesting_ok,
+            reference_output,
             specialize_sizes,
         )
         from repro.rewrite.strategies import one_step_rewrites
@@ -192,10 +191,7 @@ class TestTile2d:
             kernel, {p.name: inputs[p.name] for p in prog.params},
             size_env, glob, local_size=local,
         )
-        ref = np.asarray(
-            apply_fun(hl, interp_args(hl, inputs, size_env), size_env),
-            dtype=float,
-        ).ravel()
+        ref = reference_output(hl, inputs, size_env)
         assert np.array_equal(np.asarray(run.output, dtype=float).ravel(), ref)
         if stage:
             assert run.counters.local_loads > 0  # tiles actually staged

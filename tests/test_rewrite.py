@@ -182,15 +182,6 @@ class TestStrategies:
         with pytest.raises(ValueError):
             apply_at(map_to_seq(), prog.body, 5)
 
-    def test_explore_enumerates_variants(self):
-        from repro.rewrite.strategies import explore
-        from repro.rewrite.rules import lowering_rules
-
-        prog = high_level_program()
-        variants = explore(lowering_rules(), prog.body, depth=1)
-        # identity + the four map lowerings
-        assert len(variants) == 5
-
 
 class TestLoweringRecipes:
     def test_lower_to_global_compiles_and_runs(self):
