@@ -82,6 +82,10 @@ from repro.opencl.interp import Counters
 #: quarantined instead of unlinked.
 #: v4: codegen multiplies map intermediates by the enclosing parallel
 #: maps; kernels cached before could carry a racy staging row.
+#: Not bumped when the structural key stopped reading inferred types of
+#: bound lambda parameters: the new key of a program, typed or not, is
+#: the old key of the same program untyped, so an old entry can only be
+#: hit by the program that wrote it.
 CACHE_VERSION = 4
 
 _ENV_VAR = "REPRO_CACHE_DIR"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.ir.nodes import Expr, FunCall, Lambda, Param
 from repro.ir import patterns as pat
+from repro.ir.visit import body_of, unwrap
 
 #: Patterns whose presence between two mapLcl calls forces a barrier.
 _SHARING_PATTERNS = (
@@ -44,10 +45,11 @@ def _scan(expr: Expr, removable: set[int]) -> None:
         return
     for arg in expr.args:
         _scan(arg, removable)
-    for body in _nested_bodies(expr.f):
+    body = body_of(expr.f)
+    if body is not None:
         _scan(body, removable)
 
-    if isinstance(expr.f, (pat.MapLcl,)) or _is_wrapped_map_lcl(expr.f):
+    if _is_map_lcl(expr.f):
         # This consumer is a mapLcl: check what feeds it.
         producer = _producer_map_lcl(expr.args[0], layout_seen=False)
         if producer is not None:
@@ -64,20 +66,9 @@ def _scan(expr: Expr, removable: set[int]) -> None:
             removable.add(id(extra))
 
 
-def _nested_bodies(f) -> list[Expr]:
-    if isinstance(f, Lambda):
-        return [f.body]
-    if isinstance(f, pat.AddressSpaceWrapper):
-        return _nested_bodies(f.f)
-    if isinstance(f, (pat.AbstractMap, pat.ReduceSeq, pat.Iterate)):
-        return _nested_bodies(f.f)
-    return []
-
-
-def _is_wrapped_map_lcl(f) -> bool:
-    if isinstance(f, pat.AddressSpaceWrapper):
-        return _is_wrapped_map_lcl(f.f)
-    return isinstance(f, pat.MapLcl)
+def _is_map_lcl(f) -> bool:
+    """A ``mapLcl``, possibly under address-space wrappers."""
+    return isinstance(unwrap(f), pat.MapLcl)
 
 
 def _producer_map_lcl(expr: Expr, layout_seen: bool) -> FunCall | None:
@@ -86,7 +77,7 @@ def _producer_map_lcl(expr: Expr, layout_seen: bool) -> FunCall | None:
     if not isinstance(expr, FunCall):
         return None
     f = expr.f
-    if isinstance(f, pat.MapLcl) or _is_wrapped_map_lcl(f):
+    if _is_map_lcl(f):
         return None if layout_seen else expr
     if isinstance(f, _SHARING_PATTERNS):
         return _producer_map_lcl(expr.args[0], layout_seen=True)

@@ -54,6 +54,7 @@ from repro.ir.nodes import (
 )
 from repro.ir import patterns as pat
 from repro.ir.typecheck import infer_fun_type, infer_types
+from repro.ir.visit import unwrap
 from repro.compiler import cast as c
 from repro.compiler.address_space import infer_address_spaces
 from repro.compiler.barriers import find_removable_barriers
@@ -174,12 +175,6 @@ def _layout_only(f: FunDecl) -> bool:
     return scan(lam.body)
 
 
-def _unwrap_wrappers(f: FunDecl) -> FunDecl:
-    while isinstance(f, pat.AddressSpaceWrapper):
-        f = f.f
-    return f
-
-
 def _c_type_name(t: DataType) -> str:
     if isinstance(t, ScalarType):
         return t.name
@@ -289,7 +284,7 @@ class KernelGenerator:
         if not isinstance(expr, FunCall):
             raise CodeGenError(f"cannot generate {expr!r}")
 
-        f = _unwrap_wrappers(expr.f)
+        f = unwrap(expr.f)
 
         if isinstance(f, Lambda):
             for p, a in zip(f.params, expr.args):
@@ -310,7 +305,7 @@ class KernelGenerator:
                     "output through scatter or materialize with map(id)"
                 )
             arg_r = self.gen(expr.args[0], block, None)
-            lam = _unwrap_wrappers(f.f)
+            lam = unwrap(f.f)
             assert isinstance(lam, Lambda)
 
             def elem_fn(elem_view, lam=lam):
@@ -535,7 +530,7 @@ class KernelGenerator:
         else:
             result_view = MemView(dest.memory, dest.memory.logical_type)
 
-        lam = _unwrap_wrappers(f.f)
+        lam = unwrap(f.f)
         if not isinstance(lam, Lambda):
             raise CodeGenError("map function must be a lambda after canonicalization")
 
@@ -719,7 +714,7 @@ class KernelGenerator:
             acc_view = MemView(acc_mem, acc_type)
             self._emit_init_value(init_expr, acc_view, acc_type, block)
 
-        lam = _unwrap_wrappers(f.f)
+        lam = unwrap(f.f)
         assert isinstance(lam, Lambda)
 
         if isinstance(f, pat.ReduceSeqUnroll):
@@ -833,7 +828,7 @@ class KernelGenerator:
 
         # Re-infer the body with the runtime size variable so that all the
         # types (and therefore all the views) inside speak in terms of it.
-        lam = _unwrap_wrappers(f.f)
+        lam = unwrap(f.f)
         assert isinstance(lam, Lambda)
         g_type = infer_fun_type(lam, [ArrayType(elem_type, size_var)])
         assert isinstance(g_type, ArrayType)
@@ -909,8 +904,8 @@ class KernelGenerator:
     def _value_of(self, expr: Expr, block: c.CBlock) -> c.CExpr:
         if isinstance(expr, Literal):
             return self._literal(expr)
-        if isinstance(expr, FunCall) and isinstance(_unwrap_wrappers(expr.f), UserFun):
-            uf = _unwrap_wrappers(expr.f)
+        if isinstance(expr, FunCall) and isinstance(unwrap(expr.f), UserFun):
+            uf = unwrap(expr.f)
             assert isinstance(uf, UserFun)
             self._register_user_fun(uf)
             return c.CCall(uf.name, [self._value_of(a, block) for a in expr.args])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.types import DataType
 
@@ -218,16 +218,26 @@ class UserFun(FunDecl):
 
 
 class Pattern(FunDecl):
-    """Base class of the built-in algorithmic and data-layout patterns."""
+    """Base class of the built-in algorithmic and data-layout patterns.
+
+    Every traversal (clone, rewrite, canonical form, size
+    specialization) walks and rebuilds patterns through this structural
+    protocol alone, so none of them names a concrete subclass:
+
+    * ``f`` — the nested function, absent on leaves.  A pattern that
+      nests one stores it in a slot called ``f`` and defines
+      ``with_f(g)``: the same pattern and payload around ``g``.
+    * ``payload`` — the names of the static slots (split factor, thread
+      dimension, ...) in constructor order; ``with_payload(*values)``
+      rebuilds the pattern with new ones.
+    """
 
     __slots__ = ()
 
+    payload: tuple = ()
+
+    def with_payload(self, *values) -> "Pattern":
+        return type(self)(*values)
+
     def infer_type(self, arg_types: Sequence[DataType], call: FunCall) -> DataType:
         raise NotImplementedError(f"{type(self).__name__} has no type rule")
-
-
-def iter_args(expr: Expr) -> Iterable[Expr]:
-    """The direct argument expressions of a call (empty otherwise)."""
-    if isinstance(expr, FunCall):
-        return expr.args
-    return ()

@@ -20,6 +20,17 @@ Vectorization patterns
 
 Each pattern implements its dependent-type rule in :meth:`infer_type`;
 the driver lives in :mod:`repro.ir.typecheck`.
+
+Adding a pattern
+    1. The class here, with ``infer_type`` and — if it nests a function
+       or carries static payload — the structural protocol of
+       :class:`~repro.ir.nodes.Pattern` (``f``/``with_f``, ``payload``/
+       ``with_payload``).
+    2. The semantic passes that give it meaning: :mod:`repro.ir.interp`,
+       :mod:`repro.ir.printer`, ``codegen.gen`` and, where it matters,
+       :mod:`repro.compiler.address_space` and the static cost model.
+    3. No traversal module: cloning, rewriting, the structural key and
+       size specialization go through the protocol.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ def ensure_lambda(f: FunDecl, arity: int = 1) -> FunDecl:
         return f
     if isinstance(f, AddressSpaceWrapper):
         # The wrapper itself is transparent; canonicalize what it wraps.
-        return type(f)(ensure_lambda(f.f, arity))  # type: ignore[call-arg]
+        return f.with_f(ensure_lambda(f.f, arity))
     params = [Param() for _ in range(arity)]
     return Lambda(params, FunCall(f, params))
 
@@ -114,6 +125,9 @@ class AbstractMap(Pattern):
     def __init__(self, f: FunDecl):
         self.f = ensure_lambda(f, arity=1)
 
+    def with_f(self, g: FunDecl) -> "AbstractMap":
+        return type(self)(g)
+
     def infer_type(self, arg_types: Sequence[DataType], call: FunCall) -> DataType:
         arr = _expect_array(arg_types[0], type(self).__name__)
         out_elem = _infer_fun(self.f, [arr.elem])
@@ -140,13 +154,19 @@ class MapSeqUnroll(MapSeq):
 class ParallelMap(AbstractMap):
     """A map whose iterations execute in parallel across OpenCL threads."""
 
-    __slots__ = ("dim",)
+    __slots__ = payload = ("dim",)
 
     def __init__(self, f: FunDecl, dim: int = 0):
         super().__init__(f)
         if dim not in (0, 1, 2):
             raise ValueError("OpenCL supports dimensions 0, 1, 2")
         self.dim = dim
+
+    def with_f(self, g: FunDecl) -> "ParallelMap":
+        return type(self)(g, self.dim)
+
+    def with_payload(self, dim: int) -> "ParallelMap":
+        return type(self)(self.f, dim)
 
 
 class MapGlb(ParallelMap):
@@ -174,6 +194,9 @@ class ReduceSeq(Pattern):
 
     def __init__(self, f: FunDecl):
         self.f = ensure_lambda(f, arity=2)
+
+    def with_f(self, g: FunDecl) -> "ReduceSeq":
+        return type(self)(g)
 
     def infer_type(self, arg_types: Sequence[DataType], call: FunCall) -> DataType:
         init_t = arg_types[0]
@@ -205,12 +228,19 @@ class Iterate(Pattern):
     """
 
     __slots__ = ("n", "f")
+    payload = ("n",)
 
     arity = 1
 
     def __init__(self, n: ArithExpr | int, f: FunDecl):
         self.n = to_expr(n)
         self.f = ensure_lambda(f, arity=1)
+
+    def with_f(self, g: FunDecl) -> "Iterate":
+        return type(self)(self.n, g)
+
+    def with_payload(self, n: ArithExpr | int) -> "Iterate":
+        return type(self)(n, self.f)
 
     def infer_type(self, arg_types: Sequence[DataType], call: FunCall) -> DataType:
         arr = _expect_array(arg_types[0], "iterate")
@@ -258,7 +288,7 @@ class Iterate(Pattern):
 class Split(Pattern):
     """Add a dimension: ``[T]_n  ->  [[T]_k]_{n/k}``."""
 
-    __slots__ = ("n",)
+    __slots__ = payload = ("n",)
 
     def __init__(self, n: ArithExpr | int):
         self.n = to_expr(n)
@@ -342,7 +372,7 @@ def stride_indices(s: ArithExpr | int) -> IndexFun:
 class Gather(Pattern):
     """Remap indices when *reading*: ``gather(f, xs)[i] = xs[f(i)]``."""
 
-    __slots__ = ("idx_fun",)
+    __slots__ = payload = ("idx_fun",)
 
     def __init__(self, idx_fun: IndexFun):
         self.idx_fun = idx_fun
@@ -355,7 +385,7 @@ class Gather(Pattern):
 class Scatter(Pattern):
     """Remap indices when *writing*: ``scatter(f, xs)[f(i)] = xs[i]``."""
 
-    __slots__ = ("idx_fun",)
+    __slots__ = payload = ("idx_fun",)
 
     def __init__(self, idx_fun: IndexFun):
         self.idx_fun = idx_fun
@@ -379,7 +409,7 @@ class Transpose(Pattern):
 class Zip(Pattern):
     """Combine arrays element-wise into an array of tuples."""
 
-    __slots__ = ("n",)
+    __slots__ = payload = ("n",)
 
     def __init__(self, n: int = 2):
         if n < 2:
@@ -404,7 +434,7 @@ class Zip(Pattern):
 class Get(Pattern):
     """Project the ``i``-th component out of a tuple value."""
 
-    __slots__ = ("index",)
+    __slots__ = payload = ("index",)
 
     def __init__(self, index: int):
         self.index = index
@@ -421,7 +451,7 @@ class Get(Pattern):
 class MakeTuple(Pattern):
     """Build a tuple value from components (used for reduce accumulators)."""
 
-    __slots__ = ("n",)
+    __slots__ = payload = ("n",)
 
     def __init__(self, n: int = 2):
         self.n = n
@@ -463,7 +493,7 @@ class Slide(Pattern):
     """Overlapping windows for stencils: ``[T]_n -> [[T]_size]_count``
     with ``count = (n - size) / step + 1``."""
 
-    __slots__ = ("size", "step")
+    __slots__ = payload = ("size", "step")
 
     def __init__(self, size: ArithExpr | int, step: ArithExpr | int):
         self.size = to_expr(size)
@@ -478,7 +508,7 @@ class Slide(Pattern):
 class Pad(Pattern):
     """Virtually extend an array at both ends (clamped boundary)."""
 
-    __slots__ = ("left", "right")
+    __slots__ = payload = ("left", "right")
 
     def __init__(self, left: int, right: int):
         self.left = left
@@ -502,6 +532,10 @@ class AddressSpaceWrapper(Pattern):
     def __init__(self, f: FunDecl, space: AddressSpace):
         self.f = f
         self.space = space
+
+    def with_f(self, g: FunDecl) -> "AddressSpaceWrapper":
+        # The space is the subclass's (``toLocal(g)``), not payload.
+        return type(self)(g)  # type: ignore[call-arg]
 
     @property
     def arity(self) -> int:  # type: ignore[override]
@@ -533,7 +567,7 @@ class ToPrivate(AddressSpaceWrapper):
 class AsVector(Pattern):
     """Reinterpret ``[S]_n`` as ``[S<w>]_{n/w}``."""
 
-    __slots__ = ("width",)
+    __slots__ = payload = ("width",)
 
     def __init__(self, width: int):
         self.width = width

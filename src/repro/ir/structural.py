@@ -10,8 +10,13 @@ graph a canonical textual form:
   alpha-equivalent programs canonicalize identically;
 * free parameters (program inputs) are numbered by first occurrence,
   which is stable under cloning (clones share free ``Param`` objects);
-* patterns serialize their static payload (split factor, dimension,
-  vector width, index-function name, ...);
+* patterns serialize their class name and static ``payload`` (split
+  factor, dimension, vector width, ...; an index function by its name)
+  around their nested function; the address-space wrappers are spelled
+  ``to:<space>``;
+* only the root lambda prints parameter types (the declared program
+  inputs) — the types of bound parameters are inferred annotations, and
+  a key that read them would change when a program is type-checked;
 * arithmetic expressions use their structural ``str`` form (``Var``
   equality is by name, matching :mod:`repro.arith`);
 * user functions serialize name, parameter names, C body and types —
@@ -30,9 +35,9 @@ import hashlib
 import sys
 from typing import Union
 
-from repro.arith import ArithExpr
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param, UserFun
 from repro.ir import patterns as pat
+from repro.ir.visit import nested_fun
 
 Node = Union[Expr, FunDecl]
 
@@ -62,15 +67,18 @@ class _Canonicalizer:
         raise TypeError(f"cannot canonicalize {e!r}")
 
     # -- declarations ----------------------------------------------------
-    def decl(self, f: FunDecl) -> str:
+    def decl(self, f: FunDecl, root: bool = False) -> str:
         if isinstance(f, Lambda):
-            numbers = []
             for p in f.params:
                 self.bound[id(p)] = self.next_bound
-                numbers.append(self.next_bound)
                 self.next_bound += 1
             body = self.expr(f.body)
-            types = ",".join(str(p.type) for p in f.params)
+            # Only the root lambda *declares* its parameter types (the
+            # program's inputs).  A bound parameter's ``type`` is whatever
+            # ``infer_types`` last wrote, and the key must not move when a
+            # program gets typed: it prints the ``None`` an untyped
+            # (freshly built or rewritten) program always had.
+            types = ",".join(str(p.type if root else None) for p in f.params)
             for p in f.params:
                 del self.bound[id(p)]
             return f"(lam [{types}] {body})"
@@ -81,37 +89,19 @@ class _Canonicalizer:
                 f"{f.body!r} [{sig}]->{f.out_type})"
             )
         if isinstance(f, pat.AddressSpaceWrapper):
-            return f"(to:{f.space} {self.decl(f.f)})"
-        if isinstance(f, pat.ParallelMap):
-            return f"({type(f).__name__}:{f.dim} {self.decl(f.f)})"
-        if isinstance(f, pat.AbstractMap):
-            return f"({type(f).__name__} {self.decl(f.f)})"
-        if isinstance(f, pat.ReduceSeq):  # covers Reduce/ReduceSeqUnroll
-            return f"({type(f).__name__} {self.decl(f.f)})"
-        if isinstance(f, pat.Iterate):
-            return f"(Iterate:{f.n} {self.decl(f.f)})"
-        if isinstance(f, pat.Split):
-            return f"(Split:{f.n})"
-        if isinstance(f, pat.Gather):
-            return f"(Gather:{f.idx_fun.name})"
-        if isinstance(f, pat.Scatter):
-            return f"(Scatter:{f.idx_fun.name})"
-        if isinstance(f, pat.Zip):
-            return f"(Zip:{f.n})"
-        if isinstance(f, pat.Get):
-            return f"(Get:{f.index})"
-        if isinstance(f, pat.MakeTuple):
-            return f"(MakeTuple:{f.n})"
-        if isinstance(f, pat.Slide):
-            return f"(Slide:{f.size}:{f.step})"
-        if isinstance(f, pat.Pad):
-            return f"(Pad:{f.left}:{f.right})"
-        if isinstance(f, pat.AsVector):
-            return f"(AsVector:{f.width})"
-        if isinstance(f, pat.Filter):
-            return "(Filter)"
-        # Leaf patterns without payload: Join, Transpose, AsScalar, Head...
-        return f"({type(f).__name__})"
+            head = f"to:{f.space}"
+        else:
+            head = ":".join(
+                [type(f).__name__]
+                + [_payload_text(getattr(f, name)) for name in f.payload]
+            )
+        inner = nested_fun(f)
+        return f"({head})" if inner is None else f"({head} {self.decl(inner)})"
+
+
+def _payload_text(value) -> str:
+    # An index function is a Python closure; its name is its identity.
+    return value.name if isinstance(value, pat.IndexFun) else str(value)
 
 
 def canonical(node: Node) -> str:
@@ -120,7 +110,7 @@ def canonical(node: Node) -> str:
     if isinstance(node, Expr):
         text = c.expr(node)
     elif isinstance(node, FunDecl):
-        text = c.decl(node)
+        text = c.decl(node, root=True)
     else:
         raise TypeError(f"cannot canonicalize {node!r}")
     return sys.intern(text)
@@ -138,8 +128,3 @@ def structural_hash(node: Node) -> str:
     programs, different (modulo hash collisions) otherwise.
     """
     return hashlib.sha256(canonical(node).encode("utf-8")).hexdigest()
-
-
-def arith_hash(e: ArithExpr) -> str:
-    """Digest of an arithmetic expression (used in composite cache keys)."""
-    return hashlib.sha256(str(e).encode("utf-8")).hexdigest()

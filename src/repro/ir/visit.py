@@ -1,18 +1,58 @@
 """Traversal and rebuilding utilities for IR graphs.
 
 The rewrite system and several compiler passes need to walk expression
-graphs, collect nodes, and build modified copies.  Because expressions
-carry mutable annotations, rewriting always *clones* — a rewritten program
-shares no ``Expr`` nodes with its source, so annotations never leak
-between versions.
+graphs, collect nodes, and build modified copies.  Patterns are walked
+and rebuilt through the structural protocol of
+:class:`~repro.ir.nodes.Pattern` (``f`` / ``with_f``) alone — no
+traversal here names a concrete pattern, so a new one needs no edit.
+
+Expressions carry mutable annotations, and one discipline keeps them
+from leaking between program versions: a rewritten program *may* share
+``Expr`` nodes with its source (``one_step_rewrites`` shares every
+untouched subtree between its variants by design), so whoever annotates
+— ``typed_clone``, ``specialize_sizes``, ``static_program_cost``, the
+compiler's callers — clones first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
-from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param, UserFun
+from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param
 from repro.ir import patterns as pat
+
+
+def nested_fun(f: FunDecl) -> Optional[FunDecl]:
+    """The function ``f`` nests: a pattern's ``f``; ``None`` for leaf
+    patterns, lambdas and user functions."""
+    return getattr(f, "f", None)
+
+
+def unwrap(f: FunDecl) -> FunDecl:
+    """``f`` without its ``toGlobal``/``toLocal``/``toPrivate`` wrappers."""
+    while isinstance(f, pat.AddressSpaceWrapper):
+        f = f.f
+    return f
+
+
+def body_of(f: FunDecl) -> Optional[Expr]:
+    """The lambda body at the end of ``f``'s nested-function chain
+    (``mapSeq(toLocal(λx. body))`` gives ``body``); ``None`` when the
+    chain ends in a user function or a leaf pattern."""
+    while f is not None and not isinstance(f, Lambda):
+        f = nested_fun(f)
+    return None if f is None else f.body
+
+
+def rebuild_decl(f: FunDecl, on_lambda: Callable[[Lambda], Lambda]) -> FunDecl:
+    """``f`` with the lambda ending its nested-function chain replaced by
+    ``on_lambda(lambda)`` and the patterns on the way rebuilt around it.
+    Leaf patterns and user functions carry no function and no mutable
+    state: they are returned as they are, safe to share."""
+    if isinstance(f, Lambda):
+        return on_lambda(f)
+    inner = nested_fun(f)
+    return f if inner is None else f.with_f(rebuild_decl(inner, on_lambda))
 
 
 def post_order(expr: Expr) -> Iterator[Expr]:
@@ -21,18 +61,10 @@ def post_order(expr: Expr) -> Iterator[Expr]:
     if isinstance(expr, FunCall):
         for a in expr.args:
             yield from post_order(a)
-        for inner in _decl_bodies(expr.f):
-            yield from post_order(inner)
+        body = body_of(expr.f)
+        if body is not None:
+            yield from post_order(body)
     yield expr
-
-
-def _decl_bodies(f: FunDecl) -> Iterator[Expr]:
-    if isinstance(f, Lambda):
-        yield f.body
-    elif isinstance(f, pat.AddressSpaceWrapper):
-        yield from _decl_bodies(f.f)
-    elif isinstance(f, (pat.AbstractMap, pat.ReduceSeq, pat.Iterate)):
-        yield from _decl_bodies(f.f)
 
 
 def count_nodes(expr: Expr) -> int:
@@ -45,74 +77,36 @@ def clone_expr(expr: Expr, mapping: dict[Param, Expr] | None = None) -> Expr:
     Fresh ``Param`` objects are created for parameters of nested lambdas so
     the clone shares no mutable node with the original.
     """
-    mapping = dict(mapping or {})
-
-    def go_expr(e: Expr) -> Expr:
-        if isinstance(e, Literal):
-            return Literal(e.value, e.type)  # type: ignore[arg-type]
-        if isinstance(e, Param):
-            replacement = mapping.get(e)
-            if replacement is not None:
-                return replacement
-            # Free parameter (program input): keep identity.
-            return e
-        if isinstance(e, FunCall):
-            return FunCall(go_decl(e.f), [go_expr(a) for a in e.args])
-        raise TypeError(f"cannot clone {e!r}")
-
-    def go_decl(f: FunDecl) -> FunDecl:
-        if isinstance(f, Lambda):
-            fresh = [Param(p.type, p.name) for p in f.params]
-            for old, new in zip(f.params, fresh):
-                mapping[old] = new
-            body = go_expr(f.body)
-            for old in f.params:
-                del mapping[old]
-            return Lambda(fresh, body)
-        if isinstance(f, UserFun):
-            return f  # immutable, safe to share
-        if isinstance(f, pat.Map):
-            return pat.Map(go_decl(f.f))
-        if isinstance(f, pat.MapSeqUnroll):
-            return pat.MapSeqUnroll(go_decl(f.f))
-        if isinstance(f, pat.MapSeq):
-            return pat.MapSeq(go_decl(f.f))
-        if isinstance(f, pat.MapGlb):
-            return pat.MapGlb(go_decl(f.f), f.dim)
-        if isinstance(f, pat.MapWrg):
-            return pat.MapWrg(go_decl(f.f), f.dim)
-        if isinstance(f, pat.MapLcl):
-            return pat.MapLcl(go_decl(f.f), f.dim)
-        if isinstance(f, pat.Reduce):
-            return pat.Reduce(go_decl(f.f))
-        if isinstance(f, pat.ReduceSeqUnroll):
-            return pat.ReduceSeqUnroll(go_decl(f.f))
-        if isinstance(f, pat.ReduceSeq):
-            return pat.ReduceSeq(go_decl(f.f))
-        if isinstance(f, pat.Iterate):
-            return pat.Iterate(f.n, go_decl(f.f))
-        if isinstance(f, pat.ToGlobal):
-            return pat.ToGlobal(go_decl(f.f))
-        if isinstance(f, pat.ToLocal):
-            return pat.ToLocal(go_decl(f.f))
-        if isinstance(f, pat.ToPrivate):
-            return pat.ToPrivate(go_decl(f.f))
-        # Leaf patterns carry no function and no mutable state.
-        return f
-
-    return go_expr(expr)
+    return _clone_expr(expr, dict(mapping or {}))
 
 
 def clone_decl(f: FunDecl) -> FunDecl:
     """Deep-copy a function declaration (see :func:`clone_expr`)."""
-    if isinstance(f, Lambda):
-        fresh = [Param(p.type, p.name) for p in f.params]
-        body = clone_expr(f.body, dict(zip(f.params, fresh)))
-        return Lambda(fresh, body)
-    dummy = Param()
-    cloned_call = clone_expr(FunCall(f, [dummy] * f.arity))
-    assert isinstance(cloned_call, FunCall)
-    return cloned_call.f
+    return rebuild_decl(f, lambda lam: _clone_lambda(lam, {}))
+
+
+def _clone_expr(e: Expr, mapping: dict) -> Expr:
+    if isinstance(e, Literal):
+        return Literal(e.value, e.type)  # type: ignore[arg-type]
+    if isinstance(e, Param):
+        # A free parameter (program input) keeps its identity.
+        return mapping.get(e, e)
+    if isinstance(e, FunCall):
+        return FunCall(
+            rebuild_decl(e.f, lambda lam: _clone_lambda(lam, mapping)),
+            [_clone_expr(a, mapping) for a in e.args],
+        )
+    raise TypeError(f"cannot clone {e!r}")
+
+
+def _clone_lambda(f: Lambda, mapping: dict) -> Lambda:
+    fresh = [Param(p.type, p.name) for p in f.params]
+    for old, new in zip(f.params, fresh):
+        mapping[old] = new
+    body = _clone_expr(f.body, mapping)
+    for old in f.params:
+        del mapping[old]
+    return Lambda(fresh, body)
 
 
 def transform_calls(
@@ -130,40 +124,14 @@ def transform_calls(
         if isinstance(e, Param):
             return e
         if isinstance(e, FunCall):
-            rebuilt = FunCall(_go_decl(e.f), [go_expr(a) for a in e.args])
+            rebuilt = FunCall(
+                rebuild_decl(e.f, go_lambda), [go_expr(a) for a in e.args]
+            )
             replaced = fn(rebuilt)
             return rebuilt if replaced is None else replaced
         raise TypeError(f"cannot transform {e!r}")
 
-    def _go_decl(f: FunDecl) -> FunDecl:
-        if isinstance(f, Lambda):
-            return Lambda(list(f.params), go_expr(f.body))
-        if isinstance(f, pat.Map):
-            return pat.Map(_go_decl(f.f))
-        if isinstance(f, pat.MapSeqUnroll):
-            return pat.MapSeqUnroll(_go_decl(f.f))
-        if isinstance(f, pat.MapSeq):
-            return pat.MapSeq(_go_decl(f.f))
-        if isinstance(f, pat.MapGlb):
-            return pat.MapGlb(_go_decl(f.f), f.dim)
-        if isinstance(f, pat.MapWrg):
-            return pat.MapWrg(_go_decl(f.f), f.dim)
-        if isinstance(f, pat.MapLcl):
-            return pat.MapLcl(_go_decl(f.f), f.dim)
-        if isinstance(f, pat.Reduce):
-            return pat.Reduce(_go_decl(f.f))
-        if isinstance(f, pat.ReduceSeqUnroll):
-            return pat.ReduceSeqUnroll(_go_decl(f.f))
-        if isinstance(f, pat.ReduceSeq):
-            return pat.ReduceSeq(_go_decl(f.f))
-        if isinstance(f, pat.Iterate):
-            return pat.Iterate(f.n, _go_decl(f.f))
-        if isinstance(f, pat.ToGlobal):
-            return pat.ToGlobal(_go_decl(f.f))
-        if isinstance(f, pat.ToLocal):
-            return pat.ToLocal(_go_decl(f.f))
-        if isinstance(f, pat.ToPrivate):
-            return pat.ToPrivate(_go_decl(f.f))
-        return f
+    def go_lambda(f: Lambda) -> Lambda:
+        return Lambda(list(f.params), go_expr(f.body))
 
     return go_expr(expr)

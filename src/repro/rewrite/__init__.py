@@ -14,7 +14,6 @@ documents the whole rewrite → explore → cost stack.
 """
 
 from repro.rewrite.rules import (
-    Rewrite,
     Rule,
     fusion_rules,
     simplification_rules,
@@ -53,7 +52,6 @@ __all__ = [
     "evaluate_candidates",
     "explore_program",
     "MappingStrategy",
-    "Rewrite",
     "Rule",
     "apply_at",
     "apply_everywhere",

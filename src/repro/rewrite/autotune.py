@@ -21,7 +21,7 @@ import numpy as np
 from repro.types import ArrayType
 from repro.ir.nodes import FunCall, Lambda
 from repro.ir import patterns as pat
-from repro.ir.visit import post_order
+from repro.ir.visit import post_order, unwrap
 from repro.rewrite.explore import (
     ExploreConfig,
     ExploreStats,
@@ -52,10 +52,7 @@ def outer_map_length(
     def find(e) -> Optional[int]:
         if not isinstance(e, FunCall):
             return None
-        f = e.f
-        while isinstance(f, pat.AddressSpaceWrapper):
-            f = f.f
-        if isinstance(f, pat.AbstractMap) and isinstance(
+        if isinstance(unwrap(e.f), pat.AbstractMap) and isinstance(
             e.args[0].type, ArrayType
         ):
             return concrete_length(e.args[0].type.length, size_env)
@@ -184,8 +181,8 @@ def autotune(
     cycles; a wider schedule doing slightly more work can rank first)
     first; ties keep menu order.
 
-    ``config`` carries device, engine, verification tolerance and the
-    fault-tolerance knobs (the search-only fields are ignored);
+    ``config`` carries device, engine and the fault-tolerance knobs
+    (the search-only fields are ignored);
     ``cache`` is an optional :class:`repro.cache.TuningCache`;
     ``reference`` is the flat ``ir.interp`` result of ``high_level``
     when the caller has it already (an

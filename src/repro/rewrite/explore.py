@@ -17,7 +17,7 @@ menu at every matching position (one traversal per rule,
 derivation trace ``rule@position``.  The frontier is deduplicated with the
 structural hash of :mod:`repro.ir.structural` — alpha-equivalent
 programs (every rule application clones and renames) collapse to one
-node — and capped at ``beam`` programs per level.
+node — and capped at ``BEAM`` programs per level.
 
 The rule menu includes the dimension-aware layer of
 :mod:`repro.rewrite.mapping`: lowering rules parametrized over thread
@@ -96,15 +96,23 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.arith import Cst, Var, simplify
+from repro.arith import ArithExpr, Cst, Var, simplify
 from repro.arith.expr import substitute
 from repro.types import ArrayType
-from repro.ir.nodes import Expr, FunCall, Lambda, Param
+from repro.ir.nodes import Expr, FunCall, Lambda, Param, Pattern
 from repro.ir import patterns as pat
 from repro.ir.interp import apply_fun
 from repro.ir.structural import canonical
 from repro.ir.typecheck import infer_types
-from repro.ir.visit import clone_decl, clone_expr, post_order, transform_calls
+from repro.ir.visit import (
+    body_of,
+    clone_decl,
+    clone_expr,
+    nested_fun,
+    post_order,
+    transform_calls,
+    unwrap,
+)
 from repro.cache import fingerprint_inputs
 from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import execute_kernel
@@ -119,7 +127,6 @@ from repro.opencl import simt_compile
 from repro.rewrite.lowering import lower_inner_sequential
 from repro.rewrite.mapping import finish_mappings, tiling_rules
 from repro.rewrite.rules import (
-    Rule,
     fusion_rules,
     map_to_glb,
     map_to_lcl,
@@ -159,27 +166,43 @@ class _StageFailure(Exception):
         self.message = message
 
 
+#: Programs kept per BFS level.
+BEAM = 64
+#: Split factors of the split-join (tiling) rule.
+CHUNKS = (4, 8, 16, 32, 64)
+#: Thread dimensions the lowering rules may assign.
+DIMS = (0, 1)
+#: Tile shapes of the 2-D tiling macro rule (rows x columns).
+TILES = ((4, 4), (8, 8))
+#: Widths of the vectorization rule.
+VECTOR_WIDTHS = (4,)
+
+
+def rule_menu() -> list:
+    """The rules the search applies, in enumeration order."""
+    # Macro rules first: the beam caps each BFS level, and one
+    # tiling application is worth more than many fine-grained steps.
+    rules = tiling_rules(TILES)
+    for dim in DIMS:
+        rules += [map_to_glb(dim), map_to_wrg(dim), map_to_lcl(dim)]
+    rules += [map_to_seq(), reduce_to_seq()]
+    rules += fusion_rules()
+    rules += simplification_rules()
+    rules += [split_join(k) for k in CHUNKS]
+    rules += [to_local_insertion()]
+    rules += [vectorize_map(w) for w in VECTOR_WIDTHS]
+    return rules
+
+
 @dataclass
 class ExploreConfig:
     """Knobs of the derivation search (see the module docstring)."""
 
     depth: int = 3
-    beam: int = 64
     max_eval: int = 16
-    chunks: Sequence[int] = (4, 8, 16, 32, 64)
-    #: Thread dimensions the lowering rules may assign.
-    dims: Sequence[int] = (0, 1)
-    #: Tile shapes of the 2-D tiling macro rule (rows x columns).
-    tiles: Sequence[tuple] = ((4, 4), (8, 8))
-    #: Widths of the vectorization rule (empty disables it).
-    vector_widths: Sequence[int] = (4,)
     device: str = "nvidia"
     engine: Optional[str] = None
     workers: int = 4
-    extra_rules: Sequence[Rule] = ()
-    #: ``None`` demands bitwise equality with the reference interpreter;
-    #: a float relaxes verification to ``np.allclose`` at that rtol.
-    rtol: Optional[float] = None
     #: Wall-clock deadline (seconds) per candidate evaluation attempt,
     #: enforced by a watchdog thread; ``None`` disables it.
     candidate_timeout: Optional[float] = None
@@ -207,21 +230,6 @@ class ExploreConfig:
     #: benchsuite passes the benchmark name.  ``None`` records under
     #: ``"adhoc"``.
     workload: Optional[str] = None
-
-    def rule_menu(self) -> list:
-        # Macro rules first: the beam caps each BFS level, and one
-        # tiling application is worth more than many fine-grained steps.
-        rules = tiling_rules(self.tiles)
-        for dim in self.dims:
-            rules += [map_to_glb(dim), map_to_wrg(dim), map_to_lcl(dim)]
-        rules += [map_to_seq(), reduce_to_seq()]
-        rules += fusion_rules()
-        rules += simplification_rules()
-        rules += [split_join(k) for k in self.chunks]
-        rules += [to_local_insertion()]
-        rules += [vectorize_map(w) for w in self.vector_widths]
-        rules += list(self.extra_rules)
-        return rules
 
 
 @dataclass
@@ -388,12 +396,8 @@ def _has_parallel(body: Expr) -> bool:
     """Whether :func:`_collect_parallel` would find anything — without
     needing types."""
     for e in post_order(body):
-        if isinstance(e, FunCall):
-            f = e.f
-            while isinstance(f, pat.AddressSpaceWrapper):
-                f = f.f
-            if isinstance(f, pat.ParallelMap):
-                return True
+        if isinstance(e, FunCall) and isinstance(unwrap(e.f), pat.ParallelMap):
+            return True
     return False
 
 
@@ -433,9 +437,7 @@ def _nesting_ok(body: Expr) -> bool:
     def walk(e: Expr, active: frozenset, seq: bool) -> bool:
         if not isinstance(e, FunCall):
             return True
-        f = e.f
-        while isinstance(f, pat.AddressSpaceWrapper):
-            f = f.f
+        f = unwrap(e.f)
         if isinstance(f, Lambda):
             for a in e.args:
                 if not walk(a, active, seq):
@@ -468,13 +470,8 @@ def _nesting_ok(body: Expr) -> bool:
         for a in e.args:
             if not walk(a, active, seq):
                 return False
-        if isinstance(f, (pat.AbstractMap, pat.ReduceSeq, pat.Iterate)):
-            g = f.f
-            while isinstance(g, pat.AddressSpaceWrapper):
-                g = g.f
-            if isinstance(g, Lambda):
-                return walk(g.body, inner_active, inner_seq)
-        return True
+        inner = body_of(f)
+        return inner is None or walk(inner, inner_active, inner_seq)
 
     if not walk(body, frozenset(), False):
         return False
@@ -525,11 +522,8 @@ def _collect_parallel(body: Expr) -> list:
     def walk(e: Expr, staging: bool) -> None:
         if not isinstance(e, FunCall):
             return
-        f = e.f
-        inner_staging = staging
-        while isinstance(f, pat.AddressSpaceWrapper):
-            inner_staging = True
-            f = f.f
+        f = unwrap(e.f)
+        inner_staging = staging or f is not e.f
         if isinstance(f, pat.ParallelMap):
             kind = {pat.MapGlb: "glb", pat.MapWrg: "wrg", pat.MapLcl: "lcl"}[
                 type(f)
@@ -539,13 +533,10 @@ def _collect_parallel(body: Expr) -> list:
             found.append((kind, f.dim, length, inner_staging))
         if isinstance(f, Lambda):
             walk(f.body, staging)
-        if isinstance(f, (pat.AbstractMap, pat.ReduceSeq, pat.Iterate)):
-            g = f.f
-            while isinstance(g, pat.AddressSpaceWrapper):
-                inner_staging = True
-                g = g.f
+        elif nested_fun(f) is not None:
+            g = unwrap(f.f)
             if isinstance(g, Lambda):
-                walk(g.body, inner_staging)
+                walk(g.body, inner_staging or g is not f.f)
         for a in e.args:
             walk(a, staging)
 
@@ -681,8 +672,9 @@ def finish_candidates(
 
 def specialize_sizes(fun: Lambda, size_env: Mapping[str, int]) -> Lambda:
     """Clone ``fun`` with every size variable — in parameter types and in
-    pattern payloads (split factors, iterate counts, gather/scatter index
-    functions) — replaced by its concrete value.
+    pattern payloads (whatever value is an arithmetic expression or an
+    index function: split factors, iterate counts, gather/scatter
+    permutations) — replaced by its concrete value.
 
     The low-level benchmark programs are written this way by hand (gemv
     fixes ``K`` \"so the local staging buffers have compile-time sizes\");
@@ -700,27 +692,22 @@ def specialize_sizes(fun: Lambda, size_env: Mapping[str, int]) -> Lambda:
             return ArrayType(subst_type(t.elem), subst_arith(t.length))
         return t
 
-    def subst_idx_fun(fn: pat.IndexFun) -> pat.IndexFun:
-        return pat.IndexFun(
-            fn.name, lambda i, n, _f=fn.fn: substitute(_f(i, n), env)
-        )
+    def subst_payload(value):
+        if isinstance(value, ArithExpr):
+            return subst_arith(value)
+        if isinstance(value, pat.IndexFun):
+            return pat.IndexFun(
+                value.name,
+                lambda i, n, _f=value.fn: substitute(_f(i, n), env),
+            )
+        return value
 
     def visit(call: FunCall) -> Optional[Expr]:
         f = call.f
-        if isinstance(f, pat.Split):
-            return FunCall(pat.Split(subst_arith(f.n)), list(call.args))
-        if isinstance(f, pat.Iterate):
-            return FunCall(pat.Iterate(subst_arith(f.n), f.f), list(call.args))
-        if isinstance(f, (pat.Gather, pat.Scatter)):
-            return FunCall(
-                type(f)(subst_idx_fun(f.idx_fun)), list(call.args)
-            )
-        if isinstance(f, pat.Slide):
-            return FunCall(
-                pat.Slide(subst_arith(f.size), subst_arith(f.step)),
-                list(call.args),
-            )
-        return None
+        if not isinstance(f, Pattern) or not f.payload:
+            return None
+        values = [subst_payload(getattr(f, name)) for name in f.payload]
+        return FunCall(f.with_payload(*values), list(call.args))
 
     fresh = [Param(subst_type(p.type), p.name) for p in fun.params]
     body = clone_expr(fun.body, dict(zip(fun.params, fresh)))
@@ -770,11 +757,11 @@ def _enumerate(
                         )
                         next_frontier.append(entry)
                         derivations.append(entry)
-                        if len(next_frontier) >= config.beam:
+                        if len(next_frontier) >= BEAM:
                             break
-                    if len(next_frontier) >= config.beam:
+                    if len(next_frontier) >= BEAM:
                         break
-                if len(next_frontier) >= config.beam:
+                if len(next_frontier) >= BEAM:
                     break
         obs.observe("explore.level_width", len(next_frontier))
         frontier = next_frontier
@@ -819,9 +806,9 @@ def evaluate_candidates(
 
     The single place that decides how a schedule is compiled
     (size-specialized, keyed on the symbolic program), launched,
-    verified (bitwise, or ``config.rtol``) against ``reference`` and
-    costed, with the tuning-cache lookups, retries, watchdog,
-    cancellation and fault sites of the module docstring.  Successful
+    verified (bitwise) against ``reference`` and costed, with the
+    tuning-cache lookups, retries, watchdog, cancellation and fault
+    sites of the module docstring.  Successful
     candidates get ``cycles`` / ``runtime`` / ``kernel_source`` /
     ``eval_seconds`` filled in.
 
@@ -903,10 +890,7 @@ def evaluate_candidates(
                 structural_hash=cand_hash,
             ):
                 out = np.asarray(run.output, dtype=float).ravel()
-                ok = out.shape == reference.shape and (
-                    np.array_equal(out, reference) if config.rtol is None
-                    else np.allclose(out, reference, rtol=config.rtol)
-                )
+                ok = np.array_equal(out, reference)
             if not ok:
                 raise _StageFailure("verify", "result differs from reference")
             cycles = estimate_cycles(run.counters, profile)
@@ -1060,7 +1044,7 @@ def explore_program(
     config = config or ExploreConfig()
     stats = ExploreStats()
     profile = DEVICES[config.device]
-    rules = config.rule_menu()
+    rules = rule_menu()
 
     with obs.span(
         "explore.enumerate", depth=config.depth, rules=len(rules)

@@ -50,12 +50,6 @@ class _NestMissing(Exception):
     builders to assign."""
 
 
-def _rebuild_map(m: pat.AbstractMap, f: FunDecl) -> pat.AbstractMap:
-    if isinstance(m, pat.ParallelMap):
-        return type(m)(f, m.dim)
-    return type(m)(f)
-
-
 def replace_map_nest(expr: Expr, builders: Sequence[Builder]) -> Optional[Expr]:
     """Assign the nest of high-level ``map``s along the program spine to
     ``builders`` (outermost map first, then the outermost map *inside its
@@ -91,7 +85,7 @@ def _assign(expr: Expr, todo: List[Builder]) -> Expr:
         except _NestMissing:
             pass
         else:
-            rebuilt = _rebuild_map(expr.f, Lambda(list(lam.params), new_body))
+            rebuilt = expr.f.with_f(Lambda(list(lam.params), new_body))
             return FunCall(rebuilt, list(expr.args))
     if expr.args:
         return FunCall(

@@ -31,7 +31,7 @@ from repro.arith.expr import to_expr
 from repro.types import ScalarType
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Param, UserFun
 from repro.ir import patterns as pat
-from repro.ir.visit import clone_decl, clone_expr
+from repro.ir.visit import clone_decl, clone_expr, unwrap
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,6 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"Rule({self.name})"
-
-
-@dataclass
-class Rewrite:
-    """A record of one applied rewrite (for exploration traces)."""
-
-    rule: Rule
-    before: str
-    after: str
-
-
-def _unwrap(f: FunDecl) -> FunDecl:
-    while isinstance(f, pat.AddressSpaceWrapper):
-        f = f.f
-    return f
 
 
 def _fresh_decl(f: FunDecl) -> FunDecl:
@@ -225,7 +210,7 @@ def vectorize_map(width: int) -> Rule:
             length = simplify(arg_t.length).try_int()
             if length is not None and (length <= 0 or length % width):
                 return None
-        lam = _unwrap(call.f.f)
+        lam = unwrap(call.f.f)
         if not isinstance(lam, Lambda) or len(lam.params) != 1:
             return None
         body = lam.body

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param
-from repro.ir import patterns as pat
-from repro.ir.visit import clone_expr, transform_calls
+from repro.ir.visit import body_of, clone_expr, rebuild_decl, transform_calls
 from repro.rewrite.rules import Rule
 
 
@@ -29,39 +28,16 @@ def find_matches(rule: Rule, expr: Expr) -> List[FunCall]:
     return matches
 
 
-def apply_at(rule: Rule, expr: Expr, position: int = 0) -> Expr:
-    """Apply ``rule`` at the ``position``-th match (post-order)."""
-    count = [0]
-    applied = [False]
-
-    def visit(call: FunCall) -> Optional[Expr]:
-        if applied[0]:
-            return None
-        replacement = rule.apply(call)
-        if replacement is None:
-            return None
-        if count[0] == position:
-            applied[0] = True
-            return replacement
-        count[0] += 1
-        return None
-
-    result = transform_calls(expr, visit)
-    if not applied[0]:
-        raise ValueError(f"rule {rule.name} has no match at position {position}")
-    return result
-
-
 def one_step_rewrites(rule: Rule, expr: Expr) -> List[Expr]:
-    """Every program obtainable by applying ``rule`` at exactly one match.
+    """Every program obtainable by applying ``rule`` at exactly one match,
+    in the post-order of :func:`find_matches`: variant ``p`` rewrites the
+    ``p``-th matching node.
 
-    Equivalent to ``[apply_at(rule, expr, p) for p in
-    range(len(find_matches(rule, expr)))]`` — same variants, same
-    position order — but in a *single* traversal: ``rule.apply`` runs
-    once per call node instead of once per node per position, and the
-    variants share unmodified sibling subtrees (safe: rewriting never
+    A *single* traversal: ``rule.apply`` runs once per call node, and
+    the variants share unmodified sibling subtrees (safe: rewriting never
     mutates, and every downstream pass clones before annotating).  The
-    rewrite-space explorer's enumeration loop lives on this.
+    rewrite-space explorer's enumeration loop lives on this, and so do
+    the single-application entry points below.
     """
 
     def go_expr(e: Expr) -> tuple:
@@ -89,32 +65,31 @@ def one_step_rewrites(rule: Rule, expr: Expr) -> List[Expr]:
         raise TypeError(f"cannot rewrite {e!r}")
 
     def go_decl(f: FunDecl) -> tuple:
-        if isinstance(f, Lambda):
-            body, variants = go_expr(f.body)
-            return (
-                Lambda(list(f.params), body),
-                [Lambda(list(f.params), v) for v in variants],
-            )
-        if isinstance(f, pat.ParallelMap):
-            inner, variants = go_decl(f.f)
-            return type(f)(inner, f.dim), [type(f)(v, f.dim) for v in variants]
-        if isinstance(f, (pat.AbstractMap, pat.ReduceSeq, pat.AddressSpaceWrapper)):
-            inner, variants = go_decl(f.f)
-            return type(f)(inner), [type(f)(v) for v in variants]
-        if isinstance(f, pat.Iterate):
-            inner, variants = go_decl(f.f)
-            return pat.Iterate(f.n, inner), [pat.Iterate(f.n, v) for v in variants]
-        return f, []
+        body = body_of(f)
+        if body is None:
+            return f, []
+        new_body, variants = go_expr(body)
+
+        def around(b: Expr) -> FunDecl:
+            return rebuild_decl(f, lambda lam: Lambda(list(lam.params), b))
+
+        return around(new_body), [around(v) for v in variants]
 
     return go_expr(expr)[1]
 
 
+def apply_at(rule: Rule, expr: Expr, position: int = 0) -> Expr:
+    """Apply ``rule`` at the ``position``-th match (post-order)."""
+    variants = one_step_rewrites(rule, expr)
+    if not 0 <= position < len(variants):
+        raise ValueError(f"rule {rule.name} has no match at position {position}")
+    return variants[position]
+
+
 def rewrite_first(rule: Rule, expr: Expr) -> Optional[Expr]:
     """Apply at the first match, or return ``None`` when nothing matches."""
-    try:
-        return apply_at(rule, expr, 0)
-    except ValueError:
-        return None
+    variants = one_step_rewrites(rule, expr)
+    return variants[0] if variants else None
 
 
 def apply_everywhere(rule: Rule, expr: Expr) -> Expr:

@@ -106,6 +106,18 @@ class TestKernelStructure:
         with pytest.raises(CodeGenError):
             compile_kernel(prog)
 
+    def test_compiling_one_program_twice_hits_the_memo(self):
+        """Compilation types the program in place; the memo key must
+        not read those annotations, or the second compile of the same
+        object misses and stores a second kernel."""
+        from repro.compiler import codegen
+
+        codegen.clear_compile_memo()
+        prog = partial_dot()
+        first = compile_kernel(prog)
+        assert compile_kernel(prog) is first
+        assert len(codegen._COMPILE_MEMO) == 1
+
 
 @pytest.mark.parametrize("level", ALL_LEVELS, ids=["none", "barrier_cf", "all"])
 class TestSemanticsAtEveryLevel:

@@ -164,32 +164,30 @@ class TestValidity:
         assert not highs
 
 
-def test_one_step_rewrites_matches_apply_at():
-    """The explorer's single-traversal enumerator yields exactly the
-    variants (and position order) of the find_matches/apply_at pair."""
-    from repro.ir.structural import canonical
+def test_one_step_rewrites_follow_find_matches_order():
+    """Variant ``p`` of the single-traversal enumerator rewrites the
+    ``p``-th ``find_matches`` node and nothing else (``apply_at`` and
+    ``rewrite_first`` index this list)."""
+    from repro.ir.structural import structural_eq
     from repro.rewrite.rules import map_fusion, map_to_seq, split_join
-    from repro.rewrite.strategies import (
-        apply_at,
-        find_matches,
-        one_step_rewrites,
-    )
+    from repro.rewrite.strategies import find_matches, one_step_rewrites
 
     n = Var("N")
     x = Param(ArrayType(FLOAT, n), "x")
     double = UserFun("dbl", ["v"], "return v * 2.0f;", [FLOAT], FLOAT)
     body = map_(double)(map_(double)(x))
 
-    for rule in (map_to_seq(), split_join(4), map_fusion()):
-        variants = one_step_rewrites(rule, body)
-        expected = [
-            apply_at(rule, body, p)
-            for p in range(len(find_matches(rule, body)))
-        ]
-        assert [canonical(v) for v in variants] == [
-            canonical(e) for e in expected
-        ]
-    assert len(one_step_rewrites(map_to_seq(), body)) == 2
+    for rule in (map_to_seq(), split_join(4)):
+        # Post-order: the inner map (the outer one's argument) first.
+        inner, outer = find_matches(rule, body)
+        assert inner.args[0] is x and outer.args[0] is inner
+        first, second = one_step_rewrites(rule, body)
+        assert structural_eq(first, map_(double)(rule.apply(inner)))
+        assert structural_eq(second, rule.apply(outer))
+
+    (outer,) = find_matches(map_fusion(), body)
+    (fused,) = one_step_rewrites(map_fusion(), body)
+    assert structural_eq(fused, map_fusion().apply(outer))
 
 
 class TestToyExploration:

@@ -278,3 +278,84 @@ class TestVisit:
         e = map_seq(id_fun())(x)
         swapped = clone_expr(e, {x: y})
         assert evaluate(swapped, {y: [9.0] * 4}) == [9.0] * 4
+
+
+class TestPatternProtocol:
+    """Traversals know patterns only through ``f`` / ``with_f`` /
+    ``payload`` / ``with_payload``: a map variant and a payload-carrying
+    leaf that no traversal module has heard of clone, rewrite,
+    canonicalize and specialize like the built-in ones."""
+
+    def _probe(self):
+        from repro.arith.expr import to_expr
+        from repro.ir.dsl import map_
+        from repro.ir.nodes import Pattern
+        from repro.ir.patterns import AbstractMap
+
+        class MapProbe(AbstractMap):
+            """A map variant the traversal modules do not list."""
+
+        class Window(Pattern):
+            """``[T]_n -> [T]_size``, with ``size`` as static payload."""
+
+            __slots__ = payload = ("size",)
+
+            def __init__(self, size):
+                self.size = to_expr(size)
+
+            def infer_type(self, arg_types, call):
+                return ArrayType(arg_types[0].elem, self.size)
+
+        n = Var("N")
+        x = typed_param(ArrayType(FLOAT, n), "x")
+        rows = split(4)(FunCall(Window(n // 2), [x]))
+        body = FunCall(MapProbe(lam(lambda row: map_(id_fun())(row))), [rows])
+        return MapProbe, Window, x, body
+
+    def test_clone_rebuilds_an_unlisted_map(self):
+        MapProbe, _, _, body = self._probe()
+        copy = clone_expr(body)
+        assert type(copy.f) is MapProbe and copy.f is not body.f
+        # The nested lambda's parameter is fresh, not shared.
+        assert copy.f.f.params[0] is not body.f.f.params[0]
+        assert copy.f.f.body.args[0] is copy.f.f.params[0]
+
+    def test_traversals_reach_the_nested_body(self):
+        from repro.ir.patterns import Map, MapSeq
+        from repro.ir.visit import transform_calls
+        from repro.rewrite.rules import map_to_seq
+        from repro.rewrite.strategies import one_step_rewrites
+
+        MapProbe, _, _, body = self._probe()
+        inner = body.f.f.body
+        assert any(e is inner for e in post_order(body))
+
+        seen = []
+        rebuilt = transform_calls(body, lambda call: seen.append(call.f))
+        assert [type(f).__name__ for f in seen] == [
+            "UserFun", "Map", "Window", "Split", "MapProbe",
+        ]
+        assert type(rebuilt.f) is MapProbe and rebuilt.f is not body.f
+
+        (variant,) = one_step_rewrites(map_to_seq(), body)
+        assert type(variant.f) is MapProbe
+        assert type(variant.f.f.body.f) is MapSeq
+        assert type(inner.f) is Map  # the source is untouched
+
+    def test_canonical_and_specialize_read_the_payload(self):
+        from repro.ir.structural import canonical
+        from repro.rewrite.explore import specialize_sizes
+
+        _, Window, x, body = self._probe()
+        prog = Lambda([x], body)
+        text = canonical(prog)
+        assert "(call (MapProbe (lam [None] " in text
+        assert f"(Window:{Var('N') // 2})" in text
+        special = specialize_sizes(prog, {"N": 16})
+        (window,) = [
+            e.f for e in post_order(special.body)
+            if isinstance(e, FunCall) and isinstance(e.f, Window)
+        ]
+        assert window.size == Cst(8)
+        assert "(Window:8)" in canonical(special)
+        assert infer_types(special.body) == ArrayType(ArrayType(FLOAT, 4), 2)

@@ -124,3 +124,109 @@ class TestRewriteSensitivity:
         digest = structural_hash(_program())
         assert len(digest) == 64
         int(digest, 16)  # hex
+
+
+class TestKeyDependsOnStructureOnly:
+    """``infer_types`` writes types onto bound lambda parameters; the
+    key is an on-disk content address and must not move when it does."""
+
+    def test_typing_a_program_keeps_its_key(self):
+        from repro.ir.typecheck import infer_types
+
+        prog = _program()
+        key = canonical(prog)
+        infer_types(prog.body)
+        assert canonical(prog) == key
+
+    def test_key_survives_clone_and_typing_on_the_benchmark_corpus(self):
+        """Every benchmark's high-level and stage programs, plus every
+        depth-3 derivation of the explorable ones."""
+        from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+        from repro.benchsuite.explore import EXPLORABLE
+        from repro.ir.typecheck import infer_types
+        from repro.rewrite.explore import (
+            ExploreConfig,
+            ExploreStats,
+            _enumerate,
+            rule_menu,
+        )
+
+        corpus = []
+        for name in ALL_BENCHMARKS:
+            bench = get_benchmark(name)
+            size_env = dict(bench.sizes["small"])
+            corpus.append(bench.high_level(size_env))
+            corpus.extend(stage.build(size_env) for stage in bench.stages)
+        for name in EXPLORABLE:
+            bench = get_benchmark(name)
+            high_level = bench.high_level(dict(bench.sizes["small"]))
+            derivations = _enumerate(
+                high_level.body, rule_menu(), ExploreConfig(depth=3),
+                ExploreStats(),
+            )
+            corpus.extend(
+                Lambda(list(high_level.params), body)
+                for body, _ in derivations
+            )
+        assert len(corpus) > 400
+        for prog in corpus:
+            key = canonical(prog)
+            clone = clone_decl(prog)
+            assert canonical(clone) == key
+            try:
+                infer_types(clone.body)
+            except Exception:
+                pass  # untypable derivations are typed as far as they go
+            assert canonical(clone) == key
+
+
+class TestKeyFormat:
+    """The canonical string is an on-disk key format (tuning cache,
+    calibration log): one literal per payload shape, so it cannot drift
+    silently."""
+
+    ID = "(uf id [x] 'return x;' [float]->float)"
+
+    def _canonical(self, build):
+        x = Param(ArrayType(FLOAT, Var("N")), "x")
+        return canonical(Lambda([x], build(x)))
+
+    def test_leaf_payloads(self):
+        from repro.ir.dsl import as_scalar, as_vector, gather, pad, slide
+        from repro.ir.patterns import reverse_indices
+
+        expected = {
+            "(call (Join) (call (Split:4) (b0)))":
+                lambda x: join()(split(4)(x)),
+            "(call (Slide:3:1) (b0))": lambda x: slide(3, 1)(x),
+            "(call (Pad:1:2) (b0))": lambda x: pad(1, 2)(x),
+            "(call (Gather:reverse) (b0))":
+                lambda x: gather(reverse_indices())(x),
+            "(call (AsScalar) (call (AsVector:4) (b0)))":
+                lambda x: as_scalar()(as_vector(4)(x)),
+        }
+        for body, build in expected.items():
+            assert self._canonical(build) == f"(lam [[float]_N] {body})"
+
+    def test_nested_function_payloads(self):
+        from repro.ir.dsl import (
+            get, id_fun, iterate, lam, map_glb, map_seq, to_local, zip_,
+        )
+
+        n = Var("N")
+        seq = f"(MapSeq (lam [None] (call {self.ID} (b2))))"
+        expected = {
+            f"(call (MapGlb:0 (lam [None] (call {self.ID} (b1)))) (b0))":
+                lambda x: map_glb(id_fun(), 0)(x),
+            f"(call (to:local (MapSeq (lam [None] (call {self.ID} (b1)))))"
+            " (b0))": lambda x: to_local(map_seq(id_fun()))(x),
+            f"(call (Iterate:N (lam [None] (call {seq} (b1)))) (b0))":
+                lambda x: iterate(n, map_seq(id_fun()))(x),
+            f"(call (MapSeq (lam [None] (call {self.ID} (call (Get:0) (b1)))))"
+            " (call (Zip:2) (b0) (b0)))":
+                lambda x: map_seq(lam(lambda p: id_fun()(get(p, 0))))(
+                    zip_(x, x)
+                ),
+        }
+        for body, build in expected.items():
+            assert self._canonical(build) == f"(lam [[float]_N] {body})"
