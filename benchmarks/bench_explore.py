@@ -116,14 +116,16 @@ def main(out_path: str = None) -> None:
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
             "(parallelism-aware) per benchmark; last refreshed on the "
-            "one-evaluator PR: the fixed menu is now compiled, verified "
-            "and costed by the search's own loop (size-specialized like "
-            "every derived schedule), so nn's menu best moved 111.0 -> "
-            "109.0 (227328 -> 223232 cycles) and best-vs-menu is parity "
-            "on all three - the earlier 0.982 compared two compile "
-            "paths, not two schedules; every other per-benchmark field "
-            "is unchanged.  The menu derives the 2-D tiled mm too, so "
-            "the derivation itself is gated via best_trace."
+            "structure-sharing PR: rewrites rebuild only the spine to "
+            "a replacement, finishing clones only what survives the "
+            "dedup, and the ir.interp oracle is computed by the first "
+            "candidate that launches - so a warm pass (0 compiles, 0 "
+            "launches) interprets nothing.  Only the timing fields "
+            "moved (parent on the recording machine: cold 0.64 / warm "
+            "0.341 s = 1.9x); every search-quality field is unchanged. "
+            "Menu and search share one evaluator, so best-vs-menu is "
+            "parity on all three; the menu derives the 2-D tiled mm "
+            "too, so the derivation itself is gated via best_trace."
         ),
         "config": cold["config"],
         "cold_total_seconds": round(cold_seconds, 3),

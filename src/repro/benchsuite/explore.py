@@ -80,7 +80,7 @@ def explore_benchmark(
     with obs.timed_span("menu", benchmark=name, size=size) as menu_span:
         menu_best = autotune(
             high_level, inputs, size_env, config=config, cache=cache,
-            reference=result.reference,
+            reference=result.oracle,
         )[0]
 
     best = result.best()

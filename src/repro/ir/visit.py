@@ -6,12 +6,23 @@ and rebuilt through the structural protocol of
 :class:`~repro.ir.nodes.Pattern` (``f`` / ``with_f``) alone — no
 traversal here names a concrete pattern, so a new one needs no edit.
 
-Expressions carry mutable annotations, and one discipline keeps them
-from leaking between program versions: a rewritten program *may* share
-``Expr`` nodes with its source (``one_step_rewrites`` shares every
-untouched subtree between its variants by design), so whoever annotates
-— ``typed_clone``, ``specialize_sizes``, ``static_program_cost``, the
-compiler's callers — clones first.
+Expressions carry mutable annotations (``type``, ``addr_space``, ``mem``,
+``view``), and one discipline keeps them from leaking between program
+versions:
+
+* *Rewriting never mutates and may share.*  :func:`transform_calls`, the
+  strategies built on it and every rewrite rule allocate new nodes only
+  on the spine from the root to a replacement; every untouched subtree —
+  and, when nothing matched, the whole program — is the caller's own
+  node.  A search is then tree work proportional to what changes, not to
+  program size times rules.
+* *Whoever annotates clones first*: ``typed_clone``,
+  ``specialize_sizes``, ``static_program_cost``, ``tile_2d``'s typing
+  probe, and ``lowering._apply_strategy`` (its result is compiled in
+  place).  For them :func:`clone_expr` / :func:`clone_decl` stay full
+  deep copies — no ``FunCall``, ``Lambda`` or bound ``Param`` in common
+  with the input — because the annotations they are about to write must
+  land on nodes no other program version can reach.
 """
 
 from __future__ import annotations
@@ -46,13 +57,17 @@ def body_of(f: FunDecl) -> Optional[Expr]:
 
 def rebuild_decl(f: FunDecl, on_lambda: Callable[[Lambda], Lambda]) -> FunDecl:
     """``f`` with the lambda ending its nested-function chain replaced by
-    ``on_lambda(lambda)`` and the patterns on the way rebuilt around it.
-    Leaf patterns and user functions carry no function and no mutable
-    state: they are returned as they are, safe to share."""
+    ``on_lambda(lambda)`` and the patterns on the way rebuilt around it —
+    ``f`` itself when ``on_lambda`` returns its argument.  Leaf patterns
+    and user functions carry no function and no mutable state: they are
+    returned as they are, safe to share."""
     if isinstance(f, Lambda):
         return on_lambda(f)
     inner = nested_fun(f)
-    return f if inner is None else f.with_f(rebuild_decl(inner, on_lambda))
+    if inner is None:
+        return f
+    rebuilt = rebuild_decl(inner, on_lambda)
+    return f if rebuilt is inner else f.with_f(rebuilt)
 
 
 def post_order(expr: Expr) -> Iterator[Expr]:
@@ -112,26 +127,27 @@ def _clone_lambda(f: Lambda, mapping: dict) -> Lambda:
 def transform_calls(
     expr: Expr, fn: Callable[[FunCall], Expr | None]
 ) -> Expr:
-    """Bottom-up rebuild: ``fn`` may replace any ``FunCall`` node.
+    """Bottom-up rewrite: ``fn`` may replace any ``FunCall`` node.
 
-    ``fn`` receives a freshly cloned call whose arguments have already been
-    transformed; returning ``None`` keeps the call unchanged.
+    ``fn`` receives the original call — or, when something below it was
+    replaced, that call rebuilt around the replacement; returning
+    ``None`` keeps it.  Nodes are allocated only on the spine from the
+    root to a replacement: an untouched subtree comes back as the very
+    node that went in, and so does ``expr`` when ``fn`` replaced nothing.
     """
 
     def go_expr(e: Expr) -> Expr:
-        if isinstance(e, Literal):
-            return Literal(e.value, e.type)  # type: ignore[arg-type]
-        if isinstance(e, Param):
+        if not isinstance(e, FunCall):
             return e
-        if isinstance(e, FunCall):
-            rebuilt = FunCall(
-                rebuild_decl(e.f, go_lambda), [go_expr(a) for a in e.args]
-            )
-            replaced = fn(rebuilt)
-            return rebuilt if replaced is None else replaced
-        raise TypeError(f"cannot transform {e!r}")
+        f = rebuild_decl(e.f, go_lambda)
+        args = tuple(map(go_expr, e.args))
+        if f is not e.f or args != e.args:  # Expr equality is identity
+            e = FunCall(f, args)
+        replaced = fn(e)
+        return e if replaced is None else replaced
 
     def go_lambda(f: Lambda) -> Lambda:
-        return Lambda(list(f.params), go_expr(f.body))
+        body = go_expr(f.body)
+        return f if body is f.body else Lambda(f.params, body)
 
     return go_expr(expr)

@@ -26,11 +26,11 @@ from repro.rewrite.explore import (
     ExploreConfig,
     ExploreStats,
     ExploredCandidate,
+    Oracle,
     concrete_length,
     evaluate_candidates,
     finish_candidates,
     flat_global_geometry,
-    reference_output,
     typed_clone,
 )
 from repro.rewrite.lowering import lower_to_global, lower_to_work_groups
@@ -173,7 +173,7 @@ def autotune(
     candidates: Optional[Iterable[ExploredCandidate]] = None,
     config: Optional[ExploreConfig] = None,
     cache=None,
-    reference: Optional[np.ndarray] = None,
+    reference: "np.ndarray | Oracle | None" = None,
 ) -> list:
     """Evaluate the menu (or the given ``candidates``) and return the
     verified :class:`~repro.rewrite.explore.ExploredCandidate` list, best
@@ -185,8 +185,11 @@ def autotune(
     (the search-only fields are ignored);
     ``cache`` is an optional :class:`repro.cache.TuningCache`;
     ``reference`` is the flat ``ir.interp`` result of ``high_level``
-    when the caller has it already (an
-    :class:`~repro.rewrite.explore.ExplorationResult` carries one).
+    when the caller has it already, or the
+    :class:`~repro.rewrite.explore.Oracle` that will produce it (an
+    :class:`~repro.rewrite.explore.ExplorationResult` carries one, so
+    search and menu interpret once between them — and not at all when
+    neither launches anything).
     Candidates that fail to compile or run are quarantined and dropped;
     one that computes a wrong answer raises — a miscompiled schedule is
     a bug, not a slow schedule — and so does an empty ranking.
@@ -197,7 +200,7 @@ def autotune(
             n = len(np.asarray(next(iter(inputs.values()))).ravel())
         candidates = default_candidates(high_level, n, size_env=size_env)
     if reference is None:
-        reference = reference_output(high_level, inputs, size_env)
+        reference = Oracle(high_level, inputs, size_env)
     ranked, failures, _ = evaluate_candidates(
         list(candidates), inputs, size_env, reference,
         config or ExploreConfig(), cache,

@@ -16,8 +16,12 @@ menu at every matching position (one traversal per rule,
 :func:`repro.rewrite.strategies.one_step_rewrites`), recording the
 derivation trace ``rule@position``.  The frontier is deduplicated with the
 structural hash of :mod:`repro.ir.structural` — alpha-equivalent
-programs (every rule application clones and renames) collapse to one
-node — and capped at ``BEAM`` programs per level.
+programs collapse to one node — and capped at ``BEAM`` programs per
+level.  Rewriting shares structure: a variant is one new spine from the
+root to its replacement, the rest is its source's own nodes
+(:mod:`repro.ir.visit`: whoever annotates clones first), so the search
+starts from one private copy of the body and clones again only what
+survives finishing and dedup.
 
 The rule menu includes the dimension-aware layer of
 :mod:`repro.rewrite.mapping`: lowering rules parametrized over thread
@@ -50,7 +54,10 @@ Survivors go through :func:`evaluate_candidates`: compile → simulate →
 verify on a ``concurrent.futures`` thread pool.  Results are verified
 *bitwise* against the reference interpreter running the original
 high-level program (our rules never reorder floating-point reductions,
-so a correct schedule reproduces the exact bits).  Ranking divides the
+so a correct schedule reproduces the exact bits) — an :class:`Oracle`
+interpreted once, by the first candidate that actually launched; a
+search served entirely from the cycles cache interprets nothing.
+Ranking divides the
 measured-counter cost (:func:`repro.opencl.cost.estimate_cycles`) by
 the launch's effective parallelism
 (:func:`repro.opencl.cost.estimate_runtime`) — wider schedules win when
@@ -89,6 +96,7 @@ dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -164,6 +172,11 @@ class _StageFailure(Exception):
         super().__init__(message)
         self.kind = kind
         self.message = message
+
+
+class _OracleFailure(Exception):
+    """The reference interpretation itself failed (``__cause__``): the
+    whole evaluation's failure, not the candidate's that asked first."""
 
 
 #: Programs kept per BFS level.
@@ -332,9 +345,14 @@ class ExplorationResult:
     #: out or were cancelled (:class:`repro.resilience.FailureReport`);
     #: the search completes around them.
     failures: list = field(default_factory=list)
-    #: The ``ir.interp`` result of the high-level program (flat float
-    #: array) every candidate was verified against.
-    reference: Optional[np.ndarray] = None
+    #: The oracle every launched candidate was verified against; still
+    #: unevaluated when nothing launched (a fully warm search).
+    oracle: Optional["Oracle"] = None
+
+    @property
+    def reference(self) -> np.ndarray:
+        """The oracle's array (interpreting now if no launch needed it)."""
+        return self.oracle()
 
     def best(self) -> ExploredCandidate:
         if not self.candidates:
@@ -634,7 +652,11 @@ def finish_candidates(
 
     The one finish → validate → dedup → type → geometry step, shared by
     the search (every enumerated derivation) and the fixed menu's 2-D
-    tilings; rejections and collapses are counted on ``stats``."""
+    tilings; rejections and collapses are counted on ``stats``.  The
+    programs returned share subtrees with ``high_level``, the
+    derivations and each other — only :func:`typed_clone` copies, and
+    only what survived the dedup — so consumers clone before they
+    annotate (:func:`specialize_sizes`, ``static_program_cost``)."""
     finished: dict = {}
     for body, trace in derivations:
         for fin, finish_label in _finish_variants(body):
@@ -646,8 +668,7 @@ def finish_candidates(
             if not _nesting_ok(fin) or not _has_parallel(fin):
                 stats.invalid += 1
                 continue
-            program = clone_decl(Lambda(list(high_level.params), fin))
-            assert isinstance(program, Lambda)
+            program = Lambda(high_level.params, fin)
             key = canonical(program)
             if key in finished:
                 # Distinct derivations collapsing to one schedule after the
@@ -777,6 +798,7 @@ def reference_output(
     array — the oracle every candidate schedule is verified against.
     Inputs are shaped per the parameter types (nested lists for
     multi-dimensional arrays)."""
+    obs.inc("explore.reference")
     with obs.span("explore.reference"):
         args = []
         for p in high_level.params:
@@ -794,11 +816,40 @@ def reference_output(
         ).ravel()
 
 
+class Oracle:
+    """:func:`reference_output` of a program, interpreted the first time
+    it is called and at most once — under a lock, so two workers reaching
+    their first verify together do not both interpret.  A search that
+    launches nothing (every candidate served from the cycles cache)
+    verifies nothing and never pays for it.  A failure is kept and
+    re-raised to every caller."""
+
+    def __init__(
+        self, high_level: Lambda, inputs: Mapping[str, Any],
+        size_env: Mapping[str, int],
+    ):
+        self._args = (high_level, inputs, size_env)
+        self._lock = threading.Lock()
+        self._value: Optional[np.ndarray] = None
+        self._error: Optional[Exception] = None
+
+    def __call__(self) -> np.ndarray:
+        with self._lock:
+            if self._value is None and self._error is None:
+                try:
+                    self._value = reference_output(*self._args)
+                except Exception as exc:
+                    self._error = exc
+            if self._error is not None:
+                raise self._error
+            return self._value
+
+
 def evaluate_candidates(
     candidates: Sequence[ExploredCandidate],
     inputs: Mapping[str, Any],
     size_env: Mapping[str, int],
-    reference: np.ndarray,
+    reference: "np.ndarray | Oracle",
     config: ExploreConfig,
     cache=None,
 ) -> tuple:
@@ -808,7 +859,10 @@ def evaluate_candidates(
     (size-specialized, keyed on the symbolic program), launched,
     verified (bitwise) against ``reference`` and costed, with the
     tuning-cache lookups, retries, watchdog, cancellation and fault
-    sites of the module docstring.  Successful
+    sites of the module docstring.  ``reference`` is the expected flat
+    array or an :class:`Oracle`, which is forced by the first candidate
+    that actually launched — a failing oracle fails the whole call with
+    its own exception, it is not a candidate's fault.  Successful
     candidates get ``cycles`` / ``runtime`` / ``kernel_source`` /
     ``eval_seconds`` filled in.
 
@@ -884,13 +938,17 @@ def evaluate_candidates(
                 raise _StageFailure("simulate", str(exc)) from exc
             events["executed"] += 1
             token.raise_if_cancelled()
+            try:
+                expected = reference() if callable(reference) else reference
+            except Exception as exc:
+                raise _OracleFailure from exc
             faultinject.survive("verify")
             with obs.span(
                 "explore.verify", candidate=cand.label,
                 structural_hash=cand_hash,
             ):
                 out = np.asarray(run.output, dtype=float).ravel()
-                ok = np.array_equal(out, reference)
+                ok = np.array_equal(out, expected)
             if not ok:
                 raise _StageFailure("verify", "result differs from reference")
             cycles = estimate_cycles(run.counters, profile)
@@ -953,6 +1011,8 @@ def evaluate_candidates(
                     result = _evaluate_once(cand, events, attempt_token)
                 result.eval_seconds = time.monotonic() - start
                 return result, dict(events), None
+            except _OracleFailure as exc:
+                raise exc.__cause__
             except _StageFailure as exc:
                 return fail(exc.kind, exc.message, attempt)
             except Cancelled:
@@ -1049,7 +1109,13 @@ def explore_program(
     with obs.span(
         "explore.enumerate", depth=config.depth, rules=len(rules)
     ):
-        derivations = _enumerate(high_level.body, rules, config, stats)
+        # Rewrites share nodes with their source and three rules read
+        # ``arg.type``: start from one copy without the caller's call
+        # annotations, so what is enumerated does not depend on whether
+        # the caller typed the program.
+        derivations = _enumerate(
+            clone_expr(high_level.body), rules, config, stats
+        )
 
     with obs.span("explore.finish", derivations=len(derivations)):
         finished = []
@@ -1073,14 +1139,14 @@ def explore_program(
         head = cand.trace[-1].split("@")[0] if cand.trace else "original"
         cand.label = f"#{i} {head} (depth {len(cand.trace)})"
 
-    reference = reference_output(high_level, inputs, size_env)
+    oracle = Oracle(high_level, inputs, size_env)
 
     # -- compile, simulate, verify --------------------------------------
     cache_before = replace(cache.stats) if cache is not None else None
     pipelines_before = simt_compile.compile_count()
     declines_before = LEDGER.total()
     evaluated, failures, events = evaluate_candidates(
-        survivors, inputs, size_env, reference, config, cache
+        survivors, inputs, size_env, oracle, config, cache
     )
     stats.evaluated = len(evaluated)
     stats.compilations = events["compiled"]
@@ -1121,6 +1187,5 @@ def explore_program(
     # The latest search owns the metrics snapshot's "explore" slot.
     obs.register_explore(stats, failures)
     return ExplorationResult(
-        candidates=evaluated, stats=stats, failures=failures,
-        reference=reference,
+        candidates=evaluated, stats=stats, failures=failures, oracle=oracle,
     )

@@ -43,8 +43,10 @@ def lower_to_work_groups(fun: Lambda, chunk: ArithExpr | int, dim: int = 0) -> L
 
 
 def _apply_strategy(fun: Lambda, strategy) -> Lambda:
-    body = clone_expr(fun.body, dict(zip(fun.params, fun.params)))
-    mapped = strategy.apply(body)
+    # Callers compile the result in place, and rewriting shares subtrees
+    # with its source: lower a private copy, so no annotation reaches
+    # ``fun`` or another lowering of it.
+    mapped = strategy.apply(clone_expr(fun.body))
     if mapped is None:
         raise ValueError("no high-level map found on the program spine")
     return Lambda(list(fun.params), lower_inner_sequential(mapped))

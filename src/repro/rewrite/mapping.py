@@ -285,7 +285,7 @@ def tile_2d(th: int, tw: int, stage: bool = True) -> Rule:
 
         # Type the matched subterm on a throwaway clone: tile counts and
         # the un-tiling permutation need the array lengths.
-        typed = clone_expr(FunCall(call.f, list(call.args)))
+        typed = clone_expr(call)
         try:
             infer_types(typed)
         except Exception:
@@ -317,8 +317,8 @@ def tile_2d(th: int, tw: int, stage: bool = True) -> Rule:
         if stage and (row_scal is None or col_scal is None):
             return None  # cooperative copies need scalar tile elements
 
-        row_tiles = FunCall(pat.Split(th_e), [clone_expr(rows)])
-        col_tiles = FunCall(pat.Split(tw_e), [clone_expr(cols)])
+        row_tiles = FunCall(pat.Split(th_e), [rows])
+        col_tiles = FunCall(pat.Split(tw_e), [cols])
 
         rt, ct, r, c = Param(), Param(), Param(), Param()
         elem2 = clone_expr(elem, {pr: r, pc: c})

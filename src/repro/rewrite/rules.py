@@ -1,8 +1,11 @@
 """Semantics-preserving rewrite rules on the Lift IR (prior work [18]).
 
 A rule is a partial function on ``FunCall`` nodes.  Applying a rule never
-mutates its input: the engine works on cloned graphs (annotations do not
-survive a rewrite; the compiler re-infers them).
+mutates its input and never copies it: the replacement re-wraps the
+matched function and arguments as they are, so it shares them with the
+source program (see :mod:`repro.ir.visit` — whoever annotates a program
+clones it first; annotations do not survive that, the compiler re-infers
+them).
 
 The rule set covers what the paper's evaluation relies on:
 
@@ -29,9 +32,9 @@ from typing import Callable, Optional
 from repro.arith import ArithExpr
 from repro.arith.expr import to_expr
 from repro.types import ScalarType
-from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Param, UserFun
+from repro.ir.nodes import Expr, FunCall, Lambda, Param, UserFun
 from repro.ir import patterns as pat
-from repro.ir.visit import clone_decl, clone_expr, unwrap
+from repro.ir.visit import unwrap
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,6 @@ class Rule:
         return f"Rule({self.name})"
 
 
-def _fresh_decl(f: FunDecl) -> FunDecl:
-    return clone_decl(f)
-
-
 # ---------------------------------------------------------------------------
 # lowering rules: map -> thread hierarchy
 # ---------------------------------------------------------------------------
@@ -60,7 +59,7 @@ def _lower_map(call: FunCall, target) -> Optional[Expr]:
     f = call.f
     if type(f) is not pat.Map:
         return None
-    return FunCall(target(_fresh_decl(f.f)), [clone_expr(call.args[0])])
+    return FunCall(target(f.f), [call.args[0]])
 
 
 def map_to_seq() -> Rule:
@@ -92,10 +91,7 @@ def reduce_to_seq() -> Rule:
     def apply(call: FunCall) -> Optional[Expr]:
         if type(call.f) is not pat.Reduce:
             return None
-        return FunCall(
-            pat.ReduceSeq(_fresh_decl(call.f.f)),
-            [clone_expr(call.args[0]), clone_expr(call.args[1])],
-        )
+        return FunCall(pat.ReduceSeq(call.f.f), call.args)
 
     return Rule("reduce -> reduceSeq", apply)
 
@@ -111,8 +107,8 @@ def split_join(k: ArithExpr | int) -> Rule:
     def apply(call: FunCall) -> Optional[Expr]:
         if type(call.f) is not pat.Map:
             return None
-        inner = pat.Map(_fresh_decl(call.f.f))
-        split_arg = FunCall(pat.Split(k), [clone_expr(call.args[0])])
+        inner = pat.Map(call.f.f)
+        split_arg = FunCall(pat.Split(k), [call.args[0]])
         mapped = FunCall(pat.Map(inner), [split_arg])
         return FunCall(pat.Join(), [mapped])
 
@@ -128,11 +124,9 @@ def map_fusion() -> Rule:
         arg = call.args[0]
         if not isinstance(arg, FunCall) or type(arg.f) is not pat.Map:
             return None
-        f = _fresh_decl(call.f.f)
-        g = _fresh_decl(arg.f.f)
         p = Param()
-        fused = Lambda([p], FunCall(f, [FunCall(g, [p])]))
-        return FunCall(pat.Map(fused), [clone_expr(arg.args[0])])
+        fused = Lambda([p], FunCall(call.f.f, [FunCall(arg.f.f, [p])]))
+        return FunCall(pat.Map(fused), [arg.args[0]])
 
     return Rule("map fusion", apply)
 
@@ -146,14 +140,11 @@ def map_reduce_fusion() -> Rule:
         arr = call.args[1]
         if not isinstance(arr, FunCall) or type(arr.f) not in (pat.Map, pat.MapSeq):
             return None
-        g = _fresh_decl(call.f.f)
-        f = _fresh_decl(arr.f.f)
         acc, x = Param(), Param()
-        fused = Lambda([acc, x], FunCall(g, [acc, FunCall(f, [x])]))
-        reduce_cls = type(call.f)
-        return FunCall(
-            reduce_cls(fused), [clone_expr(call.args[0]), clone_expr(arr.args[0])]
+        fused = Lambda(
+            [acc, x], FunCall(call.f.f, [acc, FunCall(arr.f.f, [x])])
         )
+        return FunCall(call.f.with_f(fused), [call.args[0], arr.args[0]])
 
     return Rule("map-reduce fusion", apply)
 
@@ -179,10 +170,8 @@ def to_local_insertion() -> Rule:
         from repro.ir.dsl import id_fun
 
         copy = pat.ToLocal(pat.MapLcl(id_fun(elem_t) if elem_t else id_fun()))
-        staged = FunCall(copy, [clone_expr(arg)])
-        return FunCall(
-            pat.MapLcl(_fresh_decl(call.f.f), call.f.dim), [staged]
-        )
+        staged = FunCall(copy, [arg])
+        return FunCall(call.f, [staged])
 
     return Rule("toLocal insertion", apply)
 
@@ -225,7 +214,7 @@ def vectorize_map(width: int) -> Rule:
         if not all(isinstance(t, ScalarType) for t in uf.in_types):
             return None
         vec_uf = uf.vectorized(width)
-        as_vec = FunCall(pat.AsVector(width), [clone_expr(call.args[0])])
+        as_vec = FunCall(pat.AsVector(width), [call.args[0]])
         mapped = FunCall(pat.Map(vec_uf), [as_vec])
         return FunCall(pat.AsScalar(), [mapped])
 
@@ -244,7 +233,7 @@ def join_split_cancel() -> Rule:
             return None
         arg = call.args[0]
         if isinstance(arg, FunCall) and isinstance(arg.f, pat.Split):
-            return clone_expr(arg.args[0])
+            return arg.args[0]
         return None
 
     return Rule("join o split = id", apply)
@@ -269,7 +258,7 @@ def split_join_cancel() -> Rule:
             and isinstance(inner.type.elem, ArrayType)
             and simplify(inner.type.elem.length) == simplify(call.f.n)
         ):
-            return clone_expr(inner)
+            return inner
         return None
 
     return Rule("split o join = id", apply)
@@ -283,7 +272,7 @@ def scalar_vector_cancel() -> Rule:
             return None
         arg = call.args[0]
         if isinstance(arg, FunCall) and isinstance(arg.f, pat.AsVector):
-            return clone_expr(arg.args[0])
+            return arg.args[0]
         return None
 
     return Rule("asScalar o asVector = id", apply)
@@ -297,7 +286,7 @@ def transpose_transpose_cancel() -> Rule:
             return None
         arg = call.args[0]
         if isinstance(arg, FunCall) and isinstance(arg.f, pat.Transpose):
-            return clone_expr(arg.args[0])
+            return arg.args[0]
         return None
 
     return Rule("transpose o transpose = id", apply)

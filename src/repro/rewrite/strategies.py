@@ -2,21 +2,24 @@
 
 Deliberately simple combinators (the paper's contribution is the code
 generator): rules are applied at explicit positions or everywhere,
-optionally to a fixed point, always on cloned graphs.  The search over
-them is :mod:`repro.rewrite.explore`.
+optionally to a fixed point.  Nothing here mutates or copies its input:
+a result is new only along the spine to each replacement and shares the
+rest with the source (the discipline of :mod:`repro.ir.visit`).  The
+search over them is :mod:`repro.rewrite.explore`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param
-from repro.ir.visit import body_of, clone_expr, rebuild_decl, transform_calls
+from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda
+from repro.ir.visit import nested_fun, transform_calls
 from repro.rewrite.rules import Rule
 
 
 def find_matches(rule: Rule, expr: Expr) -> List[FunCall]:
-    """All call nodes (in post-order) where ``rule`` applies."""
+    """The call nodes of ``expr`` (its own, in post-order) where ``rule``
+    applies."""
     matches: list[FunCall] = []
 
     def probe(call: FunCall) -> Optional[Expr]:
@@ -33,49 +36,34 @@ def one_step_rewrites(rule: Rule, expr: Expr) -> List[Expr]:
     in the post-order of :func:`find_matches`: variant ``p`` rewrites the
     ``p``-th matching node.
 
-    A *single* traversal: ``rule.apply`` runs once per call node, and
-    the variants share unmodified sibling subtrees (safe: rewriting never
-    mutates, and every downstream pass clones before annotating).  The
-    rewrite-space explorer's enumeration loop lives on this, and so do
-    the single-application entry points below.
+    A *single* traversal: ``rule.apply`` runs once per call node of
+    ``expr`` itself, and each variant is one new spine from the root to
+    its replacement — everything off that path is shared with ``expr``
+    and with the other variants.  The rewrite-space explorer's
+    enumeration loop lives on this, and so do the single-application
+    entry points below.
     """
 
-    def go_expr(e: Expr) -> tuple:
-        if isinstance(e, Literal):
-            return Literal(e.value, e.type), []  # type: ignore[arg-type]
-        if isinstance(e, Param):
-            return e, []
-        if isinstance(e, FunCall):
-            new_f, f_variants = go_decl(e.f)
-            arg_pairs = [go_expr(a) for a in e.args]
-            new_args = [p[0] for p in arg_pairs]
-            rebuilt = FunCall(new_f, new_args)
-            variants: list = []
-            for fv in f_variants:
-                variants.append(FunCall(fv, list(new_args)))
-            for i, (_, arg_variants) in enumerate(arg_pairs):
-                for av in arg_variants:
-                    spliced = list(new_args)
-                    spliced[i] = av
-                    variants.append(FunCall(new_f, spliced))
-            replacement = rule.apply(rebuilt)
-            if replacement is not None:
-                variants.append(replacement)
-            return rebuilt, variants
-        raise TypeError(f"cannot rewrite {e!r}")
+    def go_expr(e: Expr) -> list:
+        if not isinstance(e, FunCall):
+            return []
+        variants = [FunCall(fv, e.args) for fv in go_decl(e.f)]
+        for i, a in enumerate(e.args):
+            for av in go_expr(a):
+                spliced = e.args[:i] + (av,) + e.args[i + 1:]
+                variants.append(FunCall(e.f, spliced))
+        replacement = rule.apply(e)
+        if replacement is not None:
+            variants.append(replacement)
+        return variants
 
-    def go_decl(f: FunDecl) -> tuple:
-        body = body_of(f)
-        if body is None:
-            return f, []
-        new_body, variants = go_expr(body)
+    def go_decl(f: FunDecl) -> list:
+        if isinstance(f, Lambda):
+            return [Lambda(f.params, v) for v in go_expr(f.body)]
+        inner = nested_fun(f)
+        return [] if inner is None else [f.with_f(v) for v in go_decl(inner)]
 
-        def around(b: Expr) -> FunDecl:
-            return rebuild_decl(f, lambda lam: Lambda(list(lam.params), b))
-
-        return around(new_body), [around(v) for v in variants]
-
-    return go_expr(expr)[1]
+    return go_expr(expr)
 
 
 def apply_at(rule: Rule, expr: Expr, position: int = 0) -> Expr:
@@ -98,21 +86,21 @@ def apply_everywhere(rule: Rule, expr: Expr) -> Expr:
 
 
 def exhaustively(rules: Iterable[Rule], expr: Expr, max_passes: int = 32) -> Expr:
-    """Apply a rule set bottom-up until a fixed point (bounded)."""
+    """Apply a rule set bottom-up until a fixed point (bounded): a pass
+    that rewrites nothing returns its argument."""
     rules = list(rules)
-    current = clone_expr(expr)
+
+    def visit(call: FunCall) -> Optional[Expr]:
+        for rule in rules:
+            replacement = rule.apply(call)
+            if replacement is not None:
+                return replacement
+        return None
+
+    current = expr
     for _ in range(max_passes):
-        changed = [False]
-
-        def visit(call: FunCall) -> Optional[Expr]:
-            for rule in rules:
-                replacement = rule.apply(call)
-                if replacement is not None:
-                    changed[0] = True
-                    return replacement
-            return None
-
-        current = transform_calls(current, visit)
-        if not changed[0]:
+        nxt = transform_calls(current, visit)
+        if nxt is current:
             return current
+        current = nxt
     raise RuntimeError("rewriting did not reach a fixed point")

@@ -361,12 +361,11 @@ def test_declined_launches_are_counted_and_named(monkeypatch, fault_free):
     assert racy_entry["explorer_best_trace"] == entry["explorer_best_trace"]
 
 
-def test_menu_reuses_the_explorers_reference(monkeypatch):
-    """``explore_benchmark`` interprets the high-level program once: the
-    menu checks its candidates against the exploration's reference."""
+@pytest.fixture
+def interpretations(monkeypatch):
+    """The calls of ``ir.interp.apply_fun`` made through ``explore.py``,
+    the one module of the rewrite package that interprets."""
     from repro.rewrite import explore as explore_mod
-    from repro.rewrite.autotune import TuningError
-    from repro.benchsuite.explore import explore_benchmark
 
     calls = []
     real_apply_fun = explore_mod.apply_fun
@@ -375,11 +374,19 @@ def test_menu_reuses_the_explorers_reference(monkeypatch):
         calls.append(1)
         return real_apply_fun(*args, **kwargs)
 
-    # explore.py is the one module of the rewrite package that interprets.
     monkeypatch.setattr(explore_mod, "apply_fun", counting_apply_fun)
+    return calls
+
+
+def test_menu_reuses_the_explorers_reference(interpretations):
+    """``explore_benchmark`` interprets the high-level program once: the
+    menu checks its candidates against the exploration's reference."""
+    from repro.rewrite.autotune import TuningError
+    from repro.benchsuite.explore import explore_benchmark
+
     entry = explore_benchmark("nn", depth=1, max_eval=2)
     assert entry["menu_best_runtime"] > 0
-    assert len(calls) == 1
+    assert len(interpretations) == 1
 
     # ... and the menu's own check against it is still live.
     bench = get_benchmark("nn")
@@ -393,6 +400,68 @@ def test_menu_reuses_the_explorers_reference(monkeypatch):
         TuningError, match="candidate mapGlb computed a wrong result"
     ):
         autotune(high_level, inputs, size_env, reference=result.reference + 1)
+
+
+def test_oracle_is_interpreted_only_when_something_launches(
+    tmp_path, interpretations, fault_free
+):
+    """Cold: once for search and menu together.  Warm: every candidate
+    is served from the cycles level, nothing is verified, nothing is
+    interpreted."""
+    from repro.benchsuite.explore import explore_benchmark
+
+    cold = explore_benchmark(
+        "nn", depth=1, max_eval=2, cache=TuningCache(tmp_path)
+    )
+    assert cold["stats"]["executions"] == 2 and len(interpretations) == 1
+    warm = explore_benchmark(
+        "nn", depth=1, max_eval=2, cache=TuningCache(tmp_path)
+    )
+    assert warm["stats"]["executions"] == 0 and len(interpretations) == 1
+    assert warm["ranking"] == cold["ranking"]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_oracle_is_interpreted_once_under_any_workers(
+    workers, interpretations, fault_free
+):
+    """Workers reaching their first verify together share one
+    interpretation; ``result.reference`` is that array."""
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    result = explore_program(
+        bench.high_level(size_env), inputs, size_env,
+        config=ExploreConfig(depth=2, max_eval=8, workers=workers),
+    )
+    assert result.stats.executions == 8 and len(interpretations) == 1
+    assert result.reference is result.reference
+    assert result.reference.shape == (size_env["N"],)
+    assert len(interpretations) == 1
+
+
+def test_a_failing_oracle_fails_the_search(monkeypatch):
+    """The interpreter's exception is the search's own — not eight
+    candidates quarantined as ``infra``."""
+    from repro.rewrite import explore as explore_mod
+
+    def broken_apply_fun(*args, **kwargs):
+        raise ZeroDivisionError("oracle down")
+
+    monkeypatch.setattr(explore_mod, "apply_fun", broken_apply_fun)
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    with pytest.raises(ZeroDivisionError, match="oracle down"):
+        explore_program(
+            bench.high_level(size_env), inputs, size_env,
+            config=ExploreConfig(depth=1, max_eval=8),
+        )
+
+
+def test_autotune_without_a_reference_interprets_its_own(interpretations):
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    ranked = autotune(bench.high_level(size_env), inputs, size_env)
+    assert ranked and len(interpretations) == 1
 
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])

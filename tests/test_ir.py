@@ -330,12 +330,24 @@ class TestPatternProtocol:
         inner = body.f.f.body
         assert any(e is inner for e in post_order(body))
 
+        # A pass that replaces nothing hands its argument back ...
         seen = []
-        rebuilt = transform_calls(body, lambda call: seen.append(call.f))
+        assert transform_calls(body, lambda call: seen.append(call.f)) is body
         assert [type(f).__name__ for f in seen] == [
             "UserFun", "Map", "Window", "Split", "MapProbe",
         ]
-        assert type(rebuilt.f) is MapProbe and rebuilt.f is not body.f
+        # ... and one that replaces a single call allocates nodes only on
+        # the path to it: the root call, the probe and its lambda.
+        lowered = map_to_seq().apply(inner)
+        rebuilt = transform_calls(
+            body, lambda call: lowered if call is inner else None
+        )
+        assert rebuilt is not body and type(rebuilt.f) is MapProbe
+        assert rebuilt.f is not body.f and rebuilt.f.f is not body.f.f
+        assert rebuilt.f.f.body is lowered
+        assert rebuilt.f.f.params == body.f.f.params
+        assert rebuilt.args[0] is body.args[0]
+        assert lowered.args[0] is inner.args[0]
 
         (variant,) = one_step_rewrites(map_to_seq(), body)
         assert type(variant.f) is MapProbe
