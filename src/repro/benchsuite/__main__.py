@@ -118,6 +118,17 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
+    cache = None
+    if args.experiment in ("figure8", "all", "explore") and not args.no_cache:
+        from repro.cache import TuningCache
+
+        try:
+            cache = TuningCache(args.cache_dir)
+        except ValueError as exc:  # a malformed REPRO_CACHE_MAX_BYTES
+            print(f"{parser.prog} {args.experiment}: error: {exc}",
+                  file=sys.stderr)
+            return 2
+
     from repro import faultinject, obs
 
     if args.trace is not None:
@@ -148,7 +159,6 @@ def main(argv=None) -> int:
     if args.experiment in ("figure8", "all"):
         from repro.benchsuite.figure8 import format_figure8, run_figure8
 
-        cache = _tuning_cache(args)
         cells = run_figure8(
             args.benchmarks, sizes=tuple(args.sizes), cache=cache,
             engine=args.engine,
@@ -212,7 +222,7 @@ def main(argv=None) -> int:
             depth=args.depth,
             max_eval=args.max_eval,
             size=args.sizes[0],
-            cache=_tuning_cache(args),
+            cache=cache,
             device=args.device,
             engine=args.engine,
         )
@@ -234,16 +244,6 @@ def main(argv=None) -> int:
             print(f"[trace written to {path}]", file=sys.stderr)
 
     return status
-
-
-def _tuning_cache(args):
-    """The tuning cache figure8/explore run against; ``None`` under
-    ``--no-cache`` (nothing is read from or written to disk)."""
-    if args.no_cache:
-        return None
-    from repro.cache import TuningCache
-
-    return TuningCache(args.cache_dir)
 
 
 def _print_cache_recoveries(stats) -> None:

@@ -15,8 +15,7 @@ import numpy as np
 
 from repro.ir.nodes import Lambda
 from repro.ir.printer import program_lines
-from repro.compiler.codegen import compile_kernel
-from repro.compiler.kernel import execute_kernel
+from repro.cache import or_disabled
 from repro.compiler.options import CompilerOptions
 from repro.opencl import Buffer, Counters, OpenCLProgram, launch
 
@@ -94,51 +93,45 @@ class Benchmark:
         argument fingerprint + geometry + engine); warm reruns skip the
         simulation entirely.
         """
+        cache = or_disabled(cache)
         program = OpenCLProgram(self.reference_source)
         counters = Counters()
         scratch: dict[str, Any] = {}
         output: Optional[np.ndarray] = None
         for launch_spec in self.reference_launches:
             args = launch_spec.make_args(inputs, size_env, scratch)
-            run_key = None
-            if cache is not None:
-                from repro.cache import fingerprint_inputs
+            global_size = launch_spec.global_size(size_env)
 
-                source_key = cache.source_key(
-                    self.reference_source, launch_spec.kernel, size_env
-                )
-                run_key = cache.run_key(
-                    source_key,
-                    fingerprint_inputs(args),
-                    launch_spec.global_size(size_env),
+            def execute() -> tuple:
+                wrapped = {
+                    name: Buffer.from_array(v) if isinstance(v, np.ndarray) else v
+                    for name, v in args.items()
+                }
+                launch_counters = launch(
+                    program,
+                    global_size,
                     launch_spec.local_size,
-                    engine,
+                    wrapped,
+                    kernel_name=launch_spec.kernel,
+                    engine=engine,
                 )
-                hit = cache.get_run(run_key)
-                if hit is not None:
-                    output, launch_counters = hit
-                    counters = counters.merged_with(launch_counters)
-                    scratch[launch_spec.kernel] = output
-                    continue
-            wrapped = {
-                name: Buffer.from_array(v) if isinstance(v, np.ndarray) else v
-                for name, v in args.items()
-            }
-            launch_counters = launch(
-                program,
-                launch_spec.global_size(size_env),
-                launch_spec.local_size,
-                wrapped,
-                kernel_name=launch_spec.kernel,
-                engine=engine,
+                out_buffer = wrapped[launch_spec.out_arg]
+                assert isinstance(out_buffer, Buffer)
+                return out_buffer.data.copy(), launch_counters
+
+            source_key = cache.source_key(
+                self.reference_source, launch_spec.kernel, size_env
+            )
+            output, launch_counters = cache.fetch(
+                "run",
+                cache.run_key(
+                    source_key, cache.fingerprint(args), global_size,
+                    launch_spec.local_size, engine,
+                ),
+                execute,
             )
             counters = counters.merged_with(launch_counters)
-            out_buffer = wrapped[launch_spec.out_arg]
-            assert isinstance(out_buffer, Buffer)
-            output = out_buffer.data.copy()
             scratch[launch_spec.kernel] = output
-            if run_key is not None:
-                cache.put_run(run_key, output, launch_counters)
         assert output is not None
         return output, counters
 
@@ -159,6 +152,7 @@ class Benchmark:
         whole stage executions from run entries — a warm rerun performs
         zero compilations and zero simulations.
         """
+        cache = or_disabled(cache)
         counters = Counters()
         prev: Optional[np.ndarray] = None
         for stage in self.stages:
@@ -172,41 +166,11 @@ class Benchmark:
                 else:
                     stage_inputs[lam_param.name] = inputs[name]
 
-            kernel_key = run_key = None
-            compiled = None
-            if cache is not None:
-                from repro.cache import fingerprint_inputs
-
-                kernel_key = cache.kernel_key(fun, options, size_env)
-                run_key = cache.run_key(
-                    kernel_key,
-                    fingerprint_inputs(stage_inputs),
-                    stage.global_size(size_env),
-                    stage.local_size,
-                    engine,
-                )
-                hit = cache.get_run(run_key)
-                if hit is not None:
-                    prev, stage_counters = hit
-                    counters = counters.merged_with(stage_counters)
-                    continue
-                compiled = cache.get_kernel(kernel_key)
-            if compiled is None:
-                compiled = compile_kernel(fun, options)
-                if kernel_key is not None:
-                    cache.put_kernel(kernel_key, compiled)
-            result = execute_kernel(
-                compiled,
-                stage_inputs,
-                size_env,
-                stage.global_size(size_env),
-                local_size=stage.local_size,
-                engine=engine,
+            prev, stage_counters = cache.compile_and_run(
+                fun, options, stage_inputs, size_env,
+                stage.global_size(size_env), stage.local_size, engine,
             )
-            counters = counters.merged_with(result.counters)
-            prev = result.output
-            if run_key is not None:
-                cache.put_run(run_key, prev, result.counters)
+            counters = counters.merged_with(stage_counters)
         assert prev is not None
         return prev, counters
 

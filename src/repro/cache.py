@@ -3,42 +3,61 @@
 Exploring the rewrite space means compiling and simulating many
 candidate programs, most of which reappear unchanged on the next run
 (and across ``benchsuite`` invocations).  Following Loo.py's lead on
-caching transformed-kernel artifacts, this module keeps three kinds of
-entries on disk, all addressed by content, never by file name or
-timestamp:
+caching transformed-kernel artifacts, this module keeps three *levels*
+of entries on disk (the rows of ``_LEVELS``), all addressed by content,
+never by file name or timestamp:
 
-* **kernel entries** — the full :class:`~repro.compiler.codegen.CompiledKernel`
-  (generated OpenCL source plus launch metadata), keyed by the
-  *structural hash* of the IL program (:mod:`repro.ir.structural`, so
-  parameter renaming and cloning do not defeat the cache) combined with
-  the :class:`~repro.compiler.options.CompilerOptions` and the size
+* **kernel** (``<key>.kernel``) — the full
+  :class:`~repro.compiler.codegen.CompiledKernel` (generated OpenCL
+  source plus launch metadata), keyed by the *structural hash* of the IL
+  program (:mod:`repro.ir.structural`, so parameter renaming and cloning
+  do not defeat the cache) combined with the
+  :class:`~repro.compiler.options.CompilerOptions` and the size
   environment;
-* **cycle entries** — the measured simulated cycle count of one
-  execution, keyed by the kernel key plus a fingerprint of the concrete
-  input arrays, the launch geometry, the device profile and the
-  simulator engine;
-* **run entries** — the full outcome of one simulated execution (the
-  output buffer and the device-independent :class:`Counters`), keyed
-  like cycle entries minus the device.
+* **cycles** (``<key>.cycles.json``) — the measured simulated cycle
+  count of one execution, keyed by the kernel key plus a fingerprint of
+  the concrete input arrays, the launch geometry, the device profile and
+  the simulator engine;
+* **run** (``<key>.run``) — the full outcome of one simulated execution
+  (the output buffer and the device-independent :class:`Counters`),
+  keyed like cycle entries minus the device.
+
+Clients do not read and write entries, they *ask for results*:
+:meth:`TuningCache.fetch` is the one lookup → miss → compute → store
+(a ``compute`` that raises stores nothing), and
+:meth:`TuningCache.compile_and_run` is the one "compile and launch a
+program through the run and kernel levels" built on it.  ``cache=None``
+at a public entry point becomes :data:`DISABLED` (:func:`or_disabled`):
+every lookup misses, nothing is stored, no key or fingerprint is hashed
+— so callers carry no ``cache is not None`` guards.
+
+One entry path: every level goes through :meth:`TuningCache._get` and
+:meth:`TuningCache._put`; the six public ``get_*`` / ``put_*`` are
+wrappers naming the level.  An entry is the header line
+``repro-cache <version> <key> <sha256 of payload>`` over the level's
+raw payload.
 
 Crash- and concurrency-safety (see ``src/repro/RESILIENCE.md``):
 
-* Writes are atomic (temp file + ``os.replace``) and serialized across
-  *processes* with an advisory ``fcntl`` lock on ``<root>/.lock`` —
-  ``kill -9`` mid-write leaves at most a stale temp file (swept by the
-  eviction pass), never a partial entry, and two concurrent explorers
-  sharing one store cannot interleave evictions with writes.
-* Every entry carries a header with format version and a SHA-256
-  checksum of its payload.  A failing entry is *classified* — I/O
-  errors count separately from decode/checksum failures and from
-  version staleness — and corrupt/stale entries are moved to
-  ``<root>/quarantine/`` (visible in :class:`CacheStats`, never
-  silently unlinked) so a recurring corruption source can be diagnosed
-  post-mortem.  The worst failure mode is still just a recompile.
+* Writes are atomic (:func:`write_atomic`: temp file + ``os.replace``)
+  and serialized across *processes* with an advisory ``fcntl`` lock on
+  ``<root>/.lock`` — ``kill -9`` mid-write leaves at most a stale temp
+  file (swept by the eviction pass), never a partial entry, and two
+  concurrent explorers sharing one store cannot interleave evictions
+  with writes.
+* A failing entry is *classified*, each condition in one place — I/O
+  errors count separately from ``corrupt`` entries (bad magic or header
+  shape, checksum mismatch, undecodable or wrong-typed payload) and
+  from ``stale`` ones (another format version, or filed under another
+  key) — and corrupt/stale entries are moved to ``<root>/quarantine/``
+  (visible in :class:`CacheStats`, never silently unlinked) so a
+  recurring corruption source can be diagnosed post-mortem.  The worst
+  failure mode is still just a recompile.
 * The store is size-capped: when ``max_bytes`` (constructor argument or
   ``REPRO_CACHE_MAX_BYTES``) is exceeded after a write, least-recently-
   used entries are evicted — hits refresh an entry's mtime, so recency
-  is by *use*, not by creation.
+  is by *use*, not by creation.  Without a cap only a cache object's
+  first write scans the store (for crash-leftover temp files).
 * The ``cache-read``/``cache-write`` fault-injection sites
   (:mod:`repro.faultinject`) fire at the top of every get/put with
   bounded in-place retries; recoveries are counted in
@@ -52,14 +71,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import pickle
 import tempfile
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
@@ -69,7 +90,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro import faultinject, obs
-from repro.compiler.codegen import CompiledKernel
+from repro.compiler.codegen import CompiledKernel, compile_kernel
+from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
 from repro.faultinject import FaultInjected
 from repro.ir.nodes import FunDecl
@@ -86,13 +108,14 @@ from repro.opencl.interp import Counters
 #: bound lambda parameters: the new key of a program, typed or not, is
 #: the old key of the same program untyped, so an old entry can only be
 #: hit by the program that wrote it.
-CACHE_VERSION = 4
+#: v5: the key moved into the header; the body is the bare payload, no
+#: longer a ``{"version", "key", ...}`` dict.
+CACHE_VERSION = 5
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"
 
-#: Entry-header magic; the full header is
-#: ``b"repro-cache <version> <sha256-of-body>\n"`` followed by the body.
+#: Entry-header magic (the header line is in the module docstring).
 _MAGIC = b"repro-cache"
 
 #: Temp files older than this are crash leftovers; the eviction pass
@@ -127,18 +150,83 @@ def fingerprint_inputs(inputs: Mapping[str, Any]) -> str:
     return h.hexdigest()
 
 
-class CacheFormatError(Exception):
-    """An entry failed validation; ``reason`` classifies it.
+def write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so that a reader, or a ``kill -9``, sees
+    the old file or the new one, never a part of either: a temp file in
+    the same directory, then ``os.replace``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
-    ``"corrupt"`` — bad magic, truncated header, checksum mismatch or
-    undecodable payload; ``"stale"`` — a well-formed entry of another
-    format version or keyed under a different content hash.
-    """
+
+class CacheFormatError(Exception):
+    """An entry failed validation; ``reason`` classifies it as
+    ``"corrupt"`` or ``"stale"`` (see the module docstring)."""
 
     def __init__(self, reason: str, detail: str):
         super().__init__(f"{reason}: {detail}")
         self.reason = reason
         self.detail = detail
+
+
+def _load_kernel(payload: bytes) -> CompiledKernel:
+    kernel = pickle.loads(payload)
+    if not isinstance(kernel, CompiledKernel):
+        raise CacheFormatError("corrupt", "entry holds no kernel")
+    return kernel
+
+
+def _load_cycles(payload: bytes) -> float:
+    cycles = json.loads(payload)
+    if not isinstance(cycles, float):
+        raise CacheFormatError("corrupt", "entry holds no cycle count")
+    return cycles
+
+
+def _dump_run(run: tuple) -> bytes:
+    output, counters = run
+    return pickle.dumps((np.asarray(output), dict(vars(counters))))
+
+
+def _load_run(payload: bytes) -> tuple:
+    output, counters = pickle.loads(payload)
+    if not isinstance(output, np.ndarray):
+        raise CacheFormatError("corrupt", "entry holds no output array")
+    return output, Counters(**counters)
+
+
+#: The levels: name (as in ``fetch`` and the ``cache.get_<name>`` spans)
+#: -> file suffix, :class:`CacheStats` prefix, ``dumps``, validating
+#: ``loads``.  Everything else about an entry is level-independent.
+_LEVELS = {
+    "kernel": ("kernel", "kernel", pickle.dumps, _load_kernel),
+    "cycles": (
+        "cycles.json", "cycle",
+        lambda cycles: json.dumps(float(cycles)).encode(), _load_cycles,
+    ),
+    "run": ("run", "run", _dump_run, _load_run),
+}
+
+
+def _digest(*parts: str) -> str:
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+def _sizes(size_env: Mapping[str, int]) -> str:
+    return ";".join(f"{k}={int(v)}" for k, v in sorted(size_env.items()))
+
+
+def _geometry(size) -> str:
+    return repr(tuple(size) if hasattr(size, "__len__") else size)
 
 
 @dataclass
@@ -173,17 +261,12 @@ class CacheStats:
     #: Injected faults absorbed by in-place retries at the cache sites.
     faults_recovered: int = 0
 
-    def kernel_hit_rate(self) -> float:
-        total = self.kernel_hits + self.kernel_misses
-        return self.kernel_hits / total if total else 0.0
-
-    def cycle_hit_rate(self) -> float:
-        total = self.cycle_hits + self.cycle_misses
-        return self.cycle_hits / total if total else 0.0
-
-    def run_hit_rate(self) -> float:
-        total = self.run_hits + self.run_misses
-        return self.run_hits / total if total else 0.0
+    def hit_rate(self, level: str) -> float:
+        """Hits over lookups of one level (a ``_LEVELS`` name)."""
+        stat = _LEVELS[level][1]
+        hits = getattr(self, f"{stat}_hits")
+        total = hits + getattr(self, f"{stat}_misses")
+        return hits / total if total else 0.0
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -202,15 +285,25 @@ class TuningCache:
         max_bytes: Optional[int] = None,
     ):
         self.root = Path(root) if root is not None else default_cache_dir()
-        if max_bytes is None:
-            env = os.environ.get(_MAX_BYTES_ENV_VAR)
-            max_bytes = int(env) if env else 0
-        self.max_bytes = max_bytes
+        name, cap = "max_bytes", max_bytes
+        if cap is None:
+            name, cap = _MAX_BYTES_ENV_VAR, os.environ.get(_MAX_BYTES_ENV_VAR) or 0
+        try:
+            self.max_bytes = int(cap) if isinstance(cap, str) else operator.index(cap)
+            if self.max_bytes < 0:  # would evict every entry as it is written
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{name} must be a non-negative integer number of bytes, "
+                f"got {cap!r}"
+            ) from None
         self.stats = CacheStats()
         # The explorer's worker pool shares one cache: serialize file IO
         # and stats updates within the process; the fcntl lock in
         # _exclusive() serializes mutations across processes.
         self._lock = threading.Lock()
+        # Without a cap, only the first write sweeps the store.
+        self._swept = False
         # The newest cache owns the metrics snapshot's "cache" slot
         # (harnesses build exactly one per run).
         obs.register_cache_stats(self.stats)
@@ -232,16 +325,10 @@ class TuningCache:
         options: CompilerOptions,
         size_env: Mapping[str, int],
     ) -> str:
-        sizes = ";".join(f"{k}={int(v)}" for k, v in sorted(size_env.items()))
-        payload = "\n".join(
-            [
-                f"v{CACHE_VERSION}",
-                canonical(program),
-                self._options_token(options),
-                sizes,
-            ]
+        return _digest(
+            f"v{CACHE_VERSION}", canonical(program),
+            self._options_token(options), _sizes(size_env),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     @staticmethod
     def source_key(source: str, kernel_name: str, size_env: Mapping[str, int]) -> str:
@@ -250,9 +337,9 @@ class TuningCache:
         The reference kernels of the benchsuite have no IL program to
         hash structurally; their source text is the identity.
         """
-        sizes = ";".join(f"{k}={int(v)}" for k, v in sorted(size_env.items()))
-        payload = "\n".join([f"v{CACHE_VERSION}", "src", kernel_name, sizes, source])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return _digest(
+            f"v{CACHE_VERSION}", "src", kernel_name, _sizes(size_env), source
+        )
 
     def run_key(
         self,
@@ -262,17 +349,10 @@ class TuningCache:
         local_size,
         engine: Optional[str],
     ) -> str:
-        payload = "\n".join(
-            [
-                "run",
-                kernel_key,
-                inputs_fingerprint,
-                repr(tuple(global_size) if hasattr(global_size, "__len__") else global_size),
-                repr(tuple(local_size) if hasattr(local_size, "__len__") else local_size),
-                engine or "auto",
-            ]
+        return _digest(
+            "run", kernel_key, inputs_fingerprint, _geometry(global_size),
+            _geometry(local_size), engine or "auto",
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def cycles_key(
         self,
@@ -283,54 +363,54 @@ class TuningCache:
         device: str,
         engine: Optional[str],
     ) -> str:
-        payload = "\n".join(
-            [
-                kernel_key,
-                inputs_fingerprint,
-                repr(tuple(global_size) if hasattr(global_size, "__len__") else global_size),
-                repr(tuple(local_size) if hasattr(local_size, "__len__") else local_size),
-                device,
-                engine or "auto",
-            ]
+        return _digest(
+            kernel_key, inputs_fingerprint, _geometry(global_size),
+            _geometry(local_size), device, engine or "auto",
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def fingerprint(self, inputs: Mapping[str, Any]) -> str:
+        """:func:`fingerprint_inputs` (a disabled cache hashes nothing)."""
+        return fingerprint_inputs(inputs)
 
     # ------------------------------------------------------------------
-    # entry framing: versioned, checksummed header
+    # entry framing: one versioned, keyed, checksummed header line
     # ------------------------------------------------------------------
     @staticmethod
-    def _encode(body: bytes) -> bytes:
-        digest = hashlib.sha256(body).hexdigest()
-        header = f"{_MAGIC.decode()} {CACHE_VERSION} {digest}\n".encode()
-        return header + body
+    def _encode(key: str, payload: bytes) -> bytes:
+        digest = hashlib.sha256(payload).hexdigest()
+        return f"{_MAGIC.decode()} {CACHE_VERSION} {key} {digest}\n".encode() + payload
 
     @staticmethod
-    def _decode(raw: bytes) -> bytes:
-        """Validate the header and checksum; returns the body."""
+    def _decode(raw: bytes, key: str) -> bytes:
+        """Validate the header of the entry filed under ``key``; returns
+        the payload.  The version is compared before the header's shape,
+        so an entry of another format is stale, never corrupt."""
         newline = raw.find(b"\n")
         if newline < 0 or not raw.startswith(_MAGIC + b" "):
             raise CacheFormatError("corrupt", "missing entry header")
-        parts = raw[:newline].split(b" ")
-        if len(parts) != 3:
-            raise CacheFormatError("corrupt", "malformed entry header")
+        header = raw[:newline].split(b" ")
         try:
-            version = int(parts[1])
+            version = int(header[1])
         except ValueError:
             raise CacheFormatError("corrupt", "malformed version field") from None
         if version != CACHE_VERSION:
             raise CacheFormatError(
                 "stale", f"format v{version}, expected v{CACHE_VERSION}"
             )
-        body = raw[newline + 1:]
-        if hashlib.sha256(body).hexdigest().encode() != parts[2]:
+        if len(header) != 4:
+            raise CacheFormatError("corrupt", "malformed entry header")
+        if header[2] != key.encode():
+            raise CacheFormatError("stale", "entry filed under another key")
+        payload = raw[newline + 1:]
+        if hashlib.sha256(payload).hexdigest().encode() != header[3]:
             raise CacheFormatError("corrupt", "checksum mismatch")
-        return body
+        return payload
 
     # ------------------------------------------------------------------
     # low-level file handling
     # ------------------------------------------------------------------
-    def _path(self, key: str, kind: str) -> Path:
-        return self.root / f"{key}.{kind}"
+    def _path(self, key: str, suffix: str) -> Path:
+        return self.root / f"{key}.{suffix}"
 
     @contextmanager
     def _exclusive(self):
@@ -350,23 +430,6 @@ class TuningCache:
                 fcntl.flock(fd, fcntl.LOCK_UN)
             finally:
                 os.close(fd)
-
-    def _write_atomic(self, path: Path, body: bytes) -> None:
-        data = self._encode(body)
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self._exclusive():
-            fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self._evict_locked()
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a failing entry aside — never silently unlink it."""
@@ -398,44 +461,140 @@ class TuningCache:
             return []
         return sorted(p for p in qdir.iterdir() if p.is_file())
 
-    def _read_body(self, path: Path) -> Optional[bytes]:
-        """Read and validate one entry; ``None`` is a classified miss."""
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.stats.io_errors += 1
-            return None
-        try:
-            body = self._decode(raw)
-        except CacheFormatError as exc:
-            self._quarantine(path, exc.reason)
-            return None
-        try:
-            # A hit refreshes recency for the LRU eviction pass.
-            os.utime(path)
-        except OSError:
-            pass
-        return body
+    # ------------------------------------------------------------------
+    # the entry path: one read, one write, whatever the level
+    # ------------------------------------------------------------------
+    def _get(self, level: str, key: str):
+        """Read, validate and decode the ``level`` entry filed under
+        ``key``; ``None`` is a classified, counted miss."""
+        suffix, stat, _, loads = _LEVELS[level]
+        path = self._path(key, suffix)
+        with obs.span(f"cache.get_{level}"), self._lock:
+            raw = value = None
+            try:
+                self.stats.faults_recovered += faultinject.survive("cache-read")
+                raw = path.read_bytes()
+            except FileNotFoundError:
+                pass
+            except (FaultInjected, OSError):
+                self.stats.io_errors += 1
+            if raw is not None:
+                try:
+                    value = loads(self._decode(raw, key))
+                except CacheFormatError as exc:
+                    self._quarantine(path, exc.reason)
+                except Exception:
+                    # A checksummed payload that still fails to decode:
+                    # schema drift of the pickled classes, not bit rot.
+                    self._quarantine(path, "corrupt")
+            outcome = f"{stat}_misses" if value is None else f"{stat}_hits"
+            setattr(self.stats, outcome, getattr(self.stats, outcome) + 1)
+            if value is not None:
+                try:
+                    # A hit refreshes recency for the LRU eviction pass.
+                    os.utime(path)
+                except OSError:
+                    pass
+            return value
 
-    def _survive_read(self) -> bool:
-        """``cache-read`` fault site; ``False`` = give up (treat as miss)."""
-        try:
-            self.stats.faults_recovered += faultinject.survive("cache-read")
-            return True
-        except FaultInjected:
-            self.stats.io_errors += 1
-            return False
+    def _put(self, level: str, key: str, value) -> None:
+        """Frame ``value`` and write it atomically as the ``level`` entry
+        of ``key``; a write that cannot happen is counted and skipped."""
+        suffix, _, dumps, _ = _LEVELS[level]
+        with obs.span(f"cache.put_{level}"), self._lock:
+            try:
+                self.stats.faults_recovered += faultinject.survive("cache-write")
+            except FaultInjected:
+                self.stats.write_skips += 1
+                return
+            data = self._encode(key, dumps(value))
+            try:
+                with self._exclusive():
+                    write_atomic(self._path(key, suffix), data)
+                    if self.max_bytes or not self._swept:
+                        self._swept = True
+                        self._evict_locked()
+            except OSError:
+                self.stats.io_errors += 1
+                return
+            self.stats.puts += 1
 
-    def _survive_write(self) -> bool:
-        """``cache-write`` fault site; ``False`` = skip this write."""
-        try:
-            self.stats.faults_recovered += faultinject.survive("cache-write")
-            return True
-        except FaultInjected:
-            self.stats.write_skips += 1
-            return False
+    def get_kernel(self, key: str) -> Optional[CompiledKernel]:
+        return self._get("kernel", key)
+
+    def put_kernel(self, key: str, kernel: CompiledKernel) -> None:
+        self._put("kernel", key, kernel)
+
+    def get_cycles(self, key: str) -> Optional[float]:
+        return self._get("cycles", key)
+
+    def put_cycles(self, key: str, cycles: float) -> None:
+        self._put("cycles", key, cycles)
+
+    def get_run(self, key: str) -> Optional[tuple]:
+        """``(output array, Counters)`` of a cached execution, or ``None``."""
+        return self._get("run", key)
+
+    def put_run(self, key: str, output: np.ndarray, counters: Counters) -> None:
+        self._put("run", key, (output, counters))
+
+    # ------------------------------------------------------------------
+    # asking for results
+    # ------------------------------------------------------------------
+    def fetch(self, level: str, key: str, compute: Callable[[], Any]):
+        """The ``level`` entry of ``key``; on a miss, ``compute()`` it
+        and store it.  A ``compute`` that raises stores nothing."""
+        value = self._get(level, key)
+        if value is None:
+            value = compute()
+            self._put(level, key, value)
+        return value
+
+    def launch_keys(
+        self, program, options, size_env, inputs, global_size, local_size,
+        engine,
+    ) -> tuple:
+        """``(kernel key, run key)`` of one launch of ``program``."""
+        kernel_key = self.kernel_key(program, options, size_env)
+        return kernel_key, self.run_key(
+            kernel_key, self.fingerprint(inputs), global_size, local_size,
+            engine,
+        )
+
+    def compile_and_run(
+        self,
+        program: FunDecl,
+        options: CompilerOptions,
+        inputs: Mapping[str, Any],
+        size_env: Mapping[str, int],
+        global_size,
+        local_size,
+        engine: Optional[str] = None,
+        keys: Optional[tuple] = None,
+        launch: Callable[[Callable], Any] = lambda run: run(),
+    ) -> tuple:
+        """:func:`repro.compiler.kernel.compile_and_run` through the run
+        and kernel levels: ``(output, counters)`` from the run entry,
+        else by executing the kernel entry, else by compiling first.
+        ``keys`` spares rehashing when the caller has :meth:`launch_keys`
+        already; ``launch`` is handed the zero-argument execution and
+        returns its result (the service's watchdog goes here)."""
+        kernel_key, run_key = keys or self.launch_keys(
+            program, options, size_env, inputs, global_size, local_size,
+            engine,
+        )
+
+        def execute() -> tuple:
+            compiled = self.fetch(
+                "kernel", kernel_key, lambda: compile_kernel(program, options)
+            )
+            result = launch(lambda: execute_kernel(
+                compiled, inputs, size_env, global_size,
+                local_size=local_size, engine=engine,
+            ))
+            return result.output, result.counters
+
+        return self.fetch("run", run_key, execute)
 
     # ------------------------------------------------------------------
     # eviction
@@ -447,8 +606,6 @@ class TuningCache:
     def _evict_locked(self) -> None:
         """LRU eviction down to ``max_bytes``; also sweeps stale temp
         files left by killed writers.  Caller holds ``_exclusive``."""
-        import time
-
         now = time.time()
         entries = []
         total = 0
@@ -491,153 +648,6 @@ class TuningCache:
             obs.inc("cache.evictions", evicted)
 
     # ------------------------------------------------------------------
-    # kernel entries
-    # ------------------------------------------------------------------
-    def get_kernel(self, key: str) -> Optional[CompiledKernel]:
-        with obs.span("cache.get_kernel"), self._lock:
-            if not self._survive_read():
-                self.stats.kernel_misses += 1
-                return None
-            return self._get_kernel(key)
-
-    def _get_kernel(self, key: str) -> Optional[CompiledKernel]:
-        path = self._path(key, "kernel")
-        body = self._read_body(path)
-        if body is None:
-            self.stats.kernel_misses += 1
-            return None
-        try:
-            entry = pickle.loads(body)
-            if entry["version"] != CACHE_VERSION or entry["key"] != key:
-                raise CacheFormatError("stale", "entry version/key mismatch")
-            kernel = entry["kernel"]
-            if not isinstance(kernel, CompiledKernel):
-                raise CacheFormatError("corrupt", "entry holds no kernel")
-        except CacheFormatError as exc:
-            self._quarantine(path, exc.reason)
-            self.stats.kernel_misses += 1
-            return None
-        except Exception:
-            # Checksummed body that still fails to unpickle: a schema
-            # drift of the pickled classes, not bit rot.
-            self._quarantine(path, "corrupt")
-            self.stats.kernel_misses += 1
-            return None
-        self.stats.kernel_hits += 1
-        return kernel
-
-    def put_kernel(self, key: str, kernel: CompiledKernel) -> None:
-        entry = {"version": CACHE_VERSION, "key": key, "kernel": kernel}
-        with obs.span("cache.put_kernel"), self._lock:
-            if not self._survive_write():
-                return
-            try:
-                self._write_atomic(self._path(key, "kernel"), pickle.dumps(entry))
-            except OSError:
-                self.stats.io_errors += 1
-                return
-            self.stats.puts += 1
-
-    # ------------------------------------------------------------------
-    # cycle entries
-    # ------------------------------------------------------------------
-    def get_cycles(self, key: str) -> Optional[float]:
-        with obs.span("cache.get_cycles"), self._lock:
-            if not self._survive_read():
-                self.stats.cycle_misses += 1
-                return None
-            return self._get_cycles(key)
-
-    def _get_cycles(self, key: str) -> Optional[float]:
-        path = self._path(key, "cycles.json")
-        body = self._read_body(path)
-        if body is None:
-            self.stats.cycle_misses += 1
-            return None
-        try:
-            entry = json.loads(body)
-            if entry["version"] != CACHE_VERSION or entry["key"] != key:
-                raise CacheFormatError("stale", "entry version/key mismatch")
-            cycles = float(entry["cycles"])
-        except CacheFormatError as exc:
-            self._quarantine(path, exc.reason)
-            self.stats.cycle_misses += 1
-            return None
-        except Exception:
-            self._quarantine(path, "corrupt")
-            self.stats.cycle_misses += 1
-            return None
-        self.stats.cycle_hits += 1
-        return cycles
-
-    def put_cycles(self, key: str, cycles: float) -> None:
-        entry = {"version": CACHE_VERSION, "key": key, "cycles": float(cycles)}
-        with obs.span("cache.put_cycles"), self._lock:
-            if not self._survive_write():
-                return
-            try:
-                self._write_atomic(
-                    self._path(key, "cycles.json"), json.dumps(entry).encode("utf-8")
-                )
-            except OSError:
-                self.stats.io_errors += 1
-                return
-            self.stats.puts += 1
-
-    # ------------------------------------------------------------------
-    # run entries (output buffer + counters)
-    # ------------------------------------------------------------------
-    def get_run(self, key: str) -> Optional[tuple]:
-        """``(output array, Counters)`` of a cached execution, or ``None``."""
-        with obs.span("cache.get_run"), self._lock:
-            if not self._survive_read():
-                self.stats.run_misses += 1
-                return None
-            return self._get_run(key)
-
-    def _get_run(self, key: str) -> Optional[tuple]:
-        path = self._path(key, "run")
-        body = self._read_body(path)
-        if body is None:
-            self.stats.run_misses += 1
-            return None
-        try:
-            entry = pickle.loads(body)
-            if entry["version"] != CACHE_VERSION or entry["key"] != key:
-                raise CacheFormatError("stale", "entry version/key mismatch")
-            output = entry["output"]
-            if not isinstance(output, np.ndarray):
-                raise CacheFormatError("corrupt", "entry holds no output array")
-            counters = Counters(**entry["counters"])
-        except CacheFormatError as exc:
-            self._quarantine(path, exc.reason)
-            self.stats.run_misses += 1
-            return None
-        except Exception:
-            self._quarantine(path, "corrupt")
-            self.stats.run_misses += 1
-            return None
-        self.stats.run_hits += 1
-        return output, counters
-
-    def put_run(self, key: str, output: np.ndarray, counters: Counters) -> None:
-        entry = {
-            "version": CACHE_VERSION,
-            "key": key,
-            "output": np.asarray(output),
-            "counters": dict(vars(counters)),
-        }
-        with obs.span("cache.put_run"), self._lock:
-            if not self._survive_write():
-                return
-            try:
-                self._write_atomic(self._path(key, "run"), pickle.dumps(entry))
-            except OSError:
-                self.stats.io_errors += 1
-                return
-            self.stats.puts += 1
-
-    # ------------------------------------------------------------------
     def clear(self, include_quarantine: bool = True) -> int:
         """Delete every live entry (and, by default, the quarantine);
         returns the number of entry files removed."""
@@ -660,3 +670,33 @@ class TuningCache:
                 except OSError:
                     pass
         return removed
+
+
+class _DisabledCache(TuningCache):
+    """What ``cache=None`` means: every lookup misses, nothing is stored
+    or counted, and keys and fingerprints are not hashed (nothing would
+    be filed under them) — so ``fetch`` is a plain ``compute()``."""
+
+    def __init__(self):
+        self.stats = CacheStats()
+
+    def _no_key(self, *args, **kwargs) -> str:
+        return ""
+
+    kernel_key = source_key = run_key = cycles_key = fingerprint = _no_key
+
+    def _get(self, level: str, key: str):
+        return None
+
+    def _put(self, level: str, key: str, value) -> None:
+        pass
+
+
+#: The one disabled cache (it has no state to share).
+DISABLED = _DisabledCache()
+
+
+def or_disabled(cache: Optional[TuningCache]) -> TuningCache:
+    """``cache``, or :data:`DISABLED` for ``None`` — called once at each
+    public entry point that takes an optional cache."""
+    return DISABLED if cache is None else cache

@@ -50,8 +50,8 @@ def register_cache_stats(stats) -> None:
 
     def view() -> dict:
         doc = stats.as_dict()
-        doc["kernel_hit_rate"] = stats.kernel_hit_rate()
-        doc["run_hit_rate"] = stats.run_hit_rate()
+        doc["kernel_hit_rate"] = stats.hit_rate("kernel")
+        doc["run_hit_rate"] = stats.hit_rate("run")
         return doc
 
     metrics.register_provider("cache", view)

@@ -14,8 +14,9 @@ deadlines apply) lives with the callers — see
   (:func:`deterministic_jitter`), so N concurrent clients retrying the
   same failure desynchronize without losing replayability.
 * :class:`Deadline` — an absolute wall-clock budget that *propagates*:
-  every stage bounds its own timeout by :meth:`Deadline.clamp`, so a
-  request admitted near its deadline cannot run a full-length stage.
+  :func:`run_with_deadline` bounds every stage's timeout by
+  :meth:`Deadline.clamp`, so a request admitted near its deadline
+  cannot run a full-length stage.
 * :class:`CancellationToken` — cooperative cancellation, checked at
   stage boundaries; supports parent/child chaining so a per-attempt
   deadline can cancel one attempt without aborting the whole search.
@@ -143,7 +144,8 @@ class Deadline:
     """An absolute wall-clock budget (``time.monotonic`` timestamp).
 
     The point is *propagation*: a deadline is set once at the request
-    boundary and every downstream stage bounds its own timeout by
+    boundary and every downstream stage runs under
+    :func:`run_with_deadline`, which bounds the stage's timeout by
     :meth:`clamp`, so the remaining budget — not each stage's full
     configured timeout — limits the work.  A request admitted 50ms
     before its deadline gets a 50ms candidate watchdog, not a
@@ -202,8 +204,9 @@ class CancellationToken:
 
 def run_with_deadline(
     fn: Callable[[], "object"],
-    timeout: float,
+    timeout: Optional[float],
     token: Optional[CancellationToken] = None,
+    deadline: Optional[Deadline] = None,
 ):
     """Run ``fn`` with a wall-clock deadline.
 
@@ -213,7 +216,17 @@ def run_with_deadline(
     :class:`DeadlineExceeded` is raised.  A late finisher's result (or
     exception) is discarded.  On time, the result is returned and any
     exception re-raised in the caller.
+
+    ``deadline``, the request's budget, propagates here: the stage gets
+    what is left of it, capped by ``timeout``, and nothing starts once
+    it is spent.  With neither, ``fn`` is called directly.
     """
+    if deadline is not None:
+        if deadline.expired:
+            raise DeadlineExceeded("request deadline exhausted")
+        timeout = deadline.clamp(timeout)
+    if timeout is None:
+        return fn()
     box: dict = {}
 
     def runner() -> None:

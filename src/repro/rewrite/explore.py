@@ -65,12 +65,13 @@ their per-thread work shrinks faster than their overheads grow.
 
 Cache key
 ---------
-With a :class:`repro.cache.TuningCache`, compilation is keyed by
-``(structural hash of the program, CompilerOptions, size env)`` and
-measured cycles additionally by ``(input fingerprint, launch geometry,
-device, engine)``.  A warm cache therefore performs zero recompilations
-and zero re-executions for unchanged programs; the explorer reports both
-hit-rates in its stats.
+The evaluator asks the cache (:meth:`repro.cache.TuningCache.fetch`)
+for each candidate's kernel, keyed by ``(structural hash of the program,
+CompilerOptions, size env)``, then for its cycles, keyed additionally by
+``(input fingerprint, launch geometry, device, engine)``; compiling and
+simulate + verify are what run on a miss.  A warm cache therefore
+performs zero recompilations and zero re-executions for unchanged
+programs; the explorer reports both hit-rates in its stats.
 
 Fault tolerance
 ---------------
@@ -82,8 +83,9 @@ dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
   into a structured :class:`~repro.resilience.FailureReport` on
   :class:`ExplorationResult` — the rest of the search completes;
 * transient failures (injected faults, :class:`~repro.resilience.TransientError`,
-  ``OSError``) are retried with exponential backoff
-  (``ExploreConfig.retries`` / ``retry_backoff``);
+  ``OSError``) are retried with exponential backoff — one
+  :class:`~repro.resilience.RetryPolicy` built from
+  ``ExploreConfig.retries`` / ``retry_backoff`` / ``retry_jitter``;
 * ``ExploreConfig.candidate_timeout`` puts a wall-clock watchdog on
   each candidate attempt — a hung candidate becomes a ``timeout``
   report, not a hung search;
@@ -121,8 +123,8 @@ from repro.ir.visit import (
     transform_calls,
     unwrap,
 )
-from repro.cache import fingerprint_inputs
-from repro.compiler.codegen import CodeGenError, compile_kernel
+from repro.cache import or_disabled
+from repro.compiler.codegen import CodeGenError, CompiledKernel, compile_kernel
 from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
 from repro.opencl.cost import (
@@ -156,7 +158,7 @@ from repro.resilience import (
     Deadline,
     DeadlineExceeded,
     FailureReport,
-    deterministic_jitter,
+    RetryPolicy,
     run_with_deadline,
 )
 
@@ -872,28 +874,31 @@ def evaluate_candidates(
     quarantined candidate, and the ``compiled`` / ``executed`` /
     ``retries`` event totals."""
     profile = DEVICES[config.device]
-    inputs_fp = fingerprint_inputs(inputs) if cache is not None else ""
+    cache = or_disabled(cache)
+    inputs_fp = cache.fingerprint(inputs)
     search_token = config.cancellation
+    policy = RetryPolicy(
+        attempts=config.retries + 1, base_delay=config.retry_backoff,
+        max_delay=1.0, jitter=config.retry_jitter,
+    )
 
     def _evaluate_once(
         cand: ExploredCandidate, events: dict, token: CancellationToken
     ) -> ExploredCandidate:
-        """One evaluation attempt: compile → simulate → verify.
+        """One evaluation attempt: ask the cache for the kernel, then
+        for its cycles; compile / simulate + verify are what it runs on
+        a miss, between the lookup and the store.
 
         Raises :class:`_StageFailure` for deterministic stage failures,
         :class:`~repro.resilience.Cancelled` at a checkpoint after the
         token was cancelled, and lets transient errors (injected faults,
-        ``OSError``...) propagate to the retry loop in ``evaluate``.
+        ``OSError``...) propagate to the retry policy in ``evaluate``.
         """
         token.raise_if_cancelled()
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
         options = CompilerOptions(local_size=cand.local_size)
-        kernel = None
-        key = None
-        if cache is not None:
-            key = cache.kernel_key(cand.program, options, size_env)
-            kernel = cache.get_kernel(key)
-        if kernel is None:
+
+        def compile_candidate() -> CompiledKernel:
             try:
                 with obs.span(
                     "explore.compile", candidate=cand.label,
@@ -907,19 +912,13 @@ def evaluate_candidates(
             except (CodeGenError, pat.LiftTypeError, ValueError) as exc:
                 raise _StageFailure("compile", str(exc)) from exc
             events["compiled"] += 1
-            if cache is not None:
-                cache.put_kernel(key, kernel)
+            return kernel
 
+        key = cache.kernel_key(cand.program, options, size_env)
+        kernel = cache.fetch("kernel", key, compile_candidate)
         token.raise_if_cancelled()
-        cycles = None
-        ck = None
-        if cache is not None:
-            ck = cache.cycles_key(
-                key, inputs_fp, cand.global_size, cand.local_size,
-                config.device, config.engine,
-            )
-            cycles = cache.get_cycles(ck)
-        if cycles is None:
+
+        def measure_cycles() -> float:
             kernel_inputs = {
                 p.name: inputs[p.name] for p in cand.program.params
             }
@@ -951,26 +950,57 @@ def evaluate_candidates(
                 ok = np.array_equal(out, expected)
             if not ok:
                 raise _StageFailure("verify", "result differs from reference")
-            cycles = estimate_cycles(run.counters, profile)
-            if cache is not None:
-                cache.put_cycles(ck, cycles)
-        cand.cycles = cycles
+            return estimate_cycles(run.counters, profile)
+
         # Total work is what the cache stores (it is engine- and
         # geometry-keyed); the parallelism division is pure arithmetic.
+        cand.cycles = cache.fetch(
+            "cycles",
+            cache.cycles_key(
+                key, inputs_fp, cand.global_size, cand.local_size,
+                config.device, config.engine,
+            ),
+            measure_cycles,
+        )
         cand.runtime = runtime_from_cycles(
-            cycles, profile, cand.global_size, cand.local_size
+            cand.cycles, profile, cand.global_size, cand.local_size
         )
         cand.kernel_source = kernel.source
         return cand
 
     def evaluate(cand: ExploredCandidate):
-        """Fault-tolerant wrapper: watchdog deadline per attempt plus
-        bounded retries with exponential backoff for transient errors.
+        """Fault-tolerant wrapper: a watchdog per attempt, bounded by
+        what is left of the request's deadline, and ``policy``'s retries
+        with backoff for transient errors.
         Returns ``(candidate | None, events, FailureReport | None)``."""
         events = {"compiled": 0, "executed": 0, "retries": 0}
         start = time.monotonic()
+        attempts = 0
 
-        def fail(kind: str, message: str, attempts: int):
+        def attempt() -> ExploredCandidate:
+            nonlocal attempts
+            attempts += 1
+            # A child token per attempt: the watchdog cancels the
+            # attempt's stray worker without aborting the whole search.
+            token = (
+                search_token.child() if search_token is not None
+                else CancellationToken()
+            )
+            return run_with_deadline(
+                lambda: _evaluate_once(cand, events, token),
+                config.candidate_timeout, token=token,
+                deadline=config.deadline,
+            )
+
+        def on_retry(attempt_no: int, exc: BaseException) -> None:
+            events["retries"] += 1
+            obs.instant(
+                "explore.retry", candidate=cand.label, attempt=attempt_no,
+                error=type(exc).__name__,
+            )
+            obs.inc("explore.retries")
+
+        def fail(kind: str, message: str):
             report = FailureReport(
                 label=cand.label, trace=cand.trace, kind=kind,
                 message=message, attempts=attempts,
@@ -978,71 +1008,22 @@ def evaluate_candidates(
             )
             return None, dict(events), report
 
-        delay = config.retry_backoff
-        attempt = 0
-        while True:
-            attempt += 1
-            # A child token per attempt: the watchdog cancels the
-            # attempt's stray worker without aborting the whole search.
-            attempt_token = (
-                search_token.child() if search_token is not None
-                else CancellationToken()
-            )
-            # The stage budget is the *remaining* request deadline
-            # clamped by the per-candidate watchdog, never the full
-            # candidate_timeout (deadline propagation).
-            timeout = config.candidate_timeout
-            if config.deadline is not None:
-                if config.deadline.expired:
-                    return fail(
-                        "timeout", "request deadline exhausted", attempt
-                    )
-                timeout = config.deadline.clamp(config.candidate_timeout)
-            try:
-                if search_token is not None:
-                    search_token.raise_if_cancelled()
-                if timeout is not None:
-                    result = run_with_deadline(
-                        lambda: _evaluate_once(cand, events, attempt_token),
-                        timeout,
-                        token=attempt_token,
-                    )
-                else:
-                    result = _evaluate_once(cand, events, attempt_token)
-                result.eval_seconds = time.monotonic() - start
-                return result, dict(events), None
-            except _OracleFailure as exc:
-                raise exc.__cause__
-            except _StageFailure as exc:
-                return fail(exc.kind, exc.message, attempt)
-            except Cancelled:
-                return fail("cancelled", "exploration cancelled", attempt)
-            except DeadlineExceeded as exc:
-                return fail("timeout", str(exc), attempt)
-            except TRANSIENT_ERRORS as exc:
-                if attempt > config.retries:
-                    return fail(
-                        "infra", f"{type(exc).__name__}: {exc}", attempt
-                    )
-                events["retries"] += 1
-                obs.instant(
-                    "explore.retry", candidate=cand.label, attempt=attempt,
-                    error=type(exc).__name__,
-                )
-                obs.inc("explore.retries")
-                time.sleep(
-                    delay
-                    * deterministic_jitter(
-                        cand.label, attempt, config.retry_jitter
-                    )
-                )
-                delay = min(delay * 2, 1.0)
-            except Exception as exc:  # unexpected: infra, not retried
-                return fail(
-                    "infra",
-                    f"unexpected {type(exc).__name__}: {exc}",
-                    attempt,
-                )
+        try:
+            result = policy.call(attempt, on_retry=on_retry, key=cand.label)
+        except _OracleFailure as exc:
+            raise exc.__cause__
+        except _StageFailure as exc:
+            return fail(exc.kind, exc.message)
+        except Cancelled:
+            return fail("cancelled", "exploration cancelled")
+        except DeadlineExceeded as exc:
+            return fail("timeout", str(exc))
+        except TRANSIENT_ERRORS as exc:  # survived every retry
+            return fail("infra", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # unexpected: infra, not retried
+            return fail("infra", f"unexpected {type(exc).__name__}: {exc}")
+        result.eval_seconds = time.monotonic() - start
+        return result, dict(events), None
 
     ranked: list = []
     failures: list = []
@@ -1142,7 +1123,8 @@ def explore_program(
     oracle = Oracle(high_level, inputs, size_env)
 
     # -- compile, simulate, verify --------------------------------------
-    cache_before = replace(cache.stats) if cache is not None else None
+    cache = or_disabled(cache)
+    cache_before = replace(cache.stats)
     pipelines_before = simt_compile.compile_count()
     declines_before = LEDGER.total()
     evaluated, failures, events = evaluate_candidates(
@@ -1159,14 +1141,11 @@ def explore_program(
         setattr(stats, counter, getattr(stats, counter) + 1)
         if report.kind == "cancelled":
             stats.aborted = True
-    if cache_before is not None:
-        after = cache.stats
-        stats.kernel_cache_hits = after.kernel_hits - cache_before.kernel_hits
-        stats.kernel_cache_misses = (
-            after.kernel_misses - cache_before.kernel_misses
-        )
-        stats.cycle_cache_hits = after.cycle_hits - cache_before.cycle_hits
-        stats.cycle_cache_misses = after.cycle_misses - cache_before.cycle_misses
+    after = cache.stats
+    stats.kernel_cache_hits = after.kernel_hits - cache_before.kernel_hits
+    stats.kernel_cache_misses = after.kernel_misses - cache_before.kernel_misses
+    stats.cycle_cache_hits = after.cycle_hits - cache_before.cycle_hits
+    stats.cycle_cache_misses = after.cycle_misses - cache_before.cycle_misses
 
     # Out-of-band calibration records, in static-rank order: prediction
     # (static cost) next to measurement (counter-model runtime) — what

@@ -34,9 +34,9 @@ contract, not an afterthought:
 
 Every result the service returns is **bitwise-identical** to the same
 request executed by the one-shot CLI path: the workers call the exact
-same ``compile_kernel``/``execute_kernel``/``explore_program``
-functions, and every robustness mechanism (retries, breakers, journal
-replay) only re-orders or re-serves work, never changes it.  The
+same :meth:`~repro.cache.TuningCache.compile_and_run` and
+``explore_program``, and every robustness mechanism (retries, breakers,
+journal replay) only re-orders or re-serves work, never changes it.  The
 ``hammer`` soak harness (:mod:`repro.benchsuite.hammer`) asserts this
 under concurrency and injected faults.
 
@@ -56,9 +56,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import faultinject, obs
 from repro.obs import metrics as obs_metrics
-from repro.cache import TuningCache, fingerprint_inputs
-from repro.compiler.codegen import compile_kernel
-from repro.compiler.kernel import execute_kernel
+from repro.cache import TuningCache, fingerprint_inputs, or_disabled
 from repro.compiler.options import CompilerOptions
 from repro.faultinject import FaultInjected
 from repro.ir.nodes import Lambda
@@ -170,7 +168,7 @@ class TuningService:
         config: Optional[ServiceConfig] = None,
     ):
         self.config = config or ServiceConfig()
-        self.cache = cache
+        self.cache = or_disabled(cache)
         self.stats = ServiceStats()
         self._queue = AdmissionQueue(self.config.max_queue)
         self._journal = (
@@ -276,13 +274,11 @@ class TuningService:
         )
         if local_size is None:
             local_size = options.local_size
-        kernel_key = run_key = None
-        if self.cache is not None:
-            kernel_key = self.cache.kernel_key(program, options, size_env)
-            run_key = self.cache.run_key(
-                kernel_key, fingerprint_inputs(inputs), global_size,
-                local_size, engine,
-            )
+        keys = self.cache.launch_keys(
+            program, options, size_env, inputs, global_size, local_size,
+            engine,
+        )
+        run_key = keys[1]
         # The identity must match the cache's run key: program, options
         # (different optimization levels execute different kernels with
         # different counters), inputs, geometry, engine.
@@ -294,24 +290,22 @@ class TuningService:
         )
 
         def work(request: ServiceRequest):
-            return self._execute_run(
-                request, program, inputs, size_env, global_size, local_size,
-                options, engine, kernel_key, run_key,
+            # The one-shot path's function, its launch under the request's
+            # watchdog.  The primary may find the result freshly cached (a
+            # journal replay of work that finished just before the kill).
+            return self.cache.compile_and_run(
+                program, options, inputs, size_env, global_size, local_size,
+                engine, keys=keys,
+                launch=lambda run: run_with_deadline(
+                    run, None, token=request.token.child(),
+                    deadline=request.deadline,
+                ),
             )
-
-        def warm_probe():
-            if self.cache is None or run_key is None:
-                return None
-            hit = self.cache.get_run(run_key)
-            if hit is None:
-                return None
-            output, counters = hit
-            return output.copy(), counters
 
         return self._submit(
             "run", key, work, spec=spec, timeout=timeout,
             structural_hash=self._structural_hash(program),
-            warm_probe=warm_probe,
+            warm_probe=lambda: self.cache.get_run(run_key),
             recover_entry=_recover_entry,
         )
 
@@ -627,58 +621,6 @@ class TuningService:
                 self.stats.bump("completed")
                 obs.inc("service.completed")
                 self._finish(request, value=value)
-
-    def _execute_run(
-        self,
-        request: ServiceRequest,
-        program: Lambda,
-        inputs: Mapping[str, Any],
-        size_env: Mapping[str, int],
-        global_size,
-        local_size,
-        options: CompilerOptions,
-        engine: Optional[str],
-        kernel_key: Optional[str],
-        run_key: Optional[str],
-    ):
-        """The run-request work: identical calls to the one-shot path
-        (``compile_kernel`` + ``execute_kernel``), plus cache serving."""
-        if self.cache is not None and run_key is not None:
-            # The single-flight primary may find the result freshly
-            # cached (e.g. a journal replay of work that finished just
-            # before the kill); serving it is the idempotent path.
-            hit = self.cache.get_run(run_key)
-            if hit is not None:
-                output, counters = hit
-                return output.copy(), counters
-        compiled = None
-        if self.cache is not None and kernel_key is not None:
-            compiled = self.cache.get_kernel(kernel_key)
-        if compiled is None:
-            compiled = compile_kernel(program, options)
-            if self.cache is not None and kernel_key is not None:
-                self.cache.put_kernel(kernel_key, compiled)
-
-        def launch_once():
-            return execute_kernel(
-                compiled, inputs, size_env, global_size,
-                local_size=local_size, engine=engine,
-            )
-
-        budget = (
-            request.deadline.clamp(None)
-            if request.deadline is not None
-            else None
-        )
-        if budget is not None:
-            result = run_with_deadline(
-                launch_once, budget, token=request.token.child()
-            )
-        else:
-            result = launch_once()
-        if self.cache is not None and run_key is not None:
-            self.cache.put_run(run_key, result.output, result.counters)
-        return result.output, result.counters
 
     # ------------------------------------------------------------------
     # recovery

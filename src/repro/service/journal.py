@@ -2,9 +2,9 @@
 
 Before a service worker starts an exploration or a kernel run, the
 request is journaled — one JSON file per in-flight request, written
-atomically (temp file + ``os.replace``), carrying the request id, its
-kind, the *structural hash* of the program and a JSON ``spec`` that a
-resolver can rebuild the request from.  The entry is removed
+atomically (:func:`repro.cache.write_atomic`), carrying the request id,
+its kind, the *structural hash* of the program and a JSON ``spec`` that
+a resolver can rebuild the request from.  The entry is removed
 (*committed*) only when the request completes — success, deterministic
 failure, or cancellation all count as completion; only a dead process
 does not.  A ``SIGKILL`` mid-exploration therefore leaves exactly the
@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
 from repro import faultinject, obs
+from repro.cache import write_atomic
 from repro.faultinject import FaultInjected
 
 __all__ = ["JournalEntry", "RecoveryJournal", "JOURNAL_VERSION"]
@@ -118,18 +118,9 @@ class RecoveryJournal:
                 obs.inc("service.journal.skipped")
                 return False
             try:
-                self.root.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp-")
-                try:
-                    with os.fdopen(fd, "w") as fh:
-                        json.dump(doc, fh)
-                    os.replace(tmp, self._path(entry.request_id))
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                write_atomic(
+                    self._path(entry.request_id), json.dumps(doc).encode()
+                )
             except OSError:
                 with self._lock:
                     self.skipped_writes += 1

@@ -144,6 +144,39 @@ def test_explore_no_cache_leaves_the_cache_dir_empty(
     assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
 
 
+@pytest.mark.parametrize("name", ["nn", "atax"])
+def test_runs_without_a_cache_hash_nothing(name, monkeypatch):
+    """``cache=None`` (what figure8 ``--no-cache`` and the e2e harness
+    pass) must not pay for keys nobody files anything under."""
+    import repro.cache as cache_mod
+
+    def hashed(*args, **kwargs):
+        raise AssertionError("a key was hashed without a cache")
+
+    monkeypatch.setattr(cache_mod, "canonical", hashed)
+    monkeypatch.setattr(cache_mod, "fingerprint_inputs", hashed)
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    expected = bench.oracle(inputs, size_env)
+    for run in (bench.run_reference, bench.run_generated):
+        out, _ = run(inputs, size_env, cache=None)
+        np.testing.assert_allclose(out, expected, rtol=bench.rtol, atol=1e-7)
+
+
+def test_explore_cli_reports_a_malformed_cache_cap(monkeypatch, capsys):
+    """``REPRO_CACHE_MAX_BYTES=10MB`` used to end ``benchsuite explore``
+    in an ``int()`` traceback from the cache's constructor."""
+    from repro.benchsuite.__main__ import main
+
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "10MB")
+    assert main(["explore", "--benchmarks", "nn"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, = captured.err.splitlines()
+    assert "explore: error: REPRO_CACHE_MAX_BYTES" in message
+    assert "'10MB'" in message
+
+
 @pytest.mark.parametrize("command", ["explore", "calibrate"])
 @pytest.mark.parametrize(
     "flags, needle",

@@ -18,11 +18,13 @@ from repro.arith import Var
 from repro.types import ArrayType, FLOAT
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.ir.dsl import map_
+import repro.cache as cache_mod
 from repro.cache import (
     CACHE_VERSION,
     QUARANTINE_DIR,
     TuningCache,
     fingerprint_inputs,
+    or_disabled,
 )
 from repro.compiler.codegen import compile_kernel
 from repro.compiler.options import CompilerOptions
@@ -40,6 +42,147 @@ def _program(param_name="x"):
 
 def _compiled():
     return compile_kernel(lower_to_global(_program()), CompilerOptions())
+
+
+def _frame(key, payload, version=CACHE_VERSION):
+    """An entry file, written out by hand: one header line, raw payload."""
+    digest = hashlib.sha256(payload).hexdigest()
+    return f"repro-cache {version} {key} {digest}\n".encode() + payload
+
+
+#: level -> (file suffix, CacheStats prefix, a value, a checksummed
+#: payload that decodes to something of the wrong type).
+LEVELS = {
+    "kernel": ("kernel", "kernel", _compiled,
+               pickle.dumps({"kernel": "not one"})),
+    "cycles": ("cycles.json", "cycle", lambda: 123.0, b'{"cycles": 123.0}'),
+    "run": ("run", "run", lambda: (np.arange(8.0), Counters(flops=3)),
+            pickle.dumps(([0.0, 1.0], {}))),
+}
+
+
+def _put(cache, level, key, value):
+    if level == "run":
+        cache.put_run(key, *value)
+    else:
+        getattr(cache, f"put_{level}")(key, value)
+
+
+def _get(cache, level, key):
+    return getattr(cache, f"get_{level}")(key)
+
+
+def _assert_same(level, got, value):
+    if level == "kernel":
+        assert got.source == value.source
+    elif level == "run":
+        np.testing.assert_array_equal(got[0], value[0])
+        assert got[1] == value[1]
+    else:
+        assert got == value
+
+
+@pytest.mark.parametrize("level", LEVELS)
+class TestEveryLevel:
+    """The one entry path, through each level's public wrappers."""
+
+    KEY = "ab" * 32
+
+    def test_round_trip(self, tmp_path, level):
+        suffix, stat, make, _ = LEVELS[level]
+        cache = TuningCache(tmp_path)
+        assert _get(cache, level, self.KEY) is None
+        value = make()
+        _put(cache, level, self.KEY, value)
+        (entry,) = [p for p in tmp_path.iterdir() if p.name != ".lock"]
+        assert entry.name == f"{self.KEY}.{suffix}"
+        assert entry.read_bytes().startswith(
+            f"repro-cache {CACHE_VERSION} {self.KEY} ".encode()
+        )
+        _assert_same(level, _get(cache, level, self.KEY), value)
+        stats = cache.stats.as_dict()
+        assert stats[f"{stat}_hits"] == stats[f"{stat}_misses"] == 1
+        assert stats["puts"] == 1 and stats["quarantined"] == 0
+
+    def test_entry_copied_under_another_key_is_stale(self, tmp_path, level):
+        suffix = LEVELS[level][0]
+        cache = TuningCache(tmp_path)
+        _put(cache, level, self.KEY, LEVELS[level][2]())
+        other = "cd" * 32
+        cache._path(other, suffix).write_bytes(
+            cache._path(self.KEY, suffix).read_bytes()
+        )
+        assert _get(cache, level, other) is None
+        assert cache.stats.stale_entries == 1
+        assert cache.stats.corrupt_entries == 0
+        (qfile,) = cache.quarantined_entries()
+        assert qfile.name == f"{other}.{suffix}.stale"
+        assert _get(cache, level, self.KEY) is not None  # the original stays
+
+    def test_wrong_typed_payload_is_corrupt(self, tmp_path, level):
+        suffix, _, _, wrong = LEVELS[level]
+        cache = TuningCache(tmp_path)
+        tmp_path.mkdir(exist_ok=True)
+        cache._path(self.KEY, suffix).write_bytes(_frame(self.KEY, wrong))
+        assert _get(cache, level, self.KEY) is None
+        assert cache.stats.corrupt_entries == 1
+        assert cache.stats.stale_entries == 0
+        (qfile,) = cache.quarantined_entries()
+        assert qfile.name.endswith(".corrupt")
+
+    def test_v4_entry_is_stale_and_refills(self, tmp_path, level):
+        """What the previous format left on disk: a three-field header
+        over a ``{"version", "key", ...}`` dict.  Another version is
+        stale whatever the header's arity, never corrupt."""
+        suffix, _, make, _ = LEVELS[level]
+        value = make()
+        old = {"version": 4, "key": self.KEY}
+        if level == "kernel":
+            body = pickle.dumps(dict(old, kernel=value))
+        elif level == "cycles":
+            body = json.dumps(dict(old, cycles=value)).encode()
+        else:
+            body = pickle.dumps(
+                dict(old, output=value[0], counters=dict(vars(value[1])))
+            )
+        cache = TuningCache(tmp_path)
+        path = cache._path(self.KEY, suffix)
+        digest = hashlib.sha256(body).hexdigest()
+        path.write_bytes(f"repro-cache 4 {digest}\n".encode() + body)
+        assert _get(cache, level, self.KEY) is None
+        assert cache.stats.stale_entries == 1
+        assert cache.stats.corrupt_entries == 0
+        (qfile,) = cache.quarantined_entries()
+        assert qfile.parent.name == QUARANTINE_DIR
+        assert qfile.name == f"{path.name}.stale"
+        _put(cache, level, self.KEY, value)
+        _assert_same(level, _get(cache, level, self.KEY), value)
+
+    def test_fetch_computes_once_on_a_miss_never_on_a_hit(self, tmp_path, level):
+        value = LEVELS[level][2]()
+        cache = TuningCache(tmp_path)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return value
+
+        assert cache.fetch(level, self.KEY, compute) is value
+        _assert_same(level, cache.fetch(level, self.KEY, compute), value)
+        assert len(calls) == 1
+        assert cache.stats.puts == 1
+
+    def test_fetch_stores_nothing_when_compute_raises(self, tmp_path, level):
+        cache = TuningCache(tmp_path)
+
+        def compute():
+            raise KeyError("no result")
+
+        with pytest.raises(KeyError):
+            cache.fetch(level, self.KEY, compute)
+        assert cache.stats.puts == 0
+        assert not cache._path(self.KEY, LEVELS[level][0]).exists()
+        assert _get(cache, level, self.KEY) is None
 
 
 class TestKernelRoundTrip:
@@ -99,10 +242,16 @@ class TestCorruptAndStale:
     def test_stale_version_is_a_miss(self, tmp_path):
         cache = TuningCache(tmp_path)
         key = cache.kernel_key(_program(), CompilerOptions(), {"N": 64})
-        entry = {"version": CACHE_VERSION + 1, "key": key, "kernel": _compiled()}
-        cache._path(key, "kernel").parent.mkdir(parents=True, exist_ok=True)
-        cache._path(key, "kernel").write_bytes(pickle.dumps(entry))
+        path = cache._path(key, "kernel")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(
+            _frame(key, pickle.dumps(_compiled()), version=CACHE_VERSION + 1)
+        )
         assert cache.get_kernel(key) is None
+        assert cache.stats.stale_entries == 1
+        assert cache.stats.corrupt_entries == 0
+        (qfile,) = cache.quarantined_entries()
+        assert qfile.name == path.name + ".stale"
 
     def test_corrupt_cycles_entry_is_a_miss(self, tmp_path):
         cache = TuningCache(tmp_path)
@@ -115,10 +264,14 @@ class TestCorruptAndStale:
     def test_cycles_key_mismatch_is_stale(self, tmp_path):
         cache = TuningCache(tmp_path)
         key = "cd" * 32
-        entry = {"version": CACHE_VERSION, "key": "different", "cycles": 1.0}
+        path = cache._path(key, "cycles.json")
         cache.root.mkdir(parents=True, exist_ok=True)
-        cache._path(key, "cycles.json").write_text(json.dumps(entry))
+        path.write_bytes(_frame("different", b"1.0"))
         assert cache.get_cycles(key) is None
+        assert cache.stats.stale_entries == 1
+        assert cache.stats.corrupt_entries == 0
+        (qfile,) = cache.quarantined_entries()
+        assert qfile.name == path.name + ".stale"
 
 
 class TestFingerprintAndClear:
@@ -140,6 +293,57 @@ class TestFingerprintAndClear:
         cache.put_cycles("ef" * 32, 9.0)
         assert cache.clear() == 2
         assert cache.get_kernel(key) is None
+
+
+class TestDisabledCache:
+    """``cache=None`` at a public entry: misses, stores nothing, hashes
+    nothing."""
+
+    def test_fetch_is_a_plain_compute(self, monkeypatch):
+        def hashed(*args, **kwargs):
+            raise AssertionError("a disabled cache hashed something")
+
+        monkeypatch.setattr(cache_mod, "canonical", hashed)
+        monkeypatch.setattr(cache_mod, "fingerprint_inputs", hashed)
+        cache = or_disabled(None)
+        key = cache.kernel_key(_program(), CompilerOptions(), {"N": 64})
+        run_key = cache.run_key(
+            key, cache.fingerprint({"x": np.arange(4.0)}), (4,), (4,), None
+        )
+        calls = []
+        for _ in range(2):
+            cache.fetch("run", run_key, lambda: calls.append(1) or ("out", None))
+        assert len(calls) == 2
+        assert cache.get_run(run_key) is None
+        assert not any(cache.stats.as_dict().values())
+
+    def test_a_real_cache_is_kept(self, tmp_path):
+        cache = TuningCache(tmp_path)
+        assert or_disabled(cache) is cache
+
+
+class TestSizeCapValidation:
+    def test_negative_cap_is_rejected(self, tmp_path):
+        # It used to be accepted, and evicted every entry as written.
+        with pytest.raises(ValueError, match=r"max_bytes .*non-negative.*-1"):
+            TuningCache(tmp_path, max_bytes=-1)
+
+    @pytest.mark.parametrize("value", ["10MB", "1e6", "-5"])
+    def test_malformed_environment_cap_names_the_variable(
+        self, tmp_path, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", value)
+        with pytest.raises(ValueError) as err:
+            TuningCache(tmp_path)
+        assert "REPRO_CACHE_MAX_BYTES" in str(err.value)
+        assert repr(value) in str(err.value)
+        assert "non-negative integer number of bytes" in str(err.value)
+
+    def test_environment_cap_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
+        assert TuningCache(tmp_path).max_bytes == 4096
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "")
+        assert TuningCache(tmp_path).max_bytes == 0
 
 
 class TestQuarantineClassification:
@@ -291,6 +495,30 @@ class TestEviction:
         assert not old_tmp.exists()
         assert fresh_tmp.exists()
 
+    @staticmethod
+    def _crashed_tmp(cache, name):
+        tmp = cache.root / name
+        tmp.write_bytes(b"partial write of a killed process")
+        ancient = time.time() - 7200
+        os.utime(tmp, (ancient, ancient))
+        return tmp
+
+    def test_uncapped_store_is_swept_by_the_first_write_only(self, tmp_path):
+        cache = TuningCache(tmp_path)
+        cache.put_cycles("ab" * 32, 1.0)
+        leftover = self._crashed_tmp(cache, ".tmp-crashed")
+        cache.put_cycles("cd" * 32, 2.0)  # nothing to evict: no scan
+        assert leftover.exists()
+        TuningCache(tmp_path).put_cycles("ef" * 32, 3.0)
+        assert not leftover.exists()
+
+    def test_capped_store_is_swept_by_every_write(self, tmp_path):
+        cache = TuningCache(tmp_path, max_bytes=1 << 20)
+        cache.put_cycles("ab" * 32, 1.0)
+        leftover = self._crashed_tmp(cache, ".tmp-crashed")
+        cache.put_cycles("cd" * 32, 2.0)
+        assert not leftover.exists()
+
 
 # ---------------------------------------------------------------------------
 # multi-process safety (workers must be module-level for fork/spawn)
@@ -379,3 +607,20 @@ class TestMultiProcessSafety:
         # And the survivor store stays fully functional.
         cache.put_cycles("ab" * 32, 3.0)
         assert cache.get_cycles("ab" * 32) == 3.0
+
+
+def test_only_the_cache_module_stores_entries():
+    """Clients ask the cache for results (``fetch``); a ``put_*`` call
+    anywhere else is a hand-written copy of lookup -> compute -> store."""
+    import re
+    from pathlib import Path
+
+    import repro
+
+    calls = re.compile(r"\.put_(kernel|cycles|run)\(")
+    offenders = [
+        str(path)
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+        if path.name != "cache.py" and calls.search(path.read_text())
+    ]
+    assert offenders == []

@@ -270,6 +270,25 @@ class TestCacheIntegration:
         assert second.stats.compilations == 0
         assert second.stats.executions > 0
 
+    def test_without_a_cache_no_input_is_fingerprinted(self, monkeypatch):
+        """``cache=None`` is the disabled cache: nothing would be filed
+        under a key, so the search hashes no inputs (its own dedup goes
+        on calling ``canonical``) and reports no lookups."""
+        import repro.cache as cache_mod
+
+        def hashed(inputs):
+            raise AssertionError("inputs fingerprinted without a cache")
+
+        monkeypatch.setattr(cache_mod, "fingerprint_inputs", hashed)
+        result = explore_program(
+            _toy_program(), {"x": np.ones(64)}, {"N": 64},
+            config=ExploreConfig(depth=1, max_eval=4),
+        )
+        assert result.candidates and not result.failures
+        stats = result.stats
+        assert stats.compilations == stats.executions == len(result.candidates)
+        assert stats.kernel_cache_misses == stats.cycle_cache_misses == 0
+
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm-nvidia"])
 def test_explorer_at_least_matches_the_menu(tmp_path, name):

@@ -33,6 +33,7 @@ from repro.resilience import (
     DeadlineExceeded,
     RetryPolicy,
     deterministic_jitter,
+    run_with_deadline,
 )
 from repro.rewrite import lower_to_global
 from repro.rewrite.explore import ExploreConfig, explore_program
@@ -168,6 +169,29 @@ class TestDeadlinePropagation:
         assert 9.0 < deadline.clamp(None) <= 10.0
         assert 9.0 < deadline.clamp(100.0) <= 10.0
         assert Deadline.after(-1.0).clamp(5.0) == 0.0
+
+    def test_run_with_deadline_spends_the_requests_budget(self):
+        started = []
+        with pytest.raises(DeadlineExceeded, match="request deadline exhausted"):
+            run_with_deadline(
+                lambda: started.append(1), 5.0, deadline=Deadline.after(0.0)
+            )
+        assert not started  # a spent budget starts nothing
+        release = threading.Event()
+        start = time.monotonic()
+        try:
+            with pytest.raises(DeadlineExceeded):
+                # 50ms of budget left bound a 60s stage timeout.
+                run_with_deadline(
+                    release.wait, 60.0, deadline=Deadline.after(0.05)
+                )
+        finally:
+            release.set()
+        assert time.monotonic() - start < 10.0
+        # No budget at all: no watchdog thread either.
+        assert run_with_deadline(threading.current_thread, None) is (
+            threading.current_thread()
+        )
 
     def test_expired_deadline_aborts_exploration(self):
         config = ExploreConfig(
@@ -827,6 +851,42 @@ class TestRecovery:
             assert hit is not None
             assert hit[0].tobytes() == base_out.tobytes()
             assert hit[1] == base_counters
+
+
+def test_service_and_benchsuite_share_run_entries(tmp_path):
+    """A run request and ``Benchmark.run_generated`` are one
+    compile-and-run function on one key: what either computed, the other
+    is served, from a single ``.run`` file."""
+    from repro.benchsuite.common import get_benchmark
+
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    (stage,) = bench.stages
+    program = stage.build(size_env)
+    out, counters = bench.run_generated(
+        inputs, size_env, cache=TuningCache(tmp_path / "cache")
+    )
+    assert len(list((tmp_path / "cache").glob("*.run"))) == 1
+    with _service(tmp_path) as service:
+        response = service.submit_run(
+            program=program,
+            inputs={
+                p.name: inputs[name]
+                for p, name in zip(program.params, stage.param_names)
+            },
+            size_env=size_env,
+            global_size=stage.global_size(size_env),
+            local_size=stage.local_size,
+            options=CompilerOptions.all(local_size=stage.local_size),
+        )
+        served_out, served_counters = response.result(30.0)
+        assert service.stats.warm_hits == 1
+        assert service.cache.stats.run_hits == 1
+        assert service.cache.stats.run_misses == 0
+        assert service.cache.stats.puts == 0
+    assert served_out.tobytes() == np.asarray(out).tobytes()
+    assert served_counters == counters
+    assert len(list((tmp_path / "cache").glob("*.run"))) == 1
 
 
 # ---------------------------------------------------------------------------
