@@ -116,13 +116,12 @@ def main(out_path: str = None) -> None:
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
             "(parallelism-aware) per benchmark; last refreshed on the "
-            "structure-sharing PR: rewrites rebuild only the spine to "
-            "a replacement, finishing clones only what survives the "
-            "dedup, and the ir.interp oracle is computed by the first "
-            "candidate that launches - so a warm pass (0 compiles, 0 "
-            "launches) interprets nothing.  Only the timing fields "
-            "moved (parent on the recording machine: cold 0.64 / warm "
-            "0.341 s = 1.9x); every search-quality field is unchanged. "
+            "Figure-8-parity PR: let-bound mapLcl producers share one "
+            "barrier, so mm's tiled winner (menu and explorer alike) "
+            "costs 126 208 cycles instead of 127 744; every other "
+            "search-quality field is unchanged and the timing fields "
+            "are this machine's (cold / warm was 0.56 / 0.175 s = 3.2x "
+            "on the previous recording machine). "
             "Menu and search share one evaluator, so best-vs-menu is "
             "parity on all three; the menu derives the 2-D tiled mm "
             "too, so the derivation itself is gated via best_trace."

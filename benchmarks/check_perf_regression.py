@@ -31,6 +31,12 @@ recorded on one box, CI runners are another), so the gate compares
   the 13 stages must stay within ``TOLERANCE`` of the one recorded in
   ``BENCH_frontend.json`` (0.46; it was 1.23 before the one-regex
   lexer and the precedence-climbing parser).
+* **figure 8** — the quality of the generated code: every ``+AAS`` bar
+  (hand-written cycles / generated cycles, both sizes, both device
+  profiles) must stay within 0.005 of its row in ``BENCH_figure8.json``
+  and their geometric mean at or above 0.96.  Both sides are simulated
+  cycles, so there is no machine-speed tolerance: a lower bar is a
+  compiler or stage change, and a deliberate one re-records the file.
 
 Exit status 0 = pass, 1 = regression (with a report on stdout).
 
@@ -239,6 +245,32 @@ def check_frontend(baseline_path: Path, out_path=None) -> list:
     return []
 
 
+def check_figure8(baseline_path: Path) -> list:
+    from repro.benchsuite.figure8 import (
+        GEOMEAN_FLOOR,
+        floor_failures,
+        geometric_mean_aas,
+        run_figure8,
+    )
+
+    baseline = json.loads(baseline_path.read_text())
+    cells = run_figure8(sizes=("small", "large"), seed=baseline["seed"])
+    failures = floor_failures(cells, baseline)
+    lowest = min(
+        (c for c in cells if c.level == "all"),
+        key=lambda c: c.relative_performance,
+    )
+    print(
+        f"[figure8] {len(baseline['rows'])} rows, geometric mean (+AAS) "
+        f"{geometric_mean_aas(cells):.3f} (recorded "
+        f"{baseline['geometric_mean_aas']:.3f}, floor {GEOMEAN_FLOOR}); "
+        f"lowest row {lowest.benchmark}/{lowest.device}/{lowest.size} "
+        f"{lowest.relative_performance:.3f}; "
+        f"{'REGRESSION' if failures else 'ok'}"
+    )
+    return failures
+
+
 #: Absolute ceiling on one disabled ``obs.span()`` round-trip.  The
 #: real cost is a module attribute load plus a shared-singleton context
 #: manager (~0.2 µs); the ceiling is an order of magnitude above that
@@ -426,7 +458,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--baseline-dir", default=Path(__file__).parent, type=Path,
         help="directory holding the BENCH_simulator / BENCH_frontend / "
-             "BENCH_explore baselines",
+             "BENCH_figure8 / BENCH_explore baselines",
     )
     parser.add_argument(
         "--explore-json", default=None, type=Path,
@@ -448,6 +480,7 @@ def main(argv=None) -> int:
     failures += check_frontend(
         args.baseline_dir / "BENCH_frontend.json", args.frontend_json
     )
+    failures += check_figure8(args.baseline_dir / "BENCH_figure8.json")
     failures += check_obs_overhead()
     if args.explore_json is not None and args.explore_json.exists():
         failures += check_explore(

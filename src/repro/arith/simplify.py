@@ -386,6 +386,17 @@ def _exact_quotient(term: ArithExpr, denom: ArithExpr) -> ArithExpr | None:
     return _from_factors(t_coeff // d_coeff, atoms)
 
 
+def exact_quotient(expr: ArithExpr, denom: ArithExpr) -> ArithExpr | None:
+    """``expr / denom``, simplified, when every term of the simplified
+    ``expr`` is provably an exact multiple of ``denom``; else ``None``."""
+    expr = simplify(expr)
+    terms = expr.terms if isinstance(expr, Sum) else (expr,)
+    quotients = [_exact_quotient(t, denom) for t in terms]
+    if any(q is None for q in quotients):
+        return None
+    return sum_of(quotients)
+
+
 def _cancel_factors_div(numer: ArithExpr, denom: ArithExpr) -> ArithExpr | None:
     """Cancel common atom factors and constant gcds in a division."""
     n_coeff, n_atoms = _as_factors(numer)

@@ -2,7 +2,7 @@
 
     python -m repro.benchsuite table1
     python -m repro.benchsuite figure6
-    python -m repro.benchsuite figure8 [--sizes small large] [--benchmarks nn gemv ...]
+    python -m repro.benchsuite figure8 [--sizes small large] [--benchmarks nn gemv ...] [--explain]
     python -m repro.benchsuite explore [--benchmarks nn gemv ...] [--depth 3] [--cache-dir DIR]
     python -m repro.benchsuite calibrate [--benchmarks nn gemv mm] [--depth 3]
     python -m repro.benchsuite hammer [--clients 8] [--requests-per-client 6] [--fault-plan 'seed=11;rate=0.05']
@@ -36,6 +36,12 @@ def main(argv=None) -> int:
         help="restrict figure8/table1/explore to these benchmarks",
     )
     parser.add_argument(
+        "--explain", action="store_true",
+        help="after the figure8 table, print per benchmark and level "
+             "which counter owns how many of the cycles the generated "
+             "kernel owes the hand-written one (priced for --device)",
+    )
+    parser.add_argument(
         "--depth", type=int, default=3,
         help="rewrite-space search depth for explore",
     )
@@ -45,7 +51,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--device", default="nvidia", choices=["nvidia", "amd"],
-        help="device profile for explore's cost model",
+        help="device profile for explore's cost model and figure8 "
+             "--explain",
     )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -157,13 +164,20 @@ def main(argv=None) -> int:
         print()
 
     if args.experiment in ("figure8", "all"):
-        from repro.benchsuite.figure8 import format_figure8, run_figure8
+        from repro.benchsuite.figure8 import (
+            format_explanation,
+            format_figure8,
+            run_figure8,
+        )
 
         cells = run_figure8(
             args.benchmarks, sizes=tuple(args.sizes), cache=cache,
             engine=args.engine,
         )
         print(format_figure8(cells))
+        if args.explain:
+            print()
+            print(format_explanation(cells, args.device))
         if cache is not None:
             s = cache.stats
             print(

@@ -12,6 +12,11 @@ For every benchmark, input size and optimization level, this harness
 A relative performance of 1.0 means parity with the hand-written
 kernel; values below 1.0 mean the generated code is slower — the shape
 the paper's Figure 8 plots per optimization level.
+
+:func:`format_explanation` says *why* a bar is below 1.0 (which counter
+owns how many of the missing cycles); :func:`baseline_rows` /
+:func:`floor_failures` record the ``+AAS`` bars in
+``benchmarks/BENCH_figure8.json`` and hold later changes to them.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from repro.compiler.options import OPTIMIZATION_LEVELS
-from repro.opencl.cost import DEVICES, estimate_cycles
+from repro.opencl import Counters
+from repro.opencl.cost import DEVICES, estimate_cycles, priced_counters
 from repro.benchsuite.common import ALL_BENCHMARKS, Benchmark, get_benchmark
 
 LEVEL_LABELS = {
@@ -43,6 +49,9 @@ class Figure8Cell:
     relative_performance: float
     reference_cycles: float
     generated_cycles: float
+    #: The device-independent event counts both cycle figures price.
+    reference_counters: Counters
+    generated_counters: Counters
 
 
 def measure_benchmark(
@@ -107,6 +116,8 @@ def measure_benchmark(
                     relative_performance=ref_cycles / gen_cycles,
                     reference_cycles=ref_cycles,
                     generated_cycles=gen_cycles,
+                    reference_counters=ref_counters,
+                    generated_counters=gen_counters,
                 )
             )
     return cells
@@ -159,10 +170,107 @@ def format_figure8(cells: Iterable[Figure8Cell]) -> str:
             f"{levels.get('all', float('nan')):>8.3f}"
         )
 
+    if any(c.level == "all" for c in cells):
+        lines.append("")
+        lines.append(f"geometric mean (+AAS): {geometric_mean_aas(cells):.3f}")
+    return "\n".join(lines)
+
+
+def geometric_mean_aas(cells: Iterable[Figure8Cell]) -> float:
+    """Geometric mean of the fully optimized (``+AAS``) bars."""
     perf = [c.relative_performance for c in cells if c.level == "all"]
-    if perf:
+    return float(np.exp(np.mean(np.log(perf))))
+
+
+def format_explanation(cells: Iterable[Figure8Cell], device: str) -> str:
+    """Per benchmark, size and level: the cycles the generated kernel
+    owes the reference under ``device``'s profile, split by the counter
+    that owns them — each ``Counters`` field's reference -> generated
+    delta at that profile's price, largest debt first (a negative entry
+    is a counter on which the generated kernel is cheaper)."""
+    profile = DEVICES[device]
+    lines = [
+        f"Figure 8 explained ({device}): cycles owed to the hand-written "
+        "kernel, by counter (events: reference -> generated)",
+    ]
+    mine = [c for c in cells if c.device == device]
+    level_order = list(OPTIMIZATION_LEVELS)
+    for cell in sorted(
+        mine,
+        key=lambda c: (c.benchmark, c.size, level_order.index(c.level)),
+    ):
         lines.append("")
         lines.append(
-            f"geometric mean (+AAS): {float(np.exp(np.mean(np.log(perf)))):.3f}"
+            f"{cell.benchmark} {cell.size} {cell.level}: "
+            f"{cell.relative_performance:.3f}  (reference "
+            f"{cell.reference_cycles:.0f} -> generated "
+            f"{cell.generated_cycles:.0f} cycles, owes "
+            f"{cell.generated_cycles - cell.reference_cycles:.0f})"
         )
+        ref_priced = priced_counters(cell.reference_counters, profile)
+        gen_priced = priced_counters(cell.generated_counters, profile)
+        owed = {f: gen_priced[f] - ref_priced[f] for f in gen_priced}
+        for name in sorted(owed, key=lambda f: -owed[f]):
+            if owed[name] == 0:
+                continue
+            lines.append(
+                f"    {name:<16} {owed[name]:>+12.0f} cycles   "
+                f"{getattr(cell.reference_counters, name)} -> "
+                f"{getattr(cell.generated_counters, name)}"
+            )
     return "\n".join(lines)
+
+
+#: A ``+AAS`` bar may sit this far below its recorded value before
+#: :func:`floor_failures` reports it.  Both sides are simulated cycles —
+#: deterministic — so the margin is for deliberate small trades, not for
+#: machine noise.
+ROW_FLOOR_MARGIN = 0.005
+#: The geometric mean of all ``+AAS`` bars must stay at least this high.
+GEOMEAN_FLOOR = 0.96
+
+
+def baseline_rows(cells: Iterable[Figure8Cell]) -> list:
+    """The ``rows`` of ``BENCH_figure8.json``: per benchmark, device and
+    size the three ratios and the two ``+AAS`` cycle counts."""
+    rows: dict = {}
+    for cell in cells:
+        row = rows.setdefault(
+            (cell.benchmark, cell.device, cell.size),
+            {"benchmark": cell.benchmark, "device": cell.device,
+             "size": cell.size},
+        )
+        row[cell.level] = round(cell.relative_performance, 4)
+        if cell.level == "all":
+            row["reference_cycles"] = cell.reference_cycles
+            row["generated_cycles"] = cell.generated_cycles
+    return [rows[key] for key in sorted(rows)]
+
+
+def floor_failures(cells: Iterable[Figure8Cell], baseline: Mapping) -> list:
+    """One message per ``+AAS`` bar of ``cells`` that fell more than
+    :data:`ROW_FLOOR_MARGIN` below its ``BENCH_figure8.json`` row, plus
+    one if all recorded rows were measured and their geometric mean is
+    below :data:`GEOMEAN_FLOOR`."""
+    cells = [c for c in cells if c.level == "all"]
+    recorded = {
+        (r["benchmark"], r["device"], r["size"]): r["all"]
+        for r in baseline["rows"]
+    }
+    failures = []
+    for cell in cells:
+        key = (cell.benchmark, cell.device, cell.size)
+        floor = recorded[key] - ROW_FLOOR_MARGIN
+        if cell.relative_performance < floor:
+            failures.append(
+                f"figure8[{'/'.join(key)}]: +AAS "
+                f"{cell.relative_performance:.3f} below floor {floor:.3f}"
+            )
+    if len(cells) == len(recorded):
+        mean = geometric_mean_aas(cells)
+        if mean < GEOMEAN_FLOOR:
+            failures.append(
+                f"figure8: geometric mean (+AAS) {mean:.3f} below "
+                f"{GEOMEAN_FLOOR}"
+            )
+    return failures

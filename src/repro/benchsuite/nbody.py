@@ -34,6 +34,7 @@ from repro.ir.dsl import (
     split,
     to_global,
     to_local,
+    to_private,
     vec_literal,
     zip_,
 )
@@ -220,8 +221,10 @@ def _program_nvidia(n_val):
 
             def with_tile(tile):
                 def per_body(ap):
-                    # Keep the thread's own position in a register for
-                    # the whole tile walk, as the reference does.
+                    # toPrivate keeps the thread's own position in a
+                    # register for the whole tile walk, as the reference
+                    # does; a bare id4 would stage it in local memory
+                    # (Algorithm 1) and re-read it per inner iteration.
                     p1_reg = Param(None, "p1r")
                     inner = lam2(
                         lambda a, p2: FunCall(calc, [a, p1_reg, p2, esp])
@@ -231,7 +234,7 @@ def _program_nvidia(n_val):
                     )
                     return FunCall(
                         Lambda([p1_reg], reduced),
-                        [FunCall(id4, [get(ap, 1)])],
+                        [FunCall(to_private(id4), [get(ap, 1)])],
                     )
 
                 return join()(map_lcl(lam(per_body))(zip_(acc_chunk, p1chunk)))
@@ -276,6 +279,8 @@ def _program_amd(n_val):
     calc, upd = _calc_acc(), _update()
 
     def per_body(pv):
+        # Bound through toPrivate(id4): a register, not a global staging
+        # buffer (see _program_nvidia).
         p1_reg = Param(None, "p1r")
         step = lam2(lambda a, p2: FunCall(calc, [a, p1_reg, p2, esp]))
         acc = reduce_seq(step, vec_literal(0.0, 4))(pos)
@@ -285,7 +290,8 @@ def _program_amd(n_val):
             )
         )
         return FunCall(
-            Lambda([p1_reg], finish(acc)), [FunCall(_id4(), [get(pv, 0)])]
+            Lambda([p1_reg], finish(acc)),
+            [FunCall(to_private(_id4()), [get(pv, 0)])],
         )
 
     body = join()(map_glb(lam(per_body))(zip_(pos, vel)))

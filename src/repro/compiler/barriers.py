@@ -1,23 +1,53 @@
 """Barrier elimination (paper section 5.4).
 
-A barrier is emitted after every ``mapLcl`` by default — safety first.
-A barrier is removed only when we can infer from the context that no
-inter-thread sharing can happen before the next synchronization point:
-the Lift IL only allows sharing through the data-layout patterns
-(split, join, gather, scatter, transpose, slide), so a ``mapLcl`` whose
-result flows into the next ``mapLcl`` without any such pattern in between
-is consumed element-wise by the same threads that produced it, and its
-barrier can be dropped.
+A barrier is emitted after every ``mapLcl`` and after every step of a
+local-memory ``iterate`` by default — safety first.  A barrier is removed
+only when the context shows that no work-item can touch another one's
+data before the next barrier that survives.  The Lift IL only shares
+data between work-items through the data-layout patterns (split, join,
+gather, scatter, transpose, slide, asVector, asScalar), and every
+destination-less ``mapLcl`` result gets a buffer of its own
+(``KernelGenerator._alloc_staged``), which is what makes three rules
+sound:
 
-The pass returns the set of ``FunCall`` node ids whose barrier the code
-generator must *not* emit.
+1. **Element-wise consumer.**  A ``mapLcl`` whose result reaches the
+   next ``mapLcl`` with no layout pattern in between is read by the very
+   work-items that wrote it, so its barrier goes.  Who next touches the
+   buffer across work-items?  Whoever reads the *consumer's* result, and
+   the consumer's own barrier separates them.
+
+2. **Side-by-side producers.**  ``mapLcl`` producers that feed one
+   ``zip``, or that one ``Lambda`` application binds to its parameters
+   (the ``let`` spelling of the same thing), are generated back to back
+   into separate buffers and none reads another's result; all but the
+   last lose their barrier.  Who next reads those buffers?  The ``zip``'s
+   consumer / the lambda's body, which comes after the last producer's
+   barrier — and that one this rule never removes.  Who overwrites them?
+   The same producers one enclosing-loop iteration later, behind the
+   barrier that ends the loop body.  A producer that a sibling argument
+   reads (the sibling contains it) keeps its barrier.
+
+3. **One barrier per ``iterate`` step.**  A step must end in a barrier:
+   step *k + 1* reads, through the swapped pointers, what other
+   work-items wrote in step *k*.  When the step's body already ends in
+   the surviving barrier of its own outermost ``mapLcl``, only the
+   per-work-item size update and pointer swap follow it, so the swap's
+   own barrier separates nothing and goes
+   (:func:`step_ends_in_barrier`).
+
+The lane-batched simulator backends check every launch for cross-lane
+hazards between barriers, so a removal that is not sound shows up as a
+declined launch in the degradation ledger, not as a silently wrong
+Figure 8 number.
 """
 
 from __future__ import annotations
 
-from repro.ir.nodes import Expr, FunCall, Lambda, Param
+from typing import Sequence
+
+from repro.ir.nodes import Expr, FunCall, Lambda
 from repro.ir import patterns as pat
-from repro.ir.visit import body_of, unwrap
+from repro.ir.visit import body_of, post_order, unwrap
 
 #: Patterns whose presence between two mapLcl calls forces a barrier.
 _SHARING_PATTERNS = (
@@ -31,12 +61,44 @@ _SHARING_PATTERNS = (
     pat.AsScalar,
 )
 
+#: Patterns the code generator passes a write destination through: the
+#: statements their argument emits are the last ones they emit.
+_WRITE_THROUGH_PATTERNS = (
+    pat.Split,
+    pat.Join,
+    pat.Scatter,
+    pat.Transpose,
+    pat.Head,
+    pat.AsVector,
+    pat.AsScalar,
+)
+
 
 def find_removable_barriers(root: Expr) -> set[int]:
-    """Ids of mapLcl ``FunCall`` nodes whose trailing barrier is removable."""
+    """Ids of mapLcl ``FunCall`` nodes whose trailing barrier is removable
+    (rules 1 and 2 of the module docstring)."""
     removable: set[int] = set()
     _scan(root, removable)
     return removable
+
+
+def step_ends_in_barrier(step_body: Expr, removable: set[int]) -> bool:
+    """Rule 3: does an ``iterate`` step body (generated outside any
+    ``mapLcl``) end in the barrier of its own outermost ``mapLcl``?
+    ``removable`` is :func:`find_removable_barriers`' result for the
+    kernel."""
+    expr = step_body
+    while isinstance(expr, FunCall):
+        f = unwrap(expr.f)
+        if isinstance(f, pat.MapLcl):
+            return id(expr) not in removable
+        if isinstance(f, Lambda):
+            expr = f.body
+        elif isinstance(f, _WRITE_THROUGH_PATTERNS):
+            expr = expr.args[0]
+        else:
+            break
+    return False
 
 
 def _scan(expr: Expr, removable: set[int]) -> None:
@@ -55,15 +117,24 @@ def _scan(expr: Expr, removable: set[int]) -> None:
         if producer is not None:
             removable.add(id(producer))
 
-    if isinstance(expr.f, pat.Zip):
-        # Two mapLcl producers feeding the same zip execute independently;
-        # one barrier between them suffices (section 5.4).
-        producers = [
-            _producer_map_lcl(a, layout_seen=False) for a in expr.args
-        ]
-        found = [p for p in producers if p is not None]
-        for extra in found[:-1]:
-            removable.add(id(extra))
+    if isinstance(expr.f, (pat.Zip, Lambda)):
+        removable.update(_all_but_last_producer(expr.args))
+
+
+def _all_but_last_producer(args: Sequence[Expr]) -> set[int]:
+    """Rule 2 over the arguments of one ``zip`` or ``Lambda`` call."""
+    found = [
+        p
+        for p in (_producer_map_lcl(a, layout_seen=False) for a in args)
+        if p is not None
+    ]
+    if len(found) < 2:
+        return set()
+    # A producer that occurs a second time is one a sibling reads.
+    below = [e for a in args for e in post_order(a)]
+    return {
+        id(p) for p in found[:-1] if sum(e is p for e in below) == 1
+    }
 
 
 def _is_map_lcl(f) -> bool:

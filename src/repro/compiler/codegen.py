@@ -9,7 +9,8 @@ matching OpenCL snippet for every pattern:
 * an accumulation loop for ``reduceSeq``;
 * a double-buffered loop with a runtime ``size`` variable for ``iterate``
   (Figure 7 lines 17-29);
-* barriers after ``mapLcl`` unless eliminated (section 5.4);
+* barriers after ``mapLcl`` and after each ``iterate`` step unless
+  eliminated (section 5.4, :mod:`repro.compiler.barriers`);
 * control-flow simplification turns a map loop into a plain statement
   when the trip count provably equals the thread count and into an ``if``
   when provably smaller (Figure 7 lines 9, 20 and 30).
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 from repro.arith import ArithExpr, Cst, Range, Var, simplify
 from repro.arith.expr import IntDiv, Log2, Mod, Pow, Prod, Sum, free_vars
 from repro.arith.expr import LoadIndex as LoadIndexNode
-from repro.arith.simplify import prove_lt
+from repro.arith.simplify import exact_quotient, prove_lt
 from repro.types import (
     ArrayType,
     DataType,
@@ -57,7 +58,7 @@ from repro.ir.typecheck import infer_fun_type, infer_types
 from repro.ir.visit import unwrap
 from repro.compiler import cast as c
 from repro.compiler.address_space import infer_address_spaces
-from repro.compiler.barriers import find_removable_barriers
+from repro.compiler.barriers import find_removable_barriers, step_ends_in_barrier
 from repro.compiler.memory import Memory, MemoryAllocator
 from repro.compiler.options import CompilerOptions
 from repro.compiler.views import (
@@ -441,7 +442,7 @@ class KernelGenerator:
         value: c.CExpr = c.CCall(f.name, args)
         if dest is None:
             # A value materialized without a destination is a staging
-            # slot (the nbody kernels' p1 staging).
+            # slot in the address space Algorithm 1 inferred for it.
             space = call.addr_space or AddressSpace.PRIVATE
             _, view = self._alloc_staged(call.type, space)
             self._emit_store(view, call.type, value, block)
@@ -572,7 +573,7 @@ class KernelGenerator:
             # Only the outermost mapLcl of a nest synchronizes: an inner
             # barrier would sit inside a (possibly non-uniform) loop,
             # which OpenCL forbids.
-            self._emit_barrier_after_map_lcl(call, block)
+            self._emit_barrier_after_map_lcl(call, dest.memory.space, block)
         return GenResult(result_view, wrote=True)
 
     def _alloc_logical_type(
@@ -592,13 +593,18 @@ class KernelGenerator:
             return dest
         return WriteDest(dest.memory, ArrayAccessView(dest.view, idx))
 
-    def _emit_barrier_after_map_lcl(self, call: FunCall, block: c.CBlock) -> None:
-        if self.opts.barrier_elimination and id(call) in self.removable:
+    def _emit_barrier_after_map_lcl(
+        self, call: FunCall, written: AddressSpace, block: c.CBlock
+    ) -> None:
+        """``written`` is the space of the memory the map stored into —
+        what the fence must order (the inferred ``call.addr_space`` is
+        "global" for a ``reduceSeq`` body over ``zip(local, global)``
+        even when its accumulator lives in local memory)."""
+        if id(call) in self.removable:
             return
-        space = call.addr_space
         fence = (
             "CLK_GLOBAL_MEM_FENCE"
-            if space == AddressSpace.GLOBAL
+            if written == AddressSpace.GLOBAL
             else "CLK_LOCAL_MEM_FENCE"
         )
         block.add(c.CBarrier(fence))
@@ -861,7 +867,12 @@ class KernelGenerator:
         )
         loop_body.add(c.CAssign(c.CIdent(in_ptr.name), c.CIdent(out_ptr.name)))
         loop_body.add(c.CAssign(c.CIdent(out_ptr.name), c.CIdent(swap)))
-        if space == AddressSpace.LOCAL:
+        fenced = (
+            self.opts.barrier_elimination
+            and self._lcl_depth == 0
+            and step_ends_in_barrier(lam.body, self.removable)
+        )
+        if space == AddressSpace.LOCAL and not fenced:
             loop_body.add(c.CBarrier("CLK_LOCAL_MEM_FENCE"))
 
         assert isinstance(call.type, ArrayType)
@@ -960,13 +971,11 @@ class KernelGenerator:
     ) -> None:
         access = consume(view)
         if isinstance(value_type, VectorType) and not self._is_register(access.memory):
-            idx = self._arith(access.index)
             block.add(
                 c.CExprStmt(
                     c.CCall(
                         f"vstore{value_type.width}",
-                        [value, c.CInt(0),
-                         c.CBinOp("+", c.CIdent(access.memory.name), idx)],
+                        [value, *self._vector_address(access, value_type.width)],
                     )
                 )
             )
@@ -995,12 +1004,26 @@ class KernelGenerator:
         if self._is_register(mem):
             return base
         if isinstance(value_type, VectorType):
-            idx = self._arith(access.index)
             return c.CCall(
                 f"vload{value_type.width}",
-                [c.CInt(0), c.CBinOp("+", base, idx)],
+                self._vector_address(access, value_type.width),
             )
         return c.CIndex(base, self._arith(access.index))
+
+    def _vector_address(self, access: Access, width: int) -> list:
+        """The ``(offset, pointer)`` arguments of ``vloadN``/``vstoreN``.
+
+        ``vloadN(i, p)`` reads ``p[N*i .. N*i+N-1]``.  Array-access
+        simplification addresses in those element units whenever the
+        scalar index is provably a multiple of ``N``; otherwise (and at
+        the lower levels) the offset is 0 and the index is pointer
+        arithmetic."""
+        base = c.CIdent(access.memory.name)
+        if self.opts.array_access_simplification:
+            element = exact_quotient(access.index, Cst(width))
+            if element is not None:
+                return [self._arith_raw(element), base]
+        return [c.CInt(0), c.CBinOp("+", base, self._arith(access.index))]
 
     # ------------------------------------------------------------------
     # arithmetic emission

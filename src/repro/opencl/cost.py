@@ -137,22 +137,38 @@ class DeviceProfile:
         return self.peak_gflops / self.peak_bandwidth_gbs
 
 
+#: Which :class:`DeviceProfile` weight prices which ``Counters`` field
+#: (``work_items`` is not an event and has no price).
+COUNTER_PRICES = (
+    ("flops", "flop"),
+    ("iops", "iop"),
+    ("idivmod", "idivmod"),
+    ("idivmod_const", "idivmod_const"),
+    ("cached_loads", "cached_load"),
+    ("global_loads", "global_access"),
+    ("global_stores", "global_access"),
+    ("local_loads", "local_access"),
+    ("local_stores", "local_access"),
+    ("private_loads", "private_access"),
+    ("private_stores", "private_access"),
+    ("barriers", "barrier"),
+    ("calls", "call"),
+    ("branches", "branch"),
+    ("loop_iterations", "loop_overhead"),
+)
+
+
+def priced_counters(counters: Counters, profile: DeviceProfile) -> dict:
+    """Cycles each counter contributes under ``profile``, by field name."""
+    return {
+        field: getattr(counters, field) * getattr(profile, weight)
+        for field, weight in COUNTER_PRICES
+    }
+
+
 def estimate_cycles(counters: Counters, profile: DeviceProfile) -> float:
     """Weighted sum of dynamic events — total simulated work."""
-    return (
-        counters.flops * profile.flop
-        + counters.iops * profile.iop
-        + counters.idivmod * profile.idivmod
-        + counters.idivmod_const * profile.idivmod_const
-        + counters.cached_loads * profile.cached_load
-        + (counters.global_loads + counters.global_stores) * profile.global_access
-        + (counters.local_loads + counters.local_stores) * profile.local_access
-        + (counters.private_loads + counters.private_stores) * profile.private_access
-        + counters.barriers * profile.barrier
-        + counters.calls * profile.call
-        + counters.branches * profile.branch
-        + counters.loop_iterations * profile.loop_overhead
-    )
+    return float(sum(priced_counters(counters, profile).values()))
 
 
 def effective_parallelism(

@@ -213,6 +213,18 @@ class TestDivMod:
         x = Var("x")
         assert x % x == Cst(0)
 
+    def test_exact_quotient_needs_every_term_to_be_a_multiple(self):
+        from repro.arith.simplify import exact_quotient
+
+        i, j = var("i", 0, 4), var("j")
+        assert exact_quotient(Cst(4) * i + Cst(64) * j + Cst(8), Cst(4)) == (
+            i + Cst(16) * j + Cst(2)
+        )
+        assert exact_quotient(Cst(3) * i, Cst(4)) is None
+        assert exact_quotient(Cst(4) * j + Cst(2), Cst(4)) is None
+        # i < 4 makes i // 4 == 0, but i is still no multiple of 4.
+        assert exact_quotient(i, Cst(4)) is None
+
 
 class TestPow:
     def test_pow_zero(self):

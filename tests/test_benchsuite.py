@@ -104,14 +104,91 @@ def test_optimizations_never_hurt_for_gemv():
     assert np.mean(by_level["barrier_cf"]) >= np.mean(by_level["none"]) - 1e-9
 
 
-@pytest.mark.parametrize("engine", ["auto", "fused"])
+def _generated_counters_at_all(bench):
+    inputs, size_env = bench.inputs_for("small")
+    _, reference = bench.run_reference(inputs, size_env)
+    _, generated = bench.run_generated(inputs, size_env)
+    return reference, generated
+
+
+@pytest.mark.parametrize("name", ["gemv", "atax", "gesummv"])
+def test_iterate_benchmarks_execute_the_references_barriers(name):
+    """One barrier per ``iterate`` step, as in the hand-written tree
+    reductions (10 per work-group pass before, against their 6)."""
+    reference, generated = _generated_counters_at_all(get_benchmark(name))
+    assert generated.barriers == reference.barriers
+
+
+def test_nbody_amd_keeps_its_own_position_in_a_register():
+    from repro.compiler import compile_kernel
+
+    bench = get_benchmark("nbody-amd")
+    (stage,) = bench.stages
+    kernel = compile_kernel(
+        stage.build(dict(bench.sizes["small"])),
+        OPTIMIZATION_LEVELS["all"](local_size=stage.local_size),
+    )
+    assert not [p.name for p in kernel.params if p.kind == "temp_buffer"]
+    assert "g_tmp" not in kernel.source
+    reference, generated = _generated_counters_at_all(bench)
+    assert generated.cached_loads == reference.cached_loads == 512
+
+
+def test_figure8_explain_prices_every_counter_delta():
+    from repro.benchsuite.figure8 import format_explanation
+    from repro.opencl.cost import DEVICES, priced_counters
+
+    cells = measure_benchmark(get_benchmark("mm-nvidia"), "small")
+    text = format_explanation(cells, "nvidia")
+    (cell,) = [c for c in cells if c.device == "nvidia" and c.level == "all"]
+    header = next(l for l in text.splitlines() if l.startswith("mm-nvidia small all"))
+    assert f"owes {cell.generated_cycles - cell.reference_cycles:.0f})" in header
+    # The per-counter lines of a cell add up to what it owes.
+    block = text.split(header)[1].split("\n\n")[0]
+    owed = [float(l.split()[1]) for l in block.strip().splitlines()]
+    assert sum(owed) == cell.generated_cycles - cell.reference_cycles
+    assert owed == sorted(owed, reverse=True)
+    ref = priced_counters(cell.reference_counters, DEVICES["nvidia"])
+    gen = priced_counters(cell.generated_counters, DEVICES["nvidia"])
+    assert f"{gen['barriers'] - ref['barriers']:+.0f} cycles" in block
+
+
+def test_figure8_floors_catch_a_lost_row():
+    import json
+    from dataclasses import replace
+    from pathlib import Path
+
+    from repro.benchsuite.figure8 import baseline_rows, floor_failures
+
+    baseline = json.loads(
+        (Path(__file__).parent.parent / "benchmarks" / "BENCH_figure8.json")
+        .read_text()
+    )
+    cells = measure_benchmark(get_benchmark("gemv"), "small")
+    assert floor_failures(cells, baseline) == []
+    recorded = {
+        (r["benchmark"], r["device"], r["size"]): r for r in baseline["rows"]
+    }
+    for row in baseline_rows(cells):
+        assert row == recorded[row["benchmark"], row["device"], row["size"]]
+    worse = [
+        replace(c, relative_performance=c.relative_performance - 0.01)
+        for c in cells
+    ]
+    failures = floor_failures(worse, baseline)
+    assert len(failures) == 2 and "gemv/nvidia/small" in failures[0]
+
+
+@pytest.mark.parametrize("engine", ["auto", "fused", "compiled"])
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_no_scalar_cliff(name, engine, fault_free):
     """No benchsuite launch — reference or generated, at any
     optimization level — falls to the per-work-item scalar tier or is
     declined dynamically by a lane-batched one (the scalar cliff under
     Figure 8: 12 of 52 launches before declared types became
-    authoritative)."""
+    authoritative).  The strict ``compiled`` engine raises on a decline:
+    its cross-lane hazard detector is the oracle for every barrier
+    ``compiler/barriers.py`` removes."""
     from repro.backend import ledger
     from repro.obs import metrics
 

@@ -371,3 +371,50 @@ class TestVectorization:
         prog = Lambda([x], compose(as_scalar(), map_glb(scale4), as_vector(4))(x))
         k = compile_kernel(prog)
         assert "vload4" in k.source and "vstore4" in k.source
+
+    @staticmethod
+    def _overlapping_windows(n=34):
+        """scale4 over the float4 at every third float of x: the load
+        index 3*i is no multiple of 4, the store index 4*i is."""
+        from repro.ir.dsl import as_scalar, as_vector
+        from repro.types import VectorType
+
+        x = Param(ArrayType(FLOAT, n), "x")
+        f4 = VectorType(FLOAT, 4)
+        scale4 = UserFun("scale4", ["v"], "return v * 2.0f;", [f4], f4)
+        per_window = lam(
+            lambda w: to_global(map_seq(scale4))(as_vector(4)(w))
+        )
+        return Lambda(
+            [x], as_scalar()(join()(map_glb(per_window)(slide(4, 3)(x))))
+        )
+
+    def test_vector_access_in_element_units_only_for_multiples_of_width(self):
+        k = compile_kernel(
+            self._overlapping_windows(), CompilerOptions.all(local_size=(4, 1, 1))
+        )
+        (access,) = [l.strip() for l in k.source.splitlines() if "vstore4" in l]
+        index = re.search(r"g_id_\d+", access).group()
+        assert access == (
+            f"vstore4(scale4(vload4(0, x + 3 * {index})), {index}, out);"
+        )
+
+    def test_vector_access_keeps_pointer_form_below_level_all(self):
+        k = compile_kernel(
+            self._overlapping_windows(),
+            CompilerOptions.barrier_cf(local_size=(4, 1, 1)),
+        )
+        assert re.search(r"vload4\(0, x \+ ", k.source)
+        assert re.search(r"vstore4\(.*, 0, out \+ ", k.source)
+
+    def test_vector_access_forms_agree_on_the_device(self):
+        data = np.arange(34, dtype=float)
+        expected = np.concatenate(
+            [2.0 * data[3 * i:3 * i + 4] for i in range(11)]
+        )
+        for level in ALL_LEVELS:
+            result = compile_and_run(
+                self._overlapping_windows(), {"x": data}, {}, global_size=12,
+                options=level(local_size=(4, 1, 1)),
+            )
+            np.testing.assert_array_equal(result.output, expected)

@@ -249,8 +249,105 @@ class TestBarrierElimination:
         prog = partial_dot()
         infer_types(prog.body)
         removable = find_removable_barriers(prog.body)
-        # Figure 7 keeps every barrier of the dot product.
+        # Figure 7 keeps every mapLcl barrier of the dot product.
         assert not removable
+
+    @staticmethod
+    def _iterate_step_barriers(options):
+        """Barriers directly in the ``iterate`` loop of the dot product."""
+        from repro.compiler import cast as c
+        from repro.compiler.codegen import compile_kernel
+        from repro.opencl.cparser import parse
+        from tests.programs import partial_dot
+
+        kernel = compile_kernel(partial_dot(), options)
+        loops = []
+
+        def walk(block):
+            for stmt in block.stmts:
+                if isinstance(stmt, c.CFor):
+                    if stmt.init.name.startswith("iter_"):
+                        loops.append(stmt)
+                    walk(stmt.body)
+
+        walk(parse(kernel.source).functions[kernel.name].body)
+        (loop,) = loops
+        return [s for s in loop.body.stmts if isinstance(s, c.CBarrier)]
+
+    def test_iterate_step_ends_in_exactly_one_barrier(self):
+        from repro.compiler.options import CompilerOptions
+
+        # The halving step's own mapLcl barrier ends the step; the
+        # pointer swap behind it is per-work-item and adds none.
+        for options in (CompilerOptions.barrier_cf(), CompilerOptions.all()):
+            assert len(self._iterate_step_barriers(options)) == 1
+        assert len(self._iterate_step_barriers(CompilerOptions.none())) == 2
+
+    def test_iterate_step_without_own_barrier_keeps_the_swap_barrier(self):
+        from repro.compiler.barriers import step_ends_in_barrier
+
+        x = Param(ArrayType(FLOAT, 64), "x")
+        ends_in_map_lcl = join()(map_lcl(map_seq(id_fun()))(split(2)(x)))
+        ends_in_map_seq = map_seq(id_fun())(x)
+        infer_types(ends_in_map_lcl)
+        infer_types(ends_in_map_seq)
+        assert step_ends_in_barrier(ends_in_map_lcl, set())
+        assert not step_ends_in_barrier(ends_in_map_seq, set())
+        # ... nor when another rule already removed that mapLcl's barrier.
+        assert not step_ends_in_barrier(
+            ends_in_map_lcl, {id(ends_in_map_lcl.args[0])}
+        )
+
+    @staticmethod
+    def _let_bound(second_reads_first):
+        x = Param(ArrayType(FLOAT, 64), "x")
+        y = Param(ArrayType(FLOAT, 64), "y")
+        a = to_local(map_lcl(id_fun()))(x)
+        b = to_local(map_lcl(id_fun()))(
+            join()(split(8)(a)) if second_reads_first else y
+        )
+        p, q = Param(None, "p"), Param(None, "q")
+        sum_pair = lam(lambda pq: FunCall(add(), [get(pq, 0), get(pq, 1)]))
+        body = to_global(map_lcl(sum_pair))(zip_(join()(split(8)(p)), q))
+        return a, b, FunCall(Lambda([p, q], body), [a, b])
+
+    def test_let_bound_siblings_keep_only_the_last_barrier(self):
+        a, b, bound = self._let_bound(second_reads_first=False)
+        removable = self._analyze(bound)
+        assert id(a) in removable and id(b) not in removable
+
+    def test_let_bound_sibling_that_reads_the_first_keeps_both(self):
+        a, b, bound = self._let_bound(second_reads_first=True)
+        removable = self._analyze(bound)
+        assert id(a) not in removable and id(b) not in removable
+
+    def test_fence_names_the_space_the_map_lcl_wrote(self):
+        """A ``reduceSeq`` over ``zip(local, global)`` is inferred
+        "global" (mixed arguments), but its ``mapLcl`` body stores into
+        the *local* accumulator: the barrier behind it must fence local
+        memory."""
+        from repro.benchsuite.common import get_benchmark
+        from repro.compiler.codegen import compile_kernel
+        from repro.compiler.options import CompilerOptions
+
+        bench = get_benchmark("nbody-nvidia")
+        (stage,) = bench.stages
+        kernel = compile_kernel(
+            stage.build(dict(bench.sizes["small"])),
+            CompilerOptions.all(local_size=stage.local_size),
+        )
+        lines = [line.strip() for line in kernel.source.splitlines()]
+        fences = [
+            (lines[i - 1].rstrip(");").rsplit(", ", 1)[1], line)
+            for i, line in enumerate(lines) if line.startswith("barrier(")
+        ]
+        # (buffer the statement before the barrier stored into, barrier)
+        assert fences == [
+            ("tmp1", "barrier(CLK_LOCAL_MEM_FENCE);"),
+            ("tmp2", "barrier(CLK_LOCAL_MEM_FENCE);"),
+            ("tmp1", "barrier(CLK_LOCAL_MEM_FENCE);"),  # the tile walk
+            ("out", "barrier(CLK_GLOBAL_MEM_FENCE);"),
+        ]
 
 
 class TestMemoryAllocator:
