@@ -115,13 +115,12 @@ def main(out_path: str = None) -> None:
         "description": (
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
-            "(parallelism-aware) per benchmark; last refreshed on the "
-            "Figure-8-parity PR: let-bound mapLcl producers share one "
-            "barrier, so mm's tiled winner (menu and explorer alike) "
-            "costs 126 208 cycles instead of 127 744; every other "
-            "search-quality field is unchanged and the timing fields "
-            "are this machine's (cold / warm was 0.56 / 0.175 s = 3.2x "
-            "on the previous recording machine). "
+            "(parallelism-aware) per benchmark; cycle and runtime fields "
+            "last refreshed when compiler/hoist.py landed (winners and "
+            "derivations unchanged, menu and explorer alike: nn 223 232 "
+            "-> 215 040 cycles, gemv 262 144 -> 258 112, mm 126 208 -> "
+            "117 760); the timing fields are from the last machine that "
+            "re-recorded the whole file, not necessarily that change. "
             "Menu and search share one evaluator, so best-vs-menu is "
             "parity on all three; the menu derives the 2-D tiled mm "
             "too, so the derivation itself is gated via best_trace."

@@ -187,7 +187,8 @@ def format_explanation(cells: Iterable[Figure8Cell], device: str) -> str:
     owes the reference under ``device``'s profile, split by the counter
     that owns them — each ``Counters`` field's reference -> generated
     delta at that profile's price, largest debt first (a negative entry
-    is a counter on which the generated kernel is cheaper)."""
+    is a counter on which the generated kernel is cheaper).  The lines
+    of a cell sum to its difference, also when the cell is ahead."""
     profile = DEVICES[device]
     lines = [
         f"Figure 8 explained ({device}): cycles owed to the hand-written "
@@ -200,12 +201,13 @@ def format_explanation(cells: Iterable[Figure8Cell], device: str) -> str:
         key=lambda c: (c.benchmark, c.size, level_order.index(c.level)),
     ):
         lines.append("")
+        debt = cell.generated_cycles - cell.reference_cycles
         lines.append(
             f"{cell.benchmark} {cell.size} {cell.level}: "
             f"{cell.relative_performance:.3f}  (reference "
             f"{cell.reference_cycles:.0f} -> generated "
-            f"{cell.generated_cycles:.0f} cycles, owes "
-            f"{cell.generated_cycles - cell.reference_cycles:.0f})"
+            f"{cell.generated_cycles:.0f} cycles, "
+            + (f"owes {debt:.0f})" if debt >= 0 else f"ahead by {-debt:.0f})")
         )
         ref_priced = priced_counters(cell.reference_counters, profile)
         gen_priced = priced_counters(cell.generated_counters, profile)
@@ -227,7 +229,7 @@ def format_explanation(cells: Iterable[Figure8Cell], device: str) -> str:
 #: machine noise.
 ROW_FLOOR_MARGIN = 0.005
 #: The geometric mean of all ``+AAS`` bars must stay at least this high.
-GEOMEAN_FLOOR = 0.96
+GEOMEAN_FLOOR = 0.98
 
 
 def baseline_rows(cells: Iterable[Figure8Cell]) -> list:

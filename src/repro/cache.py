@@ -65,6 +65,16 @@ Crash- and concurrency-safety (see ``src/repro/RESILIENCE.md``):
 
 The store root comes from the ``REPRO_CACHE_DIR`` environment variable,
 falling back to ``~/.cache/repro``.
+
+Keys hash the program, the options, the sizes and the launch geometry,
+but nothing about the compiler, so a store outlives the code generator
+that filled it.  The rule: **bump** ``CACHE_VERSION`` **whenever the
+text generated for an unchanged program + options can change** (a new
+or changed compiler pass, a different barrier or index) — otherwise
+``benchsuite figure8`` / ``explore`` answer from the old compiler's
+kernels and cycle counts.  A bump changes every key, so old entries are
+never hit; one found under a current key quarantines as ``stale`` and
+is refilled.
 """
 
 from __future__ import annotations
@@ -110,7 +120,11 @@ from repro.opencl.interp import Counters
 #: hit by the program that wrote it.
 #: v5: the key moved into the header; the body is the bare payload, no
 #: longer a ``{"version", "key", ...}`` dict.
-CACHE_VERSION = 5
+#: v6: generated text changed twice without a bump — one barrier per
+#: ``iterate`` step and element-unit vector addressing, then
+#: :mod:`repro.compiler.hoist` — so a v5 store answered with the older
+#: compiler's kernels and cycle counts.
+CACHE_VERSION = 6
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"

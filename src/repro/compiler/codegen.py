@@ -59,6 +59,7 @@ from repro.ir.visit import unwrap
 from repro.compiler import cast as c
 from repro.compiler.address_space import infer_address_spaces
 from repro.compiler.barriers import find_removable_barriers, step_ends_in_barrier
+from repro.compiler.hoist import hoist
 from repro.compiler.memory import Memory, MemoryAllocator
 from repro.compiler.options import CompilerOptions
 from repro.compiler.views import (
@@ -253,7 +254,7 @@ class KernelGenerator:
             params.append(KernelParamInfo(name, "size", "int"))
 
         self._collect_declarations()
-        source = self._render(params, body_block)
+        source = self._render(params, hoist(body_block, params))
         return CompiledKernel(
             name=self.opts.kernel_name,
             source=source,

@@ -98,3 +98,63 @@ def double_staged_rows(rows=4, cols=16):
 
     per_row = compose(copy(to_global), copy(to_local), copy(to_local))
     return Lambda([x], map_wrg(map_wrg(map_lcl(per_row, 1), 0), 1)(x))
+
+
+# ---------------------------------------------------------------------------
+# repro.compiler.hoist has no switch; these reach the kernel before it
+# ---------------------------------------------------------------------------
+
+def restart_variable_names(monkeypatch):
+    """Loop variables are numbered process-wide (and the simplifier
+    orders terms by name): restart the numbering so that two
+    compilations of one program print the same text."""
+    import itertools
+    import sys
+
+    monkeypatch.setattr(
+        sys.modules["repro.arith.expr"], "_var_counter", itertools.count()
+    )
+
+
+def compile_unhoisted(fun, options):
+    """``compile_kernel`` with :func:`repro.compiler.hoist.hoist` taken
+    out of the pipeline: the kernel the code generator printed before
+    the pass existed."""
+    from repro.compiler import codegen
+
+    real, codegen.hoist = codegen.hoist, lambda body, params: body
+    try:
+        return codegen.compile_kernel(fun, options, memo=False)
+    finally:
+        codegen.hoist = real
+
+
+def hoisted_source(source, params=None, sizes=(), kernel_name="KERNEL"):
+    """Parse ``source``, run the pass on a kernel's body, print it back.
+
+    ``params`` are a ``CompiledKernel``'s; for hand-written text the
+    read-only buffers are the ``const ... restrict`` pointer parameters,
+    as in generated kernels, and ``sizes`` names the size parameters."""
+    from dataclasses import replace
+
+    from repro.compiler import cast
+    from repro.compiler.codegen import KernelParamInfo
+    from repro.compiler.hoist import hoist
+    from repro.opencl.cparser import parse
+
+    fn = parse(source).functions[kernel_name]
+    params = params or [
+        KernelParamInfo(
+            p.name,
+            "in_buffer" if p.is_restrict and "const" in p.qualifiers
+            else "out_buffer" if p.is_pointer
+            else "size" if p.name in sizes else "scalar",
+            p.type_name,
+        )
+        for p in fn.params
+    ]
+    before = cast.print_function(fn)
+    assert before in source  # the printer and the parser agree on this text
+    after = cast.print_function(replace(fn, body=hoist(fn.body, params)))
+    assert cast.print_function(fn) == before  # the input tree is untouched
+    return source.replace(before, after)

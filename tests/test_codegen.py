@@ -43,7 +43,13 @@ from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import compile_and_run
 from repro.compiler.options import CompilerOptions
 
-from tests.programs import double_staged_rows, partial_dot, simple_map_add_one
+from tests.programs import (
+    compile_unhoisted,
+    double_staged_rows,
+    partial_dot,
+    restart_variable_names,
+    simple_map_add_one,
+)
 
 ALL_LEVELS = [
     CompilerOptions.none,
@@ -319,10 +325,15 @@ class TestIntermediateAllocation:
         # Both stagings hold all four rows and are indexed by the row.
         assert src.count("local float tmp1[64];") == 1
         assert src.count("local float tmp2[64];") == 1
+        # compiler/hoist.py keeps a repeated index in a temporary; read
+        # through it.
+        temps = dict(re.findall(r"int (h\d+) = ([^;]*);", src))
         for tmp in ("tmp1", "tmp2"):
             accesses = re.findall(rf"{tmp}\[([^\]]*)\]", src)[1:]  # [0]: decl
             assert len(accesses) == 2  # one store, one load
-            assert all(f"16 * {outer}" in index for index in accesses)
+            for index in accesses:
+                inlined = re.sub(r"h\d+", lambda m: temps[m.group()], index)
+                assert f"16 * {outer}" in inlined
 
     def test_symbolic_trip_count_keeps_the_shared_cell(self):
         # A local array needs a static size: _staging_wrap's documented
@@ -418,3 +429,68 @@ class TestVectorization:
                 options=level(local_size=(4, 1, 1)),
             )
             np.testing.assert_array_equal(result.output, expected)
+
+
+class TestHoistedKernels:
+    """``compiler/hoist.py`` as part of ``compile_kernel``."""
+
+    @staticmethod
+    def _saxpy():
+        x = Param(ArrayType(FLOAT, Var("N")), "x")
+        y = Param(ArrayType(FLOAT, Var("N")), "y")
+        axpy = UserFun(
+            "axpy", ["x", "y"], "return 2.5f * x + y;", [FLOAT, FLOAT], FLOAT
+        )
+        body = map_glb(lam(lambda p: FunCall(axpy, [get(p, 0), get(p, 1)])))(
+            zip_(x, y)
+        )
+        return Lambda([x, y], body)
+
+    def test_md_gathers_its_neighbour_index_once(self):
+        from repro.benchsuite.common import get_benchmark
+
+        bench = get_benchmark("md")
+        (stage,) = bench.stages
+        fun = stage.build(dict(bench.sizes["small"]))
+        options = CompilerOptions(local_size=stage.local_size)
+        assert compile_unhoisted(fun, options).source.count("neigh[") == 3
+        src = compile_kernel(fun, options, memo=False).source
+        assert src.count("neigh[") == 1
+        # ... inside the neighbour loop, while the work-item's own
+        # position is loaded before it.
+        loop = src.index("for (int i_")
+        assert src.index("neigh[") > loop
+        for own in ("px[g_id", "py[g_id", "pz[g_id"):
+            assert src.count(own) == 1 and src.index(own) < loop
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_nothing_to_hoist_means_the_same_text(self, level, monkeypatch):
+        from repro.benchsuite.common import get_benchmark
+
+        nn = get_benchmark("nn")
+        (stage,) = nn.stages
+        programs = [
+            (stage.build(dict(nn.sizes["small"])), stage.local_size),
+            (self._saxpy(), (64, 1, 1)),
+        ]
+        for fun, local_size in programs:
+            options = level(local_size=local_size)
+            restart_variable_names(monkeypatch)
+            hoisted = compile_kernel(fun, options, memo=False).source
+            restart_variable_names(monkeypatch)
+            assert compile_unhoisted(fun, options).source == hoisted
+
+    def test_text_does_not_depend_on_what_was_compiled_before(self, monkeypatch):
+        from repro.ir.visit import clone_decl
+
+        def text(fun, level):
+            restart_variable_names(monkeypatch)
+            return compile_kernel(fun, level(), memo=False).source
+
+        programs = [partial_dot(), double_staged_rows(), self._saxpy()]
+        jobs = [(p, level) for p in programs for level in ALL_LEVELS]
+        first = [text(*job) for job in jobs]
+        assert any("int h1 = " in t for t in first)
+        assert [text(*job) for job in jobs] == first
+        assert [text(*job) for job in reversed(jobs)][::-1] == first
+        assert [text(clone_decl(p), level) for p, level in jobs] == first

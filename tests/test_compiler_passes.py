@@ -5,6 +5,7 @@ address-space tests exercise Algorithm 1's cases; the barrier tests check
 the section 5.4 rules.
 """
 
+import numpy as np
 import pytest
 
 from repro.arith import Cst, Range, Var, simplify
@@ -382,3 +383,199 @@ class TestMemoryAllocator:
         m = MemoryAllocator.for_param("x", ArrayType(FLOAT, 16), AddressSpace.GLOBAL)
         assert m.is_param
         assert m.concrete_count() == 16
+
+
+class TestHoist:
+    """``compiler/hoist.py`` on hand-written kernel text: what moves,
+    what is shared, and every place nothing may leave."""
+
+    HEADER = (
+        "kernel void KERNEL(const global float * restrict a, "
+        "const global float * restrict x, global float * g_tmp1, "
+        "global float * out, float alpha, int n, int N) {\n"
+    )
+
+    def _kernel(self, body):
+        return self.HEADER + body + "}\n"
+
+    def _hoist(self, body):
+        from tests.programs import hoisted_source
+
+        source = self._kernel(body)
+        return source, hoisted_source(source, sizes=("N",))
+
+    def _iops(self, source, items=4):
+        from repro.opencl import Buffer, OpenCLProgram, launch
+
+        args = {
+            "a": Buffer.from_array(np.arange(64.0)),
+            "x": Buffer.from_array(np.arange(64.0)),
+            "g_tmp1": Buffer.zeros(64),
+            "out": Buffer.zeros(64),
+            "alpha": 2.0, "n": 3, "N": items,
+        }
+        counters = launch(
+            OpenCLProgram(source), items, items, args, engine="compiled"
+        )
+        return counters.iops, args["out"].data.copy()
+
+    def test_invariant_index_term_leaves_the_loop_as_one_declaration(self):
+        plain, hoisted = self._hoist(
+            "  float acc;\n"
+            "  for (int g = get_global_id(0); g < N; g += get_global_size(0)) {\n"
+            "    acc = 0.0f;\n"
+            "    for (int i = 0; i < 8; i += 1) {\n"
+            "      acc = acc + a[8 * g + i];\n"
+            "    }\n"
+            "    out[g] = acc;\n"
+            "  }\n"
+        )
+        assert hoisted.count("int h") == 1
+        assert (
+            "    int h1 = 8 * g;\n"
+            "    for (int i = 0; i < 8; i += 1) {\n"
+            "      acc = acc + a[i + h1];\n"
+        ) in hoisted
+        # Per work-item the loop did 8 x (mul + add); now 1 mul + 8 adds.
+        (before, out_plain), (after, out_hoisted) = self._iops(plain), self._iops(hoisted)
+        assert before - after == 4 * 7
+        assert out_plain.tobytes() == out_hoisted.tobytes()
+
+    def test_split_is_by_the_innermost_loop_each_term_depends_on(self):
+        _, hoisted = self._hoist(
+            "  float acc;\n"
+            "  int g = get_global_id(0);\n"
+            "  for (int i = 0; i < 4; i += 1) {\n"
+            "    for (int j = 0; j < N; j += 1) {\n"
+            "      acc = acc + a[16 * g + 4 * i + j + n * N];\n"
+            "    }\n"
+            "  }\n"
+        )
+        assert (
+            "  int h2 = 16 * g + n * N;\n"
+            "  for (int i = 0; i < 4; i += 1) {\n"
+            "    int h1 = 4 * i + h2;\n"
+            "    for (int j = 0; j < N; j += 1) {\n"
+            "      acc = acc + a[j + h1];\n"
+        ) in hoisted
+
+    def test_input_load_is_hoisted_written_memory_never(self):
+        loop = (
+            "  local float tmp1[8];\n"
+            "  local float *tmp1_in = tmp1;\n"
+            "  float acc;\n"
+            "  int g = get_global_id(0);\n"
+            "  for (int i = 0; i < N; i += 1) {\n"
+            "    acc = acc + BUFFER[g];\n"
+            "  }\n"
+        )
+        _, hoisted = self._hoist(loop.replace("BUFFER", "x"))
+        assert (
+            "  float h1 = x[g];\n"
+            "  for (int i = 0; i < N; i += 1) {\n"
+            "    acc = acc + h1;\n"
+        ) in hoisted
+        for written in ("out", "g_tmp1", "tmp1", "tmp1_in"):
+            plain, hoisted = self._hoist(loop.replace("BUFFER", written))
+            assert hoisted == plain, written
+
+    def test_vector_load_is_hoisted_with_its_vector_type(self):
+        _, hoisted = self._hoist(
+            "  float4 acc;\n"
+            "  int g = get_global_id(0);\n"
+            "  for (int i = 0; i < 4; i += 1) {\n"
+            "    acc = acc + vload4(g, x) + vload4(0, a + 4 * g);\n"
+            "  }\n"
+        )
+        assert "  float4 h1 = vload4(g, x);\n" in hoisted
+        assert "  float4 h2 = vload4(0, a + 4 * g);\n" in hoisted
+        assert "    acc = acc + h1 + h2;\n" in hoisted
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # an ``if`` body, although the loop around it is certain to run
+            "  for (int i = 0; i < 4; i += 1) {\n"
+            "    if (i < n) {\n"
+            "      out[i] = a[8 * n + i];\n"
+            "    }\n"
+            "  }\n",
+            # a parallel loop: a work-item past the trip count runs it 0 times
+            "  for (int l = get_local_id(0); l < 8; l += get_local_size(0)) {\n"
+            "    out[l] = a[8 * n + l];\n"
+            "  }\n",
+            # bounds that are not provably >= 1
+            "  for (int i = 0; i < n; i += 1) {\n"  # a scalar, not a size
+            "    out[i] = a[8 * n + i];\n"
+            "  }\n",
+            "  for (int i = 0; i < N / 2; i += 1) {\n"
+            "    out[i] = a[8 * n + i];\n"
+            "  }\n",
+            "  for (int i = 0; i < 0; i += 1) {\n"
+            "    out[i] = a[8 * n + i];\n"
+            "  }\n",
+            "  for (int i = 4; i < N; i += 1) {\n"
+            "    out[i] = a[8 * n + i];\n"
+            "  }\n",
+            # the sides of ?:, && and || that may not be evaluated
+            "  for (int i = 0; i < N; i += 1) {\n"
+            "    out[i] = (i < n ? x[8 * n] : alpha);\n"
+            "  }\n",
+            "  for (int i = 0; i < N; i += 1) {\n"
+            "    if (i < n && x[8 * n] < alpha) {\n"
+            "      out[i] = alpha;\n"
+            "    }\n"
+            "  }\n",
+        ],
+    )
+    def test_nothing_leaves_where_the_original_might_not_run(self, body):
+        plain, hoisted = self._hoist(body)
+        assert hoisted == plain
+
+    def test_repeats_in_one_block_are_computed_once(self):
+        _, hoisted = self._hoist(
+            "  int g = get_global_id(0);\n"
+            "  out[8 * g] = a[8 * g] + x[8 * g + 1];\n"
+            "  out[8 * g + 1] = a[8 * g] + alpha;\n"
+        )
+        assert (
+            "  int h1 = 8 * g;\n"
+            "  float h2 = a[h1];\n"
+            "  int h3 = h1 + 1;\n"
+            "  out[h1] = h2 + x[h3];\n"
+            "  out[h3] = h2 + alpha;\n"
+        ) in hoisted
+
+    def test_float_expressions_are_never_shared(self):
+        plain, hoisted = self._hoist(
+            "  int g = get_global_id(0);\n"
+            "  out[g] = alpha * 3.0f + alpha * 3.0f;\n"
+        )
+        assert hoisted == plain
+        _, hoisted = self._hoist(
+            "  int g = get_global_id(0);\n"
+            "  out[g] = x[g] * 3.0f + x[g] * 3.0f;\n"
+        )
+        # Only the load is kept; the product is still computed twice.
+        assert "  float h1 = x[g];\n  out[g] = h1 * 3.0f + h1 * 3.0f;\n" in hoisted
+
+    def test_a_reassigned_name_is_a_different_value(self):
+        plain, hoisted = self._hoist(
+            "  int size_1 = 8;\n"
+            "  out[size_1 + 1] = alpha;\n"
+            "  size_1 = size_1 / 2;\n"
+            "  out[size_1 + 1] = alpha;\n"
+            "  for (int i = 0; i < 4; i += 1) {\n"
+            "    out[2 * size_1 + i] = alpha;\n"
+            "    size_1 = size_1 / 2;\n"
+            "  }\n"
+            "  out[2 * size_1] = alpha;\n"
+        )
+        assert hoisted == plain
+
+    def test_temporaries_avoid_names_the_kernel_uses(self):
+        _, hoisted = self._hoist(
+            "  int h1 = get_global_id(0);\n"
+            "  out[8 * h1] = a[8 * h1];\n"
+        )
+        assert "  int h2 = 8 * h1;\n  out[h2] = a[h2];\n" in hoisted

@@ -5,6 +5,12 @@ array, materialized with a parallel map, compiled to OpenCL and executed
 on the simulator — the result must match the reference IR interpreter
 for every optimization level.  This is the strongest single check of the
 view system's correctness.
+
+The row-reduction programs put a ``reduceSeq`` under the ``mapGlb``
+whose user function reads a loop-invariant operand, the same operand
+twice and a data-dependent gather — the shapes ``compiler/hoist.py``
+rewrites — and hold every level and every engine to the interpreter
+bitwise.
 """
 
 import numpy as np
@@ -12,18 +18,32 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.types import ArrayType, FLOAT
+from repro.types import ArrayType, FLOAT, INT
 from repro.ir.nodes import FunCall, Lambda, Param, UserFun
 from repro.ir.dsl import (
     compose,
+    f32,
     gather,
+    get,
+    id_fun,
     join,
+    lam,
+    lam2,
     map_glb,
+    map_seq,
+    reduce_seq,
     scatter,
     split,
+    to_global,
     transpose,
+    zip_,
 )
-from repro.ir.patterns import reverse_indices, shift_indices, stride_indices
+from repro.ir.patterns import (
+    Filter,
+    reverse_indices,
+    shift_indices,
+    stride_indices,
+)
 from repro.ir.interp import apply_fun
 from repro.compiler.kernel import compile_and_run
 from repro.compiler.options import CompilerOptions
@@ -130,3 +150,69 @@ def test_gather_scatter_roundtrip(shift_a, shift_b):
         options=CompilerOptions(local_size=(8, 1, 1)),
     )
     np.testing.assert_allclose(result.output, data + 1.0)
+
+
+def _weighted_rows(stage_names, row):
+    """Per row of ``layout(x)``: sum of ``a * a + w[idx] * s[row]``."""
+    x = Param(ArrayType(FLOAT, N), "x")
+    w = Param(ArrayType(FLOAT, N), "w")
+    s = Param(ArrayType(FLOAT, N // row), "s")
+    idx = Param(ArrayType(INT, N), "idx")
+    acc_fun = UserFun(
+        "weigh", ["acc", "a", "b", "g", "k"], "return acc + a * b + g * k;",
+        [FLOAT] * 5, FLOAT, py=lambda acc, a, b, g, k: acc + a * b + g * k,
+    )
+
+    def per_row(p):
+        scale, values, picks = get(p, 0), get(p, 1), get(p, 2)
+        step = lam2(
+            lambda acc, q: FunCall(
+                acc_fun, [acc, get(q, 0), get(q, 0), get(q, 1), scale]
+            )
+        )
+        total = reduce_seq(step, f32(0.0))(
+            zip_(values, FunCall(Filter(), [w, picks]))
+        )
+        return to_global(map_seq(id_fun()))(total)
+
+    stages = [f for name in stage_names for f in _LAYOUT_STAGES[name]()]
+    rows = zip_(s, compose(split(row), *stages)(x), split(row)(idx))
+    return Lambda([x, w, s, idx], join()(map_glb(lam(per_row))(rows)))
+
+
+@given(
+    st.lists(st.sampled_from(sorted(_LAYOUT_STAGES)), min_size=0, max_size=2),
+    st.sampled_from([2, 3, 4, 6]),
+    st.integers(0, 2**31),
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,  # the fixed-seed slice tier-1 runs (about 1 s)
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_row_reductions_match_interpreter_on_every_engine(stage_names, row, seed):
+    rng = np.random.default_rng(seed)
+    inputs = {
+        "x": rng.standard_normal(N),
+        "w": rng.standard_normal(N),
+        "s": rng.standard_normal(N // row),
+        "idx": rng.integers(0, N, N),
+    }
+    program = _weighted_rows(stage_names, row)
+    expected = np.asarray(
+        apply_fun(program, [v.tolist() for v in inputs.values()], {}),
+        dtype=float,
+    )
+    for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
+        runs = [
+            compile_and_run(
+                _weighted_rows(stage_names, row), inputs, {},
+                global_size=N // row, options=level(local_size=(2, 1, 1)),
+                engine=engine,
+            )
+            for engine in ("scalar", "compiled", "fused")
+        ]
+        for run in runs:
+            assert run.output.tobytes() == expected.tobytes()
+            assert vars(run.counters) == vars(runs[0].counters)

@@ -9,7 +9,6 @@ leaves any behind — on it or between the schedules it derives."""
 
 import functools
 import itertools
-import sys
 
 import pytest
 
@@ -40,6 +39,8 @@ from repro.rewrite.explore import (
     specialize_sizes,
 )
 from repro.rewrite.strategies import find_matches, one_step_rewrites
+
+from tests.programs import restart_variable_names
 
 NAMES = ["nn", "gemv", "mm"]
 CONFIG = dict(depth=3, max_eval=12)
@@ -180,12 +181,8 @@ def test_no_annotation_leaks_between_schedules(name, monkeypatch):
         for c in finished
     )
 
-    arith_expr = sys.modules["repro.arith.expr"]
-
     def kernel_text(program, cand) -> str:
-        # Loop-variable names count up process-wide; restart them so two
-        # compilations of one schedule print the same text.
-        monkeypatch.setattr(arith_expr, "_var_counter", itertools.count())
+        restart_variable_names(monkeypatch)
         try:
             return compile_kernel(
                 specialize_sizes(program, size_env),
