@@ -116,10 +116,11 @@ def main(out_path: str = None) -> None:
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
             "(parallelism-aware) per benchmark; cycle and runtime fields "
-            "last refreshed when compiler/hoist.py landed (winners and "
-            "derivations unchanged, menu and explorer alike: nn 223 232 "
-            "-> 215 040 cycles, gemv 262 144 -> 258 112, mm 126 208 -> "
-            "117 760); the timing fields are from the last machine that "
+            "last refreshed when barrier rule 4 landed (winners and "
+            "derivations unchanged, menu and explorer alike: nn 215 040 "
+            "-> 202 752 cycles, the barrier behind a mapLcl that reads "
+            "inputs and writes the result; gemv 258 112 and mm 117 760 as "
+            "before); the timing fields are from the last machine that "
             "re-recorded the whole file, not necessarily that change. "
             "Menu and search share one evaluator, so best-vs-menu is "
             "parity on all three; the menu derives the 2-D tiled mm "

@@ -228,8 +228,11 @@ def format_explanation(cells: Iterable[Figure8Cell], device: str) -> str:
 #: deterministic — so the margin is for deliberate small trades, not for
 #: machine noise.
 ROW_FLOOR_MARGIN = 0.005
+#: ... and no ``+AAS`` bar may sit below this, whatever was recorded
+#: (ROADMAP item 3's target, reached with the private accumulator).
+ROW_ABSOLUTE_FLOOR = 0.97
 #: The geometric mean of all ``+AAS`` bars must stay at least this high.
-GEOMEAN_FLOOR = 0.98
+GEOMEAN_FLOOR = 0.99
 
 
 def baseline_rows(cells: Iterable[Figure8Cell]) -> list:
@@ -251,9 +254,9 @@ def baseline_rows(cells: Iterable[Figure8Cell]) -> list:
 
 def floor_failures(cells: Iterable[Figure8Cell], baseline: Mapping) -> list:
     """One message per ``+AAS`` bar of ``cells`` that fell more than
-    :data:`ROW_FLOOR_MARGIN` below its ``BENCH_figure8.json`` row, plus
-    one if all recorded rows were measured and their geometric mean is
-    below :data:`GEOMEAN_FLOOR`."""
+    :data:`ROW_FLOOR_MARGIN` below its ``BENCH_figure8.json`` row or
+    below :data:`ROW_ABSOLUTE_FLOOR`, plus one if all recorded rows were
+    measured and their geometric mean is below :data:`GEOMEAN_FLOOR`."""
     cells = [c for c in cells if c.level == "all"]
     recorded = {
         (r["benchmark"], r["device"], r["size"]): r["all"]
@@ -262,7 +265,7 @@ def floor_failures(cells: Iterable[Figure8Cell], baseline: Mapping) -> list:
     failures = []
     for cell in cells:
         key = (cell.benchmark, cell.device, cell.size)
-        floor = recorded[key] - ROW_FLOOR_MARGIN
+        floor = max(recorded[key] - ROW_FLOOR_MARGIN, ROW_ABSOLUTE_FLOOR)
         if cell.relative_performance < floor:
             failures.append(
                 f"figure8[{'/'.join(key)}]: +AAS "

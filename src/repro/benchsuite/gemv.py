@@ -31,6 +31,7 @@ from repro.ir.dsl import (
     mult_and_sum_up,
     reduce_,
     reduce_seq,
+    reduce_seq_unroll,
     split,
     to_global,
     to_local,
@@ -89,10 +90,16 @@ def axpby_fun() -> UserFun:
 
 def halving_step():
     """One tree-reduction step: halve the array by pairwise addition
-    (the iterate body of Listing 1)."""
+    (the iterate body of Listing 1).  A pair is not a loop: the
+    reference writes ``part[l] + part[l + sz]``, so the two-element
+    reduction is unrolled."""
     return compose(
         join(),
-        map_lcl(compose(to_local(map_seq(id_fun())), reduce_seq(add(), f32(0.0)))),
+        map_lcl(
+            compose(
+                to_local(map_seq(id_fun())), reduce_seq_unroll(add(), f32(0.0))
+            )
+        ),
         split(2),
     )
 
@@ -105,8 +112,6 @@ def dot_row_work_group(row_pairs: Expr, k) -> Expr:
     work-per-thread loops the same way); unrolling turns the iteration
     index into a constant that the simplifier folds into every access.
     """
-    from repro.ir.dsl import reduce_seq_unroll
-
     musu = mult_and_sum_up()
     reduce_pairs = lam2(
         lambda acc, xy: FunCall(musu, [acc, get(xy, 0), get(xy, 1)])

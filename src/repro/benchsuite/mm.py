@@ -1,8 +1,9 @@
 """Matrix multiplication — two CLBlast-style variants (Table 1 rows 11-12).
 
 * **NVIDIA variant**: classic local-memory tiling; A- and B-tiles are
-  staged cooperatively, the C-tile accumulator lives in local memory and
-  is updated across k-tiles by an array-accumulator ``reduceSeq``.
+  staged cooperatively, and the C tile is the *private* array accumulator
+  (``toPrivate(mapLcl(mapLcl(zero)))``: one element per work-item, the
+  reference's ``float acc``) of the ``reduceSeq`` over k-tiles.
 * **AMD variant**: no local-memory tiling; each thread keeps a
   ``float4`` register block of the output row and streams the B columns
   through vector loads (``asVector``) — register blocking +
@@ -37,6 +38,7 @@ from repro.ir.dsl import (
     split,
     to_global,
     to_local,
+    to_private,
     transpose,
     vec_literal,
     zip_,
@@ -142,7 +144,7 @@ def _program_nvidia(m_val, n_val, k_val):
 
     def per_tile_pair(arow_tiles, bcol_tiles):
         def per_ij():
-            acc0 = to_local(map_lcl(map_lcl(zero, 0), 1))(head(bcol_tiles))
+            acc0 = to_private(map_lcl(map_lcl(zero, 0), 1))(head(bcol_tiles))
 
             def per_ktile(acc_chunk, ab):
                 a_loc = to_local(map_lcl(map_lcl(id_f, 0), 1))(get(ab, 0))

@@ -3,8 +3,8 @@
 * **NVIDIA SDK style**: work-group tiling; each tile of bodies is staged
   in local memory (``toLocal(mapLcl(id))``) and every thread accumulates
   accelerations against the tile.  The across-tile accumulation is a
-  ``reduceSeq`` with an *array* accumulator in local memory whose body is
-  a ``mapLcl``.
+  ``reduceSeq`` whose body is a ``mapLcl`` and whose *array* accumulator
+  is private (``toPrivate(mapLcl(zero))``): one register per work-item.
 * **AMD SDK style**: no local memory; one global thread per body reads
   every other body directly, with vectorized ``float4`` arithmetic.
 
@@ -38,6 +38,7 @@ from repro.ir.dsl import (
     vec_literal,
     zip_,
 )
+from repro.ir.patterns import ReduceSeq
 from repro.benchsuite.common import (
     Benchmark,
     Characteristics,
@@ -212,41 +213,30 @@ def _program_nvidia(n_val):
     calc, upd, zero, id4 = _calc_acc(), _update(), _zero4(), _id4()
 
     def per_chunk(chunk):
-        p1chunk = get(chunk, 0)
         v1chunk = get(chunk, 1)
-        acc_init = to_local(map_lcl(zero))(p1chunk)
+        # Every thread keeps its own position and its acceleration in
+        # registers across the whole walk over tiles, as the reference's
+        # ``float4 p1`` / ``float4 acc`` do: toPrivate under mapLcl is
+        # one slot per work-item (TILE bodies on TILE work-items).
+        p1chunk = Param(None, "p1")
+        acc_init = to_private(map_lcl(zero))(p1chunk)
 
         def per_tile(acc_chunk, p2chunk):
-            tile_local = to_local(map_lcl(id4))(p2chunk)
+            tile = Param(None, "tile")
 
-            def with_tile(tile):
-                def per_body(ap):
-                    # toPrivate keeps the thread's own position in a
-                    # register for the whole tile walk, as the reference
-                    # does; a bare id4 would stage it in local memory
-                    # (Algorithm 1) and re-read it per inner iteration.
-                    p1_reg = Param(None, "p1r")
-                    inner = lam2(
-                        lambda a, p2: FunCall(calc, [a, p1_reg, p2, esp])
-                    )
-                    reduced = FunCall(
-                        reduce_seq(inner, get(ap, 0)), [tile]
-                    )
-                    return FunCall(
-                        Lambda([p1_reg], reduced),
-                        [FunCall(to_private(id4), [get(ap, 1)])],
-                    )
+            def per_body(ap):
+                step = lam2(
+                    lambda a, p2: FunCall(calc, [a, get(ap, 1), p2, esp])
+                )
+                return FunCall(reduce_seq(step, get(ap, 0)), [tile])
 
-                return join()(map_lcl(lam(per_body))(zip_(acc_chunk, p1chunk)))
-
-            tile_p = Param(None, "tile")
-            return FunCall(Lambda([tile_p], with_tile(tile_p)), [tile_local])
+            walk = join()(map_lcl(lam(per_body))(zip_(acc_chunk, p1chunk)))
+            return FunCall(
+                Lambda([tile], walk), [to_local(map_lcl(id4))(p2chunk)]
+            )
 
         acc_final = join()(
-            FunCall(
-                __reduce_seq_pattern()(lam2(per_tile)),
-                [acc_init, split(TILE)(pos)],
-            )
+            FunCall(ReduceSeq(lam2(per_tile)), [acc_init, split(TILE)(pos)])
         )
         finish = to_global(
             map_lcl(
@@ -257,17 +247,14 @@ def _program_nvidia(n_val):
                 )
             )
         )
-        return finish(zip_(acc_final, p1chunk, v1chunk))
+        return FunCall(
+            Lambda([p1chunk], finish(zip_(acc_final, p1chunk, v1chunk))),
+            [to_private(map_lcl(id4))(get(chunk, 0))],
+        )
 
     chunks = zip_(split(TILE)(pos), split(TILE)(vel))
     body = join()(map_wrg(lam(per_chunk))(chunks))
     return Lambda([pos, vel, delta_t, esp], body)
-
-
-def __reduce_seq_pattern():
-    from repro.ir.patterns import ReduceSeq
-
-    return ReduceSeq
 
 
 def _program_amd(n_val):
@@ -279,8 +266,9 @@ def _program_amd(n_val):
     calc, upd = _calc_acc(), _update()
 
     def per_body(pv):
-        # Bound through toPrivate(id4): a register, not a global staging
-        # buffer (see _program_nvidia).
+        # Bound through toPrivate(id4): a register for the whole walk, as
+        # the reference's ``float4 p1``; a bare id4 would be staged in
+        # global memory (Algorithm 1) and re-read per inner iteration.
         p1_reg = Param(None, "p1r")
         step = lam2(lambda a, p2: FunCall(calc, [a, p1_reg, p2, esp]))
         acc = reduce_seq(step, vec_literal(0.0, 4))(pos)

@@ -124,7 +124,9 @@ from repro.opencl.interp import Counters
 #: ``iterate`` step and element-unit vector addressing, then
 #: :mod:`repro.compiler.hoist` — so a v5 store answered with the older
 #: compiler's kernels and cycle counts.
-CACHE_VERSION = 6
+#: v7: private values spread over work-items (``toPrivate(mapLcl ...)``
+#: is ``ceil(n / t)`` slots, not one) and barrier rule 4.
+CACHE_VERSION = 7
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"

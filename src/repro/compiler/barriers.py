@@ -7,7 +7,7 @@ data before the next barrier that survives.  The Lift IL only shares
 data between work-items through the data-layout patterns (split, join,
 gather, scatter, transpose, slide, asVector, asScalar), and every
 destination-less ``mapLcl`` result gets a buffer of its own
-(``KernelGenerator._alloc_staged``), which is what makes three rules
+(``KernelGenerator._alloc_staged``), which is what makes four rules
 sound:
 
 1. **Element-wise consumer.**  A ``mapLcl`` whose result reaches the
@@ -34,6 +34,33 @@ sound:
    per-work-item size update and pointer swap follow it, so the swap's
    own barrier separates nothing and goes
    (:func:`step_ends_in_barrier`).
+
+4. **Nothing shared, nothing to order.**  A ``mapLcl`` that ends with no
+   load or store since the last emitted barrier having touched memory
+   two work-items can both reach ends without one.  Private memory is
+   the work-item's own (the code generator refuses every access to a
+   ``toPrivate`` value by another work-item than its owner); a kernel
+   input is never written; the kernel's result is written once per
+   element and never read.  So a ``mapLcl`` whose body reads only inputs
+   and private values and that writes private memory or the final result
+   — an accumulator's initialisation, the copy-out of a register — needs
+   no barrier.  Who touches what it touched next?  Of private memory,
+   the same work-item; of the inputs and the result, nobody in a
+   conflicting way.  A ``mapLcl`` that writes private memory but *reads*
+   a local tile keeps its barrier: the next tile's staging overwrites
+   what it read.  Counting from the last *emitted* barrier is what keeps
+   rules 1 and 2 honest: a producer whose barrier they removed because
+   "the consumer's barrier separates them" has touched its buffer since,
+   so that consumer keeps its own unless the buffer is private too.
+   (Emission order is execution order except across a loop's back edge,
+   and a loop body cannot end with a touched buffer behind it: like
+   rules 1 - 3, this one takes shared memory to be touched inside
+   ``mapLcl`` only, and the last ``mapLcl`` of a body that touched any
+   ends in a barrier by the sentence before.)
+   Unlike rules 1 - 3 this one is decided where the statements are
+   emitted (``KernelGenerator._emit_barrier_after_map_lcl``): only a
+   consumed view says which memory an access lands in — address-space
+   inference calls a ``reduceSeq`` over ``zip(local, global)`` "global".
 
 The lane-batched simulator backends check every launch for cross-lane
 hazards between barriers, so a removal that is not sound shows up as a

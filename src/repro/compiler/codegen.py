@@ -19,10 +19,12 @@ Array accesses are produced by consuming views (section 5.3); the
 resulting index expressions are passed through the arithmetic simplifier
 only when array-access simplification is enabled.
 
-Memory for a result nobody passed a destination for — a staged scalar or
-a whole map intermediate — follows section 5.2's multiplier rule: one
-copy per index of every enclosing parallel map whose work-items share
-that address space (``KernelGenerator._alloc_staged``).
+Memory for a result nobody passed a destination for — a staged scalar, a
+whole map intermediate or a ``reduceSeq`` array accumulator — follows
+section 5.2's multiplier rule (``KernelGenerator._alloc_staged``,
+:mod:`repro.compiler.memory`): local and global memory get one copy per
+index of every enclosing parallel map whose work-items share them,
+private memory only the producing work-item's own slots.
 """
 
 from __future__ import annotations
@@ -55,12 +57,17 @@ from repro.ir.nodes import (
 )
 from repro.ir import patterns as pat
 from repro.ir.typecheck import infer_fun_type, infer_types
-from repro.ir.visit import unwrap
+from repro.ir.visit import body_of, unwrap
 from repro.compiler import cast as c
 from repro.compiler.address_space import infer_address_spaces
 from repro.compiler.barriers import find_removable_barriers, step_ends_in_barrier
 from repro.compiler.hoist import hoist
-from repro.compiler.memory import Memory, MemoryAllocator
+from repro.compiler.memory import (
+    Memory,
+    MemoryAllocator,
+    Threads,
+    per_thread_type,
+)
 from repro.compiler.options import CompilerOptions
 from repro.compiler.views import (
     Access,
@@ -79,6 +86,7 @@ from repro.compiler.views import (
     ViewConsumptionError,
     ZipView,
     consume,
+    layout_patterns,
 )
 
 
@@ -133,7 +141,12 @@ class CompiledKernel:
         raise CodeGenError(f"unsupported output element type {t}")
 
 
-_PARALLEL_MAPS = (pat.MapGlb, pat.MapWrg, pat.MapLcl)
+_MAP_KINDS = {pat.MapGlb: "glb", pat.MapWrg: "wrg", pat.MapLcl: "lcl"}
+
+
+def _map_name(kind: str, dim: int) -> str:
+    return {"glb": "mapGlb", "wrg": "mapWrg", "lcl": "mapLcl"}[kind] + f"({dim})"
+
 
 _LAYOUT_PATTERNS = (
     pat.Split,
@@ -200,6 +213,13 @@ class KernelGenerator:
         #: staging allocations inside them get one slot per work-item
         #: (see :meth:`_staging_wrap`).
         self._par_stack: list = []
+        #: Index variable name -> (kind, dim) of every parallel map loop
+        #: opened so far: who owns an element of a spread private value.
+        self._par_vars: dict = {}
+        self._out_mem: Optional[Memory] = None
+        #: Has a load or store since the last emitted barrier touched
+        #: memory work-items share (barrier rule 4)?
+        self._shared_touched = False
 
     # ------------------------------------------------------------------
     # entry point
@@ -228,6 +248,7 @@ class KernelGenerator:
         if not isinstance(out_type, ArrayType):
             raise CodeGenError("kernel result must be an array")
         out_mem = MemoryAllocator.for_param("out", out_type, AddressSpace.GLOBAL)
+        self._out_mem = out_mem
         params.append(
             KernelParamInfo("out", "out_buffer", out_mem.scalar_type.name, out_mem.count)
         )
@@ -320,12 +341,8 @@ class KernelGenerator:
 
         if isinstance(f, pat.MapSeq):
             return self._gen_map(expr, f, block, dest, kind="seq")
-        if isinstance(f, pat.MapLcl):
-            return self._gen_map(expr, f, block, dest, kind="lcl")
-        if isinstance(f, pat.MapWrg):
-            return self._gen_map(expr, f, block, dest, kind="wrg")
-        if isinstance(f, pat.MapGlb):
-            return self._gen_map(expr, f, block, dest, kind="glb")
+        if type(f) in _MAP_KINDS:
+            return self._gen_map(expr, f, block, dest, kind=_MAP_KINDS[type(f)])
         if isinstance(f, (pat.Map, pat.Reduce)) and not isinstance(
             f, (pat.MapSeq, pat.ReduceSeq)
         ):
@@ -451,16 +468,28 @@ class KernelGenerator:
         self._emit_store(dest.view, call.type, value, block)
         return GenResult(MemView(dest.memory, call.type), wrote=True)
 
-    def _alloc_staged(self, logical: DataType, space: AddressSpace) -> tuple:
+    def _alloc_staged(
+        self,
+        logical: DataType,
+        space: AddressSpace,
+        producer: Optional[FunDecl] = None,
+    ) -> tuple:
         """Allocate a destination-less result; returns ``(memory, view)``.
 
-        Section 5.2's multiplier rule: a buffer in local or global memory
+        Section 5.2's multiplier rule.  A buffer in local or global memory
         is multiplied by the trip count of every enclosing parallel map
         whose work-items share that memory — one shared copy would be
         written concurrently by all of them, and barrier elimination
-        (section 5.4) is only sound on top of per-index copies.  The
-        returned view is already indexed by those maps' loop variables,
-        so readers and writers see a value of type ``logical``."""
+        (section 5.4) is only sound on top of per-index copies.  A private
+        buffer is per work-item already, so the dimensions the parallel
+        maps of ``producer`` spread over work-items are divided instead
+        (:meth:`_thread_spread`).  The returned view is already indexed
+        by the enclosing maps' loop variables, so readers and writers see
+        a value of type ``logical``."""
+        if space == AddressSpace.PRIVATE:
+            threads = self._thread_spread(producer, logical)
+            mem = self.alloc.alloc(per_thread_type(logical, threads), space)
+            return mem, MemView(mem, logical, threads)
         wrap = self._staging_wrap(space)
         multiplied = logical
         for _, length in reversed(wrap):
@@ -470,6 +499,48 @@ class KernelGenerator:
         for idx, _ in wrap:
             view = ArrayAccessView(view, idx)
         return mem, view
+
+    def _thread_spread(self, producer: Optional[FunDecl], t: DataType) -> tuple:
+        """Per leading dimension of the private value ``producer`` writes:
+        the :class:`Threads` of the parallel map that writes it, ``None``
+        under a sequential one.  Follows the map nest through the
+        destination position (a map body that is itself a map)."""
+        threads: list = []
+        f = unwrap(producer) if producer is not None else None
+        while isinstance(f, pat.AbstractMap) and isinstance(t, ArrayType):
+            threads.append(
+                self._threads_of(f, t.length)
+                if isinstance(f, pat.ParallelMap)
+                else None
+            )
+            t = t.elem
+            body = body_of(f)
+            while isinstance(body, FunCall) and isinstance(body.f, Lambda):
+                body = body.f.body
+            f = unwrap(body.f) if isinstance(body, FunCall) else None
+        while threads and threads[-1] is None:
+            threads.pop()
+        return tuple(threads)
+
+    def _threads_of(self, f: pat.ParallelMap, n: ArithExpr) -> Threads:
+        """How many work-items ``f`` spreads its ``n`` elements over."""
+        kind = _MAP_KINDS[type(f)]
+        count = self._thread_count(kind, f.dim)
+        n = simplify(n)
+        if n == Cst(1):
+            count = 1  # one slot, whatever the launch
+        if count is None or n.try_int() is None:
+            raise CodeGenError(
+                f"a private value produced by {_map_name(kind, f.dim)} over "
+                f"{n} elements needs ceil({n} / work-items) slots per "
+                "work-item, a static number: "
+                + (
+                    "set CompilerOptions.global_size"
+                    if count is None
+                    else "specialize the length"
+                )
+            )
+        return Threads(kind, f.dim, count)
 
     def _staging_wrap(self, space: AddressSpace) -> list:
         """The ``(index, trip count)`` multipliers of :meth:`_alloc_staged`.
@@ -526,11 +597,10 @@ class KernelGenerator:
             # index (two mapLcl(1) rows staging through one shared row
             # would race), and that indexed view is what readers get.
             space = call.addr_space or AddressSpace.GLOBAL
-            logical = self._alloc_logical_type(call.type, space, kind)
-            mem, result_view = self._alloc_staged(logical, space)
+            mem, result_view = self._alloc_staged(call.type, space, f)
             dest = WriteDest(mem, result_view)
         else:
-            result_view = MemView(dest.memory, dest.memory.logical_type)
+            result_view = dest.view
 
         lam = unwrap(f.f)
         if not isinstance(lam, Lambda):
@@ -577,20 +647,12 @@ class KernelGenerator:
             self._emit_barrier_after_map_lcl(call, dest.memory.space, block)
         return GenResult(result_view, wrote=True)
 
-    def _alloc_logical_type(
-        self, call_type: ArrayType, space: AddressSpace, kind: str
-    ) -> DataType:
-        """Per section 5.2's multiplier rules: private memory does not
-        multiply across parallel dimensions (each thread owns a copy)."""
-        if space == AddressSpace.PRIVATE and kind in ("lcl", "glb", "wrg"):
-            return call_type.elem
-        return call_type
+    def _emit_barrier(self, fence: str, block: c.CBlock) -> None:
+        block.add(c.CBarrier(fence))
+        self._shared_touched = False
 
     def _wrap_dest(self, dest: WriteDest, idx: ArithExpr, kind: str) -> WriteDest:
-        space = dest.memory.space
-        if space == AddressSpace.PRIVATE and kind in ("lcl", "glb", "wrg"):
-            return dest
-        if space == AddressSpace.LOCAL and kind in ("wrg", "glb"):
+        if dest.memory.space == AddressSpace.LOCAL and kind in ("wrg", "glb"):
             return dest
         return WriteDest(dest.memory, ArrayAccessView(dest.view, idx))
 
@@ -602,13 +664,15 @@ class KernelGenerator:
         "global" for a ``reduceSeq`` body over ``zip(local, global)``
         even when its accumulator lives in local memory)."""
         if id(call) in self.removable:
-            return
-        fence = (
+            return  # rules 1 and 2
+        if self.opts.barrier_elimination and not self._shared_touched:
+            return  # rule 4: nothing shared was touched since the last one
+        self._emit_barrier(
             "CLK_GLOBAL_MEM_FENCE"
             if written == AddressSpace.GLOBAL
-            else "CLK_LOCAL_MEM_FENCE"
+            else "CLK_LOCAL_MEM_FENCE",
+            block,
         )
-        block.add(c.CBarrier(fence))
 
     # ------------------------------------------------------------------
     # loop emission with control-flow simplification
@@ -644,6 +708,7 @@ class KernelGenerator:
 
         thread_count = self._thread_count(kind, dim)
         idx = Var.fresh(prefix, Range.of(0, n))
+        self._par_vars[idx.name] = (kind, dim)
 
         if cf and thread_count is not None and n_int is not None and n_int == thread_count:
             block.add(
@@ -706,10 +771,20 @@ class KernelGenerator:
         acc_type = init_expr.type
         assert acc_type is not None
 
-        space = call.addr_space or AddressSpace.PRIVATE
+        acc_view: View
         if isinstance(acc_type, ArrayType):
-            acc_mem = self.alloc.alloc(acc_type, space)
-            acc_view: View = MemView(acc_mem, acc_type)
+            space = call.addr_space or AddressSpace.PRIVATE
+            if space == AddressSpace.PRIVATE:
+                # The initializer writes the accumulator: its maps say
+                # how it is spread over work-items.
+                producer = init_expr.f if isinstance(init_expr, FunCall) else None
+                acc_mem, acc_view = self._alloc_staged(acc_type, space, producer)
+            else:
+                # One copy: the result is handed on as a one-element array
+                # over this buffer, which the indexed view of a multiplied
+                # buffer could not express.
+                acc_mem = self.alloc.alloc(acc_type, space)
+                acc_view = MemView(acc_mem, acc_type)
             init_result = self.gen(init_expr, block, WriteDest(acc_mem, acc_view))
             if not init_result.wrote:
                 raise CodeGenError(
@@ -748,14 +823,18 @@ class KernelGenerator:
                     "array-accumulator reductions must be copied out with "
                     "an explicit map(id)"
                 )
-            value = self._load(MemView(acc_mem, acc_type), acc_type)
+            value = self._load(acc_view, acc_type)
             self._emit_store(
                 ArrayAccessView(dest.view, Cst(0)), acc_type, value, block
             )
-            return GenResult(MemView(dest.memory, ArrayType(acc_type, Cst(1))), wrote=True)
+            return GenResult(dest.view, wrote=True)
 
-        result_type = ArrayType(acc_type, Cst(1))
-        return GenResult(MemView(acc_mem, result_type), wrote=True)
+        # The result is the accumulator as a one-element array.
+        assert isinstance(acc_view, MemView)
+        threads = (None,) + acc_view.threads if acc_view.threads else ()
+        return GenResult(
+            MemView(acc_mem, ArrayType(acc_type, Cst(1)), threads), wrote=True
+        )
 
     def _open_reduce_loop(self, block: c.CBlock, n: ArithExpr) -> tuple:
         if self.opts.control_flow_simplification and simplify(n).try_int() == 1:
@@ -874,7 +953,7 @@ class KernelGenerator:
             and step_ends_in_barrier(lam.body, self.removable)
         )
         if space == AddressSpace.LOCAL and not fenced:
-            loop_body.add(c.CBarrier("CLK_LOCAL_MEM_FENCE"))
+            self._emit_barrier("CLK_LOCAL_MEM_FENCE", loop_body)
 
         assert isinstance(call.type, ArrayType)
         final_view = MemView(in_ptr, call.type)
@@ -937,8 +1016,8 @@ class KernelGenerator:
         """
         self.tuple_types[t.name] = t
         try:
-            access = consume(view)
-            if not access.tuple_path and self._is_register(access.memory):
+            access = self._consume(view)
+            if not access.tuple_path and access.memory.is_register:
                 return c.CIdent(access.memory.name)
         except ViewConsumptionError:
             pass
@@ -960,18 +1039,85 @@ class KernelGenerator:
             return c.CInt(int(lit.value))
         return c.CFloat(float(lit.value))
 
-    def _load(self, view: View, value_type: DataType) -> c.CExpr:
+    def _consume(self, view: View, store: bool = False) -> Access:
+        """:func:`consume`, plus the two things only the generator knows.
+
+        *Ownership.*  An element of a private value spread over
+        work-items exists in its owner's copy only, so its index must be
+        the loop variable of a parallel map of the kind and dimension
+        that produced it; and a dimension every work-item holds whole
+        must be written whole — a store there may not depend on a
+        work-item id (:mod:`repro.compiler.memory`).
+
+        *Sharing.*  Records whether the access touches memory work-items
+        share — anything but private memory, a load from a kernel input
+        and a store to the kernel's result (barrier rule 4)."""
         access = consume(view)
-        return self._access_expr(access, value_type)
+        mem = access.memory
+        for threads, idx in access.owned:
+            if threads is not None or store:
+                self._check_owner(mem, threads, idx, view)
+        if self._is_shared(mem, store) or any(
+            self._is_shared(loaded, False) for loaded in access.index_loads
+        ):
+            self._shared_touched = True
+        return access
+
+    def _is_shared(self, mem: Memory, store: bool) -> bool:
+        if mem.space == AddressSpace.PRIVATE:
+            return False
+        if mem is self._out_mem:
+            return not store  # nothing in the kernel reads its result
+        return not mem.is_param  # an input is never written
+
+    def _check_owner(
+        self, mem: Memory, threads: Optional[Threads], idx: ArithExpr, view: View
+    ) -> None:
+        if not isinstance(idx, Var):  # (a Var of one value simplifies to it)
+            idx = simplify(idx)
+        if threads is None:
+            foreign = [v.name for v in free_vars(idx) if v.name in self._par_vars]
+            if not foreign:
+                return
+            problem = (
+                f"element {idx} of a dimension every work-item holds whole is "
+                f"written under {_map_name(*self._par_vars[foreign[0]])}"
+            )
+            advice = (
+                "only the map nest directly under toPrivate spreads a "
+                "private value over work-items"
+            )
+        else:
+            owner = self._par_vars.get(idx.name) if isinstance(idx, Var) else None
+            if owner == (threads.kind, threads.dim):
+                return
+            by = f"by {_map_name(*owner)}" if owner else f"at index {idx}"
+            problem = (
+                f"a dimension produced by {_map_name(threads.kind, threads.dim)} "
+                f"is accessed {by}"
+            )
+            advice = (
+                "a toPrivate value produced by a parallel map may only be "
+                "consumed element-wise by a map of the same kind and dimension"
+            )
+        through = sorted(layout_patterns(view))
+        raise CodeGenError(
+            f"private memory {mem.name} is per work-item, but {problem}"
+            + (f" (through {', '.join(through)})" if through else "")
+            + f": {advice}"
+        )
+
+    def _load(self, view: View, value_type: DataType) -> c.CExpr:
+        return self._access_expr(self._consume(view), value_type)
 
     def _store_target(self, view: View, value_type: DataType) -> c.CExpr:
-        return self._access_expr(consume(view), value_type)
+        return self._access_expr(self._consume(view, store=True), value_type)
 
     def _emit_store(
         self, view: View, value_type: DataType, value: c.CExpr, block: c.CBlock
     ) -> None:
-        access = consume(view)
-        if isinstance(value_type, VectorType) and not self._is_register(access.memory):
+        access = self._consume(view, store=True)
+        if isinstance(value_type, VectorType) and not access.memory.is_register:
             block.add(
                 c.CExprStmt(
                     c.CCall(
@@ -983,18 +1129,6 @@ class KernelGenerator:
             return
         block.add(c.CAssign(self._access_expr(access, value_type), value))
 
-    def _is_register(self, mem: Memory) -> bool:
-        if mem.space != AddressSpace.PRIVATE:
-            return False
-        if mem.is_param:
-            return True  # scalar kernel parameters are plain values
-        t = mem.logical_type
-        length: ArithExpr = Cst(1)
-        while isinstance(t, ArrayType):
-            length = simplify(length * t.length)
-            t = t.elem
-        return simplify(length) == Cst(1)
-
     def _access_expr(self, access: Access, value_type: DataType) -> c.CExpr:
         mem = access.memory
         base: c.CExpr = c.CIdent(mem.name)
@@ -1002,7 +1136,7 @@ class KernelGenerator:
             for component in access.tuple_path:
                 base = c.CMember(base, f"_{component}")
             return base
-        if self._is_register(mem):
+        if mem.is_register:
             return base
         if isinstance(value_type, VectorType):
             return c.CCall(
@@ -1085,7 +1219,7 @@ class KernelGenerator:
                 )
             )
         for mem in self.alloc.privates:
-            if self._is_register(mem):
+            if mem.is_register:
                 t = mem.logical_type
                 while isinstance(t, ArrayType):
                     t = t.elem

@@ -29,7 +29,8 @@ from typing import Optional
 from repro.arith import ArithExpr, Cst, simplify
 from repro.arith.expr import IntDiv, Mod, Prod, Sum
 from repro.types import ArrayType, DataType, TupleType, VectorType
-from repro.compiler.memory import Memory
+from repro.compiler.memory import Memory, per_thread_type
+from repro.ir.nodes import AddressSpace
 from repro.ir.patterns import IndexFun
 
 
@@ -42,12 +43,16 @@ class View:
 @dataclass
 class MemView(View):
     """The root of a view chain: a buffer and the array type it holds
-    *relative to the scope the view was created in* (a per-thread private
-    accumulator has its per-thread type here, never the full iteration
-    space — the address-space multiplier rules of section 5.2)."""
+    as the scope the view was created in sees it.  For a private value
+    spread over work-items that is the type of the whole value, with
+    ``threads`` saying per leading dimension how it is spread
+    (:class:`repro.compiler.memory.Threads`, ``None`` for a dimension
+    every work-item holds whole): the buffer itself only holds the
+    work-item's own slots (section 5.2, :mod:`repro.compiler.memory`)."""
 
     memory: Memory
     array_type: DataType
+    threads: tuple = ()
 
 
 @dataclass
@@ -158,11 +163,16 @@ class Access:
 
     ``tuple_path`` is non-empty when the access lands on a struct-typed
     register (tuple accumulators): the member components to select, in
-    outer-to-inner order."""
+    outer-to-inner order.  ``owned`` lists, for private memory, the
+    ``(threads, element index)`` of every array dimension — the code
+    generator checks that the accessing work-item owns the element;
+    ``index_loads`` the memories a ``filter`` index was loaded from."""
 
     memory: Memory
     index: ArithExpr
     tuple_path: tuple = ()
+    owned: tuple = ()
+    index_loads: tuple = ()
 
 
 class ViewConsumptionError(Exception):
@@ -174,6 +184,7 @@ def consume(view: View) -> Access:
     array_stack: list[ArithExpr] = []
     tuple_stack: list[int] = []
     lane_offsets: list[ArithExpr] = []
+    index_loads: list[Memory] = []
 
     node = view
     while not isinstance(node, MemView):
@@ -210,6 +221,8 @@ def consume(view: View) -> Access:
             array_stack.append(
                 LoadIndex(idx_access.memory.name, idx_access.index)
             )
+            index_loads.append(idx_access.memory)
+            index_loads.extend(idx_access.index_loads)
             node = node.parent
         elif isinstance(node, TransposeView):
             outer = array_stack.pop()
@@ -242,21 +255,60 @@ def consume(view: View) -> Access:
         else:
             raise ViewConsumptionError(f"cannot consume view node {node!r}")
 
-    index = _linearize(node, array_stack)
+    index, owned = _linearize(node, array_stack)
     for lane in lane_offsets:
         index = Sum([index, lane])
-    return Access(node.memory, index, tuple(reversed(tuple_stack)))
+    return Access(
+        node.memory, index, tuple(reversed(tuple_stack)), owned,
+        tuple(index_loads),
+    )
 
 
-def _linearize(mem_view: MemView, array_stack: list[ArithExpr]) -> ArithExpr:
-    """Flatten the per-dimension indices into a scalar offset.
+_PATTERN_NAMES = {
+    SplitView: "split",
+    JoinView: "join",
+    GatherView: "gather",
+    ScatterView: "scatter",
+    TransposeView: "transpose",
+    FilterView: "filter",
+    SlideView: "slide",
+    AsVectorView: "asVector",
+    AsScalarView: "asScalar",
+}
+
+
+def layout_patterns(view: View) -> set:
+    """Names of the data-layout patterns on the chains below ``view``
+    (for diagnostics: every branch of a zip is followed)."""
+    found: set = set()
+    pending = [view]
+    while pending:
+        node = pending.pop()
+        name = _PATTERN_NAMES.get(type(node))
+        if name is not None:
+            found.add(name)
+        if isinstance(node, ZipView):
+            pending.extend(node.parents)
+        elif not isinstance(node, MemView):
+            pending.append(node.parent)
+    return found
+
+
+def _linearize(mem_view: MemView, array_stack: list[ArithExpr]) -> tuple:
+    """Flatten the per-dimension indices into a scalar offset; also
+    returns :attr:`Access.owned`.
 
     The most recently pushed index belongs to the outermost dimension
     (see the Figure 5 walk-through); strides are products of the inner
-    dimension lengths times the scalar width of the element type.
+    dimension lengths times the scalar width of the element type.  A
+    dimension of private memory spread over ``t`` work-items holds the
+    work-item's own slots only: element ``idx`` is slot ``idx / t``.
     """
-    dims: list[ArithExpr] = []
+    threads = mem_view.threads
     t = mem_view.array_type
+    if threads:
+        t = per_thread_type(t, threads)
+    dims: list[ArithExpr] = []
     while isinstance(t, ArrayType):
         dims.append(t.length)
         t = t.elem
@@ -268,30 +320,29 @@ def _linearize(mem_view: MemView, array_stack: list[ArithExpr]) -> ArithExpr:
             f"{len(dims)}-dimensional memory {mem_view.memory.name}"
         )
 
+    private = mem_view.memory.space == AddressSpace.PRIVATE
+    owned = []
     index: ArithExpr = Cst(0)
     for dim_pos in range(len(dims)):
         idx = array_stack.pop()
+        if private:
+            spread = threads[dim_pos] if dim_pos < len(threads) else None
+            owned.append((spread, idx))
+            if spread is not None:
+                idx = IntDiv(idx, Cst(spread.count))
         stride: ArithExpr = Cst(1)
         for inner in dims[dim_pos + 1 :]:
             stride = Prod([stride, inner]) if stride != Cst(1) else inner
         term = Prod([idx, stride]) if stride != Cst(1) else idx
         index = term if index == Cst(0) else Sum([index, term])
     if array_stack:
-        from repro.ir.nodes import AddressSpace
-
-        if mem_view.memory.space == AddressSpace.PRIVATE:
-            # Private memory is per-thread: indices contributed by
-            # enclosing parallel maps select the thread's own copy and
-            # vanish (the allocation multiplier rules of section 5.2).
-            array_stack.clear()
-        else:
-            raise ViewConsumptionError(
-                f"{len(array_stack)} unconsumed indices for memory "
-                f"{mem_view.memory.name}"
-            )
+        raise ViewConsumptionError(
+            f"{len(array_stack)} unconsumed indices for memory "
+            f"{mem_view.memory.name}"
+        )
     if elem_width != 1:
         index = Prod([index, Cst(elem_width)])
-    return index
+    return index, tuple(owned)
 
 
 def _scalar_width(t: DataType) -> int:

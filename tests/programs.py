@@ -64,17 +64,21 @@ def partial_dot(n=None):
     return Lambda([x, y], body)
 
 
+def plus_one():
+    from repro.ir.nodes import UserFun
+
+    return UserFun(
+        "plusOne", ["v"], "return v + 1.0f;", [FLOAT], FLOAT, py=lambda v: v + 1.0
+    )
+
+
 def simple_map_add_one(n=None):
     """mapGlb(plus_one) over a float array — the smallest useful kernel."""
     from repro.ir.dsl import map_glb
-    from repro.ir.nodes import UserFun
 
     length = n if n is not None else Var("N")
     x = Param(ArrayType(FLOAT, length), "x")
-    plus_one = UserFun(
-        "plusOne", ["v"], "return v + 1.0f;", [FLOAT], FLOAT, py=lambda v: v + 1.0
-    )
-    return Lambda([x], map_glb(plus_one)(x))
+    return Lambda([x], map_glb(plus_one())(x))
 
 
 def double_staged_rows(rows=4, cols=16):
@@ -98,6 +102,53 @@ def double_staged_rows(rows=4, cols=16):
 
     per_row = compose(copy(to_global), copy(to_local), copy(to_local))
     return Lambda([x], map_wrg(map_wrg(map_lcl(per_row, 1), 0), 1)(x))
+
+
+def tiled_outer_sums(acc_space, chunk=8, tile=4, groups=2, tiles=3):
+    """A work-group-tiled reduction, the shape of the n-body and matrix
+    multiplication stages: ``out[i] = sum_j x[i] * y[j]``.
+
+        join o mapWrg(λ xs.
+            toGlobal(mapLcl(id)) o join o reduceSeq(λ acc, ys.
+                (λ t. mapLcl(λ (a, x). reduceSeq(musu(·, x, ·), a)(t))
+                          (zip(acc, xs)))
+                  (toLocal(mapLcl(id))(ys)),
+              acc_space(mapLcl(zero))(xs)) o split(tile) $ y
+        ) o split(chunk) $ x
+
+    ``acc_space`` is ``to_private`` or ``to_local``: where the array
+    accumulator of the ``reduceSeq`` over tiles lives.  With ``to_local``
+    its body is a ``mapLcl`` over ``zip(local, global)`` that stores into
+    local memory.  ``chunk`` may exceed the local size (several slots per
+    work-item) and ``tile`` need not equal it."""
+    from repro.ir.nodes import UserFun
+    from repro.ir.patterns import ReduceSeq
+
+    x = Param(ArrayType(FLOAT, groups * chunk), "x")
+    y = Param(ArrayType(FLOAT, tiles * tile), "y")
+    zero = UserFun("zeroF", ["v"], "return 0.0f;", [FLOAT], FLOAT, py=lambda v: 0.0)
+    musu = mult_and_sum_up()
+
+    def per_group(xs):
+        def per_tile(acc, ys):
+            staged = Param(None, "t")
+
+            def per_element(ax):
+                step = lam2(lambda a, t: FunCall(musu, [a, get(ax, 1), t]))
+                return FunCall(reduce_seq(step, get(ax, 0)), [staged])
+
+            walk = join()(map_lcl(lam(per_element))(zip_(acc, xs)))
+            return FunCall(
+                Lambda([staged], walk), [to_local(map_lcl(id_fun()))(ys)]
+            )
+
+        sums = FunCall(
+            ReduceSeq(lam2(per_tile)),
+            [acc_space(map_lcl(zero))(xs), split(tile)(y)],
+        )
+        return to_global(map_lcl(id_fun()))(join()(sums))
+
+    return Lambda([x, y], join()(map_wrg(lam(per_group))(split(chunk)(x))))
 
 
 # ---------------------------------------------------------------------------

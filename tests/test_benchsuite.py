@@ -225,7 +225,7 @@ def test_figure8_explain_prices_every_counter_delta():
     from repro.opencl.cost import DEVICES, priced_counters
 
     # One cell behind its reference, one that beats it.
-    for name, word in (("mm-nvidia", "owes"), ("mriq", "ahead by")):
+    for name, word in (("nn", "owes"), ("mriq", "ahead by")):
         cells = measure_benchmark(get_benchmark(name), "small")
         text = format_explanation(cells, "nvidia")
         (cell,) = [c for c in cells if c.device == "nvidia" and c.level == "all"]
@@ -243,6 +243,33 @@ def test_figure8_explain_prices_every_counter_delta():
         ref = priced_counters(cell.reference_counters, DEVICES["nvidia"])
         gen = priced_counters(cell.generated_counters, DEVICES["nvidia"])
         assert f"{gen['iops'] - ref['iops']:+.0f} cycles" in block
+
+
+@pytest.mark.parametrize("name, tiles", [("mm-nvidia", 2), ("nbody-nvidia", 1)])
+def test_tile_accumulator_is_a_register_like_the_reference(name, tiles):
+    """The accumulator of the ``reduceSeq`` over tiles is private
+    (``float acc`` / ``float4 acc`` in the hand-written kernel): local
+    memory holds the staged tiles only, and the kernel stores to it and
+    synchronises exactly as often as the reference."""
+    from repro.compiler import compile_kernel
+    from repro.compiler.options import CompilerOptions
+
+    bench = get_benchmark(name)
+    (stage,) = bench.stages
+    source = compile_kernel(
+        stage.build(dict(bench.sizes["small"])),
+        CompilerOptions.all(local_size=stage.local_size),
+    ).source
+    assert source.count("  local float ") == tiles
+    (cell,) = [
+        c for c in measure_benchmark(bench, "small")
+        if c.device == "nvidia" and c.level == "all"
+    ]
+    generated, reference = cell.generated_counters, cell.reference_counters
+    assert generated.local_stores == reference.local_stores
+    assert generated.barriers == reference.barriers
+    assert generated.private_loads == generated.private_stores == 0
+    assert cell.relative_performance >= 1.0
 
 
 def test_figure8_floors_catch_a_lost_row():

@@ -19,6 +19,7 @@ from repro.ir.dsl import (
     f32,
     gather,
     get,
+    head,
     id_fun,
     join,
     lam,
@@ -35,10 +36,11 @@ from repro.ir.dsl import (
     split,
     to_global,
     to_local,
+    to_private,
     transpose,
     zip_,
 )
-from repro.ir.patterns import transpose_indices
+from repro.ir.patterns import ReduceSeq, transpose_indices
 from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import compile_and_run
 from repro.compiler.options import CompilerOptions
@@ -47,6 +49,7 @@ from tests.programs import (
     compile_unhoisted,
     double_staged_rows,
     partial_dot,
+    plus_one,
     restart_variable_names,
     simple_map_add_one,
 )
@@ -343,6 +346,148 @@ class TestIntermediateAllocation:
         ).source
         assert "local float tmp1[16];" in src
         assert "local float tmp2[16];" in src
+
+
+class TestPrivateAllocation:
+    """Section 5.2, the private half: a private value produced by a
+    parallel map of ``n`` elements on ``t`` work-items is ``ceil(n / t)``
+    slots per work-item, and only its owner may touch an element."""
+
+    @staticmethod
+    def _copy_through_private(width=16):
+        """join o mapWrg(toGlobal(mapLcl(plusOne)) o toPrivate(mapLcl(id)))
+        o split(width) on 64 floats."""
+        x = Param(ArrayType(FLOAT, 64), "x")
+        group = compose(
+            to_global(map_lcl(plus_one())), to_private(map_lcl(id_fun()))
+        )
+        return Lambda([x], compose(join(), map_wrg(group), split(width))(x))
+
+    @pytest.mark.parametrize("engine", ["scalar", "compiled", "fused"])
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_sixteen_elements_on_eight_work_items(self, level, engine):
+        """Every work-item holds two elements: one ``float`` that each
+        overwrites returned ``[9..16, 9..16, 25..]`` at every level."""
+        data = np.arange(64, dtype=float)
+        kernel = compile_kernel(
+            self._copy_through_private(), level(local_size=(8, 1, 1))
+        )
+        assert re.search(r"^  float acc1\[2\];$", kernel.source, re.M)
+        result = compile_and_run(
+            self._copy_through_private(), {"x": data}, {}, global_size=32,
+            options=level(local_size=(8, 1, 1)), engine=engine,
+        )
+        np.testing.assert_array_equal(result.output, data + 1.0)
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_one_element_per_work_item_is_a_plain_register(self, level):
+        src = compile_kernel(
+            self._copy_through_private(), level(local_size=(16, 1, 1))
+        ).source
+        assert re.search(r"^  float acc1;$", src, re.M)
+        assert "acc1[" not in src
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_private_tile_as_reduction_accumulator(self, level):
+        """toPrivate(mapLcl(mapLcl(zero, 0), 1)) initialises a reduceSeq
+        (it used to die with an internal ViewConsumptionError); each
+        work-item keeps one element of the 4 x 4 tile in a register."""
+        x = Param(array(FLOAT, 3, 4, 4), "x")
+        zero = UserFun("zeroF", ["v"], "return 0.0f;", [FLOAT], FLOAT, py=lambda v: 0.0)
+        add_row = lam(lambda ab: FunCall(add(), [get(ab, 0), get(ab, 1)]))
+        step = lam2(
+            lambda acc, tile: map_lcl(
+                lam(lambda rows: map_lcl(add_row, 0)(zip_(get(rows, 0), get(rows, 1)))),
+                1,
+            )(zip_(acc, tile))
+        )
+        init = to_private(map_lcl(map_lcl(zero, 0), 1))(head(x))
+        total = join()(FunCall(ReduceSeq(step), [init, x]))
+        out = to_global(map_lcl(map_lcl(id_fun(), 0), 1))(total)
+        program = Lambda([x], out)
+        options = level(local_size=(4, 4, 1))
+        src = compile_kernel(program, options).source
+        assert re.search(r"^  float acc1;$", src, re.M) and "local float" not in src
+        data = np.arange(48, dtype=float)
+        result = compile_and_run(
+            program, {"x": data}, {}, global_size=(4, 4, 1), options=options,
+            engine="compiled",
+        )
+        np.testing.assert_array_equal(
+            result.output, data.reshape(3, 16).sum(axis=0)
+        )
+
+    @staticmethod
+    def _read_private_tile(reader, *through):
+        x = Param(array(FLOAT, 8, 8), "x")
+        tile = to_private(map_lcl(map_lcl(id_fun(), 0), 1))
+        return Lambda([x], compose(to_global(reader), *through, tile)(x))
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    @pytest.mark.parametrize(
+        "case", ["transpose", "other dimension", "split", "partial write"]
+    )
+    def test_touching_another_work_items_element_is_refused(self, case, level):
+        """The hazard detector cannot see a private mis-share (every
+        work-item reads its *own* copy), so the compiler must."""
+        if case == "transpose":
+            program = self._read_private_tile(
+                map_lcl(map_lcl(plus_one(), 0), 1), transpose()
+            )
+            names = ["through transpose", "mapLcl(1)", "mapLcl(0)"]
+        elif case == "other dimension":
+            program = self._read_private_tile(map_lcl(map_lcl(plus_one(), 1), 0))
+            names = ["mapLcl(1)", "mapLcl(0)"]
+        elif case == "partial write":
+            # The inner mapLcl writes through a join, so toPrivate's own
+            # map nest does not show that rows are spread: every
+            # work-item would fill in a part of its copy of a row.
+            x = Param(array(FLOAT, 8, 8), "x")
+            rows = to_private(
+                map_lcl(compose(join(), map_lcl(map_seq(id_fun()), 0), split(1)), 1)
+            )
+            out = to_global(map_lcl(map_lcl(plus_one(), 0), 1))
+            program = Lambda([x], out(rows(x)))
+            names = ["written under mapLcl(0)"]
+        else:
+            x = Param(ArrayType(FLOAT, 16), "x")
+            pairs = compose(
+                join(), to_global(map_lcl(map_seq(plus_one()))), split(2),
+                to_private(map_lcl(id_fun())),
+            )
+            program = Lambda([x], pairs(x))
+            names = ["through split", "mapLcl(0)"]
+        with pytest.raises(CodeGenError) as error:
+            compile_kernel(program, level(local_size=(8, 8, 1)))
+        for name in names:
+            assert name in str(error.value)
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    def test_map_glb_needs_the_global_size_for_more_than_one_slot(self, level):
+        def program(n):
+            x = Param(ArrayType(FLOAT, n), "x")
+            return Lambda(
+                [x],
+                compose(
+                    to_global(map_glb(plus_one())), to_private(map_glb(id_fun()))
+                )(x),
+            )
+
+        with pytest.raises(CodeGenError, match=r"mapGlb\(0\).*global_size"):
+            compile_kernel(program(64), level(local_size=(8, 1, 1)))
+        # Known: 64 elements on 32 work-items are two slots each.
+        options = level(local_size=(8, 1, 1), global_size=(32, 1, 1))
+        assert "float acc1[2];" in compile_kernel(program(64), options).source
+        data = np.arange(64, dtype=float)
+        result = compile_and_run(
+            program(64), {"x": data}, {}, global_size=32, options=options,
+            engine="compiled",
+        )
+        np.testing.assert_array_equal(result.output, data + 1.0)
+        # One element needs one slot whatever the launch.
+        assert "float acc1;" in compile_kernel(
+            program(1), level(local_size=(8, 1, 1))
+        ).source
 
 
 class TestVectorization:

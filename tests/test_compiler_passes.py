@@ -148,10 +148,38 @@ class TestViewAlgebra:
             consume(ArrayAccessView(MemView(m, array(FLOAT, 4, 8)), Cst(0)))
 
     def test_private_memory_drops_parallel_indices(self):
-        m = mem("acc", FLOAT, AddressSpace.PRIVATE)
+        """64 elements over 64 work-items: one slot each, index 0; the
+        access reports which work-item must own the element."""
+        from repro.compiler.memory import Threads
+
+        m = mem("acc", ArrayType(FLOAT, 1), AddressSpace.PRIVATE)
         l_id = Var("l_id", Range.of(0, 64))
-        access = consume(ArrayAccessView(MemView(m, FLOAT), l_id))
+        spread = (Threads("lcl", 0, 64),)
+        access = consume(
+            ArrayAccessView(MemView(m, ArrayType(FLOAT, 64), spread), l_id)
+        )
         assert simplify(access.index) == Cst(0)
+        assert access.owned == ((spread[0], l_id),)
+        assert m.is_register
+
+    def test_private_memory_keeps_one_slot_per_strided_visit(self):
+        """16 elements over 8 work-items: two slots, element idx in slot
+        idx / 8 (section 5.2's private rule)."""
+        from repro.compiler.memory import Threads, per_thread_type
+
+        spread = (Threads("lcl", 0, 8),)
+        whole = ArrayType(FLOAT, 16)
+        assert per_thread_type(whole, spread) == ArrayType(FLOAT, 2)
+        m = mem("acc", per_thread_type(whole, spread), AddressSpace.PRIVATE)
+        l_id = Var("l_id", Range.of(0, 16))
+        access = consume(ArrayAccessView(MemView(m, whole, spread), l_id))
+        assert simplify(access.index) == simplify(l_id // 8)
+        assert not m.is_register
+
+    def test_unconsumed_indices_raise_for_every_space(self):
+        m = mem("acc", FLOAT, AddressSpace.PRIVATE)
+        with pytest.raises(ViewConsumptionError):
+            consume(ArrayAccessView(MemView(m, FLOAT), Var("l_id")))
 
 
 class TestAddressSpaceInference:
@@ -322,33 +350,124 @@ class TestBarrierElimination:
         removable = self._analyze(bound)
         assert id(a) not in removable and id(b) not in removable
 
+    @staticmethod
+    def _fences(fun, options):
+        """``(buffer the statement before the barrier stored into,
+        fence)`` per barrier of the compiled kernel, in text order."""
+        import re
+
+        from repro.compiler.codegen import compile_kernel
+
+        source = compile_kernel(fun, options, memo=False).source
+        lines = [
+            line.strip() for line in source.splitlines() if line.strip() != "}"
+        ]
+        stored = re.compile(r"(?:vstore\d+\(.*, (\w+)\);|(\w+)(?:\[.*\])? = .*;)$")
+        return [
+            ("".join(filter(None, stored.match(lines[i - 1]).groups())),
+             line[len("barrier("):-2])
+            for i, line in enumerate(lines) if line.startswith("barrier(")
+        ]
+
     def test_fence_names_the_space_the_map_lcl_wrote(self):
         """A ``reduceSeq`` over ``zip(local, global)`` is inferred
         "global" (mixed arguments), but its ``mapLcl`` body stores into
         the *local* accumulator: the barrier behind it must fence local
         memory."""
+        from repro.compiler.options import CompilerOptions
+        from repro.ir.dsl import to_local
+        from tests.programs import tiled_outer_sums
+
+        fences = self._fences(
+            tiled_outer_sums(to_local), CompilerOptions.all(local_size=(8, 1, 1))
+        )
+        assert fences == [
+            ("tmp1", "CLK_LOCAL_MEM_FENCE"),  # the accumulator's zeros
+            ("tmp2", "CLK_LOCAL_MEM_FENCE"),  # the tile copy
+            ("tmp1", "CLK_LOCAL_MEM_FENCE"),  # the tile walk
+            ("out", "CLK_GLOBAL_MEM_FENCE"),  # the copy-out reads tmp1
+        ]
+
+    @pytest.mark.parametrize("level", ["barrier_cf", "all"])
+    def test_private_accumulator_leaves_two_barriers(self, level):
+        """Rule 4.  The accumulator's initialisation reads an input and
+        writes private memory, the copy-out reads private memory and
+        writes the kernel's result: neither ends in a barrier.  The tile
+        walk writes private memory too but *reads* the local tile the
+        next tile copy overwrites: it keeps its barrier."""
+        from repro.compiler.options import OPTIMIZATION_LEVELS
+        from tests.programs import tiled_outer_sums
+
+        for chunk in (8, 16):  # one register / two slots per work-item
+            fences = self._fences(
+                tiled_outer_sums(to_private, chunk=chunk),
+                OPTIMIZATION_LEVELS[level](local_size=(8, 1, 1)),
+            )
+            assert fences == [
+                ("tmp1", "CLK_LOCAL_MEM_FENCE"),  # the tile copy
+                ("acc1", "CLK_LOCAL_MEM_FENCE"),  # the tile walk
+            ]
+
+    def test_nbody_nvidia_keeps_the_reference_kernels_two_barriers(self):
         from repro.benchsuite.common import get_benchmark
-        from repro.compiler.codegen import compile_kernel
         from repro.compiler.options import CompilerOptions
 
         bench = get_benchmark("nbody-nvidia")
         (stage,) = bench.stages
-        kernel = compile_kernel(
+        fences = self._fences(
             stage.build(dict(bench.sizes["small"])),
             CompilerOptions.all(local_size=stage.local_size),
         )
-        lines = [line.strip() for line in kernel.source.splitlines()]
-        fences = [
-            (lines[i - 1].rstrip(");").rsplit(", ", 1)[1], line)
-            for i, line in enumerate(lines) if line.startswith("barrier(")
-        ]
-        # (buffer the statement before the barrier stored into, barrier)
+        # Tile copy and tile walk; nothing behind the position and
+        # accumulator registers' initialisation or the final vstore8.
         assert fences == [
-            ("tmp1", "barrier(CLK_LOCAL_MEM_FENCE);"),
-            ("tmp2", "barrier(CLK_LOCAL_MEM_FENCE);"),
-            ("tmp1", "barrier(CLK_LOCAL_MEM_FENCE);"),  # the tile walk
-            ("out", "barrier(CLK_GLOBAL_MEM_FENCE);"),
+            ("tmp1", "CLK_LOCAL_MEM_FENCE"),
+            ("acc2", "CLK_LOCAL_MEM_FENCE"),
         ]
+
+    def test_a_result_read_through_split_keeps_its_barrier(self):
+        """A ``toGlobal(mapLcl)`` whose result a later ``mapLcl`` reads
+        through ``split`` writes memory other work-items read: neither
+        rule 1 nor rule 4 applies."""
+        from repro.compiler.options import CompilerOptions
+
+        x = Param(ArrayType(FLOAT, 16), "x")
+        first = to_global(map_lcl(id_fun()))(x)
+        second = join()(
+            to_global(map_lcl(map_seq(id_fun())))(split(2)(first))
+        )
+        fences = self._fences(
+            Lambda([x], second), CompilerOptions.all(local_size=(8, 1, 1))
+        )
+        # The second mapLcl reads that temporary: a barrier of its own.
+        assert fences == [
+            ("g_tmp1", "CLK_GLOBAL_MEM_FENCE"),
+            ("out", "CLK_GLOBAL_MEM_FENCE"),
+        ]
+
+    def test_level_none_keeps_every_barrier(self):
+        from repro.compiler.options import CompilerOptions
+        from tests.programs import tiled_outer_sums
+
+        fences = self._fences(
+            tiled_outer_sums(to_private), CompilerOptions.none(local_size=(8, 1, 1))
+        )
+        assert [fence for _, fence in fences] == [
+            "CLK_LOCAL_MEM_FENCE",  # init (private: a local fence)
+            "CLK_LOCAL_MEM_FENCE",  # tile copy
+            "CLK_LOCAL_MEM_FENCE",  # tile walk
+            "CLK_GLOBAL_MEM_FENCE",  # copy-out
+        ]
+
+    def test_a_map_lcl_over_inputs_writing_the_result_needs_no_barrier(self):
+        """Rule 4 on the smallest kernel with a work-group: it touches
+        nothing two work-items share."""
+        from repro.compiler.options import CompilerOptions
+
+        x = Param(ArrayType(FLOAT, 64), "x")
+        body = join()(map_wrg(to_global(map_lcl(id_fun())))(split(8)(x)))
+        options = CompilerOptions.all(local_size=(8, 1, 1))
+        assert self._fences(Lambda([x], body), options) == []
 
 
 class TestMemoryAllocator:

@@ -506,7 +506,9 @@ def test_same_schedule_same_cost_whichever_generator(name):
     assert flat.kernel_source == derived.kernel_source
     if name == "nn":
         chunk32, = [c for c in menu if c.label == "mapWrg/mapLcl(chunk=32)"]
-        assert (chunk32.cycles, chunk32.runtime) == (215040.0, 105.0)
+        # 215040 / 105 with the barrier behind its only mapLcl, which
+        # reads inputs and writes the result (barrier rule 4).
+        assert (chunk32.cycles, chunk32.runtime) == (202752.0, 99.0)
         assert menu[0] is chunk32
 
 

@@ -11,6 +11,12 @@ whose user function reads a loop-invariant operand, the same operand
 twice and a data-dependent gather — the shapes ``compiler/hoist.py``
 rewrites — and hold every level and every engine to the interpreter
 bitwise.
+
+The work-group-tiled reductions (``tests.programs.tiled_outer_sums``)
+do the same for a ``reduceSeq`` over ``toLocal``-staged tiles whose
+array accumulator is private or local, one or two slots per work-item:
+the kernels whose barriers ``compiler/barriers.py`` thins out, so the
+lane-batched engines' hazard detector must also have nothing to decline.
 """
 
 import numpy as np
@@ -35,6 +41,8 @@ from repro.ir.dsl import (
     scatter,
     split,
     to_global,
+    to_local,
+    to_private,
     transpose,
     zip_,
 )
@@ -216,3 +224,52 @@ def test_row_reductions_match_interpreter_on_every_engine(stage_names, row, seed
         for run in runs:
             assert run.output.tobytes() == expected.tobytes()
             assert vars(run.counters) == vars(runs[0].counters)
+
+
+LOCAL = 8
+
+
+@given(
+    st.sampled_from([to_private, to_local]),
+    st.sampled_from([LOCAL, 2 * LOCAL]),
+    st.sampled_from([4, 8]),
+    st.integers(0, 2**31),
+)
+@settings(
+    max_examples=12,
+    deadline=None,
+    derandomize=True,  # the fixed-seed slice tier-1 runs (about 1 s)
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_tiled_reductions_match_interpreter_on_every_engine(
+    acc_space, chunk, tile, seed
+):
+    from repro import faultinject
+    from repro.backend import ledger
+    from tests.programs import tiled_outer_sums
+
+    rng = np.random.default_rng(seed)
+    inputs = {"x": rng.standard_normal(2 * chunk), "y": rng.standard_normal(3 * tile)}
+    expected = np.asarray(
+        apply_fun(
+            tiled_outer_sums(acc_space, chunk, tile),
+            [v.tolist() for v in inputs.values()], {},
+        ),
+        dtype=float,
+    )
+    with faultinject.plan_installed(None):  # injected faults decline tiers
+        ledger.clear()
+        for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
+            runs = [
+                compile_and_run(
+                    tiled_outer_sums(acc_space, chunk, tile), inputs, {},
+                    global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
+                    engine=engine,
+                )
+                for engine in ("scalar", "compiled", "fused")
+            ]
+            for run in runs:
+                assert run.output.tobytes() == expected.tobytes()
+                assert vars(run.counters) == vars(runs[0].counters)
+        # A hazard decline on compiler output is a compiler bug.
+        assert not ledger.events()
