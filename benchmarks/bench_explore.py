@@ -5,7 +5,9 @@ dedup → prune → compile → simulate → verify) and what the persistent
 :mod:`repro.cache` store buys on a second run.  ``python
 benchmarks/bench_explore.py`` regenerates the committed baseline
 ``BENCH_explore.json`` (candidates enumerated, dedup hit-rate, cache
-hit-rate, best-vs-menu cycles, cold vs warm wall time).
+hit-rate, best-vs-menu cycles, cold vs warm wall time, structural keys
+computed per warm search) and prints where a warm search spends its
+time, phase by phase.
 """
 
 import json
@@ -16,8 +18,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.cache import TuningCache
 from repro.benchsuite.explore import explore_benchmark, run_explore
+
+#: The spans a warm search is made of, outermost first.
+PHASE_SPANS = (
+    "explore.enumerate", "explore.finish", "explore.static-cost",
+    "explore.evaluate", "menu",
+)
 
 
 def test_explore_warm_cache_skips_all_recompilation(tmp_path):
@@ -78,6 +87,24 @@ def test_explorer_derives_2d_tiled_mm(tmp_path):
     assert entry["menu_best_label"].startswith("tile-2d")
 
 
+def warm_phase_seconds(cache_dir: str) -> dict:
+    """One more warm pass, traced: seconds per phase of the search
+    (``finish`` without the static cost it contains) — the split
+    ROADMAP's "Where a second goes now" is built from."""
+    trace = Path(cache_dir) / "warm-trace.json"
+    obs.start_tracing(trace)
+    try:
+        run_explore(depth=3, max_eval=12, cache=TuningCache(cache_dir))
+    finally:
+        obs.stop_tracing()
+    seconds = dict.fromkeys(PHASE_SPANS, 0.0)
+    for event in json.loads(trace.read_text())["traceEvents"]:
+        if event.get("ph") == "X" and event["name"] in seconds:
+            seconds[event["name"]] += event["dur"] / 1e6
+    seconds["explore.finish"] -= seconds["explore.static-cost"]
+    return {name: round(value, 4) for name, value in seconds.items()}
+
+
 def main(out_path: str = None) -> None:
     out = Path(out_path or Path(__file__).parent / "BENCH_explore.json")
     cache_dir = tempfile.mkdtemp(prefix="repro-explore-bench-")
@@ -86,9 +113,17 @@ def main(out_path: str = None) -> None:
     cold = run_explore(depth=3, max_eval=12, cache=TuningCache(cache_dir))
     cold_seconds = time.perf_counter() - start
 
+    keys_before = obs.metrics.REGISTRY.counter("explore.keys_computed")
     start = time.perf_counter()
     warm = run_explore(depth=3, max_eval=12, cache=TuningCache(cache_dir))
     warm_seconds = time.perf_counter() - start
+    warm_keys = (
+        obs.metrics.REGISTRY.counter("explore.keys_computed") - keys_before
+    )
+    phases = warm_phase_seconds(cache_dir)
+    print("warm search, seconds per phase (traced pass):")
+    for name, value in phases.items():
+        print(f"  {name:<22} {value:.4f}")
 
     summary = {}
     for c, w in zip(cold["benchmarks"], warm["benchmarks"]):
@@ -121,7 +156,10 @@ def main(out_path: str = None) -> None:
             "-> 202 752 cycles, the barrier behind a mapLcl that reads "
             "inputs and writes the result; gemv 258 112 and mm 117 760 as "
             "before); the timing fields are from the last machine that "
-            "re-recorded the whole file, not necessarily that change. "
+            "re-recorded the whole file (the structural-key change: every "
+            "search-quality field came out as it went in), and "
+            "warm_keys_computed — structural keys built by the three warm "
+            "searches, machine-independent — is gated as a ceiling. "
             "Menu and search share one evaluator, so best-vs-menu is "
             "parity on all three; the menu derives the 2-D tiled mm "
             "too, so the derivation itself is gated via best_trace."
@@ -129,6 +167,10 @@ def main(out_path: str = None) -> None:
         "config": cold["config"],
         "cold_total_seconds": round(cold_seconds, 3),
         "warm_total_seconds": round(warm_seconds, 3),
+        "warm_phase_seconds": phases,
+        # Machine-independent: what the three warm searches keyed —
+        # their rewrites' new spines, not whole programs.
+        "warm_keys_computed": warm_keys,
         "benchmarks": summary,
     }
     out.write_text(json.dumps(data, indent=2) + "\n")

@@ -16,8 +16,10 @@ recorded on one box, CI runners are another), so the gate compares
 * **exploration** — given a ``BENCH_explore`` metrics file (produced by
   ``bench_explore.py`` earlier in the CI job), a warm tuning cache must
   still perform **zero** recompilations with full cycle-cache hit
-  rates, and the cold/warm wall-clock ratio must stay within
-  ``TOLERANCE`` of the checked-in ``BENCH_explore.json`` baseline.
+  rates, the cold/warm wall-clock ratio must stay within
+  ``TOLERANCE`` of the checked-in ``BENCH_explore.json`` baseline, and
+  the structural keys the three warm searches compute (a count, so
+  machine-independent) must not exceed the recorded number.
 * **explorer quality** — per benchmark, the explorer's best schedule
   must still at least match the fixed menu (``best_vs_menu <= 1``), and
   the derived-mm-vs-menu runtime ratio must stay within ``TOLERANCE``
@@ -371,6 +373,24 @@ def check_explore(metrics_path: Path, baseline_path: Path) -> list:
                     f"ceiling {ceiling:.3f} — the explorer lost a derived "
                     "schedule (for mm, the 2-D tiled one)"
                 )
+
+    # What a warm search *computes* does not depend on the machine: its
+    # structural keys are built for the nodes its rewrites allocated, so
+    # a count above the recorded one means some consumer went back to
+    # walking (or re-keying) whole programs.
+    keys = metrics.get("warm_keys_computed")
+    base_keys = baseline.get("warm_keys_computed")
+    if keys is not None and base_keys is not None:
+        status = "ok" if keys <= base_keys else "REGRESSION"
+        print(
+            f"[explore] structural keys per warm search: {keys} "
+            f"(recorded {base_keys}) {status}"
+        )
+        if keys > base_keys:
+            failures.append(
+                f"explore: {keys} structural keys computed per warm search, "
+                f"recorded {base_keys}"
+            )
 
     cold = metrics.get("cold_total_seconds")
     warm = metrics.get("warm_total_seconds")

@@ -126,6 +126,9 @@ from repro.opencl.interp import Counters
 #: compiler's kernels and cycle counts.
 #: v7: private values spread over work-items (``toPrivate(mapLcl ...)``
 #: is ``ceil(n / t)`` slots, not one) and barrier rule 4.
+#: Not bumped when the key became a structure cached on the nodes: its
+#: text, which is what ``kernel_key`` digests, is byte-identical
+#: (``tests/fixtures/cache_v7`` is a store from before, served warm).
 CACHE_VERSION = 7
 
 _ENV_VAR = "REPRO_CACHE_DIR"

@@ -58,12 +58,13 @@ class Expr:
 class Literal(Expr):
     """A compile-time constant such as ``0.0f``."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_key")
 
     def __init__(self, value: float | int | str, type_: DataType):
         super().__init__()
         self.value = value
         self.type = type_
+        self._key = None
 
     def __repr__(self) -> str:
         return f"Literal({self.value})"
@@ -84,9 +85,13 @@ class Param(Expr):
 
 
 class FunCall(Expr):
-    """Application of a function declaration to argument expressions."""
+    """Application of a function declaration to argument expressions.
 
-    __slots__ = ("f", "args")
+    ``f`` and ``args`` are write-once (:mod:`repro.ir.visit`): ``_key``
+    caches the structural key computed from them.
+    """
+
+    __slots__ = ("f", "args", "_key")
 
     def __init__(self, f: "FunDecl", args: Sequence[Expr]):
         super().__init__()
@@ -96,6 +101,7 @@ class FunCall(Expr):
             )
         self.f = f
         self.args = tuple(args)
+        self._key = None
 
     def __repr__(self) -> str:
         return f"FunCall({self.f!r}, {len(self.args)} args)"
@@ -116,13 +122,15 @@ class FunDecl:
 
 
 class Lambda(FunDecl):
-    """An anonymous function with explicit parameters and a body."""
+    """An anonymous function with explicit parameters and a body
+    (write-once; ``_key`` caches its structural key as a root program)."""
 
-    __slots__ = ("params", "body")
+    __slots__ = ("params", "body", "_key")
 
     def __init__(self, params: Sequence[Param], body: Expr):
         self.params = tuple(params)
         self.body = body
+        self._key = None
 
     @property
     def arity(self) -> int:  # type: ignore[override]
@@ -141,7 +149,9 @@ class UserFun(FunDecl):
     restricts user functions to non-array types (paper section 3.2).
     """
 
-    __slots__ = ("name", "param_names", "body", "in_types", "out_type", "py")
+    __slots__ = (
+        "name", "param_names", "body", "in_types", "out_type", "py", "_text",
+    )
 
     def __init__(
         self,
@@ -167,6 +177,8 @@ class UserFun(FunDecl):
         # Optional Python semantics, used by the reference interpreter for
         # differential testing against generated OpenCL code.
         self.py = py
+        #: What the function contributes to a structural key.
+        self._text = None
 
     @property
     def arity(self) -> int:  # type: ignore[override]
@@ -230,6 +242,9 @@ class Pattern(FunDecl):
     * ``payload`` — the names of the static slots (split factor, thread
       dimension, ...) in constructor order; ``with_payload(*values)``
       rebuilds the pattern with new ones.
+
+    Both are write-once: the structural key of a call
+    (:mod:`repro.ir.structural`) is computed from them, once.
     """
 
     __slots__ = ()

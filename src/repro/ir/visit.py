@@ -8,7 +8,7 @@ traversal here names a concrete pattern, so a new one needs no edit.
 
 Expressions carry mutable annotations (``type``, ``addr_space``, ``mem``,
 ``view``), and one discipline keeps them from leaking between program
-versions:
+versions — and keeps what is cached about a node true:
 
 * *Rewriting never mutates and may share.*  :func:`transform_calls`, the
   strategies built on it and every rewrite rule allocate new nodes only
@@ -16,13 +16,20 @@ versions:
   and, when nothing matched, the whole program — is the caller's own
   node.  A search is then tree work proportional to what changes, not to
   program size times rules.
-* *Whoever annotates clones first*: ``typed_clone``,
-  ``specialize_sizes``, ``static_program_cost``, ``tile_2d``'s typing
-  probe, and ``lowering._apply_strategy`` (its result is compiled in
-  place).  For them :func:`clone_expr` / :func:`clone_decl` stay full
+* *Whoever annotates clones first*: ``typed_clone`` (whose result
+  ``static_program_cost`` prices), ``specialize_sizes``, ``tile_2d``'s
+  typing probe, and ``lowering._apply_strategy`` (its result is compiled
+  in place).  For them :func:`clone_expr` / :func:`clone_decl` stay full
   deep copies — no ``FunCall``, ``Lambda`` or bound ``Param`` in common
   with the input — because the annotations they are about to write must
   land on nodes no other program version can reach.
+* *Structure is write-once; only annotations are mutable.*  A
+  ``FunCall``'s ``f`` / ``args``, a ``Lambda``'s ``params`` / ``body``
+  and a pattern's ``f`` and payload are assigned in ``__init__`` and
+  never again: a different structure is a different node.  The
+  structural key cached on every node (:mod:`repro.ir.structural`) and
+  every per-subtree memo indexed by it (:func:`transform_calls`'s
+  ``done``, the explorer's ``SearchMemo``) rely on it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param
 from repro.ir import patterns as pat
+from repro.ir.structural import key
 
 
 def nested_fun(f: FunDecl) -> Optional[FunDecl]:
@@ -125,7 +133,9 @@ def _clone_lambda(f: Lambda, mapping: dict) -> Lambda:
 
 
 def transform_calls(
-    expr: Expr, fn: Callable[[FunCall], Expr | None]
+    expr: Expr,
+    fn: Callable[[FunCall], Expr | None],
+    done: Optional[dict] = None,
 ) -> Expr:
     """Bottom-up rewrite: ``fn`` may replace any ``FunCall`` node.
 
@@ -134,20 +144,41 @@ def transform_calls(
     ``None`` keeps it.  Nodes are allocated only on the spine from the
     root to a replacement: an untouched subtree comes back as the very
     node that went in, and so does ``expr`` when ``fn`` replaced nothing.
+
+    ``done`` lets one pure ``fn`` be applied to many programs that share
+    subtrees for the price of what they do not share: it maps the
+    structural key of every subtree rewritten so far to the result
+    (``None``: unchanged — the caller's own node comes back), is read
+    before a subtree is entered and filled on the way out.
     """
 
     def go_expr(e: Expr) -> Expr:
         if not isinstance(e, FunCall):
             return e
+        if done is not None:
+            k = key(e)
+            hit = done.get(k, done)
+            if hit is not done:
+                return e if hit is None else hit
         f = rebuild_decl(e.f, go_lambda)
         args = tuple(map(go_expr, e.args))
+        out = e
         if f is not e.f or args != e.args:  # Expr equality is identity
-            e = FunCall(f, args)
-        replaced = fn(e)
-        return e if replaced is None else replaced
+            out = FunCall(f, args)
+        replaced = fn(out)
+        if replaced is not None:
+            out = replaced
+        if done is not None:
+            done[k] = None if out is e else out
+        return out
 
     def go_lambda(f: Lambda) -> Lambda:
         body = go_expr(f.body)
         return f if body is f.body else Lambda(f.params, body)
 
-    return go_expr(expr)
+    try:
+        return go_expr(expr)
+    finally:
+        # The two closures refer to each other: unhook them, or ``done``
+        # and every node in it wait for the cycle collector.
+        go_expr = go_lambda = None

@@ -33,6 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.arith import simplify
+from repro.types import ArrayType
+from repro.ir.nodes import FunCall, Lambda, Literal, Param, UserFun
+from repro.ir import patterns as pat
 from repro.opencl.interp import Counters
 
 
@@ -252,18 +256,16 @@ def static_program_cost(
       factor.
 
     Only the *ordering* of candidates matters; absolute numbers are
-    meaningless.  Raises (``LiftTypeError``/``KeyError``) when the
-    program cannot be typed — callers treat that like a compile failure.
+    meaningless.  ``fun`` must carry its types — every trip count is read
+    off an annotation — and it is only read: pass the private, typed
+    copy the geometry was picked from
+    (:func:`repro.rewrite.explore.typed_clone`).  An untyped program is
+    a ``LiftTypeError``.
     """
-    from repro.ir.nodes import Lambda
-    from repro.ir.typecheck import infer_types
-    from repro.ir.visit import clone_decl
-
-    prog = clone_decl(fun)
-    assert isinstance(prog, Lambda)
-    infer_types(prog.body)
+    if fun.body.type is None:
+        raise pat.LiftTypeError("static_program_cost prices a typed program")
     estimator = _StaticEstimator(dict(size_env), profile, local_size, global_size)
-    cost = estimator.expr(prog.body, 1.0, "global", {})
+    cost = estimator.expr(fun.body, 1.0, "global", {})
     if global_size is not None:
         items = 1
         for g in tuple(global_size):
@@ -300,9 +302,6 @@ class _StaticEstimator:
     # -- helpers ---------------------------------------------------------
     def _trip(self, expr) -> float:
         """Length of ``expr``'s (array-typed) value, as a float."""
-        from repro.arith import simplify
-        from repro.types import ArrayType
-
         t = expr.type
         if not isinstance(t, ArrayType):
             return 1.0
@@ -327,8 +326,6 @@ class _StaticEstimator:
 
     def _parallel_width(self, f) -> float:
         """Concurrent iterations the launch geometry grants this map."""
-        from repro.ir import patterns as pat
-
         dim = f.dim
         if isinstance(f, pat.MapLcl):
             if self.local_size is not None:
@@ -345,10 +342,6 @@ class _StaticEstimator:
     def _source_space(self, e, env) -> str:
         """The address space ``e``'s data is read from, tracked through
         views, tuples and address-space copies."""
-        from repro.ir.nodes import FunCall, Lambda, Literal, Param, UserFun
-        from repro.ir import patterns as pat
-        from repro.types import ArrayType
-
         if isinstance(e, Literal):
             return "scalar"
         if isinstance(e, Param):
@@ -372,9 +365,6 @@ class _StaticEstimator:
 
     # -- traversal -------------------------------------------------------
     def expr(self, e, mult: float, space: str, env: dict) -> float:
-        from repro.ir.nodes import FunCall, Lambda, UserFun
-        from repro.ir import patterns as pat
-
         if not isinstance(e, FunCall):
             return 0.0
 
@@ -439,8 +429,6 @@ class _StaticEstimator:
             )
 
         if isinstance(f, pat.Iterate):
-            from repro.arith import simplify
-
             try:
                 n = float(simplify(f.n).evaluate(self.size_env))
             except Exception:
@@ -465,9 +453,6 @@ class _StaticEstimator:
         self, f, mult: float, space: str, env: dict,
         arg_space: str = "global", acc_space: str = None,
     ) -> float:
-        from repro.ir.nodes import Lambda, UserFun
-        from repro.ir import patterns as pat
-
         while isinstance(f, pat.AddressSpaceWrapper):
             space = str(f.space)
             f = f.f

@@ -12,16 +12,20 @@ Search
 ------
 Starting from a high-level ``Lambda``, the engine runs a bounded
 breadth-first enumeration: at every level it applies each rule of the
-menu at every matching position (one traversal per rule,
-:func:`repro.rewrite.strategies.one_step_rewrites`), recording the
+menu at every matching position (one traversal for all of them,
+:func:`repro.rewrite.strategies.rewrites_by_rule`), recording the
 derivation trace ``rule@position``.  The frontier is deduplicated with the
-structural hash of :mod:`repro.ir.structural` — alpha-equivalent
+structural key of :mod:`repro.ir.structural` — alpha-equivalent
 programs collapse to one node — and capped at ``BEAM`` programs per
 level.  Rewriting shares structure: a variant is one new spine from the
 root to its replacement, the rest is its source's own nodes
 (:mod:`repro.ir.visit`: whoever annotates clones first), so the search
 starts from one private copy of the body and clones again only what
-survives finishing and dedup.
+survives finishing and dedup.  What is true of a subtree is true of it
+in every derivation that shares it: the search's :class:`SearchMemo`
+keeps, per structural key, a subtree's single-step rewrites under each
+rule, its sequentially finished form and its validity, so a derivation
+costs what its last rewrite changed, not the size of the program.
 
 The rule menu includes the dimension-aware layer of
 :mod:`repro.rewrite.mapping`: lowering rules parametrized over thread
@@ -112,7 +116,7 @@ from repro.types import ArrayType
 from repro.ir.nodes import Expr, FunCall, Lambda, Param, Pattern
 from repro.ir import patterns as pat
 from repro.ir.interp import apply_fun
-from repro.ir.structural import canonical
+from repro.ir.structural import canonical, key, keys_computed
 from repro.ir.typecheck import infer_types
 from repro.ir.visit import (
     body_of,
@@ -129,6 +133,7 @@ from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
 from repro.opencl.cost import (
     DEVICES,
+    DeviceProfile,
     estimate_cycles,
     runtime_from_cycles,
     static_program_cost,
@@ -148,7 +153,7 @@ from repro.rewrite.rules import (
     to_local_insertion,
     vectorize_map,
 )
-from repro.rewrite.strategies import one_step_rewrites
+from repro.rewrite.strategies import rewrites_by_rule
 from repro import faultinject, obs
 from repro.backend import LEDGER
 from repro.resilience import (
@@ -327,13 +332,13 @@ class ExploredCandidate:
     kernel_source: Optional[str] = None
     #: Wall-clock seconds of the successful evaluation (retries included).
     eval_seconds: Optional[float] = None
-    #: Canonical (alpha-equivalence) form of ``program`` — the dedup
-    #: key, reused as the calibration/trace join key.
-    canonical_form: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.canonical_form:
-            self.canonical_form = canonical(self.program)
+    @property
+    def canonical_form(self) -> str:
+        """Canonical (alpha-equivalence) text of ``program`` — the
+        calibration/trace join key.  Printed when first asked for, then
+        a read of the program's structural key."""
+        return canonical(self.program)
 
     def describe_trace(self) -> str:
         return " -> ".join(self.trace) if self.trace else "(original)"
@@ -412,57 +417,65 @@ def concrete_length(length, size_env: Mapping[str, int]) -> Optional[int]:
         return None
 
 
-def _has_parallel(body: Expr) -> bool:
-    """Whether :func:`_collect_parallel` would find anything — without
-    needing types."""
-    for e in post_order(body):
-        if isinstance(e, FunCall) and isinstance(unwrap(e.f), pat.ParallelMap):
-            return True
-    return False
+#: Bits of :meth:`SearchMemo.maps_below`.
+_PARALLEL, _LOCAL = 1, 2
 
 
-def _finish_variants(body: Expr) -> list:
-    """Lower whatever the search left high-level into executable forms.
+class SearchMemo:
+    """What one search has worked out about subtrees, indexed by
+    structural key (:func:`repro.ir.structural.key`).
 
-    Returns ``(finished_body, strategy_label)`` pairs.  A derivation
-    that already chose parallel patterns finishes deterministically
-    (sequential lowering of the rest, label ``None``); one that did not
-    yields one variant per applicable mapping strategy — the flat 1-D
-    schedule and, for two-deep map nests, the 2-D ``mapGlb`` nest."""
-    variants: list = []
-    if _has_parallel(body):
-        mapped_bodies = [(body, None)]
-    else:
-        mapped_bodies = [
-            (mapped, f"finish:{name}") for mapped, name in finish_mappings(body)
-        ]
-        if not mapped_bodies:
-            # No high-level map on the spine: a sequential schedule.
-            mapped_bodies = [(body, None)]
-    for mapped, label in mapped_bodies:
-        try:
-            variants.append((lower_inner_sequential(mapped), label))
-        except RuntimeError:
-            continue
-    return variants
+    Rewriting shares subtrees, rules are pure, and every fact kept here
+    is context-free — a function of the subtree alone, or of the
+    subtree and the thread-hierarchy context it is entered in — so each
+    is computed once, by whichever derivation reaches the subtree first.
+    One :func:`explore_program` call owns one: nothing is process-wide,
+    nothing needs invalidating, and it is garbage when the search
+    returns.
+    """
 
+    def __init__(self) -> None:
+        #: rule menu -> its
+        #: :func:`~repro.rewrite.strategies.rewrites_by_rule` memo.
+        self.rewrites: dict = {}
+        #: :func:`~repro.rewrite.lowering.lower_inner_sequential`'s memo.
+        self.sequential: dict = {}
+        self._maps: dict = {}
+        self._nesting: dict = {}
 
-def _nesting_ok(body: Expr) -> bool:
-    """OpenCL thread-hierarchy wellformedness of the parallel patterns.
+    def maps_below(self, e: Expr) -> int:
+        """Which maps are among the calls of ``e``
+        (:func:`~repro.ir.visit.post_order`), as bits: :data:`_PARALLEL`
+        — :func:`_collect_parallel` would find something, no types
+        needed; :data:`_LOCAL` — a ``mapLcl``, so a ``mapWrg`` around
+        ``e`` has local parallelism to use."""
+        if not isinstance(e, FunCall):
+            return 0
+        k = key(e)
+        found = self._maps.get(k)
+        if found is None:
+            found = _PARALLEL if isinstance(unwrap(e.f), pat.ParallelMap) else 0
+            if isinstance(e.f, pat.MapLcl):
+                found |= _LOCAL
+            for child in _children(e):
+                found |= self.maps_below(child)
+            self._maps[k] = found
+        return found
 
-    Walks the full data flow — including the bodies of beta-redex
-    lambdas, which the tiled schedules use to share ``toLocal`` staging
-    between compute maps."""
-
-    def walk(e: Expr, active: frozenset, seq: bool) -> bool:
+    def nesting_ok(self, e: Expr, active: frozenset, seq: bool) -> bool:
+        """:func:`_nesting_ok` of ``e`` entered below the parallel maps
+        ``active`` (``(kind, dim)`` pairs), ``seq``: below a sequential
+        pattern."""
         if not isinstance(e, FunCall):
             return True
+        k = (key(e), active, seq)
+        ok = self._nesting.get(k)
+        if ok is None:
+            ok = self._nesting[k] = self._well_nested(e, active, seq)
+        return ok
+
+    def _well_nested(self, e: FunCall, active: frozenset, seq: bool) -> bool:
         f = unwrap(e.f)
-        if isinstance(f, Lambda):
-            for a in e.args:
-                if not walk(a, active, seq):
-                    return False
-            return walk(f.body, active, seq)
         inner_active, inner_seq = active, seq
         if isinstance(f, pat.MapGlb):
             if seq or any(kind in ("wrg", "lcl") for kind, _ in active):
@@ -486,26 +499,59 @@ def _nesting_ok(body: Expr) -> bool:
             inner_active = active | {("lcl", f.dim)}
         elif isinstance(f, (pat.MapSeq, pat.ReduceSeq, pat.Iterate)):
             inner_seq = True
-
-        for a in e.args:
-            if not walk(a, active, seq):
-                return False
+        # Every work-group map must actually use local parallelism.
+        if isinstance(e.f, pat.MapWrg) and not any(
+            self.maps_below(child) & _LOCAL for child in _children(e)
+        ):
+            return False
+        # The full data flow — including the bodies of beta-redex
+        # lambdas, which the tiled schedules use to share ``toLocal``
+        # staging between compute maps.
         inner = body_of(f)
-        return inner is None or walk(inner, inner_active, inner_seq)
+        return all(self.nesting_ok(a, active, seq) for a in e.args) and (
+            inner is None or self.nesting_ok(inner, inner_active, inner_seq)
+        )
 
-    if not walk(body, frozenset(), False):
-        return False
 
-    # Every work-group map must actually use local parallelism.
-    for e in post_order(body):
-        if isinstance(e, FunCall) and isinstance(e.f, pat.MapWrg):
-            if not any(
-                isinstance(x, FunCall) and isinstance(x.f, pat.MapLcl)
-                for x in post_order(e)
-                if x is not e
-            ):
-                return False
-    return True
+def _children(e: FunCall) -> list:
+    """The expressions directly below a call: its arguments and the
+    body its function ends in."""
+    body = body_of(e.f)
+    return [*e.args] if body is None else [*e.args, body]
+
+
+def _finish_variants(body: Expr, memo: Optional[SearchMemo] = None) -> list:
+    """Lower whatever the search left high-level into executable forms.
+
+    Returns ``(finished_body, strategy_label)`` pairs.  A derivation
+    that already chose parallel patterns finishes deterministically
+    (sequential lowering of the rest, label ``None``); one that did not
+    yields one variant per applicable mapping strategy — the flat 1-D
+    schedule and, for two-deep map nests, the 2-D ``mapGlb`` nest."""
+    memo = memo or SearchMemo()
+    if memo.maps_below(body) & _PARALLEL:
+        mapped_bodies = [(body, None)]
+    else:
+        mapped_bodies = [
+            (mapped, f"finish:{name}") for mapped, name in finish_mappings(body)
+        ]
+        if not mapped_bodies:
+            # No high-level map on the spine: a sequential schedule.
+            mapped_bodies = [(body, None)]
+    return [
+        (lower_inner_sequential(mapped, memo.sequential), label)
+        for mapped, label in mapped_bodies
+    ]
+
+
+def _nesting_ok(body: Expr, memo: Optional[SearchMemo] = None) -> bool:
+    """OpenCL thread-hierarchy wellformedness of the parallel patterns:
+    no parallel map under a sequential pattern or over a dimension
+    already taken, ``mapLcl`` only inside a ``mapWrg`` of its dimension,
+    ``mapGlb`` never mixed with either, and every ``mapWrg`` with a
+    ``mapLcl`` to run."""
+    memo = memo or SearchMemo()
+    return memo.nesting_ok(body, frozenset(), False)
 
 
 def _splits_divide(body: Expr, size_env: Mapping[str, int]) -> bool:
@@ -647,32 +693,40 @@ def finish_candidates(
     derivations: list,
     size_env: Mapping[str, int],
     stats: ExploreStats,
+    memo: Optional[SearchMemo] = None,
+    profile: Optional[DeviceProfile] = None,
 ) -> list:
     """Turn ``(body, trace)`` derivations of ``high_level`` into the
     distinct valid schedules they finish to, as unlabelled
-    :class:`ExploredCandidate` objects with program and launch geometry.
+    :class:`ExploredCandidate` objects with program and launch geometry
+    — and, given a device ``profile``, their ``static_cost`` on it.
 
-    The one finish → validate → dedup → type → geometry step, shared by
-    the search (every enumerated derivation) and the fixed menu's 2-D
-    tilings; rejections and collapses are counted on ``stats``.  The
-    programs returned share subtrees with ``high_level``, the
-    derivations and each other — only :func:`typed_clone` copies, and
-    only what survived the dedup — so consumers clone before they
-    annotate (:func:`specialize_sizes`, ``static_program_cost``)."""
-    finished: dict = {}
+    The one finish → validate → dedup → type → geometry → price step,
+    shared by the search (every enumerated derivation) and the fixed
+    menu's 2-D tilings; rejections and collapses are counted on
+    ``stats``.  The programs returned share subtrees with
+    ``high_level``, the derivations and each other, so consumers clone
+    before they annotate (:func:`specialize_sizes`); only
+    :func:`typed_clone` copies here, only what survived the dedup, and
+    everything that reads types reads that one clone."""
+    memo = memo or SearchMemo()
+    seen: set = set()
+    finished: list = []
     for body, trace in derivations:
-        for fin, finish_label in _finish_variants(body):
+        for fin, finish_label in _finish_variants(body, memo):
             # Structural rejections first: they read no types, and
             # most variants die here before being cloned and typed.
             # An all-sequential schedule "wins" under the total-work
             # cost model (no loop strides, no barriers) but is never a
             # useful GPU schedule; only parallel ones are ranked.
-            if not _nesting_ok(fin) or not _has_parallel(fin):
+            if not (
+                _nesting_ok(fin, memo) and memo.maps_below(fin) & _PARALLEL
+            ):
                 stats.invalid += 1
                 continue
             program = Lambda(high_level.params, fin)
-            key = canonical(program)
-            if key in finished:
+            program_key = key(program)
+            if program_key in seen:
                 # Distinct derivations collapsing to one schedule after the
                 # finishing lowering; kept separate from the enumeration-time
                 # dedup_hits so dedup_hit_rate stays a fraction of enumerated.
@@ -685,12 +739,24 @@ def finish_candidates(
             if geometry is None:
                 stats.invalid += 1
                 continue
-            finished[key] = ExploredCandidate(
+            seen.add(program_key)
+            cand = ExploredCandidate(
                 "", program, *geometry,
                 trace=trace + ((finish_label,) if finish_label else ()),
-                canonical_form=key,
             )
-    return list(finished.values())
+            if profile is not None:
+                try:
+                    with obs.span("explore.static-cost"):
+                        cand.static_cost = static_program_cost(
+                            typed, size_env, profile,
+                            local_size=cand.local_size,
+                            global_size=cand.global_size,
+                        )
+                except Exception:
+                    stats.invalid += 1
+                    continue
+            finished.append(cand)
+    return finished
 
 
 def specialize_sizes(fun: Lambda, size_env: Mapping[str, int]) -> Lambda:
@@ -742,10 +808,16 @@ def specialize_sizes(fun: Lambda, size_env: Mapping[str, int]) -> Lambda:
 # ---------------------------------------------------------------------------
 
 def _enumerate(
-    start: Expr, rules: list, config: ExploreConfig, stats: ExploreStats
+    start: Expr,
+    rules: list,
+    config: ExploreConfig,
+    stats: ExploreStats,
+    memo: Optional[SearchMemo] = None,
 ) -> list:
     """Bounded BFS over rule applications; returns (body, trace) pairs."""
-    seen = {canonical(start)}
+    memo = memo or SearchMemo()
+    rewrites = memo.rewrites.setdefault(tuple(rules), {})
+    seen = {key(start)}
     frontier: list = [(start, ())]
     derivations: list = [(start, ())]
 
@@ -763,18 +835,18 @@ def _enumerate(
             "explore.bfs-level", level=level, frontier=len(frontier)
         ):
             for body, trace in frontier:
-                for rule in rules:
-                    # One traversal yields every single-application variant
-                    # (position order matches find_matches/apply_at).
-                    for position, candidate in enumerate(
-                        one_step_rewrites(rule, body)
-                    ):
+                # One traversal yields every single-application variant
+                # of every rule (position order matches
+                # find_matches/apply_at).
+                by_rule = rewrites_by_rule(rules, body, rewrites)
+                for i, rule in enumerate(rules):
+                    for position, candidate in enumerate(by_rule.get(i, ())):
                         stats.enumerated += 1
-                        key = canonical(candidate)
-                        if key in seen:
+                        candidate_key = key(candidate)
+                        if candidate_key in seen:
                             stats.dedup_hits += 1
                             continue
-                        seen.add(key)
+                        seen.add(candidate_key)
                         entry = (
                             candidate, trace + (f"{rule.name}@{position}",)
                         )
@@ -1086,6 +1158,8 @@ def explore_program(
     stats = ExploreStats()
     profile = DEVICES[config.device]
     rules = rule_menu()
+    memo = SearchMemo()
+    keys_before = keys_computed()
 
     with obs.span(
         "explore.enumerate", depth=config.depth, rules=len(rules)
@@ -1095,22 +1169,15 @@ def explore_program(
         # annotations, so what is enumerated does not depend on whether
         # the caller typed the program.
         derivations = _enumerate(
-            clone_expr(high_level.body), rules, config, stats
+            clone_expr(high_level.body), rules, config, stats, memo
         )
 
     with obs.span("explore.finish", derivations=len(derivations)):
-        finished = []
-        for cand in finish_candidates(high_level, derivations, size_env, stats):
-            try:
-                cand.static_cost = static_program_cost(
-                    cand.program, size_env, profile,
-                    local_size=cand.local_size, global_size=cand.global_size,
-                )
-            except Exception:
-                stats.invalid += 1
-                continue
-            finished.append(cand)
+        finished = finish_candidates(
+            high_level, derivations, size_env, stats, memo, profile
+        )
     stats.finished = len(finished)
+    obs.inc("explore.keys_computed", keys_computed() - keys_before)
 
     # -- static prune ----------------------------------------------------
     finished.sort(key=lambda c: (c.static_cost, len(c.trace), c.trace))

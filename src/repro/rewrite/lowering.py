@@ -19,17 +19,29 @@ step.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.arith import ArithExpr
-from repro.ir.nodes import Expr, Lambda
-from repro.ir.visit import clone_expr
+from repro.ir.nodes import Expr, FunCall, Lambda
+from repro.ir.visit import clone_expr, transform_calls
 from repro.rewrite.mapping import global_1d, work_group_1d
 from repro.rewrite.rules import map_to_seq, reduce_to_seq
-from repro.rewrite.strategies import exhaustively
 
 
-def lower_inner_sequential(expr: Expr) -> Expr:
-    """Lower every remaining high-level pattern to its sequential form."""
-    return exhaustively([map_to_seq(), reduce_to_seq()], expr)
+_MAP_TO_SEQ, _REDUCE_TO_SEQ = map_to_seq(), reduce_to_seq()
+
+
+def _sequential_form(call: FunCall) -> Optional[Expr]:
+    return _MAP_TO_SEQ.apply(call) or _REDUCE_TO_SEQ.apply(call)
+
+
+def lower_inner_sequential(expr: Expr, done: Optional[dict] = None) -> Expr:
+    """Lower every remaining high-level pattern to its sequential form.
+
+    One bottom-up pass is the fixed point: neither rule's result is a
+    match of either, or has one below it that was not there before.
+    ``done`` is :func:`~repro.ir.visit.transform_calls`'s memo."""
+    return transform_calls(expr, _sequential_form, done)
 
 
 def lower_to_global(fun: Lambda, dim: int = 0) -> Lambda:

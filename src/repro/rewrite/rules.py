@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.arith import ArithExpr
+from repro.arith import ArithExpr, simplify
 from repro.arith.expr import to_expr
-from repro.types import ScalarType
+from repro.types import ArrayType, ScalarType
 from repro.ir.nodes import Expr, FunCall, Lambda, Param, UserFun
 from repro.ir import patterns as pat
 from repro.ir.visit import unwrap
@@ -161,8 +161,6 @@ def to_local_insertion() -> Rule:
             return None  # already staged
         elem_t = None
         if arg.type is not None:
-            from repro.types import ArrayType
-
             if isinstance(arg.type, ArrayType) and isinstance(
                 arg.type.elem, ScalarType
             ):
@@ -190,12 +188,8 @@ def vectorize_map(width: int) -> Rule:
     def apply(call: FunCall) -> Optional[Expr]:
         if type(call.f) is not pat.Map:
             return None
-        from repro.types import ArrayType
-
         arg_t = call.args[0].type
         if isinstance(arg_t, ArrayType):
-            from repro.arith import simplify
-
             length = simplify(arg_t.length).try_int()
             if length is not None and (length <= 0 or length % width):
                 return None
@@ -249,9 +243,6 @@ def split_join_cancel() -> Rule:
         if not (isinstance(arg, FunCall) and isinstance(arg.f, pat.Join)):
             return None
         inner = arg.args[0]
-        from repro.arith import simplify
-        from repro.types import ArrayType
-
         if (
             inner.type is not None
             and isinstance(inner.type, ArrayType)

@@ -4,15 +4,21 @@ Deliberately simple combinators (the paper's contribution is the code
 generator): rules are applied at explicit positions or everywhere,
 optionally to a fixed point.  Nothing here mutates or copies its input:
 a result is new only along the spine to each replacement and shares the
-rest with the source (the discipline of :mod:`repro.ir.visit`).  The
-search over them is :mod:`repro.rewrite.explore`.
+rest with the source (the discipline of :mod:`repro.ir.visit`).  Rules
+are pure functions of the call they are given, so what a strategy
+worked out about a subtree holds wherever that subtree — or a
+structurally equal one — turns up again: :func:`rewrites_by_rule` takes
+a memo indexed by structural key (:mod:`repro.ir.structural`) that a
+search shares between all the programs it derives.  The search over
+them is :mod:`repro.rewrite.explore`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda
+from repro.ir.structural import key
 from repro.ir.visit import nested_fun, transform_calls
 from repro.rewrite.rules import Rule
 
@@ -31,39 +37,77 @@ def find_matches(rule: Rule, expr: Expr) -> List[FunCall]:
     return matches
 
 
+#: What a subtree without a match has to offer, to every rule.
+_NO_REWRITES: dict = {}
+
+
+def rewrites_by_rule(
+    rules: Sequence[Rule], expr: Expr, memo: Optional[dict] = None
+) -> dict:
+    """:func:`one_step_rewrites` of ``expr`` under every rule of
+    ``rules`` in one traversal: ``{i: variants}`` for each ``rules[i]``
+    that matches somewhere.
+
+    ``rule.apply`` runs once per rule and call node of ``expr``, and
+    each variant is one new spine from the root to its replacement —
+    everything off that path is shared with ``expr`` and with the other
+    variants.  ``memo`` (structural key → the result for that subtree,
+    not to be modified; good for this ``rules`` only) makes it a
+    traversal of what ``expr`` does not share with the programs
+    rewritten before it: the rewrite-space explorer's enumeration loop.
+    """
+    if memo is None:
+        memo = {}
+
+    def go_expr(e: Expr) -> dict:
+        if not isinstance(e, FunCall):
+            return _NO_REWRITES
+        k = key(e)
+        found = memo.get(k)
+        if found is None:
+            found = memo[k] = rewrites_of(e) or _NO_REWRITES
+        return found
+
+    def rewrites_of(e: FunCall) -> dict:
+        found = {
+            i: [FunCall(fv, e.args) for fv in fvs]
+            for i, fvs in go_decl(e.f).items()
+        }
+        for at, a in enumerate(e.args):
+            for i, avs in go_expr(a).items():
+                found.setdefault(i, []).extend(
+                    FunCall(e.f, e.args[:at] + (av,) + e.args[at + 1:])
+                    for av in avs
+                )
+        for i, rule in enumerate(rules):
+            replacement = rule.apply(e)
+            if replacement is not None:
+                found.setdefault(i, []).append(replacement)
+        return found
+
+    def go_decl(f: FunDecl) -> dict:
+        if isinstance(f, Lambda):
+            below = go_expr(f.body)
+            return {i: [Lambda(f.params, v) for v in vs] for i, vs in below.items()}
+        inner = nested_fun(f)
+        if inner is None:
+            return _NO_REWRITES
+        return {i: [f.with_f(v) for v in vs] for i, vs in go_decl(inner).items()}
+
+    try:
+        return go_expr(expr)
+    finally:
+        # The closures refer to each other: unhook them, or ``memo`` and
+        # every variant in it wait for the cycle collector.
+        go_expr = rewrites_of = go_decl = None
+
+
 def one_step_rewrites(rule: Rule, expr: Expr) -> List[Expr]:
     """Every program obtainable by applying ``rule`` at exactly one match,
     in the post-order of :func:`find_matches`: variant ``p`` rewrites the
-    ``p``-th matching node.
-
-    A *single* traversal: ``rule.apply`` runs once per call node of
-    ``expr`` itself, and each variant is one new spine from the root to
-    its replacement — everything off that path is shared with ``expr``
-    and with the other variants.  The rewrite-space explorer's
-    enumeration loop lives on this, and so do the single-application
-    entry points below.
-    """
-
-    def go_expr(e: Expr) -> list:
-        if not isinstance(e, FunCall):
-            return []
-        variants = [FunCall(fv, e.args) for fv in go_decl(e.f)]
-        for i, a in enumerate(e.args):
-            for av in go_expr(a):
-                spliced = e.args[:i] + (av,) + e.args[i + 1:]
-                variants.append(FunCall(e.f, spliced))
-        replacement = rule.apply(e)
-        if replacement is not None:
-            variants.append(replacement)
-        return variants
-
-    def go_decl(f: FunDecl) -> list:
-        if isinstance(f, Lambda):
-            return [Lambda(f.params, v) for v in go_expr(f.body)]
-        inner = nested_fun(f)
-        return [] if inner is None else [f.with_f(v) for v in go_decl(inner)]
-
-    return go_expr(expr)
+    ``p``-th matching node (:func:`rewrites_by_rule` for one rule; the
+    single-application entry points below live on it)."""
+    return rewrites_by_rule((rule,), expr).get(0, [])
 
 
 def apply_at(rule: Rule, expr: Expr, position: int = 0) -> Expr:

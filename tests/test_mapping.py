@@ -254,12 +254,11 @@ class TestParallelismAwareCost:
 
         def cost_of(body):
             fin, _ = _finish_variants(body)[0]
-            prog = clone_decl(Lambda(list(hl.params), fin))
-            typed = clone_decl(prog)
+            typed = clone_decl(Lambda(list(hl.params), fin))
             infer_types(typed.body)
             local, glob = _geometry(_collect_parallel(typed.body), size_env)
             return static_program_cost(
-                prog, size_env, profile, local_size=local, global_size=glob
+                typed, size_env, profile, local_size=local, global_size=glob
             )
 
         staged = cost_of(one_step_rewrites(tile_2d(8, 8, True), hl.body)[0])
@@ -284,6 +283,8 @@ class TestParallelismAwareCost:
         )
         size_env = {"N": 256}
         geometry = ((64, 1, 1), (256, 1, 1))
+        for program in (lean, bloated):  # the model reads types only
+            infer_types(program.body)
         lean_cost = static_program_cost(
             lean, size_env, profile,
             local_size=geometry[0], global_size=geometry[1],

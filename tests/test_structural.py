@@ -230,3 +230,232 @@ class TestKeyFormat:
         }
         for body, build in expected.items():
             assert self._canonical(build) == f"(lam [[float]_N] {body})"
+
+
+class TestFreeParametersHaveIdentity:
+    """The explorer dedups *bodies*, where the program inputs are free:
+    numbering them by first occurrence made ``zip(x, y)`` and
+    ``zip(y, x)`` one program, so a rule that commutes or re-routes
+    inputs would have been dropped as a duplicate."""
+
+    def test_swapped_inputs_are_different_programs(self):
+        from repro.ir.dsl import zip_
+        from repro.ir.structural import key
+
+        n = Var("N")
+        x = Param(ArrayType(FLOAT, n), "x")
+        y = Param(ArrayType(FLOAT, n), "y")
+        assert not structural_eq(zip_(x, y), zip_(y, x))
+        assert key(zip_(x, y)) != key(zip_(y, x))
+        assert structural_eq(zip_(x, y), zip_(x, y))
+        # Bound, the order is the binder's business again.
+        assert structural_eq(
+            Lambda([x, y], zip_(x, y)), Lambda([y, x], zip_(y, x))
+        )
+        assert not structural_eq(
+            Lambda([x, y], zip_(x, y)), Lambda([x, y], zip_(y, x))
+        )
+
+    def test_the_text_of_an_open_graph_only_numbers_them(self):
+        from repro.ir.dsl import zip_
+
+        n = Var("N")
+        x = Param(ArrayType(FLOAT, n), "x")
+        y = Param(ArrayType(FLOAT, n), "y")
+        assert canonical(zip_(x, y)) == canonical(zip_(y, x)) == (
+            "(call (Zip:2) (free0) (free1))"
+        )
+
+
+#: SHA-256 over the ``structural_hash`` of every program of
+#: :func:`_benchmark_corpus`, in order, recorded with the traversal-global
+#: canonicalizer this key replaced.
+CORPUS_DIGEST = "f05eac95e408e4961d4eb6a7037de53bb49876003ea89373f1a739ad1c89aa41"
+
+
+def _benchmark_corpus():
+    """The programs of ``test_key_survives_clone_and_typing_on_the_
+    benchmark_corpus``: every benchmark's high-level and stage programs
+    and every depth-3 derivation of the explorable ones."""
+    from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+    from repro.benchsuite.explore import EXPLORABLE
+    from repro.rewrite.explore import (
+        ExploreConfig,
+        ExploreStats,
+        _enumerate,
+        rule_menu,
+    )
+
+    corpus = []
+    for name in ALL_BENCHMARKS:
+        bench = get_benchmark(name)
+        size_env = dict(bench.sizes["small"])
+        corpus.append(bench.high_level(size_env))
+        corpus.extend(stage.build(size_env) for stage in bench.stages)
+    for name in EXPLORABLE:
+        bench = get_benchmark(name)
+        high_level = bench.high_level(dict(bench.sizes["small"]))
+        derivations = _enumerate(
+            high_level.body, rule_menu(), ExploreConfig(depth=3),
+            ExploreStats(),
+        )
+        corpus.extend(
+            Lambda(list(high_level.params), body) for body, _ in derivations
+        )
+    return corpus
+
+
+class TestOneNotionOfEquality:
+    """The key cached on the nodes and the printed text are one
+    equivalence on programs; the key is context-free."""
+
+    def test_key_and_text_agree_on_the_benchmark_corpus(self):
+        import hashlib
+
+        from repro.ir.structural import key
+        from repro.ir.typecheck import infer_types
+
+        corpus = _benchmark_corpus()
+        assert len(corpus) > 400
+        by_text, by_key = {}, {}
+        for prog in corpus:
+            text, k = canonical(prog), key(prog)
+            # One class of programs per text and per key, and the same.
+            assert by_text.setdefault(text, k) == k
+            assert by_key.setdefault(k, text) == text
+            clone = clone_decl(prog)
+            assert key(clone) == k and key(clone_expr(prog.body)) == key(prog.body)
+            try:
+                infer_types(clone.body)
+            except Exception:
+                pass
+            assert key(clone) == k and key(prog) == k
+        assert 100 < len(by_text) == len(by_key) < len(corpus)
+        # The text is an on-disk key (tuning cache, calibration log):
+        # this is the digest of the corpus as the previous, whole-program
+        # canonicalizer printed it.
+        digest = hashlib.sha256(
+            "".join(structural_hash(p) for p in corpus).encode()
+        ).hexdigest()
+        assert digest == CORPUS_DIGEST
+
+    def test_a_shared_subtree_has_one_key_under_any_binders(self):
+        from repro.ir.structural import key
+
+        n = Var("N")
+        p, q = Param(None, "p"), Param(None, "q")
+        shared = FunCall(_plus_one(), [p])
+        before = key(shared)
+        x = Param(ArrayType(FLOAT, n), "x")
+        shallow = Lambda([x], map_(Lambda([p], shared))(x))
+        deep = Lambda(
+            [x],
+            map_(Lambda([p], shared))(
+                map_(Lambda([q], FunCall(_plus_one(), [q])))(x)
+            ),
+        )
+        # Printed, the subtree reads (b1) in one program and (b2) in the
+        # other; keyed, it is the one cached object in both.
+        uf = "(uf plusOne [v] 'return v + 1.0f;' [float]->float)"
+        mapped = "(Map (lam [None] (call %s (b%%d))))" % uf
+        assert canonical(shallow) == (
+            f"(lam [[float]_N] (call {mapped % 1} (b0)))"
+        )
+        assert canonical(deep) == (
+            f"(lam [[float]_N] (call {mapped % 2} (call {mapped % 1} (b0))))"
+        )
+        assert key(shared) is before
+        assert key(shallow.body.f.f.body) is key(deep.body.f.f.body) is before
+        # Same shape, another outer parameter: another key.
+        other = FunCall(_plus_one(), [q])
+        assert key(other)[0] == before[0] and key(other) != before
+        assert structural_eq(Lambda([p], shared), Lambda([q], other))
+
+    def test_racing_threads_cache_equal_keys(self):
+        """``evaluate_candidates``' workers ask for the keys and texts of
+        programs nobody keyed before (the fixed menu's): the lazy caches
+        are single-slot writes of equal values."""
+        import sys
+        import threading
+
+        from repro.benchsuite.common import get_benchmark
+        from repro.ir.structural import key
+
+        bench = get_benchmark("mm")
+        prog = bench.high_level(dict(bench.sizes["small"]))
+        expected = canonical(clone_decl(prog))
+        results = []
+        start = threading.Barrier(8)
+
+        def work():
+            start.wait(timeout=10)
+            results.append((key(prog), canonical(prog)))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        assert all(
+            k == key(prog) and text == expected for k, text in results
+        )
+
+
+class TestTextOfEveryKindOfRoot:
+    """``canonical`` serialises whatever it is handed — a call, a
+    declaration of any kind, a bare parameter or literal — and the
+    corners of the format are part of it: a call without arguments keeps
+    the blank its (empty) argument list follows, an open graph numbers
+    its free parameters arguments-first."""
+
+    ADD = "(uf add [a,b] 'return a + b;' [float,float]->float)"
+    ONE = "(uf one [] 'return 1.0f;' []->float)"
+
+    def test_literal_texts(self):
+        from repro.ir import patterns as pat
+        from repro.ir.dsl import id_fun, zip_
+        from repro.ir.nodes import Literal
+
+        n = Var("N")
+        x = Param(ArrayType(FLOAT, n), "x")
+        y = Param(ArrayType(FLOAT, n), "y")
+        p, q = Param(None, "p"), Param(None, "q")
+        one = UserFun("one", [], "return 1.0f;", [], FLOAT)
+        head_of_pairs = FunCall(
+            pat.Get(0), [FunCall(pat.Head(), [zip_(x, y)])]
+        )
+        expected = [
+            (FunCall(one, []), f"(call {self.ONE} )"),
+            (Lambda([], FunCall(one, [])), f"(lam [] (call {self.ONE} ))"),
+            (Lambda([x], x), "(lam [[float]_N] (b0))"),
+            (one, self.ONE),
+            (pat.Join(), "(Join)"),
+            (x, "(free0)"),
+            (Literal(0.0, FLOAT), "(lit 0.0:float)"),
+            (
+                pat.ToLocal(pat.MapLcl(id_fun(), 1)),
+                "(to:local (MapLcl:1 (lam [None] (call "
+                "(uf id [x] 'return x;' [float]->float) (b0)))))",
+            ),
+            (
+                pat.MapSeq(Lambda([p], map_(
+                    Lambda([q], FunCall(add(), [q, p]))
+                )(x))),
+                f"(MapSeq (lam [None] (call (Map (lam [None] "
+                f"(call {self.ADD} (b1) (b0)))) (free0))))",
+            ),
+            (
+                map_(Lambda([p], FunCall(add(), [p, head_of_pairs])))(y),
+                f"(call (Map (lam [None] (call {self.ADD} (b0) (call (Get:0) "
+                "(call (Head) (call (Zip:2) (free1) (free0))))))) (free0))",
+            ),
+        ]
+        for node, text in expected:
+            assert canonical(node) == text
+            assert canonical(node) == text  # and again, from the cache
