@@ -23,7 +23,8 @@ With ``--service-soak`` it instead gates the service layer: the
 backpressure, a planted journal orphan, graceful drain) runs under the
 same fault plan and must report every response bitwise-identical to the
 solo path, faults landed, backpressure exercised, the orphan replayed,
-and the breaker/queue state visible in the metrics snapshot.
+every ``ServiceStats`` field matched by its ``service.<field>`` process
+counter, and the breaker/queue state visible in the metrics snapshot.
 
 Exit status 0 = pass, 1 = divergence (with a report on stdout).
 
@@ -96,13 +97,19 @@ def run_service_soak(plan, clients: int) -> int:
     if report["replayed"] < 1:
         failures.append("journal replay never fired (zero orphans replayed)")
 
-    # The breaker/queue state must be observable: the hammer bumps the
-    # service counters and the snapshot carries the service section.
+    # The breaker/queue state must be observable: every service event is
+    # also a process counter ``service.<field>`` (at least the main
+    # service's count: the overload probe adds its own), and the
+    # snapshot carries the service section.
     snapshot = obs.snapshot()
     counters = snapshot.get("counters", {})
-    for metric in ("service.admits", "service.rejects"):
-        if not counters.get(metric):
-            failures.append(f"metrics snapshot missing counter {metric!r}")
+    for field, value in report["stats"].items():
+        metric = f"service.{field}"
+        if counters.get(metric, 0) < value:
+            failures.append(
+                f"counter {metric!r} = {counters.get(metric, 0)} is below "
+                f"the service's {field} = {value}"
+            )
     if "service.queue_depth" not in snapshot.get("gauges", {}):
         failures.append("metrics snapshot missing gauge 'service.queue_depth'")
     if "active" not in snapshot.get("service", {}):

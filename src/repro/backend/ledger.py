@@ -43,6 +43,8 @@ from collections import Counter as _Counter
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.obs import metrics
+
 __all__ = [
     "DegradationEvent",
     "DegradationLedger",
@@ -169,6 +171,7 @@ def format_snapshot(snapshot: dict) -> str:
 
 #: The process-global ledger every fallback chain records into.
 LEDGER = DegradationLedger()
+metrics.register_provider("ledger", LEDGER.as_dict)
 
 
 def record(engine: str, backend: str, kind: str, reason: str) -> None:

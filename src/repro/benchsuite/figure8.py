@@ -97,7 +97,7 @@ def measure_benchmark(
         # Per-tier launch counts live in the registry's counters; the
         # last generated run's kernel Counters are snapshot under
         # "counters.kernel".
-        obs.register_counters(gen_counters)
+        obs.register_provider("counters.kernel", gen_counters.as_dict)
         np.testing.assert_allclose(
             gen_out, expected, rtol=bench.rtol, atol=1e-7,
             err_msg=(

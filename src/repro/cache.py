@@ -288,7 +288,12 @@ class CacheStats:
         return hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every field plus the kernel and run hit rates: the ``cache``
+        section of the metrics snapshot."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["kernel_hit_rate"] = self.hit_rate("kernel")
+        doc["run_hit_rate"] = self.hit_rate("run")
+        return doc
 
 
 class TuningCache:
@@ -325,7 +330,7 @@ class TuningCache:
         self._swept = False
         # The newest cache owns the metrics snapshot's "cache" slot
         # (harnesses build exactly one per run).
-        obs.register_cache_stats(self.stats)
+        obs.register_provider("cache", self.stats.as_dict)
 
     # ------------------------------------------------------------------
     # keys
@@ -453,7 +458,6 @@ class TuningCache:
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a failing entry aside — never silently unlink it."""
         obs.instant("cache.quarantine", entry=path.name, reason=reason)
-        obs.inc("cache.quarantines")
         self.stats.invalid += 1
         self.stats.quarantined += 1
         if reason == "stale":
@@ -664,7 +668,6 @@ class TuningCache:
             evicted += 1
         if evicted:
             obs.instant("cache.evict", entries=evicted, live_bytes=total)
-            obs.inc("cache.evictions", evicted)
 
     # ------------------------------------------------------------------
     def clear(self, include_quarantine: bool = True) -> int:

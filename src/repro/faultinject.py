@@ -59,12 +59,15 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro import obs
+
 __all__ = [
     "SITES",
     "FaultInjected",
     "FaultPlan",
     "FaultState",
     "active_plan",
+    "as_dict",
     "clear_plan",
     "counts",
     "maybe_fail",
@@ -209,8 +212,6 @@ class FaultState:
         if inject:
             # Out-of-band observability (outside the lock: the tracer
             # and registry synchronize themselves).
-            from repro import obs
-
             obs.instant("fault.inject", site=site, sequence=n)
             obs.inc(f"faults.injected.{site}")
         return inject, n
@@ -315,6 +316,19 @@ def counts() -> Mapping[str, SiteCounts]:
     injection is off)."""
     state = _get_state()
     return state.counts() if state is not None else {}
+
+
+def as_dict() -> dict:
+    """The active plan and per-site counts: the ``faults`` section of
+    the metrics snapshot."""
+    plan = active_plan()
+    return {
+        "plan": plan.describe() if plan is not None else None,
+        "sites": {site: c.as_dict() for site, c in counts().items()},
+    }
+
+
+obs.register_provider("faults", as_dict)
 
 
 def total_injected() -> int:

@@ -1,13 +1,13 @@
 """``repro.obs`` — zero-dependency observability: tracing, metrics,
 kernel profiling.
 
-Three parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
+Four parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
 
 * :mod:`repro.obs.trace` — nestable, thread-aware spans and instants
   emitting Chrome ``trace_event`` JSON (``REPRO_TRACE=<path>`` or
   ``benchsuite --trace``).
 * :mod:`repro.obs.metrics` — process-global counters/gauges/histograms
-  plus adapted views of the five existing stats objects, all merged by
+  plus the views each stats owner registers for itself, all merged by
   ``snapshot()`` (``benchsuite --metrics-json``).
 * :mod:`repro.obs.profile` — per-barrier-segment timing and per-buffer
   traffic in the compiled/fused backends (``REPRO_PROFILE=1`` or
@@ -26,17 +26,6 @@ changes buffers, ``Counters``, or control flow.
 from __future__ import annotations
 
 from . import analysis, metrics, profile, trace
-from .adapters import (
-    install_default_providers,
-    register_cache_stats,
-    register_calibration,
-    register_counters,
-    register_explore,
-    register_fault_sites,
-    register_ledger,
-    register_profiler,
-    register_service,
-)
 from .metrics import inc, observe, register_provider, set_gauge, snapshot
 from .trace import (
     instant,
@@ -63,15 +52,4 @@ __all__ = [
     "observe",
     "snapshot",
     "register_provider",
-    "register_counters",
-    "register_cache_stats",
-    "register_calibration",
-    "register_explore",
-    "register_ledger",
-    "register_fault_sites",
-    "register_profiler",
-    "register_service",
-    "install_default_providers",
 ]
-
-install_default_providers()

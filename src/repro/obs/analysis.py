@@ -39,6 +39,8 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import metrics
+
 __all__ = [
     "CalibrationRecord",
     "CalibrationLog",
@@ -257,6 +259,7 @@ class CalibrationLog:
 
 #: The process-global calibration log the explorer records into.
 LOG = CalibrationLog()
+metrics.register_provider("calibration", LOG.as_dict)
 
 
 def record_candidate(
@@ -438,9 +441,7 @@ def slo_table(snapshot: Optional[dict] = None) -> List[dict]:
     histograms from a metrics snapshot (default: the live registry).
     Only classes that were actually observed produce rows."""
     if snapshot is None:
-        from repro.obs import metrics as metrics_mod
-
-        snapshot = metrics_mod.snapshot()
+        snapshot = metrics.snapshot()
     hists = snapshot.get("histograms", {})
     rows = []
     for cls in REQUEST_CLASSES:

@@ -1,13 +1,14 @@
 """Process-wide metrics registry: counters, gauges, histograms, and
-adapted stats providers, all merged into one ``snapshot()`` document.
+the owners' stats views, all merged into one ``snapshot()`` document.
 
-The pipeline grew five telemetry islands (interp ``Counters``, cache
-``CacheStats``, explorer ``ExploreStats``, backend ``DegradationLedger``,
-resilience ``FailureReport``), each with bespoke printing.  The registry
-does not replace them — they keep their types and in-band semantics —
-it *adapts* them: each registers a provider callable returning its
-``as_dict()`` view, and :func:`snapshot` merges every provider with the
-registry's own primitives into a single JSON-serializable dict.  That
+Events are counted once, at the call site that sees them, with
+:func:`inc` (``launch.total``, ``service.admits``...).  An object with
+its own accounting (``CacheStats``, ``ExploreStats``, the
+``DegradationLedger``, ...) registers an ``as_dict()``-style view under
+a top-level key with :func:`register_provider` itself: process-wide
+owners when their module is imported, object-scoped ones when the
+object is built.  :func:`snapshot` merges every view with the
+registry's own primitives into a single JSON-serializable dict, which
 is what ``benchsuite --metrics-json`` dumps.
 
 Snapshot layout::
@@ -23,15 +24,19 @@ Snapshot layout::
       "ledger":     {...DegradationLedger...},
       "faults":     {"sites": {...}, "plan": ...},
       "profile":    {...KernelProfiler...},
+      "calibration": {...CalibrationLog...},
+      "service":    {...TuningService...},
       "counters.kernel": {...interp Counters of the last launch...},
     }
 
 Providers are evaluated lazily at snapshot time; a provider that raises
-contributes ``{"error": ...}`` rather than poisoning the document.
+contributes ``{"error": ...}`` rather than poisoning the document.  A
+section in :data:`PLACEHOLDERS` is present before its owner registers.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from typing import Callable, Dict, Optional
 
@@ -43,15 +48,27 @@ __all__ = [
     "set_gauge",
     "observe",
     "register_provider",
-    "unregister_provider",
     "provider",
     "snapshot",
-    "reset",
+    "PLACEHOLDERS",
 ]
 
 #: Top-level keys owned by the registry itself; providers may not
 #: shadow them.
 _RESERVED = ("counters", "gauges", "histograms")
+
+#: What :func:`snapshot` shows for a section whose owner has not
+#: registered: the owner's view, empty.  ``ledger`` and ``faults``
+#: register when :mod:`repro.backend.ledger` / :mod:`repro.faultinject`
+#: are imported; the other three when a ``TuningCache``, an
+#: ``explore_program`` search or a ``TuningService`` exists.
+PLACEHOLDERS = {
+    "ledger": {"total": 0, "dropped_events": 0, "declines": [], "events": []},
+    "faults": {"plan": None, "sites": {}},
+    "cache": {"active": False},
+    "explore": {"stats": {}, "failures": []},
+    "service": {"active": False},
+}
 
 #: The quantiles every histogram estimates (snapshot keys ``p50``,
 #: ``p95``, ``p99``).
@@ -185,25 +202,14 @@ class MetricsRegistry:
             return self._counters.get(name, 0)
 
     # -- providers -------------------------------------------------------
-    def register_provider(
-        self, name: str, fn: Callable[[], object], replace: bool = True
-    ) -> None:
-        """Attach a stats source under the top-level key ``name``.
-
-        Re-registering under the same name replaces the previous
-        provider by default — e.g. each new :class:`~repro.cache.TuningCache`
-        owns the ``"cache"`` slot — pass ``replace=False`` to keep the
-        first registration instead."""
+    def register_provider(self, name: str, fn: Callable[[], object]) -> None:
+        """Attach a stats source under the top-level key ``name``,
+        replacing the previous one — e.g. each new
+        :class:`~repro.cache.TuningCache` owns the ``"cache"`` slot."""
         if name in _RESERVED:
             raise ValueError(f"provider name {name!r} is reserved")
         with self._lock:
-            if not replace and name in self._providers:
-                return
             self._providers[name] = fn
-
-    def unregister_provider(self, name: str) -> None:
-        with self._lock:
-            self._providers.pop(name, None)
 
     def provider(self, name: str) -> Optional[Callable[[], object]]:
         """The currently registered source for ``name`` (``None`` when
@@ -241,14 +247,6 @@ class MetricsRegistry:
                 doc[name] = {"error": f"{type(exc).__name__}: {exc}"}
         return doc
 
-    def reset(self) -> None:
-        """Clear primitives and providers (tests)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._hists.clear()
-            self._providers.clear()
-
 
 #: The process-global registry used by all instrumentation.
 REGISTRY = MetricsRegistry()
@@ -266,14 +264,8 @@ def observe(name: str, value: float) -> None:
     REGISTRY.observe(name, value)
 
 
-def register_provider(
-    name: str, fn: Callable[[], object], replace: bool = True
-) -> None:
-    REGISTRY.register_provider(name, fn, replace=replace)
-
-
-def unregister_provider(name: str) -> None:
-    REGISTRY.unregister_provider(name)
+def register_provider(name: str, fn: Callable[[], object]) -> None:
+    REGISTRY.register_provider(name, fn)
 
 
 def provider(name: str) -> Optional[Callable[[], object]]:
@@ -281,8 +273,8 @@ def provider(name: str) -> Optional[Callable[[], object]]:
 
 
 def snapshot() -> dict:
-    return REGISTRY.snapshot()
-
-
-def reset() -> None:
-    REGISTRY.reset()
+    doc = REGISTRY.snapshot()
+    for name, empty in PLACEHOLDERS.items():
+        if name not in doc:
+            doc[name] = copy.deepcopy(empty)
+    return doc

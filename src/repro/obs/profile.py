@@ -30,6 +30,8 @@ import os
 import threading
 from typing import Optional
 
+from . import metrics
+
 __all__ = [
     "KernelProfiler",
     "ACTIVE",
@@ -224,6 +226,9 @@ def as_dict() -> dict:
     doc = ACTIVE.as_dict()
     doc["enabled"] = True
     return doc
+
+
+metrics.register_provider("profile", as_dict)
 
 
 def format_table(top: int = 10) -> str:

@@ -1231,7 +1231,11 @@ def explore_program(
                 wall_seconds=cand.eval_seconds,
             )
     # The latest search owns the metrics snapshot's "explore" slot.
-    obs.register_explore(stats, failures)
+    reports = list(failures)
+    obs.register_provider("explore", lambda: {
+        "stats": stats.as_dict(),
+        "failures": [f.as_dict() for f in reports],
+    })
     return ExplorationResult(
         candidates=evaluated, stats=stats, failures=failures, oracle=oracle,
     )

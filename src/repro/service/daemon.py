@@ -147,8 +147,13 @@ class ServiceStats:
         self._lock = threading.Lock()
 
     def bump(self, name: str, n: int = 1) -> None:
+        """The service's one counting call: field ``name`` here, and the
+        process counter ``service.<name>``, which outlives the service."""
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(f"ServiceStats has no field {name!r}")
         with self._lock:
             setattr(self, name, getattr(self, name) + n)
+        obs_metrics.inc(f"service.{name}", n)
 
     def as_dict(self) -> dict:
         with self._lock:
@@ -198,7 +203,7 @@ class TuningService:
         # Mirror the breaker-board install: remember whatever served the
         # ``service`` metrics slot so shutdown() can put it back.
         self._prev_metrics_view = obs_metrics.provider("service")
-        obs.register_service(self._metrics_view)
+        obs.register_provider("service", self._metrics_view)
 
     # ------------------------------------------------------------------
     # lifecycle helpers
@@ -376,7 +381,6 @@ class TuningService:
     def _reject(self, reason: str, exc: Exception):
         self.stats.bump("rejects")
         obs.instant("service.reject", reason=reason)
-        obs.inc("service.rejects")
         raise exc
 
     def _submit(
@@ -414,7 +418,6 @@ class TuningService:
                 hit = warm_probe()
                 if hit is not None:
                     self.stats.bump("warm_hits")
-                    obs.inc("service.warm_hits")
                     if recover_entry is not None and self._journal is not None:
                         # The orphan's work finished (cached) before the
                         # kill: serving the cache entry completes it.
@@ -458,7 +461,6 @@ class TuningService:
                     follower.submitted_at = submit_ts
                     primary.followers.append(follower)
                     self.stats.bump("coalesced")
-                    obs.inc("service.coalesced")
                     if recover_entry is not None and self._journal is not None:
                         # An identical request is already in flight; the
                         # primary's completion covers this orphan.
@@ -496,7 +498,6 @@ class TuningService:
                     self._reject("overloaded", exc)
                 raise
             self.stats.bump("admits")
-            obs.inc("service.admits")
             return request.response
 
     # ------------------------------------------------------------------
@@ -569,7 +570,6 @@ class TuningService:
                 return
             if request.deadline is not None and request.deadline.expired:
                 self.stats.bump("timeouts")
-                obs.inc("service.timeouts")
                 self._finish(
                     request,
                     error=DeadlineExceeded(
@@ -594,7 +594,6 @@ class TuningService:
 
             def on_retry(attempt_no: int, exc: BaseException) -> None:
                 self.stats.bump("retries")
-                obs.inc("service.worker_retries")
                 obs.instant(
                     "service.retry", id=request.id, attempt=attempt_no,
                     error=type(exc).__name__,
@@ -607,19 +606,15 @@ class TuningService:
                 self._finish(request, error=exc)
             except DeadlineExceeded as exc:
                 self.stats.bump("timeouts")
-                obs.inc("service.timeouts")
                 self._finish(request, error=exc)
             except TRANSIENT_ERRORS as exc:
                 self.stats.bump("infra_failures")
-                obs.inc("service.infra_failures")
                 self._finish(request, error=exc)
             except Exception as exc:
                 self.stats.bump("failed")
-                obs.inc("service.failures")
                 self._finish(request, error=exc)
             else:
                 self.stats.bump("completed")
-                obs.inc("service.completed")
                 self._finish(request, value=value)
 
     # ------------------------------------------------------------------
@@ -650,7 +645,6 @@ class TuningService:
                     rebuilt = None
             if rebuilt is None:
                 self.stats.bump("unrecoverable")
-                obs.inc("service.journal.unrecoverable")
                 self._journal.quarantine(entry.request_id)
                 continue
             kwargs = dict(rebuilt)
@@ -670,7 +664,6 @@ class TuningService:
                 "service.journal.replay", id=entry.request_id,
                 kind=entry.kind,
             )
-            obs.inc("service.journal.replays")
         return replayed
 
     # ------------------------------------------------------------------
@@ -689,7 +682,6 @@ class TuningService:
                 request.token.cancel()
                 self.stats.bump("drained")
                 self.stats.bump("cancelled")
-                obs.inc("service.drained")
                 self._finish(
                     request, error=Cancelled("service draining")
                 )
@@ -728,7 +720,9 @@ class TuningService:
         # Mirror the breaker-board uninstall for the metrics provider:
         # a stopped service must not keep serving its stale view in the
         # snapshot (nor leave a prior service's view clobbered).
-        obs.register_service(
-            self._prev_metrics_view or (lambda: {"active": False})
+        obs.register_provider(
+            "service",
+            self._prev_metrics_view
+            or (lambda: dict(obs_metrics.PLACEHOLDERS["service"])),
         )
         return clean

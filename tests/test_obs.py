@@ -2,7 +2,8 @@
 
 Covers the tracer (span nesting, threading, Chrome trace_event schema,
 drop accounting), the metrics registry (primitives, providers, the
-merged snapshot of all five adapted stats objects), the kernel
+merged snapshot of the views every stats owner registers itself, the
+schema of a fresh interpreter's snapshot), the kernel
 profiler (segment timings, buffer attribution), the out-of-band
 contract (buffers and Counters bitwise-identical with tracing and
 profiling on vs off, across engines), the disabled fast path, and the
@@ -10,8 +11,14 @@ benchsuite's --trace/--metrics-json end to end.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +30,15 @@ from repro.obs import trace as trace_mod
 from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.opencl.interp import ExecError
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Every top-level key of ``obs.snapshot()`` before a kernel Counters
+#: view registers (figure8 adds ``counters.kernel``).
+SECTIONS = (
+    "counters", "gauges", "histograms", "cache", "explore", "ledger",
+    "faults", "profile", "calibration", "service",
+)
+
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
                   const global float * restrict y,
@@ -31,6 +47,23 @@ kernel void SAXPY(const global float * restrict x,
   if (i < n) { out[i] = a * x[i] + y[i]; }
 }
 """
+
+
+#: A cross-lane race: the compiled tier declines it at run time (a
+#: ``dynamic`` ledger entry) and the scalar tier serves it.
+RACE = """
+kernel void RACE(const global float * restrict x,
+                 global float *scratch, global float *out) {
+  int i = get_global_id(0);
+  scratch[0] = x[i];
+  out[i] = scratch[0] * 2.0f;
+}
+"""
+
+
+def race_args():
+    return {"x": Buffer.from_array(np.arange(8.0)),
+            "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
 
 
 def run_saxpy(engine, n=64, local=16):
@@ -216,8 +249,6 @@ class TestMetricsRegistry:
         reg.register_provider("thing", lambda: 1)
         reg.register_provider("thing", lambda: 2)
         assert reg.snapshot()["thing"] == 2
-        reg.register_provider("thing", lambda: 3, replace=False)
-        assert reg.snapshot()["thing"] == 2
 
     def test_reserved_names_rejected(self):
         reg = metrics_mod.MetricsRegistry()
@@ -237,56 +268,114 @@ class TestMetricsRegistry:
         assert doc["counters"] == {"ok": 1}
         assert doc["bad"] == {"error": "RuntimeError: nope"}
 
-    def test_snapshot_merges_all_five_stats_objects(self):
-        """The tentpole contract: one document holds adapted views of
-        interp Counters, CacheStats, ExploreStats + FailureReports,
-        the DegradationLedger, and the fault-site counts."""
-        from repro.backend.ledger import DegradationLedger
-        from repro.cache import CacheStats
-        from repro.opencl.interp import Counters
-        from repro.resilience import FailureReport
-        from repro.rewrite.explore import ExploreStats
+    def test_snapshot_merges_all_five_stats_objects(
+        self, tmp_path, fault_free
+    ):
+        """One document holds the views the owners registered
+        themselves: figure8's kernel Counters, a TuningCache's
+        CacheStats, a search's ExploreStats + FailureReports, the
+        process ledger and the fault-site counts."""
+        from repro import faultinject
+        from repro.arith import Var
+        from repro.backend import LEDGER
+        from repro.benchsuite.figure8 import run_figure8
+        from repro.cache import TuningCache
+        from repro.ir.dsl import map_
+        from repro.ir.nodes import Lambda, Param, UserFun
+        from repro.resilience import Deadline
+        from repro.rewrite.explore import ExploreConfig, explore_program
+        from repro.types import ArrayType, FLOAT
 
-        counters = Counters()
-        counters.global_loads = 7
-        obs.register_counters(counters)
+        cache = TuningCache(tmp_path)
+        for _ in range(2):  # cold, then served from the run entries
+            run_figure8(["nn"], sizes=("small",), cache=cache)
 
-        cache_stats = CacheStats(kernel_hits=3, kernel_misses=1)
-        obs.register_cache_stats(cache_stats)
-
-        explore_stats = ExploreStats(enumerated=11, evaluated=4)
-        failure = FailureReport(
-            label="cand", trace=("rule",), kind="compile", message="bad"
+        x = Param(ArrayType(FLOAT, Var("N")), "x")
+        double = UserFun("dbl", ["v"], "return v * 2.0f;", [FLOAT], FLOAT,
+                         py=lambda v: v * 2.0)
+        search = explore_program(
+            Lambda([x], map_(double)(x)), {"x": np.ones(16)}, {"N": 16},
+            config=ExploreConfig(depth=1, max_eval=2,
+                                 deadline=Deadline.after(0.0)),
+            cache=cache,
         )
-        obs.register_explore(explore_stats, [failure])
+        declines = LEDGER.total()
+        launch(OpenCLProgram(RACE), 8, 4, race_args(), engine="auto")
 
-        ledger = DegradationLedger()
-        ledger.record("auto", "fused", "crash", "boom")
-        obs.register_ledger(ledger)
+        plan = "seed=3;compile=1.0;attempts=1"
+        with faultinject.plan_installed(plan):
+            with pytest.raises(faultinject.FaultInjected):
+                faultinject.survive("compile")
+            doc = obs.snapshot()
 
-        doc = obs.snapshot()
-        assert doc["counters.kernel"]["global_loads"] == 7
-        assert doc["cache"]["kernel_hits"] == 3
-        assert doc["cache"]["kernel_hit_rate"] == pytest.approx(0.75)
-        assert doc["explore"]["stats"]["enumerated"] == 11
-        assert doc["explore"]["failures"][0]["kind"] == "compile"
-        assert doc["ledger"]["total"] == 1
-        assert doc["ledger"]["declines"][0]["backend"] == "fused"
-        assert "sites" in doc["faults"]
+        assert doc["counters.kernel"]["global_loads"] > 0
+        assert doc["cache"] == cache.stats.as_dict()
+        assert doc["cache"]["run_hits"] == doc["cache"]["run_misses"] > 0
+        assert doc["cache"]["run_hit_rate"] == 0.5
+        assert doc["explore"]["stats"] == search.stats.as_dict()
+        assert doc["explore"]["failures"][0]["kind"] == "timeout"
+        assert doc["ledger"]["total"] == declines + 1
+        assert doc["ledger"]["events"][-1]["kind"] == "dynamic"
+        assert doc["faults"]["plan"] == plan
+        assert doc["faults"]["sites"]["compile"] == {
+            "checks": 1, "injected": 1, "recovered": 0, "escaped": 1,
+        }
         assert "segments" in doc["profile"]
+        assert "workloads" in doc["calibration"]
         json.dumps(doc)  # the whole merged document is serializable
 
-        # Restore the process-global slots the test replaced.
-        obs.register_ledger()
-        obs.install_default_providers()
-
     def test_default_snapshot_has_stable_schema(self):
-        """Every top-level section exists before any real object has
-        registered (placeholder providers)."""
+        """Every top-level section exists whatever has registered."""
         doc = obs.snapshot()
-        for key in ("counters", "gauges", "histograms", "cache",
-                    "explore", "ledger", "faults", "profile"):
-            assert key in doc
+        assert set(SECTIONS) <= set(doc)
+
+    def test_fresh_interpreter_snapshot_has_every_section(self):
+        """Importing ``repro.obs`` alone yields every section, and each
+        placeholder has the shape its owner's view has."""
+        script = textwrap.dedent("""
+            import json
+            import repro.obs
+            fresh = repro.obs.snapshot()
+            from repro import faultinject
+            from repro.backend import ledger
+            print(json.dumps({"fresh": fresh, "owned": repro.obs.snapshot()}))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        docs = json.loads(out)
+        fresh, owned = docs["fresh"], docs["owned"]
+        assert set(fresh) == set(SECTIONS)
+        for name in ("ledger", "faults", "profile", "calibration"):
+            assert set(fresh[name]) == set(owned[name]), name
+        assert fresh["ledger"]["total"] == 0
+        assert fresh["faults"]["sites"] == {}
+        assert fresh["cache"] == {"active": False}
+        assert fresh["explore"] == {"stats": {}, "failures": []}
+        assert fresh["service"] == {"active": False}
+
+
+def test_one_telemetry_path_in_the_source():
+    """Each event is counted at one call site (the service counts through
+    ``ServiceStats.bump`` only) and each owner registers its own view:
+    no adapter functions remain anywhere."""
+    daemon = (ROOT / "src/repro/service/daemon.py").read_text()
+    assert "obs.inc(" not in daemon
+    adapter = re.compile(
+        r"\bregister_(counters|cache_stats|explore|ledger|fault_sites"
+        r"|profiler|calibration|service)\b|\binstall_default_providers\b"
+    )
+    offenders = [
+        str(path.relative_to(ROOT))
+        for top in ("src", "tests", "benchmarks")
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if path != Path(__file__).resolve()
+        and adapter.search(path.read_text())
+    ]
+    assert offenders == []
+    assert not (ROOT / "src/repro/obs/adapters.py").exists()
 
 
 class TestKernelProfiler:
@@ -372,22 +461,9 @@ class TestOutOfBand:
     def test_run_span_of_a_decline_carries_its_reason(
         self, tmp_path, no_tracing, fault_free
     ):
-        race = """
-        kernel void RACE(const global float * restrict x,
-                         global float *scratch, global float *out) {
-          int i = get_global_id(0);
-          scratch[0] = x[i];
-          out[i] = scratch[0] * 2.0f;
-        }
-        """
         path = tmp_path / "trace.json"
         obs.start_tracing(path)
-        launch(
-            OpenCLProgram(race), 8, 4,
-            {"x": Buffer.from_array(np.arange(8.0)),
-             "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)},
-            engine="auto",
-        )
+        launch(OpenCLProgram(RACE), 8, 4, race_args(), engine="auto")
         obs.stop_tracing()
         runs = {
             e["args"]["backend"]: e["args"]

@@ -667,6 +667,47 @@ class TestTuningService:
         assert stats.admits == 40000
         assert stats.as_dict()["admits"] == 40000
 
+    def test_bump_rejects_a_name_that_is_not_a_field(self):
+        stats = ServiceStats()
+        with pytest.raises(AttributeError, match="cancelld"):
+            stats.bump("cancelld")
+        assert not hasattr(stats, "cancelld")
+        assert not any(stats.as_dict().values())
+
+    def test_every_event_is_counted_once(self, tmp_path):
+        """``ServiceStats.bump`` is the service's one counting call: the
+        process counter ``service.<field>`` moves by exactly what the
+        field does, for every field."""
+        before = obs.snapshot()["counters"]
+        with _service(tmp_path, workers=1, max_queue=1) as service:
+            payload = _toy_payload()
+            service.submit_run(**payload).result(30.0)  # admit, complete
+            service.submit_run(**payload).result(30.0)  # warm hit
+            service.pause()
+            doomed = service.submit_run(**_toy_payload(scale=2.0))
+            service.submit_run(**_toy_payload(scale=2.0))  # coalesce
+            with pytest.raises(ServiceOverloaded):
+                service.submit_run(**_toy_payload(scale=3.0))
+            (request,) = service._inflight.values()
+            request.token.cancel()
+            service.resume()
+            with pytest.raises(Cancelled):
+                doomed.result(30.0)
+            service.pause()
+            queued = service.submit_run(**_toy_payload(scale=4.0))
+            assert service.drain()
+        assert isinstance(queued.error, Cancelled)
+        after = obs.snapshot()["counters"]
+        stats = service.stats.as_dict()
+        for name in ("admits", "completed", "warm_hits", "coalesced",
+                     "rejects", "cancelled", "drained"):
+            assert stats[name] > 0, name
+        for name, value in stats.items():
+            delta = after.get(f"service.{name}", 0) - before.get(
+                f"service.{name}", 0
+            )
+            assert delta == value, name
+
     def test_tune_request_runs_exploration(self, tmp_path):
         with _service(tmp_path) as service:
             result = service.submit_tune(
