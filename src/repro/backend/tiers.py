@@ -136,10 +136,13 @@ class CompiledBackend(Backend):
         return simt_compile.get_pipeline(parsed, kernel)
 
     def run(self, plan, request: ExecutionRequest) -> None:
+        pipeline = simt_compile.launch_pipeline(
+            request.parsed, request.kernel, plan, request.base_env
+        )
         simt.try_launch(
             request.parsed, request.kernel, request.gsize, request.lsize,
             dict(request.base_env), request.local_decls, request.counters,
-            plan,
+            pipeline,
         )
 
 

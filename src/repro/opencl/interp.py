@@ -14,9 +14,10 @@ them into estimated cycles per device profile.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -107,6 +108,18 @@ class Pointer:
 _VEC_MEMBERS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
+def vector_column(member: str) -> Optional[int]:
+    """The component ``x``/``y``/``z``/``w`` or ``sN`` (hex ``N``) names;
+    ``None`` for anything else (a struct member may start with ``s``)."""
+    col = _VEC_MEMBERS.get(member)
+    if col is None and member.startswith("s") and member[1:]:
+        try:
+            col = int(member[1:], 16)
+        except ValueError:
+            pass
+    return col
+
+
 def _c_int_div(a: int, b: int) -> int:
     """C semantics: truncation toward zero."""
     if b == 0:
@@ -179,29 +192,38 @@ def kind_of(v: Any) -> Optional[str]:
     return "i" if isinstance(v, (int, np.integer, np.bool_)) else None
 
 
-def iter_decls(stmt):
+def iter_decls(stmt) -> list:
     """Every ``CDecl`` under ``stmt``, in source order."""
-    if isinstance(stmt, c.CDecl):
-        yield stmt
-    elif isinstance(stmt, c.CBlock):
-        for s in stmt.stmts:
-            yield from iter_decls(s)
-    elif isinstance(stmt, c.CFor):
-        for part in (stmt.init, stmt.body, stmt.step):
-            if part is not None:
-                yield from iter_decls(part)
-    elif isinstance(stmt, c.CIf):
-        yield from iter_decls(stmt.then)
-        if stmt.otherwise is not None:
-            yield from iter_decls(stmt.otherwise)
+    found: list = []
+
+    def walk(s) -> None:
+        t = type(s)
+        if t is c.CDecl:
+            found.append(s)
+        elif t is c.CBlock:
+            for sub in s.stmts:
+                walk(sub)
+        elif t is c.CFor:
+            for part in (s.init, s.body, s.step):
+                if part is not None:
+                    walk(part)
+        elif t is c.CIf:
+            walk(s.then)
+            if s.otherwise is not None:
+                walk(s.otherwise)
+
+    walk(stmt)
+    return found
 
 
 def declared_kinds(fn: c.CFunctionDef) -> dict:
-    """``name -> "f" | "i" | None`` (pointer, array, vector, struct) for
-    the parameters and declarations of one function; every tier resolves
-    stores through it.  The environment is flat per function, so a name
-    declared with two kinds is ``"mixed"``: untyped in the oracle, a
-    static refusal in the lane tiers.  Cached on the function node."""
+    """The name table of one function: ``name -> "f" | "i" | None``
+    (pointer, array, vector, struct) for its parameters and
+    declarations.  Every tier converts stores through it, and the
+    static types (:class:`StaticTypes`) follow the same conversions.  The
+    environment is flat per function, so a name declared with two kinds
+    is ``"mixed"``: untyped in the oracle, a static refusal in the lane
+    tiers.  Cached on the function node."""
     kinds = fn.__dict__.get("_declared_kinds")
     if kinds is None:
         kinds = {}
@@ -214,6 +236,289 @@ def declared_kinds(fn: c.CFunctionDef) -> dict:
                 kinds[d.name] = "mixed"
         fn._declared_kinds = kinds
     return kinds
+
+
+# -- static expression types (ENGINES.md, "Typing") -------------------------
+
+class CType(NamedTuple):
+    """The static type of an expression, as the lane tiers hold it.
+
+    ``kind`` is ``"f"`` / ``"i"`` / ``"b"`` (a comparison's result) for
+    an arithmetic value of ``width`` components (1: a scalar or a lane
+    array, N: an N-vector), ``"?"`` for an arithmetic value whose kind
+    only the run decides, ``"ptr"`` (``elem``: the pointee's kind),
+    ``"struct"`` (``elem``: its name) or ``"void"``.  ``None`` in place
+    of a type means nothing is known before the run.
+    """
+
+    kind: str
+    width: int = 1
+    elem: Optional[str] = None
+
+
+F, I, B, VOID = CType("f"), CType("i"), CType("b"), CType("void")
+#: One instance per scalar type: the rules return these.
+_SCALAR = {"f": F, "i": I, "b": B, "?": CType("?")}
+_ARITH_KINDS = frozenset("fib?")
+_COMPARISONS = frozenset(("==", "!=", "<", ">", "<=", ">="))
+
+
+def is_arith(t: Optional[CType]) -> bool:
+    return t is not None and t.kind in _ARITH_KINDS
+
+
+def is_vector(t: Optional[CType]) -> bool:
+    return is_arith(t) and t.width > 1
+
+
+def vector_type(kind: str, width: int) -> Optional[CType]:
+    """An N-vector; a one-component vector is an ``(L, 1)`` array, which
+    no scalar type describes, so it is left to the run."""
+    return CType(kind, width) if width > 1 else None
+
+
+def element_kind(array: np.ndarray) -> Optional[str]:
+    """The kind of what loading from a global buffer yields: its dtype's
+    (a launch binds ``int64`` data to a ``float *`` as it is), ``"?"``
+    for other scalar dtypes, ``None`` unless the buffer is flat."""
+    if array.ndim != 1:
+        return None
+    kind = array.dtype.kind
+    return kind if kind in "fib" else "?"
+
+
+def declared_element_kind(type_name: str) -> str:
+    """The element kind of a buffer allocated for this element type."""
+    return "i" if scalar_kind(type_name) == "i" else "f"
+
+
+def join(a: Optional[CType], b: Optional[CType]) -> Optional[CType]:
+    """The type of a value that is sometimes ``a`` and sometimes ``b``."""
+    if a == b:
+        return a
+    if is_arith(a) and is_arith(b) and a.width == b.width:
+        return _typed("?", a.width)
+    return None
+
+
+def stored_type(kind: Optional[str], t: Optional[CType]) -> Optional[CType]:
+    """``t`` after :func:`convert` into a location of declared scalar
+    ``kind``: a scalar takes the kind, anything else passes as it is."""
+    if kind in ("f", "i") and is_arith(t) and t.width == 1:
+        return _SCALAR[kind]
+    return t
+
+
+def _typed(kind: str, width: int) -> CType:
+    return _SCALAR[kind] if width == 1 else CType(kind, width)
+
+
+@functools.lru_cache(maxsize=None)
+def binop_type(op: str, lt: Optional[CType], rt: Optional[CType]) -> Optional[CType]:
+    """Result type of a binary operator, mirroring the engines' values:
+    ``int / int`` and ``int % int`` are C integer division; ``/`` on
+    anything else (bools included — they are not C integers to the
+    oracle's ``_is_int``) is a true division; a float operand makes a
+    float of the wider width; ``%`` without one stays integer (``fmod``
+    of integers); ``b op b`` is a numpy bool on lanes and a Python int on
+    scalars, so its kind is the run's."""
+    if op in _COMPARISONS:
+        if is_arith(lt) and is_arith(rt):
+            return _typed("b", max(lt.width, rt.width))
+        return None
+    if lt is not None and lt.kind == "ptr":
+        return lt if op in ("+", "-") and is_arith(rt) else None
+    if not (is_arith(lt) and is_arith(rt)):
+        return None
+    width = max(lt.width, rt.width)
+    kinds = {lt.kind, rt.kind}
+    if op in ("/", "%") and kinds == {"i"} and width == 1:
+        return I
+    if "f" in kinds:
+        return _typed("f", width)
+    if "?" in kinds:
+        return _typed("?", width)
+    if op == "/":
+        return _typed("f", width)
+    if kinds == {"b"} and op != "%":
+        return _typed("?", width)
+    return _typed("i", width)
+
+
+def binop_count(
+    op: str, lt: Optional[CType], rt: Optional[CType], divisor: Optional[int]
+) -> tuple:
+    """``(Counters field, units per work-item)`` one arithmetic operator
+    charges, as :meth:`WorkItem._count_binop` does: a float operand
+    costs its width in ``flops``; otherwise ``/`` and ``%`` by a literal
+    ``divisor`` are strength-reduced (a power of two is one ``iops``)
+    and any other divisor is an ``idivmod``.  The operand kinds must be
+    known (not ``"?"``); ``None`` is an operand that is neither integer
+    nor floating (a pointer, a struct)."""
+    if (lt is not None and lt.kind == "f") or (rt is not None and rt.kind == "f"):
+        return "flops", max(
+            lt.width if is_arith(lt) else 1, rt.width if is_arith(rt) else 1
+        )
+    if op in ("/", "%"):
+        if divisor is None:
+            return "idivmod", 1
+        if divisor > 0 and divisor & (divisor - 1) == 0:
+            return "iops", 1
+        return "idivmod_const", 1
+    return "iops", 1
+
+
+#: Math builtins whose result is floating whatever the argument kind.
+_FLOAT_BUILTINS = frozenset((
+    "sqrt", "native_sqrt", "rsqrt", "native_rsqrt",
+    "exp", "log", "sin", "cos", "tan",
+))
+#: Math builtins that keep their argument's type (numpy's ``abs`` and
+#: ``floor`` of an integer are integers).
+_KIND_KEEPING_BUILTINS = frozenset(("fabs", "floor", "ceil"))
+
+
+def builtin_type(name: str, args: list) -> Optional[CType]:
+    """Result type of a math builtin over lane values of types ``args``;
+    the rest (``min``/``max``/``pow``/``mad``/``clamp`` …) promote like
+    arithmetic, ``dot`` of vectors is one component."""
+    if not args or not all(is_arith(a) for a in args):
+        return None
+    width = max(a.width for a in args)
+    if name in _FLOAT_BUILTINS:
+        return _typed("f", width)
+    if name in _KIND_KEEPING_BUILTINS:
+        return args[0]
+    if name == "length":
+        return F
+    if name == "dot":
+        if args[0].width == 1:
+            return binop_type("*", args[0], args[-1])
+        width = 1
+    kinds = {a.kind for a in args}
+    if kinds <= {"f", "i"}:
+        return _typed("f" if "f" in kinds else "i", width)
+    return _typed("?", width)
+
+
+def unop_type(op: str, t: Optional[CType]) -> Optional[CType]:
+    """``!t`` is a bool; ``-t`` keeps the type."""
+    if op == "!":
+        return B
+    if not is_arith(t):
+        return None
+    return _typed("?", t.width) if t.kind == "b" else t  # numpy: no -bool
+
+
+_CASTS = {"int": "i", "uint": "i", "long": "i", "float": "f", "double": "f"}
+
+
+def cast_type(type_name: str, t: Optional[CType]) -> Optional[CType]:
+    """``(int)`` / ``(float)`` convert every component; other casts are
+    the operand as it is (as in the engines)."""
+    kind = _CASTS.get(type_name)
+    if kind is None:
+        return t
+    return _typed(kind, t.width) if is_arith(t) else None
+
+
+def index_type(base: Optional[CType]) -> Optional[CType]:
+    """``base[i]``: a pointee, or one component of a vector."""
+    if base is not None and base.kind == "ptr":
+        return _SCALAR.get(base.elem)
+    return _SCALAR[base.kind] if is_vector(base) else None
+
+
+_UNSET = object()
+
+
+class StaticTypes:
+    """The static types of one kernel and the helpers it calls.
+
+    The type of every expression node (``exprs``, by ``id``) and the
+    name table the typing rules above read and write: every name of
+    every function (``names``: after conversion to its declared kind,
+    :func:`stored_type`), every helper's returned value and every
+    struct member.  A name's type joins everything stored into it; a
+    helper's parameters join their arguments at every call site.
+
+    The closure compiler fills it in its one bottom-up walk over the
+    kernel (:func:`repro.opencl.simt_compile.compile_kernel_pipeline`),
+    in execution order, typing each node from its children's types.  A
+    table entry that widens once set (a store that contradicts the
+    declaration, a second call site with other argument types) sets
+    ``widened``, and the walk runs again from the wider tables — never
+    for well-typed C.  A name read before anything is stored into it is
+    left to the run.
+    """
+
+    __slots__ = ("structs", "exprs", "names", "returns", "members", "widened")
+
+    def __init__(self, structs: dict):
+        self.structs = structs
+        self.exprs: dict = {}
+        self.names: dict = {}    # function name -> {name: type}
+        self.returns: dict = {}  # function name -> type
+        self.members: dict = {}  # (struct name, member) -> type
+        self.widened = False
+
+    def update(self, table: dict, key, t: Optional[CType]) -> None:
+        old = table.get(key, _UNSET)
+        if old is _UNSET:
+            table[key] = t
+        elif t != old:
+            t = join(old, t)
+            if t != old:
+                table[key] = t
+                self.widened = True
+
+    def zero(self, type_name: str) -> Optional[CType]:
+        """The type of :func:`typed_zero` of ``type_name``."""
+        if type_name in self.structs:
+            return CType("struct", elem=type_name)
+        base = type_name.rstrip("0123456789")
+        width = type_name[len(base):]
+        if width and scalar_kind(base):
+            return vector_type("f", int(width))
+        return F if scalar_kind(type_name) == "f" else I
+
+    def member(self, struct: str, member: str) -> Optional[CType]:
+        key = (struct, member)
+        t = self.members.get(key, _UNSET)
+        if t is _UNSET:
+            t = F  # a missing member reads as the 0.0 it defaults to
+            definition = self.structs.get(struct)
+            for type_name, name in (definition.members if definition else ()):
+                if name == member:
+                    t = self.zero(type_name)
+            self.members[key] = t
+        return t
+
+    def member_of(self, base: Optional[CType], member: str) -> Optional[CType]:
+        """``base.member``: a struct member, a vector component or half."""
+        if base is None:
+            return None
+        if base.kind == "struct":
+            return self.member(base.elem, member)
+        if not is_vector(base):
+            return None
+        if vector_column(member) is not None:
+            return _SCALAR[base.kind]
+        if member in ("lo", "hi"):
+            return vector_type(base.kind, base.width // 2)
+        return None
+
+    def store_member(self, struct: str, member: str, t: Optional[CType]) -> None:
+        """A member store converts to the kind the member holds."""
+        held = self.member(struct, member)
+        kind = held.kind if held is not None and held.width == 1 else None
+        self.update(self.members, (struct, member), stored_type(kind, t))
+
+    def untyped(self) -> int:
+        """Expression nodes whose kind is left to the run."""
+        return sum(
+            1 for t in self.exprs.values() if t is None or t.kind == "?"
+        )
 
 
 class LaunchContext:

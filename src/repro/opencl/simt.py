@@ -142,8 +142,9 @@ def _analyze(parsed: ParsedProgram, kernel: c.CFunctionDef) -> Optional[str]:
     reason = _check_function(parsed, kernel, frozenset(), is_kernel=True)
     if reason is not None:
         return reason
-    if _contains(kernel.body, c.CBarrier):
-        if _contains(kernel.body, c.CReturn):
+    statements = statement_types(kernel)
+    if c.CBarrier in statements:
+        if c.CReturn in statements:
             return "barrier combined with early return"
         if not _barriers_group_uniform(kernel):
             return "barrier under lane-divergent control flow"
@@ -155,11 +156,18 @@ def _check_function(
 ) -> Optional[str]:
     if fn.name in stack:
         return f"recursive helper function {fn.name!r}"
+    # A helper accepted once is accepted from every call site: whatever
+    # it reaches is acyclic, so no caller on the stack is among it.
+    accepted = parsed.__dict__.setdefault("_simt_helpers_ok", set())
+    if not is_kernel and fn.name in accepted:
+        return None
     for name, kind in declared_kinds(fn).items():
         if kind == "mixed":
             return f"{name!r} is declared with two types in {fn.name!r}"
-    stack = stack | {fn.name}
-    return _check_stmt(parsed, fn.body, stack, is_kernel)
+    reason = _check_stmt(parsed, fn.body, stack | {fn.name}, is_kernel)
+    if reason is None and not is_kernel:
+        accepted.add(fn.name)
+    return reason
 
 
 def _check_stmt(parsed, s, stack, is_kernel) -> Optional[str]:
@@ -204,41 +212,15 @@ def _check_stmt(parsed, s, stack, is_kernel) -> Optional[str]:
 
 
 def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
-    if isinstance(e, (c.CInt, c.CFloat, c.CIdent)):
+    t = type(e)
+    if t is c.CIdent or t is c.CInt or t is c.CFloat:
         return None
-    if isinstance(e, c.CBinOp):
+    if t is c.CBinOp:
         return (
             _check_expr(parsed, e.lhs, stack, is_kernel)
             or _check_expr(parsed, e.rhs, stack, is_kernel)
         )
-    if isinstance(e, c.CUnOp):
-        return _check_expr(parsed, e.operand, stack, is_kernel)
-    if isinstance(e, c.CTernary):
-        return (
-            _check_expr(parsed, e.cond, stack, is_kernel)
-            or _check_expr(parsed, e.then, stack, is_kernel)
-            or _check_expr(parsed, e.otherwise, stack, is_kernel)
-        )
-    if isinstance(e, (c.CIndex,)):
-        return (
-            _check_expr(parsed, e.base, stack, is_kernel)
-            or _check_expr(parsed, e.index, stack, is_kernel)
-        )
-    if isinstance(e, c.CMember):
-        return _check_expr(parsed, e.base, stack, is_kernel)
-    if isinstance(e, c.CCast):
-        return _check_expr(parsed, e.operand, stack, is_kernel)
-    if isinstance(e, c.CVectorLiteral):
-        try:
-            vector_literal_width(e)
-        except ExecError as exc:
-            return str(exc)
-        for item in e.items:
-            r = _check_expr(parsed, item, stack, is_kernel)
-            if r:
-                return r
-        return None
-    if isinstance(e, c.CCall):
+    if t is c.CCall:
         for a in e.args:
             r = _check_expr(parsed, a, stack, is_kernel)
             if r:
@@ -254,27 +236,69 @@ def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
         if fn is None:
             return f"call to unknown function {name!r}"
         return _check_function(parsed, fn, stack, is_kernel=False)
-    return f"unsupported expression {type(e).__name__}"
-
-
-def _contains(stmt, node_type) -> bool:
-    if isinstance(stmt, node_type):
-        return True
-    if isinstance(stmt, c.CBlock):
-        return any(_contains(s, node_type) for s in stmt.stmts)
-    if isinstance(stmt, c.CFor):
-        return any(
-            part is not None and _contains(part, node_type)
-            for part in (stmt.init, stmt.body, stmt.step)
+    if t is c.CIndex:
+        return (
+            _check_expr(parsed, e.base, stack, is_kernel)
+            or _check_expr(parsed, e.index, stack, is_kernel)
         )
-    if isinstance(stmt, c.CIf):
-        if _contains(stmt.then, node_type):
-            return True
-        return stmt.otherwise is not None and _contains(stmt.otherwise, node_type)
-    return False
+    if t is c.CMember:
+        return _check_expr(parsed, e.base, stack, is_kernel)
+    if t is c.CUnOp:
+        return _check_expr(parsed, e.operand, stack, is_kernel)
+    if t is c.CTernary:
+        return (
+            _check_expr(parsed, e.cond, stack, is_kernel)
+            or _check_expr(parsed, e.then, stack, is_kernel)
+            or _check_expr(parsed, e.otherwise, stack, is_kernel)
+        )
+    if t is c.CCast:
+        return _check_expr(parsed, e.operand, stack, is_kernel)
+    if t is c.CVectorLiteral:
+        try:
+            vector_literal_width(e)
+        except ExecError as exc:
+            return str(exc)
+        for item in e.items:
+            r = _check_expr(parsed, item, stack, is_kernel)
+            if r:
+                return r
+        return None
+    return f"unsupported expression {t.__name__}"
+
+
+def statement_types(fn: c.CFunctionDef) -> frozenset:
+    """The statement classes in ``fn``'s body at any depth (cached on
+    the function node)."""
+    found = fn.__dict__.get("_statement_types")
+    if found is None:
+        classes: set = set()
+
+        def walk(s) -> None:
+            t = type(s)
+            classes.add(t)
+            if t is c.CBlock:
+                for sub in s.stmts:
+                    walk(sub)
+            elif t is c.CFor:
+                for part in (s.init, s.body, s.step):
+                    if part is not None:
+                        walk(part)
+            elif t is c.CIf:
+                walk(s.then)
+                if s.otherwise is not None:
+                    walk(s.otherwise)
+
+        walk(fn.body)
+        found = fn._statement_types = frozenset(classes)
+    return found
 
 
 # -- group-uniformity analysis for barrier placement ------------------------
+
+#: Calls whose result all work-items of a group agree on, given
+#: arguments they agree on.
+_GROUP_UNIFORM_CALLS = _GEOM_UNIFORM | frozenset(_MATH_BUILTINS)
+
 
 def _barriers_group_uniform(kernel: c.CFunctionDef) -> bool:
     """True when every barrier sits only under group-uniform conditions.
@@ -283,93 +307,109 @@ def _barriers_group_uniform(kernel: c.CFunctionDef) -> bool:
     it: literals, scalar kernel arguments, ``get_group_id`` and the size
     getters, and variables only ever assigned group-uniform values under
     group-uniform control.  ``get_local_id`` / ``get_global_id`` and any
-    memory load are lane-varying.  Computed by demotion to a fixpoint.
+    memory load are lane-varying.
     """
-    uniform = {p.name for p in kernel.params}
-    _collect_assigned(kernel.body, uniform)
-    while True:
-        demoted: list = []
-        _walk_uniform(kernel.body, True, uniform, demoted)
-        shrunk = uniform.intersection(demoted)
-        if not shrunk:
-            break
-        uniform.difference_update(shrunk)
+    uniform = uniform_names(kernel, _GROUP_UNIFORM_CALLS)
     return _barrier_ctrl_ok(kernel.body, True, uniform)
 
 
-def _collect_assigned(s, names: set) -> None:
-    if isinstance(s, c.CBlock):
-        for sub in s.stmts:
-            _collect_assigned(sub, names)
-    elif isinstance(s, c.CDecl):
-        names.add(s.name)
-    elif isinstance(s, c.CAssign) and isinstance(s.target, c.CIdent):
-        names.add(s.target.name)
-    elif isinstance(s, c.CFor):
-        for part in (s.init, s.body, s.step):
-            if part is not None:
-                _collect_assigned(part, names)
-    elif isinstance(s, c.CIf):
-        _collect_assigned(s.then, names)
-        if s.otherwise is not None:
-            _collect_assigned(s.otherwise, names)
+def _expr_uniform(e, uniform: set, calls=_GROUP_UNIFORM_CALLS) -> bool:
+    deps = _uniform_deps(e, set(), calls)
+    return deps is not None and deps <= uniform
 
 
-def _expr_uniform(e, uniform: set) -> bool:
-    if isinstance(e, (c.CInt, c.CFloat)):
-        return True
-    if isinstance(e, c.CIdent):
-        return e.name in uniform
-    if isinstance(e, c.CBinOp):
-        return _expr_uniform(e.lhs, uniform) and _expr_uniform(e.rhs, uniform)
-    if isinstance(e, c.CUnOp):
-        return _expr_uniform(e.operand, uniform)
-    if isinstance(e, c.CTernary):
-        return all(
-            _expr_uniform(x, uniform) for x in (e.cond, e.then, e.otherwise)
-        )
-    if isinstance(e, c.CCast):
-        return _expr_uniform(e.operand, uniform)
-    if isinstance(e, c.CCall):
-        if e.func in _GEOM_UNIFORM or e.func in _MATH_BUILTINS:
-            return all(_expr_uniform(a, uniform) for a in e.args)
-        return False  # lane getters, loads via vload, helper calls
-    # CIndex (memory load), CMember, CVectorLiteral: conservative.
-    return False
+def _uniform_deps(e, deps: set, calls) -> Optional[set]:
+    """``deps`` plus the names ``e`` reads, or ``None`` when ``e`` is
+    never uniform (a lane getter, a memory load, a helper call, a member
+    or vector value — conservative)."""
+    t = type(e)
+    if t is c.CIdent:
+        deps.add(e.name)
+        return deps
+    if t is c.CInt or t is c.CFloat:
+        return deps
+    if t is c.CBinOp:
+        parts = (e.lhs, e.rhs)
+    elif t is c.CUnOp or t is c.CCast:
+        parts = (e.operand,)
+    elif t is c.CTernary:
+        parts = (e.cond, e.then, e.otherwise)
+    elif t is c.CCall and e.func in calls:
+        parts = e.args
+    else:
+        return None
+    for part in parts:
+        if _uniform_deps(part, deps, calls) is None:
+            return None
+    return deps
 
 
-def _walk_uniform(s, ctrl: bool, uniform: set, demoted: list) -> None:
-    if isinstance(s, c.CBlock):
-        for sub in s.stmts:
-            _walk_uniform(sub, ctrl, uniform, demoted)
-    elif isinstance(s, c.CDecl):
-        if s.array_size is not None:
-            value_uniform = True  # the pointer itself is uniform
-        else:
-            value_uniform = s.init is None or _expr_uniform(s.init, uniform)
-        if not (ctrl and value_uniform):
-            demoted.append(s.name)
-    elif isinstance(s, c.CAssign):
-        if isinstance(s.target, c.CIdent):
-            value_uniform = _expr_uniform(s.value, uniform)
-            if s.op != "=":
-                value_uniform = value_uniform and s.target.name in uniform
-            if not (ctrl and value_uniform):
-                demoted.append(s.target.name)
-        elif isinstance(s.target, c.CMember) and isinstance(s.target.base, c.CIdent):
-            demoted.append(s.target.base.name)
-    elif isinstance(s, c.CFor):
-        if s.init is not None:
-            _walk_uniform(s.init, ctrl, uniform, demoted)
-        inner = ctrl and (s.cond is None or _expr_uniform(s.cond, uniform))
-        _walk_uniform(s.body, inner, uniform, demoted)
-        if s.step is not None:
-            _walk_uniform(s.step, inner, uniform, demoted)
-    elif isinstance(s, c.CIf):
-        inner = ctrl and _expr_uniform(s.cond, uniform)
-        _walk_uniform(s.then, inner, uniform, demoted)
-        if s.otherwise is not None:
-            _walk_uniform(s.otherwise, inner, uniform, demoted)
+def uniform_names(kernel: c.CFunctionDef, calls) -> set:
+    """The names every work-item agrees on, where ``calls`` are the
+    builtins whose result they agree on: parameters and assigned names,
+    less any name one of whose stores (declaration, assignment, compound
+    assignment, member store) may differ between work-items — its value
+    or an enclosing loop or branch condition reads something that does.
+
+    One walk records each store with the names it depends on; demotion
+    then propagates through those sets to a fixpoint (the greatest set
+    of names consistent with every store)."""
+    names = {p.name for p in kernel.params}
+    stores: list = []  # (name, the names it depends on, or None: never)
+
+    def walk(s, ctrl) -> None:
+        t = type(s)
+        if t is c.CBlock:
+            for sub in s.stmts:
+                walk(sub, ctrl)
+        elif t is c.CDecl:
+            names.add(s.name)
+            deps = set() if s.array_size is not None or s.init is None else (
+                _uniform_deps(s.init, set(), calls)
+            )
+            stores.append((s.name, _with(ctrl, deps)))
+        elif t is c.CAssign:
+            target = s.target
+            if type(target) is c.CIdent:
+                names.add(target.name)
+                deps = _uniform_deps(s.value, set(), calls)
+                if deps is not None and s.op != "=":
+                    deps.add(target.name)
+                stores.append((target.name, _with(ctrl, deps)))
+            elif type(target) is c.CMember and type(target.base) is c.CIdent:
+                stores.append((target.base.name, None))
+        elif t is c.CFor:
+            if s.init is not None:
+                walk(s.init, ctrl)
+            inner = ctrl if s.cond is None else _with(
+                ctrl, _uniform_deps(s.cond, set(), calls)
+            )
+            walk(s.body, inner)
+            if s.step is not None:
+                walk(s.step, inner)
+        elif t is c.CIf:
+            inner = _with(ctrl, _uniform_deps(s.cond, set(), calls))
+            walk(s.then, inner)
+            if s.otherwise is not None:
+                walk(s.otherwise, inner)
+
+    walk(kernel.body, frozenset())
+    uniform = set(names)
+    changed = True
+    while changed:
+        changed = False
+        for name, deps in stores:
+            if name in uniform and (deps is None or not deps <= uniform):
+                uniform.discard(name)
+                changed = True
+    return uniform
+
+
+def _with(ctrl, deps):
+    """The dependencies of a store under control ``ctrl``."""
+    if ctrl is None or deps is None:
+        return None
+    return ctrl | deps if ctrl else deps
 
 
 def _barrier_ctrl_ok(s, ctrl: bool, uniform: set) -> bool:
@@ -1104,7 +1144,8 @@ class _Block:
                 lhs = lhs[:, None]
         return lhs, rhs
 
-    def _int_div(self, a, b, m):
+    @staticmethod
+    def _int_div(a, b, m):
         if _is_uniform(a) and _is_uniform(b):
             return _c_int_div(int(a), int(b))
         zero = np.equal(b, 0)
@@ -1114,10 +1155,11 @@ class _Block:
         q = np.abs(a) // np.abs(safe)
         return np.where(np.greater_equal(a, 0) == np.greater_equal(safe, 0), q, -q)
 
-    def _int_mod(self, a, b, m):
+    @staticmethod
+    def _int_mod(a, b, m):
         if _is_uniform(a) and _is_uniform(b):
             return _c_int_mod(int(a), int(b))
-        q = self._int_div(a, b, m)
+        q = _Block._int_div(a, b, m)
         safe = np.where(np.equal(b, 0), 1, b)
         return a - q * safe
 

@@ -12,14 +12,33 @@ re-derive per block:
 
 * statement and expression dispatch (one closure per node, built once);
 * operator selection (``+`` compiles to ``operator.add``, comparisons to
-  their ufunc, ``/`` to the int/float dispatch only);
+  their ufunc, ``/`` to integer or true division);
+* **value types**: the walk is also the static typing pass — each node
+  gets its kind and vector width from its children's by the rules of
+  :mod:`repro.opencl.interp` (``binop_type``, ``builtin_type``, …,
+  names and members through :class:`~repro.opencl.interp.StaticTypes`)
+  as it compiles, so an arithmetic closure adds a constant to one
+  counter, aligns a vector with lanes only where the types mix widths,
+  tests for a pointer only where one can occur, and a store,
+  declaration, argument or return skips a conversion its value already
+  has;
 * geometry builtins (``get_global_id(0)`` becomes an attribute read);
 * ``vload``/``vstore`` widths, math-builtin implementations and flop
-  costs, struct member templates, declaration dtypes;
-* helper functions (compiled once, called with by-value argument
-  copies and their own return-mask frame);
+  costs (a builtin's width comes from its arguments' types), struct
+  member templates, declaration dtypes;
+* helper functions: a **straight-line** helper (declarations,
+  assignments and expression statements, then at most one ``return``
+  last — every Lift user function) is inlined into its caller's
+  closure: a fresh environment, by-value argument copies and the
+  argument and return conversions, but no return-mask frame.  A helper
+  with control flow keeps its own frame;
 * group-uniform conditions: a loop or branch condition that evaluates to
   a Python scalar skips the mask materialization entirely.
+
+A node whose type only the run decides (below a ternary whose arms
+differ in arithmetic kind) compiles to a closure that reads the types of
+the values it gets and applies the same rules; nothing else is left to
+the run.
 
 The compiled pipeline is segmented at top-level barriers — one closure
 sequence per barrier-delimited region (:func:`split_at_barriers`) —
@@ -38,9 +57,10 @@ it), and a kernel it refuses has no pipeline — the launch falls
 straight to the scalar oracle, with the analysis' reason in the ledger.
 
 Pipelines are cached on the parsed program (which the runtime shares
-per source through an LRU), alongside the vectorizability analysis, so
-the thousands of launches an exploration run performs compile each
-kernel exactly once.
+per source through an LRU), alongside the vectorizability analysis, per
+kernel and element kinds of its pointer arguments (loads take the kind
+of the buffer a launch binds, not of the declaration): the thousands of
+launches an exploration run performs compile each kernel exactly once.
 """
 
 from __future__ import annotations
@@ -48,6 +68,7 @@ from __future__ import annotations
 import operator
 import threading
 import time
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,13 +78,34 @@ from repro.obs import profile as _obs_profile
 from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram
 from repro.opencl.interp import (
+    B,
+    CType,
     ExecError,
+    F,
+    I,
+    StaticTypes,
+    VOID,
+    _SCALAR,
     _VEC_MEMBERS,
     array_dtype,
+    binop_count,
+    binop_type,
+    builtin_type,
+    cast_type,
+    declared_element_kind,
     declared_kinds,
+    element_kind,
+    index_type,
+    is_arith,
+    is_vector,
+    join,
     scalar_kind,
+    stored_type,
     typed_zero,
+    unop_type,
+    vector_column,
     vector_literal_width,
+    vector_type,
 )
 from repro.opencl.simt import (
     RowPtr,
@@ -74,12 +116,12 @@ from repro.opencl.simt import (
     _LANE_DTYPE,
     _VMATH,
     _by_value,
-    _contains,
     _convert,
     _is_uniform,
     _is_vload,
     _is_vstore,
     analyze_kernel,
+    statement_types,
 )
 
 _align = _Block._align
@@ -110,204 +152,356 @@ _CMP_UFUNC = {
     ">=": operator.ge,
 }
 
-_ARITH_OP = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+#: ``l op r`` per arithmetic operator (C's ``%`` on floats is ``fmod``,
+#: like the oracle's ``math.fmod``).
+_OPERATOR = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "%": np.fmod,
+}
+#: The same as ``value_of(l, r, m)`` functions of matching widths.
+_PLAIN = {op: (lambda fn: lambda l, r, m: fn(l, r))(fn) for op, fn in _OPERATOR.items()}
 
 
-def _vec_width(v) -> int:
-    """Width the scalar interpreter's ``_width_of`` would report."""
-    if isinstance(v, np.ndarray) and v.ndim == 2:
-        return v.shape[1]
-    return 1
+# ---------------------------------------------------------------------------
+# types
+# ---------------------------------------------------------------------------
+
+#: Lane dtype kind -> type kind.  Other dtypes are neither integer nor
+#: floating to the counting and division rules, like a ``None`` type.
+_LANE_KIND = {"f": "f", "i": "i", "u": "i", "b": "b"}
 
 
-def _is_floatish(v) -> bool:
+def lane_type(v) -> Optional[CType]:
+    """The type of a lane value (never ``"?"``): what a node the run
+    types dispatches on, and what a static type must predict."""
     if isinstance(v, np.ndarray):
-        return v.dtype.kind == "f"
-    return isinstance(v, (float, np.floating))
+        kind = _LANE_KIND.get(v.dtype.kind)
+        if kind is None:
+            return None
+        return CType(kind, v.shape[1]) if v.ndim == 2 else _SCALAR[kind]
+    if isinstance(v, (bool, np.bool_)):
+        return B
+    if isinstance(v, (int, np.integer)):
+        return I
+    if isinstance(v, (float, np.floating)):
+        return F
+    if isinstance(v, (VPtr, RowPtr)):
+        kind = v.array.dtype.kind
+        return CType("ptr", elem=kind if kind in "fib" else "?")
+    if isinstance(v, dict):
+        return CType("struct")
+    return VOID if v is None else None
 
 
-def _is_int_like(v) -> bool:
-    """Mirror of the scalar ``_is_int`` (bools are *not* C integers)."""
-    if isinstance(v, np.ndarray):
-        return v.ndim == 1 and v.dtype.kind in "iu"
-    return isinstance(v, (int, np.integer)) and not isinstance(
-        v, (bool, np.bool_)
+def _known(t: Optional[CType]) -> bool:
+    """Whether closures can specialise on ``t`` at plan time."""
+    return t is not None and t.kind != "?"
+
+
+def _needs_align(lt: Optional[CType], rt: Optional[CType]) -> bool:
+    """Whether one side may be a vector and the other lanes."""
+    return lt is None or rt is None or lt.width != rt.width
+
+
+def _converts(kind: Optional[str], t: Optional[CType]) -> bool:
+    """Whether storing a value of type ``t`` into a location of declared
+    scalar ``kind`` may change it (vectors, pointers and structs pass)."""
+    if kind not in _LANE_DTYPE:
+        return False
+    return t is None or (is_arith(t) and t.width == 1 and t.kind != kind)
+
+
+def _charge(counters, field: str, amount: int) -> None:
+    setattr(counters, field, getattr(counters, field) + amount)
+
+
+def declared_pointer_kinds(kernel: c.CFunctionDef) -> tuple:
+    """Element kinds of the buffers the kernel's pointer parameters
+    declare — what a plan assumes until a launch binds others."""
+    return tuple(
+        declared_element_kind(p.type_name) for p in kernel.params if p.is_pointer
     )
 
 
 class _Ctx:
-    """Per-pipeline compilation state (helper memoization, and the
-    declared kinds of the function being compiled — stores resolve
-    their conversion here, at plan time)."""
+    """Per-pipeline compilation state: the static types the walk fills,
+    the function being compiled (its declared kinds: stores resolve
+    their conversion here, at plan time) and the helper bodies compiled
+    so far."""
 
-    def __init__(self, parsed: ParsedProgram, fn: c.CFunctionDef):
+    def __init__(self, parsed: ParsedProgram, fn: c.CFunctionDef,
+                 types: StaticTypes):
         self.parsed = parsed
+        self.types = types
+        #: ``id(node) -> type``, filled as the nodes compile.
+        self.typed = types.exprs
+        self.fn = fn
         self.kinds = declared_kinds(fn)
-        self.helpers: dict = {}
+        self.names = types.names.setdefault(fn.name, {})
+        self.helpers: dict = {}  # name -> framed body, or inlined parts
+        self.loads: dict = {}  # name -> its (shared) load closure
+        self.inlined = 0  # call sites compiled inline
 
-    def bind(self, name: str, value_c: ExprFn, declaring: bool) -> StmtFn:
-        """The store ``name = value_c(...)``, converted to the declared
-        kind of ``name`` — resolved here, once, at plan time."""
+    def type_of(self, e) -> Optional[CType]:
+        return self.typed.get(id(e))
+
+    def define(self, name: str, t: Optional[CType]) -> None:
+        """``t`` stored into ``name`` (a declaration or an assignment)."""
+        self.types.update(self.names, name, stored_type(self.kinds.get(name), t))
+
+    def returned(self, t: Optional[CType]) -> None:
+        self.types.update(self.types.returns, self.fn.name, t)
+
+    def bind(self, name: str, value_c: ExprFn, declaring: bool, vt) -> StmtFn:
+        """The store ``name = value_c(...)`` of a value of type ``vt``,
+        converted to the declared kind of ``name`` only where it may
+        differ — resolved here, once, at plan time."""
+        self.define(name, vt)
         kind = self.kinds.get(name)
-        if kind not in _LANE_DTYPE:
-            return lambda b, m, n, frame: b._bind(
-                name, value_c(b, m, n), m, n, declaring
-            )
+        if _converts(kind, vt):
+            return _bind_converted(name, kind, value_c, declaring)
+        return _bind(name, value_c, declaring)
 
-        def bind_typed(b, m, n, frame):
-            v = value_c(b, m, n)
-            if type(v) is not np.ndarray or v.dtype.kind != kind:
-                v = _convert(kind, v)  # lanes of the kind: no call, no copy
+
+def _bind(name: str, value_c: ExprFn, declaring: bool) -> StmtFn:
+    def bind(b, m, n, frame):
+        v = value_c(b, m, n)
+        if n == b.L:  # every lane stores: no merge (``_Block._bind``)
+            b.env[name] = v
+        else:
             b._bind(name, v, m, n, declaring)
 
-        return bind_typed
+    return bind
+
+
+def _bind_converted(name: str, kind: str, value_c: ExprFn, declaring: bool) -> StmtFn:
+    def bind_converted(b, m, n, frame):
+        b._bind(name, _convert(kind, value_c(b, m, n)), m, n, declaring)
+
+    return bind_converted
 
 
 # ---------------------------------------------------------------------------
 # expressions
 # ---------------------------------------------------------------------------
 
+# Every expression compiler records its node's type in ``ctx.typed``
+# from its children's (compiled first).  Each closure is made by a small
+# factory of its own: a function that defines several closures pays for
+# every variable any of them captures on each call, and the walk makes
+# one call per node.
+
 def _compile_expr(e, ctx: _Ctx) -> ExprFn:
     t = type(e)
-    if t is c.CInt:
-        value = e.value
-        return lambda b, m, n: value
-    if t is c.CFloat:
-        value = e.value
-        return lambda b, m, n: value
     if t is c.CIdent:
         name = e.name
-
-        def load_ident(b, m, n):
-            try:
-                return b.env[name]
-            except KeyError:
-                raise ExecError(f"undefined identifier {name!r}") from None
-
-        return load_ident
+        ctx.typed[id(e)] = ctx.names.get(name)
+        load = ctx.loads.get(name)
+        if load is None:
+            load = ctx.loads[name] = _load(name)
+        return load
     if t is c.CBinOp:
         return _compile_binop(e, ctx)
-    if t is c.CUnOp:
-        operand = _compile_expr(e.operand, ctx)
-        if e.op == "-":
-            return lambda b, m, n: -operand(b, m, n)
-        assert e.op == "!", e  # the parser's only other unary operator
-        return lambda b, m, n: ~b._as_bool(operand(b, m, n), m)
-    if t is c.CTernary:
-        return _compile_ternary(e, ctx)
+    if t is c.CInt or t is c.CFloat:
+        ctx.typed[id(e)] = I if t is c.CInt else F
+        return _constant(e.value)
+    if t is c.CCall:
+        return _compile_call(e, ctx)
     if t is c.CIndex:
         return _compile_index(e, ctx)
     if t is c.CMember:
         return _compile_member(e, ctx)
-    if t is c.CCall:
-        return _compile_call(e, ctx)
+    if t is c.CUnOp:
+        operand = _compile_expr(e.operand, ctx)
+        ctx.typed[id(e)] = unop_type(e.op, ctx.typed[id(e.operand)])
+        if e.op == "-":
+            return _negate(operand)
+        assert e.op == "!", e  # the parser's only other unary operator
+        return _logical_not(operand)
+    if t is c.CTernary:
+        return _compile_ternary(e, ctx)
     if t is c.CCast:
         return _compile_cast(e, ctx)
     assert t is c.CVectorLiteral, e  # analyze_kernel admits no other node
     return _compile_vector_literal(e, ctx)
 
 
+def _constant(value) -> ExprFn:
+    return lambda b, m, n: value
+
+
+def _load(name: str) -> ExprFn:
+    def load_ident(b, m, n):
+        try:
+            return b.env[name]
+        except KeyError:
+            raise ExecError(f"undefined identifier {name!r}") from None
+
+    return load_ident
+
+
+def _negate(operand: ExprFn) -> ExprFn:
+    return lambda b, m, n: -operand(b, m, n)
+
+
+def _logical_not(operand: ExprFn) -> ExprFn:
+    return lambda b, m, n: ~b._as_bool(operand(b, m, n), m)
+
+
 def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
     op = e.op
     lhs = _compile_expr(e.lhs, ctx)
     rhs = _compile_expr(e.rhs, ctx)
-
+    typed = ctx.typed
     if op == "&&" or op == "||":
-        is_and = op == "&&"
-
-        def short_circuit(b, m, n):
-            lb = b._as_bool(lhs(b, m, n), m)
-            m2 = (m & lb) if is_and else (m & ~lb)
-            n2 = int(np.count_nonzero(m2))
-            if n2:
-                rb = b._as_bool(rhs(b, m2, n2), m2)
-            else:
-                rb = np.zeros(b.L, dtype=bool)
-            return (lb & rb) if is_and else (lb | rb)
-
-        return short_circuit
-
+        typed[id(e)] = B
+        return _short_circuit(op == "&&", lhs, rhs)
+    lt, rt = typed[id(e.lhs)], typed[id(e.rhs)]
+    typed[id(e)] = binop_type(op, lt, rt)
     cmp = _CMP_UFUNC.get(op)
     if cmp is not None:
+        if _needs_align(lt, rt):
+            return _compare_aligned(cmp, lhs, rhs)
+        return _compare(cmp, lhs, rhs)
+    divisor = e.rhs.value if type(e.rhs) is c.CInt else None
+    if not (_known(lt) and _known(rt)):
+        return _arith_typed_by_run(_dynamic_binop(op, divisor), lhs, rhs)
+    value_of, field, units = _binop_parts(op, lt, rt, divisor)
+    if value_of is _PLAIN[op]:
+        if field == "flops":
+            return _arith_flops(_OPERATOR[op], lhs, rhs, units)
+        if field == "iops":
+            return _arith_iops(_OPERATOR[op], lhs, rhs)
+    return _arith(value_of, lhs, rhs, field, units)
 
-        def compare(b, m, n):
-            l = lhs(b, m, n)
-            r = rhs(b, m, n)
-            b.counters.iops += n
-            l, r = _align(l, r)
-            return cmp(l, r)
 
-        return compare
+def _short_circuit(is_and: bool, lhs: ExprFn, rhs: ExprFn) -> ExprFn:
+    def short_circuit(b, m, n):
+        lb = b._as_bool(lhs(b, m, n), m)
+        m2 = (m & lb) if is_and else (m & ~lb)
+        n2 = int(np.count_nonzero(m2))
+        if n2:
+            rb = b._as_bool(rhs(b, m2, n2), m2)
+        else:
+            rb = np.zeros(b.L, dtype=bool)
+        return (lb & rb) if is_and else (lb | rb)
 
-    value_of, count = _binop_parts(op, type(e.rhs) is c.CInt)
+    return short_circuit
 
+
+def _compare(cmp, lhs: ExprFn, rhs: ExprFn) -> ExprFn:
+    def compare(b, m, n):
+        l = lhs(b, m, n)
+        r = rhs(b, m, n)
+        b.counters.iops += n
+        return cmp(l, r)
+
+    return compare
+
+
+def _compare_aligned(cmp, lhs: ExprFn, rhs: ExprFn) -> ExprFn:
+    def compare_aligned(b, m, n):
+        l = lhs(b, m, n)
+        r = rhs(b, m, n)
+        b.counters.iops += n
+        return cmp(*_align(l, r))
+
+    return compare_aligned
+
+
+def _arith_flops(fn, lhs: ExprFn, rhs: ExprFn, units: int) -> ExprFn:
+    def arith_flops(b, m, n):
+        l = lhs(b, m, n)
+        r = rhs(b, m, n)
+        b.counters.flops += units * n
+        return fn(l, r)
+
+    return arith_flops
+
+
+def _arith_iops(fn, lhs: ExprFn, rhs: ExprFn) -> ExprFn:
+    def arith_iops(b, m, n):
+        l = lhs(b, m, n)
+        r = rhs(b, m, n)
+        b.counters.iops += n
+        return fn(l, r)
+
+    return arith_iops
+
+
+def _arith(value_of, lhs: ExprFn, rhs: ExprFn, field: str, units: int) -> ExprFn:
     def arith(b, m, n):
         l = lhs(b, m, n)
         r = rhs(b, m, n)
-        count(b, l, r, n)
-        return value_of(b, l, r, m)
+        _charge(b.counters, field, units * n)
+        return value_of(l, r, m)
 
     return arith
 
 
-def _binop_parts(op: str, const_rhs: bool):
-    """(value_of(b, l, r, m), count(b, l, r, n)) for one arithmetic
-    operator, with the operator dispatch resolved at compile time."""
-    simple = _ARITH_OP.get(op)
-    if simple is not None:
-        is_add_sub = op in ("+", "-")
+def _arith_typed_by_run(apply, lhs: ExprFn, rhs: ExprFn) -> ExprFn:
+    return lambda b, m, n: apply(b, lhs(b, m, n), rhs(b, m, n), m, n)
 
-        def value_of(b, l, r, m):
-            if isinstance(l, (VPtr, RowPtr)):
-                if not is_add_sub:
-                    raise ExecError(f"unsupported pointer operation {op}")
-                return l.plus(r) if op == "+" else l.plus(-r)
-            l, r = _align(l, r)
-            return simple(l, r)
 
-        def count(b, l, r, n):
-            if _is_floatish(l) or _is_floatish(r):
-                b.counters.flops += max(_vec_width(l), _vec_width(r)) * n
-            else:
-                b.counters.iops += n
+def _binop_value(op: str, lt: Optional[CType], rt: Optional[CType]):
+    """``value_of(l, r, m)`` for one arithmetic operator over operands of
+    known types (``None``: neither integer nor floating); every test of
+    the operands' types is made here, once."""
+    if lt is not None and lt.kind == "ptr":
+        if op == "+":
+            return lambda l, r, m: l.plus(r)
+        if op == "-":
+            return lambda l, r, m: l.plus(-r)
 
-        return value_of, count
-
-    assert op in ("/", "%"), op  # the parser's remaining binary operators
-    is_div = op == "/"
-
-    def value_of(b, l, r, m):
-        if isinstance(l, (VPtr, RowPtr)):
+        def refuse(l, r, m):
             raise ExecError(f"unsupported pointer operation {op}")
-        if _is_int_like(l) and _is_int_like(r):
-            return b._int_div(l, r, m) if is_div else b._int_mod(l, r, m)
-        l, r = _align(l, r)
-        return l / r if is_div else np.fmod(l, r)  # C fmod, like math.fmod
 
-    def count(b, l, r, n):
-        counters = b.counters
-        if _is_floatish(l) or _is_floatish(r):
-            counters.flops += max(_vec_width(l), _vec_width(r)) * n
-        elif (
-            const_rhs
-            and _is_int_like(r)
-            and _is_uniform(r)
-            and int(r) > 0
-            and (int(r) & (int(r) - 1)) == 0
-        ):
-            counters.iops += n
-        elif const_rhs:
-            counters.idivmod_const += n
-        else:
-            counters.idivmod += n
+        return refuse
+    if lt == I and rt == I and op in ("/", "%"):
+        return _Block._int_div if op == "/" else _Block._int_mod
+    if _needs_align(lt, rt):
+        fn = _OPERATOR[op]
+        return lambda l, r, m: fn(*_align(l, r))
+    return _PLAIN[op]
 
-    return value_of, count
+
+@lru_cache(maxsize=4096)
+def _binop_parts(
+    op: str, lt, rt, divisor: Optional[int] = None, counted=None
+) -> tuple:
+    """``(value_of(l, r, m), Counters field, units per lane)`` for one
+    arithmetic operator over operands of the known types ``lt``/``rt``;
+    ``divisor`` is a literal right operand's value.  A compound
+    assignment counts its current value against the result: its type is
+    ``counted``."""
+    counted = rt if counted is None else counted
+    return (_binop_value(op, lt, rt),) + binop_count(op, lt, counted, divisor)
+
+
+def _dynamic_binop(op: str, divisor: Optional[int], compound: bool = False):
+    """``apply(b, l, r, m, n)`` for operands whose types only the run
+    decides: the parts of the types the values turn out to have.  A
+    compound assignment counts its current value against the result
+    (like the oracle's ``_assign``)."""
+
+    def apply(b, l, r, m, n):
+        lt, rt = lane_type(l), lane_type(r)
+        v = _binop_value(op, lt, rt)(l, r, m)
+        field, units = binop_count(op, lt, lane_type(v) if compound else rt, divisor)
+        _charge(b.counters, field, units * n)
+        return v
+
+    return apply
 
 
 def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
     cond = _compile_expr(e.cond, ctx)
     then = _compile_expr(e.then, ctx)
     other = _compile_expr(e.otherwise, ctx)
+    ctx.typed[id(e)] = join(ctx.typed[id(e.then)], ctx.typed[id(e.otherwise)])
 
     def ternary(b, m, n):
         b.counters.branches += n
@@ -327,9 +521,23 @@ def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
     return ternary
 
 
+def _column(bv, iv, m):
+    """Component ``iv`` (uniform or per lane) of the vector lanes ``bv``."""
+    if _is_uniform(iv):
+        return bv[:, int(iv)]
+    idx = np.where(m, iv, 0)
+    return np.take_along_axis(bv, idx[:, None], 1)[:, 0]
+
+
 def _compile_index(e: c.CIndex, ctx: _Ctx) -> ExprFn:
     base = _compile_expr(e.base, ctx)
     index = _compile_expr(e.index, ctx)
+    bt = ctx.typed[id(e.base)]
+    ctx.typed[id(e)] = index_type(bt)
+    if bt is not None and bt.kind == "ptr":
+        return _gather(base, index)
+    if is_vector(bt):
+        return lambda b, m, n: _column(base(b, m, n), index(b, m, n), m)
 
     def gather(b, m, n):
         bv = base(b, m, n)
@@ -337,38 +545,48 @@ def _compile_index(e: c.CIndex, ctx: _Ctx) -> ExprFn:
         if isinstance(bv, (VPtr, RowPtr)):
             return b._gather(bv, iv, m, n)
         if isinstance(bv, np.ndarray) and bv.ndim == 2:
-            if _is_uniform(iv):
-                return bv[:, int(iv)]
-            idx = np.where(m, iv, 0)
-            return np.take_along_axis(bv, idx[:, None], 1)[:, 0]
+            return _column(bv, iv, m)
         raise ExecError(f"cannot index {bv!r}")
 
     return gather
 
 
+def _gather(base: ExprFn, index: ExprFn) -> ExprFn:
+    return lambda b, m, n: b._gather(base(b, m, n), index(b, m, n), m, n)
+
+
 def _compile_member(e: c.CMember, ctx: _Ctx) -> ExprFn:
     base = _compile_expr(e.base, ctx)
     member = e.member
-    vec_col = _VEC_MEMBERS.get(member)
     # Struct members may also start with "s" (e.g. ``p.scale``); only a
     # valid hex suffix is a vector swizzle, and the column only applies
     # when the runtime container actually is a vector.
-    hex_col = None
-    if member.startswith("s") and member[1:]:
-        try:
-            hex_col = int(member[1:], 16)
-        except ValueError:
-            hex_col = None
+    col = vector_column(member)
+    bt = ctx.typed[id(e.base)]
+    ctx.typed[id(e)] = ctx.types.member_of(bt, member)
+    if bt is not None and bt.kind == "struct":
+        return _struct_member(base, member)
+    if col is not None and is_vector(bt):
+        return _vector_component(base, col)
+    return _member_typed_by_run(base, member, col)
 
+
+def _struct_member(base: ExprFn, member: str) -> ExprFn:
+    return lambda b, m, n: base(b, m, n)[member]
+
+
+def _vector_component(base: ExprFn, col: int) -> ExprFn:
+    return lambda b, m, n: base(b, m, n)[:, col]
+
+
+def _member_typed_by_run(base: ExprFn, member: str, col) -> ExprFn:
     def get_member(b, m, n):
         container = base(b, m, n)
         if isinstance(container, dict):
             return container[member]
         if isinstance(container, np.ndarray) and container.ndim == 2:
-            if vec_col is not None:
-                return container[:, vec_col]
-            if hex_col is not None:
-                return container[:, hex_col]
+            if col is not None:
+                return container[:, col]
             if member == "lo":
                 return container[:, : container.shape[1] // 2].copy()
             if member == "hi":
@@ -380,6 +598,7 @@ def _compile_member(e: c.CMember, ctx: _Ctx) -> ExprFn:
 
 def _compile_cast(e: c.CCast, ctx: _Ctx) -> ExprFn:
     operand = _compile_expr(e.operand, ctx)
+    ctx.typed[id(e)] = cast_type(e.type_name, ctx.typed[id(e.operand)])
     if e.type_name in ("int", "uint", "long"):
 
         def to_int(b, m, n):
@@ -404,6 +623,7 @@ def _compile_cast(e: c.CCast, ctx: _Ctx) -> ExprFn:
 def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
     width = vector_literal_width(e)
     items = [_compile_expr(i, ctx) for i in e.items]
+    ctx.typed[id(e)] = vector_type("f", width)
 
     if len(items) == 1:
         single = items[0]
@@ -428,90 +648,103 @@ def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
 
 # -- calls ------------------------------------------------------------------
 
+def _builtin_width(ctx: _Ctx, e: c.CCall) -> Optional[int]:
+    """The vector width a math builtin's flops are counted at (its first
+    vector argument's), from the arguments' types; ``None`` when one of
+    them is only known at run time."""
+    width = 1
+    for a in e.args:
+        t = ctx.type_of(a)
+        if t is None:
+            return None
+        if width == 1 and is_vector(t):
+            width = t.width
+    return width
+
+
 def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     name = e.func
-
+    typed = ctx.typed
     if name.startswith("get_"):
+        typed[id(e)] = I
         field = _GEOMETRY_FIELDS[name]
         if not e.args:
-            return lambda b, m, n: getattr(b, field)[0]
+            return _geometry(field, 0)
         if type(e.args[0]) is c.CInt:
-            dim = e.args[0].value
-            return lambda b, m, n: getattr(b, field)[dim]
-        dim_c = _compile_expr(e.args[0], ctx)
-
-        def dynamic_dim(b, m, n):
-            dim = dim_c(b, m, n)
-            if not _is_uniform(dim):
-                raise VectorUnsupported("lane-varying geometry dimension")
-            return getattr(b, field)[int(dim)]
-
-        return dynamic_dim
-
+            return _geometry(field, e.args[0].value)
+        return _geometry_by_run(field, _compile_expr(e.args[0], ctx))
+    arg_cs, arg_ts = [], []
+    for a in e.args:
+        arg_cs.append(_compile_expr(a, ctx))
+        arg_ts.append(typed[id(a)])
     if _is_vload(name):
-        width = int(name[5:])
-        offset = _compile_expr(e.args[0], ctx)
-        pointer = _compile_expr(e.args[1], ctx)
-
-        def vload(b, m, n):
-            off = offset(b, m, n)
-            ptr = pointer(b, m, n)
-            assert isinstance(ptr, (VPtr, RowPtr))
-            return b._vload(ptr, off, width, m, n)
-
-        return vload
-
+        typed[id(e)] = vector_type("f", int(name[5:]))
+        return _vload(int(name[5:]), *arg_cs[:2])
     if _is_vstore(name):
-        width = int(name[6:])
-        value = _compile_expr(e.args[0], ctx)
-        offset = _compile_expr(e.args[1], ctx)
-        pointer = _compile_expr(e.args[2], ctx)
-
-        def vstore(b, m, n):
-            v = value(b, m, n)
-            off = offset(b, m, n)
-            ptr = pointer(b, m, n)
-            assert isinstance(ptr, (VPtr, RowPtr))
-            b._vstore(ptr, off, width, v, m, n)
-            return None
-
-        return vstore
-
+        typed[id(e)] = VOID
+        return _vstore(int(name[6:]), *arg_cs[:3])
     builtin = _VMATH.get(name)
     if builtin is not None:
-        cost, fn = builtin
-        arg_cs = [_compile_expr(a, ctx) for a in e.args]
-        if len(arg_cs) == 1:
-            a0c = arg_cs[0]
+        typed[id(e)] = builtin_type(name, arg_ts)
+        return _compile_builtin(e, builtin, arg_cs, ctx)
+    fn = ctx.parsed.functions[name]
+    kinds = declared_kinds(fn)
+    names = ctx.types.names.setdefault(name, {})
+    for p, t in zip(fn.params, arg_ts):
+        ctx.types.update(names, p.name, stored_type(kinds[p.name], t))
+    helper = ctx.helpers.get(name)
+    if helper is None:  # helpers never recurse (analyze_kernel)
+        helper = ctx.helpers[name] = _compile_helper(fn, ctx)
+    typed[id(e)] = ctx.types.returns.get(name)
+    params = _arguments(fn, kinds, arg_cs, arg_ts)
+    if type(helper) is tuple:
+        ctx.inlined += 1
+        return _inline_call(params, *helper)
+    return _framed_call(params, helper, name, scalar_kind(fn.return_type))
 
-            def call1(b, m, n):
-                a0 = a0c(b, m, n)
-                width = (
-                    a0.shape[1]
-                    if isinstance(a0, np.ndarray) and a0.ndim == 2
-                    else 1
-                )
-                b.counters.flops += cost * width * n
-                return fn(a0)
 
-            return call1
-        if len(arg_cs) == 2:
-            a0c, a1c = arg_cs
+def _geometry(field: str, dim: int) -> ExprFn:
+    return lambda b, m, n: getattr(b, field)[dim]
 
-            def call2(b, m, n):
-                a0 = a0c(b, m, n)
-                a1 = a1c(b, m, n)
-                width = 1
-                for a in (a0, a1):
-                    if isinstance(a, np.ndarray) and a.ndim == 2:
-                        width = a.shape[1]
-                        break
-                b.counters.flops += cost * width * n
-                return fn(a0, a1)
 
-            return call2
+def _geometry_by_run(field: str, dim_c: ExprFn) -> ExprFn:
+    def dynamic_dim(b, m, n):
+        dim = dim_c(b, m, n)
+        if not _is_uniform(dim):
+            raise VectorUnsupported("lane-varying geometry dimension")
+        return getattr(b, field)[int(dim)]
 
-        def calln(b, m, n):
+    return dynamic_dim
+
+
+def _vload(width: int, offset: ExprFn, pointer: ExprFn) -> ExprFn:
+    def vload(b, m, n):
+        off = offset(b, m, n)
+        ptr = pointer(b, m, n)
+        assert isinstance(ptr, (VPtr, RowPtr))
+        return b._vload(ptr, off, width, m, n)
+
+    return vload
+
+
+def _vstore(width: int, value: ExprFn, offset: ExprFn, pointer: ExprFn) -> ExprFn:
+    def vstore(b, m, n):
+        v = value(b, m, n)
+        off = offset(b, m, n)
+        ptr = pointer(b, m, n)
+        assert isinstance(ptr, (VPtr, RowPtr))
+        b._vstore(ptr, off, width, v, m, n)
+        return None
+
+    return vstore
+
+
+def _compile_builtin(e: c.CCall, builtin: tuple, arg_cs: list, ctx: _Ctx) -> ExprFn:
+    cost, fn = builtin
+    width = _builtin_width(ctx, e)
+    if width is None:
+
+        def call_typed_by_run(b, m, n):
             args = [ac(b, m, n) for ac in arg_cs]
             width = 1
             for a in args:
@@ -521,35 +754,127 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
             b.counters.flops += cost * width * n
             return fn(*args)
 
-        return calln
+        return call_typed_by_run
 
-    return _compile_helper_call(e, ctx.parsed.functions[name], ctx)
+    flops = cost * width
+    if len(arg_cs) == 1:
+        a0c = arg_cs[0]
+
+        def call1(b, m, n):
+            a0 = a0c(b, m, n)
+            b.counters.flops += flops * n
+            return fn(a0)
+
+        return call1
+    if len(arg_cs) == 2:
+        a0c, a1c = arg_cs
+
+        def call2(b, m, n):
+            a0 = a0c(b, m, n)
+            a1 = a1c(b, m, n)
+            b.counters.flops += flops * n
+            return fn(a0, a1)
+
+        return call2
+
+    def calln(b, m, n):
+        args = [ac(b, m, n) for ac in arg_cs]
+        b.counters.flops += flops * n
+        return fn(*args)
+
+    return calln
 
 
-def _compile_helper_call(e: c.CCall, fn: c.CFunctionDef, ctx: _Ctx) -> ExprFn:
-    kinds = declared_kinds(fn)
-    body = ctx.helpers.get(fn.name)
-    if body is None:  # helpers never recurse (analyze_kernel)
-        caller_kinds, ctx.kinds = ctx.kinds, kinds
+_STRAIGHT_LINE = (c.CDecl, c.CAssign, c.CExprStmt, c.CComment)
+
+
+def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx):
+    """A helper's body, compiled (and typed) once per pipeline, with
+    the types its first call site's arguments give its parameters: a
+    **straight-line** one (declarations, assignments and expression
+    statements, then at most one ``return`` last) as ``(statements,
+    returned value, return conversion kind)`` for inlining, any other
+    as a statement closure over its own return-mask frame."""
+    caller = ctx.fn, ctx.kinds, ctx.names
+    ctx.fn, ctx.kinds = fn, declared_kinds(fn)
+    ctx.names = ctx.types.names.setdefault(fn.name, {})
+    try:
+        stmts = list(fn.body.stmts)
+        ret = stmts.pop() if stmts and type(stmts[-1]) is c.CReturn else None
+        if not all(type(s) in _STRAIGHT_LINE for s in stmts):
+            framed = _compile_stmt(fn.body, ctx, has_returns=True)
+            last = [s for s in fn.body.stmts if type(s) is not c.CComment][-1:]
+            if not last or type(last[0]) is not c.CReturn:
+                ctx.returned(VOID)  # it may fall off its end: a void call
+            return framed
+        body = tuple(
+            s for s in (_compile_stmt(s, ctx, False) for s in stmts)
+            if s is not None
+        )
+        if ret is None or ret.value is None:
+            ctx.returned(VOID)
+            return body, None, None
+        ret_c = _compile_expr(ret.value, ctx)
+        vt = ctx.typed[id(ret.value)]
+        kind = scalar_kind(fn.return_type)
+        ctx.returned(stored_type(kind, vt))
+        return body, ret_c, (kind if _converts(kind, vt) else None)
+    finally:
+        ctx.fn, ctx.kinds, ctx.names = caller
+
+
+def _arguments(fn: c.CFunctionDef, kinds: dict, arg_cs: list, arg_ts: list) -> tuple:
+    """``(parameter name, argument closure, pass)`` per parameter:
+    ``pass`` is ``None`` when the argument's type is already what C's
+    by-value passing makes of it (lanes or a scalar of the parameter's
+    kind, a pointer), else ``_by_value`` (copies vectors and structs,
+    converts scalars) — resolved here, at plan time."""
+    params = []
+    for p, ac, t in zip(fn.params, arg_cs, arg_ts):
+        kind = kinds[p.name]
+        if (
+            _known(t)
+            and not is_vector(t)
+            and t.kind != "struct"
+            and (kind is None or not is_arith(t) or t.kind == kind)
+        ):
+            passing = None
+        else:
+            passing = partial(_by_value, kind)
+        params.append((p.name, ac, passing))
+    return tuple(params)
+
+
+def _inline_call(params: tuple, body: tuple, ret_c, ret_kind) -> ExprFn:
+    """A straight-line helper in its caller's closure: the framed call's
+    environment, argument passing, ``calls`` and return conversion,
+    without the frame (every active lane reaches the one return)."""
+
+    def call_inline(b, m, n):
+        env = {}
+        for pname, ac, passing in params:
+            a = ac(b, m, n)
+            env[pname] = a if passing is None else passing(a)
+        b.counters.calls += n
+        saved = b.env
+        b.env = env
         try:
-            body = _compile_stmt(fn.body, ctx, has_returns=True)
+            for stmt in body:
+                stmt(b, m, n, None)
+            v = None if ret_c is None else ret_c(b, m, n)
         finally:
-            ctx.kinds = caller_kinds
-        ctx.helpers[fn.name] = body
-    params = tuple((p.name, kinds[p.name]) for p in fn.params)
-    arg_cs = [_compile_expr(a, ctx) for a in e.args]
-    helper_name = fn.name
-    ret_kind = scalar_kind(fn.return_type)
+            b.env = saved
+        return v if ret_kind is None else _convert(ret_kind, v)
 
+    return call_inline
+
+
+def _framed_call(params: tuple, body: StmtFn, name: str, ret_kind) -> ExprFn:
     def call_helper(b, m, n):
         env = {}
-        for (pname, kind), ac in zip(params, arg_cs):
+        for pname, ac, passing in params:
             a = ac(b, m, n)
-            if type(a) is not np.ndarray or a.ndim != 1 or (
-                kind is not None and a.dtype.kind != kind
-            ):  # not lanes of the declared kind (those pass as they are)
-                a = _by_value(kind, a)
-            env[pname] = a
+            env[pname] = a if passing is None else passing(a)
         b.counters.calls += n
         saved = b.env
         b.env = env
@@ -562,7 +887,7 @@ def _compile_helper_call(e: c.CCall, fn: c.CFunctionDef, ctx: _Ctx) -> ExprFn:
             return None
         if bool((m & ~frame.ret_mask).any()):
             raise VectorUnsupported(
-                f"helper {helper_name!r} returns a value on only some lanes"
+                f"helper {name!r} returns a value on only some lanes"
             )
         return frame.ret_val
 
@@ -590,8 +915,11 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         return lambda b, m, n, frame: expr(b, m, n)
     if t is c.CReturn:
         if s.value is None:
+            ctx.returned(VOID)
             return lambda b, m, n, frame: b._set_return(frame, m, None)
         value = _compile_expr(s.value, ctx)
+        kind = scalar_kind(ctx.fn.return_type)
+        ctx.returned(stored_type(kind, ctx.typed[id(s.value)]))
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
         # The static analysis guarantees the mask is all-or-nothing per
@@ -635,29 +963,48 @@ def _compile_block(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
     return run
 
 
+def _compile_compound(s: c.CAssign, value_c: ExprFn, ctx: _Ctx) -> tuple:
+    """``(closure, type)`` of the value ``x op= e`` stores: ``x op e``,
+    counted against the result, as the oracle's ``_assign`` does."""
+    op = s.op[0]
+    current_c = _compile_expr(s.target, ctx)
+    ct, vt = ctx.typed[id(s.target)], ctx.typed[id(s.value)]
+    rt = binop_type(op, ct, vt)
+    if not (_known(ct) and _known(vt) and _known(rt)):
+        apply = _dynamic_binop(op, None, compound=True)
+
+        def compound_typed_by_run(b, m, n):
+            v = value_c(b, m, n)
+            return apply(b, current_c(b, m, n), v, m, n)
+
+        return compound_typed_by_run, rt
+    value_of, field, units = _binop_parts(op, ct, vt, counted=rt)
+
+    def compound(b, m, n):
+        v = value_c(b, m, n)
+        cur = current_c(b, m, n)
+        _charge(b.counters, field, units * n)
+        return value_of(cur, v, m)
+
+    return compound, rt
+
+
 def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     value_c = _compile_expr(s.value, ctx)
-
+    vt = ctx.typed[id(s.value)]
     if s.op != "=":
-        op = s.op[0]
-        current_c = _compile_expr(s.target, ctx)
-        value_of, count = _binop_parts(op, False)
-        plain_value_c = value_c
-
-        def value_c(b, m, n):  # noqa: F811 - compound RHS
-            v = plain_value_c(b, m, n)
-            cur = current_c(b, m, n)
-            v = value_of(b, cur, v, m)
-            count(b, cur, v, n)
-            return v
+        value_c, vt = _compile_compound(s, value_c, ctx)
 
     target = s.target
     if isinstance(target, c.CIdent):
-        return ctx.bind(target.name, value_c, False)
+        return ctx.bind(target.name, value_c, False, vt)
 
     if isinstance(target, c.CIndex):
         base_c = _compile_expr(target.base, ctx)
         index_c = _compile_expr(target.index, ctx)
+        bt = ctx.typed[id(target.base)]
+        if bt is not None and bt.kind == "ptr":
+            return _scatter(value_c, base_c, index_c)
 
         def assign_index(b, m, n, frame):
             v = value_c(b, m, n)
@@ -673,6 +1020,10 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     base_c = _compile_expr(target.base, ctx)
     member = target.member
     vec_col = _VEC_MEMBERS.get(member)
+    bt = ctx.typed[id(target.base)]
+    if bt is not None and bt.kind == "struct":
+        ctx.types.store_member(bt.elem, member, vt)
+        return _store_member(value_c, base_c, member)
 
     def assign_member(b, m, n, frame):
         v = value_c(b, m, n)
@@ -694,33 +1045,55 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     return assign_member
 
 
+def _scatter(value_c: ExprFn, base_c: ExprFn, index_c: ExprFn) -> StmtFn:
+    def scatter(b, m, n, frame):
+        v = value_c(b, m, n)
+        b._scatter(base_c(b, m, n), index_c(b, m, n), v, m, n)
+
+    return scatter
+
+
+def _store_member(value_c: ExprFn, base_c: ExprFn, member: str) -> StmtFn:
+    def store_member(b, m, n, frame):
+        v = value_c(b, m, n)
+        b._store_member(base_c(b, m, n), member, v, m, n)
+
+    return store_member
+
+
 def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
     name = decl.name
-    if decl.qualifier == "local" and decl.array_size is not None:
-
-        def check_local(b, m, n, frame):
-            if name not in b.env:
-                raise ExecError(f"local buffer {name} was not pre-allocated")
-
-        return check_local
-
     if decl.array_size is not None:
+        ctx.define(name, CType("ptr", elem=declared_element_kind(decl.type_name)))
+        if decl.qualifier == "local":
+            return _check_local(name)
         size, dtype = decl.array_size, array_dtype(decl.type_name)
         return lambda b, m, n, frame: b._alloc_private(name, size, dtype)
 
     if decl.init is not None:
-        return ctx.bind(name, _compile_expr(decl.init, ctx), True)
+        init_c = _compile_expr(decl.init, ctx)
+        return ctx.bind(name, init_c, True, ctx.typed[id(decl.init)])
+    ctx.define(name, ctx.types.zero(decl.type_name))
     type_name, structs = decl.type_name, ctx.parsed.structs
     return lambda b, m, n, frame: b._bind(
         name, typed_zero(type_name, structs, b.L), m, n, True
     )
 
 
+def _check_local(name: str) -> StmtFn:
+    def check_local(b, m, n, frame):
+        if name not in b.env:
+            raise ExecError(f"local buffer {name} was not pre-allocated")
+
+    return check_local
+
+
 def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
+    # Compiled (and typed) in execution order: init, cond, body, step.
     init_c = _compile_stmt(s.init, ctx, has_returns) if s.init is not None else None
     cond_c = _compile_expr(s.cond, ctx) if s.cond is not None else None
-    step_c = _compile_stmt(s.step, ctx, has_returns) if s.step is not None else None
     body_c = _compile_stmt(s.body, ctx, has_returns)
+    step_c = _compile_stmt(s.step, ctx, has_returns) if s.step is not None else None
 
     def run_for(b, m, n, frame):
         if init_c is not None:
@@ -806,17 +1179,30 @@ def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    """A kernel compiled to barrier-delimited closure segments."""
+    """A kernel compiled to barrier-delimited closure segments, for
+    launches whose pointer arguments hold ``pointer_kinds`` elements."""
 
-    __slots__ = ("kernel_name", "segments", "has_returns")
+    __slots__ = (
+        "kernel_name", "segments", "has_returns", "pointers",
+        "pointer_kinds", "types", "inlined",
+    )
 
-    def __init__(self, kernel_name: str, segments: list, has_returns: bool):
+    def __init__(self, kernel_name: str, segments: list, has_returns: bool,
+                 pointers: tuple, pointer_kinds: tuple, types,
+                 inlined: int):
         self.kernel_name = kernel_name
         #: One compiled closure per barrier-delimited top-level region
         #: (barriers inside group-uniform loops stay within their
         #: segment's loop closure).
         self.segments = segments
         self.has_returns = has_returns
+        #: The pointer parameters, and the element kinds typed for them.
+        self.pointers = pointers
+        self.pointer_kinds = pointer_kinds
+        #: The kernel's :class:`~repro.opencl.interp.StaticTypes`.
+        self.types = types
+        #: Helper call sites compiled inline.
+        self.inlined = inlined
 
     def run(self, block: _Block) -> None:
         """Execute one block of work-groups through the pipeline."""
@@ -876,17 +1262,44 @@ def split_at_barriers(kernel: c.CFunctionDef) -> list:
 
 
 def compile_kernel_pipeline(
-    parsed: ParsedProgram, kernel: c.CFunctionDef
+    parsed: ParsedProgram, kernel: c.CFunctionDef,
+    pointer_kinds: Optional[tuple] = None,
 ) -> Pipeline:
     """Lower a kernel :func:`~repro.opencl.simt.analyze_kernel` admits
-    into a compiled closure pipeline."""
-    ctx = _Ctx(parsed, kernel)
-    has_returns = _contains(kernel.body, c.CReturn)
-    segments = [
-        _compile_stmt(region, ctx, has_returns)
-        for region in split_at_barriers(kernel)
-    ]
-    return Pipeline(kernel.name, segments, has_returns)
+    into a compiled closure pipeline, typed for pointer arguments of
+    ``pointer_kinds`` (default: the declared element types).
+
+    The lowering is also the static typing pass: one walk in execution
+    order types every node from its children's as it compiles it (see
+    :class:`~repro.opencl.interp.StaticTypes`).  A name whose type widens
+    once set (never in well-typed C) makes the walk run again from the
+    wider types, so no closure specialises on a type a value can leave.
+    """
+    if pointer_kinds is None:
+        pointer_kinds = declared_pointer_kinds(kernel)
+    types = StaticTypes(parsed.structs)
+    names = types.names.setdefault(kernel.name, {})
+    kinds = declared_kinds(kernel)
+    pointers = tuple(p.name for p in kernel.params if p.is_pointer)
+    elements = dict(zip(pointers, pointer_kinds))
+    for p in kernel.params:
+        names[p.name] = (
+            CType("ptr", elem=elements[p.name]) if p.is_pointer
+            else _SCALAR.get(kinds[p.name])
+        )
+    has_returns = c.CReturn in statement_types(kernel)
+    regions = split_at_barriers(kernel)
+    while True:  # once, unless a name's type widened after it was read
+        types.exprs.clear()
+        types.widened = False
+        ctx = _Ctx(parsed, kernel, types)
+        segments = [_compile_stmt(r, ctx, has_returns) for r in regions]
+        if not types.widened:
+            break
+    return Pipeline(
+        kernel.name, segments, has_returns, pointers, pointer_kinds, types,
+        ctx.inlined,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -909,9 +1322,11 @@ def compile_count() -> int:
 
 
 def get_pipeline(
-    parsed: ParsedProgram, kernel: c.CFunctionDef
+    parsed: ParsedProgram, kernel: c.CFunctionDef,
+    pointer_kinds: Optional[tuple] = None,
 ) -> Optional[Pipeline]:
-    """The compiled pipeline for a kernel, or ``None`` when
+    """The compiled pipeline for a kernel and the element kinds of its
+    pointer arguments (default: as declared), or ``None`` when
     :func:`~repro.opencl.simt.analyze_kernel` refuses it (its reason is
     the decline reason; every kernel it admits compiles).
 
@@ -920,9 +1335,10 @@ def get_pipeline(
     once per process (under a lock — the explorer launches from a
     thread pool).
     """
+    key = (kernel.name, pointer_kinds)
     cache = getattr(parsed, "_simt_pipelines", None)
     if cache is not None:
-        entry = cache.get(kernel.name, _MISSING)
+        entry = cache.get(key, _MISSING)
         if entry is not _MISSING:
             return entry
     with _compile_lock:
@@ -930,19 +1346,33 @@ def get_pipeline(
         if cache is None:
             cache = {}
             parsed._simt_pipelines = cache
-        entry = cache.get(kernel.name, _MISSING)
+        entry = cache.get(key, _MISSING)
         if entry is not _MISSING:
             return entry
         pipeline: Optional[Pipeline] = None
         if analyze_kernel(parsed, kernel) is None:
-            from repro.obs import span
+            from repro.obs import span, tracing_enabled
 
-            with span("simt_compile", kernel=kernel.name):
-                pipeline = compile_kernel_pipeline(parsed, kernel)
+            with span("simt_compile", kernel=kernel.name) as compile_span:
+                pipeline = compile_kernel_pipeline(parsed, kernel, pointer_kinds)
+                if tracing_enabled():
+                    compile_span.attrs["inlined"] = pipeline.inlined
+                    compile_span.attrs["untyped"] = pipeline.types.untyped()
             global _compile_counter
             _compile_counter += 1
-        cache[kernel.name] = pipeline
+        cache[key] = pipeline
         return pipeline
+
+
+def launch_pipeline(
+    parsed: ParsedProgram, kernel: c.CFunctionDef, plan: Pipeline, base_env
+) -> Pipeline:
+    """``plan`` when the launch binds buffers of the element kinds it
+    was typed for, else the pipeline typed for the ones it binds."""
+    kinds = tuple(element_kind(base_env[name].array) for name in plan.pointers)
+    if kinds == plan.pointer_kinds:
+        return plan
+    return get_pipeline(parsed, kernel, kinds)
 
 
 _MISSING = object()

@@ -3,6 +3,8 @@
 The central one is the paper's Listing 1: the partial dot product.
 """
 
+from contextlib import contextmanager
+
 from repro.arith import Var
 from repro.types import ArrayType, FLOAT
 from repro.ir.nodes import FunCall, Lambda, Param
@@ -209,3 +211,69 @@ def hoisted_source(source, params=None, sizes=(), kernel_name="KERNEL"):
     after = cast.print_function(replace(fn, body=hoist(fn.body, params)))
     assert cast.print_function(fn) == before  # the input tree is untouched
     return source.replace(before, after)
+
+
+# ---------------------------------------------------------------------------
+# the closure compiler's static types, checked against the values
+# ---------------------------------------------------------------------------
+
+class TypeRecord:
+    """What :func:`checked_static_types` saw: expression nodes compiled
+    with a static type, nodes left to the run, values checked."""
+
+    def __init__(self):
+        self.typed = 0
+        self.untyped = 0
+        self.values = 0
+
+
+def has_static_type(value, t) -> bool:
+    """Whether a lane value is what the static type ``t`` says: an
+    ``ndarray`` of its dtype kind with one column per component (1-D
+    for one), or a Python / numpy scalar of its kind; a pointer to
+    elements of its kind, a struct, nothing for ``void``."""
+    from repro.opencl.simt_compile import lane_type
+
+    actual = lane_type(value)
+    if actual is None or actual.kind != t.kind:
+        return False
+    if t.kind == "ptr":
+        return t.elem is None or actual.elem == t.elem
+    return t.kind in ("struct", "void") or actual.width == t.width
+
+
+@contextmanager
+def checked_static_types():
+    """Compile every pipeline launched meanwhile afresh, with each
+    expression closure checking that the values it returns have the
+    static type the compiler gave its node.  Yields a
+    :class:`TypeRecord`."""
+    from repro.opencl import simt_compile
+    from repro.opencl.runtime import _parse_cached
+
+    compile_expr = simt_compile._compile_expr
+    record = TypeRecord()
+
+    def compile_checked(e, ctx):
+        fn = compile_expr(e, ctx)
+        t = ctx.type_of(e)
+        if t is None or t.kind == "?":
+            record.untyped += 1
+            return fn
+        record.typed += 1
+
+        def checked(b, m, n):
+            value = fn(b, m, n)
+            assert has_static_type(value, t), (e, t, value)
+            record.values += 1
+            return value
+
+        return checked
+
+    _parse_cached.cache_clear()  # no pipeline compiled before survives
+    simt_compile._compile_expr = compile_checked
+    try:
+        yield record
+    finally:
+        simt_compile._compile_expr = compile_expr
+        _parse_cached.cache_clear()

@@ -17,6 +17,9 @@ do the same for a ``reduceSeq`` over ``toLocal``-staged tiles whose
 array accumulator is private or local, one or two slots per work-item:
 the kernels whose barriers ``compiler/barriers.py`` thins out, so the
 lane-batched engines' hazard detector must also have nothing to decline.
+Both also hold the closure compiler's static types to the values
+(``tests.programs.checked_static_types``): every node typed, every
+value of its type.
 """
 
 import numpy as np
@@ -200,6 +203,8 @@ def _weighted_rows(stage_names, row):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_row_reductions_match_interpreter_on_every_engine(stage_names, row, seed):
+    from tests.programs import checked_static_types
+
     rng = np.random.default_rng(seed)
     inputs = {
         "x": rng.standard_normal(N),
@@ -213,14 +218,16 @@ def test_row_reductions_match_interpreter_on_every_engine(stage_names, row, seed
         dtype=float,
     )
     for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
-        runs = [
-            compile_and_run(
-                _weighted_rows(stage_names, row), inputs, {},
-                global_size=N // row, options=level(local_size=(2, 1, 1)),
-                engine=engine,
-            )
-            for engine in ("scalar", "compiled", "fused")
-        ]
+        with checked_static_types() as types:
+            runs = [
+                compile_and_run(
+                    _weighted_rows(stage_names, row), inputs, {},
+                    global_size=N // row, options=level(local_size=(2, 1, 1)),
+                    engine=engine,
+                )
+                for engine in ("scalar", "compiled", "fused")
+            ]
+        assert types.untyped == 0
         for run in runs:
             assert run.output.tobytes() == expected.tobytes()
             assert vars(run.counters) == vars(runs[0].counters)
@@ -246,7 +253,7 @@ def test_tiled_reductions_match_interpreter_on_every_engine(
 ):
     from repro import faultinject
     from repro.backend import ledger
-    from tests.programs import tiled_outer_sums
+    from tests.programs import checked_static_types, tiled_outer_sums
 
     rng = np.random.default_rng(seed)
     inputs = {"x": rng.standard_normal(2 * chunk), "y": rng.standard_normal(3 * tile)}
@@ -260,14 +267,16 @@ def test_tiled_reductions_match_interpreter_on_every_engine(
     with faultinject.plan_installed(None):  # injected faults decline tiers
         ledger.clear()
         for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
-            runs = [
-                compile_and_run(
-                    tiled_outer_sums(acc_space, chunk, tile), inputs, {},
-                    global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
-                    engine=engine,
-                )
-                for engine in ("scalar", "compiled", "fused")
-            ]
+            with checked_static_types() as types:
+                runs = [
+                    compile_and_run(
+                        tiled_outer_sums(acc_space, chunk, tile), inputs, {},
+                        global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
+                        engine=engine,
+                    )
+                    for engine in ("scalar", "compiled", "fused")
+                ]
+            assert types.untyped == 0
             for run in runs:
                 assert run.output.tobytes() == expected.tobytes()
                 assert vars(run.counters) == vars(runs[0].counters)

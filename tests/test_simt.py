@@ -484,6 +484,33 @@ class TestBarriers:
             lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(4)},
         )
 
+    def test_lane_variance_propagates_through_stores(self):
+        # ``a`` holds a lane id; ``b`` is stored under a branch on ``a``
+        # and ``c`` is stored ``b`` a statement *before* ``b`` changes:
+        # the chain demotes all three, ``k`` and ``i`` stay group-uniform.
+        from repro.opencl.cparser import parse
+        from repro.opencl.simt import _GROUP_UNIFORM_CALLS, uniform_names
+
+        src = """
+        kernel void K(global float *x, int n) {
+          int k = n * 2;
+          int a = 0;
+          int b = 1;
+          int c = 2;
+          for (int i = 0; i < n; i += 1) {
+            c = b;
+            if (a > 0) { b = 3; }
+            a = get_local_id(0);
+          }
+          if (%s > 1) { barrier(CLK_LOCAL_MEM_FENCE); }
+          x[get_global_id(0)] = c + k;
+        }"""
+        kernel = parse(src % "k").functions["K"]
+        assert uniform_names(kernel, _GROUP_UNIFORM_CALLS) == {"x", "n", "k", "i"}
+        for name, ok in (("k", True), ("c", False)):
+            program = OpenCLProgram(src % name)
+            assert (analyze_kernel(program.parsed, program.kernel()) is None) == ok
+
     def test_barrier_divergence_still_raises_via_fallback(self):
         # A barrier under a lane-divergent condition is statically
         # rejected by the vector engine; the scalar fallback must keep

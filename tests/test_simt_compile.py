@@ -22,9 +22,10 @@ from repro.opencl import (
 )
 from repro.opencl import simt_compile
 from repro.opencl.simt import written_pointer_roots
-from repro.benchsuite.common import ALL_BENCHMARKS
-from tests.programs import partial_dot, simple_map_add_one
-from tests.test_simt import ENGINES
+from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+from repro.compiler.options import OPTIMIZATION_LEVELS
+from tests.programs import checked_static_types, partial_dot, simple_map_add_one
+from tests.test_simt import ENGINES, assert_engines_agree, run_both
 
 _REDUCTION = """
 kernel void REDUCE(const global float * restrict x, global float *out) {
@@ -358,3 +359,199 @@ class TestWholeGridLayout:
         assert len(blocked["blocks"]) > 1
         assert len(grid["blocks"]) == 1
         assert grid["blocks"][0]["lanes"] == 4 * MAX_LANES
+
+
+class TestStaticTypes:
+    """The closure compiler types every expression node statically
+    (ENGINES.md, "Typing") and specialises its closures on the types;
+    the values the closures compute have exactly those types."""
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_values_have_their_static_types(self, name, fault_free):
+        bench = get_benchmark(name)
+        with checked_static_types() as record:
+            for size in ("small", "large"):
+                inputs, size_env = bench.inputs_for(size)
+                bench.run_reference(inputs, size_env, engine="compiled")
+                for factory in OPTIMIZATION_LEVELS.values():
+                    bench.run_generated(
+                        inputs, size_env, options_factory=factory,
+                        engine="compiled",
+                    )
+        assert record.untyped == 0
+        assert record.values > record.typed > 0
+
+    def test_a_mixed_ternary_is_left_to_the_run(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out, int n) {
+          int i = get_global_id(0);
+          out[i] = (n > 3 ? x[i] : 0) * 2 + (float) i;
+        }
+        """
+        program = OpenCLProgram(src)
+        with checked_static_types() as record:
+            launch(OpenCLProgram(src), 8, 4,
+                   {"x": Buffer.from_array(np.arange(8.0)),
+                    "out": Buffer.zeros(8), "n": 5}, engine="compiled")
+        # The ternary and the product over it; nothing else.
+        assert record.untyped == 2
+        pipeline = simt_compile.get_pipeline(program.parsed, program.kernel())
+        assert pipeline.types.untyped() == 2
+
+    def test_the_compile_span_counts_inlined_calls_and_untyped_nodes(
+        self, tmp_path
+    ):
+        import json
+
+        from repro import obs
+
+        src = """
+        float add(float a, float b) { return a + b; }
+        kernel void K(const global float * restrict x, global float *out, int n) {
+          int i = get_global_id(0);
+          out[i] = add(n > 3 ? x[i] : 0, 1.0f) + add(x[i], 2.0f);
+        }
+        """
+        path = tmp_path / "trace.json"
+        obs.stop_tracing()
+        obs.start_tracing(path)
+        try:
+            program = OpenCLProgram(src)
+            simt_compile.get_pipeline(program.parsed, program.kernel())
+        finally:
+            obs.stop_tracing()
+        events = json.loads(path.read_text())["traceEvents"]
+        (compiled,) = [e for e in events if e["name"] == "simt_compile"]
+        # The ternary is the one node the run types; the argument it
+        # becomes is converted to ``float``.
+        assert compiled["args"] == {"kernel": "K", "inlined": 2, "untyped": 1}
+
+
+#: Corner cases of the typing rules, each bitwise and count-equal on
+#: ``scalar`` / ``compiled`` / ``fused``: (source, argument factory) for
+#: a launch of 8 work-items in groups of 4.
+_TYPED_CORNERS = {
+    "bool arithmetic": ("""
+        kernel void K(const global int * restrict a, global float *out) {
+          int i = get_global_id(0);
+          out[i] = (a[i] < 3) / 2 + (a[i] > 1) * 3;
+        }""", lambda: {"a": Buffer.from_array(np.arange(-4, 4)),
+                       "out": Buffer.zeros(8)}),
+    "int and float operands": ("""
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          float f = x[i];
+          out[i] = i * f + i / 2 + i % 3;
+        }""", lambda: {"x": Buffer.from_array(np.linspace(-2, 2, 8)),
+                       "out": Buffer.zeros(8)}),
+    "vector times int": ("""
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          float4 v = vload4(i, x) * i;
+          vstore4(v * 2, i, out);
+        }""", lambda: {"x": Buffer.from_array(np.arange(32.0)),
+                       "out": Buffer.zeros(32)}),
+    "pointer arithmetic": ("""
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          global float *p = out + 1;
+          if (i < 7) { p[i] = x[i] * 2.0f; }
+        }""", lambda: {"x": Buffer.from_array(np.arange(8.0)),
+                       "out": Buffer.zeros(8)}),
+    "int helper passed a float": ("""
+        int twice(int v) { return v * 2; }
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = twice(x[i] * 1.5f) + twice(i);
+        }""", lambda: {"x": Buffer.from_array(np.linspace(-3, 3, 8)),
+                       "out": Buffer.zeros(8)}),
+    "float returned as int": ("""
+        int floored(float v) { float w = v * 0.5f; return w + 0.25f; }
+        kernel void K(const global float * restrict x, global int *out) {
+          int i = get_global_id(0);
+          out[i] = floored(x[i]) / 2;
+        }""", lambda: {"x": Buffer.from_array(np.linspace(-9, 9, 8)),
+                       "out": Buffer.zeros(8, "int")}),
+    "helper with an early return": ("""
+        float clip(float v) { if (v < 0.0f) { return 0; } return v / 2; }
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = clip(x[i]) + clip(i - 4);
+        }""", lambda: {"x": Buffer.from_array(np.linspace(-2, 2, 8)),
+                       "out": Buffer.zeros(8)}),
+    "ternary of a float and an int": ("""
+        kernel void K(const global float * restrict x, global float *out, int n) {
+          int i = get_global_id(0);
+          out[i] = (n > 3 ? x[i] : 0) * 2;
+        }""", lambda: {"x": Buffer.from_array(np.linspace(-2, 2, 8)),
+                       "out": Buffer.zeros(8), "n": 5}),
+    "negative remainder and quotient": ("""
+        kernel void K(const global int * restrict a, global int *q,
+                      global int *r, global float *f) {
+          int i = get_global_id(0);
+          int v = a[i];
+          q[i] = v / 3 + v / -2;
+          r[i] = v % 3 + v % -4;
+          f[i] = (v * 0.5f) % 2 + (v * 1.5f) / -2;
+        }""", lambda: {"a": Buffer.from_array(np.arange(-8, 8, 2)),
+                       "q": Buffer.zeros(8, "int"), "r": Buffer.zeros(8, "int"),
+                       "f": Buffer.zeros(8)}),
+    "int64 data behind a float pointer": ("""
+        kernel void K(const global float * restrict inp, global float *out,
+                      global float *half) {
+          int i = get_global_id(0);
+          out[i] = inp[i] * 2 + inp[i];
+          half[i] = inp[i] / 2;
+        }""", lambda: {"inp": np.arange(-5, 11, 2, dtype=np.int64),
+                       "out": Buffer.zeros(8), "half": Buffer.zeros(8)}),
+}
+
+
+class TestTypedCorners:
+    """Each corner of the typing rules agrees bitwise, buffers and
+    ``Counters``, on every tier — the oracle's quirks included."""
+
+    @pytest.mark.parametrize("name", sorted(_TYPED_CORNERS))
+    def test_tiers_agree(self, name):
+        source, make_args = _TYPED_CORNERS[name]
+        with checked_static_types():
+            assert_engines_agree(source, 8, 4, make_args)
+
+    def test_a_float_pointer_counts_the_int64_data_it_is_bound_to(self):
+        # Loads take the kind of the launch's buffer: ``inp[i] * 2`` over
+        # int64 data is integer work, and ``inp[i] / 2`` a shift.
+        source, make_args = _TYPED_CORNERS["int64 data behind a float pointer"]
+        for outs, counters in run_both(source, 8, 4, make_args):
+            assert counters.flops == 0
+            assert counters.iops == 8 * 3
+            # C integer division truncates toward zero.
+            np.testing.assert_array_equal(
+                outs["half"], np.trunc(np.arange(-5, 11, 2) / 2)
+            )
+
+    def test_pipelines_are_typed_per_element_kinds(self):
+        source, make_args = _TYPED_CORNERS["int64 data behind a float pointer"]
+        program = OpenCLProgram(source)
+        launch(program, 8, 4, make_args(), engine="compiled")
+        floats = {"inp": Buffer.from_array(np.arange(8.0)),
+                  "out": Buffer.zeros(8), "half": Buffer.zeros(8)}
+        launch(program, 8, 4, floats, engine="compiled")
+        kinds = {key[1] for key in program.parsed._simt_pipelines}
+        assert kinds == {None, ("i", "f", "f")}
+
+    def test_an_inlined_helper_still_charges_calls(self):
+        src = """
+        float add(float a, float b) { return a + b; }
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = add(x[i], add(x[i], 1.0f));
+        }
+        """
+        program = OpenCLProgram(src)
+        make = lambda: {"x": Buffer.from_array(np.arange(16.0)),
+                        "out": Buffer.zeros(16)}
+        assert_engines_agree(src, 16, 8, make)
+        counters = launch(program, 16, 8, make(), engine="compiled")
+        assert counters.calls == 2 * 16
+        pipeline = simt_compile.get_pipeline(program.parsed, program.kernel())
+        assert pipeline.inlined == 2
