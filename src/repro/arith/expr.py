@@ -23,13 +23,10 @@ treated as cache misses by the stores that hold them.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.arith.ranges import Range
-
-_var_counter = itertools.count()
 
 #: The intern table.  Weak values: nodes live exactly as long as
 #: something outside the table references them.
@@ -222,9 +219,12 @@ class Var(ArithExpr):
 
     Two variables are equal iff their names are equal; the range is
     metadata attached by whoever introduced the variable (a map loop, a
-    size parameter).  Use :meth:`fresh` for generated loop indices.
-    The intern key *does* include the range (same-named variables with
-    different ranges must stay distinct objects for the simplifier).
+    size parameter).  Generated loop indices are named by the code
+    generator, per compilation, so one name recurs across compilations
+    with different ranges.  The intern key *does* include the range
+    (same-named variables with different ranges must stay distinct
+    objects for the simplifier), and nothing that outlives one
+    compilation may key on ``Var`` equality.
     """
 
     __slots__ = ("name", "range")
@@ -247,10 +247,6 @@ class Var(ArithExpr):
 
     def __getnewargs__(self):
         return (self.name, self.range)
-
-    @staticmethod
-    def fresh(prefix: str, range_: Range | None = None) -> "Var":
-        return Var(f"{prefix}_{next(_var_counter)}", range_)
 
     def evaluate(self, env: Mapping[str, int]) -> int:
         try:

@@ -127,9 +127,11 @@ from repro.opencl.interp import Counters
 #: v7: private values spread over work-items (``toPrivate(mapLcl ...)``
 #: is ``ceil(n / t)`` slots, not one) and barrier rule 4.
 #: Not bumped when the key became a structure cached on the nodes: its
-#: text, which is what ``kernel_key`` digests, is byte-identical
-#: (``tests/fixtures/cache_v7`` is a store from before, served warm).
-CACHE_VERSION = 7
+#: text, which is what ``kernel_key`` digests, is byte-identical.
+#: v8: names numbered per compilation — a kernel's loop indices start at
+#: ``_0`` instead of wherever the process-wide counter stood, so stored
+#: kernels carry other spellings.
+CACHE_VERSION = 8
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"

@@ -29,6 +29,7 @@ private memory only the producing work-item's own slots.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -201,8 +202,17 @@ def _c_type_name(t: DataType) -> str:
 
 
 class KernelGenerator:
+    """One compilation.  The kernel text is a function of the program and
+    the options alone: every name the generator invents — loop indices
+    ``i_N`` / ``l_id_N`` / ``g_id_N`` / ``wg_id_N``, ``iterate``'s
+    ``size_N`` and ``iter_N`` — is numbered from this generator's own
+    counter, which starts at 0 and is shared by all prefixes in creation
+    order (buffer names come from its :class:`MemoryAllocator`, ``hN``
+    temporaries from :func:`hoist`, both per compilation too)."""
+
     def __init__(self, options: CompilerOptions):
         self.opts = options
+        self._names = itertools.count()
         self.alloc = MemoryAllocator()
         self.user_funs: dict[str, UserFun] = {}
         self.tuple_types: dict[str, TupleType] = {}
@@ -285,6 +295,9 @@ class KernelGenerator:
             size_var_names=size_vars,
             options=self.opts,
         )
+
+    def _fresh(self, prefix: str, range_: Range) -> Var:
+        return Var(f"{prefix}_{next(self._names)}", range_)
 
     @staticmethod
     def _type_len_vars(t: DataType) -> ArithExpr:
@@ -687,7 +700,7 @@ class KernelGenerator:
         if kind == "seq":
             if cf and n_int == 1:
                 return block, Cst(0)
-            idx = Var.fresh("i", Range.of(0, n))
+            idx = self._fresh("i", Range.of(0, n))
             body = c.CBlock()
             block.add(
                 c.CFor(
@@ -707,7 +720,7 @@ class KernelGenerator:
         }[kind]
 
         thread_count = self._thread_count(kind, dim)
-        idx = Var.fresh(prefix, Range.of(0, n))
+        idx = self._fresh(prefix, Range.of(0, n))
         self._par_vars[idx.name] = (kind, dim)
 
         if cf and thread_count is not None and n_int is not None and n_int == thread_count:
@@ -839,7 +852,7 @@ class KernelGenerator:
     def _open_reduce_loop(self, block: c.CBlock, n: ArithExpr) -> tuple:
         if self.opts.control_flow_simplification and simplify(n).try_int() == 1:
             return block, Cst(0)
-        idx = Var.fresh("i", Range.of(0, n))
+        idx = self._fresh("i", Range.of(0, n))
         body = c.CBlock()
         block.add(
             c.CFor(
@@ -909,7 +922,7 @@ class KernelGenerator:
                     init=c.CIdent(buf.name))
         )
 
-        size_var = Var.fresh("size", Range.of(1, simplify(n0 + 1)))
+        size_var = self._fresh("size", Range.of(1, simplify(n0 + 1)))
         block.add(c.CDecl("int", size_var.name, init=self._arith(n0)))
 
         # Re-infer the body with the runtime size variable so that all the
@@ -919,7 +932,7 @@ class KernelGenerator:
         g_type = infer_fun_type(lam, [ArrayType(elem_type, size_var)])
         assert isinstance(g_type, ArrayType)
 
-        iter_idx = Var.fresh("iter", Range.of(0, f.n))
+        iter_idx = self._fresh("iter", Range.of(0, f.n))
         loop_body = c.CBlock()
         block.add(
             c.CFor(
@@ -1274,7 +1287,8 @@ class KernelGenerator:
 #: (:mod:`repro.ir.structural`, so parameter renaming and cloning hit)
 #: plus the (frozen, hashable) :class:`CompilerOptions` makes every
 #: repeat compile a dictionary lookup.  Generated kernels are immutable
-#: to their consumers, so sharing one instance is safe.
+#: to their consumers, so sharing one instance is safe, and a hit is the
+#: text a fresh compile would print (:class:`KernelGenerator` names).
 _COMPILE_MEMO: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
 _COMPILE_MEMO_SIZE = 128
 _COMPILE_MEMO_LOCK = threading.Lock()

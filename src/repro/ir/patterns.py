@@ -244,13 +244,31 @@ class Iterate(Pattern):
 
     def infer_type(self, arg_types: Sequence[DataType], call: FunCall) -> DataType:
         arr = _expect_array(arg_types[0], "iterate")
-        length_var = Var.fresh("itr_n", Range.natural())
+        length_var = self._probe()
         probe = _infer_fun(self.f, [ArrayType(arr.elem, length_var)])
         probe_arr = _expect_array(probe, "iterate body result")
         if probe_arr.elem != arr.elem:
             raise LiftTypeError("iterate body must preserve the element type")
         out_len = self.closed_form_length(probe_arr.length, length_var, arr.length)
         return ArrayType(arr.elem, out_len)
+
+    def _probe(self) -> Var:
+        """The variable the body is typed over, standing for the length
+        of the array one step receives.  Its name is a function of the
+        program: ``itr_n_K`` for the ``K`` iterates nested in the body,
+        so an iterate inside this one — whose input length may contain
+        this probe — has another.  No counter: :func:`infer_types` runs
+        outside compilations too.  :meth:`closed_form_length` eliminates
+        the probe, so it never reaches the inferred type."""
+        from repro.ir.visit import body_of, nested_fun, post_order
+
+        nested = 0
+        for e in post_order(body_of(self.f)):
+            f = e.f if isinstance(e, FunCall) else None
+            while f is not None:
+                nested += isinstance(f, Iterate)
+                f = nested_fun(f)
+        return Var(f"itr_n_{nested}", Range.natural())
 
     def closed_form_length(
         self, g_of_n: ArithExpr, n_var: Var, n0: ArithExpr

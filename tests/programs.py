@@ -157,18 +157,6 @@ def tiled_outer_sums(acc_space, chunk=8, tile=4, groups=2, tiles=3):
 # repro.compiler.hoist has no switch; these reach the kernel before it
 # ---------------------------------------------------------------------------
 
-def restart_variable_names(monkeypatch):
-    """Loop variables are numbered process-wide (and the simplifier
-    orders terms by name): restart the numbering so that two
-    compilations of one program print the same text."""
-    import itertools
-    import sys
-
-    monkeypatch.setattr(
-        sys.modules["repro.arith.expr"], "_var_counter", itertools.count()
-    )
-
-
 def compile_unhoisted(fun, options):
     """``compile_kernel`` with :func:`repro.compiler.hoist.hoist` taken
     out of the pipeline: the kernel the code generator printed before

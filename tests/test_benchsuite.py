@@ -155,7 +155,7 @@ _ALSO_ON_SCALAR = ("md", "nn", "mm-amd", "mm-nvidia")
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_hoisting_only_ever_removes_work(name, fault_free, monkeypatch):
+def test_hoisting_only_ever_removes_work(name, fault_free):
     """The differential for ``compiler/hoist.py``, which has no switch:
     every stage at both sizes and all three levels, printed before the
     pass and after it (applied to the parsed text), launched on the
@@ -168,11 +168,7 @@ def test_hoisting_only_ever_removes_work(name, fault_free, monkeypatch):
     from repro.compiler.codegen import compile_kernel
     from repro.compiler.kernel import execute_kernel
     from repro.obs import metrics
-    from tests.programs import (
-        compile_unhoisted,
-        hoisted_source,
-        restart_variable_names,
-    )
+    from tests.programs import compile_unhoisted, hoisted_source
 
     bench = get_benchmark(name)
     ledger.clear()
@@ -187,14 +183,12 @@ def test_hoisting_only_ever_removes_work(name, fault_free, monkeypatch):
             for stage in bench.stages:
                 fun = stage.build(size_env)
                 options = factory(local_size=stage.local_size)
-                restart_variable_names(monkeypatch)
                 plain = compile_unhoisted(fun, options)
                 hoisted = replace(
                     plain, source=hoisted_source(plain.source, plain.params)
                 )
                 # The pass inside the compiler and the pass on the parsed
                 # text are the same function of the same tree.
-                restart_variable_names(monkeypatch)
                 in_compiler = compile_kernel(fun, options, memo=False)
                 assert hoisted.source == in_compiler.source
                 for engine in engines:

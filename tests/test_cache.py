@@ -624,34 +624,3 @@ def test_only_the_cache_module_stores_entries():
         if path.name != "cache.py" and calls.search(path.read_text())
     ]
     assert offenders == []
-
-
-class TestAStoreFromBeforeTheCachedKeys:
-    """The structural key replaced a whole-program canonicalizer; its
-    text — what ``kernel_key`` digests — did not change by a byte, so a
-    store filled before serves the same search warm.  The fixture is
-    that search's store (``depth=1, max_eval=3``: three kernels, three
-    cycle counts) as the previous commit wrote it; a ``CACHE_VERSION``
-    bump orphans it by design, and then this test has said all it can."""
-
-    FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "cache_v7")
-
-    def test_it_is_served_warm(self, tmp_path):
-        import shutil
-
-        from repro.rewrite.explore import ExploreConfig, explore_program
-
-        if cache_mod.CACHE_VERSION != 7:
-            pytest.skip("the fixture was written at CACHE_VERSION 7")
-        store = tmp_path / "store"
-        shutil.copytree(self.FIXTURE, store)
-        result = explore_program(
-            _program(), {"x": np.ones(64)}, {"N": 64},
-            config=ExploreConfig(depth=1, max_eval=3),
-            cache=TuningCache(store),
-        )
-        stats = result.stats
-        assert stats.evaluated == 3 and not result.failures
-        assert stats.compilations == stats.executions == 0
-        assert stats.kernel_cache_hits == stats.cycle_cache_hits == 3
-        assert stats.kernel_cache_misses == stats.cycle_cache_misses == 0

@@ -50,7 +50,6 @@ from tests.programs import (
     double_staged_rows,
     partial_dot,
     plus_one,
-    restart_variable_names,
     simple_map_add_one,
 )
 
@@ -609,7 +608,7 @@ class TestHoistedKernels:
             assert src.count(own) == 1 and src.index(own) < loop
 
     @pytest.mark.parametrize("level", ALL_LEVELS)
-    def test_nothing_to_hoist_means_the_same_text(self, level, monkeypatch):
+    def test_nothing_to_hoist_means_the_same_text(self, level):
         from repro.benchsuite.common import get_benchmark
 
         nn = get_benchmark("nn")
@@ -620,22 +619,67 @@ class TestHoistedKernels:
         ]
         for fun, local_size in programs:
             options = level(local_size=local_size)
-            restart_variable_names(monkeypatch)
             hoisted = compile_kernel(fun, options, memo=False).source
-            restart_variable_names(monkeypatch)
             assert compile_unhoisted(fun, options).source == hoisted
 
-    def test_text_does_not_depend_on_what_was_compiled_before(self, monkeypatch):
+
+class TestTextIsAFunctionOfTheProgram:
+    """Every name the code generator invents is numbered per compilation,
+    so a kernel's text depends on (program, options) and on nothing the
+    process compiled before or beside it."""
+
+    @staticmethod
+    def _jobs() -> list:
+        """Every stage x level x size, the two sizes of one stage and
+        level side by side: on a thread pool they compile at once, with
+        one name such as ``i_0`` live under two ranges."""
+        from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+
+        jobs = []
+        for name in ALL_BENCHMARKS:
+            bench = get_benchmark(name)
+            for stage in bench.stages:
+                for level in ALL_LEVELS:
+                    for size in ("small", "large"):
+                        fun = stage.build(dict(bench.sizes[size]))
+                        jobs.append((fun, level(local_size=stage.local_size)))
+        return jobs
+
+    def test_text_does_not_depend_on_what_was_compiled_before(self):
+        import random
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.ir.visit import clone_decl
 
-        def text(fun, level):
-            restart_variable_names(monkeypatch)
-            return compile_kernel(fun, level(), memo=False).source
+        def text(job):
+            fun, options = job
+            return compile_kernel(fun, options, memo=False).source
 
-        programs = [partial_dot(), double_staged_rows(), self._saxpy()]
-        jobs = [(p, level) for p in programs for level in ALL_LEVELS]
-        first = [text(*job) for job in jobs]
+        def private(job):
+            return clone_decl(job[0]), job[1]
+
+        jobs = self._jobs()
+        assert len(jobs) == 13 * 3 * 2
+        first = [text(job) for job in jobs]
+        assert [text(job) for job in reversed(jobs)][::-1] == first
+        order = list(range(len(jobs)))
+        random.Random(27).shuffle(order)
+        shuffled = dict(zip(order, map(text, (jobs[i] for i in order))))
+        assert [shuffled[i] for i in range(len(jobs))] == first
+        assert [text(private(job)) for job in jobs] == first
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(text, map(private, jobs), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == first
+        # Numbered from 0 in creation order, one counter for all prefixes.
+        names = re.compile(r"\b(?:i|l_id|g_id|wg_id|size|iter)_(\d+)\b")
+        for source in first:
+            numbers = {int(n) for n in names.findall(source)}
+            assert numbers == set(range(len(numbers))), numbers
+        assert max(len(set(names.findall(t))) for t in first) >= 10
         assert any("int h1 = " in t for t in first)
-        assert [text(*job) for job in jobs] == first
-        assert [text(*job) for job in reversed(jobs)][::-1] == first
-        assert [text(clone_decl(p), level) for p, level in jobs] == first

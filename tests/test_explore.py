@@ -458,6 +458,42 @@ def test_oracle_is_interpreted_once_under_any_workers(
     assert len(interpretations) == 1
 
 
+@pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
+def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
+    """One worker or four, a cold store or the same store warm, or the
+    winner compiled on its own: one kernel text.  The process-wide
+    compile memo is emptied before each search, so every cold one
+    really compiles."""
+    from repro.compiler import codegen
+    from repro.compiler.options import CompilerOptions
+    from repro.rewrite.explore import specialize_sizes
+
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    high_level = bench.high_level(size_env)
+
+    def search(workers, cache=None):
+        codegen.clear_compile_memo()
+        return explore_program(
+            high_level, inputs, size_env,
+            config=ExploreConfig(depth=2, workers=workers), cache=cache,
+        )
+
+    alone = search(1)
+    cold = search(4, TuningCache(tmp_path))
+    warm = search(4, TuningCache(tmp_path))
+    assert warm.stats.compilations == 0 < cold.stats.compilations
+    best = alone.best()
+    direct = codegen.compile_kernel(
+        specialize_sizes(best.program, size_env),
+        CompilerOptions(local_size=best.local_size), memo=False,
+    )
+    for result in (cold, warm):
+        assert result.best().trace == best.trace
+        assert result.best().kernel_source == best.kernel_source
+    assert direct.source == best.kernel_source
+
+
 def test_a_failing_oracle_fails_the_search(monkeypatch):
     """The interpreter's exception is the search's own — not eight
     candidates quarantined as ``infra``."""

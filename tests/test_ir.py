@@ -1,5 +1,7 @@
 """Tests for IR nodes, type inference and the reference interpreter."""
 
+import re
+
 import pytest
 
 from repro.arith import Cst, Var, simplify
@@ -129,6 +131,33 @@ class TestTypeInference:
         x = typed_param(ArrayType(FLOAT, n))
         e = Iterate(10, map_seq(id_fun()))(x)
         assert infer_types(e) == ArrayType(FLOAT, n)
+
+    def test_nested_iterate_probes_are_named_by_the_program(self):
+        """Each iterate types its body over a probe length.  The inner
+        probe's input length contains the outer probe, so the two are
+        distinct; both are functions of the program, not of what was
+        typed before, and neither reaches the inferred type."""
+        from repro.arith.expr import free_vars
+
+        def program():
+            halve = compose(
+                join(), map_seq(reduce_seq(add(), f32(0.0))), split(2)
+            )
+            x = typed_param(ArrayType(FLOAT, Var("N")), "x")
+            step = compose(Iterate(3, halve), halve)
+            return Iterate(2, step)(x)
+
+        def typed(e):
+            out = infer_types(e)
+            return out, [str(node.type) for node in post_order(e)]
+
+        e = program()
+        out, annotations = typed(e)
+        assert out == ArrayType(FLOAT, simplify(Var("N") // 256))
+        assert {v.name for v in free_vars(out.length)} == {"N"}
+        probes = set(re.findall(r"itr_n_\d+", " ".join(annotations)))
+        assert probes == {"itr_n_0", "itr_n_1"}
+        assert typed(program()) == typed(e) == (out, annotations)
 
     def test_get_type(self):
         x = typed_param(TupleType([FLOAT, INT]))

@@ -40,8 +40,6 @@ from repro.rewrite.explore import (
 )
 from repro.rewrite.strategies import find_matches, one_step_rewrites
 
-from tests.programs import restart_variable_names
-
 NAMES = ["nn", "gemv", "mm"]
 CONFIG = dict(depth=3, max_eval=12)
 
@@ -165,7 +163,7 @@ def test_search_does_not_depend_on_who_typed_the_input(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_no_annotation_leaks_between_schedules(name, monkeypatch):
+def test_no_annotation_leaks_between_schedules(name):
     """Finished schedules share subtrees with each other; compiling one
     must not change what another compiles to."""
     high_level, _, size_env = _bench(name)
@@ -182,7 +180,6 @@ def test_no_annotation_leaks_between_schedules(name, monkeypatch):
     )
 
     def kernel_text(program, cand) -> str:
-        restart_variable_names(monkeypatch)
         try:
             return compile_kernel(
                 specialize_sizes(program, size_env),
