@@ -3,11 +3,12 @@
 Tracks how many work-items per second the NDRange simulator executes for
 representative kernels — useful for sizing future experiments.  Each
 benchmark is parametrized over the execution backend (``scalar``
-reference interpreter, ``compiled`` closure pipeline, ``fused``
-whole-grid numpy programs) so each backend's speedup is tracked as a
-first-class number (baseline: ``BENCH_simulator.json``; regression
-gate: ``check_perf_regression.py``, which also gates the
-fused-vs-compiled SAXPY ratio — the fusion win).
+reference interpreter, ``compiled`` pipeline in blocks of work-groups,
+``fused`` the same pipeline over the whole grid) so each backend's
+speedup is tracked as a first-class number (baseline:
+``BENCH_simulator.json``; regression gate: ``check_perf_regression.py``,
+which also holds ``compiled`` within its tolerance of ``fused`` on
+SAXPY, one block in both layouts).
 """
 
 import pytest

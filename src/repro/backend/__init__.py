@@ -9,8 +9,9 @@ compile -> launch -> buffers + counters protocol, registered by name in
 them.
 
 Built-in backends: ``scalar`` (reference interpreter, the oracle),
-``compiled`` (closure pipeline over blocks of work-groups) and ``fused``
-(whole-grid fused numpy array programs, :mod:`repro.backend.fused`).
+``compiled`` (the compiled pipeline over blocks of work-groups) and
+``fused`` (the same pipeline over one whole-grid block,
+:mod:`repro.backend.fused`).
 All are bitwise-identical in buffer contents and
 :class:`~repro.opencl.interp.Counters` on every launch they complete;
 see ``src/repro/opencl/ENGINES.md``.
@@ -31,8 +32,7 @@ from repro.backend.registry import (
 
 # Importing the implementation modules populates the registry.
 from repro.backend import tiers as _tiers  # noqa: F401
-from repro.backend import fused as _fused  # noqa: F401
-from repro.backend.fused import FusedBackend, FusedKernel, get_fused_kernel
+from repro.backend.fused import FusedBackend
 
 __all__ = [
     "Backend",
@@ -43,12 +43,10 @@ __all__ = [
     "LEDGER",
     "ExecutionRequest",
     "FusedBackend",
-    "FusedKernel",
     "ResolvedChain",
     "backend_names",
     "engine_names",
     "get_backend",
-    "get_fused_kernel",
     "register_backend",
     "register_engine",
     "resolve",

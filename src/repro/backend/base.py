@@ -1,8 +1,8 @@
 """Common protocol of the pluggable execution backends.
 
 A *backend* is one way of running a kernel launch on the simulated
-device: the scalar reference interpreter, the closure-compiled
-lane-batched pipeline, or the whole-grid fused-numpy engine.  Every
+device: the scalar reference interpreter, or the compiled lane-batched
+pipeline in blocks of work-groups or over the whole grid.  Every
 backend obeys one contract — **bitwise-identical buffer
 contents and identical** :class:`~repro.opencl.interp.Counters` for
 every launch it completes — so the launcher may pick any of them (and
@@ -22,7 +22,7 @@ The life cycle mirrors an OpenCL driver:
     Execute one launch; returning means success (buffers written,
     counters merged).  A *dynamic* refusal — the backend noticed
     mid-launch that it cannot reproduce the scalar semantics (e.g. a
-    cross-lane data race) — rolls the global buffers back to their
+    cross-lane data race) — rolls the buffers it wrote back to their
     pre-launch contents and raises :class:`VectorUnsupported`, whose
     message is the reason the chain ledgers.  It may also raise
     :class:`CompileUnsupported` for launch-shape refusals that occur
@@ -84,8 +84,8 @@ class Backend:
     behaviour: when a backend refuses a launch *dynamically*, trying
     another backend of the same class is pointless (it would detect the
     same condition), so the fallback chain skips ahead to the next
-    class.  The block-by-block compiled tier is ``"blocked"``; the
-    fused whole-grid engine is ``"grid"`` (its race detector sees
+    class.  The block-by-block compiled tier is ``"blocked"``; its
+    whole-grid layout (``fused``) is ``"grid"`` (its race detector sees
     cross-group conflicts the blocked tier orders by construction);
     the scalar reference is ``"scalar"`` and never refuses.
     """

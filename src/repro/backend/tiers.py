@@ -8,7 +8,8 @@ These wrap the two engines of :mod:`repro.opencl` behind the
   defines the semantics every other backend must reproduce bit for bit.
 * :class:`CompiledBackend` — the lane-batched block runtime of
   :mod:`repro.opencl.simt` (one block of work-groups per step) driven
-  by the closure pipeline of :mod:`repro.opencl.simt_compile`.
+  by the pipeline of :mod:`repro.opencl.simt_compile`, whose segments
+  take the fast path or the closure form as planned.
 
 The module only *adapts*; all execution semantics live in the wrapped
 modules.  The scalar group scheduler (formerly inlined in
@@ -123,11 +124,14 @@ class ScalarBackend(Backend):
 # ---------------------------------------------------------------------------
 
 class CompiledBackend(Backend):
-    """Lane-batched block runtime driven by the closure pipeline."""
+    """Lane-batched block runtime driven by the compiled pipeline."""
 
     name = "compiled"
     dynamic_class = "blocked"
-    description = "closure-compiled lane-batched pipeline"
+    description = "compiled lane-batched pipeline"
+    #: The launcher's layout: blocks of at most ``simt.MAX_LANES`` lanes,
+    #: or the whole launch as one block.
+    whole_grid = False
 
     def plan(self, parsed, kernel):
         reason = simt.analyze_kernel(parsed, kernel)
@@ -142,7 +146,7 @@ class CompiledBackend(Backend):
         simt.try_launch(
             request.parsed, request.kernel, request.gsize, request.lsize,
             dict(request.base_env), request.local_decls, request.counters,
-            pipeline,
+            pipeline, whole_grid=self.whole_grid,
         )
 
 

@@ -10,7 +10,7 @@ Four parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
   plus the views each stats owner registers for itself, all merged by
   ``snapshot()`` (``benchsuite --metrics-json``).
 * :mod:`repro.obs.profile` — per-barrier-segment timing and per-buffer
-  traffic in the compiled/fused backends (``REPRO_PROFILE=1`` or
+  traffic in the compiled pipeline, either layout (``REPRO_PROFILE=1`` or
   ``benchsuite --profile``).
 * :mod:`repro.obs.analysis` — attribution over the other instruments:
   cost-model calibration (Spearman/regret per workload), per-segment

@@ -1,11 +1,12 @@
 """Kernel profiler: per-barrier-segment timing and per-buffer traffic.
 
-The compiled and fused backends execute a kernel as a pipeline of
-barrier-delimited segments; the profiler attributes wall time to each
-segment and load/store traffic to each named kernel buffer, producing
-the benchsuite's ``profile`` table (top-N segments by time).  It exists
-to answer "which barrier segment dominates the fused backend's
-runtime?" — the question driving the ROADMAP's fused-algebra work.
+The compiled pipeline runs a kernel as barrier-delimited segments, in
+blocks (``compiled``) or over the whole grid (``fused``); the profiler
+attributes wall time to each segment, keyed by the form it ran in
+(``fast`` or ``closure``, one vocabulary in both layouts), and
+load/store traffic to each named kernel buffer, producing the
+benchsuite's ``profile`` table (top-N segments by time).  It answers
+"which segment dominates, and did it take the fast path?".
 
 Profiling is **opt-in** (``REPRO_PROFILE=1`` or ``benchsuite
 --profile``) because per-segment timing necessarily adds clock reads

@@ -9,17 +9,18 @@ Execution is delegated to the pluggable backend subsystem of
 :mod:`repro.backend` (see ``ENGINES.md`` in this package).  Three
 backends are registered out of the box:
 
-* ``"fused"`` — whole-grid fused numpy array programs
-  (:mod:`repro.backend.fused`);
 * ``"compiled"`` — the lane-batched SIMT runtime of
-  :mod:`repro.opencl.simt` driven by the closure pipeline of
+  :mod:`repro.opencl.simt` driven by the pipeline of
   :mod:`repro.opencl.simt_compile` (kernel AST lowered once per
-  program);
+  program, each barrier segment to its fast-path or closure form),
+  over blocks of work-groups;
+* ``"fused"`` — the same pipeline over one whole-grid block
+  (:mod:`repro.backend.fused`);
 * ``"scalar"`` — the per-work-item reference interpreter, the oracle.
 
 Engine names resolve through :mod:`repro.backend.registry` to fallback
 chains: ``"auto"`` (the default) runs compiled -> scalar, ``"fused"``
-prepends the whole-grid backend to that chain, and ``"compiled"`` alone
+prepends the whole-grid layout to that chain, and ``"compiled"`` alone
 is strict.  ``REPRO_SIM_ENGINE`` overrides the default with a
 *preference* — a strict name set through the environment still falls
 back gracefully so unsupported kernels keep running on the reference

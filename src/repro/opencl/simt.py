@@ -6,13 +6,16 @@ block of work-groups* instead, holding every scalar variable as a numpy
 array over lanes (one lane per work-item) and turning control flow into
 boolean lane masks.  This module is what those tiers share: the static
 analysis that admits a kernel (:func:`analyze_kernel`,
-:func:`written_pointer_roots`) and the :class:`_Block` runtime —
-lane values, masked binds and merges, memory traffic, the cross-lane
-race detector and cached-load accounting.  The kernel AST itself is
-walked in exactly one place, :mod:`repro.opencl.simt_compile`, which
-lowers it once into closures over a :class:`_Block`; ``compiled`` runs
-those closures block by block (:func:`try_launch`), ``fused``
-(:mod:`repro.backend.fused`) over one whole-grid block.
+:func:`written_pointer_roots`, :func:`sole_store_sites`) and the
+:class:`_Block` runtime — lane values, masked binds and merges, memory
+traffic, the cross-lane race detector, cached-load accounting, and the
+fast path's lazy affine values (:class:`Aff`), slice traffic and
+symbolic load chunks.  The kernel AST itself is walked in exactly one
+place, :mod:`repro.opencl.simt_compile`, which lowers it once into a
+pipeline over a :class:`_Block`.  One launcher (:func:`try_launch`)
+runs that pipeline in one of two layouts: blocks of at most
+:data:`MAX_LANES` lanes (``compiled`` / ``auto``), or the whole launch
+as one block (``fused``, up to :data:`FUSED_MAX_LANES`).
 
 * ``barrier`` is trivially satisfied: lanes execute in lock-step.  The
   analysis only admits kernels whose barriers sit under *group-uniform*
@@ -46,7 +49,8 @@ that the oracle rejects with a typed error:
   non-lvalue.
 
 A handful of *dynamic* situations raise :class:`VectorUnsupported`; the
-launcher then restores the global buffers from a snapshot and re-raises,
+launcher then restores the buffers the kernel may write from a snapshot
+and re-raises,
 and the backend chain re-runs the whole launch on the scalar path, so
 ``launch()`` keeps its exact API and semantics.  The big one: a
 cross-lane data race (a store whose value another work-item could
@@ -89,6 +93,9 @@ from repro.opencl.interp import (
 
 #: Lanes batched together (across whole work-groups) per executor block.
 MAX_LANES = 4096
+#: Launches with more work-items than this refuse the whole-grid layout
+#: (the blocked layout caps memory at MAX_LANES per block instead).
+FUSED_MAX_LANES = 1 << 21
 
 
 class VectorUnsupported(Exception):
@@ -602,6 +609,107 @@ def _roots_of_function(
     return written
 
 
+# -- sole-store analysis (proof-carrying stores) ------------------------------
+
+def sole_store_sites(kernel: c.CFunctionDef) -> tuple:
+    """``(qualified names, {id(store stmt)})`` for buffers whose only
+    kernel-wide access is one loop-free store.
+
+    A name qualifies when it has exactly one store site, zero load
+    sites, appears nowhere else (any other occurrence — helper
+    argument, pointer assignment, vload/vstore operand — poisons it),
+    and the store is not inside any loop (a repeated affine store could
+    collide with its own earlier executions at shifted bases).  Such a
+    store through pairwise-distinct addresses is race-free however the
+    launch is scheduled: within a block no two lanes share an address,
+    and blocks run in the scalar engine's group order, so across blocks
+    the last writer is the scalar engine's too.  The fast path therefore
+    skips hazard bookkeeping for it, once the launcher has checked that
+    no other argument aliases the buffer (:func:`try_launch`).
+    """
+    universe = {p.name for p in kernel.params if p.is_pointer}
+    stores: dict = {}
+    loads: dict = {}
+    poison: set = set()
+
+    def scan_expr(e) -> None:
+        if isinstance(e, c.CIndex):
+            if isinstance(e.base, c.CIdent):
+                loads[e.base.name] = loads.get(e.base.name, 0) + 1
+            else:
+                scan_expr(e.base)
+            scan_expr(e.index)
+        elif isinstance(e, c.CIdent):
+            poison.add(e.name)
+        elif isinstance(e, c.CBinOp):
+            scan_expr(e.lhs)
+            scan_expr(e.rhs)
+        elif isinstance(e, (c.CUnOp, c.CCast)):
+            scan_expr(e.operand)
+        elif isinstance(e, c.CTernary):
+            scan_expr(e.cond)
+            scan_expr(e.then)
+            scan_expr(e.otherwise)
+        elif isinstance(e, c.CMember):
+            scan_expr(e.base)
+        elif isinstance(e, (c.CVectorLiteral, c.CCall)):
+            for item in (e.items if isinstance(e, c.CVectorLiteral) else e.args):
+                scan_expr(item)
+
+    def scan_stmt(s, in_loop: bool) -> None:
+        if isinstance(s, c.CBlock):
+            for sub in s.stmts:
+                scan_stmt(sub, in_loop)
+        elif isinstance(s, c.CDecl):
+            if s.qualifier == "local" and s.array_size is not None:
+                universe.add(s.name)
+            if s.init is not None:
+                scan_expr(s.init)
+        elif isinstance(s, c.CAssign):
+            target = s.target
+            if isinstance(target, c.CIndex) and isinstance(target.base, c.CIdent):
+                name = target.base.name
+                stores.setdefault(name, []).append((s, in_loop))
+                if s.op != "=":  # compound store re-loads the address
+                    loads[name] = loads.get(name, 0) + 1
+                scan_expr(target.index)
+            else:
+                scan_expr(target)
+            scan_expr(s.value)
+        elif isinstance(s, c.CFor):
+            if s.init is not None:
+                scan_stmt(s.init, in_loop)
+            if s.cond is not None:
+                scan_expr(s.cond)
+            if s.step is not None:
+                scan_stmt(s.step, True)
+            scan_stmt(s.body, True)
+        elif isinstance(s, c.CIf):
+            scan_expr(s.cond)
+            scan_stmt(s.then, in_loop)
+            if s.otherwise is not None:
+                scan_stmt(s.otherwise, in_loop)
+        elif isinstance(s, c.CExprStmt):
+            scan_expr(s.expr)
+        elif isinstance(s, c.CReturn) and s.value is not None:
+            scan_expr(s.value)
+
+    scan_stmt(kernel.body, False)
+    qualified = set()
+    sole_sites = set()
+    for name in universe:
+        sites = stores.get(name, [])
+        if (
+            len(sites) == 1
+            and not sites[0][1]
+            and loads.get(name, 0) == 0
+            and name not in poison
+        ):
+            qualified.add(name)
+            sole_sites.add(id(sites[0][0]))
+    return frozenset(qualified), sole_sites
+
+
 # ---------------------------------------------------------------------------
 # lane-batched values
 # ---------------------------------------------------------------------------
@@ -702,6 +810,130 @@ def _by_value(kind, a):
 
 
 # ---------------------------------------------------------------------------
+# the fast path's lazy affine values and symbolic load chunks
+# ---------------------------------------------------------------------------
+
+_INT_UNIFORM = (int, np.integer)
+
+
+def _is_int_uniform(v) -> bool:
+    return isinstance(v, _INT_UNIFORM) and not isinstance(v, (bool, np.bool_))
+
+
+class Aff:
+    """Lazy integer lane vector ``base + gs*group + ls*lane_in_group``
+    over one block (``group`` = the in-block work-group row,
+    ``lane_in_group`` = in-group lane ordinal, both in the scalar
+    scheduler's order; the block's first work-group is folded into
+    ``base``).
+
+    ``flat_stride(Lc)`` is the stride over the block's *flat* lane index
+    when the descriptor is expressible as ``base + s*flat`` (i.e. when
+    ``gs == ls * Lc``), else ``None`` — the form slice accesses and
+    prefix masks require.
+    """
+
+    __slots__ = ("base", "gs", "ls")
+
+    def __init__(self, base: int, gs: int, ls: int):
+        self.base = base
+        self.gs = gs
+        self.ls = ls
+
+    def flat_stride(self, lanes_per_group: int) -> Optional[int]:
+        if self.gs == self.ls * lanes_per_group:
+            return self.ls
+        return None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Aff({self.base} + {self.gs}*g + {self.ls}*l)"
+
+
+#: ``get_local_id(0)`` of a 1-D launch, in every block.
+_AFF_LOCAL_ID = Aff(0, 0, 1)
+
+
+def _aff_binop(op: str, l, r):
+    """Affine-preserving integer arithmetic; ``None`` = not representable."""
+    la, ra = isinstance(l, Aff), isinstance(r, Aff)
+    if op == "+":
+        if la and ra:
+            return Aff(l.base + r.base, l.gs + r.gs, l.ls + r.ls)
+        if la and _is_int_uniform(r):
+            return Aff(l.base + int(r), l.gs, l.ls)
+        if ra and _is_int_uniform(l):
+            return Aff(r.base + int(l), r.gs, r.ls)
+    elif op == "-":
+        if la and ra:
+            return Aff(l.base - r.base, l.gs - r.gs, l.ls - r.ls)
+        if la and _is_int_uniform(r):
+            return Aff(l.base - int(r), l.gs, l.ls)
+        if ra and _is_int_uniform(l):
+            return Aff(int(l) - r.base, -r.gs, -r.ls)
+    elif op == "*":
+        if la and _is_int_uniform(r):
+            u = int(r)
+            return Aff(l.base * u, l.gs * u, l.ls * u)
+        if ra and _is_int_uniform(l):
+            u = int(l)
+            return Aff(r.base * u, r.gs * u, r.ls * u)
+    return None
+
+
+def _addr_add(off, index):
+    out = _aff_binop("+", off, index)
+    return off + index if out is None else out
+
+
+class _SymChunks:
+    """Per-buffer symbolic load chunks (the fast path's slice loads).
+
+    Each chunk is ``(stride, base, k)`` for an affine access over the
+    first ``k`` lanes of the block (``stride None`` = block-uniform
+    address ``base``).  ``settle`` computes ``(events, distinct (lane,
+    address) pairs)`` in closed form when the chunk set provably cannot
+    collide across descriptors — all-affine with one common stride (same
+    stride + different base never share an address for the same lane;
+    same descriptor trivially overlaps) or all-uniform (distinct
+    addresses are disjoint pair sets).  Mixed or multi-stride sets
+    replay into the standard :class:`_LoadLog` arrays instead — exact,
+    just not O(1).
+    """
+
+    __slots__ = ("array", "space", "chunks", "events")
+
+    def __init__(self, array: np.ndarray, space: str):
+        self.array = array  # keep the buffer alive while its id is a key
+        self.space = space
+        self.chunks: list = []  # (stride | None, base, k)
+        self.events = 0
+
+    def add(self, stride: Optional[int], base: int, k: int) -> None:
+        self.chunks.append((stride, base, k))
+        self.events += k
+
+    def settle(self) -> Optional[tuple]:
+        """(events, distinct) in closed form, or ``None``."""
+        if len({s for s, _, _ in self.chunks}) != 1:
+            return None  # mixed descriptors may collide: replay
+        per_base: dict = {}
+        for _, base, k in self.chunks:
+            per_base[base] = max(per_base.get(base, 0), k)
+        return self.events, sum(per_base.values())
+
+    def materialize_into(self, log: "_LoadLog", lane_ids: np.ndarray) -> None:
+        """Replay the chunks as the lane arrays the closure form would
+        have logged (same (lane, address) pairs)."""
+        for stride, base, k in self.chunks:
+            lanes = lane_ids[:k]
+            if stride is None:
+                aa = np.broadcast_to(np.int64(base), (k,))
+            else:
+                aa = base + stride * lanes
+            log.add(aa, lanes, k)
+
+
+# ---------------------------------------------------------------------------
 # block executor
 # ---------------------------------------------------------------------------
 
@@ -723,6 +955,9 @@ class _Block:
         tracked: Optional[set] = None,
         lane_ids: Optional[np.ndarray] = None,
         full: Optional[np.ndarray] = None,
+        first_group: int = 0,
+        sole_ids: frozenset = frozenset(),
+        one_d: bool = False,
     ):
         self.counters = counters
         self.L = lanes
@@ -747,8 +982,19 @@ class _Block:
         self._tracked = tracked
         self._seg_base = seg_start
         self._segment = seg_start
-        self._lanes_per_group = local_size[0] * local_size[1] * local_size[2]
+        self._lanes_per_group = lpg = local_size[0] * local_size[1] * local_size[2]
         self._full = full if full is not None else np.ones(lanes, dtype=bool)
+        # The fast path (simt_compile's fast segments): arrays whose one
+        # kernel-wide access is a proven store, the lazy geometry of a
+        # 1-D launch offset by this block's first work-group, the names
+        # a fast bind may have left an Aff in, and the symbolic load
+        # chunks of its slice loads.
+        self._sole_ids = sole_ids
+        self._one_d = one_d
+        self._aff_global_id = Aff(first_group * lpg, lpg, 1)
+        self._aff_group_id = Aff(first_group, 1, 0)
+        self._lazy_names: set = set()
+        self._sym_log: dict = {}
 
     def _set_return(self, frame, m, value) -> None:
         kind = frame.kind  # the declared return type converts like a store
@@ -894,6 +1140,8 @@ class _Block:
     def _flush_load_log(self) -> None:
         counters = self.counters
         prof = _obs_profile.ACTIVE
+        if self._sym_log:
+            self._settle_sym_log(counters, prof)
         for log in self._load_log.values():
             events, distinct = log.totals()
             cached = (events - distinct) * log.width_units
@@ -919,7 +1167,33 @@ class _Block:
         return sum(
             log.events * log.width_units
             for log in self._load_log.values()
-        )
+        ) + sum(sym.events for sym in self._sym_log.values())
+
+    def _settle_sym_log(self, counters, prof) -> None:
+        """Settle the fast path's symbolic chunks: in closed form where
+        they cannot collide and no lane array logged the same buffer,
+        else replayed into that buffer's :class:`_LoadLog`."""
+        for key, sym in self._sym_log.items():
+            log = self._load_log.get(key)
+            if log is None:
+                closed = sym.settle()
+                if closed is not None:
+                    events, distinct = closed
+                    counters.cached_loads += events - distinct
+                    if sym.space == "global":
+                        counters.global_loads += distinct
+                    else:
+                        counters.local_loads += distinct
+                    if prof is not None:
+                        prof.record_loads(
+                            sym.array, sym.space, distinct, events - distinct
+                        )
+                    continue
+                log = self._load_log[key] = _LoadLog(
+                    sym.array, sym.space, 0, self.L
+                )
+            sym.materialize_into(log, self._lane_ids)
+        self._sym_log.clear()
 
     def _count_stores(self, ptr, space, count) -> None:
         """Count ``count`` store units against ``space``.
@@ -942,9 +1216,10 @@ class _Block:
         entry = self._hazards.get(key)
         if entry is None:
             # The packed local detector encodes lane ids below
-            # SEG_SCALE; oversized work-groups (possible, since a block
-            # always holds at least one whole group) use the general
-            # detector, which is sound for any buffer.
+            # SEG_SCALE, which covers a block of either layout; only a
+            # single work-group larger than that (a block always holds
+            # at least one whole group) uses the general detector,
+            # which is sound for any buffer.
             cls = (
                 _HazardLocal
                 if ptr.space == "local" and self.L <= _HazardLocal.SEG_SCALE
@@ -1121,6 +1396,210 @@ class _Block:
             # resolution) matches the old repeat/ravel form.
             ptr.array[rows[:, None], idx2] = vals
         self._count_stores(ptr, ptr.space, n * width)
+
+    # -- the fast path ---------------------------------------------------
+    #
+    # Fast segments run on the first ``k`` lanes of the block (``k`` ==
+    # L at segment top level, a prefix under a prefix-masked branch);
+    # their values are Python scalars, length-``k`` arrays or Aff.
+    def aff_values(self, v: Aff, k: int) -> np.ndarray:
+        """Materialize the first ``k`` lanes of an affine descriptor,
+        with one array operation per term that is not 0 or 1 (a bare
+        lane or geometry array is returned as it is: read-only)."""
+        s = v.flat_stride(self._lanes_per_group)
+        full = k == self.L
+        if s is not None:
+            if s == 0:
+                return np.broadcast_to(np.int64(v.base), (k,))
+            lanes = self._lane_ids if full else self._lane_ids[:k]
+            out = lanes if s == 1 else s * lanes
+        else:
+            out = None
+            if v.gs:
+                rows = self.group_row if full else self.group_row[:k]
+                out = rows if v.gs == 1 else v.gs * rows
+            if v.ls:
+                lid = self.lid[0] if full else self.lid[0][:k]
+                term = lid if v.ls == 1 else v.ls * lid
+                out = term if out is None else out + term
+        return out + v.base if v.base else out
+
+    def lanes_k(self, v, k: int):
+        """Materialize ``v`` for the active prefix; uniforms stay scalar
+        (exactly the closure form's value discipline)."""
+        if isinstance(v, Aff):
+            return self.aff_values(v, k)
+        if isinstance(v, np.ndarray) and v.ndim == 1 and v.shape[0] != k:
+            return v[:k]
+        return v
+
+    def materialize_env(self) -> None:
+        """Collapse the affine descriptors fast binds left in the
+        environment before closure-form code runs."""
+        if self._lazy_names:
+            env = self.env
+            for name in self._lazy_names:
+                v = env[name]
+                if type(v) is Aff:
+                    env[name] = self.aff_values(v, self.L)
+            self._lazy_names.clear()
+
+    def prefix_mask(self, k: int) -> np.ndarray:
+        if k == self.L:
+            return self._full
+        m = np.zeros(self.L, dtype=bool)
+        m[:k] = True
+        return m
+
+    def _log_sym(self, ptr, stride: Optional[int], base: int, k: int) -> None:
+        key = (id(ptr.array), 0)
+        sym = self._sym_log.get(key)
+        if sym is None:
+            sym = self._sym_log[key] = _SymChunks(ptr.array, ptr.space)
+        sym.add(stride, base, k)
+
+    def _fast_addr(self, ptr, index, k: int):
+        """The addresses the first ``k`` lanes access through ``ptr``
+        (its offset included)."""
+        off = ptr.offset
+        if type(off) is np.ndarray:  # a lane-varying pointer: lanes too
+            return (off if k == self.L else off[:k]) + self.lanes_k(index, k)
+        return index if type(off) is int and off == 0 else _addr_add(off, index)
+
+    def _flat_ptr(self, ptr, addr):
+        """(flat array, flat affine address) for a shared-buffer access
+        at the affine ``addr``, folding a RowPtr's per-group row into the
+        descriptor; ``None`` when not representable."""
+        if not isinstance(addr, Aff):
+            return None
+        if type(ptr) is VPtr:
+            return ptr.array, addr
+        # Local buffers: one row per work-group, rows == group row.
+        if ptr.rows is not self.group_row:
+            return None
+        width = ptr.array.shape[1]
+        return ptr.array.reshape(-1), Aff(addr.base, addr.gs + width, addr.ls)
+
+    def _slice(self, ptr, addr, k: int, min_stride: int):
+        """``(flat array, base, stride, last)`` when the first ``k``
+        lanes' addresses form an in-bounds slice of stride at least
+        ``min_stride``, else ``None``."""
+        flat = self._flat_ptr(ptr, addr)
+        if flat is None:
+            return None
+        arr, aff = flat
+        s = aff.flat_stride(self._lanes_per_group)
+        if s is None or s < min_stride:
+            return None
+        base = aff.base
+        last = base + s * (k - 1)
+        if base < 0 or last >= arr.shape[0]:
+            return None
+        return arr, base, s, last
+
+    def fast_gather(self, ptr, index, k: int):
+        addr = self._fast_addr(ptr, index, k)
+        if ptr.space == "private":
+            self.counters.private_loads += k
+            aa = self.lanes_k(addr, k)
+            if type(ptr) is RowPtr:
+                rows = ptr.rows if k == self.L else ptr.rows[:k]
+                if _is_uniform(aa):
+                    return ptr.array[rows, int(aa)]
+                return ptr.array[rows, aa]
+            if _is_uniform(aa):
+                return ptr.array[int(aa)]
+            return ptr.array[aa]
+        tracked = self._needs_hazard(ptr)
+        if not tracked:
+            if isinstance(addr, Aff):
+                sliced = self._slice(ptr, addr, k, 0)
+                if sliced is not None:
+                    arr, base, s, last = sliced
+                    if s == 0:
+                        self._log_sym(ptr, None, base, k)
+                        return arr[base]
+                    self._log_sym(ptr, s, base, k)
+                    # A view: nothing writes this buffer (untracked), so
+                    # aliasing cannot bite.
+                    return arr[base : base + k] if s == 1 else (
+                        arr[base : last + 1 : s]
+                    )
+            elif _is_uniform(addr) and type(ptr) is VPtr:
+                self._log_sym(ptr, None, int(addr), k)
+                return ptr.array[int(addr)]
+        # Materialize and mirror the closure form's exact path (same
+        # logged pairs, same hazard notes, same values).
+        aa = self.lanes_k(addr, k)
+        arr = ptr.array
+        lanes = self._lane_ids if k == self.L else self._lane_ids[:k]
+        if type(ptr) is RowPtr:
+            rows = ptr.rows if k == self.L else ptr.rows[:k]
+            flat = rows * arr.shape[1] + aa  # broadcasts a uniform addr
+            self._log_load(ptr, flat, lanes, 0, k)
+            if tracked:
+                self._hazard(ptr).note_read(
+                    flat, lanes, self._segment, self._seg_base
+                )
+            if _is_uniform(aa):
+                return arr[rows, int(aa)]
+            return arr.reshape(-1)[flat]
+        logged = np.broadcast_to(np.asarray(aa), (k,)) if _is_uniform(aa) else aa
+        self._log_load(ptr, logged, lanes, 0, k)
+        if tracked:
+            self._hazard(ptr).note_read(
+                logged, lanes, self._segment, self._seg_base
+            )
+        if _is_uniform(aa):
+            return arr[int(aa)]
+        return arr[aa]
+
+    def fast_scatter(self, ptr, index, value, k: int, sole_site: bool) -> None:
+        addr = self._fast_addr(ptr, index, k)
+        if ptr.space == "private":
+            vals = self.lanes_k(value, k)
+            aa = self.lanes_k(addr, k)
+            if type(ptr) is RowPtr:
+                rows = ptr.rows if k == self.L else ptr.rows[:k]
+                ptr.array[rows, aa] = vals
+            else:
+                ptr.array[aa] = vals
+            self._count_stores(ptr, "private", k)
+            return
+        if not self._needs_hazard(ptr):
+            raise VectorUnsupported(
+                "store through a buffer the write analysis missed"
+            )
+        if sole_site and id(ptr.array) in self._sole_ids:
+            sliced = self._slice(ptr, addr, k, 1)
+            if sliced is not None:
+                arr, base, s, last = sliced
+                # Pairwise-distinct addresses + sole kernel-wide access +
+                # unaliased at launch: race-free by construction
+                # (sole_store_sites), no hazard bookkeeping.
+                vals = self.lanes_k(value, k)
+                if s == 1:
+                    arr[base : base + k] = vals
+                else:
+                    arr[base : last + 1 : s] = vals
+                self._count_stores(ptr, ptr.space, k)
+                return
+        # The closure form's scatter (hazard + fancy store; ascending
+        # lane order resolves duplicate addresses).
+        aa = self.lanes_k(addr, k)
+        if _is_uniform(aa):
+            aa = np.broadcast_to(np.asarray(aa, dtype=np.int64), (k,))
+        vals = self.lanes_k(value, k)
+        arr = ptr.array
+        if type(ptr) is RowPtr:
+            rows = ptr.rows if k == self.L else ptr.rows[:k]
+            aa = rows * arr.shape[1] + aa
+        lanes = self._lane_ids if k == self.L else self._lane_ids[:k]
+        self._hazard(ptr).note_write(aa, lanes, self._segment, self._seg_base)
+        if not isinstance(vals, np.ndarray):
+            vals = np.broadcast_to(np.asarray(vals), (k,))
+        arr.reshape(-1)[aa] = vals
+        self._count_stores(ptr, ptr.space, k)
 
     # -- operators -------------------------------------------------------
     def _as_bool(self, v, m) -> np.ndarray:
@@ -1328,8 +1807,10 @@ class _HazardLocal:
     max against older entries.
     """
 
-    #: Must exceed the largest lane index of a block (``MAX_LANES``).
-    SEG_SCALE = 1 << 13
+    #: Must exceed the largest lane index of a block in either layout:
+    #: ``MAX_LANES`` blocked, ``FUSED_MAX_LANES`` whole-grid (asserted
+    #: below).  The packed entries stay far inside int64: 2**42 segments.
+    SEG_SCALE = 1 << 21
 
     __slots__ = ("array", "w_pack", "r_hi", "r_lo", "w_seg", "r_seg")
 
@@ -1403,6 +1884,11 @@ class _HazardLocal:
             )
         self.w_pack[addrs] = t_hi
         self.w_seg = seg
+
+
+assert _HazardLocal.SEG_SCALE >= max(MAX_LANES, FUSED_MAX_LANES), (
+    "a block of either layout must fit the packed local race detector"
+)
 
 
 # -- pooled per-thread runtime state ----------------------------------------
@@ -1606,31 +2092,42 @@ def try_launch(
     local_decls: list,
     counters: Counters,
     pipeline,
+    whole_grid: bool = False,
 ) -> None:
-    """Run ``pipeline`` (the kernel's compiled closure pipeline from
-    :mod:`repro.opencl.simt_compile`) over the launch, one block of
-    work-groups at a time (counters merged, buffers written).  On a
-    dynamic :class:`VectorUnsupported` the global buffers are restored
-    from a snapshot and the exception — whose message is the decline
-    reason the ledger records — propagates, so the caller can re-run
-    the launch on the scalar path.
+    """Run ``pipeline`` (the kernel's compiled pipeline from
+    :mod:`repro.opencl.simt_compile`) over the launch (counters merged,
+    buffers written), in one of two layouts: blocks of whole work-groups
+    of at most :data:`MAX_LANES` lanes, run in the scalar engine's group
+    order, or — ``whole_grid`` — the entire launch as one block (the
+    caller keeps it within :data:`FUSED_MAX_LANES`).
+
+    On a dynamic :class:`VectorUnsupported` the buffers the kernel may
+    write (:func:`written_pointer_roots`) are restored from a snapshot
+    and the exception — whose message is the decline reason the ledger
+    records — propagates, so the caller can re-run the launch on another
+    tier.  No other buffer needs one: a store through it raises before
+    it writes.  The whole-grid layout multiplies per-lane state by the
+    entire launch, so running out of memory there is refused the same
+    way.
     """
-    snapshot = [
-        (v.array, v.array.copy())
-        for v in base_env.values()
-        if isinstance(v, Pointer)
-    ]
+    written = written_pointer_roots(parsed, kernel)
+    snapshot: dict = {}
+    for name, v in base_env.items():
+        if isinstance(v, Pointer) and name in written and id(v.array) not in snapshot:
+            snapshot[id(v.array)] = (v.array, v.array.copy())
     staged = Counters()
     try:
         with np.errstate(all="ignore"):
             _run_blocks(
-                parsed, kernel, gsize, lsize, base_env, local_decls, staged,
-                pipeline,
+                kernel, gsize, lsize, base_env, local_decls, staged,
+                pipeline, written, whole_grid,
             )
-    except VectorUnsupported:
-        for array, saved in snapshot:
+    except (VectorUnsupported, MemoryError) as exc:
+        for array, saved in snapshot.values():
             array[:] = saved
-        raise
+        if isinstance(exc, VectorUnsupported) or not whole_grid:
+            raise
+        raise VectorUnsupported("whole-grid layout ran out of memory") from exc
     counters.merge_in(staged)
 
 
@@ -1643,9 +2140,9 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
     ``tile``/``repeat`` setup a measurable share of small launches.
 
     ``whole_grid`` ignores :data:`MAX_LANES` and lays the entire launch
-    out as a single block — the layout of the fused backend
-    (:mod:`repro.backend.fused`), which executes the whole NDRange at
-    once.
+    out as a single block (the ``fused`` engine's layout).  Each block
+    records its first work-group ordinal, which the fast path's lazy
+    geometry is offset by.
     """
     key = (gsize, lsize, whole_grid)
     cache: "OrderedDict[tuple, dict]" = getattr(_pool_tls, "geometry", None)
@@ -1696,6 +2193,7 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
             arr.setflags(write=False)
         blocks.append(
             {
+                "first_group": start,
                 "n_groups": n_groups,
                 "lanes": lanes,
                 "group_row": group_row,
@@ -1721,17 +2219,29 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
 
 
 def _run_blocks(
-    parsed, kernel, gsize, lsize, base_env, local_decls, counters, pipeline,
+    kernel, gsize, lsize, base_env, local_decls, counters, pipeline,
+    written, whole_grid,
 ):
-    geometry = _block_geometry(gsize, lsize)
+    geometry = _block_geometry(gsize, lsize, whole_grid)
     num_groups = geometry["num_groups"]
 
-    written = written_pointer_roots(parsed, kernel)
     tracked = {
         id(v.array)
         for name, v in base_env.items()
         if isinstance(v, Pointer) and name in written
     }
+    # The sole-store proof holds for a buffer no other argument aliases.
+    sole = pipeline.sole_names
+    sole_ids: frozenset = frozenset()
+    if sole:
+        arrays = [id(v.array) for v in base_env.values() if isinstance(v, Pointer)]
+        sole_ids = frozenset(
+            id(v.array)
+            for name, v in base_env.items()
+            if name in sole and isinstance(v, Pointer)
+            and arrays.count(id(v.array)) == 1
+        )
+    one_d = gsize[1] == gsize[2] == lsize[1] == lsize[2] == 1
 
     vptr_env = dict(base_env)
     for name, value in vptr_env.items():
@@ -1749,6 +2259,7 @@ def _run_blocks(
         n_groups = geo["n_groups"]
         group_row = geo["group_row"]
         block_tracked = tracked
+        block_sole = sole_ids
         env = dict(vptr_env)
         for decl in local_decls:
             local_array = np.zeros(
@@ -1761,6 +2272,8 @@ def _run_blocks(
                 if block_tracked is tracked:
                     block_tracked = set(tracked)
                 block_tracked.add(id(local_array))
+            if decl.name in sole:  # a fresh array: never aliased
+                block_sole = block_sole | {id(local_array)}
 
         block = _Block(
             counters, geo["lanes"], group_row, geo["lid"],
@@ -1769,6 +2282,9 @@ def _run_blocks(
             tracked=block_tracked,
             lane_ids=geo["lane_ids"],
             full=geo["full"],
+            first_group=geo["first_group"],
+            sole_ids=block_sole,
+            one_d=one_d,
         )
         block.env = env
         try:

@@ -46,15 +46,27 @@ mirroring how the scalar engine schedules whole segments between
 synchronization points.  Barriers nested in (group-uniform) loops stay
 inside their segment's loop closure.
 
+Each segment of a kernel without returns is then offered to the **fast
+path** (see its section below): a second lowering over the same static
+types in which affine work-item ids stay lazy, affine loads and stores
+become slices, ``if (i < n)`` becomes a lane prefix, a buffer's one
+proven store skips the race detector and cached loads settle in closed
+form.  A segment that fits takes that form; any other keeps its closure
+form.  The choice is made once, here, at plan time; the launcher
+(:func:`repro.opencl.simt.try_launch`) runs the one plan in blocks or
+over the whole grid.
+
 Closures run against a :class:`~repro.opencl.simt._Block` instance, whose
 memory, merge and counter helpers reproduce the scalar interpreter bit
 for bit: same buffer contents, same :class:`Counters`.
 
 Static refusals live in :func:`repro.opencl.simt.analyze_kernel`, not
-here: every kernel it admits compiles, so the lowering below has no
-refusal arms of its own (an assertion marks each place that relies on
-it), and a kernel it refuses has no pipeline — the launch falls
-straight to the scalar oracle, with the analysis' reason in the ledger.
+here: every kernel it admits compiles, so the closure lowering below
+has no refusal arms of its own (an assertion marks each place that
+relies on it; the fast path's ``_Unfusable`` only keeps a segment's
+closure form), and a kernel it refuses has no pipeline — the launch
+falls straight to the scalar oracle, with the analysis' reason in the
+ledger.
 
 Pipelines are cached on the parsed program (which the runtime shares
 per source through an LRU), alongside the vectorizability analysis, per
@@ -68,7 +80,7 @@ from __future__ import annotations
 import operator
 import threading
 import time
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,6 +97,7 @@ from repro.opencl.interp import (
     I,
     StaticTypes,
     VOID,
+    _MATH_BUILTINS,
     _SCALAR,
     _VEC_MEMBERS,
     array_dtype,
@@ -108,6 +121,8 @@ from repro.opencl.interp import (
     vector_type,
 )
 from repro.opencl.simt import (
+    _AFF_LOCAL_ID,
+    Aff,
     RowPtr,
     VPtr,
     VectorUnsupported,
@@ -115,13 +130,18 @@ from repro.opencl.simt import (
     _Frame,
     _LANE_DTYPE,
     _VMATH,
+    _aff_binop,
     _by_value,
     _convert,
+    _expr_uniform,
+    _is_int_uniform,
     _is_uniform,
     _is_vload,
     _is_vstore,
     analyze_kernel,
+    sole_store_sites,
     statement_types,
+    uniform_names,
 )
 
 _align = _Block._align
@@ -244,6 +264,9 @@ class _Ctx:
         self.helpers: dict = {}  # name -> framed body, or inlined parts
         self.loads: dict = {}  # name -> its (shared) load closure
         self.inlined = 0  # call sites compiled inline
+        #: ``id(if statement) -> (then, else)`` closures, which the fast
+        #: path runs for a branch it cannot take as a prefix.
+        self.branches: dict = {}
 
     def type_of(self, e) -> Optional[CType]:
         return self.typed.get(id(e))
@@ -361,12 +384,22 @@ def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
         return _short_circuit(op == "&&", lhs, rhs)
     lt, rt = typed[id(e.lhs)], typed[id(e.rhs)]
     typed[id(e)] = binop_type(op, lt, rt)
+    return _binop(op, lhs, rhs, lt, rt, _divisor(e))
+
+
+def _divisor(e: c.CBinOp) -> Optional[int]:
+    """A literal right operand's value (what a division is counted by)."""
+    return e.rhs.value if type(e.rhs) is c.CInt else None
+
+
+def _binop(op: str, lhs: ExprFn, rhs: ExprFn, lt, rt, divisor) -> ExprFn:
+    """``lhs op rhs`` (not ``&&`` / ``||``) over operands of the static
+    types ``lt`` / ``rt``."""
     cmp = _CMP_UFUNC.get(op)
     if cmp is not None:
         if _needs_align(lt, rt):
             return _compare_aligned(cmp, lhs, rhs)
         return _compare(cmp, lhs, rhs)
-    divisor = e.rhs.value if type(e.rhs) is c.CInt else None
     if not (_known(lt) and _known(rt)):
         return _arith_typed_by_run(_dynamic_binop(op, divisor), lhs, rhs)
     value_of, field, units = _binop_parts(op, lt, rt, divisor)
@@ -922,16 +955,17 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         ctx.returned(stored_type(kind, ctx.typed[id(s.value)]))
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
-        # The static analysis guarantees the mask is all-or-nothing per
-        # work-group here, so lock-step execution satisfies the barrier
-        # and each active item counts one, as in the scalar path.
-        def barrier(b, m, n, frame):
-            b.counters.barriers += n
-            b._segment += 1
-
-        return barrier
+        return _barrier
     assert t is c.CComment, s  # analyze_kernel admits no other statement
     return None  # dropped from the statement list
+
+
+def _barrier(b, m, n, frame) -> None:
+    # The static analysis guarantees the mask is all-or-nothing per
+    # work-group here, so lock-step execution satisfies the barrier and
+    # each active item counts one, as in the scalar path.
+    b.counters.barriers += n
+    b._segment += 1
 
 
 def _compile_block(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
@@ -964,11 +998,15 @@ def _compile_block(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
 
 
 def _compile_compound(s: c.CAssign, value_c: ExprFn, ctx: _Ctx) -> tuple:
+    current_c = _compile_expr(s.target, ctx)
+    return _compound(
+        s.op[0], current_c, value_c, ctx.typed[id(s.target)], ctx.typed[id(s.value)]
+    )
+
+
+def _compound(op: str, current_c: ExprFn, value_c: ExprFn, ct, vt) -> tuple:
     """``(closure, type)`` of the value ``x op= e`` stores: ``x op e``,
     counted against the result, as the oracle's ``_assign`` does."""
-    op = s.op[0]
-    current_c = _compile_expr(s.target, ctx)
-    ct, vt = ctx.typed[id(s.target)], ctx.typed[id(s.value)]
     rt = binop_type(op, ct, vt)
     if not (_known(ct) and _known(vt) and _known(rt)):
         apply = _dynamic_binop(op, None, compound=True)
@@ -1147,6 +1185,7 @@ def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
         if s.otherwise is not None
         else None
     )
+    ctx.branches[id(s)] = then_c, else_c
 
     def run_if(b, m, n, frame):
         b.counters.branches += n
@@ -1175,26 +1214,562 @@ def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
 
 
 # ---------------------------------------------------------------------------
+# the fast path: a segment's second form
+# ---------------------------------------------------------------------------
+#
+# A barrier segment of a kernel without returns whose statements fit the
+# fast path's value algebra (module docstring; ENGINES.md, "One plan,
+# two layouts") compiles a second time, into closures of the closure
+# form's signature whose active lanes are always the *first k* of the
+# block: k == L at segment top level (the mask is the block's full one),
+# a prefix under a prefix-taken branch (the mask is ``True``, which the
+# shared operator closures accept).  Materialized values are length-k
+# prefixes, which is what lets a guarded store slice-assign without
+# building a boolean mask.  Affine values (:class:`~repro.opencl.simt.
+# Aff`) only arise from dimension 0 of a 1-D launch, the only launches
+# fast forms run in; the static type of one is ``int``, so ``_lazy``
+# tells at plan time which operands may be one, and every other operand
+# goes through the closure form's own operator closures.
+#
+# An expression that leaves the algebra materializes into the closure
+# form's lane arrays and continues through the same ``_Block`` helpers
+# (same counters, same hazard notes); a branch the algebra cannot take
+# runs the closure form's branch closures; a segment with any other
+# construct (``_Unfusable``) keeps its closure form.  Statements that
+# bind variables compile only in unmasked position (k == L), so the
+# environment never holds a compressed array.
+
+class _Unfusable(Exception):
+    """Plan time: this segment keeps its closure form."""
+
+
+#: Geometry every work-item of a launch agrees on.  A fast loop must
+#: have a trip count all lanes of a block agree on, and a block may hold
+#: many work-groups: ``get_group_id`` does not qualify.
+_GEOM_GRID_UNIFORM = frozenset(("get_local_size", "get_global_size", "get_num_groups"))
+_GRID_UNIFORM_CALLS = _GEOM_GRID_UNIFORM | frozenset(_MATH_BUILTINS)
+
+#: The lazy geometry of a 1-D launch, per builtin: a block attribute,
+#: or the one descriptor every block shares.
+_AFF_GEOMETRY = {
+    "get_global_id": "_aff_global_id",
+    "get_group_id": "_aff_group_id",
+    "get_local_id": None,
+}
+
+
+class _FastCtx:
+    """Fast-path compilation state over the closure compiler's final
+    :class:`_Ctx` (its static types and branch closures)."""
+
+    def __init__(self, ctx: _Ctx, kernel: c.CFunctionDef):
+        self.ctx = ctx
+        self.kernel = kernel
+
+    @cached_property
+    def uniform_names(self) -> frozenset:
+        return frozenset(uniform_names(self.kernel, _GRID_UNIFORM_CALLS))
+
+    @cached_property
+    def sole(self) -> tuple:
+        return sole_store_sites(self.kernel)
+
+
+def _lazy(e, fc: _FastCtx) -> bool:
+    """Whether ``e`` may evaluate to a lazy affine value: an Aff is an
+    integer lane vector, so its static type is ``int``, and it is never
+    a literal or a name every work-item agrees on."""
+    if fc.ctx.type_of(e) != I:
+        return False
+    t = type(e)
+    return not (t is c.CInt or (t is c.CIdent and e.name in fc.uniform_names))
+
+
+def _eager(fn: ExprFn) -> ExprFn:
+    """``fn`` with a lazy affine result materialized over the k lanes."""
+    return lambda b, m, k: b.lanes_k(fn(b, m, k), k)
+
+
+def _fast_expr(e, fc: _FastCtx) -> ExprFn:
+    t = type(e)
+    if t is c.CInt or t is c.CFloat:
+        return _constant(e.value)
+    if t is c.CIdent:
+        if e.name in fc.uniform_names:  # never lanes
+            return _load(e.name)
+        return _fast_load(e.name)
+    if t is c.CBinOp:
+        return _fast_binop(e, fc)
+    if t is c.CUnOp:
+        if e.op != "-":
+            raise _Unfusable(f"unary operator {e.op}")
+        operand = _fast_expr(e.operand, fc)
+        return _fast_negate(operand) if _lazy(e.operand, fc) else _negate(operand)
+    if t is c.CIndex:
+        return _fast_gather(_fast_expr(e.base, fc), _fast_expr(e.index, fc))
+    if t is c.CCall:
+        return _fast_call(e, fc)
+    if t is c.CCast:
+        operand = _fast_expr(e.operand, fc)
+        if e.type_name in ("int", "uint", "long"):
+            return _fast_to_int(operand)
+        if e.type_name in ("float", "double"):
+            return _fast_to_float(operand)
+        return operand
+    raise _Unfusable(f"expression {e!r}")
+
+
+def _fast_load(name: str) -> ExprFn:
+    """A name's first k lanes."""
+    load = _load(name)
+
+    def load_lanes(b, m, k):
+        v = load(b, m, k)
+        if k != b.L and isinstance(v, np.ndarray) and v.shape[0] == b.L:
+            return v[:k]
+        return v
+
+    return load_lanes
+
+
+def _fast_negate(operand: ExprFn) -> ExprFn:
+    def negate(b, m, k):
+        v = operand(b, m, k)
+        if isinstance(v, Aff):
+            return Aff(-v.base, -v.gs, -v.ls)
+        return -v
+
+    return negate
+
+
+def _fast_gather(base_c: ExprFn, index_c: ExprFn) -> ExprFn:
+    def gather(b, m, k):
+        bv = base_c(b, m, k)
+        iv = index_c(b, m, k)
+        if isinstance(bv, (VPtr, RowPtr)):
+            return b.fast_gather(bv, iv, k)
+        raise VectorUnsupported(f"fast path: cannot index {bv!r}")
+
+    return gather
+
+
+def _fast_to_int(operand: ExprFn) -> ExprFn:
+    def to_int(b, m, k):
+        v = operand(b, m, k)
+        if isinstance(v, Aff):
+            return v  # affine descriptors are already integer
+        if isinstance(v, np.ndarray):
+            return v.astype(np.int64)
+        return int(v)
+
+    return to_int
+
+
+def _fast_to_float(operand: ExprFn) -> ExprFn:
+    def to_float(b, m, k):
+        v = operand(b, m, k)
+        if isinstance(v, Aff):
+            v = b.aff_values(v, k)
+        if isinstance(v, np.ndarray):
+            return v.astype(np.float64)
+        return float(v)
+
+    return to_float
+
+
+def _fast_binop(e: c.CBinOp, fc: _FastCtx) -> ExprFn:
+    op = e.op
+    if op == "&&" or op == "||":
+        raise _Unfusable("short-circuit operator")
+    lhs = _fast_expr(e.lhs, fc)
+    rhs = _fast_expr(e.rhs, fc)
+    lt, rt = fc.ctx.type_of(e.lhs), fc.ctx.type_of(e.rhs)
+    lazy_l, lazy_r = _lazy(e.lhs, fc), _lazy(e.rhs, fc)
+    if (lazy_l or lazy_r) and op in ("+", "-", "*") and lt == rt == I:
+        return _fast_affine(op, lhs, rhs, *_binop_parts(op, I, I))
+    if lazy_l:
+        lhs = _eager(lhs)
+    if lazy_r:
+        rhs = _eager(rhs)
+    return _binop(op, lhs, rhs, lt, rt, _divisor(e))
+
+
+def _fast_affine(op: str, lhs: ExprFn, rhs: ExprFn, value_of, field: str,
+                 units: int) -> ExprFn:
+    """Integer ``lhs op rhs`` (``+ - *``) that keeps affine operands lazy."""
+
+    def affine(b, m, k):
+        l = lhs(b, m, k)
+        r = rhs(b, m, k)
+        _charge(b.counters, field, units * k)
+        av = _aff_binop(op, l, r)
+        if av is not None:
+            return av
+        return value_of(b.lanes_k(l, k), b.lanes_k(r, k), m)
+
+    return affine
+
+
+def _fast_call(e: c.CCall, fc: _FastCtx) -> ExprFn:
+    name = e.func
+    if name.startswith("get_"):
+        field = _GEOMETRY_FIELDS[name]
+        if not e.args:
+            dim = 0
+        elif type(e.args[0]) is c.CInt:
+            dim = e.args[0].value
+        else:
+            raise _Unfusable("dynamic geometry dimension")
+        if name in _GEOM_GRID_UNIFORM:
+            return _geometry(field, dim)
+        return _fast_geometry(field, dim, _AFF_GEOMETRY[name])
+    builtin = _VMATH.get(name)
+    if builtin is None:
+        raise _Unfusable(f"call to {name!r}")
+    arg_cs = [
+        _eager(_fast_expr(a, fc)) if _lazy(a, fc) else _fast_expr(a, fc)
+        for a in e.args
+    ]
+    return _compile_builtin(e, builtin, arg_cs, fc.ctx)
+
+
+def _fast_geometry(field: str, dim: int, aff_attr) -> ExprFn:
+    """A lane geometry builtin; in dimension 0 of the 1-D launches fast
+    segments run in, a lazy affine value."""
+    if dim == 0:
+        if aff_attr is None:
+            return lambda b, m, k: _AFF_LOCAL_ID
+        return lambda b, m, k: getattr(b, aff_attr)
+
+    def geometry(b, m, k):
+        arr = getattr(b, field)[dim]
+        return arr if k == b.L else arr[:k]
+
+    return geometry
+
+
+def _fast_cond(e, fc: _FastCtx):
+    """A branch condition as ``(b, m, k) -> (kind, value)`` with kind
+    ``"u"`` (block-uniform bool), ``"p"`` (prefix count), or ``"a"``
+    (boolean lanes)."""
+    cmpfn = _CMP_UFUNC.get(e.op) if type(e) is c.CBinOp else None
+    if cmpfn is None:
+        expr = _fast_expr(e, fc)
+
+        def cond_any(b, m, k):
+            v = expr(b, m, k)
+            if isinstance(v, Aff):
+                v = b.aff_values(v, k)
+            if _is_uniform(v):
+                return "u", bool(v)
+            return "a", b._as_bool(v, m)
+
+        return cond_any
+    lhs = _fast_expr(e.lhs, fc)
+    rhs = _fast_expr(e.rhs, fc)
+    lazy_l, lazy_r = _lazy(e.lhs, fc), _lazy(e.rhs, fc)
+    align = _needs_align(fc.ctx.type_of(e.lhs), fc.ctx.type_of(e.rhs))
+    # Only ``aff < bound`` and ``aff <= bound`` can be a prefix.
+    prefix = lazy_l and e.op in ("<", "<=")
+    inclusive = 1 if e.op == "<=" else 0
+
+    def cond_cmp(b, m, k):
+        l = lhs(b, m, k)
+        r = rhs(b, m, k)
+        b.counters.iops += k
+        if prefix and type(l) is Aff and _is_int_uniform(r):
+            s = l.flat_stride(b._lanes_per_group)
+            if s is not None and s > 0:
+                kk = -(-(int(r) + inclusive - l.base) // s)  # ceil, s > 0
+                return "p", min(max(kk, 0), k)
+        if lazy_l:
+            l = b.lanes_k(l, k)
+        if lazy_r:
+            r = b.lanes_k(r, k)
+        cv = cmpfn(*_align(l, r)) if align else cmpfn(l, r)
+        if type(cv) is np.ndarray:
+            return "a", b._as_bool(cv, m)
+        return "u", bool(cv)
+
+    return cond_cmp
+
+
+def _fast_stmt(s, fc: _FastCtx, masked: bool) -> StmtFn:
+    t = type(s)
+    if t is c.CBlock:
+        fns = [
+            fn for fn in (_fast_stmt(sub, fc, masked) for sub in s.stmts)
+            if fn is not None
+        ]
+        if len(fns) == 1:
+            return fns[0]
+
+        def run_block(b, m, k, frame):
+            for fn in fns:
+                fn(b, m, k, frame)
+
+        return run_block
+    if t is c.CComment:
+        return None
+    if t is c.CAssign:
+        if isinstance(s.target, c.CIndex):
+            return _fast_store(s, fc)
+        if masked:
+            raise _Unfusable("variable binding under a mask")
+        if isinstance(s.target, c.CIdent):
+            return _fast_bind(s.target.name, _fast_value(s, fc), False, fc)
+        raise _Unfusable(f"assignment to {s.target!r}")
+    if t is c.CExprStmt:
+        expr = _fast_expr(s.expr, fc)
+        return lambda b, m, k, frame: expr(b, m, k)
+    if masked:
+        raise _Unfusable(f"{t.__name__} under a mask")
+    if t is c.CDecl:
+        return _fast_decl(s, fc)
+    if t is c.CFor:
+        return _fast_for(s, fc)
+    if t is c.CIf:
+        return _fast_if(s, fc)
+    if t is c.CBarrier:
+        return _barrier
+    raise _Unfusable(f"statement {s!r}")
+
+
+def _fast_value(s: c.CAssign, fc: _FastCtx) -> tuple:
+    """``(closure, type, lazy)`` of the value an assignment stores,
+    folding a compound operator the way the closure form does."""
+    value_c = _fast_expr(s.value, fc)
+    vt = fc.ctx.type_of(s.value)
+    lazy_v = _lazy(s.value, fc)
+    if s.op == "=":
+        return value_c, vt, lazy_v
+    op = s.op[0]
+    current_c = _fast_expr(s.target, fc)
+    ct = fc.ctx.type_of(s.target)
+    lazy_c = _lazy(s.target, fc)
+    if (lazy_c or lazy_v) and op in ("+", "-", "*") and ct == vt == I:
+        return _fast_affine(op, current_c, value_c, *_binop_parts(op, I, I)), I, True
+    if lazy_c:
+        current_c = _eager(current_c)
+    if lazy_v:
+        value_c = _eager(value_c)
+    return _compound(op, current_c, value_c, ct, vt) + (False,)
+
+
+def _fast_bind(name: str, value: tuple, declaring: bool, fc: _FastCtx) -> StmtFn:
+    """The unmasked store ``name = value`` of ``value = (closure, type,
+    lazy)``, converted to the declared kind of ``name`` only where it
+    may differ — resolved here, at plan time."""
+    value_c, vt, lazy = value
+    kind = fc.ctx.kinds.get(name)
+    if lazy:
+        if kind != "f":
+            return _bind_lazy(name, value_c)
+        value_c, vt = _eager(value_c), I  # an Aff is an integer lane vector
+    if _converts(kind, vt):
+        return _bind_converted(name, kind, value_c, declaring)
+    return _bind(name, value_c, declaring)
+
+
+def _bind_lazy(name: str, value_c: ExprFn) -> StmtFn:
+    """Store a value that may be affine, noting the name for
+    :meth:`~repro.opencl.simt._Block.materialize_env`."""
+
+    def bind_lazy(b, m, k, frame):
+        v = value_c(b, m, k)
+        b.env[name] = v
+        if type(v) is Aff:
+            b._lazy_names.add(name)
+
+    return bind_lazy
+
+
+def _fast_store(s: c.CAssign, fc: _FastCtx) -> StmtFn:
+    value_c = _fast_value(s, fc)[0]
+    base_c = _fast_expr(s.target.base, fc)
+    index_c = _fast_expr(s.target.index, fc)
+    sole = id(s) in fc.sole[1]
+
+    def store(b, m, k, frame):
+        v = value_c(b, m, k)
+        bv = base_c(b, m, k)
+        iv = index_c(b, m, k)
+        if not isinstance(bv, (VPtr, RowPtr)):
+            raise ExecError(f"indexed store into non-pointer {bv!r}")
+        b.fast_scatter(bv, iv, v, k, sole)
+
+    return store
+
+
+def _fast_decl(decl: c.CDecl, fc: _FastCtx) -> StmtFn:
+    name = decl.name
+    if decl.array_size is not None:
+        if decl.qualifier == "local":
+            return _check_local(name)
+        size, dtype = decl.array_size, array_dtype(decl.type_name)
+        return lambda b, m, k, frame: b._alloc_private(name, size, dtype)
+    init = decl.init
+    if init is not None:
+        value = _fast_expr(init, fc), fc.ctx.type_of(init), _lazy(init, fc)
+        return _fast_bind(name, value, True, fc)
+    zero = typed_zero(decl.type_name, fc.ctx.parsed.structs)
+    if not isinstance(zero, (int, float)):
+        raise _Unfusable("struct or vector declaration")
+
+    def declare_zero(b, m, k, frame):  # unmasked: k == L by construction
+        b.env[name] = zero
+
+    return declare_zero
+
+
+def _grid_uniform_stmt(s, names) -> bool:
+    if s is None:
+        return True
+    if isinstance(s, c.CDecl):
+        return s.init is None or _expr_uniform(s.init, names, _GRID_UNIFORM_CALLS)
+    if isinstance(s, c.CAssign) and isinstance(s.target, c.CIdent):
+        return _expr_uniform(s.value, names, _GRID_UNIFORM_CALLS) and (
+            s.op == "=" or s.target.name in names
+        )
+    return False
+
+
+def _fast_for(s: c.CFor, fc: _FastCtx) -> StmtFn:
+    names = fc.uniform_names
+    if not (
+        _grid_uniform_stmt(s.init, names)
+        and (s.cond is None or _expr_uniform(s.cond, names, _GRID_UNIFORM_CALLS))
+        and _grid_uniform_stmt(s.step, names)
+    ):
+        raise _Unfusable("lane-varying loop")
+    init_c = _fast_stmt(s.init, fc, masked=False) if s.init is not None else None
+    cond_c = _fast_expr(s.cond, fc) if s.cond is not None else None
+    step_c = _fast_stmt(s.step, fc, masked=False) if s.step is not None else None
+    body_c = _fast_stmt(s.body, fc, masked=False) or (lambda b, m, k, frame: None)
+
+    def run_for(b, m, k, frame):
+        if init_c is not None:
+            init_c(b, m, k, frame)
+        counters = b.counters
+        while True:
+            if cond_c is not None:
+                cv = cond_c(b, m, k)
+                if not _is_uniform(cv):
+                    raise VectorUnsupported(
+                        "fast path: loop condition became lane-varying"
+                    )
+                if not cv:
+                    break
+            counters.loop_iterations += k
+            body_c(b, m, k, frame)
+            if step_c is not None:
+                step_c(b, m, k, frame)
+
+    return run_for
+
+
+def _fast_branch(fast: Optional[StmtFn], closure: Optional[StmtFn]):
+    """One arm of a fast ``if``, taken on the first ``k`` lanes: its
+    fast form, else its closure form under the prefix mask."""
+    if fast is not None:
+        return lambda b, k, frame: fast(b, True, k, frame)
+    if closure is None:
+        return None
+
+    def closure_on_prefix(b, k, frame):
+        b.materialize_env()
+        closure(b, b.prefix_mask(k), k, frame)
+
+    return closure_on_prefix
+
+
+def _fast_if(s: c.CIf, fc: _FastCtx) -> StmtFn:
+    # Unmasked by construction: every lane of the block is active.
+    cond_c = _fast_cond(s.cond, fc)
+    # The closure form's branches serve the boolean-mask path and any
+    # arm the algebra refuses: same counts and semantics by construction.
+    then_c, else_c = fc.ctx.branches[id(s)]
+    has_else = s.otherwise is not None
+    arms = []
+    for arm in (s.then, s.otherwise):
+        try:
+            arms.append(_fast_stmt(arm, fc, masked=True) if arm is not None else None)
+        except _Unfusable:
+            arms.append(None)
+    run_then = _fast_branch(arms[0], then_c)
+    run_else = _fast_branch(arms[1], else_c)
+
+    def run_if(b, m, n, frame):
+        b.counters.branches += n
+        kind, cv = cond_c(b, m, n)
+        if kind == "p" and has_else:
+            # The complement of a prefix is a suffix: take the mask path.
+            kind, cv = "a", b.prefix_mask(cv)
+        if kind == "u":
+            arm = run_then if cv else run_else
+            if arm is not None:
+                arm(b, n, frame)
+        elif kind == "p":
+            if cv and run_then is not None:
+                run_then(b, cv, frame)
+        else:
+            b.materialize_env()
+            mt = m & cv
+            nt = int(np.count_nonzero(mt))
+            if nt and then_c is not None:
+                then_c(b, mt, nt, frame)
+            if else_c is not None and nt < n:
+                else_c(b, m & ~cv, n - nt, frame)
+
+    return run_if
+
+
+def _after_fast(segment: StmtFn) -> StmtFn:
+    """A closure segment that may follow a fast one: the lazy affine
+    values left in the environment become lane arrays first."""
+
+    def closure_after_fast(b, m, n, frame):
+        b.materialize_env()
+        segment(b, m, n, frame)
+
+    return closure_after_fast
+
+
+# ---------------------------------------------------------------------------
 # pipeline assembly
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    """A kernel compiled to barrier-delimited closure segments, for
-    launches whose pointer arguments hold ``pointer_kinds`` elements."""
+    """A kernel compiled to barrier-delimited segments, for launches
+    whose pointer arguments hold ``pointer_kinds`` elements.  Each
+    segment has one of two forms, chosen here at plan time: the fast
+    path, where the segment fits its algebra, else the closure form.
+    The fast path's affine algebra is over the lane index of a 1-D
+    launch; a launch of more dimensions runs every closure form."""
 
     __slots__ = (
-        "kernel_name", "segments", "has_returns", "pointers",
-        "pointer_kinds", "types", "inlined",
+        "kernel_name", "segments", "closures", "kinds", "has_returns",
+        "pointers", "pointer_kinds", "types", "inlined", "fast_segments",
+        "sole_names",
     )
 
-    def __init__(self, kernel_name: str, segments: list, has_returns: bool,
-                 pointers: tuple, pointer_kinds: tuple, types,
-                 inlined: int):
+    def __init__(self, kernel_name: str, segments: list, closures: list,
+                 kinds: tuple, has_returns: bool, pointers: tuple,
+                 pointer_kinds: tuple, types, inlined: int,
+                 sole_names: frozenset):
         self.kernel_name = kernel_name
         #: One compiled closure per barrier-delimited top-level region
         #: (barriers inside group-uniform loops stay within their
-        #: segment's loop closure).
+        #: segment's loop closure), and its form: ``"fast"`` or
+        #: ``"closure"`` (what the kernel profiler records).
         self.segments = segments
+        self.kinds = kinds
+        self.fast_segments = kinds.count("fast")
+        #: The closure form of every segment.
+        self.closures = closures if self.fast_segments else segments
+        #: Buffers whose one store the fast path runs without the race
+        #: detector (when no other argument aliases them).
+        self.sole_names = sole_names
         self.has_returns = has_returns
         #: The pointer parameters, and the element kinds typed for them.
         self.pointers = pointers
@@ -1210,7 +1785,8 @@ class Pipeline:
         frame = _Frame(block.L)
         m = block._full
         n = block.L
-        for index, segment in enumerate(self.segments):
+        one_d = block._one_d
+        for index, segment in enumerate(self.segments if one_d else self.closures):
             if frame.returned_any:
                 m = m & ~frame.ret_mask
                 n = int(np.count_nonzero(m))
@@ -1219,9 +1795,8 @@ class Pipeline:
             if prof is None:
                 segment(block, m, n, frame)
             else:
-                run_segment_profiled(
-                    prof, index, "compiled", segment, block, m, n, frame
-                )
+                kind = self.kinds[index] if one_d else "closure"
+                run_segment_profiled(prof, index, kind, segment, block, m, n, frame)
 
 
 def run_segment_profiled(prof, index, kind, segment, block, m, n, frame):
@@ -1244,8 +1819,7 @@ def run_segment_profiled(prof, index, kind, segment, block, m, n, frame):
 def split_at_barriers(kernel: c.CFunctionDef) -> list:
     """The kernel body cut at its top-level barriers: each region is a
     ``CBarrier`` or a ``CBlock`` of the statements between two of them.
-    One pipeline segment per region; the fused backend pairs its own
-    segments with them through the same split."""
+    One pipeline segment per region."""
     regions: list = []
     current: list = []
     for stmt in kernel.body.stmts:
@@ -1274,6 +1848,8 @@ def compile_kernel_pipeline(
     :class:`~repro.opencl.interp.StaticTypes`).  A name whose type widens
     once set (never in well-typed C) makes the walk run again from the
     wider types, so no closure specialises on a type a value can leave.
+    Then, in a kernel without returns, each region that fits the fast
+    path's algebra takes its fast form over the same types.
     """
     if pointer_kinds is None:
         pointer_kinds = declared_pointer_kinds(kernel)
@@ -1296,9 +1872,26 @@ def compile_kernel_pipeline(
         segments = [_compile_stmt(r, ctx, has_returns) for r in regions]
         if not types.widened:
             break
+    closures = list(segments)
+    kinds = ["closure"] * len(regions)
+    sole_names: frozenset = frozenset()
+    if not has_returns:
+        fc = _FastCtx(ctx, kernel)
+        for index, region in enumerate(regions):
+            if type(region) is c.CBarrier:
+                continue
+            try:
+                segments[index] = _fast_stmt(region, fc, masked=False)
+            except _Unfusable:
+                if "fast" in kinds:
+                    segments[index] = _after_fast(segments[index])
+                continue
+            kinds[index] = "fast"
+        if "fast" in kinds:
+            sole_names = fc.sole[0]
     return Pipeline(
-        kernel.name, segments, has_returns, pointers, pointer_kinds, types,
-        ctx.inlined,
+        kernel.name, segments, closures, tuple(kinds), has_returns, pointers,
+        pointer_kinds, types, ctx.inlined, sole_names,
     )
 
 
@@ -1358,6 +1951,7 @@ def get_pipeline(
                 if tracing_enabled():
                     compile_span.attrs["inlined"] = pipeline.inlined
                     compile_span.attrs["untyped"] = pipeline.types.untyped()
+                    compile_span.attrs["fast_segments"] = pipeline.fast_segments
             global _compile_counter
             _compile_counter += 1
         cache[key] = pipeline

@@ -2,11 +2,12 @@
 
 Covers the registry (registration, lookup, unknown-name errors, engine
 chains), launch-time engine resolution (explicit argument vs the
-``REPRO_SIM_ENGINE`` preference), and the fused whole-grid backend's
-compilation decisions (fused segments, proof-carrying stores, prefix
-masks, lane cap, aliasing) plus its fallback behaviour.  The bitwise
-cross-backend contract itself is exercised by the engine sweeps in
-``tests/test_simt.py`` / ``tests/test_simt_compile.py``.
+``REPRO_SIM_ENGINE`` preference), the plan's per-segment choice of the
+fast path (fast segments, proof-carrying stores, prefix masks, aliasing)
+in both layouts of the launcher, the whole-grid lane cap, and the
+launcher's rollback.  The bitwise cross-backend contract itself is
+exercised by the engine sweeps in ``tests/test_simt.py`` /
+``tests/test_simt_compile.py``.
 """
 
 import numpy as np
@@ -18,14 +19,14 @@ from repro.backend import (
     backend_names,
     engine_names,
     get_backend,
-    get_fused_kernel,
+    ledger,
     register_backend,
     register_engine,
     resolve,
 )
-from repro.backend import fused as fused_mod
 from repro.backend import registry as registry_mod
 from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
+from repro.opencl import simt, simt_compile
 
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
@@ -178,16 +179,22 @@ class TestEngineResolution:
             launch(program, 16, 16, saxpy_args(16))
 
 
-class TestFusedCompilation:
-    def test_saxpy_fully_fuses_with_a_proven_store(self):
-        program = OpenCLProgram(SAXPY)
-        fk = get_fused_kernel(program.parsed, program.kernel())
-        assert fk is not None
-        assert fk.fused_segment_count == len(fk.segments) == 1
-        assert fk.sole_names == frozenset({"out"})
+def plan_of(src):
+    program = OpenCLProgram(src)
+    return simt_compile.get_pipeline(program.parsed, program.kernel())
+
+
+class TestFastPathPlan:
+    """Which segments the plan gives the fast path, and what it proves."""
+
+    def test_saxpy_is_one_fast_segment_with_a_proven_store(self):
+        plan = plan_of(SAXPY)
+        assert plan.fast_segments == len(plan.segments) == 1
+        assert plan.kinds == ("fast",)
+        assert plan.sole_names == frozenset({"out"})
 
     def test_barrier_kernel_splits_segments(self):
-        src = """
+        plan = plan_of("""
         kernel void K(const global float * restrict x, global float *out) {
           local float tmp[8];
           int l = get_local_id(0);
@@ -195,13 +202,11 @@ class TestFusedCompilation:
           barrier(CLK_LOCAL_MEM_FENCE);
           out[get_global_id(0)] = tmp[l] + 1.0f;
         }
-        """
-        program = OpenCLProgram(src)
-        fk = get_fused_kernel(program.parsed, program.kernel())
-        assert fk is not None
-        assert len(fk.segments) == 3  # stage | barrier | finish
+        """)
+        # stage | barrier | finish; the barrier keeps its closure form.
+        assert plan.kinds == ("fast", "closure", "fast")
 
-    def test_unvectorizable_kernel_has_no_fused_form(self):
+    def test_unvectorizable_kernel_has_no_plan(self):
         # Statically refused (barrier + early return) but legal at this
         # launch shape: the fused chain must fall through to scalar.
         src = """
@@ -211,8 +216,8 @@ class TestFusedCompilation:
           x[get_global_id(0)] = 1.0f;
         }
         """
+        assert plan_of(src) is None
         program = OpenCLProgram(src)
-        assert get_fused_kernel(program.parsed, program.kernel()) is None
         out_f = Buffer.zeros(4)
         c_f = launch(program, 4, 4, {"x": out_f, "n": 4}, engine="fused")
         out_s = Buffer.zeros(4)
@@ -221,37 +226,44 @@ class TestFusedCompilation:
         assert vars(c_f) == vars(c_s)
 
     def test_loaded_output_buffer_is_not_sole(self):
-        src = """
+        plan = plan_of("""
         kernel void K(global float *out) {
           int i = get_global_id(0);
           out[i] = out[i] + 1.0f;
         }
-        """
-        program = OpenCLProgram(src)
-        fk = get_fused_kernel(program.parsed, program.kernel())
-        assert fk is not None
-        assert "out" not in fk.sole_names
+        """)
+        assert plan.fast_segments == 1
+        assert "out" not in plan.sole_names
 
     def test_store_inside_a_loop_is_not_sole(self):
-        src = """
+        plan = plan_of("""
         kernel void K(global float *out, int n) {
           int i = get_global_id(0);
           for (int t = 0; t < 2; t = t + 1) {
             out[i + t * n] = 1.0f;
           }
         }
-        """
-        program = OpenCLProgram(src)
-        fk = get_fused_kernel(program.parsed, program.kernel())
-        assert fk is not None
-        assert "out" not in fk.sole_names
+        """)
+        assert plan.fast_segments == 1
+        assert "out" not in plan.sole_names
+
+    def test_a_kernel_with_returns_keeps_every_closure_form(self):
+        plan = plan_of("""
+        kernel void K(global float *out, int n) {
+          int i = get_global_id(0);
+          if (i >= n) { return; }
+          out[i] = 1.0f;
+        }
+        """)
+        assert plan.kinds == ("closure",)
+        assert plan.sole_names == frozenset()
 
     def test_prefix_guard_matches_scalar_bitwise(self):
-        # Guard bound below the launch size: the fused backend runs the
-        # body on a lane prefix; buffers and counters must match scalar.
+        # Guard bound below the launch size: the fast path runs the body
+        # on a lane prefix; buffers and counters must match scalar.
         program = OpenCLProgram(SAXPY)
         n, glob = 100, 128
-        for engine in ("scalar", "fused"):
+        for engine in ("scalar", "compiled", "fused"):
             args = saxpy_args(glob)
             args["n"] = n
             counters = launch(program, glob, 4, args, engine=engine)
@@ -264,34 +276,18 @@ class TestFusedCompilation:
         assert ref_counters["global_stores"] == n
         assert np.count_nonzero(ref) == n  # items past the guard skipped
 
-    def test_aliased_output_still_bitwise(self):
-        # The same array passed as input and output disables the
-        # proof-carrying store (aliasing check) without losing bitwise
-        # equality with the scalar engine.
-        src = """
-        kernel void K(const global float * restrict x, global float *out) {
-          int i = get_global_id(0);
-          out[i] = x[i] + 1.0f;
-        }
-        """
-        program = OpenCLProgram(src)
-        shared_f = Buffer.from_array(np.arange(8, dtype=float))
-        c_f = launch(program, 8, 4, {"x": shared_f, "out": shared_f},
-                     engine="fused")
-        shared_s = Buffer.from_array(np.arange(8, dtype=float))
-        c_s = launch(program, 8, 4, {"x": shared_s, "out": shared_s},
-                     engine="scalar")
-        np.testing.assert_array_equal(shared_f.data, shared_s.data)
-        assert vars(c_f) == vars(c_s)
-
-    def test_lane_cap_falls_back_to_compiled(self, monkeypatch):
-        monkeypatch.setattr(fused_mod, "FUSED_MAX_LANES", 32)
+    def test_lane_cap_falls_back_to_compiled(self, monkeypatch, fault_free):
+        monkeypatch.setattr(simt, "FUSED_MAX_LANES", 32)
+        ledger.clear()
         out, counters = run_saxpy("fused", n=64, local=16)
+        (event,) = ledger.events()
+        assert (event.backend, event.kind) == ("fused", "static")
+        assert "whole-grid cap (32)" in event.reason
         ref, ref_counters = run_saxpy("scalar", n=64, local=16)
         np.testing.assert_array_equal(out, ref)
         assert counters == ref_counters
 
-    def test_grid_uniform_loop_fuses(self):
+    def test_grid_uniform_loop_is_fast(self):
         src = """
         kernel void K(const global float * restrict x, global float *out,
                       int reps) {
@@ -303,10 +299,9 @@ class TestFusedCompilation:
           out[i] = acc;
         }
         """
+        assert plan_of(src).fast_segments == 1
         program = OpenCLProgram(src)
-        fk = get_fused_kernel(program.parsed, program.kernel())
-        assert fk is not None and fk.fused_segment_count == 1
-        for engine in ("scalar", "fused"):
+        for engine in ("scalar", "compiled", "fused"):
             args = {
                 "x": Buffer.from_array(np.arange(16, dtype=float)),
                 "out": Buffer.zeros(16),
@@ -320,3 +315,180 @@ class TestFusedCompilation:
                 np.testing.assert_array_equal(args["out"].data, ref)
                 assert vars(counters) == ref_counters
         assert ref_counters["loop_iterations"] == 3 * 16
+
+
+#: Two blocks and a bit in the blocked layout.
+BIG_N = 2 * simt.MAX_LANES + 192
+
+
+def count_race_notes(monkeypatch) -> list:
+    """Count the stores the general race detector checks from now on."""
+    notes = []
+    real = simt._Hazard.note_write
+
+    def note_write(self, *args):
+        notes.append(self.array.size)
+        return real(self, *args)
+
+    monkeypatch.setattr(simt._Hazard, "note_write", note_write)
+    return notes
+
+
+def assert_tiers_agree_with_an_empty_ledger(src, gsize, lsize, make_args):
+    from tests.test_simt import assert_engines_agree
+
+    ledger.clear()
+    assert_engines_agree(src, gsize, lsize, make_args)
+    assert not ledger.events()
+
+
+class TestFastPathInBothLayouts:
+    """The fast path runs in blocks of at most MAX_LANES lanes (offset
+    by each block's first work-group) and over the whole grid; both
+    agree with the scalar oracle bitwise, Counters included."""
+
+    def test_saxpy_across_blocks_with_a_guard_inside_the_second(
+        self, monkeypatch, fault_free
+    ):
+        local = 131  # divides BIG_N, not MAX_LANES
+        assert BIG_N % local == 0 and simt.MAX_LANES % local
+        blocks = simt._block_geometry((BIG_N, 1, 1), (local, 1, 1))["blocks"]
+        assert len(blocks) == 3
+        n = blocks[1]["first_group"] * local + 1000  # inside block two
+        assert plan_of(SAXPY).fast_segments == 1
+        notes = count_race_notes(monkeypatch)
+        assert_tiers_agree_with_an_empty_ledger(
+            SAXPY, BIG_N, local,
+            lambda: {
+                "x": Buffer.from_array(np.linspace(-3.0, 5.0, BIG_N)),
+                "y": Buffer.from_array(np.cos(np.arange(BIG_N))),
+                "out": Buffer.from_array(np.full(BIG_N, 7.0)),
+                "a": 2.5, "n": n,
+            },
+        )
+        assert notes == []  # the proven store skips the race detector
+
+    def test_a_fast_segment_then_a_barrier_then_a_looped_closure_segment(
+        self, fault_free
+    ):
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          local float tmp[64];
+          int l = get_local_id(0);
+          tmp[l] = x[get_global_id(0)] * 2.0f;
+          barrier(CLK_LOCAL_MEM_FENCE);
+          float acc = 0.0f;
+          for (int j = 0; j < l % 4; j += 1) { acc = acc + tmp[j]; }
+          out[get_global_id(0)] = acc + l;
+        }
+        """
+        plan = plan_of(src)
+        assert plan.kinds == ("fast", "closure", "closure")
+        assert plan.fast_segments == 1
+        assert_tiers_agree_with_an_empty_ledger(
+            src, BIG_N, 64,
+            lambda: {"x": Buffer.from_array(np.sin(np.arange(BIG_N))),
+                     "out": Buffer.zeros(BIG_N)},
+        )
+
+    def test_pointer_offsets_count_once(self, fault_free):
+        # Slice loads through an offset pointer (``q[i]``, ``q[2 * i]``)
+        # and a store through a lane-varying pointer under a prefix
+        # guard: the offset is part of the address exactly once.
+        src = """
+        kernel void K(const global float * restrict x, global float *out,
+                      int n) {
+          int i = get_global_id(0);
+          const global float *q = x + 3;
+          global float *p = out + i % 3;
+          if (i < n) { p[i - i % 3] = q[i] + q[2 * i] + q[5]; }
+        }
+        """
+        assert plan_of(src).fast_segments == 1
+        assert_tiers_agree_with_an_empty_ledger(
+            src, BIG_N, 64,
+            lambda: {"x": Buffer.from_array(np.arange(3.0 * BIG_N)),
+                     "out": Buffer.zeros(BIG_N), "n": BIG_N - 100},
+        )
+
+    @pytest.mark.parametrize("engine", ["compiled", "fused"])
+    def test_an_aliased_output_refuses_the_sole_store_proof(
+        self, engine, monkeypatch, fault_free
+    ):
+        # ``x`` and ``out`` bound to one array: the store is checked by
+        # the race detector, and the result is still the scalar one.
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = x[i] + 1.0f;
+        }
+        """
+        assert plan_of(src).sole_names == frozenset({"out"})
+        program = OpenCLProgram(src)
+        notes = count_race_notes(monkeypatch)  # scalar has no detector
+        results = []
+        for tier in ("scalar", engine):
+            shared = Buffer.from_array(np.arange(BIG_N, dtype=float))
+            ledger.clear()
+            counters = launch(program, BIG_N, 64, {"x": shared, "out": shared},
+                              engine=tier)
+            assert not ledger.events()
+            results.append((shared.data, vars(counters)))
+        (ref, ref_counters), (out, counters) = results
+        np.testing.assert_array_equal(out, ref)
+        assert counters == ref_counters
+        assert notes and set(notes) == {BIG_N}
+
+
+class TestLauncher:
+    def test_a_race_restores_only_the_buffers_the_kernel_may_write(
+        self, fault_free
+    ):
+        # ``out`` is written, then a cross-lane read of ``scratch`` bails
+        # out.  ``out`` is restored bitwise, in place; the read-only
+        # input is neither copied back nor touched.
+        src = """
+        kernel void K(const global float * restrict x, global float *scratch,
+                      global float *out) {
+          int i = get_global_id(0);
+          out[i] = x[i] * 2.0f;
+          scratch[0] = out[i];
+          out[i] = scratch[0];
+        }
+        """
+        x_data = np.arange(64, dtype=float)
+        x_data.setflags(write=False)
+        out_data = np.full(64, -1.0)
+        args = {"x": Buffer(x_data), "scratch": Buffer.zeros(1),
+                "out": Buffer(out_data)}
+        with pytest.raises(VectorizationError, match="K: cross-lane read"):
+            launch(OpenCLProgram(src), 64, 16, args, engine="compiled")
+        assert args["x"].data is x_data and args["out"].data is out_data
+        np.testing.assert_array_equal(x_data, np.arange(64))
+        assert out_data.tobytes() == np.full(64, -1.0).tobytes()
+        assert args["scratch"].data.tobytes() == np.zeros(1).tobytes()
+
+    def test_a_whole_grid_reduction_uses_the_packed_local_detector(
+        self, monkeypatch, fault_free
+    ):
+        # 16 384 lanes in one block: every local buffer stays on the
+        # packed detector (its SEG_SCALE covers either layout).
+        from tests.test_simt_compile import _REDUCTION
+
+        n, local = 16384, 8
+        assert n > simt.MAX_LANES
+        acquired = []
+        real = simt._acquire_hazard
+
+        def acquire(size, cls):
+            acquired.append((size, cls))
+            return real(size, cls)
+
+        monkeypatch.setattr(simt, "_acquire_hazard", acquire)
+        x = np.cos(np.arange(n))
+        make = lambda: {"x": Buffer.from_array(x), "out": Buffer.zeros(n // local)}
+        launch(OpenCLProgram(_REDUCTION), n, local, make(), engine="fused")
+        assert (n, simt._HazardLocal) in acquired
+        assert all(cls is simt._HazardLocal for size, cls in acquired if size == n)
+        monkeypatch.undo()
+        assert_tiers_agree_with_an_empty_ledger(_REDUCTION, n, local, make)

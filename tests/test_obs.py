@@ -396,17 +396,22 @@ class TestKernelProfiler:
         )
         assert out_row["stores"] == 64
 
-    def test_fused_backend_records_fused_segments(
-        self, no_profiling, fault_free
+    @pytest.mark.parametrize("engine", ["compiled", "fused"])
+    def test_segments_record_their_form_in_both_layouts(
+        self, engine, no_profiling, fault_free
     ):
-        # Asserts which tier served the launch: an injected backend-run
-        # fault legitimately hands it to ``compiled``.
+        # One vocabulary in both layouts: SAXPY's segment is ``fast``; a
+        # 2-D launch runs every segment's closure form.
         prof = profile_mod.enable()
         prof.reset()
-        run_saxpy("fused")
-        doc = profile_mod.as_dict()
-        kinds = {s["kind"] for s in doc["segments"]}
-        assert "fused" in kinds or "generic" in kinds
+        run_saxpy(engine)
+        assert {s["kind"] for s in profile_mod.as_dict()["segments"]} == {"fast"}
+        prof.reset()
+        launch(OpenCLProgram(SAXPY), (8, 8), (4, 4), {
+            "x": Buffer.zeros(64), "y": Buffer.zeros(64),
+            "out": Buffer.zeros(64), "a": 2.0, "n": 64,
+        }, engine=engine)
+        assert {s["kind"] for s in profile_mod.as_dict()["segments"]} == {"closure"}
 
     def test_format_table_lists_top_segments(self, no_profiling):
         prof = profile_mod.enable()

@@ -423,8 +423,11 @@ class TestStaticTypes:
         events = json.loads(path.read_text())["traceEvents"]
         (compiled,) = [e for e in events if e["name"] == "simt_compile"]
         # The ternary is the one node the run types; the argument it
-        # becomes is converted to ``float``.
-        assert compiled["args"] == {"kernel": "K", "inlined": 2, "untyped": 1}
+        # becomes is converted to ``float``.  Helper calls keep the one
+        # segment in its closure form.
+        assert compiled["args"] == {
+            "kernel": "K", "inlined": 2, "untyped": 1, "fast_segments": 0,
+        }
 
 
 #: Corner cases of the typing rules, each bitwise and count-equal on
