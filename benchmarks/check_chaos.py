@@ -24,7 +24,11 @@ backpressure, a planted journal orphan, graceful drain) runs under the
 same fault plan and must report every response bitwise-identical to the
 solo path, faults landed, backpressure exercised, the orphan replayed,
 every ``ServiceStats`` field matched by its ``service.<field>`` process
-counter, and the breaker/queue state visible in the metrics snapshot.
+counter, and the queue state visible in the metrics snapshot.  The
+service has no retry loop and one fault site of its own
+(``service-journal``); the other faults it survives land at the
+compile / simulate / cache / backend-run sites, and a failed response
+is the client's to resubmit.
 
 Exit status 0 = pass, 1 = divergence (with a report on stdout).
 
@@ -97,7 +101,7 @@ def run_service_soak(plan, clients: int) -> int:
     if report["replayed"] < 1:
         failures.append("journal replay never fired (zero orphans replayed)")
 
-    # The breaker/queue state must be observable: every service event is
+    # The queue state must be observable: every service event is
     # also a process counter ``service.<field>`` (at least the main
     # service's count: the overload probe adds its own), and the
     # snapshot carries the service section.

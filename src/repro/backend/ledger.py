@@ -15,7 +15,8 @@ counters obey the cross-backend bitwise-equality contract, and which
 tier ultimately served a launch is precisely the thing that may differ
 between engines without affecting results.
 
-Decline kinds:
+Decline kinds (:data:`DECLINE_KINDS`; recording any other kind raises
+``ValueError``, so a typo cannot open a new category):
 
 ``static``
     ``plan``/``run`` raised :class:`~repro.backend.base.CompileUnsupported`
@@ -30,10 +31,6 @@ Decline kinds:
 ``fault``
     a deterministic injected fault (:mod:`repro.faultinject`,
     site ``backend-run``) declined the backend.
-``breaker``
-    an open circuit breaker (:mod:`repro.service.breaker`) skipped the
-    backend without trying it — repeated crash/fault declines tripped
-    it and the chain degraded to the next tier pre-emptively.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ __all__ = [
 #: Cap on retained individual events (counts are kept exactly beyond it).
 _MAX_EVENTS = 10_000
 
-DECLINE_KINDS = ("static", "dynamic", "crash", "fault", "breaker")
+DECLINE_KINDS = ("static", "dynamic", "crash", "fault")
 
 
 @dataclass(frozen=True)
@@ -83,6 +80,10 @@ class DegradationLedger:
         self._dropped = 0
 
     def record(self, engine: str, backend: str, kind: str, reason: str) -> None:
+        if kind not in DECLINE_KINDS:
+            raise ValueError(
+                f"unknown decline kind {kind!r} (one of {DECLINE_KINDS})"
+            )
         event = DegradationEvent(engine, backend, kind, reason)
         with self._lock:
             self._counts[(engine, backend, kind)] += 1

@@ -26,14 +26,13 @@ Chain semantics (:meth:`ResolvedChain.execute`):
    :class:`~repro.opencl.simt.VectorizationError` naming every
    refusal; graceful chains end in ``scalar``, which always succeeds.
 4. Every decline — static, dynamic, an unexpected ``plan()`` crash
-   (shielded for non-final members), an injected ``backend-run``
-   fault, or an open circuit breaker — is recorded in the degradation
-   ledger (:mod:`repro.backend.ledger`), so a silently-degraded run is
-   observable after the fact.
-5. When a :class:`~repro.service.breaker.BreakerBoard` is installed
-   (only ever by a running :class:`~repro.service.daemon.TuningService`),
-   non-final backends whose breaker is open are skipped pre-emptively;
-   crash/fault declines feed the breaker, served launches reset it.
+   (shielded for non-final members) or an injected ``backend-run``
+   fault — is recorded in the degradation ledger
+   (:mod:`repro.backend.ledger`), so a silently-degraded run is
+   observable after the fact.  The crash shield and the ledger are a
+   failing backend's one recovery: every tier computes the same buffers
+   and ``Counters``, so there is nothing for a per-backend health gate
+   to add, and a launch never imports :mod:`repro.service`.
 
 ``REPRO_SIM_ENGINE`` expresses a *preferred default*, not a hard
 requirement: resolving a strict engine name from the environment
@@ -146,34 +145,13 @@ class ResolvedChain:
         from repro.faultinject import FaultInjected
         from repro.obs import metrics, span
         from repro.opencl.simt import VectorizationError
-        from repro.service import breaker as breaker_mod
 
         refusals = []
         skip_classes: set = set()
         last = self.members[-1] if self.members else None
-        # The service's circuit-breaker board, when one is installed
-        # (repro.service.breaker): a backend with repeated crash/fault
-        # declines is skipped pre-emptively and re-probed after a
-        # cool-down.  One-shot CLI runs never install a board, so this
-        # is a no-op outside the service.
-        board = breaker_mod.installed()
         metrics.inc("launch.total")
         for backend in self.members:
             if backend.dynamic_class in skip_classes:
-                continue
-            if (
-                board is not None
-                and backend is not last
-                and not board.allow(backend.name)
-            ):
-                # Skipping an unhealthy tier is itself a degradation:
-                # ledgered like any other decline, and the breaker is
-                # exempt for the final member so graceful chains always
-                # complete.
-                ledger.record(
-                    self.name, backend.name, "breaker", "circuit open"
-                )
-                refusals.append(f"{backend.name}: circuit open")
                 continue
             if backend is not last:
                 # ``backend-run`` fault site: an injected fault declines
@@ -184,8 +162,6 @@ class ResolvedChain:
                 except FaultInjected as exc:
                     ledger.record(self.name, backend.name, "fault", str(exc))
                     refusals.append(f"{backend.name}: injected fault")
-                    if board is not None:
-                        board.failure(backend.name)
                     continue
             try:
                 with span(
@@ -199,12 +175,6 @@ class ResolvedChain:
             except CompileUnsupported as exc:
                 ledger.record(self.name, backend.name, "static", str(exc))
                 refusals.append(f"{backend.name}: {exc}")
-                if board is not None and backend is not last:
-                    # A static refusal is no health verdict: give back
-                    # the half-open probe slot allow() may have taken
-                    # (final members never take one), or the breaker
-                    # could stay half-open forever.
-                    board.release(backend.name)
                 continue
             except Exception as exc:
                 # Crash shield: an unexpected bug in a backend's plan()
@@ -218,8 +188,6 @@ class ResolvedChain:
                     self.name, backend.name, "crash",
                     f"{type(exc).__name__}: {exc}",
                 )
-                if board is not None:
-                    board.failure(backend.name)
                 if backend is last:
                     raise
                 refusals.append(
@@ -242,20 +210,12 @@ class ResolvedChain:
                     run_span.attrs["reason"] = reason
                 else:
                     metrics.inc(f"launch.served.{backend.name}")
-                    if board is not None:
-                        # Only health outcomes feed the breaker: a
-                        # served launch closes it; static/dynamic
-                        # refusals are the backend working as designed
-                        # and count as neither.
-                        board.success(backend.name)
                     return
             ledger.record(
                 self.name, backend.name, "dynamic" if dynamic else "static",
                 reason,
             )
             refusals.append(f"{backend.name}: {reason}")
-            if board is not None and backend is not last:
-                board.release(backend.name)  # no verdict: free probe
             if dynamic:
                 skip_classes.add(backend.dynamic_class)
         detail = "; ".join(refusals) or "empty backend chain"

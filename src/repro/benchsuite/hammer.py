@@ -1,16 +1,16 @@
 """``benchsuite hammer`` — concurrency-and-chaos soak of the service.
 
 The daemon's contract is easy to state and easy to get wrong: every
-result it serves — warm hit, coalesced follower, breaker-degraded
-launch, retried attempt, journal replay — must be **bitwise-identical**
-to the same request executed by the one-shot CLI path.  This harness
-checks it the hard way:
+result it serves — warm hit, coalesced follower, launch served by a
+lower tier of its fallback chain, client resubmit, journal replay —
+must be **bitwise-identical** to the same request executed by the
+one-shot CLI path.  This harness checks it the hard way:
 
 1. **Solo baselines** — each workload (single-stage benchmark ×
    optimization level) runs once through the bare
-   ``compile_kernel``/``execute_kernel`` path, with no cache, no
-   breaker board and fault injection suspended.  These outputs and
-   counters are the ground truth.
+   ``compile_kernel``/``execute_kernel`` path, with no cache and fault
+   injection suspended.  These outputs and counters are the ground
+   truth.
 2. **Overload probe** — a deliberately tiny service (one worker, queue
    capacity one, paused) is driven past capacity: the surplus submit
    must raise :class:`~repro.service.admission.ServiceOverloaded`
@@ -26,9 +26,10 @@ checks it the hard way:
    (single-flight), every follower gets the identical object.
 5. **The hammer proper** — ``clients`` threads (≥8 in CI) each run a
    seeded schedule of mixed cold/warm requests under the chaos fault
-   plan; transient failures and backpressure rejections are retried by
-   the clients (deterministically jittered), and *every* response is
-   compared bitwise against its baseline.
+   plan; failed responses (a transient error that escaped the work)
+   and backpressure rejections are resubmitted by the clients, the one
+   retry a request gets, and *every* response is compared bitwise
+   against its baseline.
 6. **Graceful drain** — shutdown must complete cleanly and leave zero
    orphaned journal entries.
 
@@ -39,6 +40,7 @@ it.
 
 from __future__ import annotations
 
+import random
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
@@ -51,11 +53,7 @@ from repro.cache import TuningCache
 from repro.compiler.codegen import compile_kernel
 from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
-from repro.resilience import (
-    TRANSIENT_ERRORS,
-    RetryPolicy,
-    deterministic_jitter,
-)
+from repro.resilience import TRANSIENT_ERRORS, RetryPolicy
 from repro.service import (
     JournalEntry,
     RecoveryJournal,
@@ -162,8 +160,8 @@ def spec_resolver(entry: JournalEntry) -> Optional[dict]:
 
 
 def solo_baseline(workload: Workload) -> tuple:
-    """The one-shot CLI path: bare compile+execute, no cache, no board,
-    fault injection suspended — the ground truth for bitwise checks."""
+    """The one-shot CLI path: bare compile+execute, no cache, fault
+    injection suspended — the ground truth for bitwise checks."""
     with faultinject.plan_installed(None):
         compiled = compile_kernel(workload.program, workload.options)
         result = execute_kernel(
@@ -278,15 +276,11 @@ def run_hammer(
         lock = threading.Lock()
 
         def client(index: int) -> None:
-            policy = RetryPolicy(
-                attempts=6, base_delay=0.01, jitter=0.5
-            )
+            policy = RetryPolicy(attempts=6, base_delay=0.01)
+            # Seeded schedule: deterministic per (seed, client).
+            schedule = random.Random(f"hammer:{seed}:{index}")
             for step in range(requests_per_client):
-                # Seeded schedule: deterministic per (seed, client, step).
-                draw = deterministic_jitter(
-                    f"hammer:{seed}:{index}:{step}", 0, 1.0
-                )
-                workload = workloads[int(draw * 1e6) % len(workloads)]
+                workload = workloads[schedule.randrange(len(workloads))]
 
                 def once():
                     response = service.submit_run(**workload.submit_kwargs())
@@ -297,7 +291,6 @@ def run_hammer(
                         once,
                         retry_on=TRANSIENT_ERRORS + (ServiceOverloaded,),
                         on_retry=lambda *_: _count_resubmit(),
-                        key=f"client-{index}-{step}",
                     )
                 except Exception as exc:  # noqa: BLE001 - reported below
                     with lock:
@@ -332,7 +325,6 @@ def run_hammer(
     journal = RecoveryJournal(journal_dir)
     report["orphans_after_drain"] = len(journal)
     report["stats"] = service.stats.as_dict()
-    report["breakers"] = service.breakers.snapshot()
     report["cache"] = {
         "run_hits": cache.stats.run_hits,
         "run_misses": cache.stats.run_misses,
@@ -364,7 +356,7 @@ def format_hammer(report: dict) -> str:
         f"warm hits: {report['stats']['warm_hits']}  "
         f"coalesced: {report['stats']['coalesced']}  "
         f"rejects: {report['stats']['rejects']}",
-        f"  worker retries: {report['stats']['retries']}  "
+        f"  infra failures: {report['stats']['infra_failures']}  "
         f"client resubmits: {report['resubmits']}  "
         f"replayed orphans: {report['replayed']}",
         f"  drain clean: {report['drained_clean']}  "

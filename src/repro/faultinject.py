@@ -20,23 +20,22 @@ Fault checks are placed at named **injection sites**:
 ``simulate``              entry of :func:`repro.opencl.runtime.launch`
 ``verify``                the explorer's bitwise verification stage
 ``backend-run``           before each non-final backend of a fallback chain
-``service-admit``         :meth:`repro.service.TuningService` request admission
 ``service-journal``       recovery-journal writes (:mod:`repro.service.journal`)
-``service-worker``        top of each service worker's request processing
 ========================  ====================================================
 
-All sites except ``backend-run`` sit *before* any observable side
-effect, so the standard recovery — retry the draw a bounded number of
-times (:func:`survive`) — is exact: an injected-and-recovered fault
-changes timing only, never results.  ``backend-run`` faults instead
-*decline* the backend so the fallback chain (and its degradation
-ledger, :mod:`repro.backend.ledger`) is exercised; the final chain
-member is exempt, so a graceful chain still completes.  The three
-``service-*`` sites follow the pre-side-effect rule: an escape at
-``service-admit`` rejects the request (the client's retry is the
-recovery), at ``service-journal`` falls back to unjournaled execution
-(the request loses crash recovery, never correctness), and at
-``service-worker`` re-enters the worker's own retry loop.
+Each site guards a real operation with a recovery of its own; there is
+no site whose only purpose is to feed a retry loop.  All sites except
+``backend-run`` sit *before* any observable side effect, so the
+standard recovery — retry the draw a bounded number of times
+(:func:`survive`) — is exact: an injected-and-recovered fault changes
+timing only, never results.  ``backend-run`` faults instead *decline*
+the backend so the fallback chain (and its degradation ledger,
+:mod:`repro.backend.ledger`) is exercised; the final chain member is
+exempt, so a graceful chain still completes.  An escape at
+``service-journal`` falls back to unjournaled execution (the request
+loses crash recovery, never correctness).  Sites draw from independent
+``(seed, site, n)`` streams, so adding or removing one leaves every
+other site's decisions unchanged.
 
 Configuration
 -------------
@@ -87,9 +86,7 @@ SITES = (
     "simulate",
     "verify",
     "backend-run",
-    "service-admit",
     "service-journal",
-    "service-worker",
 )
 
 

@@ -8,11 +8,9 @@ deadlines apply) lives with the callers — see
 :mod:`repro.rewrite.explore` and ``src/repro/RESILIENCE.md``.
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff for
-  *transient* errors (:data:`TRANSIENT_ERRORS`: injected faults,
-  :class:`TransientError`, ``OSError``).  Deterministic even with
-  jitter: the spread is a pure function of ``(key, attempt)``
-  (:func:`deterministic_jitter`), so N concurrent clients retrying the
-  same failure desynchronize without losing replayability.
+  *transient* errors (:data:`TRANSIENT_ERRORS`: injected faults and
+  ``OSError``).  The explorer retries a candidate with it, and a client
+  of the service a failed request; nothing else retries.
 * :class:`Deadline` — an absolute wall-clock budget that *propagates*:
   :func:`run_with_deadline` bounds every stage's timeout by
   :meth:`Deadline.clamp`, so a request admitted near its deadline
@@ -31,7 +29,6 @@ deadlines apply) lives with the callers — see
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
@@ -48,15 +45,8 @@ __all__ = [
     "DeadlineExceeded",
     "FailureReport",
     "RetryPolicy",
-    "TransientError",
-    "deterministic_jitter",
     "run_with_deadline",
 ]
-
-
-class TransientError(Exception):
-    """An infrastructure failure worth retrying (the error taxonomy's
-    ``infra`` kind when retries run out)."""
 
 
 class Cancelled(Exception):
@@ -69,51 +59,23 @@ class DeadlineExceeded(Exception):
 
 #: Errors the retry machinery treats as transient.  Injected faults are
 #: transient by definition; ``OSError`` covers the cache/filesystem.
-TRANSIENT_ERRORS: Tuple[type, ...] = (FaultInjected, TransientError, OSError)
-
-
-def deterministic_jitter(key: str, attempt: int, spread: float) -> float:
-    """Backoff multiplier in ``[1 - spread, 1 + spread]``, a pure
-    function of ``(key, attempt)``.
-
-    Seeding the jitter by a stable per-request key (request id,
-    candidate label) desynchronizes N concurrent clients retrying the
-    same failed work — no thundering herd on the worker pool — while a
-    rerun with the same keys replays the exact same delay sequence.
-    """
-    if spread <= 0.0:
-        return 1.0
-    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-    draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-    return 1.0 + spread * (2.0 * draw - 1.0)
+TRANSIENT_ERRORS: Tuple[type, ...] = (FaultInjected, OSError)
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retries with exponential backoff.
-
-    Replayable even with jitter: the spread is keyed, never random —
-    pass a stable per-request ``key`` to :meth:`delays`/:meth:`call`
-    and the delay sequence is a pure function of the policy and the
-    key.  With no key (or ``jitter=0``) delays are the bare
-    exponential sequence.
-    """
+    """Bounded retries with exponential backoff; the delay sequence is
+    a pure function of the policy."""
 
     attempts: int = 3
     base_delay: float = 0.02
     multiplier: float = 2.0
     max_delay: float = 0.5
-    #: Jitter spread as a fraction of each delay (0.25 = +-25%),
-    #: applied only when a ``key`` seeds it.
-    jitter: float = 0.0
 
-    def delays(self, key: Optional[str] = None) -> Iterator[float]:
+    def delays(self) -> Iterator[float]:
         delay = self.base_delay
-        for attempt in range(max(0, self.attempts - 1)):
-            step = min(delay, self.max_delay)
-            if key is not None:
-                step *= deterministic_jitter(key, attempt, self.jitter)
-            yield step
+        for _ in range(max(0, self.attempts - 1)):
+            yield min(delay, self.max_delay)
             delay *= self.multiplier
 
     def call(
@@ -122,11 +84,10 @@ class RetryPolicy:
         retry_on: Tuple[type, ...] = TRANSIENT_ERRORS,
         on_retry: Optional[Callable[[int, BaseException], None]] = None,
         sleep: Callable[[float], None] = time.sleep,
-        key: Optional[str] = None,
     ):
         """Call ``fn``, retrying transient failures; re-raises the last
         error once the attempt budget is spent."""
-        delays = self.delays(key)
+        delays = self.delays()
         for attempt in range(1, max(1, self.attempts) + 1):
             try:
                 return fn()

@@ -86,10 +86,9 @@ dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
   ``verify`` / ``infra`` / ``timeout`` / ``cancelled``) and quarantined
   into a structured :class:`~repro.resilience.FailureReport` on
   :class:`ExplorationResult` — the rest of the search completes;
-* transient failures (injected faults, :class:`~repro.resilience.TransientError`,
-  ``OSError``) are retried with exponential backoff — one
-  :class:`~repro.resilience.RetryPolicy` built from
-  ``ExploreConfig.retries`` / ``retry_backoff`` / ``retry_jitter``;
+* transient failures (injected faults, ``OSError``) are retried with
+  exponential backoff — one :class:`~repro.resilience.RetryPolicy`
+  built from ``ExploreConfig.retries`` / ``retry_backoff``;
 * ``ExploreConfig.candidate_timeout`` puts a wall-clock watchdog on
   each candidate attempt — a hung candidate becomes a ``timeout``
   report, not a hung search;
@@ -227,14 +226,10 @@ class ExploreConfig:
     #: enforced by a watchdog thread; ``None`` disables it.
     candidate_timeout: Optional[float] = None
     #: Bounded retries for *transient* evaluation failures (injected
-    #: faults, TransientError, OSError) with exponential backoff.
+    #: faults, OSError) with exponential backoff.
     retries: int = 2
     #: Initial backoff delay between retries (doubles per attempt).
     retry_backoff: float = 0.02
-    #: Jitter spread on the retry backoff, seeded by the candidate label
-    #: (:func:`repro.resilience.deterministic_jitter`): concurrent
-    #: retries desynchronize, reruns replay identically.  0 disables.
-    retry_jitter: float = 0.0
     #: The *request's* remaining wall-clock budget (set by the tuning
     #: service).  It propagates: each candidate attempt's watchdog is
     #: clamped to ``min(candidate_timeout, deadline.remaining())`` — a
@@ -951,7 +946,7 @@ def evaluate_candidates(
     search_token = config.cancellation
     policy = RetryPolicy(
         attempts=config.retries + 1, base_delay=config.retry_backoff,
-        max_delay=1.0, jitter=config.retry_jitter,
+        max_delay=1.0,
     )
 
     def _evaluate_once(
@@ -1081,7 +1076,7 @@ def evaluate_candidates(
             return None, dict(events), report
 
         try:
-            result = policy.call(attempt, on_retry=on_retry, key=cand.label)
+            result = policy.call(attempt, on_retry=on_retry)
         except _OracleFailure as exc:
             raise exc.__cause__
         except _StageFailure as exc:

@@ -1,6 +1,6 @@
 """``repro.service`` — the crash-tolerant autotuning daemon layer.
 
-Four modules, one contract (every result bitwise-identical to the
+Three modules, one contract (every result bitwise-identical to the
 one-shot CLI path, under concurrency and injected faults):
 
 * :mod:`~repro.service.daemon` — :class:`TuningService`: workers,
@@ -8,10 +8,11 @@ one-shot CLI path, under concurrency and injected faults):
   recovery.
 * :mod:`~repro.service.admission` — bounded queue with explicit
   backpressure (:class:`ServiceOverloaded`) and the response promise.
-* :mod:`~repro.service.breaker` — per-backend circuit breakers
-  consulted by the backend fallback chains while a service runs.
 * :mod:`~repro.service.journal` — write-ahead recovery journal; a
   killed service's orphaned requests are re-enqueued, never lost.
+
+Only the ``benchsuite hammer`` soak imports it: a launch, a compile or
+a search never loads the service.
 
 Design document: ``src/repro/SERVICE.md``.
 """
@@ -23,20 +24,11 @@ from repro.service.admission import (
     ServiceRequest,
     ServiceResponse,
 )
-from repro.service.breaker import (
-    BreakerBoard,
-    BreakerConfig,
-    CircuitBreaker,
-    board_installed,
-)
 from repro.service.daemon import ServiceConfig, ServiceStats, TuningService
 from repro.service.journal import JournalEntry, RecoveryJournal
 
 __all__ = [
     "AdmissionQueue",
-    "BreakerBoard",
-    "BreakerConfig",
-    "CircuitBreaker",
     "JournalEntry",
     "RecoveryJournal",
     "ServiceClosed",
@@ -46,5 +38,4 @@ __all__ = [
     "ServiceResponse",
     "ServiceStats",
     "TuningService",
-    "board_installed",
 ]

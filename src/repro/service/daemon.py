@@ -17,11 +17,12 @@ contract, not an afterthought:
 * **Single-flight coalescing** — concurrent identical cold requests
   (the "warm race") collapse onto one execution; followers share the
   primary's result.  Computed once, served to many.
-* **Per-backend circuit breakers** — the service installs a
-  :class:`~repro.service.breaker.BreakerBoard` consulted by every
-  backend fallback chain: repeated crash/fault declines open a
-  breaker, requests degrade down the chain (ledgered), half-open
-  probes restore the tier.
+* **One recovery per failure** — a worker runs a request once.  A
+  failing backend is the fallback chain's to recover (crash shield +
+  degradation ledger), a failing candidate the explorer's
+  ``RetryPolicy``; a transient error that still escapes the work fails
+  the response (``infra_failures``) and the client's retry is the
+  recovery.  A full queue is the one reject.
 * **Write-ahead recovery journal** — cold requests are journaled
   (:mod:`repro.service.journal`) before work starts and committed only
   on completion; :meth:`TuningService.recover` re-enqueues whatever a
@@ -35,8 +36,9 @@ contract, not an afterthought:
 Every result the service returns is **bitwise-identical** to the same
 request executed by the one-shot CLI path: the workers call the exact
 same :meth:`~repro.cache.TuningCache.compile_and_run` and
-``explore_program``, and every robustness mechanism (retries, breakers,
-journal replay) only re-orders or re-serves work, never changes it.  The
+``explore_program``, and every robustness mechanism (coalescing, warm
+hits, journal replay) only re-orders or re-serves work, never changes
+it.  The
 ``hammer`` soak harness (:mod:`repro.benchsuite.hammer`) asserts this
 under concurrency and injected faults.
 
@@ -50,15 +52,14 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
-from repro import faultinject, obs
+from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.cache import TuningCache, fingerprint_inputs, or_disabled
 from repro.compiler.options import CompilerOptions
-from repro.faultinject import FaultInjected
 from repro.ir.nodes import Lambda
 from repro.ir.structural import canonical
 from repro.resilience import (
@@ -67,10 +68,8 @@ from repro.resilience import (
     CancellationToken,
     Deadline,
     DeadlineExceeded,
-    RetryPolicy,
     run_with_deadline,
 )
-from repro.service import breaker as breaker_mod
 from repro.service.admission import (
     AdmissionQueue,
     ServiceClosed,
@@ -78,7 +77,6 @@ from repro.service.admission import (
     ServiceRequest,
     ServiceResponse,
 )
-from repro.service.breaker import BreakerBoard, BreakerConfig
 from repro.service.journal import JournalEntry, RecoveryJournal
 
 __all__ = ["ServiceConfig", "ServiceStats", "TuningService"]
@@ -97,16 +95,10 @@ class ServiceConfig:
     #: Per-candidate watchdog inside tune requests; each stage is
     #: additionally clamped by the request's remaining deadline budget.
     candidate_timeout: Optional[float] = 10.0
-    #: Transient-failure retries per request at the worker (beyond the
-    #: in-place fault-site retries); backoff is jittered per request id.
-    worker_retries: int = 3
-    retry_backoff: float = 0.02
-    retry_jitter: float = 0.25
     #: Thread-pool width of explorations run on behalf of tune requests.
     explore_workers: int = 2
     #: Bounded wait for running work during drain (seconds).
     drain_timeout: float = 10.0
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     #: Recovery-journal directory; ``None`` disables journaling (and
     #: therefore crash recovery — warm serving still works).
     journal_dir: "str | Path | None" = None
@@ -117,7 +109,7 @@ class ServiceStats:
     """One service's lifetime accounting (``service`` metrics section)."""
 
     admits: int = 0
-    #: Backpressure rejections (full queue) + admission-fault escapes.
+    #: Backpressure rejections (full queue).
     rejects: int = 0
     #: Warm cache hits served synchronously, bypassing the queue.
     warm_hits: int = 0
@@ -127,13 +119,12 @@ class ServiceStats:
     completed: int = 0
     #: Deterministic request failures (bad program, verify mismatch...).
     failed: int = 0
-    #: Transient failures that survived every worker retry.
+    #: Transient errors (injected faults, ``OSError``) that escaped the
+    #: work: the response fails, the client's retry is the recovery.
     infra_failures: int = 0
     #: Requests that hit their deadline (admission-expired or watchdog).
     timeouts: int = 0
     cancelled: int = 0
-    #: Transient worker failures absorbed by the retry loop.
-    retries: int = 0
     #: Orphaned journal entries re-enqueued by :meth:`recover`.
     replayed: int = 0
     #: Orphaned entries no resolver could rebuild (quarantined).
@@ -181,9 +172,6 @@ class TuningService:
             if self.config.journal_dir is not None
             else None
         )
-        self._board = BreakerBoard(self.config.breaker)
-        self._prev_board = breaker_mod.installed()
-        breaker_mod.install(self._board)
         self._lock = threading.Lock()
         self._inflight: Dict[str, ServiceRequest] = {}
         self._running: set = set()
@@ -200,8 +188,8 @@ class TuningService:
         ]
         for thread in self._workers:
             thread.start()
-        # Mirror the breaker-board install: remember whatever served the
-        # ``service`` metrics slot so shutdown() can put it back.
+        # Remember whatever served the ``service`` metrics slot so
+        # shutdown() can put it back.
         self._prev_metrics_view = obs_metrics.provider("service")
         obs.register_provider("service", self._metrics_view)
 
@@ -217,10 +205,6 @@ class TuningService:
     @property
     def journal(self) -> Optional[RecoveryJournal]:
         return self._journal
-
-    @property
-    def breakers(self) -> BreakerBoard:
-        return self._board
 
     def queue_depth(self) -> int:
         return self._queue.depth()
@@ -245,7 +229,6 @@ class TuningService:
                 "closed": self._queue.closed,
             },
             "running": len(self._running),
-            "breakers": self._board.snapshot(),
             "journal": {
                 "pending": len(self._journal) if self._journal else 0,
                 "skipped_writes": (
@@ -344,8 +327,6 @@ class TuningService:
                 engine=engine,
                 workers=self.config.explore_workers,
                 candidate_timeout=self.config.candidate_timeout,
-                retry_backoff=self.config.retry_backoff,
-                retry_jitter=self.config.retry_jitter,
                 cancellation=request.token,
                 deadline=request.deadline,
             )
@@ -378,11 +359,6 @@ class TuningService:
                 tokens.append(str(part))
         return hashlib.sha256("\n".join(tokens).encode()).hexdigest()
 
-    def _reject(self, reason: str, exc: Exception):
-        self.stats.bump("rejects")
-        obs.instant("service.reject", reason=reason)
-        raise exc
-
     def _submit(
         self,
         kind: str,
@@ -398,19 +374,6 @@ class TuningService:
         with obs.span("service.submit", kind=kind):
             if not self._active or self._queue.closed:
                 raise ServiceClosed("service is draining; admission closed")
-            if recover_entry is None:
-                # ``service-admit`` fault site: pre-side-effect, bounded
-                # in-place retries; an escape is explicit backpressure
-                # (the client's retry loop is the recovery).  Recovery
-                # re-enqueues are exempt — they were already admitted
-                # once.
-                try:
-                    faultinject.survive("service-admit")
-                except FaultInjected as exc:
-                    self._reject(
-                        "admission-fault",
-                        ServiceOverloaded(f"admission failed: {exc}"),
-                    )
 
             # Warm hits bypass the queue: served synchronously, no
             # worker, no journal entry, no backpressure.
@@ -495,7 +458,8 @@ class TuningService:
                 ):
                     self._journal.commit(request.id)
                 if isinstance(exc, ServiceOverloaded):
-                    self._reject("overloaded", exc)
+                    self.stats.bump("rejects")
+                    obs.instant("service.reject", reason="overloaded")
                 raise
             self.stats.bump("admits")
             return request.response
@@ -577,30 +541,8 @@ class TuningService:
                     ),
                 )
                 return
-
-            policy = RetryPolicy(
-                attempts=max(1, self.config.worker_retries + 1),
-                base_delay=self.config.retry_backoff,
-                jitter=self.config.retry_jitter,
-            )
-
-            def attempt():
-                # ``service-worker`` fault site: pre-side-effect, so the
-                # in-place retries (and, on escape, the policy retries
-                # around this closure) are exact.
-                faultinject.survive("service-worker")
-                request.token.raise_if_cancelled()
-                return request.work(request)
-
-            def on_retry(attempt_no: int, exc: BaseException) -> None:
-                self.stats.bump("retries")
-                obs.instant(
-                    "service.retry", id=request.id, attempt=attempt_no,
-                    error=type(exc).__name__,
-                )
-
             try:
-                value = policy.call(attempt, on_retry=on_retry, key=request.id)
+                value = request.work(request)
             except Cancelled as exc:
                 self.stats.bump("cancelled")
                 self._finish(request, error=exc)
@@ -707,8 +649,7 @@ class TuningService:
             return clean
 
     def shutdown(self, timeout: Optional[float] = None) -> bool:
-        """Drain, stop the workers, uninstall the breaker board and the
-        metrics view."""
+        """Drain, stop the workers and uninstall the metrics view."""
         if not self._active:
             return True
         self.resume()  # paused workers must run to exit
@@ -716,9 +657,7 @@ class TuningService:
         for thread in self._workers:
             thread.join(timeout=1.0)
         self._active = False
-        breaker_mod.install(self._prev_board)
-        # Mirror the breaker-board uninstall for the metrics provider:
-        # a stopped service must not keep serving its stale view in the
+        # A stopped service must not keep serving its stale view in the
         # snapshot (nor leave a prior service's view clobbered).
         obs.register_provider(
             "service",

@@ -112,16 +112,10 @@ class RecoveryJournal:
         with obs.span("service.journal.begin", id=entry.request_id):
             try:
                 faultinject.survive("service-journal")
-            except FaultInjected:
-                with self._lock:
-                    self.skipped_writes += 1
-                obs.inc("service.journal.skipped")
-                return False
-            try:
                 write_atomic(
                     self._path(entry.request_id), json.dumps(doc).encode()
                 )
-            except OSError:
+            except (FaultInjected, OSError):
                 with self._lock:
                     self.skipped_writes += 1
                 obs.inc("service.journal.skipped")
@@ -134,9 +128,7 @@ class RecoveryJournal:
         try:
             self._path(request_id).unlink()
             obs.inc("service.journal.commits")
-        except FileNotFoundError:
-            pass
-        except OSError:
+        except OSError:  # already committed, or gone with its directory
             pass
 
     def quarantine(self, request_id: str, reason: str = "unrecoverable") -> None:

@@ -28,7 +28,6 @@ from repro.resilience import (
     DeadlineExceeded,
     FailureReport,
     RetryPolicy,
-    TransientError,
     run_with_deadline,
 )
 from repro.rewrite.explore import ExploreConfig, explore_program
@@ -122,6 +121,12 @@ class TestFaultPlanParsing:
         with pytest.raises(ValueError, match="key=value"):
             FaultPlan.parse("seed")
 
+    @pytest.mark.parametrize("site", ["service-admit", "service-worker"])
+    def test_a_spec_naming_a_deleted_site_fails_fast(self, site):
+        with pytest.raises(ValueError, match="unknown") as err:
+            FaultPlan.parse(f"seed=3;{site}=0.4")
+        assert ", ".join(faultinject.SITES) in str(err.value)
+
     def test_describe_round_trips(self):
         plan = FaultPlan.parse("seed=9;rate=0.25;verify=1.0")
         again = FaultPlan.parse(plan.describe())
@@ -149,6 +154,22 @@ class TestDeterminism:
         compile_draws = [state._draw("compile")[0] for _ in range(100)]
         verify_draws = [state._draw("verify")[0] for _ in range(100)]
         assert compile_draws != verify_draws
+
+    @pytest.mark.parametrize("site", faultinject.SITES)
+    def test_a_site_draws_alike_whatever_the_others_do(self, site):
+        """A site's n-th decision depends on ``(seed, site, n)`` only, so
+        adding or removing checks at other sites changes none of it."""
+        alone = FaultState(FaultPlan(seed=11, default_rate=0.3))
+        mixed = FaultState(FaultPlan(seed=11, default_rate=0.3))
+        others = [s for s in faultinject.SITES if s != site]
+        solo_draws, mixed_draws = [], []
+        for n in range(60):
+            solo_draws.append(alone._draw(site))
+            for other in others[: n % (len(others) + 1)]:
+                mixed._draw(other)
+            mixed_draws.append(mixed._draw(site))
+        assert solo_draws == mixed_draws
+        assert any(inject for inject, _ in solo_draws)
 
     def test_reset_counts_replays_the_sequence(self):
         state = FaultState(FaultPlan(seed=42, default_rate=0.3))
@@ -230,7 +251,7 @@ class TestRetryPolicy:
         def flaky():
             attempts.append(1)
             if len(attempts) < 3:
-                raise TransientError("blip")
+                raise OSError("blip")
             return "done"
 
         policy = RetryPolicy(attempts=3, base_delay=0.0)
@@ -239,8 +260,8 @@ class TestRetryPolicy:
 
     def test_budget_exhaustion_reraises(self):
         policy = RetryPolicy(attempts=2, base_delay=0.0)
-        with pytest.raises(TransientError):
-            policy.call(lambda: (_ for _ in ()).throw(TransientError("x")),
+        with pytest.raises(OSError):
+            policy.call(lambda: (_ for _ in ()).throw(OSError("x")),
                         sleep=lambda s: None)
 
     def test_non_transient_errors_pass_through(self):
@@ -268,12 +289,29 @@ class TestRetryPolicy:
         def flaky():
             state["n"] += 1
             if state["n"] < 3:
-                raise TransientError(f"blip {state['n']}")
+                raise OSError(f"blip {state['n']}")
             return state["n"]
 
         policy.call(flaky, on_retry=lambda i, e: seen.append((i, str(e))),
                     sleep=lambda s: None)
         assert seen == [(1, "blip 1"), (2, "blip 2")]
+
+    @pytest.mark.parametrize(
+        "error", [FaultInjected("compile", 0), OSError("disk")],
+        ids=["FaultInjected", "OSError"],
+    )
+    def test_each_transient_error_type_is_retried(self, error):
+        calls = []
+
+        def flaky():
+            calls.append(1)
+            if len(calls) == 1:
+                raise error
+            return "done"
+
+        policy = RetryPolicy(attempts=2, base_delay=0.0)
+        assert policy.call(flaky, sleep=lambda s: None) == "done"
+        assert len(calls) == 2
 
 
 class TestCancellationToken:
@@ -356,6 +394,21 @@ class TestDegradationLedger:
         assert "backend 'fused' declined 1x (crash)" in book.summary()
         book.clear()
         assert book.total() == 0
+
+    def test_unknown_kind_is_refused(self):
+        book = ledger.DegradationLedger()
+        with pytest.raises(ValueError, match="crahs"):
+            book.record("auto", "compiled", "crahs", "a typo")
+        with pytest.raises(ValueError, match="crahs"):
+            ledger.record("auto", "compiled", "crahs", "a typo")
+        assert book.total() == 0 and ledger.LEDGER.total() == 0
+
+    @pytest.mark.parametrize("kind", ledger.DECLINE_KINDS)
+    def test_each_declared_kind_is_counted(self, kind):
+        book = ledger.DegradationLedger()
+        book.record("auto", "compiled", kind, "a reason")
+        assert book.counts() == {("auto", "compiled", kind): 1}
+        assert f"declined 1x ({kind})" in book.summary()
 
     def test_event_cap_keeps_counts_exact(self):
         book = ledger.DegradationLedger()

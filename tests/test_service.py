@@ -1,8 +1,8 @@
-"""The autotune service layer: deterministic retry jitter, deadline
-propagation, per-backend circuit breakers, bounded admission with
-backpressure, single-flight coalescing, the write-ahead recovery
-journal (including a real SIGKILL mid-flight), graceful drain, and the
-hammer soak's bitwise contract under a chaos fault plan."""
+"""The autotune service layer: deadline propagation, bounded admission
+with backpressure, single-flight coalescing, one recovery per failure,
+the write-ahead recovery journal (including a real SIGKILL mid-flight),
+graceful drain, the hammer soak's bitwise contract under a chaos fault
+plan, and a launch path that never imports the service."""
 
 import json
 import os
@@ -23,25 +23,20 @@ from repro.backend import ledger
 from repro.cache import TuningCache
 from repro.compiler.kernel import compile_and_run
 from repro.compiler.options import CompilerOptions
+from repro.faultinject import FaultInjected
 from repro.ir.dsl import map_
 from repro.ir.nodes import Lambda, Param, UserFun
-from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.resilience import (
     Cancelled,
     CancellationToken,
     Deadline,
     DeadlineExceeded,
-    RetryPolicy,
-    deterministic_jitter,
     run_with_deadline,
 )
 from repro.rewrite import lower_to_global
 from repro.rewrite.explore import ExploreConfig, explore_program
 from repro.service import (
     AdmissionQueue,
-    BreakerBoard,
-    BreakerConfig,
-    CircuitBreaker,
     JournalEntry,
     RecoveryJournal,
     ServiceClosed,
@@ -51,7 +46,6 @@ from repro.service import (
     ServiceResponse,
     ServiceStats,
     TuningService,
-    board_installed,
 )
 from repro.types import ArrayType, FLOAT
 
@@ -109,53 +103,52 @@ def _service(tmp_path, **overrides):
     )
 
 
-# ---------------------------------------------------------------------------
-# deterministic jitter (satellite: RetryPolicy backoff)
-# ---------------------------------------------------------------------------
+@pytest.fixture
+def slow_engine():
+    """An engine whose one backend sleeps 0.2 s in ``plan`` and then
+    runs as ``scalar``; yields its name and an event set once a plan
+    has started."""
+    from repro.backend import (
+        Backend,
+        get_backend,
+        register_backend,
+        register_engine,
+    )
+    from repro.backend import registry as registry_mod
 
-class TestDeterministicJitter:
-    def test_pure_function_of_key_and_attempt(self):
-        assert deterministic_jitter("req-1", 0, 0.25) == deterministic_jitter(
-            "req-1", 0, 0.25
-        )
-        assert deterministic_jitter("req-1", 0, 0.25) != deterministic_jitter(
-            "req-1", 1, 0.25
-        )
-        assert deterministic_jitter("req-1", 0, 0.25) != deterministic_jitter(
-            "req-2", 0, 0.25
-        )
+    planning = threading.Event()
 
-    def test_bounded_by_spread(self):
-        for attempt in range(32):
-            m = deterministic_jitter("key", attempt, 0.25)
-            assert 0.75 <= m <= 1.25
+    class Slow(Backend):
+        name = "test-slow-plan"
+        dynamic_class = "test-slow-plan"
 
-    def test_zero_spread_is_identity(self):
-        assert deterministic_jitter("key", 3, 0.0) == 1.0
+        def plan(self, parsed, kernel):
+            planning.set()
+            time.sleep(0.2)
+            return get_backend("scalar").plan(parsed, kernel)
 
-    def test_policy_delays_replay_per_key(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.1, jitter=0.5)
-        a = list(policy.delays("request-a"))
-        assert a == list(policy.delays("request-a"))
-        assert a != list(policy.delays("request-b"))
-        bare = list(RetryPolicy(attempts=4, base_delay=0.1).delays())
-        assert a != bare
-        for jittered, base in zip(a, bare):
-            assert 0.5 * base <= jittered <= 1.5 * base
+        def run(self, plan, request):
+            return get_backend("scalar").run(plan, request)
 
-    def test_policy_call_uses_jittered_delays(self):
-        slept = []
-        calls = {"n": 0}
+    register_backend(Slow())
+    register_engine(Slow.name, (Slow.name,))
+    try:
+        yield Slow.name, planning
+    finally:
+        registry_mod._ENGINES.pop(Slow.name, None)
+        registry_mod._BACKENDS.pop(Slow.name, None)
 
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise OSError("transient")
-            return "done"
 
-        policy = RetryPolicy(attempts=3, base_delay=0.1, jitter=0.5)
-        assert policy.call(flaky, sleep=slept.append, key="req") == "done"
-        assert slept == list(policy.delays("req"))[:2]
+def _child_env():
+    """The test process's environment with ``src/`` importable, for the
+    subprocess tests below."""
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)),
+             os.environ.get("PYTHONPATH", "")]
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,101 +220,8 @@ class TestDeadlinePropagation:
 
 
 # ---------------------------------------------------------------------------
-# circuit breakers
+# the launch path is free of the service
 # ---------------------------------------------------------------------------
-
-class TestCircuitBreaker:
-    def _breaker(self, **cfg):
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(
-            "fused",
-            BreakerConfig(**cfg) if cfg else BreakerConfig(),
-            clock=lambda: clock["now"],
-        )
-        return breaker, clock
-
-    def test_trips_after_consecutive_failures(self):
-        breaker, _ = self._breaker(failure_threshold=3)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _ = self._breaker(failure_threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_success_closes(self):
-        breaker, clock = self._breaker(
-            failure_threshold=1, reset_timeout=10.0, half_open_probes=1
-        )
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock["now"] = 11.0
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # only one probe admitted
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self._breaker(failure_threshold=1, reset_timeout=10.0)
-        breaker.record_failure()
-        clock["now"] = 11.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-
-    def test_no_verdict_probe_releases_its_slot(self):
-        """A probed launch that ends in a static/dynamic decline —
-        neither success nor failure — must give the slot back, or the
-        breaker would reject every launch forever."""
-        breaker, clock = self._breaker(
-            failure_threshold=1, reset_timeout=10.0, half_open_probes=1
-        )
-        breaker.record_failure()
-        clock["now"] = 11.0
-        assert breaker.allow()  # the probe slot
-        assert not breaker.allow()
-        breaker.release_probe()  # launch declined with no health verdict
-        assert breaker.allow()  # the slot is free again
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_release_probe_outside_half_open_is_a_no_op(self):
-        breaker, _ = self._breaker(failure_threshold=1)
-        breaker.release_probe()  # closed: no slot was consumed
-        assert breaker.allow()
-        assert breaker.allow()  # closed launches are unlimited
-
-    def test_stale_half_open_probe_reclaimed_after_cooldown(self):
-        """Backstop: a probe whose launch never reports any verdict at
-        all is reclaimed after another ``reset_timeout``."""
-        breaker, clock = self._breaker(
-            failure_threshold=1, reset_timeout=10.0, half_open_probes=1
-        )
-        breaker.record_failure()
-        clock["now"] = 11.0
-        assert breaker.allow()  # probe consumed; verdict never arrives
-        assert not breaker.allow()
-        clock["now"] = 22.0  # a full cool-down later
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the lost slot was reclaimed
-
-    def test_board_snapshot_and_open_count(self):
-        board = BreakerBoard(BreakerConfig(failure_threshold=1))
-        board.failure("fused")
-        board.success("compiled")
-        snap = board.snapshot()
-        assert snap["fused"]["state"] == "open"
-        assert snap["compiled"]["state"] == "closed"
-        assert board.open_count() == 1
-
 
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
@@ -333,95 +233,32 @@ kernel void SAXPY(const global float * restrict x,
 """
 
 
-def _run_saxpy(engine=None, n=32, local=8):
-    program = OpenCLProgram(SAXPY)
-    args = {
-        "x": Buffer.from_array(np.arange(n, dtype=float)),
-        "y": Buffer.from_array(np.ones(n)),
-        "out": Buffer.zeros(n),
-        "a": 2.0,
-        "n": n,
-    }
-    launch(program, n, local, args, engine=engine)
-    return args["out"].data.copy()
-
-
-class TestBreakerChainIntegration:
-    def test_open_breaker_skips_tier_and_is_ledgered(self):
-        clean = _run_saxpy(engine="auto")
-        board = BreakerBoard(
-            BreakerConfig(failure_threshold=2, reset_timeout=60.0)
-        )
-        with board_installed(board):
-            with faultinject.plan_installed("seed=1;backend-run=1.0"):
-                # Certain injection: every launch declines the non-final
-                # members with a fault, feeding their breakers.
-                for _ in range(2):
-                    out = _run_saxpy(engine="auto")
-                    np.testing.assert_array_equal(out, clean)
-            assert board.open_count() >= 1
-            # Injection off again: the open breaker (not a fault) now
-            # skips the tier pre-emptively, the result stays identical.
-            out = _run_saxpy(engine="auto")
-        np.testing.assert_array_equal(out, clean)
-        counts = ledger.counts()
-        breaker_declines = {
-            key: n for key, n in counts.items() if key[2] == "breaker"
-        }
-        assert breaker_declines, f"no breaker declines in {counts}"
-
-    def test_no_board_installed_is_a_no_op(self):
-        clean = _run_saxpy(engine="auto")
-        assert not any(k[2] == "breaker" for k in ledger.counts())
-        np.testing.assert_array_equal(clean, _run_saxpy(engine="auto"))
-
-    def test_static_decline_probe_does_not_wedge_the_breaker(self):
-        """A half-open probe that ends in a static capability refusal
-        (no health verdict) must release its slot: the tier keeps being
-        probed instead of staying half-open, rejected forever."""
-        from repro.backend import (
-            Backend,
-            CompileUnsupported,
-            register_backend,
-            register_engine,
-        )
-        from repro.backend import registry as registry_mod
-
-        class Refuser(Backend):
-            name = "test-refuser"
-            dynamic_class = "test"
-
-            def plan(self, parsed, kernel):
-                raise CompileUnsupported("always declines")
-
-        clock = {"now": 0.0}
-        board = BreakerBoard(
-            BreakerConfig(
-                failure_threshold=1, reset_timeout=10.0, half_open_probes=1
-            ),
-            clock=lambda: clock["now"],
-        )
-        clean = _run_saxpy(engine="scalar")
-        try:
-            register_backend(Refuser())
-            register_engine(
-                "test-refuser-chain", ("test-refuser", "scalar")
-            )
-            board.failure("test-refuser")  # breaker opens
-            clock["now"] = 11.0  # half-open: launches are probes now
-            with board_installed(board):
-                for _ in range(3):
-                    out = _run_saxpy(engine="test-refuser-chain")
-                    np.testing.assert_array_equal(out, clean)
-            # Every static decline released its probe slot, so the
-            # breaker never rejected a launch pre-emptively.
-            assert not any(
-                key[2] == "breaker" for key in ledger.counts()
-            ), ledger.counts()
-            assert board.breaker("test-refuser").state == "half-open"
-        finally:
-            registry_mod._BACKENDS.pop("test-refuser", None)
-            registry_mod._ENGINES.pop("test-refuser-chain", None)
+def test_a_launch_never_imports_the_service():
+    """A process that only launches never loads ``repro.service``: the
+    fallback chain's crash shield and ledger are a backend's one
+    recovery, and the chain consults nothing of the service's."""
+    child = textwrap.dedent(
+        f"""
+        import sys
+        import numpy as np
+        from repro.opencl import Buffer, OpenCLProgram, launch
+        args = {{
+            "x": Buffer.from_array(np.arange(32, dtype=float)),
+            "y": Buffer.from_array(np.ones(32)),
+            "out": Buffer.zeros(32),
+            "a": 2.0,
+            "n": 32,
+        }}
+        launch(OpenCLProgram({SAXPY!r}), 32, 8, args, engine="auto")
+        assert list(args["out"].data[:3]) == [1.0, 3.0, 5.0]
+        loaded = sorted(m for m in sys.modules if m.startswith("repro.service"))
+        assert not loaded, loaded
+        """
+    )
+    subprocess.run(
+        [sys.executable, "-c", child], env=_child_env(), check=True,
+        timeout=120,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +440,70 @@ class TestTuningService:
                 response.result(10.0)
             assert service.stats.timeouts == 1
 
-    def test_injected_worker_faults_never_escape(self, tmp_path):
+    def test_an_escaped_transient_error_fails_once_and_resubmits_clean(
+        self, tmp_path
+    ):
+        """A worker runs a request once: a fault that escapes a real
+        site fails the response and its coalesced follower
+        (``infra_failures``), commits the journal entry, and caches
+        nothing, so the client's resubmit is the recovery."""
         payload = _toy_payload()
         base_out, base_counters = _toy_baseline(payload)
-        with faultinject.plan_installed("seed=3;service-worker=0.4"):
-            with _service(tmp_path) as service:
-                out, counters = service.submit_run(**payload).result(30.0)
+        with _service(tmp_path) as service:
+            with faultinject.plan_installed("seed=3;compile=1.0;attempts=1"):
+                service.pause()
+                primary = service.submit_run(**payload)
+                follower = service.submit_run(**payload)
+                service.resume()
+                for response in (primary, follower):
+                    with pytest.raises(FaultInjected):
+                        response.result(30.0)
+            assert service.stats.coalesced == 1
+            assert service.stats.infra_failures == 1
+            assert service.stats.failed == service.stats.completed == 0
+            assert len(service.journal) == 0
+            out, counters = service.submit_run(**payload).result(30.0)
         assert out.tobytes() == base_out.tobytes()
         assert counters == base_counters
+
+    def test_drain_waits_for_running_work(self, tmp_path, slow_engine):
+        """Work already running when ``drain`` starts finishes inside the
+        bounded wait: a clean drain, and the result the one-shot path
+        computes."""
+        engine, planning = slow_engine
+        payload = _toy_payload()
+        base_out, base_counters = _toy_baseline(payload)
+        service = _service(tmp_path, workers=1)
+        response = service.submit_run(**payload, engine=engine)
+        assert planning.wait(30.0)
+        assert service.drain(timeout=30.0)
+        out, counters = response.result(0.0)
+        service.shutdown()
+        assert out.tobytes() == base_out.tobytes()
+        assert counters == base_counters
+        assert len(service.journal) == 0
+
+    def test_drain_cancels_a_straggler_that_outlives_its_patience(
+        self, tmp_path, slow_engine
+    ):
+        """A tune request still running when ``drain``'s wait runs out
+        has its token cancelled: the search aborts at its next
+        checkpoint and the request completes, journal entry committed."""
+        engine, planning = slow_engine
+        service = _service(tmp_path, workers=1)
+        response = service.submit_tune(
+            _toy_program(), {"x": np.arange(32, dtype=float)}, {"N": 32},
+            depth=2, max_eval=8, engine=engine, spec={"kind": "tune"},
+        )
+        assert planning.wait(30.0)
+        assert len(service.journal) == 1
+        assert service.drain(timeout=0.05) is False
+        result = response.result(60.0)
+        service.shutdown()
+        assert result.stats.aborted
+        assert result.stats.cancelled > 0
+        assert service.stats.completed == 1
+        assert len(service.journal) == 0
 
     def test_drain_cancels_queued_and_commits_their_journal(self, tmp_path):
         service = _service(tmp_path, workers=1)
@@ -634,7 +527,7 @@ class TestTuningService:
             assert doc["active"]
             assert doc["stats"]["completed"] == 1
             assert doc["queue"]["capacity"] == 8
-            assert "breakers" in doc and "journal" in doc
+            assert "journal" in doc and "breakers" not in doc
         assert not obs.snapshot()["service"]["active"]
 
     def test_shutdown_restores_the_previous_metrics_view(self, tmp_path):
@@ -838,17 +731,10 @@ class TestRecovery:
             time.sleep(60)  # killed long before this returns
             """
         )
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join(
-                [os.path.dirname(os.path.dirname(repro.__file__)),
-                 os.environ.get("PYTHONPATH", "")]
-            ),
-        )
         proc = subprocess.Popen(
             [sys.executable, "-c", child, str(tmp_path),
              os.path.dirname(os.path.dirname(os.path.abspath(__file__)))],
-            stdout=subprocess.PIPE, env=env, text=True,
+            stdout=subprocess.PIPE, env=_child_env(), text=True,
         )
         try:
             line = proc.stdout.readline()
