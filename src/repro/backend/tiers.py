@@ -123,6 +123,14 @@ class ScalarBackend(Backend):
 # lane-batched tier
 # ---------------------------------------------------------------------------
 
+def _pipeline(entry):
+    """A compiled pipeline, or its refusal reason raised as a static
+    decline."""
+    if isinstance(entry, str):
+        raise CompileUnsupported(entry)
+    return entry
+
+
 class CompiledBackend(Backend):
     """Lane-batched block runtime driven by the compiled pipeline."""
 
@@ -134,15 +142,14 @@ class CompiledBackend(Backend):
     whole_grid = False
 
     def plan(self, parsed, kernel):
-        reason = simt.analyze_kernel(parsed, kernel)
-        if reason is not None:
-            raise CompileUnsupported(reason)
-        return simt_compile.get_pipeline(parsed, kernel)
+        return _pipeline(simt_compile.get_pipeline(parsed, kernel))
 
     def run(self, plan, request: ExecutionRequest) -> None:
-        pipeline = simt_compile.launch_pipeline(
+        # The launch's buffers may hold element kinds the plan was not
+        # typed for; a refusal of those is raised before any write.
+        pipeline = _pipeline(simt_compile.launch_pipeline(
             request.parsed, request.kernel, plan, request.base_env
-        )
+        ))
         simt.try_launch(
             request.parsed, request.kernel, request.gsize, request.lsize,
             dict(request.base_env), request.local_decls, request.counters,

@@ -131,7 +131,10 @@ from repro.opencl.interp import Counters
 #: v8: names numbered per compilation — a kernel's loop indices start at
 #: ``_0`` instead of wherever the process-wide counter stood, so stored
 #: kernels carry other spellings.
-CACHE_VERSION = 8
+#: v9: a comparison's result is the C ``int`` 0 / 1 in arithmetic on
+#: every simulator tier, so a ``run`` entry could hold the outputs of
+#: the old boolean arithmetic.
+CACHE_VERSION = 9
 
 _ENV_VAR = "REPRO_CACHE_DIR"
 _MAX_BYTES_ENV_VAR = "REPRO_CACHE_MAX_BYTES"

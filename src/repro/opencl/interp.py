@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
@@ -245,22 +246,42 @@ class CType(NamedTuple):
 
     ``kind`` is ``"f"`` / ``"i"`` / ``"b"`` (a comparison's result) for
     an arithmetic value of ``width`` components (1: a scalar or a lane
-    array, N: an N-vector), ``"?"`` for an arithmetic value whose kind
-    only the run decides, ``"ptr"`` (``elem``: the pointee's kind),
-    ``"struct"`` (``elem``: its name) or ``"void"``.  ``None`` in place
-    of a type means nothing is known before the run.
+    array, N: an N-vector), ``"ptr"`` (``elem``: the pointee's kind,
+    ``None`` for elements of no arithmetic kind), ``"struct"``
+    (``elem``: its name) or ``"void"``.  A rule returns ``None`` for a
+    node it cannot type, and the lane tiers refuse the kernel there.
     """
 
     kind: str
     width: int = 1
     elem: Optional[str] = None
 
+    def __str__(self) -> str:
+        if self.kind == "ptr":
+            if self.elem is None:
+                return "pointer to a non-arithmetic dtype"
+            return f"{_C_NAMES[self.elem]} *"
+        if self.kind == "struct":
+            return self.elem
+        name = _C_NAMES.get(self.kind, self.kind)
+        return name if self.width == 1 else f"{name}{self.width}"
 
+
+_C_NAMES = {"f": "float", "i": "int", "b": "bool"}
 F, I, B, VOID = CType("f"), CType("i"), CType("b"), CType("void")
 #: One instance per scalar type: the rules return these.
-_SCALAR = {"f": F, "i": I, "b": B, "?": CType("?")}
-_ARITH_KINDS = frozenset("fib?")
-_COMPARISONS = frozenset(("==", "!=", "<", ">", "<=", ">="))
+_SCALAR = {"f": F, "i": I, "b": B}
+_ARITH_KINDS = frozenset("fib")
+#: ``l op r`` per comparison operator (numpy's ufuncs on lane arrays).
+COMPARE = {
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+
+
+class Untyped(Exception):
+    """A node or name the static types cannot type; the message is the
+    reason the lane tiers refuse the kernel."""
 
 
 def is_arith(t: Optional[CType]) -> bool:
@@ -279,12 +300,11 @@ def vector_type(kind: str, width: int) -> Optional[CType]:
 
 def element_kind(array: np.ndarray) -> Optional[str]:
     """The kind of what loading from a global buffer yields: its dtype's
-    (a launch binds ``int64`` data to a ``float *`` as it is), ``"?"``
-    for other scalar dtypes, ``None`` unless the buffer is flat."""
-    if array.ndim != 1:
-        return None
+    (a launch binds ``int64`` data to a ``float *`` as it is); ``None``
+    unless the buffer is flat and of a floating or signed integer dtype
+    (numpy's unsigned and bool arithmetic is not C's)."""
     kind = array.dtype.kind
-    return kind if kind in "fib" else "?"
+    return kind if array.ndim == 1 and kind in ("f", "i") else None
 
 
 def declared_element_kind(type_name: str) -> str:
@@ -293,12 +313,16 @@ def declared_element_kind(type_name: str) -> str:
 
 
 def join(a: Optional[CType], b: Optional[CType]) -> Optional[CType]:
-    """The type of a value that is sometimes ``a`` and sometimes ``b``."""
-    if a == b:
-        return a
-    if is_arith(a) and is_arith(b) and a.width == b.width:
-        return _typed("?", a.width)
-    return None
+    """The type of a value that is sometimes ``a`` and sometimes ``b``:
+    none unless they agree."""
+    return a if a == b else None
+
+
+def arith_operand(t: Optional[CType]) -> Optional[CType]:
+    """``t`` as an operand of arithmetic: a comparison's scalar result
+    is a C ``int`` (0 or 1).  A vector of comparisons stays ``b`` —
+    OpenCL's true is -1 there — and no rule types arithmetic on it."""
+    return I if t == B else t
 
 
 def stored_type(kind: Optional[str], t: Optional[CType]) -> Optional[CType]:
@@ -316,32 +340,26 @@ def _typed(kind: str, width: int) -> CType:
 @functools.lru_cache(maxsize=None)
 def binop_type(op: str, lt: Optional[CType], rt: Optional[CType]) -> Optional[CType]:
     """Result type of a binary operator, mirroring the engines' values:
-    ``int / int`` and ``int % int`` are C integer division; ``/`` on
-    anything else (bools included — they are not C integers to the
-    oracle's ``_is_int``) is a true division; a float operand makes a
-    float of the wider width; ``%`` without one stays integer (``fmod``
-    of integers); ``b op b`` is a numpy bool on lanes and a Python int on
-    scalars, so its kind is the run's."""
-    if op in _COMPARISONS:
+    a comparison's scalar result is an ``int`` operand
+    (:func:`arith_operand`); ``int / int`` and ``int % int`` are C
+    integer division; ``/`` on integer vectors is a true division; a
+    float operand makes a float of the wider width; ``%`` without one
+    stays integer (``fmod`` of integers)."""
+    if op in COMPARE:
         if is_arith(lt) and is_arith(rt):
             return _typed("b", max(lt.width, rt.width))
         return None
+    lt, rt = arith_operand(lt), arith_operand(rt)
     if lt is not None and lt.kind == "ptr":
-        return lt if op in ("+", "-") and is_arith(rt) else None
-    if not (is_arith(lt) and is_arith(rt)):
+        return lt if op in ("+", "-") and is_arith(rt) and rt.kind != "b" else None
+    if not (is_arith(lt) and is_arith(rt)) or "b" in (lt.kind, rt.kind):
         return None
     width = max(lt.width, rt.width)
     kinds = {lt.kind, rt.kind}
     if op in ("/", "%") and kinds == {"i"} and width == 1:
         return I
-    if "f" in kinds:
+    if "f" in kinds or op == "/":
         return _typed("f", width)
-    if "?" in kinds:
-        return _typed("?", width)
-    if op == "/":
-        return _typed("f", width)
-    if kinds == {"b"} and op != "%":
-        return _typed("?", width)
     return _typed("i", width)
 
 
@@ -352,10 +370,9 @@ def binop_count(
     charges, as :meth:`WorkItem._count_binop` does: a float operand
     costs its width in ``flops``; otherwise ``/`` and ``%`` by a literal
     ``divisor`` are strength-reduced (a power of two is one ``iops``)
-    and any other divisor is an ``idivmod``.  The operand kinds must be
-    known (not ``"?"``); ``None`` is an operand that is neither integer
-    nor floating (a pointer, a struct)."""
-    if (lt is not None and lt.kind == "f") or (rt is not None and rt.kind == "f"):
+    and any other divisor is an ``idivmod``.  A pointer operand is
+    neither integer nor floating."""
+    if lt.kind == "f" or rt.kind == "f":
         return "flops", max(
             lt.width if is_arith(lt) else 1, rt.width if is_arith(rt) else 1
         )
@@ -382,7 +399,8 @@ def builtin_type(name: str, args: list) -> Optional[CType]:
     """Result type of a math builtin over lane values of types ``args``;
     the rest (``min``/``max``/``pow``/``mad``/``clamp`` …) promote like
     arithmetic, ``dot`` of vectors is one component."""
-    if not args or not all(is_arith(a) for a in args):
+    args = [arith_operand(a) for a in args]
+    if not args or not all(is_arith(a) and a.kind != "b" for a in args):
         return None
     width = max(a.width for a in args)
     if name in _FLOAT_BUILTINS:
@@ -395,19 +413,15 @@ def builtin_type(name: str, args: list) -> Optional[CType]:
         if args[0].width == 1:
             return binop_type("*", args[0], args[-1])
         width = 1
-    kinds = {a.kind for a in args}
-    if kinds <= {"f", "i"}:
-        return _typed("f" if "f" in kinds else "i", width)
-    return _typed("?", width)
+    return _typed("f" if any(a.kind == "f" for a in args) else "i", width)
 
 
 def unop_type(op: str, t: Optional[CType]) -> Optional[CType]:
-    """``!t`` is a bool; ``-t`` keeps the type."""
+    """``!t`` is a bool; ``-t`` keeps the type of ``t`` as an operand."""
     if op == "!":
         return B
-    if not is_arith(t):
-        return None
-    return _typed("?", t.width) if t.kind == "b" else t  # numpy: no -bool
+    t = arith_operand(t)
+    return t if is_arith(t) and t.kind != "b" else None
 
 
 _CASTS = {"int": "i", "uint": "i", "long": "i", "float": "f", "double": "f"}
@@ -422,8 +436,11 @@ def cast_type(type_name: str, t: Optional[CType]) -> Optional[CType]:
     return _typed(kind, t.width) if is_arith(t) else None
 
 
-def index_type(base: Optional[CType]) -> Optional[CType]:
-    """``base[i]``: a pointee, or one component of a vector."""
+def index_type(base: Optional[CType], index: Optional[CType]) -> Optional[CType]:
+    """``base[index]`` for an integer ``index``: a pointee, or one
+    component of a vector."""
+    if arith_operand(index) != I:
+        return None
     if base is not None and base.kind == "ptr":
         return _SCALAR.get(base.elem)
     return _SCALAR[base.kind] if is_vector(base) else None
@@ -439,20 +456,21 @@ class StaticTypes:
     name table the typing rules above read and write: every name of
     every function (``names``: after conversion to its declared kind,
     :func:`stored_type`), every helper's returned value and every
-    struct member.  A name's type joins everything stored into it; a
-    helper's parameters join their arguments at every call site.
+    struct member.  Every value stored into a table entry must have the
+    type of the first: a helper's parameters take their arguments' at
+    every call site, and its returns agree.
 
     The closure compiler fills it in its one bottom-up walk over the
     kernel (:func:`repro.opencl.simt_compile.compile_kernel_pipeline`),
-    in execution order, typing each node from its children's types.  A
-    table entry that widens once set (a store that contradicts the
-    declaration, a second call site with other argument types) sets
-    ``widened``, and the walk runs again from the wider tables — never
-    for well-typed C.  A name read before anything is stored into it is
-    left to the run.
+    in execution order, typing each node from its children's types.  An
+    entry that would widen once set (a store that contradicts the
+    declaration, a second call site with other argument types, a helper
+    that returns both nothing and a value) raises :class:`Untyped`, as
+    does a node no rule types: the lane tiers then refuse the kernel —
+    well-typed C never needs either.
     """
 
-    __slots__ = ("structs", "exprs", "names", "returns", "members", "widened")
+    __slots__ = ("structs", "exprs", "names", "returns", "members")
 
     def __init__(self, structs: dict):
         self.structs = structs
@@ -460,17 +478,16 @@ class StaticTypes:
         self.names: dict = {}    # function name -> {name: type}
         self.returns: dict = {}  # function name -> type
         self.members: dict = {}  # (struct name, member) -> type
-        self.widened = False
 
-    def update(self, table: dict, key, t: Optional[CType]) -> None:
+    def update(self, table: dict, key, t: Optional[CType], label: str) -> None:
+        """Store ``t`` into the entry ``label`` names."""
         old = table.get(key, _UNSET)
+        if t is None:
+            raise Untyped(f"{label} has no static type")
         if old is _UNSET:
             table[key] = t
         elif t != old:
-            t = join(old, t)
-            if t != old:
-                table[key] = t
-                self.widened = True
+            raise Untyped(f"{label} is both {old} and {t}")
 
     def zero(self, type_name: str) -> Optional[CType]:
         """The type of :func:`typed_zero` of ``type_name``."""
@@ -508,17 +525,16 @@ class StaticTypes:
             return vector_type(base.kind, base.width // 2)
         return None
 
-    def store_member(self, struct: str, member: str, t: Optional[CType]) -> None:
-        """A member store converts to the kind the member holds."""
+    def store_member(self, struct: str, member: str, t: Optional[CType]) -> Optional[str]:
+        """A member store converts to the kind the member holds, which
+        this returns (``None``: not a scalar)."""
         held = self.member(struct, member)
         kind = held.kind if held is not None and held.width == 1 else None
-        self.update(self.members, (struct, member), stored_type(kind, t))
-
-    def untyped(self) -> int:
-        """Expression nodes whose kind is left to the run."""
-        return sum(
-            1 for t in self.exprs.values() if t is None or t.kind == "?"
+        self.update(
+            self.members, (struct, member), stored_type(kind, t),
+            f"member {member!r} of {struct!r}",
         )
+        return kind
 
 
 class LaunchContext:
@@ -708,10 +724,11 @@ class WorkItem:
             except KeyError:
                 raise ExecError(f"undefined identifier {e.name!r}") from None
         if isinstance(e, c.CBinOp):
+            # Comparisons and logical operators give C's int 0 or 1.
             if e.op == "&&":
-                return self._truthy(self.eval(e.lhs)) and self._truthy(self.eval(e.rhs))
+                return int(self._truthy(self.eval(e.lhs)) and self._truthy(self.eval(e.rhs)))
             if e.op == "||":
-                return self._truthy(self.eval(e.lhs)) or self._truthy(self.eval(e.rhs))
+                return int(self._truthy(self.eval(e.lhs)) or self._truthy(self.eval(e.rhs)))
             lhs = self.eval(e.lhs)
             rhs = self.eval(e.rhs)
             self._count_binop(e.op, lhs, rhs, const_rhs=isinstance(e.rhs, c.CInt))
@@ -721,7 +738,7 @@ class WorkItem:
             if e.op == "-":
                 return -v
             if e.op == "!":
-                return not self._truthy(v)
+                return int(not self._truthy(v))
             raise ExecError(f"unknown unary operator {e.op}")
         if isinstance(e, c.CTernary):
             self.ctx.counters.branches += 1
@@ -900,19 +917,13 @@ class WorkItem:
             if _is_int(lhs) and _is_int(rhs):
                 return _c_int_mod(int(lhs), int(rhs))
             return math.fmod(lhs, rhs)
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if op == "<":
-            return lhs < rhs
-        if op == ">":
-            return lhs > rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">=":
-            return lhs >= rhs
-        raise ExecError(f"unknown operator {op}")
+        compare = COMPARE.get(op)
+        if compare is None:
+            raise ExecError(f"unknown operator {op}")
+        r = compare(lhs, rhs)
+        # A scalar comparison is a C int; one of vectors stays as numpy
+        # gives it (OpenCL's vector true is -1, which no tier models).
+        return r if isinstance(r, np.ndarray) else int(r)
 
     def _count_load(self, space: str, width: int, address=None) -> None:
         counters = self.ctx.counters

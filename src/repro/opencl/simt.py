@@ -35,10 +35,12 @@ pairs, settled once per block (see :class:`_LoadLog`).
 
 Fallback rules
 --------------
-:func:`analyze_kernel` is the one place a kernel is refused statically;
-the launch then runs on the scalar interpreter.  It refuses a construct
-whose lane-batched execution could diverge from scalar semantics, or
-that the oracle rejects with a typed error:
+A kernel is refused statically in two places, and the launch then runs
+on the scalar interpreter: the typing walk of
+:mod:`repro.opencl.simt_compile` refuses what it cannot type, and
+:func:`analyze_kernel`, before it, a construct whose lane-batched
+execution could diverge from scalar semantics, or that the oracle
+rejects with a typed error:
 
 * a barrier under lane-divergent control flow (this is also how
   ``BarrierDivergence`` keeps being raised: the scalar path detects it),
@@ -46,7 +48,7 @@ that the oracle rejects with a typed error:
 * recursive helper functions, calls to unknown functions,
 * a name declared with two types in one function,
 * a vector literal with a wrong item count, an assignment to a
-  non-lvalue.
+  non-lvalue, a ``vloadN`` / ``vstoreN`` with the wrong arity.
 
 A handful of *dynamic* situations raise :class:`VectorUnsupported`; the
 launcher then restores the buffers the kernel may write from a snapshot
@@ -236,6 +238,9 @@ def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
         if name.startswith("get_"):
             return None if name in _GEOMETRY else f"unknown geometry builtin {name!r}"
         if _is_vload(name) or _is_vstore(name):
+            arity = 2 if _is_vload(name) else 3
+            if len(e.args) != arity:
+                return f"{name} takes {arity} arguments, not {len(e.args)}"
             return None
         if name in _MATH_BUILTINS:
             return None
@@ -751,14 +756,12 @@ class RowPtr:
 class _Frame:
     """Per-function-body return state (lanes that hit ``return``)."""
 
-    __slots__ = ("ret_mask", "ret_val", "returned_any", "has_value", "kind")
+    __slots__ = ("ret_mask", "ret_val", "returned_any")
 
-    def __init__(self, lanes: int, kind: Optional[str] = None):
-        self.kind = kind  # scalar kind of the declared return type
+    def __init__(self, lanes: int):
         self.ret_mask = np.zeros(lanes, dtype=bool)
         self.ret_val: Any = None
         self.returned_any = False
-        self.has_value = False
 
 
 _UNIFORM_TYPES = (int, float, bool, np.integer, np.floating, np.bool_)
@@ -997,21 +1000,14 @@ class _Block:
         self._sym_log: dict = {}
 
     def _set_return(self, frame, m, value) -> None:
-        kind = frame.kind  # the declared return type converts like a store
-        if kind is not None and (
-            type(value) is not np.ndarray or value.dtype.kind != kind
-        ):
-            value = _convert(kind, value)
-        if value is None:
-            if frame.has_value:
-                raise VectorUnsupported("mixed void and value returns")
-        elif not frame.returned_any:
-            frame.ret_val = value
-            frame.has_value = True
-        elif not frame.has_value:
-            raise VectorUnsupported("mixed void and value returns")
-        else:
-            frame.ret_val = self._merge(frame.ret_val, value, m)
+        """Lanes ``m`` return ``value`` (``None``: nothing), already of
+        the function's return type; its returns all return a value or
+        all return nothing (the static types)."""
+        if value is not None:
+            frame.ret_val = (
+                self._merge(frame.ret_val, value, m) if frame.returned_any
+                else value
+            )
         frame.ret_mask |= m
         frame.returned_any = True
 
@@ -1022,13 +1018,11 @@ class _Block:
         )
 
     def _store_member(self, struct: dict, member, value, m, n) -> None:
-        """A struct member keeps the kind of its typed zero, so the old
-        value names the declared type the store converts to."""
-        old = struct.get(member, 0.0)
-        tv = type(value)
-        if tv is not type(old) or (tv is np.ndarray and value.dtype != old.dtype):
-            value = _convert(_kind(old), value)
-        struct[member] = value if n == self.L else self._merge(old, value, m)
+        """``value``, already of the member's declared kind."""
+        if n == self.L:
+            struct[member] = value
+        else:
+            struct[member] = self._merge(struct.get(member, 0.0), value, m)
 
     def _bind(self, name, value, m, n, declaring: bool = False) -> None:
         if n == self.L:
@@ -1066,8 +1060,8 @@ class _Block:
             return old
         ko, kn = _kind(old), _kind(new)
         if ko in ("i", "f") and kn in ("i", "f"):
-            # Stores arrive converted to the declared kind, so both
-            # sides agree (ternary arms are checked in ``_select``).
+            # Stores arrive converted to the declared kind, and ternary
+            # arms have one static type, so both sides agree.
             if _is_uniform(old) and _is_uniform(new) and old == new:
                 return old
             return np.where(m, new, old)
@@ -1093,16 +1087,6 @@ class _Block:
                 return RowPtr(old.array, old.rows, offset, old.space)
             return VPtr(old.array, offset, old.space)
         raise VectorUnsupported(f"cannot merge {ko} with {kn}")
-
-    def _select(self, cv, tv, fv):
-        """``cv ? tv : fv`` over divergent lanes.  Expressions, unlike
-        variables, carry no declared type: arms of different arithmetic
-        kinds (``c ? x : 0``) stay per-work-item values (scalar tier)."""
-        if {_kind(tv), _kind(fv)} == {"i", "f"}:
-            raise VectorUnsupported(
-                "ternary arms of different arithmetic types on divergent lanes"
-            )
-        return self._merge(fv, tv, cv)
 
     def _merge_offsets(self, old, new, m):
         if _is_uniform(old) and _is_uniform(new) and old == new:
@@ -1368,8 +1352,6 @@ class _Block:
 
     def _vstore(self, ptr, offset, width, value, m, n) -> None:
         start = self._lanes(ptr.offset + offset * width)
-        if not (isinstance(value, np.ndarray) and value.ndim == 2):
-            raise VectorUnsupported("vstore of a non-vector value")
         cols = np.arange(width)
         if ptr.space != "private":
             if not self._needs_hazard(ptr):

@@ -35,10 +35,12 @@ re-derive per block:
 * group-uniform conditions: a loop or branch condition that evaluates to
   a Python scalar skips the mask materialization entirely.
 
-A node whose type only the run decides (below a ternary whose arms
-differ in arithmetic kind) compiles to a closure that reads the types of
-the values it gets and applies the same rules; nothing else is left to
-the run.
+The walk types every node or refuses the kernel: a node no rule types
+(a ternary whose arms differ in kind, arithmetic on a vector of
+comparisons, a load from a buffer of no arithmetic kind) or a name,
+return or member that would hold two types raises
+:class:`~repro.opencl.interp.Untyped`, whose message names it.  No
+closure reads the type of a value at run time.
 
 The compiled pipeline is segmented at top-level barriers — one closure
 sequence per barrier-delimited region (:func:`split_at_barriers`) —
@@ -60,19 +62,20 @@ Closures run against a :class:`~repro.opencl.simt._Block` instance, whose
 memory, merge and counter helpers reproduce the scalar interpreter bit
 for bit: same buffer contents, same :class:`Counters`.
 
-Static refusals live in :func:`repro.opencl.simt.analyze_kernel`, not
-here: every kernel it admits compiles, so the closure lowering below
-has no refusal arms of its own (an assertion marks each place that
-relies on it; the fast path's ``_Unfusable`` only keeps a segment's
-closure form), and a kernel it refuses has no pipeline — the launch
-falls straight to the scalar oracle, with the analysis' reason in the
-ledger.
+A kernel is refused at two sites, each with a reason:
+:func:`repro.opencl.simt.analyze_kernel` refuses unsupported forms
+before the walk (an assertion marks each place the lowering relies on
+it; the fast path's ``_Unfusable`` only keeps a segment's closure
+form), and the walk refuses what it cannot type.  A refused kernel has
+no pipeline — :func:`get_pipeline` returns the reason, and the launch
+falls to the scalar oracle with it in the ledger.
 
-Pipelines are cached on the parsed program (which the runtime shares
-per source through an LRU), alongside the vectorizability analysis, per
-kernel and element kinds of its pointer arguments (loads take the kind
-of the buffer a launch binds, not of the declaration): the thousands of
-launches an exploration run performs compile each kernel exactly once.
+Pipelines (and refusals) are cached on the parsed program (which the
+runtime shares per source through an LRU), alongside the
+vectorizability analysis, per kernel and element kinds of its pointer
+arguments (loads take the kind of the buffer a launch binds, not of the
+declaration): the thousands of launches an exploration run performs
+walk each kernel exactly once.
 """
 
 from __future__ import annotations
@@ -91,11 +94,13 @@ from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram
 from repro.opencl.interp import (
     B,
+    COMPARE,
     CType,
     ExecError,
     F,
     I,
     StaticTypes,
+    Untyped,
     VOID,
     _MATH_BUILTINS,
     _SCALAR,
@@ -123,8 +128,6 @@ from repro.opencl.interp import (
 from repro.opencl.simt import (
     _AFF_LOCAL_ID,
     Aff,
-    RowPtr,
-    VPtr,
     VectorUnsupported,
     _Block,
     _Frame,
@@ -163,15 +166,6 @@ _GEOMETRY_FIELDS = {
     "get_num_groups": "num_groups",
 }
 
-_CMP_UFUNC = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    ">": operator.gt,
-    "<=": operator.le,
-    ">=": operator.ge,
-}
-
 #: ``l op r`` per arithmetic operator (C's ``%`` on floats is ``fmod``,
 #: like the oracle's ``math.fmod``).
 _OPERATOR = {
@@ -189,49 +183,30 @@ _PLAIN = {op: (lambda fn: lambda l, r, m: fn(l, r))(fn) for op, fn in _OPERATOR.
 # types
 # ---------------------------------------------------------------------------
 
-#: Lane dtype kind -> type kind.  Other dtypes are neither integer nor
-#: floating to the counting and division rules, like a ``None`` type.
-_LANE_KIND = {"f": "f", "i": "i", "u": "i", "b": "b"}
+def _needs_align(lt: CType, rt: CType) -> bool:
+    """Whether one side is a vector and the other lanes."""
+    return lt.width != rt.width
 
 
-def lane_type(v) -> Optional[CType]:
-    """The type of a lane value (never ``"?"``): what a node the run
-    types dispatches on, and what a static type must predict."""
-    if isinstance(v, np.ndarray):
-        kind = _LANE_KIND.get(v.dtype.kind)
-        if kind is None:
-            return None
-        return CType(kind, v.shape[1]) if v.ndim == 2 else _SCALAR[kind]
-    if isinstance(v, (bool, np.bool_)):
-        return B
-    if isinstance(v, (int, np.integer)):
-        return I
-    if isinstance(v, (float, np.floating)):
-        return F
-    if isinstance(v, (VPtr, RowPtr)):
-        kind = v.array.dtype.kind
-        return CType("ptr", elem=kind if kind in "fib" else "?")
-    if isinstance(v, dict):
-        return CType("struct")
-    return VOID if v is None else None
-
-
-def _known(t: Optional[CType]) -> bool:
-    """Whether closures can specialise on ``t`` at plan time."""
-    return t is not None and t.kind != "?"
-
-
-def _needs_align(lt: Optional[CType], rt: Optional[CType]) -> bool:
-    """Whether one side may be a vector and the other lanes."""
-    return lt is None or rt is None or lt.width != rt.width
-
-
-def _converts(kind: Optional[str], t: Optional[CType]) -> bool:
+def _converts(kind: Optional[str], t: CType) -> bool:
     """Whether storing a value of type ``t`` into a location of declared
-    scalar ``kind`` may change it (vectors, pointers and structs pass)."""
-    if kind not in _LANE_DTYPE:
-        return False
-    return t is None or (is_arith(t) and t.width == 1 and t.kind != kind)
+    scalar ``kind`` changes it (vectors, pointers and structs pass)."""
+    return kind in _LANE_DTYPE and is_arith(t) and t.width == 1 and t.kind != kind
+
+
+def _arith_operand(fn: ExprFn, t: CType) -> tuple:
+    """``(closure, type)`` of an operand of arithmetic: a comparison's
+    bool lanes become the C ``int`` 0 / 1 they stand for
+    (:func:`~repro.opencl.interp.arith_operand`)."""
+    return (_as_int(fn), I) if t == B else (fn, t)
+
+
+def _as_int(fn: ExprFn) -> ExprFn:
+    def as_int(b, m, n):
+        v = fn(b, m, n)
+        return v.astype(np.int64) if type(v) is np.ndarray else int(v)
+
+    return as_int
 
 
 def _charge(counters, field: str, amount: int) -> None:
@@ -268,15 +243,27 @@ class _Ctx:
         #: path runs for a branch it cannot take as a prefix.
         self.branches: dict = {}
 
-    def type_of(self, e) -> Optional[CType]:
-        return self.typed.get(id(e))
+    def type_of(self, e) -> CType:
+        return self.typed[id(e)]
 
     def define(self, name: str, t: Optional[CType]) -> None:
         """``t`` stored into ``name`` (a declaration or an assignment)."""
-        self.types.update(self.names, name, stored_type(self.kinds.get(name), t))
+        self.types.update(
+            self.names, name, stored_type(self.kinds.get(name), t),
+            f"{name!r} in {self.fn.name!r}",
+        )
 
-    def returned(self, t: Optional[CType]) -> None:
-        self.types.update(self.types.returns, self.fn.name, t)
+    def returned(self, t: CType) -> None:
+        self.types.update(
+            self.types.returns, self.fn.name, t,
+            f"the value {self.fn.name!r} returns",
+        )
+
+    def refuse(self, e, detail: str) -> Untyped:
+        """The refusal of node ``e`` of the function being compiled."""
+        return Untyped(
+            f"no static type for {c.print_expr(e)!r} in {self.fn.name!r}: {detail}"
+        )
 
     def bind(self, name: str, value_c: ExprFn, declaring: bool, vt) -> StmtFn:
         """The store ``name = value_c(...)`` of a value of type ``vt``,
@@ -307,12 +294,17 @@ def _bind_converted(name: str, kind: str, value_c: ExprFn, declaring: bool) -> S
     return bind_converted
 
 
+def _converted(kind: str, value_c: ExprFn) -> ExprFn:
+    return lambda b, m, n: _convert(kind, value_c(b, m, n))
+
+
 # ---------------------------------------------------------------------------
 # expressions
 # ---------------------------------------------------------------------------
 
 # Every expression compiler records its node's type in ``ctx.typed``
-# from its children's (compiled first).  Each closure is made by a small
+# from its children's (compiled first, so typed), and ``_compile_expr``
+# refuses a node left without one.  Each closure is made by a small
 # factory of its own: a function that defines several closures pays for
 # every variable any of them captures on each call, and the walk makes
 # one call per node.
@@ -321,35 +313,61 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
     t = type(e)
     if t is c.CIdent:
         name = e.name
-        ctx.typed[id(e)] = ctx.names.get(name)
+        vt = ctx.typed[id(e)] = ctx.names.get(name)
+        if vt is None:
+            raise ctx.refuse(e, "it holds no typed value here")
         load = ctx.loads.get(name)
         if load is None:
             load = ctx.loads[name] = _load(name)
         return load
-    if t is c.CBinOp:
-        return _compile_binop(e, ctx)
     if t is c.CInt or t is c.CFloat:
         ctx.typed[id(e)] = I if t is c.CInt else F
         return _constant(e.value)
-    if t is c.CCall:
-        return _compile_call(e, ctx)
-    if t is c.CIndex:
-        return _compile_index(e, ctx)
-    if t is c.CMember:
-        return _compile_member(e, ctx)
-    if t is c.CUnOp:
+    if t is c.CBinOp:
+        fn = _compile_binop(e, ctx)
+    elif t is c.CCall:
+        fn = _compile_call(e, ctx)
+    elif t is c.CIndex:
+        fn = _compile_index(e, ctx)
+    elif t is c.CMember:
+        fn = _compile_member(e, ctx)
+    elif t is c.CUnOp:
         operand = _compile_expr(e.operand, ctx)
-        ctx.typed[id(e)] = unop_type(e.op, ctx.typed[id(e.operand)])
+        ot = ctx.typed[id(e.operand)]
+        ctx.typed[id(e)] = unop_type(e.op, ot)
         if e.op == "-":
-            return _negate(operand)
-        assert e.op == "!", e  # the parser's only other unary operator
-        return _logical_not(operand)
+            fn = _negate(_arith_operand(operand, ot)[0])
+        else:
+            assert e.op == "!", e  # the parser's only other unary operator
+            fn = _logical_not(operand)
+    elif t is c.CTernary:
+        fn = _compile_ternary(e, ctx)
+    elif t is c.CCast:
+        fn = _compile_cast(e, ctx)
+    else:
+        assert t is c.CVectorLiteral, e  # analyze_kernel admits no other node
+        fn = _compile_vector_literal(e, ctx)
+    if ctx.typed[id(e)] is None:
+        raise ctx.refuse(e, _operands(e, ctx))
+    return fn
+
+
+def _operands(e, ctx: _Ctx) -> str:
+    """The types a node was given to type, for its refusal."""
+    t = type(e)
     if t is c.CTernary:
-        return _compile_ternary(e, ctx)
-    if t is c.CCast:
-        return _compile_cast(e, ctx)
-    assert t is c.CVectorLiteral, e  # analyze_kernel admits no other node
-    return _compile_vector_literal(e, ctx)
+        return f"arms {ctx.type_of(e.then)} and {ctx.type_of(e.otherwise)}"
+    if t is c.CIndex:
+        return f"base {ctx.type_of(e.base)}, index {ctx.type_of(e.index)}"
+    if t is c.CMember:
+        return f"base {ctx.type_of(e.base)}"
+    if t is c.CBinOp:
+        parts = (e.lhs, e.rhs)
+    elif t is c.CUnOp or t is c.CCast:
+        parts = (e.operand,)
+    else:
+        parts = e.args if t is c.CCall else e.items
+    return "operands " + (", ".join(str(ctx.type_of(p)) for p in parts) or "none")
 
 
 def _constant(value) -> ExprFn:
@@ -384,6 +402,8 @@ def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
         return _short_circuit(op == "&&", lhs, rhs)
     lt, rt = typed[id(e.lhs)], typed[id(e.rhs)]
     typed[id(e)] = binop_type(op, lt, rt)
+    if typed[id(e)] is None:
+        return None  # refused by _compile_expr
     return _binop(op, lhs, rhs, lt, rt, _divisor(e))
 
 
@@ -395,13 +415,13 @@ def _divisor(e: c.CBinOp) -> Optional[int]:
 def _binop(op: str, lhs: ExprFn, rhs: ExprFn, lt, rt, divisor) -> ExprFn:
     """``lhs op rhs`` (not ``&&`` / ``||``) over operands of the static
     types ``lt`` / ``rt``."""
-    cmp = _CMP_UFUNC.get(op)
+    cmp = COMPARE.get(op)
     if cmp is not None:
         if _needs_align(lt, rt):
             return _compare_aligned(cmp, lhs, rhs)
         return _compare(cmp, lhs, rhs)
-    if not (_known(lt) and _known(rt)):
-        return _arith_typed_by_run(_dynamic_binop(op, divisor), lhs, rhs)
+    lhs, lt = _arith_operand(lhs, lt)
+    rhs, rt = _arith_operand(rhs, rt)
     value_of, field, units = _binop_parts(op, lt, rt, divisor)
     if value_of is _PLAIN[op]:
         if field == "flops":
@@ -475,24 +495,14 @@ def _arith(value_of, lhs: ExprFn, rhs: ExprFn, field: str, units: int) -> ExprFn
     return arith
 
 
-def _arith_typed_by_run(apply, lhs: ExprFn, rhs: ExprFn) -> ExprFn:
-    return lambda b, m, n: apply(b, lhs(b, m, n), rhs(b, m, n), m, n)
-
-
-def _binop_value(op: str, lt: Optional[CType], rt: Optional[CType]):
+def _binop_value(op: str, lt: CType, rt: CType):
     """``value_of(l, r, m)`` for one arithmetic operator over operands of
-    known types (``None``: neither integer nor floating); every test of
-    the operands' types is made here, once."""
-    if lt is not None and lt.kind == "ptr":
+    the types ``lt`` / ``rt``; every test of the operands' types is made
+    here, once."""
+    if lt.kind == "ptr":  # ``+`` or ``-``: binop_type types no other
         if op == "+":
             return lambda l, r, m: l.plus(r)
-        if op == "-":
-            return lambda l, r, m: l.plus(-r)
-
-        def refuse(l, r, m):
-            raise ExecError(f"unsupported pointer operation {op}")
-
-        return refuse
+        return lambda l, r, m: l.plus(-r)
     if lt == I and rt == I and op in ("/", "%"):
         return _Block._int_div if op == "/" else _Block._int_mod
     if _needs_align(lt, rt):
@@ -506,28 +516,12 @@ def _binop_parts(
     op: str, lt, rt, divisor: Optional[int] = None, counted=None
 ) -> tuple:
     """``(value_of(l, r, m), Counters field, units per lane)`` for one
-    arithmetic operator over operands of the known types ``lt``/``rt``;
+    arithmetic operator over operands of the types ``lt``/``rt``;
     ``divisor`` is a literal right operand's value.  A compound
     assignment counts its current value against the result: its type is
     ``counted``."""
     counted = rt if counted is None else counted
     return (_binop_value(op, lt, rt),) + binop_count(op, lt, counted, divisor)
-
-
-def _dynamic_binop(op: str, divisor: Optional[int], compound: bool = False):
-    """``apply(b, l, r, m, n)`` for operands whose types only the run
-    decides: the parts of the types the values turn out to have.  A
-    compound assignment counts its current value against the result
-    (like the oracle's ``_assign``)."""
-
-    def apply(b, l, r, m, n):
-        lt, rt = lane_type(l), lane_type(r)
-        v = _binop_value(op, lt, rt)(l, r, m)
-        field, units = binop_count(op, lt, lane_type(v) if compound else rt, divisor)
-        _charge(b.counters, field, units * n)
-        return v
-
-    return apply
 
 
 def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
@@ -549,7 +543,7 @@ def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
             return other(b, mf, nf)
         tv = then(b, mt, nt)
         fv = other(b, mf, nf)
-        return b._select(cv, tv, fv)
+        return b._merge(fv, tv, cv)  # the arms have one static type
 
     return ternary
 
@@ -562,26 +556,19 @@ def _column(bv, iv, m):
     return np.take_along_axis(bv, idx[:, None], 1)[:, 0]
 
 
+def _index_of(e, index: ExprFn, ctx: _Ctx) -> ExprFn:
+    """The closure of ``e``, an index: address arithmetic."""
+    return _arith_operand(index, ctx.typed[id(e)])[0]
+
+
 def _compile_index(e: c.CIndex, ctx: _Ctx) -> ExprFn:
     base = _compile_expr(e.base, ctx)
-    index = _compile_expr(e.index, ctx)
+    index = _index_of(e.index, _compile_expr(e.index, ctx), ctx)
     bt = ctx.typed[id(e.base)]
-    ctx.typed[id(e)] = index_type(bt)
-    if bt is not None and bt.kind == "ptr":
+    ctx.typed[id(e)] = index_type(bt, ctx.typed[id(e.index)])
+    if bt.kind == "ptr":
         return _gather(base, index)
-    if is_vector(bt):
-        return lambda b, m, n: _column(base(b, m, n), index(b, m, n), m)
-
-    def gather(b, m, n):
-        bv = base(b, m, n)
-        iv = index(b, m, n)
-        if isinstance(bv, (VPtr, RowPtr)):
-            return b._gather(bv, iv, m, n)
-        if isinstance(bv, np.ndarray) and bv.ndim == 2:
-            return _column(bv, iv, m)
-        raise ExecError(f"cannot index {bv!r}")
-
-    return gather
+    return lambda b, m, n: _column(base(b, m, n), index(b, m, n), m)
 
 
 def _gather(base: ExprFn, index: ExprFn) -> ExprFn:
@@ -591,17 +578,15 @@ def _gather(base: ExprFn, index: ExprFn) -> ExprFn:
 def _compile_member(e: c.CMember, ctx: _Ctx) -> ExprFn:
     base = _compile_expr(e.base, ctx)
     member = e.member
-    # Struct members may also start with "s" (e.g. ``p.scale``); only a
-    # valid hex suffix is a vector swizzle, and the column only applies
-    # when the runtime container actually is a vector.
-    col = vector_column(member)
     bt = ctx.typed[id(e.base)]
     ctx.typed[id(e)] = ctx.types.member_of(bt, member)
-    if bt is not None and bt.kind == "struct":
+    if bt.kind == "struct":
         return _struct_member(base, member)
-    if col is not None and is_vector(bt):
+    # Of a vector: a component (``x``..``w``, ``sN``) or a half.
+    col = vector_column(member)
+    if col is not None:
         return _vector_component(base, col)
-    return _member_typed_by_run(base, member, col)
+    return _vector_half(base, bt.width // 2, member == "lo")
 
 
 def _struct_member(base: ExprFn, member: str) -> ExprFn:
@@ -612,21 +597,10 @@ def _vector_component(base: ExprFn, col: int) -> ExprFn:
     return lambda b, m, n: base(b, m, n)[:, col]
 
 
-def _member_typed_by_run(base: ExprFn, member: str, col) -> ExprFn:
-    def get_member(b, m, n):
-        container = base(b, m, n)
-        if isinstance(container, dict):
-            return container[member]
-        if isinstance(container, np.ndarray) and container.ndim == 2:
-            if col is not None:
-                return container[:, col]
-            if member == "lo":
-                return container[:, : container.shape[1] // 2].copy()
-            if member == "hi":
-                return container[:, container.shape[1] // 2 :].copy()
-        raise ExecError(f"cannot take member {member} of {container!r}")
-
-    return get_member
+def _vector_half(base: ExprFn, half: int, lo: bool) -> ExprFn:
+    if lo:
+        return lambda b, m, n: base(b, m, n)[:, :half].copy()
+    return lambda b, m, n: base(b, m, n)[:, half:].copy()
 
 
 def _compile_cast(e: c.CCast, ctx: _Ctx) -> ExprFn:
@@ -681,18 +655,14 @@ def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
 
 # -- calls ------------------------------------------------------------------
 
-def _builtin_width(ctx: _Ctx, e: c.CCall) -> Optional[int]:
+def _builtin_width(ctx: _Ctx, e: c.CCall) -> int:
     """The vector width a math builtin's flops are counted at (its first
-    vector argument's), from the arguments' types; ``None`` when one of
-    them is only known at run time."""
-    width = 1
+    vector argument's), from the arguments' types."""
     for a in e.args:
         t = ctx.type_of(a)
-        if t is None:
-            return None
-        if width == 1 and is_vector(t):
-            width = t.width
-    return width
+        if is_vector(t):
+            return t.width
+    return 1
 
 
 def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
@@ -710,12 +680,18 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     for a in e.args:
         arg_cs.append(_compile_expr(a, ctx))
         arg_ts.append(typed[id(a)])
+    # vloadN(offset, p) and vstoreN(vector, offset, p): the arity is
+    # analyze_kernel's to check, the operand types are checked here.
     if _is_vload(name):
-        typed[id(e)] = vector_type("f", int(name[5:]))
-        return _vload(int(name[5:]), *arg_cs[:2])
+        width = int(name[5:])
+        typed[id(e)] = vector_type("f", width) if arg_ts[1].kind == "ptr" else None
+        return _vload(width, *arg_cs)
     if _is_vstore(name):
-        typed[id(e)] = VOID
-        return _vstore(int(name[6:]), *arg_cs[:3])
+        width = int(name[6:])
+        value_t = arg_ts[0]
+        stores = arg_ts[2].kind == "ptr" and is_vector(value_t) and value_t.width == width
+        typed[id(e)] = VOID if stores else None
+        return _vstore(width, *arg_cs)
     builtin = _VMATH.get(name)
     if builtin is not None:
         typed[id(e)] = builtin_type(name, arg_ts)
@@ -724,16 +700,18 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     kinds = declared_kinds(fn)
     names = ctx.types.names.setdefault(name, {})
     for p, t in zip(fn.params, arg_ts):
-        ctx.types.update(names, p.name, stored_type(kinds[p.name], t))
+        ctx.types.update(
+            names, p.name, stored_type(kinds[p.name], t), f"{p.name!r} in {name!r}"
+        )
     helper = ctx.helpers.get(name)
     if helper is None:  # helpers never recurse (analyze_kernel)
         helper = ctx.helpers[name] = _compile_helper(fn, ctx)
-    typed[id(e)] = ctx.types.returns.get(name)
+    typed[id(e)] = ctx.types.returns[name]
     params = _arguments(fn, kinds, arg_cs, arg_ts)
     if type(helper) is tuple:
         ctx.inlined += 1
         return _inline_call(params, *helper)
-    return _framed_call(params, helper, name, scalar_kind(fn.return_type))
+    return _framed_call(params, helper)
 
 
 def _geometry(field: str, dim: int) -> ExprFn:
@@ -753,9 +731,7 @@ def _geometry_by_run(field: str, dim_c: ExprFn) -> ExprFn:
 def _vload(width: int, offset: ExprFn, pointer: ExprFn) -> ExprFn:
     def vload(b, m, n):
         off = offset(b, m, n)
-        ptr = pointer(b, m, n)
-        assert isinstance(ptr, (VPtr, RowPtr))
-        return b._vload(ptr, off, width, m, n)
+        return b._vload(pointer(b, m, n), off, width, m, n)
 
     return vload
 
@@ -764,32 +740,15 @@ def _vstore(width: int, value: ExprFn, offset: ExprFn, pointer: ExprFn) -> ExprF
     def vstore(b, m, n):
         v = value(b, m, n)
         off = offset(b, m, n)
-        ptr = pointer(b, m, n)
-        assert isinstance(ptr, (VPtr, RowPtr))
-        b._vstore(ptr, off, width, v, m, n)
-        return None
+        b._vstore(pointer(b, m, n), off, width, v, m, n)
 
     return vstore
 
 
 def _compile_builtin(e: c.CCall, builtin: tuple, arg_cs: list, ctx: _Ctx) -> ExprFn:
     cost, fn = builtin
-    width = _builtin_width(ctx, e)
-    if width is None:
-
-        def call_typed_by_run(b, m, n):
-            args = [ac(b, m, n) for ac in arg_cs]
-            width = 1
-            for a in args:
-                if isinstance(a, np.ndarray) and a.ndim == 2:
-                    width = a.shape[1]
-                    break
-            b.counters.flops += cost * width * n
-            return fn(*args)
-
-        return call_typed_by_run
-
-    flops = cost * width
+    arg_cs = [_arith_operand(ac, ctx.type_of(a))[0] for ac, a in zip(arg_cs, e.args)]
+    flops = cost * _builtin_width(ctx, e)
     if len(arg_cs) == 1:
         a0c = arg_cs[0]
 
@@ -866,8 +825,7 @@ def _arguments(fn: c.CFunctionDef, kinds: dict, arg_cs: list, arg_ts: list) -> t
     for p, ac, t in zip(fn.params, arg_cs, arg_ts):
         kind = kinds[p.name]
         if (
-            _known(t)
-            and not is_vector(t)
+            not is_vector(t)
             and t.kind != "struct"
             and (kind is None or not is_arith(t) or t.kind == kind)
         ):
@@ -902,7 +860,11 @@ def _inline_call(params: tuple, body: tuple, ret_c, ret_kind) -> ExprFn:
     return call_inline
 
 
-def _framed_call(params: tuple, body: StmtFn, name: str, ret_kind) -> ExprFn:
+def _framed_call(params: tuple, body: StmtFn) -> ExprFn:
+    """A helper with control flow, over its own return-mask frame.  Its
+    returns have one static type, so a value-returning helper ends in a
+    ``return`` and every active lane reaches one."""
+
     def call_helper(b, m, n):
         env = {}
         for pname, ac, passing in params:
@@ -911,17 +873,11 @@ def _framed_call(params: tuple, body: StmtFn, name: str, ret_kind) -> ExprFn:
         b.counters.calls += n
         saved = b.env
         b.env = env
-        frame = _Frame(b.L, ret_kind)
+        frame = _Frame(b.L)
         try:
             body(b, m, n, frame)
         finally:
             b.env = saved
-        if not frame.has_value:
-            return None
-        if bool((m & ~frame.ret_mask).any()):
-            raise VectorUnsupported(
-                f"helper {name!r} returns a value on only some lanes"
-            )
         return frame.ret_val
 
     return call_helper
@@ -952,7 +908,10 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
             return lambda b, m, n, frame: b._set_return(frame, m, None)
         value = _compile_expr(s.value, ctx)
         kind = scalar_kind(ctx.fn.return_type)
-        ctx.returned(stored_type(kind, ctx.typed[id(s.value)]))
+        vt = ctx.typed[id(s.value)]
+        ctx.returned(stored_type(kind, vt))
+        if _converts(kind, vt):  # the declared return type, like a store
+            value = _converted(kind, value)
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
         return _barrier
@@ -999,23 +958,18 @@ def _compile_block(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
 
 def _compile_compound(s: c.CAssign, value_c: ExprFn, ctx: _Ctx) -> tuple:
     current_c = _compile_expr(s.target, ctx)
-    return _compound(
-        s.op[0], current_c, value_c, ctx.typed[id(s.target)], ctx.typed[id(s.value)]
-    )
+    ct, vt = ctx.typed[id(s.target)], ctx.typed[id(s.value)]
+    if binop_type(s.op[0], ct, vt) is None:
+        raise ctx.refuse(s.target, f"{s.op} of operands {ct}, {vt}")
+    return _compound(s.op[0], current_c, value_c, ct, vt)
 
 
 def _compound(op: str, current_c: ExprFn, value_c: ExprFn, ct, vt) -> tuple:
     """``(closure, type)`` of the value ``x op= e`` stores: ``x op e``,
     counted against the result, as the oracle's ``_assign`` does."""
     rt = binop_type(op, ct, vt)
-    if not (_known(ct) and _known(vt) and _known(rt)):
-        apply = _dynamic_binop(op, None, compound=True)
-
-        def compound_typed_by_run(b, m, n):
-            v = value_c(b, m, n)
-            return apply(b, current_c(b, m, n), v, m, n)
-
-        return compound_typed_by_run, rt
+    current_c, ct = _arith_operand(current_c, ct)
+    value_c, vt = _arith_operand(value_c, vt)
     value_of, field, units = _binop_parts(op, ct, vt, counted=rt)
 
     def compound(b, m, n):
@@ -1039,48 +993,24 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
 
     if isinstance(target, c.CIndex):
         base_c = _compile_expr(target.base, ctx)
-        index_c = _compile_expr(target.index, ctx)
-        bt = ctx.typed[id(target.base)]
-        if bt is not None and bt.kind == "ptr":
-            return _scatter(value_c, base_c, index_c)
-
-        def assign_index(b, m, n, frame):
-            v = value_c(b, m, n)
-            base = base_c(b, m, n)
-            index = index_c(b, m, n)
-            if not isinstance(base, (VPtr, RowPtr)):
-                raise ExecError(f"indexed store into non-pointer {base!r}")
-            b._scatter(base, index, v, m, n)
-
-        return assign_index
+        index_c = _index_of(target.index, _compile_expr(target.index, ctx), ctx)
+        bt, it = ctx.typed[id(target.base)], ctx.typed[id(target.index)]
+        if bt.kind != "ptr" or index_type(bt, it) is None:
+            raise ctx.refuse(target, f"store through base {bt}, index {it}")
+        return _scatter(value_c, base_c, index_c)
 
     assert isinstance(target, c.CMember), target  # lvalues: analyze_kernel
     base_c = _compile_expr(target.base, ctx)
     member = target.member
-    vec_col = _VEC_MEMBERS.get(member)
     bt = ctx.typed[id(target.base)]
-    if bt is not None and bt.kind == "struct":
-        ctx.types.store_member(bt.elem, member, vt)
+    if bt.kind == "struct":
+        kind = ctx.types.store_member(bt.elem, member, vt)
+        if _converts(kind, vt):  # to the kind the member holds
+            value_c = _converted(kind, value_c)
         return _store_member(value_c, base_c, member)
-
-    def assign_member(b, m, n, frame):
-        v = value_c(b, m, n)
-        container = base_c(b, m, n)
-        if isinstance(container, dict):
-            b._store_member(container, member, v, m, n)
-        elif isinstance(container, np.ndarray) and container.ndim == 2:
-            if vec_col is None:
-                # Same KeyError the oracle's _VEC_MEMBERS lookup
-                # raises for non-xyzw stores.
-                raise KeyError(member)
-            if n == b.L:
-                container[:, vec_col] = v
-            else:
-                container[m, vec_col] = b._lanes(v)[m]
-        else:
-            raise ExecError(f"member store into {container!r}")
-
-    return assign_member
+    if not is_vector(bt):
+        raise ctx.refuse(target, f"member store into base {bt}")
+    return _store_component(value_c, base_c, member)
 
 
 def _scatter(value_c: ExprFn, base_c: ExprFn, index_c: ExprFn) -> StmtFn:
@@ -1097,6 +1027,19 @@ def _store_member(value_c: ExprFn, base_c: ExprFn, member: str) -> StmtFn:
         b._store_member(base_c(b, m, n), member, v, m, n)
 
     return store_member
+
+
+def _store_component(value_c: ExprFn, base_c: ExprFn, member: str) -> StmtFn:
+    def store_component(b, m, n, frame):
+        v = value_c(b, m, n)
+        container = base_c(b, m, n)
+        col = _VEC_MEMBERS[member]  # the oracle's KeyError beyond x..w
+        if n == b.L:
+            container[:, col] = v
+        else:
+            container[m, col] = b._lanes(v)[m]
+
+    return store_component
 
 
 def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
@@ -1304,9 +1247,14 @@ def _fast_expr(e, fc: _FastCtx) -> ExprFn:
         if e.op != "-":
             raise _Unfusable(f"unary operator {e.op}")
         operand = _fast_expr(e.operand, fc)
-        return _fast_negate(operand) if _lazy(e.operand, fc) else _negate(operand)
+        if _lazy(e.operand, fc):
+            return _fast_negate(operand)
+        return _negate(_arith_operand(operand, fc.ctx.type_of(e.operand))[0])
     if t is c.CIndex:
-        return _fast_gather(_fast_expr(e.base, fc), _fast_expr(e.index, fc))
+        if fc.ctx.type_of(e.base).kind != "ptr":
+            raise _Unfusable("vector component by index")
+        index = _index_of(e.index, _fast_expr(e.index, fc), fc.ctx)
+        return _fast_gather(_fast_expr(e.base, fc), index)
     if t is c.CCall:
         return _fast_call(e, fc)
     if t is c.CCast:
@@ -1343,14 +1291,7 @@ def _fast_negate(operand: ExprFn) -> ExprFn:
 
 
 def _fast_gather(base_c: ExprFn, index_c: ExprFn) -> ExprFn:
-    def gather(b, m, k):
-        bv = base_c(b, m, k)
-        iv = index_c(b, m, k)
-        if isinstance(bv, (VPtr, RowPtr)):
-            return b.fast_gather(bv, iv, k)
-        raise VectorUnsupported(f"fast path: cannot index {bv!r}")
-
-    return gather
+    return lambda b, m, k: b.fast_gather(base_c(b, m, k), index_c(b, m, k), k)
 
 
 def _fast_to_int(operand: ExprFn) -> ExprFn:
@@ -1452,7 +1393,7 @@ def _fast_cond(e, fc: _FastCtx):
     """A branch condition as ``(b, m, k) -> (kind, value)`` with kind
     ``"u"`` (block-uniform bool), ``"p"`` (prefix count), or ``"a"``
     (boolean lanes)."""
-    cmpfn = _CMP_UFUNC.get(e.op) if type(e) is c.CBinOp else None
+    cmpfn = COMPARE.get(e.op) if type(e) is c.CBinOp else None
     if cmpfn is None:
         expr = _fast_expr(e, fc)
 
@@ -1587,16 +1528,12 @@ def _bind_lazy(name: str, value_c: ExprFn) -> StmtFn:
 def _fast_store(s: c.CAssign, fc: _FastCtx) -> StmtFn:
     value_c = _fast_value(s, fc)[0]
     base_c = _fast_expr(s.target.base, fc)
-    index_c = _fast_expr(s.target.index, fc)
+    index_c = _index_of(s.target.index, _fast_expr(s.target.index, fc), fc.ctx)
     sole = id(s) in fc.sole[1]
 
     def store(b, m, k, frame):
         v = value_c(b, m, k)
-        bv = base_c(b, m, k)
-        iv = index_c(b, m, k)
-        if not isinstance(bv, (VPtr, RowPtr)):
-            raise ExecError(f"indexed store into non-pointer {bv!r}")
-        b.fast_scatter(bv, iv, v, k, sole)
+        b.fast_scatter(base_c(b, m, k), index_c(b, m, k), v, k, sole)
 
     return store
 
@@ -1845,9 +1782,8 @@ def compile_kernel_pipeline(
 
     The lowering is also the static typing pass: one walk in execution
     order types every node from its children's as it compiles it (see
-    :class:`~repro.opencl.interp.StaticTypes`).  A name whose type widens
-    once set (never in well-typed C) makes the walk run again from the
-    wider types, so no closure specialises on a type a value can leave.
+    :class:`~repro.opencl.interp.StaticTypes`), or raises
+    :class:`~repro.opencl.interp.Untyped` naming what it cannot type.
     Then, in a kernel without returns, each region that fits the fast
     path's algebra takes its fast form over the same types.
     """
@@ -1865,13 +1801,8 @@ def compile_kernel_pipeline(
         )
     has_returns = c.CReturn in statement_types(kernel)
     regions = split_at_barriers(kernel)
-    while True:  # once, unless a name's type widened after it was read
-        types.exprs.clear()
-        types.widened = False
-        ctx = _Ctx(parsed, kernel, types)
-        segments = [_compile_stmt(r, ctx, has_returns) for r in regions]
-        if not types.widened:
-            break
+    ctx = _Ctx(parsed, kernel, types)
+    segments = [_compile_stmt(r, ctx, has_returns) for r in regions]
     closures = list(segments)
     kinds = ["closure"] * len(regions)
     sole_names: frozenset = frozenset()
@@ -1904,12 +1835,13 @@ _compile_counter = 0
 
 
 def compile_count() -> int:
-    """Pipelines compiled so far in this process.
+    """Typing walks (pipelines compiled or refused) so far in this
+    process.
 
     The autotune/explore loops launch each candidate kernel many times;
     this counter is how their stats demonstrate that every distinct
-    kernel is closure-compiled exactly once (reuse flows through the
-    source-keyed parse LRU the pipelines attach to).
+    kernel is walked exactly once (reuse flows through the source-keyed
+    parse LRU the pipelines attach to).
     """
     return _compile_counter
 
@@ -1917,16 +1849,16 @@ def compile_count() -> int:
 def get_pipeline(
     parsed: ParsedProgram, kernel: c.CFunctionDef,
     pointer_kinds: Optional[tuple] = None,
-) -> Optional[Pipeline]:
+) -> "Pipeline | str":
     """The compiled pipeline for a kernel and the element kinds of its
-    pointer arguments (default: as declared), or ``None`` when
-    :func:`~repro.opencl.simt.analyze_kernel` refuses it (its reason is
-    the decline reason; every kernel it admits compiles).
+    pointer arguments (default: as declared), or the reason the lane
+    tiers refuse it: :func:`~repro.opencl.simt.analyze_kernel`'s, or the
+    typing walk's.
 
-    Cached on the parsed program object; the runtime shares parse
-    results per source through an LRU, so each distinct kernel compiles
-    once per process (under a lock — the explorer launches from a
-    thread pool).
+    Cached on the parsed program object, refusals included; the runtime
+    shares parse results per source through an LRU, so each distinct
+    kernel is walked once per process (under a lock — the explorer
+    launches from a thread pool).
     """
     key = (kernel.name, pointer_kinds)
     cache = getattr(parsed, "_simt_pipelines", None)
@@ -1942,27 +1874,30 @@ def get_pipeline(
         entry = cache.get(key, _MISSING)
         if entry is not _MISSING:
             return entry
-        pipeline: Optional[Pipeline] = None
-        if analyze_kernel(parsed, kernel) is None:
+        entry = analyze_kernel(parsed, kernel)
+        if entry is None:
             from repro.obs import span, tracing_enabled
 
             with span("simt_compile", kernel=kernel.name) as compile_span:
-                pipeline = compile_kernel_pipeline(parsed, kernel, pointer_kinds)
-                if tracing_enabled():
-                    compile_span.attrs["inlined"] = pipeline.inlined
-                    compile_span.attrs["untyped"] = pipeline.types.untyped()
-                    compile_span.attrs["fast_segments"] = pipeline.fast_segments
+                try:
+                    entry = compile_kernel_pipeline(parsed, kernel, pointer_kinds)
+                except Untyped as exc:
+                    entry = str(exc)
+                else:
+                    if tracing_enabled():
+                        compile_span.attrs["inlined"] = entry.inlined
+                        compile_span.attrs["fast_segments"] = entry.fast_segments
             global _compile_counter
             _compile_counter += 1
-        cache[key] = pipeline
-        return pipeline
+        cache[key] = entry
+        return entry
 
 
 def launch_pipeline(
     parsed: ParsedProgram, kernel: c.CFunctionDef, plan: Pipeline, base_env
-) -> Pipeline:
+) -> "Pipeline | str":
     """``plan`` when the launch binds buffers of the element kinds it
-    was typed for, else the pipeline typed for the ones it binds."""
+    was typed for, else :func:`get_pipeline` for the ones it binds."""
     kinds = tuple(element_kind(base_env[name].array) for name in plan.pointers)
     if kinds == plan.pointer_kinds:
         return plan

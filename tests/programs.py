@@ -207,12 +207,37 @@ def hoisted_source(source, params=None, sizes=(), kernel_name="KERNEL"):
 
 class TypeRecord:
     """What :func:`checked_static_types` saw: expression nodes compiled
-    with a static type, nodes left to the run, values checked."""
+    (each with a static type), values checked."""
 
     def __init__(self):
         self.typed = 0
-        self.untyped = 0
         self.values = 0
+
+
+def lane_type(v):
+    """The type of a lane value: what a static type must predict."""
+    import numpy as np
+
+    from repro.opencl.interp import B, CType, F, I, VOID
+    from repro.opencl.simt import RowPtr, VPtr
+
+    if isinstance(v, np.ndarray):
+        kind = v.dtype.kind
+        if kind not in ("f", "i", "b"):
+            return None
+        return CType(kind, v.shape[1]) if v.ndim == 2 else CType(kind)
+    if isinstance(v, (bool, np.bool_)):
+        return B
+    if isinstance(v, (int, np.integer)):
+        return I
+    if isinstance(v, (float, np.floating)):
+        return F
+    if isinstance(v, (VPtr, RowPtr)):
+        kind = v.array.dtype.kind
+        return CType("ptr", elem=kind if kind in "fi" else None)
+    if isinstance(v, dict):
+        return CType("struct")
+    return VOID if v is None else None
 
 
 def has_static_type(value, t) -> bool:
@@ -220,13 +245,11 @@ def has_static_type(value, t) -> bool:
     ``ndarray`` of its dtype kind with one column per component (1-D
     for one), or a Python / numpy scalar of its kind; a pointer to
     elements of its kind, a struct, nothing for ``void``."""
-    from repro.opencl.simt_compile import lane_type
-
     actual = lane_type(value)
     if actual is None or actual.kind != t.kind:
         return False
     if t.kind == "ptr":
-        return t.elem is None or actual.elem == t.elem
+        return actual.elem == t.elem
     return t.kind in ("struct", "void") or actual.width == t.width
 
 
@@ -234,7 +257,8 @@ def has_static_type(value, t) -> bool:
 def checked_static_types():
     """Compile every pipeline launched meanwhile afresh, with each
     expression closure checking that the values it returns have the
-    static type the compiler gave its node.  Yields a
+    static type the compiler gave its node (every node has one: the
+    walk refuses a kernel it cannot type).  Yields a
     :class:`TypeRecord`."""
     from repro.opencl import simt_compile
     from repro.opencl.runtime import _parse_cached
@@ -245,9 +269,7 @@ def checked_static_types():
     def compile_checked(e, ctx):
         fn = compile_expr(e, ctx)
         t = ctx.type_of(e)
-        if t is None or t.kind == "?":
-            record.untyped += 1
-            return fn
+        assert t is not None, e
         record.typed += 1
 
         def checked(b, m, n):

@@ -216,7 +216,7 @@ class TestFastPathPlan:
           x[get_global_id(0)] = 1.0f;
         }
         """
-        assert plan_of(src) is None
+        assert plan_of(src) == "barrier combined with early return"
         program = OpenCLProgram(src)
         out_f = Buffer.zeros(4)
         c_f = launch(program, 4, 4, {"x": out_f, "n": 4}, engine="fused")

@@ -11,12 +11,12 @@ import time
 
 import pytest
 
+from repro.backend import CompileUnsupported, get_backend
 from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
 from repro.compiler import OPTIMIZATION_LEVELS, compile_kernel
 from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram, ParseError, parse
 from repro.opencl.lexer import LexError, tokenize
-from repro.opencl.simt import analyze_kernel
 
 
 def _generated(name, sizes=("small", "large"), levels=tuple(OPTIMIZATION_LEVELS)):
@@ -290,10 +290,14 @@ def _mutants(source, rng, per_operator=14):
 
 def test_mutation_fuzzer_raises_only_typed_errors():
     """Grammar-fuzzer half of ROADMAP's differential-testing item: a
-    mutant parses or is refused with ``LexError``/``ParseError``; one
-    that parses is analysable.  Nothing else escapes and nothing hangs."""
+    mutant parses or is refused with ``LexError``/``ParseError``; every
+    function of one that parses plans on ``compiled`` or is refused with
+    ``CompileUnsupported`` (the analysis' or the typing walk's reason).
+    Nothing else escapes and nothing hangs."""
     rng = random.Random(20260929)
+    plan = get_backend("compiled").plan
     outcomes = {"parsed": 0, "LexError": 0, "ParseError": 0}
+    plans = {"planned": 0, "refused": 0}
     slowest = (0.0, "")
     for n, source in enumerate(_fuzz_seeds()):
         assert parse(source).functions, f"seed {n} must parse"
@@ -306,9 +310,14 @@ def test_mutation_fuzzer_raises_only_typed_errors():
             else:
                 outcomes["parsed"] += 1
                 for fn in parsed.functions.values():
-                    reason = analyze_kernel(parsed, fn)
-                    assert reason is None or isinstance(reason, str)
+                    try:
+                        plan(parsed, fn)
+                    except CompileUnsupported:
+                        plans["refused"] += 1
+                    else:
+                        plans["planned"] += 1
             slowest = max(slowest, (time.process_time() - start, f"seed {n} {label}"))
     assert sum(outcomes.values()) > 1900
     assert all(outcomes.values()), outcomes
+    assert all(plans.values()), plans
     assert slowest[0] < 0.05, slowest

@@ -8,6 +8,8 @@ returns, struct accumulators, and the fallback paths (static analysis
 refusals and dynamic cross-lane race detection).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -428,16 +430,17 @@ class TestDeclaredTypes:
         """
         x = np.linspace(-1.0, 1.0, 16)
         make = lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(16)}
-        with pytest.raises(VectorizationError, match="K: ternary arms"):
+        reason = (
+            "no static type for '(x[i] > 0.0f ? x[i] : 0)' in 'K': "
+            "arms float and int"
+        )
+        with pytest.raises(VectorizationError, match=re.escape(reason)):
             launch(OpenCLProgram(src), 16, 8, make(), engine="compiled")
         ledger.clear()
         assert_engines_agree(
             src, 16, 8, make, engines=("scalar", "auto", "fused")
         )
-        reasons = {e.reason for e in ledger.events() if e.kind == "dynamic"}
-        assert reasons == {
-            "K: ternary arms of different arithmetic types on divergent lanes"
-        }
+        assert {(e.kind, e.reason) for e in ledger.events()} == {("static", reason)}
 
 
 class TestBarriers:

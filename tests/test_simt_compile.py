@@ -9,6 +9,8 @@ ordering, the written-buffer analysis) plus a randomized cross-engine
 fuzz over the shared IL programs of ``tests/programs.py``.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,10 @@ class TestPipelineCache:
         }
         """
         program = OpenCLProgram(src)
-        assert simt_compile.get_pipeline(program.parsed, program.kernel()) is None
+        # The pipeline's place holds the refusal reason.
+        assert simt_compile.get_pipeline(program.parsed, program.kernel()) == (
+            "barrier under lane-divergent control flow"
+        )
 
     def test_segments_split_at_top_level_barriers(self):
         program = OpenCLProgram(_REDUCTION)
@@ -378,29 +383,74 @@ class TestStaticTypes:
                         inputs, size_env, options_factory=factory,
                         engine="compiled",
                     )
-        assert record.untyped == 0
         assert record.values > record.typed > 0
 
-    def test_a_mixed_ternary_is_left_to_the_run(self):
+    def test_a_mixed_ternary_is_a_static_refusal(self, fault_free):
+        from repro.backend import ledger
+        from repro.opencl.runtime import _parse_cached
+
         src = """
         kernel void K(const global float * restrict x, global float *out, int n) {
           int i = get_global_id(0);
-          out[i] = (n > 3 ? x[i] : 0) * 2 + (float) i;
-        }
-        """
-        program = OpenCLProgram(src)
-        with checked_static_types() as record:
-            launch(OpenCLProgram(src), 8, 4,
-                   {"x": Buffer.from_array(np.arange(8.0)),
-                    "out": Buffer.zeros(8), "n": 5}, engine="compiled")
-        # The ternary and the product over it; nothing else.
-        assert record.untyped == 2
-        pipeline = simt_compile.get_pipeline(program.parsed, program.kernel())
-        assert pipeline.types.untyped() == 2
+          out[i] = (n > 3 ? x[i] : 0) * 2;
+        }"""
+        make = lambda: {"x": Buffer.from_array(np.linspace(-2, 2, 8)),
+                        "out": Buffer.zeros(8), "n": 5}
+        reason = "no static type for '(n > 3 ? x[i] : 0)' in 'K': arms float and int"
+        _parse_cached.cache_clear()
+        walks = simt_compile.compile_count()
+        with pytest.raises(VectorizationError, match=re.escape(reason)):
+            launch(OpenCLProgram(src), 8, 4, make(), engine="compiled")
+        ledger.clear()
+        assert_engines_agree(src, 8, 4, make, engines=("scalar", "auto", "fused"))
+        assert {(e.kind, e.reason) for e in ledger.events()} == {("static", reason)}
+        # Refused once per (kernel, element kinds): later plans hit the cache.
+        assert simt_compile.compile_count() == walks + 1
 
-    def test_the_compile_span_counts_inlined_calls_and_untyped_nodes(
-        self, tmp_path
+    def test_a_buffer_of_no_arithmetic_kind_is_refused_before_any_write(
+        self, fault_free
     ):
+        from repro.backend import ledger
+
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = x[i] * 2.0f;
+        }"""
+        reason = (
+            "no static type for 'x[i]' in 'K': "
+            "base pointer to a non-arithmetic dtype, index int"
+        )
+        x = np.arange(8, dtype=np.uint8)
+        out = Buffer.from_array(np.full(8, -1.0))
+        with pytest.raises(VectorizationError, match=re.escape(reason)):
+            launch(OpenCLProgram(src), 8, 4, {"x": x, "out": out}, engine="compiled")
+        np.testing.assert_array_equal(out.data, np.full(8, -1.0))
+        ledger.clear()
+        launch(OpenCLProgram(src), 8, 4, {"x": x, "out": out}, engine="auto")
+        np.testing.assert_array_equal(out.data, np.arange(8) * 2.0)
+        assert [(e.kind, e.reason) for e in ledger.events()] == [("static", reason)]
+
+    @pytest.mark.parametrize("source, reason", [
+        ("kernel void K(global float *x) { float4 v = vload4(0); x[0] = v.x; }",
+         "vload4 takes 2 arguments, not 1"),
+        ("kernel void K(global float *x) { vstore4(x[1], 0, x); }",
+         "no static type for 'vstore4(x[1], 0, x)' in 'K': operands float, int, float *"),
+        ("kernel void K(global float *x) { x[0] = x[1.5f]; }",
+         "no static type for 'x[1.5f]' in 'K': base float *, index float"),
+    ])
+    def test_a_malformed_form_is_a_static_refusal(self, source, reason):
+        # Each used to escape plan() or run() as a crash or a dynamic
+        # bail-out; the oracle's quirks (a broadcast scalar store, a
+        # truncated float index) stay the scalar tier's.
+        from repro.backend import CompileUnsupported, get_backend
+
+        program = OpenCLProgram(source)
+        with pytest.raises(CompileUnsupported) as refusal:
+            get_backend("compiled").plan(program.parsed, program.kernel())
+        assert str(refusal.value) == reason
+
+    def test_the_compile_span_counts_inlined_calls(self, tmp_path):
         import json
 
         from repro import obs
@@ -409,7 +459,7 @@ class TestStaticTypes:
         float add(float a, float b) { return a + b; }
         kernel void K(const global float * restrict x, global float *out, int n) {
           int i = get_global_id(0);
-          out[i] = add(n > 3 ? x[i] : 0, 1.0f) + add(x[i], 2.0f);
+          out[i] = add(n > 3 ? x[i] : 0.0f, 1.0f) + add(x[i], 2.0f);
         }
         """
         path = tmp_path / "trace.json"
@@ -422,11 +472,9 @@ class TestStaticTypes:
             obs.stop_tracing()
         events = json.loads(path.read_text())["traceEvents"]
         (compiled,) = [e for e in events if e["name"] == "simt_compile"]
-        # The ternary is the one node the run types; the argument it
-        # becomes is converted to ``float``.  Helper calls keep the one
-        # segment in its closure form.
+        # Helper calls keep the one segment in its closure form.
         assert compiled["args"] == {
-            "kernel": "K", "inlined": 2, "untyped": 1, "fast_segments": 0,
+            "kernel": "K", "inlined": 2, "fast_segments": 0,
         }
 
 
@@ -482,12 +530,14 @@ _TYPED_CORNERS = {
           out[i] = clip(x[i]) + clip(i - 4);
         }""", lambda: {"x": Buffer.from_array(np.linspace(-2, 2, 8)),
                        "out": Buffer.zeros(8)}),
-    "ternary of a float and an int": ("""
-        kernel void K(const global float * restrict x, global float *out, int n) {
+    "comparisons as indices": ("""
+        kernel void K(const global float * restrict x, global float *out,
+                      global float *flag) {
           int i = get_global_id(0);
-          out[i] = (n > 3 ? x[i] : 0) * 2;
-        }""", lambda: {"x": Buffer.from_array(np.linspace(-2, 2, 8)),
-                       "out": Buffer.zeros(8), "n": 5}),
+          out[i] = x[i > 3] + x[i < 6];
+          if (i == 0) { flag[x[i] < 1.0f] = 9.0f; }
+        }""", lambda: {"x": Buffer.from_array(np.arange(8.0)),
+                       "out": Buffer.zeros(8), "flag": Buffer.zeros(2)}),
     "negative remainder and quotient": ("""
         kernel void K(const global int * restrict a, global int *q,
                       global int *r, global float *f) {
@@ -558,3 +608,42 @@ class TestTypedCorners:
         assert counters.calls == 2 * 16
         pipeline = simt_compile.get_pipeline(program.parsed, program.kernel())
         assert pipeline.inlined == 2
+
+
+#: Arithmetic on comparison results, each body with C's values (a true
+#: comparison is the ``int`` 1) for ``x = linspace(-1, 1, 8)`` and
+#: ``a = -4 .. 3``.
+_COMPARISON_ARITHMETIC = {
+    "sum of two comparisons": (
+        "out[i] = (i < 3) + (i < 5);", [2, 2, 2, 1, 1, 0, 0, 0]),
+    "negated comparison": (
+        "out[i] = -(x[i] > 0.0f);", [0, 0, 0, 0, -1, -1, -1, -1]),
+    "sum of float comparisons": (
+        "out[i] = (x[i] > 0.0f) + (x[i] < 0.5f);", [1, 1, 1, 1, 2, 2, 1, 1]),
+    "comparison divided by an int": (
+        "out[i] = (a[i] < 3) / 2;", [0] * 8),
+}
+
+
+class TestComparisonsAreInts:
+    """A comparison's scalar result is a C ``int`` in arithmetic, on
+    every tier, and the static types keep such kernels on ``compiled``."""
+
+    @pytest.mark.parametrize("name", sorted(_COMPARISON_ARITHMETIC))
+    def test_every_engine_gives_c_values(self, name, fault_free):
+        body, expected = _COMPARISON_ARITHMETIC[name]
+        src = """
+        kernel void K(const global float * restrict x,
+                      const global int * restrict a, global float *out) {
+          int i = get_global_id(0);
+          %s
+        }""" % body
+        make = lambda: {"x": Buffer.from_array(np.linspace(-1, 1, 8)),
+                        "a": Buffer.from_array(np.arange(-4, 4)),
+                        "out": Buffer.zeros(8)}
+        with checked_static_types():
+            assert_engines_agree(
+                src, 8, 4, make, engines=("scalar", "auto", "compiled", "fused")
+            )
+        (outs, _), = run_both(src, 8, 4, make, engines=("scalar",))
+        np.testing.assert_array_equal(outs["out"], expected)
