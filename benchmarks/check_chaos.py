@@ -18,28 +18,15 @@ own fresh tuning cache, and asserts:
 Recoveries are printed (injection counters, cache recovery stats, the
 degradation ledger) so the CI log shows what the run survived.
 
-With ``--service-soak`` it instead gates the service layer: the
-``benchsuite hammer`` soak (concurrent clients, warm races, forced
-backpressure, a planted journal orphan, graceful drain) runs under the
-same fault plan and must report every response bitwise-identical to the
-solo path, faults landed, backpressure exercised, the orphan replayed,
-every ``ServiceStats`` field matched by its ``service.<field>`` process
-counter, and the queue state visible in the metrics snapshot.  The
-service has no retry loop and one fault site of its own
-(``service-journal``); the other faults it survives land at the
-compile / simulate / cache / backend-run sites, and a failed response
-is the client's to resubmit.
-
 Exit status 0 = pass, 1 = divergence (with a report on stdout).
 
 Usage::
 
     python benchmarks/check_chaos.py [--plan "seed=11;rate=0.05"]
         [--benchmarks nn gemv ...]
-    python benchmarks/check_chaos.py --service-soak [--clients 8]
 
 See ``src/repro/RESILIENCE.md`` for the site map and recovery
-semantics, ``src/repro/SERVICE.md`` for the service guarantees.
+semantics.
 """
 
 from __future__ import annotations
@@ -65,105 +52,6 @@ def cell_key(cell) -> tuple:
     return (cell.benchmark, cell.size, cell.level, cell.device)
 
 
-def run_service_soak(plan, clients: int) -> int:
-    """The hammer soak as a CI gate: everything the hammer verifies,
-    plus "faults actually landed" and "the service surfaced its state
-    through the unified metrics snapshot"."""
-    from repro import faultinject, obs
-    from repro.backend import ledger
-    from repro.benchsuite.hammer import format_hammer, run_hammer
-
-    ledger.clear()
-    print(f"[chaos] service soak under plan {plan.describe()}")
-    faultinject.set_plan(plan)
-    try:
-        report = run_hammer(clients=clients)
-        injected = faultinject.total_injected()
-        site_counts = faultinject.counts()
-    finally:
-        faultinject.clear_plan()
-    print(format_hammer(report))
-
-    failures = []
-    if not report["ok"]:
-        failures.append("hammer verdict FAILED (see report above)")
-    if report["mismatches"]:
-        failures.append(f"bitwise mismatches: {report['mismatches']}")
-    if report["client_errors"]:
-        failures.append(f"client errors: {report['client_errors']}")
-    if injected <= 0:
-        failures.append(
-            f"plan {plan.describe()} injected no faults — the soak "
-            "exercised nothing"
-        )
-    if not report["overload_rejected"]:
-        failures.append("backpressure never fired (no overload reject)")
-    if report["replayed"] < 1:
-        failures.append("journal replay never fired (zero orphans replayed)")
-
-    # The queue state must be observable: every service event is
-    # also a process counter ``service.<field>`` (at least the main
-    # service's count: the overload probe adds its own), and the
-    # snapshot carries the service section.
-    snapshot = obs.snapshot()
-    counters = snapshot.get("counters", {})
-    for field, value in report["stats"].items():
-        metric = f"service.{field}"
-        if counters.get(metric, 0) < value:
-            failures.append(
-                f"counter {metric!r} = {counters.get(metric, 0)} is below "
-                f"the service's {field} = {value}"
-            )
-    if "service.queue_depth" not in snapshot.get("gauges", {}):
-        failures.append("metrics snapshot missing gauge 'service.queue_depth'")
-    if "active" not in snapshot.get("service", {}):
-        failures.append("metrics snapshot missing the 'service' section")
-
-    # The SLO table must be *structurally* present — every quantile key
-    # on every observed request class.  No absolute-latency assertions:
-    # CI machines are too noisy for wall-clock thresholds, the gate
-    # only guarantees the attribution plumbing works.
-    slo_rows = report.get("slo") or []
-    if not slo_rows:
-        failures.append("hammer report carries no SLO table")
-    observed = {row.get("class") for row in slo_rows}
-    if "cold" not in observed:
-        failures.append(
-            f"SLO table missing the 'cold' request class (has {sorted(observed)})"
-        )
-    for row in slo_rows:
-        missing = [
-            k for k in ("count", "p50_ms", "p95_ms", "p99_ms", "max_ms")
-            if row.get(k) is None
-        ]
-        if missing:
-            failures.append(
-                f"SLO row {row.get('class')!r} missing {missing}"
-            )
-
-    print(f"[chaos] {injected} faults injected")
-    for site, c in sorted(site_counts.items()):
-        if c.checks:
-            print(
-                f"[chaos]   {site}: {c.injected}/{c.checks} injected "
-                f"({c.recovered} retried in place, {c.escaped} escaped)"
-            )
-    print(f"[chaos] {ledger.summary()}")
-
-    if failures:
-        print(f"\nFAIL: {len(failures)} service-soak violation(s)")
-        for line in failures:
-            print(f"  - {line}")
-        return 1
-    print(
-        f"\nOK: service soak bitwise-identical under plan "
-        f"{plan.describe()} ({report['stats']['completed']} completed, "
-        f"{report['stats']['warm_hits']} warm hits, "
-        f"{report['replayed']} replayed)"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -174,15 +62,6 @@ def main(argv=None) -> int:
         "--benchmarks", nargs="+", default=None,
         help="restrict to these figure8 benchmarks (default: all)",
     )
-    parser.add_argument(
-        "--service-soak", action="store_true",
-        help="gate the service layer (benchsuite hammer) instead of "
-             "the figure8 evaluation",
-    )
-    parser.add_argument(
-        "--clients", type=int, default=8,
-        help="concurrent hammer clients for --service-soak",
-    )
     args = parser.parse_args(argv)
 
     from repro import faultinject
@@ -192,9 +71,6 @@ def main(argv=None) -> int:
     if plan is None:
         print(f"FAIL: plan {args.plan!r} injects nothing")
         return 1
-
-    if args.service_soak:
-        return run_service_soak(plan, args.clients)
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         tmp = Path(tmp)

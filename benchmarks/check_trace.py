@@ -10,9 +10,9 @@ trace job notices when an instrumented call site is silently removed.
 
 Span *args* can be validated too: ``--require-args NAME:key1,key2``
 asserts every event named ``NAME`` carries those keys under ``args``,
-so the trace stays joinable with the calibration log and the service's
-request classes (``explore.evaluate`` carries engine/workload,
-``service.execute`` carries structural_hash/request_class).
+so the trace stays joinable with the calibration log
+(``explore.evaluate`` carries engine/workload, ``explore.compile``
+carries structural_hash).
 
 Exit status 0 = valid, 1 = invalid (with a report on stdout).
 
@@ -20,7 +20,7 @@ Usage::
 
     python benchmarks/check_trace.py TRACE.json
         [--require launch plan run ...] [--min-events N]
-        [--require-args 'service.execute:structural_hash,request_class']
+        [--require-args 'explore.compile:candidate,structural_hash']
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
         "--require-args", nargs="*", default=[], metavar="NAME:K1,K2",
         help="span-arg requirements: every event named NAME must carry "
              "args K1, K2, ... (e.g. "
-             "'service.execute:structural_hash,request_class')",
+             "'explore.compile:candidate,structural_hash')",
     )
     args = parser.parse_args(argv)
 

@@ -32,7 +32,7 @@ Chain semantics (:meth:`ResolvedChain.execute`):
    observable after the fact.  The crash shield and the ledger are a
    failing backend's one recovery: every tier computes the same buffers
    and ``Counters``, so there is nothing for a per-backend health gate
-   to add, and a launch never imports :mod:`repro.service`.
+   to add.
 
 ``REPRO_SIM_ENGINE`` expresses a *preferred default*, not a hard
 requirement: resolving a strict engine name from the environment

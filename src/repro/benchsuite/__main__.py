@@ -5,7 +5,6 @@
     python -m repro.benchsuite figure8 [--sizes small large] [--benchmarks nn gemv ...] [--explain]
     python -m repro.benchsuite explore [--benchmarks nn gemv ...] [--depth 3] [--cache-dir DIR]
     python -m repro.benchsuite calibrate [--benchmarks nn gemv mm] [--depth 3]
-    python -m repro.benchsuite hammer [--clients 8] [--requests-per-client 6] [--fault-plan 'seed=11;rate=0.05']
     python -m repro.benchsuite report --inputs m1.json m2.json --output perf-report.md
     python -m repro.benchsuite all
 """
@@ -24,7 +23,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "experiment",
         choices=["table1", "figure6", "figure8", "explore", "calibrate",
-                 "hammer", "report", "all"],
+                 "report", "all"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
@@ -70,19 +69,6 @@ def main(argv=None) -> int:
              "scalar)",
     )
     parser.add_argument(
-        "--clients", type=int, default=8,
-        help="concurrent client threads for the hammer service soak",
-    )
-    parser.add_argument(
-        "--requests-per-client", type=int, default=6,
-        help="seeded mixed warm/cold requests each hammer client issues",
-    )
-    parser.add_argument(
-        "--journal-dir", default=None,
-        help="recovery-journal directory for the hammer's service "
-             "(default: a fresh temporary directory)",
-    )
-    parser.add_argument(
         "--fault-plan", default=None,
         help="deterministic fault-injection spec (same syntax as "
              "REPRO_FAULT_PLAN, e.g. 'seed=11;rate=0.05'); recoveries "
@@ -119,7 +105,7 @@ def main(argv=None) -> int:
     if args.experiment in ("explore", "calibrate"):
         from repro.benchsuite.explore import request_error
 
-        problem = request_error(args.benchmarks, args.max_eval)
+        problem = request_error(args.benchmarks, args.depth, args.max_eval)
         if problem is not None:
             print(f"{parser.prog} {args.experiment}: error: {problem}",
                   file=sys.stderr)
@@ -187,22 +173,6 @@ def main(argv=None) -> int:
             _print_cache_recoveries(s)
     _print_resilience_summary()
 
-    status = 0
-    if args.experiment == "hammer":
-        from repro.benchsuite.hammer import format_hammer, run_hammer
-
-        report = run_hammer(
-            clients=args.clients,
-            requests_per_client=args.requests_per_client,
-            cache_dir=args.cache_dir,
-            journal_dir=args.journal_dir,
-            engine=args.engine,
-        )
-        print(format_hammer(report))
-        _print_resilience_summary()
-        if not report["ok"]:
-            status = 1
-
     if args.experiment == "calibrate":
         from repro.benchsuite.calibrate import format_calibrate, run_calibrate
 
@@ -257,7 +227,7 @@ def main(argv=None) -> int:
         if path is not None:
             print(f"[trace written to {path}]", file=sys.stderr)
 
-    return status
+    return 0
 
 
 def _print_cache_recoveries(stats) -> None:

@@ -32,18 +32,21 @@ EXPLORABLE = ("nn", "gemv", "mm")
 
 
 def request_error(
-    names: Optional[Sequence[str]], max_eval: int
+    names: Optional[Sequence[str]], depth: int, max_eval: int
 ) -> Optional[str]:
     """Why an ``explore`` / ``calibrate`` request cannot be served, or
     ``None``: benchmarks outside :data:`EXPLORABLE` (multi-stage programs
-    have no single-kernel schedule to derive) and evaluation budgets that
-    leave nothing to rank are refused before any search starts."""
+    have no single-kernel schedule to derive), negative search depths and
+    evaluation budgets that leave nothing to rank are refused before any
+    search starts."""
     unknown = [n for n in names or () if n not in EXPLORABLE]
     if unknown:
         return (
             f"cannot explore {', '.join(unknown)}: EXPLORABLE benchmarks "
             f"are {', '.join(EXPLORABLE)}"
         )
+    if depth < 0:
+        return f"--depth must be at least 0 (got {depth})"
     if max_eval < 1:
         return f"--max-eval must be at least 1 (got {max_eval})"
     return None

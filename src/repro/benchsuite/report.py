@@ -2,9 +2,9 @@
 
 ``python -m repro.benchsuite report --inputs m1.json m2.json --output
 perf-report.md`` merges one or more ``--metrics-json`` snapshots (from
-``calibrate``, ``figure8 --profile``, ``hammer``, ...) into a single
-markdown document with four sections — cost-model calibration, roofline
-attribution, service latency SLOs, and headline benchsuite counters —
+``calibrate``, ``figure8 --profile``, ``explore``, ...) into a single
+markdown document with three sections — cost-model calibration, roofline
+attribution and headline benchsuite counters —
 which CI uploads as a workflow artifact, so every run leaves one
 human-readable perf record behind.
 
@@ -127,29 +127,6 @@ def build_report(
             )
     else:
         lines.append("_No profiled segments (run with `--profile`)._")
-    lines.append("")
-
-    # -- SLOs -----------------------------------------------------------
-    lines.append("## Service latency SLOs")
-    lines.append("")
-    slo_rows = analysis.slo_table(doc)
-    if slo_rows:
-        lines.append(
-            "| class | count | p50 | p95 | p99 | max | queue p95 |"
-        )
-        lines.append("|---|---|---|---|---|---|---|")
-        for r in slo_rows:
-            qw = (
-                "n/a" if r["queue_wait_p95_ms"] is None
-                else f"{r['queue_wait_p95_ms']:.2f} ms"
-            )
-            lines.append(
-                f"| {r['class']} | {r['count']} | {r['p50_ms']:.2f} ms "
-                f"| {r['p95_ms']:.2f} ms | {r['p99_ms']:.2f} ms "
-                f"| {r['max_ms']:.2f} ms | {qw} |"
-            )
-    else:
-        lines.append("_No service requests observed (run `hammer`)._")
     lines.append("")
 
     # -- headline counters ----------------------------------------------

@@ -327,8 +327,9 @@ class TuningCache:
                 f"got {cap!r}"
             ) from None
         self.stats = CacheStats()
-        # The explorer's worker pool shares one cache: serialize file IO
-        # and stats updates within the process; the fcntl lock in
+        # A candidate attempt the explorer's watchdog gave up on can still
+        # be running on its own thread beside the next candidate: serialize
+        # file IO and stats updates within the process; the fcntl lock in
         # _exclusive() serializes mutations across processes.
         self._lock = threading.Lock()
         # Without a cap, only the first write sweeps the store.
@@ -578,17 +579,6 @@ class TuningCache:
             self._put(level, key, value)
         return value
 
-    def launch_keys(
-        self, program, options, size_env, inputs, global_size, local_size,
-        engine,
-    ) -> tuple:
-        """``(kernel key, run key)`` of one launch of ``program``."""
-        kernel_key = self.kernel_key(program, options, size_env)
-        return kernel_key, self.run_key(
-            kernel_key, self.fingerprint(inputs), global_size, local_size,
-            engine,
-        )
-
     def compile_and_run(
         self,
         program: FunDecl,
@@ -598,17 +588,13 @@ class TuningCache:
         global_size,
         local_size,
         engine: Optional[str] = None,
-        keys: Optional[tuple] = None,
-        launch: Callable[[Callable], Any] = lambda run: run(),
     ) -> tuple:
         """:func:`repro.compiler.kernel.compile_and_run` through the run
         and kernel levels: ``(output, counters)`` from the run entry,
-        else by executing the kernel entry, else by compiling first.
-        ``keys`` spares rehashing when the caller has :meth:`launch_keys`
-        already; ``launch`` is handed the zero-argument execution and
-        returns its result (the service's watchdog goes here)."""
-        kernel_key, run_key = keys or self.launch_keys(
-            program, options, size_env, inputs, global_size, local_size,
+        else by executing the kernel entry, else by compiling first."""
+        kernel_key = self.kernel_key(program, options, size_env)
+        run_key = self.run_key(
+            kernel_key, self.fingerprint(inputs), global_size, local_size,
             engine,
         )
 
@@ -616,10 +602,10 @@ class TuningCache:
             compiled = self.fetch(
                 "kernel", kernel_key, lambda: compile_kernel(program, options)
             )
-            result = launch(lambda: execute_kernel(
+            result = execute_kernel(
                 compiled, inputs, size_env, global_size,
                 local_size=local_size, engine=engine,
-            ))
+            )
             return result.output, result.counters
 
         return self.fetch("run", run_key, execute)

@@ -20,7 +20,6 @@ Fault checks are placed at named **injection sites**:
 ``simulate``              entry of :func:`repro.opencl.runtime.launch`
 ``verify``                the explorer's bitwise verification stage
 ``backend-run``           before each non-final backend of a fallback chain
-``service-journal``       recovery-journal writes (:mod:`repro.service.journal`)
 ========================  ====================================================
 
 Each site guards a real operation with a recovery of its own; there is
@@ -31,9 +30,7 @@ standard recovery — retry the draw a bounded number of times
 timing only, never results.  ``backend-run`` faults instead *decline*
 the backend so the fallback chain (and its degradation ledger,
 :mod:`repro.backend.ledger`) is exercised; the final chain member is
-exempt, so a graceful chain still completes.  An escape at
-``service-journal`` falls back to unjournaled execution (the request
-loses crash recovery, never correctness).  Sites draw from independent
+exempt, so a graceful chain still completes.  Sites draw from independent
 ``(seed, site, n)`` streams, so adding or removing one leaves every
 other site's decisions unchanged.
 
@@ -86,7 +83,6 @@ SITES = (
     "simulate",
     "verify",
     "backend-run",
-    "service-journal",
 )
 
 

@@ -13,9 +13,8 @@ Four parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
   traffic in the compiled pipeline, either layout (``REPRO_PROFILE=1`` or
   ``benchsuite --profile``).
 * :mod:`repro.obs.analysis` — attribution over the other instruments:
-  cost-model calibration (Spearman/regret per workload), per-segment
-  roofline classification, and service latency SLO tables
-  (``benchsuite calibrate`` / ``report``).
+  cost-model calibration (Spearman/regret per workload) and per-segment
+  roofline classification (``benchsuite calibrate`` / ``report``).
 
 This package is a *leaf*: it imports nothing from the rest of
 ``repro`` at module level, so every subsystem may import it freely.

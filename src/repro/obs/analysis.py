@@ -1,10 +1,9 @@
-"""Performance attribution: cost-model calibration, roofline analysis,
-and service latency SLOs.
+"""Performance attribution: cost-model calibration and roofline analysis.
 
 The paper's claim is that performance comes from *choosing the right
 rewrite*, which the explorer does by ranking candidates with the cost
-model — so the model itself needs an instrument.  Three analyses share
-this module because they answer the same question at three levels:
+model — so the model itself needs an instrument.  Two analyses share
+this module because they answer the same question at two levels:
 
 * **Calibration** (:class:`CalibrationLog`): does the pre-execution
   prediction (``static_program_cost``) rank candidates the way the
@@ -22,12 +21,8 @@ this module because they answer the same question at three levels:
   segment's arithmetic intensity against the
   :class:`~repro.opencl.cost.DeviceProfile` compute/bandwidth peaks.
 
-* **Service SLOs** (:func:`slo_table`): end-to-end latency and queue
-  wait per request class (warm-hit / coalesced-follower / cold), read
-  from the metrics registry's quantile histograms.
-
-Everything here is out-of-band: analyses only *read* counters, profiler
-aggregates, and histograms; recording a calibration tuple appends to a
+Everything here is out-of-band: analyses only *read* counters and
+profiler aggregates; recording a calibration tuple appends to a
 bounded in-memory list.  Nothing feeds back into execution.
 """
 
@@ -53,9 +48,6 @@ __all__ = [
     "short_hash",
     "roofline_segments",
     "format_roofline",
-    "REQUEST_CLASSES",
-    "slo_table",
-    "format_slo",
 ]
 
 
@@ -176,8 +168,8 @@ class CalibrationLog:
     candidate; :meth:`summary` computes the per-workload statistics the
     ``benchsuite calibrate`` command prints and CI gates on."""
 
-    #: Per-workload record cap (drop-oldest) so a long-lived tuning
-    #: service cannot grow the log without bound.
+    #: Per-workload record cap (drop-oldest) so a process that runs many
+    #: searches cannot grow the log without bound.
     MAX_RECORDS = 512
 
     def __init__(self) -> None:
@@ -422,69 +414,3 @@ def format_roofline(
         )
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# service latency SLOs
-# ---------------------------------------------------------------------------
-
-#: The tuning service's request classes, in the order the SLO table
-#: prints them.  warm_hit: served from cache synchronously at submit;
-#: coalesced: follower of an identical in-flight request; cold: full
-#: queue → compile/tune → complete path.
-REQUEST_CLASSES = ("warm_hit", "coalesced", "cold")
-
-
-def slo_table(snapshot: Optional[dict] = None) -> List[dict]:
-    """Latency/queue-wait quantiles per request class, in milliseconds.
-
-    Reads ``service.latency.<class>`` and ``service.queue_wait.<class>``
-    histograms from a metrics snapshot (default: the live registry).
-    Only classes that were actually observed produce rows."""
-    if snapshot is None:
-        snapshot = metrics.snapshot()
-    hists = snapshot.get("histograms", {})
-    rows = []
-    for cls in REQUEST_CLASSES:
-        h = hists.get(f"service.latency.{cls}")
-        if not h:
-            continue
-        qw = hists.get(f"service.queue_wait.{cls}") or {}
-        rows.append(
-            {
-                "class": cls,
-                "count": h["count"],
-                "p50_ms": h["p50"] * 1e3,
-                "p95_ms": h["p95"] * 1e3,
-                "p99_ms": h["p99"] * 1e3,
-                "max_ms": h["max"] * 1e3,
-                "queue_wait_p95_ms": (
-                    qw["p95"] * 1e3 if "p95" in qw else None
-                ),
-            }
-        )
-    return rows
-
-
-def format_slo(rows: Optional[List[dict]] = None) -> str:
-    """The ``benchsuite hammer`` SLO table."""
-    if rows is None:
-        rows = slo_table()
-    lines = [
-        "service latency SLOs (end-to-end, per request class):",
-        f"  {'class':<12} {'count':>6} {'p50':>9} {'p95':>9} "
-        f"{'p99':>9} {'max':>9} {'queue p95':>10}",
-    ]
-    if not rows:
-        lines.append("  (no service requests observed)")
-        return "\n".join(lines)
-    for r in rows:
-        qw = (
-            "n/a" if r["queue_wait_p95_ms"] is None
-            else f"{r['queue_wait_p95_ms']:.2f}ms"
-        )
-        lines.append(
-            f"  {r['class']:<12} {r['count']:>6} {r['p50_ms']:>7.2f}ms "
-            f"{r['p95_ms']:>7.2f}ms {r['p99_ms']:>7.2f}ms "
-            f"{r['max_ms']:>7.2f}ms {qw:>10}"
-        )
-    return "\n".join(lines)

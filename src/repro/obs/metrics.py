@@ -2,7 +2,7 @@
 the owners' stats views, all merged into one ``snapshot()`` document.
 
 Events are counted once, at the call site that sees them, with
-:func:`inc` (``launch.total``, ``service.admits``...).  An object with
+:func:`inc` (``launch.total``, ``explore.retries``...).  An object with
 its own accounting (``CacheStats``, ``ExploreStats``, the
 ``DegradationLedger``, ...) registers an ``as_dict()``-style view under
 a top-level key with :func:`register_provider` itself: process-wide
@@ -25,7 +25,6 @@ Snapshot layout::
       "faults":     {"sites": {...}, "plan": ...},
       "profile":    {...KernelProfiler...},
       "calibration": {...CalibrationLog...},
-      "service":    {...TuningService...},
       "counters.kernel": {...interp Counters of the last launch...},
     }
 
@@ -60,14 +59,13 @@ _RESERVED = ("counters", "gauges", "histograms")
 #: What :func:`snapshot` shows for a section whose owner has not
 #: registered: the owner's view, empty.  ``ledger`` and ``faults``
 #: register when :mod:`repro.backend.ledger` / :mod:`repro.faultinject`
-#: are imported; the other three when a ``TuningCache``, an
-#: ``explore_program`` search or a ``TuningService`` exists.
+#: are imported; the other two when a ``TuningCache`` or an
+#: ``explore_program`` search exists.
 PLACEHOLDERS = {
     "ledger": {"total": 0, "dropped_events": 0, "declines": [], "events": []},
     "faults": {"plan": None, "sites": {}},
     "cache": {"active": False},
     "explore": {"stats": {}, "failures": []},
-    "service": {"active": False},
 }
 
 #: The quantiles every histogram estimates (snapshot keys ``p50``,

@@ -1857,8 +1857,9 @@ def get_pipeline(
 
     Cached on the parsed program object, refusals included; the runtime
     shares parse results per source through an LRU, so each distinct
-    kernel is walked once per process (under a lock — the explorer
-    launches from a thread pool).
+    kernel is walked once per process (under a lock — a candidate attempt
+    the explorer's watchdog gave up on can still be launching on its own
+    thread beside the next candidate).
     """
     key = (kernel.name, pointer_kinds)
     cache = getattr(parsed, "_simt_pipelines", None)

@@ -1,26 +1,20 @@
-"""Fault-tolerance primitives: retries, deadlines, cancellation.
+"""Fault-tolerance primitives: retries, a watchdog, cancellation.
 
-The exploration pipeline (and anything built on it, e.g. a long-lived
-tuning service) must survive transient infrastructure failures, hung
-candidates and mid-flight aborts.  This module holds the small,
-dependency-free building blocks; policy (which stages retry, which
-deadlines apply) lives with the callers — see
+The explorer's candidate loop must survive transient infrastructure
+failures and hung candidates.  This module holds the small,
+dependency-free building blocks; policy (which stages retry, how long
+an attempt may run) lives with the caller — see
 :mod:`repro.rewrite.explore` and ``src/repro/RESILIENCE.md``.
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff for
   *transient* errors (:data:`TRANSIENT_ERRORS`: injected faults and
-  ``OSError``).  The explorer retries a candidate with it, and a client
-  of the service a failed request; nothing else retries.
-* :class:`Deadline` — an absolute wall-clock budget that *propagates*:
-  :func:`run_with_deadline` bounds every stage's timeout by
-  :meth:`Deadline.clamp`, so a request admitted near its deadline
-  cannot run a full-length stage.
-* :class:`CancellationToken` — cooperative cancellation, checked at
-  stage boundaries; supports parent/child chaining so a per-attempt
-  deadline can cancel one attempt without aborting the whole search.
+  ``OSError``).  The explorer retries a candidate with it; nothing else
+  retries.
+* :class:`CancellationToken` — cooperative cancellation of one attempt,
+  checked at its stage boundaries.
 * :func:`run_with_deadline` — wall-clock watchdog: runs a callable on a
   daemon thread and raises :class:`DeadlineExceeded` when it overruns,
-  cancelling the attempt's token so the stray worker stops at its next
+  cancelling the attempt's token so the stray thread stops at its next
   checkpoint (Python cannot preempt a running thread; the result of a
   late finisher is discarded).
 * :class:`FailureReport` — the structured quarantine record a failed
@@ -41,7 +35,6 @@ __all__ = [
     "FAILURE_KINDS",
     "Cancelled",
     "CancellationToken",
-    "Deadline",
     "DeadlineExceeded",
     "FailureReport",
     "RetryPolicy",
@@ -100,74 +93,33 @@ class RetryPolicy:
                 sleep(delay)
 
 
-@dataclass(frozen=True)
-class Deadline:
-    """An absolute wall-clock budget (``time.monotonic`` timestamp).
-
-    The point is *propagation*: a deadline is set once at the request
-    boundary and every downstream stage runs under
-    :func:`run_with_deadline`, which bounds the stage's timeout by
-    :meth:`clamp`, so the remaining budget — not each stage's full
-    configured timeout — limits the work.  A request admitted 50ms
-    before its deadline gets a 50ms candidate watchdog, not a
-    full-length one.
-    """
-
-    expires_at: float
-
-    @classmethod
-    def after(cls, seconds: float) -> "Deadline":
-        return cls(time.monotonic() + seconds)
-
-    def remaining(self) -> float:
-        return self.expires_at - time.monotonic()
-
-    @property
-    def expired(self) -> bool:
-        return self.remaining() <= 0.0
-
-    def clamp(self, timeout: Optional[float]) -> float:
-        """Effective stage budget: remaining time, capped by ``timeout``."""
-        rem = max(0.0, self.remaining())
-        return rem if timeout is None else min(timeout, rem)
-
-
 class CancellationToken:
-    """Cooperative cancellation, optionally chained to a parent.
+    """Cooperative cancellation of one attempt.
 
-    ``cancel()`` is sticky and thread-safe; workers poll ``cancelled``
-    (or call :meth:`raise_if_cancelled`) at stage boundaries.  A child
-    token is cancelled when either it or its parent is — the explorer
-    hands each deadline-bounded attempt a child so a watchdog can stop
-    one candidate without aborting the search.
+    ``cancel()`` is sticky and thread-safe: the watchdog cancels from the
+    caller's thread, and the attempt polls ``cancelled`` (or calls
+    :meth:`raise_if_cancelled`) at its stage boundaries on its own.
     """
 
-    def __init__(self, parent: Optional["CancellationToken"] = None):
+    def __init__(self) -> None:
         self._event = threading.Event()
-        self._parent = parent
 
     def cancel(self) -> None:
         self._event.set()
 
     @property
     def cancelled(self) -> bool:
-        if self._event.is_set():
-            return True
-        return self._parent.cancelled if self._parent is not None else False
+        return self._event.is_set()
 
     def raise_if_cancelled(self) -> None:
         if self.cancelled:
             raise Cancelled("operation cancelled")
-
-    def child(self) -> "CancellationToken":
-        return CancellationToken(parent=self)
 
 
 def run_with_deadline(
     fn: Callable[[], "object"],
     timeout: Optional[float],
     token: Optional[CancellationToken] = None,
-    deadline: Optional[Deadline] = None,
 ):
     """Run ``fn`` with a wall-clock deadline.
 
@@ -176,16 +128,9 @@ def run_with_deadline(
     cooperative ``fn`` stops at its next checkpoint — and
     :class:`DeadlineExceeded` is raised.  A late finisher's result (or
     exception) is discarded.  On time, the result is returned and any
-    exception re-raised in the caller.
-
-    ``deadline``, the request's budget, propagates here: the stage gets
-    what is left of it, capped by ``timeout``, and nothing starts once
-    it is spent.  With neither, ``fn`` is called directly.
+    exception re-raised in the caller.  With no ``timeout``, ``fn`` is
+    called directly, in the caller's thread.
     """
-    if deadline is not None:
-        if deadline.expired:
-            raise DeadlineExceeded("request deadline exhausted")
-        timeout = deadline.clamp(timeout)
     if timeout is None:
         return fn()
     box: dict = {}
@@ -223,7 +168,6 @@ FAILURE_KINDS = (
     "verify",
     "infra",
     "timeout",
-    "cancelled",
 )
 
 

@@ -55,7 +55,8 @@ cheapest proceed.
 Evaluation
 ----------
 Survivors go through :func:`evaluate_candidates`: compile → simulate →
-verify on a ``concurrent.futures`` thread pool.  Results are verified
+verify, one candidate after another in the caller's thread (under the
+GIL a pool of threads only added overhead).  Results are verified
 *bitwise* against the reference interpreter running the original
 high-level program (our rules never reorder floating-point reductions,
 so a correct schedule reproduces the exact bits) — an :class:`Oracle`
@@ -83,7 +84,7 @@ The compile → simulate → verify loop degrades gracefully instead of
 dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
 
 * every candidate failure is *classified* (``compile`` / ``simulate`` /
-  ``verify`` / ``infra`` / ``timeout`` / ``cancelled``) and quarantined
+  ``verify`` / ``infra`` / ``timeout``) and quarantined
   into a structured :class:`~repro.resilience.FailureReport` on
   :class:`ExplorationResult` — the rest of the search completes;
 * transient failures (injected faults, ``OSError``) are retried with
@@ -91,11 +92,7 @@ dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
   built from ``ExploreConfig.retries`` / ``retry_backoff``;
 * ``ExploreConfig.candidate_timeout`` puts a wall-clock watchdog on
   each candidate attempt — a hung candidate becomes a ``timeout``
-  report, not a hung search;
-* an :class:`~repro.resilience.CancellationToken` in
-  ``ExploreConfig.cancellation`` aborts the search cleanly at the next
-  stage boundary (enumeration level, candidate start, pipeline stage);
-  already-evaluated candidates are still ranked and returned.
+  report, not a hung search.
 """
 
 from __future__ import annotations
@@ -103,7 +100,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
@@ -157,9 +153,7 @@ from repro import faultinject, obs
 from repro.backend import LEDGER
 from repro.resilience import (
     TRANSIENT_ERRORS,
-    Cancelled,
     CancellationToken,
-    Deadline,
     DeadlineExceeded,
     FailureReport,
     RetryPolicy,
@@ -221,7 +215,6 @@ class ExploreConfig:
     max_eval: int = 16
     device: str = "nvidia"
     engine: Optional[str] = None
-    workers: int = 4
     #: Wall-clock deadline (seconds) per candidate evaluation attempt,
     #: enforced by a watchdog thread; ``None`` disables it.
     candidate_timeout: Optional[float] = None
@@ -230,16 +223,6 @@ class ExploreConfig:
     retries: int = 2
     #: Initial backoff delay between retries (doubles per attempt).
     retry_backoff: float = 0.02
-    #: The *request's* remaining wall-clock budget (set by the tuning
-    #: service).  It propagates: each candidate attempt's watchdog is
-    #: clamped to ``min(candidate_timeout, deadline.remaining())`` — a
-    #: search admitted 50ms before its deadline runs 50ms attempts, not
-    #: full-length ones — and enumeration stops at the next level
-    #: boundary once the budget is spent.
-    deadline: Optional[Deadline] = None
-    #: Cooperative cancellation: cancel() aborts the search at the next
-    #: stage boundary; partial results are still ranked and returned.
-    cancellation: Optional[CancellationToken] = None
     #: Label under which evaluated candidates are recorded in the
     #: cost-model calibration log (:mod:`repro.obs.analysis`); the
     #: benchsuite passes the benchmark name.  ``None`` records under
@@ -267,12 +250,12 @@ class ExploreStats:
     infra_failures: int = 0
     #: Candidates killed by the per-candidate watchdog deadline.
     timeouts: int = 0
-    #: Candidates skipped or aborted through the cancellation token.
+    #: Always 0: nothing cancels a search.  Kept because the end-to-end
+    #: harness (``benchmarks/e2e/workloads.py``) sums it among its
+    #: failure counts; ROADMAP item 1(b) drops it with that pin.
     cancelled: int = 0
     #: Transient failures absorbed by the retry/backoff loop.
     retries: int = 0
-    #: True when a cancellation token stopped any part of the search.
-    aborted: bool = False
     kernel_cache_hits: int = 0
     kernel_cache_misses: int = 0
     cycle_cache_hits: int = 0
@@ -283,9 +266,9 @@ class ExploreStats:
     #: :mod:`repro.opencl.simt_compile`).
     pipeline_compiles: int = 0
     #: Launches of this search that a backend declined (growth of the
-    #: process-wide degradation ledger over the evaluate stage, so
-    #: concurrent searches see each other's): each one re-ran on a
-    #: slower tier.  Non-zero is a defect to explain (ENGINES.md).
+    #: process-wide degradation ledger over the evaluate stage): each
+    #: one re-ran on a slower tier.  Non-zero is a defect to explain
+    #: (ENGINES.md).
     declined_launches: int = 0
 
     def dedup_hit_rate(self) -> float:
@@ -343,8 +326,8 @@ class ExploredCandidate:
 class ExplorationResult:
     candidates: list  # evaluated ExploredCandidates, best first
     stats: ExploreStats
-    #: Structured quarantine records of candidates that failed, timed
-    #: out or were cancelled (:class:`repro.resilience.FailureReport`);
+    #: Structured quarantine records of candidates that failed or timed
+    #: out (:class:`repro.resilience.FailureReport`);
     #: the search completes around them.
     failures: list = field(default_factory=list)
     #: The oracle every launched candidate was verified against; still
@@ -816,15 +799,7 @@ def _enumerate(
     frontier: list = [(start, ())]
     derivations: list = [(start, ())]
 
-    token = config.cancellation
     for level in range(config.depth):
-        expired = config.deadline is not None and config.deadline.expired
-        if (token is not None and token.cancelled) or expired:
-            # Abort at a level boundary: the derivations found so far
-            # still finish/rank, so a cancelled or out-of-budget search
-            # returns cleanly.
-            stats.aborted = True
-            break
         next_frontier: list = []
         with obs.span(
             "explore.bfs-level", level=level, frontier=len(frontier)
@@ -887,8 +862,10 @@ def reference_output(
 
 class Oracle:
     """:func:`reference_output` of a program, interpreted the first time
-    it is called and at most once — under a lock, so two workers reaching
-    their first verify together do not both interpret.  A search that
+    it is called and at most once — under a lock, because a candidate
+    attempt the watchdog gave up on can still be running on its own
+    thread beside the next candidate, and the two must not both
+    interpret.  A search that
     launches nothing (every candidate served from the cycles cache)
     verifies nothing and never pays for it.  A failure is kept and
     re-raised to every caller."""
@@ -927,8 +904,9 @@ def evaluate_candidates(
     The single place that decides how a schedule is compiled
     (size-specialized, keyed on the symbolic program), launched,
     verified (bitwise) against ``reference`` and costed, with the
-    tuning-cache lookups, retries, watchdog, cancellation and fault
-    sites of the module docstring.  ``reference`` is the expected flat
+    tuning-cache lookups, retries, watchdog and fault sites of the
+    module docstring.  Candidates are evaluated one after another, in
+    order, in the caller's thread.  ``reference`` is the expected flat
     array or an :class:`Oracle`, which is forced by the first candidate
     that actually launched — a failing oracle fails the whole call with
     its own exception, it is not a candidate's fault.  Successful
@@ -943,7 +921,6 @@ def evaluate_candidates(
     profile = DEVICES[config.device]
     cache = or_disabled(cache)
     inputs_fp = cache.fingerprint(inputs)
-    search_token = config.cancellation
     policy = RetryPolicy(
         attempts=config.retries + 1, base_delay=config.retry_backoff,
         max_delay=1.0,
@@ -956,10 +933,12 @@ def evaluate_candidates(
         for its cycles; compile / simulate + verify are what it runs on
         a miss, between the lookup and the store.
 
-        Raises :class:`_StageFailure` for deterministic stage failures,
-        :class:`~repro.resilience.Cancelled` at a checkpoint after the
-        token was cancelled, and lets transient errors (injected faults,
-        ``OSError``...) propagate to the retry policy in ``evaluate``.
+        Raises :class:`_StageFailure` for deterministic stage failures
+        and lets transient errors (injected faults, ``OSError``...)
+        propagate to the retry policy in ``evaluate``.  ``token`` is
+        cancelled when the watchdog gives up on the attempt: the stray
+        thread then stops at its next checkpoint with
+        :class:`~repro.resilience.Cancelled`, which nobody reads.
         """
         token.raise_if_cancelled()
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
@@ -998,7 +977,7 @@ def evaluate_candidates(
                         kernel, kernel_inputs, size_env, cand.global_size,
                         local_size=cand.local_size, engine=config.engine,
                     )
-            except (Cancelled, DeadlineExceeded, *TRANSIENT_ERRORS):
+            except TRANSIENT_ERRORS:
                 raise
             except Exception as exc:
                 raise _StageFailure("simulate", str(exc)) from exc
@@ -1036,9 +1015,8 @@ def evaluate_candidates(
         return cand
 
     def evaluate(cand: ExploredCandidate):
-        """Fault-tolerant wrapper: a watchdog per attempt, bounded by
-        what is left of the request's deadline, and ``policy``'s retries
-        with backoff for transient errors.
+        """Fault-tolerant wrapper: a watchdog per attempt and
+        ``policy``'s retries with backoff for transient errors.
         Returns ``(candidate | None, events, FailureReport | None)``."""
         events = {"compiled": 0, "executed": 0, "retries": 0}
         start = time.monotonic()
@@ -1047,16 +1025,12 @@ def evaluate_candidates(
         def attempt() -> ExploredCandidate:
             nonlocal attempts
             attempts += 1
-            # A child token per attempt: the watchdog cancels the
-            # attempt's stray worker without aborting the whole search.
-            token = (
-                search_token.child() if search_token is not None
-                else CancellationToken()
-            )
+            # A token per attempt: the watchdog cancels the attempt's
+            # stray thread, not the attempts after it.
+            token = CancellationToken()
             return run_with_deadline(
                 lambda: _evaluate_once(cand, events, token),
                 config.candidate_timeout, token=token,
-                deadline=config.deadline,
             )
 
         def on_retry(attempt_no: int, exc: BaseException) -> None:
@@ -1081,8 +1055,6 @@ def evaluate_candidates(
             raise exc.__cause__
         except _StageFailure as exc:
             return fail(exc.kind, exc.message)
-        except Cancelled:
-            return fail("cancelled", "exploration cancelled")
         except DeadlineExceeded as exc:
             return fail("timeout", str(exc))
         except TRANSIENT_ERRORS as exc:  # survived every retry
@@ -1097,30 +1069,17 @@ def evaluate_candidates(
     totals = {"compiled": 0, "executed": 0, "retries": 0}
     with obs.span(
         "explore.evaluate", candidates=len(candidates),
-        workers=max(1, config.workers),
         engine=config.engine or "auto", device=config.device,
         workload=config.workload or "adhoc",
-    ), ThreadPoolExecutor(max_workers=max(1, config.workers)) as pool:
-        scheduled = []
+    ):
         for cand in candidates:
-            if search_token is not None and search_token.cancelled:
-                failures.append(
-                    FailureReport(
-                        label=cand.label, trace=cand.trace, kind="cancelled",
-                        message="cancelled before evaluation started",
-                        attempts=0,
-                    )
-                )
-                continue
-            scheduled.append(pool.submit(evaluate, cand))
-        for future in scheduled:
-            cand, events, report = future.result()
+            result, events, report = evaluate(cand)
             for name in totals:
                 totals[name] += events[name]
             if report is not None:
                 failures.append(report)
             else:
-                ranked.append(cand)
+                ranked.append(result)
     ranked.sort(key=lambda c: (c.runtime, len(c.trace), c.trace))
     return ranked, failures, totals
 
@@ -1131,7 +1090,6 @@ _FAILURE_STAT = {
     "verify": "verify_failures",
     "infra": "infra_failures",
     "timeout": "timeouts",
-    "cancelled": "cancelled",
 }
 
 
@@ -1201,8 +1159,6 @@ def explore_program(
     for report in failures:
         counter = _FAILURE_STAT[report.kind]
         setattr(stats, counter, getattr(stats, counter) + 1)
-        if report.kind == "cancelled":
-            stats.aborted = True
     after = cache.stats
     stats.kernel_cache_hits = after.kernel_hits - cache_before.kernel_hits
     stats.kernel_cache_misses = after.kernel_misses - cache_before.kernel_misses

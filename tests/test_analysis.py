@@ -4,11 +4,12 @@ Covers the calibration math (Spearman with tie handling, top-k regret,
 scale-aligned residuals) on synthetic menus with known orderings, the
 CalibrationLog (bounds, reset, empty-log edge case, snapshot shape),
 the P² streaming quantile estimator behind the metrics histograms,
-roofline classification against synthetic segment counters, the SLO
-table, and the explorer integration (records land in the log with
+roofline classification against synthetic segment counters, and the
+explorer integration (records land in the log with
 join-key hashes).
 """
 
+import json
 import math
 
 import pytest
@@ -19,7 +20,6 @@ from repro.obs.analysis import (
     CalibrationLog,
     CalibrationRecord,
     short_hash,
-    slo_table,
     spearman,
     topk_regret,
 )
@@ -309,64 +309,6 @@ class TestRoofline:
 
 
 # ---------------------------------------------------------------------------
-# service SLO table
-# ---------------------------------------------------------------------------
-
-class TestSloTable:
-    def test_reads_quantile_histograms(self):
-        snapshot = {
-            "histograms": {
-                "service.latency.cold": {
-                    "count": 3, "total": 0.6, "min": 0.1, "max": 0.3,
-                    "mean": 0.2, "p50": 0.2, "p95": 0.29, "p99": 0.298,
-                },
-                "service.queue_wait.cold": {
-                    "count": 3, "total": 0.15, "min": 0.01, "max": 0.09,
-                    "mean": 0.05, "p50": 0.05, "p95": 0.08, "p99": 0.088,
-                },
-            }
-        }
-        (row,) = slo_table(snapshot)
-        assert row["class"] == "cold"
-        assert row["count"] == 3
-        assert row["p50_ms"] == pytest.approx(200.0)
-        assert row["p95_ms"] == pytest.approx(290.0)
-        assert row["max_ms"] == pytest.approx(300.0)
-        assert row["queue_wait_p95_ms"] == pytest.approx(80.0)
-
-    def test_missing_queue_wait_is_none(self):
-        snapshot = {
-            "histograms": {
-                "service.latency.warm_hit": {
-                    "count": 1, "total": 0.01, "min": 0.01, "max": 0.01,
-                    "mean": 0.01, "p50": 0.01, "p95": 0.01, "p99": 0.01,
-                },
-            }
-        }
-        (row,) = slo_table(snapshot)
-        assert row["class"] == "warm_hit"
-        assert row["queue_wait_p95_ms"] is None
-
-    def test_empty_snapshot(self):
-        assert slo_table({"histograms": {}}) == []
-        assert "(no service requests" in analysis.format_slo([])
-
-    def test_row_order_follows_request_classes(self):
-        hist = {
-            "count": 1, "total": 0.01, "min": 0.01, "max": 0.01,
-            "mean": 0.01, "p50": 0.01, "p95": 0.01, "p99": 0.01,
-        }
-        snapshot = {
-            "histograms": {
-                f"service.latency.{cls}": dict(hist)
-                for cls in ("cold", "warm_hit", "coalesced")
-            }
-        }
-        rows = slo_table(snapshot)
-        assert [r["class"] for r in rows] == list(analysis.REQUEST_CLASSES)
-
-
-# ---------------------------------------------------------------------------
 # explorer integration
 # ---------------------------------------------------------------------------
 
@@ -406,3 +348,62 @@ class TestExplorerIntegration:
             assert "synthetic" in doc["calibration"]["workloads"]
         finally:
             analysis.LOG.reset()
+
+
+# ---------------------------------------------------------------------------
+# the markdown report (benchsuite report)
+# ---------------------------------------------------------------------------
+
+SECTIONS = (
+    "## Cost-model calibration", "## Roofline attribution",
+    "## Headline counters",
+)
+
+
+def _report_of(snapshot, tmp_path):
+    from repro.benchsuite.report import build_report
+
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(snapshot))
+    text = build_report([str(path)])
+    assert [l for l in text.splitlines() if l.startswith("## ")] == list(
+        SECTIONS
+    )
+    return text
+
+
+def _section(text, heading):
+    return text.split(heading, 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "heading, empty",
+    zip(SECTIONS, (
+        "_No calibration records", "_No profiled segments",
+        "_No counters recorded._",
+    )),
+)
+def test_an_empty_snapshot_reports_each_section_empty(heading, empty, tmp_path):
+    assert _section(_report_of({}, tmp_path), heading).strip().startswith(empty)
+
+
+@pytest.mark.parametrize(
+    "heading, snapshot, line",
+    [
+        (SECTIONS[0],
+         {"calibration": {"workloads": {"nn": {
+             "candidates": 3, "spearman": 0.5, "top1_regret": 0.1,
+             "top5_regret": 0.0, "residual_rms": 0.25,
+         }}}},
+         "| nn | 3 | 0.500 | 10.0% | 0.0% | 0.250 |"),
+        (SECTIONS[1], {"profile": make_profile_doc([(100, 100, 0)])},
+         "| KERNEL | 0 |"),
+        (SECTIONS[2], {"counters": {"launch.total": 7}},
+         "| launch.total | 7 |"),
+    ],
+    ids=["calibration", "roofline", "counters"],
+)
+def test_a_report_section_renders_its_snapshot(
+    heading, snapshot, line, tmp_path
+):
+    assert line in _section(_report_of(snapshot, tmp_path), heading)

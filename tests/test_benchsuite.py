@@ -373,14 +373,16 @@ def test_explore_cli_reports_a_malformed_cache_cap(monkeypatch, capsys):
     [
         (["--benchmarks", "nn", "atax"], "EXPLORABLE benchmarks are nn, gemv, mm"),
         (["--max-eval", "0"], "--max-eval must be at least 1"),
+        (["--depth", "-1"], "--depth must be at least 0"),
     ],
 )
 def test_explore_cli_rejects_bad_requests_before_searching(
     command, flags, needle, monkeypatch, capsys
 ):
-    """atax has no single-kernel schedule to derive and a zero budget
-    leaves nothing to rank: exit status 2 and one line, not a traceback
-    out of the middle of a search."""
+    """atax has no single-kernel schedule to derive, a negative depth is
+    no search and a zero budget leaves nothing to rank: exit status 2 and
+    one line, not a traceback out of the middle of a search (a depth of
+    -1 used to run a depth-0 search and exit 0)."""
     from repro.benchsuite import explore as benchsuite_explore
     from repro.benchsuite.__main__ import main
 
@@ -393,3 +395,53 @@ def test_explore_cli_rejects_bad_requests_before_searching(
     assert captured.out == ""
     message, = captured.err.splitlines()
     assert needle in message and f"{command}: error:" in message
+
+
+@pytest.mark.parametrize(
+    "names, depth, max_eval, expected",
+    [
+        (None, 0, 1, None),
+        (["nn", "gemv", "mm"], 3, 12, None),
+        (["mm"], 0, 1, None),
+        (["nn"], -1, 12, "--depth must be at least 0 (got -1)"),
+        (["gemv"], -3, 1, "--depth must be at least 0 (got -3)"),
+        (["nn"], 3, 0, "--max-eval must be at least 1 (got 0)"),
+        (["mm"], 3, -4, "--max-eval must be at least 1 (got -4)"),
+        (["nn"], -2, 0, "--depth must be at least 0 (got -2)"),
+        (["atax", "kmeans"], 3, 12,
+         "cannot explore atax, kmeans: EXPLORABLE benchmarks are nn, gemv, mm"),
+        (["nn", "atax"], -1, 0,
+         "cannot explore atax: EXPLORABLE benchmarks are nn, gemv, mm"),
+    ],
+)
+def test_request_error_names_the_first_problem(
+    names, depth, max_eval, expected
+):
+    """What ``explore`` / ``calibrate`` refuse before searching, checked
+    in order: the benchmarks, then the depth, then the budget."""
+    from repro.benchsuite.explore import request_error
+
+    assert request_error(names, depth, max_eval) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["hammer"], "invalid choice: 'hammer'"),
+        (["explore", "--clients", "2"], "unrecognized arguments: --clients 2"),
+        (["explore", "--requests-per-client", "3"],
+         "unrecognized arguments: --requests-per-client 3"),
+        (["explore", "--journal-dir", "j"],
+         "unrecognized arguments: --journal-dir j"),
+    ],
+    ids=["hammer", "clients", "requests-per-client", "journal-dir"],
+)
+def test_the_command_line_has_no_service_surface(argv, needle, capsys):
+    """No tuning service, no load generator: their subcommand and flags
+    are usage errors (exit status 2)."""
+    from repro.benchsuite.__main__ import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert needle in capsys.readouterr().err

@@ -322,6 +322,56 @@ class TestDisabledCache:
         assert or_disabled(cache) is cache
 
 
+class TestCompileAndRun:
+    """``TuningCache.compile_and_run`` serves from the deepest level that
+    holds the answer: the run entry, else the kernel entry (executed),
+    else a compile."""
+
+    X = np.arange(16, dtype=float)
+
+    def _call(self, cache, x):
+        return cache.compile_and_run(
+            lower_to_global(_program()), CompilerOptions(), {"x": x},
+            {"N": 16}, (16, 1, 1), (8, 1, 1),
+        )
+
+    @pytest.mark.parametrize(
+        "stored, compiles, executions",
+        [("nothing", 1, 1), ("kernel", 0, 1), ("run", 0, 0)],
+    )
+    def test_each_level_serves_what_it_holds(
+        self, tmp_path, monkeypatch, fault_free, stored, compiles, executions
+    ):
+        cache = TuningCache(tmp_path)
+        if stored != "nothing":
+            # The same inputs leave a run entry; other inputs only the
+            # kernel entry.
+            self._call(cache, self.X if stored == "run" else self.X + 1.0)
+        calls = {"compile": 0, "execute": 0}
+        real_compile = cache_mod.compile_kernel
+        real_execute = cache_mod.execute_kernel
+
+        def counting_compile(*args, **kwargs):
+            calls["compile"] += 1
+            return real_compile(*args, **kwargs)
+
+        def counting_execute(*args, **kwargs):
+            calls["execute"] += 1
+            return real_execute(*args, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "compile_kernel", counting_compile)
+        monkeypatch.setattr(cache_mod, "execute_kernel", counting_execute)
+        for _ in range(2):  # the second call is served from the run entry
+            output, counters = self._call(cache, self.X)
+            np.testing.assert_array_equal(
+                np.asarray(output).ravel(), 2.0 * self.X
+            )
+            assert isinstance(counters, Counters)
+            assert (calls["compile"], calls["execute"]) == (
+                compiles, executions,
+            )
+
+
 class TestSizeCapValidation:
     def test_negative_cap_is_rejected(self, tmp_path):
         # It used to be accepted, and evicted every entry as written.

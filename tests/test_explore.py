@@ -15,6 +15,7 @@ from repro.cache import TuningCache
 from repro.rewrite.autotune import autotune, default_candidates
 from repro.rewrite.explore import (
     ExploreConfig,
+    evaluate_candidates,
     explore_program,
     _collect_parallel,
     _finish_variants,
@@ -440,17 +441,14 @@ def test_oracle_is_interpreted_only_when_something_launches(
     assert warm["ranking"] == cold["ranking"]
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_oracle_is_interpreted_once_under_any_workers(
-    workers, interpretations, fault_free
-):
-    """Workers reaching their first verify together share one
-    interpretation; ``result.reference`` is that array."""
+def test_oracle_is_interpreted_once(interpretations, fault_free):
+    """Eight candidates verify against one interpretation;
+    ``result.reference`` is that array."""
     bench = get_benchmark("nn")
     inputs, size_env = bench.inputs_for("small")
     result = explore_program(
         bench.high_level(size_env), inputs, size_env,
-        config=ExploreConfig(depth=2, max_eval=8, workers=workers),
+        config=ExploreConfig(depth=2, max_eval=8),
     )
     assert result.stats.executions == 8 and len(interpretations) == 1
     assert result.reference is result.reference
@@ -460,10 +458,9 @@ def test_oracle_is_interpreted_once_under_any_workers(
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
 def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
-    """One worker or four, a cold store or the same store warm, or the
-    winner compiled on its own: one kernel text.  The process-wide
-    compile memo is emptied before each search, so every cold one
-    really compiles."""
+    """No store, a cold store or the same store warm, or the winner
+    compiled on its own: one kernel text.  The process-wide compile memo
+    is emptied before each search, so every cold one really compiles."""
     from repro.compiler import codegen
     from repro.compiler.options import CompilerOptions
     from repro.rewrite.explore import specialize_sizes
@@ -472,16 +469,16 @@ def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
     inputs, size_env = bench.inputs_for("small")
     high_level = bench.high_level(size_env)
 
-    def search(workers, cache=None):
+    def search(cache=None):
         codegen.clear_compile_memo()
         return explore_program(
             high_level, inputs, size_env,
-            config=ExploreConfig(depth=2, workers=workers), cache=cache,
+            config=ExploreConfig(depth=2), cache=cache,
         )
 
-    alone = search(1)
-    cold = search(4, TuningCache(tmp_path))
-    warm = search(4, TuningCache(tmp_path))
+    alone = search()
+    cold = search(TuningCache(tmp_path))
+    warm = search(TuningCache(tmp_path))
     assert warm.stats.compilations == 0 < cold.stats.compilations
     best = alone.best()
     direct = codegen.compile_kernel(
@@ -492,6 +489,106 @@ def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
         assert result.best().trace == best.trace
         assert result.best().kernel_source == best.kernel_source
     assert direct.source == best.kernel_source
+
+
+def test_a_search_runs_in_the_callers_thread(monkeypatch, fault_free):
+    """Without a watchdog, compiling, launching and verifying every
+    candidate starts no thread: under the GIL a pool only added
+    overhead."""
+    import threading
+
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    result = explore_program(
+        bench.high_level(size_env), inputs, size_env,
+        config=ExploreConfig(depth=2, candidate_timeout=None),
+    )
+    assert result.stats.executions > 0
+    assert started == []
+
+
+@pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
+def test_candidates_are_evaluated_in_the_order_given(
+    name, monkeypatch, fault_free
+):
+    """One after another, in the order given — and the ranking does not
+    depend on that order (ties break on the derivation trace)."""
+    from repro.rewrite import explore as explore_mod
+
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    config = ExploreConfig(depth=1, max_eval=4)
+    found = explore_program(
+        bench.high_level(size_env), inputs, size_env, config=config
+    )
+    assert len(found.candidates) > 1
+    compiled = []
+    real_specialize = explore_mod.specialize_sizes
+
+    def recording_specialize(fun, env):
+        compiled.append(id(fun))
+        return real_specialize(fun, env)
+
+    monkeypatch.setattr(explore_mod, "specialize_sizes", recording_specialize)
+    rankings = []
+    for order in (found.candidates, found.candidates[::-1]):
+        compiled.clear()
+        ranked, failures, _ = evaluate_candidates(
+            order, inputs, size_env, found.reference, config
+        )
+        assert not failures
+        assert compiled == [id(c.program) for c in order]
+        rankings.append([c.label for c in ranked])
+    assert rankings == [[c.label for c in found.candidates]] * 2
+
+
+def test_an_oracle_asked_from_two_threads_interprets_once(interpretations):
+    """A candidate attempt the watchdog gave up on can still be verifying
+    on its own thread beside the next candidate: both get the one array."""
+    import threading
+
+    from repro.rewrite.explore import Oracle
+
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+    oracle = Oracle(bench.high_level(size_env), inputs, size_env)
+    ready = threading.Barrier(4)
+    seen = []
+
+    def verify():
+        ready.wait()
+        seen.append(oracle())
+
+    threads = [threading.Thread(target=verify) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(interpretations) == 1
+    assert len(seen) == 4 and all(a is seen[0] for a in seen)
+
+
+def test_explore_config_has_eight_knobs():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(ExploreConfig)] == [
+        "depth", "max_eval", "device", "engine", "candidate_timeout",
+        "retries", "retry_backoff", "workload",
+    ]
+
+
+@pytest.mark.parametrize("knob", ["workers", "deadline", "cancellation"])
+def test_a_search_has_no_pool_or_search_wide_stop(knob):
+    with pytest.raises(TypeError, match=knob):
+        ExploreConfig(**{knob: 1})
 
 
 def test_a_failing_oracle_fails_the_search(monkeypatch):

@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: view registers (figure8 adds ``counters.kernel``).
 SECTIONS = (
     "counters", "gauges", "histograms", "cache", "explore", "ledger",
-    "faults", "profile", "calibration", "service",
+    "faults", "profile", "calibration",
 )
 
 SAXPY = """
@@ -282,7 +282,6 @@ class TestMetricsRegistry:
         from repro.cache import TuningCache
         from repro.ir.dsl import map_
         from repro.ir.nodes import Lambda, Param, UserFun
-        from repro.resilience import Deadline
         from repro.rewrite.explore import ExploreConfig, explore_program
         from repro.types import ArrayType, FLOAT
 
@@ -296,7 +295,7 @@ class TestMetricsRegistry:
         search = explore_program(
             Lambda([x], map_(double)(x)), {"x": np.ones(16)}, {"N": 16},
             config=ExploreConfig(depth=1, max_eval=2,
-                                 deadline=Deadline.after(0.0)),
+                                 engine="no-such-engine"),
             cache=cache,
         )
         declines = LEDGER.total()
@@ -313,7 +312,7 @@ class TestMetricsRegistry:
         assert doc["cache"]["run_hits"] == doc["cache"]["run_misses"] > 0
         assert doc["cache"]["run_hit_rate"] == 0.5
         assert doc["explore"]["stats"] == search.stats.as_dict()
-        assert doc["explore"]["failures"][0]["kind"] == "timeout"
+        assert doc["explore"]["failures"][0]["kind"] == "simulate"
         assert doc["ledger"]["total"] == declines + 1
         assert doc["ledger"]["events"][-1]["kind"] == "dynamic"
         assert doc["faults"]["plan"] == plan
@@ -354,18 +353,35 @@ class TestMetricsRegistry:
         assert fresh["faults"]["sites"] == {}
         assert fresh["cache"] == {"active": False}
         assert fresh["explore"] == {"stats": {}, "failures": []}
-        assert fresh["service"] == {"active": False}
+
+    @pytest.mark.parametrize("section", sorted(metrics_mod.PLACEHOLDERS))
+    def test_an_unowned_section_is_a_fresh_copy_of_its_placeholder(
+        self, section, monkeypatch
+    ):
+        monkeypatch.setattr(
+            metrics_mod, "REGISTRY", metrics_mod.MetricsRegistry()
+        )
+        doc = metrics_mod.snapshot()
+        assert doc[section] == metrics_mod.PLACEHOLDERS[section]
+        doc[section]["scribbled"] = True
+        assert "scribbled" not in metrics_mod.snapshot()[section]
+        assert "scribbled" not in metrics_mod.PLACEHOLDERS[section]
+
+    def test_every_placeholder_has_a_live_owner(self):
+        """A section whose owner is gone (the in-process tuning service's
+        ``service``) leaves no placeholder behind."""
+        assert set(metrics_mod.PLACEHOLDERS) == {
+            "ledger", "faults", "cache", "explore",
+        }
+        assert "service" not in obs.snapshot()
 
 
 def test_one_telemetry_path_in_the_source():
-    """Each event is counted at one call site (the service counts through
-    ``ServiceStats.bump`` only) and each owner registers its own view:
-    no adapter functions remain anywhere."""
-    daemon = (ROOT / "src/repro/service/daemon.py").read_text()
-    assert "obs.inc(" not in daemon
+    """Each owner registers its own view: no adapter functions remain
+    anywhere."""
     adapter = re.compile(
         r"\bregister_(counters|cache_stats|explore|ledger|fault_sites"
-        r"|profiler|calibration|service)\b|\binstall_default_providers\b"
+        r"|profiler|calibration)\b|\binstall_default_providers\b"
     )
     offenders = [
         str(path.relative_to(ROOT))

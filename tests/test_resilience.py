@@ -1,8 +1,11 @@
-"""The resilience layer: deterministic fault injection, retry/deadline/
-cancellation primitives, the degradation ledger and crash shield on
-backend fallback chains, and the explorer's fault tolerance (recovery
-to bit-identical results under a chaos plan, the failure taxonomy,
-per-candidate deadlines and cooperative cancellation)."""
+"""The resilience layer: deterministic fault injection, the retry,
+watchdog and cancellation primitives, the degradation ledger and crash
+shield on backend fallback chains, and the explorer's fault tolerance
+(recovery to bit-identical results under a chaos plan, the failure
+taxonomy, per-candidate deadlines)."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from repro.ir.dsl import map_
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.resilience import (
+    FAILURE_KINDS,
     Cancelled,
     CancellationToken,
     DeadlineExceeded,
@@ -121,7 +125,9 @@ class TestFaultPlanParsing:
         with pytest.raises(ValueError, match="key=value"):
             FaultPlan.parse("seed")
 
-    @pytest.mark.parametrize("site", ["service-admit", "service-worker"])
+    @pytest.mark.parametrize(
+        "site", ["service-admit", "service-worker", "service-journal"]
+    )
     def test_a_spec_naming_a_deleted_site_fails_fast(self, site):
         with pytest.raises(ValueError, match="unknown") as err:
             FaultPlan.parse(f"seed=3;{site}=0.4")
@@ -131,6 +137,16 @@ class TestFaultPlanParsing:
         plan = FaultPlan.parse("seed=9;rate=0.25;verify=1.0")
         again = FaultPlan.parse(plan.describe())
         assert again == plan
+
+    @pytest.mark.parametrize("site", faultinject.SITES)
+    def test_a_site_rate_applies_to_that_site_only(self, site):
+        plan = FaultPlan.parse(f"seed=3;{site}=0.4")
+        assert plan.rate(site) == 0.4
+        assert all(
+            plan.rate(other) == 0.0
+            for other in faultinject.SITES if other != site
+        )
+        assert FaultPlan.parse(plan.describe()) == plan
 
 
 class TestDeterminism:
@@ -236,6 +252,22 @@ class TestSurviveAndMaybeFail:
             assert faultinject.active_plan().seed == 2
         assert faultinject.active_plan() == outer
 
+    @pytest.mark.parametrize("site", faultinject.SITES)
+    def test_a_certain_fault_escapes_naming_its_site(self, site):
+        state = FaultState(FaultPlan.parse(f"seed=1;{site}=1.0;attempts=2"))
+        with pytest.raises(FaultInjected) as err:
+            state.survive(site)
+        assert (err.value.site, err.value.sequence) == (site, 1)
+        with pytest.raises(FaultInjected):
+            state.maybe_fail(site)
+        for other in faultinject.SITES:
+            if other != site:
+                assert state.survive(other) == 0
+                state.maybe_fail(other)
+        assert state.counts()[site].as_dict() == {
+            "checks": 3, "injected": 3, "recovered": 1, "escaped": 2,
+        }
+
 
 class TestRetryPolicy:
     def test_success_needs_no_retry(self):
@@ -313,6 +345,20 @@ class TestRetryPolicy:
         assert policy.call(flaky, sleep=lambda s: None) == "done"
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("attempts", [0, 1, 2, 3, 5])
+    def test_a_persistent_failure_spends_exactly_the_budget(self, attempts):
+        policy = RetryPolicy(attempts=attempts, base_delay=0.01)
+        calls, slept = [], []
+
+        def broken():
+            calls.append(1)
+            raise OSError(f"blip {len(calls)}")
+
+        with pytest.raises(OSError, match=f"blip {max(1, attempts)}$"):
+            policy.call(broken, sleep=slept.append)
+        assert len(calls) == max(1, attempts)
+        assert slept == list(policy.delays())
+
 
 class TestCancellationToken:
     def test_cancel_is_sticky(self):
@@ -323,19 +369,12 @@ class TestCancellationToken:
         with pytest.raises(Cancelled):
             token.raise_if_cancelled()
 
-    def test_child_sees_parent_cancellation(self):
-        parent = CancellationToken()
-        child = parent.child()
-        assert not child.cancelled
-        parent.cancel()
-        assert child.cancelled
-
-    def test_child_cancellation_does_not_leak_up(self):
-        parent = CancellationToken()
-        child = parent.child()
-        child.cancel()
-        assert child.cancelled
-        assert not parent.cancelled
+    def test_a_token_stops_its_own_attempt_only(self):
+        first, second = CancellationToken(), CancellationToken()
+        first.cancel()
+        first.cancel()
+        assert first.cancelled and not second.cancelled
+        second.raise_if_cancelled()
 
 
 class TestRunWithDeadline:
@@ -350,8 +389,6 @@ class TestRunWithDeadline:
             run_with_deadline(boom, timeout=5.0)
 
     def test_timeout_raises_and_cancels_token(self):
-        import threading
-
         token = CancellationToken()
         release = threading.Event()
         try:
@@ -360,6 +397,50 @@ class TestRunWithDeadline:
             assert token.cancelled
         finally:
             release.set()
+
+    @pytest.mark.parametrize("timeout", [None, 5.0], ids=["direct", "watched"])
+    @pytest.mark.parametrize(
+        "error",
+        [KeyError("k"), OSError("disk"), FaultInjected("compile", 0),
+         Cancelled("stop")],
+        ids=["KeyError", "OSError", "FaultInjected", "Cancelled"],
+    )
+    def test_an_error_crosses_the_watchdog_unchanged(self, timeout, error):
+        def boom():
+            raise error
+
+        with pytest.raises(type(error)) as err:
+            run_with_deadline(boom, timeout=timeout)
+        assert err.value is error
+
+    @pytest.mark.parametrize("timeout", [None, 5.0], ids=["direct", "watched"])
+    def test_only_a_watched_call_leaves_the_callers_thread(self, timeout):
+        caller = threading.current_thread()
+        ran_on = run_with_deadline(threading.current_thread, timeout=timeout)
+        assert (ran_on is caller) == (timeout is None)
+        if timeout is not None:
+            assert ran_on.daemon and ran_on.name == "repro-deadline"
+
+    def test_a_stray_attempt_stops_at_its_next_checkpoint(self):
+        from repro.obs import metrics
+
+        token = CancellationToken()
+        stopped = threading.Event()
+
+        def cooperative():
+            try:
+                while True:
+                    token.raise_if_cancelled()
+                    time.sleep(0.005)
+            except Cancelled:
+                stopped.set()
+            return "late"
+
+        kills = metrics.REGISTRY.counter("resilience.watchdog_kills")
+        with pytest.raises(DeadlineExceeded, match="0.05s"):
+            run_with_deadline(cooperative, timeout=0.05, token=token)
+        assert stopped.wait(5.0)
+        assert metrics.REGISTRY.counter("resilience.watchdog_kills") == kills + 1
 
 
 class TestFailureReport:
@@ -577,7 +658,7 @@ class TestExplorerFaultTolerance:
         register_engine(name, (_SlowBackend.name,))
         try:
             result = _explore(
-                candidate_timeout=0.05, retries=0, engine=name, workers=2,
+                candidate_timeout=0.05, retries=0, engine=name,
             )
         finally:
             registry_mod._ENGINES.pop(name, None)
@@ -586,15 +667,6 @@ class TestExplorerFaultTolerance:
         assert result.stats.timeouts == len(result.failures) > 0
         assert all(r.kind == "timeout" for r in result.failures)
         assert all("deadline" in r.message for r in result.failures)
-
-    def test_precancelled_token_aborts_the_search(self):
-        token = CancellationToken()
-        token.cancel()
-        result = _explore(cancellation=token)
-        assert result.stats.aborted
-        assert not result.candidates
-        # Skipped evaluations are reported, not silently dropped.
-        assert all(r.kind == "cancelled" for r in result.failures)
 
     def test_failures_listed_in_describe(self):
         with faultinject.plan_installed("seed=1;compile=1.0;attempts=1"):
@@ -611,3 +683,35 @@ class TestExplorerFaultTolerance:
         for a, b in zip(chaos.candidates, baseline.candidates):
             assert a.cycles == b.cycles
             assert a.kernel_source == b.kernel_source
+
+    def test_the_taxonomy_and_the_stats_agree(self):
+        from repro.rewrite.explore import ExploreStats, _FAILURE_STAT
+
+        assert tuple(_FAILURE_STAT) == FAILURE_KINDS
+        assert set(_FAILURE_STAT.values()) <= set(ExploreStats().as_dict())
+        assert len(set(_FAILURE_STAT.values())) == len(FAILURE_KINDS)
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_each_failure_kind_is_counted_in_its_own_stat(
+        self, kind, monkeypatch
+    ):
+        from repro.rewrite import explore as explore_mod
+
+        def one_failure(candidates, *args, **kwargs):
+            report = FailureReport(
+                label=candidates[0].label, trace=candidates[0].trace,
+                kind=kind, message="planted",
+            )
+            return [], [report], {"compiled": 0, "executed": 0, "retries": 0}
+
+        monkeypatch.setattr(explore_mod, "evaluate_candidates", one_failure)
+        result = _explore()
+        assert [r.kind for r in result.failures] == [kind]
+        own = explore_mod._FAILURE_STAT[kind]
+        assert {
+            stat: getattr(result.stats, stat)
+            for stat in explore_mod._FAILURE_STAT.values()
+        } == {
+            stat: int(stat == own) for stat in explore_mod._FAILURE_STAT.values()
+        }
+        assert result.stats.cancelled == 0

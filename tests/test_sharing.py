@@ -515,7 +515,7 @@ def test_structure_is_write_once(monkeypatch):
     with faultinject.plan_installed(None):
         result = explore_program(
             high_level, inputs, size_env,
-            config=ExploreConfig(depth=2, max_eval=4, workers=1),
+            config=ExploreConfig(depth=2, max_eval=4),
         )
     assert result.stats.executions == 4 and not result.failures
     bench = get_benchmark("mm-nvidia")  # hand-lowered stages, every pass

@@ -372,9 +372,10 @@ class TestOneNotionOfEquality:
         assert structural_eq(Lambda([p], shared), Lambda([q], other))
 
     def test_racing_threads_cache_equal_keys(self):
-        """``evaluate_candidates``' workers ask for the keys and texts of
-        programs nobody keyed before (the fixed menu's): the lazy caches
-        are single-slot writes of equal values."""
+        """Threads that ask for the keys and texts of a program nobody
+        keyed before (a candidate attempt the watchdog gave up on, still
+        running beside the next one): the lazy caches are single-slot
+        writes of equal values."""
         import sys
         import threading
 
