@@ -1,7 +1,10 @@
 """Simulated-device throughput: the execution substrate's own speed.
 
 Tracks how many work-items per second the NDRange simulator executes for
-representative kernels — useful for sizing future experiments.  Each
+representative kernels — the hand-written SAXPY and barrier reduction,
+and two kernels the compiler generates at level ``all`` (mriq, a
+uniform inner loop; mm-nvidia, 2-D local tiles) — useful for sizing
+future experiments.  Each
 benchmark is parametrized over the execution backend (``scalar``
 reference interpreter, ``compiled`` pipeline in blocks of work-groups,
 ``fused`` the same pipeline over the whole grid) so each backend's
@@ -14,6 +17,10 @@ SAXPY, one block in both layouts).
 import pytest
 import numpy as np
 
+from repro.benchsuite.common import get_benchmark
+from repro.compiler.codegen import compile_kernel
+from repro.compiler.kernel import execute_kernel
+from repro.compiler.options import CompilerOptions
 from repro.opencl import Buffer, OpenCLProgram, launch
 
 # Kernel sources and launch shapes are shared with
@@ -47,6 +54,34 @@ REDUCTION_N = 1024
 REDUCTION_LOCAL = 64
 
 ENGINES = ("scalar", "compiled", "fused")
+
+#: Generated level-``all`` kernels and the sizes they launch at, chosen
+#: so that one ``scalar`` launch stays under 0.5 s.
+GENERATED = {
+    "mriq": {"N": 128, "M": 32},
+    "mm-nvidia": {"M": 16, "N": 16, "Kd": 16},
+}
+
+
+def generated_kernel(name: str):
+    """``(run(engine), work-items)`` for benchmark ``name``'s level-``all``
+    kernel at its :data:`GENERATED` size, inputs and plan made once."""
+    bench = get_benchmark(name)
+    size_env = dict(GENERATED[name])
+    inputs = bench.make_inputs(size_env, np.random.default_rng(0))
+    (stage,) = bench.stages
+    fun = stage.build(size_env)
+    compiled = compile_kernel(fun, CompilerOptions.all(local_size=stage.local_size))
+    stage_inputs = {p.name: inputs[n] for p, n in zip(fun.params, stage.param_names)}
+    gsize = stage.global_size(size_env)
+
+    def run(engine):
+        return execute_kernel(
+            compiled, stage_inputs, size_env, gsize,
+            local_size=stage.local_size, engine=engine,
+        )
+
+    return run, int(np.prod(gsize))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -82,6 +117,18 @@ def test_simulator_barrier_lockstep_throughput(benchmark, engine):
     out = benchmark(run)
     benchmark.extra_info["work_items"] = n
     np.testing.assert_allclose(out.data, 64.0)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", GENERATED)
+def test_simulator_generated_throughput(benchmark, name, engine):
+    run, items = generated_kernel(name)
+    reference = run("scalar") if engine != "scalar" else None
+    result = benchmark(lambda: run(engine))
+    benchmark.extra_info["work_items"] = items
+    if reference is not None:
+        np.testing.assert_array_equal(result.output, reference.output)
+        assert vars(result.counters) == vars(reference.counters)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -4,17 +4,18 @@ Absolute work-items/s numbers are machine-dependent (the baselines were
 recorded on one box, CI runners are another), so the gate compares
 *machine-relative ratios*, which travel:
 
-* **simulator** — for each smoke kernel, the speedup of the compiled
-  lane-batched tier over the scalar reference interpreter, measured
-  here, must stay within ``TOLERANCE`` (30%) of the same ratio in the
-  checked-in ``BENCH_simulator.json``.  A >30% drop means someone made
-  the fast path slower (or the scalar path faster without touching the
-  fast path — also worth a look).  The whole-grid layout's (``fused``)
-  own SAXPY speedup over the scalar reference is gated the same way.
-  And ``compiled`` must stay within ``TOLERANCE`` of ``fused`` on the
+* **simulator** — for each smoke kernel (the hand-written SAXPY and
+  barrier reduction, and the generated level-``all`` mriq and
+  mm-nvidia), the speedup of the compiled lane-batched tier over the
+  scalar reference interpreter, measured here, must stay within
+  ``TOLERANCE`` (30%) of the same ratio in the checked-in
+  ``BENCH_simulator.json``.  A >30% drop means someone made the lane
+  tier slower (or the scalar path faster without touching the lane
+  tier — also worth a look).  The whole-grid layout's (``fused``) own
+  SAXPY speedup over the scalar reference is gated the same way.  And
+  ``compiled`` must stay within ``TOLERANCE`` of ``fused`` on the
   4 096-lane SAXPY, which is one block in both layouts: one plan runs
-  in both, so a gap there means the fast path stopped reaching the
-  blocked layout.
+  in both, so a gap there means the layouts stopped sharing it.
 * **exploration** — given a ``BENCH_explore`` metrics file (produced by
   ``bench_explore.py`` earlier in the CI job), a warm tuning cache must
   still perform **zero** recompilations with full cycle-cache hit
@@ -70,12 +71,14 @@ TOLERANCE = 0.30
 # gate cannot silently drift from its baseline.
 sys.path.insert(0, str(Path(__file__).parent))
 from bench_simulator import (  # noqa: E402
+    GENERATED,
     REDUCTION_LOCAL,
     REDUCTION_N,
     REDUCTION_SOURCE,
     SAXPY_LOCAL,
     SAXPY_N,
     SAXPY_SOURCE,
+    generated_kernel,
 )
 
 
@@ -149,7 +152,28 @@ def measure_simulator_speedups() -> dict:
     )
     speedups[_FUSED_ROW] = saxpy_scalar / fused
     speedups[_FUSED_RATIO] = saxpy_compiled / fused
+    for name in GENERATED:
+        run, _ = generated_kernel(name)
+        scalar = _best_run_seconds(run, "scalar", repeats=3)
+        compiled = _best_run_seconds(run, "compiled", repeats=20)
+        speedups[_generated_row(name)] = scalar / compiled
     return speedups
+
+
+def _generated_row(name: str) -> str:
+    return f"test_simulator_generated_throughput[{name}]"
+
+
+def _best_run_seconds(run, engine, repeats) -> float:
+    """Fastest of ``repeats`` calls of ``run(engine)`` after a warm-up
+    (see :func:`_best_launch_seconds`)."""
+    run(engine)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run(engine)
+        times.append(time.perf_counter() - t0)
+    return min(times)
 
 
 
@@ -170,6 +194,10 @@ def baseline_simulator_speedups(baseline: dict) -> dict:
     fused = benches[f"{saxpy}[fused]"]["median_s"]
     out[_FUSED_ROW] = scalar / fused
     out[_FUSED_RATIO] = compiled / fused
+    for name in GENERATED:
+        row = _generated_row(name)
+        scalar = benches[f"{row[:-1]}-scalar]"]["median_s"]
+        out[row] = scalar / benches[f"{row[:-1]}-compiled]"]["median_s"]
     return out
 
 

@@ -5,7 +5,7 @@ There is one plan and one launcher (:mod:`repro.opencl.simt_compile`,
 launcher's second layout, which executes the **entire launch as one
 block** — zero per-work-group Python loop iterations — instead of
 blocks of at most ``MAX_LANES`` lanes.  The plan is the compiled
-backend's (a cache hit); its fast segments run over the whole grid.
+backend's (a cache hit); its access facts hold over the whole grid.
 
 * A launch beyond :data:`~repro.opencl.simt.FUSED_MAX_LANES` work-items
   raises :class:`~repro.backend.base.CompileUnsupported` before any

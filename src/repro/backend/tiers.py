@@ -8,8 +8,8 @@ These wrap the two engines of :mod:`repro.opencl` behind the
   defines the semantics every other backend must reproduce bit for bit.
 * :class:`CompiledBackend` — the lane-batched block runtime of
   :mod:`repro.opencl.simt` (one block of work-groups per step) driven
-  by the pipeline of :mod:`repro.opencl.simt_compile`, whose segments
-  take the fast path or the closure form as planned.
+  by the pipeline of :mod:`repro.opencl.simt_compile`, whose accesses
+  carry the affine facts the plan derived.
 
 The module only *adapts*; all execution semantics live in the wrapped
 modules.  The scalar group scheduler (formerly inlined in

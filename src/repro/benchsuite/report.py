@@ -112,17 +112,16 @@ def build_report(
         lines.append(f"Ridge point: {ridge:.1f} flop/byte.")
         lines.append("")
         lines.append(
-            "| kernel | segment | kind | flops | bytes | flop/byte "
-            "| bound |"
+            "| kernel | segment | flops | bytes | flop/byte | bound |"
         )
-        lines.append("|---|---|---|---|---|---|---|")
+        lines.append("|---|---|---|---|---|---|")
         for r in rows[:16]:
             ai = (
                 "n/a" if r["intensity"] is None
                 else f"{r['intensity']:.2f}"
             )
             lines.append(
-                f"| {r['kernel']} | {r['segment']} | {r['kind']} "
+                f"| {r['kernel']} | {r['segment']} "
                 f"| {r['flops']} | {r['bytes']} | {ai} | {r['bound']} |"
             )
     else:

@@ -371,7 +371,6 @@ def roofline_segments(
             {
                 "kernel": seg["kernel"],
                 "segment": seg["segment"],
-                "kind": seg["kind"],
                 "calls": seg["calls"],
                 "seconds": seg["seconds"],
                 "flops": flops,
@@ -400,7 +399,7 @@ def format_roofline(
     lines = [
         f"roofline attribution ({device.name}, "
         f"ridge {device.ridge_point():.1f} flop/byte):",
-        f"  {'kernel':<24} {'seg':>3} {'kind':<8} {'flops':>10} "
+        f"  {'kernel':<24} {'seg':>3} {'flops':>10} "
         f"{'bytes':>10} {'flop/byte':>9}  bound",
     ]
     if not rows:
@@ -409,7 +408,7 @@ def format_roofline(
     for r in rows[:top]:
         ai = "n/a" if r["intensity"] is None else f"{r['intensity']:.2f}"
         lines.append(
-            f"  {r['kernel']:<24} {r['segment']:>3} {r['kind']:<8} "
+            f"  {r['kernel']:<24} {r['segment']:>3} "
             f"{r['flops']:>10} {r['bytes']:>10} {ai:>9}  {r['bound']}"
         )
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, and
+"""Process-wide metrics registry: counters, histograms, and
 the owners' stats views, all merged into one ``snapshot()`` document.
 
 Events are counted once, at the call site that sees them, with
@@ -15,7 +15,6 @@ Snapshot layout::
 
     {
       "counters":   {"launch.total": 12, "launch.served.fused": 12, ...},
-      "gauges":     {...},
       "histograms": {"explore.level_width": {"count": 3, "total": ...,
                       "min": ..., "max": ..., "mean": ...,
                       "p50": ..., "p95": ..., "p99": ...}},
@@ -44,7 +43,6 @@ __all__ = [
     "REGISTRY",
     "QUANTILES",
     "inc",
-    "set_gauge",
     "observe",
     "register_provider",
     "provider",
@@ -54,7 +52,7 @@ __all__ = [
 
 #: Top-level keys owned by the registry itself; providers may not
 #: shadow them.
-_RESERVED = ("counters", "gauges", "histograms")
+_RESERVED = ("counters", "histograms")
 
 #: What :func:`snapshot` shows for a section whose owner has not
 #: registered: the owner's view, empty.  ``ledger`` and ``faults``
@@ -158,12 +156,11 @@ class _P2Quantile:
 
 
 class MetricsRegistry:
-    """Thread-safe named counters/gauges/histograms plus providers."""
+    """Thread-safe named counters and histograms plus providers."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         # name -> [count, total, min, max, (quantile estimators)]
         self._hists: Dict[str, list] = {}
         self._providers: Dict[str, Callable[[], object]] = {}
@@ -172,10 +169,6 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
-
-    def set_gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -221,7 +214,6 @@ class MetricsRegistry:
         with self._lock:
             doc: dict = {
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": {
                     name: {
                         "count": h[0],
@@ -252,10 +244,6 @@ REGISTRY = MetricsRegistry()
 
 def inc(name: str, n: int = 1) -> None:
     REGISTRY.inc(name, n)
-
-
-def set_gauge(name: str, value: float) -> None:
-    REGISTRY.set_gauge(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -2,11 +2,10 @@
 
 The compiled pipeline runs a kernel as barrier-delimited segments, in
 blocks (``compiled``) or over the whole grid (``fused``); the profiler
-attributes wall time to each segment, keyed by the form it ran in
-(``fast`` or ``closure``, one vocabulary in both layouts), and
-load/store traffic to each named kernel buffer, producing the
-benchsuite's ``profile`` table (top-N segments by time).  It answers
-"which segment dominates, and did it take the fast path?".
+attributes wall time to each segment and load/store traffic to each
+named kernel buffer, producing the benchsuite's ``profile`` table
+(top-N segments by time).  It answers "which segment dominates, and
+which buffer does it move?".
 
 Profiling is **opt-in** (``REPRO_PROFILE=1`` or ``benchsuite
 --profile``) because per-segment timing necessarily adds clock reads
@@ -57,11 +56,11 @@ class KernelProfiler:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (kernel, segment_index, kind) -> [calls, seconds]
+        # (kernel, segment_index) -> [calls, seconds]
         self._segments: dict = {}
         # (kernel, buffer_name, space) -> [loads, cached_loads, stores]
         self._traffic: dict = {}
-        # (kernel, segment_index, kind) -> {counter_name: delta_sum}
+        # (kernel, segment_index) -> {counter_name: delta_sum}
         # Out-of-band snapshots of the in-band Counters taken around
         # each segment by the profiled execution paths; this is what
         # roofline attribution reads its per-segment flops/bytes from.
@@ -78,8 +77,8 @@ class KernelProfiler:
         self._ctx.names[id(array)] = name
 
     # -- recording -------------------------------------------------------
-    def record_segment(self, index: int, kind: str, seconds: float) -> None:
-        key = (self._ctx.kernel or "?", index, kind)
+    def record_segment(self, index: int, seconds: float) -> None:
+        key = (self._ctx.kernel or "?", index)
         with self._lock:
             cell = self._segments.get(key)
             if cell is None:
@@ -88,15 +87,13 @@ class KernelProfiler:
                 cell[0] += 1
                 cell[1] += seconds
 
-    def record_segment_counters(
-        self, index: int, kind: str, deltas: dict
-    ) -> None:
+    def record_segment_counters(self, index: int, deltas: dict) -> None:
         """Accumulate a per-segment snapshot of Counters deltas.
 
         ``deltas`` maps counter field names (``flops``,
         ``global_loads``, ...) to the amount this segment execution
         added; zero entries may be omitted by the caller."""
-        key = (self._ctx.kernel or "?", index, kind)
+        key = (self._ctx.kernel or "?", index)
         with self._lock:
             cell = self._segment_counters.get(key)
             if cell is None:
@@ -143,16 +140,13 @@ class KernelProfiler:
                 {
                     "kernel": kernel,
                     "segment": index,
-                    "kind": kind,
                     "calls": calls,
                     "seconds": seconds,
                     "counters": dict(
-                        self._segment_counters.get(
-                            (kernel, index, kind), {}
-                        )
+                        self._segment_counters.get((kernel, index), {})
                     ),
                 }
-                for (kernel, index, kind), (calls, seconds)
+                for (kernel, index), (calls, seconds)
                 in self._segments.items()
             ]
             traffic = [
@@ -180,7 +174,7 @@ class KernelProfiler:
         for s in data["segments"][:top]:
             lines.append(
                 f"  {s['kernel']:<24} seg {s['segment']:<2} "
-                f"{s['kind']:<8} {s['calls']:>6} calls "
+                f"{s['calls']:>6} calls "
                 f"{s['seconds'] * 1e3:>9.3f} ms"
             )
         if data["traffic"]:

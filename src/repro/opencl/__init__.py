@@ -8,7 +8,7 @@ counters, and a cost model with per-device profiles.
 """
 
 from repro.opencl.runtime import Buffer, OpenCLProgram, launch
-from repro.opencl.interp import Counters
+from repro.opencl.interp import Counters, OutOfBounds
 from repro.opencl.cost import DeviceProfile, estimate_cycles
 from repro.opencl.simt import VectorizationError, analyze_kernel
 
@@ -17,6 +17,7 @@ __all__ = [
     "Counters",
     "DeviceProfile",
     "OpenCLProgram",
+    "OutOfBounds",
     "VectorizationError",
     "analyze_kernel",
     "estimate_cycles",

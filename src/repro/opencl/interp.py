@@ -34,6 +34,21 @@ class BarrierDivergence(ExecError):
     """Work-items of one group hit different numbers of barriers."""
 
 
+class OutOfBounds(ExecError):
+    """A load or store of an element outside its buffer (global, local
+    or private), on every engine: ``index`` is the element's position in
+    the buffer (a vector access's first), ``buffer`` the pointer as the
+    kernel spells it."""
+
+    def __init__(self, buffer: str, index: int, size: int):
+        super().__init__(
+            f"index {index} is out of bounds of {buffer!r} ({size} elements)"
+        )
+        self.buffer = buffer
+        self.index = index
+        self.size = size
+
+
 class _Return(Exception):
     def __init__(self, value: Any):
         self.value = value
@@ -59,13 +74,6 @@ class Counters:
     branches: int = 0
     loop_iterations: int = 0
     work_items: int = 0
-
-    def total_memory_ops(self) -> int:
-        return (
-            self.global_loads + self.global_stores
-            + self.local_loads + self.local_stores
-            + self.private_loads + self.private_stores
-        )
 
     def as_dict(self) -> dict:
         """Plain-dict view for the metrics registry (repro.obs)."""
@@ -99,11 +107,23 @@ class Pointer:
     def plus(self, delta: int) -> "Pointer":
         return Pointer(self.array, self.offset + int(delta), self.space)
 
+    def address(self, index: int, width: int = 1, name="pointer") -> int:
+        """The position of element ``index`` (of ``width`` from there)
+        in the buffer; :class:`OutOfBounds` outside it.  ``name`` is the
+        pointer's expression, printed only for the error."""
+        addr = self.offset + int(index)
+        size = self.array.shape[0]
+        if addr < 0 or addr + width > size:
+            if not isinstance(name, str):
+                name = c.print_expr(name)
+            raise OutOfBounds(name, addr, size)
+        return addr
+
     def load(self, index: int) -> Any:
-        return self.array[self.offset + int(index)]
+        return self.array[self.address(index)]
 
     def store(self, index: int, value: Any) -> None:
-        self.array[self.offset + int(index)] = value
+        self.array[self.address(index)] = value
 
 
 _VEC_MEMBERS = {"x": 0, "y": 1, "z": 2, "w": 3}
@@ -193,28 +213,48 @@ def kind_of(v: Any) -> Optional[str]:
     return "i" if isinstance(v, (int, np.integer, np.bool_)) else None
 
 
+def children(e) -> tuple:
+    """The sub-expressions of expression ``e``, in evaluation order."""
+    t = type(e)
+    if t is c.CBinOp:
+        return e.lhs, e.rhs
+    if t is c.CUnOp or t is c.CCast:
+        return (e.operand,)
+    if t is c.CTernary:
+        return e.cond, e.then, e.otherwise
+    if t is c.CIndex:
+        return e.base, e.index
+    if t is c.CMember:
+        return (e.base,)
+    if t is c.CCall:
+        return tuple(e.args)
+    if t is c.CVectorLiteral:
+        return tuple(e.items)
+    return ()
+
+
+def statement_parts(s) -> tuple:
+    """``(expressions, statements)`` directly inside statement ``s``."""
+    t = type(s)
+    if t is c.CBlock:
+        return (), s.stmts
+    if t is c.CFor:
+        parts = (s.init, s.step, s.body)
+        return (s.cond,) if s.cond is not None else (), [p for p in parts if p]
+    if t is c.CIf:
+        return (s.cond,), [p for p in (s.then, s.otherwise) if p is not None]
+    if t is c.CAssign:
+        return (s.target, s.value), ()
+    value = {c.CDecl: "init", c.CExprStmt: "expr", c.CReturn: "value"}.get(t)
+    part = getattr(s, value) if value else None
+    return (part,) if part is not None else (), ()
+
+
 def iter_decls(stmt) -> list:
     """Every ``CDecl`` under ``stmt``, in source order."""
-    found: list = []
-
-    def walk(s) -> None:
-        t = type(s)
-        if t is c.CDecl:
-            found.append(s)
-        elif t is c.CBlock:
-            for sub in s.stmts:
-                walk(sub)
-        elif t is c.CFor:
-            for part in (s.init, s.body, s.step):
-                if part is not None:
-                    walk(part)
-        elif t is c.CIf:
-            walk(s.then)
-            if s.otherwise is not None:
-                walk(s.otherwise)
-
-    walk(stmt)
-    return found
+    if type(stmt) is c.CDecl:
+        return [stmt]
+    return [d for sub in statement_parts(stmt)[1] for d in iter_decls(sub)]
 
 
 def declared_kinds(fn: c.CFunctionDef) -> dict:
@@ -470,11 +510,15 @@ class StaticTypes:
     well-typed C never needs either.
     """
 
-    __slots__ = ("structs", "exprs", "names", "returns", "members")
+    __slots__ = ("structs", "exprs", "affine", "names", "returns", "members")
 
     def __init__(self, structs: dict):
         self.structs = structs
         self.exprs: dict = {}
+        #: ``id(node) -> fact`` for the ``int`` nodes whose affine part
+        #: was asked for (``None``: they have none); see
+        #: :func:`repro.opencl.simt_compile.affine_fact`.
+        self.affine: dict = {}
         self.names: dict = {}    # function name -> {name: type}
         self.returns: dict = {}  # function name -> type
         self.members: dict = {}  # (struct name, member) -> type
@@ -567,15 +611,7 @@ class LaunchContext:
     def _scan_barrier(self, stmt: c.CStmt) -> bool:
         if isinstance(stmt, c.CBarrier):
             return True
-        if isinstance(stmt, c.CBlock):
-            return any(self._scan_barrier(s) for s in stmt.stmts)
-        if isinstance(stmt, c.CFor):
-            return self._scan_barrier(stmt.body)
-        if isinstance(stmt, c.CIf):
-            if self._scan_barrier(stmt.then):
-                return True
-            return stmt.otherwise is not None and self._scan_barrier(stmt.otherwise)
-        return False
+        return any(self._scan_barrier(s) for s in statement_parts(stmt)[1])
 
 
 class WorkItem:
@@ -696,7 +732,7 @@ class WorkItem:
             index = self.eval(target.index)
             if not isinstance(base, Pointer):
                 raise ExecError(f"indexed store into non-pointer {target.base!r}")
-            base.store(index, value)
+            base.array[base.address(index, 1, target.base)] = value
             self._count_store(base.space, 1)
         elif isinstance(target, c.CMember):
             container = self.eval(target.base)
@@ -749,10 +785,9 @@ class WorkItem:
             base = self.eval(e.base)
             index = self.eval(e.index)
             if isinstance(base, Pointer):
-                self._count_load(
-                    base.space, 1, (id(base.array), base.offset + int(index))
-                )
-                return base.load(index)
+                addr = base.address(index, 1, e.base)
+                self._count_load(base.space, 1, (id(base.array), addr))
+                return base.array[addr]
             if isinstance(base, np.ndarray):
                 return base[int(index)]
             raise ExecError(f"cannot index {base!r}")
@@ -801,7 +836,7 @@ class WorkItem:
             offset = int(self.eval(e.args[0]))
             ptr = self.eval(e.args[1])
             assert isinstance(ptr, Pointer)
-            start = ptr.offset + offset * width
+            start = ptr.address(offset * width, width, e.args[1])
             self._count_load(ptr.space, width, (id(ptr.array), start, width))
             return ptr.array[start : start + width].astype(np.float64)
         if name.startswith("vstore"):
@@ -810,7 +845,7 @@ class WorkItem:
             offset = int(self.eval(e.args[1]))
             ptr = self.eval(e.args[2])
             assert isinstance(ptr, Pointer)
-            start = ptr.offset + offset * width
+            start = ptr.address(offset * width, width, e.args[2])
             ptr.array[start : start + width] = value
             self._count_store(ptr.space, width)
             return None

@@ -12,7 +12,7 @@ backends are registered out of the box:
 * ``"compiled"`` — the lane-batched SIMT runtime of
   :mod:`repro.opencl.simt` driven by the pipeline of
   :mod:`repro.opencl.simt_compile` (kernel AST lowered once per
-  program, each barrier segment to its fast-path or closure form),
+  program into closures, one per barrier segment),
   over blocks of work-groups;
 * ``"fused"`` — the same pipeline over one whole-grid block
   (:mod:`repro.backend.fused`);

@@ -6,25 +6,27 @@ block of work-groups* instead, holding every scalar variable as a numpy
 array over lanes (one lane per work-item) and turning control flow into
 boolean lane masks.  This module is what those tiers share: the static
 analysis that admits a kernel (:func:`analyze_kernel`,
-:func:`written_pointer_roots`, :func:`sole_store_sites`) and the
-:class:`_Block` runtime — lane values, masked binds and merges, memory
-traffic, the cross-lane race detector, cached-load accounting, and the
-fast path's lazy affine values (:class:`Aff`), slice traffic and
-symbolic load chunks.  The kernel AST itself is walked in exactly one
-place, :mod:`repro.opencl.simt_compile`, which lowers it once into a
-pipeline over a :class:`_Block`.  One launcher (:func:`try_launch`)
-runs that pipeline in one of two layouts: blocks of at most
-:data:`MAX_LANES` lanes (``compiled`` / ``auto``), or the whole launch
-as one block (``fused``, up to :data:`FUSED_MAX_LANES`).
+:func:`written_pointer_roots`) and the :class:`_Block` runtime — lane
+values, masked binds and merges, memory traffic under the access facts
+of :class:`Access` (slices, scalar reads, closed-form accounting, end
+point bounds checks, proof-carrying stores), the cross-lane race
+detector and cached-load accounting.  The kernel AST itself is walked in
+exactly one place, :mod:`repro.opencl.simt_compile`, which lowers it
+once into a pipeline over a :class:`_Block`.  One launcher
+(:func:`try_launch`) runs that pipeline in one of two layouts: blocks
+of at most :data:`MAX_LANES` lanes (``compiled`` / ``auto``), or the
+whole launch as one block (``fused``, up to :data:`FUSED_MAX_LANES`).
 
 * ``barrier`` is trivially satisfied: lanes execute in lock-step.  The
   analysis only admits kernels whose barriers sit under *group-uniform*
   control flow, so within each work-group the mask at a barrier is
   all-or-nothing, which is exactly the OpenCL contract.
-* loads/stores are gathers and scatters (`numpy` fancy indexing); scatter
-  writes resolve duplicate addresses in ascending lane order, which is a
-  conforming behaviour for data-race-free kernels (the only ones whose
-  result OpenCL defines).
+* loads/stores are gathers and scatters (`numpy` fancy indexing) or, under
+  a fact, slices and scalar reads; scatter writes resolve duplicate
+  addresses in ascending lane order, which is a conforming behaviour for
+  data-race-free kernels (the only ones whose result OpenCL defines).
+  An active lane's element outside its buffer raises
+  :class:`~repro.opencl.interp.OutOfBounds`, as in the oracle.
 
 The runtime is an exact stand-in for the scalar path: bitwise-identical
 buffer contents *and* identical :class:`Counters` for every supported
@@ -83,7 +85,10 @@ from repro.opencl.cparser import ParsedProgram
 from repro.opencl.interp import (
     Counters,
     ExecError,
+    OutOfBounds,
     Pointer,
+    children,
+    statement_parts,
     _MATH_BUILTINS,
     _c_int_div,
     _c_int_mod,
@@ -180,102 +185,68 @@ def _check_function(
 
 
 def _check_stmt(parsed, s, stack, is_kernel) -> Optional[str]:
-    if isinstance(s, c.CBlock):
-        for sub in s.stmts:
-            r = _check_stmt(parsed, sub, stack, is_kernel)
-            if r:
-                return r
-        return None
-    if isinstance(s, c.CBarrier):
-        return None if is_kernel else "barrier inside helper function"
-    if isinstance(s, c.CDecl):
-        return _check_expr(parsed, s.init, stack, is_kernel) if s.init else None
-    if isinstance(s, c.CAssign):
-        if not isinstance(s.target, (c.CIdent, c.CIndex, c.CMember)):
-            return f"assignment to non-lvalue {type(s.target).__name__}"
-        return (
-            _check_expr(parsed, s.target, stack, is_kernel)
-            or _check_expr(parsed, s.value, stack, is_kernel)
-        )
-    if isinstance(s, c.CFor):
-        for part in (s.init, s.step, s.body):
-            if part is not None:
-                r = _check_stmt(parsed, part, stack, is_kernel)
-                if r:
-                    return r
-        return _check_expr(parsed, s.cond, stack, is_kernel) if s.cond else None
-    if isinstance(s, c.CIf):
-        r = _check_expr(parsed, s.cond, stack, is_kernel)
-        if not r:
-            r = _check_stmt(parsed, s.then, stack, is_kernel)
-        if not r and s.otherwise is not None:
-            r = _check_stmt(parsed, s.otherwise, stack, is_kernel)
-        return r
-    if isinstance(s, c.CExprStmt):
-        return _check_expr(parsed, s.expr, stack, is_kernel)
-    if isinstance(s, c.CReturn):
-        return _check_expr(parsed, s.value, stack, is_kernel) if s.value else None
-    if isinstance(s, c.CComment):
-        return None
-    return f"unsupported statement {type(s).__name__}"
+    t = type(s)
+    if t not in _STATEMENTS:
+        return f"unsupported statement {t.__name__}"
+    if t is c.CBarrier and not is_kernel:
+        return "barrier inside helper function"
+    if t is c.CAssign and type(s.target) not in (c.CIdent, c.CIndex, c.CMember):
+        return f"assignment to non-lvalue {type(s.target).__name__}"
+    exprs, stmts = statement_parts(s)
+    for part in exprs:
+        r = _check_expr(parsed, part, stack, is_kernel)
+        if r:
+            return r
+    for sub in stmts:
+        r = _check_stmt(parsed, sub, stack, is_kernel)
+        if r:
+            return r
+    return None
+
+
+#: Every statement node the parser builds.
+_STATEMENTS = frozenset((
+    c.CBlock, c.CDecl, c.CAssign, c.CExprStmt, c.CFor, c.CIf, c.CReturn,
+    c.CBarrier, c.CComment,
+))
 
 
 def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
     t = type(e)
-    if t is c.CIdent or t is c.CInt or t is c.CFloat:
-        return None
-    if t is c.CBinOp:
-        return (
-            _check_expr(parsed, e.lhs, stack, is_kernel)
-            or _check_expr(parsed, e.rhs, stack, is_kernel)
-        )
-    if t is c.CCall:
-        for a in e.args:
-            r = _check_expr(parsed, a, stack, is_kernel)
-            if r:
-                return r
-        name = e.func
-        if name.startswith("get_"):
-            return None if name in _GEOMETRY else f"unknown geometry builtin {name!r}"
-        if _is_vload(name) or _is_vstore(name):
-            arity = 2 if _is_vload(name) else 3
-            if len(e.args) != arity:
-                return f"{name} takes {arity} arguments, not {len(e.args)}"
-            return None
-        if name in _MATH_BUILTINS:
-            return None
-        fn = parsed.functions.get(name)
-        if fn is None:
-            return f"call to unknown function {name!r}"
-        return _check_function(parsed, fn, stack, is_kernel=False)
-    if t is c.CIndex:
-        return (
-            _check_expr(parsed, e.base, stack, is_kernel)
-            or _check_expr(parsed, e.index, stack, is_kernel)
-        )
-    if t is c.CMember:
-        return _check_expr(parsed, e.base, stack, is_kernel)
-    if t is c.CUnOp:
-        return _check_expr(parsed, e.operand, stack, is_kernel)
-    if t is c.CTernary:
-        return (
-            _check_expr(parsed, e.cond, stack, is_kernel)
-            or _check_expr(parsed, e.then, stack, is_kernel)
-            or _check_expr(parsed, e.otherwise, stack, is_kernel)
-        )
-    if t is c.CCast:
-        return _check_expr(parsed, e.operand, stack, is_kernel)
+    if t not in _EXPRESSIONS:
+        return f"unsupported expression {t.__name__}"
     if t is c.CVectorLiteral:
         try:
             vector_literal_width(e)
         except ExecError as exc:
             return str(exc)
-        for item in e.items:
-            r = _check_expr(parsed, item, stack, is_kernel)
-            if r:
-                return r
+    for part in children(e):
+        r = _check_expr(parsed, part, stack, is_kernel)
+        if r:
+            return r
+    if t is not c.CCall:
         return None
-    return f"unsupported expression {t.__name__}"
+    name = e.func
+    if name.startswith("get_"):
+        return None if name in _GEOMETRY else f"unknown geometry builtin {name!r}"
+    if _is_vload(name) or _is_vstore(name):
+        arity = 2 if _is_vload(name) else 3
+        if len(e.args) != arity:
+            return f"{name} takes {arity} arguments, not {len(e.args)}"
+        return None
+    if name in _MATH_BUILTINS:
+        return None
+    fn = parsed.functions.get(name)
+    if fn is None:
+        return f"call to unknown function {name!r}"
+    return _check_function(parsed, fn, stack, is_kernel=False)
+
+
+#: Every expression node the parser builds.
+_EXPRESSIONS = frozenset((
+    c.CIdent, c.CInt, c.CFloat, c.CBinOp, c.CUnOp, c.CTernary, c.CCall,
+    c.CIndex, c.CMember, c.CCast, c.CVectorLiteral,
+))
 
 
 def statement_types(fn: c.CFunctionDef) -> frozenset:
@@ -286,19 +257,9 @@ def statement_types(fn: c.CFunctionDef) -> frozenset:
         classes: set = set()
 
         def walk(s) -> None:
-            t = type(s)
-            classes.add(t)
-            if t is c.CBlock:
-                for sub in s.stmts:
-                    walk(sub)
-            elif t is c.CFor:
-                for part in (s.init, s.body, s.step):
-                    if part is not None:
-                        walk(part)
-            elif t is c.CIf:
-                walk(s.then)
-                if s.otherwise is not None:
-                    walk(s.otherwise)
+            classes.add(type(s))
+            for sub in statement_parts(s)[1]:
+                walk(sub)
 
         walk(fn.body)
         found = fn._statement_types = frozenset(classes)
@@ -427,17 +388,9 @@ def _with(ctrl, deps):
 def _barrier_ctrl_ok(s, ctrl: bool, uniform: set) -> bool:
     if isinstance(s, c.CBarrier):
         return ctrl
-    if isinstance(s, c.CBlock):
-        return all(_barrier_ctrl_ok(sub, ctrl, uniform) for sub in s.stmts)
-    if isinstance(s, c.CFor):
-        inner = ctrl and (s.cond is None or _expr_uniform(s.cond, uniform))
-        return _barrier_ctrl_ok(s.body, inner, uniform)
-    if isinstance(s, c.CIf):
-        inner = ctrl and _expr_uniform(s.cond, uniform)
-        if not _barrier_ctrl_ok(s.then, inner, uniform):
-            return False
-        return s.otherwise is None or _barrier_ctrl_ok(s.otherwise, inner, uniform)
-    return True
+    if isinstance(s, (c.CFor, c.CIf)) and s.cond is not None:
+        ctrl = ctrl and _expr_uniform(s.cond, uniform)
+    return all(_barrier_ctrl_ok(sub, ctrl, uniform) for sub in statement_parts(s)[1])
 
 
 # -- written-pointer analysis ------------------------------------------------
@@ -466,27 +419,10 @@ def written_pointer_roots(parsed: ParsedProgram, kernel: c.CFunctionDef) -> froz
 
 
 def _expr_idents(e, out: set) -> None:
-    if isinstance(e, c.CIdent):
+    if type(e) is c.CIdent:
         out.add(e.name)
-    elif isinstance(e, c.CBinOp):
-        _expr_idents(e.lhs, out)
-        _expr_idents(e.rhs, out)
-    elif isinstance(e, c.CUnOp):
-        _expr_idents(e.operand, out)
-    elif isinstance(e, c.CTernary):
-        _expr_idents(e.cond, out)
-        _expr_idents(e.then, out)
-        _expr_idents(e.otherwise, out)
-    elif isinstance(e, c.CIndex):
-        _expr_idents(e.base, out)
-        _expr_idents(e.index, out)
-    elif isinstance(e, c.CMember):
-        _expr_idents(e.base, out)
-    elif isinstance(e, c.CCast):
-        _expr_idents(e.operand, out)
-    elif isinstance(e, (c.CVectorLiteral, c.CCall)):
-        for item in (e.items if isinstance(e, c.CVectorLiteral) else e.args):
-            _expr_idents(item, out)
+    for part in children(e):
+        _expr_idents(part, out)
 
 
 def _roots_of_function(
@@ -535,31 +471,12 @@ def _roots_of_function(
                 # Unknown function: assume it may write through any arg.
                 for a in e.args:
                     _expr_idents(a, written)
-        elif isinstance(e, c.CBinOp):
-            scan_expr(e.lhs)
-            scan_expr(e.rhs)
-        elif isinstance(e, c.CUnOp):
-            scan_expr(e.operand)
-        elif isinstance(e, c.CTernary):
-            scan_expr(e.cond)
-            scan_expr(e.then)
-            scan_expr(e.otherwise)
-        elif isinstance(e, c.CIndex):
-            scan_expr(e.base)
-            scan_expr(e.index)
-        elif isinstance(e, c.CMember):
-            scan_expr(e.base)
-        elif isinstance(e, c.CCast):
-            scan_expr(e.operand)
-        elif isinstance(e, c.CVectorLiteral):
-            for item in e.items:
-                scan_expr(item)
+        else:
+            for part in children(e):
+                scan_expr(part)
 
     def scan_stmt(s) -> None:
-        if isinstance(s, c.CBlock):
-            for sub in s.stmts:
-                scan_stmt(sub)
-        elif isinstance(s, c.CDecl):
+        if isinstance(s, c.CDecl):
             if s.init is not None:
                 scan_expr(s.init)
                 ids: set = set()
@@ -586,22 +503,12 @@ def _roots_of_function(
                     ids = set()
                     _expr_idents(s.value, ids)
                     flows.append((base.name, ids))
-        elif isinstance(s, c.CFor):
-            for part in (s.init, s.step, s.body):
-                if part is not None:
-                    scan_stmt(part)
-            if s.cond is not None:
-                scan_expr(s.cond)
-        elif isinstance(s, c.CIf):
-            scan_expr(s.cond)
-            scan_stmt(s.then)
-            if s.otherwise is not None:
-                scan_stmt(s.otherwise)
-        elif isinstance(s, c.CExprStmt):
-            scan_expr(s.expr)
-        elif isinstance(s, c.CReturn):
-            if s.value is not None:
-                scan_expr(s.value)
+        else:
+            exprs, stmts = statement_parts(s)
+            for part in exprs:
+                scan_expr(part)
+            for sub in stmts:
+                scan_stmt(sub)
 
     scan_stmt(fn.body)
     changed = True
@@ -612,107 +519,6 @@ def _roots_of_function(
                 written |= ids
                 changed = True
     return written
-
-
-# -- sole-store analysis (proof-carrying stores) ------------------------------
-
-def sole_store_sites(kernel: c.CFunctionDef) -> tuple:
-    """``(qualified names, {id(store stmt)})`` for buffers whose only
-    kernel-wide access is one loop-free store.
-
-    A name qualifies when it has exactly one store site, zero load
-    sites, appears nowhere else (any other occurrence — helper
-    argument, pointer assignment, vload/vstore operand — poisons it),
-    and the store is not inside any loop (a repeated affine store could
-    collide with its own earlier executions at shifted bases).  Such a
-    store through pairwise-distinct addresses is race-free however the
-    launch is scheduled: within a block no two lanes share an address,
-    and blocks run in the scalar engine's group order, so across blocks
-    the last writer is the scalar engine's too.  The fast path therefore
-    skips hazard bookkeeping for it, once the launcher has checked that
-    no other argument aliases the buffer (:func:`try_launch`).
-    """
-    universe = {p.name for p in kernel.params if p.is_pointer}
-    stores: dict = {}
-    loads: dict = {}
-    poison: set = set()
-
-    def scan_expr(e) -> None:
-        if isinstance(e, c.CIndex):
-            if isinstance(e.base, c.CIdent):
-                loads[e.base.name] = loads.get(e.base.name, 0) + 1
-            else:
-                scan_expr(e.base)
-            scan_expr(e.index)
-        elif isinstance(e, c.CIdent):
-            poison.add(e.name)
-        elif isinstance(e, c.CBinOp):
-            scan_expr(e.lhs)
-            scan_expr(e.rhs)
-        elif isinstance(e, (c.CUnOp, c.CCast)):
-            scan_expr(e.operand)
-        elif isinstance(e, c.CTernary):
-            scan_expr(e.cond)
-            scan_expr(e.then)
-            scan_expr(e.otherwise)
-        elif isinstance(e, c.CMember):
-            scan_expr(e.base)
-        elif isinstance(e, (c.CVectorLiteral, c.CCall)):
-            for item in (e.items if isinstance(e, c.CVectorLiteral) else e.args):
-                scan_expr(item)
-
-    def scan_stmt(s, in_loop: bool) -> None:
-        if isinstance(s, c.CBlock):
-            for sub in s.stmts:
-                scan_stmt(sub, in_loop)
-        elif isinstance(s, c.CDecl):
-            if s.qualifier == "local" and s.array_size is not None:
-                universe.add(s.name)
-            if s.init is not None:
-                scan_expr(s.init)
-        elif isinstance(s, c.CAssign):
-            target = s.target
-            if isinstance(target, c.CIndex) and isinstance(target.base, c.CIdent):
-                name = target.base.name
-                stores.setdefault(name, []).append((s, in_loop))
-                if s.op != "=":  # compound store re-loads the address
-                    loads[name] = loads.get(name, 0) + 1
-                scan_expr(target.index)
-            else:
-                scan_expr(target)
-            scan_expr(s.value)
-        elif isinstance(s, c.CFor):
-            if s.init is not None:
-                scan_stmt(s.init, in_loop)
-            if s.cond is not None:
-                scan_expr(s.cond)
-            if s.step is not None:
-                scan_stmt(s.step, True)
-            scan_stmt(s.body, True)
-        elif isinstance(s, c.CIf):
-            scan_expr(s.cond)
-            scan_stmt(s.then, in_loop)
-            if s.otherwise is not None:
-                scan_stmt(s.otherwise, in_loop)
-        elif isinstance(s, c.CExprStmt):
-            scan_expr(s.expr)
-        elif isinstance(s, c.CReturn) and s.value is not None:
-            scan_expr(s.value)
-
-    scan_stmt(kernel.body, False)
-    qualified = set()
-    sole_sites = set()
-    for name in universe:
-        sites = stores.get(name, [])
-        if (
-            len(sites) == 1
-            and not sites[0][1]
-            and loads.get(name, 0) == 0
-            and name not in poison
-        ):
-            qualified.add(name)
-            sole_sites.add(id(sites[0][0]))
-    return frozenset(qualified), sole_sites
 
 
 # ---------------------------------------------------------------------------
@@ -813,127 +619,61 @@ def _by_value(kind, a):
 
 
 # ---------------------------------------------------------------------------
-# the fast path's lazy affine values and symbolic load chunks
+# access facts
 # ---------------------------------------------------------------------------
 
-_INT_UNIFORM = (int, np.integer)
+#: The work-item ids an affine fact is linear in, in the order of a
+#: fact's basis elements (``get_global_id(d)`` is ``get_group_id(d) *
+#: get_local_size(d) + get_local_id(d)``).
+BASIS = (
+    ("get_local_id", 0), ("get_local_id", 1), ("get_local_id", 2),
+    ("get_group_id", 0), ("get_group_id", 1), ("get_group_id", 2),
+)
+
+#: ``np.arange(width)`` per vector width: a vector access's slots.
+_COLUMNS = {w: np.arange(w) for w in (2, 3, 4, 8, 16)}
 
 
-def _is_int_uniform(v) -> bool:
-    return isinstance(v, _INT_UNIFORM) and not isinstance(v, (bool, np.bool_))
+class Access:
+    """One load or store site, as the typing walk planned it: the pointer
+    expression (printed, it is the buffer :class:`OutOfBounds` names) and
+    the affine fact of its address — ``terms``, the nonzero ``(basis
+    element, coefficient)`` pairs, or ``coefficients(block)`` computing
+    them where a coefficient is a uniform name or a launch size, or
+    neither (no fact).  ``sole`` marks the one store site of a buffer
+    nothing else touches (see :func:`repro.opencl.simt_compile.
+    scan_kernel`): at lane-injective addresses it skips the race
+    detector."""
+
+    __slots__ = ("pointer", "terms", "coefficients", "geometric", "cached", "sole")
+
+    def __init__(self, pointer, terms=None, coefficients=None, sole=False):
+        self.pointer = pointer
+        self.terms = terms
+        self.coefficients = coefficients
+        #: Whether ``coefficients`` reads the launch's sizes only; then
+        #: they are computed once per launch shape, kept in ``cached``
+        #: as ``(the shape's geometry, terms)``.
+        self.geometric = False
+        self.cached = None
+        self.sole = sole
 
 
-class Aff:
-    """Lazy integer lane vector ``base + gs*group + ls*lane_in_group``
-    over one block (``group`` = the in-block work-group row,
-    ``lane_in_group`` = in-group lane ordinal, both in the scalar
-    scheduler's order; the block's first work-group is folded into
-    ``base``).
-
-    ``flat_stride(Lc)`` is the stride over the block's *flat* lane index
-    when the descriptor is expressible as ``base + s*flat`` (i.e. when
-    ``gs == ls * Lc``), else ``None`` — the form slice accesses and
-    prefix masks require.
-    """
-
-    __slots__ = ("base", "gs", "ls")
-
-    def __init__(self, base: int, gs: int, ls: int):
-        self.base = base
-        self.gs = gs
-        self.ls = ls
-
-    def flat_stride(self, lanes_per_group: int) -> Optional[int]:
-        if self.gs == self.ls * lanes_per_group:
-            return self.ls
-        return None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Aff({self.base} + {self.gs}*g + {self.ls}*l)"
-
-
-#: ``get_local_id(0)`` of a 1-D launch, in every block.
-_AFF_LOCAL_ID = Aff(0, 0, 1)
-
-
-def _aff_binop(op: str, l, r):
-    """Affine-preserving integer arithmetic; ``None`` = not representable."""
-    la, ra = isinstance(l, Aff), isinstance(r, Aff)
-    if op == "+":
-        if la and ra:
-            return Aff(l.base + r.base, l.gs + r.gs, l.ls + r.ls)
-        if la and _is_int_uniform(r):
-            return Aff(l.base + int(r), l.gs, l.ls)
-        if ra and _is_int_uniform(l):
-            return Aff(r.base + int(l), r.gs, r.ls)
-    elif op == "-":
-        if la and ra:
-            return Aff(l.base - r.base, l.gs - r.gs, l.ls - r.ls)
-        if la and _is_int_uniform(r):
-            return Aff(l.base - int(r), l.gs, l.ls)
-        if ra and _is_int_uniform(l):
-            return Aff(int(l) - r.base, -r.gs, -r.ls)
-    elif op == "*":
-        if la and _is_int_uniform(r):
-            u = int(r)
-            return Aff(l.base * u, l.gs * u, l.ls * u)
-        if ra and _is_int_uniform(l):
-            u = int(l)
-            return Aff(r.base * u, r.gs * u, r.ls * u)
-    return None
-
-
-def _addr_add(off, index):
-    out = _aff_binop("+", off, index)
-    return off + index if out is None else out
-
-
-class _SymChunks:
-    """Per-buffer symbolic load chunks (the fast path's slice loads).
-
-    Each chunk is ``(stride, base, k)`` for an affine access over the
-    first ``k`` lanes of the block (``stride None`` = block-uniform
-    address ``base``).  ``settle`` computes ``(events, distinct (lane,
-    address) pairs)`` in closed form when the chunk set provably cannot
-    collide across descriptors — all-affine with one common stride (same
-    stride + different base never share an address for the same lane;
-    same descriptor trivially overlaps) or all-uniform (distinct
-    addresses are disjoint pair sets).  Mixed or multi-stride sets
-    replay into the standard :class:`_LoadLog` arrays instead — exact,
-    just not O(1).
-    """
-
-    __slots__ = ("array", "space", "chunks", "events")
-
-    def __init__(self, array: np.ndarray, space: str):
-        self.array = array  # keep the buffer alive while its id is a key
-        self.space = space
-        self.chunks: list = []  # (stride | None, base, k)
-        self.events = 0
-
-    def add(self, stride: Optional[int], base: int, k: int) -> None:
-        self.chunks.append((stride, base, k))
-        self.events += k
-
-    def settle(self) -> Optional[tuple]:
-        """(events, distinct) in closed form, or ``None``."""
-        if len({s for s, _, _ in self.chunks}) != 1:
-            return None  # mixed descriptors may collide: replay
-        per_base: dict = {}
-        for _, base, k in self.chunks:
-            per_base[base] = max(per_base.get(base, 0), k)
-        return self.events, sum(per_base.values())
-
-    def materialize_into(self, log: "_LoadLog", lane_ids: np.ndarray) -> None:
-        """Replay the chunks as the lane arrays the closure form would
-        have logged (same (lane, address) pairs)."""
-        for stride, base, k in self.chunks:
-            lanes = lane_ids[:k]
-            if stride is None:
-                aa = np.broadcast_to(np.int64(base), (k,))
-            else:
-                aa = base + stride * lanes
-            log.add(aa, lanes, k)
+def _flat_stride(terms: tuple, units: tuple) -> Optional[int]:
+    """``s`` when ``sum(c * id)`` over a block is ``s`` times the flat
+    lane index plus a constant (every varying basis element's
+    coefficient is ``s`` times its digit's unit), else ``None``."""
+    coefficients = dict(terms)
+    stride = None
+    for k, unit in units:
+        c = coefficients.get(k, 0)
+        if stride is None:
+            if c % unit:
+                return None
+            stride = c // unit
+        elif c != stride * unit:
+            return None
+    return 0 if stride is None else stride
 
 
 # ---------------------------------------------------------------------------
@@ -946,33 +686,29 @@ class _Block:
     def __init__(
         self,
         counters: Counters,
-        lanes: int,
-        group_row: np.ndarray,
-        lid: tuple,
-        gid: tuple,
-        group_ids: tuple,
+        geo: dict,
         global_size: tuple,
         local_size: tuple,
         num_groups: tuple,
         seg_start: int = 0,
         tracked: Optional[set] = None,
-        lane_ids: Optional[np.ndarray] = None,
-        full: Optional[np.ndarray] = None,
-        first_group: int = 0,
         sole_ids: frozenset = frozenset(),
-        one_d: bool = False,
+        shape: Optional[dict] = None,
     ):
+        """One block ``geo`` of the launch geometry ``shape`` (one of
+        :func:`_block_geometry`'s ``blocks``)."""
         self.counters = counters
-        self.L = lanes
-        self.group_row = group_row
-        self.lid = lid
-        self.gid = gid
-        self.group_ids = group_ids
+        self.L = geo["lanes"]
+        self.group_row = geo["group_row"]
+        self.lid = geo["lid"]
+        self.gid = geo["gid"]
+        self.group_ids = geo["group_ids"]
         self.global_size = global_size
         self.local_size = local_size
         self.num_groups = num_groups
         self.env: dict = {}
-        self._lane_ids = lane_ids if lane_ids is not None else np.arange(lanes)
+        self._lane_ids = geo["lane_ids"]
+        self._full = geo["full"]
         self._load_log: dict = {}  # (id(buffer), width) -> _LoadLog
         # Race detectors live for one block (blocks run in the scalar
         # engine's group order, so cross-block conflicts agree by
@@ -985,19 +721,26 @@ class _Block:
         self._tracked = tracked
         self._seg_base = seg_start
         self._segment = seg_start
-        self._lanes_per_group = lpg = local_size[0] * local_size[1] * local_size[2]
-        self._full = full if full is not None else np.ones(lanes, dtype=bool)
-        # The fast path (simt_compile's fast segments): arrays whose one
-        # kernel-wide access is a proven store, the lazy geometry of a
-        # 1-D launch offset by this block's first work-group, the names
-        # a fast bind may have left an Aff in, and the symbolic load
-        # chunks of its slice loads.
+        self._lanes_per_group = local_size[0] * local_size[1] * local_size[2]
+        # What the access facts are evaluated against: the basis ids per
+        # lane, at lane 0 and their ranges over the block, the flat lane
+        # index's digits, and per-terms results shared by every block of
+        # the launch shape.
+        self._basis = geo["basis"]
+        self._basis0 = geo["basis0"]
+        self._lo = geo["lo"]
+        self._hi = geo["hi"]
+        self._units = geo["units"]
+        self._shapes = geo["shapes"]
+        self._injectives = geo["injectives"]
+        self._shape = shape
+        # Arrays whose one kernel-wide access is a proven store site, and
+        # per array what its stores in this block were (``_sole_write``).
         self._sole_ids = sole_ids
-        self._one_d = one_d
-        self._aff_global_id = Aff(first_group * lpg, lpg, 1)
-        self._aff_group_id = Aff(first_group, 1, 0)
-        self._lazy_names: set = set()
-        self._sym_log: dict = {}
+        self._sole_writes: dict = {}
+        # The last per-lane addresses found in bounds: (addresses, mask,
+        # their largest).
+        self._checked: tuple = (None, None, 0)
 
     def _set_return(self, frame, m, value) -> None:
         """Lanes ``m`` return ``value`` (``None``: nothing), already of
@@ -1094,11 +837,176 @@ class _Block:
         return np.where(m, new, old)
 
     # -- memory ----------------------------------------------------------
+    #
+    # Every load and store passes its site's :class:`Access`: the buffer
+    # as the kernel spells it (what a bounds error names) and the affine
+    # fact the typing walk derived for its index.  Under a fact the
+    # active lanes' addresses are ``u + sum(c * id)`` over the basis ids
+    # (:data:`BASIS`) for a block-uniform ``u``, so a bounds check
+    # compares end points, the load log keeps one ``(terms, u)`` chunk
+    # (:class:`_LoadLog`), a lane-uniform load is one scalar read and a
+    # full-mask access whose address is linear in the flat lane index is
+    # a slice.  What no fact covers takes the per-lane path.
     def _lanes(self, v) -> np.ndarray:
         """Materialize a lane view of ``v`` (read-only broadcast)."""
         if isinstance(v, np.ndarray) and v.ndim == 1:
             return v
         return np.broadcast_to(np.asarray(v), (self.L,))
+
+    def _affine(self, addr, acc, m, n) -> Optional[tuple]:
+        """``(terms, u, shape)`` of the addresses ``addr`` an access with
+        a fact computed, or ``None``: ``terms`` are the nonzero ``(basis
+        element, coefficient)`` pairs, ``u`` the uniform term, read off
+        the first active lane (the fact holds on the active lanes), and
+        ``shape`` the terms' :meth:`_shape_of`."""
+        terms = acc.terms
+        if terms is None:
+            if acc.coefficients is None:
+                return None
+            if acc.geometric:  # the same for every block of the launch
+                cached = acc.cached
+                if cached is not None and cached[0] is self._shape:
+                    terms = cached[1]
+                else:
+                    terms = acc.coefficients(self)
+                    acc.cached = (self._shape, terms)
+            else:
+                terms = acc.coefficients(self)
+            if terms is None:
+                return None
+        shape = self._shapes.get(terms) or self._shape_of(terms)
+        if type(addr) is not np.ndarray:
+            return (terms, int(addr), shape) if not terms else None
+        if not terms:  # a uniform name merged into lanes under a mask
+            return None
+        if n == self.L:
+            return terms, int(addr[0]) - shape[0], shape
+        lane = int(m.argmax())
+        u = int(addr[lane])
+        basis = self._basis
+        for k, c in terms:
+            u -= c * int(basis[k][lane])
+        return terms, u, shape
+
+    def _shape_of(self, terms: tuple) -> tuple:
+        """What the block makes of ``sum(c * id)`` over ``terms``: its
+        value at lane 0, its least and greatest value, and its stride
+        along the flat lane index (``None``: not linear in it)."""
+        at0 = lo = hi = 0
+        for k, c in terms:
+            at0 += c * self._basis0[k]
+            low, high = c * self._lo[k], c * self._hi[k]
+            lo += min(low, high)
+            hi += max(low, high)
+        shape = self._shapes[terms] = (at0, lo, hi, _flat_stride(terms, self._units))
+        return shape
+
+    def _address(self, ptr, index, acc, m, n) -> tuple:
+        """``(addresses, fact)`` of an access through ``ptr`` (its offset
+        included); a lane-varying pointer leaves the index's fact."""
+        off = ptr.offset
+        if type(off) is not int:
+            return off + index, None
+        addr = index if off == 0 else off + index
+        return addr, self._affine(addr, acc, m, n)
+
+    def _check_bounds(self, addr, aff, m, n, size, acc, width=1) -> None:
+        """Raise :class:`OutOfBounds` unless every active lane's
+        ``width`` elements from ``addr`` lie in ``[0, size)``: from the
+        end points of the block's id ranges under a fact, else over the
+        active lanes."""
+        if aff is not None:
+            u, shape = aff[1], aff[2]
+            if u + shape[1] >= 0 and u + shape[2] + width <= size:
+                return
+        if type(addr) is not np.ndarray:
+            a = int(addr)
+            if a < 0 or a + width > size:
+                raise OutOfBounds(c.print_expr(acc.pointer), a, size)
+            return
+        checked = self._checked
+        if checked[0] is addr and checked[1] is m and checked[2] + width <= size:
+            return  # the lanes of an index another access just checked
+        active = addr if n == self.L else addr[m]
+        if active.dtype != np.int64:
+            active = active.astype(np.int64)
+        # One pass: a negative address is a huge unsigned one.
+        top = int(active.view(np.uint64).max())
+        if top + width <= size:
+            self._checked = (addr, m, top)
+            return
+        bad = np.flatnonzero((active < 0) | (active > size - width))
+        raise OutOfBounds(c.print_expr(acc.pointer), int(active[bad[0]]), size)
+
+    def _injective(self, terms: tuple) -> bool:
+        """Whether no two lanes of the block share an address with these
+        terms: every id varying in the block has a coefficient, each
+        larger than what the smaller ones reach together."""
+        injective = self._injectives.get(terms)
+        if injective is None:
+            coefficients = dict(terms)
+            spans = []
+            for k in range(len(BASIS)):
+                span = self._hi[k] - self._lo[k]
+                if span:
+                    spans.append((abs(coefficients.get(k, 0)), span))
+            reach = 0
+            for c, span in sorted(spans):
+                if c <= reach:
+                    break
+                reach += c * span
+            else:
+                injective = True
+            injective = self._injectives[terms] = bool(injective)
+        return injective
+
+    def _sole_write(self, ptr, aff, m) -> bool:
+        """Whether a store of a buffer's sole store site needs no race
+        detector: its addresses are lane-injective and every earlier
+        execution in this block either stored at the same uniform term
+        (each address from its own lane again) or at one farther than
+        the addresses spread.  Otherwise the detector takes the buffer
+        over, first noting the earlier executions as they happened."""
+        key = id(ptr.array)
+        terms, u, shape = aff
+        sole = self._sole_writes.get(key)
+        if sole is None:
+            # [terms, uniform terms seen, least, greatest, executions]
+            sole = self._sole_writes[key] = [terms, set(), u, u, []]
+        elif not sole:
+            return False  # the detector has the buffer
+        seen, history = sole[1], sole[4]
+        spread = shape[2] - shape[1]
+        if terms == sole[0] and self._injective(terms) and (
+            u in seen or not seen
+            or u > sole[3] + spread or u < sole[2] - spread
+        ):
+            seen.add(u)
+            sole[2], sole[3] = min(sole[2], u), max(sole[3], u)
+            history.append((u, m, self._segment))
+            return True
+        self._sole_writes[key] = []
+        hazard = self._hazard(ptr)
+        rows = ptr.rows if type(ptr) is RowPtr else None
+        for u, m, segment in history:
+            aa = self._values(sole[0], u)
+            if rows is not None:
+                aa = rows * ptr.array.shape[1] + aa
+            lanes = self._lane_ids
+            if m is not self._full:
+                aa, lanes = aa[m], lanes[m]
+            hazard.note_write(aa, lanes, segment, self._seg_base)
+        return False
+
+    def _values(self, terms: tuple, u: int):
+        """The lane values ``u + sum(c * id)`` of a fact."""
+        if not terms:
+            return np.broadcast_to(np.int64(u), (self.L,))
+        values = None
+        for k, c in terms:
+            term = c * self._basis[k]
+            values = term if values is None else values + term
+        return values + u
 
     def _log_load(self, ptr, aa, lanes, width, n) -> None:
         """Record a global/local load for deferred cached-load accounting.
@@ -1114,20 +1022,29 @@ class _Block:
         equivalent for counting distinct pairs because each lane's
         row is a function of the lane.
         """
+        self._load_log_of(ptr, width).add(aa, lanes, n)
+
+    def _log_affine(self, ptr, width, aff, m, n, flat=None) -> None:
+        """Record a load with a fact as its ``(terms, u)`` chunk, with
+        its ``(flat addresses, lanes)`` where they were computed."""
+        self._load_log_of(ptr, width).add_affine(
+            aff, None if n == self.L else m,
+            ptr.rows if type(ptr) is RowPtr else None, n, flat,
+        )
+
+    def _load_log_of(self, ptr, width) -> "_LoadLog":
         key = (id(ptr.array), width)
         log = self._load_log.get(key)
         if log is None:
             log = _LoadLog(ptr.array, ptr.space, width, self.L)
             self._load_log[key] = log
-        log.add(aa, lanes, n)
+        return log
 
     def _flush_load_log(self) -> None:
         counters = self.counters
         prof = _obs_profile.ACTIVE
-        if self._sym_log:
-            self._settle_sym_log(counters, prof)
         for log in self._load_log.values():
-            events, distinct = log.totals()
+            events, distinct = log.totals(self)
             cached = (events - distinct) * log.width_units
             counters.cached_loads += cached
             fresh = distinct * log.width_units
@@ -1151,33 +1068,7 @@ class _Block:
         return sum(
             log.events * log.width_units
             for log in self._load_log.values()
-        ) + sum(sym.events for sym in self._sym_log.values())
-
-    def _settle_sym_log(self, counters, prof) -> None:
-        """Settle the fast path's symbolic chunks: in closed form where
-        they cannot collide and no lane array logged the same buffer,
-        else replayed into that buffer's :class:`_LoadLog`."""
-        for key, sym in self._sym_log.items():
-            log = self._load_log.get(key)
-            if log is None:
-                closed = sym.settle()
-                if closed is not None:
-                    events, distinct = closed
-                    counters.cached_loads += events - distinct
-                    if sym.space == "global":
-                        counters.global_loads += distinct
-                    else:
-                        counters.local_loads += distinct
-                    if prof is not None:
-                        prof.record_loads(
-                            sym.array, sym.space, distinct, events - distinct
-                        )
-                    continue
-                log = self._load_log[key] = _LoadLog(
-                    sym.array, sym.space, 0, self.L
-                )
-            sym.materialize_into(log, self._lane_ids)
-        self._sym_log.clear()
+        )
 
     def _count_stores(self, ptr, space, count) -> None:
         """Count ``count`` store units against ``space``.
@@ -1237,10 +1128,10 @@ class _Block:
             aa = rows * ptr.array.shape[1] + aa
         return aa, lanes
 
-    def _gather(self, ptr, index, m, n):
-        off = ptr.offset
-        addr = index if type(off) is int and off == 0 else off + index
+    def _gather(self, ptr, index, m, n, acc):
         arr = ptr.array
+        addr, aff = self._address(ptr, index, acc, m, n)
+        self._check_bounds(addr, aff, m, n, arr.shape[-1], acc)
         is_row = type(ptr) is RowPtr
         if ptr.space == "private":
             self.counters.private_loads += n
@@ -1248,111 +1139,128 @@ class _Block:
                 return arr[ptr.rows, int(addr)] if is_row else arr[int(addr)]
             safe = addr if n == self.L else np.where(m, addr, 0)
             return arr[ptr.rows, safe] if is_row else arr[safe]
-        # Shared buffer: the flattened per-lane addresses are computed
-        # once and shared between the load log, the race detector and
-        # the gather itself.
-        if is_row:
-            flat = ptr.rows * arr.shape[1] + addr  # broadcasts uniform addr
-        elif isinstance(addr, np.ndarray):
-            flat = addr
+        tracked = self._tracked is None or id(arr) in self._tracked
+        # Shared buffer: the flattened addresses are computed once and
+        # shared between the load log, the race detector and the gather.
+        flat = ptr.rows * arr.shape[1] + addr if is_row else addr
+        if aff is not None and not tracked:
+            self._log_affine(ptr, 0, aff, m, n)
+            if not aff[0]:
+                return arr[ptr.rows, aff[1]] if is_row else arr[aff[1]]
+            if n == self.L and not is_row:
+                stride = aff[2][3]
+                if stride is not None and stride > 0:
+                    # A view: nothing writes this buffer (untracked).
+                    start = int(addr[0])
+                    return arr[start : start + stride * (self.L - 1) + 1 : stride]
         else:
-            flat = None  # uniform address into a flat buffer
-        if n == self.L:
-            lanes = self._lane_ids
-            aa = flat if flat is not None else (
-                np.broadcast_to(np.asarray(addr), (n,))
-            )
-        else:
-            lanes = self._lane_ids[m]
-            aa = flat[m] if flat is not None else (
-                np.broadcast_to(np.asarray(addr), (n,))
-            )
-        self._log_load(ptr, aa, lanes, 0, n)
-        if self._needs_hazard(ptr):
-            self._hazard(ptr).note_read(aa, lanes, self._segment, self._seg_base)
+            if n == self.L:
+                aa, lanes = self._lanes(flat), self._lane_ids
+            else:
+                aa, lanes = self._lanes(flat)[m], self._lane_ids[m]
+            if aff is None:
+                self._log_load(ptr, aa, lanes, 0, n)
+            else:
+                self._log_affine(ptr, 0, aff, m, n, (aa, lanes))
+            if tracked:
+                self._hazard(ptr).note_read(aa, lanes, self._segment, self._seg_base)
         if _is_uniform(addr):
             return arr[ptr.rows, int(addr)] if is_row else arr[int(addr)]
         # Inactive lanes read a safe dummy address; with a full mask the
         # addresses are already all valid.
-        if is_row:
-            safe = flat if n == self.L else np.where(m, flat, 0)
-            return arr.reshape(-1)[safe]
-        safe = addr if n == self.L else np.where(m, addr, 0)
-        return arr[safe]
+        safe = flat if n == self.L else np.where(m, flat, 0)
+        return arr.reshape(-1)[safe] if is_row else arr[safe]
 
-    def _scatter(self, ptr, index, value, m, n) -> None:
-        off = ptr.offset
-        addr = self._lanes(
-            index if type(off) is int and off == 0 else off + index
-        )
-        values = self._lanes(value)
+    def _scatter(self, ptr, index, value, m, n, acc) -> None:
         arr = ptr.array
+        addr, aff = self._address(ptr, index, acc, m, n)
+        self._check_bounds(addr, aff, m, n, arr.shape[-1], acc)
+        addr = self._lanes(addr)
+        values = self._lanes(value)
         is_row = type(ptr) is RowPtr
-        if ptr.space != "private":
-            if not self._needs_hazard(ptr):
-                # The static analysis said this buffer is never written;
-                # a store through it means the analysis was wrong —
-                # bail to the (always correct) scalar path.
-                raise VectorUnsupported(
-                    "store through a buffer the write analysis missed"
-                )
-            flat = ptr.rows * arr.shape[1] + addr if is_row else addr
-            if n == self.L:
-                aa = flat
-                lanes = self._lane_ids
-            else:
-                aa = flat[m]
-                lanes = self._lane_ids[m]
-            self._hazard(ptr).note_write(aa, lanes, self._segment, self._seg_base)
-            # Duplicate addresses resolve in ascending lane order in a
-            # flat fancy-store, exactly like the 2-D form.
-            if n == self.L:
-                arr.reshape(-1)[aa] = values
-            else:
-                arr.reshape(-1)[aa] = values[m]
-            self._count_stores(ptr, ptr.space, n)
-            return
-        if is_row:
-            if n == self.L:
-                arr[ptr.rows, addr] = values
-            else:
-                arr[ptr.rows[m], addr[m]] = values[m]
-        else:
-            if n == self.L:
+        if ptr.space == "private":
+            if is_row:
+                if n == self.L:
+                    arr[ptr.rows, addr] = values
+                else:
+                    arr[ptr.rows[m], addr[m]] = values[m]
+            elif n == self.L:
                 arr[addr] = values
             else:
                 arr[addr[m]] = values[m]
+            self._count_stores(ptr, ptr.space, n)
+            return
+        if not self._needs_hazard(ptr):
+            # The static analysis said this buffer is never written; a
+            # store through it means the analysis was wrong — bail to
+            # the (always correct) scalar path.
+            raise VectorUnsupported("store through a buffer the write analysis missed")
+        if not (
+            acc.sole and aff is not None and id(arr) in self._sole_ids
+            and self._sole_write(ptr, aff, m)
+        ):
+            flat, lanes = self._flat_addr(ptr, addr, m, n)
+            self._hazard(ptr).note_write(flat, lanes, self._segment, self._seg_base)
+        if n == self.L and aff is not None and not is_row:
+            stride = aff[2][3]
+            if stride is not None and stride > 0:
+                start = int(addr[0])
+                arr[start : start + stride * (self.L - 1) + 1 : stride] = values
+                self._count_stores(ptr, ptr.space, n)
+                return
+        # Duplicate addresses resolve in ascending lane order in a flat
+        # fancy store.
+        flat = ptr.rows * arr.shape[1] + addr if is_row else addr
+        if n == self.L:
+            arr.reshape(-1)[flat] = values
+        else:
+            arr.reshape(-1)[flat[m]] = values[m]
         self._count_stores(ptr, ptr.space, n)
 
-    def _vload(self, ptr, offset, width, m, n):
-        start = ptr.offset + offset * width
-        cols = np.arange(width)
+    def _vload(self, ptr, offset, width, m, n, acc):
+        arr = ptr.array
+        start, aff = self._address(ptr, offset * width, acc, m, n)
+        self._check_bounds(start, aff, m, n, arr.shape[-1], acc, width)
+        cols = _COLUMNS[width]
+        is_row = type(ptr) is RowPtr
         if ptr.space == "private":
             self.counters.private_loads += n * width
         else:
-            aa, lanes = self._flat_addr(ptr, start, m, n)
-            self._log_load(ptr, aa, lanes, width, n)
-            if self._needs_hazard(ptr):
-                # 2-D (lane, slot) block: the detector broadcasts the
-                # lane ids itself — no per-access repeat/ravel copies.
-                self._hazard(ptr).note_read(
-                    aa[:, None] + cols, lanes, self._segment, self._seg_base
-                )
+            tracked = self._needs_hazard(ptr)
+            if aff is not None and not tracked:
+                self._log_affine(ptr, width, aff, m, n)
+            else:
+                aa, lanes = self._flat_addr(ptr, start, m, n)
+                if aff is None:
+                    self._log_load(ptr, aa, lanes, width, n)
+                else:
+                    self._log_affine(ptr, width, aff, m, n, (aa, lanes))
+                if tracked:
+                    # 2-D (lane, slot) block: the detector broadcasts the
+                    # lane ids itself — no per-access repeat/ravel copies.
+                    self._hazard(ptr).note_read(
+                        aa[:, None] + cols, lanes, self._segment, self._seg_base
+                    )
         if _is_uniform(start):
             start = int(start)
-            if isinstance(ptr, VPtr):
-                row = ptr.array[start : start + width].astype(np.float64)
-                return np.tile(row, (self.L, 1))
-            return ptr.array[ptr.rows, start : start + width].astype(np.float64)
-        safe = np.where(m, start, 0)
-        idx2 = safe[:, None] + cols
-        if isinstance(ptr, VPtr):
-            return ptr.array[idx2].astype(np.float64)
-        return ptr.array[ptr.rows[:, None], idx2].astype(np.float64)
+            if not is_row:
+                return np.tile(arr[start : start + width].astype(np.float64), (self.L, 1))
+            return arr[ptr.rows, start : start + width].astype(np.float64)
+        if n == self.L and aff is not None and not is_row and aff[2][3] == width:
+            first = int(start[0])
+            return arr[first : first + width * self.L].reshape(self.L, width).astype(np.float64)
+        idx2 = np.where(m, start, 0)[:, None] + cols
+        if not is_row:
+            return arr[idx2].astype(np.float64)
+        return arr[ptr.rows[:, None], idx2].astype(np.float64)
 
-    def _vstore(self, ptr, offset, width, value, m, n) -> None:
-        start = self._lanes(ptr.offset + offset * width)
-        cols = np.arange(width)
+    def _vstore(self, ptr, offset, width, value, m, n, acc) -> None:
+        arr = ptr.array
+        start, aff = self._address(ptr, offset * width, acc, m, n)
+        self._check_bounds(start, aff, m, n, arr.shape[-1], acc, width)
+        start = self._lanes(start)
+        cols = _COLUMNS[width]
+        is_row = type(ptr) is RowPtr
         if ptr.space != "private":
             if not self._needs_hazard(ptr):
                 raise VectorUnsupported(
@@ -1362,226 +1270,34 @@ class _Block:
             self._hazard(ptr).note_write(
                 aa[:, None] + cols, lanes, self._segment, self._seg_base
             )
-        if n == self.L:
-            idx2 = start[:, None] + cols
-            vals = value
-            rows = ptr.rows if isinstance(ptr, RowPtr) else None
+        if n == self.L and aff is not None and not is_row and aff[2][3] == width:
+            first = int(start[0])
+            arr[first : first + width * self.L] = value.ravel()
         else:
-            idx2 = start[m][:, None] + cols
-            vals = value[m]
-            rows = ptr.rows[m] if isinstance(ptr, RowPtr) else None
-        if rows is None:
-            ptr.array[idx2.ravel()] = vals.ravel()
-        else:
-            # 2-D fancy store broadcasts the row per vector slot; flat
-            # iteration order (and therefore duplicate-address
-            # resolution) matches the old repeat/ravel form.
-            ptr.array[rows[:, None], idx2] = vals
+            rows = ptr.rows if is_row else None
+            if n != self.L:
+                start, value = start[m], value[m]
+                rows = rows[m] if is_row else None
+            # A 2-D fancy store broadcasts the row per vector slot; its
+            # flat order (and duplicate-address resolution) is the flat
+            # form's.
+            if is_row:
+                arr[rows[:, None], start[:, None] + cols] = value
+            else:
+                arr[(start[:, None] + cols).ravel()] = value.ravel()
         self._count_stores(ptr, ptr.space, n * width)
 
-    # -- the fast path ---------------------------------------------------
-    #
-    # Fast segments run on the first ``k`` lanes of the block (``k`` ==
-    # L at segment top level, a prefix under a prefix-masked branch);
-    # their values are Python scalars, length-``k`` arrays or Aff.
-    def aff_values(self, v: Aff, k: int) -> np.ndarray:
-        """Materialize the first ``k`` lanes of an affine descriptor,
-        with one array operation per term that is not 0 or 1 (a bare
-        lane or geometry array is returned as it is: read-only)."""
-        s = v.flat_stride(self._lanes_per_group)
-        full = k == self.L
-        if s is not None:
-            if s == 0:
-                return np.broadcast_to(np.int64(v.base), (k,))
-            lanes = self._lane_ids if full else self._lane_ids[:k]
-            out = lanes if s == 1 else s * lanes
-        else:
-            out = None
-            if v.gs:
-                rows = self.group_row if full else self.group_row[:k]
-                out = rows if v.gs == 1 else v.gs * rows
-            if v.ls:
-                lid = self.lid[0] if full else self.lid[0][:k]
-                term = lid if v.ls == 1 else v.ls * lid
-                out = term if out is None else out + term
-        return out + v.base if v.base else out
-
-    def lanes_k(self, v, k: int):
-        """Materialize ``v`` for the active prefix; uniforms stay scalar
-        (exactly the closure form's value discipline)."""
-        if isinstance(v, Aff):
-            return self.aff_values(v, k)
-        if isinstance(v, np.ndarray) and v.ndim == 1 and v.shape[0] != k:
-            return v[:k]
-        return v
-
-    def materialize_env(self) -> None:
-        """Collapse the affine descriptors fast binds left in the
-        environment before closure-form code runs."""
-        if self._lazy_names:
-            env = self.env
-            for name in self._lazy_names:
-                v = env[name]
-                if type(v) is Aff:
-                    env[name] = self.aff_values(v, self.L)
-            self._lazy_names.clear()
-
-    def prefix_mask(self, k: int) -> np.ndarray:
-        if k == self.L:
-            return self._full
-        m = np.zeros(self.L, dtype=bool)
-        m[:k] = True
-        return m
-
-    def _log_sym(self, ptr, stride: Optional[int], base: int, k: int) -> None:
-        key = (id(ptr.array), 0)
-        sym = self._sym_log.get(key)
-        if sym is None:
-            sym = self._sym_log[key] = _SymChunks(ptr.array, ptr.space)
-        sym.add(stride, base, k)
-
-    def _fast_addr(self, ptr, index, k: int):
-        """The addresses the first ``k`` lanes access through ``ptr``
-        (its offset included)."""
-        off = ptr.offset
-        if type(off) is np.ndarray:  # a lane-varying pointer: lanes too
-            return (off if k == self.L else off[:k]) + self.lanes_k(index, k)
-        return index if type(off) is int and off == 0 else _addr_add(off, index)
-
-    def _flat_ptr(self, ptr, addr):
-        """(flat array, flat affine address) for a shared-buffer access
-        at the affine ``addr``, folding a RowPtr's per-group row into the
-        descriptor; ``None`` when not representable."""
-        if not isinstance(addr, Aff):
+    def _prefix(self, value, bound, inclusive: bool, acc, m, n) -> Optional[int]:
+        """``k`` such that ``value < bound`` (``<=`` when ``inclusive``)
+        holds on exactly the active lanes below ``k``, when ``value`` has
+        a fact increasing along the flat lane index; else ``None``."""
+        if type(value) is not np.ndarray or not isinstance(bound, (int, np.integer)):
             return None
-        if type(ptr) is VPtr:
-            return ptr.array, addr
-        # Local buffers: one row per work-group, rows == group row.
-        if ptr.rows is not self.group_row:
+        aff = self._affine(value, acc, m, n)
+        if aff is None or not aff[2][3] or aff[2][3] < 0:
             return None
-        width = ptr.array.shape[1]
-        return ptr.array.reshape(-1), Aff(addr.base, addr.gs + width, addr.ls)
-
-    def _slice(self, ptr, addr, k: int, min_stride: int):
-        """``(flat array, base, stride, last)`` when the first ``k``
-        lanes' addresses form an in-bounds slice of stride at least
-        ``min_stride``, else ``None``."""
-        flat = self._flat_ptr(ptr, addr)
-        if flat is None:
-            return None
-        arr, aff = flat
-        s = aff.flat_stride(self._lanes_per_group)
-        if s is None or s < min_stride:
-            return None
-        base = aff.base
-        last = base + s * (k - 1)
-        if base < 0 or last >= arr.shape[0]:
-            return None
-        return arr, base, s, last
-
-    def fast_gather(self, ptr, index, k: int):
-        addr = self._fast_addr(ptr, index, k)
-        if ptr.space == "private":
-            self.counters.private_loads += k
-            aa = self.lanes_k(addr, k)
-            if type(ptr) is RowPtr:
-                rows = ptr.rows if k == self.L else ptr.rows[:k]
-                if _is_uniform(aa):
-                    return ptr.array[rows, int(aa)]
-                return ptr.array[rows, aa]
-            if _is_uniform(aa):
-                return ptr.array[int(aa)]
-            return ptr.array[aa]
-        tracked = self._needs_hazard(ptr)
-        if not tracked:
-            if isinstance(addr, Aff):
-                sliced = self._slice(ptr, addr, k, 0)
-                if sliced is not None:
-                    arr, base, s, last = sliced
-                    if s == 0:
-                        self._log_sym(ptr, None, base, k)
-                        return arr[base]
-                    self._log_sym(ptr, s, base, k)
-                    # A view: nothing writes this buffer (untracked), so
-                    # aliasing cannot bite.
-                    return arr[base : base + k] if s == 1 else (
-                        arr[base : last + 1 : s]
-                    )
-            elif _is_uniform(addr) and type(ptr) is VPtr:
-                self._log_sym(ptr, None, int(addr), k)
-                return ptr.array[int(addr)]
-        # Materialize and mirror the closure form's exact path (same
-        # logged pairs, same hazard notes, same values).
-        aa = self.lanes_k(addr, k)
-        arr = ptr.array
-        lanes = self._lane_ids if k == self.L else self._lane_ids[:k]
-        if type(ptr) is RowPtr:
-            rows = ptr.rows if k == self.L else ptr.rows[:k]
-            flat = rows * arr.shape[1] + aa  # broadcasts a uniform addr
-            self._log_load(ptr, flat, lanes, 0, k)
-            if tracked:
-                self._hazard(ptr).note_read(
-                    flat, lanes, self._segment, self._seg_base
-                )
-            if _is_uniform(aa):
-                return arr[rows, int(aa)]
-            return arr.reshape(-1)[flat]
-        logged = np.broadcast_to(np.asarray(aa), (k,)) if _is_uniform(aa) else aa
-        self._log_load(ptr, logged, lanes, 0, k)
-        if tracked:
-            self._hazard(ptr).note_read(
-                logged, lanes, self._segment, self._seg_base
-            )
-        if _is_uniform(aa):
-            return arr[int(aa)]
-        return arr[aa]
-
-    def fast_scatter(self, ptr, index, value, k: int, sole_site: bool) -> None:
-        addr = self._fast_addr(ptr, index, k)
-        if ptr.space == "private":
-            vals = self.lanes_k(value, k)
-            aa = self.lanes_k(addr, k)
-            if type(ptr) is RowPtr:
-                rows = ptr.rows if k == self.L else ptr.rows[:k]
-                ptr.array[rows, aa] = vals
-            else:
-                ptr.array[aa] = vals
-            self._count_stores(ptr, "private", k)
-            return
-        if not self._needs_hazard(ptr):
-            raise VectorUnsupported(
-                "store through a buffer the write analysis missed"
-            )
-        if sole_site and id(ptr.array) in self._sole_ids:
-            sliced = self._slice(ptr, addr, k, 1)
-            if sliced is not None:
-                arr, base, s, last = sliced
-                # Pairwise-distinct addresses + sole kernel-wide access +
-                # unaliased at launch: race-free by construction
-                # (sole_store_sites), no hazard bookkeeping.
-                vals = self.lanes_k(value, k)
-                if s == 1:
-                    arr[base : base + k] = vals
-                else:
-                    arr[base : last + 1 : s] = vals
-                self._count_stores(ptr, ptr.space, k)
-                return
-        # The closure form's scatter (hazard + fancy store; ascending
-        # lane order resolves duplicate addresses).
-        aa = self.lanes_k(addr, k)
-        if _is_uniform(aa):
-            aa = np.broadcast_to(np.asarray(aa, dtype=np.int64), (k,))
-        vals = self.lanes_k(value, k)
-        arr = ptr.array
-        if type(ptr) is RowPtr:
-            rows = ptr.rows if k == self.L else ptr.rows[:k]
-            aa = rows * arr.shape[1] + aa
-        lanes = self._lane_ids if k == self.L else self._lane_ids[:k]
-        self._hazard(ptr).note_write(aa, lanes, self._segment, self._seg_base)
-        if not isinstance(vals, np.ndarray):
-            vals = np.broadcast_to(np.asarray(vals), (k,))
-        arr.reshape(-1)[aa] = vals
-        self._count_stores(ptr, ptr.space, k)
+        _, u, (at0, _, _, stride) = aff
+        return -(-(int(bound) + inclusive - u - at0) // stride)  # ceil
 
     # -- operators -------------------------------------------------------
     def _as_bool(self, v, m) -> np.ndarray:
@@ -1787,6 +1503,10 @@ class _HazardLocal:
     barrier-ordered and no longer triggers a conservative fallback) and
     equally sound: any same-segment foreign-lane access survives the
     max against older entries.
+
+    Reads matter only to a later write of their own segment, so a read
+    made before any write of its segment is only kept (``pending``) and
+    recorded when such a write comes; a barrier drops them.
     """
 
     #: Must exceed the largest lane index of a block in either layout:
@@ -1794,7 +1514,10 @@ class _HazardLocal:
     #: below).  The packed entries stay far inside int64: 2**42 segments.
     SEG_SCALE = 1 << 21
 
-    __slots__ = ("array", "w_pack", "r_hi", "r_lo", "w_seg", "r_seg")
+    __slots__ = (
+        "array", "w_pack", "r_hi", "r_lo", "w_seg", "r_seg", "pending",
+        "pending_seg",
+    )
 
     def __init__(self, size: int):
         self.array: Optional[np.ndarray] = None
@@ -1807,30 +1530,51 @@ class _HazardLocal:
         # which gates the per-address conflict scans below.
         self.w_seg = -1
         self.r_seg = -1
+        self.pending: list = []  # (addrs, lanes) read in pending_seg
+        self.pending_seg = -1
 
     def retarget(self, array: np.ndarray, lanes_per_group: int) -> "_HazardLocal":
         self.array = array
+        self.pending = []
         return self
 
     def note_read(
         self, addrs: np.ndarray, lanes: np.ndarray, seg: int, base: int
     ) -> None:
         """1-D or 2-D ``addrs``; see :meth:`_Hazard.note_read`."""
+        if self.w_seg != seg:
+            # Only a write earlier in this very segment can conflict
+            # with a read, and only a later one needs it recorded.
+            if self.pending_seg != seg:
+                self.pending = []
+                self.pending_seg = seg
+            self.pending.append((addrs, lanes))
+            if len(self.pending) > 16:  # bounded: record them now
+                self._record_pending(seg)
+            return
         if addrs.ndim == 2:
             lanes = lanes[:, None]
         scale = self.SEG_SCALE
         thr = seg * scale
         t_hi = lanes + thr
-        if self.w_seg == seg:
-            # Only a write earlier in this very segment can conflict
-            # with a read; otherwise skip the scan entirely.
-            packed = self.w_pack[addrs]
-            conflict = (packed >= thr) & (packed != t_hi)
-            if conflict.any():
-                raise VectorUnsupported(
-                    "cross-lane read of an address written by another "
-                    "work-item (order-dependent result)"
-                )
+        packed = self.w_pack[addrs]
+        conflict = (packed >= thr) & (packed != t_hi)
+        if conflict.any():
+            raise VectorUnsupported(
+                "cross-lane read of an address written by another "
+                "work-item (order-dependent result)"
+            )
+        self._record_read(addrs, lanes, thr, t_hi)
+
+    def _record_pending(self, seg: int) -> None:
+        thr = seg * self.SEG_SCALE
+        for read, readers in self.pending:
+            readers = readers[:, None] if read.ndim == 2 else readers
+            self._record_read(read, readers, thr, readers + thr)
+        self.pending = []
+
+    def _record_read(self, addrs, lanes, thr: int, t_hi) -> None:
+        scale = self.SEG_SCALE
         # Duplicate addresses within one call: lanes ascend, so the
         # forward scatter keeps the largest packed hi and the reversed
         # scatter the largest packed lo (= smallest lane).
@@ -1838,16 +1582,18 @@ class _HazardLocal:
         t_lo = (thr + scale - 1) - lanes
         lo = np.maximum(self.r_lo[addrs], t_lo)
         self.r_lo[_rev(addrs)] = _rev(lo)
-        self.r_seg = seg
+        self.r_seg = thr // scale
 
     def note_write(
         self, addrs: np.ndarray, lanes: np.ndarray, seg: int, base: int
     ) -> None:
         """1-D or 2-D ``addrs``; see :meth:`_Hazard.note_read`."""
-        if addrs.ndim == 2:
-            lanes = lanes[:, None]
         scale = self.SEG_SCALE
         thr = seg * scale
+        if self.pending_seg == seg:
+            self._record_pending(seg)
+        if addrs.ndim == 2:
+            lanes = lanes[:, None]
         t_hi = lanes + thr
         conflict = None
         if self.w_seg == seg:
@@ -1947,15 +1693,24 @@ def _release_hazards(hazards: dict) -> None:
 class _LoadLog:
     """Deferred per-buffer load accounting (see ``_Block._log_load``).
 
-    Chunks are stored as raw ``(addresses, lanes)`` pairs; the
-    ``addr * L + lane`` encoding is deferred to :meth:`totals` so a
-    whole block's worth of events is encoded with one batched
-    multiply-add instead of two small array ops per load site.
+    A load whose address has a fact is one ``((terms, u, shape), mask,
+    rows, flat)`` chunk (``mask`` ``None`` for every lane of the block,
+    ``flat`` the per-lane addresses where the race detector needed
+    them).  For one
+    lane, two chunks with equal terms load one address exactly when
+    their uniform terms are equal, so while every chunk of the buffer
+    has the same terms, the distinct ``(lane, address)`` pairs are
+    counted in closed form: per uniform term, the lanes some chunk
+    covered.  A buffer that meets two terms or a load without a fact
+    materializes its chunks into per-lane codes.
+
+    Those are stored as raw ``(addresses, lanes)`` pairs, encoded as
+    ``addr * L + lane`` only when :meth:`totals` sorts them.
     """
 
     __slots__ = (
         "array", "space", "width_units", "lane_count",
-        "chunks", "events", "_pending",
+        "chunks", "affine", "events", "_pending",
     )
 
     #: Compact (deduplicate) the pending chunks past this many entries.
@@ -1967,6 +1722,7 @@ class _LoadLog:
         self.width_units = width if width else 1
         self.lane_count = lane_count
         self.chunks: list = []  # (addresses, lanes) or (encoded, None)
+        self.affine: list = []  # ((terms, u, shape), mask, rows, flat)
         self.events = 0
         self._pending = 0
 
@@ -1978,27 +1734,52 @@ class _LoadLog:
             self.chunks = [(_distinct_sorted(self._encode_all()), None)]
             self._pending = int(self.chunks[0][0].size)
 
+    def add_affine(self, aff: tuple, m, rows, n: int, flat=None) -> None:
+        self.affine.append((aff, m, rows, flat))
+        self.events += n
+
+    def _closed_form(self) -> Optional[int]:
+        """Distinct pairs of chunks that all have one set of terms."""
+        terms = self.affine[0][0][0]
+        lanes: dict = {}  # uniform term -> lanes covered (None: all)
+        for (t, u, _), m, _, _ in self.affine:
+            if t != terms:
+                return None
+            if u not in lanes:
+                lanes[u] = m
+            elif lanes[u] is not None:
+                lanes[u] = None if m is None else lanes[u] | m
+        L = self.lane_count
+        return sum(L if m is None else int(np.count_nonzero(m)) for m in lanes.values())
+
+    def _materialize(self, block: "_Block") -> None:
+        """The chunks as the per-lane addresses a load without a fact
+        logs (flat: a row's offset folded in)."""
+        for (terms, u, _), m, rows, flat in self.affine:
+            if flat is not None:
+                self.chunks.append(flat)
+                continue
+            aa = block._values(terms, u)
+            if rows is not None:
+                aa = rows * self.array.shape[1] + aa
+            if m is None:
+                self.chunks.append((aa, block._lane_ids))
+            else:
+                self.chunks.append((aa[m], block._lane_ids[m]))
+        self.affine = []
+
     def _encode_all(self) -> np.ndarray:
         L = self.lane_count
-        parts: list = []
-        raw_aa: list = []
-        raw_lanes: list = []
-        for aa, lanes in self.chunks:
-            if lanes is None:
-                parts.append(aa)
-            else:
-                raw_aa.append(aa)
-                raw_lanes.append(lanes)
-        if raw_aa:
-            if len(raw_aa) == 1:
-                parts.append(raw_aa[0] * L + raw_lanes[0])
-            else:
-                parts.append(
-                    np.concatenate(raw_aa) * L + np.concatenate(raw_lanes)
-                )
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        codes = [aa if lanes is None else aa * L + lanes for aa, lanes in self.chunks]
+        return codes[0] if len(codes) == 1 else np.concatenate(codes)
 
-    def totals(self) -> tuple:
+    def totals(self, block: "_Block") -> tuple:
+        if self.affine:
+            if not self.chunks:
+                distinct = self._closed_form()
+                if distinct is not None:
+                    return self.events, distinct
+            self._materialize(block)
         if not self.chunks:
             return 0, 0
         if len(self.chunks) == 1:
@@ -2124,8 +1905,10 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
 
     ``whole_grid`` ignores :data:`MAX_LANES` and lays the entire launch
     out as a single block (the ``fused`` engine's layout).  Each block
-    records its first work-group ordinal, which the fast path's lazy
-    geometry is offset by.
+    also holds what access facts are evaluated against: the basis ids
+    (:data:`BASIS`) per lane, at lane 0 and their ranges, the digits of
+    the flat lane index, and caches of what it makes of each set of
+    terms (``_Block._shape_of``, ``_Block._injective``).
     """
     key = (gsize, lsize, whole_grid)
     cache: "OrderedDict[tuple, dict]" = getattr(_pool_tls, "geometry", None)
@@ -2174,6 +1957,19 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
         full = np.ones(lanes, dtype=bool)
         for arr in (group_row, lane_ids, full, *lid, *group_ids, *gid):
             arr.setflags(write=False)
+        basis = lid + group_ids  # the order of BASIS
+        lo = tuple(int(a.min()) for a in basis)
+        hi = tuple(int(a.max()) for a in basis)
+        # The flat lane index's digits: (basis element, its unit) for
+        # each element that varies in the block.
+        units = tuple(
+            (k, unit) for k, unit in enumerate((
+                1, lsize[0], lsize[0] * lsize[1], lanes_per_group,
+                lanes_per_group * num_groups[0],
+                lanes_per_group * num_groups[0] * num_groups[1],
+            ))
+            if hi[k] > lo[k]
+        )
         blocks.append(
             {
                 "first_group": start,
@@ -2185,6 +1981,13 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
                 "group_ids": group_ids,
                 "lane_ids": lane_ids,
                 "full": full,
+                "basis": basis,
+                "basis0": tuple(int(a[0]) for a in basis),
+                "lo": lo,
+                "hi": hi,
+                "units": units,
+                "shapes": {},
+                "injectives": {},
             }
         )
 
@@ -2224,7 +2027,6 @@ def _run_blocks(
             if name in sole and isinstance(v, Pointer)
             and arrays.count(id(v.array)) == 1
         )
-    one_d = gsize[1] == gsize[2] == lsize[1] == lsize[2] == 1
 
     vptr_env = dict(base_env)
     for name, value in vptr_env.items():
@@ -2259,15 +2061,11 @@ def _run_blocks(
                 block_sole = block_sole | {id(local_array)}
 
         block = _Block(
-            counters, geo["lanes"], group_row, geo["lid"],
-            geo["gid"], geo["group_ids"], gsize, lsize, num_groups,
+            counters, geo, gsize, lsize, num_groups,
             seg_start=getattr(_pool_tls, "epoch", 0),
             tracked=block_tracked,
-            lane_ids=geo["lane_ids"],
-            full=geo["full"],
-            first_group=geo["first_group"],
             sole_ids=block_sole,
-            one_d=one_d,
+            shape=geometry,
         )
         block.env = env
         try:

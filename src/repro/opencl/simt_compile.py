@@ -1,81 +1,53 @@
 """Closure compilation for the lane-batched SIMT runtime.
 
-Walking the kernel AST for every block of work-groups pays a type
+Walking the kernel AST for every block of work-groups would pay a type
 dispatch per statement, a string comparison per operator and a table
-lookup per builtin — and every block (and every launch of the
-autotune/explore loops) would repeat them unchanged.  This module pays
+lookup per builtin, in every block of every launch.  This module pays
 the walk **once per kernel**: the AST is lowered into a pipeline of
 Python closures over the lane-array runtime of
-:class:`repro.opencl.simt._Block`.  It is the only lane-array evaluator
-of the AST; compilation resolves statically everything a walk would
-re-derive per block:
+:class:`repro.opencl.simt._Block`, the only lane-array evaluator of the
+AST, resolving statically what a walk would re-derive per block:
 
-* statement and expression dispatch (one closure per node, built once);
-* operator selection (``+`` compiles to ``operator.add``, comparisons to
-  their ufunc, ``/`` to integer or true division);
+* statement and expression dispatch (one closure per node) and operator
+  selection (``+`` compiles to ``operator.add``, ``/`` to integer or
+  true division);
 * **value types**: the walk is also the static typing pass — each node
   gets its kind and vector width from its children's by the rules of
-  :mod:`repro.opencl.interp` (``binop_type``, ``builtin_type``, …,
-  names and members through :class:`~repro.opencl.interp.StaticTypes`)
-  as it compiles, so an arithmetic closure adds a constant to one
-  counter, aligns a vector with lanes only where the types mix widths,
-  tests for a pointer only where one can occur, and a store,
-  declaration, argument or return skips a conversion its value already
-  has;
-* geometry builtins (``get_global_id(0)`` becomes an attribute read);
-* ``vload``/``vstore`` widths, math-builtin implementations and flop
-  costs (a builtin's width comes from its arguments' types), struct
-  member templates, declaration dtypes;
-* helper functions: a **straight-line** helper (declarations,
-  assignments and expression statements, then at most one ``return``
-  last — every Lift user function) is inlined into its caller's
-  closure: a fresh environment, by-value argument copies and the
-  argument and return conversions, but no return-mask frame.  A helper
-  with control flow keeps its own frame;
-* group-uniform conditions: a loop or branch condition that evaluates to
-  a Python scalar skips the mask materialization entirely.
+  :mod:`repro.opencl.interp` (names and members through
+  :class:`~repro.opencl.interp.StaticTypes`), so a closure aligns,
+  converts or tests for a pointer only where the types say it must;
+* **access facts**: an ``int`` node affine in the work-item ids (a
+  lane-uniform term plus uniform multiples of the local and group ids)
+  gets that fact (:func:`affine_fact`, :func:`scan_kernel`), and every
+  load and store site carries its address's fact to the runtime
+  (:class:`~repro.opencl.simt.Access`): a lane-uniform load is one
+  scalar read, a full-mask access linear in the flat lane index a
+  slice, load accounting and bounds checks take closed form, a buffer's
+  sole lane-injective store skips the race detector, and ``if (i < n)``
+  on an affine ``i`` a lane prefix;
+* geometry builtins, ``vload``/``vstore`` widths, math builtins and
+  their flop costs, struct member templates, declaration dtypes;
+* helper functions: a **straight-line** helper (every Lift user
+  function) is inlined into its caller's closure; a helper with control
+  flow keeps its own return-mask frame.
 
-The walk types every node or refuses the kernel: a node no rule types
-(a ternary whose arms differ in kind, arithmetic on a vector of
-comparisons, a load from a buffer of no arithmetic kind) or a name,
-return or member that would hold two types raises
-:class:`~repro.opencl.interp.Untyped`, whose message names it.  No
-closure reads the type of a value at run time.
+The walk types every node or refuses the kernel: a node no rule types,
+or a name, return or member that would hold two types, raises
+:class:`~repro.opencl.interp.Untyped` naming it.  No closure reads the
+type of a value at run time.  :func:`repro.opencl.simt.analyze_kernel`
+refuses unsupported forms before the walk (an assertion marks each
+place the lowering relies on it).  A refused kernel has no pipeline:
+:func:`get_pipeline` returns the reason, and the launch falls to the
+scalar oracle with it in the ledger.
 
-The compiled pipeline is segmented at top-level barriers — one closure
-sequence per barrier-delimited region (:func:`split_at_barriers`) —
-mirroring how the scalar engine schedules whole segments between
-synchronization points.  Barriers nested in (group-uniform) loops stay
-inside their segment's loop closure.
-
-Each segment of a kernel without returns is then offered to the **fast
-path** (see its section below): a second lowering over the same static
-types in which affine work-item ids stay lazy, affine loads and stores
-become slices, ``if (i < n)`` becomes a lane prefix, a buffer's one
-proven store skips the race detector and cached loads settle in closed
-form.  A segment that fits takes that form; any other keeps its closure
-form.  The choice is made once, here, at plan time; the launcher
-(:func:`repro.opencl.simt.try_launch`) runs the one plan in blocks or
-over the whole grid.
-
-Closures run against a :class:`~repro.opencl.simt._Block` instance, whose
-memory, merge and counter helpers reproduce the scalar interpreter bit
-for bit: same buffer contents, same :class:`Counters`.
-
-A kernel is refused at two sites, each with a reason:
-:func:`repro.opencl.simt.analyze_kernel` refuses unsupported forms
-before the walk (an assertion marks each place the lowering relies on
-it; the fast path's ``_Unfusable`` only keeps a segment's closure
-form), and the walk refuses what it cannot type.  A refused kernel has
-no pipeline — :func:`get_pipeline` returns the reason, and the launch
-falls to the scalar oracle with it in the ledger.
-
-Pipelines (and refusals) are cached on the parsed program (which the
-runtime shares per source through an LRU), alongside the
-vectorizability analysis, per kernel and element kinds of its pointer
-arguments (loads take the kind of the buffer a launch binds, not of the
-declaration): the thousands of launches an exploration run performs
-walk each kernel exactly once.
+The pipeline is segmented at top-level barriers (:func:`split_at_barriers`),
+as the scalar engine schedules segments between synchronization
+points; the launcher (:func:`repro.opencl.simt.try_launch`) runs it in
+blocks or over the whole grid, bit for bit as the scalar interpreter:
+same buffers, same :class:`Counters`.  Pipelines and refusals are cached
+on the parsed program, which the runtime shares per source, per kernel
+and element kinds of its pointer arguments: an exploration run walks
+each kernel once.
 """
 
 from __future__ import annotations
@@ -83,7 +55,7 @@ from __future__ import annotations
 import operator
 import threading
 import time
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -110,6 +82,7 @@ from repro.opencl.interp import (
     binop_type,
     builtin_type,
     cast_type,
+    children,
     declared_element_kind,
     declared_kinds,
     element_kind,
@@ -118,6 +91,7 @@ from repro.opencl.interp import (
     is_vector,
     join,
     scalar_kind,
+    statement_parts,
     stored_type,
     typed_zero,
     unop_type,
@@ -126,23 +100,20 @@ from repro.opencl.interp import (
     vector_type,
 )
 from repro.opencl.simt import (
-    _AFF_LOCAL_ID,
-    Aff,
+    BASIS,
+    Access,
     VectorUnsupported,
     _Block,
     _Frame,
     _LANE_DTYPE,
     _VMATH,
-    _aff_binop,
     _by_value,
     _convert,
     _expr_uniform,
-    _is_int_uniform,
     _is_uniform,
     _is_vload,
     _is_vstore,
     analyze_kernel,
-    sole_store_sites,
     statement_types,
     uniform_names,
 )
@@ -221,6 +192,276 @@ def declared_pointer_kinds(kernel: c.CFunctionDef) -> tuple:
     )
 
 
+# ---------------------------------------------------------------------------
+# access facts
+# ---------------------------------------------------------------------------
+#
+# The typing walk also gives an ``int`` node an affine fact where it has
+# one (``StaticTypes.affine``): on every active lane its value is
+# ``u + sum(c_k * id_k)`` over the basis ids (``simt.BASIS``: local and
+# group id per dimension) with a block-uniform ``u``.  A fact is the
+# tuple of the six coefficients, each an ``int`` or a symbolic uniform
+# value (``("name", x)``, ``("geo", field, dim)`` or an ``("+" | "*",
+# a, b)`` of them); all zero is a lane-uniform value.  The uniform term
+# is not kept: the launcher reads it off an active lane.  Literals,
+# names every work-item agrees on, the size getters and the id builtins
+# have facts; ``+`` and ``-`` of two facts and ``*`` by a uniform value
+# keep them; any other node has none.  A name has the fact every store
+# to it carries (:func:`scan_kernel`).
+
+_ZERO = (0,) * len(BASIS)
+#: The size getters: uniform across the launch.
+_SIZES = {
+    "get_local_size": "local_size",
+    "get_global_size": "global_size",
+    "get_num_groups": "num_groups",
+}
+#: Calls whose result every work-item agrees on, given arguments they
+#: agree on (``get_group_id`` varies between the groups of a block).
+_GRID_UNIFORM_CALLS = frozenset(_SIZES) | frozenset(_MATH_BUILTINS)
+
+
+def _sym(op: str, a, b):
+    """``a op b`` (``+`` or ``*``) of two symbolic uniform values."""
+    if type(a) is int and type(b) is int:
+        return a + b if op == "+" else a * b
+    identity = 0 if op == "+" else 1
+    if a == identity or b == identity:
+        return b if a == identity else a
+    return 0 if op == "*" and (a == 0 or b == 0) else (op, a, b)
+
+
+def _dim(e: c.CCall) -> Optional[int]:
+    """A geometry builtin's literal dimension."""
+    if not e.args:
+        return 0
+    return e.args[0].value if type(e.args[0]) is c.CInt else None
+
+
+def _uniform_value(e, scope: "Scope"):
+    """The symbolic value of an ``int`` expression every work-item agrees
+    on, or ``None``."""
+    t = type(e)
+    if t is c.CInt:
+        return e.value
+    if t is c.CIdent:
+        return ("name", e.name) if e.name in scope.uniform else None
+    if t is c.CCall:
+        dim = _dim(e) if e.func in _SIZES else None
+        return None if dim is None else ("geo", _SIZES[e.func], dim)
+    if t is not c.CBinOp or e.op not in ("+", "-", "*"):
+        return None
+    lhs, rhs = _uniform_value(e.lhs, scope), _uniform_value(e.rhs, scope)
+    if lhs is None or rhs is None:
+        return None
+    if e.op == "-":
+        rhs = _sym("*", -1, rhs)
+    return _sym("*" if e.op == "*" else "+", lhs, rhs)
+
+
+def affine_fact(e, scope: "Scope") -> Optional[tuple]:
+    """The affine fact of ``int`` expression ``e`` (see above), with the
+    names' facts of ``scope``, or ``None``."""
+    t = type(e)
+    if t is c.CInt:
+        return _ZERO
+    if t is c.CIdent:
+        return _ZERO if e.name in scope.uniform else scope.facts.get(e.name)
+    if t is c.CCall:
+        dim = _dim(e) if e.func.startswith("get_") else None
+        if dim is None or e.func in _SIZES:
+            return _ZERO if dim is not None else None
+        fact = list(_ZERO)
+        if e.func in ("get_local_id", "get_global_id"):
+            fact[dim] = 1
+        if e.func == "get_group_id":
+            fact[3 + dim] = 1
+        elif e.func == "get_global_id":
+            fact[3 + dim] = ("geo", "local_size", dim)
+        return tuple(fact)
+    if t is not c.CBinOp or e.op not in ("+", "-", "*"):
+        return None
+    lhs, rhs = affine_fact(e.lhs, scope), affine_fact(e.rhs, scope)
+    if lhs is None or rhs is None:
+        return None
+    if e.op == "*":  # by a uniform value: the other side's coefficients scale
+        factor = _uniform_value(e.rhs, scope) if rhs == _ZERO else None
+        if factor is None:
+            factor = _uniform_value(e.lhs, scope) if lhs == _ZERO else None
+            lhs = rhs
+        return None if factor is None else tuple(_sym("*", factor, k) for k in lhs)
+    if rhs == _ZERO or lhs == _ZERO and e.op == "+":
+        return lhs if rhs == _ZERO else rhs
+    if e.op == "-":
+        rhs = tuple(_sym("*", -1, k) for k in rhs)
+    return tuple(_sym("+", a, b) for a, b in zip(lhs, rhs))
+
+
+class Scope:
+    """What facts a function's names have: ``uniform``, the ``int``
+    names every work-item agrees on, and ``facts``, the other names'.
+    A helper has neither (its parameters are per call)."""
+
+    __slots__ = ("uniform", "facts")
+
+    def __init__(self, uniform=frozenset()):
+        self.uniform = uniform
+        self.facts: dict = {}
+
+
+def scan_kernel(kernel: c.CFunctionDef) -> tuple:
+    """``(scope, sole names, sole sites)``: one syntactic pass over a
+    kernel for the walk.
+
+    A name has a fact when it is declared once and every store to it
+    carries one, all with the same coefficients, each under control its
+    lanes agree on from the declaration down: a branch or loop condition
+    every work-item agrees on, or the condition of the loop whose
+    initialisation declares it (inside that loop its active lanes all
+    made the same steps).  Names are taken in declaration order: one has
+    a fact when all its stores carry its declaration's, given the facts
+    of the names before it (and its own).
+
+    The sole names are the buffers (pointer parameters, local arrays)
+    whose one access anywhere is one store site (the sole site).  No
+    lane reads such a buffer, so only two lanes storing to one address
+    can race: a store at lane-injective addresses needs no race
+    detector while its executions in a block cannot meet
+    (``simt._Block._sole_write``) and no other argument aliases the
+    buffer (the launcher checks)."""
+    kinds = declared_kinds(kernel)
+    agreed = uniform_names(kernel, _GRID_UNIFORM_CALLS)
+    scope = Scope(frozenset(n for n in agreed if kinds.get(n) == "i"))
+    decls: dict = {}  # name -> [count, control around it, value]
+    stores: list = []  # (name, stored value or None, control around it)
+    buffers = {p.name for p in kernel.params if p.is_pointer}
+    sites: dict = {}  # buffer -> its store statements
+    loads: set = set()
+    poison: set = set()  # names used other than to load or store
+
+    def scan(e) -> None:
+        if type(e) is c.CIndex and type(e.base) is c.CIdent:
+            loads.add(e.base.name)
+            scan(e.index)
+        elif type(e) is c.CIdent:
+            poison.add(e.name)
+        else:
+            for part in children(e):
+                scan(part)
+
+    def walk(s, ctrl: tuple) -> None:
+        t = type(s)
+        if t is c.CBlock:
+            for sub in s.stmts:
+                walk(sub, ctrl)
+        elif t is c.CDecl:
+            value = s.init if s.init is not None else c.CInt(0)
+            decls.setdefault(s.name, [0, ctrl, value])[0] += 1
+            if s.array_size is not None and s.qualifier == "local":
+                buffers.add(s.name)
+            scan(value)
+        elif t is c.CAssign:
+            target = s.target
+            if type(target) is c.CIdent:
+                value = s.value if s.op == "=" else c.CBinOp(s.op[0], target, s.value)
+                stores.append((target.name, value, ctrl))
+            elif type(target) is c.CIndex and type(target.base) is c.CIdent:
+                sites.setdefault(target.base.name, []).append(s)
+                if s.op != "=":  # a compound store loads the address
+                    loads.add(target.base.name)
+                scan(target.index)
+            else:
+                scan(target)
+                if type(target.base) is c.CIdent:  # a member store
+                    stores.append((target.base.name, None, ctrl))
+            scan(s.value)
+        else:  # the control of a loop or branch holds inside it
+            exprs, stmts = statement_parts(s)
+            for part in exprs:
+                scan(part)
+            for sub in stmts:
+                walk(sub, ctrl + (s,))
+
+    walk(kernel.body, ())
+    # Names declared once whose every store sits under control its lanes
+    # agree on below the declaration; the declaration's value first.
+    candidates = {
+        name: [decl[2]] for name, decl in decls.items()
+        if decl[0] == 1 and kinds.get(name) == "i" and name not in scope.uniform
+    }
+    agrees: dict = {}  # id(loop or branch) -> whether its condition is uniform
+    for name, value, ctrl in stores:
+        if name in candidates:
+            around = decls[name][1]
+            clean = value is not None and len(ctrl) >= len(around) and all(
+                a is b for a, b in zip(ctrl, around)
+            )
+            for s in ctrl[len(around):] if clean else ():
+                if id(s) not in agrees:
+                    agrees[id(s)] = s.cond is None or _expr_uniform(
+                        s.cond, agreed, _GRID_UNIFORM_CALLS
+                    )
+                clean = clean and agrees[id(s)]
+            if clean:
+                candidates[name].append(value)
+            else:
+                del candidates[name]
+    # In declaration order, so a declaration finds the facts of the names
+    # it reads (a name read before its declaration has none).
+    for name, values in candidates.items():
+        fact = scope.facts[name] = affine_fact(values[0], scope)
+        if fact is None or any(affine_fact(v, scope) != fact for v in values[1:]):
+            del scope.facts[name]
+    sole = {
+        name: sites[name][0] for name in buffers
+        if len(sites.get(name, ())) == 1 and name not in loads and name not in poison
+    }
+    return scope, frozenset(sole), frozenset(map(id, sole.values()))
+
+
+def _value_of(value, b):
+    """A symbolic uniform value in block ``b`` (``None``: no ``int``)."""
+    if type(value) is int:
+        return value
+    if value[0] == "name":
+        v = b.env.get(value[1])
+        return int(v) if isinstance(v, (int, np.integer)) else None
+    if value[0] == "geo":
+        return getattr(b, value[1])[value[2]]
+    lhs, rhs = _value_of(value[1], b), _value_of(value[2], b)
+    if lhs is None or rhs is None:
+        return None
+    return lhs + rhs if value[0] == "+" else lhs * rhs
+
+
+def _geometric(value) -> bool:
+    """Whether a symbolic value depends on the launch's sizes only."""
+    return type(value) is int or value[0] == "geo" or (
+        value[0] != "name" and _geometric(value[1]) and _geometric(value[2])
+    )
+
+
+def _access(ctx, pointer, index, scale: int = 1, sole: bool = False) -> Access:
+    """The :class:`~repro.opencl.simt.Access` of a load or store through
+    ``pointer`` at ``index`` (times ``scale``, a vector access's width)."""
+    fact = ctx.fact(index)
+    if fact is None:
+        return Access(pointer, sole=sole)
+    scaled = tuple((k, _sym("*", scale, v)) for k, v in enumerate(fact) if v != 0)
+    if all(type(v) is int for _, v in scaled):
+        return Access(pointer, terms=scaled, sole=sole)
+
+    def coefficients(b):
+        terms = [(k, _value_of(v, b)) for k, v in scaled]
+        if any(v is None for _, v in terms):
+            return None
+        return tuple((k, v) for k, v in terms if v)
+
+    acc = Access(pointer, coefficients=coefficients, sole=sole)
+    acc.geometric = all(_geometric(v) for _, v in scaled)
+    return acc
+
+
 class _Ctx:
     """Per-pipeline compilation state: the static types the walk fills,
     the function being compiled (its declared kinds: stores resolve
@@ -228,7 +469,7 @@ class _Ctx:
     so far."""
 
     def __init__(self, parsed: ParsedProgram, fn: c.CFunctionDef,
-                 types: StaticTypes):
+                 types: StaticTypes, scope: Scope, sole_sites: frozenset):
         self.parsed = parsed
         self.types = types
         #: ``id(node) -> type``, filled as the nodes compile.
@@ -236,15 +477,34 @@ class _Ctx:
         self.fn = fn
         self.kinds = declared_kinds(fn)
         self.names = types.names.setdefault(fn.name, {})
+        self.scope = scope  # the facts of the function's names
+        self.sole_sites = sole_sites
         self.helpers: dict = {}  # name -> framed body, or inlined parts
         self.loads: dict = {}  # name -> its (shared) load closure
         self.inlined = 0  # call sites compiled inline
-        #: ``id(if statement) -> (then, else)`` closures, which the fast
-        #: path runs for a branch it cannot take as a prefix.
-        self.branches: dict = {}
+        self.accesses = 0  # load and store sites
+        self.affine = 0  # of which with a fact
 
     def type_of(self, e) -> CType:
         return self.typed[id(e)]
+
+    def fact(self, e) -> Optional[tuple]:
+        """The affine fact of the typed node ``e`` (``int`` nodes only)."""
+        facts = self.types.affine
+        key = id(e)
+        if key not in facts:
+            facts[key] = (
+                affine_fact(e, self.scope) if self.typed.get(key) == I else None
+            )
+        return facts[key]
+
+    def access(self, pointer, index, scale: int = 1, sole: bool = False) -> Access:
+        """The planned :class:`~repro.opencl.simt.Access` of a site."""
+        acc = _access(self, pointer, index, scale, sole)
+        self.accesses += 1
+        if acc.terms is not None or acc.coefficients is not None:
+            self.affine += 1
+        return acc
 
     def define(self, name: str, t: Optional[CType]) -> None:
         """``t`` stored into ``name`` (a declaration or an assignment)."""
@@ -361,13 +621,7 @@ def _operands(e, ctx: _Ctx) -> str:
         return f"base {ctx.type_of(e.base)}, index {ctx.type_of(e.index)}"
     if t is c.CMember:
         return f"base {ctx.type_of(e.base)}"
-    if t is c.CBinOp:
-        parts = (e.lhs, e.rhs)
-    elif t is c.CUnOp or t is c.CCast:
-        parts = (e.operand,)
-    else:
-        parts = e.args if t is c.CCall else e.items
-    return "operands " + (", ".join(str(ctx.type_of(p)) for p in parts) or "none")
+    return "operands " + (", ".join(str(ctx.type_of(p)) for p in children(e)) or "none")
 
 
 def _constant(value) -> ExprFn:
@@ -567,12 +821,12 @@ def _compile_index(e: c.CIndex, ctx: _Ctx) -> ExprFn:
     bt = ctx.typed[id(e.base)]
     ctx.typed[id(e)] = index_type(bt, ctx.typed[id(e.index)])
     if bt.kind == "ptr":
-        return _gather(base, index)
+        return _gather(base, index, ctx.access(e.base, e.index))
     return lambda b, m, n: _column(base(b, m, n), index(b, m, n), m)
 
 
-def _gather(base: ExprFn, index: ExprFn) -> ExprFn:
-    return lambda b, m, n: b._gather(base(b, m, n), index(b, m, n), m, n)
+def _gather(base: ExprFn, index: ExprFn, acc: Access) -> ExprFn:
+    return lambda b, m, n: b._gather(base(b, m, n), index(b, m, n), m, n, acc)
 
 
 def _compile_member(e: c.CMember, ctx: _Ctx) -> ExprFn:
@@ -685,13 +939,15 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     if _is_vload(name):
         width = int(name[5:])
         typed[id(e)] = vector_type("f", width) if arg_ts[1].kind == "ptr" else None
-        return _vload(width, *arg_cs)
+        acc = ctx.access(e.args[1], e.args[0], width)
+        return _vload(width, *arg_cs, acc)
     if _is_vstore(name):
         width = int(name[6:])
         value_t = arg_ts[0]
         stores = arg_ts[2].kind == "ptr" and is_vector(value_t) and value_t.width == width
         typed[id(e)] = VOID if stores else None
-        return _vstore(width, *arg_cs)
+        acc = ctx.access(e.args[2], e.args[1], width)
+        return _vstore(width, *arg_cs, acc)
     builtin = _VMATH.get(name)
     if builtin is not None:
         typed[id(e)] = builtin_type(name, arg_ts)
@@ -728,19 +984,20 @@ def _geometry_by_run(field: str, dim_c: ExprFn) -> ExprFn:
     return dynamic_dim
 
 
-def _vload(width: int, offset: ExprFn, pointer: ExprFn) -> ExprFn:
+def _vload(width: int, offset: ExprFn, pointer: ExprFn, acc: Access) -> ExprFn:
     def vload(b, m, n):
         off = offset(b, m, n)
-        return b._vload(pointer(b, m, n), off, width, m, n)
+        return b._vload(pointer(b, m, n), off, width, m, n, acc)
 
     return vload
 
 
-def _vstore(width: int, value: ExprFn, offset: ExprFn, pointer: ExprFn) -> ExprFn:
+def _vstore(width: int, value: ExprFn, offset: ExprFn, pointer: ExprFn,
+            acc: Access) -> ExprFn:
     def vstore(b, m, n):
         v = value(b, m, n)
         off = offset(b, m, n)
-        b._vstore(pointer(b, m, n), off, width, v, m, n)
+        b._vstore(pointer(b, m, n), off, width, v, m, n, acc)
 
     return vstore
 
@@ -787,8 +1044,8 @@ def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx):
     statements, then at most one ``return`` last) as ``(statements,
     returned value, return conversion kind)`` for inlining, any other
     as a statement closure over its own return-mask frame."""
-    caller = ctx.fn, ctx.kinds, ctx.names
-    ctx.fn, ctx.kinds = fn, declared_kinds(fn)
+    caller = ctx.fn, ctx.kinds, ctx.names, ctx.scope
+    ctx.fn, ctx.kinds, ctx.scope = fn, declared_kinds(fn), Scope()
     ctx.names = ctx.types.names.setdefault(fn.name, {})
     try:
         stmts = list(fn.body.stmts)
@@ -812,7 +1069,7 @@ def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx):
         ctx.returned(stored_type(kind, vt))
         return body, ret_c, (kind if _converts(kind, vt) else None)
     finally:
-        ctx.fn, ctx.kinds, ctx.names = caller
+        ctx.fn, ctx.kinds, ctx.names, ctx.scope = caller
 
 
 def _arguments(fn: c.CFunctionDef, kinds: dict, arg_cs: list, arg_ts: list) -> tuple:
@@ -997,7 +1254,8 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
         bt, it = ctx.typed[id(target.base)], ctx.typed[id(target.index)]
         if bt.kind != "ptr" or index_type(bt, it) is None:
             raise ctx.refuse(target, f"store through base {bt}, index {it}")
-        return _scatter(value_c, base_c, index_c)
+        sole = id(s) in ctx.sole_sites
+        return _scatter(value_c, base_c, index_c, ctx.access(target.base, target.index, sole=sole))
 
     assert isinstance(target, c.CMember), target  # lvalues: analyze_kernel
     base_c = _compile_expr(target.base, ctx)
@@ -1013,10 +1271,10 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     return _store_component(value_c, base_c, member)
 
 
-def _scatter(value_c: ExprFn, base_c: ExprFn, index_c: ExprFn) -> StmtFn:
+def _scatter(value_c: ExprFn, base_c: ExprFn, index_c: ExprFn, acc: Access) -> StmtFn:
     def scatter(b, m, n, frame):
         v = value_c(b, m, n)
-        b._scatter(base_c(b, m, n), index_c(b, m, n), v, m, n)
+        b._scatter(base_c(b, m, n), index_c(b, m, n), v, m, n, acc)
 
     return scatter
 
@@ -1088,25 +1346,16 @@ def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
         counters = b.counters
         while na:
             if cond_c is not None:
-                cv = cond_c(b, active, na)
-                if isinstance(cv, np.ndarray):
-                    if cv.ndim != 1:
-                        raise VectorUnsupported(
-                            "vector used in a scalar condition"
-                        )
-                    if cv.dtype.kind != "b":
-                        cv = cv != 0
+                cv = _truth(cond_c(b, active, na))
+                if type(cv) is np.ndarray:
                     active = active & cv
                     na = int(np.count_nonzero(active))
                     if na == 0:
                         break
-                elif _is_uniform(cv):
+                elif not cv:
                     # Group-uniform trip counts skip the lane-mask
                     # re-materialization entirely.
-                    if not cv:
-                        break
-                else:
-                    raise VectorUnsupported(f"cannot use {cv!r} as a condition")
+                    break
             counters.loop_iterations += na
             body_c(b, active, na, frame)
             if frame.returned_any:
@@ -1121,555 +1370,95 @@ def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
 
 
 def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
-    cond_c = _compile_expr(s.cond, ctx)
+    cond_c, bound = _compile_bound(s.cond, ctx)
     then_c = _compile_stmt(s.then, ctx, has_returns)
     else_c = (
         _compile_stmt(s.otherwise, ctx, has_returns)
         if s.otherwise is not None
         else None
     )
-    ctx.branches[id(s)] = then_c, else_c
+    if bound is not None:
+        return _prefix_if(*bound, then_c, else_c)
 
     def run_if(b, m, n, frame):
         b.counters.branches += n
-        cv = cond_c(b, m, n)
-        if isinstance(cv, np.ndarray):
-            if cv.ndim != 1:
-                raise VectorUnsupported("vector used in a scalar condition")
-            if cv.dtype.kind != "b":
-                cv = cv != 0
-            mt = m & cv
-            nt = int(np.count_nonzero(mt))
-            if nt:
-                then_c(b, mt, nt, frame)
-            if else_c is not None and nt < n:
-                mf = m & ~cv
-                else_c(b, mf, n - nt, frame)
-        elif _is_uniform(cv):
-            if cv:
-                then_c(b, m, n, frame)
-            elif else_c is not None:
+        _branch(b, m, n, frame, cond_c(b, m, n), then_c, else_c)
+
+    return run_if
+
+
+def _compile_bound(cond, ctx: _Ctx) -> tuple:
+    """``(closure, bound)`` of a branch condition: ``bound`` is ``(i, n,
+    inclusive, comparison, access)`` when it is ``i < n`` or ``i <= n``
+    with ``i`` affine in the ids and ``n`` uniform (a prefix mask), else
+    ``None``."""
+    if type(cond) is not c.CBinOp or cond.op not in ("<", "<="):
+        return _compile_expr(cond, ctx), None
+    lhs = _compile_expr(cond.lhs, ctx)
+    rhs = _compile_expr(cond.rhs, ctx)
+    lt, rt = ctx.typed[id(cond.lhs)], ctx.typed[id(cond.rhs)]
+    ctx.typed[id(cond)] = binop_type(cond.op, lt, rt)
+    if ctx.typed[id(cond)] is None:
+        raise ctx.refuse(cond, _operands(cond, ctx))
+    cond_c = _binop(cond.op, lhs, rhs, lt, rt, None)
+    fact = ctx.fact(cond.lhs)
+    if lt != I or rt != I or fact is None or fact == _ZERO \
+            or ctx.fact(cond.rhs) != _ZERO:
+        return cond_c, None
+    acc = _access(ctx, cond.lhs, cond.lhs)
+    return cond_c, (lhs, rhs, cond.op == "<=", COMPARE[cond.op], acc)
+
+
+def _prefix_if(lhs: ExprFn, rhs: ExprFn, inclusive: bool, cmp, acc: Access,
+               then_c: StmtFn, else_c: Optional[StmtFn]) -> StmtFn:
+    """An ``if`` on an affine bound: where its lanes are linear in the
+    flat lane index, the first ``k`` pass, and ``k`` takes a division."""
+
+    def run_bound(b, m, n, frame):
+        b.counters.branches += n
+        l = lhs(b, m, n)
+        r = rhs(b, m, n)
+        b.counters.iops += n
+        k = b._prefix(l, r, inclusive, acc, m, n)
+        if k is None:
+            _branch(b, m, n, frame, cmp(l, r), then_c, else_c)
+        elif k >= b.L:
+            then_c(b, m, n, frame)
+        elif k <= 0:
+            if else_c is not None:
                 else_c(b, m, n, frame)
         else:
-            raise VectorUnsupported(f"cannot use {cv!r} as a condition")
-
-    return run_if
-
-
-# ---------------------------------------------------------------------------
-# the fast path: a segment's second form
-# ---------------------------------------------------------------------------
-#
-# A barrier segment of a kernel without returns whose statements fit the
-# fast path's value algebra (module docstring; ENGINES.md, "One plan,
-# two layouts") compiles a second time, into closures of the closure
-# form's signature whose active lanes are always the *first k* of the
-# block: k == L at segment top level (the mask is the block's full one),
-# a prefix under a prefix-taken branch (the mask is ``True``, which the
-# shared operator closures accept).  Materialized values are length-k
-# prefixes, which is what lets a guarded store slice-assign without
-# building a boolean mask.  Affine values (:class:`~repro.opencl.simt.
-# Aff`) only arise from dimension 0 of a 1-D launch, the only launches
-# fast forms run in; the static type of one is ``int``, so ``_lazy``
-# tells at plan time which operands may be one, and every other operand
-# goes through the closure form's own operator closures.
-#
-# An expression that leaves the algebra materializes into the closure
-# form's lane arrays and continues through the same ``_Block`` helpers
-# (same counters, same hazard notes); a branch the algebra cannot take
-# runs the closure form's branch closures; a segment with any other
-# construct (``_Unfusable``) keeps its closure form.  Statements that
-# bind variables compile only in unmasked position (k == L), so the
-# environment never holds a compressed array.
-
-class _Unfusable(Exception):
-    """Plan time: this segment keeps its closure form."""
-
-
-#: Geometry every work-item of a launch agrees on.  A fast loop must
-#: have a trip count all lanes of a block agree on, and a block may hold
-#: many work-groups: ``get_group_id`` does not qualify.
-_GEOM_GRID_UNIFORM = frozenset(("get_local_size", "get_global_size", "get_num_groups"))
-_GRID_UNIFORM_CALLS = _GEOM_GRID_UNIFORM | frozenset(_MATH_BUILTINS)
-
-#: The lazy geometry of a 1-D launch, per builtin: a block attribute,
-#: or the one descriptor every block shares.
-_AFF_GEOMETRY = {
-    "get_global_id": "_aff_global_id",
-    "get_group_id": "_aff_group_id",
-    "get_local_id": None,
-}
-
-
-class _FastCtx:
-    """Fast-path compilation state over the closure compiler's final
-    :class:`_Ctx` (its static types and branch closures)."""
-
-    def __init__(self, ctx: _Ctx, kernel: c.CFunctionDef):
-        self.ctx = ctx
-        self.kernel = kernel
-
-    @cached_property
-    def uniform_names(self) -> frozenset:
-        return frozenset(uniform_names(self.kernel, _GRID_UNIFORM_CALLS))
-
-    @cached_property
-    def sole(self) -> tuple:
-        return sole_store_sites(self.kernel)
-
-
-def _lazy(e, fc: _FastCtx) -> bool:
-    """Whether ``e`` may evaluate to a lazy affine value: an Aff is an
-    integer lane vector, so its static type is ``int``, and it is never
-    a literal or a name every work-item agrees on."""
-    if fc.ctx.type_of(e) != I:
-        return False
-    t = type(e)
-    return not (t is c.CInt or (t is c.CIdent and e.name in fc.uniform_names))
-
-
-def _eager(fn: ExprFn) -> ExprFn:
-    """``fn`` with a lazy affine result materialized over the k lanes."""
-    return lambda b, m, k: b.lanes_k(fn(b, m, k), k)
-
-
-def _fast_expr(e, fc: _FastCtx) -> ExprFn:
-    t = type(e)
-    if t is c.CInt or t is c.CFloat:
-        return _constant(e.value)
-    if t is c.CIdent:
-        if e.name in fc.uniform_names:  # never lanes
-            return _load(e.name)
-        return _fast_load(e.name)
-    if t is c.CBinOp:
-        return _fast_binop(e, fc)
-    if t is c.CUnOp:
-        if e.op != "-":
-            raise _Unfusable(f"unary operator {e.op}")
-        operand = _fast_expr(e.operand, fc)
-        if _lazy(e.operand, fc):
-            return _fast_negate(operand)
-        return _negate(_arith_operand(operand, fc.ctx.type_of(e.operand))[0])
-    if t is c.CIndex:
-        if fc.ctx.type_of(e.base).kind != "ptr":
-            raise _Unfusable("vector component by index")
-        index = _index_of(e.index, _fast_expr(e.index, fc), fc.ctx)
-        return _fast_gather(_fast_expr(e.base, fc), index)
-    if t is c.CCall:
-        return _fast_call(e, fc)
-    if t is c.CCast:
-        operand = _fast_expr(e.operand, fc)
-        if e.type_name in ("int", "uint", "long"):
-            return _fast_to_int(operand)
-        if e.type_name in ("float", "double"):
-            return _fast_to_float(operand)
-        return operand
-    raise _Unfusable(f"expression {e!r}")
-
-
-def _fast_load(name: str) -> ExprFn:
-    """A name's first k lanes."""
-    load = _load(name)
-
-    def load_lanes(b, m, k):
-        v = load(b, m, k)
-        if k != b.L and isinstance(v, np.ndarray) and v.shape[0] == b.L:
-            return v[:k]
-        return v
-
-    return load_lanes
-
-
-def _fast_negate(operand: ExprFn) -> ExprFn:
-    def negate(b, m, k):
-        v = operand(b, m, k)
-        if isinstance(v, Aff):
-            return Aff(-v.base, -v.gs, -v.ls)
-        return -v
-
-    return negate
-
-
-def _fast_gather(base_c: ExprFn, index_c: ExprFn) -> ExprFn:
-    return lambda b, m, k: b.fast_gather(base_c(b, m, k), index_c(b, m, k), k)
-
-
-def _fast_to_int(operand: ExprFn) -> ExprFn:
-    def to_int(b, m, k):
-        v = operand(b, m, k)
-        if isinstance(v, Aff):
-            return v  # affine descriptors are already integer
-        if isinstance(v, np.ndarray):
-            return v.astype(np.int64)
-        return int(v)
-
-    return to_int
-
-
-def _fast_to_float(operand: ExprFn) -> ExprFn:
-    def to_float(b, m, k):
-        v = operand(b, m, k)
-        if isinstance(v, Aff):
-            v = b.aff_values(v, k)
-        if isinstance(v, np.ndarray):
-            return v.astype(np.float64)
-        return float(v)
-
-    return to_float
-
-
-def _fast_binop(e: c.CBinOp, fc: _FastCtx) -> ExprFn:
-    op = e.op
-    if op == "&&" or op == "||":
-        raise _Unfusable("short-circuit operator")
-    lhs = _fast_expr(e.lhs, fc)
-    rhs = _fast_expr(e.rhs, fc)
-    lt, rt = fc.ctx.type_of(e.lhs), fc.ctx.type_of(e.rhs)
-    lazy_l, lazy_r = _lazy(e.lhs, fc), _lazy(e.rhs, fc)
-    if (lazy_l or lazy_r) and op in ("+", "-", "*") and lt == rt == I:
-        return _fast_affine(op, lhs, rhs, *_binop_parts(op, I, I))
-    if lazy_l:
-        lhs = _eager(lhs)
-    if lazy_r:
-        rhs = _eager(rhs)
-    return _binop(op, lhs, rhs, lt, rt, _divisor(e))
-
-
-def _fast_affine(op: str, lhs: ExprFn, rhs: ExprFn, value_of, field: str,
-                 units: int) -> ExprFn:
-    """Integer ``lhs op rhs`` (``+ - *``) that keeps affine operands lazy."""
-
-    def affine(b, m, k):
-        l = lhs(b, m, k)
-        r = rhs(b, m, k)
-        _charge(b.counters, field, units * k)
-        av = _aff_binop(op, l, r)
-        if av is not None:
-            return av
-        return value_of(b.lanes_k(l, k), b.lanes_k(r, k), m)
-
-    return affine
-
-
-def _fast_call(e: c.CCall, fc: _FastCtx) -> ExprFn:
-    name = e.func
-    if name.startswith("get_"):
-        field = _GEOMETRY_FIELDS[name]
-        if not e.args:
-            dim = 0
-        elif type(e.args[0]) is c.CInt:
-            dim = e.args[0].value
-        else:
-            raise _Unfusable("dynamic geometry dimension")
-        if name in _GEOM_GRID_UNIFORM:
-            return _geometry(field, dim)
-        return _fast_geometry(field, dim, _AFF_GEOMETRY[name])
-    builtin = _VMATH.get(name)
-    if builtin is None:
-        raise _Unfusable(f"call to {name!r}")
-    arg_cs = [
-        _eager(_fast_expr(a, fc)) if _lazy(a, fc) else _fast_expr(a, fc)
-        for a in e.args
-    ]
-    return _compile_builtin(e, builtin, arg_cs, fc.ctx)
-
-
-def _fast_geometry(field: str, dim: int, aff_attr) -> ExprFn:
-    """A lane geometry builtin; in dimension 0 of the 1-D launches fast
-    segments run in, a lazy affine value."""
-    if dim == 0:
-        if aff_attr is None:
-            return lambda b, m, k: _AFF_LOCAL_ID
-        return lambda b, m, k: getattr(b, aff_attr)
-
-    def geometry(b, m, k):
-        arr = getattr(b, field)[dim]
-        return arr if k == b.L else arr[:k]
-
-    return geometry
-
-
-def _fast_cond(e, fc: _FastCtx):
-    """A branch condition as ``(b, m, k) -> (kind, value)`` with kind
-    ``"u"`` (block-uniform bool), ``"p"`` (prefix count), or ``"a"``
-    (boolean lanes)."""
-    cmpfn = COMPARE.get(e.op) if type(e) is c.CBinOp else None
-    if cmpfn is None:
-        expr = _fast_expr(e, fc)
-
-        def cond_any(b, m, k):
-            v = expr(b, m, k)
-            if isinstance(v, Aff):
-                v = b.aff_values(v, k)
-            if _is_uniform(v):
-                return "u", bool(v)
-            return "a", b._as_bool(v, m)
-
-        return cond_any
-    lhs = _fast_expr(e.lhs, fc)
-    rhs = _fast_expr(e.rhs, fc)
-    lazy_l, lazy_r = _lazy(e.lhs, fc), _lazy(e.rhs, fc)
-    align = _needs_align(fc.ctx.type_of(e.lhs), fc.ctx.type_of(e.rhs))
-    # Only ``aff < bound`` and ``aff <= bound`` can be a prefix.
-    prefix = lazy_l and e.op in ("<", "<=")
-    inclusive = 1 if e.op == "<=" else 0
-
-    def cond_cmp(b, m, k):
-        l = lhs(b, m, k)
-        r = rhs(b, m, k)
-        b.counters.iops += k
-        if prefix and type(l) is Aff and _is_int_uniform(r):
-            s = l.flat_stride(b._lanes_per_group)
-            if s is not None and s > 0:
-                kk = -(-(int(r) + inclusive - l.base) // s)  # ceil, s > 0
-                return "p", min(max(kk, 0), k)
-        if lazy_l:
-            l = b.lanes_k(l, k)
-        if lazy_r:
-            r = b.lanes_k(r, k)
-        cv = cmpfn(*_align(l, r)) if align else cmpfn(l, r)
-        if type(cv) is np.ndarray:
-            return "a", b._as_bool(cv, m)
-        return "u", bool(cv)
-
-    return cond_cmp
-
-
-def _fast_stmt(s, fc: _FastCtx, masked: bool) -> StmtFn:
-    t = type(s)
-    if t is c.CBlock:
-        fns = [
-            fn for fn in (_fast_stmt(sub, fc, masked) for sub in s.stmts)
-            if fn is not None
-        ]
-        if len(fns) == 1:
-            return fns[0]
-
-        def run_block(b, m, k, frame):
-            for fn in fns:
-                fn(b, m, k, frame)
-
-        return run_block
-    if t is c.CComment:
-        return None
-    if t is c.CAssign:
-        if isinstance(s.target, c.CIndex):
-            return _fast_store(s, fc)
-        if masked:
-            raise _Unfusable("variable binding under a mask")
-        if isinstance(s.target, c.CIdent):
-            return _fast_bind(s.target.name, _fast_value(s, fc), False, fc)
-        raise _Unfusable(f"assignment to {s.target!r}")
-    if t is c.CExprStmt:
-        expr = _fast_expr(s.expr, fc)
-        return lambda b, m, k, frame: expr(b, m, k)
-    if masked:
-        raise _Unfusable(f"{t.__name__} under a mask")
-    if t is c.CDecl:
-        return _fast_decl(s, fc)
-    if t is c.CFor:
-        return _fast_for(s, fc)
-    if t is c.CIf:
-        return _fast_if(s, fc)
-    if t is c.CBarrier:
-        return _barrier
-    raise _Unfusable(f"statement {s!r}")
-
-
-def _fast_value(s: c.CAssign, fc: _FastCtx) -> tuple:
-    """``(closure, type, lazy)`` of the value an assignment stores,
-    folding a compound operator the way the closure form does."""
-    value_c = _fast_expr(s.value, fc)
-    vt = fc.ctx.type_of(s.value)
-    lazy_v = _lazy(s.value, fc)
-    if s.op == "=":
-        return value_c, vt, lazy_v
-    op = s.op[0]
-    current_c = _fast_expr(s.target, fc)
-    ct = fc.ctx.type_of(s.target)
-    lazy_c = _lazy(s.target, fc)
-    if (lazy_c or lazy_v) and op in ("+", "-", "*") and ct == vt == I:
-        return _fast_affine(op, current_c, value_c, *_binop_parts(op, I, I)), I, True
-    if lazy_c:
-        current_c = _eager(current_c)
-    if lazy_v:
-        value_c = _eager(value_c)
-    return _compound(op, current_c, value_c, ct, vt) + (False,)
-
-
-def _fast_bind(name: str, value: tuple, declaring: bool, fc: _FastCtx) -> StmtFn:
-    """The unmasked store ``name = value`` of ``value = (closure, type,
-    lazy)``, converted to the declared kind of ``name`` only where it
-    may differ — resolved here, at plan time."""
-    value_c, vt, lazy = value
-    kind = fc.ctx.kinds.get(name)
-    if lazy:
-        if kind != "f":
-            return _bind_lazy(name, value_c)
-        value_c, vt = _eager(value_c), I  # an Aff is an integer lane vector
-    if _converts(kind, vt):
-        return _bind_converted(name, kind, value_c, declaring)
-    return _bind(name, value_c, declaring)
-
-
-def _bind_lazy(name: str, value_c: ExprFn) -> StmtFn:
-    """Store a value that may be affine, noting the name for
-    :meth:`~repro.opencl.simt._Block.materialize_env`."""
-
-    def bind_lazy(b, m, k, frame):
-        v = value_c(b, m, k)
-        b.env[name] = v
-        if type(v) is Aff:
-            b._lazy_names.add(name)
-
-    return bind_lazy
-
-
-def _fast_store(s: c.CAssign, fc: _FastCtx) -> StmtFn:
-    value_c = _fast_value(s, fc)[0]
-    base_c = _fast_expr(s.target.base, fc)
-    index_c = _index_of(s.target.index, _fast_expr(s.target.index, fc), fc.ctx)
-    sole = id(s) in fc.sole[1]
-
-    def store(b, m, k, frame):
-        v = value_c(b, m, k)
-        b.fast_scatter(base_c(b, m, k), index_c(b, m, k), v, k, sole)
-
-    return store
-
-
-def _fast_decl(decl: c.CDecl, fc: _FastCtx) -> StmtFn:
-    name = decl.name
-    if decl.array_size is not None:
-        if decl.qualifier == "local":
-            return _check_local(name)
-        size, dtype = decl.array_size, array_dtype(decl.type_name)
-        return lambda b, m, k, frame: b._alloc_private(name, size, dtype)
-    init = decl.init
-    if init is not None:
-        value = _fast_expr(init, fc), fc.ctx.type_of(init), _lazy(init, fc)
-        return _fast_bind(name, value, True, fc)
-    zero = typed_zero(decl.type_name, fc.ctx.parsed.structs)
-    if not isinstance(zero, (int, float)):
-        raise _Unfusable("struct or vector declaration")
-
-    def declare_zero(b, m, k, frame):  # unmasked: k == L by construction
-        b.env[name] = zero
-
-    return declare_zero
-
-
-def _grid_uniform_stmt(s, names) -> bool:
-    if s is None:
-        return True
-    if isinstance(s, c.CDecl):
-        return s.init is None or _expr_uniform(s.init, names, _GRID_UNIFORM_CALLS)
-    if isinstance(s, c.CAssign) and isinstance(s.target, c.CIdent):
-        return _expr_uniform(s.value, names, _GRID_UNIFORM_CALLS) and (
-            s.op == "=" or s.target.name in names
-        )
-    return False
-
-
-def _fast_for(s: c.CFor, fc: _FastCtx) -> StmtFn:
-    names = fc.uniform_names
-    if not (
-        _grid_uniform_stmt(s.init, names)
-        and (s.cond is None or _expr_uniform(s.cond, names, _GRID_UNIFORM_CALLS))
-        and _grid_uniform_stmt(s.step, names)
-    ):
-        raise _Unfusable("lane-varying loop")
-    init_c = _fast_stmt(s.init, fc, masked=False) if s.init is not None else None
-    cond_c = _fast_expr(s.cond, fc) if s.cond is not None else None
-    step_c = _fast_stmt(s.step, fc, masked=False) if s.step is not None else None
-    body_c = _fast_stmt(s.body, fc, masked=False) or (lambda b, m, k, frame: None)
-
-    def run_for(b, m, k, frame):
-        if init_c is not None:
-            init_c(b, m, k, frame)
-        counters = b.counters
-        while True:
-            if cond_c is not None:
-                cv = cond_c(b, m, k)
-                if not _is_uniform(cv):
-                    raise VectorUnsupported(
-                        "fast path: loop condition became lane-varying"
-                    )
-                if not cv:
-                    break
-            counters.loop_iterations += k
-            body_c(b, m, k, frame)
-            if step_c is not None:
-                step_c(b, m, k, frame)
-
-    return run_for
-
-
-def _fast_branch(fast: Optional[StmtFn], closure: Optional[StmtFn]):
-    """One arm of a fast ``if``, taken on the first ``k`` lanes: its
-    fast form, else its closure form under the prefix mask."""
-    if fast is not None:
-        return lambda b, k, frame: fast(b, True, k, frame)
-    if closure is None:
-        return None
-
-    def closure_on_prefix(b, k, frame):
-        b.materialize_env()
-        closure(b, b.prefix_mask(k), k, frame)
-
-    return closure_on_prefix
-
-
-def _fast_if(s: c.CIf, fc: _FastCtx) -> StmtFn:
-    # Unmasked by construction: every lane of the block is active.
-    cond_c = _fast_cond(s.cond, fc)
-    # The closure form's branches serve the boolean-mask path and any
-    # arm the algebra refuses: same counts and semantics by construction.
-    then_c, else_c = fc.ctx.branches[id(s)]
-    has_else = s.otherwise is not None
-    arms = []
-    for arm in (s.then, s.otherwise):
-        try:
-            arms.append(_fast_stmt(arm, fc, masked=True) if arm is not None else None)
-        except _Unfusable:
-            arms.append(None)
-    run_then = _fast_branch(arms[0], then_c)
-    run_else = _fast_branch(arms[1], else_c)
-
-    def run_if(b, m, n, frame):
-        b.counters.branches += n
-        kind, cv = cond_c(b, m, n)
-        if kind == "p" and has_else:
-            # The complement of a prefix is a suffix: take the mask path.
-            kind, cv = "a", b.prefix_mask(cv)
-        if kind == "u":
-            arm = run_then if cv else run_else
-            if arm is not None:
-                arm(b, n, frame)
-        elif kind == "p":
-            if cv and run_then is not None:
-                run_then(b, cv, frame)
-        else:
-            b.materialize_env()
-            mt = m & cv
-            nt = int(np.count_nonzero(mt))
-            if nt and then_c is not None:
-                then_c(b, mt, nt, frame)
-            if else_c is not None and nt < n:
-                else_c(b, m & ~cv, n - nt, frame)
-
-    return run_if
-
-
-def _after_fast(segment: StmtFn) -> StmtFn:
-    """A closure segment that may follow a fast one: the lazy affine
-    values left in the environment become lane arrays first."""
-
-    def closure_after_fast(b, m, n, frame):
-        b.materialize_env()
-        segment(b, m, n, frame)
-
-    return closure_after_fast
+            _branch(b, m, n, frame, b._lane_ids < k, then_c, else_c)
+
+    return run_bound
+
+
+def _branch(b, m, n, frame, cv, then_c, else_c) -> None:
+    """Run ``then_c`` on the lanes of ``m`` where ``cv`` holds and
+    ``else_c`` on the others."""
+    cv = _truth(cv)
+    if type(cv) is np.ndarray:
+        mt = m & cv
+        nt = int(np.count_nonzero(mt))
+        if nt:
+            then_c(b, mt, nt, frame)
+        if else_c is not None and nt < n:
+            else_c(b, m & ~cv, n - nt, frame)
+    elif cv:
+        then_c(b, m, n, frame)
+    elif else_c is not None:
+        else_c(b, m, n, frame)
+
+
+def _truth(cv):
+    """A condition's lanes as booleans, or its one uniform value."""
+    if isinstance(cv, np.ndarray):
+        if cv.ndim != 1:
+            raise VectorUnsupported("vector used in a scalar condition")
+        return cv if cv.dtype.kind == "b" else cv != 0
+    if not _is_uniform(cv):
+        raise VectorUnsupported(f"cannot use {cv!r} as a condition")
+    return cv
 
 
 # ---------------------------------------------------------------------------
@@ -1678,34 +1467,25 @@ def _after_fast(segment: StmtFn) -> StmtFn:
 
 class Pipeline:
     """A kernel compiled to barrier-delimited segments, for launches
-    whose pointer arguments hold ``pointer_kinds`` elements.  Each
-    segment has one of two forms, chosen here at plan time: the fast
-    path, where the segment fits its algebra, else the closure form.
-    The fast path's affine algebra is over the lane index of a 1-D
-    launch; a launch of more dimensions runs every closure form."""
+    whose pointer arguments hold ``pointer_kinds`` elements."""
 
     __slots__ = (
-        "kernel_name", "segments", "closures", "kinds", "has_returns",
-        "pointers", "pointer_kinds", "types", "inlined", "fast_segments",
-        "sole_names",
+        "kernel_name", "segments", "has_returns", "pointers",
+        "pointer_kinds", "types", "inlined", "sole_names", "accesses",
+        "affine",
     )
 
-    def __init__(self, kernel_name: str, segments: list, closures: list,
-                 kinds: tuple, has_returns: bool, pointers: tuple,
-                 pointer_kinds: tuple, types, inlined: int,
+    def __init__(self, kernel_name: str, segments: list, has_returns: bool,
+                 pointers: tuple, pointer_kinds: tuple, types, ctx: "_Ctx",
                  sole_names: frozenset):
         self.kernel_name = kernel_name
         #: One compiled closure per barrier-delimited top-level region
         #: (barriers inside group-uniform loops stay within their
-        #: segment's loop closure), and its form: ``"fast"`` or
-        #: ``"closure"`` (what the kernel profiler records).
+        #: segment's loop closure).
         self.segments = segments
-        self.kinds = kinds
-        self.fast_segments = kinds.count("fast")
-        #: The closure form of every segment.
-        self.closures = closures if self.fast_segments else segments
-        #: Buffers whose one store the fast path runs without the race
-        #: detector (when no other argument aliases them).
+        #: Buffers whose one store skips the race detector where its
+        #: addresses are lane-injective (when no other argument aliases
+        #: them).
         self.sole_names = sole_names
         self.has_returns = has_returns
         #: The pointer parameters, and the element kinds typed for them.
@@ -1714,7 +1494,10 @@ class Pipeline:
         #: The kernel's :class:`~repro.opencl.interp.StaticTypes`.
         self.types = types
         #: Helper call sites compiled inline.
-        self.inlined = inlined
+        self.inlined = ctx.inlined
+        #: Load and store sites, and how many of them have a fact.
+        self.accesses = ctx.accesses
+        self.affine = ctx.affine
 
     def run(self, block: _Block) -> None:
         """Execute one block of work-groups through the pipeline."""
@@ -1722,8 +1505,7 @@ class Pipeline:
         frame = _Frame(block.L)
         m = block._full
         n = block.L
-        one_d = block._one_d
-        for index, segment in enumerate(self.segments if one_d else self.closures):
+        for index, segment in enumerate(self.segments):
             if frame.returned_any:
                 m = m & ~frame.ret_mask
                 n = int(np.count_nonzero(m))
@@ -1732,11 +1514,10 @@ class Pipeline:
             if prof is None:
                 segment(block, m, n, frame)
             else:
-                kind = self.kinds[index] if one_d else "closure"
-                run_segment_profiled(prof, index, kind, segment, block, m, n, frame)
+                run_segment_profiled(prof, index, segment, block, m, n, frame)
 
 
-def run_segment_profiled(prof, index, kind, segment, block, m, n, frame):
+def run_segment_profiled(prof, index, segment, block, m, n, frame):
     """One segment with a clock read and a ``Counters`` diff around it
     (the kernel profiler's per-segment attribution); execution itself
     is identical to calling ``segment`` directly."""
@@ -1744,13 +1525,13 @@ def run_segment_profiled(prof, index, kind, segment, block, m, n, frame):
     loads0 = block._obs_load_events()
     t0 = time.perf_counter()
     segment(block, m, n, frame)
-    prof.record_segment(index, kind, time.perf_counter() - t0)
+    prof.record_segment(index, time.perf_counter() - t0)
     after = vars(block.counters)
     deltas = {k: after[k] - v for k, v in before.items() if after[k] != v}
     load_events = block._obs_load_events() - loads0
     if load_events:
         deltas["load_events"] = load_events
-    prof.record_segment_counters(index, kind, deltas)
+    prof.record_segment_counters(index, deltas)
 
 
 def split_at_barriers(kernel: c.CFunctionDef) -> list:
@@ -1783,9 +1564,8 @@ def compile_kernel_pipeline(
     The lowering is also the static typing pass: one walk in execution
     order types every node from its children's as it compiles it (see
     :class:`~repro.opencl.interp.StaticTypes`), or raises
-    :class:`~repro.opencl.interp.Untyped` naming what it cannot type.
-    Then, in a kernel without returns, each region that fits the fast
-    path's algebra takes its fast form over the same types.
+    :class:`~repro.opencl.interp.Untyped` naming what it cannot type;
+    every load and store site gets the affine fact of its address.
     """
     if pointer_kinds is None:
         pointer_kinds = declared_pointer_kinds(kernel)
@@ -1800,29 +1580,12 @@ def compile_kernel_pipeline(
             else _SCALAR.get(kinds[p.name])
         )
     has_returns = c.CReturn in statement_types(kernel)
-    regions = split_at_barriers(kernel)
-    ctx = _Ctx(parsed, kernel, types)
-    segments = [_compile_stmt(r, ctx, has_returns) for r in regions]
-    closures = list(segments)
-    kinds = ["closure"] * len(regions)
-    sole_names: frozenset = frozenset()
-    if not has_returns:
-        fc = _FastCtx(ctx, kernel)
-        for index, region in enumerate(regions):
-            if type(region) is c.CBarrier:
-                continue
-            try:
-                segments[index] = _fast_stmt(region, fc, masked=False)
-            except _Unfusable:
-                if "fast" in kinds:
-                    segments[index] = _after_fast(segments[index])
-                continue
-            kinds[index] = "fast"
-        if "fast" in kinds:
-            sole_names = fc.sole[0]
+    scope, sole_names, sole_sites = scan_kernel(kernel)
+    ctx = _Ctx(parsed, kernel, types, scope, sole_sites)
+    segments = [_compile_stmt(r, ctx, has_returns) for r in split_at_barriers(kernel)]
     return Pipeline(
-        kernel.name, segments, closures, tuple(kinds), has_returns, pointers,
-        pointer_kinds, types, ctx.inlined, sole_names,
+        kernel.name, segments, has_returns, pointers, pointer_kinds, types,
+        ctx, sole_names,
     )
 
 
@@ -1887,7 +1650,8 @@ def get_pipeline(
                 else:
                     if tracing_enabled():
                         compile_span.attrs["inlined"] = entry.inlined
-                        compile_span.attrs["fast_segments"] = entry.fast_segments
+                        compile_span.attrs["accesses"] = entry.accesses
+                        compile_span.attrs["affine"] = entry.affine
             global _compile_counter
             _compile_counter += 1
         cache[key] = entry

@@ -207,11 +207,31 @@ def hoisted_source(source, params=None, sizes=(), kernel_name="KERNEL"):
 
 class TypeRecord:
     """What :func:`checked_static_types` saw: expression nodes compiled
-    (each with a static type), values checked."""
+    (each with a static type), values checked, and values of nodes with
+    an affine fact checked against it."""
 
     def __init__(self):
         self.typed = 0
         self.values = 0
+        self.affine = 0
+
+
+def holds_fact(b, m, value, fact) -> bool:
+    """Whether ``value`` is ``u + sum(c * id)`` on the active lanes of
+    block ``b`` for one uniform ``u`` (a fact whose coefficients are no
+    ``int`` in this block claims nothing)."""
+    import numpy as np
+
+    from repro.opencl.simt_compile import _value_of
+
+    ids = 0
+    for k, coefficient in enumerate(fact):
+        c = _value_of(coefficient, b)
+        if c is None:
+            return True
+        ids = ids + c * b._basis[k]
+    uniform = (np.asarray(value) - ids)[m] if np.ndim(ids) else value
+    return np.ndim(uniform) == 0 or np.unique(uniform).size <= 1
 
 
 def lane_type(v):
@@ -258,8 +278,8 @@ def checked_static_types():
     """Compile every pipeline launched meanwhile afresh, with each
     expression closure checking that the values it returns have the
     static type the compiler gave its node (every node has one: the
-    walk refuses a kernel it cannot type).  Yields a
-    :class:`TypeRecord`."""
+    walk refuses a kernel it cannot type) and, on the active lanes, the
+    affine fact it gave it.  Yields a :class:`TypeRecord`."""
     from repro.opencl import simt_compile
     from repro.opencl.runtime import _parse_cached
 
@@ -271,11 +291,15 @@ def checked_static_types():
         t = ctx.type_of(e)
         assert t is not None, e
         record.typed += 1
+        fact = ctx.fact(e)
 
         def checked(b, m, n):
             value = fn(b, m, n)
             assert has_static_type(value, t), (e, t, value)
             record.values += 1
+            if fact is not None:
+                assert holds_fact(b, m, value, fact), (e, fact, value)
+                record.affine += 1
             return value
 
         return checked

@@ -252,7 +252,6 @@ def make_profile_doc(segments):
         rows.append({
             "kernel": "KERNEL",
             "segment": i,
-            "kind": "fused",
             "calls": 1,
             "seconds": 0.001 * (i + 1),
             "counters": {

@@ -2,9 +2,9 @@
 
 Covers the registry (registration, lookup, unknown-name errors, engine
 chains), launch-time engine resolution (explicit argument vs the
-``REPRO_SIM_ENGINE`` preference), the plan's per-segment choice of the
-fast path (fast segments, proof-carrying stores, prefix masks, aliasing)
-in both layouts of the launcher, the whole-grid lane cap, and the
+``REPRO_SIM_ENGINE`` preference), the plan's access facts (slices,
+uniform loads, proof-carrying stores, prefix masks, aliasing) in both
+layouts of the launcher, the whole-grid lane cap, and the
 launcher's rollback.  The bitwise cross-backend contract itself is
 exercised by the engine sweeps in ``tests/test_simt.py`` /
 ``tests/test_simt_compile.py``.
@@ -184,14 +184,61 @@ def plan_of(src):
     return simt_compile.get_pipeline(program.parsed, program.kernel())
 
 
-class TestFastPathPlan:
-    """Which segments the plan gives the fast path, and what it proves."""
+class TestAccessFacts:
+    """Which load and store sites the plan gives an affine fact, what it
+    proves, and what the launcher makes of it."""
 
-    def test_saxpy_is_one_fast_segment_with_a_proven_store(self):
+    def test_saxpy_loads_and_store_plan_as_slices(self, monkeypatch):
         plan = plan_of(SAXPY)
-        assert plan.fast_segments == len(plan.segments) == 1
-        assert plan.kinds == ("fast",)
+        assert plan.accesses == plan.affine == 3
         assert plan.sole_names == frozenset({"out"})
+        # Full-mask unit-stride loads and the proven store: no per-lane
+        # address array, no race note, closed-form load accounting.
+        flat = []
+        monkeypatch.setattr(
+            simt._Block, "_flat_addr", lambda self, *a: flat.append(a)
+        )
+        materialized = []
+        monkeypatch.setattr(
+            simt._LoadLog, "_materialize",
+            lambda self, block: materialized.append(self),
+        )
+        out, counters = run_saxpy("compiled")
+        ref, ref_counters = run_saxpy("scalar")
+        np.testing.assert_array_equal(out, ref)
+        assert counters == ref_counters
+        assert flat == [] and materialized == []
+
+    def test_a_uniform_load_is_logged_once(self, monkeypatch):
+        src = """
+        kernel void K(const global float * restrict w, global float *out) {
+          int i = get_global_id(0);
+          out[i] = w[3] + w[3] * w[4];
+        }
+        """
+        plan = plan_of(src)
+        assert plan.affine == plan.accesses == 4
+        chunks = []
+        real = simt._LoadLog.add_affine
+
+        def add_affine(self, aff, *rest):
+            chunks.append(aff[:2])
+            return real(self, aff, *rest)
+
+        monkeypatch.setattr(simt._LoadLog, "add_affine", add_affine)
+        program = OpenCLProgram(src)
+        results = []
+        for engine in ("scalar", "compiled"):
+            out = Buffer.zeros(64)
+            w = Buffer.from_array(np.arange(8.0))
+            results.append((out.data, vars(launch(program, 64, 16, {"w": w, "out": out},
+                                                 engine=engine))))
+        (ref, ref_counters), (got, counters) = results
+        np.testing.assert_array_equal(got, ref)
+        assert counters == ref_counters
+        # One block, three uniform loads: one (terms, address) chunk each.
+        assert chunks == [((), 3), ((), 3), ((), 4)]
+        assert counters["cached_loads"] == 64 and counters["global_loads"] == 128
 
     def test_barrier_kernel_splits_segments(self):
         plan = plan_of("""
@@ -203,8 +250,9 @@ class TestFastPathPlan:
           out[get_global_id(0)] = tmp[l] + 1.0f;
         }
         """)
-        # stage | barrier | finish; the barrier keeps its closure form.
-        assert plan.kinds == ("fast", "closure", "fast")
+        # stage | barrier | finish, every address affine.
+        assert len(plan.segments) == 3
+        assert plan.accesses == plan.affine == 4
 
     def test_unvectorizable_kernel_has_no_plan(self):
         # Statically refused (barrier + early return) but legal at this
@@ -232,22 +280,46 @@ class TestFastPathPlan:
           out[i] = out[i] + 1.0f;
         }
         """)
-        assert plan.fast_segments == 1
+        assert plan.affine == plan.accesses == 2
         assert "out" not in plan.sole_names
 
-    def test_store_inside_a_loop_is_not_sole(self):
-        plan = plan_of("""
-        kernel void K(global float *out, int n) {
+    @pytest.mark.parametrize("step, races", [("n", False), ("1", True)])
+    def test_a_store_inside_a_loop_is_sole_while_its_iterations_cannot_meet(
+        self, step, races, monkeypatch, fault_free
+    ):
+        # out[i + t * n] over two iterations: the second iteration's
+        # addresses lie past the first's, no race note is needed.
+        # out[i + t]: lane i + 1 meets lane i's first store in the
+        # second iteration; the detector takes over, replays the first
+        # iteration and finds the race, and the launch falls to scalar.
+        src = f"""
+        kernel void K(global float *out, int n) {{
           int i = get_global_id(0);
-          for (int t = 0; t < 2; t = t + 1) {
-            out[i + t * n] = 1.0f;
-          }
-        }
-        """)
-        assert plan.fast_segments == 1
-        assert "out" not in plan.sole_names
+          for (int t = 0; t < 2; t = t + 1) {{
+            out[i + t * {step}] = 1.0f + t;
+          }}
+        }}
+        """
+        plan = plan_of(src)
+        assert plan.sole_names == frozenset({"out"}) and plan.affine == 1
+        notes = count_race_notes(monkeypatch)
+        program = OpenCLProgram(src)
+        results = []
+        for engine in ("scalar", "auto"):
+            ledger.clear()
+            out = Buffer.zeros(2 * 64)
+            counters = launch(program, 64, 16, {"out": out, "n": 64}, engine=engine)
+            results.append((out.data, vars(counters), ledger.events()))
+        (ref, ref_counters, _), (got, counters, events) = results
+        np.testing.assert_array_equal(got, ref)
+        assert counters == ref_counters
+        if races:
+            (event,) = events
+            assert "conflict" in event.reason and notes
+        else:
+            assert not events and notes == []
 
-    def test_a_kernel_with_returns_keeps_every_closure_form(self):
+    def test_a_kernel_with_returns_keeps_its_facts(self):
         plan = plan_of("""
         kernel void K(global float *out, int n) {
           int i = get_global_id(0);
@@ -255,12 +327,12 @@ class TestFastPathPlan:
           out[i] = 1.0f;
         }
         """)
-        assert plan.kinds == ("closure",)
-        assert plan.sole_names == frozenset()
+        assert plan.accesses == plan.affine == 1
+        assert plan.sole_names == frozenset({"out"})
 
     def test_prefix_guard_matches_scalar_bitwise(self):
-        # Guard bound below the launch size: the fast path runs the body
-        # on a lane prefix; buffers and counters must match scalar.
+        # Guard bound below the launch size: the bound passes a lane
+        # prefix; buffers and counters must match scalar.
         program = OpenCLProgram(SAXPY)
         n, glob = 100, 128
         for engine in ("scalar", "compiled", "fused"):
@@ -287,7 +359,7 @@ class TestFastPathPlan:
         np.testing.assert_array_equal(out, ref)
         assert counters == ref_counters
 
-    def test_grid_uniform_loop_is_fast(self):
+    def test_a_uniform_loop_keeps_the_facts(self):
         src = """
         kernel void K(const global float * restrict x, global float *out,
                       int reps) {
@@ -299,7 +371,7 @@ class TestFastPathPlan:
           out[i] = acc;
         }
         """
-        assert plan_of(src).fast_segments == 1
+        assert plan_of(src).affine == plan_of(src).accesses == 2
         program = OpenCLProgram(src)
         for engine in ("scalar", "compiled", "fused"):
             args = {
@@ -342,10 +414,10 @@ def assert_tiers_agree_with_an_empty_ledger(src, gsize, lsize, make_args):
     assert not ledger.events()
 
 
-class TestFastPathInBothLayouts:
-    """The fast path runs in blocks of at most MAX_LANES lanes (offset
-    by each block's first work-group) and over the whole grid; both
-    agree with the scalar oracle bitwise, Counters included."""
+class TestFactsInBothLayouts:
+    """The facts hold in blocks of at most MAX_LANES lanes (whose
+    uniform terms differ per block) and over the whole grid; both agree
+    with the scalar oracle bitwise, Counters included."""
 
     def test_saxpy_across_blocks_with_a_guard_inside_the_second(
         self, monkeypatch, fault_free
@@ -355,7 +427,7 @@ class TestFastPathInBothLayouts:
         blocks = simt._block_geometry((BIG_N, 1, 1), (local, 1, 1))["blocks"]
         assert len(blocks) == 3
         n = blocks[1]["first_group"] * local + 1000  # inside block two
-        assert plan_of(SAXPY).fast_segments == 1
+        assert plan_of(SAXPY).affine == 3
         notes = count_race_notes(monkeypatch)
         assert_tiers_agree_with_an_empty_ledger(
             SAXPY, BIG_N, local,
@@ -368,7 +440,7 @@ class TestFastPathInBothLayouts:
         )
         assert notes == []  # the proven store skips the race detector
 
-    def test_a_fast_segment_then_a_barrier_then_a_looped_closure_segment(
+    def test_an_affine_segment_then_a_barrier_then_a_looped_segment(
         self, fault_free
     ):
         src = """
@@ -383,8 +455,9 @@ class TestFastPathInBothLayouts:
         }
         """
         plan = plan_of(src)
-        assert plan.kinds == ("fast", "closure", "closure")
-        assert plan.fast_segments == 1
+        # tmp[j] under the lane-varying loop: j is uniform on its lanes.
+        assert len(plan.segments) == 3
+        assert plan.affine == plan.accesses == 4
         assert_tiers_agree_with_an_empty_ledger(
             src, BIG_N, 64,
             lambda: {"x": Buffer.from_array(np.sin(np.arange(BIG_N))),
@@ -404,7 +477,8 @@ class TestFastPathInBothLayouts:
           if (i < n) { p[i - i % 3] = q[i] + q[2 * i] + q[5]; }
         }
         """
-        assert plan_of(src).fast_segments == 1
+        # p[i - i % 3] has no fact: i % 3 drops it.
+        assert plan_of(src).affine == 3 and plan_of(src).accesses == 4
         assert_tiers_agree_with_an_empty_ledger(
             src, BIG_N, 64,
             lambda: {"x": Buffer.from_array(np.arange(3.0 * BIG_N)),

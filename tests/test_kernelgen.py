@@ -6,6 +6,7 @@ runs a longer seed range with ``python -m tests.kernelgen``."""
 import pytest
 
 from tests import kernelgen
+from tests.programs import checked_static_types
 
 SEEDS = range(16)
 
@@ -24,3 +25,10 @@ def test_the_slice_exercises_refusals_and_acceptances():
     accepted = [kernelgen.check(seed, 0) for seed in SEEDS]
     assert 0 < sum(accepted) < len(accepted)
 
+
+def test_the_facts_hold_on_generated_kernels():
+    # Every node's value against its static type and affine fact.
+    with checked_static_types() as record:
+        for seed in SEEDS:
+            kernelgen.check(seed, 2 if seed % 2 else 0)
+    assert record.affine > 0

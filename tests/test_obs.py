@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Every top-level key of ``obs.snapshot()`` before a kernel Counters
 #: view registers (figure8 adds ``counters.kernel``).
 SECTIONS = (
-    "counters", "gauges", "histograms", "cache", "explore", "ledger",
+    "counters", "histograms", "cache", "explore", "ledger",
     "faults", "profile", "calibration",
 )
 
@@ -227,16 +227,15 @@ class TestTracer:
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram_shapes(self):
+    def test_counter_histogram_shapes(self):
         reg = metrics_mod.MetricsRegistry()
         reg.inc("hits")
         reg.inc("hits", 2)
-        reg.set_gauge("depth", 3.0)
         for v in (1.0, 5.0, 3.0):
             reg.observe("width", v)
         doc = reg.snapshot()
         assert doc["counters"] == {"hits": 3}
-        assert doc["gauges"] == {"depth": 3.0}
+        assert "gauges" not in doc
         assert doc["histograms"]["width"] == {
             "count": 3, "total": 9.0, "min": 1.0, "max": 5.0, "mean": 3.0,
             # Below five observations the quantiles are exact
@@ -252,7 +251,7 @@ class TestMetricsRegistry:
 
     def test_reserved_names_rejected(self):
         reg = metrics_mod.MetricsRegistry()
-        for name in ("counters", "gauges", "histograms"):
+        for name in ("counters", "histograms"):
             with pytest.raises(ValueError):
                 reg.register_provider(name, dict)
 
@@ -413,21 +412,22 @@ class TestKernelProfiler:
         assert out_row["stores"] == 64
 
     @pytest.mark.parametrize("engine", ["compiled", "fused"])
-    def test_segments_record_their_form_in_both_layouts(
+    def test_segments_are_recorded_in_both_layouts(
         self, engine, no_profiling, fault_free
     ):
-        # One vocabulary in both layouts: SAXPY's segment is ``fast``; a
-        # 2-D launch runs every segment's closure form.
+        # One lane form: segments are keyed by kernel and index alone, in
+        # a 1-D and a 2-D launch alike.
         prof = profile_mod.enable()
-        prof.reset()
-        run_saxpy(engine)
-        assert {s["kind"] for s in profile_mod.as_dict()["segments"]} == {"fast"}
-        prof.reset()
-        launch(OpenCLProgram(SAXPY), (8, 8), (4, 4), {
-            "x": Buffer.zeros(64), "y": Buffer.zeros(64),
-            "out": Buffer.zeros(64), "a": 2.0, "n": 64,
-        }, engine=engine)
-        assert {s["kind"] for s in profile_mod.as_dict()["segments"]} == {"closure"}
+        for gsize, lsize in ((64, 16), ((8, 8), (4, 4))):
+            prof.reset()
+            launch(OpenCLProgram(SAXPY), gsize, lsize, {
+                "x": Buffer.zeros(64), "y": Buffer.zeros(64),
+                "out": Buffer.zeros(64), "a": 2.0, "n": 64,
+            }, engine=engine)
+            (segment,) = profile_mod.as_dict()["segments"]
+            assert (segment["kernel"], segment["segment"]) == ("SAXPY", 0)
+            assert "kind" not in segment
+            assert segment["counters"]["global_stores"] == 64
 
     def test_format_table_lists_top_segments(self, no_profiling):
         prof = profile_mod.enable()

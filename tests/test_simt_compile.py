@@ -472,9 +472,9 @@ class TestStaticTypes:
             obs.stop_tracing()
         events = json.loads(path.read_text())["traceEvents"]
         (compiled,) = [e for e in events if e["name"] == "simt_compile"]
-        # Helper calls keep the one segment in its closure form.
+        # Both helper calls inline; the three loads' addresses are affine.
         assert compiled["args"] == {
-            "kernel": "K", "inlined": 2, "fast_segments": 0,
+            "kernel": "K", "inlined": 2, "accesses": 3, "affine": 3,
         }
 
 
