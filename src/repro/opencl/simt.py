@@ -228,7 +228,12 @@ def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
         return None
     name = e.func
     if name.startswith("get_"):
-        return None if name in _GEOMETRY else f"unknown geometry builtin {name!r}"
+        if name not in _GEOMETRY:
+            return f"unknown geometry builtin {name!r}"
+        dim = e.args[0] if e.args else None
+        if type(dim) is c.CInt and not 0 <= dim.value <= 2:
+            return f"{name}({dim.value}): no dimension {dim.value}"
+        return None
     if _is_vload(name) or _is_vstore(name):
         arity = 2 if _is_vload(name) else 3
         if len(e.args) != arity:
@@ -738,9 +743,6 @@ class _Block:
         # per array what its stores in this block were (``_sole_write``).
         self._sole_ids = sole_ids
         self._sole_writes: dict = {}
-        # The last per-lane addresses found in bounds: (addresses, mask,
-        # their largest).
-        self._checked: tuple = (None, None, 0)
 
     def _set_return(self, frame, m, value) -> None:
         """Lanes ``m`` return ``value`` (``None``: nothing), already of
@@ -924,16 +926,12 @@ class _Block:
             if a < 0 or a + width > size:
                 raise OutOfBounds(c.print_expr(acc.pointer), a, size)
             return
-        checked = self._checked
-        if checked[0] is addr and checked[1] is m and checked[2] + width <= size:
-            return  # the lanes of an index another access just checked
         active = addr if n == self.L else addr[m]
         if active.dtype != np.int64:
             active = active.astype(np.int64)
         # One pass: a negative address is a huge unsigned one.
         top = int(active.view(np.uint64).max())
         if top + width <= size:
-            self._checked = (addr, m, top)
             return
         bad = np.flatnonzero((active < 0) | (active > size - width))
         raise OutOfBounds(c.print_expr(acc.pointer), int(active[bad[0]]), size)

@@ -207,7 +207,8 @@ def declared_pointer_kinds(kernel: c.CFunctionDef) -> tuple:
 # names every work-item agrees on, the size getters and the id builtins
 # have facts; ``+`` and ``-`` of two facts and ``*`` by a uniform value
 # keep them; any other node has none.  A name has the fact every store
-# to it carries (:func:`scan_kernel`).
+# to it carries (:func:`scan_kernel`), where its coefficients read no
+# name but a parameter the kernel never stores to.
 
 _ZERO = (0,) * len(BASIS)
 #: The size getters: uniform across the launch.
@@ -320,7 +321,10 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
     initialisation declares it (inside that loop its active lanes all
     made the same steps).  Names are taken in declaration order: one has
     a fact when all its stores carry its declaration's, given the facts
-    of the names before it (and its own).
+    of the names before it (and its own), and its coefficients read no
+    name but parameters the kernel never stores to: they are read where
+    the name is used, so a uniform name they read must not change after
+    the store.
 
     The sole names are the buffers (pointer parameters, local arrays)
     whose one access anywhere is one store site (the sole site).  No
@@ -406,11 +410,17 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
                 candidates[name].append(value)
             else:
                 del candidates[name]
+    # A stored fact's coefficients are read when the name is used, so
+    # they may read only the parameters no statement stores to.
+    fixed = {p.name for p in kernel.params if not p.is_pointer}
+    fixed -= set(decls) | {name for name, _, _ in stores}
     # In declaration order, so a declaration finds the facts of the names
     # it reads (a name read before its declaration has none).
     for name, values in candidates.items():
         fact = scope.facts[name] = affine_fact(values[0], scope)
-        if fact is None or any(affine_fact(v, scope) != fact for v in values[1:]):
+        if fact is None or any(_names(k) - fixed for k in fact) or any(
+            affine_fact(v, scope) != fact for v in values[1:]
+        ):
             del scope.facts[name]
     sole = {
         name: sites[name][0] for name in buffers
@@ -434,11 +444,13 @@ def _value_of(value, b):
     return lhs + rhs if value[0] == "+" else lhs * rhs
 
 
-def _geometric(value) -> bool:
-    """Whether a symbolic value depends on the launch's sizes only."""
-    return type(value) is int or value[0] == "geo" or (
-        value[0] != "name" and _geometric(value[1]) and _geometric(value[2])
-    )
+def _names(value) -> frozenset:
+    """The names a symbolic value reads (none: the launch's sizes only)."""
+    if type(value) is int or value[0] == "geo":
+        return frozenset()
+    if value[0] == "name":
+        return frozenset((value[1],))
+    return _names(value[1]) | _names(value[2])
 
 
 def _access(ctx, pointer, index, scale: int = 1, sole: bool = False) -> Access:
@@ -458,7 +470,7 @@ def _access(ctx, pointer, index, scale: int = 1, sole: bool = False) -> Access:
         return tuple((k, v) for k, v in terms if v)
 
     acc = Access(pointer, coefficients=coefficients, sole=sole)
-    acc.geometric = all(_geometric(v) for _, v in scaled)
+    acc.geometric = not any(_names(v) for _, v in scaled)
     return acc
 
 

@@ -6,7 +6,8 @@ accepts and well-typed by construction.  It mixes int and float
 scalars, float vectors, casts and comparisons in arithmetic; affine,
 strided and gathered indices, pointer offsets and 2-D ids; ``if`` on
 ids and on data; uniform and lane-varying loops; straight-line and
-branching helpers; and local memory behind a barrier.  Every index it
+branching helpers; local memory behind a barrier; and a uniform scale
+that changes after an index it scaled was stored.  Every index it
 builds stays inside its buffer on every lane.
 
 :func:`check` launches one kernel on ``scalar`` / ``auto`` /
@@ -60,6 +61,7 @@ def buffer_size(lanes: int) -> int:
 class _Gen:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        self.side = random.Random(-1 - seed)
         self.lines: list = []
         self.floats: list = []  # float names in scope
         self.ints: list = []  # lane-varying int names in scope
@@ -196,6 +198,21 @@ class _Gen:
         else:
             self.assign()
 
+    def rescaled(self) -> None:
+        """Half the time, a load at an index scaled by a uniform name
+        that changes after the index was stored.  Drawn from ``side``, so
+        the rest of a seed's kernel is the same with or without it."""
+        r = self.side
+        if r.random() < 0.5:
+            return
+        s, j = self.fresh("s"), self.fresh("j")
+        a = r.randrange(1, STRIDE + 1)
+        self.emit(f"int {s} = {a};")
+        self.emit(f"int {j} = l * {s} + {r.randrange(REACH - 4)};")
+        self.emit(f"{s} = {a % STRIDE + 1};")
+        target = self.floats[-1]  # stored to out
+        self.emit(f"{target} = {target} + x[{j}] * (float) {s};")
+
     def kernel(self, two_d: bool) -> str:
         r = self.rng
         ident = (
@@ -225,6 +242,7 @@ class _Gen:
         if r.random() < 0.1:  # reads what another lane stored: a race
             self.emit("out2[l] = acc;")
             self.emit("acc = acc + out2[l + 1];")
+        self.rescaled()
         self.emit(f"out[i] = {' + '.join(self.floats[-3:])};")
         if r.random() < 0.4:
             self.emit(f"vstore2((float2)(acc, {self.float_expr()}), i, out2);")

@@ -240,6 +240,38 @@ class TestAccessFacts:
         assert chunks == [((), 3), ((), 3), ((), 4)]
         assert counters["cached_loads"] == 64 and counters["global_loads"] == 128
 
+    @pytest.mark.parametrize("scale, affine", [("s", 0), ("n", 1)])
+    def test_a_name_keeps_no_fact_on_a_uniform_that_changes_after_its_store(
+        self, scale, affine
+    ):
+        # j = 2 * lid, then s becomes 3: the load must still read x[2 * lid].
+        # Scaled by the never-stored parameter n instead, j keeps its fact.
+        src = f"""
+        kernel void K(const global float * restrict x, global float *out, int n) {{
+          int s = 2;
+          int j = get_local_id(0) * {scale};
+          s = 3;
+          out[get_global_id(0)] = x[j] + s;
+        }}
+        """
+        plan = plan_of(src)
+        assert (plan.accesses, plan.affine) == (2, 1 + affine)
+        program = OpenCLProgram(src)
+        results = []
+        for engine in ("scalar", "compiled", "fused"):
+            args = {
+                "x": Buffer.from_array(np.arange(256, dtype=float)),
+                "out": Buffer.zeros(64),
+                "n": 2,
+            }
+            counters = launch(program, 64, 64, args, engine=engine)
+            results.append((args["out"].data, vars(counters)))
+        (ref, ref_counters), *rest = results
+        np.testing.assert_array_equal(ref, 2.0 * np.arange(64) + 3)
+        for got, counters in rest:
+            np.testing.assert_array_equal(got, ref)
+            assert counters == ref_counters
+
     def test_barrier_kernel_splits_segments(self):
         plan = plan_of("""
         kernel void K(const global float * restrict x, global float *out) {

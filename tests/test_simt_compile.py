@@ -438,6 +438,10 @@ class TestStaticTypes:
          "no static type for 'vstore4(x[1], 0, x)' in 'K': operands float, int, float *"),
         ("kernel void K(global float *x) { x[0] = x[1.5f]; }",
          "no static type for 'x[1.5f]' in 'K': base float *, index float"),
+        ("kernel void K(global float *x) { x[get_group_id(3)] = 1.0f; }",
+         "get_group_id(3): no dimension 3"),
+        ("kernel void K(global float *x) { int i = get_local_id(3); x[i] = 1.0f; }",
+         "get_local_id(3): no dimension 3"),
     ])
     def test_a_malformed_form_is_a_static_refusal(self, source, reason):
         # Each used to escape plan() or run() as a crash or a dynamic
