@@ -903,24 +903,26 @@ class _Block:
         shape = self._shapes[terms] = (at0, lo, hi, _flat_stride(terms, self._units))
         return shape
 
-    def _address(self, ptr, index, acc, m, n) -> tuple:
+    def _address(self, ptr, index, acc, m, n, width=1) -> tuple:
         """``(addresses, fact)`` of an access through ``ptr`` (its offset
-        included); a lane-varying pointer leaves the index's fact."""
+        included; a lane-varying pointer leaves the index's fact), once
+        every active lane's ``width`` elements from its address are
+        found in the buffer: from the end points of the block's id
+        ranges under a fact, else over the active lanes."""
         off = ptr.offset
         if type(off) is not int:
-            return off + index, None
-        addr = index if off == 0 else off + index
-        return addr, self._affine(addr, acc, m, n)
+            addr, aff = off + index, None
+        else:
+            addr = index if off == 0 else off + index
+            aff = self._affine(addr, acc, m, n)
+        size = ptr.array.shape[-1]
+        if aff is None or aff[1] + aff[2][1] < 0 or aff[1] + aff[2][2] + width > size:
+            self._check_bounds(addr, m, n, size, acc, width)
+        return addr, aff
 
-    def _check_bounds(self, addr, aff, m, n, size, acc, width=1) -> None:
+    def _check_bounds(self, addr, m, n, size, acc, width) -> None:
         """Raise :class:`OutOfBounds` unless every active lane's
-        ``width`` elements from ``addr`` lie in ``[0, size)``: from the
-        end points of the block's id ranges under a fact, else over the
-        active lanes."""
-        if aff is not None:
-            u, shape = aff[1], aff[2]
-            if u + shape[1] >= 0 and u + shape[2] + width <= size:
-                return
+        ``width`` elements from ``addr`` lie in ``[0, size)``."""
         if type(addr) is not np.ndarray:
             a = int(addr)
             if a < 0 or a + width > size:
@@ -936,15 +938,18 @@ class _Block:
         bad = np.flatnonzero((active < 0) | (active > size - width))
         raise OutOfBounds(c.print_expr(acc.pointer), int(active[bad[0]]), size)
 
-    def _injective(self, terms: tuple) -> bool:
+    def _injective(self, terms: tuple, rows: bool = False) -> bool:
         """Whether no two lanes of the block share an address with these
         terms: every id varying in the block has a coefficient, each
-        larger than what the smaller ones reach together."""
-        injective = self._injectives.get(terms)
+        larger than what the smaller ones reach together.  With ``rows``
+        (a local array: each group stores to a row of its own) only the
+        lanes of one group need telling apart, by their local ids."""
+        key = (terms, rows)
+        injective = self._injectives.get(key)
         if injective is None:
             coefficients = dict(terms)
             spans = []
-            for k in range(len(BASIS)):
+            for k in range(3 if rows else len(BASIS)):
                 span = self._hi[k] - self._lo[k]
                 if span:
                     spans.append((abs(coefficients.get(k, 0)), span))
@@ -955,7 +960,7 @@ class _Block:
                 reach += c * span
             else:
                 injective = True
-            injective = self._injectives[terms] = bool(injective)
+            injective = self._injectives[key] = bool(injective)
         return injective
 
     def _sole_write(self, ptr, aff, m) -> bool:
@@ -968,14 +973,22 @@ class _Block:
         key = id(ptr.array)
         terms, u, shape = aff
         sole = self._sole_writes.get(key)
-        if sole is None:
-            # [terms, uniform terms seen, least, greatest, executions]
-            sole = self._sole_writes[key] = [terms, set(), u, u, []]
-        elif not sole:
+        # A barrier orders a local buffer's accesses: its proof restarts.
+        segment = self._segment if ptr.space == "local" else None
+        if sole is None or sole[5] != segment:
+            if self._injective(terms, type(ptr) is RowPtr):
+                # [terms, uniform terms seen, least, greatest,
+                # executions, segment]
+                self._sole_writes[key] = [
+                    terms, {u}, u, u, [(u, m, self._segment)], segment
+                ]
+                return True
+            sole = [terms, set(), u, u, [], segment]
+        elif sole[1] is None:
             return False  # the detector has the buffer
         seen, history = sole[1], sole[4]
         spread = shape[2] - shape[1]
-        if terms == sole[0] and self._injective(terms) and (
+        if terms == sole[0] and self._injective(terms, type(ptr) is RowPtr) and (
             u in seen or not seen
             or u > sole[3] + spread or u < sole[2] - spread
         ):
@@ -983,7 +996,7 @@ class _Block:
             sole[2], sole[3] = min(sole[2], u), max(sole[3], u)
             history.append((u, m, self._segment))
             return True
-        self._sole_writes[key] = []
+        self._sole_writes[key] = [None, None, 0, 0, None, segment]
         hazard = self._hazard(ptr)
         rows = ptr.rows if type(ptr) is RowPtr else None
         for u, m, segment in history:
@@ -1129,7 +1142,6 @@ class _Block:
     def _gather(self, ptr, index, m, n, acc):
         arr = ptr.array
         addr, aff = self._address(ptr, index, acc, m, n)
-        self._check_bounds(addr, aff, m, n, arr.shape[-1], acc)
         is_row = type(ptr) is RowPtr
         if ptr.space == "private":
             self.counters.private_loads += n
@@ -1149,7 +1161,7 @@ class _Block:
                 stride = aff[2][3]
                 if stride is not None and stride > 0:
                     # A view: nothing writes this buffer (untracked).
-                    start = int(addr[0])
+                    start = aff[1] + aff[2][0]
                     return arr[start : start + stride * (self.L - 1) + 1 : stride]
         else:
             if n == self.L:
@@ -1162,6 +1174,11 @@ class _Block:
                 self._log_affine(ptr, 0, aff, m, n, (aa, lanes))
             if tracked:
                 self._hazard(ptr).note_read(aa, lanes, self._segment, self._seg_base)
+            if n < self.L and not _is_uniform(addr):
+                # Inactive lanes read the buffer's first element.
+                values = np.full(self.L, arr.reshape(-1)[0], dtype=arr.dtype)
+                values[lanes] = arr.reshape(-1)[aa]
+                return values
         if _is_uniform(addr):
             return arr[ptr.rows, int(addr)] if is_row else arr[int(addr)]
         # Inactive lanes read a safe dummy address; with a full mask the
@@ -1172,11 +1189,10 @@ class _Block:
     def _scatter(self, ptr, index, value, m, n, acc) -> None:
         arr = ptr.array
         addr, aff = self._address(ptr, index, acc, m, n)
-        self._check_bounds(addr, aff, m, n, arr.shape[-1], acc)
-        addr = self._lanes(addr)
         values = self._lanes(value)
         is_row = type(ptr) is RowPtr
         if ptr.space == "private":
+            addr = self._lanes(addr)
             if is_row:
                 if n == self.L:
                     arr[ptr.rows, addr] = values
@@ -1188,11 +1204,12 @@ class _Block:
                 arr[addr[m]] = values[m]
             self._count_stores(ptr, ptr.space, n)
             return
-        if not self._needs_hazard(ptr):
+        if self._tracked is not None and id(arr) not in self._tracked:
             # The static analysis said this buffer is never written; a
             # store through it means the analysis was wrong — bail to
             # the (always correct) scalar path.
             raise VectorUnsupported("store through a buffer the write analysis missed")
+        flat = None  # the active lanes' flat addresses
         if not (
             acc.sole and aff is not None and id(arr) in self._sole_ids
             and self._sole_write(ptr, aff, m)
@@ -1202,23 +1219,20 @@ class _Block:
         if n == self.L and aff is not None and not is_row:
             stride = aff[2][3]
             if stride is not None and stride > 0:
-                start = int(addr[0])
+                start = aff[1] + aff[2][0]
                 arr[start : start + stride * (self.L - 1) + 1 : stride] = values
                 self._count_stores(ptr, ptr.space, n)
                 return
         # Duplicate addresses resolve in ascending lane order in a flat
         # fancy store.
-        flat = ptr.rows * arr.shape[1] + addr if is_row else addr
-        if n == self.L:
-            arr.reshape(-1)[flat] = values
-        else:
-            arr.reshape(-1)[flat[m]] = values[m]
+        if flat is None:
+            flat = self._flat_addr(ptr, addr, m, n)[0]
+        arr.reshape(-1)[flat] = values if n == self.L else values[m]
         self._count_stores(ptr, ptr.space, n)
 
     def _vload(self, ptr, offset, width, m, n, acc):
         arr = ptr.array
-        start, aff = self._address(ptr, offset * width, acc, m, n)
-        self._check_bounds(start, aff, m, n, arr.shape[-1], acc, width)
+        start, aff = self._address(ptr, offset * width, acc, m, n, width)
         cols = _COLUMNS[width]
         is_row = type(ptr) is RowPtr
         if ptr.space == "private":
@@ -1245,7 +1259,7 @@ class _Block:
                 return np.tile(arr[start : start + width].astype(np.float64), (self.L, 1))
             return arr[ptr.rows, start : start + width].astype(np.float64)
         if n == self.L and aff is not None and not is_row and aff[2][3] == width:
-            first = int(start[0])
+            first = aff[1] + aff[2][0]
             return arr[first : first + width * self.L].reshape(self.L, width).astype(np.float64)
         idx2 = np.where(m, start, 0)[:, None] + cols
         if not is_row:
@@ -1254,8 +1268,7 @@ class _Block:
 
     def _vstore(self, ptr, offset, width, value, m, n, acc) -> None:
         arr = ptr.array
-        start, aff = self._address(ptr, offset * width, acc, m, n)
-        self._check_bounds(start, aff, m, n, arr.shape[-1], acc, width)
+        start, aff = self._address(ptr, offset * width, acc, m, n, width)
         start = self._lanes(start)
         cols = _COLUMNS[width]
         is_row = type(ptr) is RowPtr
@@ -1269,7 +1282,7 @@ class _Block:
                 aa[:, None] + cols, lanes, self._segment, self._seg_base
             )
         if n == self.L and aff is not None and not is_row and aff[2][3] == width:
-            first = int(start[0])
+            first = aff[1] + aff[2][0]
             arr[first : first + width * self.L] = value.ravel()
         else:
             rows = ptr.rows if is_row else None
@@ -1773,6 +1786,8 @@ class _LoadLog:
 
     def totals(self, block: "_Block") -> tuple:
         if self.affine:
+            if len(self.affine) == 1 and not self.chunks:
+                return self.events, self.events  # one load: no repeats
             if not self.chunks:
                 distinct = self._closed_form()
                 if distinct is not None:

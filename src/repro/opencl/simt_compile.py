@@ -332,20 +332,33 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
     can race: a store at lane-injective addresses needs no race
     detector while its executions in a block cannot meet
     (``simt._Block._sole_write``) and no other argument aliases the
-    buffer (the launcher checks)."""
+    buffer (the launcher checks).  A barrier orders a local array's
+    accesses, so a local array's store site is sole already when it is
+    the array's one access between two top-level barriers (a loop or
+    branch holding a barrier lies inside one such stretch); its proof
+    restarts at every barrier."""
     kinds = declared_kinds(kernel)
     agreed = uniform_names(kernel, _GRID_UNIFORM_CALLS)
     scope = Scope(frozenset(n for n in agreed if kinds.get(n) == "i"))
     decls: dict = {}  # name -> [count, control around it, value]
     stores: list = []  # (name, stored value or None, control around it)
     buffers = {p.name for p in kernel.params if p.is_pointer}
+    local: set = set()  # the local arrays
     sites: dict = {}  # buffer -> its store statements
     loads: set = set()
     poison: set = set()  # names used other than to load or store
+    stretch = [0]  # how many top-level barriers lie behind
+    touched: dict = {}  # (buffer, stretch) -> its accesses there
+    placed: dict = {}  # id(store statement) -> its stretch
+
+    def touch(name: str) -> None:
+        key = (name, stretch[0])
+        touched[key] = touched.get(key, 0) + 1
 
     def scan(e) -> None:
         if type(e) is c.CIndex and type(e.base) is c.CIdent:
             loads.add(e.base.name)
+            touch(e.base.name)
             scan(e.index)
         elif type(e) is c.CIdent:
             poison.add(e.name)
@@ -363,7 +376,10 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
             decls.setdefault(s.name, [0, ctrl, value])[0] += 1
             if s.array_size is not None and s.qualifier == "local":
                 buffers.add(s.name)
+                local.add(s.name)
             scan(value)
+        elif t is c.CBarrier:
+            stretch[0] += not ctrl
         elif t is c.CAssign:
             target = s.target
             if type(target) is c.CIdent:
@@ -371,8 +387,11 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
                 stores.append((target.name, value, ctrl))
             elif type(target) is c.CIndex and type(target.base) is c.CIdent:
                 sites.setdefault(target.base.name, []).append(s)
+                placed[id(s)] = stretch[0]
+                touch(target.base.name)
                 if s.op != "=":  # a compound store loads the address
                     loads.add(target.base.name)
+                    touch(target.base.name)
                 scan(target.index)
             else:
                 scan(target)
@@ -423,10 +442,14 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
         ):
             del scope.facts[name]
     sole = {
-        name: sites[name][0] for name in buffers
+        name: sites[name] for name in buffers
         if len(sites.get(name, ())) == 1 and name not in loads and name not in poison
     }
-    return scope, frozenset(sole), frozenset(map(id, sole.values()))
+    for name in local - poison - set(sole):
+        alone = [s for s in sites.get(name, ()) if touched[name, placed[id(s)]] == 1]
+        if alone:
+            sole[name] = alone
+    return scope, frozenset(sole), frozenset(id(s) for v in sole.values() for s in v)
 
 
 def _value_of(value, b):

@@ -351,6 +351,43 @@ class TestAccessFacts:
         else:
             assert not events and notes == []
 
+    @pytest.mark.parametrize("index, noted", [("l", False), ("0", True)])
+    def test_a_local_store_alone_between_barriers_skips_the_detector(
+        self, index, noted, monkeypatch
+    ):
+        # tmp is read after the barrier, so its store is sole only up to
+        # it.  tmp[l] stores at lane-injective addresses (each group has
+        # a row of its own): no race note.  tmp[0] makes a group's lanes
+        # meet: the detector takes the store (the last lane wins, as on
+        # the scalar engine).
+        src = f"""
+        kernel void K(const global float * restrict x, global float *out) {{
+          local float tmp[16];
+          int l = get_local_id(0);
+          tmp[{index}] = x[get_global_id(0)];
+          barrier(CLK_LOCAL_MEM_FENCE);
+          out[get_global_id(0)] = tmp[15 - l];
+        }}
+        """
+        assert plan_of(src).sole_names == frozenset({"tmp", "out"})
+        notes = []
+        real = simt._HazardLocal.note_write
+        monkeypatch.setattr(
+            simt._HazardLocal, "note_write",
+            lambda self, *a: notes.append(1) or real(self, *a),
+        )
+        program = OpenCLProgram(src)
+        results = []
+        for engine in ("scalar", "compiled", "fused"):
+            args = {"x": Buffer.from_array(np.arange(64.0)), "out": Buffer.zeros(64)}
+            counters = launch(program, 64, 16, args, engine=engine)
+            results.append((args["out"].data, vars(counters)))
+        (ref, ref_counters), *rest = results
+        for got, counters in rest:
+            np.testing.assert_array_equal(got, ref)
+            assert counters == ref_counters
+        assert bool(notes) == noted
+
     def test_a_kernel_with_returns_keeps_its_facts(self):
         plan = plan_of("""
         kernel void K(global float *out, int n) {
