@@ -1038,7 +1038,8 @@ class _Block:
     def _log_affine(self, ptr, width, aff, m, n, flat=None) -> None:
         """Record a load with a fact as its ``(terms, u)`` chunk, with
         its ``(flat addresses, lanes)`` where they were computed."""
-        self._load_log_of(ptr, width).add_affine(
+        log = self._load_log.get((id(ptr.array), width)) or self._load_log_of(ptr, width)
+        log.add_affine(
             aff, None if n == self.L else m,
             ptr.rows if type(ptr) is RowPtr else None, n, flat,
         )
