@@ -976,14 +976,9 @@ class _Block:
         # A barrier orders a local buffer's accesses: its proof restarts.
         segment = self._segment if ptr.space == "local" else None
         if sole is None or sole[5] != segment:
-            if self._injective(terms, type(ptr) is RowPtr):
-                # [terms, uniform terms seen, least, greatest,
-                # executions, segment]
-                self._sole_writes[key] = [
-                    terms, {u}, u, u, [(u, m, self._segment)], segment
-                ]
-                return True
-            sole = [terms, set(), u, u, [], segment]
+            # [terms, uniform terms seen, least, greatest, executions,
+            # segment]
+            sole = self._sole_writes[key] = [terms, set(), u, u, [], segment]
         elif sole[1] is None:
             return False  # the detector has the buffer
         seen, history = sole[1], sole[4]
