@@ -48,10 +48,10 @@ ONE = Cst(1)
 # Re-entrancy guard: while proving side conditions we must not apply the
 # range-based rules again (bounds are themselves simplified expressions),
 # otherwise proofs could recurse without end.  The depth is thread-local:
-# a candidate attempt the explorer's watchdog gave up on can still be
-# compiling on its own thread beside the next candidate, and a shared
-# counter would race (a lost update permanently disables the memo gate
-# below; a cross-thread read could cache a depth-truncated result).
+# callers may compile from threads of their own (the compile-from-threads
+# check in tests/test_codegen.py does), and a shared counter would race
+# (a lost update permanently disables the memo gate below; a
+# cross-thread read could cache a depth-truncated result).
 _tls = _threading.local()
 _MAX_PROOF_DEPTH = 6
 
@@ -88,8 +88,8 @@ _SIMPLIFY_CACHE: "OrderedDict[int, tuple]" = OrderedDict()
 _PROVE_LT_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _CACHE_SIZE = 4096
 #: Guards the two OrderedDicts (get + move_to_end is not atomic; an
-#: eviction from a timed-out explorer attempt's thread, still compiling
-#: beside the next candidate, would raise KeyError).
+#: eviction from another thread of a caller compiling from several
+#: would raise KeyError).
 _CACHE_LOCK = _threading.Lock()
 
 

@@ -1,53 +1,249 @@
-"""Pluggable execution backends for the simulated OpenCL platform.
+"""The execution backends of the simulated OpenCL platform and the one
+table of fallback chains ``launch(engine=...)`` picks from.
 
-The paper's premise is one IR, many targets; this package is the
-simulator-side seam for that: every way of executing a kernel launch is
-a :class:`~repro.backend.base.Backend` behind a common
-compile -> launch -> buffers + counters protocol, registered by name in
-:mod:`repro.backend.registry`, and ``repro.opencl.launch`` resolves
-``engine=`` / ``REPRO_SIM_ENGINE`` strings into fallback chains of
-them.
+Three backends run a kernel launch, all bitwise-identical in buffer
+contents and :class:`~repro.opencl.interp.Counters` on every launch they
+complete (``src/repro/opencl/ENGINES.md``):
 
-Built-in backends: ``scalar`` (reference interpreter, the oracle),
-``compiled`` (the compiled pipeline over blocks of work-groups) and
-``fused`` (the same pipeline over one whole-grid block,
-:mod:`repro.backend.fused`).
-All are bitwise-identical in buffer contents and
-:class:`~repro.opencl.interp.Counters` on every launch they complete;
-see ``src/repro/opencl/ENGINES.md``.
+* ``scalar`` — the per-work-item reference interpreter
+  (:func:`repro.opencl.interp.run_groups`), the oracle; never refuses;
+* ``compiled`` — the compiled pipeline of
+  :mod:`repro.opencl.simt_compile`, launched by
+  :func:`repro.opencl.simt.try_launch` over blocks of at most
+  ``MAX_LANES`` lanes;
+* ``fused`` — the same plan and launcher over one whole-grid block, up
+  to ``FUSED_MAX_LANES`` work-items.
+
+Each has ``plan(parsed, kernel)``, which raises
+:class:`CompileUnsupported` when it cannot run the kernel at all, and
+``run(plan, ...)``, which writes the buffers and merges the counters.
+``run`` may refuse too: with :class:`CompileUnsupported` before it
+touches a buffer (the whole-grid lane cap), or with
+:class:`~repro.opencl.simt.VectorUnsupported` after rolling back what it
+wrote (a cross-lane race noticed mid-launch).
+
+:data:`ENGINES` maps every engine name to its chain.  :func:`execute`
+tries the members in order:
+
+1. a refusal, static or dynamic, falls through to the next member;
+2. an unexpected crash in ``plan`` is shielded for every member but the
+   last (``plan`` precedes any buffer write, so falling through is
+   exact); the last member re-raises it;
+3. an injected ``backend-run`` fault declines a non-final member;
+4. every decline lands in the degradation ledger
+   (:mod:`repro.backend.ledger`) with its kind and reason;
+5. a chain that does not end in ``scalar`` is *strict*: when every
+   member refused, :class:`~repro.opencl.simt.VectorizationError` names
+   each refusal.
+
+``REPRO_SIM_ENGINE`` names a *preference*: :func:`resolve` with
+``prefer=True`` gives a strict chain the ``scalar`` tail.
 """
 
-from repro.backend.base import Backend, CompileUnsupported, ExecutionRequest
-from repro.backend.ledger import LEDGER, DegradationEvent, DegradationLedger
-from repro.backend.registry import (
-    EngineSpec,
-    ResolvedChain,
-    backend_names,
-    engine_names,
-    get_backend,
-    register_backend,
-    register_engine,
-    resolve,
-)
+from __future__ import annotations
 
-# Importing the implementation modules populates the registry.
-from repro.backend import tiers as _tiers  # noqa: F401
-from repro.backend.fused import FusedBackend
+from repro import faultinject
+from repro.backend import ledger
+from repro.backend.ledger import LEDGER
+from repro.faultinject import FaultInjected
+from repro.obs import metrics, span
+from repro.opencl import simt, simt_compile
+from repro.opencl.interp import run_groups
+from repro.opencl.simt import VectorizationError, VectorUnsupported
 
 __all__ = [
-    "Backend",
     "CompileUnsupported",
-    "DegradationEvent",
-    "DegradationLedger",
-    "EngineSpec",
+    "ENGINES",
     "LEDGER",
-    "ExecutionRequest",
-    "FusedBackend",
-    "ResolvedChain",
     "backend_names",
     "engine_names",
+    "execute",
     "get_backend",
-    "register_backend",
-    "register_engine",
+    "ledger",
     "resolve",
 ]
+
+
+class CompileUnsupported(Exception):
+    """Static refusal: this backend cannot run the kernel (or this launch
+    shape), try the next one.  The message is the reason the chain
+    ledgers."""
+
+
+class ScalarBackend:
+    """The per-work-item reference interpreter; never refuses."""
+
+    name = "scalar"
+
+    def plan(self, parsed, kernel):
+        return None
+
+    def run(self, plan, parsed, kernel, gsize, lsize, base_env,
+            local_decls, counters) -> None:
+        run_groups(
+            parsed, kernel, gsize, lsize, base_env, local_decls, counters
+        )
+
+
+def _pipeline(entry):
+    """A compiled pipeline, or its refusal reason raised as a static
+    decline."""
+    if isinstance(entry, str):
+        raise CompileUnsupported(entry)
+    return entry
+
+
+class CompiledBackend:
+    """The compiled pipeline, in blocks of at most ``MAX_LANES`` lanes
+    or — ``whole_grid`` — as one block over the entire launch."""
+
+    def __init__(self, name: str, whole_grid: bool):
+        self.name = name
+        self.whole_grid = whole_grid
+
+    def plan(self, parsed, kernel):
+        return _pipeline(simt_compile.get_pipeline(parsed, kernel))
+
+    def run(self, plan, parsed, kernel, gsize, lsize, base_env,
+            local_decls, counters) -> None:
+        total = gsize[0] * gsize[1] * gsize[2]
+        if self.whole_grid and total > simt.FUSED_MAX_LANES:
+            raise CompileUnsupported(
+                f"launch of {total} work-items exceeds the whole-grid cap "
+                f"({simt.FUSED_MAX_LANES})"
+            )
+        # The launch's buffers may hold element kinds the plan was not
+        # typed for; a refusal of those is raised before any write.
+        pipeline = _pipeline(
+            simt_compile.launch_pipeline(parsed, kernel, plan, base_env)
+        )
+        simt.try_launch(
+            parsed, kernel, gsize, lsize, dict(base_env), local_decls,
+            counters, pipeline, whole_grid=self.whole_grid,
+        )
+
+
+_BACKENDS = {
+    backend.name: backend
+    for backend in (
+        ScalarBackend(),
+        CompiledBackend("compiled", whole_grid=False),
+        CompiledBackend("fused", whole_grid=True),
+    )
+}
+
+#: Engine name -> the backends it tries, in order.
+ENGINES = {
+    "auto": ("compiled", "scalar"),
+    "fused": ("fused", "compiled", "scalar"),
+    "compiled": ("compiled",),
+    "scalar": ("scalar",),
+}
+
+
+def get_backend(name: str):
+    """Look a backend up by name; raises ``ValueError`` listing the
+    valid names for unknown ones."""
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown execution backend {name!r}: valid backends are "
+            f"{', '.join(backend_names())}"
+        ) from None
+
+
+def backend_names() -> tuple:
+    return tuple(sorted(_BACKENDS))
+
+
+def engine_names() -> tuple:
+    """Every name ``launch(engine=...)``/``REPRO_SIM_ENGINE`` accepts."""
+    return tuple(sorted(ENGINES))
+
+
+def resolve(name: str, prefer: bool = False) -> tuple:
+    """The chain of backend names an engine name runs.
+
+    ``prefer`` marks the name as a *preference* (the ``REPRO_SIM_ENGINE``
+    path): a strict chain gains the ``scalar`` tail so the run never
+    fails on kernels the preferred backend cannot execute.
+    """
+    try:
+        chain = ENGINES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown execution engine {name!r}: valid engines are "
+            f"{', '.join(engine_names())}"
+        ) from None
+    if prefer and chain[-1] != "scalar":
+        chain += ("scalar",)
+    return chain
+
+
+def execute(engine: str, chain: tuple, parsed, kernel, gsize, lsize,
+            base_env, local_decls, counters) -> None:
+    """Run one launch on the first backend of ``chain`` (what
+    :func:`resolve` gave for ``engine``) that accepts it; see the module
+    docstring for the rules.  ``base_env`` maps parameter names to
+    global :class:`~repro.opencl.interp.Pointer` values or scalars;
+    ``local_decls`` are the kernel's ``local`` arrays; ``counters`` is
+    merged into only by the backend that serves the launch."""
+    refusals = []
+    metrics.inc("launch.total")
+    for position, name in enumerate(chain):
+        backend = _BACKENDS[name]
+        final = position == len(chain) - 1
+        if not final:
+            # ``backend-run`` fault site: an injected fault declines
+            # this backend; the final member is exempt so a graceful
+            # chain still completes.
+            try:
+                faultinject.maybe_fail("backend-run")
+            except FaultInjected as exc:
+                ledger.record(engine, name, "fault", str(exc))
+                refusals.append(f"{name}: injected fault")
+                continue
+        try:
+            with span("plan", backend=name, engine=engine) as plan_span:
+                try:
+                    plan = backend.plan(parsed, kernel)
+                except CompileUnsupported as exc:
+                    plan_span.attrs["reason"] = str(exc)
+                    raise
+        except CompileUnsupported as exc:
+            ledger.record(engine, name, "static", str(exc))
+            refusals.append(f"{name}: {exc}")
+            continue
+        except Exception as exc:
+            # Crash shield: the crash is ledgered at every position;
+            # the final member re-raises it.
+            ledger.record(
+                engine, name, "crash", f"{type(exc).__name__}: {exc}"
+            )
+            if final:
+                raise
+            refusals.append(f"{name}: crashed in plan ({type(exc).__name__})")
+            continue
+        with span(
+            "run", backend=name, engine=engine, kernel=kernel.name,
+        ) as run_span:
+            try:
+                backend.run(
+                    plan, parsed, kernel, gsize, lsize, base_env,
+                    local_decls, counters,
+                )
+            except (CompileUnsupported, VectorUnsupported) as exc:
+                dynamic = isinstance(exc, VectorUnsupported)
+                reason = f"{kernel.name}: {exc}" if dynamic else str(exc)
+                run_span.attrs["reason"] = reason
+            else:
+                metrics.inc(f"launch.served.{name}")
+                return
+        ledger.record(engine, name, "dynamic" if dynamic else "static", reason)
+        refusals.append(f"{name}: {reason}")
+    kind = "strict engine" if chain[-1] != "scalar" else "engine"
+    raise VectorizationError(
+        f"kernel {kernel.name!r} not supported by {kind} {engine!r} "
+        f"({'; '.join(refusals)})"
+    )

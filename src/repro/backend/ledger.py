@@ -1,6 +1,6 @@
 """Degradation ledger: make silently-degraded runs observable.
 
-A fallback chain (:meth:`repro.backend.registry.ResolvedChain.execute`)
+A fallback chain (:func:`repro.backend.execute`)
 is the right recovery mechanism for a backend that cannot run a kernel
 — but before this ledger existed, a run that silently fell from the
 fused tier all the way to the scalar reference looked *identical* to a
@@ -19,7 +19,7 @@ Decline kinds (:data:`DECLINE_KINDS`; recording any other kind raises
 ``ValueError``, so a typo cannot open a new category):
 
 ``static``
-    ``plan``/``run`` raised :class:`~repro.backend.base.CompileUnsupported`
+    ``plan``/``run`` raised :class:`~repro.backend.CompileUnsupported`
     before touching buffers.
 ``dynamic``
     ``run`` raised ``VectorUnsupported`` after rolling buffers back

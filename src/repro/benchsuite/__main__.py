@@ -64,9 +64,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine", default=None,
-        help="execution backend for figure8/explore launches (any name "
-             "registered in repro.backend: auto, fused, compiled, "
-             "scalar)",
+        help="execution backend for figure8/explore launches (any engine "
+             "name of repro.backend: auto, fused, compiled, scalar)",
     )
     parser.add_argument(
         "--fault-plan", default=None,

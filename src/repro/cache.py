@@ -327,10 +327,9 @@ class TuningCache:
                 f"got {cap!r}"
             ) from None
         self.stats = CacheStats()
-        # A candidate attempt the explorer's watchdog gave up on can still
-        # be running on its own thread beside the next candidate: serialize
-        # file IO and stats updates within the process; the fcntl lock in
-        # _exclusive() serializes mutations across processes.
+        # Callers may share one cache between threads of their own:
+        # serialize file IO and stats updates within the process; the
+        # fcntl lock in _exclusive() serializes mutations across processes.
         self._lock = threading.Lock()
         # Without a cap, only the first write sweeps the store.
         self._swept = False

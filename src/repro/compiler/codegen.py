@@ -1291,8 +1291,8 @@ class KernelGenerator:
 #: text a fresh compile would print (:class:`KernelGenerator` names).
 _COMPILE_MEMO: "OrderedDict[tuple, CompiledKernel]" = OrderedDict()
 _COMPILE_MEMO_SIZE = 128
-#: A candidate attempt the explorer's watchdog gave up on can still be
-#: compiling on its own thread beside the next candidate.
+#: Callers may compile from threads of their own (the compile-from-threads
+#: check in tests/test_codegen.py does).
 _COMPILE_MEMO_LOCK = threading.Lock()
 
 

@@ -990,6 +990,80 @@ class WorkItem:
         return bool(v)
 
 
+def _item_driver(item: WorkItem, body: c.CBlock):
+    try:
+        yield from item.run_gen(body)
+    except _Return:
+        pass
+
+
+def _run_group(
+    ctx: LaunchContext,
+    kernel: c.CFunctionDef,
+    group_env: dict,
+    group: tuple,
+    lsize: tuple,
+) -> None:
+    generators = []
+    kinds = declared_kinds(kernel)
+    for lz in range(lsize[2]):
+        for ly in range(lsize[1]):
+            for lx in range(lsize[0]):
+                lid = (lx, ly, lz)
+                gid = tuple(
+                    group[d] * lsize[d] + lid[d] for d in range(3)
+                )
+                item = WorkItem(ctx, dict(group_env), gid, lid, group, kinds)
+                generators.append(_item_driver(item, kernel.body))
+
+    alive = list(generators)
+    while alive:
+        statuses = []
+        still_alive = []
+        for gen in alive:
+            try:
+                status = next(gen)
+                statuses.append(status)
+                still_alive.append(gen)
+            except StopIteration:
+                statuses.append("done")
+        if still_alive and any(s == "done" for s in statuses):
+            raise BarrierDivergence(
+                "some work-items finished while others wait at a barrier"
+            )
+        alive = still_alive
+
+
+def run_groups(
+    program: ParsedProgram,
+    kernel: c.CFunctionDef,
+    gsize: tuple,
+    lsize: tuple,
+    base_env: dict,
+    local_decls: list,
+    counters: Counters,
+) -> None:
+    """Run a launch on the reference interpreter: work-groups one after
+    another, each with fresh ``local_decls`` arrays and its work-items
+    in lock-step between barriers."""
+    ctx = LaunchContext(program, gsize, lsize, counters)
+    num_groups = ctx.num_groups
+    items_per_group = lsize[0] * lsize[1] * lsize[2]
+    for gz in range(num_groups[2]):
+        for gy in range(num_groups[1]):
+            for gx in range(num_groups[0]):
+                group_env = dict(base_env)
+                for decl in local_decls:
+                    group_env[decl.name] = Pointer(
+                        np.zeros(
+                            decl.array_size, dtype=array_dtype(decl.type_name)
+                        ),
+                        0, "local",
+                    )
+                _run_group(ctx, kernel, group_env, (gx, gy, gz), lsize)
+                counters.work_items += items_per_group
+
+
 def _is_int(v: Any) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 

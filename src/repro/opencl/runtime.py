@@ -5,21 +5,10 @@ OpenCL, so any order is conforming); work-items within a group run in
 lock-step between barriers via the generator mechanism of
 :mod:`repro.opencl.interp`.
 
-Execution is delegated to the pluggable backend subsystem of
-:mod:`repro.backend` (see ``ENGINES.md`` in this package).  Three
-backends are registered out of the box:
-
-* ``"compiled"`` — the lane-batched SIMT runtime of
-  :mod:`repro.opencl.simt` driven by the pipeline of
-  :mod:`repro.opencl.simt_compile` (kernel AST lowered once per
-  program into closures, one per barrier segment),
-  over blocks of work-groups;
-* ``"fused"`` — the same pipeline over one whole-grid block
-  (:mod:`repro.backend.fused`);
-* ``"scalar"`` — the per-work-item reference interpreter, the oracle.
-
-Engine names resolve through :mod:`repro.backend.registry` to fallback
-chains: ``"auto"`` (the default) runs compiled -> scalar, ``"fused"``
+:func:`launch` checks the NDRange, binds the arguments and hands the
+launch to :func:`repro.backend.execute` with the chain its engine name
+resolves to in :data:`repro.backend.ENGINES` (see ``ENGINES.md`` in this
+package): ``"auto"`` (the default) runs compiled -> scalar, ``"fused"``
 prepends the whole-grid layout to that chain, and ``"compiled"`` alone
 is strict.  ``REPRO_SIM_ENGINE`` overrides the default with a
 *preference* — a strict name set through the environment still falls
@@ -99,10 +88,10 @@ class OpenCLProgram:
         return fn
 
 
-def _normalize_size(size) -> tuple:
-    if isinstance(size, int):
-        size = (size,)
-    size = tuple(size)
+def _normalize_size(size, what: str) -> tuple:
+    size = (size,) if isinstance(size, int) else tuple(size)
+    if not 1 <= len(size) <= 3:
+        raise ValueError(f"{what} size {size} must have 1 to 3 dimensions")
     return size + (1,) * (3 - len(size))
 
 
@@ -122,24 +111,6 @@ def _local_decls_of(parsed: ParsedProgram, kernel: c.CFunctionDef) -> list:
     return decls
 
 
-def _resolve_engine(engine: Optional[str]):
-    """Resolve an engine request to a backend chain.
-
-    An explicit ``engine=`` argument keeps its exact (possibly strict)
-    registry semantics; a name from ``REPRO_SIM_ENGINE`` is treated as
-    a preference and falls back gracefully.  Unknown names report the
-    valid ones from the registry.
-    """
-    from repro.backend import registry
-
-    if engine is not None:
-        return registry.resolve(engine)
-    env = os.environ.get("REPRO_SIM_ENGINE")
-    if env:
-        return registry.resolve(env, prefer=True)
-    return registry.resolve("auto")
-
-
 def launch(
     program: OpenCLProgram,
     global_size,
@@ -156,13 +127,14 @@ def launch(
     in-place retries (:func:`repro.faultinject.survive`), so a chaos
     run recovers to bit-identical results.
     """
-    from repro import faultinject
-    from repro.backend.base import ExecutionRequest
+    from repro import backend, faultinject
 
     faultinject.survive("simulate")
     kernel = program.kernel(kernel_name)
-    gsize = _normalize_size(global_size)
-    lsize = _normalize_size(local_size)
+    gsize = _normalize_size(global_size, "global")
+    lsize = _normalize_size(local_size, "local")
+    if min(gsize) < 1:
+        raise ValueError(f"global size {gsize} has a dimension below 1")
     for g, l in zip(gsize, lsize):
         if l <= 0 or g % l:
             raise ValueError(
@@ -191,20 +163,18 @@ def launch(
 
     from repro.obs import span
 
-    chain = _resolve_engine(engine)
+    # An explicit ``engine=`` keeps its exact (possibly strict) chain; a
+    # name from ``REPRO_SIM_ENGINE`` is a preference.
+    prefer = engine is None
+    if prefer:
+        engine = os.environ.get("REPRO_SIM_ENGINE") or "auto"
+    chain = backend.resolve(engine, prefer)
     with span(
-        "launch", kernel=kernel.name, engine=chain.name,
+        "launch", kernel=kernel.name, engine=engine,
         gsize=gsize, lsize=lsize,
     ):
-        chain.execute(
-            ExecutionRequest(
-                parsed=program.parsed,
-                kernel=kernel,
-                gsize=gsize,
-                lsize=lsize,
-                base_env=base_env,
-                local_decls=_local_decls_of(program.parsed, kernel),
-                counters=counters,
-            )
+        backend.execute(
+            engine, chain, program.parsed, kernel, gsize, lsize, base_env,
+            _local_decls_of(program.parsed, kernel), counters,
         )
     return counters

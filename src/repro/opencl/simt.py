@@ -1630,9 +1630,8 @@ assert _HazardLocal.SEG_SCALE >= max(MAX_LANES, FUSED_MAX_LANES), (
 #
 # The autotune and explore loops re-launch the same kernel hundreds of
 # times; allocating fresh hazard arrays, geometry arrays and lane masks
-# per launch dominates small launches.  All pools are thread-local (a
-# candidate attempt the explorer's watchdog gave up on can still be
-# launching on its own thread beside the next candidate) and bounded.
+# per launch dominates small launches.  All pools are thread-local
+# (callers may launch from threads of their own) and bounded.
 
 _pool_tls = _threading.local()
 

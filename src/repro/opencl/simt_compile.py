@@ -1655,9 +1655,8 @@ def get_pipeline(
 
     Cached on the parsed program object, refusals included; the runtime
     shares parse results per source through an LRU, so each distinct
-    kernel is walked once per process (under a lock — a candidate attempt
-    the explorer's watchdog gave up on can still be launching on its own
-    thread beside the next candidate).
+    kernel is walked once per process (under a lock — callers may launch
+    from threads of their own).
     """
     key = (kernel.name, pointer_kinds)
     cache = getattr(parsed, "_simt_pipelines", None)

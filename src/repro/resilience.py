@@ -1,29 +1,20 @@
-"""Fault-tolerance primitives: retries, a watchdog, cancellation.
+"""Fault-tolerance primitives: retries and the quarantine record.
 
 The explorer's candidate loop must survive transient infrastructure
-failures and hung candidates.  This module holds the small,
-dependency-free building blocks; policy (which stages retry, how long
-an attempt may run) lives with the caller — see
+failures.  This module holds the small, dependency-free building
+blocks; policy (which stages retry) lives with the caller — see
 :mod:`repro.rewrite.explore` and ``src/repro/RESILIENCE.md``.
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff for
   *transient* errors (:data:`TRANSIENT_ERRORS`: injected faults and
   ``OSError``).  The explorer retries a candidate with it; nothing else
   retries.
-* :class:`CancellationToken` — cooperative cancellation of one attempt,
-  checked at its stage boundaries.
-* :func:`run_with_deadline` — wall-clock watchdog: runs a callable on a
-  daemon thread and raises :class:`DeadlineExceeded` when it overruns,
-  cancelling the attempt's token so the stray thread stops at its next
-  checkpoint (Python cannot preempt a running thread; the result of a
-  late finisher is discarded).
 * :class:`FailureReport` — the structured quarantine record a failed
   candidate leaves on :class:`~repro.rewrite.explore.ExplorationResult`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple
@@ -33,21 +24,9 @@ from repro.faultinject import FaultInjected
 __all__ = [
     "TRANSIENT_ERRORS",
     "FAILURE_KINDS",
-    "Cancelled",
-    "CancellationToken",
-    "DeadlineExceeded",
     "FailureReport",
     "RetryPolicy",
-    "run_with_deadline",
 ]
-
-
-class Cancelled(Exception):
-    """Raised by :meth:`CancellationToken.raise_if_cancelled`."""
-
-
-class DeadlineExceeded(Exception):
-    """A watchdog deadline fired (the taxonomy's ``timeout`` kind)."""
 
 
 #: Errors the retry machinery treats as transient.  Injected faults are
@@ -93,81 +72,12 @@ class RetryPolicy:
                 sleep(delay)
 
 
-class CancellationToken:
-    """Cooperative cancellation of one attempt.
-
-    ``cancel()`` is sticky and thread-safe: the watchdog cancels from the
-    caller's thread, and the attempt polls ``cancelled`` (or calls
-    :meth:`raise_if_cancelled`) at its stage boundaries on its own.
-    """
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
-
-    def raise_if_cancelled(self) -> None:
-        if self.cancelled:
-            raise Cancelled("operation cancelled")
-
-
-def run_with_deadline(
-    fn: Callable[[], "object"],
-    timeout: Optional[float],
-    token: Optional[CancellationToken] = None,
-):
-    """Run ``fn`` with a wall-clock deadline.
-
-    The callable runs on a daemon thread; if it has not finished after
-    ``timeout`` seconds, ``token`` (if given) is cancelled — so a
-    cooperative ``fn`` stops at its next checkpoint — and
-    :class:`DeadlineExceeded` is raised.  A late finisher's result (or
-    exception) is discarded.  On time, the result is returned and any
-    exception re-raised in the caller.  With no ``timeout``, ``fn`` is
-    called directly, in the caller's thread.
-    """
-    if timeout is None:
-        return fn()
-    box: dict = {}
-
-    def runner() -> None:
-        try:
-            box["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            box["error"] = exc
-
-    thread = threading.Thread(
-        target=runner, name="repro-deadline", daemon=True
-    )
-    thread.start()
-    thread.join(timeout)
-    if thread.is_alive():
-        if token is not None:
-            token.cancel()
-        from repro import obs
-
-        obs.instant("watchdog.kill", timeout=timeout)
-        obs.inc("resilience.watchdog_kills")
-        raise DeadlineExceeded(
-            f"deadline of {timeout:g}s exceeded"
-        )
-    if "error" in box:
-        raise box["error"]
-    return box.get("value")
-
-
 #: The explorer's error taxonomy (see ``ExploreStats.as_dict``).
 FAILURE_KINDS = (
     "compile",
     "simulate",
     "verify",
     "infra",
-    "timeout",
 )
 
 

@@ -84,15 +84,12 @@ The compile → simulate → verify loop degrades gracefully instead of
 dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
 
 * every candidate failure is *classified* (``compile`` / ``simulate`` /
-  ``verify`` / ``infra`` / ``timeout``) and quarantined
+  ``verify`` / ``infra``) and quarantined
   into a structured :class:`~repro.resilience.FailureReport` on
   :class:`ExplorationResult` — the rest of the search completes;
 * transient failures (injected faults, ``OSError``) are retried with
   exponential backoff — one :class:`~repro.resilience.RetryPolicy`
-  built from ``ExploreConfig.retries`` / ``retry_backoff``;
-* ``ExploreConfig.candidate_timeout`` puts a wall-clock watchdog on
-  each candidate attempt — a hung candidate becomes a ``timeout``
-  report, not a hung search.
+  built from ``ExploreConfig.retries`` / ``retry_backoff``.
 """
 
 from __future__ import annotations
@@ -151,14 +148,7 @@ from repro.rewrite.rules import (
 from repro.rewrite.strategies import rewrites_by_rule
 from repro import faultinject, obs
 from repro.backend import LEDGER
-from repro.resilience import (
-    TRANSIENT_ERRORS,
-    CancellationToken,
-    DeadlineExceeded,
-    FailureReport,
-    RetryPolicy,
-    run_with_deadline,
-)
+from repro.resilience import TRANSIENT_ERRORS, FailureReport, RetryPolicy
 
 
 class ExplorationError(Exception):
@@ -215,9 +205,6 @@ class ExploreConfig:
     max_eval: int = 16
     device: str = "nvidia"
     engine: Optional[str] = None
-    #: Wall-clock deadline (seconds) per candidate evaluation attempt,
-    #: enforced by a watchdog thread; ``None`` disables it.
-    candidate_timeout: Optional[float] = None
     #: Bounded retries for *transient* evaluation failures (injected
     #: faults, OSError) with exponential backoff.
     retries: int = 2
@@ -248,11 +235,11 @@ class ExploreStats:
     simulate_failures: int = 0
     #: Transient infrastructure failures that survived every retry.
     infra_failures: int = 0
-    #: Candidates killed by the per-candidate watchdog deadline.
+    #: Always 0: nothing times out or cancels a search.  Kept because
+    #: the end-to-end harness (``benchmarks/e2e/workloads.py``) sums
+    #: both among its failure counts; ROADMAP item 1(b) drops them with
+    #: that pin.
     timeouts: int = 0
-    #: Always 0: nothing cancels a search.  Kept because the end-to-end
-    #: harness (``benchmarks/e2e/workloads.py``) sums it among its
-    #: failure counts; ROADMAP item 1(b) drops it with that pin.
     cancelled: int = 0
     #: Transient failures absorbed by the retry/backoff loop.
     retries: int = 0
@@ -862,9 +849,8 @@ def reference_output(
 
 class Oracle:
     """:func:`reference_output` of a program, interpreted the first time
-    it is called and at most once — under a lock, because a candidate
-    attempt the watchdog gave up on can still be running on its own
-    thread beside the next candidate, and the two must not both
+    it is called and at most once — under a lock, because callers may
+    verify from threads of their own, and two of them must not both
     interpret.  A search that
     launches nothing (every candidate served from the cycles cache)
     verifies nothing and never pays for it.  A failure is kept and
@@ -904,7 +890,7 @@ def evaluate_candidates(
     The single place that decides how a schedule is compiled
     (size-specialized, keyed on the symbolic program), launched,
     verified (bitwise) against ``reference`` and costed, with the
-    tuning-cache lookups, retries, watchdog and fault sites of the
+    tuning-cache lookups, retries and fault sites of the
     module docstring.  Candidates are evaluated one after another, in
     order, in the caller's thread.  ``reference`` is the expected flat
     array or an :class:`Oracle`, which is forced by the first candidate
@@ -927,7 +913,7 @@ def evaluate_candidates(
     )
 
     def _evaluate_once(
-        cand: ExploredCandidate, events: dict, token: CancellationToken
+        cand: ExploredCandidate, events: dict
     ) -> ExploredCandidate:
         """One evaluation attempt: ask the cache for the kernel, then
         for its cycles; compile / simulate + verify are what it runs on
@@ -935,12 +921,8 @@ def evaluate_candidates(
 
         Raises :class:`_StageFailure` for deterministic stage failures
         and lets transient errors (injected faults, ``OSError``...)
-        propagate to the retry policy in ``evaluate``.  ``token`` is
-        cancelled when the watchdog gives up on the attempt: the stray
-        thread then stops at its next checkpoint with
-        :class:`~repro.resilience.Cancelled`, which nobody reads.
+        propagate to the retry policy in ``evaluate``.
         """
-        token.raise_if_cancelled()
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
         options = CompilerOptions(local_size=cand.local_size)
 
@@ -962,7 +944,6 @@ def evaluate_candidates(
 
         key = cache.kernel_key(cand.program, options, size_env)
         kernel = cache.fetch("kernel", key, compile_candidate)
-        token.raise_if_cancelled()
 
         def measure_cycles() -> float:
             kernel_inputs = {
@@ -982,7 +963,6 @@ def evaluate_candidates(
             except Exception as exc:
                 raise _StageFailure("simulate", str(exc)) from exc
             events["executed"] += 1
-            token.raise_if_cancelled()
             try:
                 expected = reference() if callable(reference) else reference
             except Exception as exc:
@@ -1015,9 +995,9 @@ def evaluate_candidates(
         return cand
 
     def evaluate(cand: ExploredCandidate):
-        """Fault-tolerant wrapper: a watchdog per attempt and
-        ``policy``'s retries with backoff for transient errors.
-        Returns ``(candidate | None, events, FailureReport | None)``."""
+        """Fault-tolerant wrapper: ``policy``'s retries with backoff for
+        transient errors.  Returns ``(candidate | None, events,
+        FailureReport | None)``."""
         events = {"compiled": 0, "executed": 0, "retries": 0}
         start = time.monotonic()
         attempts = 0
@@ -1025,13 +1005,7 @@ def evaluate_candidates(
         def attempt() -> ExploredCandidate:
             nonlocal attempts
             attempts += 1
-            # A token per attempt: the watchdog cancels the attempt's
-            # stray thread, not the attempts after it.
-            token = CancellationToken()
-            return run_with_deadline(
-                lambda: _evaluate_once(cand, events, token),
-                config.candidate_timeout, token=token,
-            )
+            return _evaluate_once(cand, events)
 
         def on_retry(attempt_no: int, exc: BaseException) -> None:
             events["retries"] += 1
@@ -1055,8 +1029,6 @@ def evaluate_candidates(
             raise exc.__cause__
         except _StageFailure as exc:
             return fail(exc.kind, exc.message)
-        except DeadlineExceeded as exc:
-            return fail("timeout", str(exc))
         except TRANSIENT_ERRORS as exc:  # survived every retry
             return fail("infra", f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # unexpected: infra, not retried
@@ -1089,7 +1061,6 @@ _FAILURE_STAT = {
     "simulate": "simulate_failures",
     "verify": "verify_failures",
     "infra": "infra_failures",
-    "timeout": "timeouts",
 }
 
 

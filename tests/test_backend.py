@@ -1,32 +1,38 @@
-"""Tests for the pluggable execution-backend subsystem (repro.backend).
+"""Tests for the execution backends and their engine table
+(repro.backend).
 
-Covers the registry (registration, lookup, unknown-name errors, engine
-chains), launch-time engine resolution (explicit argument vs the
-``REPRO_SIM_ENGINE`` preference), the plan's access facts (slices,
-uniform loads, proof-carrying stores, prefix masks, aliasing) in both
-layouts of the launcher, the whole-grid lane cap, and the
-launcher's rollback.  The bitwise cross-backend contract itself is
-exercised by the engine sweeps in ``tests/test_simt.py`` /
+Covers the fixed tables (backends, engine chains, unknown-name errors),
+launch-time engine resolution (explicit argument vs the
+``REPRO_SIM_ENGINE`` preference), the NDRange checks made before any
+engine runs, the end-to-end harness's pins on this package, the plan's
+access facts (slices, uniform loads, proof-carrying stores, prefix
+masks, aliasing) in both layouts of the launcher, the whole-grid lane
+cap, and the launcher's rollback.  The bitwise cross-backend contract
+itself is exercised by the engine sweeps in ``tests/test_simt.py`` /
 ``tests/test_simt_compile.py``.
 """
+
+import importlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.backend import (
-    Backend,
+    ENGINES,
+    LEDGER,
     CompileUnsupported,
     backend_names,
     engine_names,
     get_backend,
     ledger,
-    register_backend,
-    register_engine,
     resolve,
 )
-from repro.backend import registry as registry_mod
+from repro.obs import metrics
 from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
 from repro.opencl import simt, simt_compile
+from repro.rewrite.explore import ExploreStats
 
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
@@ -57,17 +63,31 @@ def run_saxpy(engine, n=64, local=16, **overrides):
     return args["out"].data.copy(), vars(counters)
 
 
-class TestRegistry:
-    def test_default_backends_registered(self):
-        assert set(backend_names()) == {"scalar", "compiled", "fused"}
+class TestEngineTable:
+    def test_three_backends(self):
+        assert backend_names() == ("compiled", "fused", "scalar")
 
-    def test_default_engines_include_tier_aliases(self):
-        assert set(engine_names()) == {"auto", "fused", "compiled", "scalar"}
+    def test_the_engine_table(self):
+        assert ENGINES == {
+            "auto": ("compiled", "scalar"),
+            "fused": ("fused", "compiled", "scalar"),
+            "compiled": ("compiled",),
+            "scalar": ("scalar",),
+        }
+        assert engine_names() == ("auto", "compiled", "fused", "scalar")
+        for name, chain in ENGINES.items():
+            assert resolve(name) == chain
+        # A strict name from REPRO_SIM_ENGINE gains the scalar tail.
+        assert resolve("compiled", prefer=True) == ("compiled", "scalar")
 
-    def test_lookup_returns_the_backend(self):
-        backend = get_backend("fused")
-        assert backend.name == "fused"
-        assert backend.dynamic_class == "grid"
+    def test_fused_is_the_compiled_pipeline_over_the_whole_grid(self):
+        compiled, fused = get_backend("compiled"), get_backend("fused")
+        assert fused.name == "fused" and type(fused) is type(compiled)
+        assert (compiled.whole_grid, fused.whole_grid) == (False, True)
+        program = OpenCLProgram(SAXPY)
+        kernel = program.kernel()
+        plan = compiled.plan(program.parsed, kernel)
+        assert fused.plan(program.parsed, kernel) is plan
 
     def test_unknown_backend_error_lists_names(self):
         with pytest.raises(ValueError) as err:
@@ -80,33 +100,6 @@ class TestRegistry:
             resolve("warp-speed")
         for name in engine_names():
             assert name in str(err.value)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend(get_backend("scalar"))
-
-    def test_engine_chain_members_must_exist(self):
-        with pytest.raises(ValueError):
-            register_engine("broken-chain", ("no-such-backend",))
-
-    def test_custom_backend_registration_roundtrip(self):
-        class Null(Backend):
-            name = "test-null"
-            dynamic_class = "test"
-
-            def plan(self, parsed, kernel):
-                raise CompileUnsupported("always declines")
-
-        try:
-            register_backend(Null())
-            register_engine("test-null-then-scalar", ("test-null", "scalar"))
-            out, counters = run_saxpy("test-null-then-scalar")
-            ref, ref_counters = run_saxpy("scalar")
-            np.testing.assert_array_equal(out, ref)
-            assert counters == ref_counters
-        finally:
-            registry_mod._BACKENDS.pop("test-null", None)
-            registry_mod._ENGINES.pop("test-null-then-scalar", None)
 
     def test_strict_chain_raises_when_exhausted(self):
         src = """
@@ -177,6 +170,43 @@ class TestEngineResolution:
         program = OpenCLProgram(SAXPY)
         with pytest.raises(ValueError):
             launch(program, 16, 16, saxpy_args(16))
+
+
+@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize(
+    "gsize, shown",
+    [(0, "(0, 1, 1)"), (-4, "(-4, 1, 1)"), ((4, 0), "(4, 0, 1)"),
+     ((4, 1, 1, 2), "(4, 1, 1, 2)"), ((), "()")],
+    ids=["zero", "negative", "zero-in-2d", "four-dims", "no-dims"],
+)
+def test_a_malformed_ndrange_is_refused_before_any_engine_runs(
+    engine, gsize, shown
+):
+    program = OpenCLProgram(SAXPY)
+    args = saxpy_args(8)
+    launches = metrics.REGISTRY.counter("launch.total")
+    with pytest.raises(ValueError, match=re.escape(f"global size {shown}")):
+        launch(program, gsize, 4, args, engine=engine)
+    assert metrics.REGISTRY.counter("launch.total") == launches
+    assert not args["out"].data.any()
+
+
+def test_the_end_to_end_harness_plans_through_the_backend_table(monkeypatch):
+    """``benchmarks/e2e/workloads.py`` imports ``LEDGER``,
+    ``CompileUnsupported`` and ``get_backend`` from this package and plans
+    through ``get_backend(name).plan``; a change that breaks those pins
+    fails here, not only when the harness runs."""
+    harness = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+    monkeypatch.syspath_prepend(str(harness))
+    workloads = importlib.import_module("workloads")
+    assert workloads.LEDGER is LEDGER
+    assert workloads.CompileUnsupported is CompileUnsupported
+    program = OpenCLProgram(workloads.SAXPY_SOURCE)
+    kernel = program.kernel("SAXPY")
+    for name in ("compiled", "fused"):
+        plan = workloads.get_backend(name).plan(program.parsed, kernel)
+        assert plan.accesses == plan.affine == 3
+    assert set(workloads.Explore.STAT_FAILURES) <= set(ExploreStats().as_dict())
 
 
 def plan_of(src):

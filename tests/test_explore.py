@@ -492,9 +492,8 @@ def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
 
 
 def test_a_search_runs_in_the_callers_thread(monkeypatch, fault_free):
-    """Without a watchdog, compiling, launching and verifying every
-    candidate starts no thread: under the GIL a pool only added
-    overhead."""
+    """Compiling, launching and verifying every candidate starts no
+    thread: under the GIL a pool only added overhead."""
     import threading
 
     started = []
@@ -509,7 +508,7 @@ def test_a_search_runs_in_the_callers_thread(monkeypatch, fault_free):
     inputs, size_env = bench.inputs_for("small")
     result = explore_program(
         bench.high_level(size_env), inputs, size_env,
-        config=ExploreConfig(depth=2, candidate_timeout=None),
+        config=ExploreConfig(depth=2),
     )
     assert result.stats.executions > 0
     assert started == []
@@ -551,8 +550,8 @@ def test_candidates_are_evaluated_in_the_order_given(
 
 
 def test_an_oracle_asked_from_two_threads_interprets_once(interpretations):
-    """A candidate attempt the watchdog gave up on can still be verifying
-    on its own thread beside the next candidate: both get the one array."""
+    """Callers may verify from threads of their own: every one of them
+    gets the one array."""
     import threading
 
     from repro.rewrite.explore import Oracle
@@ -576,16 +575,18 @@ def test_an_oracle_asked_from_two_threads_interprets_once(interpretations):
     assert len(seen) == 4 and all(a is seen[0] for a in seen)
 
 
-def test_explore_config_has_eight_knobs():
+def test_explore_config_has_seven_knobs():
     import dataclasses
 
     assert [f.name for f in dataclasses.fields(ExploreConfig)] == [
-        "depth", "max_eval", "device", "engine", "candidate_timeout",
-        "retries", "retry_backoff", "workload",
+        "depth", "max_eval", "device", "engine", "retries",
+        "retry_backoff", "workload",
     ]
 
 
-@pytest.mark.parametrize("knob", ["workers", "deadline", "cancellation"])
+@pytest.mark.parametrize(
+    "knob", ["workers", "deadline", "cancellation", "candidate_timeout"]
+)
 def test_a_search_has_no_pool_or_search_wide_stop(knob):
     with pytest.raises(TypeError, match=knob):
         ExploreConfig(**{knob: 1})

@@ -373,9 +373,8 @@ class TestOneNotionOfEquality:
 
     def test_racing_threads_cache_equal_keys(self):
         """Threads that ask for the keys and texts of a program nobody
-        keyed before (a candidate attempt the watchdog gave up on, still
-        running beside the next one): the lazy caches are single-slot
-        writes of equal values."""
+        keyed before (callers may key from threads of their own): the
+        lazy caches are single-slot writes of equal values."""
         import sys
         import threading
 
