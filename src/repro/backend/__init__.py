@@ -118,8 +118,8 @@ class CompiledBackend:
             simt_compile.launch_pipeline(parsed, kernel, plan, base_env)
         )
         simt.try_launch(
-            parsed, kernel, gsize, lsize, dict(base_env), local_decls,
-            counters, pipeline, whole_grid=self.whole_grid,
+            gsize, lsize, dict(base_env), local_decls, counters, pipeline,
+            whole_grid=self.whole_grid,
         )
 
 

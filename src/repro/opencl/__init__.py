@@ -10,7 +10,7 @@ counters, and a cost model with per-device profiles.
 from repro.opencl.runtime import Buffer, OpenCLProgram, launch
 from repro.opencl.interp import Counters, OutOfBounds
 from repro.opencl.cost import DeviceProfile, estimate_cycles
-from repro.opencl.simt import VectorizationError, analyze_kernel
+from repro.opencl.simt import VectorizationError
 
 __all__ = [
     "Buffer",
@@ -19,7 +19,6 @@ __all__ = [
     "OpenCLProgram",
     "OutOfBounds",
     "VectorizationError",
-    "analyze_kernel",
     "estimate_cycles",
     "launch",
 ]

@@ -320,8 +320,8 @@ COMPARE = {
 
 
 class Untyped(Exception):
-    """A node or name the static types cannot type; the message is the
-    reason the lane tiers refuse the kernel."""
+    """A node or name the static types cannot type, or a form the lane
+    tiers do not run; the message is the reason they refuse the kernel."""
 
 
 def is_arith(t: Optional[CType]) -> bool:

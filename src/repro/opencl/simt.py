@@ -4,21 +4,20 @@ The scalar interpreter in :mod:`repro.opencl.interp` walks the kernel AST
 once per work-item.  The lane tiers execute the kernel body *once per
 block of work-groups* instead, holding every scalar variable as a numpy
 array over lanes (one lane per work-item) and turning control flow into
-boolean lane masks.  This module is what those tiers share: the static
-analysis that admits a kernel (:func:`analyze_kernel`,
-:func:`written_pointer_roots`) and the :class:`_Block` runtime — lane
-values, masked binds and merges, memory traffic under the access facts
-of :class:`Access` (slices, scalar reads, closed-form accounting, end
-point bounds checks, proof-carrying stores), the cross-lane race
-detector and cached-load accounting.  The kernel AST itself is walked in
-exactly one place, :mod:`repro.opencl.simt_compile`, which lowers it
-once into a pipeline over a :class:`_Block`.  One launcher
+boolean lane masks.  This module is the runtime those tiers share: the
+:class:`_Block` — lane values, masked binds and merges, memory traffic
+under the access facts of :class:`Access` (slices, scalar reads,
+closed-form accounting, end point bounds checks, proof-carrying
+stores), the cross-lane race detector and cached-load accounting.  It
+never reads the kernel AST: :mod:`repro.opencl.simt_compile` admits,
+types and lowers a kernel once into a pipeline over a :class:`_Block`,
+from one syntactic scan and one typing walk.  One launcher
 (:func:`try_launch`) runs that pipeline in one of two layouts: blocks
 of at most :data:`MAX_LANES` lanes (``compiled`` / ``auto``), or the
 whole launch as one block (``fused``, up to :data:`FUSED_MAX_LANES`).
 
 * ``barrier`` is trivially satisfied: lanes execute in lock-step.  The
-  analysis only admits kernels whose barriers sit under *group-uniform*
+  plan only admits kernels whose barriers sit under *group-uniform*
   control flow, so within each work-group the mask at a barrier is
   all-or-nothing, which is exactly the OpenCL contract.
 * loads/stores are gathers and scatters (`numpy` fancy indexing) or, under
@@ -37,11 +36,10 @@ pairs, settled once per block (see :class:`_LoadLog`).
 
 Fallback rules
 --------------
-A kernel is refused statically in two places, and the launch then runs
-on the scalar interpreter: the typing walk of
-:mod:`repro.opencl.simt_compile` refuses what it cannot type, and
-:func:`analyze_kernel`, before it, a construct whose lane-batched
-execution could diverge from scalar semantics, or that the oracle
+A kernel the plan refuses statically runs on the scalar interpreter
+(:func:`repro.opencl.simt_compile.get_pipeline` gives the reason): what
+the typing walk cannot type, and a construct whose lane-batched
+execution could diverge from scalar semantics or that the oracle
 rejects with a typed error:
 
 * a barrier under lane-divergent control flow (this is also how
@@ -81,21 +79,16 @@ import numpy as np
 
 from repro.compiler import cast as c
 from repro.obs import profile as _obs_profile
-from repro.opencl.cparser import ParsedProgram
 from repro.opencl.interp import (
     Counters,
     ExecError,
     OutOfBounds,
     Pointer,
-    children,
-    statement_parts,
     _MATH_BUILTINS,
     _c_int_div,
     _c_int_mod,
     array_dtype,
     convert,
-    declared_kinds,
-    vector_literal_width,
 )
 
 #: Lanes batched together (across whole work-groups) per executor block.
@@ -111,419 +104,6 @@ class VectorUnsupported(Exception):
 
 class VectorizationError(ExecError):
     """Raised when a strict engine is forced on an unsupported kernel."""
-
-
-_GEOM_UNIFORM = {
-    "get_group_id",
-    "get_num_groups",
-    "get_local_size",
-    "get_global_size",
-}
-_GEOM_LANE = {"get_local_id", "get_global_id"}
-_GEOMETRY = _GEOM_UNIFORM | _GEOM_LANE
-
-
-def _is_vload(name: str) -> bool:
-    return name.startswith("vload") and name[5:].isdigit()
-
-
-def _is_vstore(name: str) -> bool:
-    return name.startswith("vstore") and name[6:].isdigit()
-
-
-# ---------------------------------------------------------------------------
-# static vectorizability analysis
-# ---------------------------------------------------------------------------
-
-def analyze_kernel(parsed: ParsedProgram, kernel: c.CFunctionDef) -> Optional[str]:
-    """``None`` when the kernel is vectorizable, else the fallback reason.
-
-    Results are cached on the parsed program (which the runtime also
-    caches per source), so the analysis runs once per distinct kernel.
-    """
-    cache = getattr(parsed, "_simt_analysis", None)
-    if cache is None:
-        cache = {}
-        parsed._simt_analysis = cache
-    if kernel.name in cache:
-        return cache[kernel.name]
-    reason = _analyze(parsed, kernel)
-    cache[kernel.name] = reason
-    return reason
-
-
-def _analyze(parsed: ParsedProgram, kernel: c.CFunctionDef) -> Optional[str]:
-    reason = _check_function(parsed, kernel, frozenset(), is_kernel=True)
-    if reason is not None:
-        return reason
-    statements = statement_types(kernel)
-    if c.CBarrier in statements:
-        if c.CReturn in statements:
-            return "barrier combined with early return"
-        if not _barriers_group_uniform(kernel):
-            return "barrier under lane-divergent control flow"
-    return None
-
-
-def _check_function(
-    parsed: ParsedProgram, fn: c.CFunctionDef, stack: frozenset, is_kernel: bool
-) -> Optional[str]:
-    if fn.name in stack:
-        return f"recursive helper function {fn.name!r}"
-    # A helper accepted once is accepted from every call site: whatever
-    # it reaches is acyclic, so no caller on the stack is among it.
-    accepted = parsed.__dict__.setdefault("_simt_helpers_ok", set())
-    if not is_kernel and fn.name in accepted:
-        return None
-    for name, kind in declared_kinds(fn).items():
-        if kind == "mixed":
-            return f"{name!r} is declared with two types in {fn.name!r}"
-    reason = _check_stmt(parsed, fn.body, stack | {fn.name}, is_kernel)
-    if reason is None and not is_kernel:
-        accepted.add(fn.name)
-    return reason
-
-
-def _check_stmt(parsed, s, stack, is_kernel) -> Optional[str]:
-    t = type(s)
-    if t not in _STATEMENTS:
-        return f"unsupported statement {t.__name__}"
-    if t is c.CBarrier and not is_kernel:
-        return "barrier inside helper function"
-    if t is c.CAssign and type(s.target) not in (c.CIdent, c.CIndex, c.CMember):
-        return f"assignment to non-lvalue {type(s.target).__name__}"
-    exprs, stmts = statement_parts(s)
-    for part in exprs:
-        r = _check_expr(parsed, part, stack, is_kernel)
-        if r:
-            return r
-    for sub in stmts:
-        r = _check_stmt(parsed, sub, stack, is_kernel)
-        if r:
-            return r
-    return None
-
-
-#: Every statement node the parser builds.
-_STATEMENTS = frozenset((
-    c.CBlock, c.CDecl, c.CAssign, c.CExprStmt, c.CFor, c.CIf, c.CReturn,
-    c.CBarrier, c.CComment,
-))
-
-
-def _check_expr(parsed, e, stack, is_kernel) -> Optional[str]:
-    t = type(e)
-    if t not in _EXPRESSIONS:
-        return f"unsupported expression {t.__name__}"
-    if t is c.CVectorLiteral:
-        try:
-            vector_literal_width(e)
-        except ExecError as exc:
-            return str(exc)
-    for part in children(e):
-        r = _check_expr(parsed, part, stack, is_kernel)
-        if r:
-            return r
-    if t is not c.CCall:
-        return None
-    name = e.func
-    if name.startswith("get_"):
-        if name not in _GEOMETRY:
-            return f"unknown geometry builtin {name!r}"
-        dim = e.args[0] if e.args else None
-        if type(dim) is c.CInt and not 0 <= dim.value <= 2:
-            return f"{name}({dim.value}): no dimension {dim.value}"
-        return None
-    if _is_vload(name) or _is_vstore(name):
-        arity = 2 if _is_vload(name) else 3
-        if len(e.args) != arity:
-            return f"{name} takes {arity} arguments, not {len(e.args)}"
-        return None
-    if name in _MATH_BUILTINS:
-        return None
-    fn = parsed.functions.get(name)
-    if fn is None:
-        return f"call to unknown function {name!r}"
-    return _check_function(parsed, fn, stack, is_kernel=False)
-
-
-#: Every expression node the parser builds.
-_EXPRESSIONS = frozenset((
-    c.CIdent, c.CInt, c.CFloat, c.CBinOp, c.CUnOp, c.CTernary, c.CCall,
-    c.CIndex, c.CMember, c.CCast, c.CVectorLiteral,
-))
-
-
-def statement_types(fn: c.CFunctionDef) -> frozenset:
-    """The statement classes in ``fn``'s body at any depth (cached on
-    the function node)."""
-    found = fn.__dict__.get("_statement_types")
-    if found is None:
-        classes: set = set()
-
-        def walk(s) -> None:
-            classes.add(type(s))
-            for sub in statement_parts(s)[1]:
-                walk(sub)
-
-        walk(fn.body)
-        found = fn._statement_types = frozenset(classes)
-    return found
-
-
-# -- group-uniformity analysis for barrier placement ------------------------
-
-#: Calls whose result all work-items of a group agree on, given
-#: arguments they agree on.
-_GROUP_UNIFORM_CALLS = _GEOM_UNIFORM | frozenset(_MATH_BUILTINS)
-
-
-def _barriers_group_uniform(kernel: c.CFunctionDef) -> bool:
-    """True when every barrier sits only under group-uniform conditions.
-
-    A value is *group-uniform* when all work-items of one group agree on
-    it: literals, scalar kernel arguments, ``get_group_id`` and the size
-    getters, and variables only ever assigned group-uniform values under
-    group-uniform control.  ``get_local_id`` / ``get_global_id`` and any
-    memory load are lane-varying.
-    """
-    uniform = uniform_names(kernel, _GROUP_UNIFORM_CALLS)
-    return _barrier_ctrl_ok(kernel.body, True, uniform)
-
-
-def _expr_uniform(e, uniform: set, calls=_GROUP_UNIFORM_CALLS) -> bool:
-    deps = _uniform_deps(e, set(), calls)
-    return deps is not None and deps <= uniform
-
-
-def _uniform_deps(e, deps: set, calls) -> Optional[set]:
-    """``deps`` plus the names ``e`` reads, or ``None`` when ``e`` is
-    never uniform (a lane getter, a memory load, a helper call, a member
-    or vector value — conservative)."""
-    t = type(e)
-    if t is c.CIdent:
-        deps.add(e.name)
-        return deps
-    if t is c.CInt or t is c.CFloat:
-        return deps
-    if t is c.CBinOp:
-        parts = (e.lhs, e.rhs)
-    elif t is c.CUnOp or t is c.CCast:
-        parts = (e.operand,)
-    elif t is c.CTernary:
-        parts = (e.cond, e.then, e.otherwise)
-    elif t is c.CCall and e.func in calls:
-        parts = e.args
-    else:
-        return None
-    for part in parts:
-        if _uniform_deps(part, deps, calls) is None:
-            return None
-    return deps
-
-
-def uniform_names(kernel: c.CFunctionDef, calls) -> set:
-    """The names every work-item agrees on, where ``calls`` are the
-    builtins whose result they agree on: parameters and assigned names,
-    less any name one of whose stores (declaration, assignment, compound
-    assignment, member store) may differ between work-items — its value
-    or an enclosing loop or branch condition reads something that does.
-
-    One walk records each store with the names it depends on; demotion
-    then propagates through those sets to a fixpoint (the greatest set
-    of names consistent with every store)."""
-    names = {p.name for p in kernel.params}
-    stores: list = []  # (name, the names it depends on, or None: never)
-
-    def walk(s, ctrl) -> None:
-        t = type(s)
-        if t is c.CBlock:
-            for sub in s.stmts:
-                walk(sub, ctrl)
-        elif t is c.CDecl:
-            names.add(s.name)
-            deps = set() if s.array_size is not None or s.init is None else (
-                _uniform_deps(s.init, set(), calls)
-            )
-            stores.append((s.name, _with(ctrl, deps)))
-        elif t is c.CAssign:
-            target = s.target
-            if type(target) is c.CIdent:
-                names.add(target.name)
-                deps = _uniform_deps(s.value, set(), calls)
-                if deps is not None and s.op != "=":
-                    deps.add(target.name)
-                stores.append((target.name, _with(ctrl, deps)))
-            elif type(target) is c.CMember and type(target.base) is c.CIdent:
-                stores.append((target.base.name, None))
-        elif t is c.CFor:
-            if s.init is not None:
-                walk(s.init, ctrl)
-            inner = ctrl if s.cond is None else _with(
-                ctrl, _uniform_deps(s.cond, set(), calls)
-            )
-            walk(s.body, inner)
-            if s.step is not None:
-                walk(s.step, inner)
-        elif t is c.CIf:
-            inner = _with(ctrl, _uniform_deps(s.cond, set(), calls))
-            walk(s.then, inner)
-            if s.otherwise is not None:
-                walk(s.otherwise, inner)
-
-    walk(kernel.body, frozenset())
-    uniform = set(names)
-    changed = True
-    while changed:
-        changed = False
-        for name, deps in stores:
-            if name in uniform and (deps is None or not deps <= uniform):
-                uniform.discard(name)
-                changed = True
-    return uniform
-
-
-def _with(ctrl, deps):
-    """The dependencies of a store under control ``ctrl``."""
-    if ctrl is None or deps is None:
-        return None
-    return ctrl | deps if ctrl else deps
-
-
-def _barrier_ctrl_ok(s, ctrl: bool, uniform: set) -> bool:
-    if isinstance(s, c.CBarrier):
-        return ctrl
-    if isinstance(s, (c.CFor, c.CIf)) and s.cond is not None:
-        ctrl = ctrl and _expr_uniform(s.cond, uniform)
-    return all(_barrier_ctrl_ok(sub, ctrl, uniform) for sub in statement_parts(s)[1])
-
-
-# -- written-pointer analysis ------------------------------------------------
-#
-# The race detector only matters for buffers some work-item can *write*:
-# a buffer that is never stored through cannot produce an order-dependent
-# result, so loads from it skip the (comparatively expensive) hazard
-# bookkeeping entirely.  This conservative data-flow pass computes the
-# set of identifier names whose value may reach a store; the launcher
-# intersects it with the actual argument arrays (so aliased buffers —
-# one array passed under two names — stay tracked).
-
-def written_pointer_roots(parsed: ParsedProgram, kernel: c.CFunctionDef) -> frozenset:
-    """Names (params, locals) whose value may flow into a stored-through
-    pointer anywhere in the kernel or its helpers.  Conservative: unknown
-    constructs mark every involved identifier."""
-    cache = getattr(parsed, "_simt_written", None)
-    if cache is None:
-        cache = {}
-        parsed._simt_written = cache
-    if kernel.name in cache:
-        return cache[kernel.name]
-    roots = frozenset(_roots_of_function(parsed, kernel, frozenset(), {}))
-    cache[kernel.name] = roots
-    return roots
-
-
-def _expr_idents(e, out: set) -> None:
-    if type(e) is c.CIdent:
-        out.add(e.name)
-    for part in children(e):
-        _expr_idents(part, out)
-
-
-def _roots_of_function(
-    parsed, fn: c.CFunctionDef, stack: frozenset, memo: dict
-) -> set:
-    """Fixpoint written-roots computation for one function body.
-
-    ``memo`` caches helper results by name for one analysis run (they
-    are caller-independent), so a kernel calling the same helper from
-    many sites — or through nested helper chains — scans each body
-    once instead of once per call expression.
-    """
-    written: set = set()
-    flows: list = []  # (target name, identifier names of the value)
-
-    def scan_expr(e) -> None:
-        if isinstance(e, c.CCall):
-            for a in e.args:
-                scan_expr(a)
-            name = e.func
-            if _is_vstore(name):
-                _expr_idents(e.args[2], written)
-            elif (
-                name.startswith("get_")
-                or _is_vload(name)
-                or name in _MATH_BUILTINS
-            ):
-                pass
-            elif name in parsed.functions:
-                callee = parsed.functions[name]
-                if name in stack:
-                    # Recursive helpers never vectorize; stay sound.
-                    for a in e.args:
-                        _expr_idents(a, written)
-                else:
-                    callee_written = memo.get(name)
-                    if callee_written is None:
-                        callee_written = _roots_of_function(
-                            parsed, callee, stack | {fn.name}, memo
-                        )
-                        memo[name] = callee_written
-                    for p, a in zip(callee.params, e.args):
-                        if p.name in callee_written:
-                            _expr_idents(a, written)
-            else:
-                # Unknown function: assume it may write through any arg.
-                for a in e.args:
-                    _expr_idents(a, written)
-        else:
-            for part in children(e):
-                scan_expr(part)
-
-    def scan_stmt(s) -> None:
-        if isinstance(s, c.CDecl):
-            if s.init is not None:
-                scan_expr(s.init)
-                ids: set = set()
-                _expr_idents(s.init, ids)
-                flows.append((s.name, ids))
-        elif isinstance(s, c.CAssign):
-            scan_expr(s.value)
-            if isinstance(s.target, c.CIdent):
-                ids = set()
-                _expr_idents(s.value, ids)
-                flows.append((s.target.name, ids))
-            elif isinstance(s.target, c.CIndex):
-                _expr_idents(s.target.base, written)
-                scan_expr(s.target.index)
-            elif isinstance(s.target, c.CMember):
-                # Member stores hit struct registers / vector variables,
-                # not shared buffers — but a pointer stored *into* a
-                # member must still flow to the container's name.
-                scan_expr(s.target.base)
-                base = s.target.base
-                while isinstance(base, c.CMember):
-                    base = base.base
-                if isinstance(base, c.CIdent):
-                    ids = set()
-                    _expr_idents(s.value, ids)
-                    flows.append((base.name, ids))
-        else:
-            exprs, stmts = statement_parts(s)
-            for part in exprs:
-                scan_expr(part)
-            for sub in stmts:
-                scan_stmt(sub)
-
-    scan_stmt(fn.body)
-    changed = True
-    while changed:
-        changed = False
-        for target, ids in flows:
-            if target in written and not ids <= written:
-                written |= ids
-                changed = True
-    return written
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +301,8 @@ class _Block:
         # launches, kept valid by the monotonic segment epoch.
         self._hazards: dict = {}
         # ``None`` tracks every shared buffer; a set restricts hazard
-        # bookkeeping to the arrays some lane may write (see
-        # :func:`written_pointer_roots`).
+        # bookkeeping to the arrays some lane may write (the plan's
+        # ``written`` buffers).
         self._tracked = tracked
         self._seg_base = seg_start
         self._segment = seg_start
@@ -1856,8 +1436,6 @@ _VMATH.update(
 # ---------------------------------------------------------------------------
 
 def try_launch(
-    parsed: ParsedProgram,
-    kernel: c.CFunctionDef,
     gsize: tuple,
     lsize: tuple,
     base_env: dict,
@@ -1866,7 +1444,7 @@ def try_launch(
     pipeline,
     whole_grid: bool = False,
 ) -> None:
-    """Run ``pipeline`` (the kernel's compiled pipeline from
+    """Run ``pipeline`` (a kernel's compiled pipeline from
     :mod:`repro.opencl.simt_compile`) over the launch (counters merged,
     buffers written), in one of two layouts: blocks of whole work-groups
     of at most :data:`MAX_LANES` lanes, run in the scalar engine's group
@@ -1874,15 +1452,15 @@ def try_launch(
     caller keeps it within :data:`FUSED_MAX_LANES`).
 
     On a dynamic :class:`VectorUnsupported` the buffers the kernel may
-    write (:func:`written_pointer_roots`) are restored from a snapshot
-    and the exception — whose message is the decline reason the ledger
-    records — propagates, so the caller can re-run the launch on another
-    tier.  No other buffer needs one: a store through it raises before
-    it writes.  The whole-grid layout multiplies per-lane state by the
-    entire launch, so running out of memory there is refused the same
-    way.
+    write (the pipeline's ``written`` names) are restored from a
+    snapshot and the exception — whose message is the decline reason
+    the ledger records — propagates, so the caller can re-run the launch
+    on another tier.  No other buffer needs one: a store through it
+    raises before it writes.  The whole-grid layout multiplies per-lane
+    state by the entire launch, so running out of memory there is
+    refused the same way.
     """
-    written = written_pointer_roots(parsed, kernel)
+    written = pipeline.written
     snapshot: dict = {}
     for name, v in base_env.items():
         if isinstance(v, Pointer) and name in written and id(v.array) not in snapshot:
@@ -1891,8 +1469,8 @@ def try_launch(
     try:
         with np.errstate(all="ignore"):
             _run_blocks(
-                kernel, gsize, lsize, base_env, local_decls, staged,
-                pipeline, written, whole_grid,
+                gsize, lsize, base_env, local_decls, staged, pipeline,
+                whole_grid,
             )
     except (VectorUnsupported, MemoryError) as exc:
         for array, saved in snapshot.values():
@@ -2012,12 +1590,10 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
     return geometry
 
 
-def _run_blocks(
-    kernel, gsize, lsize, base_env, local_decls, counters, pipeline,
-    written, whole_grid,
-):
+def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline, whole_grid):
     geometry = _block_geometry(gsize, lsize, whole_grid)
     num_groups = geometry["num_groups"]
+    written = pipeline.written
 
     tracked = {
         id(v.array)
@@ -2043,7 +1619,7 @@ def _run_blocks(
 
     prof = _obs_profile.ACTIVE
     if prof is not None:
-        prof.begin_launch(kernel.name)
+        prof.begin_launch(pipeline.kernel_name)
         for name, value in vptr_env.items():
             if isinstance(value, VPtr):
                 prof.map_buffer(value.array, name)

@@ -6,7 +6,11 @@ lookup per builtin, in every block of every launch.  This module pays
 the walk **once per kernel**: the AST is lowered into a pipeline of
 Python closures over the lane-array runtime of
 :class:`repro.opencl.simt._Block`, the only lane-array evaluator of the
-AST, resolving statically what a walk would re-derive per block:
+AST, resolving statically what a walk would re-derive per block.  At
+plan time exactly two passes visit the kernel's AST: the syntactic
+:func:`scan_kernel` (which names work-items agree on, barrier
+placement, name facts, sole store sites) and the typing walk, which
+does the rest:
 
 * statement and expression dispatch (one closure per node) and operator
   selection (``+`` compiles to ``operator.add``, ``/`` to integer or
@@ -29,16 +33,23 @@ AST, resolving statically what a walk would re-derive per block:
   their flop costs, struct member templates, declaration dtypes;
 * helper functions: a **straight-line** helper (every Lift user
   function) is inlined into its caller's closure; a helper with control
-  flow keeps its own return-mask frame.
+  flow keeps its own return-mask frame;
+* **written buffers**: the names a store may reach through a pointer,
+  helper parameters included (``Pipeline.written``), which the launcher
+  snapshots and race-tracks.
 
 The walk types every node or refuses the kernel: a node no rule types,
 or a name, return or member that would hold two types, raises
-:class:`~repro.opencl.interp.Untyped` naming it.  No closure reads the
-type of a value at run time.  :func:`repro.opencl.simt.analyze_kernel`
-refuses unsupported forms before the walk (an assertion marks each
-place the lowering relies on it).  A refused kernel has no pipeline:
-:func:`get_pipeline` returns the reason, and the launch falls to the
-scalar oracle with it in the ledger.
+:class:`~repro.opencl.interp.Untyped` naming it, and so does a form
+the lane tiers do not run (a recursive or unknown helper, a barrier in
+a helper, an unknown geometry builtin or dimension, a ``vloadN`` /
+``vstoreN`` arity, a vector literal's item count, a non-lvalue store,
+a name declared with two types) at the node that has it; the scan
+refuses a barrier under lane-divergent control or beside an early
+``return``.  No closure reads the type of a value at run time.  A
+refused kernel has no pipeline: :func:`get_pipeline` returns the
+reason, and the launch falls to the scalar oracle with it in the
+ledger.
 
 The pipeline is segmented at top-level barriers (:func:`split_at_barriers`),
 as the scalar engine schedules segments between synchronization
@@ -56,7 +67,7 @@ import operator
 import threading
 import time
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -109,13 +120,7 @@ from repro.opencl.simt import (
     _VMATH,
     _by_value,
     _convert,
-    _expr_uniform,
     _is_uniform,
-    _is_vload,
-    _is_vstore,
-    analyze_kernel,
-    statement_types,
-    uniform_names,
 )
 
 _align = _Block._align
@@ -136,6 +141,15 @@ _GEOMETRY_FIELDS = {
     "get_global_size": "global_size",
     "get_num_groups": "num_groups",
 }
+
+
+def _is_vload(name: str) -> bool:
+    return name.startswith("vload") and name[5:].isdigit()
+
+
+def _is_vstore(name: str) -> bool:
+    return name.startswith("vstore") and name[6:].isdigit()
+
 
 #: ``l op r`` per arithmetic operator (C's ``%`` on floats is ``fmod``,
 #: like the oracle's ``math.fmod``).
@@ -217,9 +231,13 @@ _SIZES = {
     "get_global_size": "global_size",
     "get_num_groups": "num_groups",
 }
-#: Calls whose result every work-item agrees on, given arguments they
-#: agree on (``get_group_id`` varies between the groups of a block).
-_GRID_UNIFORM_CALLS = frozenset(_SIZES) | frozenset(_MATH_BUILTINS)
+#: Calls whose result the work-items of a group agree on, given
+#: arguments they agree on; all but ``get_group_id`` hold across the grid.
+_UNIFORM_CALLS = frozenset(_SIZES) | frozenset(_MATH_BUILTINS) | {"get_group_id"}
+#: What a value read through ``get_group_id`` depends on (no C name).
+_GROUP = "get_group_id()"
+#: The expression nodes whose value is uniform when their parts are.
+_COMPOSITE = frozenset((c.CInt, c.CFloat, c.CBinOp, c.CUnOp, c.CCast, c.CTernary))
 
 
 def _sym(op: str, a, b):
@@ -233,10 +251,12 @@ def _sym(op: str, a, b):
 
 
 def _dim(e: c.CCall) -> Optional[int]:
-    """A geometry builtin's literal dimension."""
+    """A geometry builtin's literal dimension (0 to 2; the walk refuses
+    any other)."""
     if not e.args:
         return 0
-    return e.args[0].value if type(e.args[0]) is c.CInt else None
+    dim = e.args[0]
+    return dim.value if type(dim) is c.CInt and 0 <= dim.value <= 2 else None
 
 
 def _uniform_value(e, scope: "Scope"):
@@ -310,9 +330,34 @@ class Scope:
         self.facts: dict = {}
 
 
-def scan_kernel(kernel: c.CFunctionDef) -> tuple:
-    """``(scope, sole names, sole sites)``: one syntactic pass over a
-    kernel for the walk.
+class KernelScan(NamedTuple):
+    """What :func:`scan_kernel` finds in a kernel for the walk."""
+
+    scope: "Scope"  # the facts of the kernel's names
+    group: frozenset  # the names the work-items of each group agree on
+    has_returns: bool  # whether the kernel body holds a ``return``
+    sole_names: frozenset
+    sole_sites: frozenset
+
+
+def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
+    """One syntactic pass over a kernel, before the walk; it raises
+    :class:`~repro.opencl.interp.Untyped` for a barrier the lane tiers
+    cannot run.
+
+    A name is *uniform* over a set of work-items when they all agree on
+    it: a parameter or assigned name none of whose stores (declaration,
+    assignment, compound assignment, member store) may differ between
+    them — its value or an enclosing loop or branch condition reads
+    something that does.  The pass records each store with the names it
+    reads; demotion propagates through those sets to a fixpoint (the
+    greatest set of names consistent with every store).  Literals, the
+    size getters and math builtins of agreed arguments are agreed on;
+    lane ids, loads, helper calls, members and vectors never are.  There
+    are two levels: a group's work-items (``group``), which also agree
+    on ``get_group_id``, and the grid's (``scope.uniform``, the ``int``
+    names among them).  A barrier must sit only under conditions its
+    group agrees on, and never in a kernel that returns early.
 
     A name has a fact when it is declared once and every store to it
     carries one, all with the same coefficients, each under control its
@@ -338,10 +383,14 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
     branch holding a barrier lies inside one such stretch); its proof
     restarts at every barrier."""
     kinds = declared_kinds(kernel)
-    agreed = uniform_names(kernel, _GRID_UNIFORM_CALLS)
-    scope = Scope(frozenset(n for n in agreed if kinds.get(n) == "i"))
     decls: dict = {}  # name -> [count, control around it, value]
-    stores: list = []  # (name, stored value or None, control around it)
+    # (name, stored value or None, control around it, the names the
+    # store reads: its value and the conditions around it; None: its
+    # lanes may disagree whatever they read)
+    stores: list = []
+    conds: dict = {}  # id(loop or branch) -> the names its condition reads
+    barriers: list = []  # the names the conditions around each barrier read
+    returns = [False]
     buffers = {p.name for p in kernel.params if p.is_pointer}
     local: set = set()  # the local arrays
     sites: dict = {}  # buffer -> its store statements
@@ -366,25 +415,30 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
             for part in children(e):
                 scan(part)
 
-    def walk(s, ctrl: tuple) -> None:
+    def store(name: str, value, ctrl: tuple, reads) -> None:
+        stores.append((name, value, ctrl, _with(reads, _reads(value, set()))))
+
+    def walk(s, ctrl: tuple, reads) -> None:
         t = type(s)
         if t is c.CBlock:
             for sub in s.stmts:
-                walk(sub, ctrl)
+                walk(sub, ctrl, reads)
         elif t is c.CDecl:
             value = s.init if s.init is not None else c.CInt(0)
             decls.setdefault(s.name, [0, ctrl, value])[0] += 1
+            store(s.name, value, ctrl, reads)
             if s.array_size is not None and s.qualifier == "local":
                 buffers.add(s.name)
                 local.add(s.name)
             scan(value)
         elif t is c.CBarrier:
             stretch[0] += not ctrl
+            barriers.append(reads)
         elif t is c.CAssign:
             target = s.target
             if type(target) is c.CIdent:
                 value = s.value if s.op == "=" else c.CBinOp(s.op[0], target, s.value)
-                stores.append((target.name, value, ctrl))
+                store(target.name, value, ctrl, reads)
             elif type(target) is c.CIndex and type(target.base) is c.CIdent:
                 sites.setdefault(target.base.name, []).append(s)
                 placed[id(s)] = stretch[0]
@@ -395,44 +449,70 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
                 scan(target.index)
             else:
                 scan(target)
-                if type(target.base) is c.CIdent:  # a member store
-                    stores.append((target.base.name, None, ctrl))
+                if type(target) is c.CMember and type(target.base) is c.CIdent:
+                    stores.append((target.base.name, None, ctrl, None))
             scan(s.value)
-        else:  # the control of a loop or branch holds inside it
-            exprs, stmts = statement_parts(s)
-            for part in exprs:
+        elif t is c.CFor or t is c.CIf:
+            # A loop's initialisation runs under the control around it,
+            # its body and step under its condition too; the facts take
+            # all three as inside the loop.
+            inner = ctrl + (s,)
+            cond = conds[id(s)] = (
+                frozenset() if s.cond is None else _reads(s.cond, set())
+            )
+            if s.cond is not None:
+                scan(s.cond)
+            under = _with(reads, cond)
+            if t is c.CFor:
+                if s.init is not None:
+                    walk(s.init, inner, reads)
+                walk(s.body, inner, under)
+                if s.step is not None:
+                    walk(s.step, inner, under)
+            else:
+                walk(s.then, inner, under)
+                if s.otherwise is not None:
+                    walk(s.otherwise, inner, under)
+        else:
+            returns[0] = returns[0] or t is c.CReturn
+            for part in statement_parts(s)[0]:
                 scan(part)
-            for sub in stmts:
-                walk(sub, ctrl + (s,))
 
-    walk(kernel.body, ())
-    # Names declared once whose every store sits under control its lanes
-    # agree on below the declaration; the declaration's value first.
+    walk(kernel.body, (), frozenset())
+    stored = {name for name, *_ in stores}
+    names = {p.name for p in kernel.params} | stored
+    group = _agreed(names, stores, {_GROUP})
+    if barriers:
+        if returns[0]:
+            raise Untyped("barrier combined with early return")
+        if any(reads is None or not reads <= group for reads in barriers):
+            raise Untyped("barrier under lane-divergent control flow")
+    agreed = _agreed(names, stores, set())
+    scope = Scope(frozenset(n for n in agreed if kinds.get(n) == "i"))
+    # Names declared once whose every store (the declaration's among
+    # them) sits under control its lanes agree on below the declaration.
     candidates = {
-        name: [decl[2]] for name, decl in decls.items()
+        name: [] for name, decl in decls.items()
         if decl[0] == 1 and kinds.get(name) == "i" and name not in scope.uniform
     }
-    agrees: dict = {}  # id(loop or branch) -> whether its condition is uniform
-    for name, value, ctrl in stores:
+    for name, value, ctrl, _ in stores:
         if name in candidates:
             around = decls[name][1]
             clean = value is not None and len(ctrl) >= len(around) and all(
                 a is b for a, b in zip(ctrl, around)
             )
             for s in ctrl[len(around):] if clean else ():
-                if id(s) not in agrees:
-                    agrees[id(s)] = s.cond is None or _expr_uniform(
-                        s.cond, agreed, _GRID_UNIFORM_CALLS
-                    )
-                clean = clean and agrees[id(s)]
+                cond = conds[id(s)]
+                clean = cond is not None and cond <= agreed
+                if not clean:
+                    break
             if clean:
                 candidates[name].append(value)
             else:
                 del candidates[name]
     # A stored fact's coefficients are read when the name is used, so
     # they may read only the parameters no statement stores to.
-    fixed = {p.name for p in kernel.params if not p.is_pointer}
-    fixed -= set(decls) | {name for name, _, _ in stores}
+    fixed = {p.name for p in kernel.params if not p.is_pointer} - stored
     # In declaration order, so a declaration finds the facts of the names
     # it reads (a name read before its declaration has none).
     for name, values in candidates.items():
@@ -449,7 +529,52 @@ def scan_kernel(kernel: c.CFunctionDef) -> tuple:
         alone = [s for s in sites.get(name, ()) if touched[name, placed[id(s)]] == 1]
         if alone:
             sole[name] = alone
-    return scope, frozenset(sole), frozenset(id(s) for v in sole.values() for s in v)
+    return KernelScan(
+        scope, frozenset(group - {_GROUP}), returns[0], frozenset(sole),
+        frozenset(id(s) for v in sole.values() for s in v),
+    )
+
+
+def _reads(e, names: set) -> Optional[set]:
+    """``names`` plus the names ``e`` reads (:data:`_GROUP` for a group
+    id), or ``None`` when work-items may disagree on ``e`` whatever they
+    read (a lane id, a load, a helper call, a member or vector value)."""
+    t = type(e)
+    if t is c.CIdent:
+        names.add(e.name)
+        return names
+    if t is c.CCall:
+        if e.func not in _UNIFORM_CALLS:
+            return None
+        if e.func == "get_group_id":
+            names.add(_GROUP)
+    elif t not in _COMPOSITE:
+        return None
+    for part in children(e):
+        if _reads(part, names) is None:
+            return None
+    return names
+
+
+def _with(ctrl, reads):
+    """What a store reads under control reading ``ctrl``."""
+    if ctrl is None or reads is None:
+        return None
+    return ctrl | reads if ctrl else reads
+
+
+def _agreed(names: set, stores: list, given: set) -> set:
+    """The greatest subset of ``names`` (plus ``given``) whose every
+    store reads only names in it."""
+    agreed = names | given
+    changed = True
+    while changed:
+        changed = False
+        for name, _, _, reads in stores:
+            if name in agreed and (reads is None or not reads <= agreed):
+                agreed.discard(name)
+                changed = True
+    return agreed
 
 
 def _value_of(value, b):
@@ -500,8 +625,8 @@ def _access(ctx, pointer, index, scale: int = 1, sole: bool = False) -> Access:
 class _Ctx:
     """Per-pipeline compilation state: the static types the walk fills,
     the function being compiled (its declared kinds: stores resolve
-    their conversion here, at plan time) and the helper bodies compiled
-    so far."""
+    their conversion here, at plan time; the names it may write through)
+    and the helper bodies compiled so far."""
 
     def __init__(self, parsed: ParsedProgram, fn: c.CFunctionDef,
                  types: StaticTypes, scope: Scope, sole_sites: frozenset):
@@ -513,8 +638,14 @@ class _Ctx:
         self.kinds = declared_kinds(fn)
         self.names = types.names.setdefault(fn.name, {})
         self.scope = scope  # the facts of the function's names
+        self.stack = (fn.name,)  # the functions being compiled, outermost first
+        #: The function's names a store may reach a buffer through, and
+        #: ``(name, the names of the pointer stored into it)`` per store.
+        self.written: set = set()
+        self.flows: list = []
         self.sole_sites = sole_sites
-        self.helpers: dict = {}  # name -> framed body, or inlined parts
+        #: name -> (framed body or inlined parts, its written parameters)
+        self.helpers: dict = {}
         self.loads: dict = {}  # name -> its (shared) load closure
         self.inlined = 0  # call sites compiled inline
         self.accesses = 0  # load and store sites
@@ -555,20 +686,57 @@ class _Ctx:
         )
 
     def refuse(self, e, detail: str) -> Untyped:
-        """The refusal of node ``e`` of the function being compiled."""
+        """The refusal of node ``e`` of the function being compiled, or
+        with ``e`` ``None`` of a form, ``detail`` naming it."""
+        if e is None:
+            return Untyped(detail)
         return Untyped(
             f"no static type for {c.print_expr(e)!r} in {self.fn.name!r}: {detail}"
         )
 
-    def bind(self, name: str, value_c: ExprFn, declaring: bool, vt) -> StmtFn:
-        """The store ``name = value_c(...)`` of a value of type ``vt``,
+    def roots(self, e) -> set:
+        """The names whose buffers the typed node ``e`` may point into
+        (none unless it is a pointer)."""
+        t = self.typed.get(id(e))
+        if t is None or t.kind != "ptr":
+            return set()
+        if type(e) is c.CIdent:
+            return {e.name}
+        return set().union(*(self.roots(part) for part in children(e)))
+
+    def settle(self) -> set:
+        """The function's written names, closed under its flows: a name
+        that is written makes what was stored into it written."""
+        written = self.written
+        changed = True
+        while changed:
+            changed = False
+            for name, roots in self.flows:
+                if name in written and not roots <= written:
+                    written |= roots
+                    changed = True
+        return written
+
+    def bind(self, name: str, value, value_c: ExprFn, declaring: bool, vt) -> StmtFn:
+        """The store ``name = value_c(...)`` of ``value``, of type ``vt``,
         converted to the declared kind of ``name`` only where it may
         differ — resolved here, once, at plan time."""
         self.define(name, vt)
+        if vt.kind == "ptr":
+            self.flows.append((name, self.roots(value)))
         kind = self.kinds.get(name)
         if _converts(kind, vt):
             return _bind_converted(name, kind, value_c, declaring)
         return _bind(name, value_c, declaring)
+
+
+def _kinds(fn: c.CFunctionDef) -> dict:
+    """``fn``'s declared kinds; a name declared with two is refused."""
+    kinds = declared_kinds(fn)
+    for name, kind in kinds.items():
+        if kind == "mixed":
+            raise Untyped(f"{name!r} is declared with two types in {fn.name!r}")
+    return kinds
 
 
 def _bind(name: str, value_c: ExprFn, declaring: bool) -> StmtFn:
@@ -640,7 +808,7 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
     elif t is c.CCast:
         fn = _compile_cast(e, ctx)
     else:
-        assert t is c.CVectorLiteral, e  # analyze_kernel admits no other node
+        assert t is c.CVectorLiteral, e  # the parser builds no other node
         fn = _compile_vector_literal(e, ctx)
     if ctx.typed[id(e)] is None:
         raise ctx.refuse(e, _operands(e, ctx))
@@ -917,7 +1085,10 @@ def _compile_cast(e: c.CCast, ctx: _Ctx) -> ExprFn:
 
 
 def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
-    width = vector_literal_width(e)
+    try:
+        width = vector_literal_width(e)
+    except ExecError as exc:  # the oracle's error for a wrong item count
+        raise ctx.refuse(None, str(exc)) from None
     items = [_compile_expr(i, ctx) for i in e.items]
     ctx.typed[id(e)] = vector_type("f", width)
 
@@ -958,19 +1129,27 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     name = e.func
     typed = ctx.typed
     if name.startswith("get_"):
+        field = _GEOMETRY_FIELDS.get(name)
+        if field is None:
+            raise ctx.refuse(None, f"unknown geometry builtin {name!r}")
         typed[id(e)] = I
-        field = _GEOMETRY_FIELDS[name]
         if not e.args:
             return _geometry(field, 0)
-        if type(e.args[0]) is c.CInt:
-            return _geometry(field, e.args[0].value)
-        return _geometry_by_run(field, _compile_expr(e.args[0], ctx))
+        dim = e.args[0]
+        if type(dim) is c.CInt:
+            if not 0 <= dim.value <= 2:
+                raise ctx.refuse(None, f"{name}({dim.value}): no dimension {dim.value}")
+            return _geometry(field, dim.value)
+        return _geometry_by_run(field, _compile_expr(dim, ctx))
     arg_cs, arg_ts = [], []
     for a in e.args:
         arg_cs.append(_compile_expr(a, ctx))
         arg_ts.append(typed[id(a)])
-    # vloadN(offset, p) and vstoreN(vector, offset, p): the arity is
-    # analyze_kernel's to check, the operand types are checked here.
+    # vloadN(offset, p) and vstoreN(vector, offset, p).
+    if _is_vload(name) or _is_vstore(name):
+        arity = 2 if _is_vload(name) else 3
+        if len(e.args) != arity:
+            raise ctx.refuse(None, f"{name} takes {arity} arguments, not {len(e.args)}")
     if _is_vload(name):
         width = int(name[5:])
         typed[id(e)] = vector_type("f", width) if arg_ts[1].kind == "ptr" else None
@@ -981,22 +1160,31 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
         value_t = arg_ts[0]
         stores = arg_ts[2].kind == "ptr" and is_vector(value_t) and value_t.width == width
         typed[id(e)] = VOID if stores else None
+        ctx.written |= ctx.roots(e.args[2])
         acc = ctx.access(e.args[2], e.args[1], width)
         return _vstore(width, *arg_cs, acc)
     builtin = _VMATH.get(name)
     if builtin is not None:
         typed[id(e)] = builtin_type(name, arg_ts)
         return _compile_builtin(e, builtin, arg_cs, ctx)
-    fn = ctx.parsed.functions[name]
+    fn = ctx.parsed.functions.get(name)
+    if fn is None:
+        raise ctx.refuse(None, f"call to unknown function {name!r}")
+    if name in ctx.stack:
+        raise ctx.refuse(None, f"recursive helper function {name!r}")
     kinds = declared_kinds(fn)
     names = ctx.types.names.setdefault(name, {})
     for p, t in zip(fn.params, arg_ts):
         ctx.types.update(
             names, p.name, stored_type(kinds[p.name], t), f"{p.name!r} in {name!r}"
         )
-    helper = ctx.helpers.get(name)
-    if helper is None:  # helpers never recurse (analyze_kernel)
-        helper = ctx.helpers[name] = _compile_helper(fn, ctx)
+    entry = ctx.helpers.get(name)
+    if entry is None:
+        entry = ctx.helpers[name] = _compile_helper(fn, ctx)
+    helper, writes = entry
+    for p, a in zip(fn.params, e.args):
+        if p.name in writes:  # the helper stores through this argument
+            ctx.written |= ctx.roots(a)
     typed[id(e)] = ctx.types.returns[name]
     params = _arguments(fn, kinds, arg_cs, arg_ts)
     if type(helper) is tuple:
@@ -1072,39 +1260,49 @@ def _compile_builtin(e: c.CCall, builtin: tuple, arg_cs: list, ctx: _Ctx) -> Exp
 _STRAIGHT_LINE = (c.CDecl, c.CAssign, c.CExprStmt, c.CComment)
 
 
-def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx):
-    """A helper's body, compiled (and typed) once per pipeline, with
-    the types its first call site's arguments give its parameters: a
-    **straight-line** one (declarations, assignments and expression
-    statements, then at most one ``return`` last) as ``(statements,
-    returned value, return conversion kind)`` for inlining, any other
-    as a statement closure over its own return-mask frame."""
-    caller = ctx.fn, ctx.kinds, ctx.names, ctx.scope
-    ctx.fn, ctx.kinds, ctx.scope = fn, declared_kinds(fn), Scope()
+def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx) -> tuple:
+    """``(body, written parameters)`` of a helper, compiled (and typed)
+    once per pipeline with the types its first call site's arguments
+    give its parameters; a call site makes what it passes for a written
+    parameter written."""
+    caller = ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written, ctx.flows
+    ctx.fn, ctx.kinds, ctx.scope = fn, _kinds(fn), Scope()
     ctx.names = ctx.types.names.setdefault(fn.name, {})
+    ctx.stack, ctx.written, ctx.flows = ctx.stack + (fn.name,), set(), []
     try:
-        stmts = list(fn.body.stmts)
-        ret = stmts.pop() if stmts and type(stmts[-1]) is c.CReturn else None
-        if not all(type(s) in _STRAIGHT_LINE for s in stmts):
-            framed = _compile_stmt(fn.body, ctx, has_returns=True)
-            last = [s for s in fn.body.stmts if type(s) is not c.CComment][-1:]
-            if not last or type(last[0]) is not c.CReturn:
-                ctx.returned(VOID)  # it may fall off its end: a void call
-            return framed
-        body = tuple(
-            s for s in (_compile_stmt(s, ctx, False) for s in stmts)
-            if s is not None
-        )
-        if ret is None or ret.value is None:
-            ctx.returned(VOID)
-            return body, None, None
-        ret_c = _compile_expr(ret.value, ctx)
-        vt = ctx.typed[id(ret.value)]
-        kind = scalar_kind(fn.return_type)
-        ctx.returned(stored_type(kind, vt))
-        return body, ret_c, (kind if _converts(kind, vt) else None)
+        body = _helper_body(fn, ctx)
+        written = ctx.settle()
+        return body, frozenset(p.name for p in fn.params if p.name in written)
     finally:
-        ctx.fn, ctx.kinds, ctx.names, ctx.scope = caller
+        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written, ctx.flows = caller
+
+
+def _helper_body(fn: c.CFunctionDef, ctx: _Ctx):
+    """A **straight-line** helper (declarations, assignments and
+    expression statements, then at most one ``return`` last) as
+    ``(statements, returned value, return conversion kind)`` for
+    inlining, any other as a statement closure over its own return-mask
+    frame."""
+    stmts = list(fn.body.stmts)
+    ret = stmts.pop() if stmts and type(stmts[-1]) is c.CReturn else None
+    if not all(type(s) in _STRAIGHT_LINE for s in stmts):
+        framed = _compile_stmt(fn.body, ctx, has_returns=True)
+        last = [s for s in fn.body.stmts if type(s) is not c.CComment][-1:]
+        if not last or type(last[0]) is not c.CReturn:
+            ctx.returned(VOID)  # it may fall off its end: a void call
+        return framed
+    body = tuple(
+        s for s in (_compile_stmt(s, ctx, False) for s in stmts)
+        if s is not None
+    )
+    if ret is None or ret.value is None:
+        ctx.returned(VOID)
+        return body, None, None
+    ret_c = _compile_expr(ret.value, ctx)
+    vt = ctx.typed[id(ret.value)]
+    kind = scalar_kind(fn.return_type)
+    ctx.returned(stored_type(kind, vt))
+    return body, ret_c, (kind if _converts(kind, vt) else None)
 
 
 def _arguments(fn: c.CFunctionDef, kinds: dict, arg_cs: list, arg_ts: list) -> tuple:
@@ -1206,15 +1404,17 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
             value = _converted(kind, value)
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
+        if len(ctx.stack) > 1:
+            raise ctx.refuse(None, "barrier inside helper function")
         return _barrier
-    assert t is c.CComment, s  # analyze_kernel admits no other statement
+    assert t is c.CComment, s  # the parser builds no other statement
     return None  # dropped from the statement list
 
 
 def _barrier(b, m, n, frame) -> None:
-    # The static analysis guarantees the mask is all-or-nothing per
-    # work-group here, so lock-step execution satisfies the barrier and
-    # each active item counts one, as in the scalar path.
+    # The scan guarantees the mask is all-or-nothing per work-group
+    # here, so lock-step execution satisfies the barrier and each
+    # active item counts one, as in the scalar path.
     b.counters.barriers += n
     b._segment += 1
 
@@ -1274,14 +1474,16 @@ def _compound(op: str, current_c: ExprFn, value_c: ExprFn, ct, vt) -> tuple:
 
 
 def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
+    target = s.target
+    if type(target) not in (c.CIdent, c.CIndex, c.CMember):
+        raise ctx.refuse(None, f"assignment to non-lvalue {type(target).__name__}")
     value_c = _compile_expr(s.value, ctx)
     vt = ctx.typed[id(s.value)]
     if s.op != "=":
         value_c, vt = _compile_compound(s, value_c, ctx)
 
-    target = s.target
     if isinstance(target, c.CIdent):
-        return ctx.bind(target.name, value_c, False, vt)
+        return ctx.bind(target.name, s.value, value_c, False, vt)
 
     if isinstance(target, c.CIndex):
         base_c = _compile_expr(target.base, ctx)
@@ -1289,10 +1491,10 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
         bt, it = ctx.typed[id(target.base)], ctx.typed[id(target.index)]
         if bt.kind != "ptr" or index_type(bt, it) is None:
             raise ctx.refuse(target, f"store through base {bt}, index {it}")
+        ctx.written |= ctx.roots(target.base)
         sole = id(s) in ctx.sole_sites
         return _scatter(value_c, base_c, index_c, ctx.access(target.base, target.index, sole=sole))
 
-    assert isinstance(target, c.CMember), target  # lvalues: analyze_kernel
     base_c = _compile_expr(target.base, ctx)
     member = target.member
     bt = ctx.typed[id(target.base)]
@@ -1346,7 +1548,7 @@ def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
 
     if decl.init is not None:
         init_c = _compile_expr(decl.init, ctx)
-        return ctx.bind(name, init_c, True, ctx.typed[id(decl.init)])
+        return ctx.bind(name, decl.init, init_c, True, ctx.typed[id(decl.init)])
     ctx.define(name, ctx.types.zero(decl.type_name))
     type_name, structs = decl.type_name, ctx.parsed.structs
     return lambda b, m, n, frame: b._bind(
@@ -1506,8 +1708,8 @@ class Pipeline:
 
     __slots__ = (
         "kernel_name", "segments", "has_returns", "pointers",
-        "pointer_kinds", "types", "inlined", "sole_names", "accesses",
-        "affine",
+        "pointer_kinds", "types", "inlined", "sole_names", "written",
+        "accesses", "affine",
     )
 
     def __init__(self, kernel_name: str, segments: list, has_returns: bool,
@@ -1522,6 +1724,9 @@ class Pipeline:
         #: addresses are lane-injective (when no other argument aliases
         #: them).
         self.sole_names = sole_names
+        #: The names a store may reach a buffer through (the launcher
+        #: snapshots and race-tracks the buffers they name).
+        self.written = frozenset(ctx.written)
         self.has_returns = has_returns
         #: The pointer parameters, and the element kinds typed for them.
         self.pointers = pointers
@@ -1592,21 +1797,23 @@ def compile_kernel_pipeline(
     parsed: ParsedProgram, kernel: c.CFunctionDef,
     pointer_kinds: Optional[tuple] = None,
 ) -> Pipeline:
-    """Lower a kernel :func:`~repro.opencl.simt.analyze_kernel` admits
-    into a compiled closure pipeline, typed for pointer arguments of
-    ``pointer_kinds`` (default: the declared element types).
+    """Lower a kernel into a compiled closure pipeline, typed for
+    pointer arguments of ``pointer_kinds`` (default: the declared
+    element types).
 
-    The lowering is also the static typing pass: one walk in execution
-    order types every node from its children's as it compiles it (see
+    The lowering is also the static typing pass: after
+    :func:`scan_kernel`, one walk in execution order types every node
+    from its children's as it compiles it (see
     :class:`~repro.opencl.interp.StaticTypes`), or raises
-    :class:`~repro.opencl.interp.Untyped` naming what it cannot type;
-    every load and store site gets the affine fact of its address.
+    :class:`~repro.opencl.interp.Untyped` naming what it cannot type or
+    run; every load and store site gets the affine fact of its address,
+    and the pipeline the names a store may reach a buffer through.
     """
     if pointer_kinds is None:
         pointer_kinds = declared_pointer_kinds(kernel)
     types = StaticTypes(parsed.structs)
     names = types.names.setdefault(kernel.name, {})
-    kinds = declared_kinds(kernel)
+    kinds = _kinds(kernel)
     pointers = tuple(p.name for p in kernel.params if p.is_pointer)
     elements = dict(zip(pointers, pointer_kinds))
     for p in kernel.params:
@@ -1614,13 +1821,15 @@ def compile_kernel_pipeline(
             CType("ptr", elem=elements[p.name]) if p.is_pointer
             else _SCALAR.get(kinds[p.name])
         )
-    has_returns = c.CReturn in statement_types(kernel)
-    scope, sole_names, sole_sites = scan_kernel(kernel)
-    ctx = _Ctx(parsed, kernel, types, scope, sole_sites)
-    segments = [_compile_stmt(r, ctx, has_returns) for r in split_at_barriers(kernel)]
+    scan = scan_kernel(kernel)
+    ctx = _Ctx(parsed, kernel, types, scan.scope, scan.sole_sites)
+    segments = [
+        _compile_stmt(r, ctx, scan.has_returns) for r in split_at_barriers(kernel)
+    ]
+    ctx.settle()
     return Pipeline(
-        kernel.name, segments, has_returns, pointers, pointer_kinds, types,
-        ctx, sole_names,
+        kernel.name, segments, scan.has_returns, pointers, pointer_kinds, types,
+        ctx, scan.sole_names,
     )
 
 
@@ -1650,8 +1859,7 @@ def get_pipeline(
 ) -> "Pipeline | str":
     """The compiled pipeline for a kernel and the element kinds of its
     pointer arguments (default: as declared), or the reason the lane
-    tiers refuse it: :func:`~repro.opencl.simt.analyze_kernel`'s, or the
-    typing walk's.
+    tiers refuse it: the scan's or the typing walk's.
 
     Cached on the parsed program object, refusals included; the runtime
     shares parse results per source through an LRU, so each distinct
@@ -1672,22 +1880,20 @@ def get_pipeline(
         entry = cache.get(key, _MISSING)
         if entry is not _MISSING:
             return entry
-        entry = analyze_kernel(parsed, kernel)
-        if entry is None:
-            from repro.obs import span, tracing_enabled
+        from repro.obs import span, tracing_enabled
 
-            with span("simt_compile", kernel=kernel.name) as compile_span:
-                try:
-                    entry = compile_kernel_pipeline(parsed, kernel, pointer_kinds)
-                except Untyped as exc:
-                    entry = str(exc)
-                else:
-                    if tracing_enabled():
-                        compile_span.attrs["inlined"] = entry.inlined
-                        compile_span.attrs["accesses"] = entry.accesses
-                        compile_span.attrs["affine"] = entry.affine
-            global _compile_counter
-            _compile_counter += 1
+        with span("simt_compile", kernel=kernel.name) as compile_span:
+            try:
+                entry = compile_kernel_pipeline(parsed, kernel, pointer_kinds)
+            except Untyped as exc:
+                entry = str(exc)
+            else:
+                if tracing_enabled():
+                    compile_span.attrs["inlined"] = entry.inlined
+                    compile_span.attrs["accesses"] = entry.accesses
+                    compile_span.attrs["affine"] = entry.affine
+        global _compile_counter
+        _compile_counter += 1
         cache[key] = entry
         return entry
 

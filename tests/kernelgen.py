@@ -1,19 +1,23 @@
 """A seeded generator of OpenCL C kernels for the engines' differential
 test: every engine must agree with the scalar oracle bit for bit.
 
-Each kernel is in the subset :func:`repro.opencl.simt.analyze_kernel`
-accepts and well-typed by construction.  It mixes int and float
-scalars, float vectors, casts and comparisons in arithmetic; affine,
-strided and gathered indices, pointer offsets and 2-D ids; ``if`` on
-ids and on data; uniform and lane-varying loops; straight-line and
-branching helpers; local memory behind a barrier; and a uniform scale
-that changes after an index it scaled was stored.  Every index it
-builds stays inside its buffer on every lane.
+Each kernel is one the lane tiers' plan admits
+(:func:`repro.opencl.simt_compile.get_pipeline`) and well-typed by
+construction.  It mixes int and float scalars, float vectors, casts
+and comparisons in arithmetic; affine, strided and gathered indices,
+pointer offsets and 2-D ids; ``if`` on ids and on data; uniform and
+lane-varying loops; straight-line and branching helpers; local memory
+behind a barrier, sometimes under control only a group's work-items
+agree on (``if`` on the group id, a uniform-trip loop); and a uniform
+scale that changes after an index it scaled was stored.  Every index
+it builds stays inside its buffer on every lane.
 
 :func:`check` launches one kernel on ``scalar`` / ``auto`` /
 ``compiled`` / ``fused`` and compares the buffers (bytes) and
-``Counters``; a strict engine may refuse a kernel, but only with a
-reason.  Run a seed range by hand (it prints the acceptance share)::
+``Counters``.  A strict engine may refuse a kernel only at run time,
+for a cross-lane race (a ``dynamic`` decline in the ledger): a static
+refusal of a generated kernel fails the check.  Run a seed range by
+hand (it prints the acceptance share)::
 
     PYTHONPATH=src python -m tests.kernelgen 0 200
 """
@@ -22,10 +26,12 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backend import ledger
 from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
 from repro.opencl import simt
 
@@ -213,6 +219,26 @@ class _Gen:
         target = self.floats[-1]  # stored to out
         self.emit(f"{target} = {target} + x[{j}] * (float) {s};")
 
+    def guarded(self, start: int, stop: int) -> None:
+        """Two times in three, put lines ``start:stop`` (the barrier
+        stage) under control the work-items of each group agree on:
+        ``if (g < K)`` on the group id, which the grid's work-items do
+        not agree on, or a uniform-trip loop whose trips a second
+        barrier separates.  Drawn from ``side`` after everything else,
+        so the rest of a seed's kernel is the same with or without it."""
+        r = self.side
+        kind = r.randrange(3)
+        if kind == 0:
+            return
+        pad = "  " * (self.depth + 1)
+        stage = ["  " + line for line in self.lines[start:stop]]
+        if kind == 1:
+            head = f"if (g < {r.randrange(1, 4)}) {{"
+        else:
+            head = f"for (int trip = 0; trip < {r.randrange(1, 3)}; trip += 1) {{"
+            stage.append(pad + "  barrier(CLK_LOCAL_MEM_FENCE);")
+        self.lines[start:stop] = [pad + head, *stage, pad + "}"]
+
     def kernel(self, two_d: bool) -> str:
         r = self.rng
         ident = (
@@ -233,16 +259,21 @@ class _Gen:
         self.floats.append("acc")
         for _ in range(r.randrange(2, 6)):
             self.statement()
+        stage = None
         if r.random() < 0.5:  # local memory behind a barrier
+            start = len(self.lines)
             self.emit(f"tmp[l] = {self.float_expr()};")
             self.emit("barrier(CLK_LOCAL_MEM_FENCE);")
             self.emit(f"acc = acc + tmp[(l + {r.randrange(1, 5)}) % LS];")
+            stage = (start, len(self.lines))
             for _ in range(r.randrange(2)):
                 self.statement()
         if r.random() < 0.1:  # reads what another lane stored: a race
             self.emit("out2[l] = acc;")
             self.emit("acc = acc + out2[l + 1];")
         self.rescaled()
+        if stage is not None:
+            self.guarded(*stage)
         self.emit(f"out[i] = {' + '.join(self.floats[-3:])};")
         if r.random() < 0.4:
             self.emit(f"vstore2((float2)(acc, {self.float_expr()}), i, out2);")
@@ -299,24 +330,38 @@ def run(kernel: Kernel, engine: str, gsize: tuple, lsize: tuple):
     return data, vars(counters)
 
 
+def _declines() -> Counter:
+    """The ledger's declines so far, per kind."""
+    kinds: Counter = Counter()
+    for (_, _, kind), count in ledger.counts().items():
+        kinds[kind] += count
+    return kinds
+
+
 def check(seed: int, shape: int) -> bool:
     """Launch kernel ``seed`` in launch shape ``shape`` on every engine;
-    assert each agrees with ``scalar``.  Whether ``compiled`` and
-    ``fused`` both ran it (a refusal must give its reason)."""
+    assert each agrees with ``scalar``, and that every decline is a
+    cross-lane race found at run time.  Whether ``compiled`` and
+    ``fused`` both ran it."""
     (g0, g1), (l0, l1) = SHAPES[shape]
     kernel = generate(seed, two_d=g1 > 1, local_lanes=l0 * l1)
     gsize, lsize = (g0, g1), (l0, l1)
     reference = run(kernel, "scalar", gsize, lsize)
     accepted = True
+    before = _declines()
     for engine in ENGINES:
         try:
             result = run(kernel, engine, gsize, lsize)
         except VectorizationError as refusal:
-            assert engine != "auto" and str(refusal).strip(), (seed, shape, refusal)
+            assert engine != "auto" and "cross-lane" in str(refusal), (
+                seed, shape, refusal,
+            )
             accepted = False
             continue
         assert result[1] == reference[1], (seed, shape, engine, kernel.source)
         assert result[0] == reference[0], (seed, shape, engine, kernel.source)
+    declines = _declines() - before
+    assert set(declines) <= {"dynamic"}, (seed, shape, declines, kernel.source)
     return accepted
 
 

@@ -17,9 +17,9 @@ from repro.opencl import (
     Buffer,
     OpenCLProgram,
     VectorizationError,
-    analyze_kernel,
     launch,
 )
+from repro.opencl import simt_compile
 from repro.opencl.interp import BarrierDivergence, ExecError
 from repro.opencl.runtime import _parse_cached
 
@@ -29,6 +29,13 @@ from repro.opencl.runtime import _parse_cached
 #: whole-grid fused-numpy backend (whose chain falls back through
 #: compiled/scalar on refusals — the agreement must hold either way).
 ENGINES = ("scalar", "compiled", "fused")
+
+
+def refusal(program):
+    """The reason the lane tiers' plan refuses ``program``'s kernel, or
+    ``None`` when they admit it."""
+    plan = simt_compile.get_pipeline(program.parsed, program.kernel())
+    return plan if isinstance(plan, str) else None
 
 
 def run_both(source, global_size, local_size, make_args, kernel_name=None,
@@ -411,7 +418,7 @@ class TestDeclaredTypes:
         }
         """
         program = OpenCLProgram(src)
-        reason = analyze_kernel(program.parsed, program.kernel())
+        reason = refusal(program)
         assert reason is not None and "two types" in reason
         # The graceful chains still agree with the scalar oracle.
         assert_engines_agree(
@@ -492,7 +499,6 @@ class TestBarriers:
         # and ``c`` is stored ``b`` a statement *before* ``b`` changes:
         # the chain demotes all three, ``k`` and ``i`` stay group-uniform.
         from repro.opencl.cparser import parse
-        from repro.opencl.simt import _GROUP_UNIFORM_CALLS, uniform_names
 
         src = """
         kernel void K(global float *x, int n) {
@@ -509,10 +515,10 @@ class TestBarriers:
           x[get_global_id(0)] = c + k;
         }"""
         kernel = parse(src % "k").functions["K"]
-        assert uniform_names(kernel, _GROUP_UNIFORM_CALLS) == {"x", "n", "k", "i"}
+        assert simt_compile.scan_kernel(kernel).group == {"x", "n", "k", "i"}
         for name, ok in (("k", True), ("c", False)):
             program = OpenCLProgram(src % name)
-            assert (analyze_kernel(program.parsed, program.kernel()) is None) == ok
+            assert (refusal(program) is None) == ok
 
     def test_barrier_divergence_still_raises_via_fallback(self):
         # A barrier under a lane-divergent condition is statically
@@ -525,7 +531,7 @@ class TestBarriers:
         }
         """
         program = OpenCLProgram(src)
-        reason = analyze_kernel(program.parsed, program.kernel())
+        reason = refusal(program)
         assert reason is not None and "lane-divergent" in reason
         with pytest.raises(BarrierDivergence):
             launch(program, 2, 2, {"x": Buffer.zeros(2)})
@@ -552,7 +558,7 @@ class TestVectorGeometryBuiltins:
 
     def test_analysis_accepts_dot_and_length(self):
         program = OpenCLProgram(self._SRC)
-        assert analyze_kernel(program.parsed, program.kernel()) is None
+        assert refusal(program) is None
 
     def test_engines_agree_bitwise(self):
         n = 64
@@ -602,7 +608,7 @@ class TestFallback:
         program = OpenCLProgram(
             "kernel void K(global float *x) { x[get_global_id(0)] = 1.0f; }"
         )
-        assert analyze_kernel(program.parsed, program.kernel()) is None
+        assert refusal(program) is None
 
     def test_analysis_rejects_barrier_plus_return(self):
         src = """
@@ -613,13 +619,13 @@ class TestFallback:
         }
         """
         program = OpenCLProgram(src)
-        reason = analyze_kernel(program.parsed, program.kernel())
+        reason = refusal(program)
         assert reason is not None and "return" in reason
 
     def test_analysis_rejects_unknown_function(self):
         src = "kernel void K(global float *x) { x[0] = mystery(x[0]); }"
         program = OpenCLProgram(src)
-        assert analyze_kernel(program.parsed, program.kernel()) is not None
+        assert refusal(program) is not None
 
     def test_dynamic_race_falls_back_to_scalar(self, fault_free):
         # Every work-item stages its value through the *same* scratch
@@ -636,7 +642,7 @@ class TestFallback:
         """
         x = np.arange(8, dtype=float)
         program = OpenCLProgram(src)
-        assert analyze_kernel(program.parsed, program.kernel()) is None
+        assert refusal(program) is None
 
         def args():
             return {"x": Buffer.from_array(x.copy()),
@@ -674,7 +680,7 @@ class TestFallback:
         }
         """
         program = OpenCLProgram(src)
-        assert analyze_kernel(program.parsed, program.kernel()) is None
+        assert refusal(program) is None
 
         def args():
             return {"flag": Buffer.zeros(1), "out": Buffer.zeros(8)}
@@ -805,12 +811,12 @@ class TestFallback:
         )
 
     def test_non_lvalue_assignment_is_a_static_decline(self):
-        # The parser takes any expression left of ``=``; the analysis is
+        # The parser takes any expression left of ``=``; the plan is
         # where the lane tiers refuse it, the oracle where it raises.
         program = OpenCLProgram(
             "kernel void K(global float *x) { 3 = 1; x[0] = 1.0f; }"
         )
-        reason = analyze_kernel(program.parsed, program.kernel())
+        reason = refusal(program)
         assert reason == "assignment to non-lvalue CInt"
         with pytest.raises(VectorizationError, match=reason):
             launch(program, 1, 1, {"x": Buffer.zeros(1)}, engine="compiled")

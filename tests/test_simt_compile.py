@@ -23,7 +23,6 @@ from repro.opencl import (
     launch,
 )
 from repro.opencl import simt_compile
-from repro.opencl.simt import written_pointer_roots
 from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
 from repro.compiler.options import OPTIMIZATION_LEVELS
 from tests.programs import checked_static_types, partial_dot, simple_map_add_one
@@ -205,7 +204,7 @@ class TestMemberAccess:
 class TestWrittenRootsAnalysis:
     def _roots(self, src):
         program = OpenCLProgram(src)
-        return written_pointer_roots(program.parsed, program.kernel())
+        return simt_compile.get_pipeline(program.parsed, program.kernel()).written
 
     def test_read_only_params_excluded(self):
         roots = self._roots("""
@@ -238,6 +237,31 @@ class TestWrittenRootsAnalysis:
     def test_local_buffer_is_written(self):
         roots = self._roots(_REDUCTION)
         assert "tmp" in roots
+        assert "out" in roots
+        assert "x" not in roots
+
+    @pytest.mark.parametrize("helper", [
+        "void put(global float *p, int i, float v) { p[i] = v; }",
+        "void put(global float *p, int i, float v) { vstore2((float2)(v, v), i, p); }",
+    ])
+    def test_a_helper_storing_through_its_parameter_writes_the_argument(self, helper):
+        roots = self._roots(helper + """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          put(out, i, x[i]);
+        }
+        """)
+        assert "out" in roots
+        assert "x" not in roots
+
+    def test_a_helper_that_only_reads_leaves_the_argument_unwritten(self):
+        roots = self._roots("""
+        float get(const global float *p, int i) { return p[i] * 2.0f; }
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = get(x, i);
+        }
+        """)
         assert "out" in roots
         assert "x" not in roots
 
@@ -442,10 +466,41 @@ class TestStaticTypes:
          "get_group_id(3): no dimension 3"),
         ("kernel void K(global float *x) { int i = get_local_id(3); x[i] = 1.0f; }",
          "get_local_id(3): no dimension 3"),
+        ("float f(float a) { return f(a); }\n"
+         "kernel void K(global float *x) { x[0] = f(x[0]); }",
+         "recursive helper function 'f'"),
+        ("kernel void K(global float *x) { x[0] = mystery(x[0]); }",
+         "call to unknown function 'mystery'"),
+        ("void sync(float a) { barrier(CLK_LOCAL_MEM_FENCE); }\n"
+         "kernel void K(global float *x) { sync(x[0]); x[0] = 1.0f; }",
+         "barrier inside helper function"),
+        ("kernel void K(global float *x) { x[get_foo(0)] = 1.0f; }",
+         "unknown geometry builtin 'get_foo'"),
+        ("kernel void K(global float *x) {"
+         " float4 v = (float4)(1.0f, 2.0f); x[0] = v.z; }",
+         "vector literal float4 with 2 items"),
+        ("kernel void K(global float *x) { 3 = 1; x[0] = 1.0f; }",
+         "assignment to non-lvalue CInt"),
+        ("kernel void K(global float *x) {"
+         " for (int i = 0; i < 2; i += 1) { x[i] = 1.0f; }"
+         " for (float i = 0.5f; i < 2.0f; i += 1.0f) { x[0] = i; } }",
+         "'i' is declared with two types in 'K'"),
+        ("float h(float a) { { int t = 1; a = a + t; } { float t = 2.0f; a = a + t; }"
+         " return a; }\n"
+         "kernel void K(global float *x) { x[0] = h(x[0]); }",
+         "'t' is declared with two types in 'h'"),
+        ("kernel void K(global float *x, int n) {"
+         " if (get_global_id(0) >= n) { return; }"
+         " barrier(CLK_LOCAL_MEM_FENCE); x[get_global_id(0)] = 1.0f; }",
+         "barrier combined with early return"),
+        ("kernel void K(global float *x) {"
+         " if (get_local_id(0) < 1) { barrier(CLK_LOCAL_MEM_FENCE); }"
+         " x[get_global_id(0)] = 1.0f; }",
+         "barrier under lane-divergent control flow"),
     ])
     def test_a_malformed_form_is_a_static_refusal(self, source, reason):
-        # Each used to escape plan() or run() as a crash or a dynamic
-        # bail-out; the oracle's quirks (a broadcast scalar store, a
+        # Each is refused at plan time, with the node's or the form's
+        # reason; the oracle's quirks (a broadcast scalar store, a
         # truncated float index) stay the scalar tier's.
         from repro.backend import CompileUnsupported, get_backend
 
