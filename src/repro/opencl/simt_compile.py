@@ -686,10 +686,8 @@ class _Ctx:
         )
 
     def refuse(self, e, detail: str) -> Untyped:
-        """The refusal of node ``e`` of the function being compiled, or
-        with ``e`` ``None`` of a form, ``detail`` naming it."""
-        if e is None:
-            return Untyped(detail)
+        """The refusal of node ``e`` of the function being compiled,
+        ``detail`` naming why."""
         return Untyped(
             f"no static type for {c.print_expr(e)!r} in {self.fn.name!r}: {detail}"
         )
@@ -1088,7 +1086,7 @@ def _compile_vector_literal(e: c.CVectorLiteral, ctx: _Ctx) -> ExprFn:
     try:
         width = vector_literal_width(e)
     except ExecError as exc:  # the oracle's error for a wrong item count
-        raise ctx.refuse(None, str(exc)) from None
+        raise Untyped(str(exc)) from None
     items = [_compile_expr(i, ctx) for i in e.items]
     ctx.typed[id(e)] = vector_type("f", width)
 
@@ -1131,14 +1129,14 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     if name.startswith("get_"):
         field = _GEOMETRY_FIELDS.get(name)
         if field is None:
-            raise ctx.refuse(None, f"unknown geometry builtin {name!r}")
+            raise Untyped(f"unknown geometry builtin {name!r}")
         typed[id(e)] = I
         if not e.args:
             return _geometry(field, 0)
         dim = e.args[0]
         if type(dim) is c.CInt:
             if not 0 <= dim.value <= 2:
-                raise ctx.refuse(None, f"{name}({dim.value}): no dimension {dim.value}")
+                raise Untyped(f"{name}({dim.value}): no dimension {dim.value}")
             return _geometry(field, dim.value)
         return _geometry_by_run(field, _compile_expr(dim, ctx))
     arg_cs, arg_ts = [], []
@@ -1149,7 +1147,7 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     if _is_vload(name) or _is_vstore(name):
         arity = 2 if _is_vload(name) else 3
         if len(e.args) != arity:
-            raise ctx.refuse(None, f"{name} takes {arity} arguments, not {len(e.args)}")
+            raise Untyped(f"{name} takes {arity} arguments, not {len(e.args)}")
     if _is_vload(name):
         width = int(name[5:])
         typed[id(e)] = vector_type("f", width) if arg_ts[1].kind == "ptr" else None
@@ -1169,9 +1167,9 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
         return _compile_builtin(e, builtin, arg_cs, ctx)
     fn = ctx.parsed.functions.get(name)
     if fn is None:
-        raise ctx.refuse(None, f"call to unknown function {name!r}")
+        raise Untyped(f"call to unknown function {name!r}")
     if name in ctx.stack:
-        raise ctx.refuse(None, f"recursive helper function {name!r}")
+        raise Untyped(f"recursive helper function {name!r}")
     kinds = declared_kinds(fn)
     names = ctx.types.names.setdefault(name, {})
     for p, t in zip(fn.params, arg_ts):
@@ -1405,7 +1403,7 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
     if t is c.CBarrier:
         if len(ctx.stack) > 1:
-            raise ctx.refuse(None, "barrier inside helper function")
+            raise Untyped("barrier inside helper function")
         return _barrier
     assert t is c.CComment, s  # the parser builds no other statement
     return None  # dropped from the statement list
@@ -1476,7 +1474,7 @@ def _compound(op: str, current_c: ExprFn, value_c: ExprFn, ct, vt) -> tuple:
 def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     target = s.target
     if type(target) not in (c.CIdent, c.CIndex, c.CMember):
-        raise ctx.refuse(None, f"assignment to non-lvalue {type(target).__name__}")
+        raise Untyped(f"assignment to non-lvalue {type(target).__name__}")
     value_c = _compile_expr(s.value, ctx)
     vt = ctx.typed[id(s.value)]
     if s.op != "=":

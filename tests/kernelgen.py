@@ -16,7 +16,8 @@ it builds stays inside its buffer on every lane.
 ``compiled`` / ``fused`` and compares the buffers (bytes) and
 ``Counters``.  A strict engine may refuse a kernel only at run time,
 for a cross-lane race (a ``dynamic`` decline in the ledger): a static
-refusal of a generated kernel fails the check.  Run a seed range by
+refusal or a crash of a generated kernel fails the check (a ``fault``
+decline, injected by a ``REPRO_FAULT_PLAN``, does not).  Run a seed range by
 hand (it prints the acceptance share)::
 
     PYTHONPATH=src python -m tests.kernelgen 0 200
@@ -340,8 +341,8 @@ def _declines() -> Counter:
 
 def check(seed: int, shape: int) -> bool:
     """Launch kernel ``seed`` in launch shape ``shape`` on every engine;
-    assert each agrees with ``scalar``, and that every decline is a
-    cross-lane race found at run time.  Whether ``compiled`` and
+    assert each agrees with ``scalar``, and that no backend refuses it
+    statically or crashes.  Whether ``compiled`` and
     ``fused`` both ran it."""
     (g0, g1), (l0, l1) = SHAPES[shape]
     kernel = generate(seed, two_d=g1 > 1, local_lanes=l0 * l1)
@@ -361,7 +362,9 @@ def check(seed: int, shape: int) -> bool:
         assert result[1] == reference[1], (seed, shape, engine, kernel.source)
         assert result[0] == reference[0], (seed, shape, engine, kernel.source)
     declines = _declines() - before
-    assert set(declines) <= {"dynamic"}, (seed, shape, declines, kernel.source)
+    assert not {"static", "crash"} & set(declines), (
+        seed, shape, declines, kernel.source,
+    )
     return accepted
 
 

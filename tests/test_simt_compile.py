@@ -497,6 +497,16 @@ class TestStaticTypes:
          " if (get_local_id(0) < 1) { barrier(CLK_LOCAL_MEM_FENCE); }"
          " x[get_global_id(0)] = 1.0f; }",
          "barrier under lane-divergent control flow"),
+        # Several faults: the kernel's name types, then the scan, then
+        # the walk; the first refusal is the one reported.
+        ("kernel void K(global float *x) {"
+         " if (get_local_id(0) < 1) { barrier(CLK_LOCAL_MEM_FENCE); }"
+         " x[get_global_id(0)] = mystery(x[0]); }",
+         "barrier under lane-divergent control flow"),
+        ("kernel void K(global float *x) {"
+         " { int t = 1; x[0] = t; } { float t = 2.0f; x[1] = t; }"
+         " if (get_local_id(0) < 1) { barrier(CLK_LOCAL_MEM_FENCE); } }",
+         "'t' is declared with two types in 'K'"),
     ])
     def test_a_malformed_form_is_a_static_refusal(self, source, reason):
         # Each is refused at plan time, with the node's or the form's
