@@ -39,11 +39,6 @@ def _intern(key: tuple, inst: "ArithExpr") -> "ArithExpr":
     return inst
 
 
-def intern_table_size() -> int:
-    """Number of live interned nodes (for tests and diagnostics)."""
-    return len(_INTERN)
-
-
 class ArithExpr:
     """Base class of all arithmetic expressions.
 

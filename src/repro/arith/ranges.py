@@ -46,13 +46,6 @@ class Range:
 
         return Range(Cst(1), None)
 
-    @staticmethod
-    def non_negative() -> "Range":
-        """``[0, inf)`` for indices with no further information."""
-        from repro.arith.expr import Cst
-
-        return Range(Cst(0), None)
-
     def __str__(self) -> str:
         hi = "inf" if self.max is None else str(self.max)
         return f"[{self.min}, {hi})"

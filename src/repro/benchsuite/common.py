@@ -8,7 +8,7 @@ stage outputs feed the next stage under the reserved name ``__prev``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -219,12 +219,6 @@ def get_benchmark(name: str) -> Benchmark:
     import repro.benchsuite.loader  # noqa: F401 - populates the registry
 
     return _REGISTRY[name]()
-
-
-def all_benchmark_names() -> list:
-    import repro.benchsuite.loader  # noqa: F401
-
-    return list(_REGISTRY)
 
 
 #: Names in the paper's Table 1 order.

@@ -266,9 +266,6 @@ class CacheStats:
     run_hits: int = 0
     run_misses: int = 0
     puts: int = 0
-    #: Total entries removed from the live store for cause
-    #: (= quarantined; kept for backwards compatibility).
-    invalid: int = 0
     #: Entries moved to ``<root>/quarantine/`` (corrupt + stale).
     quarantined: int = 0
     #: Quarantined for undecodable content (bad magic/checksum/pickle).
@@ -463,7 +460,6 @@ class TuningCache:
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a failing entry aside — never silently unlink it."""
         obs.instant("cache.quarantine", entry=path.name, reason=reason)
-        self.stats.invalid += 1
         self.stats.quarantined += 1
         if reason == "stale":
             self.stats.stale_entries += 1

@@ -299,7 +299,3 @@ def print_function(f: CFunctionDef) -> str:
     header = "kernel " if f.is_kernel else ""
     sig = f"{header}{f.return_type} {f.name}({', '.join(params)}) {{"
     return f"{sig}\n{print_block_body(f.body, 1)}\n}}"
-
-
-def print_program(p: CProgram) -> str:
-    return "\n\n".join(print_function(f) for f in p.functions) + "\n"

@@ -32,11 +32,11 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.arith import ArithExpr, Cst, Range, Var, simplify
-from repro.arith.expr import IntDiv, Log2, Mod, Pow, Prod, Sum, free_vars
+from repro.arith.expr import IntDiv, Mod, Pow, Prod, Sum, free_vars
 from repro.arith.expr import LoadIndex as LoadIndexNode
 from repro.arith.simplify import exact_quotient, prove_lt
 from repro.types import (
@@ -130,16 +130,6 @@ class CompiledKernel:
     out_count: ArithExpr
     size_var_names: list
     options: CompilerOptions
-
-    def scalar_out_type(self) -> str:
-        t = self.out_type
-        while isinstance(t, ArrayType):
-            t = t.elem
-        if isinstance(t, VectorType):
-            return t.elem.name
-        if isinstance(t, ScalarType):
-            return t.name
-        raise CodeGenError(f"unsupported output element type {t}")
 
 
 _MAP_KINDS = {pat.MapGlb: "glb", pat.MapWrg: "wrg", pat.MapLcl: "lcl"}

@@ -24,9 +24,8 @@ both the naive and the simplified kernels from the same views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.arith import ArithExpr, Cst, simplify
+from repro.arith import ArithExpr, Cst
 from repro.arith.expr import IntDiv, Mod, Prod, Sum
 from repro.types import ArrayType, DataType, TupleType, VectorType
 from repro.compiler.memory import Memory, per_thread_type
@@ -352,11 +351,4 @@ def _scalar_width(t: DataType) -> int:
         # Tuples only live in struct registers (memory allocation rejects
         # arrays of tuples); the index is unused for registers.
         return 1
-    return 1
-
-
-def access_width(t: DataType) -> int:
-    """Scalar width of the value loaded/stored at an access point."""
-    if isinstance(t, VectorType):
-        return t.width
     return 1

@@ -1,9 +1,9 @@
 """Deterministic, seed-driven fault injection for the resilience layer.
 
 Every recovery path in the system — cache corruption handling, the
-explorer's retry/backoff loop, backend fallback chains — is worthless
-unless it is *exercised*, and exercising it with ``random.random()``
-makes failures unreproducible.  This module provides a :class:`FaultPlan`
+explorer's quarantine of a failed candidate, backend fallback chains —
+is worthless unless it is *exercised*, and exercising it with
+``random.random()`` makes failures unreproducible.  This module provides a :class:`FaultPlan`
 whose injection decisions are a pure function of ``(seed, site,
 sequence number)``: the n-th check of a given site either always or
 never injects for a given plan, across runs, machines and thread

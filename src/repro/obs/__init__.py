@@ -6,9 +6,9 @@ Four parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
 * :mod:`repro.obs.trace` — nestable, thread-aware spans and instants
   emitting Chrome ``trace_event`` JSON (``REPRO_TRACE=<path>`` or
   ``benchsuite --trace``).
-* :mod:`repro.obs.metrics` — process-global counters and histograms
-  plus the views each stats owner registers for itself, all merged by
-  ``snapshot()`` (``benchsuite --metrics-json``).
+* :mod:`repro.obs.metrics` — process-global counters plus the views
+  each stats owner registers for itself, all merged by ``snapshot()``
+  (``benchsuite --metrics-json``).
 * :mod:`repro.obs.profile` — per-barrier-segment timing and per-buffer
   traffic in the compiled pipeline, either layout (``REPRO_PROFILE=1`` or
   ``benchsuite --profile``).
@@ -25,7 +25,7 @@ changes buffers, ``Counters``, or control flow.
 from __future__ import annotations
 
 from . import analysis, metrics, profile, trace
-from .metrics import inc, observe, register_provider, snapshot
+from .metrics import inc, register_provider, snapshot
 from .trace import (
     instant,
     span,
@@ -47,7 +47,6 @@ __all__ = [
     "stop_tracing",
     "tracing_enabled",
     "inc",
-    "observe",
     "snapshot",
     "register_provider",
 ]

@@ -161,10 +161,6 @@ class Tracer:
         self._append(event, tid)
 
     # -- output ----------------------------------------------------------
-    def event_count(self) -> int:
-        with self._lock:
-            return len(self._events)
-
     def write(self) -> Path:
         """Serialize the buffer to ``self.path`` (atomic rename)."""
         with self._lock:

@@ -85,11 +85,11 @@ dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
 
 * every candidate failure is *classified* (``compile`` / ``simulate`` /
   ``verify`` / ``infra``) and quarantined
-  into a structured :class:`~repro.resilience.FailureReport` on
+  into a structured :class:`FailureReport` on
   :class:`ExplorationResult` — the rest of the search completes;
-* transient failures (injected faults, ``OSError``) are retried with
-  exponential backoff — one :class:`~repro.resilience.RetryPolicy`
-  built from ``ExploreConfig.retries`` / ``retry_backoff``.
+* a candidate is evaluated once.  Injected faults are retried in place
+  by :func:`repro.faultinject.survive`, the one retry there is; a fault
+  that escapes it is quarantined as ``infra``, whichever stage it hit.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ from repro.rewrite.rules import (
 from repro.rewrite.strategies import rewrites_by_rule
 from repro import faultinject, obs
 from repro.backend import LEDGER
-from repro.resilience import TRANSIENT_ERRORS, FailureReport, RetryPolicy
+from repro.faultinject import FaultInjected
 
 
 class ExplorationError(Exception):
@@ -205,11 +205,6 @@ class ExploreConfig:
     max_eval: int = 16
     device: str = "nvidia"
     engine: Optional[str] = None
-    #: Bounded retries for *transient* evaluation failures (injected
-    #: faults, OSError) with exponential backoff.
-    retries: int = 2
-    #: Initial backoff delay between retries (doubles per attempt).
-    retry_backoff: float = 0.02
     #: Label under which evaluated candidates are recorded in the
     #: cost-model calibration log (:mod:`repro.obs.analysis`); the
     #: benchsuite passes the benchmark name.  ``None`` records under
@@ -233,7 +228,8 @@ class ExploreStats:
     #: Failure taxonomy beyond compile/verify (see RESILIENCE.md):
     #: candidates whose execution raised (engine refusal, bad geometry).
     simulate_failures: int = 0
-    #: Transient infrastructure failures that survived every retry.
+    #: Injected faults that escaped :func:`repro.faultinject.survive`,
+    #: and unexpected errors.
     infra_failures: int = 0
     #: Always 0: nothing times out or cancels a search.  Kept because
     #: the end-to-end harness (``benchmarks/e2e/workloads.py``) sums
@@ -241,8 +237,6 @@ class ExploreStats:
     #: that pin.
     timeouts: int = 0
     cancelled: int = 0
-    #: Transient failures absorbed by the retry/backoff loop.
-    retries: int = 0
     kernel_cache_hits: int = 0
     kernel_cache_misses: int = 0
     cycle_cache_hits: int = 0
@@ -295,7 +289,7 @@ class ExploredCandidate:
     #: quantity candidates are ranked by.
     runtime: Optional[float] = None
     kernel_source: Optional[str] = None
-    #: Wall-clock seconds of the successful evaluation (retries included).
+    #: Wall-clock seconds of the successful evaluation.
     eval_seconds: Optional[float] = None
 
     @property
@@ -313,9 +307,8 @@ class ExploredCandidate:
 class ExplorationResult:
     candidates: list  # evaluated ExploredCandidates, best first
     stats: ExploreStats
-    #: Structured quarantine records of candidates that failed or timed
-    #: out (:class:`repro.resilience.FailureReport`);
-    #: the search completes around them.
+    #: Structured quarantine records of candidates that failed
+    #: (:class:`FailureReport`); the search completes around them.
     failures: list = field(default_factory=list)
     #: The oracle every launched candidate was verified against; still
     #: unevaluated when nothing launched (a fully warm search).
@@ -815,7 +808,6 @@ def _enumerate(
                         break
                 if len(next_frontier) >= BEAM:
                     break
-        obs.observe("explore.level_width", len(next_frontier))
         frontier = next_frontier
         if not frontier:
             break
@@ -877,6 +869,40 @@ class Oracle:
             return self._value
 
 
+#: The explorer's failure taxonomy: each kind and the
+#: :class:`ExploreStats` count it adds to.
+_FAILURE_STAT = {
+    "compile": "compile_failures",
+    "simulate": "simulate_failures",
+    "verify": "verify_failures",
+    "infra": "infra_failures",
+}
+FAILURE_KINDS = tuple(_FAILURE_STAT)
+
+
+@dataclass
+class FailureReport:
+    """Structured quarantine record of one failed candidate."""
+
+    label: str
+    trace: tuple
+    kind: str  # one of FAILURE_KINDS
+    message: str
+    elapsed: float = 0.0
+
+    def as_dict(self) -> dict:
+        return {
+            "label": self.label,
+            "trace": list(self.trace),
+            "kind": self.kind,
+            "message": self.message,
+            "elapsed": round(self.elapsed, 6),
+        }
+
+    def describe(self) -> str:
+        return f"{self.label or '(unlabelled)'}: {self.kind} — {self.message}"
+
+
 def evaluate_candidates(
     candidates: Sequence[ExploredCandidate],
     inputs: Mapping[str, Any],
@@ -890,9 +916,9 @@ def evaluate_candidates(
     The single place that decides how a schedule is compiled
     (size-specialized, keyed on the symbolic program), launched,
     verified (bitwise) against ``reference`` and costed, with the
-    tuning-cache lookups, retries and fault sites of the
-    module docstring.  Candidates are evaluated one after another, in
-    order, in the caller's thread.  ``reference`` is the expected flat
+    tuning-cache lookups and fault sites of the module docstring.
+    Candidates are evaluated once each, one after another, in order, in
+    the caller's thread.  ``reference`` is the expected flat
     array or an :class:`Oracle`, which is forced by the first candidate
     that actually launched — a failing oracle fails the whole call with
     its own exception, it is not a candidate's fault.  Successful
@@ -901,27 +927,22 @@ def evaluate_candidates(
 
     Returns ``(ranked, failures, events)``: the verified candidates best
     first (stable on ``(runtime, len(trace), trace)``, so ties keep the
-    caller's order), one :class:`~repro.resilience.FailureReport` per
-    quarantined candidate, and the ``compiled`` / ``executed`` /
-    ``retries`` event totals."""
+    caller's order), one :class:`FailureReport` per quarantined
+    candidate, and the ``compiled`` / ``executed`` event totals."""
     profile = DEVICES[config.device]
     cache = or_disabled(cache)
     inputs_fp = cache.fingerprint(inputs)
-    policy = RetryPolicy(
-        attempts=config.retries + 1, base_delay=config.retry_backoff,
-        max_delay=1.0,
-    )
 
     def _evaluate_once(
         cand: ExploredCandidate, events: dict
     ) -> ExploredCandidate:
-        """One evaluation attempt: ask the cache for the kernel, then
-        for its cycles; compile / simulate + verify are what it runs on
-        a miss, between the lookup and the store.
+        """Ask the cache for the kernel, then for its cycles; compile /
+        simulate + verify are what it runs on a miss, between the lookup
+        and the store.
 
-        Raises :class:`_StageFailure` for deterministic stage failures
-        and lets transient errors (injected faults, ``OSError``...)
-        propagate to the retry policy in ``evaluate``.
+        Raises :class:`_StageFailure` for a stage's own failure and lets
+        an injected fault that escaped its site propagate unclassified
+        to ``evaluate``.
         """
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
         options = CompilerOptions(local_size=cand.local_size)
@@ -935,7 +956,7 @@ def evaluate_candidates(
                     kernel = compile_kernel(
                         specialize_sizes(cand.program, size_env), options
                     )
-            except TRANSIENT_ERRORS:
+            except FaultInjected:
                 raise
             except (CodeGenError, pat.LiftTypeError, ValueError) as exc:
                 raise _StageFailure("compile", str(exc)) from exc
@@ -958,7 +979,7 @@ def evaluate_candidates(
                         kernel, kernel_inputs, size_env, cand.global_size,
                         local_size=cand.local_size, engine=config.engine,
                     )
-            except TRANSIENT_ERRORS:
+            except FaultInjected:
                 raise
             except Exception as exc:
                 raise _StageFailure("simulate", str(exc)) from exc
@@ -995,50 +1016,34 @@ def evaluate_candidates(
         return cand
 
     def evaluate(cand: ExploredCandidate):
-        """Fault-tolerant wrapper: ``policy``'s retries with backoff for
-        transient errors.  Returns ``(candidate | None, events,
-        FailureReport | None)``."""
-        events = {"compiled": 0, "executed": 0, "retries": 0}
+        """One evaluation, classified.  Returns ``(candidate | None,
+        events, FailureReport | None)``."""
+        events = {"compiled": 0, "executed": 0}
         start = time.monotonic()
-        attempts = 0
-
-        def attempt() -> ExploredCandidate:
-            nonlocal attempts
-            attempts += 1
-            return _evaluate_once(cand, events)
-
-        def on_retry(attempt_no: int, exc: BaseException) -> None:
-            events["retries"] += 1
-            obs.instant(
-                "explore.retry", candidate=cand.label, attempt=attempt_no,
-                error=type(exc).__name__,
-            )
-            obs.inc("explore.retries")
 
         def fail(kind: str, message: str):
             report = FailureReport(
                 label=cand.label, trace=cand.trace, kind=kind,
-                message=message, attempts=attempts,
-                elapsed=time.monotonic() - start,
+                message=message, elapsed=time.monotonic() - start,
             )
-            return None, dict(events), report
+            return None, events, report
 
         try:
-            result = policy.call(attempt, on_retry=on_retry)
+            result = _evaluate_once(cand, events)
         except _OracleFailure as exc:
             raise exc.__cause__
         except _StageFailure as exc:
             return fail(exc.kind, exc.message)
-        except TRANSIENT_ERRORS as exc:  # survived every retry
+        except FaultInjected as exc:  # escaped survive()
             return fail("infra", f"{type(exc).__name__}: {exc}")
-        except Exception as exc:  # unexpected: infra, not retried
+        except Exception as exc:  # unexpected
             return fail("infra", f"unexpected {type(exc).__name__}: {exc}")
         result.eval_seconds = time.monotonic() - start
-        return result, dict(events), None
+        return result, events, None
 
     ranked: list = []
     failures: list = []
-    totals = {"compiled": 0, "executed": 0, "retries": 0}
+    totals = {"compiled": 0, "executed": 0}
     with obs.span(
         "explore.evaluate", candidates=len(candidates),
         engine=config.engine or "auto", device=config.device,
@@ -1054,14 +1059,6 @@ def evaluate_candidates(
                 ranked.append(result)
     ranked.sort(key=lambda c: (c.runtime, len(c.trace), c.trace))
     return ranked, failures, totals
-
-
-_FAILURE_STAT = {
-    "compile": "compile_failures",
-    "simulate": "simulate_failures",
-    "verify": "verify_failures",
-    "infra": "infra_failures",
-}
 
 
 def explore_program(
@@ -1124,7 +1121,6 @@ def explore_program(
     stats.evaluated = len(evaluated)
     stats.compilations = events["compiled"]
     stats.executions = events["executed"]
-    stats.retries = events["retries"]
     stats.pipeline_compiles = simt_compile.compile_count() - pipelines_before
     stats.declined_launches = LEDGER.total() - declines_before
     for report in failures:

@@ -3,7 +3,6 @@
 Covers the calibration math (Spearman with tie handling, top-k regret,
 scale-aligned residuals) on synthetic menus with known orderings, the
 CalibrationLog (bounds, reset, empty-log edge case, snapshot shape),
-the P² streaming quantile estimator behind the metrics histograms,
 roofline classification against synthetic segment counters, and the
 explorer integration (records land in the log with
 join-key hashes).
@@ -15,7 +14,6 @@ import math
 import pytest
 
 from repro.obs import analysis
-from repro.obs import metrics as metrics_mod
 from repro.obs.analysis import (
     CalibrationLog,
     CalibrationRecord,
@@ -188,58 +186,6 @@ class TestCalibrationLog:
         assert short_hash("abc") == short_hash("abc")
         assert len(short_hash("abc")) == 12
         assert short_hash("abc") != short_hash("abd")
-
-
-# ---------------------------------------------------------------------------
-# P² streaming quantiles
-# ---------------------------------------------------------------------------
-
-class TestP2Quantile:
-    def test_exact_below_five_samples(self):
-        est = metrics_mod._P2Quantile(0.5)
-        for x in (1.0, 5.0, 3.0):
-            est.add(x)
-        assert est.value() == pytest.approx(3.0)
-
-    def test_exact_interpolation_p95(self):
-        est = metrics_mod._P2Quantile(0.95)
-        for x in (1.0, 5.0, 3.0):
-            est.add(x)
-        # sorted [1,3,5], q=0.95 → index 1.9 → 3 + 0.9*(5-3) = 4.8
-        assert est.value() == pytest.approx(4.8)
-
-    def test_empty(self):
-        assert metrics_mod._P2Quantile(0.5).value() == 0.0
-
-    def test_converges_on_uniform_stream(self):
-        # Deterministic low-discrepancy stream over (0, 1000).
-        est = metrics_mod._P2Quantile(0.5)
-        x = 0.0
-        for _ in range(5000):
-            x = (x + 617.0) % 1000.0
-            est.add(x)
-        assert est.value() == pytest.approx(500.0, rel=0.05)
-
-    def test_deterministic(self):
-        a, b = metrics_mod._P2Quantile(0.99), metrics_mod._P2Quantile(0.99)
-        x = 0.0
-        for _ in range(1000):
-            x = (x * 31.0 + 17.0) % 997.0
-            a.add(x)
-            b.add(x)
-        assert a.value() == b.value()
-
-    def test_histogram_snapshot_carries_quantiles(self):
-        reg = metrics_mod.MetricsRegistry()
-        for v in (1.0, 5.0, 3.0):
-            reg.observe("lat", v)
-        h = reg.snapshot()["histograms"]["lat"]
-        assert h["count"] == 3
-        assert h["min"] == 1.0 and h["max"] == 5.0
-        assert h["mean"] == pytest.approx(3.0)
-        assert h["p50"] == pytest.approx(3.0)
-        assert h["p95"] == pytest.approx(4.8)
-        assert h["p99"] == pytest.approx(4.96)
 
 
 # ---------------------------------------------------------------------------

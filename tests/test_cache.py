@@ -226,7 +226,7 @@ class TestCorruptAndStale:
         path = cache._path(key, "kernel")
         path.write_bytes(b"not a pickle at all")
         assert cache.get_kernel(key) is None
-        assert cache.stats.invalid == 1
+        assert cache.stats.quarantined == 1
         assert not path.exists()  # dropped, so the recompile can re-fill
         cache.put_kernel(key, _compiled())
         assert cache.get_kernel(key) is not None
@@ -415,7 +415,7 @@ class TestQuarantineClassification:
         assert qfile.name == path.name + ".corrupt"
         assert cache.stats.corrupt_entries == 1
         assert cache.stats.stale_entries == 0
-        assert cache.stats.quarantined == cache.stats.invalid == 1
+        assert cache.stats.quarantined == 1
 
     def test_checksum_mismatch_is_corrupt(self, tmp_path):
         cache = TuningCache(tmp_path)

@@ -575,12 +575,11 @@ def test_an_oracle_asked_from_two_threads_interprets_once(interpretations):
     assert len(seen) == 4 and all(a is seen[0] for a in seen)
 
 
-def test_explore_config_has_seven_knobs():
+def test_explore_config_has_five_knobs():
     import dataclasses
 
     assert [f.name for f in dataclasses.fields(ExploreConfig)] == [
-        "depth", "max_eval", "device", "engine", "retries",
-        "retry_backoff", "workload",
+        "depth", "max_eval", "device", "engine", "workload",
     ]
 
 

@@ -1,7 +1,8 @@
-"""The resilience layer: deterministic fault injection, the retry
-primitive, the degradation ledger and crash shield on backend fallback
-chains, and the explorer's fault tolerance (recovery to bit-identical
-results under a chaos plan, the failure taxonomy)."""
+"""The resilience layer: deterministic fault injection, the degradation
+ledger and crash shield on backend fallback chains, and the explorer's
+fault tolerance (in-place recovery to bit-identical results under a
+chaos plan, escaped faults quarantined as ``infra``, the failure
+taxonomy)."""
 
 import numpy as np
 import pytest
@@ -14,8 +15,12 @@ from repro.faultinject import FaultInjected, FaultPlan, FaultState
 from repro.ir.dsl import map_
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.opencl import Buffer, OpenCLProgram, launch
-from repro.resilience import FAILURE_KINDS, FailureReport, RetryPolicy
-from repro.rewrite.explore import ExploreConfig, explore_program
+from repro.rewrite.explore import (
+    FAILURE_KINDS,
+    ExploreConfig,
+    FailureReport,
+    explore_program,
+)
 from repro.types import ArrayType, FLOAT
 
 SAXPY = """
@@ -250,107 +255,17 @@ class TestSurviveAndMaybeFail:
         }
 
 
-class TestRetryPolicy:
-    def test_success_needs_no_retry(self):
-        calls = []
-        policy = RetryPolicy(attempts=3)
-        assert policy.call(lambda: calls.append(1) or "ok",
-                           sleep=lambda s: None) == "ok"
-        assert len(calls) == 1
-
-    def test_transient_errors_are_retried(self):
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise OSError("blip")
-            return "done"
-
-        policy = RetryPolicy(attempts=3, base_delay=0.0)
-        assert policy.call(flaky, sleep=lambda s: None) == "done"
-        assert len(attempts) == 3
-
-    def test_budget_exhaustion_reraises(self):
-        policy = RetryPolicy(attempts=2, base_delay=0.0)
-        with pytest.raises(OSError):
-            policy.call(lambda: (_ for _ in ()).throw(OSError("x")),
-                        sleep=lambda s: None)
-
-    def test_non_transient_errors_pass_through(self):
-        policy = RetryPolicy(attempts=5)
-        calls = []
-
-        def broken():
-            calls.append(1)
-            raise ValueError("deterministic bug")
-
-        with pytest.raises(ValueError):
-            policy.call(broken, sleep=lambda s: None)
-        assert len(calls) == 1
-
-    def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(attempts=5, base_delay=0.1, multiplier=2.0,
-                             max_delay=0.3)
-        assert list(policy.delays()) == [0.1, 0.2, 0.3, 0.3]
-
-    def test_on_retry_observer_sees_each_failure(self):
-        seen = []
-        policy = RetryPolicy(attempts=3, base_delay=0.0)
-        state = {"n": 0}
-
-        def flaky():
-            state["n"] += 1
-            if state["n"] < 3:
-                raise OSError(f"blip {state['n']}")
-            return state["n"]
-
-        policy.call(flaky, on_retry=lambda i, e: seen.append((i, str(e))),
-                    sleep=lambda s: None)
-        assert seen == [(1, "blip 1"), (2, "blip 2")]
-
-    @pytest.mark.parametrize(
-        "error", [FaultInjected("compile", 0), OSError("disk")],
-        ids=["FaultInjected", "OSError"],
-    )
-    def test_each_transient_error_type_is_retried(self, error):
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) == 1:
-                raise error
-            return "done"
-
-        policy = RetryPolicy(attempts=2, base_delay=0.0)
-        assert policy.call(flaky, sleep=lambda s: None) == "done"
-        assert len(calls) == 2
-
-    @pytest.mark.parametrize("attempts", [0, 1, 2, 3, 5])
-    def test_a_persistent_failure_spends_exactly_the_budget(self, attempts):
-        policy = RetryPolicy(attempts=attempts, base_delay=0.01)
-        calls, slept = [], []
-
-        def broken():
-            calls.append(1)
-            raise OSError(f"blip {len(calls)}")
-
-        with pytest.raises(OSError, match=f"blip {max(1, attempts)}$"):
-            policy.call(broken, sleep=slept.append)
-        assert len(calls) == max(1, attempts)
-        assert slept == list(policy.delays())
-
-
 class TestFailureReport:
     def test_as_dict_and_describe(self):
         report = FailureReport(
             label="mapGlb(dbl)", trace=("rule-a", "rule-b"),
-            kind="compile", message="bad lowering", attempts=2, elapsed=0.5,
+            kind="compile", message="bad lowering", elapsed=0.5,
         )
         d = report.as_dict()
         assert d["kind"] == "compile"
         assert d["trace"] == ["rule-a", "rule-b"]
-        assert "compile after 2 attempt(s)" in report.describe()
+        assert "attempts" not in d
+        assert report.describe() == "mapGlb(dbl): compile — bad lowering"
 
 
 class TestDegradationLedger:
@@ -485,30 +400,57 @@ class TestExplorerFaultTolerance:
         assert chaos.stats.infra_failures == 0
         assert not chaos.failures
 
-    def test_retries_are_counted_under_chaos(self):
-        # rate=0.5 with the explorer's own retry loop: survive() absorbs
-        # most faults in place; the ones that escape a whole attempt are
-        # retried by evaluate().  Either way some recovery must show up.
+    def test_faults_are_recovered_in_place(self):
+        # survive() is the one retry: at rate 0.5 it redraws most
+        # faults at the compile site itself, and the search comes out
+        # as the fault-free one does.
+        baseline = _explore()
         with faultinject.plan_installed("seed=3;compile=0.5"):
-            result = _explore(retry_backoff=0.0)
+            chaos = _explore()
             recovered = faultinject.counts()["compile"].recovered
-        assert result.candidates
-        assert recovered + result.stats.retries > 0
+        assert recovered > 0
+        assert not chaos.failures
+        assert [c.label for c in chaos.candidates] == \
+            [c.label for c in baseline.candidates]
+        for a, b in zip(chaos.candidates, baseline.candidates):
+            assert a.cycles == b.cycles
+            assert a.kernel_source == b.kernel_source
 
     def test_unrecoverable_faults_become_infra_failures(self):
         with faultinject.plan_installed("seed=1;compile=1.0;attempts=1"):
-            result = _explore(retries=1, retry_backoff=0.0)
+            result = _explore()
+            checks = faultinject.counts()["compile"].checks
         assert not result.candidates
         assert result.stats.infra_failures == len(result.failures) > 0
         for report in result.failures:
             assert report.kind == "infra"
-            assert report.attempts == 2  # 1 try + 1 retry
+            assert "'compile'" in report.message
+        # One evaluation per candidate: no second attempt draws again.
+        assert checks == len(result.failures)
         # The taxonomy is visible in the stats dict.
         assert result.stats.as_dict()["infra_failures"] > 0
 
+    @pytest.mark.parametrize("site", ["simulate", "verify"])
+    def test_an_escaped_fault_is_infra_whatever_the_stage(self, site):
+        """A fault that escapes survive() inside a stage is not that
+        stage's failure: the schedule did nothing wrong."""
+        with faultinject.plan_installed(f"seed=1;{site}=1.0;attempts=1"):
+            result = _explore()
+            escaped = faultinject.counts()[site].escaped
+        assert not result.candidates
+        assert [r.kind for r in result.failures] == \
+            ["infra"] * len(result.failures)
+        assert escaped == len(result.failures) > 0
+        for report in result.failures:
+            assert report.message.startswith(
+                f"FaultInjected: injected fault at {site!r}"
+            )
+        assert result.stats.simulate_failures == 0
+        assert result.stats.verify_failures == 0
+
     def test_failures_listed_in_describe(self):
         with faultinject.plan_installed("seed=1;compile=1.0;attempts=1"):
-            result = _explore(retries=0, retry_backoff=0.0)
+            result = _explore()
         text = result.describe()
         assert "quarantined" in text
 
@@ -540,7 +482,7 @@ class TestExplorerFaultTolerance:
                 label=candidates[0].label, trace=candidates[0].trace,
                 kind=kind, message="planted",
             )
-            return [], [report], {"compiled": 0, "executed": 0, "retries": 0}
+            return [], [report], {"compiled": 0, "executed": 0}
 
         monkeypatch.setattr(explore_mod, "evaluate_candidates", one_failure)
         result = _explore()
