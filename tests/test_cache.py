@@ -3,6 +3,7 @@ stale entries falling back to a recompile (with quarantine and
 classified stats), LRU eviction under a size cap, and crash/concurrency
 safety (multi-process writer hammer, ``kill -9`` mid-write)."""
 
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -230,6 +231,20 @@ class TestCorruptAndStale:
         assert not path.exists()  # dropped, so the recompile can re-fill
         cache.put_kernel(key, _compiled())
         assert cache.get_kernel(key) is not None
+
+    def test_a_quarantined_entry_is_counted_under_one_name(self, tmp_path):
+        cache = TuningCache(tmp_path)
+        key = cache.kernel_key(_program(), CompilerOptions(), {"N": 64})
+        cache.put_kernel(key, _compiled())
+        cache._path(key, "kernel").write_bytes(b"not a pickle at all")
+        assert cache.get_kernel(key) is None
+        stats = cache.stats.as_dict()
+        assert "invalid" not in stats
+        assert (stats["quarantined"], stats["corrupt_entries"],
+                stats["stale_entries"]) == (1, 1, 0)
+        assert set(stats) == {
+            f.name for f in dataclasses.fields(cache.stats)
+        } | {"kernel_hit_rate", "run_hit_rate"}
 
     def test_truncated_pickle_is_a_miss(self, tmp_path):
         cache = TuningCache(tmp_path)

@@ -591,6 +591,14 @@ def test_a_search_has_no_pool_or_search_wide_stop(knob):
         ExploreConfig(**{knob: 1})
 
 
+@pytest.mark.parametrize("knob", ["retries", "retry_backoff"])
+def test_a_search_has_no_retry_knob(knob):
+    """Injected faults are redrawn at their site; a candidate is
+    evaluated once, so there is no retry budget or backoff to set."""
+    with pytest.raises(TypeError, match=knob):
+        ExploreConfig(**{knob: 1})
+
+
 def test_a_failing_oracle_fails_the_search(monkeypatch):
     """The interpreter's exception is the search's own — not eight
     candidates quarantined as ``infra``."""

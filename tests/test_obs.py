@@ -235,6 +235,37 @@ class TestMetricsRegistry:
         assert doc["counters"] == {"hits": 3}
         assert "gauges" not in doc and "histograms" not in doc
 
+    def test_an_uncounted_name_reads_zero(self):
+        reg = metrics_mod.MetricsRegistry()
+        assert reg.counter("never") == 0
+        reg.inc("once")
+        assert (reg.counter("never"), reg.counter("once")) == (0, 1)
+        assert reg.snapshot()["counters"] == {"once": 1}
+
+    def test_counts_from_many_threads_are_exact(self):
+        reg = metrics_mod.MetricsRegistry()
+
+        def work():
+            for _ in range(500):
+                reg.inc("hits")
+                reg.inc("items", 3)
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert reg.snapshot()["counters"] == {"hits": 4000, "items": 12000}
+
+    def test_a_snapshot_is_detached_from_the_registry(self):
+        reg = metrics_mod.MetricsRegistry()
+        reg.inc("hits")
+        doc = reg.snapshot()
+        doc["counters"]["hits"] = 99
+        doc["counters"]["forged"] = 1
+        assert reg.counter("hits") == 1
+        assert reg.snapshot()["counters"] == {"hits": 1}
+
     def test_provider_replace_semantics(self):
         reg = metrics_mod.MetricsRegistry()
         reg.register_provider("thing", lambda: 1)

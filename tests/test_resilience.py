@@ -23,6 +23,9 @@ from repro.rewrite.explore import (
 )
 from repro.types import ArrayType, FLOAT
 
+#: The explorer's stages that draw at a fault site of their own name.
+STAGE_SITES = ("compile", "simulate", "verify")
+
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
                   const global float * restrict y,
@@ -430,10 +433,12 @@ class TestExplorerFaultTolerance:
         # The taxonomy is visible in the stats dict.
         assert result.stats.as_dict()["infra_failures"] > 0
 
-    @pytest.mark.parametrize("site", ["simulate", "verify"])
+    @pytest.mark.parametrize("site", STAGE_SITES)
     def test_an_escaped_fault_is_infra_whatever_the_stage(self, site):
         """A fault that escapes survive() inside a stage is not that
         stage's failure: the schedule did nothing wrong."""
+        from repro.rewrite.explore import _FAILURE_STAT
+
         with faultinject.plan_installed(f"seed=1;{site}=1.0;attempts=1"):
             result = _explore()
             escaped = faultinject.counts()[site].escaped
@@ -445,8 +450,57 @@ class TestExplorerFaultTolerance:
             assert report.message.startswith(
                 f"FaultInjected: injected fault at {site!r}"
             )
-        assert result.stats.simulate_failures == 0
-        assert result.stats.verify_failures == 0
+        assert {
+            kind: getattr(result.stats, stat)
+            for kind, stat in _FAILURE_STAT.items() if kind != "infra"
+        } == {kind: 0 for kind in FAILURE_KINDS if kind != "infra"}
+
+    @pytest.mark.parametrize("attempts", [1, 2, 4])
+    @pytest.mark.parametrize("site", STAGE_SITES)
+    def test_a_persistent_fault_spends_exactly_the_site_budget(
+        self, site, attempts
+    ):
+        """Each candidate is evaluated once, so a fault that never
+        clears is drawn ``attempts`` times per candidate — survive()'s
+        budget, not multiplied by any outer retry."""
+        with faultinject.plan_installed(
+            f"seed=1;{site}=1.0;attempts={attempts}"
+        ):
+            result = _explore()
+            counts = faultinject.counts()[site].as_dict()
+        n = len(result.failures)
+        assert n > 0 and not result.candidates
+        assert counts == {
+            "checks": attempts * n, "injected": attempts * n,
+            "recovered": (attempts - 1) * n, "escaped": n,
+        }
+        assert result.stats.infra_failures == n
+        assert "retries" not in result.stats.as_dict()
+
+    @pytest.mark.parametrize("site", STAGE_SITES)
+    def test_a_faulted_candidate_is_quarantined_or_exact(self, site):
+        """Under partial chaos at one stage every candidate either comes
+        out as in the fault-free search or is an ``infra`` failure, one
+        per fault that escaped."""
+        baseline = {c.label: c for c in _explore().candidates}
+        recovered = 0
+        for seed in range(1, 6):
+            with faultinject.plan_installed(
+                f"seed={seed};{site}=0.5;attempts=2"
+            ):
+                chaos = _explore()
+                counts = faultinject.counts()[site]
+            recovered += counts.recovered
+            assert counts.escaped == len(chaos.failures)
+            assert [r.kind for r in chaos.failures] == \
+                ["infra"] * len(chaos.failures)
+            assert {c.label for c in chaos.candidates} | \
+                {r.label for r in chaos.failures} == set(baseline)
+            for cand in chaos.candidates:
+                assert cand.cycles == baseline[cand.label].cycles
+                assert cand.kernel_source == \
+                    baseline[cand.label].kernel_source
+        assert recovered > 0
 
     def test_failures_listed_in_describe(self):
         with faultinject.plan_installed("seed=1;compile=1.0;attempts=1"):
