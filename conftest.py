@@ -18,9 +18,11 @@ if _ROOT not in sys.path:
 @pytest.fixture
 def fault_free():
     """Suspend any ``REPRO_FAULT_PLAN`` for a test that asserts a
-    fault-free invariant (which tier served a launch, an empty ledger):
-    injected ``backend-run`` faults legitimately decline tiers.  The
-    chaos plan's draw sequence resumes untouched afterwards."""
+    fault-free invariant (which tier served a launch, an empty ledger,
+    an exact cache count): injected ``backend-run`` faults legitimately
+    decline tiers, and injected cache faults turn reads into misses and
+    skip writes.  The chaos plan's draw sequence resumes untouched
+    afterwards."""
     from repro import faultinject
 
     with faultinject.plan_installed(None):

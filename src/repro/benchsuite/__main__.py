@@ -239,7 +239,6 @@ def _print_cache_recoveries(stats) -> None:
         "io errors": stats.io_errors,
         "evictions": stats.evictions,
         "write skips": stats.write_skips,
-        "faults recovered": stats.faults_recovered,
     }
     shown = {k: v for k, v in recovered.items() if v}
     if shown:
@@ -264,8 +263,7 @@ def _print_resilience_summary() -> None:
         counts = faultinject.counts()
         if counts:
             parts = [
-                f"{site}: {c.injected}/{c.checks} injected "
-                f"({c.recovered} retried, {c.escaped} escaped)"
+                f"{site}: {c.injected}/{c.checks} injected"
                 for site, c in sorted(counts.items())
                 if c.injected
             ]

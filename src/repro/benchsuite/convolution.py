@@ -92,7 +92,7 @@ def slide_2d(size, step):
 def untile_indices(nty: int, ntx: int, tile: int, width: int) -> IndexFun:
     """Permutation reassembling a grid of flattened tiles row-major.
 
-    Built with raw arithmetic nodes so the un-simplified form survives
+    Built with raw arithmetic nodes so the un-simplified form carries
     into the generated code when array-access simplification is off.
     """
     per_row = Cst(ntx * tile * tile)

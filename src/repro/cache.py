@@ -59,9 +59,9 @@ Crash- and concurrency-safety (see ``src/repro/RESILIENCE.md``):
   is by *use*, not by creation.  Without a cap only a cache object's
   first write scans the store (for crash-leftover temp files).
 * The ``cache-read``/``cache-write`` fault-injection sites
-  (:mod:`repro.faultinject`) fire at the top of every get/put with
-  bounded in-place retries; recoveries are counted in
-  ``stats.faults_recovered``.
+  (:mod:`repro.faultinject`) draw once at the top of every get/put: a
+  read fault is an I/O error and then a miss (``stats.io_errors``), a
+  write fault a skipped write (``stats.write_skips``).
 
 The store root comes from the ``REPRO_CACHE_DIR`` environment variable,
 falling back to ``~/.cache/repro``.
@@ -277,10 +277,8 @@ class CacheStats:
     io_errors: int = 0
     #: Entries evicted by the LRU size cap.
     evictions: int = 0
-    #: Writes skipped because an injected fault exhausted its retries.
+    #: Writes skipped because an injected ``cache-write`` fault landed.
     write_skips: int = 0
-    #: Injected faults absorbed by in-place retries at the cache sites.
-    faults_recovered: int = 0
 
     def hit_rate(self, level: str) -> float:
         """Hits over lookups of one level (a ``_LEVELS`` name)."""
@@ -496,7 +494,7 @@ class TuningCache:
         with obs.span(f"cache.get_{level}"), self._lock:
             raw = value = None
             try:
-                self.stats.faults_recovered += faultinject.survive("cache-read")
+                faultinject.maybe_fail("cache-read")
                 raw = path.read_bytes()
             except FileNotFoundError:
                 pass
@@ -527,7 +525,7 @@ class TuningCache:
         suffix, _, dumps, _ = _LEVELS[level]
         with obs.span(f"cache.put_{level}"), self._lock:
             try:
-                self.stats.faults_recovered += faultinject.survive("cache-write")
+                faultinject.maybe_fail("cache-write")
             except FaultInjected:
                 self.stats.write_skips += 1
                 return

@@ -3,7 +3,7 @@
 A barrier is emitted after every ``mapLcl`` and after every step of a
 local-memory ``iterate`` by default — safety first.  A barrier is removed
 only when the context shows that no work-item can touch another one's
-data before the next barrier that survives.  The Lift IL only shares
+data before the next barrier that is kept.  The Lift IL only shares
 data between work-items through the data-layout patterns (split, join,
 gather, scatter, transpose, slide, asVector, asScalar), and every
 destination-less ``mapLcl`` result gets a buffer of its own

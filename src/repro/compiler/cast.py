@@ -182,11 +182,6 @@ class CFunctionDef:
     is_kernel: bool = False
 
 
-@dataclass
-class CProgram:
-    functions: list = field(default_factory=list)
-
-
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------

@@ -1300,15 +1300,9 @@ def compile_kernel(
 
     ``memo=False`` bypasses the structural-key compile memo (used by the
     compile-time benchmarks, which must measure a real compilation).
-
-    The ``compile`` fault-injection site sits at this entry (before the
-    memo, so chaos runs exercise it on every call); injected faults are
-    absorbed by bounded in-place retries.
     """
-    from repro import faultinject
     from repro.obs import span
 
-    faultinject.survive("compile")
     options = options or CompilerOptions()
     if not memo:
         with span("compile", memo=False):

@@ -1,50 +1,44 @@
 """Deterministic, seed-driven fault injection for the resilience layer.
 
-Every recovery path in the system — cache corruption handling, the
-explorer's quarantine of a failed candidate, backend fallback chains —
-is worthless unless it is *exercised*, and exercising it with
-``random.random()`` makes failures unreproducible.  This module provides a :class:`FaultPlan`
-whose injection decisions are a pure function of ``(seed, site,
-sequence number)``: the n-th check of a given site either always or
-never injects for a given plan, across runs, machines and thread
+Every recovery path in the system — the cache's classified miss and
+skipped write, backend fallback chains — is worthless unless it is
+*exercised*, and exercising it with ``random.random()`` makes failures
+unreproducible.  This module provides a :class:`FaultPlan` whose
+injection decisions are a pure function of ``(seed, site, sequence
+number)``: the n-th check of a given site either always or never
+injects for a given plan, across runs, machines and thread
 interleavings of the *same per-site call counts*.
 
 Sites
 -----
-Fault checks are placed at named **injection sites**:
+Fault checks are placed at named **injection sites**, each drawn once
+per check with :func:`maybe_fail`:
 
 ========================  ====================================================
-``cache-read``            :meth:`repro.cache.TuningCache.get_kernel` et al.
-``cache-write``           :meth:`repro.cache.TuningCache.put_kernel` et al.
-``compile``               entry of :func:`repro.compiler.codegen.compile_kernel`
-``simulate``              entry of :func:`repro.opencl.runtime.launch`
-``verify``                the explorer's bitwise verification stage
-``backend-run``           before each non-final backend of a fallback chain
+``cache-read``            :meth:`repro.cache.TuningCache.get_kernel` et al.:
+                          an I/O error, counted, then a miss
+``cache-write``           :meth:`repro.cache.TuningCache.put_kernel` et al.:
+                          a skipped write, counted
+``backend-run``           before each non-final backend of a fallback chain:
+                          the backend declines, the next tier serves
 ========================  ====================================================
 
-Each site guards a real operation with a recovery of its own; there is
-no site whose only purpose is to feed a retry loop.  All sites except
-``backend-run`` sit *before* any observable side effect, so the
-standard recovery — retry the draw a bounded number of times
-(:func:`survive`) — is exact: an injected-and-recovered fault changes
-timing only, never results.  ``backend-run`` faults instead *decline*
-the backend so the fallback chain (and its degradation ledger,
-:mod:`repro.backend.ledger`) is exercised; the final chain member is
-exempt, so a graceful chain still completes.  Sites draw from independent
-``(seed, site, n)`` streams, so adding or removing one leaves every
-other site's decisions unchanged.
+Each site guards a real operation whose recovery exists for more than
+the site, and that recovery is transparent: an injected fault changes
+hit rates, tiers and timing, never results.  The final chain member is
+exempt from ``backend-run``, so a graceful chain still completes.
+Sites draw from independent ``(seed, site, n)`` streams, so adding or
+removing one leaves every other site's decisions unchanged.
 
 Configuration
 -------------
 A plan is a spec string — from the ``REPRO_FAULT_PLAN`` environment
 variable or :func:`set_plan` — of ``;``- or ``,``-separated fields::
 
-    seed=11;rate=0.05                  # 5% at every site
-    seed=7;cache-read=0.2;compile=0.1  # per-site rates
-    seed=3;rate=1.0;attempts=1         # every check escapes (tests)
+    seed=11;rate=0.05                     # 5% at every site
+    seed=7;cache-read=0.2;cache-write=0.1 # per-site rates
 
-``attempts`` bounds the in-place retries of :func:`survive` (default
-4); ``off`` (or an empty string) disables injection.
+``off`` (or an empty string) disables injection.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro import obs
@@ -70,7 +64,6 @@ __all__ = [
     "plan_installed",
     "reset_counts",
     "set_plan",
-    "survive",
 ]
 
 ENV_VAR = "REPRO_FAULT_PLAN"
@@ -79,9 +72,6 @@ ENV_VAR = "REPRO_FAULT_PLAN"
 SITES = (
     "cache-read",
     "cache-write",
-    "compile",
-    "simulate",
-    "verify",
     "backend-run",
 )
 
@@ -102,8 +92,6 @@ class FaultPlan:
     seed: int = 0
     default_rate: float = 0.0
     rates: Tuple[Tuple[str, float], ...] = ()
-    #: Bounded in-place retries of :func:`survive`.
-    attempts: int = 4
 
     def rate(self, site: str) -> float:
         for name, r in self.rates:
@@ -120,7 +108,7 @@ class FaultPlan:
         spec = (spec or "").strip()
         if not spec or spec.lower() == "off":
             return None
-        seed, default_rate, attempts = 0, 0.0, 4
+        seed, default_rate = 0, 0.0
         rates = []
         for raw in spec.replace(",", ";").split(";"):
             raw = raw.strip()
@@ -137,16 +125,14 @@ class FaultPlan:
                 seed = int(value)
             elif key == "rate":
                 default_rate = float(value)
-            elif key == "attempts":
-                attempts = max(1, int(value))
             elif key in SITES:
                 rates.append((key, float(value)))
             else:
                 raise ValueError(
                     f"unknown {ENV_VAR} field {key!r} "
-                    f"(sites: {', '.join(SITES)}; also seed/rate/attempts)"
+                    f"(sites: {', '.join(SITES)}; also seed/rate)"
                 )
-        plan = cls(seed, default_rate, tuple(rates), attempts)
+        plan = cls(seed, default_rate, tuple(rates))
         return plan if plan.any_faults() else None
 
     def describe(self) -> str:
@@ -154,7 +140,6 @@ class FaultPlan:
         if self.default_rate:
             parts.append(f"rate={self.default_rate}")
         parts += [f"{name}={r}" for name, r in self.rates]
-        parts.append(f"attempts={self.attempts}")
         return ";".join(parts)
 
 
@@ -164,20 +149,13 @@ class SiteCounts:
 
     checks: int = 0
     injected: int = 0
-    recovered: int = 0
-    escaped: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "checks": self.checks,
-            "injected": self.injected,
-            "recovered": self.recovered,
-            "escaped": self.escaped,
-        }
+        return {"checks": self.checks, "injected": self.injected}
 
 
 class FaultState:
-    """An active plan plus its per-site sequence and outcome counters."""
+    """An active plan plus its per-site sequence and check/inject counters."""
 
     def __init__(self, plan: FaultPlan):
         self.plan = plan
@@ -210,34 +188,10 @@ class FaultState:
         return inject, n
 
     def maybe_fail(self, site: str) -> None:
-        """Single draw; raises :class:`FaultInjected` when it lands."""
+        """One draw; raises :class:`FaultInjected` when it lands."""
         inject, n = self._draw(site)
         if inject:
-            with self._lock:
-                self._counts[site].escaped += 1
             raise FaultInjected(site, n)
-
-    def survive(self, site: str) -> int:
-        """Draw up to ``plan.attempts`` times, recovering in place.
-
-        Returns how many injected faults were absorbed.  Raises
-        :class:`FaultInjected` only when *every* attempt injects — the
-        caller's own (coarser) recovery path then takes over.
-        """
-        recovered = 0
-        for attempt in range(self.plan.attempts):
-            inject, n = self._draw(site)
-            if not inject:
-                return recovered
-            with self._lock:
-                if attempt + 1 == self.plan.attempts:
-                    self._counts[site].escaped += 1
-                else:
-                    self._counts[site].recovered += 1
-            if attempt + 1 == self.plan.attempts:
-                raise FaultInjected(site, n)
-            recovered += 1
-        return recovered
 
     def counts(self) -> Mapping[str, SiteCounts]:
         with self._lock:
@@ -288,20 +242,11 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 def maybe_fail(site: str) -> None:
-    """Site check with no in-place recovery (the caller's fallback is
-    the recovery — used by ``backend-run``)."""
+    """Site check: one draw, :class:`FaultInjected` when it lands (the
+    caller's own recovery takes over)."""
     state = _get_state()
     if state is not None:
         state.maybe_fail(site)
-
-
-def survive(site: str) -> int:
-    """Site check with bounded in-place retries; returns the number of
-    absorbed faults (0 on the fast path).  See :meth:`FaultState.survive`."""
-    state = _get_state()
-    if state is None:
-        return 0
-    return state.survive(site)
 
 
 def counts() -> Mapping[str, SiteCounts]:

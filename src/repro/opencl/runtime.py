@@ -120,16 +120,9 @@ def launch(
     counters: Optional[Counters] = None,
     engine: Optional[str] = None,
 ) -> Counters:
-    """Execute a kernel over the NDRange; returns the counters.
+    """Execute a kernel over the NDRange; returns the counters."""
+    from repro import backend
 
-    The ``simulate`` fault-injection site sits here, before any buffer
-    is wrapped or touched: an injected fault is absorbed by bounded
-    in-place retries (:func:`repro.faultinject.survive`), so a chaos
-    run recovers to bit-identical results.
-    """
-    from repro import backend, faultinject
-
-    faultinject.survive("simulate")
     kernel = program.kernel(kernel_name)
     gsize = _normalize_size(global_size, "global")
     lsize = _normalize_size(local_size, "local")

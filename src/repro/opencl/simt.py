@@ -1088,7 +1088,7 @@ class _HazardLocal:
     to the block-accumulating min/max of :class:`_Hazard` this is
     *more* precise for the write check (an earlier-segment reader is
     barrier-ordered and no longer triggers a conservative fallback) and
-    equally sound: any same-segment foreign-lane access survives the
+    equally sound: any same-segment foreign-lane access outlasts the
     max against older entries.
 
     Reads matter only to a later write of their own segment, so a read

@@ -212,7 +212,7 @@ def autotune(
             )
     if not ranked:
         raise TuningError(
-            "no candidate schedule survived evaluation"
+            "no candidate schedule passed evaluation"
             + "".join(f"\n  - {report.describe()}" for report in failures)
         )
     return ranked

@@ -21,7 +21,7 @@ level.  Rewriting shares structure: a variant is one new spine from the
 root to its replacement, the rest is its source's own nodes
 (:mod:`repro.ir.visit`: whoever annotates clones first), so the search
 starts from one private copy of the body and clones again only what
-survives finishing and dedup.  What is true of a subtree is true of it
+is left after finishing and dedup.  What is true of a subtree is true of it
 in every derivation that shares it: the search's :class:`SearchMemo`
 keeps, per structural key, a subtree's single-step rewrites under each
 rule, its sequentially finished form and its validity, so a derivation
@@ -84,12 +84,11 @@ The compile → simulate → verify loop degrades gracefully instead of
 dying with the worst candidate (see ``src/repro/RESILIENCE.md``):
 
 * every candidate failure is *classified* (``compile`` / ``simulate`` /
-  ``verify`` / ``infra``) and quarantined
+  ``verify``, or ``infra`` for an unexpected exception) and quarantined
   into a structured :class:`FailureReport` on
   :class:`ExplorationResult` — the rest of the search completes;
-* a candidate is evaluated once.  Injected faults are retried in place
-  by :func:`repro.faultinject.survive`, the one retry there is; a fault
-  that escapes it is quarantined as ``infra``, whichever stage it hit.
+* a candidate is evaluated once: a schedule that fails to compile,
+  run or verify fails the same way on every attempt.
 """
 
 from __future__ import annotations
@@ -146,9 +145,8 @@ from repro.rewrite.rules import (
     vectorize_map,
 )
 from repro.rewrite.strategies import rewrites_by_rule
-from repro import faultinject, obs
+from repro import obs
 from repro.backend import LEDGER
-from repro.faultinject import FaultInjected
 
 
 class ExplorationError(Exception):
@@ -228,8 +226,7 @@ class ExploreStats:
     #: Failure taxonomy beyond compile/verify (see RESILIENCE.md):
     #: candidates whose execution raised (engine refusal, bad geometry).
     simulate_failures: int = 0
-    #: Injected faults that escaped :func:`repro.faultinject.survive`,
-    #: and unexpected errors.
+    #: Candidates whose evaluation raised an unexpected exception.
     infra_failures: int = 0
     #: Always 0: nothing times out or cancels a search.  Kept because
     #: the end-to-end harness (``benchmarks/e2e/workloads.py``) sums
@@ -665,7 +662,7 @@ def finish_candidates(
     ``stats``.  The programs returned share subtrees with
     ``high_level``, the derivations and each other, so consumers clone
     before they annotate (:func:`specialize_sizes`); only
-    :func:`typed_clone` copies here, only what survived the dedup, and
+    :func:`typed_clone` copies here, only what is left after the dedup, and
     everything that reads types reads that one clone."""
     memo = memo or SearchMemo()
     seen: set = set()
@@ -916,7 +913,7 @@ def evaluate_candidates(
     The single place that decides how a schedule is compiled
     (size-specialized, keyed on the symbolic program), launched,
     verified (bitwise) against ``reference`` and costed, with the
-    tuning-cache lookups and fault sites of the module docstring.
+    tuning-cache lookups of the module docstring.
     Candidates are evaluated once each, one after another, in order, in
     the caller's thread.  ``reference`` is the expected flat
     array or an :class:`Oracle`, which is forced by the first candidate
@@ -941,8 +938,7 @@ def evaluate_candidates(
         and the store.
 
         Raises :class:`_StageFailure` for a stage's own failure and lets
-        an injected fault that escaped its site propagate unclassified
-        to ``evaluate``.
+        anything unexpected propagate unclassified to ``evaluate``.
         """
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
         options = CompilerOptions(local_size=cand.local_size)
@@ -956,8 +952,6 @@ def evaluate_candidates(
                     kernel = compile_kernel(
                         specialize_sizes(cand.program, size_env), options
                     )
-            except FaultInjected:
-                raise
             except (CodeGenError, pat.LiftTypeError, ValueError) as exc:
                 raise _StageFailure("compile", str(exc)) from exc
             events["compiled"] += 1
@@ -979,8 +973,6 @@ def evaluate_candidates(
                         kernel, kernel_inputs, size_env, cand.global_size,
                         local_size=cand.local_size, engine=config.engine,
                     )
-            except FaultInjected:
-                raise
             except Exception as exc:
                 raise _StageFailure("simulate", str(exc)) from exc
             events["executed"] += 1
@@ -988,7 +980,6 @@ def evaluate_candidates(
                 expected = reference() if callable(reference) else reference
             except Exception as exc:
                 raise _OracleFailure from exc
-            faultinject.survive("verify")
             with obs.span(
                 "explore.verify", candidate=cand.label,
                 structural_hash=cand_hash,
@@ -1034,8 +1025,6 @@ def evaluate_candidates(
             raise exc.__cause__
         except _StageFailure as exc:
             return fail(exc.kind, exc.message)
-        except FaultInjected as exc:  # escaped survive()
-            return fail("infra", f"{type(exc).__name__}: {exc}")
         except Exception as exc:  # unexpected
             return fail("infra", f"unexpected {type(exc).__name__}: {exc}")
         result.eval_seconds = time.monotonic() - start

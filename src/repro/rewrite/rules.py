@@ -4,7 +4,7 @@ A rule is a partial function on ``FunCall`` nodes.  Applying a rule never
 mutates its input and never copies it: the replacement re-wraps the
 matched function and arguments as they are, so it shares them with the
 source program (see :mod:`repro.ir.visit` — whoever annotates a program
-clones it first; annotations do not survive that, the compiler re-infers
+clones it first; annotations do not outlive that, the compiler re-infers
 them).
 
 The rule set covers what the paper's evaluation relies on:

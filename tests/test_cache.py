@@ -1,6 +1,7 @@
 """Persistent tuning cache: round-trips, key sensitivity, corrupt or
 stale entries falling back to a recompile (with quarantine and
-classified stats), LRU eviction under a size cap, and crash/concurrency
+classified stats), injected read and write faults taking the entry
+path's own recovery, LRU eviction under a size cap, and crash/concurrency
 safety (multi-process writer hammer, ``kill -9`` mid-write)."""
 
 import dataclasses
@@ -20,6 +21,7 @@ from repro.types import ArrayType, FLOAT
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.ir.dsl import map_
 import repro.cache as cache_mod
+from repro import faultinject
 from repro.cache import (
     CACHE_VERSION,
     QUARANTINE_DIR,
@@ -120,7 +122,7 @@ class TestEveryLevel:
         assert qfile.name == f"{other}.{suffix}.stale"
         assert _get(cache, level, self.KEY) is not None  # the original stays
 
-    def test_wrong_typed_payload_is_corrupt(self, tmp_path, level):
+    def test_wrong_typed_payload_is_corrupt(self, tmp_path, level, fault_free):
         suffix, _, _, wrong = LEVELS[level]
         cache = TuningCache(tmp_path)
         tmp_path.mkdir(exist_ok=True)
@@ -131,7 +133,7 @@ class TestEveryLevel:
         (qfile,) = cache.quarantined_entries()
         assert qfile.name.endswith(".corrupt")
 
-    def test_v4_entry_is_stale_and_refills(self, tmp_path, level):
+    def test_v4_entry_is_stale_and_refills(self, tmp_path, level, fault_free):
         """What the previous format left on disk: a three-field header
         over a ``{"version", "key", ...}`` dict.  Another version is
         stale whatever the header's arity, never corrupt."""
@@ -184,6 +186,77 @@ class TestEveryLevel:
         assert cache.stats.puts == 0
         assert not cache._path(self.KEY, LEVELS[level][0]).exists()
         assert _get(cache, level, self.KEY) is None
+
+    # The ``cache-read`` / ``cache-write`` fault sites each take the
+    # entry path's own recovery: an I/O error and a miss, a skipped write.
+
+    def test_a_read_fault_is_an_io_error_and_a_miss(self, tmp_path, level):
+        suffix, stat, make, _ = LEVELS[level]
+        cache = TuningCache(tmp_path)
+        value = make()
+        with faultinject.plan_installed(None):
+            _put(cache, level, self.KEY, value)
+        with faultinject.plan_installed("seed=1;cache-read=1.0"):
+            assert _get(cache, level, self.KEY) is None
+        stats = cache.stats.as_dict()
+        assert stats["io_errors"] == stats[f"{stat}_misses"] == 1
+        assert stats[f"{stat}_hits"] == stats["quarantined"] == 0
+        # The entry is neither quarantined nor lost: the next read hits.
+        assert cache.quarantined_entries() == []
+        with faultinject.plan_installed(None):
+            _assert_same(level, _get(cache, level, self.KEY), value)
+        assert cache.stats.as_dict()[f"{stat}_hits"] == 1
+
+    def test_a_write_fault_is_a_skipped_write(self, tmp_path, level):
+        suffix, stat, make, _ = LEVELS[level]
+        cache = TuningCache(tmp_path)
+        with faultinject.plan_installed("seed=1;cache-write=1.0"):
+            _put(cache, level, self.KEY, make())
+        assert cache.stats.write_skips == 1
+        assert cache.stats.puts == cache.stats.io_errors == 0
+        assert not cache._path(self.KEY, suffix).exists()
+        with faultinject.plan_installed(None):
+            assert _get(cache, level, self.KEY) is None
+        assert cache.stats.as_dict()[f"{stat}_misses"] == 1
+
+    def test_a_write_fault_leaves_the_stored_entry_whole(
+        self, tmp_path, level
+    ):
+        suffix, _, make, _ = LEVELS[level]
+        cache = TuningCache(tmp_path)
+        value = make()
+        with faultinject.plan_installed(None):
+            _put(cache, level, self.KEY, value)
+        before = cache._path(self.KEY, suffix).read_bytes()
+        with faultinject.plan_installed("seed=1;cache-write=1.0"):
+            _put(cache, level, self.KEY, value)
+        assert cache.stats.puts == cache.stats.write_skips == 1
+        assert cache._path(self.KEY, suffix).read_bytes() == before
+        with faultinject.plan_installed(None):
+            _assert_same(level, _get(cache, level, self.KEY), value)
+
+    def test_fetch_through_a_read_fault_recomputes_and_refills(
+        self, tmp_path, level
+    ):
+        suffix, _, make, _ = LEVELS[level]
+        cache = TuningCache(tmp_path)
+        value = make()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return value
+
+        with faultinject.plan_installed(None):
+            cache.fetch(level, self.KEY, compute)
+        with faultinject.plan_installed("seed=1;cache-read=1.0"):
+            _assert_same(level, cache.fetch(level, self.KEY, compute), value)
+        # The fault cost one recompute, and the rewrite restored the entry.
+        assert len(calls) == 2
+        assert cache.stats.io_errors == 1 and cache.stats.puts == 2
+        with faultinject.plan_installed(None):
+            _assert_same(level, cache.fetch(level, self.KEY, compute), value)
+        assert len(calls) == 2
 
 
 class TestKernelRoundTrip:
@@ -614,7 +687,7 @@ def _sigkill_worker(root):
 
 
 class TestMultiProcessSafety:
-    def test_concurrent_writer_hammer(self, tmp_path):
+    def test_concurrent_writer_hammer(self, tmp_path, fault_free):
         ctx = multiprocessing.get_context("fork")
         procs = [
             ctx.Process(target=_hammer_worker, args=(tmp_path, w, 25))

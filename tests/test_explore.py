@@ -260,7 +260,9 @@ class TestCacheIntegration:
             c.cycles for c in cold.candidates
         ]
 
-    def test_changed_inputs_reuse_kernels_but_re_execute(self, tmp_path):
+    def test_changed_inputs_reuse_kernels_but_re_execute(
+        self, tmp_path, fault_free
+    ):
         prog = _toy_program()
         cache = TuningCache(tmp_path)
         config = ExploreConfig(depth=1, max_eval=4)

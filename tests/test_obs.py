@@ -322,10 +322,10 @@ class TestMetricsRegistry:
         declines = LEDGER.total()
         launch(OpenCLProgram(RACE), 8, 4, race_args(), engine="auto")
 
-        plan = "seed=3;compile=1.0;attempts=1"
+        plan = "seed=3;cache-read=1.0"
         with faultinject.plan_installed(plan):
             with pytest.raises(faultinject.FaultInjected):
-                faultinject.survive("compile")
+                faultinject.maybe_fail("cache-read")
             doc = obs.snapshot()
 
         assert doc["counters.kernel"]["global_loads"] > 0
@@ -337,8 +337,8 @@ class TestMetricsRegistry:
         assert doc["ledger"]["total"] == declines + 1
         assert doc["ledger"]["events"][-1]["kind"] == "dynamic"
         assert doc["faults"]["plan"] == plan
-        assert doc["faults"]["sites"]["compile"] == {
-            "checks": 1, "injected": 1, "recovered": 0, "escaped": 1,
+        assert doc["faults"]["sites"]["cache-read"] == {
+            "checks": 1, "injected": 1,
         }
         assert "segments" in doc["profile"]
         assert "workloads" in doc["calibration"]

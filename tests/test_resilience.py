@@ -1,8 +1,9 @@
 """The resilience layer: deterministic fault injection, the degradation
 ledger and crash shield on backend fallback chains, and the explorer's
-fault tolerance (in-place recovery to bit-identical results under a
-chaos plan, escaped faults quarantined as ``infra``, the failure
-taxonomy)."""
+fault tolerance (bit-identical results under a chaos plan, real
+compile / simulate / verify failures quarantined under their own kind)."""
+
+import re
 
 import numpy as np
 import pytest
@@ -12,19 +13,23 @@ from repro.arith import Var
 from repro.backend import get_backend, ledger
 from repro.cache import TuningCache
 from repro.faultinject import FaultInjected, FaultPlan, FaultState
-from repro.ir.dsl import map_
+from repro.ir.dsl import join, map_, pipe, split
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.rewrite.explore import (
     FAILURE_KINDS,
     ExploreConfig,
+    ExploredCandidate,
     FailureReport,
+    evaluate_candidates,
     explore_program,
+    reference_output,
 )
+from repro.rewrite.lowering import lower_to_global
 from repro.types import ArrayType, FLOAT
 
-#: The explorer's stages that draw at a fault site of their own name.
-STAGE_SITES = ("compile", "simulate", "verify")
+#: The explorer's evaluation stages, in order.
+STAGES = ("compile", "simulate", "verify")
 
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
@@ -57,9 +62,29 @@ def _toy_program():
     return Lambda([x], map_(double)(x))
 
 
-def _explore(tmp_path=None, **config_kwargs):
+def _failing_candidate(stage, n=64):
+    """A candidate of the toy program that really fails at ``stage``,
+    with the arguments of :func:`evaluate_candidates` after it."""
+    program = _toy_program()
+    inputs, size_env = {"x": np.arange(n, dtype=float)}, {"N": n}
+    reference = reference_output(program, inputs, size_env)
+    if stage == "compile":  # a pure view: no kernel to generate
+        x = Param(ArrayType(FLOAT, Var("N")), "x")
+        program = Lambda([x], pipe(x, split(8), join()))
+    else:
+        program = lower_to_global(program)
+    local = (7, 1, 1) if stage == "simulate" else (8, 1, 1)
+    if stage == "verify":
+        reference = reference.copy()
+        reference[5] += 1.0
+    cand = ExploredCandidate(f"fails at {stage}", program, local, (n, 1, 1))
+    return cand, (inputs, size_env, reference, ExploreConfig())
+
+
+def _explore(tmp_path=None, cache=None, **config_kwargs):
     config = ExploreConfig(depth=2, max_eval=6, **config_kwargs)
-    cache = TuningCache(tmp_path) if tmp_path is not None else None
+    if tmp_path is not None:
+        cache = TuningCache(tmp_path)
     return explore_program(
         _toy_program(), {"x": np.arange(48, dtype=float)}, {"N": 48},
         config=config, cache=cache,
@@ -82,18 +107,13 @@ class TestFaultPlanParsing:
         plan = FaultPlan.parse("seed=11;rate=0.05")
         assert plan.seed == 11
         assert plan.default_rate == 0.05
-        assert plan.rate("compile") == 0.05
+        assert plan.rate("backend-run") == 0.05
         assert plan.any_faults()
 
     def test_per_site_rates_override_default(self):
         plan = FaultPlan.parse("seed=7;rate=0.1;cache-read=0.5")
         assert plan.rate("cache-read") == 0.5
         assert plan.rate("cache-write") == 0.1
-
-    def test_attempts_field(self):
-        assert FaultPlan.parse("rate=1;attempts=2").attempts == 2
-        # attempts is clamped to at least one draw.
-        assert FaultPlan.parse("rate=1;attempts=0").attempts == 1
 
     def test_comma_separator_accepted(self):
         plan = FaultPlan.parse("seed=3,rate=0.2")
@@ -115,7 +135,9 @@ class TestFaultPlanParsing:
             FaultPlan.parse("seed")
 
     @pytest.mark.parametrize(
-        "site", ["service-admit", "service-worker", "service-journal"]
+        "site",
+        ["service-admit", "service-worker", "service-journal",
+         "attempts", "compile", "simulate", "verify"],
     )
     def test_a_spec_naming_a_deleted_site_fails_fast(self, site):
         with pytest.raises(ValueError, match="unknown") as err:
@@ -123,7 +145,7 @@ class TestFaultPlanParsing:
         assert ", ".join(faultinject.SITES) in str(err.value)
 
     def test_describe_round_trips(self):
-        plan = FaultPlan.parse("seed=9;rate=0.25;verify=1.0")
+        plan = FaultPlan.parse("seed=9;rate=0.25;backend-run=1.0")
         again = FaultPlan.parse(plan.describe())
         assert again == plan
 
@@ -142,23 +164,23 @@ class TestDeterminism:
     def test_same_seed_same_decisions(self):
         a = FaultState(FaultPlan(seed=42, default_rate=0.3))
         b = FaultState(FaultPlan(seed=42, default_rate=0.3))
-        draws_a = [a._draw("compile")[0] for _ in range(200)]
-        draws_b = [b._draw("compile")[0] for _ in range(200)]
+        draws_a = [a._draw("cache-read")[0] for _ in range(200)]
+        draws_b = [b._draw("cache-read")[0] for _ in range(200)]
         assert draws_a == draws_b
         assert any(draws_a) and not all(draws_a)
 
     def test_different_seed_different_decisions(self):
         a = FaultState(FaultPlan(seed=1, default_rate=0.3))
         b = FaultState(FaultPlan(seed=2, default_rate=0.3))
-        draws_a = [a._draw("compile")[0] for _ in range(200)]
-        draws_b = [b._draw("compile")[0] for _ in range(200)]
+        draws_a = [a._draw("cache-read")[0] for _ in range(200)]
+        draws_b = [b._draw("cache-read")[0] for _ in range(200)]
         assert draws_a != draws_b
 
     def test_sites_are_independent_streams(self):
         state = FaultState(FaultPlan(seed=5, default_rate=0.5))
-        compile_draws = [state._draw("compile")[0] for _ in range(100)]
-        verify_draws = [state._draw("verify")[0] for _ in range(100)]
-        assert compile_draws != verify_draws
+        read_draws = [state._draw("cache-read")[0] for _ in range(100)]
+        write_draws = [state._draw("cache-write")[0] for _ in range(100)]
+        assert read_draws != write_draws
 
     @pytest.mark.parametrize("site", faultinject.SITES)
     def test_a_site_draws_alike_whatever_the_others_do(self, site):
@@ -178,59 +200,31 @@ class TestDeterminism:
 
     def test_reset_counts_replays_the_sequence(self):
         state = FaultState(FaultPlan(seed=42, default_rate=0.3))
-        first = [state._draw("simulate")[0] for _ in range(50)]
+        first = [state._draw("backend-run")[0] for _ in range(50)]
         state.reset_counts()
-        again = [state._draw("simulate")[0] for _ in range(50)]
+        again = [state._draw("backend-run")[0] for _ in range(50)]
         assert first == again
 
 
-class TestSurviveAndMaybeFail:
+class TestMaybeFail:
     def test_rate_zero_never_injects(self):
         state = FaultState(FaultPlan(seed=0, default_rate=0.0))
         for _ in range(100):
-            state.maybe_fail("compile")
-            assert state.survive("compile") == 0
-
-    def test_rate_one_escapes_after_attempts(self):
-        state = FaultState(FaultPlan(seed=0, default_rate=1.0, attempts=3))
-        with pytest.raises(FaultInjected) as err:
-            state.survive("compile")
-        assert err.value.site == "compile"
-        c = state.counts()["compile"]
-        assert c.checks == 3
-        assert c.injected == 3
-        assert c.recovered == 2
-        assert c.escaped == 1
-
-    def test_partial_rate_usually_recovers_in_place(self):
-        # With rate 0.5 and 4 attempts, escapes need 4 consecutive
-        # injections (~6%); over many calls most recover.
-        state = FaultState(FaultPlan(seed=7, default_rate=0.5, attempts=4))
-        absorbed = escaped = 0
-        for _ in range(100):
-            try:
-                absorbed += state.survive("cache-read")
-            except FaultInjected:
-                escaped += 1
-        assert absorbed > 0
-        c = state.counts()["cache-read"]
-        # An escaping call burns all 4 attempts: 3 recovered draws the
-        # caller never sees plus the escaping one.
-        assert c.recovered == absorbed + 3 * escaped
-        assert c.escaped == escaped
-        assert c.injected == c.recovered + c.escaped
+            state.maybe_fail("cache-read")
+        assert state.counts()["cache-read"].as_dict() == {
+            "checks": 100, "injected": 0,
+        }
 
     def test_module_fast_path_with_no_plan(self):
         assert faultinject.active_plan() is None
-        assert faultinject.survive("compile") == 0
-        faultinject.maybe_fail("compile")  # no-op
+        faultinject.maybe_fail("cache-read")  # no-op
         assert faultinject.counts() == {}
         assert faultinject.total_injected() == 0
 
     def test_set_plan_accepts_spec_strings(self):
-        faultinject.set_plan("seed=11;rate=1.0;attempts=1")
+        faultinject.set_plan("seed=11;rate=1.0")
         with pytest.raises(FaultInjected):
-            faultinject.survive("verify")
+            faultinject.maybe_fail("cache-write")
         faultinject.set_plan(None)
         assert faultinject.active_plan() is None
 
@@ -243,19 +237,67 @@ class TestSurviveAndMaybeFail:
 
     @pytest.mark.parametrize("site", faultinject.SITES)
     def test_a_certain_fault_escapes_naming_its_site(self, site):
-        state = FaultState(FaultPlan.parse(f"seed=1;{site}=1.0;attempts=2"))
-        with pytest.raises(FaultInjected) as err:
-            state.survive(site)
-        assert (err.value.site, err.value.sequence) == (site, 1)
-        with pytest.raises(FaultInjected):
-            state.maybe_fail(site)
+        state = FaultState(FaultPlan.parse(f"seed=1;{site}=1.0"))
+        for sequence in (0, 1):
+            with pytest.raises(FaultInjected) as err:
+                state.maybe_fail(site)
+            assert (err.value.site, err.value.sequence) == (site, sequence)
         for other in faultinject.SITES:
             if other != site:
-                assert state.survive(other) == 0
                 state.maybe_fail(other)
         assert state.counts()[site].as_dict() == {
-            "checks": 3, "injected": 3, "recovered": 1, "escaped": 2,
+            "checks": 2, "injected": 2,
         }
+
+
+    @pytest.mark.parametrize("site", faultinject.SITES)
+    def test_a_partial_rate_injects_about_that_share(self, site):
+        state = FaultState(FaultPlan.parse(f"seed=7;{site}=0.25"))
+        injected = 0
+        for _ in range(2000):
+            try:
+                state.maybe_fail(site)
+            except FaultInjected:
+                injected += 1
+        # One draw per check: no redraw hides a landed fault.
+        assert state.counts()[site].as_dict() == {
+            "checks": 2000, "injected": injected,
+        }
+        assert 400 < injected < 600
+
+
+class TestResilienceSummary:
+    """The CLI's stderr digest of a fault plan; CI reads its
+    ``site: N/M injected`` entries."""
+
+    def test_each_landed_site_shows_injected_over_checks(self, capsys):
+        from repro.benchsuite.__main__ import _print_resilience_summary
+
+        with faultinject.plan_installed("seed=1;cache-read=1.0;cache-write=0.0"):
+            for _ in range(3):
+                with pytest.raises(FaultInjected):
+                    faultinject.maybe_fail("cache-read")
+            faultinject.maybe_fail("cache-write")
+            _print_resilience_summary()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "[fault plan seed=1;cache-read=1.0;cache-write=0.0"
+            " — cache-read: 3/3 injected]\n"
+        )
+        assert re.search(r"cache-read: (\d+)/\d+ injected", err).group(1) == "3"
+
+    def test_a_plan_that_never_landed_says_so(self, capsys):
+        from repro.benchsuite.__main__ import _print_resilience_summary
+
+        _print_resilience_summary()
+        assert capsys.readouterr() == ("", "")  # no plan, empty ledger
+        with faultinject.plan_installed("seed=1;backend-run=1e-9"):
+            faultinject.maybe_fail("backend-run")
+            _print_resilience_summary()
+        assert capsys.readouterr().err == (
+            "[fault plan seed=1;backend-run=1e-09 — no faults landed]\n"
+        )
 
 
 class TestFailureReport:
@@ -403,110 +445,129 @@ class TestExplorerFaultTolerance:
         assert chaos.stats.infra_failures == 0
         assert not chaos.failures
 
-    def test_faults_are_recovered_in_place(self):
-        # survive() is the one retry: at rate 0.5 it redraws most
-        # faults at the compile site itself, and the search comes out
-        # as the fault-free one does.
-        baseline = _explore()
-        with faultinject.plan_installed("seed=3;compile=0.5"):
-            chaos = _explore()
-            recovered = faultinject.counts()["compile"].recovered
-        assert recovered > 0
-        assert not chaos.failures
-        assert [c.label for c in chaos.candidates] == \
-            [c.label for c in baseline.candidates]
-        for a, b in zip(chaos.candidates, baseline.candidates):
-            assert a.cycles == b.cycles
-            assert a.kernel_source == b.kernel_source
+    def _explore_failing(self, stage, monkeypatch):
+        """An exploration whose evaluation is the real evaluator run on
+        :func:`_failing_candidate` ``stage``."""
+        from repro.rewrite import explore as explore_mod
 
-    def test_unrecoverable_faults_become_infra_failures(self):
-        with faultinject.plan_installed("seed=1;compile=1.0;attempts=1"):
-            result = _explore()
-            checks = faultinject.counts()["compile"].checks
-        assert not result.candidates
-        assert result.stats.infra_failures == len(result.failures) > 0
-        for report in result.failures:
-            assert report.kind == "infra"
-            assert "'compile'" in report.message
-        # One evaluation per candidate: no second attempt draws again.
-        assert checks == len(result.failures)
-        # The taxonomy is visible in the stats dict.
-        assert result.stats.as_dict()["infra_failures"] > 0
+        def failing(candidates, inputs, size_env, reference, config, cache):
+            cand, args = _failing_candidate(stage)
+            return evaluate_candidates([cand], *args)
 
-    @pytest.mark.parametrize("site", STAGE_SITES)
-    def test_an_escaped_fault_is_infra_whatever_the_stage(self, site):
-        """A fault that escapes survive() inside a stage is not that
-        stage's failure: the schedule did nothing wrong."""
+        monkeypatch.setattr(explore_mod, "evaluate_candidates", failing)
+        return _explore()
+
+    @pytest.mark.parametrize(
+        "stage, message",
+        [
+            ("compile", "the program performs no writes"),
+            ("simulate",
+             "global size (64, 1, 1) not divisible by local size (7, 1, 1)"),
+            ("verify", "result differs from reference"),
+        ],
+    )
+    def test_a_real_failure_is_reported_under_its_stage(
+        self, stage, message, monkeypatch
+    ):
         from repro.rewrite.explore import _FAILURE_STAT
 
-        with faultinject.plan_installed(f"seed=1;{site}=1.0;attempts=1"):
-            result = _explore()
-            escaped = faultinject.counts()[site].escaped
-        assert not result.candidates
-        assert [r.kind for r in result.failures] == \
-            ["infra"] * len(result.failures)
-        assert escaped == len(result.failures) > 0
-        for report in result.failures:
-            assert report.message.startswith(
-                f"FaultInjected: injected fault at {site!r}"
-            )
-        assert {
-            kind: getattr(result.stats, stat)
-            for kind, stat in _FAILURE_STAT.items() if kind != "infra"
-        } == {kind: 0 for kind in FAILURE_KINDS if kind != "infra"}
+        cand, args = _failing_candidate(stage)
+        ranked, failures, _ = evaluate_candidates([cand], *args)
+        assert not ranked
+        assert [(r.label, r.kind) for r in failures] == [(cand.label, stage)]
+        assert message in failures[0].message
 
-    @pytest.mark.parametrize("attempts", [1, 2, 4])
-    @pytest.mark.parametrize("site", STAGE_SITES)
-    def test_a_persistent_fault_spends_exactly_the_site_budget(
-        self, site, attempts
-    ):
-        """Each candidate is evaluated once, so a fault that never
-        clears is drawn ``attempts`` times per candidate — survive()'s
-        budget, not multiplied by any outer retry."""
-        with faultinject.plan_installed(
-            f"seed=1;{site}=1.0;attempts={attempts}"
-        ):
-            result = _explore()
-            counts = faultinject.counts()[site].as_dict()
+        result = self._explore_failing(stage, monkeypatch)
+        assert [r.kind for r in result.failures] == [stage]
+        own = _FAILURE_STAT[stage]
+        assert {
+            stat: getattr(result.stats, stat)
+            for stat in _FAILURE_STAT.values()
+        } == {stat: int(stat == own) for stat in _FAILURE_STAT.values()}
+        assert result.stats.timeouts == result.stats.cancelled == 0
+
+    @pytest.mark.parametrize(
+        "where", ["compile_kernel", "estimate_cycles", "runtime_from_cycles"]
+    )
+    def test_an_unexpected_exception_is_infra(self, where, monkeypatch):
+        """``infra`` is an exception no stage classifies as its own: here
+        a bug planted in the compiler, the cost model or the runtime
+        estimate."""
+        from repro.rewrite import explore as explore_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError(f"planted bug in {where}")
+
+        monkeypatch.setattr(explore_mod, where, broken)
+        result = _explore()
         n = len(result.failures)
         assert n > 0 and not result.candidates
-        assert counts == {
-            "checks": attempts * n, "injected": attempts * n,
-            "recovered": (attempts - 1) * n, "escaped": n,
+        for report in result.failures:
+            assert report.kind == "infra"
+            assert report.message == \
+                f"unexpected RuntimeError: planted bug in {where}"
+        assert {
+            stat: getattr(result.stats, stat)
+            for stat in explore_mod._FAILURE_STAT.values()
+        } == {
+            stat: n if stat == "infra_failures" else 0
+            for stat in explore_mod._FAILURE_STAT.values()
         }
-        assert result.stats.infra_failures == n
-        assert "retries" not in result.stats.as_dict()
 
-    @pytest.mark.parametrize("site", STAGE_SITES)
-    def test_a_faulted_candidate_is_quarantined_or_exact(self, site):
-        """Under partial chaos at one stage every candidate either comes
-        out as in the fault-free search or is an ``infra`` failure, one
-        per fault that escaped."""
-        baseline = {c.label: c for c in _explore().candidates}
-        recovered = 0
-        for seed in range(1, 6):
-            with faultinject.plan_installed(
-                f"seed={seed};{site}=0.5;attempts=2"
-            ):
-                chaos = _explore()
-                counts = faultinject.counts()[site]
-            recovered += counts.recovered
-            assert counts.escaped == len(chaos.failures)
-            assert [r.kind for r in chaos.failures] == \
-                ["infra"] * len(chaos.failures)
-            assert {c.label for c in chaos.candidates} | \
-                {r.label for r in chaos.failures} == set(baseline)
-            for cand in chaos.candidates:
-                assert cand.cycles == baseline[cand.label].cycles
-                assert cand.kernel_source == \
-                    baseline[cand.label].kernel_source
-        assert recovered > 0
+    @pytest.mark.parametrize(
+        "spec", ["cache-read=0.5", "cache-write=0.5", "backend-run=0.5",
+                 "rate=0.3"],
+    )
+    def test_each_injected_fault_takes_its_one_recovery(self, spec, tmp_path):
+        """Every landed fault shows up exactly once, in the counter of its
+        site's real recovery, and the search comes out as the fault-free
+        one does, cold and then warm."""
+        baseline = _explore()
+        cache = TuningCache(tmp_path)
+        with faultinject.plan_installed(f"seed=11;{spec}"):
+            for _ in ("cold", "warm"):
+                chaos = _explore(cache=cache)
+                assert not chaos.failures
+                assert [(c.label, c.cycles, c.kernel_source)
+                        for c in chaos.candidates] == \
+                    [(c.label, c.cycles, c.kernel_source)
+                     for c in baseline.candidates]
+            injected = {
+                site: c.injected for site, c in faultinject.counts().items()
+            }
+        site = spec.partition("=")[0]
+        if site in faultinject.SITES:
+            assert injected[site] > 0
+            assert sum(injected.values()) == injected[site]
+        else:
+            assert all(injected.get(s) for s in faultinject.SITES), injected
+        declines = sum(
+            n for (_, _, kind), n in ledger.counts().items() if kind == "fault"
+        )
+        assert cache.stats.io_errors == injected.get("cache-read", 0)
+        assert cache.stats.write_skips == injected.get("cache-write", 0)
+        assert declines == injected.get("backend-run", 0)
 
-    def test_failures_listed_in_describe(self):
-        with faultinject.plan_installed("seed=1;compile=1.0;attempts=1"):
-            result = _explore()
+    def test_a_chaos_search_replays_its_faults(self, tmp_path):
+        seen = []
+        for run in ("first", "again"):
+            ledger.clear()
+            cache = TuningCache(tmp_path / run)
+            with faultinject.plan_installed("seed=11;rate=0.3"):
+                result = _explore(cache=cache)
+                faults = faultinject.as_dict()
+            seen.append((
+                faults, cache.stats.as_dict(), ledger.counts(),
+                [(c.label, c.cycles) for c in result.candidates],
+            ))
+        assert seen[0] == seen[1]
+        assert sum(c["injected"] for c in seen[0][0]["sites"].values()) > 0
+
+    def test_failures_listed_in_describe(self, monkeypatch):
+        result = self._explore_failing("compile", monkeypatch)
         text = result.describe()
         assert "quarantined" in text
+        assert "fails at compile: compile" in text
 
     def test_cache_faults_do_not_change_results(self, tmp_path):
         baseline = _explore(tmp_path / "clean")
