@@ -335,11 +335,11 @@ OBS_DISABLED_SPAN_MAX_US = 5.0
 def check_obs_overhead() -> list:
     """Gate the observability subsystem's disabled fast path.
 
-    Two guarantees: (1) tracing and profiling are *off* unless
-    explicitly enabled — instrumented hot paths must not pay for them
-    by default (the SAXPY throughput gate above runs with every span
-    call site compiled in, so it implicitly prices the enabled
-    attribute loads); (2) a disabled ``span()`` costs roughly a dict
+    Two guarantees: (1) tracing, and with it the kernel segment spans
+    and traffic rows, is *off* unless explicitly enabled — instrumented
+    hot paths must not pay for it by default (the SAXPY throughput gate
+    above runs with every span call site compiled in, so it implicitly
+    prices the enabled attribute loads); (2) a disabled ``span()`` costs roughly a dict
     lookup, not an allocation.
     """
     import os
@@ -349,8 +349,6 @@ def check_obs_overhead() -> list:
     failures = []
     if not os.environ.get("REPRO_TRACE") and obs.tracing_enabled():
         failures.append("obs: tracing active without REPRO_TRACE set")
-    if not os.environ.get("REPRO_PROFILE") and obs.profile.enabled():
-        failures.append("obs: profiler active without REPRO_PROFILE set")
 
     if obs.tracing_enabled():
         print("[obs] tracing enabled via REPRO_TRACE; disabled-path "

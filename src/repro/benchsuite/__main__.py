@@ -75,8 +75,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--inputs", nargs="+", default=None, metavar="PATH",
-        help="metrics-snapshot JSON files the report command merges "
-             "(default: the live in-process snapshot)",
+        help="metrics-snapshot JSON files the report command merges, "
+             "and trace files (--trace) its roofline reads (default: "
+             "the live in-process snapshot)",
     )
     parser.add_argument(
         "--output", default=None, metavar="PATH",
@@ -95,9 +96,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="profile per-barrier-segment time and per-buffer traffic "
-             "in the compiled/fused backends and print the table "
-             "(same as REPRO_PROFILE=1)",
+        help="print the per-barrier-segment time and per-buffer "
+             "traffic of the compiled/fused backends, read from the "
+             "trace (traces without writing a file when --trace is "
+             "absent)",
     )
     args = parser.parse_args(argv)
 
@@ -123,10 +125,9 @@ def main(argv=None) -> int:
 
     from repro import faultinject, obs
 
-    if args.trace is not None:
-        obs.start_tracing(args.trace)
-    if args.profile:
-        obs.profile.enable()
+    tracer = None
+    if args.trace is not None or args.profile:
+        tracer = obs.start_tracing(args.trace)
 
     if args.fault_plan is not None:
         faultinject.set_plan(args.fault_plan)  # fail fast on bad specs
@@ -213,7 +214,8 @@ def main(argv=None) -> int:
         _print_resilience_summary()
 
     if args.profile:
-        print(obs.profile.format_table(), file=sys.stderr)
+        print(obs.analysis.format_profile(tracer.events()),
+              file=sys.stderr)
     if args.metrics_json is not None:
         import json
 
@@ -221,7 +223,7 @@ def main(argv=None) -> int:
             json.dump(obs.snapshot(), fh, indent=2, default=str)
         print(f"[metrics snapshot written to {args.metrics_json}]",
               file=sys.stderr)
-    if args.trace is not None:
+    if tracer is not None:
         path = obs.stop_tracing()
         if path is not None:
             print(f"[trace written to {path}]", file=sys.stderr)

@@ -1,17 +1,19 @@
 """Unified markdown performance report.
 
-``python -m repro.benchsuite report --inputs m1.json m2.json --output
+``python -m repro.benchsuite report --inputs m1.json t1.json --output
 perf-report.md`` merges one or more ``--metrics-json`` snapshots (from
-``calibrate``, ``figure8 --profile``, ``explore``, ...) into a single
-markdown document with three sections — cost-model calibration, roofline
-attribution and headline benchsuite counters —
+``calibrate``, ``figure8``, ``explore``, ...) and ``--trace`` files into
+a single markdown document with three sections — cost-model
+calibration, roofline attribution and headline benchsuite counters —
 which CI uploads as a workflow artifact, so every run leaves one
 human-readable perf record behind.
 
-Merging is last-writer-wins per top-level section: later inputs
-override earlier ones where both carry real data (a snapshot whose
-calibration section is empty does not erase an earlier populated one).
-With no ``--inputs`` the live in-process snapshot is used.
+An input with a ``traceEvents`` key is a trace: the roofline reads the
+``segment`` spans of every trace input.  Snapshots merge
+last-writer-wins per top-level section: later inputs override earlier
+ones where both carry real data (a snapshot whose calibration section
+is empty does not erase an earlier populated one).  With no
+``--inputs`` the live in-process snapshot is used.
 """
 
 from __future__ import annotations
@@ -32,12 +34,10 @@ def _has_data(section) -> bool:
         if section.get("error"):
             return False
         # Placeholder providers: {"active": False}, empty calibration
-        # ({"workloads": {}, ...}), disabled profile.
+        # ({"workloads": {}, ...}).
         if section == {"active": False}:
             return False
         if "workloads" in section and not section["workloads"]:
-            return False
-        if "segments" in section and not section["segments"]:
             return False
         return True
     return True
@@ -57,17 +57,22 @@ def build_report(
     inputs: Sequence[str] = (),
     title: str = "Performance report",
 ) -> str:
-    """Render the merged snapshots as a markdown document."""
+    """Render the merged snapshots and the traces' segments as a
+    markdown document."""
     if inputs:
-        snapshots = []
+        snapshots, events = [], []
         for path in inputs:
             with open(path) as fh:
-                snapshots.append(json.load(fh))
+                data = json.load(fh)
+            if "traceEvents" in data:
+                events += data["traceEvents"]
+            else:
+                snapshots.append(data)
         doc = merge_snapshots(snapshots)
     else:
         from repro import obs
 
-        doc = obs.snapshot()
+        doc, events = obs.snapshot(), []
 
     lines = [f"# {title}", ""]
 
@@ -102,11 +107,7 @@ def build_report(
     # -- roofline -------------------------------------------------------
     lines.append("## Roofline attribution")
     lines.append("")
-    profile_doc = doc.get("profile") or {}
-    rows = (
-        analysis.roofline_segments(profile_doc=profile_doc)
-        if profile_doc.get("segments") else []
-    )
+    rows = analysis.roofline_segments(events)
     if rows:
         ridge = rows[0]["ridge"]
         lines.append(f"Ridge point: {ridge:.1f} flop/byte.")
@@ -125,7 +126,7 @@ def build_report(
                 f"| {r['flops']} | {r['bytes']} | {ai} | {r['bound']} |"
             )
     else:
-        lines.append("_No profiled segments (run with `--profile`)._")
+        lines.append("_No profiled segments (run with `--trace`)._")
     lines.append("")
 
     # -- headline counters ----------------------------------------------

@@ -1,20 +1,18 @@
-"""``repro.obs`` — zero-dependency observability: tracing, metrics,
-kernel profiling.
+"""``repro.obs`` — zero-dependency observability: tracing and metrics.
 
-Four parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
+Three parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
 
 * :mod:`repro.obs.trace` — nestable, thread-aware spans and instants
   emitting Chrome ``trace_event`` JSON (``REPRO_TRACE=<path>`` or
-  ``benchsuite --trace``).
+  ``benchsuite --trace``); while tracing, the compiled pipeline spans
+  each barrier segment and reports each launch's per-buffer traffic.
 * :mod:`repro.obs.metrics` — process-global counters plus the views
   each stats owner registers for itself, all merged by ``snapshot()``
   (``benchsuite --metrics-json``).
-* :mod:`repro.obs.profile` — per-barrier-segment timing and per-buffer
-  traffic in the compiled pipeline, either layout (``REPRO_PROFILE=1`` or
-  ``benchsuite --profile``).
-* :mod:`repro.obs.analysis` — attribution over the other instruments:
-  cost-model calibration (Spearman/regret per workload) and per-segment
-  roofline classification (``benchsuite calibrate`` / ``report``).
+* :mod:`repro.obs.analysis` — attribution over the other two:
+  cost-model calibration (Spearman/regret per workload), and the
+  segment table and per-segment roofline classification read from a
+  trace (``benchsuite calibrate`` / ``--profile`` / ``report``).
 
 This package is a *leaf*: it imports nothing from the rest of
 ``repro`` at module level, so every subsystem may import it freely.
@@ -24,7 +22,7 @@ changes buffers, ``Counters``, or control flow.
 
 from __future__ import annotations
 
-from . import analysis, metrics, profile, trace
+from . import analysis, metrics, trace
 from .metrics import inc, register_provider, snapshot
 from .trace import (
     instant,
@@ -38,7 +36,6 @@ from .trace import (
 __all__ = [
     "trace",
     "metrics",
-    "profile",
     "analysis",
     "span",
     "timed_span",

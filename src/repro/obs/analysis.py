@@ -1,4 +1,5 @@
-"""Performance attribution: cost-model calibration and roofline analysis.
+"""Performance attribution: cost-model calibration, and the kernel
+segment and roofline views of a trace.
 
 The paper's claim is that performance comes from *choosing the right
 rewrite*, which the explorer does by ranking candidates with the cost
@@ -15,15 +16,20 @@ this module because they answer the same question at two levels:
   floor (``benchmarks/check_perf_regression.py --calibration-json``).
 
 * **Roofline attribution** (:func:`roofline_segments`): which barrier
-  segment is memory-bound and which compute-bound?  Reads the kernel
-  profiler's per-segment counter deltas (flops from ``Counters``, load
+  segment is memory-bound and which compute-bound?  Reads the traced
+  ``segment`` spans' counter deltas (flops from ``Counters``, load
   events and stores from the traffic accounting) and positions each
   segment's arithmetic intensity against the
   :class:`~repro.opencl.cost.DeviceProfile` compute/bandwidth peaks.
 
+The ``segment`` spans and ``traffic`` instants of a trace also make
+the ``benchsuite --profile`` table (:func:`format_profile`).  Every
+view takes trace events: a loaded document's ``traceEvents`` or a
+live ``Tracer.events()``.
+
 Everything here is out-of-band: analyses only *read* counters and
-profiler aggregates; recording a calibration tuple appends to a
-bounded in-memory list.  Nothing feeds back into execution.
+trace events; recording a calibration tuple appends to a bounded
+in-memory list.  Nothing feeds back into execution.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,13 +48,14 @@ __all__ = [
     "CalibrationLog",
     "LOG",
     "record_candidate",
-    "calibration_summary",
     "format_calibration",
     "spearman",
     "topk_regret",
     "short_hash",
+    "segment_rows",
+    "traffic_rows",
+    "format_profile",
     "roofline_segments",
-    "format_roofline",
 ]
 
 
@@ -279,10 +287,6 @@ def record_candidate(
     )
 
 
-def calibration_summary() -> dict:
-    return LOG.as_dict()
-
-
 def format_calibration(doc: Optional[dict] = None) -> str:
     """The ``benchsuite calibrate`` table."""
     if doc is None:
@@ -315,6 +319,77 @@ def format_calibration(doc: Optional[dict] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# kernel segments and buffer traffic
+# ---------------------------------------------------------------------------
+
+#: The counts of a ``traffic`` row, after its buffer and space.
+_TRAFFIC = ("loads", "cached_loads", "stores")
+
+
+def segment_rows(events: Sequence[dict]) -> List[dict]:
+    """The ``segment`` spans of ``events`` summed per (kernel, segment
+    index): ``calls``, ``seconds`` and ``counters`` (the spans' other
+    args), slowest first."""
+    rows: dict = {}
+    for e in events:
+        if e.get("ph") == "X" and e.get("name") == "segment":
+            counters = dict(e["args"])
+            key = (counters.pop("kernel"), counters.pop("index"))
+            row = rows.setdefault(key, {
+                "kernel": key[0], "segment": key[1], "calls": 0,
+                "seconds": 0.0, "counters": Counter(),
+            })
+            row["calls"] += 1
+            row["seconds"] += e["dur"] / 1e6
+            row["counters"].update(counters)
+    return sorted(rows.values(), key=lambda r: -r["seconds"])
+
+
+def traffic_rows(events: Sequence[dict]) -> List[dict]:
+    """The ``traffic`` rows of ``events`` summed per (kernel, buffer,
+    space): ``loads``, ``cached_loads`` and ``stores``, busiest first."""
+    rows: dict = {}
+    for e in events:
+        if e.get("ph") == "i" and e.get("name") == "traffic":
+            kernel = e["args"]["kernel"]
+            for buffer, space, *counts in e["args"]["rows"]:
+                row = rows.setdefault((kernel, buffer, space), Counter())
+                row.update(dict(zip(_TRAFFIC, counts)))
+    return sorted(
+        (
+            {"kernel": k, "buffer": b, "space": s, **row}
+            for (k, b, s), row in rows.items()
+        ),
+        key=lambda r: -(r["loads"] + r["stores"]),
+    )
+
+
+def format_profile(events: Sequence[dict], top: int = 10) -> str:
+    """The ``benchsuite --profile`` table: the top-N segments by wall
+    time, then the top-N buffers by traffic."""
+    segments = segment_rows(events)
+    traffic = traffic_rows(events)
+    lines = ["kernel profile (top segments by wall time):"]
+    if not segments:
+        lines.append("  (no profiled launches)")
+    for s in segments[:top]:
+        lines.append(
+            f"  {s['kernel']:<24} seg {s['segment']:<2} "
+            f"{s['calls']:>6} calls "
+            f"{s['seconds'] * 1e3:>9.3f} ms"
+        )
+    if traffic:
+        lines.append("buffer traffic (loads+cached/stores):")
+        for t in traffic[:top]:
+            lines.append(
+                f"  {t['kernel']:<24} {t['buffer']:<12} "
+                f"{t['space']:<8} {t['loads']:>10}+{t['cached_loads']:<10} "
+                f"/ {t['stores']:>10}"
+            )
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # roofline attribution
 # ---------------------------------------------------------------------------
 
@@ -325,19 +400,19 @@ BYTES_PER_ELEMENT = 4
 
 
 def roofline_segments(
-    device: object = "nvidia", profile_doc: Optional[dict] = None
+    events: Sequence[dict], device: object = "nvidia"
 ) -> List[dict]:
-    """Per-barrier-segment roofline positions from the kernel profiler.
+    """Per-barrier-segment roofline positions from the traced
+    ``segment`` spans.
 
-    For every profiled segment with counter deltas, compute arithmetic
-    intensity (flops per byte of load/store traffic) and classify it
-    against the device's ridge point.  ``device`` is a
-    :class:`~repro.opencl.cost.DeviceProfile` or a name in
-    ``repro.opencl.cost.DEVICES``.
+    For every segment, compute arithmetic intensity (flops per byte of
+    load/store traffic) and classify it against the device's ridge
+    point.  ``device`` is a :class:`~repro.opencl.cost.DeviceProfile`
+    or a name in ``repro.opencl.cost.DEVICES``.
 
     The byte figure counts *traffic* (load events plus stores, all
     address spaces), not distinct DRAM lines — per-segment load dedup
-    is settled only at launch end (see ``_Block._flush_load_log``), so
+    is settled only at block end (see ``_Block._flush_load_log``), so
     intensity here is a lower bound.  A segment classified
     compute-bound on traffic bytes is compute-bound a fortiori.
     """
@@ -345,14 +420,10 @@ def roofline_segments(
 
     if not isinstance(device, DeviceProfile):
         device = DEVICES[str(device)]
-    if profile_doc is None:
-        from repro.obs import profile as profile_mod
-
-        profile_doc = profile_mod.as_dict()
     ridge = device.ridge_point()
     rows = []
-    for seg in profile_doc.get("segments", ()):
-        c = seg.get("counters") or {}
+    for seg in segment_rows(events):
+        c = seg["counters"]
         flops = c.get("flops", 0)
         traffic = (
             c.get("load_events", 0)
@@ -380,36 +451,4 @@ def roofline_segments(
                 "bound": bound,
             }
         )
-    rows.sort(key=lambda r: -r["seconds"])
     return rows
-
-
-def format_roofline(
-    rows: Optional[List[dict]] = None,
-    device: object = "nvidia",
-    top: int = 12,
-) -> str:
-    """Attribution table: which segment sits where on the roofline."""
-    from repro.opencl.cost import DEVICES, DeviceProfile
-
-    if not isinstance(device, DeviceProfile):
-        device = DEVICES[str(device)]
-    if rows is None:
-        rows = roofline_segments(device)
-    lines = [
-        f"roofline attribution ({device.name}, "
-        f"ridge {device.ridge_point():.1f} flop/byte):",
-        f"  {'kernel':<24} {'seg':>3} {'flops':>10} "
-        f"{'bytes':>10} {'flop/byte':>9}  bound",
-    ]
-    if not rows:
-        lines.append("  (no profiled segments — run with --profile)")
-        return "\n".join(lines)
-    for r in rows[:top]:
-        ai = "n/a" if r["intensity"] is None else f"{r['intensity']:.2f}"
-        lines.append(
-            f"  {r['kernel']:<24} {r['segment']:>3} "
-            f"{r['flops']:>10} {r['bytes']:>10} {ai:>9}  {r['bound']}"
-        )
-    return "\n".join(lines)
-

@@ -19,7 +19,6 @@ Snapshot layout::
       "explore":    {"stats": {...}, "failures": [...]},
       "ledger":     {...DegradationLedger...},
       "faults":     {"sites": {...}, "plan": ...},
-      "profile":    {...KernelProfiler...},
       "calibration": {...CalibrationLog...},
       "counters.kernel": {...interp Counters of the last launch...},
     }

@@ -19,7 +19,9 @@ Enabling
   exit (only by the process that started the trace, so forked workers
   cannot clobber it).
 * ``python -m repro.benchsuite ... --trace <path>`` — explicit flag.
-* :func:`start_tracing` / :func:`stop_tracing` — programmatic.
+* :func:`start_tracing` / :func:`stop_tracing` — programmatic.  A
+  tracer started without a path writes no file; its events are read in
+  process (``Tracer.events``, ``benchsuite --profile``).
 
 Disabled fast path
 ------------------
@@ -95,8 +97,11 @@ _NULL_SPAN = _NullSpan()
 class Tracer:
     """An in-memory Chrome-trace event buffer (thread-safe)."""
 
-    def __init__(self, path: "str | Path", max_events: int = MAX_EVENTS):
-        self.path = Path(path)
+    def __init__(
+        self, path: "str | Path | None", max_events: int = MAX_EVENTS
+    ):
+        #: ``None``: the events are only read in process.
+        self.path = None if path is None else Path(path)
         self.max_events = max_events
         #: Only the process that created the tracer writes the file.
         self.owner_pid = os.getpid()
@@ -161,6 +166,11 @@ class Tracer:
         self._append(event, tid)
 
     # -- output ----------------------------------------------------------
+    def events(self) -> list:
+        """A copy of the buffered events, in recording order."""
+        with self._lock:
+            return list(self._events)
+
     def write(self) -> Path:
         """Serialize the buffer to ``self.path`` (atomic rename)."""
         with self._lock:
@@ -278,16 +288,17 @@ def tracing_enabled() -> bool:
 
 
 def start_tracing(
-    path: "str | Path", max_events: int = MAX_EVENTS
+    path: "str | Path | None" = None, max_events: int = MAX_EVENTS
 ) -> Tracer:
     """Install a tracer writing to ``path``; returns it.
 
-    A previously active tracer is flushed to its own path first.  The
+    A previously active tracer is flushed to its own path first; with
+    no ``path`` it stays active, and a fresh one writes no file.  The
     file itself is written by :func:`stop_tracing` or at process exit."""
     global _ACTIVE, _atexit_registered
     previous = _ACTIVE
     if previous is not None:
-        if previous.path == Path(path):
+        if path is None or previous.path == Path(path):
             return previous
         _write_if_owner(previous)
     _ACTIVE = Tracer(path, max_events=max_events)
@@ -299,7 +310,8 @@ def start_tracing(
 
 def stop_tracing() -> Optional[Path]:
     """Write and uninstall the active tracer; returns the written path
-    (``None`` when tracing was not active or this is a forked child)."""
+    (``None`` when tracing was not active, the tracer has no path or
+    this is a forked child)."""
     global _ACTIVE
     tracer = _ACTIVE
     _ACTIVE = None
@@ -309,8 +321,8 @@ def stop_tracing() -> Optional[Path]:
 
 
 def _write_if_owner(tracer: Tracer) -> Optional[Path]:
-    if tracer.owner_pid != os.getpid():
-        return None  # forked child: the parent owns the file
+    if tracer.path is None or tracer.owner_pid != os.getpid():
+        return None  # no file, or a forked child: the parent owns it
     try:
         return tracer.write()
     except OSError:

@@ -78,7 +78,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.compiler import cast as c
-from repro.obs import profile as _obs_profile
+from repro.obs import trace as _obs_trace
 from repro.opencl.interp import (
     Counters,
     ExecError,
@@ -279,9 +279,14 @@ class _Block:
         tracked: Optional[set] = None,
         sole_ids: frozenset = frozenset(),
         shape: Optional[dict] = None,
+        names: Optional[dict] = None,
+        traffic: Optional[dict] = None,
     ):
         """One block ``geo`` of the launch geometry ``shape`` (one of
-        :func:`_block_geometry`'s ``blocks``)."""
+        :func:`_block_geometry`'s ``blocks``).  While tracing, the
+        launch's ``traffic`` rows ``{(buffer, space): [loads,
+        cached_loads, stores]}`` take this block's, named by ``names``
+        (``{id(array): name}``)."""
         self.counters = counters
         self.L = geo["lanes"]
         self.group_row = geo["group_row"]
@@ -323,6 +328,8 @@ class _Block:
         # per array what its stores in this block were (``_sole_write``).
         self._sole_ids = sole_ids
         self._sole_writes: dict = {}
+        self._names = names
+        self._traffic = traffic
 
     def _set_return(self, frame, m, value) -> None:
         """Lanes ``m`` return ``value`` (``None``: nothing), already of
@@ -629,7 +636,7 @@ class _Block:
 
     def _flush_load_log(self) -> None:
         counters = self.counters
-        prof = _obs_profile.ACTIVE
+        traffic = self._traffic
         for log in self._load_log.values():
             events, distinct = log.totals(self)
             cached = (events - distinct) * log.width_units
@@ -639,19 +646,26 @@ class _Block:
                 counters.global_loads += fresh
             else:
                 counters.local_loads += fresh
-            if prof is not None:
-                prof.record_loads(log.array, log.space, fresh, cached)
+            if traffic is not None:
+                row = self._traffic_row(log.array, log.space)
+                row[0] += fresh
+                row[1] += cached
         self._load_log.clear()
+
+    def _traffic_row(self, array, space) -> list:
+        """The launch's traffic row of ``array`` in ``space``."""
+        key = (self._names.get(id(array), "<anon>"), space)
+        return self._traffic.setdefault(key, [0, 0, 0])
 
     def _obs_load_events(self) -> int:
         """Out-of-band running total of logged load events.
 
         Loads enter ``Counters`` only at block end (:meth:`
-        _flush_load_log` settles the cached/fresh split), so the
-        profiler's per-segment attribution reads this cheap running
-        count instead.  Events include would-be cache hits, making the
-        per-segment figure total load *traffic*, not distinct
-        addresses.  Profiler-only: never feeds back into Counters."""
+        _flush_load_log` settles the cached/fresh split), so a traced
+        ``segment`` span reads this cheap running count instead.
+        Events include would-be cache hits, making the per-segment
+        figure total load *traffic*, not distinct addresses.  Tracing
+        only: never feeds back into Counters."""
         return sum(
             log.events * log.width_units
             for log in self._load_log.values()
@@ -660,9 +674,9 @@ class _Block:
     def _count_stores(self, ptr, space, count) -> None:
         """Count ``count`` store units against ``space``.
 
-        ``ptr`` identifies the written buffer for the kernel profiler
-        (``None`` for register traffic); the in-band counters use only
-        ``space``/``count``, so profiling cannot change them."""
+        ``ptr`` identifies the written buffer for the traced traffic
+        rows (``None`` for register traffic); the in-band counters use
+        only ``space``/``count``, so tracing cannot change them."""
         counters = self.counters
         if space == "global":
             counters.global_stores += count
@@ -670,8 +684,8 @@ class _Block:
             counters.local_stores += count
         else:
             counters.private_stores += count
-        if _obs_profile.ACTIVE is not None and ptr is not None:
-            _obs_profile.ACTIVE.record_stores(ptr.array, space, count)
+        if self._traffic is not None and ptr is not None:
+            self._traffic_row(ptr.array, space)[2] += count
 
     def _hazard(self, ptr):
         key = id(ptr.array)
@@ -1617,12 +1631,15 @@ def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline, whole_g
         if isinstance(value, Pointer):
             vptr_env[name] = VPtr(value.array, value.offset, value.space)
 
-    prof = _obs_profile.ACTIVE
-    if prof is not None:
-        prof.begin_launch(pipeline.kernel_name)
-        for name, value in vptr_env.items():
-            if isinstance(value, VPtr):
-                prof.map_buffer(value.array, name)
+    # While tracing: the buffers' names and the launch's traffic rows.
+    tracer = _obs_trace._ACTIVE
+    names = traffic = None
+    if tracer is not None:
+        names = {
+            id(value.array): name for name, value in vptr_env.items()
+            if isinstance(value, VPtr)
+        }
+        traffic = {}
 
     for geo in geometry["blocks"]:
         n_groups = geo["n_groups"]
@@ -1630,13 +1647,14 @@ def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline, whole_g
         block_tracked = tracked
         block_sole = sole_ids
         env = dict(vptr_env)
+        block_names = names if names is None else dict(names)
         for decl in local_decls:
             local_array = np.zeros(
                 (n_groups, decl.array_size), dtype=array_dtype(decl.type_name)
             )
             env[decl.name] = RowPtr(local_array, group_row, 0, "local")
-            if prof is not None:
-                prof.map_buffer(local_array, decl.name)
+            if block_names is not None:
+                block_names[id(local_array)] = decl.name
             if decl.name in written:
                 if block_tracked is tracked:
                     block_tracked = set(tracked)
@@ -1650,6 +1668,8 @@ def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline, whole_g
             tracked=block_tracked,
             sole_ids=block_sole,
             shape=geometry,
+            names=block_names,
+            traffic=traffic,
         )
         block.env = env
         try:
@@ -1661,3 +1681,8 @@ def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline, whole_g
     counters.work_items += (
         geometry["total_groups"] * geometry["lanes_per_group"]
     )
+    if tracer is not None:
+        tracer.add_instant("traffic", {
+            "kernel": pipeline.kernel_name,
+            "rows": [[*key, *row] for key, row in traffic.items()],
+        })

@@ -65,13 +65,12 @@ from __future__ import annotations
 
 import operator
 import threading
-import time
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.obs import profile as _obs_profile
+from repro.obs import trace as _obs_trace
 
 from repro.compiler import cast as c
 from repro.opencl.cparser import ParsedProgram
@@ -1739,7 +1738,7 @@ class Pipeline:
 
     def run(self, block: _Block) -> None:
         """Execute one block of work-groups through the pipeline."""
-        prof = _obs_profile.ACTIVE
+        tracer = _obs_trace._ACTIVE
         frame = _Frame(block.L)
         m = block._full
         n = block.L
@@ -1749,27 +1748,32 @@ class Pipeline:
                 n = int(np.count_nonzero(m))
                 if n == 0:
                     return
-            if prof is None:
+            if tracer is None:
                 segment(block, m, n, frame)
             else:
-                run_segment_profiled(prof, index, segment, block, m, n, frame)
+                run_segment_traced(
+                    tracer, self.kernel_name, index, segment, block, m, n,
+                    frame,
+                )
 
 
-def run_segment_profiled(prof, index, segment, block, m, n, frame):
-    """One segment with a clock read and a ``Counters`` diff around it
-    (the kernel profiler's per-segment attribution); execution itself
-    is identical to calling ``segment`` directly."""
+def run_segment_traced(tracer, kernel, index, segment, block, m, n, frame):
+    """One segment inside a ``segment`` span whose args are ``kernel``,
+    ``index``, the ``Counters`` fields it changed (by how much) and its
+    ``load_events``; execution itself is identical to calling
+    ``segment`` directly."""
     before = dict(vars(block.counters))
     loads0 = block._obs_load_events()
-    t0 = time.perf_counter()
+    start = tracer.now_us()
     segment(block, m, n, frame)
-    prof.record_segment(index, time.perf_counter() - t0)
+    end = tracer.now_us()
     after = vars(block.counters)
-    deltas = {k: after[k] - v for k, v in before.items() if after[k] != v}
+    args = {"kernel": kernel, "index": index}
+    args.update((k, after[k] - v) for k, v in before.items() if after[k] != v)
     load_events = block._obs_load_events() - loads0
     if load_events:
-        deltas["load_events"] = load_events
-    prof.record_segment_counters(index, deltas)
+        args["load_events"] = load_events
+    tracer.add_complete("segment", start, end - start, args)
 
 
 def split_at_barriers(kernel: c.CFunctionDef) -> list:

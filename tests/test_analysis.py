@@ -192,21 +192,26 @@ class TestCalibrationLog:
 # roofline attribution
 # ---------------------------------------------------------------------------
 
-def make_profile_doc(segments):
-    rows = []
+def make_trace_doc(segments):
+    """A trace document with one ``segment`` span per (flops, load
+    events, global stores), segment ``i`` taking ``i + 1`` ms."""
+    events = []
     for i, (flops, loads, stores) in enumerate(segments):
-        rows.append({
-            "kernel": "KERNEL",
-            "segment": i,
-            "calls": 1,
-            "seconds": 0.001 * (i + 1),
-            "counters": {
-                "flops": flops,
-                "load_events": loads,
-                "global_stores": stores,
+        events.append({
+            "ph": "X", "name": "segment", "cat": "repro",
+            "ts": 0.0, "dur": 1000.0 * (i + 1), "pid": 1, "tid": 1,
+            "args": {
+                "kernel": "KERNEL", "index": i, "flops": flops,
+                "load_events": loads, "global_stores": stores,
             },
         })
-    return {"segments": rows}
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
+
+
+def roofline_of(segments):
+    return analysis.roofline_segments(
+        make_trace_doc(segments)["traceEvents"], "nvidia"
+    )
 
 
 class TestRoofline:
@@ -215,12 +220,11 @@ class TestRoofline:
 
         ridge = DEVICES["nvidia"].ridge_point()
         assert ridge == pytest.approx(5121.0 / 336.0)
-        doc = make_profile_doc([
+        rows = roofline_of([
             (100, 100, 0),      # 100 flops / 400 bytes → memory-bound
             (100000, 1, 0),     # 100000 / 4 bytes → compute-bound
             (0, 0, 0),          # nothing counted → unknown
         ])
-        rows = analysis.roofline_segments("nvidia", profile_doc=doc)
         by_seg = {r["segment"]: r for r in rows}
         assert by_seg[0]["bound"] == "memory"
         assert by_seg[0]["intensity"] == pytest.approx(0.25)
@@ -229,28 +233,18 @@ class TestRoofline:
         assert by_seg[2]["intensity"] is None
 
     def test_flops_without_traffic_is_compute_bound(self):
-        doc = make_profile_doc([(500, 0, 0)])
-        (row,) = analysis.roofline_segments("nvidia", profile_doc=doc)
+        (row,) = roofline_of([(500, 0, 0)])
         assert row["bound"] == "compute"
         assert row["intensity"] is None
 
     def test_bytes_price_all_address_spaces(self):
-        doc = make_profile_doc([(10, 3, 2)])
-        (row,) = analysis.roofline_segments("nvidia", profile_doc=doc)
+        (row,) = roofline_of([(10, 3, 2)])
         assert row["bytes"] == 5 * analysis.BYTES_PER_ELEMENT
 
     def test_sorted_by_time_descending(self):
-        doc = make_profile_doc([(1, 1, 0), (1, 1, 0), (1, 1, 0)])
-        rows = analysis.roofline_segments("nvidia", profile_doc=doc)
+        rows = roofline_of([(1, 1, 0), (1, 1, 0), (1, 1, 0)])
         assert [r["segment"] for r in rows] == [2, 1, 0]
-
-    def test_format_smoke(self):
-        doc = make_profile_doc([(100, 100, 0)])
-        rows = analysis.roofline_segments("nvidia", profile_doc=doc)
-        text = analysis.format_roofline(rows)
-        assert "roofline attribution" in text
-        assert "memory" in text
-        assert "(no profiled segments" in analysis.format_roofline([])
+        assert [r["seconds"] for r in rows] == [0.003, 0.002, 0.001]
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +335,8 @@ def test_an_empty_snapshot_reports_each_section_empty(heading, empty, tmp_path):
              "top5_regret": 0.0, "residual_rms": 0.25,
          }}}},
          "| nn | 3 | 0.500 | 10.0% | 0.0% | 0.250 |"),
-        (SECTIONS[1], {"profile": make_profile_doc([(100, 100, 0)])},
-         "| KERNEL | 0 |"),
+        (SECTIONS[1], make_trace_doc([(100, 100, 0)]),
+         "| KERNEL | 0 | 100 | 400 | 0.25 | memory |"),
         (SECTIONS[2], {"counters": {"launch.total": 7}},
          "| launch.total | 7 |"),
     ],
@@ -352,3 +346,21 @@ def test_a_report_section_renders_its_snapshot(
     heading, snapshot, line, tmp_path
 ):
     assert line in _section(_report_of(snapshot, tmp_path), heading)
+
+
+def test_a_report_reads_snapshots_and_traces_together(tmp_path):
+    """A trace input contributes the roofline rows (summed over its
+    spans) and leaves the snapshot sections to the snapshots."""
+    from repro.benchsuite.report import build_report
+
+    snapshot = tmp_path / "metrics.json"
+    snapshot.write_text(json.dumps({"counters": {"launch.total": 7}}))
+    trace = tmp_path / "trace.json"
+    doc = make_trace_doc([(100, 100, 0)])
+    doc["traceEvents"] *= 2  # two calls of segment 0
+    trace.write_text(json.dumps(doc))
+    text = build_report([str(snapshot), str(trace)])
+    assert "| KERNEL | 0 | 200 | 800 | 0.25 | memory |" in _section(
+        text, SECTIONS[1]
+    )
+    assert "| launch.total | 7 |" in _section(text, SECTIONS[2])

@@ -3,11 +3,11 @@
 Covers the tracer (span nesting, threading, Chrome trace_event schema,
 drop accounting), the metrics registry (primitives, providers, the
 merged snapshot of the views every stats owner registers itself, the
-schema of a fresh interpreter's snapshot), the kernel
-profiler (segment timings, buffer attribution), the out-of-band
-contract (buffers and Counters bitwise-identical with tracing and
-profiling on vs off, across engines), the disabled fast path, and the
-benchsuite's --trace/--metrics-json end to end.
+schema of a fresh interpreter's snapshot), the traced kernel segments
+and buffer traffic (attribution complete against Counters), the
+out-of-band contract (buffers and Counters bitwise-identical with
+tracing on vs off, across engines), the disabled fast path, and the
+benchsuite's --trace/--metrics-json/--profile end to end.
 """
 
 import json
@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from benchmarks.bench_simulator import REDUCTION_SOURCE
 from repro import obs
+from repro.obs import analysis
 from repro.obs import metrics as metrics_mod
-from repro.obs import profile as profile_mod
 from repro.obs import trace as trace_mod
 from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.opencl.interp import ExecError
@@ -36,7 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: view registers (figure8 adds ``counters.kernel``).
 SECTIONS = (
     "counters", "cache", "explore", "ledger",
-    "faults", "profile", "calibration",
+    "faults", "calibration",
 )
 
 SAXPY = """
@@ -48,6 +49,15 @@ kernel void SAXPY(const global float * restrict x,
 }
 """
 
+#: SAXPY over a 2-D range, one element per work-item.
+SAXPY_2D = """
+kernel void SAXPY_2D(const global float * restrict x,
+                     const global float * restrict y,
+                     global float *out, float a, int n) {
+  int i = get_global_id(1) * get_global_size(0) + get_global_id(0);
+  if (i < n) { out[i] = a * x[i] + y[i]; }
+}
+"""
 
 #: A cross-lane race: the compiled tier declines it at run time (a
 #: ``dynamic`` ledger entry) and the scalar tier serves it.
@@ -85,13 +95,6 @@ def no_tracing():
     obs.stop_tracing()
     yield
     obs.stop_tracing()
-
-
-@pytest.fixture
-def no_profiling():
-    profile_mod.disable()
-    yield
-    profile_mod.disable()
 
 
 def read_trace(path):
@@ -340,7 +343,6 @@ class TestMetricsRegistry:
         assert doc["faults"]["sites"]["cache-read"] == {
             "checks": 1, "injected": 1,
         }
-        assert "segments" in doc["profile"]
         assert "workloads" in doc["calibration"]
         json.dumps(doc)  # the whole merged document is serializable
 
@@ -368,7 +370,7 @@ class TestMetricsRegistry:
         docs = json.loads(out)
         fresh, owned = docs["fresh"], docs["owned"]
         assert set(fresh) == set(SECTIONS)
-        for name in ("ledger", "faults", "profile", "calibration"):
+        for name in ("ledger", "faults", "calibration"):
             assert set(fresh[name]) == set(owned[name]), name
         assert fresh["ledger"]["total"] == 0
         assert fresh["faults"]["sites"] == {}
@@ -415,55 +417,137 @@ def test_one_telemetry_path_in_the_source():
     assert not (ROOT / "src/repro/obs/adapters.py").exists()
 
 
-class TestKernelProfiler:
-    def test_segment_and_traffic_attribution(self, no_profiling):
-        prof = profile_mod.enable()
-        prof.reset()
-        run_saxpy("compiled")
-        doc = profile_mod.as_dict()
-        assert doc["enabled"]
-        assert doc["segments"], "compiled backend must record segments"
-        assert all(s["kernel"] == "SAXPY" for s in doc["segments"])
-        named = {t["buffer"] for t in doc["traffic"]}
+def traced(run):
+    """``run()``'s result and the trace events it recorded, without a
+    file."""
+    tracer = obs.start_tracing()
+    try:
+        result = run()
+    finally:
+        obs.stop_tracing()
+    return result, tracer.events()
+
+
+def traced_launch(source, gsize, lsize, args, engine):
+    """One traced launch: its Counters, the deltas of its ``segment``
+    spans summed, and its ``traffic`` rows."""
+    counters, events = traced(lambda: launch(
+        OpenCLProgram(source), gsize, lsize, args, engine=engine))
+    (traffic,) = [e["args"] for e in events if e["name"] == "traffic"]
+    deltas: dict = {}
+    for e in events:
+        if e["name"] == "segment":
+            assert e["args"]["kernel"] == traffic["kernel"]
+            for name, delta in e["args"].items():
+                if name not in ("kernel", "index"):
+                    deltas[name] = deltas.get(name, 0) + delta
+    return vars(counters), deltas, traffic["rows"]
+
+
+#: Settled at block end (loads) or launch end (work items), outside any
+#: segment.
+SETTLED_LATE = ("global_loads", "local_loads", "cached_loads", "work_items")
+
+N = 8192
+
+
+def saxpy_args():
+    return {"x": Buffer.from_array(np.arange(N, dtype=float)),
+            "y": Buffer.from_array(np.ones(N)),
+            "out": Buffer.zeros(N), "a": 2.0, "n": N - 5}
+
+
+def reduce_args():
+    return {"x": Buffer.from_array(np.arange(N, dtype=float)),
+            "out": Buffer.zeros(N // 64)}
+
+
+#: Launches whose attribution is checked: two 4096-lane blocks under
+#: ``compiled``, one block under ``fused``.
+ATTRIBUTION_CASES = {
+    "saxpy": (SAXPY, N, 64, saxpy_args),
+    "saxpy-2d": (SAXPY_2D, (128, 64), (8, 8), saxpy_args),
+    "reduce": (REDUCTION_SOURCE, N, 64, reduce_args),
+}
+
+
+class TestSegmentsAndTraffic:
+    @pytest.mark.parametrize("engine", ["compiled", "fused"])
+    @pytest.mark.parametrize("case", sorted(ATTRIBUTION_CASES))
+    def test_attribution_is_complete(
+        self, case, engine, no_tracing, fault_free
+    ):
+        """The segment spans of a launch sum to its Counters, and its
+        traffic rows to its loads and stores, in either layout."""
+        source, gsize, lsize, args = ATTRIBUTION_CASES[case]
+        counters, deltas, rows = traced_launch(
+            source, gsize, lsize, args(), engine
+        )
+        for name, value in counters.items():
+            if name not in SETTLED_LATE:
+                assert deltas.get(name, 0) == value, name
+        loads = {"global": 0, "local": 0}
+        stores = {"global": 0, "local": 0}
+        cached = 0
+        for _, space, fresh, hits, written in rows:
+            loads[space] += fresh
+            stores[space] += written
+            cached += hits
+        assert (loads["global"], loads["local"], cached) == (
+            counters["global_loads"], counters["local_loads"],
+            counters["cached_loads"],
+        )
+        assert (stores["global"], stores["local"]) == (
+            counters["global_stores"], counters["local_stores"],
+        )
+        assert deltas["load_events"] == sum(loads.values()) + cached
+
+    def test_reduce_traffic_by_buffer(self, no_tracing, fault_free):
+        source, gsize, lsize, args = ATTRIBUTION_CASES["reduce"]
+        _, _, rows = traced_launch(source, gsize, lsize, args(), "compiled")
+        assert sorted(rows) == [
+            ["out", "global", 0, 0, 128],
+            ["tmp", "local", 12160, 4096, 16256],
+            ["x", "global", 8192, 0, 0],
+        ]
+
+    def test_segment_and_traffic_attribution(self, no_tracing):
+        _, events = traced(lambda: run_saxpy("compiled"))
+        segments = analysis.segment_rows(events)
+        assert segments, "compiled backend must trace segments"
+        assert all(s["kernel"] == "SAXPY" for s in segments)
+        traffic = analysis.traffic_rows(events)
+        named = {t["buffer"] for t in traffic}
         # Buffers are attributed by name from the launch environment.
         assert {"x", "y", "out"} <= named
         out_row = next(
-            t for t in doc["traffic"]
+            t for t in traffic
             if t["buffer"] == "out" and t["space"] == "global"
         )
         assert out_row["stores"] == 64
 
     @pytest.mark.parametrize("engine", ["compiled", "fused"])
     def test_segments_are_recorded_in_both_layouts(
-        self, engine, no_profiling, fault_free
+        self, engine, no_tracing, fault_free
     ):
         # One lane form: segments are keyed by kernel and index alone, in
         # a 1-D and a 2-D launch alike.
-        prof = profile_mod.enable()
         for gsize, lsize in ((64, 16), ((8, 8), (4, 4))):
-            prof.reset()
-            launch(OpenCLProgram(SAXPY), gsize, lsize, {
-                "x": Buffer.zeros(64), "y": Buffer.zeros(64),
-                "out": Buffer.zeros(64), "a": 2.0, "n": 64,
-            }, engine=engine)
-            (segment,) = profile_mod.as_dict()["segments"]
+            _, events = traced(lambda: launch(
+                OpenCLProgram(SAXPY), gsize, lsize, {
+                    "x": Buffer.zeros(64), "y": Buffer.zeros(64),
+                    "out": Buffer.zeros(64), "a": 2.0, "n": 64,
+                }, engine=engine))
+            (segment,) = analysis.segment_rows(events)
             assert (segment["kernel"], segment["segment"]) == ("SAXPY", 0)
             assert "kind" not in segment
             assert segment["counters"]["global_stores"] == 64
 
-    def test_format_table_lists_top_segments(self, no_profiling):
-        prof = profile_mod.enable()
-        prof.reset()
-        run_saxpy("compiled")
-        table = profile_mod.format_table()
+    def test_format_profile_lists_top_segments(self, no_tracing):
+        _, events = traced(lambda: run_saxpy("compiled"))
+        table = analysis.format_profile(events)
         assert "kernel profile" in table
         assert "SAXPY" in table
-
-    def test_disabled_profile_view(self, no_profiling):
-        assert profile_mod.as_dict() == {
-            "enabled": False, "segments": [], "traffic": []
-        }
-        assert "disabled" in profile_mod.format_table()
 
 
 class TestOutOfBand:
@@ -471,18 +555,11 @@ class TestOutOfBand:
     changes results — buffers and Counters are bitwise-identical."""
 
     @pytest.mark.parametrize("engine", ["scalar", "compiled", "fused"])
-    def test_bitwise_identical_with_tracing_and_profiling(
-        self, engine, tmp_path, no_tracing, no_profiling
-    ):
+    def test_bitwise_identical_with_tracing(self, engine, no_tracing):
+        """Tracing on also runs the compiled tiers' segment spans and
+        traffic rows."""
         out_off, counters_off = run_saxpy(engine)
-
-        obs.start_tracing(tmp_path / f"{engine}.json")
-        profile_mod.enable()
-        try:
-            out_on, counters_on = run_saxpy(engine)
-        finally:
-            profile_mod.disable()
-            obs.stop_tracing()
+        (out_on, counters_on), _ = traced(lambda: run_saxpy(engine))
 
         assert out_on.tobytes() == out_off.tobytes()
         assert counters_on == counters_off
@@ -562,14 +639,13 @@ class TestDisabledOverhead:
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0
 
-    def test_disabled_by_default(self, no_tracing, no_profiling):
+    def test_disabled_by_default(self, no_tracing):
         assert not obs.tracing_enabled()
-        assert not profile_mod.enabled()
 
 
 class TestBenchsuiteEndToEnd:
     def test_figure8_trace_and_metrics_flags(self, tmp_path, capsys,
-                                             no_tracing, no_profiling):
+                                             no_tracing):
         from repro.benchsuite.__main__ import main
 
         trace_path = tmp_path / "t.json"
@@ -589,8 +665,9 @@ class TestBenchsuiteEndToEnd:
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {
             "figure8.benchmark", "figure8.reference", "figure8.generated",
-            "launch", "plan", "run", "compile",
+            "launch", "plan", "run", "compile", "segment",
         } <= names
+        assert analysis.traffic_rows(doc["traceEvents"])
 
         metrics_doc = json.loads(metrics_path.read_text())
         assert metrics_doc["counters"]["launch.total"] >= 4
@@ -598,6 +675,23 @@ class TestBenchsuiteEndToEnd:
             k.startswith("launch.served.") for k in metrics_doc["counters"]
         )
         for key in ("cache", "explore", "ledger", "faults",
-                    "profile", "counters.kernel"):
+                    "counters.kernel"):
             assert key in metrics_doc
-        assert metrics_doc["profile"]["enabled"]
+        assert "profile" not in metrics_doc
+
+    def test_profile_without_trace_writes_no_file(
+        self, tmp_path, capsys, monkeypatch, no_tracing
+    ):
+        from repro.benchsuite.__main__ import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "figure8", "--benchmarks", "nn", "--sizes", "small",
+            "--no-cache", "--profile",
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "kernel profile (top segments by wall time):" in err
+        assert "buffer traffic" in err
+        assert "[trace written" not in err
+        assert not obs.tracing_enabled()
+        assert list(tmp_path.iterdir()) == []
