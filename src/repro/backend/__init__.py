@@ -29,10 +29,9 @@ tries the members in order:
 2. an unexpected crash in ``plan`` is shielded for every member but the
    last (``plan`` precedes any buffer write, so falling through is
    exact); the last member re-raises it;
-3. an injected ``backend-run`` fault declines a non-final member;
-4. every decline lands in the degradation ledger
+3. every decline lands in the degradation ledger
    (:mod:`repro.backend.ledger`) with its kind and reason;
-5. a chain that does not end in ``scalar`` is *strict*: when every
+4. a chain that does not end in ``scalar`` is *strict*: when every
    member refused, :class:`~repro.opencl.simt.VectorizationError` names
    each refusal.
 
@@ -42,10 +41,8 @@ tries the members in order:
 
 from __future__ import annotations
 
-from repro import faultinject
 from repro.backend import ledger
 from repro.backend.ledger import LEDGER
-from repro.faultinject import FaultInjected
 from repro.obs import metrics, span
 from repro.opencl import simt, simt_compile
 from repro.opencl.interp import run_groups
@@ -194,16 +191,6 @@ def execute(engine: str, chain: tuple, parsed, kernel, gsize, lsize,
     for position, name in enumerate(chain):
         backend = _BACKENDS[name]
         final = position == len(chain) - 1
-        if not final:
-            # ``backend-run`` fault site: an injected fault declines
-            # this backend; the final member is exempt so a graceful
-            # chain still completes.
-            try:
-                faultinject.maybe_fail("backend-run")
-            except FaultInjected as exc:
-                ledger.record(engine, name, "fault", str(exc))
-                refusals.append(f"{name}: injected fault")
-                continue
         try:
             with span("plan", backend=name, engine=engine) as plan_span:
                 try:

@@ -7,7 +7,7 @@ fused tier all the way to the scalar reference looked *identical* to a
 healthy one (that is the point of the bitwise contract) while being
 orders of magnitude slower.  Every decline is now recorded here with
 the engine name, the declining backend and a reason, so harnesses (the
-benchsuite CLI, the chaos checker) can report exactly which tiers
+benchsuite CLI, the e2e harness) can report exactly which tiers
 degraded and why.
 
 The ledger is deliberately **not** part of :class:`~repro.opencl.interp.Counters`:
@@ -28,9 +28,6 @@ Decline kinds (:data:`DECLINE_KINDS`; recording any other kind raises
 ``crash``
     ``plan`` raised an unexpected exception; the chain shields the
     launch and falls through (the final member re-raises).
-``fault``
-    a deterministic injected fault (:mod:`repro.faultinject`,
-    site ``backend-run``) declined the backend.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ __all__ = [
 #: Cap on retained individual events (counts are kept exactly beyond it).
 _MAX_EVENTS = 10_000
 
-DECLINE_KINDS = ("static", "dynamic", "crash", "fault")
+DECLINE_KINDS = ("static", "dynamic", "crash")
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,6 @@ def main(argv=None) -> int:
              "name of repro.backend: auto, fused, compiled, scalar)",
     )
     parser.add_argument(
-        "--fault-plan", default=None,
-        help="deterministic fault-injection spec (same syntax as "
-             "REPRO_FAULT_PLAN, e.g. 'seed=11;rate=0.05'); recoveries "
-             "are reported after the run",
-    )
-    parser.add_argument(
         "--inputs", nargs="+", default=None, metavar="PATH",
         help="metrics-snapshot JSON files the report command merges, "
              "and trace files (--trace) its roofline reads (default: "
@@ -92,7 +86,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="dump the unified metrics snapshot (cache, explorer, "
-             "ledger, fault sites, per-tier launch counts) to PATH",
+             "ledger, per-tier launch counts) to PATH",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -123,14 +117,11 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    from repro import faultinject, obs
+    from repro import obs
 
     tracer = None
     if args.trace is not None or args.profile:
         tracer = obs.start_tracing(args.trace)
-
-    if args.fault_plan is not None:
-        faultinject.set_plan(args.fault_plan)  # fail fast on bad specs
 
     if args.engine is not None:
         from repro.backend import resolve
@@ -170,8 +161,6 @@ def main(argv=None) -> int:
                 f"[tuning cache: {s.run_hits} run hits / "
                 f"{s.run_misses} misses, {s.kernel_hits} kernel hits]"
             )
-            _print_cache_recoveries(s)
-    _print_resilience_summary()
 
     if args.experiment == "calibrate":
         from repro.benchsuite.calibrate import format_calibrate, run_calibrate
@@ -185,7 +174,6 @@ def main(argv=None) -> int:
             engine=args.engine,
         )
         print(format_calibrate(data))
-        _print_resilience_summary()
 
     if args.experiment == "report":
         from repro.benchsuite.report import build_report
@@ -211,7 +199,10 @@ def main(argv=None) -> int:
             engine=args.engine,
         )
         print(format_explore(data))
-        _print_resilience_summary()
+
+    if cache is not None:
+        _print_cache_recoveries(cache.stats)
+    _print_declines()
 
     if args.profile:
         print(obs.analysis.format_profile(tracer.events()),
@@ -235,7 +226,7 @@ def _print_cache_recoveries(stats) -> None:
     """Surface every non-silent cache recovery (nothing when clean).
 
     Diagnostics go to stderr: stdout carries the artifact tables, which
-    must stay byte-identical across engines and fault plans."""
+    must stay byte-identical across engines and cache states."""
     recovered = {
         "quarantined": stats.quarantined,
         "io errors": stats.io_errors,
@@ -252,27 +243,15 @@ def _print_cache_recoveries(stats) -> None:
         )
 
 
-def _print_resilience_summary() -> None:
-    """Fault-injection and backend-degradation observability: a chaos
-    or degraded run must show its recoveries, a clean run prints
-    nothing.  Stderr, like :func:`_print_cache_recoveries` — which
-    tier served a launch may legitimately differ between engines."""
-    from repro import faultinject, obs
+def _print_declines() -> None:
+    """The degradation ledger's digest when any backend declined a
+    launch (nothing when clean), rendered from the same snapshot
+    ``--metrics-json`` dumps.  Stderr, like
+    :func:`_print_cache_recoveries`: which tier served a launch may
+    legitimately differ between engines."""
+    from repro import obs
     from repro.backend import ledger
 
-    plan = faultinject.active_plan()
-    if plan is not None:
-        counts = faultinject.counts()
-        if counts:
-            parts = [
-                f"{site}: {c.injected}/{c.checks} injected"
-                for site, c in sorted(counts.items())
-                if c.injected
-            ]
-            detail = "; ".join(parts) if parts else "no faults landed"
-            print(f"[fault plan {plan.describe()} — {detail}]", file=sys.stderr)
-    # The ledger digest renders from the unified metrics snapshot (the
-    # same document --metrics-json dumps), not a bespoke formatter.
     ledger_snapshot = obs.snapshot().get("ledger", {})
     if ledger_snapshot.get("total"):
         print(ledger.format_snapshot(ledger_snapshot), file=sys.stderr)

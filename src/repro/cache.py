@@ -58,10 +58,12 @@ Crash- and concurrency-safety (see ``src/repro/RESILIENCE.md``):
   used entries are evicted — hits refresh an entry's mtime, so recency
   is by *use*, not by creation.  Without a cap only a cache object's
   first write scans the store (for crash-leftover temp files).
-* The ``cache-read``/``cache-write`` fault-injection sites
-  (:mod:`repro.faultinject`) draw once at the top of every get/put: a
-  read fault is an I/O error and then a miss (``stats.io_errors``), a
-  write fault a skipped write (``stats.write_skips``).
+* A read that fails with an ``OSError`` (other than file-not-found) is
+  a miss counted in ``stats.io_errors``; a write that fails with one is
+  skipped and counted in ``stats.write_skips``.  Neither touches an
+  entry already on disk: a store the process cannot read or write
+  (a regular file given as the root, a full disk) costs recompiles,
+  never a result.
 
 The store root comes from the ``REPRO_CACHE_DIR`` environment variable,
 falling back to ``~/.cache/repro``.
@@ -99,11 +101,10 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-from repro import faultinject, obs
+from repro import obs
 from repro.compiler.codegen import CompiledKernel, compile_kernel
 from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
-from repro.faultinject import FaultInjected
 from repro.ir.nodes import FunDecl
 from repro.ir.structural import canonical
 from repro.opencl.interp import Counters
@@ -272,12 +273,13 @@ class CacheStats:
     corrupt_entries: int = 0
     #: Quarantined for version or key mismatch (well-formed, outdated).
     stale_entries: int = 0
-    #: Reads/writes that failed with an ``OSError`` other than
-    #: file-not-found (treated as a miss / skipped write, not corruption).
+    #: Reads that failed with an ``OSError`` other than file-not-found
+    #: (a miss, not corruption).
     io_errors: int = 0
     #: Entries evicted by the LRU size cap.
     evictions: int = 0
-    #: Writes skipped because an injected ``cache-write`` fault landed.
+    #: Writes that failed with an ``OSError`` (skipped; the entry on
+    #: disk, if any, is left as it was).
     write_skips: int = 0
 
     def hit_rate(self, level: str) -> float:
@@ -494,11 +496,10 @@ class TuningCache:
         with obs.span(f"cache.get_{level}"), self._lock:
             raw = value = None
             try:
-                faultinject.maybe_fail("cache-read")
                 raw = path.read_bytes()
             except FileNotFoundError:
                 pass
-            except (FaultInjected, OSError):
+            except OSError:
                 self.stats.io_errors += 1
             if raw is not None:
                 try:
@@ -524,11 +525,6 @@ class TuningCache:
         of ``key``; a write that cannot happen is counted and skipped."""
         suffix, _, dumps, _ = _LEVELS[level]
         with obs.span(f"cache.put_{level}"), self._lock:
-            try:
-                faultinject.maybe_fail("cache-write")
-            except FaultInjected:
-                self.stats.write_skips += 1
-                return
             data = self._encode(key, dumps(value))
             try:
                 with self._exclusive():
@@ -537,7 +533,7 @@ class TuningCache:
                         self._swept = True
                         self._evict_locked()
             except OSError:
-                self.stats.io_errors += 1
+                self.stats.write_skips += 1
                 return
             self.stats.puts += 1
 

@@ -18,7 +18,6 @@ Snapshot layout::
       "cache":      {...CacheStats...},
       "explore":    {"stats": {...}, "failures": [...]},
       "ledger":     {...DegradationLedger...},
-      "faults":     {"sites": {...}, "plan": ...},
       "calibration": {...CalibrationLog...},
       "counters.kernel": {...interp Counters of the last launch...},
     }
@@ -44,13 +43,11 @@ __all__ = [
 ]
 
 #: What :func:`snapshot` shows for a section whose owner has not
-#: registered: the owner's view, empty.  ``ledger`` and ``faults``
-#: register when :mod:`repro.backend.ledger` / :mod:`repro.faultinject`
-#: are imported; the other two when a ``TuningCache`` or an
-#: ``explore_program`` search exists.
+#: registered: the owner's view, empty.  ``ledger`` registers when
+#: :mod:`repro.backend.ledger` is imported; the other two when a
+#: ``TuningCache`` or an ``explore_program`` search exists.
 PLACEHOLDERS = {
     "ledger": {"total": 0, "dropped_events": 0, "declines": [], "events": []},
-    "faults": {"plan": None, "sites": {}},
     "cache": {"active": False},
     "explore": {"stats": {}, "failures": []},
 }

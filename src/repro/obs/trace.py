@@ -3,7 +3,7 @@
 The tracer answers "where did the time go?" questions the per-stage
 counters cannot: it records nestable, thread-aware wall-clock **spans**
 (``with span("compile"): ...``) and point-in-time **instants**
-(``instant("fault", site=...)``) and writes them as a Chrome trace —
+(``instant("cache.evict", entries=...)``) and writes them as a Chrome trace —
 load the file into ``chrome://tracing`` / https://ui.perfetto.dev and
 the parse → compile → explore → cache → launch hierarchy renders as a
 flame graph per thread.

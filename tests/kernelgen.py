@@ -16,9 +16,8 @@ it builds stays inside its buffer on every lane.
 ``compiled`` / ``fused`` and compares the buffers (bytes) and
 ``Counters``.  A strict engine may refuse a kernel only at run time,
 for a cross-lane race (a ``dynamic`` decline in the ledger): a static
-refusal or a crash of a generated kernel fails the check (a ``fault``
-decline, injected by a ``REPRO_FAULT_PLAN``, does not).  Run a seed range by
-hand (it prints the acceptance share)::
+refusal or a crash of a generated kernel fails the check.  Run a seed
+range by hand (it prints the acceptance share)::
 
     PYTHONPATH=src python -m tests.kernelgen 0 200
 """

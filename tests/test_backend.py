@@ -347,7 +347,7 @@ class TestAccessFacts:
 
     @pytest.mark.parametrize("step, races", [("n", False), ("1", True)])
     def test_a_store_inside_a_loop_is_sole_while_its_iterations_cannot_meet(
-        self, step, races, monkeypatch, fault_free
+        self, step, races, monkeypatch
     ):
         # out[i + t * n] over two iterations: the second iteration's
         # addresses lie past the first's, no race note is needed.
@@ -447,7 +447,7 @@ class TestAccessFacts:
         assert ref_counters["global_stores"] == n
         assert np.count_nonzero(ref) == n  # items past the guard skipped
 
-    def test_lane_cap_falls_back_to_compiled(self, monkeypatch, fault_free):
+    def test_lane_cap_falls_back_to_compiled(self, monkeypatch):
         monkeypatch.setattr(simt, "FUSED_MAX_LANES", 32)
         ledger.clear()
         out, counters = run_saxpy("fused", n=64, local=16)
@@ -519,7 +519,7 @@ class TestFactsInBothLayouts:
     with the scalar oracle bitwise, Counters included."""
 
     def test_saxpy_across_blocks_with_a_guard_inside_the_second(
-        self, monkeypatch, fault_free
+        self, monkeypatch
     ):
         local = 131  # divides BIG_N, not MAX_LANES
         assert BIG_N % local == 0 and simt.MAX_LANES % local
@@ -539,9 +539,7 @@ class TestFactsInBothLayouts:
         )
         assert notes == []  # the proven store skips the race detector
 
-    def test_an_affine_segment_then_a_barrier_then_a_looped_segment(
-        self, fault_free
-    ):
+    def test_an_affine_segment_then_a_barrier_then_a_looped_segment(self):
         src = """
         kernel void K(const global float * restrict x, global float *out) {
           local float tmp[64];
@@ -563,7 +561,7 @@ class TestFactsInBothLayouts:
                      "out": Buffer.zeros(BIG_N)},
         )
 
-    def test_pointer_offsets_count_once(self, fault_free):
+    def test_pointer_offsets_count_once(self):
         # Slice loads through an offset pointer (``q[i]``, ``q[2 * i]``)
         # and a store through a lane-varying pointer under a prefix
         # guard: the offset is part of the address exactly once.
@@ -586,7 +584,7 @@ class TestFactsInBothLayouts:
 
     @pytest.mark.parametrize("engine", ["compiled", "fused"])
     def test_an_aliased_output_refuses_the_sole_store_proof(
-        self, engine, monkeypatch, fault_free
+        self, engine, monkeypatch
     ):
         # ``x`` and ``out`` bound to one array: the store is checked by
         # the race detector, and the result is still the scalar one.
@@ -614,9 +612,7 @@ class TestFactsInBothLayouts:
 
 
 class TestLauncher:
-    def test_a_race_restores_only_the_buffers_the_kernel_may_write(
-        self, fault_free
-    ):
+    def test_a_race_restores_only_the_buffers_the_kernel_may_write(self):
         # ``out`` is written, then a cross-lane read of ``scratch`` bails
         # out.  ``out`` is restored bitwise, in place; the read-only
         # input is neither copied back nor touched.
@@ -642,7 +638,7 @@ class TestLauncher:
         assert args["scratch"].data.tobytes() == np.zeros(1).tobytes()
 
     def test_a_whole_grid_reduction_uses_the_packed_local_detector(
-        self, monkeypatch, fault_free
+        self, monkeypatch
     ):
         # 16 384 lanes in one block: every local buffer stays on the
         # packed detector (its SEG_SCALE covers either layout).

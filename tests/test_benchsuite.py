@@ -5,6 +5,9 @@ hand-written reference kernel on the simulator ≡ generated kernel on the
 simulator (at every optimization level for a representative subset).
 """
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -155,7 +158,7 @@ _ALSO_ON_SCALAR = ("md", "nn", "mm-amd", "mm-nvidia")
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_hoisting_only_ever_removes_work(name, fault_free):
+def test_hoisting_only_ever_removes_work(name):
     """The differential for ``compiler/hoist.py``, which has no switch:
     every stage at both sizes and all three levels, printed before the
     pass and after it (applied to the parsed text), launched on the
@@ -294,7 +297,7 @@ def test_figure8_floors_catch_a_lost_row():
 
 @pytest.mark.parametrize("engine", ["auto", "fused", "compiled"])
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_no_scalar_cliff(name, engine, fault_free):
+def test_no_scalar_cliff(name, engine):
     """No benchsuite launch — reference or generated, at any
     optimization level — falls to the per-work-item scalar tier or is
     declined dynamically by a lane-batched one (the scalar cliff under
@@ -320,7 +323,7 @@ def test_no_scalar_cliff(name, engine, fault_free):
 
 
 def test_explore_no_cache_leaves_the_cache_dir_empty(
-    tmp_path, monkeypatch, capsys, fault_free
+    tmp_path, monkeypatch, capsys
 ):
     """``benchsuite explore --no-cache`` must not touch the default
     cache directory (it used to write ``~/.cache/repro``)."""
@@ -332,6 +335,107 @@ def test_explore_no_cache_leaves_the_cache_dir_empty(
           "--depth", "1", "--max-eval", "2"])
     assert "cache off" in capsys.readouterr().out
     assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("figure8", ["--sizes", "small"]),
+        ("explore", ["--depth", "1", "--max-eval", "2"]),
+    ],
+)
+def test_a_store_that_cannot_be_used_is_reported(
+    command, flags, tmp_path, capsys
+):
+    """A regular file as ``--cache-dir``: every read and write fails,
+    stdout carries the uncached run's report and stderr counts the
+    recoveries."""
+    from repro.benchsuite.__main__ import main
+
+    def report(*cache_flags):
+        assert main([command, "--benchmarks", "nn", *flags,
+                     *cache_flags]) == 0
+        out, err = capsys.readouterr()
+        # The store's name, its hit counts and the timings differ.
+        skip = ("Rewrite-space", "[tuning cache:", "time:")
+        return [
+            line for line in out.splitlines()
+            if not line.lstrip().startswith(skip)
+        ], err
+
+    uncached, err = report("--no-cache")
+    assert "cache recoveries" not in err
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    out, err = report("--cache-dir", str(not_a_dir))
+    assert out == uncached
+    (line,) = [x for x in err.splitlines() if "cache recoveries" in x]
+    assert re.fullmatch(
+        r"\[cache recoveries: [1-9]\d* io errors, [1-9]\d* write skips\]",
+        line,
+    ), line
+
+
+def _corrupt_entry(cache, key):
+    cache.put_cycles(key, 1.0)
+    cache._path(key, "cycles.json").write_bytes(b"garbage, no header")
+    assert cache.get_cycles(key) is None
+
+
+def _unreadable_entry(cache, key):
+    cache._path(key, "cycles.json").mkdir(parents=True)
+    assert cache.get_cycles(key) is None
+
+
+def _unwritable_entry(cache, key):
+    (cache._path(key, "cycles.json") / "occupied").mkdir(parents=True)
+    cache.put_cycles(key, 1.0)
+
+
+def _evicted_entry(cache, key):
+    cache.put_cycles(key, 1.0)
+    path = cache._path(key, "cycles.json")
+    os.utime(path, (1_000_000_000.0, 1_000_000_000.0))  # the oldest
+    cache.max_bytes = int(path.stat().st_size * 1.5)  # room for one
+    cache.put_cycles("cd" * 32, 2.0)
+
+
+@pytest.mark.parametrize(
+    "provoke, reported",
+    [
+        (_corrupt_entry, "1 quarantined"),
+        (_unreadable_entry, "1 io errors"),
+        (_unwritable_entry, "1 write skips"),
+        (_evicted_entry, "1 evictions"),
+    ],
+    ids=["quarantined", "io-errors", "write-skips", "evictions"],
+)
+def test_each_cache_recovery_is_reported_by_name(
+    provoke, reported, tmp_path, capsys
+):
+    """One real failure of each kind gives a stderr line naming that
+    recovery alone, and nothing on stdout."""
+    from repro.benchsuite.__main__ import _print_cache_recoveries
+    from repro.cache import TuningCache
+
+    cache = TuningCache(tmp_path)
+    provoke(cache, "ab" * 32)
+    _print_cache_recoveries(cache.stats)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"[cache recoveries: {reported}]\n"
+
+
+def test_a_clean_cache_reports_no_recovery(tmp_path, capsys):
+    from repro.benchsuite.__main__ import _print_cache_recoveries
+    from repro.cache import TuningCache
+
+    cache = TuningCache(tmp_path)
+    cache.put_cycles("ab" * 32, 1.0)
+    assert cache.get_cycles("ab" * 32) == 1.0
+    assert cache.get_cycles("cd" * 32) is None
+    _print_cache_recoveries(cache.stats)
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("name", ["nn", "atax"])

@@ -260,9 +260,7 @@ class TestCacheIntegration:
             c.cycles for c in cold.candidates
         ]
 
-    def test_changed_inputs_reuse_kernels_but_re_execute(
-        self, tmp_path, fault_free
-    ):
+    def test_changed_inputs_reuse_kernels_but_re_execute(self, tmp_path):
         prog = _toy_program()
         cache = TuningCache(tmp_path)
         config = ExploreConfig(depth=1, max_eval=4)
@@ -315,7 +313,7 @@ def test_explorer_at_least_matches_the_menu(tmp_path, name):
 
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
-def test_exploration_has_no_scalar_cliff(name, fault_free):
+def test_exploration_has_no_scalar_cliff(name):
     """No explorer launch is declined by the first backend and re-run on
     a slower tier (mm's two ``toLocal insertion`` schedules used to race
     through an unmultiplied staging row and fall to ``scalar``)."""
@@ -337,7 +335,7 @@ def test_exploration_has_no_scalar_cliff(name, fault_free):
     assert result.stats.declined_launches == 0
 
 
-def test_declined_launches_are_counted_and_named(monkeypatch, fault_free):
+def test_declined_launches_are_counted_and_named(monkeypatch):
     """A candidate whose kernel races (here: every work-item writes and
     reads back one local cell, result unused) still verifies — on the
     scalar tier — and the search says so, per benchmark."""
@@ -425,7 +423,7 @@ def test_menu_reuses_the_explorers_reference(interpretations):
 
 
 def test_oracle_is_interpreted_only_when_something_launches(
-    tmp_path, interpretations, fault_free
+    tmp_path, interpretations
 ):
     """Cold: once for search and menu together.  Warm: every candidate
     is served from the cycles level, nothing is verified, nothing is
@@ -443,7 +441,7 @@ def test_oracle_is_interpreted_only_when_something_launches(
     assert warm["ranking"] == cold["ranking"]
 
 
-def test_oracle_is_interpreted_once(interpretations, fault_free):
+def test_oracle_is_interpreted_once(interpretations):
     """Eight candidates verify against one interpretation;
     ``result.reference`` is that array."""
     bench = get_benchmark("nn")
@@ -459,7 +457,7 @@ def test_oracle_is_interpreted_once(interpretations, fault_free):
 
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
-def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
+def test_winners_text_is_a_function_of_its_program(name, tmp_path):
     """No store, a cold store or the same store warm, or the winner
     compiled on its own: one kernel text.  The process-wide compile memo
     is emptied before each search, so every cold one really compiles."""
@@ -493,7 +491,7 @@ def test_winners_text_is_a_function_of_its_program(name, tmp_path, fault_free):
     assert direct.source == best.kernel_source
 
 
-def test_a_search_runs_in_the_callers_thread(monkeypatch, fault_free):
+def test_a_search_runs_in_the_callers_thread(monkeypatch):
     """Compiling, launching and verifying every candidate starts no
     thread: under the GIL a pool only added overhead."""
     import threading
@@ -517,9 +515,7 @@ def test_a_search_runs_in_the_callers_thread(monkeypatch, fault_free):
 
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
-def test_candidates_are_evaluated_in_the_order_given(
-    name, monkeypatch, fault_free
-):
+def test_candidates_are_evaluated_in_the_order_given(name, monkeypatch):
     """One after another, in the order given — and the ranking does not
     depend on that order (ties break on the derivation trace)."""
     from repro.rewrite import explore as explore_mod
@@ -595,8 +591,8 @@ def test_a_search_has_no_pool_or_search_wide_stop(knob):
 
 @pytest.mark.parametrize("knob", ["retries", "retry_backoff"])
 def test_a_search_has_no_retry_knob(knob):
-    """Injected faults are redrawn at their site; a candidate is
-    evaluated once, so there is no retry budget or backoff to set."""
+    """A candidate is evaluated once, so there is no retry budget or
+    backoff to set."""
     with pytest.raises(TypeError, match=knob):
         ExploreConfig(**{knob: 1})
 
@@ -655,9 +651,7 @@ def test_same_schedule_same_cost_whichever_generator(name):
         assert menu[0] is chunk32
 
 
-def test_warm_explore_benchmark_launches_and_compiles_nothing(
-    tmp_path, fault_free
-):
+def test_warm_explore_benchmark_launches_and_compiles_nothing(tmp_path):
     """Warm means warm for the whole command: the menu is served from the
     same cycles level as the search."""
     from repro.obs import metrics

@@ -36,8 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Every top-level key of ``obs.snapshot()`` before a kernel Counters
 #: view registers (figure8 adds ``counters.kernel``).
 SECTIONS = (
-    "counters", "cache", "explore", "ledger",
-    "faults", "calibration",
+    "counters", "cache", "explore", "ledger", "calibration",
 )
 
 SAXPY = """
@@ -292,14 +291,11 @@ class TestMetricsRegistry:
         assert doc["counters"] == {"ok": 1}
         assert doc["bad"] == {"error": "RuntimeError: nope"}
 
-    def test_snapshot_merges_all_five_stats_objects(
-        self, tmp_path, fault_free
-    ):
+    def test_snapshot_merges_all_four_stats_objects(self, tmp_path):
         """One document holds the views the owners registered
         themselves: figure8's kernel Counters, a TuningCache's
-        CacheStats, a search's ExploreStats + FailureReports, the
-        process ledger and the fault-site counts."""
-        from repro import faultinject
+        CacheStats, a search's ExploreStats + FailureReports and the
+        process ledger."""
         from repro.arith import Var
         from repro.backend import LEDGER
         from repro.benchsuite.figure8 import run_figure8
@@ -324,12 +320,7 @@ class TestMetricsRegistry:
         )
         declines = LEDGER.total()
         launch(OpenCLProgram(RACE), 8, 4, race_args(), engine="auto")
-
-        plan = "seed=3;cache-read=1.0"
-        with faultinject.plan_installed(plan):
-            with pytest.raises(faultinject.FaultInjected):
-                faultinject.maybe_fail("cache-read")
-            doc = obs.snapshot()
+        doc = obs.snapshot()
 
         assert doc["counters.kernel"]["global_loads"] > 0
         assert doc["cache"] == cache.stats.as_dict()
@@ -339,10 +330,6 @@ class TestMetricsRegistry:
         assert doc["explore"]["failures"][0]["kind"] == "simulate"
         assert doc["ledger"]["total"] == declines + 1
         assert doc["ledger"]["events"][-1]["kind"] == "dynamic"
-        assert doc["faults"]["plan"] == plan
-        assert doc["faults"]["sites"]["cache-read"] == {
-            "checks": 1, "injected": 1,
-        }
         assert "workloads" in doc["calibration"]
         json.dumps(doc)  # the whole merged document is serializable
 
@@ -358,7 +345,6 @@ class TestMetricsRegistry:
             import json
             import repro.obs
             fresh = repro.obs.snapshot()
-            from repro import faultinject
             from repro.backend import ledger
             print(json.dumps({"fresh": fresh, "owned": repro.obs.snapshot()}))
         """)
@@ -370,10 +356,9 @@ class TestMetricsRegistry:
         docs = json.loads(out)
         fresh, owned = docs["fresh"], docs["owned"]
         assert set(fresh) == set(SECTIONS)
-        for name in ("ledger", "faults", "calibration"):
+        for name in ("ledger", "calibration"):
             assert set(fresh[name]) == set(owned[name]), name
         assert fresh["ledger"]["total"] == 0
-        assert fresh["faults"]["sites"] == {}
         assert fresh["cache"] == {"active": False}
         assert fresh["explore"] == {"stats": {}, "failures": []}
 
@@ -394,7 +379,7 @@ class TestMetricsRegistry:
         """A section whose owner is gone (the in-process tuning service's
         ``service``) leaves no placeholder behind."""
         assert set(metrics_mod.PLACEHOLDERS) == {
-            "ledger", "faults", "cache", "explore",
+            "ledger", "cache", "explore",
         }
         assert "service" not in obs.snapshot()
 
@@ -474,9 +459,7 @@ ATTRIBUTION_CASES = {
 class TestSegmentsAndTraffic:
     @pytest.mark.parametrize("engine", ["compiled", "fused"])
     @pytest.mark.parametrize("case", sorted(ATTRIBUTION_CASES))
-    def test_attribution_is_complete(
-        self, case, engine, no_tracing, fault_free
-    ):
+    def test_attribution_is_complete(self, case, engine, no_tracing):
         """The segment spans of a launch sum to its Counters, and its
         traffic rows to its loads and stores, in either layout."""
         source, gsize, lsize, args = ATTRIBUTION_CASES[case]
@@ -502,7 +485,7 @@ class TestSegmentsAndTraffic:
         )
         assert deltas["load_events"] == sum(loads.values()) + cached
 
-    def test_reduce_traffic_by_buffer(self, no_tracing, fault_free):
+    def test_reduce_traffic_by_buffer(self, no_tracing):
         source, gsize, lsize, args = ATTRIBUTION_CASES["reduce"]
         _, _, rows = traced_launch(source, gsize, lsize, args(), "compiled")
         assert sorted(rows) == [
@@ -527,9 +510,7 @@ class TestSegmentsAndTraffic:
         assert out_row["stores"] == 64
 
     @pytest.mark.parametrize("engine", ["compiled", "fused"])
-    def test_segments_are_recorded_in_both_layouts(
-        self, engine, no_tracing, fault_free
-    ):
+    def test_segments_are_recorded_in_both_layouts(self, engine, no_tracing):
         # One lane form: segments are keyed by kernel and index alone, in
         # a 1-D and a 2-D launch alike.
         for gsize, lsize in ((64, 16), ((8, 8), (4, 4))):
@@ -579,7 +560,7 @@ class TestOutOfBand:
         assert {"launch", "plan", "run"} <= names
 
     def test_run_span_of_a_decline_carries_its_reason(
-        self, tmp_path, no_tracing, fault_free
+        self, tmp_path, no_tracing
     ):
         path = tmp_path / "trace.json"
         obs.start_tracing(path)
@@ -594,7 +575,7 @@ class TestOutOfBand:
         assert "reason" not in runs["scalar"]  # served, nothing to explain
 
     def test_plan_span_of_a_static_decline_carries_its_reason(
-        self, tmp_path, no_tracing, fault_free
+        self, tmp_path, no_tracing
     ):
         bad = """
         kernel void K(global float *x) {
@@ -674,8 +655,7 @@ class TestBenchsuiteEndToEnd:
         assert any(
             k.startswith("launch.served.") for k in metrics_doc["counters"]
         )
-        for key in ("cache", "explore", "ledger", "faults",
-                    "counters.kernel"):
+        for key in ("cache", "explore", "ledger", "counters.kernel"):
             assert key in metrics_doc
         assert "profile" not in metrics_doc
 

@@ -250,7 +250,6 @@ LOCAL = 8
 def test_tiled_reductions_match_interpreter_on_every_engine(
     acc_space, chunk, tile, seed
 ):
-    from repro import faultinject
     from repro.backend import ledger
     from tests.programs import checked_static_types, tiled_outer_sums
 
@@ -263,20 +262,19 @@ def test_tiled_reductions_match_interpreter_on_every_engine(
         ),
         dtype=float,
     )
-    with faultinject.plan_installed(None):  # injected faults decline tiers
-        ledger.clear()
-        for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
-            with checked_static_types():
-                runs = [
-                    compile_and_run(
-                        tiled_outer_sums(acc_space, chunk, tile), inputs, {},
-                        global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
-                        engine=engine,
-                    )
-                    for engine in ("scalar", "compiled", "fused")
-                ]
-            for run in runs:
-                assert run.output.tobytes() == expected.tobytes()
-                assert vars(run.counters) == vars(runs[0].counters)
-        # A hazard decline on compiler output is a compiler bug.
-        assert not ledger.events()
+    ledger.clear()
+    for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
+        with checked_static_types():
+            runs = [
+                compile_and_run(
+                    tiled_outer_sums(acc_space, chunk, tile), inputs, {},
+                    global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
+                    engine=engine,
+                )
+                for engine in ("scalar", "compiled", "fused")
+            ]
+        for run in runs:
+            assert run.output.tobytes() == expected.tobytes()
+            assert vars(run.counters) == vars(runs[0].counters)
+    # A hazard decline on compiler output is a compiler bug.
+    assert not ledger.events()

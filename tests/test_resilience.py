@@ -1,18 +1,20 @@
-"""The resilience layer: deterministic fault injection, the degradation
-ledger and crash shield on backend fallback chains, and the explorer's
-fault tolerance (bit-identical results under a chaos plan, real
-compile / simulate / verify failures quarantined under their own kind)."""
+"""The resilience layer, each recovery provoked by the real failure it
+recovers from: a tuning store the process cannot read or write, the
+degradation ledger and crash shield on backend fallback chains, and
+the explorer's compile / simulate / verify failures quarantined under
+their own kind."""
 
-import re
+import functools
 
 import numpy as np
 import pytest
 
-from repro import faultinject
 from repro.arith import Var
-from repro.backend import get_backend, ledger
+from repro.backend import ENGINES, get_backend, ledger
+from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
+from repro.benchsuite.explore import run_explore
+from repro.benchsuite.figure8 import run_figure8
 from repro.cache import TuningCache
-from repro.faultinject import FaultInjected, FaultPlan, FaultState
 from repro.ir.dsl import join, map_, pipe, split
 from repro.ir.nodes import Lambda, Param, UserFun
 from repro.opencl import Buffer, OpenCLProgram, launch
@@ -81,223 +83,19 @@ def _failing_candidate(stage, n=64):
     return cand, (inputs, size_env, reference, ExploreConfig())
 
 
-def _explore(tmp_path=None, cache=None, **config_kwargs):
-    config = ExploreConfig(depth=2, max_eval=6, **config_kwargs)
-    if tmp_path is not None:
-        cache = TuningCache(tmp_path)
+def _explore():
     return explore_program(
         _toy_program(), {"x": np.arange(48, dtype=float)}, {"N": 48},
-        config=config, cache=cache,
+        config=ExploreConfig(depth=2, max_eval=6),
     )
 
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    """Every test starts with injection off and an empty ledger; any
-    ambient plan (e.g. the chaos CI job's REPRO_FAULT_PLAN) is restored
-    afterwards so this module cannot disarm the rest of the suite."""
-    with faultinject.plan_installed(None):
-        ledger.clear()
-        yield
+    """Every test starts and ends with an empty ledger."""
     ledger.clear()
-
-
-class TestFaultPlanParsing:
-    def test_simple_spec(self):
-        plan = FaultPlan.parse("seed=11;rate=0.05")
-        assert plan.seed == 11
-        assert plan.default_rate == 0.05
-        assert plan.rate("backend-run") == 0.05
-        assert plan.any_faults()
-
-    def test_per_site_rates_override_default(self):
-        plan = FaultPlan.parse("seed=7;rate=0.1;cache-read=0.5")
-        assert plan.rate("cache-read") == 0.5
-        assert plan.rate("cache-write") == 0.1
-
-    def test_comma_separator_accepted(self):
-        plan = FaultPlan.parse("seed=3,rate=0.2")
-        assert plan.seed == 3 and plan.default_rate == 0.2
-
-    def test_off_and_empty_disable(self):
-        assert FaultPlan.parse("off") is None
-        assert FaultPlan.parse("") is None
-        assert FaultPlan.parse("  ") is None
-        # All-zero rates are equivalent to off.
-        assert FaultPlan.parse("seed=5") is None
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            FaultPlan.parse("seed=1;warp-speed=0.5")
-
-    def test_malformed_field_rejected(self):
-        with pytest.raises(ValueError, match="key=value"):
-            FaultPlan.parse("seed")
-
-    @pytest.mark.parametrize(
-        "site",
-        ["service-admit", "service-worker", "service-journal",
-         "attempts", "compile", "simulate", "verify"],
-    )
-    def test_a_spec_naming_a_deleted_site_fails_fast(self, site):
-        with pytest.raises(ValueError, match="unknown") as err:
-            FaultPlan.parse(f"seed=3;{site}=0.4")
-        assert ", ".join(faultinject.SITES) in str(err.value)
-
-    def test_describe_round_trips(self):
-        plan = FaultPlan.parse("seed=9;rate=0.25;backend-run=1.0")
-        again = FaultPlan.parse(plan.describe())
-        assert again == plan
-
-    @pytest.mark.parametrize("site", faultinject.SITES)
-    def test_a_site_rate_applies_to_that_site_only(self, site):
-        plan = FaultPlan.parse(f"seed=3;{site}=0.4")
-        assert plan.rate(site) == 0.4
-        assert all(
-            plan.rate(other) == 0.0
-            for other in faultinject.SITES if other != site
-        )
-        assert FaultPlan.parse(plan.describe()) == plan
-
-
-class TestDeterminism:
-    def test_same_seed_same_decisions(self):
-        a = FaultState(FaultPlan(seed=42, default_rate=0.3))
-        b = FaultState(FaultPlan(seed=42, default_rate=0.3))
-        draws_a = [a._draw("cache-read")[0] for _ in range(200)]
-        draws_b = [b._draw("cache-read")[0] for _ in range(200)]
-        assert draws_a == draws_b
-        assert any(draws_a) and not all(draws_a)
-
-    def test_different_seed_different_decisions(self):
-        a = FaultState(FaultPlan(seed=1, default_rate=0.3))
-        b = FaultState(FaultPlan(seed=2, default_rate=0.3))
-        draws_a = [a._draw("cache-read")[0] for _ in range(200)]
-        draws_b = [b._draw("cache-read")[0] for _ in range(200)]
-        assert draws_a != draws_b
-
-    def test_sites_are_independent_streams(self):
-        state = FaultState(FaultPlan(seed=5, default_rate=0.5))
-        read_draws = [state._draw("cache-read")[0] for _ in range(100)]
-        write_draws = [state._draw("cache-write")[0] for _ in range(100)]
-        assert read_draws != write_draws
-
-    @pytest.mark.parametrize("site", faultinject.SITES)
-    def test_a_site_draws_alike_whatever_the_others_do(self, site):
-        """A site's n-th decision depends on ``(seed, site, n)`` only, so
-        adding or removing checks at other sites changes none of it."""
-        alone = FaultState(FaultPlan(seed=11, default_rate=0.3))
-        mixed = FaultState(FaultPlan(seed=11, default_rate=0.3))
-        others = [s for s in faultinject.SITES if s != site]
-        solo_draws, mixed_draws = [], []
-        for n in range(60):
-            solo_draws.append(alone._draw(site))
-            for other in others[: n % (len(others) + 1)]:
-                mixed._draw(other)
-            mixed_draws.append(mixed._draw(site))
-        assert solo_draws == mixed_draws
-        assert any(inject for inject, _ in solo_draws)
-
-    def test_reset_counts_replays_the_sequence(self):
-        state = FaultState(FaultPlan(seed=42, default_rate=0.3))
-        first = [state._draw("backend-run")[0] for _ in range(50)]
-        state.reset_counts()
-        again = [state._draw("backend-run")[0] for _ in range(50)]
-        assert first == again
-
-
-class TestMaybeFail:
-    def test_rate_zero_never_injects(self):
-        state = FaultState(FaultPlan(seed=0, default_rate=0.0))
-        for _ in range(100):
-            state.maybe_fail("cache-read")
-        assert state.counts()["cache-read"].as_dict() == {
-            "checks": 100, "injected": 0,
-        }
-
-    def test_module_fast_path_with_no_plan(self):
-        assert faultinject.active_plan() is None
-        faultinject.maybe_fail("cache-read")  # no-op
-        assert faultinject.counts() == {}
-        assert faultinject.total_injected() == 0
-
-    def test_set_plan_accepts_spec_strings(self):
-        faultinject.set_plan("seed=11;rate=1.0")
-        with pytest.raises(FaultInjected):
-            faultinject.maybe_fail("cache-write")
-        faultinject.set_plan(None)
-        assert faultinject.active_plan() is None
-
-    def test_plan_installed_restores_previous_state(self):
-        faultinject.set_plan("seed=1;rate=1.0")
-        outer = faultinject.active_plan()
-        with faultinject.plan_installed("seed=2;rate=0.5"):
-            assert faultinject.active_plan().seed == 2
-        assert faultinject.active_plan() == outer
-
-    @pytest.mark.parametrize("site", faultinject.SITES)
-    def test_a_certain_fault_escapes_naming_its_site(self, site):
-        state = FaultState(FaultPlan.parse(f"seed=1;{site}=1.0"))
-        for sequence in (0, 1):
-            with pytest.raises(FaultInjected) as err:
-                state.maybe_fail(site)
-            assert (err.value.site, err.value.sequence) == (site, sequence)
-        for other in faultinject.SITES:
-            if other != site:
-                state.maybe_fail(other)
-        assert state.counts()[site].as_dict() == {
-            "checks": 2, "injected": 2,
-        }
-
-
-    @pytest.mark.parametrize("site", faultinject.SITES)
-    def test_a_partial_rate_injects_about_that_share(self, site):
-        state = FaultState(FaultPlan.parse(f"seed=7;{site}=0.25"))
-        injected = 0
-        for _ in range(2000):
-            try:
-                state.maybe_fail(site)
-            except FaultInjected:
-                injected += 1
-        # One draw per check: no redraw hides a landed fault.
-        assert state.counts()[site].as_dict() == {
-            "checks": 2000, "injected": injected,
-        }
-        assert 400 < injected < 600
-
-
-class TestResilienceSummary:
-    """The CLI's stderr digest of a fault plan; CI reads its
-    ``site: N/M injected`` entries."""
-
-    def test_each_landed_site_shows_injected_over_checks(self, capsys):
-        from repro.benchsuite.__main__ import _print_resilience_summary
-
-        with faultinject.plan_installed("seed=1;cache-read=1.0;cache-write=0.0"):
-            for _ in range(3):
-                with pytest.raises(FaultInjected):
-                    faultinject.maybe_fail("cache-read")
-            faultinject.maybe_fail("cache-write")
-            _print_resilience_summary()
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (
-            "[fault plan seed=1;cache-read=1.0;cache-write=0.0"
-            " — cache-read: 3/3 injected]\n"
-        )
-        assert re.search(r"cache-read: (\d+)/\d+ injected", err).group(1) == "3"
-
-    def test_a_plan_that_never_landed_says_so(self, capsys):
-        from repro.benchsuite.__main__ import _print_resilience_summary
-
-        _print_resilience_summary()
-        assert capsys.readouterr() == ("", "")  # no plan, empty ledger
-        with faultinject.plan_installed("seed=1;backend-run=1e-9"):
-            faultinject.maybe_fail("backend-run")
-            _print_resilience_summary()
-        assert capsys.readouterr().err == (
-            "[fault plan seed=1;backend-run=1e-09 — no faults landed]\n"
-        )
+    yield
+    ledger.clear()
 
 
 class TestFailureReport:
@@ -380,14 +178,66 @@ class TestDegradationLedger:
         assert ("fused", "scalar", "static") not in counts
 
 
-@pytest.fixture
-def crashing_plan(monkeypatch):
-    """The compiled backend's plan() crashes with a planted bug."""
+def _crash_plans(monkeypatch, *names):
+    """Plant a bug in the ``plan`` of each named backend."""
 
     def plan(parsed, kernel):
         raise ZeroDivisionError("planted bug in plan()")
 
-    monkeypatch.setattr(get_backend("compiled"), "plan", plan)
+    for name in names:
+        monkeypatch.setattr(get_backend(name), "plan", plan)
+
+
+@pytest.fixture
+def crashing_plan(monkeypatch):
+    """The compiled backend's plan() crashes with a planted bug."""
+    _crash_plans(monkeypatch, "compiled")
+
+
+#: A kernel every lane tier refuses before running it: a barrier
+#: behind an early return.
+STATIC_REFUSAL = """
+kernel void K(global float *x, int n) {
+  if (get_global_id(0) >= n) { return; }
+  barrier(CLK_LOCAL_MEM_FENCE);
+  x[get_global_id(0)] = 1.0f;
+}
+"""
+
+#: A kernel every lane tier accepts and then refuses mid-launch: each
+#: work-item stages its value through one shared scratch cell.
+DYNAMIC_REFUSAL = """
+kernel void K(const global float * restrict x, global float *scratch,
+              global float *out) {
+  int i = get_global_id(0);
+  scratch[0] = x[i];
+  out[i] = scratch[0] * 2.0f;
+}
+"""
+
+
+def _refused_launch(kind, engine, monkeypatch):
+    """Launch a kernel that every member of ``engine``'s chain but the
+    last declines with a real failure of ``kind``; returns the buffers
+    and Counters."""
+    x = Buffer.from_array(np.arange(8, dtype=float))
+    if kind == "static":
+        program = OpenCLProgram(STATIC_REFUSAL)
+        args = {"x": Buffer.zeros(8), "n": 8}
+    elif kind == "dynamic":
+        program = OpenCLProgram(DYNAMIC_REFUSAL)
+        args = {"x": x, "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
+    else:
+        _crash_plans(monkeypatch, *ENGINES[engine][:-1])
+        program = OpenCLProgram(SAXPY)
+        args = {"x": x, "y": Buffer.from_array(np.ones(8)),
+                "out": Buffer.zeros(8), "a": 2.0, "n": 8}
+    counters = launch(program, 8, 4, args, engine=engine)
+    buffers = {
+        name: arg.data.copy() for name, arg in args.items()
+        if isinstance(arg, Buffer)
+    }
+    return buffers, counters
 
 
 class TestCrashShield:
@@ -405,46 +255,189 @@ class TestCrashShield:
             _run_saxpy(engine="compiled")
         assert ledger.counts() == {("compiled", "compiled", "crash"): 1}
 
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_benchsuite_kernels_come_out_as_on_scalar(
+        self, name, crashing_plan
+    ):
+        """Every launch of the hand-written and the generated kernels
+        falls from the crashing tier to scalar, with buffers and
+        Counters bitwise those of a scalar run and one ``crash``
+        decline per launch."""
+        for run, launches, inputs, size_env, expected in _benchsuite_runs(
+            name
+        ):
+            ledger.clear()
+            output, shielded = run(inputs, size_env, engine="auto")
+            assert (output.tobytes(), vars(shielded)) == expected
+            assert ledger.counts() == {("auto", "compiled", "crash"): launches}
 
-class TestBackendRunFaultSite:
-    def test_certain_faults_decline_every_non_final_backend(self):
-        with faultinject.plan_installed("seed=1;backend-run=1.0"):
-            out = _run_saxpy(engine="auto")
-        np.testing.assert_array_equal(
-            out, 2.0 * np.arange(32, dtype=float) + 1.0
-        )
-        # auto = compiled -> scalar: the one non-final member was
-        # declined by injection, scalar (exempt) served the launch.
-        assert ledger.counts() == {("auto", "compiled", "fault"): 1}
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_a_crash_in_the_first_tier_hands_over_to_the_next(
+        self, name, monkeypatch
+    ):
+        """On the ``fused`` chain a crashing ``fused`` plan leaves each
+        launch to ``compiled``, which gives the scalar buffers and
+        Counters; the one crash per launch is the only one."""
+        _crash_plans(monkeypatch, "fused")
+        for run, launches, inputs, size_env, expected in _benchsuite_runs(
+            name
+        ):
+            ledger.clear()
+            output, counters = run(inputs, size_env, engine="fused")
+            assert (output.tobytes(), vars(counters)) == expected
+            crashes = {
+                key: n for key, n in ledger.counts().items()
+                if key[2] == "crash"
+            }
+            assert crashes == {("fused", "fused", "crash"): launches}
 
-    def test_chaos_run_is_bitwise_identical_to_clean_run(self):
-        clean = _run_saxpy(engine="auto")
-        with faultinject.plan_installed("seed=11;rate=0.5"):
-            # A single launch makes only a handful of draws; repeat
-            # until the plan has demonstrably injected something.
-            for _ in range(10):
-                chaos = _run_saxpy(engine="auto")
-                np.testing.assert_array_equal(chaos, clean)
-                if faultinject.total_injected():
-                    break
-            assert faultinject.total_injected() > 0
+
+@functools.lru_cache(maxsize=None)
+def _scalar_runs(name):
+    """The output bytes and Counters of a benchmark's hand-written and
+    generated kernels on ``scalar``, at the small size."""
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    results = []
+    for run in (bench.run_reference, bench.run_generated):
+        output, counters = run(inputs, size_env, engine="scalar")
+        results.append((output.tobytes(), vars(counters)))
+    assert not ledger.counts()
+    return tuple(results)
+
+
+def _benchsuite_runs(name):
+    """``(run, launches, inputs, size_env, scalar result)`` for the
+    hand-written and the generated kernels of benchmark ``name``."""
+    bench = get_benchmark(name)
+    inputs, size_env = bench.inputs_for("small")
+    reference, generated = _scalar_runs(name)
+    return (
+        (bench.run_reference, len(bench.reference_launches), inputs,
+         size_env, reference),
+        (bench.run_generated, len(bench.stages), inputs, size_env,
+         generated),
+    )
+
+
+class TestEachDeclineKind:
+    """Each decline kind, provoked by the real failure it stands for,
+    on each chain with more than one member: every member but the last
+    declines once, and the launch gives the scalar buffers and
+    Counters."""
+
+    @pytest.mark.parametrize("engine", ["auto", "fused"])
+    @pytest.mark.parametrize("kind", ledger.DECLINE_KINDS)
+    def test_every_member_but_the_last_declines(
+        self, kind, engine, monkeypatch
+    ):
+        expected, counters = _refused_launch(kind, "scalar", monkeypatch)
+        assert not ledger.counts()
+        buffers, shielded = _refused_launch(kind, engine, monkeypatch)
+        assert buffers.keys() == expected.keys()
+        for name, data in expected.items():
+            assert buffers[name].tobytes() == data.tobytes(), name
+        assert vars(shielded) == vars(counters)
+        chain = ENGINES[engine]
+        assert chain[-1] == "scalar"
+        assert ledger.counts() == {
+            (engine, backend, kind): 1 for backend in chain[:-1]
+        }
+
+
+def _holes(root):
+    """Replace every other entry of the store at ``root`` by a
+    directory: reading one raises ``IsADirectoryError``, and so does
+    writing over it.  Returns how many."""
+    entries = sorted(
+        p for p in root.iterdir() if p.is_file() and not p.name.startswith(".")
+    )[::2]
+    for path in entries:
+        path.unlink()
+        path.mkdir()
+    return len(entries)
+
+
+class TestUnusableStore:
+    """A store that fails to read or write costs recomputation, never a
+    result: every failure is a counted miss or skipped write."""
+
+    def test_figure8_through_a_regular_file_is_the_uncached_figure(
+        self, tmp_path
+    ):
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        cache = TuningCache(not_a_dir)
+        cells = run_figure8(["nn", "gemv"], sizes=("small",), cache=cache)
+        assert cells == run_figure8(["nn", "gemv"], sizes=("small",))
+        stats = cache.stats
+        assert stats.io_errors > 0 and stats.write_skips > 0
+        assert stats.puts == stats.quarantined == 0
+        assert not_a_dir.read_text() == ""
+
+    def test_a_warm_explore_through_holes_is_the_clean_one(self, tmp_path):
+        def search(cache):
+            entries = run_explore(
+                ["nn", "gemv"], depth=2, max_eval=6, cache=cache
+            )["benchmarks"]
+            # Hit rates and timings differ; winners, rankings and
+            # derivations may not.
+            varies = ("stats", "explore_seconds", "menu_seconds")
+            return [
+                {k: v for k, v in entry.items() if k not in varies}
+                for entry in entries
+            ]
+
+        clean = search(TuningCache(tmp_path))
+        holes = _holes(tmp_path)
+        assert holes > 0
+        cache = TuningCache(tmp_path)
+        assert search(cache) == clean
+        # Each hole is read (an I/O error, then a recompute) and the
+        # recompute's write fails on it: nothing is quarantined.
+        assert cache.stats.io_errors >= holes
+        assert cache.stats.write_skips >= holes
+        assert cache.stats.quarantined == 0
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_a_warm_figure8_through_holes_is_the_clean_one(
+        self, name, tmp_path
+    ):
+        clean = run_figure8([name], sizes=("small",),
+                            cache=TuningCache(tmp_path))
+        holes = _holes(tmp_path)
+        assert holes > 0
+        cache = TuningCache(tmp_path)
+        assert run_figure8([name], sizes=("small",), cache=cache) == clean
+        # Only holes miss: each is read (an I/O error, then a
+        # recompute) and the recompute's write fails on it.
+        stats = cache.stats
+        misses = stats.kernel_misses + stats.cycle_misses + stats.run_misses
+        assert 0 < stats.io_errors == misses <= holes
+        assert stats.write_skips == stats.io_errors
+        assert stats.puts == stats.quarantined == 0
+
+    @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
+    def test_a_cold_explore_through_a_regular_file_is_the_uncached_one(
+        self, name, tmp_path
+    ):
+        def search(cache):
+            (entry,) = run_explore(
+                [name], depth=1, max_eval=3, cache=cache
+            )["benchmarks"]
+            varies = ("stats", "explore_seconds", "menu_seconds")
+            return {k: v for k, v in entry.items() if k not in varies}
+
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        cache = TuningCache(not_a_dir)
+        assert search(cache) == search(None)
+        assert cache.stats.io_errors > 0 and cache.stats.write_skips > 0
+        assert cache.stats.puts == cache.stats.quarantined == 0
+        assert not_a_dir.read_text() == ""
 
 
 class TestExplorerFaultTolerance:
-    def test_chaos_results_match_fault_free_results(self, tmp_path):
-        baseline = _explore()
-        assert baseline.candidates, "fixture must produce candidates"
-        with faultinject.plan_installed("seed=11;rate=0.2"):
-            chaos = _explore()
-            assert faultinject.total_injected() > 0
-        assert [c.label for c in chaos.candidates] == \
-            [c.label for c in baseline.candidates]
-        for a, b in zip(chaos.candidates, baseline.candidates):
-            assert a.cycles == b.cycles
-            assert a.kernel_source == b.kernel_source
-        assert chaos.stats.infra_failures == 0
-        assert not chaos.failures
-
     def _explore_failing(self, stage, monkeypatch):
         """An exploration whose evaluation is the real evaluator run on
         :func:`_failing_candidate` ``stage``."""
@@ -514,70 +507,11 @@ class TestExplorerFaultTolerance:
             for stat in explore_mod._FAILURE_STAT.values()
         }
 
-    @pytest.mark.parametrize(
-        "spec", ["cache-read=0.5", "cache-write=0.5", "backend-run=0.5",
-                 "rate=0.3"],
-    )
-    def test_each_injected_fault_takes_its_one_recovery(self, spec, tmp_path):
-        """Every landed fault shows up exactly once, in the counter of its
-        site's real recovery, and the search comes out as the fault-free
-        one does, cold and then warm."""
-        baseline = _explore()
-        cache = TuningCache(tmp_path)
-        with faultinject.plan_installed(f"seed=11;{spec}"):
-            for _ in ("cold", "warm"):
-                chaos = _explore(cache=cache)
-                assert not chaos.failures
-                assert [(c.label, c.cycles, c.kernel_source)
-                        for c in chaos.candidates] == \
-                    [(c.label, c.cycles, c.kernel_source)
-                     for c in baseline.candidates]
-            injected = {
-                site: c.injected for site, c in faultinject.counts().items()
-            }
-        site = spec.partition("=")[0]
-        if site in faultinject.SITES:
-            assert injected[site] > 0
-            assert sum(injected.values()) == injected[site]
-        else:
-            assert all(injected.get(s) for s in faultinject.SITES), injected
-        declines = sum(
-            n for (_, _, kind), n in ledger.counts().items() if kind == "fault"
-        )
-        assert cache.stats.io_errors == injected.get("cache-read", 0)
-        assert cache.stats.write_skips == injected.get("cache-write", 0)
-        assert declines == injected.get("backend-run", 0)
-
-    def test_a_chaos_search_replays_its_faults(self, tmp_path):
-        seen = []
-        for run in ("first", "again"):
-            ledger.clear()
-            cache = TuningCache(tmp_path / run)
-            with faultinject.plan_installed("seed=11;rate=0.3"):
-                result = _explore(cache=cache)
-                faults = faultinject.as_dict()
-            seen.append((
-                faults, cache.stats.as_dict(), ledger.counts(),
-                [(c.label, c.cycles) for c in result.candidates],
-            ))
-        assert seen[0] == seen[1]
-        assert sum(c["injected"] for c in seen[0][0]["sites"].values()) > 0
-
     def test_failures_listed_in_describe(self, monkeypatch):
         result = self._explore_failing("compile", monkeypatch)
         text = result.describe()
         assert "quarantined" in text
         assert "fails at compile: compile" in text
-
-    def test_cache_faults_do_not_change_results(self, tmp_path):
-        baseline = _explore(tmp_path / "clean")
-        with faultinject.plan_installed("seed=11;cache-read=0.3;cache-write=0.3"):
-            chaos = _explore(tmp_path / "chaos")
-        assert [c.label for c in chaos.candidates] == \
-            [c.label for c in baseline.candidates]
-        for a, b in zip(chaos.candidates, baseline.candidates):
-            assert a.cycles == b.cycles
-            assert a.kernel_source == b.kernel_source
 
     def test_the_taxonomy_and_the_stats_agree(self):
         from repro.rewrite.explore import ExploreStats, _FAILURE_STAT

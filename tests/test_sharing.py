@@ -25,7 +25,6 @@ from repro.ir.visit import (
     nested_fun,
     post_order,
 )
-from repro import faultinject
 from repro.benchsuite.common import get_benchmark
 from repro.compiler.codegen import compile_kernel
 from repro.compiler.options import CompilerOptions
@@ -75,11 +74,10 @@ def _searched(name: str, typed: bool = False):
     if typed:
         infer_types(high_level.body)
     before = (_annotations(high_level), canonical(high_level))
-    with faultinject.plan_installed(None):  # every candidate must launch
-        result = explore_program(
-            high_level, inputs, size_env,
-            config=ExploreConfig(workload=name, **CONFIG),
-        )
+    result = explore_program(
+        high_level, inputs, size_env,
+        config=ExploreConfig(workload=name, **CONFIG),
+    )
     return high_level, before, result
 
 
@@ -512,11 +510,10 @@ def test_structure_is_write_once(monkeypatch):
         probe.body = probe.params[0]
 
     high_level, inputs, size_env = _bench("gemv")
-    with faultinject.plan_installed(None):
-        result = explore_program(
-            high_level, inputs, size_env,
-            config=ExploreConfig(depth=2, max_eval=4),
-        )
+    result = explore_program(
+        high_level, inputs, size_env,
+        config=ExploreConfig(depth=2, max_eval=4),
+    )
     assert result.stats.executions == 4 and not result.failures
     bench = get_benchmark("mm-nvidia")  # hand-lowered stages, every pass
     inputs, size_env = bench.inputs_for("small")

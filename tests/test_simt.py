@@ -276,7 +276,6 @@ def assert_typed_everywhere(source, global_size, local_size, make_args):
         assert served == count + 1, f"{backend} did not serve its launch"
 
 
-@pytest.mark.usefixtures("fault_free")
 class TestDeclaredTypes:
     """The declared C type of a variable, parameter, return value or
     struct member is authoritative in every tier (ENGINES.md, Typing)."""
@@ -627,7 +626,7 @@ class TestFallback:
         program = OpenCLProgram(src)
         assert refusal(program) is not None
 
-    def test_dynamic_race_falls_back_to_scalar(self, fault_free):
+    def test_dynamic_race_falls_back_to_scalar(self):
         # Every work-item stages its value through the *same* scratch
         # cell — the scalar interpreter's sequential item order makes
         # this "work"; the vector engine must detect the cross-lane race
@@ -750,7 +749,7 @@ class TestFallback:
         return {"x": Buffer.from_array(np.arange(256, dtype=float)),
                 "out": Buffer.zeros(256)}
 
-    def test_generated_double_staging_is_race_free(self, fault_free):
+    def test_generated_double_staging_is_race_free(self):
         # The strict engine raises VectorizationError on any decline, so
         # agreement here means ``compiled`` itself served the launch.
         from repro.compiler.codegen import compile_kernel
@@ -774,7 +773,7 @@ class TestFallback:
             outs_c["out"], np.asarray(apply_fun(prog, [nested], {})).ravel()
         )
 
-    def test_pre_fix_double_staging_still_declines(self, fault_free):
+    def test_pre_fix_double_staging_still_declines(self):
         # The fix is in the allocator; the hazard detector is unchanged
         # and still refuses the old kernel text.
         with pytest.raises(VectorizationError, match="KERNEL: cross-lane read"):

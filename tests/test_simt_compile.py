@@ -396,7 +396,7 @@ class TestStaticTypes:
     the values the closures compute have exactly those types."""
 
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-    def test_values_have_their_static_types(self, name, fault_free):
+    def test_values_have_their_static_types(self, name):
         bench = get_benchmark(name)
         with checked_static_types() as record:
             for size in ("small", "large"):
@@ -409,7 +409,7 @@ class TestStaticTypes:
                     )
         assert record.values > record.typed > 0
 
-    def test_a_mixed_ternary_is_a_static_refusal(self, fault_free):
+    def test_a_mixed_ternary_is_a_static_refusal(self):
         from repro.backend import ledger
         from repro.opencl.runtime import _parse_cached
 
@@ -431,9 +431,7 @@ class TestStaticTypes:
         # Refused once per (kernel, element kinds): later plans hit the cache.
         assert simt_compile.compile_count() == walks + 1
 
-    def test_a_buffer_of_no_arithmetic_kind_is_refused_before_any_write(
-        self, fault_free
-    ):
+    def test_a_buffer_of_no_arithmetic_kind_is_refused_before_any_write(self):
         from repro.backend import ledger
 
         src = """
@@ -699,7 +697,7 @@ class TestComparisonsAreInts:
     every tier, and the static types keep such kernels on ``compiled``."""
 
     @pytest.mark.parametrize("name", sorted(_COMPARISON_ARITHMETIC))
-    def test_every_engine_gives_c_values(self, name, fault_free):
+    def test_every_engine_gives_c_values(self, name):
         body, expected = _COMPARISON_ARITHMETIC[name]
         src = """
         kernel void K(const global float * restrict x,
