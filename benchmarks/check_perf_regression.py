@@ -11,11 +11,7 @@ recorded on one box, CI runners are another), so the gate compares
   ``TOLERANCE`` (30%) of the same ratio in the checked-in
   ``BENCH_simulator.json``.  A >30% drop means someone made the lane
   tier slower (or the scalar path faster without touching the lane
-  tier — also worth a look).  The whole-grid layout's (``fused``) own
-  SAXPY speedup over the scalar reference is gated the same way.  And
-  ``compiled`` must stay within ``TOLERANCE`` of ``fused`` on the
-  4 096-lane SAXPY, which is one block in both layouts: one plan runs
-  in both, so a gap there means the layouts stopped sharing it.
+  tier — also worth a look).
 * **exploration** — given a ``BENCH_explore`` metrics file (produced by
   ``bench_explore.py`` earlier in the CI job), a warm tuning cache must
   still perform **zero** recompilations with full cycle-cache hit
@@ -103,16 +99,8 @@ def _best_launch_seconds(source, global_size, local_size, make_args,
     return min(times)
 
 
-#: The whole-grid layout's row is its SAXPY speedup over the scalar
-#: reference; its speedup over the blocked layout must stay within
-#: TOLERANCE of parity.
-_FUSED_ROW = "test_simulator_saxpy_throughput[fused]"
-_FUSED_RATIO = "saxpy_fused_vs_compiled"
-
-
 def measure_simulator_speedups() -> dict:
-    """``{smoke kernel: compiled-vs-scalar speedup}`` on this machine,
-    plus SAXPY's fused-vs-scalar and fused-vs-compiled ratios."""
+    """``{smoke kernel: compiled-vs-scalar speedup}`` on this machine."""
     from repro.opencl import Buffer
 
     n = SAXPY_N
@@ -129,7 +117,6 @@ def measure_simulator_speedups() -> dict:
         return {"x": xr, "out": Buffer.zeros(nr // REDUCTION_LOCAL)}
 
     speedups = {}
-    saxpy_scalar = saxpy_compiled = None
     for name, source, gsize, lsize, make_args in (
         ("test_simulator_saxpy_throughput", SAXPY_SOURCE, n, SAXPY_LOCAL,
          saxpy_args),
@@ -142,16 +129,7 @@ def measure_simulator_speedups() -> dict:
         compiled = _best_launch_seconds(
             source, gsize, lsize, make_args, "compiled", repeats=60
         )
-        if name == "test_simulator_saxpy_throughput":
-            saxpy_scalar, saxpy_compiled = scalar, compiled
         speedups[name] = scalar / compiled
-    # The whole-grid layout on the straight-line SAXPY kernel, against
-    # the same scalar and compiled samples.
-    fused = _best_launch_seconds(
-        SAXPY_SOURCE, n, SAXPY_LOCAL, saxpy_args, "fused", repeats=60
-    )
-    speedups[_FUSED_ROW] = saxpy_scalar / fused
-    speedups[_FUSED_RATIO] = saxpy_compiled / fused
     for name in GENERATED:
         run, _ = generated_kernel(name)
         scalar = _best_run_seconds(run, "scalar", repeats=3)
@@ -188,12 +166,6 @@ def baseline_simulator_speedups(baseline: dict) -> dict:
         scalar = benches[f"{name}[scalar]"]["median_s"]
         compiled = benches[f"{name}[compiled]"]["median_s"]
         out[name] = scalar / compiled
-    saxpy = "test_simulator_saxpy_throughput"
-    scalar = benches[f"{saxpy}[scalar]"]["median_s"]
-    compiled = benches[f"{saxpy}[compiled]"]["median_s"]
-    fused = benches[f"{saxpy}[fused]"]["median_s"]
-    out[_FUSED_ROW] = scalar / fused
-    out[_FUSED_RATIO] = compiled / fused
     for name in GENERATED:
         row = _generated_row(name)
         scalar = benches[f"{row[:-1]}-scalar]"]["median_s"]
@@ -208,21 +180,8 @@ def check_simulator(baseline_path: Path) -> list:
     failures = []
     for name, base_ratio in expected.items():
         now = measured[name]
-        if name == _FUSED_RATIO:
-            ceiling = 1.0 + TOLERANCE
-            status = "ok" if now <= ceiling else "REGRESSION"
-            print(
-                f"[simulator] SAXPY fused speedup over compiled {now:.2f}x "
-                f"(recorded {base_ratio:.2f}x, ceiling {ceiling:.2f}x) {status}"
-            )
-            if now > ceiling:
-                failures.append(
-                    f"SAXPY: compiled {now:.2f}x slower than fused on one "
-                    f"block, above {ceiling:.2f}x"
-                )
-            continue
         floor = (1.0 - TOLERANCE) * base_ratio
-        label = "fused/scalar" if name == _FUSED_ROW else "compiled/scalar"
+        label = "compiled/scalar"
         status = "ok" if now >= floor else "REGRESSION"
         print(
             f"[simulator] {name}: {label} speedup {now:.1f}x "

@@ -1,8 +1,8 @@
 """The execution backends of the simulated OpenCL platform and the one
 table of fallback chains ``launch(engine=...)`` picks from.
 
-Three backends run a kernel launch, all bitwise-identical in buffer
-contents and :class:`~repro.opencl.interp.Counters` on every launch they
+Two backends run a kernel launch, bitwise-identical in buffer contents
+and :class:`~repro.opencl.interp.Counters` on every launch they both
 complete (``src/repro/opencl/ENGINES.md``):
 
 * ``scalar`` — the per-work-item reference interpreter
@@ -10,17 +10,15 @@ complete (``src/repro/opencl/ENGINES.md``):
 * ``compiled`` — the compiled pipeline of
   :mod:`repro.opencl.simt_compile`, launched by
   :func:`repro.opencl.simt.try_launch` over blocks of at most
-  ``MAX_LANES`` lanes;
-* ``fused`` — the same plan and launcher over one whole-grid block, up
-  to ``FUSED_MAX_LANES`` work-items.
+  ``MAX_LANES`` lanes.
 
 Each has ``plan(parsed, kernel)``, which raises
 :class:`CompileUnsupported` when it cannot run the kernel at all, and
 ``run(plan, ...)``, which writes the buffers and merges the counters.
 ``run`` may refuse too: with :class:`CompileUnsupported` before it
-touches a buffer (the whole-grid lane cap), or with
-:class:`~repro.opencl.simt.VectorUnsupported` after rolling back what it
-wrote (a cross-lane race noticed mid-launch).
+touches a buffer (buffers of an element kind the plan was not typed
+for), or with :class:`~repro.opencl.simt.VectorUnsupported` after
+rolling back what it wrote (a cross-lane race noticed mid-launch).
 
 :data:`ENGINES` maps every engine name to its chain.  :func:`execute`
 tries the members in order:
@@ -91,50 +89,43 @@ def _pipeline(entry):
 
 
 class CompiledBackend:
-    """The compiled pipeline, in blocks of at most ``MAX_LANES`` lanes
-    or — ``whole_grid`` — as one block over the entire launch."""
+    """The compiled pipeline, in blocks of at most ``MAX_LANES`` lanes."""
 
-    def __init__(self, name: str, whole_grid: bool):
-        self.name = name
-        self.whole_grid = whole_grid
+    name = "compiled"
 
     def plan(self, parsed, kernel):
         return _pipeline(simt_compile.get_pipeline(parsed, kernel))
 
     def run(self, plan, parsed, kernel, gsize, lsize, base_env,
             local_decls, counters) -> None:
-        total = gsize[0] * gsize[1] * gsize[2]
-        if self.whole_grid and total > simt.FUSED_MAX_LANES:
-            raise CompileUnsupported(
-                f"launch of {total} work-items exceeds the whole-grid cap "
-                f"({simt.FUSED_MAX_LANES})"
-            )
         # The launch's buffers may hold element kinds the plan was not
         # typed for; a refusal of those is raised before any write.
         pipeline = _pipeline(
             simt_compile.launch_pipeline(parsed, kernel, plan, base_env)
         )
         simt.try_launch(
-            gsize, lsize, dict(base_env), local_decls, counters, pipeline,
-            whole_grid=self.whole_grid,
+            gsize, lsize, dict(base_env), local_decls, counters, pipeline
         )
 
 
+_COMPILED = CompiledBackend()
+
 _BACKENDS = {
-    backend.name: backend
-    for backend in (
-        ScalarBackend(),
-        CompiledBackend("compiled", whole_grid=False),
-        CompiledBackend("fused", whole_grid=True),
-    )
+    "compiled": _COMPILED,
+    "scalar": ScalarBackend(),
+    # Held for benchmarks/e2e, which plans through get_backend("fused"),
+    # until ROADMAP item 1(b) drops that pin: the compiled backend.
+    "fused": _COMPILED,
 }
 
 #: Engine name -> the backends it tries, in order.
 ENGINES = {
     "auto": ("compiled", "scalar"),
-    "fused": ("fused", "compiled", "scalar"),
     "compiled": ("compiled",),
     "scalar": ("scalar",),
+    # Held for benchmarks/e2e, which launches engine="fused", until
+    # ROADMAP item 1(b) drops that pin: auto's chain.
+    "fused": ("compiled", "scalar"),
 }
 
 

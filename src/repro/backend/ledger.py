@@ -3,7 +3,7 @@
 A fallback chain (:func:`repro.backend.execute`)
 is the right recovery mechanism for a backend that cannot run a kernel
 — but before this ledger existed, a run that silently fell from the
-fused tier all the way to the scalar reference looked *identical* to a
+compiled tier all the way to the scalar reference looked *identical* to a
 healthy one (that is the point of the bitwise contract) while being
 orders of magnitude slower.  Every decline is now recorded here with
 the engine name, the declining backend and a reason, so harnesses (the

@@ -64,8 +64,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine", default=None,
-        help="execution backend for figure8/explore launches (any engine "
-             "name of repro.backend: auto, fused, compiled, scalar)",
+        help="execution engine for figure8/explore launches (auto, the "
+             "default: compiled, falling back to scalar; compiled: strict; "
+             "scalar: the reference interpreter)",
     )
     parser.add_argument(
         "--inputs", nargs="+", default=None, metavar="PATH",
@@ -91,20 +92,37 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--profile", action="store_true",
         help="print the per-barrier-segment time and per-buffer "
-             "traffic of the compiled/fused backends, read from the "
+             "traffic of the compiled backend, read from the "
              "trace (traces without writing a file when --trace is "
              "absent)",
     )
     args = parser.parse_args(argv)
 
+    problem = None
     if args.experiment in ("explore", "calibrate"):
         from repro.benchsuite.explore import request_error
 
         problem = request_error(args.benchmarks, args.depth, args.max_eval)
-        if problem is not None:
-            print(f"{parser.prog} {args.experiment}: error: {problem}",
-                  file=sys.stderr)
-            return 2
+    elif args.benchmarks is not None:
+        from repro.benchsuite.common import benchmark_names
+
+        unknown = [n for n in args.benchmarks if n not in benchmark_names()]
+        if unknown:
+            problem = (
+                f"unknown benchmark {', '.join(unknown)}: valid benchmarks "
+                f"are {', '.join(benchmark_names())}"
+            )
+    if problem is None and args.engine is not None:
+        from repro.backend import resolve
+
+        try:
+            resolve(args.engine)
+        except ValueError as exc:  # names the valid engines
+            problem = str(exc)
+    if problem is not None:
+        print(f"{parser.prog} {args.experiment}: error: {problem}",
+              file=sys.stderr)
+        return 2
 
     cache = None
     if args.experiment in ("figure8", "all", "explore") and not args.no_cache:
@@ -122,11 +140,6 @@ def main(argv=None) -> int:
     tracer = None
     if args.trace is not None or args.profile:
         tracer = obs.start_tracing(args.trace)
-
-    if args.engine is not None:
-        from repro.backend import resolve
-
-        resolve(args.engine)  # fail fast with the list of valid names
 
     if args.experiment in ("table1", "all"):
         from repro.benchsuite.table1 import format_table1, run_table1

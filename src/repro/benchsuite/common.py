@@ -221,6 +221,13 @@ def get_benchmark(name: str) -> Benchmark:
     return _REGISTRY[name]()
 
 
+def benchmark_names() -> tuple:
+    """Every name :func:`get_benchmark` accepts."""
+    import repro.benchsuite.loader  # noqa: F401 - populates the registry
+
+    return tuple(sorted(_REGISTRY))
+
+
 #: Names in the paper's Table 1 order.
 ALL_BENCHMARKS = [
     "nbody-nvidia",

@@ -14,7 +14,7 @@ what ``benchsuite --metrics-json`` dumps.
 Snapshot layout::
 
     {
-      "counters":   {"launch.total": 12, "launch.served.fused": 12, ...},
+      "counters":   {"launch.total": 12, "launch.served.compiled": 12, ...},
       "cache":      {...CacheStats...},
       "explore":    {"stats": {...}, "failures": [...]},
       "ledger":     {...DegradationLedger...},

@@ -8,9 +8,8 @@ lock-step between barriers via the generator mechanism of
 :func:`launch` checks the NDRange, binds the arguments and hands the
 launch to :func:`repro.backend.execute` with the chain its engine name
 resolves to in :data:`repro.backend.ENGINES` (see ``ENGINES.md`` in this
-package): ``"auto"`` (the default) runs compiled -> scalar, ``"fused"``
-prepends the whole-grid layout to that chain, and ``"compiled"`` alone
-is strict.  ``REPRO_SIM_ENGINE`` overrides the default with a
+package): ``"auto"`` (the default) runs compiled -> scalar, and
+``"compiled"`` alone is strict.  ``REPRO_SIM_ENGINE`` overrides the default with a
 *preference* — a strict name set through the environment still falls
 back gracefully so unsupported kernels keep running on the reference
 path.

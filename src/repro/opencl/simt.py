@@ -12,9 +12,8 @@ stores), the cross-lane race detector and cached-load accounting.  It
 never reads the kernel AST: :mod:`repro.opencl.simt_compile` admits,
 types and lowers a kernel once into a pipeline over a :class:`_Block`,
 from one syntactic scan and one typing walk.  One launcher
-(:func:`try_launch`) runs that pipeline in one of two layouts: blocks
-of at most :data:`MAX_LANES` lanes (``compiled`` / ``auto``), or the
-whole launch as one block (``fused``, up to :data:`FUSED_MAX_LANES`).
+(:func:`try_launch`) runs that pipeline over blocks of whole
+work-groups, at most :data:`MAX_LANES` lanes each.
 
 * ``barrier`` is trivially satisfied: lanes execute in lock-step.  The
   plan only admits kernels whose barriers sit under *group-uniform*
@@ -91,11 +90,11 @@ from repro.opencl.interp import (
     convert,
 )
 
-#: Lanes batched together (across whole work-groups) per executor block.
-MAX_LANES = 4096
-#: Launches with more work-items than this refuse the whole-grid layout
-#: (the blocked layout caps memory at MAX_LANES per block instead).
-FUSED_MAX_LANES = 1 << 21
+#: Lanes batched together (across whole work-groups) per executor block:
+#: the smallest power of two at which a 65 536-item SAXPY and a
+#: 16 384-item barrier reduction run within 10 % of one block over the
+#: whole launch (ENGINES.md, "Block size").
+MAX_LANES = 1 << 14
 
 
 class VectorUnsupported(Exception):
@@ -692,7 +691,7 @@ class _Block:
         entry = self._hazards.get(key)
         if entry is None:
             # The packed local detector encodes lane ids below
-            # SEG_SCALE, which covers a block of either layout; only a
+            # SEG_SCALE, which covers a block of MAX_LANES; only a
             # single work-group larger than that (a block always holds
             # at least one whole group) uses the general detector,
             # which is sound for any buffer.
@@ -1110,9 +1109,9 @@ class _HazardLocal:
     recorded when such a write comes; a barrier drops them.
     """
 
-    #: Must exceed the largest lane index of a block in either layout:
-    #: ``MAX_LANES`` blocked, ``FUSED_MAX_LANES`` whole-grid (asserted
-    #: below).  The packed entries stay far inside int64: 2**42 segments.
+    #: Must exceed the largest lane index of a block, ``MAX_LANES``
+    #: (asserted below).  The packed entries stay far inside int64:
+    #: 2**42 segments.
     SEG_SCALE = 1 << 21
 
     __slots__ = (
@@ -1215,8 +1214,8 @@ class _HazardLocal:
         self.w_seg = seg
 
 
-assert _HazardLocal.SEG_SCALE >= max(MAX_LANES, FUSED_MAX_LANES), (
-    "a block of either layout must fit the packed local race detector"
+assert _HazardLocal.SEG_SCALE >= MAX_LANES, (
+    "a block must fit the packed local race detector"
 )
 
 
@@ -1456,23 +1455,18 @@ def try_launch(
     local_decls: list,
     counters: Counters,
     pipeline,
-    whole_grid: bool = False,
 ) -> None:
     """Run ``pipeline`` (a kernel's compiled pipeline from
     :mod:`repro.opencl.simt_compile`) over the launch (counters merged,
-    buffers written), in one of two layouts: blocks of whole work-groups
-    of at most :data:`MAX_LANES` lanes, run in the scalar engine's group
-    order, or — ``whole_grid`` — the entire launch as one block (the
-    caller keeps it within :data:`FUSED_MAX_LANES`).
+    buffers written), in blocks of whole work-groups of at most
+    :data:`MAX_LANES` lanes, run in the scalar engine's group order.
 
     On a dynamic :class:`VectorUnsupported` the buffers the kernel may
     write (the pipeline's ``written`` names) are restored from a
     snapshot and the exception — whose message is the decline reason
     the ledger records — propagates, so the caller can re-run the launch
     on another tier.  No other buffer needs one: a store through it
-    raises before it writes.  The whole-grid layout multiplies per-lane
-    state by the entire launch, so running out of memory there is
-    refused the same way.
+    raises before it writes.
     """
     written = pipeline.written
     snapshot: dict = {}
@@ -1483,34 +1477,31 @@ def try_launch(
     try:
         with np.errstate(all="ignore"):
             _run_blocks(
-                gsize, lsize, base_env, local_decls, staged, pipeline,
-                whole_grid,
+                gsize, lsize, base_env, local_decls, staged, pipeline
             )
-    except (VectorUnsupported, MemoryError) as exc:
+    except VectorUnsupported:
         for array, saved in snapshot.values():
             array[:] = saved
-        if isinstance(exc, VectorUnsupported) or not whole_grid:
-            raise
-        raise VectorUnsupported("whole-grid layout ran out of memory") from exc
+        raise
     counters.merge_in(staged)
 
 
-def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dict:
-    """Per-block lane geometry, cached per launch shape.
+def _block_geometry(gsize: tuple, lsize: tuple) -> dict:
+    """Per-block lane geometry, cached per launch shape and block cap
+    (a test that patches :data:`MAX_LANES` is never served another
+    cap's blocks).
 
     The returned arrays are shared (and marked read-only): the engine
     only ever derives new arrays from them.  The autotune/explore loops
     re-launch identical geometries hundreds of times, which makes the
     ``tile``/``repeat`` setup a measurable share of small launches.
 
-    ``whole_grid`` ignores :data:`MAX_LANES` and lays the entire launch
-    out as a single block (the ``fused`` engine's layout).  Each block
-    also holds what access facts are evaluated against: the basis ids
-    (:data:`BASIS`) per lane, at lane 0 and their ranges, the digits of
-    the flat lane index, and caches of what it makes of each set of
-    terms (``_Block._shape_of``, ``_Block._injective``).
+    Each block also holds what access facts are evaluated against: the
+    basis ids (:data:`BASIS`) per lane, at lane 0 and their ranges, the
+    digits of the flat lane index, and caches of what it makes of each
+    set of terms (``_Block._shape_of``, ``_Block._injective``).
     """
-    key = (gsize, lsize, whole_grid)
+    key = (gsize, lsize, MAX_LANES)
     cache: "OrderedDict[tuple, dict]" = getattr(_pool_tls, "geometry", None)
     if cache is None:
         cache = OrderedDict()
@@ -1523,12 +1514,9 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
     num_groups = tuple(g // l for g, l in zip(gsize, lsize))
     total_groups = num_groups[0] * num_groups[1] * num_groups[2]
     lanes_per_group = lsize[0] * lsize[1] * lsize[2]
-    if whole_grid:
-        block_groups = total_groups
-    else:
-        block_groups = max(
-            1, min(total_groups, MAX_LANES // max(1, lanes_per_group))
-        )
+    block_groups = max(
+        1, min(total_groups, MAX_LANES // max(1, lanes_per_group))
+    )
 
     # Lane order within a group matches the scalar scheduler: z-outer,
     # y-middle, x-inner.
@@ -1604,8 +1592,8 @@ def _block_geometry(gsize: tuple, lsize: tuple, whole_grid: bool = False) -> dic
     return geometry
 
 
-def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline, whole_grid):
-    geometry = _block_geometry(gsize, lsize, whole_grid)
+def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline):
+    geometry = _block_geometry(gsize, lsize)
     num_groups = geometry["num_groups"]
     written = pipeline.written
 

@@ -12,8 +12,9 @@ agree on (``if`` on the group id, a uniform-trip loop); and a uniform
 scale that changes after an index it scaled was stored.  Every index
 it builds stays inside its buffer on every lane.
 
-:func:`check` launches one kernel on ``scalar`` / ``auto`` /
-``compiled`` / ``fused`` and compares the buffers (bytes) and
+:func:`check` launches one kernel on ``scalar`` and on every run of
+:data:`tests.engines.RUNS` (``auto`` and ``compiled`` over one block,
+``compiled`` over several) and compares the buffers (bytes) and
 ``Counters``.  A strict engine may refuse a kernel only at run time,
 for a cross-lane race (a ``dynamic`` decline in the ledger): a static
 refusal or a crash of a generated kernel fails the check.  Run a seed
@@ -26,22 +27,22 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from repro.backend import ledger
-from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
-from repro.opencl import simt
+from repro.opencl import Buffer, OpenCLProgram, launch, simt
+from tests.engines import RUNS, check_engines
 
-ENGINES = ("auto", "compiled", "fused")
+#: The block cap the checks run under (``simt.MAX_LANES`` patched).
+BLOCK = 256
 
 #: (global size, local size) per launch shape: small 1-D; more lanes
 #: than one block holds, the last block ragged (three work-groups); 2-D.
 SHAPES = (
     ((64, 1), (16, 1)),
-    ((simt.MAX_LANES + 3 * 32, 1), (32, 1)),
+    ((BLOCK + 3 * 32, 1), (32, 1)),
     ((16, 8), (8, 4)),
 )
 
@@ -327,44 +328,26 @@ def run(kernel: Kernel, engine: str, gsize: tuple, lsize: tuple):
     args = arguments(kernel, gsize[0] * gsize[1])
     counters = launch(OpenCLProgram(kernel.source), gsize, lsize, args, engine=engine)
     data = {k: v.data.tobytes() for k, v in args.items() if isinstance(v, Buffer)}
-    return data, vars(counters)
-
-
-def _declines() -> Counter:
-    """The ledger's declines so far, per kind."""
-    kinds: Counter = Counter()
-    for (_, _, kind), count in ledger.counts().items():
-        kinds[kind] += count
-    return kinds
+    return data, counters
 
 
 def check(seed: int, shape: int) -> bool:
     """Launch kernel ``seed`` in launch shape ``shape`` on every engine;
     assert each agrees with ``scalar``, and that no backend refuses it
-    statically or crashes.  Whether ``compiled`` and
-    ``fused`` both ran it."""
+    statically or crashes.  Whether ``compiled`` ran it in every
+    layout."""
     (g0, g1), (l0, l1) = SHAPES[shape]
     kernel = generate(seed, two_d=g1 > 1, local_lanes=l0 * l1)
     gsize, lsize = (g0, g1), (l0, l1)
-    reference = run(kernel, "scalar", gsize, lsize)
-    accepted = True
-    before = _declines()
-    for engine in ENGINES:
-        try:
-            result = run(kernel, engine, gsize, lsize)
-        except VectorizationError as refusal:
-            assert engine != "auto" and "cross-lane" in str(refusal), (
-                seed, shape, refusal,
+    try:
+        with mock.patch.object(simt, "MAX_LANES", BLOCK):
+            results = check_engines(
+                lambda engine: run(kernel, engine, gsize, lsize),
+                gsize, lsize, races=True,
             )
-            accepted = False
-            continue
-        assert result[1] == reference[1], (seed, shape, engine, kernel.source)
-        assert result[0] == reference[0], (seed, shape, engine, kernel.source)
-    declines = _declines() - before
-    assert not {"static", "crash"} & set(declines), (
-        seed, shape, declines, kernel.source,
-    )
-    return accepted
+    except AssertionError as failure:
+        raise AssertionError(seed, shape, kernel.source) from failure
+    return all(results[r] is not None for r in RUNS)
 
 
 def main(start: int, stop: int) -> None:
@@ -376,7 +359,7 @@ def main(start: int, stop: int) -> None:
             accepted += check(seed, shape)
             total += 1
     print(f"kernelgen seeds {start}..{stop}: {accepted}/{total} launches "
-          f"accepted by compiled and fused ({accepted / total:.0%})")
+          f"accepted by compiled in every layout ({accepted / total:.0%})")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ launch-time engine resolution (explicit argument vs the
 ``REPRO_SIM_ENGINE`` preference), the NDRange checks made before any
 engine runs, the end-to-end harness's pins on this package, the plan's
 access facts (slices, uniform loads, proof-carrying stores, prefix
-masks, aliasing) in both layouts of the launcher, the whole-grid lane
-cap, and the launcher's rollback.  The bitwise cross-backend contract
-itself is exercised by the engine sweeps in ``tests/test_simt.py`` /
+masks, aliasing) over one block and over several, and the launcher's
+rollback.  The bitwise cross-backend contract itself is exercised by
+the engine sweeps in ``tests/test_simt.py`` /
 ``tests/test_simt_compile.py``.
 """
 
@@ -33,6 +33,8 @@ from repro.obs import metrics
 from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
 from repro.opencl import simt, simt_compile
 from repro.rewrite.explore import ExploreStats
+from tests.engines import FALLBACK_RUNS, ONE
+from tests.test_simt import assert_engines_agree
 
 SAXPY = """
 kernel void SAXPY(const global float * restrict x,
@@ -65,12 +67,15 @@ def run_saxpy(engine, n=64, local=16, **overrides):
 
 class TestEngineTable:
     def test_three_backends(self):
+        # Two backends; "fused" names the compiled one for the
+        # end-to-end harness.
         assert backend_names() == ("compiled", "fused", "scalar")
+        assert get_backend("fused") is get_backend("compiled")
 
     def test_the_engine_table(self):
         assert ENGINES == {
             "auto": ("compiled", "scalar"),
-            "fused": ("fused", "compiled", "scalar"),
+            "fused": ("compiled", "scalar"),
             "compiled": ("compiled",),
             "scalar": ("scalar",),
         }
@@ -79,15 +84,6 @@ class TestEngineTable:
             assert resolve(name) == chain
         # A strict name from REPRO_SIM_ENGINE gains the scalar tail.
         assert resolve("compiled", prefer=True) == ("compiled", "scalar")
-
-    def test_fused_is_the_compiled_pipeline_over_the_whole_grid(self):
-        compiled, fused = get_backend("compiled"), get_backend("fused")
-        assert fused.name == "fused" and type(fused) is type(compiled)
-        assert (compiled.whole_grid, fused.whole_grid) == (False, True)
-        program = OpenCLProgram(SAXPY)
-        kernel = program.kernel()
-        plan = compiled.plan(program.parsed, kernel)
-        assert fused.plan(program.parsed, kernel) is plan
 
     def test_unknown_backend_error_lists_names(self):
         with pytest.raises(ValueError) as err:
@@ -122,7 +118,9 @@ class TestEngineResolution:
             "valid engines are auto, compiled, fused, scalar"
         )
 
-    def test_launch_unknown_engine_lists_valid_names(self, monkeypatch):
+    def test_launch_unknown_engine_lists_valid_names(
+        self, monkeypatch, capsys
+    ):
         # The removed ``interp`` tier and ``vector`` alias are unknown
         # names like any other, at every place an engine is named.
         from repro.benchsuite.__main__ import main
@@ -132,9 +130,10 @@ class TestEngineResolution:
             with pytest.raises(ValueError) as err:
                 launch(program, 16, 16, saxpy_args(16), engine=unknown)
             self._assert_lists_the_valid_engines(err)
-            with pytest.raises(ValueError) as err:
-                main(["figure8", "--benchmarks", "nn", "--engine", unknown])
-            self._assert_lists_the_valid_engines(err)
+            assert main(
+                ["figure8", "--benchmarks", "nn", "--engine", unknown]
+            ) == 2
+            assert unknown in capsys.readouterr().err
             monkeypatch.setenv("REPRO_SIM_ENGINE", unknown)
             with pytest.raises(ValueError) as err:
                 launch(program, 16, 16, saxpy_args(16))
@@ -143,7 +142,7 @@ class TestEngineResolution:
 
     def test_env_var_accepts_backend_names(self, monkeypatch):
         ref, ref_counters = run_saxpy("scalar")
-        for name in ("fused", "compiled"):
+        for name in ("auto", "compiled"):
             monkeypatch.setenv("REPRO_SIM_ENGINE", name)
             out, counters = run_saxpy(None)
             np.testing.assert_array_equal(out, ref)
@@ -256,19 +255,15 @@ class TestAccessFacts:
             return real(self, aff, *rest)
 
         monkeypatch.setattr(simt._LoadLog, "add_affine", add_affine)
-        program = OpenCLProgram(src)
-        results = []
-        for engine in ("scalar", "compiled"):
-            out = Buffer.zeros(64)
-            w = Buffer.from_array(np.arange(8.0))
-            results.append((out.data, vars(launch(program, 64, 16, {"w": w, "out": out},
-                                                 engine=engine))))
-        (ref, ref_counters), (got, counters) = results
-        np.testing.assert_array_equal(got, ref)
-        assert counters == ref_counters
+        results = assert_engines_agree(
+            src, 64, 16,
+            lambda: {"w": Buffer.from_array(np.arange(8.0)), "out": Buffer.zeros(64)},
+            runs=(("compiled", ONE),),
+        )
         # One block, three uniform loads: one (terms, address) chunk each.
         assert chunks == [((), 3), ((), 3), ((), 4)]
-        assert counters["cached_loads"] == 64 and counters["global_loads"] == 128
+        counters = results["scalar"][1]
+        assert counters.cached_loads == 64 and counters.global_loads == 128
 
     @pytest.mark.parametrize("scale, affine", [("s", 0), ("n", 1)])
     def test_a_name_keeps_no_fact_on_a_uniform_that_changes_after_its_store(
@@ -286,21 +281,13 @@ class TestAccessFacts:
         """
         plan = plan_of(src)
         assert (plan.accesses, plan.affine) == (2, 1 + affine)
-        program = OpenCLProgram(src)
-        results = []
-        for engine in ("scalar", "compiled", "fused"):
-            args = {
-                "x": Buffer.from_array(np.arange(256, dtype=float)),
-                "out": Buffer.zeros(64),
-                "n": 2,
-            }
-            counters = launch(program, 64, 64, args, engine=engine)
-            results.append((args["out"].data, vars(counters)))
-        (ref, ref_counters), *rest = results
-        np.testing.assert_array_equal(ref, 2.0 * np.arange(64) + 3)
-        for got, counters in rest:
-            np.testing.assert_array_equal(got, ref)
-            assert counters == ref_counters
+        results = assert_engines_agree(
+            src, 64, 64,
+            lambda: {"x": Buffer.from_array(np.arange(256, dtype=float)),
+                     "out": Buffer.zeros(64), "n": 2},
+        )
+        outs, _ = results["scalar"]
+        np.testing.assert_array_equal(outs["out"], 2.0 * np.arange(64) + 3)
 
     def test_barrier_kernel_splits_segments(self):
         plan = plan_of("""
@@ -318,7 +305,7 @@ class TestAccessFacts:
 
     def test_unvectorizable_kernel_has_no_plan(self):
         # Statically refused (barrier + early return) but legal at this
-        # launch shape: the fused chain must fall through to scalar.
+        # launch shape: the auto chain must fall through to scalar.
         src = """
         kernel void K(global float *x, int n) {
           if (get_global_id(0) >= n) { return; }
@@ -327,13 +314,10 @@ class TestAccessFacts:
         }
         """
         assert plan_of(src) == "barrier combined with early return"
-        program = OpenCLProgram(src)
-        out_f = Buffer.zeros(4)
-        c_f = launch(program, 4, 4, {"x": out_f, "n": 4}, engine="fused")
-        out_s = Buffer.zeros(4)
-        c_s = launch(program, 4, 4, {"x": out_s, "n": 4}, engine="scalar")
-        np.testing.assert_array_equal(out_f.data, out_s.data)
-        assert vars(c_f) == vars(c_s)
+        assert_engines_agree(
+            src, 4, 4, lambda: {"x": Buffer.zeros(4), "n": 4},
+            runs=FALLBACK_RUNS, refused=True,
+        )
 
     def test_loaded_output_buffer_is_not_sole(self):
         plan = plan_of("""
@@ -365,16 +349,12 @@ class TestAccessFacts:
         plan = plan_of(src)
         assert plan.sole_names == frozenset({"out"}) and plan.affine == 1
         notes = count_race_notes(monkeypatch)
-        program = OpenCLProgram(src)
-        results = []
-        for engine in ("scalar", "auto"):
-            ledger.clear()
-            out = Buffer.zeros(2 * 64)
-            counters = launch(program, 64, 16, {"out": out, "n": 64}, engine=engine)
-            results.append((out.data, vars(counters), ledger.events()))
-        (ref, ref_counters, _), (got, counters, events) = results
-        np.testing.assert_array_equal(got, ref)
-        assert counters == ref_counters
+        ledger.clear()
+        assert_engines_agree(
+            src, 64, 16, lambda: {"out": Buffer.zeros(2 * 64), "n": 64},
+            runs=(("auto", ONE),),
+        )
+        events = ledger.events()
         if races:
             (event,) = events
             assert "conflict" in event.reason and notes
@@ -406,16 +386,11 @@ class TestAccessFacts:
             simt._HazardLocal, "note_write",
             lambda self, *a: notes.append(1) or real(self, *a),
         )
-        program = OpenCLProgram(src)
-        results = []
-        for engine in ("scalar", "compiled", "fused"):
-            args = {"x": Buffer.from_array(np.arange(64.0)), "out": Buffer.zeros(64)}
-            counters = launch(program, 64, 16, args, engine=engine)
-            results.append((args["out"].data, vars(counters)))
-        (ref, ref_counters), *rest = results
-        for got, counters in rest:
-            np.testing.assert_array_equal(got, ref)
-            assert counters == ref_counters
+        assert_engines_agree(
+            src, 64, 16,
+            lambda: {"x": Buffer.from_array(np.arange(64.0)),
+                     "out": Buffer.zeros(64)},
+        )
         assert bool(notes) == noted
 
     def test_a_kernel_with_returns_keeps_its_facts(self):
@@ -432,31 +407,13 @@ class TestAccessFacts:
     def test_prefix_guard_matches_scalar_bitwise(self):
         # Guard bound below the launch size: the bound passes a lane
         # prefix; buffers and counters must match scalar.
-        program = OpenCLProgram(SAXPY)
         n, glob = 100, 128
-        for engine in ("scalar", "compiled", "fused"):
-            args = saxpy_args(glob)
-            args["n"] = n
-            counters = launch(program, glob, 4, args, engine=engine)
-            if engine == "scalar":
-                ref = args["out"].data.copy()
-                ref_counters = vars(counters)
-            else:
-                np.testing.assert_array_equal(args["out"].data, ref)
-                assert vars(counters) == ref_counters
-        assert ref_counters["global_stores"] == n
-        assert np.count_nonzero(ref) == n  # items past the guard skipped
-
-    def test_lane_cap_falls_back_to_compiled(self, monkeypatch):
-        monkeypatch.setattr(simt, "FUSED_MAX_LANES", 32)
-        ledger.clear()
-        out, counters = run_saxpy("fused", n=64, local=16)
-        (event,) = ledger.events()
-        assert (event.backend, event.kind) == ("fused", "static")
-        assert "whole-grid cap (32)" in event.reason
-        ref, ref_counters = run_saxpy("scalar", n=64, local=16)
-        np.testing.assert_array_equal(out, ref)
-        assert counters == ref_counters
+        results = assert_engines_agree(
+            SAXPY, glob, 4, lambda: dict(saxpy_args(glob), n=n)
+        )
+        outs, counters = results["scalar"]
+        assert counters.global_stores == n
+        assert np.count_nonzero(outs["out"]) == n  # items past the guard skipped
 
     def test_a_uniform_loop_keeps_the_facts(self):
         src = """
@@ -471,25 +428,18 @@ class TestAccessFacts:
         }
         """
         assert plan_of(src).affine == plan_of(src).accesses == 2
-        program = OpenCLProgram(src)
-        for engine in ("scalar", "compiled", "fused"):
-            args = {
-                "x": Buffer.from_array(np.arange(16, dtype=float)),
-                "out": Buffer.zeros(16),
-                "reps": 3,
-            }
-            counters = launch(program, 16, 4, args, engine=engine)
-            if engine == "scalar":
-                ref = args["out"].data.copy()
-                ref_counters = vars(counters)
-            else:
-                np.testing.assert_array_equal(args["out"].data, ref)
-                assert vars(counters) == ref_counters
-        assert ref_counters["loop_iterations"] == 3 * 16
+        results = assert_engines_agree(
+            src, 16, 4,
+            lambda: {"x": Buffer.from_array(np.arange(16, dtype=float)),
+                     "out": Buffer.zeros(16), "reps": 3},
+        )
+        assert results["scalar"][1].loop_iterations == 3 * 16
 
 
-#: Two blocks and a bit in the blocked layout.
-BIG_N = 2 * simt.MAX_LANES + 192
+#: The block cap the several-block tests patch in, and a launch of two
+#: blocks and a bit under it.
+BLOCK = 4096
+BIG_N = 2 * BLOCK + 192
 
 
 def count_race_notes(monkeypatch) -> list:
@@ -506,17 +456,19 @@ def count_race_notes(monkeypatch) -> list:
 
 
 def assert_tiers_agree_with_an_empty_ledger(src, gsize, lsize, make_args):
-    from tests.test_simt import assert_engines_agree
-
     ledger.clear()
     assert_engines_agree(src, gsize, lsize, make_args)
     assert not ledger.events()
 
 
 class TestFactsInBothLayouts:
-    """The facts hold in blocks of at most MAX_LANES lanes (whose
-    uniform terms differ per block) and over the whole grid; both agree
-    with the scalar oracle bitwise, Counters included."""
+    """The facts hold over several blocks of at most ``BLOCK`` lanes
+    (whose uniform terms differ per block) and over one block; both
+    agree with the scalar oracle bitwise, Counters included."""
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simt, "MAX_LANES", BLOCK)
 
     def test_saxpy_across_blocks_with_a_guard_inside_the_second(
         self, monkeypatch
@@ -582,10 +534,7 @@ class TestFactsInBothLayouts:
                      "out": Buffer.zeros(BIG_N), "n": BIG_N - 100},
         )
 
-    @pytest.mark.parametrize("engine", ["compiled", "fused"])
-    def test_an_aliased_output_refuses_the_sole_store_proof(
-        self, engine, monkeypatch
-    ):
+    def test_an_aliased_output_refuses_the_sole_store_proof(self, monkeypatch):
         # ``x`` and ``out`` bound to one array: the store is checked by
         # the race detector, and the result is still the scalar one.
         src = """
@@ -595,19 +544,13 @@ class TestFactsInBothLayouts:
         }
         """
         assert plan_of(src).sole_names == frozenset({"out"})
-        program = OpenCLProgram(src)
         notes = count_race_notes(monkeypatch)  # scalar has no detector
-        results = []
-        for tier in ("scalar", engine):
+
+        def aliased():
             shared = Buffer.from_array(np.arange(BIG_N, dtype=float))
-            ledger.clear()
-            counters = launch(program, BIG_N, 64, {"x": shared, "out": shared},
-                              engine=tier)
-            assert not ledger.events()
-            results.append((shared.data, vars(counters)))
-        (ref, ref_counters), (out, counters) = results
-        np.testing.assert_array_equal(out, ref)
-        assert counters == ref_counters
+            return {"x": shared, "out": shared}
+
+        assert_tiers_agree_with_an_empty_ledger(src, BIG_N, 64, aliased)
         assert notes and set(notes) == {BIG_N}
 
 
@@ -637,14 +580,16 @@ class TestLauncher:
         assert out_data.tobytes() == np.full(64, -1.0).tobytes()
         assert args["scratch"].data.tobytes() == np.zeros(1).tobytes()
 
-    def test_a_whole_grid_reduction_uses_the_packed_local_detector(
+    def test_a_full_block_reduction_uses_the_packed_local_detector(
         self, monkeypatch
     ):
-        # 16 384 lanes in one block: every local buffer stays on the
-        # packed detector (its SEG_SCALE covers either layout).
+        # A block of MAX_LANES lanes and a ragged one of three groups:
+        # every local buffer stays on the packed detector (its SEG_SCALE
+        # covers the largest block).
         from tests.test_simt_compile import _REDUCTION
 
-        n, local = 16384, 8
+        local = 8
+        n = simt.MAX_LANES + 3 * local
         assert n > simt.MAX_LANES
         acquired = []
         real = simt._acquire_hazard
@@ -656,8 +601,9 @@ class TestLauncher:
         monkeypatch.setattr(simt, "_acquire_hazard", acquire)
         x = np.cos(np.arange(n))
         make = lambda: {"x": Buffer.from_array(x), "out": Buffer.zeros(n // local)}
-        launch(OpenCLProgram(_REDUCTION), n, local, make(), engine="fused")
-        assert (n, simt._HazardLocal) in acquired
-        assert all(cls is simt._HazardLocal for size, cls in acquired if size == n)
+        launch(OpenCLProgram(_REDUCTION), n, local, make(), engine="compiled")
+        rows = {simt.MAX_LANES, 3 * local}  # tmp's size in each block
+        assert {(size, simt._HazardLocal) for size in rows} <= set(acquired)
+        assert all(cls is simt._HazardLocal for size, cls in acquired if size in rows)
         monkeypatch.undo()
         assert_tiers_agree_with_an_empty_ledger(_REDUCTION, n, local, make)

@@ -16,6 +16,7 @@ from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
 from repro.benchsuite.figure6 import check_figure6, figure6_trace
 from repro.benchsuite.figure8 import measure_benchmark
 from repro.benchsuite.table1 import run_table1
+from tests.engines import RUNS, blocks
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
@@ -295,15 +296,16 @@ def test_figure8_floors_catch_a_lost_row():
     assert len(failures) == 2 and "gemv/nvidia/small" in failures[0]
 
 
-@pytest.mark.parametrize("engine", ["auto", "fused", "compiled"])
+@pytest.mark.parametrize("engine, layout", RUNS)
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-def test_no_scalar_cliff(name, engine):
+def test_no_scalar_cliff(name, engine, layout):
     """No benchsuite launch — reference or generated, at any
     optimization level — falls to the per-work-item scalar tier or is
     declined dynamically by a lane-batched one (the scalar cliff under
     Figure 8: 12 of 52 launches before declared types became
-    authoritative).  The strict ``compiled`` engine raises on a decline:
-    its cross-lane hazard detector is the oracle for every barrier
+    authoritative), over one block or with each work-group a block of
+    its own.  The strict ``compiled`` engine raises on a decline: its
+    cross-lane hazard detector is the oracle for every barrier
     ``compiler/barriers.py`` removes."""
     from repro.backend import ledger
     from repro.obs import metrics
@@ -312,11 +314,12 @@ def test_no_scalar_cliff(name, engine):
     inputs, size_env = bench.inputs_for("small")
     ledger.clear()
     scalar_before = metrics.REGISTRY.counter("launch.served.scalar")
-    bench.run_reference(inputs, size_env, engine=engine)
-    for factory in OPTIMIZATION_LEVELS.values():
-        bench.run_generated(
-            inputs, size_env, options_factory=factory, engine=engine
-        )
+    with blocks(layout):
+        bench.run_reference(inputs, size_env, engine=engine)
+        for factory in OPTIMIZATION_LEVELS.values():
+            bench.run_generated(
+                inputs, size_env, options_factory=factory, engine=engine
+            )
     assert metrics.REGISTRY.counter("launch.served.scalar") == scalar_before
     dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
     assert not dynamic, dynamic
@@ -499,6 +502,35 @@ def test_explore_cli_rejects_bad_requests_before_searching(
     assert captured.out == ""
     message, = captured.err.splitlines()
     assert needle in message and f"{command}: error:" in message
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["table1", "--engine", "bogus"],
+         "unknown execution engine 'bogus': valid engines are auto, "
+         "compiled, fused, scalar"),
+        (["figure8", "--benchmarks", "bogus", "--no-cache"],
+         "unknown benchmark bogus: valid benchmarks are atax, "),
+        (["table1", "--benchmarks", "nn", "bogus"],
+         "unknown benchmark bogus: valid benchmarks are atax, "),
+    ],
+    ids=["engine", "figure8-benchmark", "table1-benchmark"],
+)
+def test_the_cli_names_the_valid_values_of_a_bad_argument(
+    argv, needle, capsys
+):
+    """An unknown engine or benchmark name used to end in a traceback
+    (``ValueError`` from ``backend.resolve``, ``KeyError`` from
+    ``get_benchmark``): exit status 2 and one stderr line naming the
+    valid values, before anything runs."""
+    from repro.benchsuite.__main__ import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message, = captured.err.splitlines()
+    assert f"{argv[0]}: error: {needle}" in message
 
 
 @pytest.mark.parametrize(

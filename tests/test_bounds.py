@@ -1,6 +1,6 @@
 """Out-of-bounds buffer indices raise :class:`repro.opencl.OutOfBounds`
-on every engine, for the active lanes only, naming the buffer and the
-element: scalar and vector loads and stores, in global, local and
+on every engine, over one block and over several, for the active
+lanes only, naming the buffer and the element: scalar and vector loads and stores, in global, local and
 private memory, below the start and past the end.  No engine wraps a
 negative index numpy-style or lets numpy's bare ``IndexError`` out."""
 
@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.opencl import Buffer, OpenCLProgram, OutOfBounds, launch
-
-ENGINES = ("scalar", "auto", "compiled", "fused")
+from tests.engines import ALL_RUNS, blocks
 
 N = 64
 
@@ -83,18 +82,20 @@ def args_for(case: str) -> dict:
     return args
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine, layout", ALL_RUNS)
 @pytest.mark.parametrize("case, src, buffer, index", CASES, ids=[c[0] for c in CASES])
-def test_an_out_of_bounds_access_raises_a_typed_error(case, src, buffer, index, engine):
+def test_an_out_of_bounds_access_raises_a_typed_error(
+    case, src, buffer, index, engine, layout
+):
     program = OpenCLProgram(src)
-    with pytest.raises(OutOfBounds) as raised:
+    with pytest.raises(OutOfBounds) as raised, blocks(layout, N, 16):
         launch(program, N, 16, args_for(case), engine=engine)
     assert (raised.value.buffer, raised.value.index) == (buffer, index)
     assert buffer in str(raised.value) and str(index) in str(raised.value)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_inactive_lanes_are_not_checked(engine):
+@pytest.mark.parametrize("engine, layout", ALL_RUNS)
+def test_inactive_lanes_are_not_checked(engine, layout):
     # Lanes past n hold out-of-range addresses but never access them.
     src = """
     kernel void K(const global float * restrict x, global float *out, int n) {
@@ -103,7 +104,9 @@ def test_inactive_lanes_are_not_checked(engine):
     }
     """
     out = Buffer.zeros(N)
-    launch(OpenCLProgram(src), N, 16,
-           {"x": Buffer.from_array(np.arange(N, dtype=float)), "out": out, "n": N - 8},
-           engine=engine)
+    with blocks(layout, N, 16):
+        launch(OpenCLProgram(src), N, 16,
+               {"x": Buffer.from_array(np.arange(N, dtype=float)), "out": out,
+                "n": N - 8},
+               engine=engine)
     np.testing.assert_array_equal(out.data[: N - 8], np.arange(8, N, dtype=float))

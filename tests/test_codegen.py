@@ -43,6 +43,7 @@ from repro.ir.dsl import (
 from repro.ir.patterns import ReduceSeq, transpose_indices
 from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import compile_and_run
+from tests.engines import check_engines
 from repro.compiler.options import CompilerOptions
 
 from tests.programs import (
@@ -362,9 +363,8 @@ class TestPrivateAllocation:
         )
         return Lambda([x], compose(join(), map_wrg(group), split(width))(x))
 
-    @pytest.mark.parametrize("engine", ["scalar", "compiled", "fused"])
     @pytest.mark.parametrize("level", ALL_LEVELS)
-    def test_sixteen_elements_on_eight_work_items(self, level, engine):
+    def test_sixteen_elements_on_eight_work_items(self, level):
         """Every work-item holds two elements: one ``float`` that each
         overwrites returned ``[9..16, 9..16, 25..]`` at every level."""
         data = np.arange(64, dtype=float)
@@ -372,11 +372,16 @@ class TestPrivateAllocation:
             self._copy_through_private(), level(local_size=(8, 1, 1))
         )
         assert re.search(r"^  float acc1\[2\];$", kernel.source, re.M)
-        result = compile_and_run(
-            self._copy_through_private(), {"x": data}, {}, global_size=32,
-            options=level(local_size=(8, 1, 1)), engine=engine,
-        )
-        np.testing.assert_array_equal(result.output, data + 1.0)
+
+        def run(engine):
+            result = compile_and_run(
+                self._copy_through_private(), {"x": data}, {}, global_size=32,
+                options=level(local_size=(8, 1, 1)), engine=engine,
+            )
+            return {"out": result.output}, result.counters
+
+        outs, _ = check_engines(run, 32, 8)["scalar"]
+        np.testing.assert_array_equal(outs["out"], data + 1.0)
 
     @pytest.mark.parametrize("level", ALL_LEVELS)
     def test_one_element_per_work_item_is_a_plain_register(self, level):

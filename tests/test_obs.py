@@ -30,6 +30,7 @@ from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
 from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.opencl.interp import ExecError
+from tests.engines import ALL_RUNS, ONE, SEVERAL, blocks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -447,8 +448,8 @@ def reduce_args():
             "out": Buffer.zeros(N // 64)}
 
 
-#: Launches whose attribution is checked: two 4096-lane blocks under
-#: ``compiled``, one block under ``fused``.
+#: Launches whose attribution is checked, each over one block and over
+#: several.
 ATTRIBUTION_CASES = {
     "saxpy": (SAXPY, N, 64, saxpy_args),
     "saxpy-2d": (SAXPY_2D, (128, 64), (8, 8), saxpy_args),
@@ -457,15 +458,16 @@ ATTRIBUTION_CASES = {
 
 
 class TestSegmentsAndTraffic:
-    @pytest.mark.parametrize("engine", ["compiled", "fused"])
+    @pytest.mark.parametrize("layout", [ONE, SEVERAL])
     @pytest.mark.parametrize("case", sorted(ATTRIBUTION_CASES))
-    def test_attribution_is_complete(self, case, engine, no_tracing):
+    def test_attribution_is_complete(self, case, layout, no_tracing):
         """The segment spans of a launch sum to its Counters, and its
         traffic rows to its loads and stores, in either layout."""
         source, gsize, lsize, args = ATTRIBUTION_CASES[case]
-        counters, deltas, rows = traced_launch(
-            source, gsize, lsize, args(), engine
-        )
+        with blocks(layout, gsize, lsize):
+            counters, deltas, rows = traced_launch(
+                source, gsize, lsize, args(), "compiled"
+            )
         for name, value in counters.items():
             if name not in SETTLED_LATE:
                 assert deltas.get(name, 0) == value, name
@@ -509,16 +511,17 @@ class TestSegmentsAndTraffic:
         )
         assert out_row["stores"] == 64
 
-    @pytest.mark.parametrize("engine", ["compiled", "fused"])
-    def test_segments_are_recorded_in_both_layouts(self, engine, no_tracing):
+    @pytest.mark.parametrize("layout", [ONE, SEVERAL])
+    def test_segments_are_recorded_in_both_layouts(self, layout, no_tracing):
         # One lane form: segments are keyed by kernel and index alone, in
         # a 1-D and a 2-D launch alike.
         for gsize, lsize in ((64, 16), ((8, 8), (4, 4))):
-            _, events = traced(lambda: launch(
-                OpenCLProgram(SAXPY), gsize, lsize, {
-                    "x": Buffer.zeros(64), "y": Buffer.zeros(64),
-                    "out": Buffer.zeros(64), "a": 2.0, "n": 64,
-                }, engine=engine))
+            with blocks(layout, gsize, lsize):
+                _, events = traced(lambda: launch(
+                    OpenCLProgram(SAXPY), gsize, lsize, {
+                        "x": Buffer.zeros(64), "y": Buffer.zeros(64),
+                        "out": Buffer.zeros(64), "a": 2.0, "n": 64,
+                    }, engine="compiled"))
             (segment,) = analysis.segment_rows(events)
             assert (segment["kernel"], segment["segment"]) == ("SAXPY", 0)
             assert "kind" not in segment
@@ -535,12 +538,13 @@ class TestOutOfBand:
     """The hard acceptance constraint: enabling observability never
     changes results — buffers and Counters are bitwise-identical."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "compiled", "fused"])
-    def test_bitwise_identical_with_tracing(self, engine, no_tracing):
-        """Tracing on also runs the compiled tiers' segment spans and
+    @pytest.mark.parametrize("engine, layout", ALL_RUNS)
+    def test_bitwise_identical_with_tracing(self, engine, layout, no_tracing):
+        """Tracing on also runs the compiled tier's segment spans and
         traffic rows."""
-        out_off, counters_off = run_saxpy(engine)
-        (out_on, counters_on), _ = traced(lambda: run_saxpy(engine))
+        with blocks(layout, 64, 16):
+            out_off, counters_off = run_saxpy(engine)
+            (out_on, counters_on), _ = traced(lambda: run_saxpy(engine))
 
         assert out_on.tobytes() == out_off.tobytes()
         assert counters_on == counters_off
@@ -587,7 +591,7 @@ class TestOutOfBand:
         obs.start_tracing(path)
         with pytest.raises(ExecError, match="vector literal float4"):
             launch(OpenCLProgram(bad), 4, 4, {"x": Buffer.zeros(4)},
-                   engine="fused")
+                   engine="auto")
         obs.stop_tracing()
         plans = {
             e["args"]["backend"]: e["args"]
@@ -595,7 +599,7 @@ class TestOutOfBand:
             if e["ph"] == "X" and e["name"] == "plan"
         }
         reason = "vector literal float4 with 2 items"
-        assert plans["fused"]["reason"] == plans["compiled"]["reason"] == reason
+        assert plans["compiled"]["reason"] == reason
         assert "reason" not in plans["scalar"]  # planned; it raises in run
 
     def test_launch_metrics_count_per_tier(self, no_tracing):

@@ -58,6 +58,7 @@ from repro.ir.patterns import (
 from repro.ir.interp import apply_fun
 from repro.compiler.kernel import compile_and_run
 from repro.compiler.options import CompilerOptions
+from tests.engines import check_engines
 
 N = 24  # divisible by 2, 3, 4, 6, 8, 12
 
@@ -218,18 +219,18 @@ def test_row_reductions_match_interpreter_on_every_engine(stage_names, row, seed
         dtype=float,
     )
     for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
+
+        def run(engine):
+            result = compile_and_run(
+                _weighted_rows(stage_names, row), inputs, {},
+                global_size=N // row, options=level(local_size=(2, 1, 1)),
+                engine=engine,
+            )
+            return {"out": result.output}, result.counters
+
         with checked_static_types():
-            runs = [
-                compile_and_run(
-                    _weighted_rows(stage_names, row), inputs, {},
-                    global_size=N // row, options=level(local_size=(2, 1, 1)),
-                    engine=engine,
-                )
-                for engine in ("scalar", "compiled", "fused")
-            ]
-        for run in runs:
-            assert run.output.tobytes() == expected.tobytes()
-            assert vars(run.counters) == vars(runs[0].counters)
+            results = check_engines(run, N // row, 2)
+        assert results["scalar"][0]["out"].tobytes() == expected.tobytes()
 
 
 LOCAL = 8
@@ -264,17 +265,17 @@ def test_tiled_reductions_match_interpreter_on_every_engine(
     )
     ledger.clear()
     for level in (CompilerOptions.none, CompilerOptions.barrier_cf, CompilerOptions.all):
+
+        def run(engine):
+            result = compile_and_run(
+                tiled_outer_sums(acc_space, chunk, tile), inputs, {},
+                global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
+                engine=engine,
+            )
+            return {"out": result.output}, result.counters
+
         with checked_static_types():
-            runs = [
-                compile_and_run(
-                    tiled_outer_sums(acc_space, chunk, tile), inputs, {},
-                    global_size=2 * LOCAL, options=level(local_size=(LOCAL, 1, 1)),
-                    engine=engine,
-                )
-                for engine in ("scalar", "compiled", "fused")
-            ]
-        for run in runs:
-            assert run.output.tobytes() == expected.tobytes()
-            assert vars(run.counters) == vars(runs[0].counters)
+            results = check_engines(run, 2 * LOCAL, LOCAL)
+        assert results["scalar"][0]["out"].tobytes() == expected.tobytes()
     # A hazard decline on compiler output is a compiler bug.
     assert not ledger.events()

@@ -114,11 +114,11 @@ class TestFailureReport:
 class TestDegradationLedger:
     def test_record_and_counts(self):
         book = ledger.DegradationLedger()
-        book.record("auto", "fused", "static", "no fused segments")
-        book.record("auto", "fused", "static", "no fused segments")
+        book.record("compiled", "compiled", "static", "a static refusal")
+        book.record("compiled", "compiled", "static", "a static refusal")
         book.record("auto", "compiled", "dynamic", "bail-out")
         assert book.counts() == {
-            ("auto", "fused", "static"): 2,
+            ("compiled", "compiled", "static"): 2,
             ("auto", "compiled", "dynamic"): 1,
         }
         assert book.total() == len(book) == 3
@@ -127,8 +127,8 @@ class TestDegradationLedger:
     def test_summary_and_clear(self):
         book = ledger.DegradationLedger()
         assert "empty" in book.summary()
-        book.record("auto", "fused", "crash", "ZeroDivisionError")
-        assert "backend 'fused' declined 1x (crash)" in book.summary()
+        book.record("auto", "compiled", "crash", "ZeroDivisionError")
+        assert "backend 'compiled' declined 1x (crash)" in book.summary()
         book.clear()
         assert book.total() == 0
 
@@ -150,14 +150,14 @@ class TestDegradationLedger:
     def test_event_cap_keeps_counts_exact(self):
         book = ledger.DegradationLedger()
         for _ in range(ledger._MAX_EVENTS + 5):
-            book.record("auto", "fused", "static", "r")
+            book.record("auto", "compiled", "static", "r")
         assert len(book.events()) == ledger._MAX_EVENTS
         assert book.total() == ledger._MAX_EVENTS + 5
         assert "counts exact" in book.summary()
 
     def test_launch_records_declines_of_the_real_chain(self):
         # A barrier + early return is statically refused by every tier
-        # but scalar: the graceful "fused" chain must record each
+        # but scalar: the graceful "auto" chain must record each
         # decline on its way down.
         src = """
         kernel void K(global float *x, int n) {
@@ -168,14 +168,14 @@ class TestDegradationLedger:
         """
         program = OpenCLProgram(src)
         out = Buffer.zeros(4)
-        launch(program, 4, 4, {"x": out, "n": 4}, engine="fused")
+        launch(program, 4, 4, {"x": out, "n": 4}, engine="auto")
         np.testing.assert_array_equal(out.data, np.ones(4))
         counts = ledger.counts()
         assert any(
-            engine == "fused" and kind in ("static", "dynamic")
+            engine == "auto" and kind in ("static", "dynamic")
             for (engine, backend, kind) in counts
         )
-        assert ("fused", "scalar", "static") not in counts
+        assert ("auto", "scalar", "static") not in counts
 
 
 def _crash_plans(monkeypatch, *names):
@@ -271,26 +271,6 @@ class TestCrashShield:
             assert (output.tobytes(), vars(shielded)) == expected
             assert ledger.counts() == {("auto", "compiled", "crash"): launches}
 
-    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-    def test_a_crash_in_the_first_tier_hands_over_to_the_next(
-        self, name, monkeypatch
-    ):
-        """On the ``fused`` chain a crashing ``fused`` plan leaves each
-        launch to ``compiled``, which gives the scalar buffers and
-        Counters; the one crash per launch is the only one."""
-        _crash_plans(monkeypatch, "fused")
-        for run, launches, inputs, size_env, expected in _benchsuite_runs(
-            name
-        ):
-            ledger.clear()
-            output, counters = run(inputs, size_env, engine="fused")
-            assert (output.tobytes(), vars(counters)) == expected
-            crashes = {
-                key: n for key, n in ledger.counts().items()
-                if key[2] == "crash"
-            }
-            assert crashes == {("fused", "fused", "crash"): launches}
-
 
 @functools.lru_cache(maxsize=None)
 def _scalar_runs(name):
@@ -322,15 +302,13 @@ def _benchsuite_runs(name):
 
 class TestEachDeclineKind:
     """Each decline kind, provoked by the real failure it stands for,
-    on each chain with more than one member: every member but the last
+    on the chain with more than one member: every member but the last
     declines once, and the launch gives the scalar buffers and
     Counters."""
 
-    @pytest.mark.parametrize("engine", ["auto", "fused"])
     @pytest.mark.parametrize("kind", ledger.DECLINE_KINDS)
-    def test_every_member_but_the_last_declines(
-        self, kind, engine, monkeypatch
-    ):
+    def test_every_member_but_the_last_declines(self, kind, monkeypatch):
+        engine = "auto"
         expected, counters = _refused_launch(kind, "scalar", monkeypatch)
         assert not ledger.counts()
         buffers, shielded = _refused_launch(kind, engine, monkeypatch)

@@ -22,13 +22,9 @@ from repro.opencl import (
 from repro.opencl import simt_compile
 from repro.opencl.interp import BarrierDivergence, ExecError
 from repro.opencl.runtime import _parse_cached
-
-
-#: The execution backends whose results must agree bitwise: the scalar
-#: reference interpreter, the closure-compiled pipeline, and the
-#: whole-grid fused-numpy backend (whose chain falls back through
-#: compiled/scalar on refusals — the agreement must hold either way).
-ENGINES = ("scalar", "compiled", "fused")
+from tests.engines import (
+    ALL_RUNS, FALLBACK_RUNS, ONE, RUNS, blocks, check_engines,
+)
 
 
 def refusal(program):
@@ -38,46 +34,30 @@ def refusal(program):
     return plan if isinstance(plan, str) else None
 
 
-def run_both(source, global_size, local_size, make_args, kernel_name=None,
-             engines=ENGINES):
-    """Run a kernel on every engine; returns one (buffers, counters)
-    pair per engine.
+def run_on(source, global_size, local_size, make_args, engine):
+    """``(buffers, counters)`` of one launch of ``source`` on ``engine``.
 
     ``make_args`` builds a fresh argument dict (with fresh output
-    buffers) per engine so the engines cannot observe each other.
+    buffers) per launch so the engines cannot observe each other.
     """
-    results = []
-    for engine in engines:
-        program = OpenCLProgram(source)
-        args = make_args()
-        counters = launch(
-            program, global_size, local_size, args,
-            kernel_name=kernel_name, engine=engine,
-        )
-        outs = {
-            name: v.data.copy()
-            for name, v in args.items()
-            if isinstance(v, Buffer)
-        }
-        results.append((outs, counters))
-    return results
+    program = OpenCLProgram(source)
+    args = make_args()
+    counters = launch(program, global_size, local_size, args, engine=engine)
+    outs = {
+        name: v.data.copy() for name, v in args.items() if isinstance(v, Buffer)
+    }
+    return outs, counters
 
 
 def assert_engines_agree(source, global_size, local_size, make_args,
-                         engines=ENGINES):
-    results = run_both(source, global_size, local_size, make_args,
-                       engines=engines)
-    (outs_s, c_s) = results[0]
-    for engine, (outs, counters) in zip(engines[1:], results[1:]):
-        for name in outs_s:
-            np.testing.assert_array_equal(
-                outs_s[name], outs[name],
-                err_msg=f"buffer {name!r} differs on engine {engine!r}",
-            )
-        assert vars(c_s) == vars(counters), (
-            f"counters differ on {engine!r}:\n"
-            f"scalar: {vars(c_s)}\n{engine}: {vars(counters)}"
-        )
+                         **checks):
+    """:func:`tests.engines.check_engines` on one launch of ``source``."""
+    return check_engines(
+        lambda engine: run_on(
+            source, global_size, local_size, make_args, engine
+        ),
+        global_size, local_size, **checks,
+    )
 
 
 class TestDivergentControlFlow:
@@ -244,36 +224,35 @@ class TestDivergentControlFlow:
           out[i] = acc;
         }
         """
-        results = run_both(
+        results = assert_engines_agree(
             src, 16, 4,
             lambda: {"x": Buffer.from_array(np.arange(16, dtype=float) + 1),
                      "out": Buffer.zeros(16), "n": 3},
         )
-        outs_s, c_s = results[0]
-        assert c_s.cached_loads > 0
-        for outs_v, c_v in results[1:]:
-            assert vars(c_s) == vars(c_v)
-            np.testing.assert_array_equal(outs_s["out"], outs_v["out"])
+        assert results["scalar"][1].cached_loads > 0
 
 
 def assert_typed_everywhere(source, global_size, local_size, make_args):
     """Bitwise buffers + equal Counters vs scalar on every engine, each
-    launch served by the engine's *first* chain member (the backend the
-    engine is named after) with no ledger event: declared C types leave
-    nothing for a tier to decline."""
+    launch served by the first member of its engine's chain with no
+    ledger event: declared C types leave nothing for a tier to
+    decline."""
     from repro.backend import ledger
     from repro.obs import metrics
 
     ledger.clear()
+    # Every chain of RUNS starts with compiled.
+    expected = {"scalar": 1, "compiled": len(RUNS)}
     before = {
-        b: metrics.REGISTRY.counter(f"launch.served.{b}")
-        for b in ENGINES
+        b: metrics.REGISTRY.counter(f"launch.served.{b}") for b in expected
     }
     assert_engines_agree(source, global_size, local_size, make_args)
     assert ledger.events() == ()
     for backend, count in before.items():
         served = metrics.REGISTRY.counter(f"launch.served.{backend}")
-        assert served == count + 1, f"{backend} did not serve its launch"
+        assert served == count + expected[backend], (
+            f"{backend} did not serve its launches"
+        )
 
 
 class TestDeclaredTypes:
@@ -296,11 +275,11 @@ class TestDeclaredTypes:
             src, 32, 8,
             lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(32)},
         )
-        outs, counters = run_both(
+        outs, counters = run_on(
             src, 32, 8,
             lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(32)},
-            engines=("scalar",),
-        )[0]
+            "scalar",
+        )
         lanes = np.arange(32)
         expected = np.where(lanes % 8 < 4, x / 2, 0.0)
         np.testing.assert_array_equal(outs["out"], expected)
@@ -335,7 +314,7 @@ class TestDeclaredTypes:
         """
         make = lambda: {"out": Buffer.zeros(16, "int"), "half": Buffer.zeros(16)}
         assert_typed_everywhere(src, 16, 8, make)
-        outs, _ = run_both(src, 16, 8, make, engines=("scalar",))[0]
+        outs, _ = run_on(src, 16, 8, make, "scalar")
         even = np.arange(16) % 2 == 0
         np.testing.assert_array_equal(outs["out"], np.where(even, -2, 2))
         np.testing.assert_array_equal(outs["half"], np.where(even, -1.0, 1.0))
@@ -357,7 +336,7 @@ class TestDeclaredTypes:
                         "out": Buffer.zeros(32),
                         "trunc": Buffer.zeros(32, "int")}
         assert_typed_everywhere(src, 32, 8, make)
-        outs, _ = run_both(src, 32, 8, make, engines=("scalar",))[0]
+        outs, _ = run_on(src, 32, 8, make, "scalar")
         np.testing.assert_array_equal(
             outs["out"], 1.5 + np.where(x > 2.0, 1.0, 0.5) / 2
         )
@@ -374,7 +353,7 @@ class TestDeclaredTypes:
         """
         make = lambda: {"out": Buffer.zeros(16), "alpha": 5, "n": 12.0}
         assert_typed_everywhere(src, 16, 8, make)
-        outs, counters = run_both(src, 16, 8, make, engines=("scalar",))[0]
+        outs, counters = run_on(src, 16, 8, make, "scalar")
         np.testing.assert_array_equal(
             outs["out"], np.where(np.arange(16) < 12, 2.5, 0.0)
         )
@@ -400,7 +379,7 @@ class TestDeclaredTypes:
                         "out": Buffer.zeros(32),
                         "cnt": Buffer.zeros(32, "int")}
         assert_typed_everywhere(src, 32, 8, make)
-        outs, _ = run_both(src, 32, 8, make, engines=("scalar",))[0]
+        outs, _ = run_on(src, 32, 8, make, "scalar")
         pos = x > 0.0
         np.testing.assert_array_equal(
             outs["out"], (np.where(pos, 2.0, 1.0) + x) / 2
@@ -422,7 +401,7 @@ class TestDeclaredTypes:
         # The graceful chains still agree with the scalar oracle.
         assert_engines_agree(
             src, 8, 8, lambda: {"out": Buffer.zeros(8)},
-            engines=("scalar", "auto", "fused"),
+            runs=FALLBACK_RUNS, refused=True,
         )
 
     def test_mixed_ternary_arms_decline_with_their_reason(self):
@@ -444,7 +423,7 @@ class TestDeclaredTypes:
             launch(OpenCLProgram(src), 16, 8, make(), engine="compiled")
         ledger.clear()
         assert_engines_agree(
-            src, 16, 8, make, engines=("scalar", "auto", "fused")
+            src, 16, 8, make, runs=FALLBACK_RUNS, refused=True
         )
         assert {(e.kind, e.reason) for e in ledger.events()} == {("static", reason)}
 
@@ -649,18 +628,14 @@ class TestFallback:
 
         from repro.backend import ledger
 
-        a_s = args()
-        c_s = launch(program, 8, 4, a_s, engine="scalar")
-        a_auto = args()
         ledger.clear()
-        c_auto = launch(program, 8, 4, a_auto, engine="auto")  # falls back
-        np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
-        np.testing.assert_array_equal(a_s["scratch"].data, a_auto["scratch"].data)
-        assert vars(c_s) == vars(c_auto)
+        # auto falls back; the strict tier refuses in either layout.
+        results = assert_engines_agree(src, 8, 4, args, races=True)
+        assert [results[run] for run in RUNS[1:]] == [None, None]
         # The decline keeps its real reason: kernel + the engine's message.
-        dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
-        assert [(e.engine, e.backend) for e in dynamic] == [("auto", "compiled")]
-        assert dynamic[0].reason.startswith("K: cross-lane ")
+        (auto,) = [e for e in ledger.events() if e.engine == "auto"]
+        assert (auto.backend, auto.kind) == ("compiled", "dynamic")
+        assert auto.reason.startswith("K: cross-lane ")
         with pytest.raises(VectorizationError, match="compiled: K: cross-lane "):
             launch(program, 8, 4, args(), engine="compiled")
 
@@ -684,16 +659,12 @@ class TestFallback:
         def args():
             return {"flag": Buffer.zeros(1), "out": Buffer.zeros(8)}
 
-        a_s = args()
-        c_s = launch(program, 8, 4, a_s, engine="scalar")
-        a_auto = args()
-        c_auto = launch(program, 8, 4, a_auto)
+        # One block refuses the launch; a block per group orders the
+        # groups as the scalar engine does.
+        results = assert_engines_agree(src, 8, 4, args, races=True)
+        assert results["compiled", ONE] is None
         # Group 0 runs first in the scalar engine, so it reads 0.0.
-        np.testing.assert_array_equal(a_s["out"].data, np.zeros(8))
-        np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
-        assert vars(c_s) == vars(c_auto)
-        with pytest.raises(VectorizationError):
-            launch(program, 8, 4, args(), engine="compiled")
+        np.testing.assert_array_equal(results["scalar"][0]["out"], np.zeros(8))
 
     def test_rollback_restores_buffers(self):
         # The race is only hit after some lanes already stored; auto mode
@@ -706,15 +677,12 @@ class TestFallback:
           out[i] = out[i] + scratch[0];
         }
         """
-        program = OpenCLProgram(src)
-        out = Buffer.from_array(np.full(8, -1.0))
-        scratch = Buffer.zeros(1)
-        launch(program, 8, 8, {"out": out, "scratch": scratch})
-        expected = Buffer.from_array(np.full(8, -1.0))
-        scratch2 = Buffer.zeros(1)
-        launch(program, 8, 8, {"out": expected, "scratch": scratch2},
-               engine="scalar")
-        np.testing.assert_array_equal(out.data, expected.data)
+        assert_engines_agree(
+            src, 8, 8,
+            lambda: {"out": Buffer.from_array(np.full(8, -1.0)),
+                     "scratch": Buffer.zeros(1)},
+            races=True,
+        )
 
     #: What codegen emitted for ``tests.programs.double_staged_rows()``
     #: before map intermediates were multiplied by the enclosing
@@ -761,13 +729,10 @@ class TestFallback:
         source = compile_kernel(
             prog, CompilerOptions(local_size=(4, 4, 1))
         ).source
-        (outs_s, c_s), (outs_c, c_c) = run_both(
+        results = assert_engines_agree(
             source, (8, 8, 1), (4, 4, 1), self._double_staging_args,
-            engines=("scalar", "compiled"),
         )
-        for name in outs_s:
-            np.testing.assert_array_equal(outs_s[name], outs_c[name])
-        assert vars(c_s) == vars(c_c)
+        outs_c, _ = results["compiled", ONE]
         nested = np.arange(256, dtype=float).reshape(2, 2, 4, 16).tolist()
         np.testing.assert_array_equal(
             outs_c["out"], np.asarray(apply_fun(prog, [nested], {})).ravel()
@@ -782,8 +747,8 @@ class TestFallback:
                 self._double_staging_args(), engine="compiled",
             )
 
-    @pytest.mark.parametrize("engine", ("auto",) + ENGINES)
-    def test_vector_literal_arity_is_a_typed_error(self, engine):
+    @pytest.mark.parametrize("engine, layout", ALL_RUNS)
+    def test_vector_literal_arity_is_a_typed_error(self, engine, layout):
         # Neither a splat nor one item per component: the oracle raises,
         # the lane tiers refuse statically with the oracle's message, and
         # no tier writes the output (a tier that accepted the kernel used
@@ -798,13 +763,13 @@ class TestFallback:
         """
         x = Buffer.from_array(np.full(8, 7.0))
         ledger.clear()
-        with pytest.raises(ExecError) as err:
+        with pytest.raises(ExecError) as err, blocks(layout, 8, 4):
             launch(OpenCLProgram(src), 8, 4, {"x": x}, engine=engine)
         assert "vector literal float4 with 2 items" in str(err.value)
         np.testing.assert_array_equal(x.data, np.full(8, 7.0))
         # One static decline per lane-batched member of the chain, each
         # naming the construct.
-        lane_members = {"scalar": 0, "auto": 1, "compiled": 1, "fused": 2}
+        lane_members = {"scalar": 0, "auto": 1, "compiled": 1}
         assert [e.reason for e in ledger.events()] == (
             ["vector literal float4 with 2 items"] * lane_members[engine]
         )
@@ -896,21 +861,3 @@ class TestSimplifyMemoization:
         assert S.prove_lt(i, n)
         assert len(S._PROVE_LT_CACHE) == 1
         assert S.prove_lt(Var("i", Range.of(0, n)), Var("N", Range.natural()))
-
-
-class TestVectorBenchsuiteParity:
-    """Spot-check full-benchmark parity (the exhaustive sweep runs in
-    the benchsuite tests; these two cover the local-memory and
-    helper-function heavy paths)."""
-
-    @pytest.mark.parametrize("name", ["gemv", "kmeans"])
-    def test_reference_and_generated_parity(self, name):
-        from repro.benchsuite.common import get_benchmark
-
-        bench = get_benchmark(name)
-        inputs, size_env = bench.inputs_for("small")
-        for runner in (bench.run_reference, bench.run_generated):
-            out_s, c_s = runner(inputs, size_env, engine="scalar")
-            out_a, c_a = runner(inputs, size_env)
-            np.testing.assert_array_equal(out_s, out_a)
-            assert vars(c_s) == vars(c_a)

@@ -26,7 +26,10 @@ from repro.opencl import simt_compile
 from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
 from repro.compiler.options import OPTIMIZATION_LEVELS
 from tests.programs import checked_static_types, partial_dot, simple_map_add_one
-from tests.test_simt import ENGINES, assert_engines_agree, run_both
+from tests.engines import (
+    ALL_RUNS, FALLBACK_RUNS, ONE, SEVERAL, blocks, check_engines,
+)
+from tests.test_simt import assert_engines_agree, run_on
 
 _REDUCTION = """
 kernel void REDUCE(const global float * restrict x, global float *out) {
@@ -117,14 +120,8 @@ class TestEngineTiers:
             return {"x": Buffer.from_array(x.copy()),
                     "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
 
-        a_s = args()
-        c_s = launch(program, 8, 4, a_s, engine="scalar")
-        a_auto = args()
-        c_auto = launch(program, 8, 4, a_auto)
-        np.testing.assert_array_equal(a_s["out"].data, a_auto["out"].data)
-        assert vars(c_s) == vars(c_auto)
-        with pytest.raises(VectorizationError):
-            launch(program, 8, 4, args(), engine="compiled")
+        results = assert_engines_agree(src, 8, 4, args, races=True)
+        assert results["compiled", ONE] is None
 
 
 class TestOversizedWorkGroups:
@@ -172,16 +169,10 @@ class TestMemberAccess:
         program = OpenCLProgram(src)
         assert simt_compile.get_pipeline(program.parsed, program.kernel()) is not None
         x = np.arange(8, dtype=float)
-        results = []
-        for engine in ENGINES:
-            out = Buffer.zeros(8)
-            c = launch(program, 8, 4,
-                       {"x": Buffer.from_array(x.copy()), "out": out},
-                       engine=engine)
-            results.append((out.data.copy(), vars(c)))
-        for out, counters in results[1:]:
-            np.testing.assert_array_equal(results[0][0], out)
-            assert counters == results[0][1]
+        assert_engines_agree(
+            src, 8, 4,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(8)},
+        )
 
     def test_non_xyzw_vector_member_store_raises_like_the_interpreter(self):
         # The engines' _VEC_MEMBERS lookup raises KeyError for stores to
@@ -196,8 +187,8 @@ class TestMemberAccess:
         }
         """
         program = OpenCLProgram(src)
-        for engine in ENGINES:
-            with pytest.raises(KeyError):
+        for engine, layout in ALL_RUNS:
+            with pytest.raises(KeyError), blocks(layout, 4, 4):
                 launch(program, 4, 4, {"out": Buffer.zeros(4)}, engine=engine)
 
 
@@ -276,16 +267,11 @@ class TestWrittenRootsAnalysis:
           out[i] = x[0] + (float) i;
         }
         """
-        program = OpenCLProgram(src)
-        shared = Buffer.from_array(np.zeros(8))
-        c_auto = launch(program, 8, 4, {"x": shared, "out": shared})
-        expected = Buffer.from_array(np.zeros(8))
-        c_s = launch(
-            program, 8, 4,
-            {"x": expected, "out": expected}, engine="scalar",
-        )
-        np.testing.assert_array_equal(shared.data, expected.data)
-        assert vars(c_auto) == vars(c_s)
+        def aliased():
+            shared = Buffer.from_array(np.zeros(8))
+            return {"x": shared, "out": shared}
+
+        assert_engines_agree(src, 8, 4, aliased, races=True)
 
 
 class TestCrossEngineFuzz:
@@ -301,93 +287,86 @@ class TestCrossEngineFuzz:
         factory = CompilerOptions.none if level == "none" else CompilerOptions.all
 
         def run(engine):
-            return compile_and_run(
+            result = compile_and_run(
                 partial_dot(), {"x": x, "y": y}, {"N": n},
                 global_size=128, options=factory(local_size=(64, 1, 1)),
                 engine=engine,
             )
+            return {"out": result.output}, result.counters
 
-        ref = run("scalar")
-        # The graceful chains and the strict tiers alike must accept
-        # the kernel at every level (declared types are authoritative:
-        # the hoisted ``float acc;`` of level ``none`` no longer mixes
+        # The graceful chain and the strict tier alike must accept the
+        # kernel at every level (declared types are authoritative: the
+        # hoisted ``float acc;`` of level ``none`` no longer mixes
         # integer and float lanes) and reproduce the scalar result bit
         # for bit.
-        for engine in ("auto", "fused", "compiled"):
-            other = run(engine)
-            np.testing.assert_array_equal(
-                ref.output, other.output,
-                err_msg=f"{engine} output differs",
-            )
-            assert vars(ref.counters) == vars(other.counters), (
-                f"{engine} counters differ"
-            )
+        check_engines(run, 128, 64)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_map_add_one_fuzz(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.choice([16, 32, 64, 128]))
         x = rng.standard_normal(n)
-        results = []
-        for engine in ENGINES:
-            run = compile_and_run(
+
+        def run(engine):
+            result = compile_and_run(
                 simple_map_add_one(), {"x": x}, {"N": n}, global_size=n,
                 options=CompilerOptions.all(local_size=(16, 1, 1)),
                 engine=engine,
             )
-            results.append((run.output.copy(), vars(run.counters)))
-        for engine, (out, counters) in zip(ENGINES[1:], results[1:]):
-            np.testing.assert_array_equal(results[0][0], out)
-            assert counters == results[0][1]
+            return {"out": result.output}, result.counters
+
+        check_engines(run, n, 16)
 
 
 class TestCrossBackendBenchsuite:
-    """The whole benchsuite is bitwise-identical on the fused backend.
+    """The whole benchsuite is bitwise-identical on ``auto`` and over
+    several blocks.
 
-    Every reference program of the suite runs under ``engine="fused"``
-    (whole-grid execution, fused or generic segments, fallback chain)
-    and must reproduce the scalar interpreter's buffers *and* counters
-    exactly; the heavier generated-kernel pipelines are spot-checked on
-    the benchmarks covering local-memory staging, 2-D launches and
+    Every reference program of the suite runs on ``auto`` and on
+    ``compiled`` with each work-group a block of its own and must
+    reproduce the scalar interpreter's buffers *and* counters exactly;
+    the heavier generated-kernel pipelines are spot-checked on the
+    benchmarks covering local-memory staging, 2-D launches and
     helper-function calls.
     """
 
+    @staticmethod
+    def _agree(name, run):
+        bench = get_benchmark(name)
+        inputs, size_env = bench.inputs_for("small")
+
+        def launch_once(engine):
+            output, counters = getattr(bench, run)(inputs, size_env, engine=engine)
+            return {"out": output}, counters
+
+        check_engines(launch_once, runs=(("auto", ONE), ("compiled", SEVERAL)))
+
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-    def test_reference_bitwise_on_fused(self, name):
-        from repro.benchsuite.common import get_benchmark
+    def test_reference_bitwise_over_several_blocks(self, name):
+        self._agree(name, "run_reference")
 
-        bench = get_benchmark(name)
-        inputs, size_env = bench.inputs_for("small")
-        out_s, c_s = bench.run_reference(inputs, size_env, engine="scalar")
-        out_f, c_f = bench.run_reference(inputs, size_env, engine="fused")
-        np.testing.assert_array_equal(out_s, out_f)
-        assert vars(c_s) == vars(c_f)
-
-    @pytest.mark.parametrize("name", ["gemv", "mm-nvidia", "nbody-nvidia"])
-    def test_generated_bitwise_on_fused(self, name):
-        from repro.benchsuite.common import get_benchmark
-
-        bench = get_benchmark(name)
-        inputs, size_env = bench.inputs_for("small")
-        out_s, c_s = bench.run_generated(inputs, size_env, engine="scalar")
-        out_f, c_f = bench.run_generated(inputs, size_env, engine="fused")
-        np.testing.assert_array_equal(out_s, out_f)
-        assert vars(c_s) == vars(c_f)
+    @pytest.mark.parametrize(
+        "name", ["gemv", "kmeans", "mm-nvidia", "nbody-nvidia"]
+    )
+    def test_generated_bitwise_over_several_blocks(self, name):
+        self._agree(name, "run_generated")
 
 
-class TestWholeGridLayout:
-    def test_fused_runs_the_launch_as_one_block(self):
-        # The acceptance witness for "zero per-work-group Python loop
-        # iterations": the whole-grid geometry holds every work-group in
-        # a single block, where the blocked tier would iterate.
-        from repro.opencl.simt import MAX_LANES, _block_geometry
+class TestBlockLayout:
+    def test_the_geometry_follows_the_block_cap(self, monkeypatch):
+        # Blocks of whole work-groups, at most MAX_LANES lanes each, the
+        # last one ragged; the geometry is cached per shape *and* cap,
+        # so a cap a test patches in is never served another's blocks.
+        from repro.opencl import simt
 
-        gsize, lsize = (4 * MAX_LANES, 1, 1), (64, 1, 1)
-        blocked = _block_geometry(gsize, lsize)
-        grid = _block_geometry(gsize, lsize, whole_grid=True)
-        assert len(blocked["blocks"]) > 1
-        assert len(grid["blocks"]) == 1
-        assert grid["blocks"][0]["lanes"] == 4 * MAX_LANES
+        gsize, lsize = (4 * 256 + 3 * 64, 1, 1), (64, 1, 1)
+        (whole,) = simt._block_geometry(gsize, lsize)["blocks"]
+        assert whole["lanes"] == gsize[0]
+        monkeypatch.setattr(simt, "MAX_LANES", 256)
+        assert gsize[0] > simt.MAX_LANES
+        blocks = simt._block_geometry(gsize, lsize)["blocks"]
+        assert [b["lanes"] for b in blocks] == [256] * 4 + [192]
+        assert [b["first_group"] for b in blocks] == [0, 4, 8, 12, 16]
 
 
 class TestStaticTypes:
@@ -426,7 +405,7 @@ class TestStaticTypes:
         with pytest.raises(VectorizationError, match=re.escape(reason)):
             launch(OpenCLProgram(src), 8, 4, make(), engine="compiled")
         ledger.clear()
-        assert_engines_agree(src, 8, 4, make, engines=("scalar", "auto", "fused"))
+        assert_engines_agree(src, 8, 4, make, runs=FALLBACK_RUNS, refused=True)
         assert {(e.kind, e.reason) for e in ledger.events()} == {("static", reason)}
         # Refused once per (kernel, element kinds): later plans hit the cache.
         assert simt_compile.compile_count() == walks + 1
@@ -546,7 +525,7 @@ class TestStaticTypes:
 
 
 #: Corner cases of the typing rules, each bitwise and count-equal on
-#: ``scalar`` / ``compiled`` / ``fused``: (source, argument factory) for
+#: every engine and block layout: (source, argument factory) for
 #: a launch of 8 work-items in groups of 4.
 _TYPED_CORNERS = {
     "bool arithmetic": ("""
@@ -641,7 +620,9 @@ class TestTypedCorners:
         # Loads take the kind of the launch's buffer: ``inp[i] * 2`` over
         # int64 data is integer work, and ``inp[i] / 2`` a shift.
         source, make_args = _TYPED_CORNERS["int64 data behind a float pointer"]
-        for outs, counters in run_both(source, 8, 4, make_args):
+        for outs, counters in assert_engines_agree(
+            source, 8, 4, make_args
+        ).values():
             assert counters.flops == 0
             assert counters.iops == 8 * 3
             # C integer division truncates toward zero.
@@ -709,8 +690,6 @@ class TestComparisonsAreInts:
                         "a": Buffer.from_array(np.arange(-4, 4)),
                         "out": Buffer.zeros(8)}
         with checked_static_types():
-            assert_engines_agree(
-                src, 8, 4, make, engines=("scalar", "auto", "compiled", "fused")
-            )
-        (outs, _), = run_both(src, 8, 4, make, engines=("scalar",))
+            assert_engines_agree(src, 8, 4, make)
+        outs, _ = run_on(src, 8, 4, make, "scalar")
         np.testing.assert_array_equal(outs["out"], expected)
