@@ -43,7 +43,7 @@ from repro.ir.dsl import (
 from repro.ir.patterns import ReduceSeq, transpose_indices
 from repro.compiler.codegen import CodeGenError, compile_kernel
 from repro.compiler.kernel import compile_and_run
-from tests.engines import check_engines
+from tests.engines import RUNS, check_engines
 from repro.compiler.options import CompilerOptions
 
 from tests.programs import (
@@ -363,10 +363,14 @@ class TestPrivateAllocation:
         )
         return Lambda([x], compose(join(), map_wrg(group), split(width))(x))
 
+    @pytest.mark.parametrize(
+        "lanes", RUNS, ids=["-".join(run) for run in RUNS]
+    )
     @pytest.mark.parametrize("level", ALL_LEVELS)
-    def test_sixteen_elements_on_eight_work_items(self, level):
+    def test_sixteen_elements_on_eight_work_items(self, level, lanes):
         """Every work-item holds two elements: one ``float`` that each
-        overwrites returned ``[9..16, 9..16, 25..]`` at every level."""
+        overwrites returned ``[9..16, 9..16, 25..]`` at every level, on
+        every lane tier over one block and over several."""
         data = np.arange(64, dtype=float)
         kernel = compile_kernel(
             self._copy_through_private(), level(local_size=(8, 1, 1))
@@ -380,7 +384,7 @@ class TestPrivateAllocation:
             )
             return {"out": result.output}, result.counters
 
-        outs, _ = check_engines(run, 32, 8)["scalar"]
+        outs, _ = check_engines(run, 32, 8, runs=(lanes,))["scalar"]
         np.testing.assert_array_equal(outs["out"], data + 1.0)
 
     @pytest.mark.parametrize("level", ALL_LEVELS)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.arith import Var
-from repro.backend import ENGINES, get_backend, ledger
+from repro.backend import get_backend, ledger, resolve
 from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
 from repro.benchsuite.explore import run_explore
 from repro.benchsuite.figure8 import run_figure8
@@ -216,10 +216,11 @@ kernel void K(const global float * restrict x, global float *scratch,
 """
 
 
-def _refused_launch(kind, engine, monkeypatch):
+def _refused_launch(kind, engine, monkeypatch, prefer=False):
     """Launch a kernel that every member of ``engine``'s chain but the
     last declines with a real failure of ``kind``; returns the buffers
-    and Counters."""
+    and Counters.  ``prefer`` names ``engine`` through
+    ``REPRO_SIM_ENGINE`` instead of ``launch(engine=...)``."""
     x = Buffer.from_array(np.arange(8, dtype=float))
     if kind == "static":
         program = OpenCLProgram(STATIC_REFUSAL)
@@ -228,11 +229,13 @@ def _refused_launch(kind, engine, monkeypatch):
         program = OpenCLProgram(DYNAMIC_REFUSAL)
         args = {"x": x, "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
     else:
-        _crash_plans(monkeypatch, *ENGINES[engine][:-1])
+        _crash_plans(monkeypatch, *resolve(engine, prefer)[:-1])
         program = OpenCLProgram(SAXPY)
         args = {"x": x, "y": Buffer.from_array(np.ones(8)),
                 "out": Buffer.zeros(8), "a": 2.0, "n": 8}
-    counters = launch(program, 8, 4, args, engine=engine)
+    if prefer:
+        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
+    counters = launch(program, 8, 4, args, engine=None if prefer else engine)
     buffers = {
         name: arg.data.copy() for name, arg in args.items()
         if isinstance(arg, Buffer)
@@ -271,6 +274,25 @@ class TestCrashShield:
             assert (output.tobytes(), vars(shielded)) == expected
             assert ledger.counts() == {("auto", "compiled", "crash"): launches}
 
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_a_crash_in_the_first_tier_hands_over_to_the_next(
+        self, name, crashing_plan, monkeypatch
+    ):
+        """``compiled`` named through ``REPRO_SIM_ENGINE`` is a
+        preference: the crash a strict launch re-raises leaves each
+        launch to the ``scalar`` tail, which gives the scalar buffers
+        and Counters; the one crash per launch is the only decline."""
+        monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
+        for run, launches, inputs, size_env, expected in _benchsuite_runs(
+            name
+        ):
+            ledger.clear()
+            output, counters = run(inputs, size_env)
+            assert (output.tobytes(), vars(counters)) == expected
+            assert ledger.counts() == {
+                ("compiled", "compiled", "crash"): launches
+            }
+
 
 @functools.lru_cache(maxsize=None)
 def _scalar_runs(name):
@@ -302,21 +324,25 @@ def _benchsuite_runs(name):
 
 class TestEachDeclineKind:
     """Each decline kind, provoked by the real failure it stands for,
-    on the chain with more than one member: every member but the last
-    declines once, and the launch gives the scalar buffers and
-    Counters."""
+    on each chain with more than one member (``auto``, and ``compiled``
+    named as a preference): every member but the last declines once,
+    and the launch gives the scalar buffers and Counters."""
 
+    @pytest.mark.parametrize("engine", ["auto", "compiled"])
     @pytest.mark.parametrize("kind", ledger.DECLINE_KINDS)
-    def test_every_member_but_the_last_declines(self, kind, monkeypatch):
-        engine = "auto"
+    def test_every_member_but_the_last_declines(
+        self, kind, engine, monkeypatch
+    ):
+        prefer = engine != "auto"
         expected, counters = _refused_launch(kind, "scalar", monkeypatch)
         assert not ledger.counts()
-        buffers, shielded = _refused_launch(kind, engine, monkeypatch)
+        buffers, shielded = _refused_launch(kind, engine, monkeypatch, prefer)
         assert buffers.keys() == expected.keys()
         for name, data in expected.items():
             assert buffers[name].tobytes() == data.tobytes(), name
         assert vars(shielded) == vars(counters)
-        chain = ENGINES[engine]
+        chain = resolve(engine, prefer)
+        assert len(chain) > 1
         assert chain[-1] == "scalar"
         assert ledger.counts() == {
             (engine, backend, kind): 1 for backend in chain[:-1]
