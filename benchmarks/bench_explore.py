@@ -151,15 +151,16 @@ def main(out_path: str = None) -> None:
             "Rewrite-space exploration baseline: candidates enumerated, "
             "dedup/cache hit-rates and best-vs-menu estimated runtime "
             "(parallelism-aware) per benchmark; cycle and runtime fields "
-            "last refreshed when barrier rule 4 landed (winners and "
-            "derivations unchanged, menu and explorer alike: nn 215 040 "
-            "-> 202 752 cycles, the barrier behind a mapLcl that reads "
-            "inputs and writes the result; gemv 258 112 and mm 117 760 as "
-            "before); the timing fields are from the last machine that "
-            "re-recorded the whole file (the structural-key change: every "
-            "search-quality field came out as it went in), and "
-            "warm_keys_computed — structural keys built by the three warm "
-            "searches, machine-independent — is gated as a ceiling. "
+            "last refreshed when every candidate, menu and explorer "
+            "alike, was compiled for its own global size (winners and "
+            "derivations unchanged: nn 202 752 -> 194 560, gemv 258 112 "
+            "-> 257 856, mm 117 760 -> 115 712 cycles); the timing "
+            "fields are from the last machine that re-recorded the whole "
+            "file (the finish step judging nesting before lowering and "
+            "reading types from the search's table: every search-quality "
+            "field came out as it went in), and warm_keys_computed — "
+            "structural keys built by the three warm searches, "
+            "machine-independent — is gated as a ceiling. "
             "Menu and search share one evaluator, so best-vs-menu is "
             "parity on all three; the menu derives the 2-D tiled mm "
             "too, so the derivation itself is gated via best_trace."

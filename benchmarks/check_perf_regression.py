@@ -7,7 +7,8 @@ recorded on one box, CI runners are another), so the gate compares
 * **simulator** — for each smoke kernel (the hand-written SAXPY and
   barrier reduction, and the generated level-``all`` mriq and
   mm-nvidia), the speedup of the compiled lane-batched tier over the
-  scalar reference interpreter, measured here, must stay within
+  scalar reference interpreter, measured here as the median of
+  ``ROUNDS`` interleaved scalar/compiled rounds, must stay within
   ``TOLERANCE`` (30%) of the same ratio in the checked-in
   ``BENCH_simulator.json``.  A >30% drop means someone made the lane
   tier slower (or the scalar path faster without touching the lane
@@ -78,25 +79,59 @@ from bench_simulator import (  # noqa: E402
 )
 
 
-def _best_launch_seconds(source, global_size, local_size, make_args,
-                         engine, repeats) -> float:
-    """Fastest of ``repeats`` launches.
+#: Rounds of the simulator gate: one scalar run, then the fastest of
+#: ``COMPILED_RUNS`` compiled ones (steady state, as the baseline's
+#: medians of back-to-back runs are; the first compiled run after a
+#: scalar one pays for the caches that run evicted).
+ROUNDS = 9
+COMPILED_RUNS = 10
 
-    The minimum estimates the uncontended cost, which is what makes the
-    ratio below stable on shared CI runners (a median would fold other
-    tenants' noise into the gate).
+
+def _median_ratio(timed, rounds: int = ROUNDS) -> float:
+    """Median over ``rounds`` of scalar seconds / compiled seconds, the
+    two measured back to back in each round, after a warm-up of both.
+
+    Interleaving puts a slow spell of a shared machine on both sides of
+    the round it falls in, and the median leaves out the round a slow
+    outlier spoils, so the ratio stays put on unchanged code (a few
+    scalar samples against many compiled ones let one slow scalar run
+    move it by 30 % or more).
     """
+    timed("scalar")
+    timed("compiled")
+    ratios = []
+    for _ in range(rounds):
+        scalar = timed("scalar")
+        compiled = min(timed("compiled") for _ in range(COMPILED_RUNS))
+        ratios.append(scalar / compiled)
+    return float(np.median(ratios))
+
+
+def _timed_launch(source, global_size, local_size, make_args):
+    """``timed(engine)``: seconds of one launch of ``source`` on fresh
+    arguments (made outside the timed region)."""
     from repro.opencl import OpenCLProgram, launch
 
     program = OpenCLProgram(source)
-    launch(program, global_size, local_size, make_args(), engine=engine)
-    times = []
-    for _ in range(repeats):
+
+    def timed(engine) -> float:
         args = make_args()
         t0 = time.perf_counter()
         launch(program, global_size, local_size, args, engine=engine)
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        return time.perf_counter() - t0
+
+    return timed
+
+
+def _timed_run(run):
+    """``timed(engine)``: seconds of one ``run(engine)``."""
+
+    def timed(engine) -> float:
+        t0 = time.perf_counter()
+        run(engine)
+        return time.perf_counter() - t0
+
+    return timed
 
 
 def measure_simulator_speedups() -> dict:
@@ -123,36 +158,17 @@ def measure_simulator_speedups() -> dict:
         ("test_simulator_barrier_lockstep_throughput", REDUCTION_SOURCE, nr,
          REDUCTION_LOCAL, reduce_args),
     ):
-        scalar = _best_launch_seconds(
-            source, gsize, lsize, make_args, "scalar", repeats=5
+        speedups[name] = _median_ratio(
+            _timed_launch(source, gsize, lsize, make_args)
         )
-        compiled = _best_launch_seconds(
-            source, gsize, lsize, make_args, "compiled", repeats=60
-        )
-        speedups[name] = scalar / compiled
     for name in GENERATED:
         run, _ = generated_kernel(name)
-        scalar = _best_run_seconds(run, "scalar", repeats=3)
-        compiled = _best_run_seconds(run, "compiled", repeats=20)
-        speedups[_generated_row(name)] = scalar / compiled
+        speedups[_generated_row(name)] = _median_ratio(_timed_run(run))
     return speedups
 
 
 def _generated_row(name: str) -> str:
     return f"test_simulator_generated_throughput[{name}]"
-
-
-def _best_run_seconds(run, engine, repeats) -> float:
-    """Fastest of ``repeats`` calls of ``run(engine)`` after a warm-up
-    (see :func:`_best_launch_seconds`)."""
-    run(engine)
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run(engine)
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
 
 
 def baseline_simulator_speedups(baseline: dict) -> dict:

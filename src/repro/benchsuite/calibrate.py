@@ -5,7 +5,7 @@ re-runs the rewrite-space search on each benchmark (populating the
 :mod:`repro.obs.analysis` calibration log with one record per evaluated
 candidate) and prints, per workload, how well the pre-execution
 prediction (``static_program_cost``) ranks candidates against the
-measured-counter model (``estimate_runtime``): Spearman rank
+measured-counter model (``runtime_from_cycles``): Spearman rank
 correlation, top-1/top-5 regret, and scale-aligned residuals.
 
 The same numbers land in the ``calibration`` section of the

@@ -7,7 +7,7 @@ derivation trace and launch geometry, and compares it against the fixed
 lowering menu of :func:`repro.rewrite.autotune.default_candidates` (the
 paper-era baseline; same evaluator, config and cache).  Ranking is by
 parallelism-aware estimated runtime
-(:func:`repro.opencl.cost.estimate_runtime`); the report also records
+(:func:`repro.opencl.cost.runtime_from_cycles`); the report also records
 where the measured winner sat in the *static* pre-execution ranking —
 the acceptance bar is that the parallelism-aware static model puts the
 derived schedule ahead before anything runs.  The same entry points

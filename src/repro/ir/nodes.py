@@ -113,6 +113,9 @@ class FunDecl:
     __slots__ = ()
 
     arity: int = 1
+    #: The function this one nests: a pattern's own ``f`` slot shadows
+    #: it; lambdas, user functions and leaf patterns nest none.
+    f: Optional["FunDecl"] = None
 
     def __call__(self, *args: Expr) -> FunCall:
         return FunCall(self, args)
@@ -236,7 +239,7 @@ class Pattern(FunDecl):
     specialization) walks and rebuilds patterns through this structural
     protocol alone, so none of them names a concrete subclass:
 
-    * ``f`` — the nested function, absent on leaves.  A pattern that
+    * ``f`` — the nested function, ``None`` on leaves.  A pattern that
       nests one stores it in a slot called ``f`` and defines
       ``with_f(g)``: the same pattern and payload around ``g``.
     * ``payload`` — the names of the static slots (split factor, thread

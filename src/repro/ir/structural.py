@@ -179,7 +179,7 @@ def _applied(f: FunDecl, head: tuple, kids: list, free: tuple) -> tuple:
     """The key of a node that is ``head`` and ``kids`` (over ``free``)
     so far and applies — or is — the declaration ``f``."""
     while type(f) is not Lambda:
-        inner = getattr(f, "f", None)
+        inner = f.f
         head += (_own_text(f, inner is not None),)
         if inner is None:
             break

@@ -16,20 +16,22 @@ versions — and keeps what is cached about a node true:
   and, when nothing matched, the whole program — is the caller's own
   node.  A search is then tree work proportional to what changes, not to
   program size times rules.
-* *Whoever annotates clones first*: ``typed_clone`` (whose result
-  ``static_program_cost`` prices), ``specialize_sizes``, ``tile_2d``'s
-  typing probe, and ``lowering._apply_strategy`` (its result is compiled
-  in place).  For them :func:`clone_expr` / :func:`clone_decl` stay full
-  deep copies — no ``FunCall``, ``Lambda`` or bound ``Param`` in common
-  with the input — because the annotations they are about to write must
-  land on nodes no other program version can reach.
+* *Whoever annotates clones first*: ``typed_clone``,
+  ``specialize_sizes``, ``tile_2d``'s typing probe, and
+  ``lowering._apply_strategy`` (its result is compiled in place).  For
+  them :func:`clone_expr` / :func:`clone_decl` stay full deep copies —
+  no ``FunCall``, ``Lambda`` or bound ``Param`` in common with the
+  input — because the annotations they are about to write must land on
+  nodes no other program version can reach.  A reader of types that
+  must not copy keeps them beside the nodes instead
+  (:class:`~repro.ir.typecheck.TypeMemo`, the explorer's).
 * *Structure is write-once; only annotations are mutable.*  A
   ``FunCall``'s ``f`` / ``args``, a ``Lambda``'s ``params`` / ``body``
   and a pattern's ``f`` and payload are assigned in ``__init__`` and
   never again: a different structure is a different node.  The
   structural key cached on every node (:mod:`repro.ir.structural`) and
   every per-subtree memo indexed by it (:func:`transform_calls`'s
-  ``done``, the explorer's ``SearchMemo``) rely on it.
+  ``done``, the explorer's ``SearchMemo``, ``TypeMemo``) rely on it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from repro.ir.structural import key
 def nested_fun(f: FunDecl) -> Optional[FunDecl]:
     """The function ``f`` nests: a pattern's ``f``; ``None`` for leaf
     patterns, lambdas and user functions."""
-    return getattr(f, "f", None)
+    return f.f
 
 
 def unwrap(f: FunDecl) -> FunDecl:
@@ -58,8 +60,8 @@ def body_of(f: FunDecl) -> Optional[Expr]:
     """The lambda body at the end of ``f``'s nested-function chain
     (``mapSeq(toLocal(λx. body))`` gives ``body``); ``None`` when the
     chain ends in a user function or a leaf pattern."""
-    while f is not None and not isinstance(f, Lambda):
-        f = nested_fun(f)
+    while f is not None and type(f) is not Lambda:
+        f = f.f
     return None if f is None else f.body
 
 

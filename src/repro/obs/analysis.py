@@ -8,7 +8,7 @@ this module because they answer the same question at two levels:
 
 * **Calibration** (:class:`CalibrationLog`): does the pre-execution
   prediction (``static_program_cost``) rank candidates the way the
-  measured-counter model (``estimate_runtime``) does?  Every candidate
+  measured-counter model (``runtime_from_cycles``) does?  Every candidate
   the explorer evaluates is recorded as ``(structural hash, derivation
   trace, static cost, modeled runtime, measured cycles, wall seconds)``
   and summarized per workload as Spearman rank correlation, top-1/top-5
@@ -147,7 +147,7 @@ class CalibrationRecord:
     #: *before* paying for compilation.
     static_cost: float
     #: The measured-counter model's runtime estimate
-    #: (:func:`~repro.opencl.cost.estimate_runtime`) — the quantity the
+    #: (:func:`~repro.opencl.cost.runtime_from_cycles`) — the quantity the
     #: final ranking uses, and calibration's ground truth.
     modeled_runtime: float
     #: Weighted cycle total over measured Counters.

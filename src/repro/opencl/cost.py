@@ -17,9 +17,9 @@ Two quantities come out of the model:
   Figure 8 plots generated-kernel performance relative to the
   hand-written reference at identical launch geometry, so total work is
   the right quantity there (both sides divide by the same parallelism).
-* :func:`estimate_runtime` — total work divided by the *effective
+* :func:`runtime_from_cycles` — that total divided by the *effective
   parallelism* of the launch (work-items, warp-padded and capped by the
-  device's occupancy limit).  Schedule search must use this one: a 2-D
+  device's occupancy limit).  Schedule search ranks by this one: a 2-D
   tiled schedule does slightly *more* total work than a flat 1-D one
   (staging copies, index arithmetic) but spreads it over many more
   threads — ranking by total work alone can never prefer the wider
@@ -37,6 +37,7 @@ from repro.arith import simplify
 from repro.types import ArrayType
 from repro.ir.nodes import FunCall, Lambda, Literal, Param, UserFun
 from repro.ir import patterns as pat
+from repro.ir.typecheck import type_reader
 from repro.opencl.interp import Counters
 
 
@@ -200,20 +201,11 @@ def effective_parallelism(
 def runtime_from_cycles(
     cycles: float, profile: DeviceProfile, global_size, local_size
 ) -> float:
-    """Divide already-weighted total work by the launch's effective
-    parallelism (used when the weighted cycles come from a cache)."""
-    return cycles / effective_parallelism(profile, global_size, local_size)
-
-
-def estimate_runtime(
-    counters: Counters, profile: DeviceProfile, global_size, local_size
-) -> float:
-    """Parallelism-aware runtime estimate: total weighted work divided by
+    """Parallelism-aware runtime estimate: already-weighted total work
+    (:func:`estimate_cycles`, measured or read from a cache) divided by
     the launch's effective parallelism.  This is what schedule search
     ranks by — see the module docstring."""
-    return runtime_from_cycles(
-        estimate_cycles(counters, profile), profile, global_size, local_size
-    )
+    return cycles / effective_parallelism(profile, global_size, local_size)
 
 
 DEVICES = {
@@ -227,7 +219,8 @@ DEVICES = {
 # ---------------------------------------------------------------------------
 
 def static_program_cost(
-    fun, size_env, profile: DeviceProfile, local_size=None, global_size=None
+    fun, size_env, profile: DeviceProfile, local_size=None, global_size=None,
+    types=None,
 ) -> float:
     """Estimate the *critical-path* cost of a Lift IL program without
     running it.
@@ -256,15 +249,18 @@ def static_program_cost(
       factor.
 
     Only the *ordering* of candidates matters; absolute numbers are
-    meaningless.  ``fun`` must carry its types — every trip count is read
-    off an annotation — and it is only read: pass the private, typed
-    copy the geometry was picked from
-    (:func:`repro.rewrite.explore.typed_clone`).  An untyped program is
-    a ``LiftTypeError``.
+    meaningless.  Every trip count is read off a type: ``types`` is the
+    ``{node: type}`` table of a :class:`repro.ir.typecheck.TypeMemo` (what
+    the explorer passes), or ``None`` for a program annotated in place
+    (a typed private copy).  ``fun`` is only read.  An untyped program
+    is a ``LiftTypeError``.
     """
-    if fun.body.type is None:
+    type_of = type_reader(types)
+    if type_of(fun.body) is None:
         raise pat.LiftTypeError("static_program_cost prices a typed program")
-    estimator = _StaticEstimator(dict(size_env), profile, local_size, global_size)
+    estimator = _StaticEstimator(
+        dict(size_env), profile, local_size, global_size, type_of
+    )
     cost = estimator.expr(fun.body, 1.0, "global", {})
     if global_size is not None:
         items = 1
@@ -293,8 +289,9 @@ class _StaticEstimator:
     DEFAULT_WIDTH = 64
 
     def __init__(self, size_env, profile: DeviceProfile,
-                 local_size=None, global_size=None):
+                 local_size, global_size, type_of):
         self.size_env = size_env
+        self.type_of = type_of
         self.profile = profile
         self.local_size = tuple(local_size) if local_size is not None else None
         self.global_size = tuple(global_size) if global_size is not None else None
@@ -302,7 +299,7 @@ class _StaticEstimator:
     # -- helpers ---------------------------------------------------------
     def _trip(self, expr) -> float:
         """Length of ``expr``'s (array-typed) value, as a float."""
-        t = expr.type
+        t = self.type_of(expr)
         if not isinstance(t, ArrayType):
             return 1.0
         try:
@@ -348,7 +345,7 @@ class _StaticEstimator:
             space = env.get(id(e))
             if space is not None:
                 return space
-            return "global" if isinstance(e.type, ArrayType) else "scalar"
+            return "global" if isinstance(self.type_of(e), ArrayType) else "scalar"
         if isinstance(e, FunCall):
             f = e.f
             if isinstance(f, pat.AddressSpaceWrapper):

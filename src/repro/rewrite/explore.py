@@ -20,12 +20,13 @@ programs collapse to one node — and capped at ``BEAM`` programs per
 level.  Rewriting shares structure: a variant is one new spine from the
 root to its replacement, the rest is its source's own nodes
 (:mod:`repro.ir.visit`: whoever annotates clones first), so the search
-starts from one private copy of the body and clones again only what
-is left after finishing and dedup.  What is true of a subtree is true of it
+starts from one private copy of the body and annotates nothing after
+it.  What is true of a subtree is true of it
 in every derivation that shares it: the search's :class:`SearchMemo`
 keeps, per structural key, a subtree's single-step rewrites under each
-rule, its sequentially finished form and its validity, so a derivation
-costs what its last rewrite changed, not the size of the program.
+rule, its sequentially finished form, its validity and its types, so a
+derivation costs what its last rewrite changed, not the size of the
+program.
 
 The rule menu includes the dimension-aware layer of
 :mod:`repro.rewrite.mapping`: lowering rules parametrized over thread
@@ -41,8 +42,9 @@ high-level patterns are lowered sequentially (``map → mapSeq``,
 ``reduce → reduceSeq``).  A structural validity check rejects schedules
 the OpenCL thread hierarchy cannot express (nested parallel maps over
 the same dimension, ``mapLcl`` outside a work-group of the same
-dimension, parallel patterns under sequential ones, split factors that
-do not divide their input length).
+dimension, parallel patterns under sequential ones) before they are
+lowered; a check on their types rejects split factors that do not
+divide their input length (:func:`finish_candidates`).
 
 Pruning
 -------
@@ -65,7 +67,7 @@ search served entirely from the cycles cache interprets nothing.
 Ranking divides the
 measured-counter cost (:func:`repro.opencl.cost.estimate_cycles`) by
 the launch's effective parallelism
-(:func:`repro.opencl.cost.estimate_runtime`) — wider schedules win when
+(:func:`repro.opencl.cost.runtime_from_cycles`) — wider schedules win when
 their per-thread work shrinks faster than their overheads grow.
 
 Cache key
@@ -108,13 +110,17 @@ from repro.ir.nodes import Expr, FunCall, Lambda, Param, Pattern
 from repro.ir import patterns as pat
 from repro.ir.interp import apply_fun
 from repro.ir.structural import canonical, key, keys_computed
-from repro.ir.typecheck import infer_types
+from repro.ir.typecheck import (
+    SharedAtTwoTypes,
+    TypeMemo,
+    infer_types,
+    type_reader,
+)
 from repro.ir.visit import (
     body_of,
     clone_decl,
     clone_expr,
     nested_fun,
-    post_order,
     transform_calls,
     unwrap,
 )
@@ -378,12 +384,15 @@ _PARALLEL, _LOCAL = 1, 2
 
 class SearchMemo:
     """What one search has worked out about subtrees, indexed by
-    structural key (:func:`repro.ir.structural.key`).
+    structural key (:func:`repro.ir.structural.key`) — or by its shape,
+    for the facts that do not depend on which parameters are free — and,
+    for what is read off types, by node.
 
     Rewriting shares subtrees, rules are pure, and every fact kept here
     is context-free — a function of the subtree alone, or of the
-    subtree and the thread-hierarchy context it is entered in — so each
-    is computed once, by whichever derivation reaches the subtree first.
+    subtree and the thread-hierarchy context (or the free-parameter
+    types) it is entered in — so each is computed once, by whichever
+    derivation reaches the subtree first.
     One :func:`explore_program` call owns one: nothing is process-wide,
     nothing needs invalidating, and it is garbage when the search
     returns.
@@ -395,8 +404,27 @@ class SearchMemo:
         self.rewrites: dict = {}
         #: :func:`~repro.rewrite.lowering.lower_inner_sequential`'s memo.
         self.sequential: dict = {}
+        #: The types of every program finished so far.
+        self.types = TypeMemo()
+        #: :func:`_splits_divide`'s verdict per node, for the search's
+        #: one size environment.
+        self.splits: dict = {}
         self._maps: dict = {}
         self._nesting: dict = {}
+
+    def typed(self, program: Lambda) -> Optional[tuple]:
+        """``(program, {node: type})`` — the search's type table, with
+        no node annotated — or ``(typed clone, None)`` when a node of
+        ``program`` sits at another type in an earlier one; ``None``
+        when it does not type."""
+        try:
+            self.types.infer(program.body)
+            return program, self.types.types
+        except SharedAtTwoTypes:
+            typed = typed_clone(program)
+            return None if typed is None else (typed, None)
+        except Exception:
+            return None
 
     def maps_below(self, e: Expr) -> int:
         """Which maps are among the calls of ``e``
@@ -404,16 +432,19 @@ class SearchMemo:
         — :func:`_collect_parallel` would find something, no types
         needed; :data:`_LOCAL` — a ``mapLcl``, so a ``mapWrg`` around
         ``e`` has local parallelism to use."""
-        if not isinstance(e, FunCall):
+        if type(e) is not FunCall:
             return 0
-        k = key(e)
+        k = (e._key or key(e))[0]
         found = self._maps.get(k)
         if found is None:
             found = _PARALLEL if isinstance(unwrap(e.f), pat.ParallelMap) else 0
             if isinstance(e.f, pat.MapLcl):
                 found |= _LOCAL
-            for child in _children(e):
+            for child in e.args:
                 found |= self.maps_below(child)
+            body = body_of(e.f)
+            if body is not None:
+                found |= self.maps_below(body)
             self._maps[k] = found
         return found
 
@@ -421,9 +452,9 @@ class SearchMemo:
         """:func:`_nesting_ok` of ``e`` entered below the parallel maps
         ``active`` (``(kind, dim)`` pairs), ``seq``: below a sequential
         pattern."""
-        if not isinstance(e, FunCall):
+        if type(e) is not FunCall:
             return True
-        k = (key(e), active, seq)
+        k = ((e._key or key(e))[0], active, seq)
         ok = self._nesting.get(k)
         if ok is None:
             ok = self._nesting[k] = self._well_nested(e, active, seq)
@@ -452,7 +483,10 @@ class SearchMemo:
             if any(kind == "glb" for kind, _ in active):
                 return False
             inner_active = active | {("lcl", f.dim)}
-        elif isinstance(f, (pat.MapSeq, pat.ReduceSeq, pat.Iterate)):
+        elif isinstance(f, (pat.Map, pat.MapSeq, pat.ReduceSeq, pat.Iterate)):
+            # A high-level ``map`` is the ``mapSeq`` it lowers to
+            # (``reduce`` is a ``reduceSeq`` already): the verdict on a
+            # mapped body is the verdict on its sequential lowering.
             inner_seq = True
         # Every work-group map must actually use local parallelism.
         if isinstance(e.f, pat.MapWrg) and not any(
@@ -462,10 +496,11 @@ class SearchMemo:
         # The full data flow — including the bodies of beta-redex
         # lambdas, which the tiled schedules use to share ``toLocal``
         # staging between compute maps.
+        for a in e.args:
+            if not self.nesting_ok(a, active, seq):
+                return False
         inner = body_of(f)
-        return all(self.nesting_ok(a, active, seq) for a in e.args) and (
-            inner is None or self.nesting_ok(inner, inner_active, inner_seq)
-        )
+        return inner is None or self.nesting_ok(inner, inner_active, inner_seq)
 
 
 def _children(e: FunCall) -> list:
@@ -475,28 +510,20 @@ def _children(e: FunCall) -> list:
     return [*e.args] if body is None else [*e.args, body]
 
 
-def _finish_variants(body: Expr, memo: Optional[SearchMemo] = None) -> list:
-    """Lower whatever the search left high-level into executable forms.
+def _mapped_variants(body: Expr, memo: Optional[SearchMemo] = None) -> list:
+    """The thread-hierarchy choices that finish ``body``, before the
+    sequential lowering of what stays high-level.
 
-    Returns ``(finished_body, strategy_label)`` pairs.  A derivation
-    that already chose parallel patterns finishes deterministically
-    (sequential lowering of the rest, label ``None``); one that did not
-    yields one variant per applicable mapping strategy — the flat 1-D
+    Returns ``(mapped_body, strategy_label)`` pairs.  A derivation that
+    already chose parallel patterns has one (label ``None``); one that
+    did not has one per applicable mapping strategy — the flat 1-D
     schedule and, for two-deep map nests, the 2-D ``mapGlb`` nest."""
     memo = memo or SearchMemo()
     if memo.maps_below(body) & _PARALLEL:
-        mapped_bodies = [(body, None)]
-    else:
-        mapped_bodies = [
-            (mapped, f"finish:{name}") for mapped, name in finish_mappings(body)
-        ]
-        if not mapped_bodies:
-            # No high-level map on the spine: a sequential schedule.
-            mapped_bodies = [(body, None)]
-    return [
-        (lower_inner_sequential(mapped, memo.sequential), label)
-        for mapped, label in mapped_bodies
-    ]
+        return [(body, None)]
+    mapped = [(m, f"finish:{name}") for m, name in finish_mappings(body)]
+    # No high-level map on the spine: a sequential schedule.
+    return mapped or [(body, None)]
 
 
 def _nesting_ok(body: Expr, memo: Optional[SearchMemo] = None) -> bool:
@@ -504,40 +531,63 @@ def _nesting_ok(body: Expr, memo: Optional[SearchMemo] = None) -> bool:
     no parallel map under a sequential pattern or over a dimension
     already taken, ``mapLcl`` only inside a ``mapWrg`` of its dimension,
     ``mapGlb`` never mixed with either, and every ``mapWrg`` with a
-    ``mapLcl`` to run."""
+    ``mapLcl`` to run.  A high-level ``map`` counts as the ``mapSeq``
+    it lowers to, so a body is judged before it is lowered."""
     memo = memo or SearchMemo()
     return memo.nesting_ok(body, frozenset(), False)
 
 
-def _splits_divide(body: Expr, size_env: Mapping[str, int]) -> bool:
+def _splits_divide(
+    body: Expr,
+    size_env: Mapping[str, int],
+    types: Optional[Mapping] = None,
+    done: Optional[dict] = None,
+) -> bool:
     """Split factors and vector widths must divide their (typed) input
     lengths exactly (``asVector(4)`` over a one-element array would
-    silently compute garbage)."""
-    for e in post_order(body):
-        if not isinstance(e, FunCall):
-            continue
-        if isinstance(e.f, (pat.Split, pat.AsVector)):
-            arg_t = e.args[0].type
-            if not isinstance(arg_t, ArrayType):
-                return False
-            n = concrete_length(arg_t.length, size_env)
-            if isinstance(e.f, pat.Split):
-                k = concrete_length(e.f.n, size_env)
-            else:
-                k = int(e.f.width)
-            if n is None or k is None:
-                continue  # symbolic: let the type checker decide
-            if k <= 0 or n <= 0 or n % k:
-                return False
-    return True
+    silently compute garbage).  Types as
+    :func:`~repro.ir.typecheck.type_reader` reads them; ``done`` keeps
+    the verdict per call node across calls — a type table gives a node
+    one type in every program that shares it."""
+    type_of = type_reader(types)
+    done = {} if done is None else done
+
+    def fits(e: Expr) -> bool:
+        if type(e) is not FunCall:
+            return True
+        ok = done.get(e)
+        if ok is None:
+            ok = done[e] = _split_fits(e, size_env, type_of) and all(
+                map(fits, _children(e))
+            )
+        return ok
+
+    return fits(body)
 
 
-def _collect_parallel(body: Expr) -> list:
+def _split_fits(e: FunCall, size_env: Mapping[str, int], type_of) -> bool:
+    """The check of :func:`_splits_divide` at one call."""
+    f = e.f
+    if not isinstance(f, (pat.Split, pat.AsVector)):
+        return True
+    arg_t = type_of(e.args[0])
+    if not isinstance(arg_t, ArrayType):
+        return False
+    n = concrete_length(arg_t.length, size_env)
+    k = concrete_length(f.n, size_env) if isinstance(f, pat.Split) else int(f.width)
+    if n is None or k is None:
+        return True  # symbolic: let the type checker decide
+    return not (k <= 0 or n <= 0 or n % k)
+
+
+def _collect_parallel(body: Expr, types: Optional[Mapping] = None) -> list:
     """Pre-order ``(kind, dim, trip-length-expr, staging)`` of parallel
     map calls.  ``staging`` marks maps that implement an address-space
     copy (their function sits under ``toLocal``/``toGlobal``/
     ``toPrivate``) — geometry selection prefers the trip counts of the
-    *compute* maps and lets staging loops stride."""
+    *compute* maps and lets staging loops stride.  Types as
+    :func:`~repro.ir.typecheck.type_reader` reads them."""
+    type_of = type_reader(types)
     found: list = []
 
     def walk(e: Expr, staging: bool) -> None:
@@ -549,7 +599,7 @@ def _collect_parallel(body: Expr) -> list:
             kind = {pat.MapGlb: "glb", pat.MapWrg: "wrg", pat.MapLcl: "lcl"}[
                 type(f)
             ]
-            arg_t = e.args[0].type
+            arg_t = type_of(e.args[0])
             length = arg_t.length if isinstance(arg_t, ArrayType) else None
             found.append((kind, f.dim, length, inner_staging))
         if isinstance(f, Lambda):
@@ -656,45 +706,52 @@ def finish_candidates(
     :class:`ExploredCandidate` objects with program and launch geometry
     — and, given a device ``profile``, their ``static_cost`` on it.
 
-    The one finish → validate → dedup → type → geometry → price step,
-    shared by the search (every enumerated derivation) and the fixed
-    menu's 2-D tilings; rejections and collapses are counted on
-    ``stats``.  The programs returned share subtrees with
-    ``high_level``, the derivations and each other, so consumers clone
-    before they annotate (:func:`specialize_sizes`); only
-    :func:`typed_clone` copies here, only what is left after the dedup, and
-    everything that reads types reads that one clone."""
+    The one map → validate → lower → dedup → type → geometry → price
+    step, shared by the search (every enumerated derivation) and the
+    fixed menu's 2-D tilings; rejections and collapses are counted on
+    ``stats``.  Each check runs before the work it spares: the thread
+    hierarchy is judged on the mapped body, so a rejected variant is
+    never lowered, keyed or typed, and types are read off the memo
+    (:meth:`SearchMemo.typed`) rather than a typed clone.  The programs
+    returned share subtrees with ``high_level``, the derivations and
+    each other, so consumers clone before they annotate
+    (:func:`specialize_sizes`)."""
     memo = memo or SearchMemo()
     seen: set = set()
     finished: list = []
     for body, trace in derivations:
-        for fin, finish_label in _finish_variants(body, memo):
-            # Structural rejections first: they read no types, and
-            # most variants die here before being cloned and typed.
+        for mapped, finish_label in _mapped_variants(body, memo):
             # An all-sequential schedule "wins" under the total-work
             # cost model (no loop strides, no barriers) but is never a
             # useful GPU schedule; only parallel ones are ranked.
             if not (
-                _nesting_ok(fin, memo) and memo.maps_below(fin) & _PARALLEL
+                _nesting_ok(mapped, memo) and memo.maps_below(mapped) & _PARALLEL
             ):
                 stats.invalid += 1
                 continue
-            program = Lambda(high_level.params, fin)
-            program_key = key(program)
-            if program_key in seen:
+            lowered = lower_inner_sequential(mapped, memo.sequential)
+            # Every program here has ``high_level``'s parameters, so the
+            # key of its body tells it apart.
+            body_key = key(lowered)
+            if body_key in seen:
                 # Distinct derivations collapsing to one schedule after the
                 # finishing lowering; kept separate from the enumeration-time
                 # dedup_hits so dedup_hit_rate stays a fraction of enumerated.
                 stats.finish_dedup_hits += 1
                 continue
-            typed = typed_clone(program)
+            program = Lambda(high_level.params, lowered)
+            typed = memo.typed(program)
             geometry = None
-            if typed is not None and _splits_divide(typed.body, size_env):
-                geometry = _geometry(_collect_parallel(typed.body), size_env)
+            if typed is not None:
+                fun, types = typed
+                if _splits_divide(fun.body, size_env, types, memo.splits):
+                    geometry = _geometry(
+                        _collect_parallel(fun.body, types), size_env
+                    )
             if geometry is None:
                 stats.invalid += 1
                 continue
-            seen.add(program_key)
+            seen.add(body_key)
             cand = ExploredCandidate(
                 "", program, *geometry,
                 trace=trace + ((finish_label,) if finish_label else ()),
@@ -703,9 +760,10 @@ def finish_candidates(
                 try:
                     with obs.span("explore.static-cost"):
                         cand.static_cost = static_program_cost(
-                            typed, size_env, profile,
+                            fun, size_env, profile,
                             local_size=cand.local_size,
                             global_size=cand.global_size,
+                            types=types,
                         )
                 except Exception:
                     stats.invalid += 1
@@ -941,7 +999,9 @@ def evaluate_candidates(
         anything unexpected propagate unclassified to ``evaluate``.
         """
         cand_hash = obs.analysis.short_hash(cand.canonical_form)
-        options = CompilerOptions(local_size=cand.local_size)
+        options = CompilerOptions(
+            local_size=cand.local_size, global_size=cand.global_size
+        )
 
         def compile_candidate() -> CompiledKernel:
             try:

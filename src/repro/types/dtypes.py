@@ -119,21 +119,32 @@ class TupleType(DataType):
 class ArrayType(DataType):
     """An array with a symbolic length, e.g. ``[float]_N``."""
 
-    __slots__ = ("elem", "length")
+    __slots__ = ("elem", "length", "_canonical", "_hash")
 
     def __init__(self, elem: DataType, length: ArithExpr | int):
         self.elem = elem
         self.length = to_expr(length)
+        self._canonical = None
+
+    def canonical(self) -> tuple:
+        """``(elem, simplified length)``: what equality and the hash
+        compare.  Computed once — a type is immutable, and simplifying
+        every dimension's length on each comparison is not free."""
+        if self._canonical is None:
+            self._canonical = (self.elem, simplify(self.length))
+            self._hash = hash(("ArrayType",) + self._canonical)
+        return self._canonical
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, ArrayType)
-            and other.elem == self.elem
-            and simplify(other.length) == simplify(self.length)
+            and hash(other) == hash(self)
+            and other.canonical() == self.canonical()
         )
 
     def __hash__(self) -> int:
-        return hash(("ArrayType", self.elem, simplify(self.length)))
+        self.canonical()
+        return self._hash
 
     def __repr__(self) -> str:
         return f"[{self.elem}]_{self.length}"

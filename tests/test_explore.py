@@ -18,7 +18,7 @@ from repro.rewrite.explore import (
     evaluate_candidates,
     explore_program,
     _collect_parallel,
-    _finish_variants,
+    _mapped_variants,
     _nesting_ok,
     _splits_divide,
 )
@@ -156,8 +156,11 @@ class TestValidity:
         from repro.ir.nodes import FunCall
         from repro.ir.visit import post_order
 
-        (finished, label), = _finish_variants(_toy_program().body)
+        from repro.rewrite.lowering import lower_inner_sequential
+
+        (mapped, label), = _mapped_variants(_toy_program().body)
         assert label == "finish:mapGlb(0)"
+        finished = lower_inner_sequential(mapped)
         highs = [
             e for e in post_order(finished)
             if isinstance(e, FunCall) and type(e.f) in (pat.Map, pat.Reduce)
@@ -483,7 +486,10 @@ def test_winners_text_is_a_function_of_its_program(name, tmp_path):
     best = alone.best()
     direct = codegen.compile_kernel(
         specialize_sizes(best.program, size_env),
-        CompilerOptions(local_size=best.local_size), memo=False,
+        CompilerOptions(
+            local_size=best.local_size, global_size=best.global_size
+        ),
+        memo=False,
     )
     for result in (cold, warm):
         assert result.best().trace == best.trace
@@ -645,9 +651,10 @@ def test_same_schedule_same_cost_whichever_generator(name):
     assert flat.kernel_source == derived.kernel_source
     if name == "nn":
         chunk32, = [c for c in menu if c.label == "mapWrg/mapLcl(chunk=32)"]
-        # 215040 / 105 with the barrier behind its only mapLcl, which
-        # reads inputs and writes the result (barrier rule 4).
-        assert (chunk32.cycles, chunk32.runtime) == (202752.0, 99.0)
+        # No barrier behind its only mapLcl, which reads inputs and
+        # writes the result (barrier rule 4), and no loop over
+        # work-groups: it is compiled for its own global size.
+        assert (chunk32.cycles, chunk32.runtime) == (194560.0, 95.0)
         assert menu[0] is chunk32
 
 

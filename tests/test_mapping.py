@@ -23,7 +23,11 @@ from repro.rewrite.mapping import (
     untile_2d_indices,
     work_group_1d,
 )
-from repro.rewrite.lowering import lower_to_global, lower_to_work_groups
+from repro.rewrite.lowering import (
+    lower_inner_sequential,
+    lower_to_global,
+    lower_to_work_groups,
+)
 from repro.opencl.cost import (
     DEVICES,
     effective_parallelism,
@@ -163,8 +167,8 @@ class TestTile2d:
         from repro.compiler.options import CompilerOptions
         from repro.rewrite.explore import (
             _collect_parallel,
-            _finish_variants,
             _geometry,
+            _mapped_variants,
             _nesting_ok,
             reference_output,
             specialize_sizes,
@@ -173,7 +177,7 @@ class TestTile2d:
 
         hl, inputs, size_env = self._mm()
         body = one_step_rewrites(tile_2d(8, 8, stage=stage), hl.body)[0]
-        fin, _ = _finish_variants(body)[0]
+        fin = lower_inner_sequential(_mapped_variants(body)[0][0])
         prog = clone_decl(Lambda(list(hl.params), fin))
         typed = clone_decl(prog)
         infer_types(typed.body)
@@ -243,7 +247,7 @@ class TestParallelismAwareCost:
         staged 2-D tile < unstaged 2-D tile < flat 1-D lowering."""
         from repro.benchsuite.common import get_benchmark
         from repro.rewrite.explore import (
-            _collect_parallel, _finish_variants, _geometry,
+            _collect_parallel, _geometry, _mapped_variants,
         )
         from repro.rewrite.strategies import one_step_rewrites
 
@@ -253,7 +257,7 @@ class TestParallelismAwareCost:
         profile = DEVICES["nvidia"]
 
         def cost_of(body):
-            fin, _ = _finish_variants(body)[0]
+            fin = lower_inner_sequential(_mapped_variants(body)[0][0])
             typed = clone_decl(Lambda(list(hl.params), fin))
             infer_types(typed.body)
             local, glob = _geometry(_collect_parallel(typed.body), size_env)

@@ -8,7 +8,10 @@ search neither reads the annotations of the program it was given nor
 leaves any behind — on it or between the schedules it derives."""
 
 import functools
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -482,6 +485,143 @@ def test_finishing_per_shared_subtree_is_finishing_per_program(name):
         for c in finished
     ] == _reference_finish(high_level, derivations, size_env)
     assert len(finished) >= 15 and stats.finish_dedup_hits > 0
+
+
+def _finished_record(name: str) -> dict:
+    """What the depth-3 finish step makes of ``name``: the derivation
+    list (count and digest), the counts of ``ExploreStats`` it fills
+    and every finished schedule (program hash, trace, geometry, static
+    cost), as ``tests/finished_depth3.json`` holds them."""
+    from repro.ir.structural import structural_hash
+    from repro.opencl.cost import DEVICES
+    from repro.rewrite.explore import SearchMemo
+
+    high_level, _, size_env = _bench(name)
+    stats = ExploreStats()
+    memo = SearchMemo()
+    derivations = _enumerate(
+        clone_expr(high_level.body), rule_menu(), ExploreConfig(depth=3),
+        stats, memo,
+    )
+    finished = finish_candidates(
+        high_level, derivations, size_env, stats, memo, DEVICES["nvidia"]
+    )
+    text = "\n".join(
+        " -> ".join(trace) + " " + canonical(body)
+        for body, trace in derivations
+    )
+    return {
+        "derivations": [
+            len(derivations), hashlib.sha256(text.encode()).hexdigest()
+        ],
+        "stats": {
+            k: getattr(stats, k)
+            for k in ("enumerated", "dedup_hits", "finish_dedup_hits", "invalid")
+        },
+        "finished": [
+            [
+                structural_hash(c.program), list(c.trace),
+                list(c.local_size), list(c.global_size), c.static_cost,
+            ]
+            for c in finished
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_finished_schedules_are_pinned(name):
+    """The derivations, the finished schedules and their counts at depth
+    3, recorded when the finish step still lowered, keyed and cloned
+    every variant before judging it: deciding earlier changes none of
+    them.  Re-record only for a deliberate change of the search."""
+    pinned = json.loads(
+        (Path(__file__).parent / "finished_depth3.json").read_text()
+    )
+    assert _finished_record(name) == pinned[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_nesting_is_decided_before_lowering(name):
+    """The finish step judges the thread hierarchy on the mapped body,
+    a high-level ``map`` counting as the ``mapSeq`` it lowers to.  For
+    every derivation and finish mapping at depth 4, that verdict is
+    ``_nesting_ok`` of the lowered body — and of the plain two-walk
+    reference — and "has a parallel map" agrees too."""
+    from repro.rewrite.explore import (
+        _PARALLEL,
+        SearchMemo,
+        _mapped_variants,
+        _nesting_ok,
+    )
+    from repro.rewrite.lowering import lower_inner_sequential
+
+    _, derivations, _ = _derivations(name, 4)
+    memo = SearchMemo()
+    checked = rejected = 0
+    for body, _ in derivations:
+        for mapped, _ in _mapped_variants(body, memo):
+            lowered = lower_inner_sequential(mapped)
+            verdict = _nesting_ok(mapped, memo)
+            assert verdict == _nesting_ok(lowered, SearchMemo())
+            assert verdict == _reference_nesting_ok(lowered)
+            assert bool(memo.maps_below(mapped) & _PARALLEL) == bool(
+                SearchMemo().maps_below(lowered) & _PARALLEL
+            )
+            checked += 1
+            rejected += not verdict
+    assert checked > 200 and 0 < rejected < checked
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_search_types_are_the_types_of_a_clone(name):
+    """Every finished program's types, as the search read them from its
+    table, equal a fresh ``infer_types`` of a private clone, node by
+    node; nothing was annotated to get them."""
+    from repro.rewrite.explore import SearchMemo, typed_clone
+
+    high_level, derivations, size_env = _derivations(name, 4)
+    before = [_annotations(Lambda(high_level.params, b)) for b, _ in derivations]
+    memo = SearchMemo()
+    finished = finish_candidates(
+        high_level, derivations, size_env, ExploreStats(), memo
+    )
+    table = memo.types.types
+    compared = 0
+    for cand in finished:
+        clone = typed_clone(cand.program)
+        for node, copy in zip(
+            post_order(cand.program.body), post_order(clone.body)
+        ):
+            assert table[node] == copy.type, canonical(cand.program)
+            compared += 1
+    assert len(finished) >= 15 and compared > 10 * len(finished)
+    after = [_annotations(Lambda(high_level.params, b)) for b, _ in derivations]
+    assert after == before
+
+
+def test_a_node_shared_at_two_types_is_typed_on_a_clone():
+    """The type table holds one type per node.  A lambda shared by two
+    maps over different element types gives its parameter two: the
+    table refuses it, and the program is typed as a private clone."""
+    from repro.ir import patterns as pat
+    from repro.ir.typecheck import SharedAtTwoTypes, TypeMemo
+    from repro.rewrite.explore import SearchMemo
+
+    n = Var("N")
+    x = Param(ArrayType(FLOAT, n), "x")
+    y = Param(ArrayType(ArrayType(FLOAT, 4), n), "y")
+    p = Param(None, "p")
+    ident = Lambda([p], p)
+    body = FunCall(pat.Zip(2), [
+        FunCall(pat.Map(ident), [x]), FunCall(pat.Map(ident), [y]),
+    ])
+    program = Lambda([x, y], body)
+    with pytest.raises(SharedAtTwoTypes):
+        TypeMemo().infer(body)
+    typed, table = SearchMemo().typed(program)
+    assert table is None and typed is not program
+    assert str(typed.body.type) == "[(float, [float]_4)]_N"
+    assert p.type is None
 
 
 def test_structure_is_write_once(monkeypatch):
