@@ -2,8 +2,10 @@
 
 Tracks how many work-items per second the NDRange simulator executes for
 representative kernels — the hand-written SAXPY and barrier reduction,
-and two kernels the compiler generates at level ``all`` (mriq, a
-uniform inner loop; mm-nvidia, 2-D local tiles) — useful for sizing
+and three kernels the compiler generates at level ``all`` (mriq, a
+uniform inner loop; mm-nvidia, 2-D local tiles; nbody-nvidia, a
+loop-heavy tile loop, the most of what ``benchsuite figure8`` waits
+for) — useful for sizing
 future experiments.  Each
 benchmark is parametrized over the execution backend (``scalar``
 reference interpreter, ``compiled`` pipeline in blocks of work-groups)
@@ -58,6 +60,7 @@ ENGINES = ("scalar", "compiled")
 GENERATED = {
     "mriq": {"N": 128, "M": 32},
     "mm-nvidia": {"M": 16, "N": 16, "Kd": 16},
+    "nbody-nvidia": {"N": 48},
 }
 
 

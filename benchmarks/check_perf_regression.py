@@ -5,8 +5,8 @@ recorded on one box, CI runners are another), so the gate compares
 *machine-relative ratios*, which travel:
 
 * **simulator** — for each smoke kernel (the hand-written SAXPY and
-  barrier reduction, and the generated level-``all`` mriq and
-  mm-nvidia), the speedup of the compiled lane-batched tier over the
+  barrier reduction, and the generated level-``all`` mriq, mm-nvidia
+  and nbody-nvidia), the speedup of the compiled lane-batched tier over the
   scalar reference interpreter, measured here as the median of
   ``ROUNDS`` interleaved scalar/compiled rounds, must stay within
   ``TOLERANCE`` (30%) of the same ratio in the checked-in

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.arith import ArithExpr
-from repro.types import DataType, FLOAT, INT, ScalarType, VectorType
+from repro.types import DataType, FLOAT, ScalarType, VectorType
 from repro.ir.nodes import (
     Expr,
     FunCall,
@@ -214,10 +214,6 @@ def f32(value: float) -> Literal:
     return Literal(float(value), FLOAT)
 
 
-def i32(value: int) -> Literal:
-    return Literal(int(value), INT)
-
-
 def vec_literal(value: float, width: int, elem: ScalarType = FLOAT) -> Literal:
     return Literal(float(value), VectorType(elem, width))
 
@@ -239,10 +235,6 @@ def mult(t: DataType = FLOAT) -> UserFun:
     return UserFun("mult", ["a", "b"], "return a * b;", [t, t], t, py=lambda a, b: a * b)
 
 
-def sub_fun(t: DataType = FLOAT) -> UserFun:
-    return UserFun("subtract", ["a", "b"], "return a - b;", [t, t], t, py=lambda a, b: a - b)
-
-
 def mult_and_sum_up(t: DataType = FLOAT) -> UserFun:
     """acc + x*y — the inner operation of dot product (paper Listing 1)."""
     return UserFun(
@@ -258,6 +250,3 @@ def mult_and_sum_up(t: DataType = FLOAT) -> UserFun:
 def square(t: DataType = FLOAT) -> UserFun:
     return UserFun("square", ["x"], "return x * x;", [t], t, py=lambda x: x * x)
 
-
-def zero_literal(t: DataType = FLOAT) -> Literal:
-    return Literal(0.0 if t == FLOAT else 0, t)

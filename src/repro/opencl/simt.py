@@ -13,7 +13,9 @@ never reads the kernel AST: :mod:`repro.opencl.simt_compile` admits,
 types and lowers a kernel once into a pipeline over a :class:`_Block`,
 from one syntactic scan and one typing walk.  One launcher
 (:func:`try_launch`) runs that pipeline over blocks of whole
-work-groups, at most :data:`MAX_LANES` lanes each.
+work-groups, at most :data:`MAX_LANES` lanes each; a batched loop runs
+the part of its body that reads no carried value over a virtual block
+of many iterations (:class:`_Chunk`).
 
 * ``barrier`` is trivially satisfied: lanes execute in lock-step.  The
   plan only admits kernels whose barriers sit under *group-uniform*
@@ -329,6 +331,13 @@ class _Block:
         self._sole_writes: dict = {}
         self._names = names
         self._traffic = traffic
+        # What the enclosing ``if`` bounds keep the lanes' ids within
+        # (``(terms, greatest sum)``, :meth:`_prefix`), the slices a
+        # batched loop's carried statements read this iteration, and the
+        # lane geometry of its virtual blocks (:class:`_Chunk`).
+        self._guards: list = []
+        self._hoisted: Optional[list] = None
+        self._chunks = geo["chunks"]
 
     def _set_return(self, frame, m, value) -> None:
         """Lanes ``m`` return ``value`` (``None``: nothing), already of
@@ -449,17 +458,7 @@ class _Block:
         ``shape`` the terms' :meth:`_shape_of`."""
         terms = acc.terms
         if terms is None:
-            if acc.coefficients is None:
-                return None
-            if acc.geometric:  # the same for every block of the launch
-                cached = acc.cached
-                if cached is not None and cached[0] is self._shape:
-                    terms = cached[1]
-                else:
-                    terms = acc.coefficients(self)
-                    acc.cached = (self._shape, terms)
-            else:
-                terms = acc.coefficients(self)
+            terms = self._terms(acc)
             if terms is None:
                 return None
         shape = self._shapes.get(terms) or self._shape_of(terms)
@@ -475,6 +474,20 @@ class _Block:
         for k, c in terms:
             u -= c * int(basis[k][lane])
         return terms, u, shape
+
+    def _terms(self, acc) -> Optional[tuple]:
+        """The nonzero ``(basis element, coefficient)`` pairs of an
+        access's fact in this block, or ``None`` (no fact)."""
+        if acc.terms is not None or acc.coefficients is None:
+            return acc.terms
+        if acc.geometric:  # the same for every block of the launch
+            cached = acc.cached
+            if cached is not None and cached[0] is self._shape:
+                return cached[1]
+            terms = acc.coefficients(self)
+            acc.cached = (self._shape, terms)
+            return terms
+        return acc.coefficients(self)
 
     def _shape_of(self, terms: tuple) -> tuple:
         """What the block makes of ``sum(c * id)`` over ``terms``: its
@@ -503,8 +516,21 @@ class _Block:
             aff = self._affine(addr, acc, m, n)
         size = ptr.array.shape[-1]
         if aff is None or aff[1] + aff[2][1] < 0 or aff[1] + aff[2][2] + width > size:
-            self._check_bounds(addr, m, n, size, acc, width)
+            if aff is None or not self._guarded(aff, size - width):
+                self._check_bounds(addr, m, n, size, acc, width)
         return addr, aff
+
+    def _guarded(self, aff, top: int) -> bool:
+        """Whether every address of the fact ``aff`` lies in ``[0,
+        top]`` on the lanes an enclosing ``if`` bound lets through: a
+        guard on the same terms caps their sum (:meth:`_prefix`)."""
+        terms, u, shape = aff
+        if u + shape[1] < 0:
+            return False
+        for guarded, most in self._guards:
+            if guarded == terms and u + min(most, shape[2]) <= top:
+                return True
+        return False
 
     def _check_bounds(self, addr, m, n, size, acc, width) -> None:
         """Raise :class:`OutOfBounds` unless every active lane's
@@ -887,17 +913,24 @@ class _Block:
                 arr[(start[:, None] + cols).ravel()] = value.ravel()
         self._count_stores(ptr, ptr.space, n * width)
 
-    def _prefix(self, value, bound, inclusive: bool, acc, m, n) -> Optional[int]:
-        """``k`` such that ``value < bound`` (``<=`` when ``inclusive``)
-        holds on exactly the active lanes below ``k``, when ``value`` has
-        a fact increasing along the flat lane index; else ``None``."""
+    def _prefix(self, value, bound, inclusive: bool, acc, m, n) -> tuple:
+        """``(k, guard)`` of the test ``value < bound`` (``<=`` when
+        ``inclusive``) where ``value`` has a fact: ``k`` such that it
+        holds on exactly the active lanes below ``k`` when the fact
+        increases along the flat lane index (else ``None``), and
+        ``guard``, ``(terms, most)``: on the lanes it lets through,
+        ``sum(c * id)`` over the fact's terms is at most ``most``.
+        ``(None, None)`` without a fact."""
         if type(value) is not np.ndarray or not isinstance(bound, (int, np.integer)):
-            return None
+            return None, None
         aff = self._affine(value, acc, m, n)
-        if aff is None or not aff[2][3] or aff[2][3] < 0:
-            return None
-        _, u, (at0, _, _, stride) = aff
-        return -(-(int(bound) + inclusive - u - at0) // stride)  # ceil
+        if aff is None:
+            return None, None
+        terms, u, (at0, _, _, stride) = aff
+        guard = (terms, int(bound) + inclusive - 1 - u)
+        if not stride or stride < 0:
+            return None, guard
+        return -(-(int(bound) + inclusive - u - at0) // stride), guard  # ceil
 
     # -- operators -------------------------------------------------------
     def _as_bool(self, v, m) -> np.ndarray:
@@ -939,6 +972,269 @@ class _Block:
         q = _Block._int_div(a, b, m)
         safe = np.where(np.equal(b, 0), 1, b)
         return a - q * safe
+
+    # -- batched loops ---------------------------------------------------
+    def _chunk_geometry(self, count: int) -> dict:
+        """What a :class:`_Chunk` of ``count`` iterations over this
+        block's lanes shares with every other of the launch shape: the
+        real lane ids in lane-major order, its full mask and each virtual
+        lane's iteration (a few counts per shape are kept)."""
+        geo = {
+            "lane_ids": np.repeat(self._lane_ids, count),
+            "full": np.ones(self.L * count, dtype=bool),
+            "iteration": np.tile(np.arange(count), self.L),
+        }
+        for arr in geo.values():
+            arr.setflags(write=False)
+        if len(self._chunks) < 4:
+            self._chunks[count] = geo
+        return geo
+
+    def _absorb(self, chunk: "_Chunk") -> None:
+        """Log the loads of a batched loop's hoisted part."""
+        logs = self._load_log
+        for key, log in chunk._load_log.items():
+            mine = logs.get(key)
+            if mine is None:
+                logs[key] = log
+            else:
+                mine.absorb(log)
+
+
+class _Chunk(_Block):
+    """``count`` iterations of a batched loop as one *virtual block*
+    over the lanes of a real ``block`` (see ``simt_compile``, "batched
+    loops"): ``count * L`` lanes in lane-major order, so that virtual
+    lane ``l * count + j`` is iteration ``j`` on lane ``l`` and
+    ``values[j::count]`` is iteration ``j``'s lane array.
+
+    It runs the loop's hoisted part, which loads but never stores, and
+    shares the real block's ``Counters``, race detectors and segment.
+    Each load is checked and logged as the loop would log it: a read of
+    a tracked buffer is noted once, for the real lane ids (ascending, as
+    the detectors' duplicate-address scatters need), and the load log
+    gets one chunk per iteration where the address has a fact, with that
+    iteration's uniform term (its own log, which the real block takes
+    once the hoisted part succeeded: :meth:`_Block._absorb`)."""
+
+    def __init__(self, block: _Block, count: int):
+        geo = block._chunks.get(count) or block._chunk_geometry(count)
+        self.real = block
+        self.count = count
+        self.counters = block.counters
+        self.L = block.L * count
+        self.global_size = block.global_size
+        self.local_size = block.local_size
+        self.num_groups = block.num_groups
+        self.env = {}
+        self._geo = geo
+        self._lane_ids = geo["lane_ids"]
+        self._full = geo["full"]
+        #: Each virtual lane's iteration, ``0`` to ``count - 1``.
+        self.iteration = geo["iteration"]
+        self._load_log = {}
+        self._hazards = block._hazards
+        self._tracked = block._tracked
+        self._seg_base = block._seg_base
+        self._segment = block._segment
+        self._lanes_per_group = block._lanes_per_group
+        self._guards = []
+        self._hoisted = None
+        self._traffic = None
+
+    def _repeated(self, field: str):
+        """The real block's lane array (or tuple of them) ``field``,
+        each lane's value repeated for its iterations."""
+        geo = self._geo
+        value = geo.get(field)
+        if value is None:
+            real = getattr(self.real, field)
+            if type(real) is tuple:
+                value = tuple(np.repeat(a, self.count) for a in real)
+            else:
+                value = np.repeat(real, self.count)
+            geo[field] = value
+        return value
+
+    lid = property(lambda self: self._repeated("lid"))
+    gid = property(lambda self: self._repeated("gid"))
+    group_ids = property(lambda self: self._repeated("group_ids"))
+    group_row = property(lambda self: self._repeated("group_row"))
+    _basis = property(lambda self: self._repeated("_basis"))
+
+    def _load_log_of(self, ptr, width) -> "_LoadLog":
+        key = (id(ptr.array), width)
+        log = self._load_log.get(key)
+        if log is None:
+            log = self._load_log[key] = _LoadLog(ptr.array, ptr.space, width, self.real.L)
+        return log
+
+    def _address(self, ptr, index, acc, m, n, width=1) -> tuple:
+        """``(addresses, facts)``: ``facts`` is :meth:`_iterations`'
+        where the address has a fact (a lane-varying pointer leaves it,
+        as in the real block).  The facts' end points bound the
+        addresses, else every active lane is checked."""
+        off = ptr.offset
+        aff = None
+        if type(off) is not int:
+            addr = off + index
+        else:
+            addr = index if off == 0 else off + index
+            terms = self.real._terms(acc)
+            if terms is not None:
+                aff = self._iterations(addr, terms, m, n)
+        size = ptr.array.shape[-1]
+        if aff is None or aff[3] < 0 or aff[4] + width > size:
+            self._check_bounds(addr, m, n, size, acc, width)
+        return addr, aff
+
+    def _iterations(self, addr, terms: tuple, m, n) -> Optional[tuple]:
+        """``(terms, us, shape, least, greatest, mask)`` of addresses
+        with a fact: ``us`` holds each iteration's uniform term, read off
+        its first active lane, ``shape`` is the real block's
+        (:meth:`_Block._shape_of`), ``least`` / ``greatest`` bound every
+        active address and ``mask`` is the ``(lane, iteration)`` view of
+        ``m`` (``None`` with every lane active)."""
+        real, count = self.real, self.count
+        shape = real._shapes.get(terms) or real._shape_of(terms)
+        mask = None if n == self.L else m.reshape(-1, count)
+        if type(addr) is not np.ndarray:
+            if terms:
+                return None
+            us = np.full(count, int(addr), dtype=np.int64)
+            live = us
+        elif mask is None:  # lane 0 is active in every iteration
+            us = addr[:count] - sum(c * real._basis0[k] for k, c in terms)
+            live = us
+        else:
+            iterations = np.arange(count)
+            first = np.zeros(count, dtype=np.int64) if mask is None else mask.argmax(0)
+            us = addr.reshape(-1, count)[first, iterations].astype(np.int64)
+            for k, c in terms:
+                us = us - c * real._basis[k][first]
+            live = us if mask is None else us[mask.any(0)]
+        return (terms, us, shape, int(live.min()) + shape[1],
+                int(live.max()) + shape[2], mask)
+
+    def _log(self, ptr, width: int, flat, aff, m, n) -> None:
+        """Log a load of ``width`` (0: a scalar) at the flat addresses
+        ``flat`` and note it to the race detector of a tracked buffer."""
+        tracked = self._tracked is None or id(ptr.array) in self._tracked
+        if aff is not None:
+            self._log_iterations(ptr, width, aff, n)
+        if aff is None or tracked:
+            if n == self.L:
+                aa, lanes = self._lanes(flat), self._lane_ids
+            else:
+                aa, lanes = self._lanes(flat)[m], self._lane_ids[m]
+            if aff is None:
+                self._load_log_of(ptr, width).add(aa, lanes, n, once=False)
+            if tracked:
+                if width:
+                    aa = aa[:, None] + _COLUMNS[width]
+                self._hazard(ptr).note_read(aa, lanes, self._segment, self._seg_base)
+
+    def _log_iterations(self, ptr, width: int, aff: tuple, n) -> None:
+        """One ``(terms, u)`` chunk per iteration with an active lane,
+        as the loop logs it (:meth:`_Block._log_affine`)."""
+        terms, us, shape, _, _, mask = aff
+        log = self._load_log_of(ptr, width)
+        lanes = self.real.L
+        rows = ptr.rows[:: self.count] if type(ptr) is RowPtr else None
+        if mask is None:
+            for u in us.tolist():
+                log.add_affine((terms, u, shape), None, rows, lanes)
+            return
+        counts = np.count_nonzero(mask, axis=0).tolist()
+        for j, (u, k) in enumerate(zip(us.tolist(), counts)):
+            if k:
+                log.add_affine((terms, u, shape), None if k == lanes else mask[:, j], rows, k)
+
+    @staticmethod
+    def _each(aff, is_row: bool) -> bool:
+        """Whether every lane of each iteration, all active, loads at
+        that iteration's one address (``aff[1]``): the values are the
+        iterations' ones, repeated per lane."""
+        return aff is not None and not aff[0] and aff[5] is None and not is_row
+
+    def _gather(self, ptr, index, m, n, acc):
+        arr = ptr.array
+        addr, aff = self._address(ptr, index, acc, m, n)
+        is_row = type(ptr) is RowPtr
+        if ptr.space == "private":
+            self.counters.private_loads += n
+            flat = None
+        else:
+            flat = ptr.rows * arr.shape[1] + addr if is_row else addr
+            self._log(ptr, 0, flat, aff, m, n)
+        if _is_uniform(addr):
+            return arr[ptr.rows, int(addr)] if is_row else arr[int(addr)]
+        if flat is not None and self._each(aff, is_row):
+            return np.tile(arr[aff[1]], self.real.L)
+        if flat is None:
+            safe = addr if n == self.L else np.where(m, addr, 0)
+            return arr[ptr.rows, safe] if is_row else arr[safe]
+        # Inactive lanes read the buffer's first element, as in the
+        # real block.
+        safe = flat if n == self.L else np.where(m, flat, 0)
+        return arr.reshape(-1)[safe] if is_row else arr[safe]
+
+    def _vload(self, ptr, offset, width, m, n, acc):
+        arr = ptr.array
+        start, aff = self._address(ptr, offset * width, acc, m, n, width)
+        is_row = type(ptr) is RowPtr
+        flat = ptr.rows * arr.shape[1] + start if is_row else start
+        if ptr.space == "private":
+            self.counters.private_loads += n * width
+        else:
+            self._log(ptr, width, flat, aff, m, n)
+        if _is_uniform(flat):
+            start = int(start)
+            return np.tile(arr[start : start + width].astype(np.float64), (self.L, 1))
+        if self._each(aff, is_row):
+            values = arr[aff[1][:, None] + _COLUMNS[width]].astype(np.float64)
+            return np.tile(values, (self.real.L, 1))
+        # Inactive lanes read the buffer's first elements.
+        safe = flat if n == self.L else np.where(m, flat, 0)
+        return arr.reshape(-1)[safe[:, None] + _COLUMNS[width]].astype(np.float64)
+
+
+def _expand(value, count: int):
+    """A real block's value as a :class:`_Chunk` of ``count``
+    iterations reads it: each lane's value repeated for its iterations
+    (lane-major); a uniform value as it is."""
+    t = type(value)
+    if t is np.ndarray:
+        return np.repeat(value, count, axis=0)
+    if t is VPtr:
+        if type(value.offset) is not np.ndarray:
+            return value
+        return VPtr(value.array, np.repeat(value.offset, count), value.space)
+    if t is RowPtr:
+        return RowPtr(value.array, np.repeat(value.rows, count),
+                      _expand(value.offset, count), value.space)
+    if t is dict:
+        return {key: _expand(v, count) for key, v in value.items()}
+    return value
+
+
+def _take(value, j: int, count: int):
+    """Iteration ``j``'s part of a value a :class:`_Chunk` of
+    ``count`` iterations computed (a uniform value as it is)."""
+    t = type(value)
+    if t is np.ndarray:
+        return value[j::count]
+    if t is VPtr:
+        if type(value.offset) is not np.ndarray:
+            return value
+        return VPtr(value.array, value.offset[j::count], value.space)
+    if t is RowPtr:
+        return RowPtr(value.array, value.rows[j::count],
+                      _take(value.offset, j, count), value.space)
+    if t is dict:
+        return {key: _take(v, j, count) for key, v in value.items()}
+    return value
+
 
 _MISSING = object()
 
@@ -1304,12 +1600,15 @@ class _LoadLog:
     materializes its chunks into per-lane codes.
 
     Those are stored as raw ``(addresses, lanes)`` pairs, encoded as
-    ``addr * L + lane`` only when :meth:`totals` sorts them.
+    ``addr * L + lane`` only when :meth:`totals` sorts them.  A chunk
+    holds one execution of its site, whose pairs are distinct, unless
+    it is a batched loop's (``add(..., once=False)``: several
+    iterations, ``repeats``).
     """
 
     __slots__ = (
         "array", "space", "width_units", "lane_count",
-        "chunks", "affine", "events", "_pending",
+        "chunks", "affine", "events", "repeats", "_pending",
     )
 
     #: Compact (deduplicate) the pending chunks past this many entries.
@@ -1323,11 +1622,13 @@ class _LoadLog:
         self.chunks: list = []  # (addresses, lanes) or (encoded, None)
         self.affine: list = []  # ((terms, u, shape), mask, rows, flat)
         self.events = 0
+        self.repeats = False
         self._pending = 0
 
-    def add(self, aa: np.ndarray, lanes: np.ndarray, n: int) -> None:
+    def add(self, aa: np.ndarray, lanes: np.ndarray, n: int, once: bool = True) -> None:
         self.chunks.append((aa, lanes))
         self.events += n
+        self.repeats = self.repeats or not once
         self._pending += n
         if self._pending > self.COMPACT_AT:
             self.chunks = [(_distinct_sorted(self._encode_all()), None)]
@@ -1336,6 +1637,15 @@ class _LoadLog:
     def add_affine(self, aff: tuple, m, rows, n: int, flat=None) -> None:
         self.affine.append((aff, m, rows, flat))
         self.events += n
+
+    def absorb(self, other: "_LoadLog") -> None:
+        """Take the loads ``other`` logged for the same buffer and
+        width (a batched loop's, :class:`_Chunk`)."""
+        self.chunks += other.chunks
+        self.affine += other.affine
+        self.events += other.events
+        self.repeats = self.repeats or other.repeats
+        self._pending += other._pending
 
     def _closed_form(self) -> Optional[int]:
         """Distinct pairs of chunks that all have one set of terms."""
@@ -1353,8 +1663,21 @@ class _LoadLog:
 
     def _materialize(self, block: "_Block") -> None:
         """The chunks as the per-lane addresses a load without a fact
-        logs (flat: a row's offset folded in)."""
+        logs (flat: a row's offset folded in); the every-lane chunks of
+        one set of terms at once."""
+        every: dict = {}  # (terms, id(rows)) -> [rows, uniform terms]
         for (terms, u, _), m, rows, flat in self.affine:
+            if flat is None and m is None:
+                every.setdefault((terms, id(rows)), [rows, []])[1].append(u)
+        for (terms, _), (rows, us) in every.items():
+            aa = block._values(terms, 0) + np.array(us)[:, None]
+            if rows is not None:
+                aa = rows * self.array.shape[1] + aa
+            self.chunks.append((aa.ravel(), np.tile(block._lane_ids, len(us))))
+            self.repeats = self.repeats or len(us) > 1
+        for (terms, u, _), m, rows, flat in self.affine:
+            if flat is None and m is None:
+                continue
             if flat is not None:
                 self.chunks.append(flat)
                 continue
@@ -1383,7 +1706,7 @@ class _LoadLog:
             self._materialize(block)
         if not self.chunks:
             return 0, 0
-        if len(self.chunks) == 1:
+        if len(self.chunks) == 1 and not self.repeats:
             # One chunk means one execution of one load site: the
             # ``addr * L + lane`` encoding is injective over the
             # distinct active lanes, so every entry is already unique.
@@ -1576,6 +1899,7 @@ def _block_geometry(gsize: tuple, lsize: tuple) -> dict:
                 "units": units,
                 "shapes": {},
                 "injectives": {},
+                "chunks": {},
             }
         )
 

@@ -36,7 +36,10 @@ does the rest:
   flow keeps its own return-mask frame;
 * **written buffers**: the names a store may reach through a pointer,
   helper parameters included (``Pipeline.written``), which the launcher
-  snapshots and race-tracks.
+  snapshots and race-tracks;
+* **batched loops**: a counted loop with a straight-line body runs the
+  part of its body that reads no carried value for many iterations at
+  once (``Pipeline.batched``; "batched loops" below).
 
 The walk types every node or refuses the kernel: a node no rule types,
 or a name, return or member that would hold two types, raises
@@ -109,17 +112,21 @@ from repro.opencl.interp import (
     vector_literal_width,
     vector_type,
 )
+from repro.opencl import simt as _simt
 from repro.opencl.simt import (
     BASIS,
     Access,
     VectorUnsupported,
     _Block,
+    _Chunk,
     _Frame,
     _LANE_DTYPE,
     _VMATH,
     _by_value,
     _convert,
+    _expand,
     _is_uniform,
+    _take,
 )
 
 _align = _Block._align
@@ -576,16 +583,23 @@ def _agreed(names: set, stores: list, given: set) -> set:
     return agreed
 
 
-def _value_of(value, b):
-    """A symbolic uniform value in block ``b`` (``None``: no ``int``)."""
+def _value_of(value, b, lane: Optional[int] = None):
+    """A symbolic uniform value in block ``b`` (``None``: no ``int``);
+    with ``lane``, a name whose lanes were merged under a mask is read
+    on that (active) lane."""
     if type(value) is int:
         return value
     if value[0] == "name":
         v = b.env.get(value[1])
-        return int(v) if isinstance(v, (int, np.integer)) else None
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        if lane is not None and type(v) is np.ndarray and v.ndim == 1 \
+                and v.dtype.kind == "i":
+            return int(v[lane])
+        return None
     if value[0] == "geo":
         return getattr(b, value[1])[value[2]]
-    lhs, rhs = _value_of(value[1], b), _value_of(value[2], b)
+    lhs, rhs = _value_of(value[1], b, lane), _value_of(value[2], b, lane)
     if lhs is None or rhs is None:
         return None
     return lhs + rhs if value[0] == "+" else lhs * rhs
@@ -646,9 +660,14 @@ class _Ctx:
         #: name -> (framed body or inlined parts, its written parameters)
         self.helpers: dict = {}
         self.loads: dict = {}  # name -> its (shared) load closure
+        #: While a batched loop's body compiles, what the scope being
+        #: compiled hoists (:class:`_Hoist`).
+        self.hoist: Optional[_Hoist] = None
+        self.effect_free: dict = {}  # function name -> :func:`_effect_free`
         self.inlined = 0  # call sites compiled inline
         self.accesses = 0  # load and store sites
         self.affine = 0  # of which with a fact
+        self.batched = 0  # loops batched
 
     def type_of(self, e) -> CType:
         return self.typed[id(e)]
@@ -770,6 +789,16 @@ def _converted(kind: str, value_c: ExprFn) -> ExprFn:
 # one call per node.
 
 def _compile_expr(e, ctx: _Ctx) -> ExprFn:
+    if ctx.hoist is not None:
+        hoist = ctx.hoist
+        slot = hoist.slots.get(id(e))
+        if slot is not None:  # hoisted: compiled for the hoisted part too
+            ctx.hoist = None
+            try:
+                value_c = hoist.compiled[id(e)] = _compile_expr(e, ctx)
+            finally:
+                ctx.hoist = hoist
+            return _hoisted(slot, value_c)
     t = type(e)
     if t is c.CIdent:
         name = e.name
@@ -1178,6 +1207,11 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     entry = ctx.helpers.get(name)
     if entry is None:
         entry = ctx.helpers[name] = _compile_helper(fn, ctx)
+    site = None if ctx.hoist is None else ctx.hoist.calls.get(id(e))
+    if site is not None:  # a batched loop hoists part of it at this site
+        counts = ctx.accesses, ctx.affine  # counted once, as before
+        entry = _compile_helper(fn, ctx, site)
+        ctx.accesses, ctx.affine = counts
     helper, writes = entry
     for p, a in zip(fn.params, e.args):
         if p.name in writes:  # the helper stores through this argument
@@ -1186,7 +1220,13 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
     params = _arguments(fn, kinds, arg_cs, arg_ts)
     if type(helper) is tuple:
         ctx.inlined += 1
-        return _inline_call(params, *helper)
+        carried = None
+        if site is not None:  # a batched iteration binds what it reads
+            carried = tuple(
+                (None, ac, None) if pname in site.unread else (pname, ac, passing)
+                for pname, ac, passing in params
+            )
+        return _inline_call(params, *helper, carried)
     return _framed_call(params, helper)
 
 
@@ -1257,46 +1297,62 @@ def _compile_builtin(e: c.CCall, builtin: tuple, arg_cs: list, ctx: _Ctx) -> Exp
 _STRAIGHT_LINE = (c.CDecl, c.CAssign, c.CExprStmt, c.CComment)
 
 
-def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx) -> tuple:
+def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx, hoist=None) -> tuple:
     """``(body, written parameters)`` of a helper, compiled (and typed)
     once per pipeline with the types its first call site's arguments
     give its parameters; a call site makes what it passes for a written
-    parameter written."""
-    caller = ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written, ctx.flows
+    parameter written.  With ``hoist``, compiled for one call site in a
+    batched loop's body."""
+    caller = (
+        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written,
+        ctx.flows, ctx.hoist,
+    )
     ctx.fn, ctx.kinds, ctx.scope = fn, _kinds(fn), Scope()
     ctx.names = ctx.types.names.setdefault(fn.name, {})
     ctx.stack, ctx.written, ctx.flows = ctx.stack + (fn.name,), set(), []
+    ctx.hoist = hoist
     try:
         body = _helper_body(fn, ctx)
         written = ctx.settle()
         return body, frozenset(p.name for p in fn.params if p.name in written)
     finally:
-        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written, ctx.flows = caller
+        (ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written,
+         ctx.flows, ctx.hoist) = caller
 
 
-def _helper_body(fn: c.CFunctionDef, ctx: _Ctx):
-    """A **straight-line** helper (declarations, assignments and
-    expression statements, then at most one ``return`` last) as
-    ``(statements, returned value, return conversion kind)`` for
-    inlining, any other as a statement closure over its own return-mask
-    frame."""
+def _straight_parts(fn: c.CFunctionDef) -> Optional[tuple]:
+    """``(statements, returned expression or None)`` of a
+    **straight-line** helper (declarations, assignments and expression
+    statements, then at most one ``return`` last), else ``None``."""
     stmts = list(fn.body.stmts)
     ret = stmts.pop() if stmts and type(stmts[-1]) is c.CReturn else None
     if not all(type(s) in _STRAIGHT_LINE for s in stmts):
+        return None
+    return stmts, None if ret is None else ret.value
+
+
+def _helper_body(fn: c.CFunctionDef, ctx: _Ctx):
+    """A straight-line helper (:func:`_straight_parts`) as
+    ``(statements, returned value, return conversion kind)`` for
+    inlining, any other as a statement closure over its own return-mask
+    frame."""
+    parts = _straight_parts(fn)
+    if parts is None:
         framed = _compile_stmt(fn.body, ctx, has_returns=True)
         last = [s for s in fn.body.stmts if type(s) is not c.CComment][-1:]
         if not last or type(last[0]) is not c.CReturn:
             ctx.returned(VOID)  # it may fall off its end: a void call
         return framed
+    stmts, ret = parts
     body = tuple(
         s for s in (_compile_stmt(s, ctx, False) for s in stmts)
         if s is not None
     )
-    if ret is None or ret.value is None:
+    if ret is None:
         ctx.returned(VOID)
         return body, None, None
-    ret_c = _compile_expr(ret.value, ctx)
-    vt = ctx.typed[id(ret.value)]
+    ret_c = _compile_expr(ret, ctx)
+    vt = ctx.typed[id(ret)]
     kind = scalar_kind(fn.return_type)
     ctx.returned(stored_type(kind, vt))
     return body, ret_c, (kind if _converts(kind, vt) else None)
@@ -1308,31 +1364,39 @@ def _arguments(fn: c.CFunctionDef, kinds: dict, arg_cs: list, arg_ts: list) -> t
     by-value passing makes of it (lanes or a scalar of the parameter's
     kind, a pointer), else ``_by_value`` (copies vectors and structs,
     converts scalars) — resolved here, at plan time."""
-    params = []
-    for p, ac, t in zip(fn.params, arg_cs, arg_ts):
-        kind = kinds[p.name]
-        if (
-            not is_vector(t)
-            and t.kind != "struct"
-            and (kind is None or not is_arith(t) or t.kind == kind)
-        ):
-            passing = None
-        else:
-            passing = partial(_by_value, kind)
-        params.append((p.name, ac, passing))
-    return tuple(params)
+    return tuple(
+        (p.name, ac, _passing(kinds[p.name], t))
+        for p, ac, t in zip(fn.params, arg_cs, arg_ts)
+    )
 
 
-def _inline_call(params: tuple, body: tuple, ret_c, ret_kind) -> ExprFn:
+def _passing(kind: Optional[str], t: CType, copied: bool = True):
+    """How a parameter of declared ``kind`` receives an argument of
+    type ``t`` (see :func:`_arguments`); without ``copied``, a vector or
+    struct as it is (nothing stores into the parameter's members)."""
+    if not is_vector(t) and t.kind != "struct" and (
+        kind is None or not is_arith(t) or t.kind == kind
+    ) or not copied and (is_vector(t) or t.kind == "struct"):
+        return None
+    return partial(_by_value, kind)
+
+
+def _inline_call(params: tuple, body: tuple, ret_c, ret_kind,
+                 carried: Optional[tuple] = None) -> ExprFn:
     """A straight-line helper in its caller's closure: the framed call's
     environment, argument passing, ``calls`` and return conversion,
-    without the frame (every active lane reaches the one return)."""
+    without the frame (every active lane reaches the one return).  In a
+    batched loop's iteration the ``carried`` parameters are bound
+    instead; one named ``None`` is evaluated and not bound."""
 
     def call_inline(b, m, n):
         env = {}
-        for pname, ac, passing in params:
+        for pname, ac, passing in (
+            params if carried is None or b._hoisted is None else carried
+        ):
             a = ac(b, m, n)
-            env[pname] = a if passing is None else passing(a)
+            if pname is not None:
+                env[pname] = a if passing is None else passing(a)
         b.counters.calls += n
         saved = b.env
         b.env = env
@@ -1375,6 +1439,14 @@ def _framed_call(params: tuple, body: StmtFn) -> ExprFn:
 # ---------------------------------------------------------------------------
 
 def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
+    if ctx.hoist is not None and id(s) in ctx.hoist.dropped:
+        hoist = ctx.hoist
+        ctx.hoist = None
+        try:
+            stmt_c = hoist.compiled[id(s)] = _compile_stmt(s, ctx, has_returns)
+        finally:
+            ctx.hoist = hoist
+        return _unless_hoisted(stmt_c)
     t = type(s)
     if t is c.CBlock:
         return _compile_block(s.stmts, ctx, has_returns)
@@ -1565,42 +1637,638 @@ def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
     # Compiled (and typed) in execution order: init, cond, body, step.
     init_c = _compile_stmt(s.init, ctx, has_returns) if s.init is not None else None
     cond_c = _compile_expr(s.cond, ctx) if s.cond is not None else None
-    body_c = _compile_stmt(s.body, ctx, has_returns)
+    plan = _plan(s, ctx)
+    if plan is None:
+        body_c = _compile_stmt(s.body, ctx, has_returns)
+    else:  # one compile serves the loop and its batched iterations
+        previous, ctx.hoist = ctx.hoist, plan.hoist
+        try:
+            body_c = _compile_stmt(s.body, ctx, has_returns)
+        finally:
+            ctx.hoist = previous
     step_c = _compile_stmt(s.step, ctx, has_returns) if s.step is not None else None
+    if plan is not None:
+        ctx.batched += 1
+        return _batched_for(init_c, cond_c, body_c, step_c, plan.batch())
 
     def run_for(b, m, n, frame):
         if init_c is not None:
             init_c(b, m, n, frame)
-        if frame.returned_any:
-            active = m & ~frame.ret_mask
-            na = int(np.count_nonzero(active))
-        else:
-            active = m
-            na = n
-        counters = b.counters
-        while na:
-            if cond_c is not None:
-                cv = _truth(cond_c(b, active, na))
-                if type(cv) is np.ndarray:
-                    active = active & cv
-                    na = int(np.count_nonzero(active))
-                    if na == 0:
-                        break
-                elif not cv:
-                    # Group-uniform trip counts skip the lane-mask
-                    # re-materialization entirely.
-                    break
-            counters.loop_iterations += na
-            body_c(b, active, na, frame)
-            if frame.returned_any:
-                active = active & ~frame.ret_mask
+        _loop(b, m, n, frame, cond_c, body_c, step_c)
+
+    return run_for
+
+
+def _loop(b, m, n, frame, cond_c, body_c, step_c, iterations=None) -> None:
+    """A ``for`` loop from its first condition on, for the lanes of
+    ``m`` that have not returned; with ``iterations``, at most that many
+    (a batched loop's: its trips are known)."""
+    if frame.returned_any:
+        active = m & ~frame.ret_mask
+        na = int(np.count_nonzero(active))
+    else:
+        active = m
+        na = n
+    counters = b.counters
+    while na and iterations != 0:
+        if cond_c is not None:
+            cv = _truth(cond_c(b, active, na))
+            if type(cv) is np.ndarray:
+                active = active & cv
                 na = int(np.count_nonzero(active))
                 if na == 0:
                     break
-            if step_c is not None:
-                step_c(b, active, na, frame)
+            elif not cv:
+                # Group-uniform trip counts skip the lane-mask
+                # re-materialization entirely.
+                break
+        counters.loop_iterations += na
+        body_c(b, active, na, frame)
+        if frame.returned_any:
+            active = active & ~frame.ret_mask
+            na = int(np.count_nonzero(active))
+            if na == 0:
+                break
+        if step_c is not None:
+            step_c(b, active, na, frame)
+        if iterations is not None:
+            iterations -= 1
 
-    return run_for
+
+# -- batched loops -----------------------------------------------------------
+#
+# A counted loop ``for (i = start; i < bound; i += k)`` whose trip count
+# every active lane shares (``start`` and ``bound`` uniform, ``k`` a
+# positive literal, the body never assigning ``i``) and whose body is
+# straight-line (declarations and assignments to private names or
+# members, expression statements; no store through a pointer, barrier,
+# ``if`` or ``return``; :func:`_effect_free`) is *batched*.  Its
+# *carried* names are those the body assigns but does not declare (the
+# accumulators), and the body-local names it assigns from them.
+#
+# Every subexpression that reads no carried name and that the loop
+# evaluates on every active lane (not inside a ternary arm or the right
+# side of ``&&`` / ``||`` that reads one) is *hoisted*, and so is every
+# body-local declaration (or assignment) none of whose stores reads a
+# carried name.  Straight-line helpers are looked into at each call
+# site (their parameters carried as their arguments are); a helper with
+# control flow is one carried call, whose arguments may still be
+# hoisted.
+#
+# At run time the hoisted part runs once per chunk of iterations over a
+# :class:`~repro.opencl.simt._Chunk` of ``chunk * L`` virtual lanes (at
+# most ``simt.MAX_LANES``), the loop variable holding each iteration's
+# value; then the unchanged loop control runs the body once per
+# iteration, each hoisted expression reading its iteration's slice of
+# the hoisted values (``_Block._hoisted``) and each hoisted statement
+# skipped.  The body compiles once: outside a batched iteration the
+# same closures evaluate everything, as an unbatched loop does.  So
+# every operation is counted as often as the loop counts it, and an
+# exception from the hoisted part lets the rest of the loop run
+# sequentially, raising what the loop raises.
+
+
+class _Hoist:
+    """What one scope of a batched loop hoists: the loop body, or a
+    straight-line helper's body at one call site in it."""
+
+    __slots__ = ("slots", "dropped", "calls", "unread", "compiled")
+
+    def __init__(self):
+        #: ``id(node) -> slot``: a hoisted expression, or a read of a
+        #: hoisted name by a carried statement.
+        self.slots: dict = {}
+        #: The statements (``id``) that run whole in the hoisted part.
+        self.dropped: set = set()
+        #: ``id(call) -> _Hoist`` of a helper's body at that call site.
+        self.calls: dict = {}
+        #: A helper's parameters that only its hoisted part reads (the
+        #: carried call evaluates their arguments and binds nothing).
+        self.unread: frozenset = frozenset()
+        #: ``id(node) ->`` its closure, as the body's compile made it for
+        #: the hoisted part.
+        self.compiled: dict = {}
+
+
+def _assigned_name(target) -> Optional[str]:
+    """The name an assignment to ``target`` stores into (a name or a
+    member of one), or ``None`` (a store through a pointer)."""
+    while type(target) is c.CMember:
+        target = target.base
+    return target.name if type(target) is c.CIdent else None
+
+
+def _effect_free(st, ctx: _Ctx) -> bool:
+    """Whether statement ``st`` stores nothing through a pointer, holds
+    no barrier and no private array, and calls only functions that are
+    effect-free too."""
+    t = type(st)
+    if t is c.CBarrier or t is c.CDecl and st.array_size is not None:
+        return False
+    if t is c.CAssign and _assigned_name(st.target) is None:
+        return False
+    exprs, stmts = statement_parts(st)
+    for e in exprs:
+        if not _calls_effect_free(e, ctx):
+            return False
+    for sub in stmts:
+        if not _effect_free(sub, ctx):
+            return False
+    return True
+
+
+def _calls_effect_free(e, ctx: _Ctx) -> bool:
+    """Whether expression ``e`` calls no ``vstore`` and only helpers
+    that are effect-free (:func:`_effect_free`, once per helper)."""
+    t = type(e)
+    if t is c.CIdent or t is c.CInt or t is c.CFloat:
+        return True
+    if t is c.CCall:
+        if _is_vstore(e.func):
+            return False
+        fn = ctx.parsed.functions.get(e.func)
+        if fn is not None:
+            known = ctx.effect_free.get(fn.name)
+            if known is None:
+                ctx.effect_free[fn.name] = False  # recursion is refused anyway
+                known = ctx.effect_free[fn.name] = _effect_free(fn.body, ctx)
+            if not known:
+                return False
+    for part in children(e):
+        if not _calls_effect_free(part, ctx):
+            return False
+    return True
+
+
+def _flat(stmt, out: list) -> bool:
+    """Append the straight-line statements of a loop body to ``out``;
+    ``False`` for a body that is not straight-line."""
+    t = type(stmt)
+    if t is c.CBlock:
+        return all(_flat(sub, out) for sub in stmt.stmts)
+    if t is c.CComment:
+        return True
+    if t is c.CDecl or t is c.CExprStmt or t is c.CAssign:
+        out.append(stmt)
+        return True
+    return False
+
+
+def _counted(s: c.CFor, ctx: _Ctx) -> Optional[tuple]:
+    """``(variable, bound, inclusive, step)`` of a loop whose trip count
+    every work-item agrees on (the body is checked by :func:`_plan`):
+    ``i = start; i < bound`` (or ``<=``) with a uniform ``start`` and
+    ``bound``, and ``i += k`` (or ``i = i + k``) with a literal ``k >
+    0``; ``bound`` as a symbolic uniform value."""
+    init, cond, step = s.init, s.cond, s.step
+    if type(init) is c.CDecl and init.init is not None and init.array_size is None:
+        var, start = init.name, init.init
+    elif type(init) is c.CAssign and init.op == "=" and type(init.target) is c.CIdent:
+        var, start = init.target.name, init.value
+    else:
+        return None
+    if type(cond) is not c.CBinOp or cond.op not in ("<", "<=") \
+            or type(cond.lhs) is not c.CIdent or cond.lhs.name != var:
+        return None
+    if type(step) is not c.CAssign or type(step.target) is not c.CIdent \
+            or step.target.name != var:
+        return None
+    k = step.value
+    if step.op == "=" and type(k) is c.CBinOp and k.op == "+" \
+            and type(k.lhs) is c.CIdent and k.lhs.name == var:
+        k = k.rhs
+    elif step.op != "+=":
+        return None
+    if type(k) is not c.CInt or k.value <= 0 or ctx.names.get(var) != I:
+        return None
+    bound = _uniform_value(cond.rhs, ctx.scope)
+    if bound is None or _uniform_value(start, ctx.scope) is None \
+            or var in _names(bound):
+        return None
+    return var, bound, cond.op == "<=", k.value
+
+
+def _reads_of(e, names: set, hoist: Optional["_Hoist"] = None) -> set:
+    """``names`` plus the names expression ``e`` reads in its function
+    (a helper's body reads its own), outside what ``hoist`` hoists."""
+    if hoist is None or id(e) not in hoist.slots:
+        if type(e) is c.CIdent:
+            names.add(e.name)
+        for part in children(e):
+            _reads_of(part, names, hoist)
+    return names
+
+
+def _stores_of(stmts) -> list:
+    """``(name, stored value or None, statement)`` per store of a
+    straight-line scope (a member store stores into its base name)."""
+    stores = []
+    for st in stmts:
+        if type(st) is c.CDecl:
+            stores.append((st.name, st.init, st))
+        elif type(st) is c.CAssign:
+            stores.append((_assigned_name(st.target), st.value, st))
+    return stores
+
+
+class _Planner:
+    """What a batched loop hoists (:class:`_Hoist` per scope) and the
+    hoisted part's operations, in the loop's evaluation order:
+    ``("slot", k, expression)``, ``("capture", k, name)`` (a hoisted
+    name's value where a carried statement reads it), ``("stmt",
+    statement)`` and ``("call", helper, parameters, operations, call)``
+    (the hoisted part of a straight-line helper at one call site)."""
+
+    def __init__(self, ctx: _Ctx):
+        self.ctx = ctx
+        self.slots = 0
+        self.straight: dict = {}  # helper name -> _straight_parts
+
+    def parts(self, e) -> Optional[tuple]:
+        """The straight-line parts of the helper ``e`` calls, or
+        ``None`` (a builtin, or a helper with control flow)."""
+        fn = self.ctx.parsed.functions.get(e.func)
+        if fn is None:
+            return None
+        if fn.name not in self.straight:
+            self.straight[fn.name] = _straight_parts(fn)
+        return self.straight[fn.name]
+
+    def varies(self, e, varying: set, memo: Optional[dict] = None) -> bool:
+        """Whether ``e`` reads a carried name or calls a helper with
+        control flow (kept in ``memo`` once ``varying`` is settled)."""
+        t = type(e)
+        if t is c.CIdent:
+            return e.name in varying
+        if t is c.CInt or t is c.CFloat:
+            return False
+        if memo is not None:
+            known = memo.get(id(e))
+            if known is not None:
+                return known
+        if t is c.CCall and e.func in self.ctx.parsed.functions \
+                and self.parts(e) is None:
+            result = True
+        else:
+            result = any(self.varies(part, varying, memo) for part in children(e))
+        if memo is not None:
+            memo[id(e)] = result
+        return result
+
+    def scope(self, stmts, ret, varying: set, local, params) -> tuple:
+        """``(hoist, operations, hoisted names)`` of one scope: its
+        straight-line statements, returned expression (or ``None``), the
+        names carried on entry, the names it may hoist (its own) and its
+        ``params`` (a helper's, at a call site)."""
+        stores = _stores_of(stmts)
+        changed = True
+        while changed:
+            changed = False
+            for name, value, _ in stores:
+                if name not in varying and (
+                    name not in local
+                    or value is not None and self.varies(value, varying)
+                ):
+                    varying.add(name)
+                    changed = True
+        hoisted = {name for name, _, _ in stores} - varying
+        hoist, ops, memo = _Hoist(), [], {}
+        for name, _, st in stores:
+            if name in hoisted:
+                hoist.dropped.add(id(st))
+        for st in stmts:
+            if id(st) in hoist.dropped:
+                ops.append(("stmt", st))
+                continue
+            for e in (st.init,) if type(st) is c.CDecl else (
+                (st.value,) if type(st) is c.CAssign else (st.expr,)
+            ):
+                if e is not None:
+                    self.collect(e, True, varying, hoisted, hoist, ops, memo)
+        if ret is not None:
+            self.collect(ret, True, varying, hoisted, hoist, ops, memo)
+        if params:
+            read: set = set()
+            for st in stmts:
+                if id(st) not in hoist.dropped:
+                    for e in statement_parts(st)[0]:  # a member store's base too
+                        _reads_of(e, read, hoist)
+            if ret is not None:
+                _reads_of(ret, read, hoist)
+            hoist.unread = frozenset(params) - varying - hoisted - read
+        return hoist, ops, hoisted
+
+    def slot(self, e, op: tuple, hoist: _Hoist, ops: list) -> None:
+        hoist.slots[id(e)] = self.slots
+        ops.append((op[0], self.slots, op[1]))
+        self.slots += 1
+
+    def collect(self, e, always: bool, varying, hoisted, hoist, ops, memo) -> None:
+        """Hoist what ``e`` evaluates on every active lane (``always``)
+        and reads no carried name, and capture the hoisted names it
+        reads."""
+        t = type(e)
+        if t is c.CIdent:
+            if e.name in hoisted:
+                self.slot(e, ("capture", e.name), hoist, ops)
+            return
+        if t is c.CInt or t is c.CFloat:
+            return
+        if always and not self.varies(e, varying, memo):
+            self.slot(e, ("slot", e), hoist, ops)
+            return
+        if t is c.CTernary:
+            self.collect(e.cond, always, varying, hoisted, hoist, ops, memo)
+            self.collect(e.then, False, varying, hoisted, hoist, ops, memo)
+            self.collect(e.otherwise, False, varying, hoisted, hoist, ops, memo)
+            return
+        if t is c.CBinOp and e.op in ("&&", "||"):
+            self.collect(e.lhs, always, varying, hoisted, hoist, ops, memo)
+            self.collect(e.rhs, False, varying, hoisted, hoist, ops, memo)
+            return
+        for part in children(e):
+            self.collect(part, always, varying, hoisted, hoist, ops, memo)
+        parts = self.parts(e) if t is c.CCall and always else None
+        if parts is not None:  # a straight-line helper: look inside
+            fn = self.ctx.parsed.functions[e.func]
+            carried = {
+                p.name for p, a in zip(fn.params, e.args) if self.varies(a, varying, memo)
+            }
+            local = {p.name for p in fn.params} | {
+                s.name for s in parts[0] if type(s) is c.CDecl
+            }
+            site, site_ops, _ = self.scope(
+                parts[0], parts[1], carried, local, [p.name for p in fn.params]
+            )
+            if site_ops:
+                hoist.calls[id(e)] = site
+                params = tuple(
+                    (p, a, hoist.slots.get(id(a)))
+                    for p, a in zip(fn.params, e.args) if p.name not in carried
+                )
+                ops.append(("call", fn, params, site_ops, e))
+
+    def closures(self, ops: list, hoist: "_Hoist") -> tuple:
+        """The hoisted part's operations of one scope as closures
+        ``(chunk, mask, count, slots)``, from what the body's compile
+        left in ``hoist.compiled``."""
+        out = []
+        for op in ops:
+            kind = op[0]
+            if kind == "slot":
+                out.append(_hoist_value(op[1], hoist.compiled[id(op[2])]))
+            elif kind == "capture":
+                out.append(_hoist_name(op[1], op[2]))
+            elif kind == "stmt":
+                out.append(_hoist_stmt(hoist.compiled[id(op[1])]))
+            else:
+                _, fn, params, site_ops, call = op
+                kinds = declared_kinds(fn)
+                # A copy keeps a vector or struct argument from a member
+                # store into the parameter: only one the helper makes.
+                mutated = {
+                    _assigned_name(st.target) for st in _straight_parts(fn)[0]
+                    if type(st) is c.CAssign and type(st.target) is c.CMember
+                }
+                sources = tuple(
+                    (p.name,
+                     _slot_source(slot) if slot is not None else _expr_source(
+                         _load(a.name) if type(a) is c.CIdent else _constant(a.value)
+                     ),
+                     _passing(kinds[p.name], self.ctx.type_of(a), p.name in mutated))
+                    for p, a, slot in params
+                )
+                site = hoist.calls[id(call)]
+                out.append(_hoist_call(sources, self.closures(site_ops, site)))
+        return tuple(out)
+
+
+def _hoist_value(slot: int, value_c: ExprFn):
+    def hoist_value(b, m, n, slots):
+        slots[slot] = value_c(b, m, n)
+
+    return hoist_value
+
+
+def _hoist_name(slot: int, name: str):
+    def hoist_name(b, m, n, slots):
+        slots[slot] = b.env[name]
+
+    return hoist_name
+
+
+def _hoist_stmt(stmt_c: StmtFn):
+    return lambda b, m, n, slots: stmt_c(b, m, n, None)
+
+
+def _slot_source(slot: int):
+    return lambda b, m, n, slots: slots[slot]
+
+
+def _expr_source(value_c: ExprFn):
+    return lambda b, m, n, slots: value_c(b, m, n)
+
+
+def _hoist_call(sources: tuple, body: tuple):
+    """The hoisted part of a straight-line helper at one call site, in
+    an environment of the parameters it may read (its carried ones have
+    no value here); it is not a call (the carried part counts that)."""
+
+    def hoist_call(b, m, n, slots):
+        env = {}
+        for name, source, passing in sources:
+            a = source(b, m, n, slots)
+            env[name] = a if passing is None else passing(a)
+        saved = b.env
+        b.env = env
+        for op in body:
+            op(b, m, n, slots)
+        b.env = saved
+
+    return hoist_call
+
+
+def _hoisted(slot: int, value_c: ExprFn) -> ExprFn:
+    """A hoisted expression: in a batched iteration, its slice of the
+    hoisted values; otherwise evaluated."""
+
+    def hoisted(b, m, n):
+        values = b._hoisted
+        return value_c(b, m, n) if values is None else values[slot]
+
+    return hoisted
+
+
+def _unless_hoisted(stmt_c: StmtFn) -> StmtFn:
+    """A hoisted statement: run unless in a batched iteration."""
+
+    def unless_hoisted(b, m, n, frame):
+        if b._hoisted is None:
+            stmt_c(b, m, n, frame)
+
+    return unless_hoisted
+
+
+class _Batch:
+    """A batched loop's plan: its variable, ``bound`` (symbolic),
+    ``inclusive`` and ``step``; the hoisted part's ``ops`` over
+    ``slots`` values; the names of its function it ``reads``, and the
+    body-local ``names`` it assigns."""
+
+    __slots__ = ("var", "bound", "inclusive", "step", "ops", "slots", "reads", "names")
+
+    def __init__(self, header: tuple, ops: tuple, slots: int, reads, names):
+        self.var, self.bound, self.inclusive, self.step = header
+        self.ops, self.slots = ops, slots
+        self.reads, self.names = tuple(reads), tuple(names)
+
+    def hoist(self, b: _Block, m, n: int, first: int, count: int) -> Optional[list]:
+        """The hoisted values of iterations ``first, first + step, ...``
+        (``count`` of them), or ``None`` when the hoisted part raised
+        what the loop may raise (an ``ExecError`` such as
+        ``OutOfBounds``, a race decline, an arithmetic error): nothing
+        counted, nothing logged, and the loop runs on as it does
+        unbatched, raising it in its place.  The body-local names it
+        assigns get their last iteration's values, as the loop leaves
+        them."""
+        chunk = _Chunk(b, count)
+        env, real = chunk.env, b.env
+        for name in self.reads:
+            value = real.get(name)
+            if value is not None:
+                env[name] = _expand(value, count)
+        env[self.var] = first + self.step * chunk.iteration
+        if n == b.L:
+            vm, vn = chunk._full, chunk.L
+        else:
+            vm, vn = np.repeat(m, count), n * count
+        slots = [None] * self.slots
+        counters = b.counters.__dict__
+        before = dict(counters)
+        try:
+            for op in self.ops:
+                op(chunk, vm, vn, slots)
+        except (ExecError, VectorUnsupported, ArithmeticError):
+            counters.update(before)
+            return None
+        b._absorb(chunk)
+        for name in self.names:
+            b._bind(name, _take(env[name], count - 1, count), m, n, True)
+        return slots
+
+
+class _Plan(NamedTuple):
+    """What :func:`_plan` finds a batched loop hoists, before its body
+    compiles (``hoist`` steers that compile)."""
+
+    header: tuple
+    hoist: _Hoist
+    ops: list
+    planner: _Planner
+    reads: frozenset
+    names: frozenset
+
+    def batch(self) -> _Batch:
+        """The plan, once the body compiled."""
+        ops = self.planner.closures(self.ops, self.hoist)
+        return _Batch(self.header, ops, self.planner.slots, self.reads, self.names)
+
+
+def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
+    """What the engine hoists of a loop it batches (see above), or
+    ``None``; a syntactic pass, before the body compiles."""
+    header = _counted(s, ctx)
+    stmts: list = []
+    if header is None or not _flat(s.body, stmts) \
+            or not all(_effect_free(st, ctx) for st in stmts):
+        return None
+    stores = _stores_of(stmts)
+    assigned = {name for name, _, _ in stores}
+    if header[0] in assigned or _names(header[1]) & assigned:
+        return None
+    # Body-local names: declared in the body and not read before (each
+    # iteration rebinds them first; after a chunk the function's flat
+    # environment gets their last values, as the loop leaves them).
+    local = {st.name for st in stmts if type(st) is c.CDecl}
+    carried, seen = set(), set()
+    for st in stmts if local else ():
+        for e in statement_parts(st)[0]:
+            carried |= _reads_of(e, set()) & (local - seen)
+        if type(st) is c.CDecl:
+            seen.add(st.name)
+    planner = _Planner(ctx)
+    hoist, ops, names = planner.scope(stmts, None, carried, local, ())
+    if not ops:
+        return None
+    reads: set = set()
+    for op in ops:
+        if op[0] == "slot":
+            _reads_of(op[2], reads)
+        elif op[0] == "stmt":
+            for e in statement_parts(op[1])[0]:
+                _reads_of(e, reads)
+        elif op[0] == "call":
+            for _, a, slot in op[2]:
+                if slot is None:
+                    _reads_of(a, reads)
+    return _Plan(
+        header, hoist, ops, planner, frozenset(reads - names - {header[0]}),
+        frozenset(names),
+    )
+
+
+def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
+    var, bound, inclusive, step = batch.var, batch.bound, batch.inclusive, batch.step
+
+    def run_batched_for(b, m, n, frame):
+        if init_c is not None:
+            init_c(b, m, n, frame)
+        if frame.returned_any:
+            m = m & ~frame.ret_mask
+            n = int(np.count_nonzero(m))
+        # Outside a batched iteration (an enclosing loop's, when this
+        # one runs in a helper it calls) nothing reads hoisted values.
+        saved, b._hoisted = b._hoisted, None
+        width = _simt.MAX_LANES // b.L
+        if n and width > 1:
+            lane = 0 if n == b.L else int(m.argmax())
+            first = _value_of(("name", var), b, lane)
+            last = _value_of(bound, b, lane)
+            trips = 0 if first is None or last is None else len(
+                range(first, last + inclusive, step)
+            )
+            done = 0
+            while trips - done > 1:
+                count = min(width, trips - done)
+                slots = batch.hoist(b, m, n, first + step * done, count)
+                if slots is None:
+                    break
+                _loop(b, m, n, frame, cond_c, _iterations(body_c, slots, count),
+                      step_c, count)
+                b._hoisted = None
+                done += count
+        # What is left: one last iteration, or the rest after the hoisted
+        # part raised, and the condition that ends the loop.
+        _loop(b, m, n, frame, cond_c, body_c, step_c)
+        b._hoisted = saved
+
+    return run_batched_for
+
+
+def _iterations(body_c: StmtFn, slots: list, count: int) -> StmtFn:
+    """The body of ``count`` batched iterations in turn, each reading
+    its lanes of the hoisted values."""
+    order = iter(range(count))
+
+    def iteration(b, m, n, frame):
+        j = next(order)
+        b._hoisted = [
+            v[j::count] if type(v) is np.ndarray else _take(v, j, count)
+            for v in slots
+        ]
+        body_c(b, m, n, frame)
+
+    return iteration
 
 
 def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
@@ -1653,18 +2321,33 @@ def _prefix_if(lhs: ExprFn, rhs: ExprFn, inclusive: bool, cmp, acc: Access,
         l = lhs(b, m, n)
         r = rhs(b, m, n)
         b.counters.iops += n
-        k = b._prefix(l, r, inclusive, acc, m, n)
+        k, guard = b._prefix(l, r, inclusive, acc, m, n)
+        then = then_c if guard is None else _guarded(then_c, guard)
         if k is None:
-            _branch(b, m, n, frame, cmp(l, r), then_c, else_c)
+            _branch(b, m, n, frame, cmp(l, r), then, else_c)
         elif k >= b.L:
-            then_c(b, m, n, frame)
+            then(b, m, n, frame)
         elif k <= 0:
             if else_c is not None:
                 else_c(b, m, n, frame)
         else:
-            _branch(b, m, n, frame, b._lane_ids < k, then_c, else_c)
+            _branch(b, m, n, frame, b._lane_ids < k, then, else_c)
 
     return run_bound
+
+
+def _guarded(then_c: StmtFn, guard: tuple) -> StmtFn:
+    """``then_c`` with the bound its ``if`` puts on the lanes' ids in
+    force (``_Block._guarded``)."""
+
+    def guarded(b, m, n, frame):
+        b._guards.append(guard)
+        try:
+            then_c(b, m, n, frame)
+        finally:
+            b._guards.pop()
+
+    return guarded
 
 
 def _branch(b, m, n, frame, cv, then_c, else_c) -> None:
@@ -1706,7 +2389,7 @@ class Pipeline:
     __slots__ = (
         "kernel_name", "segments", "has_returns", "pointers",
         "pointer_kinds", "types", "inlined", "sole_names", "written",
-        "accesses", "affine",
+        "accesses", "affine", "batched",
     )
 
     def __init__(self, kernel_name: str, segments: list, has_returns: bool,
@@ -1735,6 +2418,8 @@ class Pipeline:
         #: Load and store sites, and how many of them have a fact.
         self.accesses = ctx.accesses
         self.affine = ctx.affine
+        #: Loops whose hoisted part runs for many iterations at once.
+        self.batched = ctx.batched
 
     def run(self, block: _Block) -> None:
         """Execute one block of work-groups through the pipeline."""
@@ -1894,6 +2579,7 @@ def get_pipeline(
                     compile_span.attrs["inlined"] = entry.inlined
                     compile_span.attrs["accesses"] = entry.accesses
                     compile_span.attrs["affine"] = entry.affine
+                    compile_span.attrs["batched"] = entry.batched
         global _compile_counter
         _compile_counter += 1
         cache[key] = entry

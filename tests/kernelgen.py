@@ -5,8 +5,9 @@ Each kernel is one the lane tiers' plan admits
 (:func:`repro.opencl.simt_compile.get_pipeline`) and well-typed by
 construction.  It mixes int and float scalars, float vectors, casts
 and comparisons in arithmetic; affine, strided and gathered indices,
-pointer offsets and 2-D ids; ``if`` on ids and on data; uniform and
-lane-varying loops; straight-line and branching helpers; local memory
+pointer offsets and 2-D ids; ``if`` on ids and on data; loops of a
+uniform trip count with straight-line bodies (which the engine batches)
+and lane-varying loops; straight-line and branching helpers; local memory
 behind a barrier, sometimes under control only a group's work-items
 agree on (``if`` on the group id, a uniform-trip loop); and a uniform
 scale that changes after an index it scaled was stored.  Every index
@@ -32,7 +33,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.opencl import Buffer, OpenCLProgram, launch, simt
+from repro.opencl import Buffer, OpenCLProgram, launch, simt, simt_compile
 from tests.engines import RUNS, check_engines
 
 #: The block cap the checks run under (``simt.MAX_LANES`` patched).
@@ -53,10 +54,12 @@ STRIDE = 3
 
 @dataclass
 class Kernel:
-    """A generated kernel and the seed its inputs are drawn from."""
+    """A generated kernel, the seed its inputs are drawn from and how
+    many loops of a uniform trip count it holds (each batched)."""
 
     seed: int
     source: str
+    counted_loops: int = 0
 
 
 def buffer_size(lanes: int) -> int:
@@ -74,6 +77,7 @@ class _Gen:
         self.ints: list = []  # lane-varying int names in scope
         self.counter = 0
         self.depth = 0
+        self.counted_loops = 0
 
     # -- names -------------------------------------------------------------
     def fresh(self, prefix: str) -> str:
@@ -184,13 +188,8 @@ class _Gen:
                 self.assign()
                 self.depth -= 1
             self.emit("}")
-        elif kind == 3:  # uniform trip count
-            t = self.fresh("t")
-            self.emit(f"for (int {t} = 0; {t} < {r.randrange(1, 4)}; {t} += 1) {{")
-            self.depth += 1
-            self.assign(loop=t)
-            self.depth -= 1
-            self.emit("}")
+        elif kind == 3:
+            self.counted()
         elif kind == 4:  # lane-varying trip count
             t = self.fresh("t")
             self.emit(f"for (int {t} = 0; {t} < l % 3 + (n > 4); {t} = {t} + 1) {{")
@@ -204,6 +203,28 @@ class _Gen:
             self.emit(f"{self.rng.choice(self.floats)} = {name}.x + {name}.w;")
         else:
             self.assign()
+
+    def counted(self) -> None:
+        """A loop of 0 to 40 trips that every lane shares, whose
+        straight-line body declares names of its own, loads a vector
+        and calls a straight-line helper: the engine batches it."""
+        r = self.rng
+        t, f, w = self.fresh("t"), self.fresh("b"), self.fresh("w")
+        self.counted_loops += 1
+        self.emit(f"for (int {t} = 0; {t} < {r.randrange(41)}; {t} += 1) {{")
+        self.depth += 1
+        self.emit(f"float {f} = {self.float_expr(loop=t)};")
+        self.emit(f"float4 {w} = vload4({t} + {r.randrange(8)}, y);")
+        if r.random() < 0.5:
+            self.emit(f"{f} = line({f}, {w}.{r.choice('xyzw')});")
+        target = r.choice(self.floats)
+        # line(a, 0.5f) is 0.5f - 0.5f * a: the accumulator stays bounded.
+        self.emit(
+            f"{target} = line({target}, 0.5f)"
+            f" + 0.125f * ({f} + {w}.{r.choice('xyzw')});"
+        )
+        self.depth -= 1
+        self.emit("}")
 
     def rescaled(self) -> None:
         """Half the time, a load at an index scaled by a uniform name
@@ -294,7 +315,8 @@ float bend(float a, int k) {
 
 def generate(seed: int, two_d: bool = False, local_lanes: int = 16) -> Kernel:
     """The kernel of ``seed`` (a 2-D launch's when ``two_d``)."""
-    body = _Gen(seed).kernel(two_d)
+    gen = _Gen(seed)
+    body = gen.kernel(two_d)
     source = (
         HELPERS
         + "\nkernel void K(const global float * restrict x,"
@@ -305,7 +327,7 @@ def generate(seed: int, two_d: bool = False, local_lanes: int = 16) -> Kernel:
         + body.replace("% LS", f"% {local_lanes}")
         + "\n}\n"
     )
-    return Kernel(seed, source)
+    return Kernel(seed, source, gen.counted_loops)
 
 
 def arguments(kernel: Kernel, lanes: int) -> dict:
@@ -339,6 +361,9 @@ def check(seed: int, shape: int) -> bool:
     (g0, g1), (l0, l1) = SHAPES[shape]
     kernel = generate(seed, two_d=g1 > 1, local_lanes=l0 * l1)
     gsize, lsize = (g0, g1), (l0, l1)
+    program = OpenCLProgram(kernel.source)
+    plan = simt_compile.get_pipeline(program.parsed, program.kernel())
+    assert plan.batched == kernel.counted_loops, (seed, kernel.source)
     try:
         with mock.patch.object(simt, "MAX_LANES", BLOCK):
             results = check_engines(

@@ -219,19 +219,26 @@ class TypeRecord:
 def holds_fact(b, m, value, fact) -> bool:
     """Whether ``value`` is ``u + sum(c * id)`` on the active lanes of
     block ``b`` for one uniform ``u`` (a fact whose coefficients are no
-    ``int`` in this block claims nothing)."""
+    ``int`` in this block claims nothing).  In a batched loop's virtual
+    block (``simt._Chunk``) each iteration has a ``u`` of its own."""
     import numpy as np
 
     from repro.opencl.simt_compile import _value_of
 
+    real = getattr(b, "real", b)  # coefficients read the block's names
     ids = 0
     for k, coefficient in enumerate(fact):
-        c = _value_of(coefficient, b)
+        c = _value_of(coefficient, real)
         if c is None:
             return True
         ids = ids + c * b._basis[k]
-    uniform = (np.asarray(value) - ids)[m] if np.ndim(ids) else value
-    return np.ndim(uniform) == 0 or np.unique(uniform).size <= 1
+    if not np.ndim(ids) and not np.ndim(value):
+        return True
+    uniform = np.broadcast_to(np.asarray(value) - ids, m.shape)
+    count = getattr(b, "count", 1)  # lane l * count + j: iteration j
+    columns = uniform.reshape(-1, count).T
+    active = m.reshape(-1, count).T
+    return all(np.unique(u[a]).size <= 1 for u, a in zip(columns, active))
 
 
 def lane_type(v):

@@ -521,6 +521,7 @@ class TestStaticTypes:
         # Both helper calls inline; the three loads' addresses are affine.
         assert compiled["args"] == {
             "kernel": "K", "inlined": 2, "accesses": 3, "affine": 3,
+            "batched": 0,
         }
 
 
