@@ -623,6 +623,11 @@ def _access(ctx, pointer, index, scale: int = 1, sole: bool = False) -> Access:
     scaled = tuple((k, _sym("*", scale, v)) for k, v in enumerate(fact) if v != 0)
     if all(type(v) is int for _, v in scaled):
         return Access(pointer, terms=scaled, sole=sole)
+    if ctx.unfixed and any(_names(v) & ctx.unfixed for _, v in scaled):
+        # Its coefficients change from one iteration of a batched loop
+        # to the next: neither a chunk nor a batched iteration reads
+        # them where it could read the iteration's.
+        return Access(pointer, sole=sole)
 
     def coefficients(b):
         terms = [(k, _value_of(v, b)) for k, v in scaled]
@@ -663,6 +668,9 @@ class _Ctx:
         #: While a batched loop's body compiles, what the scope being
         #: compiled hoists (:class:`_Hoist`).
         self.hoist: Optional[_Hoist] = None
+        #: While a batched loop's body compiles, the names its
+        #: iterations change (its variable, what the body assigns).
+        self.unfixed: frozenset = frozenset()
         self.effect_free: dict = {}  # function name -> :func:`_effect_free`
         self.inlined = 0  # call sites compiled inline
         self.accesses = 0  # load and store sites
@@ -1641,11 +1649,12 @@ def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
     if plan is None:
         body_c = _compile_stmt(s.body, ctx, has_returns)
     else:  # one compile serves the loop and its batched iterations
-        previous, ctx.hoist = ctx.hoist, plan.hoist
+        previous = ctx.hoist, ctx.unfixed
+        ctx.hoist, ctx.unfixed = plan.hoist, plan.unfixed
         try:
             body_c = _compile_stmt(s.body, ctx, has_returns)
         finally:
-            ctx.hoist = previous
+            ctx.hoist, ctx.unfixed = previous
     step_c = _compile_stmt(s.step, ctx, has_returns) if s.step is not None else None
     if plan is not None:
         ctx.batched += 1
@@ -1717,15 +1726,19 @@ def _loop(b, m, n, frame, cond_c, body_c, step_c, iterations=None) -> None:
 #
 # At run time the hoisted part runs once per chunk of iterations over a
 # :class:`~repro.opencl.simt._Chunk` of ``chunk * L`` virtual lanes (at
-# most ``simt.MAX_LANES``), the loop variable holding each iteration's
-# value; then the unchanged loop control runs the body once per
-# iteration, each hoisted expression reading its iteration's slice of
-# the hoisted values (``_Block._hoisted``) and each hoisted statement
-# skipped.  The body compiles once: outside a batched iteration the
-# same closures evaluate everything, as an unbatched loop does.  So
-# every operation is counted as often as the loop counts it, and an
-# exception from the hoisted part lets the rest of the loop run
-# sequentially, raising what the loop raises.
+# most ``simt.MAX_LANES``, and ``chunk`` at least :data:`MIN_CHUNK`),
+# the loop variable holding each iteration's value; then the unchanged
+# loop control runs the body once per iteration, each hoisted
+# expression reading its iteration's slice of the hoisted values
+# (``_Block._hoisted``) and each hoisted statement skipped.  The body
+# compiles once: outside a batched iteration the same closures evaluate
+# everything, as an unbatched loop does.  So every operation is counted
+# as often as the loop counts it, and an exception from the hoisted part
+# lets the rest of the loop run sequentially, raising what the loop
+# raises.  An address whose coefficients read a name the iterations
+# change (the loop variable, a name the body assigns) has no fact in
+# the body (:func:`_access`): neither a chunk nor a batched iteration
+# has that name's value at hand.
 
 
 class _Hoist:
@@ -2167,6 +2180,7 @@ class _Plan(NamedTuple):
     planner: _Planner
     reads: frozenset
     names: frozenset
+    unfixed: frozenset
 
     def batch(self) -> _Batch:
         """The plan, once the body compiled."""
@@ -2213,8 +2227,15 @@ def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
                     _reads_of(a, reads)
     return _Plan(
         header, hoist, ops, planner, frozenset(reads - names - {header[0]}),
-        frozenset(names),
+        frozenset(names), frozenset(assigned | {header[0]}),
     )
+
+
+#: The fewest iterations a chunk of a batched loop runs; fewer run as
+#: the unbatched loop does.  On the Figure 8 kernels a chunk of 8 or
+#: more iterations beats the loop and one of 4 or 5 (kmeans, gesummv,
+#: convolution) does not earn back its fixed cost (``opencl/ENGINES.md``).
+MIN_CHUNK = 8
 
 
 def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
@@ -2230,7 +2251,7 @@ def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
         # one runs in a helper it calls) nothing reads hoisted values.
         saved, b._hoisted = b._hoisted, None
         width = _simt.MAX_LANES // b.L
-        if n and width > 1:
+        if n and width >= MIN_CHUNK:
             lane = 0 if n == b.L else int(m.argmax())
             first = _value_of(("name", var), b, lane)
             last = _value_of(bound, b, lane)
@@ -2238,7 +2259,7 @@ def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
                 range(first, last + inclusive, step)
             )
             done = 0
-            while trips - done > 1:
+            while trips - done >= MIN_CHUNK:
                 count = min(width, trips - done)
                 slots = batch.hoist(b, m, n, first + step * done, count)
                 if slots is None:
@@ -2247,8 +2268,9 @@ def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
                       step_c, count)
                 b._hoisted = None
                 done += count
-        # What is left: one last iteration, or the rest after the hoisted
-        # part raised, and the condition that ends the loop.
+        # What is left: fewer iterations than a chunk runs, or the rest
+        # after the hoisted part raised, and the condition that ends
+        # the loop.
         _loop(b, m, n, frame, cond_c, body_c, step_c)
         b._hoisted = saved
 

@@ -38,6 +38,10 @@ from tests.engines import RUNS, check_engines
 
 #: The block cap the checks run under (``simt.MAX_LANES`` patched).
 BLOCK = 256
+#: The fewest iterations a batched loop's chunk runs under the checks
+#: (``simt_compile.MIN_CHUNK`` patched): a block of 64 lanes leaves room
+#: for 4 iterations per chunk.
+CHUNK = 2
 
 #: (global size, local size) per launch shape: small 1-D; more lanes
 #: than one block holds, the last block ragged (three work-groups); 2-D.
@@ -365,7 +369,8 @@ def check(seed: int, shape: int) -> bool:
     plan = simt_compile.get_pipeline(program.parsed, program.kernel())
     assert plan.batched == kernel.counted_loops, (seed, kernel.source)
     try:
-        with mock.patch.object(simt, "MAX_LANES", BLOCK):
+        with mock.patch.object(simt, "MAX_LANES", BLOCK), \
+                mock.patch.object(simt_compile, "MIN_CHUNK", CHUNK):
             results = check_engines(
                 lambda engine: run(kernel, engine, gsize, lsize),
                 gsize, lsize, races=True,

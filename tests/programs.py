@@ -220,15 +220,16 @@ def holds_fact(b, m, value, fact) -> bool:
     """Whether ``value`` is ``u + sum(c * id)`` on the active lanes of
     block ``b`` for one uniform ``u`` (a fact whose coefficients are no
     ``int`` in this block claims nothing).  In a batched loop's virtual
-    block (``simt._Chunk``) each iteration has a ``u`` of its own."""
+    block (``simt._Chunk``) each iteration has a ``u`` of its own, and
+    a coefficient reading a name the iterations change claims nothing
+    there (the name holds an array of its iterations' values)."""
     import numpy as np
 
     from repro.opencl.simt_compile import _value_of
 
-    real = getattr(b, "real", b)  # coefficients read the block's names
     ids = 0
     for k, coefficient in enumerate(fact):
-        c = _value_of(coefficient, real)
+        c = _value_of(coefficient, b)
         if c is None:
             return True
         ids = ids + c * b._basis[k]

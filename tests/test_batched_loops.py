@@ -20,9 +20,21 @@ from repro.opencl import (
     simt_compile,
 )
 from tests.engines import ALL_RUNS, blocks, check_engines
+from tests.programs import checked_static_types
 
 N = 64
 LOCAL = 16
+
+#: The fewest iterations a chunk runs outside these tests.
+CHUNK = simt_compile.MIN_CHUNK
+
+
+@pytest.fixture(autouse=True)
+def small_chunks():
+    """Chunks of as few as 2 iterations: the tests' blocks leave room
+    for short chunks only, and the threshold is tested on its own."""
+    with mock.patch.object(simt_compile, "MIN_CHUNK", 2):
+        yield
 
 
 def plan(source):
@@ -108,6 +120,22 @@ class TestTripCounts:
         with chunks() as record:
             run(NBODY_LIKE, args, "compiled")
         assert record == []
+
+    def test_fewer_trips_than_a_chunk_runs_run_unbatched(self):
+        # Room for 20 iterations per chunk: CHUNK + 3 trips are one
+        # chunk; CHUNK - 1 trips, and the rest of 20 + CHUNK - 1, run
+        # as the loop runs them.
+        seen = {}
+        for trips in (CHUNK - 1, CHUNK + 3, 20 + CHUNK - 1):
+            args = dict(inputs(), trips=trips)
+            with chunks() as record, \
+                    mock.patch.object(simt_compile, "MIN_CHUNK", CHUNK), \
+                    mock.patch.object(simt, "MAX_LANES", 20 * N):
+                check_engines(lambda e: run(NBODY_LIKE, args, e), N, LOCAL)
+            seen[trips] = sorted(set(record))
+        assert seen == {
+            CHUNK - 1: [], CHUNK + 3: [(CHUNK + 3, True)], 20 + CHUNK - 1: [(20, True)],
+        }
 
 
 class TestWhatIsHoisted:
@@ -206,6 +234,56 @@ class TestWhatIsHoisted:
           out[i] = acc;
         }"""
         assert plan(src).batched == 0
+
+
+class TestCoefficientsTheLoopChanges:
+    """An address whose coefficient is a name the loop changes (its
+    variable, a body-local name): the iterations of a chunk do not share
+    its fact, nor does the loop share the value its environment held
+    before the chunk."""
+
+    @staticmethod
+    def source(body, carried="float acc = 0.0f;"):
+        return f"""
+        kernel void K(const global float * restrict x, global float *out, int trips) {{
+          int i = get_global_id(0);
+          {carried}
+          for (int t = 0; t < trips; t += 1) {{ {body} }}
+          out[i] = acc;
+        }}"""
+
+    @pytest.mark.parametrize("body", [
+        "acc = acc + x[t * i];",  # the loop variable
+        "int k = t + 1; acc = acc + x[k * i];",  # a hoisted body-local name
+        "int k = t + 1; c = c + 1; acc = acc + x[k * i + c];",  # read by a carried load
+    ])
+    def test_every_iteration_reads_its_own_addresses_over_several_chunks(self, body):
+        src = self.source(body, "float acc = 0.0f; int c = 0;")
+        args = {"x": np.arange(8 * N, dtype=float) * 0.5, "out": np.zeros(N), "trips": 7}
+        assert plan(src).batched == 1
+        # The nodes' facts hold too, in the chunks and in the loop.
+        with chunks() as record, mock.patch.object(simt, "MAX_LANES", 3 * N), \
+                checked_static_types() as facts:
+            results = check_engines(lambda e: run(src, args, e), N, LOCAL)
+        assert (3, True) in record and facts.affine > 0
+        if "c =" not in body:  # lane 0 reads x[0] in every iteration
+            assert results["scalar"][1].cached_loads > 0
+
+    @pytest.mark.parametrize("index", ["t * i", "(3 - t) * i"])
+    def test_a_load_past_either_end_in_a_later_chunk_raises_the_oracles_error(self, index):
+        # In the second chunk of 3 iterations, iteration 5 first reads
+        # past the end of 256 elements, on lane 52 (so does work-item 52
+        # first, in the oracle's order), or with 3 - t iteration 4 reads
+        # x[-1] on lane 1.
+        src = self.source(f"acc = acc + x[{index}];")
+        args = {"x": np.arange(4 * N, dtype=float), "out": np.zeros(N), "trips": 6}
+        raised = {}
+        with mock.patch.object(simt, "MAX_LANES", 3 * N):
+            for engine, layout in ALL_RUNS:
+                with pytest.raises(OutOfBounds) as error, blocks(layout, N, LOCAL):
+                    run(src, args, engine)
+                raised[engine, layout] = str(error.value)
+        assert len(set(raised.values())) == 1, raised
 
 
 class TestErrorsFromTheHoistedPart:
