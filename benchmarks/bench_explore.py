@@ -6,8 +6,9 @@ dedup → prune → compile → simulate → verify) and what the persistent
 benchmarks/bench_explore.py`` regenerates the committed baseline
 ``BENCH_explore.json`` (candidates enumerated, dedup hit-rate, cache
 hit-rate, best-vs-menu cycles, cold vs warm wall time, structural keys
-computed per warm search) and prints where a warm search spends its
-time, phase by phase.
+computed per warm search, the oracle's cost relative to a kernel
+compile) and prints where a warm search spends its time, phase by
+phase.
 """
 
 import json
@@ -21,6 +22,9 @@ import pytest
 from repro import obs
 from repro.cache import TuningCache
 from repro.benchsuite.explore import explore_benchmark, run_explore
+
+#: Timed rounds of the oracle measure; each side keeps its best.
+ORACLE_ROUNDS = 15
 
 #: The spans a warm search is made of, outermost first.
 PHASE_SPANS = (
@@ -105,6 +109,50 @@ def warm_phase_seconds(cache_dir: str) -> dict:
     return {name: round(value, 4) for name, value in seconds.items()}
 
 
+def oracle_ratios() -> dict:
+    """Per explorable benchmark, the ``ir.interp`` oracle a cold search
+    pays once (:func:`~repro.rewrite.explore.reference_output` of the
+    high-level program on the small inputs) over one
+    ``compile_kernel(memo=False)`` of its level-``all`` small stage, the
+    simplifier's memos emptied first, as the front-end gate measures
+    it.  The two alternate for ``ORACLE_ROUNDS`` rounds and each keeps
+    its fastest, so the ratio travels between machines."""
+    from repro.arith.simplify import clear_caches
+    from repro.benchsuite.common import get_benchmark
+    from repro.benchsuite.explore import EXPLORABLE
+    from repro.compiler import OPTIMIZATION_LEVELS, compile_kernel
+    from repro.rewrite.explore import reference_output
+
+    def seconds(fn) -> float:
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    ratios = {}
+    for name in EXPLORABLE:
+        bench = get_benchmark(name)
+        inputs, size_env = bench.inputs_for("small")
+        high_level = bench.high_level(size_env)
+        stage = bench.stages[0]
+        fun = stage.build(dict(size_env))
+        options = OPTIMIZATION_LEVELS["all"](local_size=stage.local_size)
+        oracle_s, compile_s = [], []
+        for _ in range(ORACLE_ROUNDS):
+            clear_caches()
+            compile_s.append(
+                seconds(lambda: compile_kernel(fun, options, memo=False))
+            )
+            oracle_s.append(
+                seconds(lambda: reference_output(high_level, inputs, size_env))
+            )
+        ratios[name] = {
+            "oracle_s": round(min(oracle_s), 5),
+            "compile_s": round(min(compile_s), 5),
+            "oracle_over_compile": round(min(oracle_s) / min(compile_s), 3),
+        }
+    return ratios
+
+
 def main(out_path: str = None) -> None:
     out = Path(out_path or Path(__file__).parent / "BENCH_explore.json")
     cache_dir = tempfile.mkdtemp(prefix="repro-explore-bench-")
@@ -120,6 +168,10 @@ def main(out_path: str = None) -> None:
     warm_keys = (
         obs.metrics.REGISTRY.counter("explore.keys_computed") - keys_before
     )
+    oracle = oracle_ratios()
+    print("oracle / compile_kernel time ratio:")
+    for name, entry in oracle.items():
+        print(f"  {name:<22} {entry['oracle_over_compile']:.3f}")
     phases = warm_phase_seconds(cache_dir)
     print("warm search, seconds per phase (traced pass):")
     for name, value in phases.items():
@@ -172,8 +224,16 @@ def main(out_path: str = None) -> None:
         # Machine-independent: what the three warm searches keyed —
         # their rewrites' new spines, not whole programs.
         "warm_keys_computed": warm_keys,
+        # Machine-relative: gated as a ceiling per benchmark.
+        "oracle": oracle,
         "benchmarks": summary,
     }
+    baseline = Path(__file__).parent / "BENCH_explore.json"
+    if baseline.exists():
+        # The tree-walking interpreter's ratios, kept for comparison.
+        before = json.loads(baseline.read_text()).get("oracle_before")
+        if before is not None:
+            data["oracle_before"] = before
     out.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {out}")
 

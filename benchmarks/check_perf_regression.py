@@ -19,7 +19,10 @@ recorded on one box, CI runners are another), so the gate compares
   rates, the cold/warm wall-clock ratio must stay within
   ``TOLERANCE`` of the checked-in ``BENCH_explore.json`` baseline, and
   the structural keys the three warm searches compute (a count, so
-  machine-independent) must not exceed the recorded number.
+  machine-independent) must not exceed the recorded number, and per
+  explorable benchmark the ``ir.interp`` oracle's time over one
+  ``compile_kernel`` of its stage must stay within ``TOLERANCE`` above
+  the recorded ratio.
 * **explorer quality** — per benchmark, the explorer's best schedule
   must still at least match the fixed menu (``best_vs_menu <= 1``), and
   the derived-mm-vs-menu runtime ratio must stay within ``TOLERANCE``
@@ -413,6 +416,28 @@ def check_explore(metrics_path: Path, baseline_path: Path) -> list:
             failures.append(
                 f"explore: {keys} structural keys computed per warm search, "
                 f"recorded {base_keys}"
+            )
+
+    # The oracle a cold search interprets once, timed against a kernel
+    # compile of the same benchmark on the same machine.
+    base_oracle = baseline.get("oracle", {})
+    for name, entry in metrics.get("oracle", {}).items():
+        if name not in base_oracle:
+            continue
+        ratio = entry["oracle_over_compile"]
+        ceiling = base_oracle[name]["oracle_over_compile"] * (1.0 + TOLERANCE)
+        status = "ok" if ratio <= ceiling else "REGRESSION"
+        print(
+            f"[explore] {name}: oracle/compile_kernel time ratio "
+            f"{ratio:.3f} (baseline "
+            f"{base_oracle[name]['oracle_over_compile']:.3f}, ceiling "
+            f"{ceiling:.3f}) {status}"
+        )
+        if ratio > ceiling:
+            failures.append(
+                f"explore[{name}]: oracle/compile_kernel ratio {ratio:.3f} "
+                f"above ceiling {ceiling:.3f} - the ir.interp oracle got "
+                "slower relative to the compiler"
             )
 
     cold = metrics.get("cold_total_seconds")

@@ -1,10 +1,20 @@
 """Reference interpreter for the Lift IL.
 
-Executes a Lift IR graph directly on Python values, giving the patterns
-their paper semantics (section 3.2).  It is deliberately simple and slow;
-its purpose is *differential testing*: for every benchmark, the NumPy
-oracle, this interpreter, and the generated OpenCL kernel executed on the
-simulator must all agree.
+Executes a Lift IR graph on Python values, giving the patterns their
+paper semantics (section 3.2).  Its purpose is *differential testing*:
+the NumPy oracle, this interpreter and the generated OpenCL kernel on
+the simulator must agree, and the explorer verifies every schedule it
+launches against this interpreter bit for bit.
+
+Each :func:`apply_fun` or :func:`evaluate` call translates the program
+once into nested closures and runs them, as :mod:`repro.opencl.
+simt_compile` does for kernels: an ``Expr`` becomes a closure of no
+arguments, a ``FunDecl`` a callable (a ``UserFun`` is its ``py``).  A
+``Param`` reads a *cell* that its ``Lambda`` sets when applied and
+restores on return, so a parameter bound by two lambdas, one applied
+inside the other, reads its own binding.  Cells belong to the one call,
+so threads interpreting at once share nothing.  Errors are raised, and
+size payloads evaluated, when their node is applied.
 
 Values are represented as:
 
@@ -16,11 +26,13 @@ Values are represented as:
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Mapping
 
 from repro.arith import simplify
 from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param, UserFun
 from repro.ir import patterns as pat
+from repro.types import VectorType
 
 
 class VecValue:
@@ -42,149 +54,191 @@ class VecValue:
         return f"VecValue{self.items}"
 
 
-class Evaluator:
-    """Evaluates IR expressions given parameter bindings.
+_UNBOUND = object()
 
-    ``size_env`` supplies integer values for free size variables (``N``,
-    tile sizes...) appearing in pattern parameters such as ``split`` or
-    ``iterate`` counts.
-    """
+#: The closure of a call on 0 to 4 argument closures, spelled out (a
+#: list of arguments costs a comprehension per call); with none, it is
+#: the function itself.
+_CALLS = (
+    lambda fn: fn,
+    lambda fn, a: lambda: fn(a()),
+    lambda fn, a, b: lambda: fn(a(), b()),
+    lambda fn, a, b, c: lambda: fn(a(), b(), c()),
+    lambda fn, a, b, c, d: lambda: fn(a(), b(), c(), d()),
+)
 
-    def __init__(self, size_env: Mapping[str, int] | None = None):
+
+def _raise(error: Exception) -> Callable:
+    def fail(*_):
+        raise error
+
+    return fail
+
+
+class _Translation:
+    """One program's closures, their parameter cells and its sizes."""
+
+    def __init__(self, size_env: Mapping[str, int] | None):
         self.size_env = dict(size_env or {})
+        self.cells: dict = {}
 
-    # -- helpers ---------------------------------------------------------
-    def _int(self, e) -> int:
-        value = simplify(e).evaluate(self.size_env)
-        return int(value)
+    def cell(self, p: Param) -> list:
+        return self.cells.setdefault(p, [_UNBOUND])
 
-    # -- expression evaluation -------------------------------------------
-    def eval_expr(self, expr: Expr, env: Mapping[Param, Any]) -> Any:
-        if isinstance(expr, Literal):
-            from repro.types import VectorType
+    def size(self, e) -> int:
+        """A size payload's value, evaluated whenever its node runs."""
+        return int(simplify(e).evaluate(self.size_env))
 
-            if isinstance(expr.type, VectorType):
+    def expr(self, e: Expr) -> Callable[[], Any]:
+        if isinstance(e, Literal):
+            value = e.value
+            if isinstance(e.type, VectorType):
                 # Vector literals broadcast, as in OpenCL: (float4)(0.0f).
-                return VecValue([expr.value] * expr.type.width)
-            return expr.value
-        if isinstance(expr, Param):
-            try:
-                return env[expr]
-            except KeyError:
-                raise KeyError(f"unbound parameter {expr.name}") from None
-        if isinstance(expr, FunCall):
-            args = [self.eval_expr(a, env) for a in expr.args]
-            return self.apply(expr.f, args, env)
-        raise TypeError(f"cannot evaluate {expr!r}")
+                value = VecValue([value] * e.type.width)
+            return lambda: value
+        if isinstance(e, Param):
+            cell, name = self.cell(e), e.name
 
-    # -- function application ---------------------------------------------
-    def apply(self, f: FunDecl, args: list, env: Mapping[Param, Any]) -> Any:
+            def read():
+                if cell[0] is _UNBOUND:
+                    raise KeyError(f"unbound parameter {name}")
+                return cell[0]
+
+            return read
+        if isinstance(e, FunCall):
+            fn, args = self.fun(e.f), [self.expr(a) for a in e.args]
+            if len(args) < len(_CALLS):
+                return _CALLS[len(args)](fn, *args)
+            return lambda: fn(*[a() for a in args])
+        return _raise(TypeError(f"cannot evaluate {e!r}"))
+
+    def inline(self, f: FunDecl, arity: int) -> tuple:
+        """``(cells, body)``: ``f`` applied to ``arity`` values is the
+        cells set to them and ``body()`` called — with no call of
+        ``f`` in between when it is a lambda of that many parameters."""
+        if isinstance(f, Lambda) and len(f.params) == arity:
+            return [self.cell(p) for p in f.params], self.expr(f.body)
+        g, cells = self.fun(f), [[None] for _ in range(arity)]
+        return cells, lambda: g(*[c[0] for c in cells])
+
+    def fun(self, f: FunDecl) -> Callable:
         if isinstance(f, Lambda):
-            inner = dict(env)
-            for p, a in zip(f.params, args):
-                inner[p] = a
-            return self.eval_expr(f.body, inner)
+            cells, body = [self.cell(p) for p in f.params], self.expr(f.body)
 
+            def apply(*args):
+                saved = [c[0] for c in cells]
+                for c, a in zip(cells, args):
+                    c[0] = a
+                result = body()
+                for c, old in zip(cells, saved):
+                    c[0] = old
+                return result
+
+            return apply
         if isinstance(f, UserFun):
             if f.py is None:
-                raise NotImplementedError(
+                return _raise(NotImplementedError(
                     f"user function {f.name} has no Python semantics"
-                )
-            return f.py(*args)
-
-        if isinstance(f, pat.AbstractMap):
-            (xs,) = args
-            return [self.apply(f.f, [x], env) for x in xs]
-
-        if isinstance(f, pat.ReduceSeq):  # covers Reduce as well
-            init, xs = args
-            acc = init
-            for x in xs:
-                acc = self.apply(f.f, [acc, x], env)
-            return [acc]
-
-        if isinstance(f, pat.Iterate):
-            (xs,) = args
-            result = xs
-            for _ in range(self._int(f.n)):
-                result = self.apply(f.f, [result], env)
-            return result
-
-        if isinstance(f, pat.Split):
-            (xs,) = args
-            k = self._int(f.n)
-            if len(xs) % k:
-                raise ValueError(f"split({k}) of array of length {len(xs)}")
-            return [xs[i : i + k] for i in range(0, len(xs), k)]
-
-        if isinstance(f, pat.Join):
-            (xs,) = args
-            return [x for chunk in xs for x in chunk]
-
-        if isinstance(f, pat.Gather):
-            (xs,) = args
-            n = len(xs)
-            return [xs[f.idx_fun.eval(i, n)] for i in range(n)]
-
-        if isinstance(f, pat.Scatter):
-            (xs,) = args
-            n = len(xs)
-            out = [None] * n
-            for i, x in enumerate(xs):
-                out[f.idx_fun.eval(i, n)] = x
-            return out
-
-        if isinstance(f, pat.Transpose):
-            (xs,) = args
-            return [list(col) for col in zip(*xs)]
-
-        if isinstance(f, pat.Zip):
-            length = len(args[0])
-            for a in args[1:]:
-                if len(a) != length:
-                    raise ValueError("zip of arrays with different lengths")
-            return [tuple(items) for items in zip(*args)]
-
-        if isinstance(f, pat.Get):
-            (t,) = args
-            return t[f.index]
-
-        if isinstance(f, pat.MakeTuple):
-            return tuple(args)
-
-        if isinstance(f, pat.Head):
-            (xs,) = args
-            return xs[0]
-
-        if isinstance(f, pat.Filter):
-            data, idx = args
-            return [data[int(j)] for j in idx]
-
-        if isinstance(f, pat.Slide):
-            (xs,) = args
-            size, step = self._int(f.size), self._int(f.step)
-            count = (len(xs) - size) // step + 1
-            return [xs[i * step : i * step + size] for i in range(count)]
-
-        if isinstance(f, pat.Pad):
-            (xs,) = args
-            return [xs[0]] * f.left + list(xs) + [xs[-1]] * f.right
-
+                ))
+            return f.py
         if isinstance(f, pat.AddressSpaceWrapper):
-            return self.apply(f.f, args, env)
+            return self.fun(f.f)
+        for cls in type(f).__mro__:
+            if cls in _PATTERNS:
+                return _PATTERNS[cls](self, f)
+        return _raise(NotImplementedError(f"no interpreter semantics for {f!r}"))
 
-        if isinstance(f, pat.AsVector):
-            (xs,) = args
-            w = f.width
-            if len(xs) % w:
-                raise ValueError(f"asVector({w}) of array of length {len(xs)}")
-            return [VecValue(xs[i : i + w]) for i in range(0, len(xs), w)]
 
-        if isinstance(f, pat.AsScalar):
-            (xs,) = args
-            return [lane for v in xs for lane in v.items]
+def _map(t: _Translation, f: pat.AbstractMap) -> Callable:
+    ((cell,), body) = t.inline(f.f, 1)
 
-        raise NotImplementedError(f"no interpreter semantics for {f!r}")
+    def map_(xs):
+        saved, out = cell[0], []
+        for x in xs:
+            cell[0] = x
+            out.append(body())
+        cell[0] = saved
+        return out
+
+    return map_
+
+
+def _reduce(t: _Translation, f: pat.ReduceSeq) -> Callable:
+    ((acc, cell), body) = t.inline(f.f, 2)
+
+    def reduce_(init, xs):
+        saved = acc[0], cell[0]
+        acc[0] = init
+        for x in xs:
+            cell[0] = x
+            acc[0] = body()
+        result = acc[0]
+        acc[0], cell[0] = saved
+        return [result]
+
+    return reduce_
+
+
+def _iterate(t: _Translation, f: pat.Iterate) -> Callable:
+    g = t.fun(f.f)
+
+    def iterate_(xs):
+        for _ in range(t.size(f.n)):
+            xs = g(xs)
+        return xs
+
+    return iterate_
+
+
+def _chunks(name: str, k: int, xs: list, wrap=None) -> list:
+    """``xs`` cut into chunks of ``k``, as ``name(k)`` cuts it."""
+    if len(xs) % k:
+        raise ValueError(f"{name}({k}) of array of length {len(xs)}")
+    chunks = [xs[i : i + k] for i in range(0, len(xs), k)]
+    return chunks if wrap is None else [wrap(c) for c in chunks]
+
+
+def _scatter(idx_fun: pat.IndexFun, xs: list) -> list:
+    out = [None] * len(xs)
+    for i, x in enumerate(xs):
+        out[idx_fun.eval(i, len(xs))] = x
+    return out
+
+
+def _zip(*arrays):
+    if any(len(a) != len(arrays[0]) for a in arrays[1:]):
+        raise ValueError("zip of arrays with different lengths")
+    return list(zip(*arrays))
+
+
+def _slide(xs: list, size: int, step: int) -> list:
+    count = (len(xs) - size) // step + 1
+    return [xs[i * step : i * step + size] for i in range(count)]
+
+
+#: Each pattern's closure factory ``(translation, pattern) -> callable``,
+#: found along the pattern's MRO.
+_PATTERNS = {
+    pat.AbstractMap: _map,
+    pat.ReduceSeq: _reduce,
+    pat.Iterate: _iterate,
+    pat.Split: lambda t, f: lambda xs: _chunks("split", t.size(f.n), xs),
+    pat.Join: lambda t, f: lambda xs: [x for chunk in xs for x in chunk],
+    pat.Gather: lambda t, f: lambda xs: [
+        xs[f.idx_fun.eval(i, len(xs))] for i in range(len(xs))
+    ],
+    pat.Scatter: lambda t, f: lambda xs: _scatter(f.idx_fun, xs),
+    pat.Transpose: lambda t, f: lambda xs: [list(col) for col in zip(*xs)],
+    pat.Zip: lambda t, f: _zip,
+    pat.Get: lambda t, f: itemgetter(f.index),
+    pat.MakeTuple: lambda t, f: lambda *args: tuple(args),
+    pat.Head: lambda t, f: lambda xs: xs[0],
+    pat.Filter: lambda t, f: lambda data, idx: [data[int(j)] for j in idx],
+    pat.Slide: lambda t, f: lambda xs: _slide(xs, t.size(f.size), t.size(f.step)),
+    pat.Pad: lambda t, f: lambda xs: [xs[0]] * f.left + list(xs) + [xs[-1]] * f.right,
+    pat.AsVector: lambda t, f: lambda xs: _chunks("asVector", f.width, xs, VecValue),
+    pat.AsScalar: lambda t, f: lambda xs: [lane for v in xs for lane in v.items],
+}
 
 
 def evaluate(
@@ -193,7 +247,10 @@ def evaluate(
     size_env: Mapping[str, int] | None = None,
 ) -> Any:
     """Evaluate an IR expression with the given parameter bindings."""
-    return Evaluator(size_env).eval_expr(expr, dict(bindings))
+    t = _Translation(size_env)
+    for p, value in bindings.items():
+        t.cell(p)[0] = value
+    return t.expr(expr)()
 
 
 def apply_fun(
@@ -202,4 +259,4 @@ def apply_fun(
     size_env: Mapping[str, int] | None = None,
 ) -> Any:
     """Apply a function declaration to Python values."""
-    return Evaluator(size_env).apply(f, list(args), {})
+    return _Translation(size_env).fun(f)(*args)

@@ -111,3 +111,26 @@ def check_engines(launch, gsize=None, lsize=None, runs=RUNS,
         declines
     )
     return results
+
+
+def check_out_of_bounds(launch, gsize=None, lsize=None, runs=ALL_RUNS) -> dict:
+    """Run ``launch(engine)`` on each of ``runs`` under :func:`blocks`:
+    each must raise ``OutOfBounds``, all naming one buffer of one size
+    (``opencl/ENGINES.md``, "Bounds").  Which out-of-range element each
+    names is the first its engine meets, so only that it lies outside
+    the buffer is asserted.  Returns ``{run: error}``."""
+    from repro.opencl import OutOfBounds
+
+    raised = {}
+    for run in runs:
+        with blocks(run[1], gsize, lsize):
+            try:
+                launch(run[0])
+            except OutOfBounds as error:
+                raised[run] = error
+            else:
+                raise AssertionError(f"no OutOfBounds on {run}")
+    assert len({(e.buffer, e.size) for e in raised.values()}) == 1, raised
+    for run, error in raised.items():
+        assert not 0 <= error.index < error.size, (run, error)
+    return raised

@@ -319,3 +319,88 @@ def checked_static_types():
     finally:
         simt_compile._compile_expr = compile_expr
         _parse_cached.cache_clear()
+
+
+def _vec4s(flat) -> list:
+    from repro.ir.interp import VecValue
+
+    return [VecValue(chunk) for chunk in flat.reshape(-1, 4).tolist()]
+
+
+#: The vector-typed benchmarks' interpreter runs: size environment,
+#: input seed and the arguments built from the inputs.  N-Body, MD and
+#: MRI-Q use float2/float4 values and tuple zips, so their inputs need
+#: explicit conversion into the interpreter's value representation.
+VECTOR_HIGH_LEVEL = {
+    "nbody-amd": ({"N": 32}, 5, lambda i: [
+        _vec4s(i["pos"]), _vec4s(i["vel"]), i["deltaT"], i["espSqr"],
+    ]),
+    "md": ({"N": 32, "J": 8}, 6, lambda i: [
+        i["px"].tolist(), i["py"].tolist(), i["pz"].tolist(),
+        i["neigh"].ravel().tolist(),
+    ]),
+    "mriq": ({"N": 16, "M": 8}, 7, lambda i: [
+        i[k].tolist() for k in ("x", "y", "z", "kx", "ky", "kz", "mag")
+    ]),
+}
+
+#: Benchmarks whose high-level program no test interprets.
+UNINTERPRETED = ("nbody-nvidia",)
+
+
+def high_level_case(name: str) -> tuple:
+    """``(bench, program, args, size_env, inputs)``: the high-level
+    program of benchmark ``name`` and the interpreter arguments its
+    semantics tests apply it to — the ``small`` inputs nested per the
+    parameter types, or :data:`VECTOR_HIGH_LEVEL`'s for the vector
+    benchmarks."""
+    import numpy as np
+
+    from repro.benchsuite.common import get_benchmark
+
+    bench = get_benchmark(name)
+    if name in VECTOR_HIGH_LEVEL:
+        size_env, seed, build = VECTOR_HIGH_LEVEL[name]
+        inputs = bench.make_inputs(size_env, np.random.default_rng(seed))
+        return bench, bench.high_level(size_env), build(inputs), size_env, inputs
+    inputs, size_env = bench.inputs_for("small")
+    program = bench.high_level(size_env)
+    args = []
+    for p, pname in zip(program.params, bench.stages[0].param_names):
+        value = inputs[pname]
+        if isinstance(value, np.ndarray):
+            t = p.type
+            if isinstance(t, ArrayType) and isinstance(t.elem, ArrayType):
+                rows = int(
+                    np.prod(value.shape[:-1])
+                    if value.ndim > 1
+                    else len(value) // int(t.elem.length.evaluate(size_env))
+                )
+                args.append(np.asarray(value).reshape(rows, -1).tolist())
+            else:
+                args.append(np.asarray(value).ravel().tolist())
+        else:
+            args.append(value)
+    return bench, program, args, size_env, inputs
+
+
+def flat_floats(value):
+    """An interpreter result as one flat float64 array: nested lists and
+    tuples in order, a vector's lanes in place."""
+    import numpy as np
+
+    from repro.ir.interp import VecValue
+
+    out = []
+
+    def walk(v):
+        if isinstance(v, VecValue):
+            out.extend(v.items)
+        elif isinstance(v, (list, tuple)):
+            for x in v:
+                walk(x)
+        else:
+            out.append(v)
+
+    walk(value)
+    return np.asarray(out, dtype=float)

@@ -17,6 +17,7 @@ from repro.benchsuite.figure6 import check_figure6, figure6_trace
 from repro.benchsuite.figure8 import measure_benchmark
 from repro.benchsuite.table1 import run_table1
 from tests.engines import RUNS, blocks
+from tests.programs import UNINTERPRETED, VECTOR_HIGH_LEVEL, high_level_case
 
 
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
@@ -42,32 +43,10 @@ def test_high_level_program_semantics(name):
     """The portable high-level IL evaluates to the oracle's answer on the
     reference interpreter (for interpreter-friendly sizes)."""
     from repro.ir.interp import apply_fun
-    from repro.ir.nodes import Param
-    from repro.types import ArrayType, VectorType
 
-    bench = get_benchmark(name)
-    inputs, size_env = bench.inputs_for("small")
-    if name in ("nbody-nvidia", "nbody-amd", "mriq", "md"):
+    if name in VECTOR_HIGH_LEVEL or name in UNINTERPRETED:
         pytest.skip("vector-heavy interpreters covered by dedicated tests")
-    program = bench.high_level(size_env)
-
-    stage = bench.stages[0]
-    args = []
-    for p, pname in zip(program.params, stage.param_names):
-        value = inputs[pname]
-        if isinstance(value, np.ndarray):
-            t = p.type
-            if isinstance(t, ArrayType) and isinstance(t.elem, ArrayType):
-                rows = int(
-                    np.prod(value.shape[:-1])
-                    if value.ndim > 1
-                    else len(value) // int(t.elem.length.evaluate(size_env))
-                )
-                args.append(np.asarray(value).reshape(rows, -1).tolist())
-            else:
-                args.append(np.asarray(value).ravel().tolist())
-        else:
-            args.append(value)
+    bench, program, args, size_env, inputs = high_level_case(name)
     result = apply_fun(program, args, size_env)
     flat = np.asarray(result, dtype=float).ravel()
     expected = bench.oracle(inputs, size_env)
@@ -581,3 +560,65 @@ def test_the_command_line_has_no_service_surface(argv, needle, capsys):
         main(argv)
     assert exited.value.code == 2
     assert needle in capsys.readouterr().err
+
+
+def test_table1_and_figure6_print_through_the_cli(capsys):
+    from repro.benchsuite.__main__ import main
+
+    assert main(["table1", "--benchmarks", "nn", "gemv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "Table 1: Overview, Characteristics, and Code size of the benchmarks",
+        "",
+    ]
+    assert lines[2].split() == [
+        "benchmark", "suite", "small", "large", "lmem", "pmem", "vec",
+        "coal", "space", "OpenCL", "highIL", "lowIL",
+    ]
+    assert [line.split()[0] for line in lines[3:5]] == ["nn", "gemv"]
+
+    assert main(["figure6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "Figure 6: simplification of the matrix-transposition index", "",
+    ]
+    labels = ["raw (line 1):", "intermediate (2):", "simplified (line 3):"]
+    assert [line.split(":")[0].strip() + ":" for line in lines[2:5]] == labels
+    assert lines[4].split(":", 1)[1].strip() == figure6_trace().lines()[2]
+
+
+def test_report_leaves_placeholder_sections_out(tmp_path, capsys):
+    """``report --inputs`` merges snapshots last-writer-wins, except that
+    a placeholder section (``{"active": False}``, an empty calibration
+    or counter table) never replaces data."""
+    import json
+
+    from repro.benchsuite.__main__ import main
+
+    real = {
+        "calibration": {"workloads": {"nn": {
+            "candidates": 4, "spearman": 0.9, "top1_regret": 0.0,
+            "top5_regret": 0.25, "residual_rms": 0.1,
+        }}},
+        "counters": {"explore.reference": 1},
+    }
+    paths = []
+    for i, snapshot in enumerate([
+        real,
+        {"calibration": {"active": False}, "counters": {}},
+        {"calibration": {"workloads": {}}},
+    ]):
+        paths.append(str(tmp_path / f"{i}.json"))
+        (tmp_path / f"{i}.json").write_text(json.dumps(snapshot))
+
+    assert main(["report", "--inputs", *paths]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# Performance report"
+    assert "## Cost-model calibration" in lines
+    assert "| nn | 4 | 0.900 | 0.0% | 25.0% | 0.100 |" in lines
+    assert "| explore.reference | 1 |" in lines
+
+    assert main(["report", "--inputs", *paths[1:]]) == 0
+    out = capsys.readouterr().out
+    assert "_No calibration records (run `benchsuite calibrate`)._" in out
+    assert "_No counters recorded._" in out

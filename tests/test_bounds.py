@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.opencl import Buffer, OpenCLProgram, OutOfBounds, launch
-from tests.engines import ALL_RUNS, blocks
+from tests.engines import ALL_RUNS, blocks, check_out_of_bounds
 
 N = 64
 
@@ -110,3 +110,29 @@ def test_inactive_lanes_are_not_checked(engine, layout):
                 "n": N - 8},
                engine=engine)
     np.testing.assert_array_equal(out.data[: N - 8], np.arange(8, N, dtype=float))
+
+
+def test_engines_agree_on_the_buffer_not_on_the_element():
+    """Work-items 43 to 63 all read past the end of ``x`` (256
+    elements).  The scalar oracle runs work-item by work-item and meets
+    work-item 43's x[258] first (iteration 6); a lane engine runs a
+    block iteration by iteration and, over one block, meets lane 52's
+    x[260] first (iteration 5).  Every engine names ``x`` and its size,
+    and an element the kernel does read."""
+    src = """
+    kernel void K(const global float * restrict x, global float *out, int trips) {
+      int i = get_global_id(0);
+      float acc = 0.0f;
+      for (int t = 0; t < trips; t += 1) { acc = acc + x[t * i]; }
+      out[i] = acc;
+    }"""
+
+    def run(engine):
+        args = {"x": Buffer.from_array(np.arange(4 * N, dtype=float)),
+                "out": Buffer.zeros(N), "trips": 7}
+        launch(OpenCLProgram(src), N, 16, args, engine=engine)
+
+    raised = check_out_of_bounds(run, N, 16)
+    assert {(e.buffer, e.size) for e in raised.values()} == {("x", 4 * N)}
+    read = {t * i for t in range(7) for i in range(N)}
+    assert {e.index for e in raised.values()} <= read

@@ -2,81 +2,38 @@
 
 These complement test_benchsuite.py's generic check: N-Body, MD and
 MRI-Q use float2/float4 values and tuple zips, so their inputs need
-explicit conversion into the interpreter's value representation.
+explicit conversion into the interpreter's value representation
+(``tests.programs.VECTOR_HIGH_LEVEL``).
 """
 
 import numpy as np
 import pytest
 
-from repro.ir.interp import VecValue, apply_fun
+from repro.ir.interp import apply_fun
 from repro.benchsuite.common import get_benchmark
+from tests.programs import flat_floats, high_level_case
 
 
-def as_vec4_list(flat: np.ndarray) -> list:
-    return [VecValue(chunk) for chunk in flat.reshape(-1, 4).tolist()]
-
-
-def flatten_vecs(values) -> np.ndarray:
-    return np.asarray([lane for v in values for lane in v.items], dtype=float)
+def matches_oracle(name):
+    bench, program, args, env, inputs = high_level_case(name)
+    result = apply_fun(program, args, env)
+    expected = bench.oracle(inputs, env)
+    np.testing.assert_allclose(flat_floats(result), expected, rtol=1e-7)
 
 
 class TestNBodyHighLevel:
     def test_matches_oracle(self):
-        bench = get_benchmark("nbody-amd")
-        inputs, env = bench.inputs_for("small")
-        env = {"N": 32}
-        rng = np.random.default_rng(5)
-        inputs = bench.make_inputs(env, rng)
-        program = bench.high_level(env)
-        result = apply_fun(
-            program,
-            [
-                as_vec4_list(inputs["pos"]),
-                as_vec4_list(inputs["vel"]),
-                inputs["deltaT"],
-                inputs["espSqr"],
-            ],
-            env,
-        )
-        expected = bench.oracle(inputs, env)
-        np.testing.assert_allclose(flatten_vecs(result), expected, rtol=1e-7)
+        matches_oracle("nbody-amd")
 
 
 class TestMDHighLevel:
     def test_matches_oracle(self):
-        bench = get_benchmark("md")
-        env = {"N": 32, "J": 8}
-        rng = np.random.default_rng(6)
-        inputs = bench.make_inputs(env, rng)
-        program = bench.high_level(env)
-        result = apply_fun(
-            program,
-            [
-                inputs["px"].tolist(),
-                inputs["py"].tolist(),
-                inputs["pz"].tolist(),
-                inputs["neigh"].ravel().tolist(),
-            ],
-            env,
-        )
-        expected = bench.oracle(inputs, env)
-        np.testing.assert_allclose(flatten_vecs(result), expected, rtol=1e-7)
+        matches_oracle("md")
 
 
 class TestMRIQHighLevel:
     def test_matches_oracle(self):
-        bench = get_benchmark("mriq")
-        env = {"N": 16, "M": 8}
-        rng = np.random.default_rng(7)
-        inputs = bench.make_inputs(env, rng)
-        program = bench.high_level(env)
-        result = apply_fun(
-            program,
-            [inputs[k].tolist() for k in ("x", "y", "z", "kx", "ky", "kz", "mag")],
-            env,
-        )
-        expected = bench.oracle(inputs, env)
-        np.testing.assert_allclose(flatten_vecs(result), expected, rtol=1e-7)
+        matches_oracle("mriq")
 
 
 class TestKernelOutputsAgree:
