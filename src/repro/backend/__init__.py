@@ -18,20 +18,18 @@ Each has ``plan(parsed, kernel)``, which raises
 ``run`` may refuse too: with :class:`CompileUnsupported` before it
 touches a buffer (buffers of an element kind the plan was not typed
 for), or with :class:`~repro.opencl.simt.VectorUnsupported` after
-rolling back what it wrote (a cross-lane race noticed mid-launch).
+rolling back what it wrote: a cross-lane race noticed mid-launch, the
+one *dynamic* refusal (the plan refuses every other form statically).
 
 :data:`ENGINES` maps every engine name to its chain.  :func:`execute`
 tries the members in order:
 
 1. a refusal, static or dynamic, falls through to the next member;
-2. an unexpected crash in ``plan`` is shielded for every member but the
-   last (``plan`` precedes any buffer write, so falling through is
-   exact); the last member re-raises it;
-3. every decline lands in the degradation ledger
+2. every decline lands in the degradation ledger
    (:mod:`repro.backend.ledger`) with its kind and reason;
-4. a chain that does not end in ``scalar`` is *strict*: when every
+3. a chain that does not end in ``scalar`` is *strict*: when every
    member refused, :class:`~repro.opencl.simt.VectorizationError` names
-   each refusal.
+   each refusal.  Any other exception propagates: a fault, no decline.
 
 ``REPRO_SIM_ENGINE`` names a *preference*: :func:`resolve` with
 ``prefer=True`` gives a strict chain the ``scalar`` tail.
@@ -179,9 +177,8 @@ def execute(engine: str, chain: tuple, parsed, kernel, gsize, lsize,
     merged into only by the backend that serves the launch."""
     refusals = []
     metrics.inc("launch.total")
-    for position, name in enumerate(chain):
+    for name in chain:
         backend = _BACKENDS[name]
-        final = position == len(chain) - 1
         try:
             with span("plan", backend=name, engine=engine) as plan_span:
                 try:
@@ -192,16 +189,6 @@ def execute(engine: str, chain: tuple, parsed, kernel, gsize, lsize,
         except CompileUnsupported as exc:
             ledger.record(engine, name, "static", str(exc))
             refusals.append(f"{name}: {exc}")
-            continue
-        except Exception as exc:
-            # Crash shield: the crash is ledgered at every position;
-            # the final member re-raises it.
-            ledger.record(
-                engine, name, "crash", f"{type(exc).__name__}: {exc}"
-            )
-            if final:
-                raise
-            refusals.append(f"{name}: crashed in plan ({type(exc).__name__})")
             continue
         with span(
             "run", backend=name, engine=engine, kernel=kernel.name,

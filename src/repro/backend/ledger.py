@@ -20,14 +20,12 @@ Decline kinds (:data:`DECLINE_KINDS`; recording any other kind raises
 
 ``static``
     ``plan``/``run`` raised :class:`~repro.backend.CompileUnsupported`
-    before touching buffers.
+    before touching buffers: a form the plan's scan or typing walk
+    refuses, or buffers of an element kind the plan was not typed for.
 ``dynamic``
-    ``run`` raised ``VectorUnsupported`` after rolling buffers back
-    (e.g. a cross-lane race detected mid-launch); the reason is
-    ``"<kernel>: <the exception's message>"``.
-``crash``
-    ``plan`` raised an unexpected exception; the chain shields the
-    launch and falls through (the final member re-raises).
+    ``run`` raised ``VectorUnsupported`` after rolling buffers back: a
+    cross-lane race detected mid-launch, the one run-time decline; the
+    reason is ``"<kernel>: <the exception's message>"``.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ __all__ = [
 #: Cap on retained individual events (counts are kept exactly beyond it).
 _MAX_EVENTS = 10_000
 
-DECLINE_KINDS = ("static", "dynamic", "crash")
+DECLINE_KINDS = ("static", "dynamic")
 
 
 @dataclass(frozen=True)

@@ -198,10 +198,10 @@ def _chunks(name: str, k: int, xs: list, wrap=None) -> list:
     return chunks if wrap is None else [wrap(c) for c in chunks]
 
 
-def _scatter(idx_fun: pat.IndexFun, xs: list) -> list:
+def _scatter(idx_fun: pat.IndexFun, xs: list, size_env: dict) -> list:
     out = [None] * len(xs)
     for i, x in enumerate(xs):
-        out[idx_fun.eval(i, len(xs))] = x
+        out[idx_fun.eval(i, len(xs), size_env)] = x
     return out
 
 
@@ -225,9 +225,9 @@ _PATTERNS = {
     pat.Split: lambda t, f: lambda xs: _chunks("split", t.size(f.n), xs),
     pat.Join: lambda t, f: lambda xs: [x for chunk in xs for x in chunk],
     pat.Gather: lambda t, f: lambda xs: [
-        xs[f.idx_fun.eval(i, len(xs))] for i in range(len(xs))
+        xs[f.idx_fun.eval(i, len(xs), t.size_env)] for i in range(len(xs))
     ],
-    pat.Scatter: lambda t, f: lambda xs: _scatter(f.idx_fun, xs),
+    pat.Scatter: lambda t, f: lambda xs: _scatter(f.idx_fun, xs, t.size_env),
     pat.Transpose: lambda t, f: lambda xs: [list(col) for col in zip(*xs)],
     pat.Zip: lambda t, f: _zip,
     pat.Get: lambda t, f: itemgetter(f.index),

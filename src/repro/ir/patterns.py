@@ -35,7 +35,7 @@ Adding a pattern
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from repro.arith import ArithExpr, Cst, Range, Var, simplify
 from repro.arith.expr import substitute, to_expr
@@ -342,12 +342,13 @@ class IndexFun:
     def apply(self, i: ArithExpr, n: ArithExpr) -> ArithExpr:
         return self.fn(i, n)
 
-    def eval(self, i: int, n: int) -> int:
-        result = self.fn(Cst(i), Cst(n))
-        value = simplify(result).try_int()
-        if value is None:
-            raise ValueError(f"index function {self.name} did not evaluate")
-        return value
+    def eval(self, i: int, n: int, size_env: Optional[Mapping[str, int]] = None) -> int:
+        """The index ``apply`` maps ``i`` to, the size variables it
+        mentions taken from ``size_env``."""
+        try:
+            return simplify(self.fn(Cst(i), Cst(n))).evaluate(size_env or {})
+        except KeyError:
+            raise ValueError(f"index function {self.name} did not evaluate") from None
 
     def __repr__(self) -> str:
         return f"IndexFun({self.name})"

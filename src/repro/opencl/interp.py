@@ -547,9 +547,8 @@ class StaticTypes:
         key = (struct, member)
         t = self.members.get(key, _UNSET)
         if t is _UNSET:
-            t = F  # a missing member reads as the 0.0 it defaults to
-            definition = self.structs.get(struct)
-            for type_name, name in (definition.members if definition else ()):
+            t = None  # a member the struct does not declare
+            for type_name, name in self.structs[struct].members:
                 if name == member:
                     t = self.zero(type_name)
             self.members[key] = t
@@ -987,6 +986,8 @@ class WorkItem:
     def _truthy(v: Any) -> bool:
         if isinstance(v, np.ndarray):
             raise ExecError("vector used in a scalar condition")
+        if isinstance(v, dict):
+            raise ExecError("struct used in a scalar condition")
         return bool(v)
 
 

@@ -47,27 +47,28 @@ rejects with a typed error:
   ``BarrierDivergence`` keeps being raised: the scalar path detects it),
 * a barrier combined with an early ``return``, or inside a helper,
 * recursive helper functions, calls to unknown functions,
-* a name declared with two types in one function,
+* a name declared with two types in one function, a name used outside
+  the scope of its declarations, a declaration shadowing a name,
+* a condition of no scalar type (a vector, pointer or struct), a
+  geometry dimension the work-items may disagree on,
+* a pointer name or ternary that may point into two buffers where a
+  mask may merge it, a helper returning a pointer, a store to a
+  member its struct does not declare,
 * a vector literal with a wrong item count, an assignment to a
   non-lvalue, a ``vloadN`` / ``vstoreN`` with the wrong arity.
 
-A handful of *dynamic* situations raise :class:`VectorUnsupported`; the
-launcher then restores the buffers the kernel may write from a snapshot
-and re-raises,
-and the backend chain re-runs the whole launch on the scalar path, so
-``launch()`` keeps its exact API and semantics.  The big one: a
-cross-lane data race (a store whose value another work-item could
-observe order-dependently — see :class:`_Hazard`).
+One *dynamic* situation raises :class:`VectorUnsupported`: a cross-lane
+data race (a store whose value another work-item could observe
+order-dependently — see :class:`_Hazard`).  The launcher then restores
+the buffers the kernel may write from a snapshot and re-raises, and the
+backend chain re-runs the whole launch on the scalar path, so
+``launch()`` keeps its exact API and semantics.
 
-Variables are statically typed, as in C: every store into a declared
-scalar converts to the declared kind (:func:`_convert`, the lane-array
-twin of :func:`repro.opencl.interp.convert`), so one variable never
-holds integer and floating-point lanes at once.
-
-Known (documented) divergence, outside defined OpenCL behaviour:
-reading a variable that only a *different* lane's control path declared
-yields a zero filler instead of the scalar path's "undefined
-identifier" error.
+Variables are statically typed and scoped, as in C: every store into a
+declared scalar converts to the declared kind (:func:`_convert`, the
+lane-array twin of :func:`repro.opencl.interp.convert`), so one
+variable never holds integer and floating-point lanes at once, and a
+lane reads a name only after it declared it.
 """
 
 from __future__ import annotations
@@ -161,22 +162,6 @@ _UNIFORM_TYPES = (int, float, bool, np.integer, np.floating, np.bool_)
 
 def _is_uniform(v) -> bool:
     return isinstance(v, _UNIFORM_TYPES)
-
-
-def _kind(v) -> str:
-    if isinstance(v, np.ndarray):
-        if v.ndim == 2:
-            return "vec"
-        return "f" if v.dtype.kind == "f" else "i"
-    if isinstance(v, (bool, np.bool_, np.integer, int)):
-        return "i"
-    if isinstance(v, (float, np.floating)):
-        return "f"
-    if isinstance(v, (VPtr, RowPtr)):
-        return "ptr"
-    if isinstance(v, dict):
-        return "struct"
-    return "other"
 
 
 #: Lane dtype per declared scalar kind (the kinds are numpy's own
@@ -362,73 +347,26 @@ class _Block:
         if n == self.L:
             struct[member] = value
         else:
-            struct[member] = self._merge(struct.get(member, 0.0), value, m)
-
-    def _bind(self, name, value, m, n, declaring: bool = False) -> None:
-        if n == self.L:
-            self.env[name] = value
-            return
-        old = self.env.get(name, _MISSING)
-        if old is _MISSING:
-            if not declaring:
-                raise VectorUnsupported(
-                    f"first assignment to {name!r} under a partial mask"
-                )
-            # A declaration dominates every read of the variable in
-            # well-scoped C, so inactive lanes can hold a zero filler.
-            self.env[name] = self._merge(self._zero_like(value), value, m)
-            return
-        self.env[name] = self._merge(old, value, m)
-
-    def _zero_like(self, value):
-        k = _kind(value)
-        if k == "i":
-            return 0
-        if k == "f":
-            return 0.0
-        if k == "vec":
-            return np.zeros_like(value)
-        if k == "struct":
-            return {key: 0.0 for key in value}
-        if k == "ptr":
-            return value  # pointer target is uniform; offset merged below
-        raise VectorUnsupported(f"cannot default-fill a {k} value")
+            struct[member] = self._merge(struct[member], value, m)
 
     # -- merging ---------------------------------------------------------
     def _merge(self, old, new, m):
+        """``new`` on the lanes of ``m``, ``old`` on the others: values of
+        one static type (stores arrive converted to the declared kind),
+        and pointers into one buffer (the typing walk refuses a merge of
+        two), so a pointer merges its offsets."""
         if old is new:
             return old
-        ko, kn = _kind(old), _kind(new)
-        if ko in ("i", "f") and kn in ("i", "f"):
-            # Stores arrive converted to the declared kind, and ternary
-            # arms have one static type, so both sides agree.
-            if _is_uniform(old) and _is_uniform(new) and old == new:
-                return old
-            return np.where(m, new, old)
-        if ko == "vec" and kn == "vec":
-            if old.shape[1] != new.shape[1]:
-                raise VectorUnsupported("masked assignment mixes vector widths")
-            return np.where(m[:, None], new, old)
-        if ko == "struct" and kn == "struct":
-            if set(old) != set(new):
-                raise VectorUnsupported("masked assignment mixes struct types")
+        t = type(new)
+        if t is dict:
             return {key: self._merge(old[key], new[key], m) for key in old}
-        if ko == "ptr" and kn == "ptr":
-            same = (
-                type(old) is type(new)
-                and old.array is new.array
-                and old.space == new.space
-                and (not isinstance(old, RowPtr) or old.rows is new.rows)
-            )
-            if not same:
-                raise VectorUnsupported("masked assignment mixes pointers")
-            offset = self._merge_offsets(old.offset, new.offset, m)
-            if isinstance(old, RowPtr):
-                return RowPtr(old.array, old.rows, offset, old.space)
-            return VPtr(old.array, offset, old.space)
-        raise VectorUnsupported(f"cannot merge {ko} with {kn}")
-
-    def _merge_offsets(self, old, new, m):
+        if t is VPtr:
+            return VPtr(old.array, self._merge(old.offset, new.offset, m), old.space)
+        if t is RowPtr:
+            offset = self._merge(old.offset, new.offset, m)
+            return RowPtr(old.array, old.rows, offset, old.space)
+        if t is np.ndarray and new.ndim == 2:
+            return np.where(m[:, None], new, old)
         if _is_uniform(old) and _is_uniform(new) and old == new:
             return old
         return np.where(m, new, old)
@@ -733,12 +671,7 @@ class _Block:
         return entry
 
     def _needs_hazard(self, ptr) -> bool:
-        tracked = self._tracked
-        if tracked is None:
-            return True
-        if id(ptr.array) in tracked:
-            return True
-        return False
+        return self._tracked is None or id(ptr.array) in self._tracked
 
     def _flat_addr(self, ptr, addr, m, n):
         """(flat addresses, lanes) for the active lanes of an access."""
@@ -819,11 +752,9 @@ class _Block:
                 arr[addr[m]] = values[m]
             self._count_stores(ptr, ptr.space, n)
             return
-        if self._tracked is not None and id(arr) not in self._tracked:
-            # The static analysis said this buffer is never written; a
-            # store through it means the analysis was wrong — bail to
-            # the (always correct) scalar path.
-            raise VectorUnsupported("store through a buffer the write analysis missed")
+        # The plan's ``written`` holds the root of every store site's
+        # pointer, and every pointer value points into its root's buffer.
+        assert self._tracked is None or id(arr) in self._tracked, "unwritten buffer"
         flat = None  # the active lanes' flat addresses
         if not (
             acc.sole and aff is not None and id(arr) in self._sole_ids
@@ -888,10 +819,8 @@ class _Block:
         cols = _COLUMNS[width]
         is_row = type(ptr) is RowPtr
         if ptr.space != "private":
-            if not self._needs_hazard(ptr):
-                raise VectorUnsupported(
-                    "store through a buffer the write analysis missed"
-                )
+            # As in :meth:`_scatter`: the buffer is one the plan writes.
+            assert self._needs_hazard(ptr), "unwritten buffer"
             aa, lanes = self._flat_addr(ptr, start, m, n)
             self._hazard(ptr).note_write(
                 aa[:, None] + cols, lanes, self._segment, self._seg_base
@@ -934,15 +863,10 @@ class _Block:
 
     # -- operators -------------------------------------------------------
     def _as_bool(self, v, m) -> np.ndarray:
-        if isinstance(v, np.ndarray):
-            if v.ndim != 1:
-                raise VectorUnsupported("vector used in a scalar condition")
-            if v.dtype.kind == "b":
-                return v
-            return v != 0
-        if _is_uniform(v):
-            return self._full if v else np.zeros(self.L, dtype=bool)
-        raise VectorUnsupported(f"cannot use {v!r} as a condition")
+        """A condition's lanes: the typing walk admits scalars only."""
+        if type(v) is np.ndarray:
+            return v if v.dtype.kind == "b" else v != 0
+        return self._full if v else np.zeros(self.L, dtype=bool)
 
     @staticmethod
     def _align(lhs, rhs):
@@ -1234,9 +1158,6 @@ def _take(value, j: int, count: int):
     if t is dict:
         return {key: _take(v, j, count) for key, v in value.items()}
     return value
-
-
-_MISSING = object()
 
 
 def _rev(a: np.ndarray) -> np.ndarray:
@@ -1784,12 +1705,12 @@ def try_launch(
     buffers written), in blocks of whole work-groups of at most
     :data:`MAX_LANES` lanes, run in the scalar engine's group order.
 
-    On a dynamic :class:`VectorUnsupported` the buffers the kernel may
-    write (the pipeline's ``written`` names) are restored from a
-    snapshot and the exception — whose message is the decline reason
-    the ledger records — propagates, so the caller can re-run the launch
-    on another tier.  No other buffer needs one: a store through it
-    raises before it writes.
+    On a :class:`VectorUnsupported` (a cross-lane race) the buffers the
+    kernel may write (the pipeline's ``written`` names) are restored
+    from a snapshot and the exception — whose message is the decline
+    reason the ledger records — propagates, so the caller can re-run the
+    launch on another tier.  No other buffer needs one: no store reaches
+    it (``_Block._scatter`` asserts it).
     """
     written = pipeline.written
     snapshot: dict = {}

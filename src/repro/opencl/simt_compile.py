@@ -44,12 +44,12 @@ does the rest:
 The walk types every node or refuses the kernel: a node no rule types,
 or a name, return or member that would hold two types, raises
 :class:`~repro.opencl.interp.Untyped` naming it, and so does a form
-the lane tiers do not run (a recursive or unknown helper, a barrier in
-a helper, an unknown geometry builtin or dimension, a ``vloadN`` /
-``vstoreN`` arity, a vector literal's item count, a non-lvalue store,
-a name declared with two types) at the node that has it; the scan
-refuses a barrier under lane-divergent control or beside an early
-``return``.  No closure reads the type of a value at run time.  A
+the lane tiers do not run (``opencl/ENGINES.md``, "Static refusals":
+a name outside its scope, a condition of no scalar type, a pointer that
+a mask would merge across two buffers, ...) at the node that has it;
+the scan refuses a barrier under lane-divergent control or beside an
+early ``return``.  No closure reads the type of a value at run time,
+and the one run-time decline left is a cross-lane race.  A
 refused kernel has no pipeline: :func:`get_pipeline` returns the
 reason, and the launch falls to the scalar oracle with it in the
 ledger.
@@ -340,6 +340,7 @@ class KernelScan(NamedTuple):
     """What :func:`scan_kernel` finds in a kernel for the walk."""
 
     scope: "Scope"  # the facts of the kernel's names
+    steady: frozenset  # see :func:`_steady`
     group: frozenset  # the names the work-items of each group agree on
     has_returns: bool  # whether the kernel body holds a ``return``
     sole_names: frozenset
@@ -536,9 +537,30 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
         if alone:
             sole[name] = alone
     return KernelScan(
-        scope, frozenset(group - {_GROUP}), returns[0], frozenset(sole),
+        scope, _steady(kernel, decls, stores, conds), frozenset(group - {_GROUP}),
+        returns[0], frozenset(sole),
         frozenset(id(s) for v in sole.values() for s in v),
     )
+
+
+def _steady(kernel: c.CFunctionDef, decls: dict, stores: list, conds: dict) -> frozenset:
+    """The greatest set of parameters and names declared once whose
+    stores read only such names, under conditions that read only such
+    names from the declaration down (a loop whose initialisation
+    declares the name ends its scope for the lanes it lets out).  Each
+    holds one value on the lanes in its scope that have not returned:
+    a store may replace it whole, and a condition reading only such
+    names sends all its lanes one way."""
+    top = {p.name: () for p in kernel.params}
+    top.update((name, decl[1]) for name, decl in decls.items() if decl[0] == 1)
+    below = []  # each store with what it reads below its name's declaration
+    for name, value, ctrl, _ in stores:
+        if name in top:
+            reads = None if value is None else _reads(value, set())
+            for s in ctrl[len(top[name]):]:
+                reads = _with(conds[id(s)], reads)
+            below.append((name, value, ctrl, reads))
+    return frozenset(_agreed(set(top), below, set()))
 
 
 def _reads(e, names: set) -> Optional[set]:
@@ -647,7 +669,7 @@ class _Ctx:
     and the helper bodies compiled so far."""
 
     def __init__(self, parsed: ParsedProgram, fn: c.CFunctionDef,
-                 types: StaticTypes, scope: Scope, sole_sites: frozenset):
+                 types: StaticTypes, scan: KernelScan):
         self.parsed = parsed
         self.types = types
         #: ``id(node) -> type``, filled as the nodes compile.
@@ -655,13 +677,18 @@ class _Ctx:
         self.fn = fn
         self.kinds = declared_kinds(fn)
         self.names = types.names.setdefault(fn.name, {})
-        self.scope = scope  # the facts of the function's names
+        self.scope = scan.scope  # the facts of the function's names
+        #: The names a store may replace whole (none in a helper).
+        self.steady = scan.steady
         self.stack = (fn.name,)  # the functions being compiled, outermost first
+        #: The names in scope where the walk is.
+        self.visible = {p.name for p in fn.params}
         #: The function's names a store may reach a buffer through, and
-        #: ``(name, the names of the pointer stored into it)`` per store.
+        #: ``(name, the names of the pointer stored into it)`` per store
+        #: (a ternary that may merge two pointers is a name here).
         self.written: set = set()
         self.flows: list = []
-        self.sole_sites = sole_sites
+        self.sole_sites = scan.sole_sites
         #: name -> (framed body or inlined parts, its written parameters)
         self.helpers: dict = {}
         self.loads: dict = {}  # name -> its (shared) load closure
@@ -706,6 +733,8 @@ class _Ctx:
         )
 
     def returned(self, t: CType) -> None:
+        if t.kind == "ptr":
+            raise Untyped(f"{self.fn.name!r} returns a pointer")
         self.types.update(
             self.types.returns, self.fn.name, t,
             f"the value {self.fn.name!r} returns",
@@ -730,28 +759,56 @@ class _Ctx:
 
     def settle(self) -> set:
         """The function's written names, closed under its flows: a name
-        that is written makes what was stored into it written."""
-        written = self.written
+        that is written makes what was stored into it written.
+
+        A mask merges pointers lane by lane within one buffer, so a name
+        (or a ternary whose lanes may go both ways) that may point into
+        two (a parameter or an array each) is refused, unless a store to
+        it replaces it whole (:func:`_steady`)."""
+        buffers: dict = {}  # pointer name -> the buffers it may point into
         changed = True
         while changed:
             changed = False
             for name, roots in self.flows:
-                if name in written and not roots <= written:
-                    written |= roots
-                    changed = True
-        return written
+                into = buffers.setdefault(name, set())
+                for root in roots:
+                    more = buffers.get(root, {root}) - into
+                    if more:
+                        into |= more
+                        changed = True
+        for name, into in buffers.items():
+            if len(into) > 1 and name not in self.steady:
+                a, b = sorted(into)[:2]
+                raise Untyped(f"{name!r} in {self.fn.name!r} points into both {a} and {b}")
+        self.written |= set().union(*(buffers.get(w, ()) for w in self.written))
+        return self.written
 
     def bind(self, name: str, value, value_c: ExprFn, declaring: bool, vt) -> StmtFn:
         """The store ``name = value_c(...)`` of ``value``, of type ``vt``,
         converted to the declared kind of ``name`` only where it may
         differ — resolved here, once, at plan time."""
+        if name not in self.visible:  # declared by :func:`_compile_decl`
+            raise self.refuse(c.CIdent(name), "it is not declared here")
         self.define(name, vt)
         if vt.kind == "ptr":
             self.flows.append((name, self.roots(value)))
         kind = self.kinds.get(name)
         if _converts(kind, vt):
-            return _bind_converted(name, kind, value_c, declaring)
-        return _bind(name, value_c, declaring)
+            value_c = _converted(kind, value_c)
+        if declaring or name in self.steady:
+            return _bind_whole(name, value_c)
+        return _bind_masked(name, value_c)
+
+
+def _scoped(compile, part, ctx: "_Ctx", has_returns: bool) -> StmtFn:
+    """``compile(part, ...)`` in a scope of its own: what it declares
+    goes out of scope after it."""
+    visible = ctx.visible
+    ctx.visible = set(visible)
+    try:
+        return compile(part, ctx, has_returns)
+    finally:
+        ctx.visible = visible
 
 
 def _kinds(fn: c.CFunctionDef) -> dict:
@@ -763,22 +820,23 @@ def _kinds(fn: c.CFunctionDef) -> dict:
     return kinds
 
 
-def _bind(name: str, value_c: ExprFn, declaring: bool) -> StmtFn:
-    def bind(b, m, n, frame):
+def _bind_whole(name: str, value_c: ExprFn) -> StmtFn:
+    """A store no lane outside the mask reads later: a declaration (in
+    its scope, a lane reads the name after it declared it) or a store
+    to a steady name (:func:`_steady`)."""
+
+    def bind_whole(b, m, n, frame):
+        b.env[name] = value_c(b, m, n)
+
+    return bind_whole
+
+
+def _bind_masked(name: str, value_c: ExprFn) -> StmtFn:
+    def bind_masked(b, m, n, frame):
         v = value_c(b, m, n)
-        if n == b.L:  # every lane stores: no merge (``_Block._bind``)
-            b.env[name] = v
-        else:
-            b._bind(name, v, m, n, declaring)
+        b.env[name] = v if n == b.L else b._merge(b.env[name], v, m)
 
-    return bind
-
-
-def _bind_converted(name: str, kind: str, value_c: ExprFn, declaring: bool) -> StmtFn:
-    def bind_converted(b, m, n, frame):
-        b._bind(name, _convert(kind, value_c(b, m, n)), m, n, declaring)
-
-    return bind_converted
+    return bind_masked
 
 
 def _converted(kind: str, value_c: ExprFn) -> ExprFn:
@@ -810,8 +868,10 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
     t = type(e)
     if t is c.CIdent:
         name = e.name
+        if name not in ctx.visible:
+            raise ctx.refuse(e, "it is not declared here")
         vt = ctx.typed[id(e)] = ctx.names.get(name)
-        if vt is None:
+        if vt is None:  # a parameter of no type the walk knows
             raise ctx.refuse(e, "it holds no typed value here")
         load = ctx.loads.get(name)
         if load is None:
@@ -829,14 +889,13 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
     elif t is c.CMember:
         fn = _compile_member(e, ctx)
     elif t is c.CUnOp:
-        operand = _compile_expr(e.operand, ctx)
-        ot = ctx.typed[id(e.operand)]
-        ctx.typed[id(e)] = unop_type(e.op, ot)
         if e.op == "-":
-            fn = _negate(_arith_operand(operand, ot)[0])
+            operand = _compile_expr(e.operand, ctx)
+            fn = _negate(_arith_operand(operand, ctx.typed[id(e.operand)])[0])
         else:
             assert e.op == "!", e  # the parser's only other unary operator
-            fn = _logical_not(operand)
+            fn = _logical_not(_condition(e.operand, ctx))
+        ctx.typed[id(e)] = unop_type(e.op, ctx.typed[id(e.operand)])
     elif t is c.CTernary:
         fn = _compile_ternary(e, ctx)
     elif t is c.CCast:
@@ -885,12 +944,13 @@ def _logical_not(operand: ExprFn) -> ExprFn:
 
 def _compile_binop(e: c.CBinOp, ctx: _Ctx) -> ExprFn:
     op = e.op
-    lhs = _compile_expr(e.lhs, ctx)
-    rhs = _compile_expr(e.rhs, ctx)
     typed = ctx.typed
     if op == "&&" or op == "||":
         typed[id(e)] = B
-        return _short_circuit(op == "&&", lhs, rhs)
+        lhs = _condition(e.lhs, ctx)
+        return _short_circuit(op == "&&", lhs, _condition(e.rhs, ctx))
+    lhs = _compile_expr(e.lhs, ctx)
+    rhs = _compile_expr(e.rhs, ctx)
     lt, rt = typed[id(e.lhs)], typed[id(e.rhs)]
     typed[id(e)] = binop_type(op, lt, rt)
     if typed[id(e)] is None:
@@ -1016,10 +1076,14 @@ def _binop_parts(
 
 
 def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
-    cond = _compile_expr(e.cond, ctx)
+    cond = _condition(e.cond, ctx)
     then = _compile_expr(e.then, ctx)
     other = _compile_expr(e.otherwise, ctx)
-    ctx.typed[id(e)] = join(ctx.typed[id(e.then)], ctx.typed[id(e.otherwise)])
+    t = ctx.typed[id(e)] = join(ctx.typed[id(e.then)], ctx.typed[id(e.otherwise)])
+    if t is not None and t.kind == "ptr":
+        reads = _reads(e.cond, set())
+        if reads is None or not reads <= ctx.steady:  # the arms may merge
+            ctx.flows.append((c.print_expr(e), ctx.roots(e)))
 
     def ternary(b, m, n):
         b.counters.branches += n
@@ -1034,7 +1098,7 @@ def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
             return other(b, mf, nf)
         tv = then(b, mt, nt)
         fv = other(b, mf, nf)
-        return b._merge(fv, tv, cv)  # the arms have one static type
+        return b._merge(fv, tv, cv)  # the arms have one static type and root
 
     return ternary
 
@@ -1174,7 +1238,12 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
             if not 0 <= dim.value <= 2:
                 raise Untyped(f"{name}({dim.value}): no dimension {dim.value}")
             return _geometry(field, dim.value)
-        return _geometry_by_run(field, _compile_expr(dim, ctx))
+        dim_c = _compile_expr(dim, ctx)
+        reads = _reads(dim, set())
+        if reads is None or not reads <= ctx.steady:
+            raise Untyped(f"{c.print_expr(e)} in {ctx.fn.name!r}: "
+                          "a dimension the work-items may disagree on")
+        return _geometry_by_run(field, dim_c)
     arg_cs, arg_ts = [], []
     for a in e.args:
         arg_cs.append(_compile_expr(a, ctx))
@@ -1243,10 +1312,13 @@ def _geometry(field: str, dim: int) -> ExprFn:
 
 
 def _geometry_by_run(field: str, dim_c: ExprFn) -> ExprFn:
+    """A geometry builtin of a dimension that reads only names a store
+    replaces whole (:func:`_steady`): the active lanes agree on it."""
+
     def dynamic_dim(b, m, n):
         dim = dim_c(b, m, n)
-        if not _is_uniform(dim):
-            raise VectorUnsupported("lane-varying geometry dimension")
+        if type(dim) is np.ndarray:
+            dim = dim[m.argmax()]
         return getattr(b, field)[int(dim)]
 
     return dynamic_dim
@@ -1312,20 +1384,20 @@ def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx, hoist=None) -> tuple:
     parameter written.  With ``hoist``, compiled for one call site in a
     batched loop's body."""
     caller = (
-        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written,
-        ctx.flows, ctx.hoist,
+        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.steady, ctx.stack,
+        ctx.visible, ctx.written, ctx.flows, ctx.hoist,
     )
-    ctx.fn, ctx.kinds, ctx.scope = fn, _kinds(fn), Scope()
+    ctx.fn, ctx.kinds, ctx.scope, ctx.steady = fn, _kinds(fn), Scope(), frozenset()
     ctx.names = ctx.types.names.setdefault(fn.name, {})
-    ctx.stack, ctx.written, ctx.flows = ctx.stack + (fn.name,), set(), []
-    ctx.hoist = hoist
+    ctx.stack, ctx.visible = ctx.stack + (fn.name,), {p.name for p in fn.params}
+    ctx.written, ctx.flows, ctx.hoist = set(), [], hoist
     try:
         body = _helper_body(fn, ctx)
         written = ctx.settle()
         return body, frozenset(p.name for p in fn.params if p.name in written)
     finally:
-        (ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.stack, ctx.written,
-         ctx.flows, ctx.hoist) = caller
+        (ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.steady, ctx.stack,
+         ctx.visible, ctx.written, ctx.flows, ctx.hoist) = caller
 
 
 def _straight_parts(fn: c.CFunctionDef) -> Optional[tuple]:
@@ -1457,13 +1529,13 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         return _unless_hoisted(stmt_c)
     t = type(s)
     if t is c.CBlock:
-        return _compile_block(s.stmts, ctx, has_returns)
+        return _scoped(_compile_block, s.stmts, ctx, has_returns)
     if t is c.CAssign:
         return _compile_assign(s, ctx)
     if t is c.CDecl:
         return _compile_decl(s, ctx)
     if t is c.CFor:
-        return _compile_for(s, ctx, has_returns)
+        return _scoped(_compile_for, s, ctx, has_returns)
     if t is c.CIf:
         return _compile_if(s, ctx, has_returns)
     if t is c.CExprStmt:
@@ -1576,6 +1648,8 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     member = target.member
     bt = ctx.typed[id(target.base)]
     if bt.kind == "struct":
+        if ctx.types.member(bt.elem, member) is None:
+            raise ctx.refuse(target, f"member store into base {bt}")
         kind = ctx.types.store_member(bt.elem, member, vt)
         if _converts(kind, vt):  # to the kind the member holds
             value_c = _converted(kind, value_c)
@@ -1616,6 +1690,10 @@ def _store_component(value_c: ExprFn, base_c: ExprFn, member: str) -> StmtFn:
 
 def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
     name = decl.name
+    if name in ctx.visible:  # the environment is flat per function
+        raise Untyped(f"{name!r} in {ctx.fn.name!r} shadows a name in scope")
+    init_c = None if decl.init is None else _compile_expr(decl.init, ctx)
+    ctx.visible.add(name)  # after its initialiser, as in C
     if decl.array_size is not None:
         ctx.define(name, CType("ptr", elem=declared_element_kind(decl.type_name)))
         if decl.qualifier == "local":
@@ -1623,14 +1701,11 @@ def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
         size, dtype = decl.array_size, array_dtype(decl.type_name)
         return lambda b, m, n, frame: b._alloc_private(name, size, dtype)
 
-    if decl.init is not None:
-        init_c = _compile_expr(decl.init, ctx)
+    if init_c is not None:
         return ctx.bind(name, decl.init, init_c, True, ctx.typed[id(decl.init)])
     ctx.define(name, ctx.types.zero(decl.type_name))
     type_name, structs = decl.type_name, ctx.parsed.structs
-    return lambda b, m, n, frame: b._bind(
-        name, typed_zero(type_name, structs, b.L), m, n, True
-    )
+    return _bind_whole(name, lambda b, m, n: typed_zero(type_name, structs, b.L))
 
 
 def _check_local(name: str) -> StmtFn:
@@ -1644,7 +1719,7 @@ def _check_local(name: str) -> StmtFn:
 def _compile_for(s: c.CFor, ctx: _Ctx, has_returns: bool) -> StmtFn:
     # Compiled (and typed) in execution order: init, cond, body, step.
     init_c = _compile_stmt(s.init, ctx, has_returns) if s.init is not None else None
-    cond_c = _compile_expr(s.cond, ctx) if s.cond is not None else None
+    cond_c = _condition(s.cond, ctx) if s.cond is not None else None
     plan = _plan(s, ctx)
     if plan is None:
         body_c = _compile_stmt(s.body, ctx, has_returns)
@@ -2125,15 +2200,13 @@ def _unless_hoisted(stmt_c: StmtFn) -> StmtFn:
 class _Batch:
     """A batched loop's plan: its variable, ``bound`` (symbolic),
     ``inclusive`` and ``step``; the hoisted part's ``ops`` over
-    ``slots`` values; the names of its function it ``reads``, and the
-    body-local ``names`` it assigns."""
+    ``slots`` values and the names of its function it ``reads``."""
 
-    __slots__ = ("var", "bound", "inclusive", "step", "ops", "slots", "reads", "names")
+    __slots__ = ("var", "bound", "inclusive", "step", "ops", "slots", "reads")
 
-    def __init__(self, header: tuple, ops: tuple, slots: int, reads, names):
+    def __init__(self, header: tuple, ops: tuple, slots: int, reads):
         self.var, self.bound, self.inclusive, self.step = header
-        self.ops, self.slots = ops, slots
-        self.reads, self.names = tuple(reads), tuple(names)
+        self.ops, self.slots, self.reads = ops, slots, tuple(reads)
 
     def hoist(self, b: _Block, m, n: int, first: int, count: int) -> Optional[list]:
         """The hoisted values of iterations ``first, first + step, ...``
@@ -2142,8 +2215,8 @@ class _Batch:
         ``OutOfBounds``, a race decline, an arithmetic error): nothing
         counted, nothing logged, and the loop runs on as it does
         unbatched, raising it in its place.  The body-local names it
-        assigns get their last iteration's values, as the loop leaves
-        them."""
+        assigns are out of scope after the loop, and each iteration
+        reads them from the slots."""
         chunk = _Chunk(b, count)
         env, real = chunk.env, b.env
         for name in self.reads:
@@ -2165,8 +2238,6 @@ class _Batch:
             counters.update(before)
             return None
         b._absorb(chunk)
-        for name in self.names:
-            b._bind(name, _take(env[name], count - 1, count), m, n, True)
         return slots
 
 
@@ -2179,13 +2250,12 @@ class _Plan(NamedTuple):
     ops: list
     planner: _Planner
     reads: frozenset
-    names: frozenset
     unfixed: frozenset
 
     def batch(self) -> _Batch:
         """The plan, once the body compiled."""
         ops = self.planner.closures(self.ops, self.hoist)
-        return _Batch(self.header, ops, self.planner.slots, self.reads, self.names)
+        return _Batch(self.header, ops, self.planner.slots, self.reads)
 
 
 def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
@@ -2201,8 +2271,7 @@ def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
     if header[0] in assigned or _names(header[1]) & assigned:
         return None
     # Body-local names: declared in the body and not read before (each
-    # iteration rebinds them first; after a chunk the function's flat
-    # environment gets their last values, as the loop leaves them).
+    # iteration rebinds them first; they are out of scope after it).
     local = {st.name for st in stmts if type(st) is c.CDecl}
     carried, seen = set(), set()
     for st in stmts if local else ():
@@ -2227,7 +2296,7 @@ def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
                     _reads_of(a, reads)
     return _Plan(
         header, hoist, ops, planner, frozenset(reads - names - {header[0]}),
-        frozenset(names), frozenset(assigned | {header[0]}),
+        frozenset(assigned | {header[0]}),
     )
 
 
@@ -2295,9 +2364,9 @@ def _iterations(body_c: StmtFn, slots: list, count: int) -> StmtFn:
 
 def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
     cond_c, bound = _compile_bound(s.cond, ctx)
-    then_c = _compile_stmt(s.then, ctx, has_returns)
+    then_c = _scoped(_compile_stmt, s.then, ctx, has_returns)
     else_c = (
-        _compile_stmt(s.otherwise, ctx, has_returns)
+        _scoped(_compile_stmt, s.otherwise, ctx, has_returns)
         if s.otherwise is not None
         else None
     )
@@ -2317,7 +2386,7 @@ def _compile_bound(cond, ctx: _Ctx) -> tuple:
     with ``i`` affine in the ids and ``n`` uniform (a prefix mask), else
     ``None``."""
     if type(cond) is not c.CBinOp or cond.op not in ("<", "<="):
-        return _compile_expr(cond, ctx), None
+        return _condition(cond, ctx), None
     lhs = _compile_expr(cond.lhs, ctx)
     rhs = _compile_expr(cond.rhs, ctx)
     lt, rt = ctx.typed[id(cond.lhs)], ctx.typed[id(cond.rhs)]
@@ -2389,14 +2458,19 @@ def _branch(b, m, n, frame, cv, then_c, else_c) -> None:
         else_c(b, m, n, frame)
 
 
+def _condition(e, ctx: _Ctx) -> ExprFn:
+    """The closure of ``e``, a condition: C tests a scalar."""
+    cond_c = _compile_expr(e, ctx)
+    t = ctx.typed[id(e)]
+    if not is_arith(t) or t.width != 1:
+        raise Untyped(f"condition {c.print_expr(e)!r} in {ctx.fn.name!r} has type {t}")
+    return cond_c
+
+
 def _truth(cv):
     """A condition's lanes as booleans, or its one uniform value."""
-    if isinstance(cv, np.ndarray):
-        if cv.ndim != 1:
-            raise VectorUnsupported("vector used in a scalar condition")
+    if type(cv) is np.ndarray:
         return cv if cv.dtype.kind == "b" else cv != 0
-    if not _is_uniform(cv):
-        raise VectorUnsupported(f"cannot use {cv!r} as a condition")
     return cv
 
 
@@ -2531,9 +2605,10 @@ def compile_kernel_pipeline(
             else _SCALAR.get(kinds[p.name])
         )
     scan = scan_kernel(kernel)
-    ctx = _Ctx(parsed, kernel, types, scan.scope, scan.sole_sites)
-    segments = [
-        _compile_stmt(r, ctx, scan.has_returns) for r in split_at_barriers(kernel)
+    ctx = _Ctx(parsed, kernel, types, scan)
+    segments = [  # in the kernel body's one scope
+        _barrier if type(r) is c.CBarrier else _compile_block(r.stmts, ctx, scan.has_returns)
+        for r in split_at_barriers(kernel)
     ]
     ctx.settle()
     return Pipeline(

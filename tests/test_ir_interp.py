@@ -16,17 +16,20 @@ from repro.ir.dsl import (
     add,
     as_vector,
     f32,
+    gather,
     head,
     iterate,
     lam,
     map_,
     mult,
+    scatter,
     split,
     vec_literal,
     zip_,
 )
 from repro.ir.interp import VecValue, apply_fun, evaluate
 from repro.ir.nodes import FunCall, Lambda, Param, UserFun
+from repro.ir.patterns import transpose_indices
 from repro.types import FLOAT
 from tests.programs import high_level_case
 
@@ -84,6 +87,16 @@ class TestErrors:
         assert apply_fun(split(k), [[1.0, 2.0]], {"K": 1}) == [[1.0], [2.0]]
         assert apply_fun(iterate(k, map_(lam(lambda x: call(add(), x, x)))),
                          [[1.0]], {"K": 3}) == [8.0]
+
+
+    def test_a_permutation_over_a_size_variable_takes_the_sizes(self):
+        # i -> (i mod N) * 2 + i / N, with N from the size environment.
+        permute = transpose_indices(Var("N"), 2)
+        transposed = [0, 2, 4, 6, 1, 3, 5, 7]
+        assert apply_fun(gather(permute), [list(range(8))], {"N": 4}) == transposed
+        assert apply_fun(scatter(permute), [transposed], {"N": 4}) == list(range(8))
+        with pytest.raises(ValueError, match=r"transpose\(N,2\) did not evaluate$"):
+            apply_fun(gather(permute), [list(range(8))])
 
 
 class TestBinding:

@@ -49,12 +49,11 @@ def high_level_digest(name: str) -> str:
     return _digest(flat_floats(apply_fun(program, args, size_env)))
 
 
-def schedule_digests(name: str) -> list:
+def schedule_digests(name: str, specialize=specialize_sizes) -> list:
     """``[structural hash, digest]`` of every finished schedule of a
     depth-2 search of ``name``, in the finish step's order, each
     interpreted with its sizes specialized as the explorer compiles it
-    (a gather or scatter permutation over a size variable evaluates
-    only then)."""
+    (``specialize``)."""
     _, high_level, _, size_env, inputs = high_level_case(name)
     stats, memo = ExploreStats(), SearchMemo()
     derivations = _enumerate(
@@ -67,7 +66,7 @@ def schedule_digests(name: str) -> list:
     return [
         [structural_hash(c.program),
          _digest(reference_output(
-             specialize_sizes(c.program, size_env), inputs, size_env))]
+             specialize(c.program, size_env), inputs, size_env))]
         for c in finished
     ]
 
@@ -94,6 +93,14 @@ def test_finished_schedule_bits_are_pinned(name, pinned):
     digests = schedule_digests(name)
     assert len(digests) >= 10
     assert digests == pinned["schedules"][name]
+
+
+def test_schedules_interpret_with_their_size_variables(pinned):
+    # mm's tile-2d schedules gather and scatter through permutations
+    # over M and N: interpreted as found, with the size environment,
+    # they give the pinned bits too.
+    digests = schedule_digests("mm", lambda program, sizes: program)
+    assert digests == pinned["schedules"]["mm"]
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from repro.opencl import (
     launch,
 )
 from repro.opencl import simt_compile
+from repro.opencl.interp import ExecError
 from repro.benchsuite.common import ALL_BENCHMARKS, get_benchmark
 from repro.compiler.options import OPTIMIZATION_LEVELS
 from tests.programs import checked_static_types, partial_dot, simple_map_add_one
@@ -190,6 +191,21 @@ class TestMemberAccess:
         for engine, layout in ALL_RUNS:
             with pytest.raises(KeyError), blocks(layout, 4, 4):
                 launch(program, 4, 4, {"out": Buffer.zeros(4)}, engine=engine)
+
+
+#: A kernel around ``{}``, and a struct type.
+_K = (
+    "kernel void K(global float *a, global float *b, global float *out) {{"
+    " int i = get_global_id(0); {} }}"
+)
+_S = "typedef struct { float x; float y; } S;\n"
+#: Conditions C does not take: three vectors and a struct.
+_NOT_A_SCALAR = tuple(
+    _K.format("float4 v = vload4(0, a); " + test) for test in (
+        "if (v) { out[i] = 1.0f; }", "out[i] = v ? 1.0f : 2.0f;",
+        "while (v) { out[i] = 1.0f; }",
+    )
+) + (_S + _K.format("S q; if (q) { out[i] = 1.0f; }"),)
 
 
 class TestWrittenRootsAnalysis:
@@ -484,6 +500,29 @@ class TestStaticTypes:
          " { int t = 1; x[0] = t; } { float t = 2.0f; x[1] = t; }"
          " if (get_local_id(0) < 1) { barrier(CLK_LOCAL_MEM_FENCE); } }",
          "'t' is declared with two types in 'K'"),
+        # Forms the lanes could not merge, test or run: each refused at
+        # its node, never at run time.
+        (_K.format("global float *p = a; if (i < 4) { p = b; } out[i] = p[i];"),
+         "'p' in 'K' points into both a and b"),
+        (_K.format("out[i] = (i < 4 ? a : b)[i];"),
+         "'(i < 4 ? a : b)' in 'K' points into both a and b"),
+        (_K.format("local float t[8]; local float u[8]; local float *p = t;"
+                   " if (i < 4) { p = u; } out[i] = p[i];"),
+         "'p' in 'K' points into both t and u"),
+        ("float f(global float *a) { return a; }\n" + _K.format("out[i] = f(a)[i];"),
+         "'f' returns a pointer"),
+        *((source, "condition 'v' in 'K' has type float4") for source in _NOT_A_SCALAR[:3]),
+        (_NOT_A_SCALAR[3], "condition 'q' in 'K' has type S"),
+        (_K.format("if (a) { out[i] = 1.0f; }"), "condition 'a' in 'K' has type float *"),
+        (_K.format("out[i] = get_local_size(i % 1);"),
+         "get_local_size(i % 1) in 'K': a dimension the work-items may disagree on"),
+        (_K.format("if (i < 4) { x = a[i]; }"),
+         "no static type for 'x' in 'K': it is not declared here"),
+        (_K.format("if (i < 0) { float x = 1.0f; } if (i < 4) { out[x] = a[i]; }"),
+         "no static type for 'x' in 'K': it is not declared here"),
+        (_K.format("if (i < 4) { int i = 2; }"), "'i' in 'K' shadows a name in scope"),
+        (_S + _K.format("S q; q.z = 1.0f;"),
+         "no static type for 'q.z' in 'K': member store into base S"),
     ])
     def test_a_malformed_form_is_a_static_refusal(self, source, reason):
         # Each is refused at plan time, with the node's or the form's
@@ -495,6 +534,20 @@ class TestStaticTypes:
         with pytest.raises(CompileUnsupported) as refusal:
             get_backend("compiled").plan(program.parsed, program.kernel())
         assert str(refusal.value) == reason
+
+    @pytest.mark.parametrize("source", _NOT_A_SCALAR)
+    def test_a_condition_of_no_scalar_type_is_the_oracles_error(self, source):
+        # Refused at plan time; the oracle then raises its typed error.
+        from repro.backend import ledger
+
+        what = "struct" if "struct" in source else "vector"
+        args = {"a": Buffer.from_array(np.arange(16.0)), "b": Buffer.zeros(8),
+                "out": Buffer.zeros(8)}
+        for engine in ("scalar", "auto"):
+            ledger.clear()
+            with pytest.raises(ExecError, match=f"^{what} used in a scalar condition$"):
+                launch(OpenCLProgram(source), 8, 4, args, engine=engine)
+            assert [e.kind for e in ledger.events()] == ["static"] * (engine == "auto")
 
     def test_the_compile_span_counts_inlined_calls(self, tmp_path):
         import json
@@ -596,6 +649,28 @@ _TYPED_CORNERS = {
         }""", lambda: {"a": Buffer.from_array(np.arange(-8, 8, 2)),
                        "q": Buffer.zeros(8, "int"), "r": Buffer.zeros(8, "int"),
                        "f": Buffer.zeros(8)}),
+    # What a mask merges: one buffer behind a pointer name, a name
+    # stored on both arms, a struct (an int and a vector member).
+    "masked merges": ("""
+        typedef struct { int n; float4 v; } S;
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          const global float *p = x;
+          float f;
+          if (i < 4) { p = x + 8; f = x[i]; } else { f = -2.0f * x[i]; }
+          S r;
+          r.n = i;
+          r.v = vload4(i, x);
+          if (i < 6) { S q = r; out[q.n] = q.n / 2 + q.v.y + p[i] + f; }
+        }""", lambda: {"x": Buffer.from_array(np.arange(36.0)),
+                       "out": Buffer.zeros(8)}),
+    "geometry dimensions in names": ("""
+        kernel void K(global float *out) {
+          int s = 0;
+          int e = (1 > 0) && (2 > 3);
+          for (int d = 0; d < 2; d += 1) { s += get_local_size(d) * get_global_id(d); }
+          out[get_global_id(0)] = s + get_local_size(e);
+        }""", lambda: {"out": Buffer.zeros(8)}),
     "int64 data behind a float pointer": ("""
         kernel void K(const global float * restrict inp, global float *out,
                       global float *half) {
