@@ -588,6 +588,23 @@ class TestFallback:
         )
         assert refusal(program) is None
 
+    def test_analysis_rejects_barrier_plus_return(self):
+        src = """
+        kernel void K(global float *x, int n) {
+          if (get_global_id(0) >= n) { return; }
+          barrier(CLK_LOCAL_MEM_FENCE);
+          x[get_global_id(0)] = 1.0f;
+        }
+        """
+        program = OpenCLProgram(src)
+        reason = refusal(program)
+        assert reason is not None and "return" in reason
+
+    def test_analysis_rejects_unknown_function(self):
+        src = "kernel void K(global float *x) { x[0] = mystery(x[0]); }"
+        program = OpenCLProgram(src)
+        assert refusal(program) is not None
+
     def test_dynamic_race_falls_back_to_scalar(self):
         # Every work-item stages its value through the *same* scratch
         # cell — the scalar interpreter's sequential item order makes

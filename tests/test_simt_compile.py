@@ -199,13 +199,32 @@ _K = (
     " int i = get_global_id(0); {} }}"
 )
 _S = "typedef struct { float x; float y; } S;\n"
-#: Conditions C does not take: three vectors and a struct.
+#: Conditions neither engine takes: a vector ``v`` or a struct ``q``
+#: where a condition stands (a struct in each such place).
 _NOT_A_SCALAR = tuple(
-    _K.format("float4 v = vload4(0, a); " + test) for test in (
-        "if (v) { out[i] = 1.0f; }", "out[i] = v ? 1.0f : 2.0f;",
-        "while (v) { out[i] = 1.0f; }",
+    _S + _K.format("S q; " + test.format("q")) if struct
+    else _K.format("float4 v = vload4(0, a); " + test.format("v"))
+    for struct, test in (
+        (False, "if ({}) {{ out[i] = 1.0f; }}"),
+        (False, "out[i] = {} ? 1.0f : 2.0f;"),
+        (False, "while ({}) {{ out[i] = 1.0f; }}"),
+        (True, "if ({}) {{ out[i] = 1.0f; }}"),
+        (False, "for (; {}; ) {{ out[i] = 1.0f; }}"),
+        (True, "out[i] = {} ? 1.0f : 2.0f;"),
+        (True, "while ({}) {{ out[i] = 1.0f; }}"),
+        (True, "for (; {}; ) {{ out[i] = 1.0f; }}"),
+        (True, "out[i] = !{};"),
+        (True, "out[i] = {} && i;"),
+        (True, "out[i] = {} || i;"),
     )
-) + (_S + _K.format("S q; if (q) { out[i] = 1.0f; }"),)
+)
+
+
+def _not_a_scalar(source: str) -> str:
+    """The static refusal of a kernel of :data:`_NOT_A_SCALAR`."""
+    if "struct" in source:
+        return "condition 'q' in 'K' has type S"
+    return "condition 'v' in 'K' has type float4"
 
 
 class TestWrittenRootsAnalysis:
@@ -511,8 +530,7 @@ class TestStaticTypes:
          "'p' in 'K' points into both t and u"),
         ("float f(global float *a) { return a; }\n" + _K.format("out[i] = f(a)[i];"),
          "'f' returns a pointer"),
-        *((source, "condition 'v' in 'K' has type float4") for source in _NOT_A_SCALAR[:3]),
-        (_NOT_A_SCALAR[3], "condition 'q' in 'K' has type S"),
+        *((source, _not_a_scalar(source)) for source in _NOT_A_SCALAR[:4]),
         (_K.format("if (a) { out[i] = 1.0f; }"), "condition 'a' in 'K' has type float *"),
         (_K.format("out[i] = get_local_size(i % 1);"),
          "get_local_size(i % 1) in 'K': a dimension the work-items may disagree on"),
@@ -523,6 +541,7 @@ class TestStaticTypes:
         (_K.format("if (i < 4) { int i = 2; }"), "'i' in 'K' shadows a name in scope"),
         (_S + _K.format("S q; q.z = 1.0f;"),
          "no static type for 'q.z' in 'K': member store into base S"),
+        *((source, _not_a_scalar(source)) for source in _NOT_A_SCALAR[4:]),
     ])
     def test_a_malformed_form_is_a_static_refusal(self, source, reason):
         # Each is refused at plan time, with the node's or the form's
