@@ -49,8 +49,7 @@ rejects with a typed error:
 * recursive helper functions, calls to unknown functions,
 * a name declared with two types in one function, a name used outside
   the scope of its declarations, a declaration shadowing a name,
-* a condition of no scalar type (a vector, pointer or struct), a
-  geometry dimension the work-items may disagree on,
+* a condition of no scalar type (a vector, pointer or struct),
 * a pointer name or ternary that may point into two buffers where a
   mask may merge it, a helper returning a pointer, a store to a
   member its struct does not declare,

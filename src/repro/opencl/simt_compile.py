@@ -391,9 +391,10 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
     restarts at every barrier."""
     kinds = declared_kinds(kernel)
     decls: dict = {}  # name -> [count, control around it, value]
-    # (name, stored value or None, control around it, the names the
-    # store reads: its value and the conditions around it; None: its
-    # lanes may disagree whatever they read)
+    # (name, stored value or None, the names the value reads, the names
+    # it and the conditions around it read, the names the conditions
+    # below the name's declaration read; None: its lanes may disagree
+    # whatever they read)
     stores: list = []
     conds: dict = {}  # id(loop or branch) -> the names its condition reads
     barriers: list = []  # the names the conditions around each barrier read
@@ -423,7 +424,13 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
                 scan(part)
 
     def store(name: str, value, ctrl: tuple, reads) -> None:
-        stores.append((name, value, ctrl, _with(reads, _reads(value, set()))))
+        # A store sits in its name's scope (the walk refuses any other),
+        # so the control around the declaration is a prefix of ``ctrl``.
+        below = frozenset()
+        for s in ctrl[len(decls[name][1]) if name in decls else 0:]:
+            below = _with(conds[id(s)], below)
+        own = _reads(value, set())
+        stores.append((name, value, own, _with(reads, own), below))
 
     def walk(s, ctrl: tuple, reads) -> None:
         t = type(s)
@@ -457,7 +464,7 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
             else:
                 scan(target)
                 if type(target) is c.CMember and type(target.base) is c.CIdent:
-                    stores.append((target.base.name, None, ctrl, None))
+                    stores.append((target.base.name, None, None, None, None))
             scan(s.value)
         elif t is c.CFor or t is c.CIf:
             # A loop's initialisation runs under the control around it,
@@ -488,13 +495,14 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
     walk(kernel.body, (), frozenset())
     stored = {name for name, *_ in stores}
     names = {p.name for p in kernel.params} | stored
-    group = _agreed(names, stores, {_GROUP})
+    store_reads = [(s[0], s[3]) for s in stores]
+    group = _agreed(names, store_reads, {_GROUP})
     if barriers:
         if returns[0]:
             raise Untyped("barrier combined with early return")
         if any(reads is None or not reads <= group for reads in barriers):
             raise Untyped("barrier under lane-divergent control flow")
-    agreed = _agreed(names, stores, set())
+    agreed = _agreed(names, store_reads, set())
     scope = Scope(frozenset(n for n in agreed if kinds.get(n) == "i"))
     # Names declared once whose every store (the declaration's among
     # them) sits under control its lanes agree on below the declaration.
@@ -502,18 +510,9 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
         name: [] for name, decl in decls.items()
         if decl[0] == 1 and kinds.get(name) == "i" and name not in scope.uniform
     }
-    for name, value, ctrl, _ in stores:
+    for name, value, _, _, below in stores:
         if name in candidates:
-            around = decls[name][1]
-            clean = value is not None and len(ctrl) >= len(around) and all(
-                a is b for a, b in zip(ctrl, around)
-            )
-            for s in ctrl[len(around):] if clean else ():
-                cond = conds[id(s)]
-                clean = cond is not None and cond <= agreed
-                if not clean:
-                    break
-            if clean:
+            if value is not None and below is not None and below <= agreed:
                 candidates[name].append(value)
             else:
                 del candidates[name]
@@ -537,13 +536,13 @@ def scan_kernel(kernel: c.CFunctionDef) -> KernelScan:
         if alone:
             sole[name] = alone
     return KernelScan(
-        scope, _steady(kernel, decls, stores, conds), frozenset(group - {_GROUP}),
+        scope, _steady(kernel, decls, stores), frozenset(group - {_GROUP}),
         returns[0], frozenset(sole),
         frozenset(id(s) for v in sole.values() for s in v),
     )
 
 
-def _steady(kernel: c.CFunctionDef, decls: dict, stores: list, conds: dict) -> frozenset:
+def _steady(kernel: c.CFunctionDef, decls: dict, stores: list) -> frozenset:
     """The greatest set of parameters and names declared once whose
     stores read only such names, under conditions that read only such
     names from the declaration down (a loop whose initialisation
@@ -551,16 +550,11 @@ def _steady(kernel: c.CFunctionDef, decls: dict, stores: list, conds: dict) -> f
     holds one value on the lanes in its scope that have not returned:
     a store may replace it whole, and a condition reading only such
     names sends all its lanes one way."""
-    top = {p.name: () for p in kernel.params}
-    top.update((name, decl[1]) for name, decl in decls.items() if decl[0] == 1)
-    below = []  # each store with what it reads below its name's declaration
-    for name, value, ctrl, _ in stores:
-        if name in top:
-            reads = None if value is None else _reads(value, set())
-            for s in ctrl[len(top[name]):]:
-                reads = _with(conds[id(s)], reads)
-            below.append((name, value, ctrl, reads))
-    return frozenset(_agreed(set(top), below, set()))
+    top = {p.name for p in kernel.params}
+    top.update(name for name, decl in decls.items() if decl[0] == 1)
+    return frozenset(_agreed(top, [
+        (name, _with(below, own)) for name, _, own, _, below in stores if name in top
+    ], set()))
 
 
 def _reads(e, names: set) -> Optional[set]:
@@ -593,12 +587,12 @@ def _with(ctrl, reads):
 
 def _agreed(names: set, stores: list, given: set) -> set:
     """The greatest subset of ``names`` (plus ``given``) whose every
-    store reads only names in it."""
+    store, a ``(name, the names it reads)``, reads only names in it."""
     agreed = names | given
     changed = True
     while changed:
         changed = False
-        for name, _, _, reads in stores:
+        for name, reads in stores:
             if name in agreed and (reads is None or not reads <= agreed):
                 agreed.discard(name)
                 changed = True
@@ -764,13 +758,15 @@ class _Ctx:
         A mask merges pointers lane by lane within one buffer, so a name
         (or a ternary whose lanes may go both ways) that may point into
         two (a parameter or an array each) is refused, unless a store to
-        it replaces it whole (:func:`_steady`)."""
+        it replaces it whole (:func:`_steady`).  A pointer parameter
+        points into its own buffer before any store to it."""
+        own = {p.name for p in self.fn.params if p.is_pointer}
         buffers: dict = {}  # pointer name -> the buffers it may point into
         changed = True
         while changed:
             changed = False
             for name, roots in self.flows:
-                into = buffers.setdefault(name, set())
+                into = buffers.setdefault(name, {name} & own)
                 for root in roots:
                     more = buffers.get(root, {root}) - into
                     if more:
@@ -1081,8 +1077,11 @@ def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
     other = _compile_expr(e.otherwise, ctx)
     t = ctx.typed[id(e)] = join(ctx.typed[id(e.then)], ctx.typed[id(e.otherwise)])
     if t is not None and t.kind == "ptr":
+        # The arms may merge unless the condition's lanes agree: it
+        # reads steady names only, none that a batched loop's chunk
+        # holds an iteration's value of on each lane.
         reads = _reads(e.cond, set())
-        if reads is None or not reads <= ctx.steady:  # the arms may merge
+        if reads is None or not reads <= ctx.steady - ctx.unfixed:
             ctx.flows.append((c.print_expr(e), ctx.roots(e)))
 
     def ternary(b, m, n):
@@ -1238,12 +1237,7 @@ def _compile_call(e: c.CCall, ctx: _Ctx) -> ExprFn:
             if not 0 <= dim.value <= 2:
                 raise Untyped(f"{name}({dim.value}): no dimension {dim.value}")
             return _geometry(field, dim.value)
-        dim_c = _compile_expr(dim, ctx)
-        reads = _reads(dim, set())
-        if reads is None or not reads <= ctx.steady:
-            raise Untyped(f"{c.print_expr(e)} in {ctx.fn.name!r}: "
-                          "a dimension the work-items may disagree on")
-        return _geometry_by_run(field, dim_c)
+        return _geometry_by_lane(field, _compile_expr(dim, ctx))
     arg_cs, arg_ts = [], []
     for a in e.args:
         arg_cs.append(_compile_expr(a, ctx))
@@ -1311,15 +1305,20 @@ def _geometry(field: str, dim: int) -> ExprFn:
     return lambda b, m, n: getattr(b, field)[dim]
 
 
-def _geometry_by_run(field: str, dim_c: ExprFn) -> ExprFn:
-    """A geometry builtin of a dimension that reads only names a store
-    replaces whole (:func:`_steady`): the active lanes agree on it."""
+def _geometry_by_lane(field: str, dim_c: ExprFn) -> ExprFn:
+    """A geometry builtin of a computed dimension, taken on each lane
+    at that lane's dimension (a batched loop's chunk holds several
+    iterations, so lanes may disagree on a loop variable)."""
 
     def dynamic_dim(b, m, n):
         dim = dim_c(b, m, n)
-        if type(dim) is np.ndarray:
-            dim = dim[m.argmax()]
-        return getattr(b, field)[int(dim)]
+        values = getattr(b, field)
+        if type(dim) is not np.ndarray:
+            return values[int(dim)]
+        dims = np.unique(dim[m]).tolist()  # the active lanes' (n > 0)
+        if len(dims) == 1:
+            return values[dims[0]]
+        return np.select([dim == d for d in dims], [values[d] for d in dims])
 
     return dynamic_dim
 

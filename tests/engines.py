@@ -2,10 +2,10 @@
 
 Every lane tier must agree with the ``scalar`` oracle bit for bit: the
 same buffers, equal ``Counters``, no ``static`` decline in the ledger
-on the way, and no ``dynamic`` one but a cross-lane race.  :func:`check_engines` runs a launch on
-``scalar`` and on each of :data:`RUNS`: an engine over :data:`ONE`
-block or over :data:`SEVERAL` (``simt.MAX_LANES`` lowered for the run,
-the last block ragged).  Counters and buffers do not depend on the
+on the way, and no ``dynamic`` one but a cross-lane race.
+:func:`check_engines` runs a launch on ``scalar`` and on each of
+:data:`RUNS`: an engine over :data:`ONE` block or over :data:`SEVERAL`
+(``simt.MAX_LANES`` lowered for the run, the last block ragged).  Counters and buffers do not depend on the
 block size, so both layouts must give the oracle's.
 """
 

@@ -5,7 +5,10 @@ The central one is the paper's Listing 1: the partial dot product.
 
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro.arith import Var
+from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.types import ArrayType, FLOAT
 from repro.ir.nodes import FunCall, Lambda, Param
 from repro.ir.dsl import (
@@ -28,6 +31,33 @@ from repro.ir.dsl import (
     to_local,
     zip_,
 )
+
+
+#: The OpenCL kernel the backend, observability and resilience tests
+#: launch: ``out = a * x + y`` on the work-items below ``n``.
+SAXPY = """
+kernel void SAXPY(const global float * restrict x,
+                  const global float * restrict y,
+                  global float *out, float a, int n) {
+  int i = get_global_id(0);
+  if (i < n) { out[i] = a * x[i] + y[i]; }
+}
+"""
+
+
+def saxpy_args(n, xs=None):
+    """SAXPY's arguments over ``n`` elements (``x`` = ``xs`` or 0..n-1)."""
+    x = Buffer.from_array(xs if xs is not None else np.arange(n, dtype=float))
+    return {"x": x, "y": Buffer.from_array(np.ones(n)), "out": Buffer.zeros(n),
+            "a": 2.0, "n": n}
+
+
+def run_saxpy(engine, n=64, local=16, **overrides):
+    """``(out, counters as a dict)`` of a SAXPY launch on ``engine``."""
+    args = saxpy_args(n)
+    args.update(overrides)
+    counters = launch(OpenCLProgram(SAXPY), n, local, args, engine=engine)
+    return args["out"].data.copy(), vars(counters)
 
 
 def partial_dot(n=None):

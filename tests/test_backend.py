@@ -34,36 +34,8 @@ from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
 from repro.opencl import simt, simt_compile
 from repro.rewrite.explore import ExploreStats
 from tests.engines import FALLBACK_RUNS, ONE, RUNS, SEVERAL
+from tests.programs import SAXPY, run_saxpy, saxpy_args
 from tests.test_simt import assert_engines_agree
-
-SAXPY = """
-kernel void SAXPY(const global float * restrict x,
-                  const global float * restrict y,
-                  global float *out, float a, int n) {
-  int i = get_global_id(0);
-  if (i < n) { out[i] = a * x[i] + y[i]; }
-}
-"""
-
-
-def saxpy_args(n, xs=None):
-    x = Buffer.from_array(xs if xs is not None else np.arange(n, dtype=float))
-    return {
-        "x": x,
-        "y": Buffer.from_array(np.ones(n)),
-        "out": Buffer.zeros(n),
-        "a": 2.0,
-        "n": n,
-    }
-
-
-def run_saxpy(engine, n=64, local=16, **overrides):
-    program = OpenCLProgram(SAXPY)
-    args = saxpy_args(n)
-    args.update(overrides)
-    counters = launch(program, n, local, args, engine=engine)
-    return args["out"].data.copy(), vars(counters)
-
 
 class TestEngineTable:
     def test_three_backends(self):

@@ -31,6 +31,7 @@ from repro.obs import trace as trace_mod
 from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.opencl.interp import ExecError
 from tests.engines import ALL_RUNS, ONE, SEVERAL, blocks
+from tests.programs import SAXPY, run_saxpy, saxpy_args
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,15 +40,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SECTIONS = (
     "counters", "cache", "explore", "ledger", "calibration",
 )
-
-SAXPY = """
-kernel void SAXPY(const global float * restrict x,
-                  const global float * restrict y,
-                  global float *out, float a, int n) {
-  int i = get_global_id(0);
-  if (i < n) { out[i] = a * x[i] + y[i]; }
-}
-"""
 
 #: SAXPY over a 2-D range, one element per work-item.
 SAXPY_2D = """
@@ -74,19 +66,6 @@ kernel void RACE(const global float * restrict x,
 def race_args():
     return {"x": Buffer.from_array(np.arange(8.0)),
             "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
-
-
-def run_saxpy(engine, n=64, local=16):
-    program = OpenCLProgram(SAXPY)
-    args = {
-        "x": Buffer.from_array(np.arange(n, dtype=float)),
-        "y": Buffer.from_array(np.ones(n)),
-        "out": Buffer.zeros(n),
-        "a": 2.0,
-        "n": n,
-    }
-    counters = launch(program, n, local, args, engine=engine)
-    return args["out"].data.copy(), vars(counters)
 
 
 @pytest.fixture
@@ -437,12 +416,6 @@ SETTLED_LATE = ("global_loads", "local_loads", "cached_loads", "work_items")
 N = 8192
 
 
-def saxpy_args():
-    return {"x": Buffer.from_array(np.arange(N, dtype=float)),
-            "y": Buffer.from_array(np.ones(N)),
-            "out": Buffer.zeros(N), "a": 2.0, "n": N - 5}
-
-
 def reduce_args():
     return {"x": Buffer.from_array(np.arange(N, dtype=float)),
             "out": Buffer.zeros(N // 64)}
@@ -451,8 +424,8 @@ def reduce_args():
 #: Launches whose attribution is checked, each over one block and over
 #: several.
 ATTRIBUTION_CASES = {
-    "saxpy": (SAXPY, N, 64, saxpy_args),
-    "saxpy-2d": (SAXPY_2D, (128, 64), (8, 8), saxpy_args),
+    "saxpy": (SAXPY, N, 64, lambda: dict(saxpy_args(N), n=N - 5)),
+    "saxpy-2d": (SAXPY_2D, (128, 64), (8, 8), lambda: dict(saxpy_args(N), n=N - 5)),
     "reduce": (REDUCTION_SOURCE, N, 64, reduce_args),
 }
 
@@ -518,10 +491,8 @@ class TestSegmentsAndTraffic:
         for gsize, lsize in ((64, 16), ((8, 8), (4, 4))):
             with blocks(layout, gsize, lsize):
                 _, events = traced(lambda: launch(
-                    OpenCLProgram(SAXPY), gsize, lsize, {
-                        "x": Buffer.zeros(64), "y": Buffer.zeros(64),
-                        "out": Buffer.zeros(64), "a": 2.0, "n": 64,
-                    }, engine="compiled"))
+                    OpenCLProgram(SAXPY), gsize, lsize, saxpy_args(64),
+                    engine="compiled"))
             (segment,) = analysis.segment_rows(events)
             assert (segment["kernel"], segment["segment"]) == ("SAXPY", 0)
             assert "kind" not in segment

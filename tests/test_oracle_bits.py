@@ -49,11 +49,13 @@ def high_level_digest(name: str) -> str:
     return _digest(flat_floats(apply_fun(program, args, size_env)))
 
 
-def schedule_digests(name: str, specialize=specialize_sizes) -> list:
+def schedule_digests(name: str) -> tuple:
     """``[structural hash, digest]`` of every finished schedule of a
     depth-2 search of ``name``, in the finish step's order, each
-    interpreted with its sizes specialized as the explorer compiles it
-    (``specialize``)."""
+    interpreted with its sizes specialized as the explorer compiles it;
+    and the same with each interpreted as found, over the size
+    environment (mm's tile-2d schedules gather and scatter through
+    permutations over its size variables)."""
     _, high_level, _, size_env, inputs = high_level_case(name)
     stats, memo = ExploreStats(), SearchMemo()
     derivations = _enumerate(
@@ -63,18 +65,18 @@ def schedule_digests(name: str, specialize=specialize_sizes) -> list:
     finished = finish_candidates(
         high_level, derivations, size_env, stats, memo, DEVICES["nvidia"]
     )
-    return [
-        [structural_hash(c.program),
-         _digest(reference_output(
-             specialize(c.program, size_env), inputs, size_env))]
-        for c in finished
-    ]
+    return tuple(
+        [[structural_hash(c.program),
+          _digest(reference_output(specialize(c.program, size_env), inputs, size_env))]
+         for c in finished]
+        for specialize in (specialize_sizes, lambda program, sizes: program)
+    )
 
 
 def record() -> dict:
     return {
         "high_level": {n: high_level_digest(n) for n in HIGH_LEVEL},
-        "schedules": {n: schedule_digests(n) for n in EXPLORED},
+        "schedules": {n: schedule_digests(n)[0] for n in EXPLORED},
     }
 
 
@@ -90,17 +92,10 @@ def test_high_level_bits_are_pinned(name, pinned):
 
 @pytest.mark.parametrize("name", EXPLORED)
 def test_finished_schedule_bits_are_pinned(name, pinned):
-    digests = schedule_digests(name)
-    assert len(digests) >= 10
-    assert digests == pinned["schedules"][name]
-
-
-def test_schedules_interpret_with_their_size_variables(pinned):
-    # mm's tile-2d schedules gather and scatter through permutations
-    # over M and N: interpreted as found, with the size environment,
-    # they give the pinned bits too.
-    digests = schedule_digests("mm", lambda program, sizes: program)
-    assert digests == pinned["schedules"]["mm"]
+    specialized, as_found = schedule_digests(name)
+    assert len(specialized) >= 10
+    assert specialized == pinned["schedules"][name]
+    assert as_found == pinned["schedules"][name]
 
 
 if __name__ == "__main__":

@@ -28,31 +28,10 @@ from repro.rewrite.explore import (
 )
 from repro.rewrite.lowering import lower_to_global
 from repro.types import ArrayType, FLOAT
+from tests.programs import run_saxpy
 
 #: The explorer's evaluation stages, in order.
 STAGES = ("compile", "simulate", "verify")
-
-SAXPY = """
-kernel void SAXPY(const global float * restrict x,
-                  const global float * restrict y,
-                  global float *out, float a, int n) {
-  int i = get_global_id(0);
-  if (i < n) { out[i] = a * x[i] + y[i]; }
-}
-"""
-
-
-def _run_saxpy(engine=None, n=32, local=8):
-    program = OpenCLProgram(SAXPY)
-    args = {
-        "x": Buffer.from_array(np.arange(n, dtype=float)),
-        "y": Buffer.from_array(np.ones(n)),
-        "out": Buffer.zeros(n),
-        "a": 2.0,
-        "n": n,
-    }
-    launch(program, n, local, args, engine=engine)
-    return args["out"].data.copy()
 
 
 def _toy_program():
@@ -230,7 +209,7 @@ def test_a_fault_in_plan_propagates_on_every_chain(engine, monkeypatch):
     monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
     for chosen in (engine, None):
         with pytest.raises(ZeroDivisionError, match="a fault in plan"):
-            _run_saxpy(engine=chosen)
+            run_saxpy(chosen)
     assert not ledger.counts()
 
 

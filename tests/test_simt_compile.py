@@ -525,6 +525,11 @@ class TestStaticTypes:
          "'p' in 'K' points into both a and b"),
         (_K.format("out[i] = (i < 4 ? a : b)[i];"),
          "'(i < 4 ? a : b)' in 'K' points into both a and b"),
+        # A batched loop's chunk runs many iterations of d at once.
+        (_K.format("float s = 0.0f;"
+                   " for (int d = 0; d < 16; d += 1) { s += (d < 8 ? a : b)[i]; }"
+                   " out[i] = s;"),
+         "'(d < 8 ? a : b)' in 'K' points into both a and b"),
         (_K.format("local float t[8]; local float u[8]; local float *p = t;"
                    " if (i < 4) { p = u; } out[i] = p[i];"),
          "'p' in 'K' points into both t and u"),
@@ -532,8 +537,11 @@ class TestStaticTypes:
          "'f' returns a pointer"),
         *((source, _not_a_scalar(source)) for source in _NOT_A_SCALAR[:4]),
         (_K.format("if (a) { out[i] = 1.0f; }"), "condition 'a' in 'K' has type float *"),
-        (_K.format("out[i] = get_local_size(i % 1);"),
-         "get_local_size(i % 1) in 'K': a dimension the work-items may disagree on"),
+        (_K.format("if (i < 4) { a = b; } out[i] = a[i];"),
+         "'a' in 'K' points into both a and b"),
+        ("float g(global float *a, global float *b, int i) {"
+         " if (i < 4) { a = b; } return a[i]; }\n" + _K.format("out[i] = g(a, b, i);"),
+         "'a' in 'g' points into both a and b"),
         (_K.format("if (i < 4) { x = a[i]; }"),
          "no static type for 'x' in 'K': it is not declared here"),
         (_K.format("if (i < 0) { float x = 1.0f; } if (i < 4) { out[x] = a[i]; }"),
@@ -683,13 +691,20 @@ _TYPED_CORNERS = {
           if (i < 6) { S q = r; out[q.n] = q.n / 2 + q.v.y + p[i] + f; }
         }""", lambda: {"x": Buffer.from_array(np.arange(36.0)),
                        "out": Buffer.zeros(8)}),
-    "geometry dimensions in names": ("""
-        kernel void K(global float *out) {
-          int s = 0;
+    # A computed dimension, or a pointer ternary into one buffer, is
+    # taken lane by lane: the work-items may disagree on it, and so may
+    # the iterations a batched loop's chunk runs at once (16 trips batch).
+    "geometry dimensions and pointer ternaries in names": ("""
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          float s = 0.0f;
           int e = (1 > 0) && (2 > 3);
           for (int d = 0; d < 2; d += 1) { s += get_local_size(d) * get_global_id(d); }
-          out[get_global_id(0)] = s + get_local_size(e);
-        }""", lambda: {"out": Buffer.zeros(8)}),
+          for (int d = 0; d < 16; d += 1) {
+            s += get_local_size(d / 8) * d + get_global_id(d / 8) * (d < 8 ? x : x + 8)[i];
+          }
+          out[i] = s + get_local_size(e) + get_global_id(i % 2);
+        }""", lambda: {"x": Buffer.from_array(np.arange(16.0)), "out": Buffer.zeros(8)}),
     "int64 data behind a float pointer": ("""
         kernel void K(const global float * restrict inp, global float *out,
                       global float *half) {
