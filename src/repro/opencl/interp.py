@@ -206,6 +206,28 @@ def convert(kind: Optional[str], v: Any) -> Any:
     return v
 
 
+#: The nodes whose value may be a struct or vector a name holds.
+_NAMED = (c.CIdent, c.CMember, c.CTernary)
+
+
+def copied(v: Any) -> Any:
+    """A struct or vector value as C stores or passes it, by value: a
+    copy down to its members' vectors and structs, which member stores
+    change in place (the lane engine's values too: a struct is a dict of
+    lanes, a vector a lanes x components array)."""
+    if isinstance(v, dict):
+        return {member: copied(x) for member, x in v.items()}
+    if isinstance(v, np.ndarray):
+        return v.copy()
+    return v
+
+
+def _owned(e, v: Any) -> Any:
+    """The value ``v`` of node ``e`` as a store receives it: one a name
+    may hold is :func:`copied`, as an argument is."""
+    return copied(v) if type(e) in _NAMED else v
+
+
 def kind_of(v: Any) -> Optional[str]:
     """Kind of a scalar value (a struct member's old value names its type)."""
     if isinstance(v, (float, np.floating)):
@@ -688,7 +710,10 @@ class WorkItem:
             elif stmt.otherwise is not None:
                 self.run_fast(stmt.otherwise)
         elif isinstance(stmt, c.CExprStmt):
-            self.eval(stmt.expr)
+            if isinstance(stmt.expr, c.CCall):  # its value may be void
+                self._call(stmt.expr)
+            else:
+                self.eval(stmt.expr)
         elif isinstance(stmt, c.CReturn):
             value = self.eval(stmt.value) if stmt.value is not None else None
             raise _Return(value)
@@ -712,7 +737,8 @@ class WorkItem:
                 0, "private",
             )
         elif decl.init is not None:
-            self.env[name] = convert(self.kinds.get(name), self.eval(decl.init))
+            value = _owned(decl.init, self.eval(decl.init))
+            self.env[name] = convert(self.kinds.get(name), value)
         else:
             self.env[name] = typed_zero(decl.type_name, self.ctx.program.structs)
 
@@ -723,6 +749,8 @@ class WorkItem:
             op = stmt.op[0]
             value = self._binop_value(op, current, value)
             self._count_binop(op, current, value)
+        else:
+            value = _owned(stmt.value, value)
         target = stmt.target
         if isinstance(target, c.CIdent):
             self.env[target.name] = convert(self.kinds.get(target.name), value)
@@ -806,7 +834,10 @@ class WorkItem:
                     return container[len(container) // 2 :].copy()
             raise ExecError(f"cannot take member {e.member} of {container!r}")
         if isinstance(e, c.CCall):
-            return self._call(e)
+            value = self._call(e)
+            if value is None:
+                raise ExecError(f"the void value of {e.func!r} is used")
+            return value
         if isinstance(e, c.CCast):
             v = self.eval(e.operand)
             if e.type_name in ("int", "uint", "long"):
@@ -868,8 +899,7 @@ class WorkItem:
         # C passes structs and vectors by value, scalars converted to
         # the parameter's declared type.
         self.env = {
-            p.name: dict(a) if isinstance(a, dict)
-            else a.copy() if isinstance(a, np.ndarray)
+            p.name: copied(a) if isinstance(a, (dict, np.ndarray))
             else convert(kinds[p.name], a)
             for p, a in zip(fn.params, args)
         }

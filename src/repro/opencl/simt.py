@@ -90,6 +90,7 @@ from repro.opencl.interp import (
     _c_int_mod,
     array_dtype,
     convert,
+    copied,
 )
 
 #: Lanes batched together (across whole work-groups) per executor block:
@@ -182,10 +183,11 @@ def _convert(kind, v):
 def _by_value(kind, a):
     """A helper argument as a parameter of declared ``kind`` receives
     it: structs and vectors (updated in place by member stores) are
-    copied; scalar lane arrays are never mutated and are shared."""
+    :func:`~repro.opencl.interp.copied`; scalar lane arrays are never
+    mutated and are shared."""
     if type(a) is np.ndarray:
         return a.copy() if a.ndim == 2 else _convert(kind, a)
-    return dict(a) if isinstance(a, dict) else convert(kind, a)
+    return copied(a) if isinstance(a, dict) else convert(kind, a)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ does the rest:
   snapshots and race-tracks;
 * **batched loops**: a counted loop with a straight-line body runs the
   part of its body that reads no carried value for many iterations at
-  once (``Pipeline.batched``; "batched loops" below).
+  once (``Pipeline.batched``), and a loop whose one carried statement
+  is ``acc = acc ⊕ h`` its accumulation too (``Pipeline.closed``;
+  "batched loops" below).
 
 The walk types every node or refuses the kernel: a node no rule types,
 or a name, return or member that would hold two types, raises
@@ -96,6 +98,7 @@ from repro.opencl.interp import (
     builtin_type,
     cast_type,
     children,
+    copied,
     declared_element_kind,
     declared_kinds,
     element_kind,
@@ -557,6 +560,35 @@ def _steady(kernel: c.CFunctionDef, decls: dict, stores: list) -> frozenset:
     ], set()))
 
 
+def _helper_steady(fn: c.CFunctionDef) -> frozenset:
+    """A helper's names a store may replace whole: its parameters and
+    the names it declares, every store of which is a statement of its
+    body's top level.  The lanes of a call need not agree on them, as a
+    kernel's steady names' lanes do, but every lane of the call that has
+    not returned runs such a store, and no lane outside the call reads
+    a helper's names."""
+    names = {p.name for p in fn.params}
+    nested: set = set()
+
+    def walk(s, top: bool) -> None:
+        t = type(s)
+        if t is c.CBlock:
+            for sub in s.stmts:
+                walk(sub, top)
+        elif t is c.CDecl or t is c.CAssign:
+            name = s.name if t is c.CDecl else _assigned_name(s.target)
+            if name is not None:  # not a store through a pointer
+                names.add(name)
+                if not top:
+                    nested.add(name)
+        else:
+            for sub in statement_parts(s)[1]:
+                walk(sub, False)
+
+    walk(fn.body, True)
+    return frozenset(names - nested)
+
+
 def _reads(e, names: set) -> Optional[set]:
     """``names`` plus the names ``e`` reads (:data:`_GROUP` for a group
     id), or ``None`` when work-items may disagree on ``e`` whatever they
@@ -672,8 +704,10 @@ class _Ctx:
         self.kinds = declared_kinds(fn)
         self.names = types.names.setdefault(fn.name, {})
         self.scope = scan.scope  # the facts of the function's names
-        #: The names a store may replace whole (none in a helper).
-        self.steady = scan.steady
+        #: The names a store may replace whole (:meth:`is_steady`), and
+        #: those the active lanes agree on (a kernel's steady names; none
+        #: in a helper).
+        self.steady = self.agreed = scan.steady
         self.stack = (fn.name,)  # the functions being compiled, outermost first
         #: The names in scope where the walk is.
         self.visible = {p.name for p in fn.params}
@@ -693,10 +727,14 @@ class _Ctx:
         #: iterations change (its variable, what the body assigns).
         self.unfixed: frozenset = frozenset()
         self.effect_free: dict = {}  # function name -> :func:`_effect_free`
+        #: The expression statements' expressions (``id``): the only
+        #: nodes whose value may be ``void``.
+        self.discarded: set = set()
         self.inlined = 0  # call sites compiled inline
         self.accesses = 0  # load and store sites
         self.affine = 0  # of which with a fact
         self.batched = 0  # loops batched
+        self.closed = 0  # of which with a closed chain
 
     def type_of(self, e) -> CType:
         return self.typed[id(e)]
@@ -734,6 +772,14 @@ class _Ctx:
             f"the value {self.fn.name!r} returns",
         )
 
+    def is_steady(self, name: str) -> bool:
+        """Whether a store may replace ``name`` whole: a kernel's steady
+        name (:func:`_steady`), or a helper's (:func:`_helper_steady`,
+        found when first asked)."""
+        if self.steady is None:
+            self.steady = _helper_steady(self.fn)
+        return name in self.steady
+
     def refuse(self, e, detail: str) -> Untyped:
         """The refusal of node ``e`` of the function being compiled,
         ``detail`` naming why."""
@@ -758,8 +804,9 @@ class _Ctx:
         A mask merges pointers lane by lane within one buffer, so a name
         (or a ternary whose lanes may go both ways) that may point into
         two (a parameter or an array each) is refused, unless a store to
-        it replaces it whole (:func:`_steady`).  A pointer parameter
-        points into its own buffer before any store to it."""
+        it replaces it whole (:func:`_steady`, :func:`_helper_steady`).
+        A pointer parameter points into its own buffer before any store
+        to it."""
         own = {p.name for p in self.fn.params if p.is_pointer}
         buffers: dict = {}  # pointer name -> the buffers it may point into
         changed = True
@@ -773,7 +820,7 @@ class _Ctx:
                         into |= more
                         changed = True
         for name, into in buffers.items():
-            if len(into) > 1 and name not in self.steady:
+            if len(into) > 1 and not self.is_steady(name):
                 a, b = sorted(into)[:2]
                 raise Untyped(f"{name!r} in {self.fn.name!r} points into both {a} and {b}")
         self.written |= set().union(*(buffers.get(w, ()) for w in self.written))
@@ -791,7 +838,7 @@ class _Ctx:
         kind = self.kinds.get(name)
         if _converts(kind, vt):
             value_c = _converted(kind, value_c)
-        if declaring or name in self.steady:
+        if declaring or self.is_steady(name):
             return _bind_whole(name, value_c)
         return _bind_masked(name, value_c)
 
@@ -880,6 +927,8 @@ def _compile_expr(e, ctx: _Ctx) -> ExprFn:
         fn = _compile_binop(e, ctx)
     elif t is c.CCall:
         fn = _compile_call(e, ctx)
+        if ctx.typed[id(e)] == VOID and id(e) not in ctx.discarded:
+            raise ctx.refuse(e, "its value is void")
     elif t is c.CIndex:
         fn = _compile_index(e, ctx)
     elif t is c.CMember:
@@ -1081,7 +1130,7 @@ def _compile_ternary(e: c.CTernary, ctx: _Ctx) -> ExprFn:
         # reads steady names only, none that a batched loop's chunk
         # holds an iteration's value of on each lane.
         reads = _reads(e.cond, set())
-        if reads is None or not reads <= ctx.steady - ctx.unfixed:
+        if reads is None or not reads <= ctx.agreed - ctx.unfixed:
             ctx.flows.append((c.print_expr(e), ctx.roots(e)))
 
     def ternary(b, m, n):
@@ -1383,10 +1432,11 @@ def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx, hoist=None) -> tuple:
     parameter written.  With ``hoist``, compiled for one call site in a
     batched loop's body."""
     caller = (
-        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.steady, ctx.stack,
-        ctx.visible, ctx.written, ctx.flows, ctx.hoist,
+        ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.steady, ctx.agreed,
+        ctx.stack, ctx.visible, ctx.written, ctx.flows, ctx.hoist,
     )
-    ctx.fn, ctx.kinds, ctx.scope, ctx.steady = fn, _kinds(fn), Scope(), frozenset()
+    ctx.fn, ctx.kinds, ctx.scope = fn, _kinds(fn), Scope()
+    ctx.steady, ctx.agreed = None, frozenset()  # see :meth:`_Ctx.is_steady`
     ctx.names = ctx.types.names.setdefault(fn.name, {})
     ctx.stack, ctx.visible = ctx.stack + (fn.name,), {p.name for p in fn.params}
     ctx.written, ctx.flows, ctx.hoist = set(), [], hoist
@@ -1395,8 +1445,8 @@ def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx, hoist=None) -> tuple:
         written = ctx.settle()
         return body, frozenset(p.name for p in fn.params if p.name in written)
     finally:
-        (ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.steady, ctx.stack,
-         ctx.visible, ctx.written, ctx.flows, ctx.hoist) = caller
+        (ctx.fn, ctx.kinds, ctx.names, ctx.scope, ctx.steady, ctx.agreed,
+         ctx.stack, ctx.visible, ctx.written, ctx.flows, ctx.hoist) = caller
 
 
 def _straight_parts(fn: c.CFunctionDef) -> Optional[tuple]:
@@ -1538,6 +1588,7 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
     if t is c.CIf:
         return _compile_if(s, ctx, has_returns)
     if t is c.CExprStmt:
+        ctx.discarded.add(id(s.expr))
         expr = _compile_expr(s.expr, ctx)
         return lambda b, m, n, frame: expr(b, m, n)
     if t is c.CReturn:
@@ -1629,6 +1680,8 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     vt = ctx.typed[id(s.value)]
     if s.op != "=":
         value_c, vt = _compile_compound(s, value_c, ctx)
+    elif type(target) is not c.CIndex:
+        value_c = _by_value_store(s.value, value_c, ctx)
 
     if isinstance(target, c.CIdent):
         return ctx.bind(target.name, s.value, value_c, False, vt)
@@ -1656,6 +1709,37 @@ def _compile_assign(s: c.CAssign, ctx: _Ctx) -> StmtFn:
     if not is_vector(bt):
         raise ctx.refuse(target, f"member store into base {bt}")
     return _store_component(value_c, base_c, member)
+
+
+def _by_value_store(e, value_c: ExprFn, ctx: _Ctx) -> ExprFn:
+    """``value_c``, of node ``e``, as a store into a name or a member
+    receives it.  C stores a struct or vector by value, and member
+    stores change one in place, so a value that may be one a name holds
+    (a name's, a member's, a ternary's arm's) or a view of a vector's
+    components is :func:`~repro.opencl.interp.copied`, as an argument
+    is."""
+    return _copied(value_c) if type(e) in _SHARING and _shares(e, ctx) else value_c
+
+
+#: The nodes whose value may be an object a name holds, or a view of one.
+_SHARING = frozenset((c.CIdent, c.CMember, c.CIndex, c.CTernary))
+
+
+def _shares(e, ctx: _Ctx) -> bool:
+    t = type(e)
+    if t is c.CTernary:
+        return any(type(arm) in _SHARING and _shares(arm, ctx)
+                   for arm in (e.then, e.otherwise))
+    if t is not c.CIdent and is_vector(ctx.type_of(e.base)):
+        return True  # a component's lanes are a view of the vector's
+    if t is c.CIndex:
+        return False
+    vt = ctx.type_of(e)
+    return vt.kind == "struct" or is_vector(vt)
+
+
+def _copied(value_c: ExprFn) -> ExprFn:
+    return lambda b, m, n: copied(value_c(b, m, n))
 
 
 def _scatter(value_c: ExprFn, base_c: ExprFn, index_c: ExprFn, acc: Access) -> StmtFn:
@@ -1691,7 +1775,9 @@ def _compile_decl(decl: c.CDecl, ctx: _Ctx) -> StmtFn:
     name = decl.name
     if name in ctx.visible:  # the environment is flat per function
         raise Untyped(f"{name!r} in {ctx.fn.name!r} shadows a name in scope")
-    init_c = None if decl.init is None else _compile_expr(decl.init, ctx)
+    init_c = None if decl.init is None else _by_value_store(
+        decl.init, _compile_expr(decl.init, ctx), ctx
+    )
     ctx.visible.add(name)  # after its initialiser, as in C
     if decl.array_size is not None:
         ctx.define(name, CType("ptr", elem=declared_element_kind(decl.type_name)))
@@ -1793,10 +1879,10 @@ def _loop(b, m, n, frame, cond_c, body_c, step_c, iterations=None) -> None:
 # evaluates on every active lane (not inside a ternary arm or the right
 # side of ``&&`` / ``||`` that reads one) is *hoisted*, and so is every
 # body-local declaration (or assignment) none of whose stores reads a
-# carried name.  Straight-line helpers are looked into at each call
-# site (their parameters carried as their arguments are); a helper with
-# control flow is one carried call, whose arguments may still be
-# hoisted.
+# carried name.
+# Straight-line helpers are looked into at each call site (their
+# parameters carried as their arguments are); a helper with control
+# flow is one carried call, whose arguments may still be hoisted.
 #
 # At run time the hoisted part runs once per chunk of iterations over a
 # :class:`~repro.opencl.simt._Chunk` of ``chunk * L`` virtual lanes (at
@@ -1813,6 +1899,13 @@ def _loop(b, m, n, frame, cond_c, body_c, step_c, iterations=None) -> None:
 # change (the loop variable, a name the body assigns) has no fact in
 # the body (:func:`_access`): neither a chunk nor a batched iteration
 # has that name's value at hand.
+#
+# When the one carried statement is ``acc = acc ⊕ h`` (:func:`_chain`)
+# the chain *closes*: after a chunk's first iteration, the others' ``⊕``
+# run as one numpy operation each on the whole lane array, on the
+# operands the loop would give it, with no Python pass through the
+# body, and ``Counters`` take the first iteration's charge once per
+# iteration (:meth:`_Batch.close`).
 
 
 class _Hoist:
@@ -2199,13 +2292,20 @@ def _unless_hoisted(stmt_c: StmtFn) -> StmtFn:
 class _Batch:
     """A batched loop's plan: its variable, ``bound`` (symbolic),
     ``inclusive`` and ``step``; the hoisted part's ``ops`` over
-    ``slots`` values and the names of its function it ``reads``."""
+    ``slots`` values and the names of its function it ``reads``; and
+    when its chain closes, ``closed``: ``(accumulator, the operation's
+    function, whether the accumulator is its left operand, the slot of
+    ``h``, whether its store replaces it whole, whether the step's
+    does)``."""
 
-    __slots__ = ("var", "bound", "inclusive", "step", "ops", "slots", "reads")
+    __slots__ = ("var", "bound", "inclusive", "step", "ops", "slots", "reads",
+                 "closed")
 
-    def __init__(self, header: tuple, ops: tuple, slots: int, reads):
+    def __init__(self, header: tuple, ops: tuple, slots: int, reads,
+                 closed: Optional[tuple]):
         self.var, self.bound, self.inclusive, self.step = header
         self.ops, self.slots, self.reads = ops, slots, tuple(reads)
+        self.closed = closed
 
     def hoist(self, b: _Block, m, n: int, first: int, count: int) -> Optional[list]:
         """The hoisted values of iterations ``first, first + step, ...``
@@ -2239,10 +2339,44 @@ class _Batch:
         b._absorb(chunk)
         return slots
 
+    def close(self, b: _Block, m, n: int, frame, slots: list, count: int,
+              charge: Optional[dict], cond_c, body_c, step_c) -> dict:
+        """Run a chunk of a closed chain: ``acc = acc ⊕ h`` as one
+        operation per iteration on the whole lane array, on the operands
+        the loop's would get, in their order (so its result bit for
+        bit), with no pass through the body.  Every iteration of the
+        loop charges the same ``Counters``: the loop's first chunk runs
+        its first iteration as the loop does, which measures that
+        ``charge`` (``None`` until then), returned for the later
+        chunks."""
+        acc, fn, acc_first, slot, whole, var_whole = self.closed
+        h = slots[slot]
+        counters = b.counters.__dict__
+        start = 0
+        if charge is None:
+            before = dict(counters)
+            _loop(b, m, n, frame, cond_c, body_c, step_c, 1)
+            charge = {f: v - before[f] for f, v in counters.items() if v != before[f]}
+            start = 1
+        env = b.env
+        first = last = env[acc]
+        for j in range(start, count):
+            hj = _take(h, j, count)
+            last = fn(last, hj) if acc_first else fn(hj, last)
+        for field, value in charge.items():
+            counters[field] += value * (count - start)
+        i = env[self.var]
+        end = i + self.step * (count - start)
+        full = n == b.L
+        env[acc] = last if whole or full else b._merge(first, last, m)
+        env[self.var] = end if var_whole or full else b._merge(i, end, m)
+        return charge
+
 
 class _Plan(NamedTuple):
     """What :func:`_plan` finds a batched loop hoists, before its body
-    compiles (``hoist`` steers that compile)."""
+    compiles (``hoist`` steers that compile), and its chain
+    (:func:`_chain`)."""
 
     header: tuple
     hoist: _Hoist
@@ -2250,11 +2384,28 @@ class _Plan(NamedTuple):
     planner: _Planner
     reads: frozenset
     unfixed: frozenset
+    chain: Optional[tuple]
 
     def batch(self) -> _Batch:
-        """The plan, once the body compiled."""
+        """The plan, once the body compiled: the chain closes when every
+        node that carries it has one floating type (the accumulator's
+        names among them), so no operand is aligned or converted on the
+        way, and no store converts."""
         ops = self.planner.closures(self.ops, self.hoist)
-        return _Batch(self.header, ops, self.planner.slots, self.reads)
+        ctx = self.planner.ctx
+        closed = None
+        if self.chain is not None:
+            acc, path, op, acc_first, slot = self.chain
+            t = ctx.typed.get(id(op))
+            if t is not None and t.kind == "f" and all(
+                ctx.typed.get(id(node)) == t for node in path + (op.lhs, op.rhs)
+            ):
+                closed = (
+                    acc, _OPERATOR[op.op], acc_first, slot,
+                    ctx.is_steady(acc), ctx.is_steady(self.header[0]),
+                )
+                ctx.closed += 1
+        return _Batch(self.header, ops, self.planner.slots, self.reads, closed)
 
 
 def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
@@ -2295,8 +2446,66 @@ def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
                     _reads_of(a, reads)
     return _Plan(
         header, hoist, ops, planner, frozenset(reads - names - {header[0]}),
-        frozenset(assigned | {header[0]}),
+        frozenset(assigned | {header[0]}), _chain(stmts, hoist, carried, ctx),
     )
+
+
+def _chain(stmts: list, hoist: _Hoist, carried: set, ctx: _Ctx) -> Optional[tuple]:
+    """``(accumulator, the nodes that carry it, operation, whether the
+    accumulator is its left operand, slot)`` of a loop whose one carried
+    statement is ``acc = acc ⊕ h`` or ``acc = h ⊕ acc`` (an arithmetic
+    ``+`` or ``*``, ``h`` hoisted), directly or as the value a
+    straight-line helper returns, every statement of which is hoisted
+    and one parameter of which takes ``acc`` (no other argument reads
+    it); else ``None``.  Whether its types let the chain close is
+    decided once the body compiled (:meth:`_Plan.batch`)."""
+    rest = [st for st in stmts if id(st) not in hoist.dropped]
+    if len(rest) != 1:
+        return None
+    (st,) = rest
+    if type(st) is not c.CAssign or st.op != "=" or type(st.target) is not c.CIdent:
+        return None
+    acc = st.target.name
+    if carried != {acc}:
+        return None
+    path: list = []
+    link = _link(st.value, acc, hoist, ctx, path)
+    return None if link is None else (acc, tuple(path)) + link
+
+
+def _link(e, acc: str, hoist: _Hoist, ctx: _Ctx, path: list) -> Optional[tuple]:
+    """``(operation, whether the accumulator is its left operand, slot)``
+    of the value ``e`` a chain stores (see :func:`_chain`), adding the
+    nodes that carry it to ``path``: each call, and the accumulator's
+    name it passes, whose type is the kernel's accumulator's or a
+    helper's parameter's."""
+    path.append(e)
+    if type(e) is c.CBinOp and e.op in ("+", "*"):
+        for a, h in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+            if type(a) is c.CIdent and a.name == acc and id(h) in hoist.slots:
+                return e, a is e.lhs, hoist.slots[id(h)]
+        return None
+    site = hoist.calls.get(id(e))  # a straight-line helper's call
+    if site is None:
+        return None
+    fn = ctx.parsed.functions[e.func]
+    stmts, ret = _straight_parts(fn)
+    if ret is None or any(
+        id(st) not in site.dropped for st in stmts if type(st) is not c.CComment
+    ):
+        return None
+    params = [(p.name, a) for p, a in zip(fn.params, e.args)
+              if type(a) is c.CIdent and a.name == acc]
+    # Every other argument reads no carried name (``acc`` is the only
+    # one): it is hoisted, a literal or a name.
+    if len(params) != 1 or not all(
+        id(a) in hoist.slots or type(a) in (c.CIdent, c.CInt, c.CFloat)
+        for a in e.args if type(a) is not c.CIdent or a.name != acc
+    ):
+        return None
+    ((param, a),) = params
+    path.append(a)
+    return _link(ret, param, site, ctx, path)
 
 
 #: The fewest iterations a chunk of a batched loop runs; fewer run as
@@ -2304,6 +2513,10 @@ def _plan(s: c.CFor, ctx: _Ctx) -> Optional[_Plan]:
 #: more iterations beats the loop and one of 4 or 5 (kmeans, gesummv,
 #: convolution) does not earn back its fixed cost (``opencl/ENGINES.md``).
 MIN_CHUNK = 8
+#: The same for a loop whose chain closes (:meth:`_Batch.close`): with
+#: no pass through the body per iteration, convolution's 5-trip chunks
+#: gain, and gesummv's 4-trip ones still lose (``opencl/ENGINES.md``).
+MIN_CLOSED_CHUNK = 5
 
 
 def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
@@ -2319,21 +2532,27 @@ def _batched_for(init_c, cond_c, body_c, step_c, batch: _Batch) -> StmtFn:
         # one runs in a helper it calls) nothing reads hoisted values.
         saved, b._hoisted = b._hoisted, None
         width = _simt.MAX_LANES // b.L
-        if n and width >= MIN_CHUNK:
+        least = MIN_CHUNK if batch.closed is None else MIN_CLOSED_CHUNK
+        if n and width >= least:
             lane = 0 if n == b.L else int(m.argmax())
             first = _value_of(("name", var), b, lane)
             last = _value_of(bound, b, lane)
             trips = 0 if first is None or last is None else len(
                 range(first, last + inclusive, step)
             )
-            done = 0
-            while trips - done >= MIN_CHUNK:
+            done, charge = 0, None
+            while trips - done >= least:
                 count = min(width, trips - done)
                 slots = batch.hoist(b, m, n, first + step * done, count)
                 if slots is None:
                     break
-                _loop(b, m, n, frame, cond_c, _iterations(body_c, slots, count),
-                      step_c, count)
+                body = _iterations(body_c, slots, count)
+                if batch.closed is not None:
+                    charge = batch.close(
+                        b, m, n, frame, slots, count, charge, cond_c, body, step_c
+                    )
+                else:
+                    _loop(b, m, n, frame, cond_c, body, step_c, count)
                 b._hoisted = None
                 done += count
         # What is left: fewer iterations than a chunk runs, or the rest
@@ -2484,7 +2703,7 @@ class Pipeline:
     __slots__ = (
         "kernel_name", "segments", "has_returns", "pointers",
         "pointer_kinds", "types", "inlined", "sole_names", "written",
-        "accesses", "affine", "batched",
+        "accesses", "affine", "batched", "closed",
     )
 
     def __init__(self, kernel_name: str, segments: list, has_returns: bool,
@@ -2513,8 +2732,11 @@ class Pipeline:
         #: Load and store sites, and how many of them have a fact.
         self.accesses = ctx.accesses
         self.affine = ctx.affine
-        #: Loops whose hoisted part runs for many iterations at once.
+        #: Loops whose hoisted part runs for many iterations at once,
+        #: and those of them whose one carried statement is a chain
+        #: ``acc = acc ⊕ h`` that runs as one accumulation per chunk.
         self.batched = ctx.batched
+        self.closed = ctx.closed
 
     def run(self, block: _Block) -> None:
         """Execute one block of work-groups through the pipeline."""
@@ -2676,6 +2898,7 @@ def get_pipeline(
                     compile_span.attrs["accesses"] = entry.accesses
                     compile_span.attrs["affine"] = entry.affine
                     compile_span.attrs["batched"] = entry.batched
+                    compile_span.attrs["closed"] = entry.closed
         global _compile_counter
         _compile_counter += 1
         cache[key] = entry

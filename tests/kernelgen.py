@@ -6,8 +6,9 @@ Each kernel is one the lane tiers' plan admits
 construction.  It mixes int and float scalars, float vectors, casts
 and comparisons in arithmetic; affine, strided and gathered indices,
 pointer offsets and 2-D ids; ``if`` on ids and on data; loops of a
-uniform trip count with straight-line bodies (which the engine batches)
-and lane-varying loops; straight-line and branching helpers; local memory
+uniform trip count with straight-line bodies (which the engine batches,
+some of them accumulating ``acc = acc ⊕ h``, which it closes) and
+lane-varying loops; straight-line and branching helpers; local memory
 behind a barrier, sometimes under control only a group's work-items
 agree on (``if`` on the group id, a uniform-trip loop); and a uniform
 scale that changes after an index it scaled was stored.  Every index
@@ -41,8 +42,8 @@ from tests.engines import RUNS, check_engines
 #: The block cap the checks run under (``simt.MAX_LANES`` patched).
 BLOCK = 256
 #: The fewest iterations a batched loop's chunk runs under the checks
-#: (``simt_compile.MIN_CHUNK`` patched): a block of 64 lanes leaves room
-#: for 4 iterations per chunk.
+#: (``simt_compile.MIN_CHUNK`` and ``MIN_CLOSED_CHUNK`` patched): a block
+#: of 64 lanes leaves room for 4 iterations per chunk.
 CHUNK = 2
 
 #: (global size, local size) per launch shape: small 1-D; more lanes
@@ -66,6 +67,7 @@ class Kernel:
     seed: int
     source: str
     counted_loops: int = 0
+    closed_loops: int = 0  # of which the engine closes (``acc = acc ⊕ h``)
 
 
 def buffer_size(lanes: int) -> int:
@@ -84,6 +86,7 @@ class _Gen:
         self.counter = 0
         self.depth = 0
         self.counted_loops = 0
+        self.closed_loops = 0
 
     # -- names -------------------------------------------------------------
     def fresh(self, prefix: str) -> str:
@@ -231,6 +234,50 @@ class _Gen:
         )
         self.depth -= 1
         self.emit("}")
+        self.accumulated()
+
+    def accumulated(self) -> None:
+        """Half the time, a loop of 0 to 40 trips whose one carried
+        statement is ``z = z + h``, ``z = h + z`` or ``z = z * h`` over a
+        float, float2 or float4, sometimes under ``if (l < K)``: the
+        engine closes its chain.  Drawn from ``side``, with names of its
+        own, so the rest of a seed's kernel is the same with or without
+        it."""
+        r = self.side
+        if r.random() < 0.5:
+            return
+        self.counted_loops += 1
+        self.closed_loops += 1
+        t, z = f"u{self.closed_loops}", f"z{self.closed_loops}"
+        width, op = r.choice([1, 2, 4]), r.choice(["acc + h", "h + acc", "acc * h"])
+        c = r.randrange(8)
+        if width == 1:
+            zero, h = "x[i]", r.choice([
+                f"y[{t} + {c}] * 0.5f", f"x[i + {t}] - y[{t}]",
+                f"0.75f + 0.125f * y[l + {t}]",
+            ])
+            result = z
+        elif width == 2:
+            zero, h = "(float2)(x[i], 1.0f)", f"(float2)(y[{t} + {c}], x[i + {t}] * 0.5f)"
+            result = f"{z}.x + {z}.y"
+        else:
+            zero = "vload4(i, x)"
+            h = f"vload4({t} + {c}, y) * 0.125f + (float4)(0.75f)"
+            result = f"{z}.y + {z}.w"
+        if op == "acc * h" and width == 1:
+            h = f"0.75f + 0.125f * y[{t} + {c}]"
+        self.emit(f"{'float' if width == 1 else f'float{width}'} {z} = {zero};")
+        guarded = r.random() < 0.3
+        if guarded:
+            self.emit(f"if (l < {r.randrange(1, 16)}) {{")
+            self.depth += 1
+        self.emit(f"for (int {t} = 0; {t} < {r.randrange(41)}; {t} += 1) {{")
+        self.emit(f"  {z} = {op.replace('acc', z).replace('h', f'({h})', 1)};")
+        self.emit("}")
+        if guarded:
+            self.depth -= 1
+            self.emit("}")
+        self.emit(f"acc = acc + 0.125f * ({result});")
 
     def rescaled(self) -> None:
         """Half the time, a load at an index scaled by a uniform name
@@ -333,7 +380,7 @@ def generate(seed: int, two_d: bool = False, local_lanes: int = 16) -> Kernel:
         + body.replace("% LS", f"% {local_lanes}")
         + "\n}\n"
     )
-    return Kernel(seed, source, gen.counted_loops)
+    return Kernel(seed, source, gen.counted_loops, gen.closed_loops)
 
 
 def arguments(kernel: Kernel, lanes: int) -> dict:
@@ -368,10 +415,13 @@ def check(seed: int, shape: int) -> bool:
     gsize, lsize = (g0, g1), (l0, l1)
     program = OpenCLProgram(kernel.source)
     plan = simt_compile.get_pipeline(program.parsed, program.kernel())
-    assert plan.batched == kernel.counted_loops, (seed, kernel.source)
+    assert (plan.batched, plan.closed) == (kernel.counted_loops, kernel.closed_loops), (
+        seed, kernel.source
+    )
     try:
         with mock.patch.object(simt, "MAX_LANES", BLOCK), \
-                mock.patch.object(simt_compile, "MIN_CHUNK", CHUNK):
+                mock.patch.object(simt_compile, "MIN_CHUNK", CHUNK), \
+                mock.patch.object(simt_compile, "MIN_CLOSED_CHUNK", CHUNK):
             results = check_engines(
                 lambda engine: run(kernel, engine, gsize, lsize),
                 gsize, lsize, races=True,

@@ -14,6 +14,7 @@ import pytest
 
 from repro.benchsuite.common import get_benchmark
 from repro.compiler.codegen import compile_kernel
+from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
 from repro.opencl import (
     Buffer, OpenCLProgram, OutOfBounds, VectorizationError, launch, simt,
@@ -25,15 +26,18 @@ from tests.programs import checked_static_types
 N = 64
 LOCAL = 16
 
-#: The fewest iterations a chunk runs outside these tests.
+#: The fewest iterations a chunk runs outside these tests, and a closed
+#: chain's.
 CHUNK = simt_compile.MIN_CHUNK
+CLOSED_CHUNK = simt_compile.MIN_CLOSED_CHUNK
 
 
 @pytest.fixture(autouse=True)
 def small_chunks():
     """Chunks of as few as 2 iterations: the tests' blocks leave room
-    for short chunks only, and the threshold is tested on its own."""
-    with mock.patch.object(simt_compile, "MIN_CHUNK", 2):
+    for short chunks only, and the thresholds are tested on their own."""
+    with mock.patch.object(simt_compile, "MIN_CHUNK", 2), \
+            mock.patch.object(simt_compile, "MIN_CLOSED_CHUNK", 2):
         yield
 
 
@@ -56,6 +60,41 @@ def chunks():
 
     with mock.patch.object(simt_compile._Batch, "hoist", recorded):
         yield record
+
+
+@contextmanager
+def closes():
+    """Record the chunks a closed chain ran closed: their iterations."""
+    record = []
+    close = simt_compile._Batch.close
+
+    def recorded(batch, b, m, n, frame, slots, count, *rest):
+        record.append(count)
+        return close(batch, b, m, n, frame, slots, count, *rest)
+
+    with mock.patch.object(simt_compile._Batch, "close", recorded):
+        yield record
+
+
+@contextmanager
+def unclosed():
+    """Plans made afresh whose chains do not close: a batched loop runs
+    each iteration through the body."""
+    from repro.opencl.runtime import _parse_cached
+
+    batch = simt_compile._Plan.batch
+
+    def open_batch(plan):
+        b = batch(plan)
+        b.closed = None
+        return b
+
+    _parse_cached.cache_clear()
+    try:
+        with mock.patch.object(simt_compile._Plan, "batch", open_batch):
+            yield
+    finally:
+        _parse_cached.cache_clear()
 
 
 def run(source, args, engine, gsize=N, lsize=LOCAL):
@@ -364,6 +403,122 @@ class TestGuardedBounds:
         assert raised == {("tmp", 64)}
 
 
+class TestClosedChains:
+    """A loop whose one carried statement is ``acc = acc ⊕ h`` runs each
+    chunk's iterations but the first as one numpy operation each, with
+    no pass through the body, and every engine still agrees with the
+    oracle bit for bit."""
+
+    SRC = """
+    typedef struct {{ float a; float b; }} P;
+    float4 step4(float4 acc, float4 q, float w) {{ float4 d = q * w; return acc + d * 0.5f; }}
+    float dist(float acc, P p) {{ float d = p.a - p.b; return acc + d * d; }}
+    float half(float acc, float v) {{ return acc + v * 0.5f; }}
+    float via(float acc, float v) {{ return half(acc, v); }}
+    float viaint(int acc, float v) {{ return half(acc, v); }}
+    kernel void K(const global float * restrict x, const global float * restrict y,
+                  global float *out, int trips, int k) {{
+      int i = get_global_id(0);
+      {decl}
+      if (i < k) {{
+        for (int t = 0; t < trips; t += 1) {{ {body} }}
+      }}
+      out[i] = {result};
+    }}"""
+
+    CLOSED = {
+        "acc + h": ("float acc = x[i];", "acc = acc + y[i + t] * 0.5f;", "acc"),
+        "h + acc": ("float acc = x[i];", "acc = y[t] * x[i + t] + acc;", "acc"),
+        "acc * h": ("float acc = 1.0f;", "acc = acc * (0.5f + 0.25f * y[i + t]);", "acc"),
+        "float2": ("float2 acc = (float2)(x[i], 1.0f);",
+                   "acc = acc + (float2)(y[t], x[i + t]);", "acc.x + acc.y"),
+        "float4 h * acc": ("float4 acc = vload4(i, x);", "acc = vload4(t, y) * acc;",
+                           "acc.x + acc.w"),
+        "through a helper": ("float4 acc = vload4(i, x);",
+                             "acc = step4(acc, vload4(t, y), x[i + t]);", "acc.y + acc.z"),
+        "through two helpers": ("float acc = x[i];", "acc = via(acc, y[i + t]);", "acc"),
+    }
+
+    @pytest.mark.parametrize("k", [N, N - 10])
+    @pytest.mark.parametrize("trips", [0, 1, 5, 13])
+    @pytest.mark.parametrize("form", sorted(CLOSED))
+    def test_a_closed_chain_agrees_over_several_chunks(self, form, trips, k):
+        decl, body, result = self.CLOSED[form]
+        src = self.SRC.format(decl=decl, body=body, result=result)
+        assert (plan(src).batched, plan(src).closed) == (1, 1)
+        args = dict(inputs(), trips=trips, k=k)
+        with closes() as record, mock.patch.object(simt, "MAX_LANES", 4 * N):
+            check_engines(lambda e: run(src, args, e), N, LOCAL)
+        assert bool(record) == (trips >= 2), record
+
+    @pytest.mark.parametrize("body", [
+        "acc = (y[t] * 1e300f * 1e300f - y[t] * 1e300f * 1e300f) + acc;",
+        "acc = acc + (y[t] * 1e300f * 1e300f - y[t] * 1e300f * 1e300f);",
+    ])
+    def test_a_result_holding_a_nan_is_the_loops(self, body):
+        # inf - inf is a NaN whose sign differs from the input's, and
+        # which operand's bits a sum of two NaNs keeps depends on the
+        # order of the operands (the oracle's Python floats and numpy's
+        # lanes differ there): a closed chunk keeps the loop's order,
+        # so its bits are the unclosed loop's.
+        src = self.SRC.format(decl="float acc = x[i];", body=body, result="acc")
+        args = dict(inputs(), trips=9, k=N)
+        args["x"][::3] = np.nan
+        with closes() as record:
+            closed = run(src, args, "compiled")
+        with unclosed(), chunks() as batched:
+            loop = run(src, args, "compiled")
+        assert record == [9] and batched == [(9, True)]
+        assert np.isnan(closed[0]["out"][:N]).all()
+        assert closed[0]["out"].tobytes() == loop[0]["out"].tobytes()
+        assert vars(closed[1]) == vars(loop[1])
+
+    def test_fewer_trips_than_a_closed_chunk_runs_run_unbatched(self):
+        decl, body, result = self.CLOSED["acc + h"]
+        src = self.SRC.format(decl=decl, body=body, result=result)
+        least = CLOSED_CHUNK
+        seen = {}
+        for trips in (least - 1, least):
+            args = dict(inputs(), trips=trips, k=N)
+            with chunks() as record, \
+                    mock.patch.object(simt_compile, "MIN_CLOSED_CHUNK", least):
+                check_engines(lambda e: run(src, args, e), N, LOCAL)
+            seen[trips] = sorted(set(record))
+        assert seen == {least - 1: [], least: [(least, True)]}
+
+    def test_one_h_for_every_lane_closes_too(self):
+        src = self.SRC.format(decl="float acc = x[i];",
+                              body="acc = acc + (float) k * 0.5f;", result="acc")
+        args = dict(inputs(), trips=6, k=N - 3)
+        with closes() as record:
+            check_engines(lambda e: run(src, args, e), N, LOCAL)
+        assert record
+
+    @pytest.mark.parametrize("decl, body", [
+        ("float acc = 0.0f; float s = 1.0f;", "acc = acc + x[t]; s = s * y[t];"),
+        ("float acc = 0.0f; float s = 1.0f;", "acc = acc + x[t]; s = acc;"),
+        ("float acc = 0.0f;", "acc = acc - x[i + t];"),
+        ("float acc = 0.0f;", "acc = acc + x[t] + y[t];"),
+        ("int acc = 0;", "acc = acc + (int) x[i + t];"),
+        ("float4 acc = vload4(i, x);", "acc = acc + x[i + t];"),
+        ("float acc = 0.0f;", "acc = dist(acc + 1.0f, p);"),
+        ("float acc = 0.0f;", "p.a = acc; p.b = y[t]; acc = dist(acc, p);"),
+        ("float acc = 0.0f;", "p.a = x[t]; acc = dist(acc, p); p.b = y[t];"),
+        ("float acc = 0.0f;", "p.a = x[i + t]; p.b = y[t]; acc = acc - dist(0.0f, p);"),
+        # A helper's float sum truncated on each store to an int, and a
+        # float accumulator truncated on its way through an int parameter.
+        ("int acc = 0;", "acc = half(acc, x[i + t]);"),
+        ("float acc = 0.0f;", "acc = viaint(acc, x[i + t]);"),
+    ])
+    def test_other_chains_run_each_iteration(self, decl, body):
+        acc = "(float) acc.x" if "float4" in decl else "acc"
+        src = self.SRC.format(decl="P p; p.a = 1.0f; p.b = 2.0f; " + decl, body=body,
+                              result=acc + " + p.a * 3.0f - p.b")
+        assert (plan(src).batched, plan(src).closed) == (1, 0)
+        args = dict(inputs(), trips=7, k=N - 3)
+        check_engines(lambda e: run(src, args, e), N, LOCAL)
+
+
 #: The Figure 8 kernels whose loops are batched (level ``all``): how
 #: many loops of each, by name and which.
 FIGURE8_BATCHED = {
@@ -378,15 +533,53 @@ FIGURE8_BATCHED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FIGURE8_BATCHED))
-def test_the_figure8_loops_are_batched(name):
+#: How many of those close their chain (``acc = acc ⊕ h``, through the
+#: helper named): all but md's, whose ``ljAcc`` accumulates under an
+#: ``if``, and kmeans': its ``distAcc`` loop also stores the struct
+#: ``acc3`` declared outside it, and ``pickMin`` holds an ``if``.
+FIGURE8_CLOSED = {
+    "nbody-nvidia": 1,  # calcAcc
+    "nbody-amd": 1,  # calcAcc
+    "md": 0,
+    "kmeans": 0,
+    "mriq": 1,  # phaseAcc
+    "convolution": 1,  # multAndSumUp
+    "gesummv": 1,  # weightedMad
+    "mm-amd": 1,  # vmadd
+    "mm-nvidia": 1,  # multAndSumUp
+}
+
+
+def figure8_kernel(name):
+    """``(level-all kernel, run(engine))`` of benchmark ``name`` at size
+    ``small``."""
     bench = get_benchmark(name)
     size_env = dict(bench.sizes["small"])
+    inputs = bench.make_inputs(size_env, np.random.default_rng(0))
     (stage,) = bench.stages
-    kernel = compile_kernel(
-        stage.build(size_env), CompilerOptions.all(local_size=stage.local_size)
+    fun = stage.build(size_env)
+    kernel = compile_kernel(fun, CompilerOptions.all(local_size=stage.local_size))
+    args = {p.name: inputs[n] for p, n in zip(fun.params, stage.param_names)}
+    return kernel, lambda engine: execute_kernel(
+        kernel, args, size_env, stage.global_size(size_env),
+        local_size=stage.local_size, engine=engine,
     )
-    assert plan(kernel.source).batched == FIGURE8_BATCHED[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE8_BATCHED))
+def test_the_figure8_loops_are_batched(name):
+    assert plan(figure8_kernel(name)[0].source).batched == FIGURE8_BATCHED[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE8_CLOSED))
+def test_the_figure8_chains_close(name):
+    # A return to a Python pass per iteration fails here: the plan
+    # closes the chains, and their chunks run closed.
+    kernel, run_on = figure8_kernel(name)
+    assert plan(kernel.source).closed == FIGURE8_CLOSED[name]
+    with closes() as record:
+        run_on("compiled")
+    assert bool(record) == bool(FIGURE8_CLOSED[name])
 
 
 def test_the_compile_span_counts_batched_loops(tmp_path):
@@ -406,3 +599,4 @@ def test_the_compile_span_counts_batched_loops(tmp_path):
     events = json.loads(path.read_text())["traceEvents"]
     (compiled,) = [e for e in events if e["name"] == "simt_compile"]
     assert compiled["args"]["batched"] == 1
+    assert compiled["args"]["closed"] == 0  # two names are carried

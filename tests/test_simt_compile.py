@@ -542,6 +542,10 @@ class TestStaticTypes:
         ("float g(global float *a, global float *b, int i) {"
          " if (i < 4) { a = b; } return a[i]; }\n" + _K.format("out[i] = g(a, b, i);"),
          "'a' in 'g' points into both a and b"),
+        ("void f(float v) { v = 1.0f; }\n" + _K.format("out[i] = f(1.0f);"),
+         "no static type for 'f(1.0f)' in 'K': its value is void"),
+        ("void f(float v) { v = 1.0f; }\n" + _K.format("float y = f(a[i]) + 1.0f;"),
+         "no static type for 'f(a[i])' in 'K': its value is void"),
         (_K.format("if (i < 4) { x = a[i]; }"),
          "no static type for 'x' in 'K': it is not declared here"),
         (_K.format("if (i < 0) { float x = 1.0f; } if (i < 4) { out[x] = a[i]; }"),
@@ -576,6 +580,26 @@ class TestStaticTypes:
                 launch(OpenCLProgram(source), 8, 4, args, engine=engine)
             assert [e.kind for e in ledger.events()] == ["static"] * (engine == "auto")
 
+    @pytest.mark.parametrize("use", ["out[i] = f(a[i]);", "out[i] = f(a[i]) + 1.0f;"])
+    def test_a_void_value_used_is_the_oracles_error(self, use):
+        # Refused at plan time; the oracle raises a typed error where it
+        # used to store NaN.  As a statement the call runs.
+        from repro.backend import ledger
+
+        source = "void f(float v) { v = 1.0f; }\n" + _K.format(use)
+
+        def args():
+            return {"a": Buffer.from_array(np.arange(16.0)), "b": Buffer.zeros(8),
+                    "out": Buffer.zeros(8)}
+
+        for engine in ("scalar", "auto"):
+            ledger.clear()
+            with pytest.raises(ExecError, match="^the void value of 'f' is used$"):
+                launch(OpenCLProgram(source), 8, 4, args(), engine=engine)
+            assert [e.kind for e in ledger.events()] == ["static"] * (engine == "auto")
+        statement = "void f(float v) { v = 1.0f; }\n" + _K.format("f(a[i]); out[i] = 2.0f;")
+        assert_engines_agree(statement, 8, 4, args)
+
     def test_the_compile_span_counts_inlined_calls(self, tmp_path):
         import json
 
@@ -601,7 +625,7 @@ class TestStaticTypes:
         # Both helper calls inline; the three loads' addresses are affine.
         assert compiled["args"] == {
             "kernel": "K", "inlined": 2, "accesses": 3, "affine": 3,
-            "batched": 0,
+            "batched": 0, "closed": 0,
         }
 
 
@@ -705,6 +729,60 @@ _TYPED_CORNERS = {
           }
           out[i] = s + get_local_size(e) + get_global_id(i % 2);
         }""", lambda: {"x": Buffer.from_array(np.arange(16.0)), "out": Buffer.zeros(8)}),
+    # C stores a struct or vector by value: a member store into the
+    # copy leaves the original, and a component read before a store
+    # into its vector keeps its value.
+    "structs and vectors stored by value": ("""
+        typedef struct { float x; float y; } S;
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          S r;
+          r.x = x[i];
+          r.y = 1.0f;
+          S q = r;
+          q.x = 2.0f;
+          S p;
+          p = i < 4 ? q : r;
+          p.y = 3.0f;
+          float4 v = vload4(i, x);
+          float4 w = v;
+          w.x = 9.0f;
+          float f = v.y;
+          v.y = 7.0f;
+          out[i] = r.x + 10.0f * r.y + 100.0f * q.y + p.x + q.y * p.y + w.y + f + v.y;
+        }""", lambda: {"x": Buffer.from_array(np.arange(32.0)), "out": Buffer.zeros(8)}),
+    # The copy goes down to a struct's vector member: a store into the
+    # copy's component, or into the component of a helper's parameter,
+    # leaves the original.
+    "a struct's vector member copied with it": ("""
+        typedef struct { int n; float4 v; } S;
+        float bump(S s) { s.v.y = 8.0f; return s.v.y; }
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          S r;
+          r.n = i;
+          r.v = vload4(i, x);
+          S q = r;
+          q.v.x = 9.0f;
+          q.n = 5;
+          float s = bump(r);
+          out[i] = r.v.x + 10.0f * r.v.y + 100.0f * q.v.x + r.n + s;
+        }""", lambda: {"x": Buffer.from_array(np.arange(32.0)), "out": Buffer.zeros(8)}),
+    # A helper's store outside any condition replaces the name whole,
+    # even a pointer parameter pointed into another buffer.
+    "a helper replacing a pointer parameter": ("""
+        float g(const global float *a, const global float *b, int i) {
+          float s = a[i];
+          a = b;
+          return s + a[i];
+        }
+        kernel void K(const global float * restrict x, const global float * restrict y,
+                      global float *out) {
+          int i = get_global_id(0);
+          out[i] = g(x, y, i) + g(y, x + 1, i % 3);
+        }""", lambda: {"x": Buffer.from_array(np.arange(12.0)),
+                       "y": Buffer.from_array(np.arange(12.0) * -3.5),
+                       "out": Buffer.zeros(8)}),
     "int64 data behind a float pointer": ("""
         kernel void K(const global float * restrict inp, global float *out,
                       global float *half) {
@@ -725,6 +803,19 @@ class TestTypedCorners:
         source, make_args = _TYPED_CORNERS[name]
         with checked_static_types():
             assert_engines_agree(source, 8, 4, make_args)
+
+    @pytest.mark.parametrize("name, want", [
+        ("structs and vectors stored by value",
+         lambda x, i: x[i] + 10 + 100 + np.where(i < 4, 2.0, x[i]) + 3
+         + x[4 * i + 1] + x[4 * i + 1] + 7),
+        ("a struct's vector member copied with it",
+         lambda x, i: x[4 * i] + 10 * x[4 * i + 1] + 900 + i + 8),
+    ])
+    def test_a_struct_or_vector_is_stored_by_value(self, name, want):
+        source, make_args = _TYPED_CORNERS[name]
+        expected = want(np.arange(32.0), np.arange(8))
+        for outs, _ in assert_engines_agree(source, 8, 4, make_args).values():
+            np.testing.assert_array_equal(outs["out"], expected)
 
     def test_a_float_pointer_counts_the_int64_data_it_is_bound_to(self):
         # Loads take the kind of the launch's buffer: ``inp[i] * 2`` over
