@@ -65,8 +65,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--engine", default=None,
         help="execution engine for figure8/explore launches (auto, the "
-             "default: compiled, falling back to scalar; compiled: strict; "
-             "scalar: the reference interpreter)",
+             "default, and compiled: the compiled pipeline, which raises "
+             "a typed error on a kernel it does not run; scalar: the "
+             "reference interpreter)",
     )
     parser.add_argument(
         "--inputs", nargs="+", default=None, metavar="PATH",
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--metrics-json", default=None, metavar="PATH",
         help="dump the unified metrics snapshot (cache, explorer, "
-             "ledger, per-tier launch counts) to PATH",
+             "per-backend launch counts) to PATH",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -113,10 +114,10 @@ def main(argv=None) -> int:
                 f"are {', '.join(benchmark_names())}"
             )
     if problem is None and args.engine is not None:
-        from repro.backend import resolve
+        from repro.backend import engine_backend
 
         try:
-            resolve(args.engine)
+            engine_backend(args.engine)
         except ValueError as exc:  # names the valid engines
             problem = str(exc)
     if problem is not None:
@@ -215,7 +216,6 @@ def main(argv=None) -> int:
 
     if cache is not None:
         _print_cache_recoveries(cache.stats)
-    _print_declines()
 
     if args.profile:
         print(obs.analysis.format_profile(tracer.events()),
@@ -254,20 +254,6 @@ def _print_cache_recoveries(stats) -> None:
             + "]",
             file=sys.stderr,
         )
-
-
-def _print_declines() -> None:
-    """The degradation ledger's digest when any backend declined a
-    launch (nothing when clean), rendered from the same snapshot
-    ``--metrics-json`` dumps.  Stderr, like
-    :func:`_print_cache_recoveries`: which tier served a launch may
-    legitimately differ between engines."""
-    from repro import obs
-    from repro.backend import ledger
-
-    ledger_snapshot = obs.snapshot().get("ledger", {})
-    if ledger_snapshot.get("total"):
-        print(ledger.format_snapshot(ledger_snapshot), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -176,7 +176,7 @@ def format_explore(data: dict) -> str:
         lines.append(
             "  derivation: " + (" -> ".join(trace) if trace else "(original)")
         )
-        search = (
+        lines.append(
             f"  search: {stats['enumerated']} enumerated, "
             f"dedup hit-rate {stats['dedup_hit_rate']:.0%}, "
             f"{stats['evaluated']} evaluated, "
@@ -184,13 +184,6 @@ def format_explore(data: dict) -> str:
             f"kernel cache hit-rate {stats['kernel_cache_hit_rate']:.0%}, "
             f"cycle cache hit-rate {stats['cycle_cache_hit_rate']:.0%}"
         )
-        declined = stats.get("declined_launches")
-        if declined:
-            search += (
-                f", {declined} launch(es) DECLINED by a backend and re-run "
-                "on a slower tier (see the ledger)"
-            )
-        lines.append(search)
         lines.append(
             f"  time: explore {entry['explore_seconds']:.2f}s, "
             f"menu {entry['menu_seconds']:.2f}s"

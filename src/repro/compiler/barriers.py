@@ -64,8 +64,7 @@ sound:
 
 The lane-batched simulator backends check every launch for cross-lane
 hazards between barriers, so a removal that is not sound shows up as a
-declined launch in the degradation ledger, not as a silently wrong
-Figure 8 number.
+``DataRace`` error, not as a silently wrong Figure 8 number.
 """
 
 from __future__ import annotations

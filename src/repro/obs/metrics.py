@@ -3,8 +3,8 @@ views, all merged into one ``snapshot()`` document.
 
 Events are counted once, at the call site that sees them, with
 :func:`inc` (``launch.total``, ``explore.reference``...).  An object with
-its own accounting (``CacheStats``, ``ExploreStats``, the
-``DegradationLedger``, ...) registers an ``as_dict()``-style view under
+its own accounting (``CacheStats``, ``ExploreStats``,
+``CalibrationLog``) registers an ``as_dict()``-style view under
 a top-level key with :func:`register_provider` itself: process-wide
 owners when their module is imported, object-scoped ones when the
 object is built.  :func:`snapshot` merges every view with the
@@ -17,7 +17,6 @@ Snapshot layout::
       "counters":   {"launch.total": 12, "launch.served.compiled": 12, ...},
       "cache":      {...CacheStats...},
       "explore":    {"stats": {...}, "failures": [...]},
-      "ledger":     {...DegradationLedger...},
       "calibration": {...CalibrationLog...},
       "counters.kernel": {...interp Counters of the last launch...},
     }
@@ -43,11 +42,9 @@ __all__ = [
 ]
 
 #: What :func:`snapshot` shows for a section whose owner has not
-#: registered: the owner's view, empty.  ``ledger`` registers when
-#: :mod:`repro.backend.ledger` is imported; the other two when a
+#: registered: the owner's view, empty.  Each registers when a
 #: ``TuningCache`` or an ``explore_program`` search exists.
 PLACEHOLDERS = {
-    "ledger": {"total": 0, "dropped_events": 0, "declines": [], "events": []},
     "cache": {"active": False},
     "explore": {"stats": {}, "failures": []},
 }

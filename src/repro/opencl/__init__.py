@@ -10,15 +10,15 @@ counters, and a cost model with per-device profiles.
 from repro.opencl.runtime import Buffer, OpenCLProgram, launch
 from repro.opencl.interp import Counters, OutOfBounds
 from repro.opencl.cost import DeviceProfile, estimate_cycles
-from repro.opencl.simt import VectorizationError
+from repro.opencl.simt import DataRace
 
 __all__ = [
     "Buffer",
     "Counters",
+    "DataRace",
     "DeviceProfile",
     "OpenCLProgram",
     "OutOfBounds",
-    "VectorizationError",
     "estimate_cycles",
     "launch",
 ]

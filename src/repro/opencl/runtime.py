@@ -6,13 +6,13 @@ lock-step between barriers via the generator mechanism of
 :mod:`repro.opencl.interp`.
 
 :func:`launch` checks the NDRange, binds the arguments and hands the
-launch to :func:`repro.backend.execute` with the chain its engine name
-resolves to in :data:`repro.backend.ENGINES` (see ``ENGINES.md`` in this
-package): ``"auto"`` (the default) runs compiled -> scalar, and
-``"compiled"`` alone is strict.  ``REPRO_SIM_ENGINE`` overrides the default with a
-*preference* — a strict name set through the environment still falls
-back gracefully so unsupported kernels keep running on the reference
-path.
+launch to :func:`repro.backend.execute` on the backend its engine name
+runs in :data:`repro.backend.ENGINES` (see ``ENGINES.md`` in this
+package): ``"auto"`` (the default) and ``"compiled"`` run the compiled
+pipeline, ``"scalar"`` the reference interpreter.  ``REPRO_SIM_ENGINE``
+names the default.  Nothing falls back: a kernel the compiled pipeline
+does not run raises :class:`~repro.backend.CompileUnsupported`, and a
+cross-lane race :class:`~repro.opencl.simt.DataRace`.
 """
 
 from __future__ import annotations
@@ -155,18 +155,13 @@ def launch(
 
     from repro.obs import span
 
-    # An explicit ``engine=`` keeps its exact (possibly strict) chain; a
-    # name from ``REPRO_SIM_ENGINE`` is a preference.
-    prefer = engine is None
-    if prefer:
-        engine = os.environ.get("REPRO_SIM_ENGINE") or "auto"
-    chain = backend.resolve(engine, prefer)
+    engine = engine or os.environ.get("REPRO_SIM_ENGINE") or "auto"
     with span(
         "launch", kernel=kernel.name, engine=engine,
         gsize=gsize, lsize=lsize,
     ):
         backend.execute(
-            engine, chain, program.parsed, kernel, gsize, lsize, base_env,
+            engine, program.parsed, kernel, gsize, lsize, base_env,
             _local_decls_of(program.parsed, kernel), counters,
         )
     return counters

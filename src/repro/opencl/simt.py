@@ -12,7 +12,7 @@ stores), the cross-lane race detector and cached-load accounting.  It
 never reads the kernel AST: :mod:`repro.opencl.simt_compile` admits,
 types and lowers a kernel once into a pipeline over a :class:`_Block`,
 from one syntactic scan and one typing walk.  One launcher
-(:func:`try_launch`) runs that pipeline over blocks of whole
+(:func:`run_blocks`) runs that pipeline over blocks of whole
 work-groups, at most :data:`MAX_LANES` lanes each; a batched loop runs
 the part of its body that reads no carried value over a virtual block
 of many iterations (:class:`_Chunk`).
@@ -35,33 +35,19 @@ set of the scalar interpreter with an order-independent log: per buffer,
 the cached total equals load events minus distinct ``(lane, address)``
 pairs, settled once per block (see :class:`_LoadLog`).
 
-Fallback rules
---------------
-A kernel the plan refuses statically runs on the scalar interpreter
-(:func:`repro.opencl.simt_compile.get_pipeline` gives the reason): what
-the typing walk cannot type, and a construct whose lane-batched
-execution could diverge from scalar semantics or that the oracle
-rejects with a typed error:
+Refusals and races
+------------------
+A kernel the plan refuses statically does not run here:
+:func:`repro.opencl.simt_compile.get_pipeline` gives the reason (the
+forms are listed in ``ENGINES.md``, "Static refusals"), and the backend
+raises it as :class:`~repro.backend.CompileUnsupported`
+(``engine="scalar"`` runs the kernel).
 
-* a barrier under lane-divergent control flow (this is also how
-  ``BarrierDivergence`` keeps being raised: the scalar path detects it),
-* a barrier combined with an early ``return``, or inside a helper,
-* recursive helper functions, calls to unknown functions,
-* a name declared with two types in one function, a name used outside
-  the scope of its declarations, a declaration shadowing a name,
-* a condition of no scalar type (a vector, pointer or struct),
-* a pointer name or ternary that may point into two buffers where a
-  mask may merge it, a helper returning a pointer, a store to a
-  member its struct does not declare,
-* a vector literal with a wrong item count, an assignment to a
-  non-lvalue, a ``vloadN`` / ``vstoreN`` with the wrong arity.
-
-One *dynamic* situation raises :class:`VectorUnsupported`: a cross-lane
-data race (a store whose value another work-item could observe
-order-dependently — see :class:`_Hazard`).  The launcher then restores
-the buffers the kernel may write from a snapshot and re-raises, and the
-backend chain re-runs the whole launch on the scalar path, so
-``launch()`` keeps its exact API and semantics.
+One *dynamic* situation raises :class:`DataRace`: a cross-lane data
+race (a store whose value another work-item could observe
+order-dependently — see :class:`_Hazard`).  OpenCL leaves such a
+kernel's result undefined; the launch stops, and its buffers and
+counters are unspecified.
 
 Variables are statically typed and scoped, as in C: every store into a
 declared scalar converts to the declared kind (:func:`_convert`, the
@@ -100,12 +86,9 @@ from repro.opencl.interp import (
 MAX_LANES = 1 << 14
 
 
-class VectorUnsupported(Exception):
-    """Dynamic bail-out: re-run the launch on the scalar path."""
-
-
-class VectorizationError(ExecError):
-    """Raised when a strict engine is forced on an unsupported kernel."""
+class DataRace(ExecError):
+    """A cross-lane data race: work-items of a launch touch one address,
+    at least one of them writing, in an order the result depends on."""
 
 
 # ---------------------------------------------------------------------------
@@ -1174,9 +1157,9 @@ class _Hazard:
     sequentially to completion, so a later item can observe an earlier
     item's writes; the lane-batched engine runs statement-by-statement
     across all lanes.  The two orders agree exactly for race-free
-    kernels.  This detector flags the conflicts that could differ, and
-    the launcher then falls back to the scalar path, preserving its
-    semantics bit for bit:
+    kernels.  This detector flags the conflicts that could differ as a
+    :class:`DataRace`, so a launch the engine completes reproduces the
+    scalar result bit for bit:
 
     * same-address accesses from *different lanes of one work-group*
       with at least one write, within one barrier segment (a barrier
@@ -1249,7 +1232,7 @@ class _Hazard:
             & ((stamp == seg) | (writer // l0 != lanes // l0))
         )
         if conflict.any():
-            raise VectorUnsupported(
+            raise DataRace(
                 "cross-lane read of an address written by another "
                 "work-item (order-dependent result)"
             )
@@ -1294,7 +1277,7 @@ class _Hazard:
             )
         )
         if conflict.any():
-            raise VectorUnsupported(
+            raise DataRace(
                 "cross-lane write/read conflict (order-dependent result)"
             )
         self.writer[addrs] = lanes
@@ -1318,7 +1301,7 @@ class _HazardLocal:
     (``SEG_SCALE-1 - lane``) so the same max-update applies.  Compared
     to the block-accumulating min/max of :class:`_Hazard` this is
     *more* precise for the write check (an earlier-segment reader is
-    barrier-ordered and no longer triggers a conservative fallback) and
+    barrier-ordered and raises no spurious race) and
     equally sound: any same-segment foreign-lane access outlasts the
     max against older entries.
 
@@ -1378,7 +1361,7 @@ class _HazardLocal:
         packed = self.w_pack[addrs]
         conflict = (packed >= thr) & (packed != t_hi)
         if conflict.any():
-            raise VectorUnsupported(
+            raise DataRace(
                 "cross-lane read of an address written by another "
                 "work-item (order-dependent result)"
             )
@@ -1425,7 +1408,7 @@ class _HazardLocal:
             )
             conflict = r_conflict if conflict is None else conflict | r_conflict
         if conflict is not None and conflict.any():
-            raise VectorUnsupported(
+            raise DataRace(
                 "cross-lane write/read conflict (order-dependent result)"
             )
         self.w_pack[addrs] = t_hi
@@ -1693,44 +1676,6 @@ _VMATH.update(
 # launcher
 # ---------------------------------------------------------------------------
 
-def try_launch(
-    gsize: tuple,
-    lsize: tuple,
-    base_env: dict,
-    local_decls: list,
-    counters: Counters,
-    pipeline,
-) -> None:
-    """Run ``pipeline`` (a kernel's compiled pipeline from
-    :mod:`repro.opencl.simt_compile`) over the launch (counters merged,
-    buffers written), in blocks of whole work-groups of at most
-    :data:`MAX_LANES` lanes, run in the scalar engine's group order.
-
-    On a :class:`VectorUnsupported` (a cross-lane race) the buffers the
-    kernel may write (the pipeline's ``written`` names) are restored
-    from a snapshot and the exception — whose message is the decline
-    reason the ledger records — propagates, so the caller can re-run the
-    launch on another tier.  No other buffer needs one: no store reaches
-    it (``_Block._scatter`` asserts it).
-    """
-    written = pipeline.written
-    snapshot: dict = {}
-    for name, v in base_env.items():
-        if isinstance(v, Pointer) and name in written and id(v.array) not in snapshot:
-            snapshot[id(v.array)] = (v.array, v.array.copy())
-    staged = Counters()
-    try:
-        with np.errstate(all="ignore"):
-            _run_blocks(
-                gsize, lsize, base_env, local_decls, staged, pipeline
-            )
-    except VectorUnsupported:
-        for array, saved in snapshot.values():
-            array[:] = saved
-        raise
-    counters.merge_in(staged)
-
-
 def _block_geometry(gsize: tuple, lsize: tuple) -> dict:
     """Per-block lane geometry, cached per launch shape and block cap
     (a test that patches :data:`MAX_LANES` is never served another
@@ -1836,6 +1781,30 @@ def _block_geometry(gsize: tuple, lsize: tuple) -> dict:
         while len(cache) > _GEOMETRY_CACHE_ENTRIES:
             cache.popitem(last=False)
     return geometry
+
+
+def run_blocks(
+    gsize: tuple,
+    lsize: tuple,
+    base_env: dict,
+    local_decls: list,
+    counters: Counters,
+    pipeline,
+) -> None:
+    """Run ``pipeline`` (a kernel's compiled pipeline from
+    :mod:`repro.opencl.simt_compile`) over the launch (counters merged,
+    buffers written), in blocks of whole work-groups of at most
+    :data:`MAX_LANES` lanes, run in the scalar engine's group order.
+
+    A cross-lane race raises :class:`DataRace`, its message prefixed
+    with the kernel's name; the buffers and counters are then
+    unspecified.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline)
+    except DataRace as race:
+        raise DataRace(f"{pipeline.kernel_name}: {race}") from None
 
 
 def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline):

@@ -36,7 +36,7 @@ does the rest:
   flow keeps its own return-mask frame;
 * **written buffers**: the names a store may reach through a pointer,
   helper parameters included (``Pipeline.written``), which the launcher
-  snapshots and race-tracks;
+  race-tracks;
 * **batched loops**: a counted loop with a straight-line body runs the
   part of its body that reads no carried value for many iterations at
   once (``Pipeline.batched``), and a loop whose one carried statement
@@ -51,14 +51,14 @@ a name outside its scope, a condition of no scalar type, a pointer that
 a mask would merge across two buffers, ...) at the node that has it;
 the scan refuses a barrier under lane-divergent control or beside an
 early ``return``.  No closure reads the type of a value at run time,
-and the one run-time decline left is a cross-lane race.  A
+and the one run-time error of its own is a cross-lane race.  A
 refused kernel has no pipeline: :func:`get_pipeline` returns the
-reason, and the launch falls to the scalar oracle with it in the
-ledger.
+reason, which the backend raises as
+:class:`~repro.backend.CompileUnsupported`.
 
 The pipeline is segmented at top-level barriers (:func:`split_at_barriers`),
 as the scalar engine schedules segments between synchronization
-points; the launcher (:func:`repro.opencl.simt.try_launch`) runs it in
+points; the launcher (:func:`repro.opencl.simt.run_blocks`) runs it in
 blocks or over the whole grid, bit for bit as the scalar interpreter:
 same buffers, same :class:`Counters`.  Pipelines and refusals are cached
 on the parsed program, which the runtime shares per source, per kernel
@@ -119,7 +119,6 @@ from repro.opencl import simt as _simt
 from repro.opencl.simt import (
     BASIS,
     Access,
-    VectorUnsupported,
     _Block,
     _Chunk,
     _Frame,
@@ -2311,7 +2310,7 @@ class _Batch:
         """The hoisted values of iterations ``first, first + step, ...``
         (``count`` of them), or ``None`` when the hoisted part raised
         what the loop may raise (an ``ExecError`` such as
-        ``OutOfBounds``, a race decline, an arithmetic error): nothing
+        ``OutOfBounds``, a ``DataRace``, an arithmetic error): nothing
         counted, nothing logged, and the loop runs on as it does
         unbatched, raising it in its place.  The body-local names it
         assigns are out of scope after the loop, and each iteration
@@ -2333,7 +2332,7 @@ class _Batch:
         try:
             for op in self.ops:
                 op(chunk, vm, vn, slots)
-        except (ExecError, VectorUnsupported, ArithmeticError):
+        except (ExecError, ArithmeticError):
             counters.update(before)
             return None
         b._absorb(chunk)
@@ -2719,7 +2718,7 @@ class Pipeline:
         #: them).
         self.sole_names = sole_names
         #: The names a store may reach a buffer through (the launcher
-        #: snapshots and race-tracks the buffers they name).
+        #: race-tracks the buffers they name).
         self.written = frozenset(ctx.written)
         self.has_returns = has_returns
         #: The pointer parameters, and the element kinds typed for them.

@@ -152,7 +152,6 @@ from repro.rewrite.rules import (
 )
 from repro.rewrite.strategies import rewrites_by_rule
 from repro import obs
-from repro.backend import LEDGER
 
 
 class ExplorationError(Exception):
@@ -249,11 +248,6 @@ class ExploreStats:
     #: pipeline through the source-keyed parse LRU (see
     #: :mod:`repro.opencl.simt_compile`).
     pipeline_compiles: int = 0
-    #: Launches of this search that a backend declined (growth of the
-    #: process-wide degradation ledger over the evaluate stage): each
-    #: one re-ran on a slower tier.  Non-zero is a defect to explain
-    #: (ENGINES.md).
-    declined_launches: int = 0
 
     def dedup_hit_rate(self) -> float:
         return self.dedup_hits / self.enumerated if self.enumerated else 0.0
@@ -1163,7 +1157,6 @@ def explore_program(
     cache = or_disabled(cache)
     cache_before = replace(cache.stats)
     pipelines_before = simt_compile.compile_count()
-    declines_before = LEDGER.total()
     evaluated, failures, events = evaluate_candidates(
         survivors, inputs, size_env, oracle, config, cache
     )
@@ -1171,7 +1164,6 @@ def explore_program(
     stats.compilations = events["compiled"]
     stats.executions = events["executed"]
     stats.pipeline_compiles = simt_compile.compile_count() - pipelines_before
-    stats.declined_launches = LEDGER.total() - declines_before
     for report in failures:
         counter = _FAILURE_STAT[report.kind]
         setattr(stats, counter, getattr(stats, counter) + 1)

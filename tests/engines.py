@@ -1,22 +1,20 @@
 """The one cross-engine check of the test suite.
 
 Every lane tier must agree with the ``scalar`` oracle bit for bit: the
-same buffers, equal ``Counters``, no ``static`` decline in the ledger
-on the way, and no ``dynamic`` one but a cross-lane race.
-:func:`check_engines` runs a launch on ``scalar`` and on each of
+same buffers and equal ``Counters``, or a typed error where the lane
+engine does not run the kernel.  :func:`check_engines` runs a launch on ``scalar`` and on each of
 :data:`RUNS`: an engine over :data:`ONE` block or over :data:`SEVERAL`
 (``simt.MAX_LANES`` lowered for the run, the last block ragged).  Counters and buffers do not depend on the
 block size, so both layouts must give the oracle's.
 """
 
-from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
 
-from repro.backend import ledger
-from repro.opencl import VectorizationError, simt
+from repro.backend import CompileUnsupported
+from repro.opencl import DataRace, simt
 from repro.opencl.runtime import _normalize_size
 
 ONE, SEVERAL = "one block", "several blocks"
@@ -25,9 +23,6 @@ ONE, SEVERAL = "one block", "several blocks"
 RUNS = (("auto", ONE), ("compiled", ONE), ("compiled", SEVERAL))
 #: The rows of a test parametrized over every engine and layout.
 ALL_RUNS = (("scalar", ONE),) + RUNS
-#: The runs of a kernel the lane tiers refuse statically (the strict
-#: tier would raise): the default chain falls back in either layout.
-FALLBACK_RUNS = (("auto", ONE), ("auto", SEVERAL))
 
 
 def _shape(gsize, lsize) -> tuple:
@@ -62,13 +57,6 @@ def blocks(layout: str, gsize=None, lsize=None):
         yield
 
 
-def _declines() -> Counter:
-    kinds: Counter = Counter()
-    for (_, _, kind), count in ledger.counts().items():
-        kinds[kind] += count
-    return kinds
-
-
 def _as_bytes(buffers) -> dict:
     return {
         name: data if isinstance(data, bytes) else np.asarray(data).tobytes()
@@ -77,7 +65,7 @@ def _as_bytes(buffers) -> dict:
 
 
 def check_engines(launch, gsize=None, lsize=None, runs=RUNS,
-                  races=False, refused=False) -> dict:
+                  races=False, refused=None) -> dict:
     """Run ``launch(engine)`` on ``scalar`` and on each of ``runs``,
     each under :func:`blocks` for the launch shape ``gsize`` / ``lsize``
     (``None`` when ``launch`` makes several launches).  ``launch``
@@ -85,32 +73,31 @@ def check_engines(launch, gsize=None, lsize=None, runs=RUNS,
     bytes, and the ``Counters``.  Asserts each run's buffers bitwise and
     counters equal to scalar's.
 
-    ``races`` lets a strict run refuse a cross-lane race (its result is
-    then ``None``).  ``refused`` marks a kernel the lane tiers refuse
-    statically: the ledger must gain static declines; otherwise it must
-    gain none.  A dynamic decline must be a race.  Returns ``{"scalar":
-    result, (engine, layout): result}``."""
-    before = _declines()
-    seen = len(ledger.events())
+    ``races`` lets a run raise ``DataRace`` for a cross-lane race (its
+    result is then the error).  ``refused``, a kernel the lane engine
+    refuses statically, is the reason: every run must raise
+    ``CompileUnsupported`` with it, and ``scalar`` runs the kernel.
+    Returns ``{"scalar": result, (engine, layout): result}``."""
     results = {"scalar": launch("scalar")}
     reference = _as_bytes(results["scalar"][0]), vars(results["scalar"][1])
     for run in runs:
         with blocks(run[1], gsize, lsize):
             try:
                 results[run] = launch(run[0])
-            except VectorizationError as refusal:
-                assert races and "cross-lane" in str(refusal), (run, refusal)
-                results[run] = None
+            except CompileUnsupported as refusal:
+                assert refusal.reason == refused, (run, refusal)
+                results[run] = refusal
                 continue
+            except DataRace as race:
+                assert races and "cross-lane" in str(race), (run, race)
+                results[run] = race
+                continue
+        assert refused is None, f"{run} ran a kernel refused for {refused!r}"
         buffers, counters = results[run]
         assert _as_bytes(buffers) == reference[0], f"buffers differ on {run}"
         assert vars(counters) == reference[1], (
             f"counters differ on {run}:\n{reference[1]}\n{vars(counters)}"
         )
-    declines = _declines() - before
-    assert ("static" in declines) == refused, declines
-    events = ledger.events()[seen:]
-    assert all("cross-lane" in e.reason for e in events if e.kind == "dynamic"), events
     return results
 
 

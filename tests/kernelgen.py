@@ -17,10 +17,11 @@ it builds stays inside its buffer on every lane.
 :func:`check` launches one kernel on ``scalar`` and on every run of
 :data:`tests.engines.RUNS` (``auto`` and ``compiled`` over one block,
 ``compiled`` over several) and compares the buffers (bytes) and
-``Counters``.  A strict engine may refuse a kernel only at run time,
-for a cross-lane race (a ``dynamic`` decline in the ledger): any other
-decline of a generated kernel fails the check.  Run a seed range by
-hand (it prints the acceptance share and the declines per reason)::
+``Counters``.  An engine may refuse a kernel only at run time, with a
+``DataRace`` for a cross-lane race: a static refusal
+(``CompileUnsupported``) of a generated kernel fails the check.  Run a
+seed range by hand (it prints the acceptance share and the races per
+message)::
 
     PYTHONPATH=src python -m tests.kernelgen 0 200
 """
@@ -35,8 +36,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.backend import ledger
-from repro.opencl import Buffer, OpenCLProgram, launch, simt, simt_compile
+from repro.opencl import Buffer, DataRace, OpenCLProgram, launch, simt, simt_compile
 from tests.engines import RUNS, check_engines
 
 #: The block cap the checks run under (``simt.MAX_LANES`` patched).
@@ -406,10 +406,10 @@ def run(kernel: Kernel, engine: str, gsize: tuple, lsize: tuple):
     return data, counters
 
 
-def check(seed: int, shape: int) -> bool:
+def check(seed: int, shape: int) -> list:
     """Launch kernel ``seed`` in launch shape ``shape`` on every engine;
-    assert each agrees with ``scalar``, and that no backend refuses it
-    but for a race.  Whether ``compiled`` ran it in every layout."""
+    assert each agrees with ``scalar`` or raises ``DataRace``.  The
+    messages of the races raised (none: every run completed)."""
     (g0, g1), (l0, l1) = SHAPES[shape]
     kernel = generate(seed, two_d=g1 > 1, local_lanes=l0 * l1)
     gsize, lsize = (g0, g1), (l0, l1)
@@ -428,23 +428,24 @@ def check(seed: int, shape: int) -> bool:
             )
     except AssertionError as failure:
         raise AssertionError(seed, shape, kernel.source) from failure
-    return all(results[r] is not None for r in RUNS)
+    return [str(results[r]) for r in RUNS if isinstance(results[r], DataRace)]
 
 
 def main(start: int, stop: int) -> None:
     accepted = total = 0
-    ledger.clear()
+    races: Counter = Counter()
     for seed in range(start, stop):
         for shape in range(len(SHAPES)):
             if shape == 1 and seed % 8:
                 continue  # the many-lane shape: every eighth seed
-            accepted += check(seed, shape)
+            raised = check(seed, shape)
+            races.update(raised)
+            accepted += not raised
             total += 1
     print(f"kernelgen seeds {start}..{stop}: {accepted}/{total} launches "
-          f"accepted by compiled in every layout ({accepted / total:.0%})")
-    declines = Counter((e.kind, e.reason) for e in ledger.events())
-    for (kind, reason), count in sorted(declines.items()):
-        print(f"  {count:5d} {kind} declines: {reason}")
+          f"run by every engine in every layout ({accepted / total:.0%})")
+    for message, count in sorted(races.items()):
+        print(f"  {count:5d} races: {message}")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """Tests for the execution backends and their engine table
 (repro.backend).
 
-Covers the fixed tables (backends, engine chains, unknown-name errors),
-launch-time engine resolution (explicit argument vs the
-``REPRO_SIM_ENGINE`` preference), the NDRange checks made before any
-engine runs, the end-to-end harness's pins on this package, the plan's
+Covers the fixed tables (backends, engine names, unknown-name errors),
+launch-time engine selection (explicit argument vs the
+``REPRO_SIM_ENGINE`` default), the typed errors that replace a fallback
+(a static refusal, a race), the NDRange checks made before any engine
+runs, the end-to-end harness's pins on this package, and the plan's
 access facts (slices, uniform loads, proof-carrying stores, prefix
-masks, aliasing) over one block and over several, and the launcher's
-rollback.  The bitwise cross-backend contract itself is exercised by
-the engine sweeps in ``tests/test_simt.py`` /
-``tests/test_simt_compile.py``.
+masks, aliasing) over one block and over several.  The bitwise
+cross-backend contract itself is exercised by the engine sweeps in
+``tests/test_simt.py`` / ``tests/test_simt_compile.py``.
 """
 
 import importlib
@@ -26,16 +26,41 @@ from repro.backend import (
     backend_names,
     engine_names,
     get_backend,
-    ledger,
-    resolve,
 )
 from repro.obs import metrics
-from repro.opencl import Buffer, OpenCLProgram, VectorizationError, launch
+from repro.opencl import Buffer, DataRace, OpenCLProgram, launch
 from repro.opencl import simt, simt_compile
 from repro.rewrite.explore import ExploreStats
-from tests.engines import FALLBACK_RUNS, ONE, RUNS, SEVERAL
+from tests.engines import ONE, RUNS, SEVERAL
 from tests.programs import SAXPY, run_saxpy, saxpy_args
 from tests.test_simt import assert_engines_agree
+
+#: A kernel the lane engine refuses statically: a barrier behind an
+#: early return (legal at a launch shape where no item returns).
+EARLY_RETURN = """
+kernel void K(global float *x, int n) {
+  if (get_global_id(0) >= n) { return; }
+  barrier(CLK_LOCAL_MEM_FENCE);
+  x[get_global_id(0)] = 1.0f;
+}
+"""
+
+#: A kernel the lane engine runs and stops mid-launch: each work-item
+#: stages its value through one shared scratch cell.
+RACY = """
+kernel void K(const global float * restrict x, global float *scratch,
+              global float *out) {
+  int i = get_global_id(0);
+  scratch[0] = x[i];
+  out[i] = scratch[0] * 2.0f;
+}
+"""
+
+
+def racy_args():
+    return {"x": Buffer.from_array(np.arange(8.0)), "scratch": Buffer.zeros(1),
+            "out": Buffer.zeros(8)}
+
 
 class TestEngineTable:
     def test_three_backends(self):
@@ -46,16 +71,12 @@ class TestEngineTable:
 
     def test_the_engine_table(self):
         assert ENGINES == {
-            "auto": ("compiled", "scalar"),
-            "fused": ("compiled", "scalar"),
-            "compiled": ("compiled",),
-            "scalar": ("scalar",),
+            "auto": "compiled",
+            "fused": "compiled",
+            "compiled": "compiled",
+            "scalar": "scalar",
         }
         assert engine_names() == ("auto", "compiled", "fused", "scalar")
-        for name, chain in ENGINES.items():
-            assert resolve(name) == chain
-        # A strict name from REPRO_SIM_ENGINE gains the scalar tail.
-        assert resolve("compiled", prefer=True) == ("compiled", "scalar")
 
     def test_unknown_backend_error_lists_names(self):
         with pytest.raises(ValueError) as err:
@@ -63,27 +84,67 @@ class TestEngineTable:
         for name in backend_names():
             assert name in str(err.value)
 
-    def test_unknown_engine_error_lists_names(self):
-        with pytest.raises(ValueError) as err:
-            resolve("warp-speed")
-        for name in engine_names():
-            assert name in str(err.value)
 
-    def test_strict_chain_raises_when_exhausted(self):
-        src = """
-        kernel void K(global float *x, int n) {
-          if (get_global_id(0) >= n) { return; }
-          barrier(CLK_LOCAL_MEM_FENCE);
-          x[get_global_id(0)] = 1.0f;
-        }
-        """
-        program = OpenCLProgram(src)
-        with pytest.raises(VectorizationError):
-            launch(program, 4, 4, {"x": Buffer.zeros(4), "n": 4},
-                   engine="compiled")
+class TestTypedErrors:
+    """Nothing falls back: the lane engine runs a launch or raises a
+    typed error, and ``scalar`` runs what it refuses."""
+
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "fused"])
+    def test_a_static_refusal_names_the_kernel_the_reason_and_scalar(
+        self, engine
+    ):
+        program = OpenCLProgram(EARLY_RETURN)
+        served = metrics.REGISTRY.counter("launch.served.scalar")
+        with pytest.raises(CompileUnsupported) as err:
+            launch(program, 4, 4, {"x": Buffer.zeros(4), "n": 4}, engine=engine)
+        assert err.value.reason == "barrier combined with early return"
+        assert str(err.value) == (
+            "kernel 'K' is not run by the compiled engine: barrier combined "
+            'with early return (engine="scalar" runs it)'
+        )
+        assert metrics.REGISTRY.counter("launch.served.scalar") == served
+        out = Buffer.zeros(4)
+        launch(program, 4, 4, {"x": out, "n": 4}, engine="scalar")
+        np.testing.assert_array_equal(out.data, np.ones(4))
+
+    @pytest.mark.parametrize("engine", ["auto", "compiled"])
+    def test_a_race_raises_data_race(self, engine):
+        served = {name: metrics.REGISTRY.counter(f"launch.served.{name}")
+                  for name in backend_names()}
+        with pytest.raises(DataRace, match="^K: cross-lane read of an address "
+                           "written by another work-item"):
+            launch(OpenCLProgram(RACY), 8, 4, racy_args(), engine=engine)
+        assert served == {name: metrics.REGISTRY.counter(f"launch.served.{name}")
+                          for name in backend_names()}
+
+    def test_the_oracle_runs_a_racy_kernel_in_its_order(self):
+        # Undefined in OpenCL; the scalar engine runs items in order, so
+        # each reads back its own value.
+        args = racy_args()
+        launch(OpenCLProgram(RACY), 8, 4, args, engine="scalar")
+        np.testing.assert_array_equal(args["out"].data, 2.0 * np.arange(8))
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_exactly_one_served_counter_moves_per_launch(self, engine):
+        # benchmarks/e2e reads which backend served a group of launches
+        # off the one launch.served.<backend> counter that moved.
+        def served():
+            return {name: metrics.REGISTRY.counter(f"launch.served.{name}")
+                    for name in backend_names()}
+
+        before = served()
+        run_saxpy(engine)
+        moved = {name for name, n in served().items() if n != before[name]}
+        assert moved == {ENGINES[engine]}
+
+    def test_the_typed_errors_are_exec_errors(self):
+        from repro.opencl.interp import ExecError
+
+        assert issubclass(CompileUnsupported, ExecError)
+        assert issubclass(DataRace, ExecError)
 
 
-class TestEngineResolution:
+class TestEngineSelection:
     @staticmethod
     def _assert_lists_the_valid_engines(err):
         assert str(err.value).endswith(
@@ -105,42 +166,33 @@ class TestEngineResolution:
             assert main(
                 ["figure8", "--benchmarks", "nn", "--engine", unknown]
             ) == 2
-            assert unknown in capsys.readouterr().err
+            stderr = capsys.readouterr().err
+            assert unknown in stderr
+            assert stderr.rstrip().endswith(
+                "valid engines are auto, compiled, fused, scalar"
+            )
             monkeypatch.setenv("REPRO_SIM_ENGINE", unknown)
             with pytest.raises(ValueError) as err:
                 launch(program, 16, 16, saxpy_args(16))
             self._assert_lists_the_valid_engines(err)
             monkeypatch.delenv("REPRO_SIM_ENGINE")
 
-    def test_env_var_accepts_backend_names(self, monkeypatch):
+    def test_env_var_names_the_default_engine(self, monkeypatch):
         ref, ref_counters = run_saxpy("scalar")
-        for name in ("auto", "compiled"):
+        for name in ("auto", "compiled", "scalar"):
             monkeypatch.setenv("REPRO_SIM_ENGINE", name)
+            served = metrics.REGISTRY.counter(f"launch.served.{ENGINES[name]}")
             out, counters = run_saxpy(None)
             np.testing.assert_array_equal(out, ref)
             assert counters == ref_counters
+            assert metrics.REGISTRY.counter(
+                f"launch.served.{ENGINES[name]}") == served + 1
 
-    def test_env_var_is_a_preference_not_a_requirement(self, monkeypatch):
-        # A kernel only the scalar tier supports must still run when the
-        # environment prefers a strict lane-batched engine.
-        src = """
-        kernel void K(global float *x, int n) {
-          if (get_global_id(0) >= n) { return; }
-          barrier(CLK_LOCAL_MEM_FENCE);
-          x[get_global_id(0)] = 1.0f;
-        }
-        """
-        program = OpenCLProgram(src)
+    def test_env_var_compiled_refuses_as_the_argument_does(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_ENGINE", "compiled")
-        out = Buffer.zeros(4)
-        launch(program, 4, 4, {"x": out, "n": 4})
-        np.testing.assert_array_equal(out.data, np.ones(4))
-
-    def test_env_var_unknown_name_still_errors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp-speed")
-        program = OpenCLProgram(SAXPY)
-        with pytest.raises(ValueError):
-            launch(program, 16, 16, saxpy_args(16))
+        with pytest.raises(CompileUnsupported):
+            launch(OpenCLProgram(EARLY_RETURN), 4, 4,
+                   {"x": Buffer.zeros(4), "n": 4})
 
 
 @pytest.mark.parametrize("engine", engine_names())
@@ -164,9 +216,10 @@ def test_a_malformed_ndrange_is_refused_before_any_engine_runs(
 
 def test_the_end_to_end_harness_plans_through_the_backend_table(monkeypatch):
     """``benchmarks/e2e/workloads.py`` imports ``LEDGER``,
-    ``CompileUnsupported`` and ``get_backend`` from this package and plans
-    through ``get_backend(name).plan``; a change that breaks those pins
-    fails here, not only when the harness runs."""
+    ``CompileUnsupported`` and ``get_backend`` from this package, plans
+    through ``get_backend(name).plan`` and counts declines as
+    ``LEDGER.total()``; a change that breaks those pins fails here, not
+    only when the harness runs."""
     harness = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
     monkeypatch.syspath_prepend(str(harness))
     workloads = importlib.import_module("workloads")
@@ -177,6 +230,13 @@ def test_the_end_to_end_harness_plans_through_the_backend_table(monkeypatch):
     for name in ("compiled", "fused"):
         plan = workloads.get_backend(name).plan(program.parsed, kernel)
         assert plan.accesses == plan.affine == 3
+    refused = OpenCLProgram(EARLY_RETURN)
+    with pytest.raises(workloads.CompileUnsupported):
+        workloads.get_backend("fused").plan(refused.parsed, refused.kernel())
+    assert LEDGER.total() == 0
+    with pytest.raises(DataRace):
+        launch(OpenCLProgram(RACY), 8, 4, racy_args(), engine="fused")
+    assert LEDGER.total() == 0
     assert set(workloads.Explore.STAT_FAILURES) <= set(ExploreStats().as_dict())
 
 
@@ -277,18 +337,12 @@ class TestAccessFacts:
 
     def test_unvectorizable_kernel_has_no_plan(self):
         # Statically refused (barrier + early return) but legal at this
-        # launch shape: the auto chain must fall through to scalar.
-        src = """
-        kernel void K(global float *x, int n) {
-          if (get_global_id(0) >= n) { return; }
-          barrier(CLK_LOCAL_MEM_FENCE);
-          x[get_global_id(0)] = 1.0f;
-        }
-        """
-        assert plan_of(src) == "barrier combined with early return"
+        # launch shape: the lane engine names the reason, scalar runs it.
+        reason = "barrier combined with early return"
+        assert plan_of(EARLY_RETURN) == reason
         assert_engines_agree(
-            src, 4, 4, lambda: {"x": Buffer.zeros(4), "n": 4},
-            runs=FALLBACK_RUNS, refused=True,
+            EARLY_RETURN, 4, 4, lambda: {"x": Buffer.zeros(4), "n": 4},
+            refused=reason,
         )
 
     def test_loaded_output_buffer_is_not_sole(self):
@@ -309,7 +363,7 @@ class TestAccessFacts:
         # addresses lie past the first's, no race note is needed.
         # out[i + t]: lane i + 1 meets lane i's first store in the
         # second iteration; the detector takes over, replays the first
-        # iteration and finds the race, and the launch falls to scalar.
+        # iteration and finds the race.
         src = f"""
         kernel void K(global float *out, int n) {{
           int i = get_global_id(0);
@@ -321,17 +375,14 @@ class TestAccessFacts:
         plan = plan_of(src)
         assert plan.sole_names == frozenset({"out"}) and plan.affine == 1
         notes = count_race_notes(monkeypatch)
-        ledger.clear()
-        assert_engines_agree(
+        results = assert_engines_agree(
             src, 64, 16, lambda: {"out": Buffer.zeros(2 * 64), "n": 64},
-            runs=(("auto", ONE),),
+            runs=(("auto", ONE),), races=races,
         )
-        events = ledger.events()
         if races:
-            (event,) = events
-            assert "conflict" in event.reason and notes
+            assert "conflict" in str(results["auto", ONE]) and notes
         else:
-            assert not events and notes == []
+            assert notes == []
 
     @pytest.mark.parametrize("index, noted", [("l", False), ("0", True)])
     def test_a_local_store_alone_between_barriers_skips_the_detector(
@@ -427,13 +478,6 @@ def count_race_notes(monkeypatch) -> list:
     return notes
 
 
-def assert_tiers_agree_with_an_empty_ledger(src, gsize, lsize, make_args,
-                                            **checks):
-    ledger.clear()
-    assert_engines_agree(src, gsize, lsize, make_args, **checks)
-    assert not ledger.events()
-
-
 class TestFactsInBothLayouts:
     """The facts hold over several blocks of at most ``BLOCK`` lanes
     (whose uniform terms differ per block) and over one block; both
@@ -453,7 +497,7 @@ class TestFactsInBothLayouts:
         n = blocks[1]["first_group"] * local + 1000  # inside block two
         assert plan_of(SAXPY).affine == 3
         notes = count_race_notes(monkeypatch)
-        assert_tiers_agree_with_an_empty_ledger(
+        assert_engines_agree(
             SAXPY, BIG_N, local,
             lambda: {
                 "x": Buffer.from_array(np.linspace(-3.0, 5.0, BIG_N)),
@@ -480,7 +524,7 @@ class TestFactsInBothLayouts:
         # tmp[j] under the lane-varying loop: j is uniform on its lanes.
         assert len(plan.segments) == 3
         assert plan.affine == plan.accesses == 4
-        assert_tiers_agree_with_an_empty_ledger(
+        assert_engines_agree(
             src, BIG_N, 64,
             lambda: {"x": Buffer.from_array(np.sin(np.arange(BIG_N))),
                      "out": Buffer.zeros(BIG_N)},
@@ -501,7 +545,7 @@ class TestFactsInBothLayouts:
         """
         # p[i - i % 3] has no fact: i % 3 drops it.
         assert plan_of(src).affine == 3 and plan_of(src).accesses == 4
-        assert_tiers_agree_with_an_empty_ledger(
+        assert_engines_agree(
             src, BIG_N, 64,
             lambda: {"x": Buffer.from_array(np.arange(3.0 * BIG_N)),
                      "out": Buffer.zeros(BIG_N), "n": BIG_N - 100},
@@ -526,7 +570,7 @@ class TestFactsInBothLayouts:
             shared = Buffer.from_array(np.arange(BIG_N, dtype=float))
             return {"x": shared, "out": shared}
 
-        assert_tiers_agree_with_an_empty_ledger(
+        assert_engines_agree(
             src, BIG_N, 64, aliased,
             runs=tuple(run for run in RUNS if run[1] == layout),
         )
@@ -534,31 +578,6 @@ class TestFactsInBothLayouts:
 
 
 class TestLauncher:
-    def test_a_race_restores_only_the_buffers_the_kernel_may_write(self):
-        # ``out`` is written, then a cross-lane read of ``scratch`` bails
-        # out.  ``out`` is restored bitwise, in place; the read-only
-        # input is neither copied back nor touched.
-        src = """
-        kernel void K(const global float * restrict x, global float *scratch,
-                      global float *out) {
-          int i = get_global_id(0);
-          out[i] = x[i] * 2.0f;
-          scratch[0] = out[i];
-          out[i] = scratch[0];
-        }
-        """
-        x_data = np.arange(64, dtype=float)
-        x_data.setflags(write=False)
-        out_data = np.full(64, -1.0)
-        args = {"x": Buffer(x_data), "scratch": Buffer.zeros(1),
-                "out": Buffer(out_data)}
-        with pytest.raises(VectorizationError, match="K: cross-lane read"):
-            launch(OpenCLProgram(src), 64, 16, args, engine="compiled")
-        assert args["x"].data is x_data and args["out"].data is out_data
-        np.testing.assert_array_equal(x_data, np.arange(64))
-        assert out_data.tobytes() == np.full(64, -1.0).tobytes()
-        assert args["scratch"].data.tobytes() == np.zeros(1).tobytes()
-
     def test_a_full_block_reduction_uses_the_packed_local_detector(
         self, monkeypatch
     ):
@@ -585,4 +604,4 @@ class TestLauncher:
         assert {(size, simt._HazardLocal) for size in rows} <= set(acquired)
         assert all(cls is simt._HazardLocal for size, cls in acquired if size in rows)
         monkeypatch.undo()
-        assert_tiers_agree_with_an_empty_ledger(_REDUCTION, n, local, make)
+        assert_engines_agree(_REDUCTION, n, local, make)

@@ -17,7 +17,7 @@ from repro.compiler.codegen import compile_kernel
 from repro.compiler.kernel import execute_kernel
 from repro.compiler.options import CompilerOptions
 from repro.opencl import (
-    Buffer, OpenCLProgram, OutOfBounds, VectorizationError, launch, simt,
+    Buffer, DataRace, OpenCLProgram, OutOfBounds, launch, simt,
     simt_compile,
 )
 from tests.engines import ALL_RUNS, blocks, check_engines
@@ -365,7 +365,7 @@ class TestErrorsFromTheHoistedPart:
         with chunks() as record:
             check_engines(lambda e: run(src, args, e), N, LOCAL, races=True)
         assert (4, False) in record  # the hoisted part raised, the loop did
-        with pytest.raises(VectorizationError, match="cross-lane read of an "
+        with pytest.raises(DataRace, match="^K: cross-lane read of an "
                            "address written by another work-item"):
             run(src, args, "compiled")
 

@@ -147,14 +147,12 @@ def test_hoisting_only_ever_removes_work(name):
     no ``Counters`` field rises."""
     from dataclasses import replace
 
-    from repro.backend import ledger
     from repro.compiler.codegen import compile_kernel
     from repro.compiler.kernel import execute_kernel
     from repro.obs import metrics
     from tests.programs import compile_unhoisted, hoisted_source
 
     bench = get_benchmark(name)
-    ledger.clear()
     scalar_before = metrics.REGISTRY.counter("launch.served.scalar")
     for size in ("small", "large"):
         engines = ["compiled"]
@@ -194,7 +192,6 @@ def test_hoisting_only_ever_removes_work(name):
     # Only the launches that asked for the scalar oracle ran there.
     asked = 2 * len(OPTIMIZATION_LEVELS) * len(bench.stages) * (name in _ALSO_ON_SCALAR)
     assert metrics.REGISTRY.counter("launch.served.scalar") == scalar_before + asked
-    assert not ledger.events()
 
 
 def test_figure8_explain_prices_every_counter_delta():
@@ -278,20 +275,17 @@ def test_figure8_floors_catch_a_lost_row():
 @pytest.mark.parametrize("engine, layout", RUNS)
 @pytest.mark.parametrize("name", ALL_BENCHMARKS)
 def test_no_scalar_cliff(name, engine, layout):
-    """No benchsuite launch — reference or generated, at any
-    optimization level — falls to the per-work-item scalar tier or is
-    declined dynamically by a lane-batched one (the scalar cliff under
-    Figure 8: 12 of 52 launches before declared types became
-    authoritative), over one block or with each work-group a block of
-    its own.  The strict ``compiled`` engine raises on a decline: its
-    cross-lane hazard detector is the oracle for every barrier
+    """Every benchsuite launch — reference or generated, at any
+    optimization level — runs on the lane engine (the scalar cliff under
+    Figure 8: 12 of 52 launches fell to the per-work-item tier before
+    declared types became authoritative), over one block or with each
+    work-group a block of its own.  A static refusal or a race raises:
+    the cross-lane hazard detector is the oracle for every barrier
     ``compiler/barriers.py`` removes."""
-    from repro.backend import ledger
     from repro.obs import metrics
 
     bench = get_benchmark(name)
     inputs, size_env = bench.inputs_for("small")
-    ledger.clear()
     scalar_before = metrics.REGISTRY.counter("launch.served.scalar")
     with blocks(layout):
         bench.run_reference(inputs, size_env, engine=engine)
@@ -300,8 +294,6 @@ def test_no_scalar_cliff(name, engine, layout):
                 inputs, size_env, options_factory=factory, engine=engine
             )
     assert metrics.REGISTRY.counter("launch.served.scalar") == scalar_before
-    dynamic = [e for e in ledger.events() if e.kind == "dynamic"]
-    assert not dynamic, dynamic
 
 
 def test_explore_no_cache_leaves_the_cache_dir_empty(
@@ -500,7 +492,7 @@ def test_the_cli_names_the_valid_values_of_a_bad_argument(
     argv, needle, capsys
 ):
     """An unknown engine or benchmark name used to end in a traceback
-    (``ValueError`` from ``backend.resolve``, ``KeyError`` from
+    (``ValueError`` from ``backend.engine_backend``, ``KeyError`` from
     ``get_benchmark``): exit status 2 and one stderr line naming the
     valid values, before anything runs."""
     from repro.benchsuite.__main__ import main

@@ -317,15 +317,13 @@ def test_explorer_at_least_matches_the_menu(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["nn", "gemv", "mm"])
 def test_exploration_has_no_scalar_cliff(name):
-    """No explorer launch is declined by the first backend and re-run on
-    a slower tier (mm's two ``toLocal insertion`` schedules used to race
-    through an unmultiplied staging row and fall to ``scalar``)."""
-    from repro.backend import LEDGER
+    """Every explorer launch runs on the lane engine, and none raises
+    (mm's two ``toLocal insertion`` schedules used to race through an
+    unmultiplied staging row and fall to ``scalar``)."""
     from repro.obs import metrics
 
     bench = get_benchmark(name)
     inputs, size_env = bench.inputs_for("small")
-    declines_before = LEDGER.total()
     scalar_before = metrics.REGISTRY.counter("launch.served.scalar")
     result = explore_program(
         bench.high_level(size_env), inputs, size_env,
@@ -333,23 +331,38 @@ def test_exploration_has_no_scalar_cliff(name):
         cache=None,
     )
     assert result.stats.executions == 12 and not result.failures
-    assert LEDGER.total() == declines_before
     assert metrics.REGISTRY.counter("launch.served.scalar") == scalar_before
-    assert result.stats.declined_launches == 0
 
 
-def test_declined_launches_are_counted_and_named(monkeypatch):
+def test_a_racy_candidate_is_one_simulate_failure(monkeypatch):
     """A candidate whose kernel races (here: every work-item writes and
-    reads back one local cell, result unused) still verifies — on the
-    scalar tier — and the search says so, per benchmark."""
+    reads back one local cell, result unused) raises ``DataRace`` on
+    the lane engine: the search quarantines it as a ``simulate``
+    failure naming the race, and the winner is unchanged."""
     import dataclasses
     from repro.rewrite import explore as explore_mod
-    from repro.benchsuite.explore import explore_benchmark, format_explore
 
+    bench = get_benchmark("nn")
+    inputs, size_env = bench.inputs_for("small")
+
+    def search():
+        return explore_program(
+            bench.high_level(size_env), inputs, size_env,
+            config=ExploreConfig(depth=1, max_eval=2, engine="auto"),
+            cache=None,
+        )
+
+    clean = search()
+    assert len(clean.candidates) == 2 and not clean.failures
+    winner = clean.best()
     real_compile = explore_mod.compile_kernel
+    raced = []
 
     def racy_compile(program, options):
         kernel = real_compile(program, options)
+        if raced or kernel.source == winner.kernel_source:
+            return kernel
+        raced.append(kernel.name)
         head, brace, body = kernel.source.partition(") {\n")
         assert "kernel void" in head.splitlines()[-1]
         return dataclasses.replace(
@@ -361,27 +374,14 @@ def test_declined_launches_are_counted_and_named(monkeypatch):
             + body,
         )
 
-    def entry_and_text():
-        entry = explore_benchmark("nn", depth=1, max_eval=2, engine="auto")
-        text = format_explore({
-            "config": {"depth": 1, "size": "small", "cache_dir": "off"},
-            "benchmarks": [entry],
-        })
-        return entry, text
-
-    entry, text = entry_and_text()
-    assert entry["stats"]["declined_launches"] == 0
-    assert "DECLINED" not in text
-
     monkeypatch.setattr(explore_mod, "compile_kernel", racy_compile)
-    racy_entry, racy_text = entry_and_text()
-    stats = racy_entry["stats"]
-    assert stats["evaluated"] == 2 and stats["verify_failures"] == 0
-    assert stats["declined_launches"] == 2
-    search_line, = [l for l in racy_text.splitlines() if "search:" in l]
-    assert "2 launch(es) DECLINED by a backend" in search_line
-    # Same winner either way: the decline costs time, not correctness.
-    assert racy_entry["explorer_best_trace"] == entry["explorer_best_trace"]
+    racy = search()
+    (failure,) = racy.failures
+    assert failure.kind == "simulate"
+    assert failure.message.startswith(f"{raced[0]}: cross-lane ")
+    assert racy.stats.simulate_failures == 1 and racy.stats.evaluated == 1
+    assert racy.best().trace == winner.trace
+    assert racy.best().runtime == winner.runtime
 
 
 @pytest.fixture

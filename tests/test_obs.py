@@ -28,7 +28,8 @@ from repro import obs
 from repro.obs import analysis
 from repro.obs import metrics as metrics_mod
 from repro.obs import trace as trace_mod
-from repro.opencl import Buffer, OpenCLProgram, launch
+from repro.backend import CompileUnsupported
+from repro.opencl import Buffer, DataRace, OpenCLProgram, launch
 from repro.opencl.interp import ExecError
 from tests.engines import ALL_RUNS, ONE, SEVERAL, blocks
 from tests.programs import SAXPY, run_saxpy, saxpy_args
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Every top-level key of ``obs.snapshot()`` before a kernel Counters
 #: view registers (figure8 adds ``counters.kernel``).
 SECTIONS = (
-    "counters", "cache", "explore", "ledger", "calibration",
+    "counters", "cache", "explore", "calibration",
 )
 
 #: SAXPY over a 2-D range, one element per work-item.
@@ -51,8 +52,7 @@ kernel void SAXPY_2D(const global float * restrict x,
 }
 """
 
-#: A cross-lane race: the compiled tier declines it at run time (a
-#: ``dynamic`` ledger entry) and the scalar tier serves it.
+#: A cross-lane race: the compiled tier raises ``DataRace`` at run time.
 RACE = """
 kernel void RACE(const global float * restrict x,
                  global float *scratch, global float *out) {
@@ -275,9 +275,8 @@ class TestMetricsRegistry:
         """One document holds the views the owners registered
         themselves: figure8's kernel Counters, a TuningCache's
         CacheStats, a search's ExploreStats + FailureReports and the
-        process ledger."""
+        calibration log."""
         from repro.arith import Var
-        from repro.backend import LEDGER
         from repro.benchsuite.figure8 import run_figure8
         from repro.cache import TuningCache
         from repro.ir.dsl import map_
@@ -298,8 +297,6 @@ class TestMetricsRegistry:
                                  engine="no-such-engine"),
             cache=cache,
         )
-        declines = LEDGER.total()
-        launch(OpenCLProgram(RACE), 8, 4, race_args(), engine="auto")
         doc = obs.snapshot()
 
         assert doc["counters.kernel"]["global_loads"] > 0
@@ -308,8 +305,6 @@ class TestMetricsRegistry:
         assert doc["cache"]["run_hit_rate"] == 0.5
         assert doc["explore"]["stats"] == search.stats.as_dict()
         assert doc["explore"]["failures"][0]["kind"] == "simulate"
-        assert doc["ledger"]["total"] == declines + 1
-        assert doc["ledger"]["events"][-1]["kind"] == "dynamic"
         assert "workloads" in doc["calibration"]
         json.dumps(doc)  # the whole merged document is serializable
 
@@ -319,26 +314,20 @@ class TestMetricsRegistry:
         assert set(SECTIONS) <= set(doc)
 
     def test_fresh_interpreter_snapshot_has_every_section(self):
-        """Importing ``repro.obs`` alone yields every section, and each
-        placeholder has the shape its owner's view has."""
+        """Importing ``repro.obs`` alone yields every section, the
+        unowned ones as their placeholders."""
         script = textwrap.dedent("""
             import json
             import repro.obs
-            fresh = repro.obs.snapshot()
-            from repro.backend import ledger
-            print(json.dumps({"fresh": fresh, "owned": repro.obs.snapshot()}))
+            print(json.dumps(repro.obs.snapshot()))
         """)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         out = subprocess.run(
             [sys.executable, "-c", script], env=env, check=True,
             capture_output=True, text=True,
         ).stdout
-        docs = json.loads(out)
-        fresh, owned = docs["fresh"], docs["owned"]
+        fresh = json.loads(out)
         assert set(fresh) == set(SECTIONS)
-        for name in ("ledger", "calibration"):
-            assert set(fresh[name]) == set(owned[name]), name
-        assert fresh["ledger"]["total"] == 0
         assert fresh["cache"] == {"active": False}
         assert fresh["explore"] == {"stats": {}, "failures": []}
 
@@ -358,9 +347,7 @@ class TestMetricsRegistry:
     def test_every_placeholder_has_a_live_owner(self):
         """A section whose owner is gone (the in-process tuning service's
         ``service``) leaves no placeholder behind."""
-        assert set(metrics_mod.PLACEHOLDERS) == {
-            "ledger", "cache", "explore",
-        }
+        assert set(metrics_mod.PLACEHOLDERS) == {"cache", "explore"}
         assert "service" not in obs.snapshot()
 
 
@@ -534,22 +521,36 @@ class TestOutOfBand:
         # parsed SAXPY); launch/plan/run always fire.
         assert {"launch", "plan", "run"} <= names
 
-    def test_run_span_of_a_decline_carries_its_reason(
-        self, tmp_path, no_tracing
+    @pytest.mark.parametrize("kind", ["race", "buffer kind"])
+    def test_run_span_of_a_typed_error_carries_its_message(
+        self, kind, tmp_path, no_tracing
     ):
+        # A race raises mid-run; a buffer of no arithmetic dtype is
+        # refused by run() before any write (the plan was typed for the
+        # declared float).
+        if kind == "race":
+            error, args, reason = DataRace, race_args, "RACE: cross-lane "
+        else:
+            error, reason = CompileUnsupported, "kernel 'RACE' is not run"
+
+            def args():
+                return dict(race_args(), x=np.arange(8, dtype=np.uint8))
+        program = OpenCLProgram(RACE)
         path = tmp_path / "trace.json"
         obs.start_tracing(path)
-        launch(OpenCLProgram(RACE), 8, 4, race_args(), engine="auto")
+        with pytest.raises(error):
+            launch(program, 8, 4, args(), engine="auto")
+        launch(program, 8, 4, args(), engine="scalar")
         obs.stop_tracing()
         runs = {
             e["args"]["backend"]: e["args"]
             for e in read_trace(path)["traceEvents"]
             if e["ph"] == "X" and e["name"] == "run"
         }
-        assert runs["compiled"]["reason"].startswith("RACE: cross-lane ")
+        assert runs["compiled"]["reason"].startswith(reason)
         assert "reason" not in runs["scalar"]  # served, nothing to explain
 
-    def test_plan_span_of_a_static_decline_carries_its_reason(
+    def test_plan_span_of_a_static_refusal_carries_its_reason(
         self, tmp_path, no_tracing
     ):
         bad = """
@@ -560,9 +561,10 @@ class TestOutOfBand:
         """
         path = tmp_path / "trace.json"
         obs.start_tracing(path)
-        with pytest.raises(ExecError, match="vector literal float4"):
-            launch(OpenCLProgram(bad), 4, 4, {"x": Buffer.zeros(4)},
-                   engine="auto")
+        for engine in ("auto", "scalar"):
+            with pytest.raises(ExecError, match="vector literal float4"):
+                launch(OpenCLProgram(bad), 4, 4, {"x": Buffer.zeros(4)},
+                       engine=engine)
         obs.stop_tracing()
         plans = {
             e["args"]["backend"]: e["args"]
@@ -630,7 +632,7 @@ class TestBenchsuiteEndToEnd:
         assert any(
             k.startswith("launch.served.") for k in metrics_doc["counters"]
         )
-        for key in ("cache", "explore", "ledger", "counters.kernel"):
+        for key in ("cache", "explore", "counters.kernel"):
             assert key in metrics_doc
         assert "profile" not in metrics_doc
 

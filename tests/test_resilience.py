@@ -1,22 +1,21 @@
 """The resilience layer, each recovery provoked by the real failure it
-recovers from: a tuning store the process cannot read or write, the
-degradation ledger on backend fallback chains, and
+recovers from: a tuning store the process cannot read or write, and
 the explorer's compile / simulate / verify failures quarantined under
-their own kind."""
+their own kind.  A backend recovers from nothing: what the lane engine
+does not run is a typed error (``tests/test_backend.py``)."""
 
 
 import numpy as np
 import pytest
 
 from repro.arith import Var
-from repro.backend import get_backend, ledger, resolve
+from repro.backend import get_backend
 from repro.benchsuite.common import ALL_BENCHMARKS
 from repro.benchsuite.explore import run_explore
 from repro.benchsuite.figure8 import run_figure8
 from repro.cache import TuningCache
 from repro.ir.dsl import join, map_, pipe, split
 from repro.ir.nodes import Lambda, Param, UserFun
-from repro.opencl import Buffer, OpenCLProgram, launch
 from repro.rewrite.explore import (
     FAILURE_KINDS,
     ExploreConfig,
@@ -68,14 +67,6 @@ def _explore():
     )
 
 
-@pytest.fixture(autouse=True)
-def _clean_slate():
-    """Every test starts and ends with an empty ledger."""
-    ledger.clear()
-    yield
-    ledger.clear()
-
-
 class TestFailureReport:
     def test_as_dict_and_describe(self):
         report = FailureReport(
@@ -89,119 +80,9 @@ class TestFailureReport:
         assert report.describe() == "mapGlb(dbl): compile — bad lowering"
 
 
-class TestDegradationLedger:
-    def test_record_and_counts(self):
-        book = ledger.DegradationLedger()
-        book.record("compiled", "compiled", "static", "a static refusal")
-        book.record("compiled", "compiled", "static", "a static refusal")
-        book.record("auto", "compiled", "dynamic", "bail-out")
-        assert book.counts() == {
-            ("compiled", "compiled", "static"): 2,
-            ("auto", "compiled", "dynamic"): 1,
-        }
-        assert book.total() == len(book) == 3
-        assert len(book.events()) == 3
-
-    def test_summary_and_clear(self):
-        book = ledger.DegradationLedger()
-        assert "empty" in book.summary()
-        book.record("auto", "compiled", "dynamic", "a race")
-        assert "backend 'compiled' declined 1x (dynamic)" in book.summary()
-        book.clear()
-        assert book.total() == 0
-
-    def test_unknown_kind_is_refused(self):
-        book = ledger.DegradationLedger()
-        with pytest.raises(ValueError, match="crahs"):
-            book.record("auto", "compiled", "crahs", "a typo")
-        with pytest.raises(ValueError, match="crahs"):
-            ledger.record("auto", "compiled", "crahs", "a typo")
-        assert book.total() == 0 and ledger.LEDGER.total() == 0
-
-    @pytest.mark.parametrize("kind", ledger.DECLINE_KINDS)
-    def test_each_declared_kind_is_counted(self, kind):
-        book = ledger.DegradationLedger()
-        book.record("auto", "compiled", kind, "a reason")
-        assert book.counts() == {("auto", "compiled", kind): 1}
-        assert f"declined 1x ({kind})" in book.summary()
-
-    def test_event_cap_keeps_counts_exact(self):
-        book = ledger.DegradationLedger()
-        for _ in range(ledger._MAX_EVENTS + 5):
-            book.record("auto", "compiled", "static", "r")
-        assert len(book.events()) == ledger._MAX_EVENTS
-        assert book.total() == ledger._MAX_EVENTS + 5
-        assert "counts exact" in book.summary()
-
-    def test_launch_records_declines_of_the_real_chain(self):
-        # A barrier + early return is statically refused by every tier
-        # but scalar: the graceful "auto" chain must record each
-        # decline on its way down.
-        src = """
-        kernel void K(global float *x, int n) {
-          if (get_global_id(0) >= n) { return; }
-          barrier(CLK_LOCAL_MEM_FENCE);
-          x[get_global_id(0)] = 1.0f;
-        }
-        """
-        program = OpenCLProgram(src)
-        out = Buffer.zeros(4)
-        launch(program, 4, 4, {"x": out, "n": 4}, engine="auto")
-        np.testing.assert_array_equal(out.data, np.ones(4))
-        counts = ledger.counts()
-        assert any(
-            engine == "auto" and kind in ("static", "dynamic")
-            for (engine, backend, kind) in counts
-        )
-        assert ("auto", "scalar", "static") not in counts
-
-
-#: A kernel every lane tier refuses before running it: a barrier
-#: behind an early return.
-STATIC_REFUSAL = """
-kernel void K(global float *x, int n) {
-  if (get_global_id(0) >= n) { return; }
-  barrier(CLK_LOCAL_MEM_FENCE);
-  x[get_global_id(0)] = 1.0f;
-}
-"""
-
-#: A kernel every lane tier accepts and then refuses mid-launch: each
-#: work-item stages its value through one shared scratch cell.
-DYNAMIC_REFUSAL = """
-kernel void K(const global float * restrict x, global float *scratch,
-              global float *out) {
-  int i = get_global_id(0);
-  scratch[0] = x[i];
-  out[i] = scratch[0] * 2.0f;
-}
-"""
-
-
-def _refused_launch(kind, engine, monkeypatch, prefer=False):
-    """Launch a kernel that every member of ``engine``'s chain but the
-    last declines with a real failure of ``kind``; returns the buffers
-    and Counters.  ``prefer`` names ``engine`` through
-    ``REPRO_SIM_ENGINE`` instead of ``launch(engine=...)``."""
-    if kind == "static":
-        program, args = OpenCLProgram(STATIC_REFUSAL), {"x": Buffer.zeros(8), "n": 8}
-    else:
-        program = OpenCLProgram(DYNAMIC_REFUSAL)
-        args = {"x": Buffer.from_array(np.arange(8.0)), "scratch": Buffer.zeros(1),
-                "out": Buffer.zeros(8)}
-    if prefer:
-        monkeypatch.setenv("REPRO_SIM_ENGINE", engine)
-    counters = launch(program, 8, 4, args, engine=None if prefer else engine)
-    buffers = {
-        name: arg.data.copy() for name, arg in args.items()
-        if isinstance(arg, Buffer)
-    }
-    return buffers, counters
-
-
 @pytest.mark.parametrize("engine", ["auto", "compiled"])
-def test_a_fault_in_plan_propagates_on_every_chain(engine, monkeypatch):
-    # Not a refusal, so no decline: by name and as a preference alike.
+def test_a_fault_in_plan_propagates(engine, monkeypatch):
+    # Not a refusal: by name and as the default alike.
     def plan(parsed, kernel):
         raise ZeroDivisionError("a fault in plan()")
 
@@ -210,34 +91,6 @@ def test_a_fault_in_plan_propagates_on_every_chain(engine, monkeypatch):
     for chosen in (engine, None):
         with pytest.raises(ZeroDivisionError, match="a fault in plan"):
             run_saxpy(chosen)
-    assert not ledger.counts()
-
-
-class TestEachDeclineKind:
-    """Each decline kind, provoked by the real failure it stands for,
-    on each chain with more than one member (``auto``, and ``compiled``
-    named as a preference): every member but the last declines once,
-    and the launch gives the scalar buffers and Counters."""
-
-    @pytest.mark.parametrize("engine", ["auto", "compiled"])
-    @pytest.mark.parametrize("kind", ledger.DECLINE_KINDS)
-    def test_every_member_but_the_last_declines(
-        self, kind, engine, monkeypatch
-    ):
-        prefer = engine != "auto"
-        expected, counters = _refused_launch(kind, "scalar", monkeypatch)
-        assert not ledger.counts()
-        buffers, served = _refused_launch(kind, engine, monkeypatch, prefer)
-        assert buffers.keys() == expected.keys()
-        for name, data in expected.items():
-            assert buffers[name].tobytes() == data.tobytes(), name
-        assert vars(served) == vars(counters)
-        chain = resolve(engine, prefer)
-        assert len(chain) > 1
-        assert chain[-1] == "scalar"
-        assert ledger.counts() == {
-            (engine, backend, kind): 1 for backend in chain[:-1]
-        }
 
 
 def _holes(root):

@@ -4,8 +4,8 @@ The engine's contract is exact equivalence with the scalar NDRange
 interpreter: bitwise-identical buffers and identical counters.  The
 tests here check that contract on divergent control flow (masked
 ``if``/``for``/``while``), short-circuit evaluation, helpers with early
-returns, struct accumulators, and the fallback paths (static analysis
-refusals and dynamic cross-lane race detection).
+returns, struct accumulators, and the typed errors that stand for what
+it does not run (static refusals, and the dynamic cross-lane race).
 """
 
 import re
@@ -13,17 +13,18 @@ import re
 import numpy as np
 import pytest
 
+from repro.backend import CompileUnsupported
 from repro.opencl import (
     Buffer,
+    DataRace,
     OpenCLProgram,
-    VectorizationError,
     launch,
 )
 from repro.opencl import simt_compile
 from repro.opencl.interp import BarrierDivergence, ExecError
 from repro.opencl.runtime import _parse_cached
 from tests.engines import (
-    ALL_RUNS, FALLBACK_RUNS, ONE, RUNS, blocks, check_engines,
+    ALL_RUNS, ONE, RUNS, blocks, check_engines,
 )
 
 
@@ -234,20 +235,16 @@ class TestDivergentControlFlow:
 
 def assert_typed_everywhere(source, global_size, local_size, make_args):
     """Bitwise buffers + equal Counters vs scalar on every engine, each
-    launch served by the first member of its engine's chain with no
-    ledger event: declared C types leave nothing for a tier to
-    decline."""
-    from repro.backend import ledger
+    launch served by the backend its engine names: declared C types
+    leave nothing for the lane engine to refuse."""
     from repro.obs import metrics
 
-    ledger.clear()
-    # Every chain of RUNS starts with compiled.
+    # Every engine of RUNS runs on compiled.
     expected = {"scalar": 1, "compiled": len(RUNS)}
     before = {
         b: metrics.REGISTRY.counter(f"launch.served.{b}") for b in expected
     }
     assert_engines_agree(source, global_size, local_size, make_args)
-    assert ledger.events() == ()
     for backend, count in before.items():
         served = metrics.REGISTRY.counter(f"launch.served.{backend}")
         assert served == count + expected[backend], (
@@ -398,15 +395,12 @@ class TestDeclaredTypes:
         program = OpenCLProgram(src)
         reason = refusal(program)
         assert reason is not None and "two types" in reason
-        # The graceful chains still agree with the scalar oracle.
+        # The lane engine names the reason; the scalar oracle runs it.
         assert_engines_agree(
-            src, 8, 8, lambda: {"out": Buffer.zeros(8)},
-            runs=FALLBACK_RUNS, refused=True,
+            src, 8, 8, lambda: {"out": Buffer.zeros(8)}, refused=reason,
         )
 
     def test_mixed_ternary_arms_decline_with_their_reason(self):
-        from repro.backend import ledger
-
         src = """
         kernel void K(const global float * restrict x, global float *out) {
           int i = get_global_id(0);
@@ -419,13 +413,9 @@ class TestDeclaredTypes:
             "no static type for '(x[i] > 0.0f ? x[i] : 0)' in 'K': "
             "arms float and int"
         )
-        with pytest.raises(VectorizationError, match=re.escape(reason)):
+        with pytest.raises(CompileUnsupported, match=re.escape(reason)):
             launch(OpenCLProgram(src), 16, 8, make(), engine="compiled")
-        ledger.clear()
-        assert_engines_agree(
-            src, 16, 8, make, runs=FALLBACK_RUNS, refused=True
-        )
-        assert {(e.kind, e.reason) for e in ledger.events()} == {("static", reason)}
+        assert_engines_agree(src, 16, 8, make, refused=reason)
 
 
 class TestBarriers:
@@ -498,10 +488,10 @@ class TestBarriers:
             program = OpenCLProgram(src % name)
             assert (refusal(program) is None) == ok
 
-    def test_barrier_divergence_still_raises_via_fallback(self):
+    def test_barrier_divergence_is_a_refusal_and_the_oracles_error(self):
         # A barrier under a lane-divergent condition is statically
-        # rejected by the vector engine; the scalar fallback must keep
-        # raising BarrierDivergence.
+        # refused by the vector engine; the scalar oracle raises
+        # BarrierDivergence.
         src = """
         kernel void K(global float *x) {
           if (get_local_id(0) < 1) { barrier(CLK_LOCAL_MEM_FENCE); }
@@ -512,15 +502,15 @@ class TestBarriers:
         reason = refusal(program)
         assert reason is not None and "lane-divergent" in reason
         with pytest.raises(BarrierDivergence):
-            launch(program, 2, 2, {"x": Buffer.zeros(2)})
-        with pytest.raises(VectorizationError):
-            launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine="compiled")
+            launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine="scalar")
+        for engine in ("auto", "compiled"):
+            with pytest.raises(CompileUnsupported, match="lane-divergent"):
+                launch(program, 2, 2, {"x": Buffer.zeros(2)}, engine=engine)
 
 
 class TestVectorGeometryBuiltins:
     """``dot``/``length`` use an explicitly-ordered reduction shared by
-    both engines, so vector-geometry kernels no longer force the scalar
-    fallback."""
+    both engines, so the vector engine runs vector-geometry kernels."""
 
     _SRC = """
     kernel void K(const global float * restrict p,
@@ -581,7 +571,7 @@ class TestVectorGeometryBuiltins:
             assert a["dots"].data[i] == acc
 
 
-class TestFallback:
+class TestRefusalsAndRaces:
     def test_analysis_accepts_plain_kernel(self):
         program = OpenCLProgram(
             "kernel void K(global float *x) { x[get_global_id(0)] = 1.0f; }"
@@ -605,11 +595,11 @@ class TestFallback:
         program = OpenCLProgram(src)
         assert refusal(program) is not None
 
-    def test_dynamic_race_falls_back_to_scalar(self):
+    def test_a_dynamic_race_is_a_data_race(self):
         # Every work-item stages its value through the *same* scratch
         # cell — the scalar interpreter's sequential item order makes
         # this "work"; the vector engine must detect the cross-lane race
-        # at run time, roll back, and reproduce the scalar result.
+        # at run time and raise it.
         src = """
         kernel void K(const global float * restrict x, global float *scratch,
                       global float *out) {
@@ -626,25 +616,19 @@ class TestFallback:
             return {"x": Buffer.from_array(x.copy()),
                     "scratch": Buffer.zeros(1), "out": Buffer.zeros(8)}
 
-        from repro.backend import ledger
-
-        ledger.clear()
-        # auto falls back; the strict tier refuses in either layout.
+        # Every engine but scalar raises, in either layout, naming the
+        # kernel and the engine's message.
         results = assert_engines_agree(src, 8, 4, args, races=True)
-        assert [results[run] for run in RUNS[1:]] == [None, None]
-        # The decline keeps its real reason: kernel + the engine's message.
-        (auto,) = [e for e in ledger.events() if e.engine == "auto"]
-        assert (auto.backend, auto.kind) == ("compiled", "dynamic")
-        assert auto.reason.startswith("K: cross-lane ")
-        with pytest.raises(VectorizationError, match="compiled: K: cross-lane "):
-            launch(program, 8, 4, args(), engine="compiled")
+        for run in RUNS:
+            assert isinstance(results[run], DataRace)
+            assert str(results[run]).startswith("K: cross-lane ")
 
-    def test_cross_group_race_across_barrier_falls_back(self):
+    def test_cross_group_race_across_barrier_is_a_data_race(self):
         # Barriers order work-items *within* a group, never groups; the
         # scalar engine runs groups sequentially (group 0 first), so a
         # cross-group conflict is order-dependent even when a barrier
         # separates the write from the read.  The vector engine must
-        # detect it at any segment distance and fall back.
+        # detect it at any segment distance.
         src = """
         kernel void K(global float *flag, global float *out) {
           int i = get_global_id(0);
@@ -662,13 +646,43 @@ class TestFallback:
         # One block refuses the launch; a block per group orders the
         # groups as the scalar engine does.
         results = assert_engines_agree(src, 8, 4, args, races=True)
-        assert results["compiled", ONE] is None
+        assert isinstance(results["compiled", ONE], DataRace)
         # Group 0 runs first in the scalar engine, so it reads 0.0.
         np.testing.assert_array_equal(results["scalar"][0]["out"], np.zeros(8))
 
-    def test_rollback_restores_buffers(self):
-        # The race is only hit after some lanes already stored; auto mode
-        # must restore the pre-launch buffer contents before re-running.
+    @pytest.mark.parametrize("body, message", [
+        # Every item stores tmp[0], then reads it back: the scalar order
+        # reads each item's own value.
+        ("tmp[0] = x[i]; out[i] = tmp[0];",
+         "cross-lane read of an address written by another work-item"),
+        # Each item reads its neighbour's cell, then stores its own: the
+        # last item reads a cell the first already overwrote.
+        ("tmp[l] = x[i]; barrier(CLK_LOCAL_MEM_FENCE);"
+         " float v = tmp[(l + 1) % 8]; tmp[l] = v; out[i] = v;",
+         "cross-lane write/read conflict"),
+    ], ids=["read", "write"])
+    def test_a_local_race_is_a_data_race(self, body, message):
+        # Local memory of groups within one block: the packed detector
+        # (_HazardLocal) raises on the read, or on the write.
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          local float tmp[8];
+          int l = get_local_id(0);
+          int i = get_global_id(0);
+          %s
+        }""" % body
+        results = assert_engines_agree(
+            src, 16, 8,
+            lambda: {"x": Buffer.from_array(np.arange(16.0)),
+                     "out": Buffer.zeros(16)},
+            races=True,
+        )
+        for run in RUNS:
+            assert str(results[run]).startswith(f"K: {message}"), run
+
+    def test_a_race_after_stores_is_a_data_race(self):
+        # The race is only hit after some lanes already stored: the
+        # launch stops there, its buffers unspecified.
         src = """
         kernel void K(global float *out, global float *scratch) {
           int i = get_global_id(0);
@@ -677,12 +691,13 @@ class TestFallback:
           out[i] = out[i] + scratch[0];
         }
         """
-        assert_engines_agree(
+        results = assert_engines_agree(
             src, 8, 8,
             lambda: {"out": Buffer.from_array(np.full(8, -1.0)),
                      "scratch": Buffer.zeros(1)},
             races=True,
         )
+        assert all(isinstance(results[run], DataRace) for run in RUNS)
 
     #: What codegen emitted for ``tests.programs.double_staged_rows()``
     #: before map intermediates were multiplied by the enclosing
@@ -718,8 +733,8 @@ class TestFallback:
                 "out": Buffer.zeros(256)}
 
     def test_generated_double_staging_is_race_free(self):
-        # The strict engine raises VectorizationError on any decline, so
-        # agreement here means ``compiled`` itself served the launch.
+        # The lane engine raises DataRace on a race, so agreement here
+        # means ``compiled`` served the launch.
         from repro.compiler.codegen import compile_kernel
         from repro.compiler.options import CompilerOptions
         from repro.ir.interp import apply_fun
@@ -741,7 +756,7 @@ class TestFallback:
     def test_pre_fix_double_staging_still_declines(self):
         # The fix is in the allocator; the hazard detector is unchanged
         # and still refuses the old kernel text.
-        with pytest.raises(VectorizationError, match="KERNEL: cross-lane read"):
+        with pytest.raises(DataRace, match="^KERNEL: cross-lane read"):
             launch(
                 OpenCLProgram(self.RACY_DOUBLE_STAGING), (8, 8, 1), (4, 4, 1),
                 self._double_staging_args(), engine="compiled",
@@ -753,8 +768,6 @@ class TestFallback:
         # the lane tiers refuse statically with the oracle's message, and
         # no tier writes the output (a tier that accepted the kernel used
         # to store uninitialised memory).
-        from repro.backend import ledger
-
         src = """
         kernel void K(global float *x) {
           float4 v = (float4)(1.0f, 2.0f);
@@ -762,17 +775,11 @@ class TestFallback:
         }
         """
         x = Buffer.from_array(np.full(8, 7.0))
-        ledger.clear()
-        with pytest.raises(ExecError) as err, blocks(layout, 8, 4):
+        error = ExecError if engine == "scalar" else CompileUnsupported
+        with pytest.raises(error) as err, blocks(layout, 8, 4):
             launch(OpenCLProgram(src), 8, 4, {"x": x}, engine=engine)
         assert "vector literal float4 with 2 items" in str(err.value)
         np.testing.assert_array_equal(x.data, np.full(8, 7.0))
-        # One static decline per lane-batched member of the chain, each
-        # naming the construct.
-        lane_members = {"scalar": 0, "auto": 1, "compiled": 1}
-        assert [e.reason for e in ledger.events()] == (
-            ["vector literal float4 with 2 items"] * lane_members[engine]
-        )
 
     def test_non_lvalue_assignment_is_a_static_decline(self):
         # The parser takes any expression left of ``=``; the plan is
@@ -782,10 +789,10 @@ class TestFallback:
         )
         reason = refusal(program)
         assert reason == "assignment to non-lvalue CInt"
-        with pytest.raises(VectorizationError, match=reason):
-            launch(program, 1, 1, {"x": Buffer.zeros(1)}, engine="compiled")
-        with pytest.raises(ExecError, match="cannot assign to"):
+        with pytest.raises(CompileUnsupported, match=reason):
             launch(program, 1, 1, {"x": Buffer.zeros(1)})
+        with pytest.raises(ExecError, match="cannot assign to"):
+            launch(program, 1, 1, {"x": Buffer.zeros(1)}, engine="scalar")
 
     def test_unknown_engine_rejected(self):
         program = OpenCLProgram(
