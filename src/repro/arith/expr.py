@@ -24,7 +24,7 @@ treated as cache misses by the stores that hold them.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.arith.ranges import Range
 
@@ -111,9 +111,8 @@ class ArithExpr:
         return mul(Cst(-1), self)
 
     # -- evaluation ------------------------------------------------------
-    def evaluate(self, env: Mapping[str, int]) -> int:
-        """Evaluate to an integer given a value for every free variable."""
-        raise NotImplementedError
+    # Each node class defines ``evaluate(env)``: the integer value given
+    # a value for every free variable.
 
     def children(self) -> Iterable["ArithExpr"]:
         return ()
@@ -130,16 +129,13 @@ class ArithExpr:
             self._sort_key = key
         return key
 
-    # -- cached structural hash ------------------------------------------
+    # -- cached structural hash (each class defines ``_compute_hash``) ----
     def __hash__(self) -> int:
         h = getattr(self, "_hash", None)
         if h is None:
             h = self._compute_hash()
             self._hash = h
         return h
-
-    def _compute_hash(self) -> int:
-        raise NotImplementedError
 
     # -- pickling ---------------------------------------------------------
     # ``_hash`` uses Python's per-process string hashing and must never
@@ -150,12 +146,8 @@ class ArithExpr:
         state = {}
         for klass in type(self).__mro__:
             for slot in getattr(klass, "__slots__", ()):
-                if slot in ("__weakref__", "_hash", "_sort_key"):
-                    continue
-                try:
-                    state[slot] = getattr(self, slot)
-                except AttributeError:
-                    pass
+                if slot not in ("__weakref__", "_hash", "_sort_key"):
+                    state[slot] = getattr(self, slot)  # set by __new__
         return (None, state)
 
     def __setstate__(self, state):
@@ -642,9 +634,8 @@ def substitute(expr: ArithExpr, mapping: Mapping[Var, ArithExpr]) -> ArithExpr:
             return pow_(go(node.base), go(node.exp))
         if isinstance(node, Log2):
             return log2(go(node.arg))
-        if isinstance(node, LoadIndex):
-            return LoadIndex(node.memory_name, go(node.index))
-        raise TypeError(f"unknown arithmetic node {node!r}")
+        assert isinstance(node, LoadIndex), node  # the last node class
+        return LoadIndex(node.memory_name, go(node.index))
 
     return go(expr)
 
@@ -656,24 +647,3 @@ def walk(expr: ArithExpr) -> Iterator[ArithExpr]:
         node = stack.pop()
         yield node
         stack.extend(node.children())
-
-
-def rebuild(expr: ArithExpr, fn: Callable[[ArithExpr], ArithExpr]) -> ArithExpr:
-    """Bottom-up rebuild applying ``fn`` at every node (raw constructors)."""
-    if isinstance(expr, (Var, Cst)):
-        return fn(expr)
-    if isinstance(expr, Sum):
-        return fn(Sum([rebuild(t, fn) for t in expr.terms]))
-    if isinstance(expr, Prod):
-        return fn(Prod([rebuild(f, fn) for f in expr.factors]))
-    if isinstance(expr, IntDiv):
-        return fn(IntDiv(rebuild(expr.numer, fn), rebuild(expr.denom, fn)))
-    if isinstance(expr, Mod):
-        return fn(Mod(rebuild(expr.numer, fn), rebuild(expr.denom, fn)))
-    if isinstance(expr, Pow):
-        return fn(Pow(rebuild(expr.base, fn), rebuild(expr.exp, fn)))
-    if isinstance(expr, Log2):
-        return fn(Log2(rebuild(expr.arg, fn)))
-    if isinstance(expr, LoadIndex):
-        return fn(LoadIndex(expr.memory_name, rebuild(expr.index, fn)))
-    raise TypeError(f"unknown arithmetic node {expr!r}")

@@ -45,7 +45,3 @@ class Range:
         from repro.arith.expr import Cst
 
         return Range(Cst(1), None)
-
-    def __str__(self) -> str:
-        hi = "inf" if self.max is None else str(self.max)
-        return f"[{self.min}, {hi})"

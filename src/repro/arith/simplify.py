@@ -502,9 +502,8 @@ def _simplify_uncached(expr: ArithExpr) -> ArithExpr:
         return pow_(simplify(expr.base), simplify(expr.exp))
     if isinstance(expr, Log2):
         return log2(simplify(expr.arg))
-    if isinstance(expr, LoadIndex):
-        return LoadIndex(expr.memory_name, simplify(expr.index))
-    raise TypeError(f"unknown arithmetic node {expr!r}")
+    assert isinstance(expr, LoadIndex), expr  # the last node class
+    return LoadIndex(expr.memory_name, simplify(expr.index))
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +585,14 @@ def _bound_inner(expr: ArithExpr, want_max: bool, keep_vars: bool) -> ArithExpr 
             return sub(d, ONE)
         return ZERO
     if isinstance(expr, Pow):
+        # Monotone in both operands for a base of at least one and a
+        # non-negative exponent (a bound of the base being non-negative
+        # is not enough: ``k ** 2`` for ``k`` in ``[-2, 2)``).
+        if not (_is_positive(expr.base) and _is_non_negative(expr.exp)):
+            return None
         b = _bound_inner(expr.base, want_max, keep_vars)
         e = _bound_inner(expr.exp, want_max, keep_vars)
-        if b is None or e is None or not _is_non_negative(b):
+        if b is None or e is None:
             return None
         return pow_(b, e)
     return None

@@ -20,9 +20,7 @@ compiled backend does not run is a typed error, and ``engine="scalar"``
 runs it.
 
 * :class:`CompileUnsupported` — a static refusal, raised by ``plan``
-  (a form the plan's scan or typing walk refuses) or by ``run`` before
-  it touches a buffer (buffers of an element kind the plan cannot
-  type);
+  (a form the plan's scan or typing walk refuses);
 * :class:`~repro.opencl.simt.DataRace` — a cross-lane race noticed
   mid-launch.  OpenCL leaves a racy kernel's result undefined, and the
   buffers and counters are then unspecified.
@@ -74,31 +72,21 @@ class ScalarBackend:
         )
 
 
-def _pipeline(entry, kernel):
-    """A compiled pipeline, or its refusal reason raised."""
-    if isinstance(entry, str):
-        raise CompileUnsupported(kernel.name, entry)
-    return entry
-
-
 class CompiledBackend:
     """The compiled pipeline, in blocks of at most ``MAX_LANES`` lanes."""
 
     name = "compiled"
 
     def plan(self, parsed, kernel):
-        return _pipeline(simt_compile.get_pipeline(parsed, kernel), kernel)
+        entry = simt_compile.get_pipeline(parsed, kernel)
+        if isinstance(entry, str):
+            raise CompileUnsupported(kernel.name, entry)
+        return entry
 
     def run(self, plan, parsed, kernel, gsize, lsize, base_env,
             local_decls, counters) -> None:
-        # The launch's buffers may hold element kinds the plan was not
-        # typed for; a refusal of those is raised before any write.
-        pipeline = _pipeline(
-            simt_compile.launch_pipeline(parsed, kernel, plan, base_env),
-            kernel,
-        )
         simt.run_blocks(
-            gsize, lsize, dict(base_env), local_decls, counters, pipeline
+            gsize, lsize, dict(base_env), local_decls, counters, plan
         )
 
 
@@ -193,7 +181,7 @@ def execute(engine: str, parsed, kernel, gsize, lsize, base_env,
                 plan, parsed, kernel, gsize, lsize, base_env, local_decls,
                 counters,
             )
-        except (CompileUnsupported, simt.DataRace) as exc:
+        except simt.DataRace as exc:
             run_span.attrs["reason"] = str(exc)
             raise
     metrics.inc(f"launch.served.{name}")

@@ -50,8 +50,7 @@ def _infer_expr(expr: Expr, write_to: Optional[AddressSpace]) -> None:
         if expr.addr_space is None:
             raise ValueError(f"parameter {expr.name} visited before binding")
         return
-    if not isinstance(expr, FunCall):
-        raise TypeError(f"cannot infer address space of {expr!r}")
+    assert isinstance(expr, FunCall), expr  # the last expression class
 
     for arg in expr.args:
         _infer_expr(arg, write_to)
@@ -108,11 +107,9 @@ def _infer_fun_as(
         return write_to
     if isinstance(f, pat.AddressSpaceWrapper):
         return _infer_fun_as(f.f, arg_spaces, f.space)
-    if isinstance(f, (pat.AbstractMap, pat.Iterate)):
-        return _infer_fun_as(f.f, arg_spaces, write_to)
-    if isinstance(f, pat.ReduceSeq):
-        return write_to
-    return write_to
+    # Reached through the functions patterns nest: maps and iterate.
+    assert isinstance(f, (pat.AbstractMap, pat.Iterate)), f
+    return _infer_fun_as(f.f, arg_spaces, write_to)
 
 
 def _from_args(args: Sequence[Expr]) -> AddressSpace:

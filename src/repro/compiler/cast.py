@@ -155,11 +155,6 @@ class CBarrier(CStmt):
     fence: str = "CLK_LOCAL_MEM_FENCE"
 
 
-@dataclass
-class CComment(CStmt):
-    text: str
-
-
 # ---------------------------------------------------------------------------
 # top level
 # ---------------------------------------------------------------------------
@@ -234,10 +229,9 @@ def print_expr(e: CExpr, parent_prec: int = 0) -> str:
         return f"{print_expr(e.base, 8)}.{e.member}"
     if isinstance(e, CCast):
         return f"(({e.type_name}) {print_expr(e.operand, 7)})"
-    if isinstance(e, CVectorLiteral):
-        items = ", ".join(print_expr(i) for i in e.items)
-        return f"(({e.type_name})({items}))"
-    raise TypeError(f"cannot print {e!r}")
+    assert isinstance(e, CVectorLiteral), e  # the last expression class
+    items = ", ".join(print_expr(i) for i in e.items)
+    return f"(({e.type_name})({items}))"
 
 
 def print_stmt(s: CStmt, indent: int = 0) -> str:
@@ -272,11 +266,8 @@ def print_stmt(s: CStmt, indent: int = 0) -> str:
         if s.value is None:
             return f"{pad}return;"
         return f"{pad}return {print_expr(s.value)};"
-    if isinstance(s, CBarrier):
-        return f"{pad}barrier({s.fence});"
-    if isinstance(s, CComment):
-        return f"{pad}/* {s.text} */"
-    raise TypeError(f"cannot print {s!r}")
+    assert isinstance(s, CBarrier), s  # the last statement class
+    return f"{pad}barrier({s.fence});"
 
 
 def print_block_body(block: CBlock, indent: int) -> str:

@@ -159,10 +159,8 @@ _LAYOUT_PATTERNS = (
 def _layout_only(f: FunDecl) -> bool:
     """True when the function only rearranges data (compiles to views)."""
     lam = f
-    if isinstance(lam, pat.AddressSpaceWrapper):
-        return False  # an address-space request implies materialization
     if not isinstance(lam, Lambda):
-        return False
+        return False  # an address-space request implies materialization
 
     def scan(e: Expr) -> bool:
         if isinstance(e, Param):
@@ -186,9 +184,8 @@ def _c_type_name(t: DataType) -> str:
         return t.name
     if isinstance(t, VectorType):
         return t.name
-    if isinstance(t, TupleType):
-        return t.name
-    raise CodeGenError(f"no C name for {t}")
+    assert isinstance(t, TupleType), t  # user functions take no arrays
+    return t.name
 
 
 class KernelGenerator:
@@ -302,13 +299,12 @@ class KernelGenerator:
     # ------------------------------------------------------------------
     def gen(self, expr: Expr, block: c.CBlock, dest: Optional[WriteDest]) -> GenResult:
         if isinstance(expr, Param):
-            if expr.view is None:
-                raise CodeGenError(f"parameter {expr.name} has no bound view")
+            # infer_address_spaces refuses a parameter bound nowhere.
+            assert expr.view is not None, expr
             return GenResult(expr.view, wrote=False)
         if isinstance(expr, Literal):
             raise CodeGenError("literals only appear as user-function arguments")
-        if not isinstance(expr, FunCall):
-            raise CodeGenError(f"cannot generate {expr!r}")
+        assert isinstance(expr, FunCall), expr  # the last expression class
 
         f = unwrap(expr.f)
 
@@ -446,11 +442,10 @@ class KernelGenerator:
                 "pad is not supported by the OpenCL backend; pre-pad the "
                 "input instead (the reference kernels do the same)"
             )
-        if isinstance(f, pat.MakeTuple):
-            raise CodeGenError(
-                "tuple construction only appears as a reduction initializer"
-            )
-        raise CodeGenError(f"no code generation rule for {type(f).__name__}")
+        assert isinstance(f, pat.MakeTuple), f  # every other pattern has a rule
+        raise CodeGenError(
+            "tuple construction only appears as a reduction initializer"
+        )
 
     # ------------------------------------------------------------------
     # user functions
@@ -554,8 +549,7 @@ class KernelGenerator:
         ``mapWrg`` index.  A symbolic local trip count cannot size a
         local array — those keep the (pre-existing) shared cell.
         """
-        if space == AddressSpace.PRIVATE:
-            return []
+        assert space != AddressSpace.PRIVATE  # _alloc_staged keeps it apart
         kinds = ("lcl", "glb") if space == AddressSpace.LOCAL else (
             "lcl", "glb", "wrg"
         )
@@ -606,8 +600,9 @@ class KernelGenerator:
             result_view = dest.view
 
         lam = unwrap(f.f)
-        if not isinstance(lam, Lambda):
-            raise CodeGenError("map function must be a lambda after canonicalization")
+        assert isinstance(lam, Lambda), lam  # patterns.ensure_lambda
+        # A body that writes nothing is layout-only, and such a map
+        # compiles to a view (gen) before it gets here.
 
         if isinstance(f, pat.MapSeqUnroll):
             trip = simplify(n).try_int()
@@ -616,8 +611,7 @@ class KernelGenerator:
             for j in range(trip):
                 lam.params[0].view = ArrayAccessView(arg_result.view, Cst(j))
                 inner = self.gen(lam.body, block, self._wrap_dest(dest, Cst(j), kind))
-                if not inner.wrote:
-                    raise CodeGenError("map bodies must write memory")
+                assert inner.wrote
             return GenResult(result_view, wrote=True)
 
         body_block, idx = self._open_map_loop(block, n, kind, f)
@@ -637,11 +631,7 @@ class KernelGenerator:
                 self._par_stack.pop()
             if kind == "lcl":
                 self._lcl_depth -= 1
-        if not inner.wrote:
-            raise CodeGenError(
-                "map bodies must write memory; insert id copies to "
-                "materialize values (paper section 5.2)"
-            )
+        assert inner.wrote
 
         if kind == "lcl" and self._lcl_depth == 0:
             # Only the outermost mapLcl of a nest synchronizes: an inner
@@ -750,12 +740,8 @@ class KernelGenerator:
             return self.opts.local_size[dim]
         if kind == "glb":
             return self.opts.global_size[dim]
-        if kind == "wrg":
-            g = self.opts.global_size[dim]
-            if g is None:
-                return None
-            return g // self.opts.local_size[dim]
-        return None
+        g = self.opts.global_size[dim]  # "wrg", the last kind
+        return None if g is None else g // self.opts.local_size[dim]
 
     # ------------------------------------------------------------------
     # reduce
@@ -983,14 +969,18 @@ class KernelGenerator:
         assert isinstance(call.type, ArrayType)
         length = call.type.length
         if dest is None:
+            # One copy per enclosing parallel index (section 5.2), as
+            # for a map's result: a shared one would race.
             space = call.addr_space or AddressSpace.GLOBAL
-            mem = self.alloc.alloc(call.type, space)
-            dest = WriteDest(mem, MemView(mem, call.type))
+            dest = WriteDest(*self._alloc_staged(call.type, space))
+            result = dest.view
+        else:
+            result = MemView(dest.memory, call.type)
         wrapped = WriteDest(dest.memory, ScatterView(dest.view, f.idx_fun, length))
         inner = self.gen(call.args[0], block, wrapped)
         if not inner.wrote:
             raise CodeGenError("scatter requires a writing producer")
-        return GenResult(MemView(dest.memory, call.type), wrote=True)
+        return GenResult(result, wrote=True)
 
     # ------------------------------------------------------------------
     # values, loads and stores

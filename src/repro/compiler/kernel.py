@@ -55,11 +55,10 @@ def execute_kernel(
             count = simplify(compiled.out_count).evaluate(dict(size_env))
             out_buffer = Buffer.zeros(int(count), p.scalar_type)
             args[p.name] = out_buffer
-        elif p.kind == "temp_buffer":
+        else:
+            assert p.kind == "temp_buffer", p  # the last parameter kind
             count = simplify(p.count).evaluate(dict(size_env))
             args[p.name] = Buffer.zeros(int(count), p.scalar_type)
-        else:
-            raise ValueError(f"unknown parameter kind {p.kind}")
 
     assert out_buffer is not None
     if local_size is None:

@@ -57,18 +57,17 @@ def scalar_layout(t: DataType) -> tuple[ScalarType, ArithExpr]:
     if isinstance(t, ArrayType):
         elem, count = scalar_layout(t.elem)
         return elem, simplify(t.length * count)
-    if isinstance(t, TupleType):
-        # Tuples of identical scalars are stored interleaved.
-        elem, count = scalar_layout(t.elems[0])
-        for other in t.elems[1:]:
-            other_elem, other_count = scalar_layout(other)
-            if other_elem != elem:
-                raise NotImplementedError(
-                    f"mixed-scalar tuple {t} cannot be stored in one buffer"
-                )
-            count = count + other_count
-        return elem, simplify(count)
-    raise TypeError(f"cannot lay out {t!r}")
+    # Tuples of identical scalars are stored interleaved.
+    assert isinstance(t, TupleType), t  # the last data type
+    elem, count = scalar_layout(t.elems[0])
+    for other in t.elems[1:]:
+        other_elem, other_count = scalar_layout(other)
+        if other_elem != elem:
+            raise NotImplementedError(
+                f"mixed-scalar tuple {t} cannot be stored in one buffer"
+            )
+        count = count + other_count
+    return elem, simplify(count)
 
 
 class Threads(NamedTuple):
@@ -146,7 +145,7 @@ class MemoryAllocator:
         self.privates: list[Memory] = []
         self.global_temps: list[Memory] = []
 
-    def alloc(self, logical_type: DataType, space: AddressSpace, prefix: str = "") -> Memory:
+    def alloc(self, logical_type: DataType, space: AddressSpace) -> Memory:
         if isinstance(logical_type, TupleType):
             # Tuple accumulators live in struct-typed private registers.
             if space != AddressSpace.PRIVATE:
@@ -161,8 +160,6 @@ class MemoryAllocator:
             AddressSpace.LOCAL: "tmp",
             AddressSpace.PRIVATE: "acc",
         }[space]
-        if prefix:
-            stem = prefix
         name = f"{stem}{next(self._counters[space])}"
         mem = Memory(name, space, scalar, simplify(count), logical_type)
         if space == AddressSpace.LOCAL:

@@ -247,6 +247,3 @@ def mult_and_sum_up(t: DataType = FLOAT) -> UserFun:
     )
 
 
-def square(t: DataType = FLOAT) -> UserFun:
-    return UserFun("square", ["x"], "return x * x;", [t], t, py=lambda x: x * x)
-

@@ -105,12 +105,11 @@ class _Translation:
                 return cell[0]
 
             return read
-        if isinstance(e, FunCall):
-            fn, args = self.fun(e.f), [self.expr(a) for a in e.args]
-            if len(args) < len(_CALLS):
-                return _CALLS[len(args)](fn, *args)
-            return lambda: fn(*[a() for a in args])
-        return _raise(TypeError(f"cannot evaluate {e!r}"))
+        assert isinstance(e, FunCall), e  # the last expression class
+        fn, args = self.fun(e.f), [self.expr(a) for a in e.args]
+        if len(args) < len(_CALLS):
+            return _CALLS[len(args)](fn, *args)
+        return lambda: fn(*[a() for a in args])
 
     def inline(self, f: FunDecl, arity: int) -> tuple:
         """``(cells, body)``: ``f`` applied to ``arity`` values is the
@@ -143,10 +142,9 @@ class _Translation:
             return f.py
         if isinstance(f, pat.AddressSpaceWrapper):
             return self.fun(f.f)
-        for cls in type(f).__mro__:
-            if cls in _PATTERNS:
-                return _PATTERNS[cls](self, f)
-        return _raise(NotImplementedError(f"no interpreter semantics for {f!r}"))
+        # Every pattern class has semantics here (an ancestor's at least).
+        cls = next(cls for cls in type(f).__mro__ if cls in _PATTERNS)
+        return _PATTERNS[cls](self, f)
 
 
 def _map(t: _Translation, f: pat.AbstractMap) -> Callable:

@@ -225,9 +225,6 @@ class UserFun(FunDecl):
             py=vec_py,
         )
 
-    def name_hint(self) -> str:
-        return self.name
-
     def __repr__(self) -> str:
         return f"UserFun({self.name})"
 
@@ -257,5 +254,5 @@ class Pattern(FunDecl):
     def with_payload(self, *values) -> "Pattern":
         return type(self)(*values)
 
-    def infer_type(self, arg_types: Sequence[DataType], call: FunCall) -> DataType:
-        raise NotImplementedError(f"{type(self).__name__} has no type rule")
+    # Each pattern class defines ``infer_type(arg_types, call)``, its
+    # dependent-type rule (:mod:`repro.ir.patterns`).

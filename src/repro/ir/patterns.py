@@ -54,7 +54,6 @@ from repro.ir.nodes import (
     Lambda,
     Param,
     Pattern,
-    UserFun,
 )
 
 
@@ -609,7 +608,3 @@ class AsScalar(Pattern):
             raise LiftTypeError(f"asScalar expects vectors, got {arr.elem}")
         return ArrayType(arr.elem.elem, _mul_exact(arr.length, Cst(arr.elem.width)))
 
-
-def vectorize(uf: UserFun, width: int) -> UserFun:
-    """The paper's ``mapVec``/vectorize transformation for user functions."""
-    return uf.vectorized(width)

@@ -17,13 +17,12 @@ def print_expr(expr: Expr, indent: int = 0) -> str:
         return f"{pad}{expr.value}"
     if isinstance(expr, Param):
         return f"{pad}{expr.name}"
-    if isinstance(expr, FunCall):
-        f_str = print_decl(expr.f, indent)
-        args = ", ".join(print_expr(a, 0).strip() for a in expr.args)
-        if "\n" in f_str:
-            return f"{f_str}(\n{pad}  {args})"
-        return f"{pad}{f_str.strip()}({args})"
-    raise TypeError(f"cannot print {expr!r}")
+    assert isinstance(expr, FunCall), expr  # the last expression class
+    f_str = print_decl(expr.f, indent)
+    args = ", ".join(print_expr(a, 0).strip() for a in expr.args)
+    if "\n" in f_str:
+        return f"{f_str}(\n{pad}  {args})"
+    return f"{pad}{f_str.strip()}({args})"
 
 
 def print_decl(f: FunDecl, indent: int = 0) -> str:
@@ -98,9 +97,7 @@ def program_lines(f: FunDecl) -> int:
     # boundaries the way the paper lays out Listing 1.
     lines = 0
     for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped:
-            continue
+        stripped = raw.strip()  # every printed line holds a pattern
         # Long composition chains count as multiple lines, ~60 chars each
         # (the paper's listings wrap around that width).
         lines += max(1, (len(stripped) + 59) // 60)

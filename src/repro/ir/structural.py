@@ -114,9 +114,6 @@ class Shape:
             and self.kids == other.kids
         )
 
-    def __repr__(self) -> str:
-        return f"Shape({self.head!r}, {len(self.kids) // 2} kids)"
-
 
 #: An occurrence of a parameter: index 0 of a one-parameter ``free``.
 _PARAM = Shape("param")
@@ -140,9 +137,8 @@ def _node_key(node: Node) -> tuple:
         if found is None:
             found = node._key = _applied(node, ("fun",), [], ())
         return found
-    if isinstance(node, FunDecl):
-        return _applied(node, ("fun",), [], ())
-    raise TypeError(f"cannot canonicalize {node!r}")
+    assert isinstance(node, FunDecl), node  # the last kind of node
+    return _applied(node, ("fun",), [], ())
 
 
 def _call_key(call: FunCall) -> tuple:
@@ -215,8 +211,7 @@ def _own_text(f: FunDecl, nests: bool) -> str:
         return f._text
     if isinstance(f, pat.AddressSpaceWrapper):
         return f"(to:{f.space}"
-    if not isinstance(f, pat.Pattern):
-        raise TypeError(f"cannot canonicalize {f!r}")
+    assert isinstance(f, pat.Pattern), f  # lambdas have no own text
     text = "(" + type(f).__name__
     for name in f.payload:
         value = getattr(f, name)

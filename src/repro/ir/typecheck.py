@@ -13,7 +13,7 @@ from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.types import DataType
-from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Literal, Param, UserFun
+from repro.ir.nodes import Expr, FunCall, FunDecl, Lambda, Param, UserFun
 from repro.ir.patterns import LiftTypeError, Pattern
 from repro.ir.structural import key
 
@@ -31,19 +31,13 @@ def infer_types(expr: Expr) -> DataType:
     """
     if expr.type is not None and not isinstance(expr, FunCall):
         return expr.type
-    if isinstance(expr, Literal):
-        assert expr.type is not None
-        return expr.type
-    if isinstance(expr, Param):
-        if expr.type is None:
-            raise LiftTypeError(f"parameter {expr.name} has no type")
-        return expr.type
-    if isinstance(expr, FunCall):
-        arg_types = [infer_types(a) for a in expr.args]
-        result = infer_fun_type(expr.f, arg_types, expr)
-        expr.type = result
-        return result
-    raise LiftTypeError(f"cannot type {expr!r}")
+    if isinstance(expr, Param):  # a literal always has its type
+        raise LiftTypeError(f"parameter {expr.name} has no type")
+    assert isinstance(expr, FunCall), expr  # the last expression class
+    arg_types = [infer_types(a) for a in expr.args]
+    result = infer_fun_type(expr.f, arg_types, expr)
+    expr.type = result
+    return result
 
 
 def infer_fun_type(
@@ -63,20 +57,17 @@ def infer_fun_type(
             p.type = t
         return infer_types(f.body)
     if isinstance(f, UserFun):
-        if len(arg_types) != len(f.in_types):
-            raise LiftTypeError(
-                f"user function {f.name} arity mismatch: "
-                f"{len(arg_types)} vs {len(f.in_types)}"
-            )
+        # FunCall checks the arity, and a pattern holds its function as a
+        # lambda of the pattern's arity (patterns.ensure_lambda).
+        assert len(arg_types) == len(f.in_types), f
         for got, want in zip(arg_types, f.in_types):
             if got != want:
                 raise LiftTypeError(
                     f"user function {f.name} expects {want}, got {got}"
                 )
         return f.out_type
-    if isinstance(f, Pattern):
-        return f.infer_type(arg_types, call)  # type: ignore[arg-type]
-    raise LiftTypeError(f"cannot infer type of call to {f!r}")
+    assert isinstance(f, Pattern), f  # the last kind of declaration
+    return f.infer_type(arg_types, call)  # type: ignore[arg-type]
 
 
 def type_reader(types: Optional[Mapping] = None) -> Callable[[Expr], DataType]:

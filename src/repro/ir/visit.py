@@ -116,12 +116,11 @@ def _clone_expr(e: Expr, mapping: dict) -> Expr:
     if isinstance(e, Param):
         # A free parameter (program input) keeps its identity.
         return mapping.get(e, e)
-    if isinstance(e, FunCall):
-        return FunCall(
-            rebuild_decl(e.f, lambda lam: _clone_lambda(lam, mapping)),
-            [_clone_expr(a, mapping) for a in e.args],
-        )
-    raise TypeError(f"cannot clone {e!r}")
+    assert isinstance(e, FunCall), e  # the last expression class
+    return FunCall(
+        rebuild_decl(e.f, lambda lam: _clone_lambda(lam, mapping)),
+        [_clone_expr(a, mapping) for a in e.args],
+    )
 
 
 def _clone_lambda(f: Lambda, mapping: dict) -> Lambda:

@@ -15,7 +15,6 @@ them into estimated cycles per device profile.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
@@ -122,9 +121,6 @@ class Pointer:
     def load(self, index: int) -> Any:
         return self.array[self.address(index)]
 
-    def store(self, index: int, value: Any) -> None:
-        self.array[self.address(index)] = value
-
 
 _VEC_MEMBERS = {"x": 0, "y": 1, "z": 2, "w": 3}
 
@@ -147,6 +143,15 @@ def _c_int_div(a: int, b: int) -> int:
         raise ExecError("integer division by zero")
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
+
+
+def true_divide(a: Any, b: Any) -> Any:
+    """C's ``a / b`` of floating operands: a zero divisor gives IEEE's
+    ``±inf`` or NaN, where Python floats (uniform values) raise."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return float(np.float64(a) / b)
 
 
 def _c_int_mod(a: int, b: int) -> int:
@@ -308,8 +313,8 @@ class CType(NamedTuple):
 
     ``kind`` is ``"f"`` / ``"i"`` / ``"b"`` (a comparison's result) for
     an arithmetic value of ``width`` components (1: a scalar or a lane
-    array, N: an N-vector), ``"ptr"`` (``elem``: the pointee's kind,
-    ``None`` for elements of no arithmetic kind), ``"struct"``
+    array, N: an N-vector), ``"ptr"`` (``elem``: the pointee's declared
+    kind, ``"f"`` or ``"i"``), ``"struct"``
     (``elem``: its name) or ``"void"``.  A rule returns ``None`` for a
     node it cannot type, and the lane tiers refuse the kernel there.
     """
@@ -320,8 +325,6 @@ class CType(NamedTuple):
 
     def __str__(self) -> str:
         if self.kind == "ptr":
-            if self.elem is None:
-                return "pointer to a non-arithmetic dtype"
             return f"{_C_NAMES[self.elem]} *"
         if self.kind == "struct":
             return self.elem
@@ -361,10 +364,10 @@ def vector_type(kind: str, width: int) -> Optional[CType]:
 
 
 def element_kind(array: np.ndarray) -> Optional[str]:
-    """The kind of what loading from a global buffer yields: its dtype's
-    (a launch binds ``int64`` data to a ``float *`` as it is); ``None``
-    unless the buffer is flat and of a floating or signed integer dtype
-    (numpy's unsigned and bool arithmetic is not C's)."""
+    """The kind of what loading from a global buffer yields: its
+    dtype's; ``None`` unless the buffer is flat and of a floating or
+    signed integer dtype (numpy's unsigned and bool arithmetic is not
+    C's).  ``launch`` binds a buffer only to a pointer of its kind."""
     kind = array.dtype.kind
     return kind if array.ndim == 1 and kind in ("f", "i") else None
 
@@ -504,7 +507,7 @@ def index_type(base: Optional[CType], index: Optional[CType]) -> Optional[CType]
     if arith_operand(index) != I:
         return None
     if base is not None and base.kind == "ptr":
-        return _SCALAR.get(base.elem)
+        return _SCALAR[base.elem]
     return _SCALAR[base.kind] if is_vector(base) else None
 
 
@@ -677,14 +680,13 @@ class WorkItem:
                 if stmt.step is not None:
                     self.run_fast(stmt.step)
             return
-        if isinstance(stmt, c.CIf):
-            self.ctx.counters.branches += 1
-            if self._truthy(self.eval(stmt.cond)):
-                yield from self.run_gen(stmt.then)
-            elif stmt.otherwise is not None:
-                yield from self.run_gen(stmt.otherwise)
-            return
-        self.run_fast(stmt)
+        # Only a block, a loop or an if holds a barrier.
+        assert isinstance(stmt, c.CIf), stmt
+        self.ctx.counters.branches += 1
+        if self._truthy(self.eval(stmt.cond)):
+            yield from self.run_gen(stmt.then)
+        elif stmt.otherwise is not None:
+            yield from self.run_gen(stmt.otherwise)
 
     def run_fast(self, stmt: c.CStmt) -> None:
         """Non-generator path for barrier-free statements."""
@@ -714,15 +716,12 @@ class WorkItem:
                 self._call(stmt.expr)
             else:
                 self.eval(stmt.expr)
-        elif isinstance(stmt, c.CReturn):
+        else:
+            # The parser builds no other statement, and run_gen runs a
+            # statement that holds a barrier.
+            assert isinstance(stmt, c.CReturn), stmt
             value = self.eval(stmt.value) if stmt.value is not None else None
             raise _Return(value)
-        elif isinstance(stmt, c.CComment):
-            pass
-        elif isinstance(stmt, c.CBarrier):
-            raise ExecError("barrier reached on the barrier-free path")
-        else:
-            raise ExecError(f"cannot execute {stmt!r}")
 
     def _declare(self, decl: c.CDecl) -> None:
         name = decl.name
@@ -800,9 +799,8 @@ class WorkItem:
             v = self.eval(e.operand)
             if e.op == "-":
                 return -v
-            if e.op == "!":
-                return int(not self._truthy(v))
-            raise ExecError(f"unknown unary operator {e.op}")
+            assert e.op == "!", e  # the parser builds no other unary operator
+            return int(not self._truthy(v))
         if isinstance(e, c.CTernary):
             self.ctx.counters.branches += 1
             if self._truthy(self.eval(e.cond)):
@@ -845,13 +843,12 @@ class WorkItem:
             if e.type_name in ("float", "double"):
                 return float(v)
             return v
-        if isinstance(e, c.CVectorLiteral):
-            width = vector_literal_width(e)
-            items = [self.eval(i) for i in e.items]
-            if len(items) == 1:
-                items = items * width
-            return np.array(items, dtype=np.float64)
-        raise ExecError(f"cannot evaluate {e!r}")
+        assert isinstance(e, c.CVectorLiteral), e  # the last expression class
+        width = vector_literal_width(e)
+        items = [self.eval(i) for i in e.items]
+        if len(items) == 1:
+            items = items * width
+        return np.array(items, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # calls and built-ins
@@ -967,6 +964,8 @@ class WorkItem:
             if op == "-":
                 return lhs.plus(-int(rhs))
             raise ExecError(f"unsupported pointer operation {op}")
+        if isinstance(rhs, Pointer):  # the lane engine types pointer ± int only
+            raise ExecError(f"unsupported pointer operation {op}")
         if op == "+":
             return lhs + rhs
         if op == "-":
@@ -976,15 +975,12 @@ class WorkItem:
         if op == "/":
             if _is_int(lhs) and _is_int(rhs):
                 return _c_int_div(int(lhs), int(rhs))
-            return lhs / rhs
+            return true_divide(lhs, rhs)
         if op == "%":
             if _is_int(lhs) and _is_int(rhs):
                 return _c_int_mod(int(lhs), int(rhs))
-            return math.fmod(lhs, rhs)
-        compare = COMPARE.get(op)
-        if compare is None:
-            raise ExecError(f"unknown operator {op}")
-        r = compare(lhs, rhs)
+            return np.fmod(lhs, rhs)  # NaN for a zero divisor, as in C
+        r = COMPARE[op](lhs, rhs)  # the parser builds no other operator
         # A scalar comparison is a C int; one of vectors stays as numpy
         # gives it (OpenCL's vector true is -1, which no tier models).
         return r if isinstance(r, np.ndarray) else int(r)
@@ -1076,23 +1072,27 @@ def run_groups(
 ) -> None:
     """Run a launch on the reference interpreter: work-groups one after
     another, each with fresh ``local_decls`` arrays and its work-items
-    in lock-step between barriers."""
+    in lock-step between barriers.  Floating overflow, a zero divisor
+    and NaNs are IEEE's, as in C, with no numpy warning."""
     ctx = LaunchContext(program, gsize, lsize, counters)
     num_groups = ctx.num_groups
     items_per_group = lsize[0] * lsize[1] * lsize[2]
-    for gz in range(num_groups[2]):
-        for gy in range(num_groups[1]):
-            for gx in range(num_groups[0]):
-                group_env = dict(base_env)
-                for decl in local_decls:
-                    group_env[decl.name] = Pointer(
-                        np.zeros(
-                            decl.array_size, dtype=array_dtype(decl.type_name)
-                        ),
-                        0, "local",
-                    )
-                _run_group(ctx, kernel, group_env, (gx, gy, gz), lsize)
-                counters.work_items += items_per_group
+    groups = [
+        (gx, gy, gz)
+        for gz in range(num_groups[2])
+        for gy in range(num_groups[1])
+        for gx in range(num_groups[0])
+    ]
+    with np.errstate(all="ignore"):
+        for group in groups:
+            group_env = dict(base_env)
+            for decl in local_decls:
+                group_env[decl.name] = Pointer(
+                    np.zeros(decl.array_size, dtype=array_dtype(decl.type_name)),
+                    0, "local",
+                )
+            _run_group(ctx, kernel, group_env, group, lsize)
+            counters.work_items += items_per_group
 
 
 def _is_int(v: Any) -> bool:

@@ -10,9 +10,11 @@ launch to :func:`repro.backend.execute` on the backend its engine name
 runs in :data:`repro.backend.ENGINES` (see ``ENGINES.md`` in this
 package): ``"auto"`` (the default) and ``"compiled"`` run the compiled
 pipeline, ``"scalar"`` the reference interpreter.  ``REPRO_SIM_ENGINE``
-names the default.  Nothing falls back: a kernel the compiled pipeline
-does not run raises :class:`~repro.backend.CompileUnsupported`, and a
-cross-lane race :class:`~repro.opencl.simt.DataRace`.
+names the default.  A buffer whose element kind is not its pointer
+parameter's declared one is a ``TypeError`` before any engine runs.
+Nothing falls back: a kernel the compiled pipeline does not run raises
+:class:`~repro.backend.CompileUnsupported`, and a cross-lane race
+:class:`~repro.opencl.simt.DataRace`.
 """
 
 from __future__ import annotations
@@ -31,9 +33,13 @@ from repro.opencl.interp import (
     Pointer,
     array_dtype,
     convert,
+    declared_element_kind,
     declared_kinds,
+    element_kind,
     iter_decls,
 )
+
+_KIND_NAMES = {"f": "floating", "i": "signed integer"}
 
 
 @dataclass
@@ -142,12 +148,18 @@ def launch(
             raise KeyError(f"missing kernel argument {p.name!r}")
         value = args[p.name]
         if p.is_pointer:
-            if isinstance(value, Buffer):
-                base_env[p.name] = Pointer(value.data, 0, "global")
-            elif isinstance(value, np.ndarray):
-                base_env[p.name] = Pointer(value, 0, "global")
-            else:
+            array = value.data if isinstance(value, Buffer) else value
+            if not isinstance(array, np.ndarray):
                 raise TypeError(f"buffer expected for parameter {p.name}")
+            # Every engine types a buffer from its declaration.
+            want = declared_element_kind(p.type_name)
+            if element_kind(array) != want:
+                raise TypeError(
+                    f"parameter {p.name!r} is declared {p.type_name} * but "
+                    f"bound to a {array.ndim}-D {array.dtype} buffer "
+                    f"(a 1-D {_KIND_NAMES[want]} buffer expected)"
+                )
+            base_env[p.name] = Pointer(array, 0, "global")
         else:
             # A scalar argument takes the parameter's declared type
             # (``5`` for a ``float alpha`` is ``5.0`` in every tier).

@@ -101,7 +101,6 @@ from repro.opencl.interp import (
     copied,
     declared_element_kind,
     declared_kinds,
-    element_kind,
     index_type,
     is_arith,
     is_vector,
@@ -109,6 +108,7 @@ from repro.opencl.interp import (
     scalar_kind,
     statement_parts,
     stored_type,
+    true_divide,
     typed_zero,
     unop_type,
     vector_column,
@@ -160,12 +160,12 @@ def _is_vstore(name: str) -> bool:
 
 
 #: ``l op r`` per arithmetic operator (C's ``%`` on floats is ``fmod``,
-#: like the oracle's ``math.fmod``).
+#: as in the oracle).
 _OPERATOR = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
+    "/": true_divide,
     "%": np.fmod,
 }
 #: The same as ``value_of(l, r, m)`` functions of matching widths.
@@ -204,14 +204,6 @@ def _as_int(fn: ExprFn) -> ExprFn:
 
 def _charge(counters, field: str, amount: int) -> None:
     setattr(counters, field, getattr(counters, field) + amount)
-
-
-def declared_pointer_kinds(kernel: c.CFunctionDef) -> tuple:
-    """Element kinds of the buffers the kernel's pointer parameters
-    declare — what a plan assumes until a launch binds others."""
-    return tuple(
-        declared_element_kind(p.type_name) for p in kernel.params if p.is_pointer
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -970,10 +962,9 @@ def _constant(value) -> ExprFn:
 
 def _load(name: str) -> ExprFn:
     def load_ident(b, m, n):
-        try:
-            return b.env[name]
-        except KeyError:
-            raise ExecError(f"undefined identifier {name!r}") from None
+        # The typing walk refuses a name read out of its declaration's
+        # scope, so a lane reads only names it declared.
+        return b.env[name]
 
     return load_ident
 
@@ -1421,7 +1412,7 @@ def _compile_builtin(e: c.CCall, builtin: tuple, arg_cs: list, ctx: _Ctx) -> Exp
     return calln
 
 
-_STRAIGHT_LINE = (c.CDecl, c.CAssign, c.CExprStmt, c.CComment)
+_STRAIGHT_LINE = (c.CDecl, c.CAssign, c.CExprStmt)
 
 
 def _compile_helper(fn: c.CFunctionDef, ctx: _Ctx, hoist=None) -> tuple:
@@ -1467,15 +1458,12 @@ def _helper_body(fn: c.CFunctionDef, ctx: _Ctx):
     parts = _straight_parts(fn)
     if parts is None:
         framed = _compile_stmt(fn.body, ctx, has_returns=True)
-        last = [s for s in fn.body.stmts if type(s) is not c.CComment][-1:]
+        last = fn.body.stmts[-1:]
         if not last or type(last[0]) is not c.CReturn:
             ctx.returned(VOID)  # it may fall off its end: a void call
         return framed
     stmts, ret = parts
-    body = tuple(
-        s for s in (_compile_stmt(s, ctx, False) for s in stmts)
-        if s is not None
-    )
+    body = tuple(_compile_stmt(s, ctx, False) for s in stmts)
     if ret is None:
         ctx.returned(VOID)
         return body, None, None
@@ -1601,12 +1589,10 @@ def _compile_stmt(s, ctx: _Ctx, has_returns: bool) -> StmtFn:
         if _converts(kind, vt):  # the declared return type, like a store
             value = _converted(kind, value)
         return lambda b, m, n, frame: b._set_return(frame, m, value(b, m, n))
-    if t is c.CBarrier:
-        if len(ctx.stack) > 1:
-            raise Untyped("barrier inside helper function")
-        return _barrier
-    assert t is c.CComment, s  # the parser builds no other statement
-    return None  # dropped from the statement list
+    assert t is c.CBarrier, s  # the parser builds no other statement
+    if len(ctx.stack) > 1:
+        raise Untyped("barrier inside helper function")
+    return _barrier
 
 
 def _barrier(b, m, n, frame) -> None:
@@ -1618,11 +1604,7 @@ def _barrier(b, m, n, frame) -> None:
 
 
 def _compile_block(stmts, ctx: _Ctx, has_returns: bool) -> StmtFn:
-    fns = []
-    for s in stmts:
-        fn = _compile_stmt(s, ctx, has_returns)
-        if fn is not None:
-            fns.append(fn)
+    fns = [_compile_stmt(s, ctx, has_returns) for s in stmts]
 
     if not has_returns:
         if len(fns) == 1:
@@ -1985,8 +1967,6 @@ def _flat(stmt, out: list) -> bool:
     t = type(stmt)
     if t is c.CBlock:
         return all(_flat(sub, out) for sub in stmt.stmts)
-    if t is c.CComment:
-        return True
     if t is c.CDecl or t is c.CExprStmt or t is c.CAssign:
         out.append(stmt)
         return True
@@ -2489,9 +2469,7 @@ def _link(e, acc: str, hoist: _Hoist, ctx: _Ctx, path: list) -> Optional[tuple]:
         return None
     fn = ctx.parsed.functions[e.func]
     stmts, ret = _straight_parts(fn)
-    if ret is None or any(
-        id(st) not in site.dropped for st in stmts if type(st) is not c.CComment
-    ):
+    if ret is None or any(id(st) not in site.dropped for st in stmts):
         return None
     params = [(p.name, a) for p, a in zip(fn.params, e.args)
               if type(a) is c.CIdent and a.name == acc]
@@ -2696,18 +2674,16 @@ def _truth(cv):
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    """A kernel compiled to barrier-delimited segments, for launches
-    whose pointer arguments hold ``pointer_kinds`` elements."""
+    """A kernel compiled to barrier-delimited segments, its buffers
+    typed from their declarations."""
 
     __slots__ = (
-        "kernel_name", "segments", "has_returns", "pointers",
-        "pointer_kinds", "types", "inlined", "sole_names", "written",
-        "accesses", "affine", "batched", "closed",
+        "kernel_name", "segments", "has_returns", "types", "inlined",
+        "sole_names", "written", "accesses", "affine", "batched", "closed",
     )
 
     def __init__(self, kernel_name: str, segments: list, has_returns: bool,
-                 pointers: tuple, pointer_kinds: tuple, types, ctx: "_Ctx",
-                 sole_names: frozenset):
+                 types, ctx: "_Ctx", sole_names: frozenset):
         self.kernel_name = kernel_name
         #: One compiled closure per barrier-delimited top-level region
         #: (barriers inside group-uniform loops stay within their
@@ -2721,9 +2697,6 @@ class Pipeline:
         #: race-tracks the buffers they name).
         self.written = frozenset(ctx.written)
         self.has_returns = has_returns
-        #: The pointer parameters, and the element kinds typed for them.
-        self.pointers = pointers
-        self.pointer_kinds = pointer_kinds
         #: The kernel's :class:`~repro.opencl.interp.StaticTypes`.
         self.types = types
         #: Helper call sites compiled inline.
@@ -2743,12 +2716,9 @@ class Pipeline:
         frame = _Frame(block.L)
         m = block._full
         n = block.L
+        # A kernel that returns early has no barrier (scan_kernel), so
+        # one segment: every segment starts on the whole block.
         for index, segment in enumerate(self.segments):
-            if frame.returned_any:
-                m = m & ~frame.ret_mask
-                n = int(np.count_nonzero(m))
-                if n == 0:
-                    return
             if tracer is None:
                 segment(block, m, n, frame)
             else:
@@ -2797,12 +2767,11 @@ def split_at_barriers(kernel: c.CFunctionDef) -> list:
 
 
 def compile_kernel_pipeline(
-    parsed: ParsedProgram, kernel: c.CFunctionDef,
-    pointer_kinds: Optional[tuple] = None,
+    parsed: ParsedProgram, kernel: c.CFunctionDef
 ) -> Pipeline:
-    """Lower a kernel into a compiled closure pipeline, typed for
-    pointer arguments of ``pointer_kinds`` (default: the declared
-    element types).
+    """Lower a kernel into a compiled closure pipeline, its pointer
+    parameters typed from their declarations (``launch`` binds no
+    buffer of another element kind).
 
     The lowering is also the static typing pass: after
     :func:`scan_kernel`, one walk in execution order types every node
@@ -2812,16 +2781,12 @@ def compile_kernel_pipeline(
     run; every load and store site gets the affine fact of its address,
     and the pipeline the names a store may reach a buffer through.
     """
-    if pointer_kinds is None:
-        pointer_kinds = declared_pointer_kinds(kernel)
     types = StaticTypes(parsed.structs)
     names = types.names.setdefault(kernel.name, {})
     kinds = _kinds(kernel)
-    pointers = tuple(p.name for p in kernel.params if p.is_pointer)
-    elements = dict(zip(pointers, pointer_kinds))
     for p in kernel.params:
         names[p.name] = (
-            CType("ptr", elem=elements[p.name]) if p.is_pointer
+            CType("ptr", elem=declared_element_kind(p.type_name)) if p.is_pointer
             else _SCALAR.get(kinds[p.name])
         )
     scan = scan_kernel(kernel)
@@ -2832,8 +2797,7 @@ def compile_kernel_pipeline(
     ]
     ctx.settle()
     return Pipeline(
-        kernel.name, segments, scan.has_returns, pointers, pointer_kinds, types,
-        ctx, scan.sole_names,
+        kernel.name, segments, scan.has_returns, types, ctx, scan.sole_names,
     )
 
 
@@ -2857,20 +2821,16 @@ def compile_count() -> int:
     return _compile_counter
 
 
-def get_pipeline(
-    parsed: ParsedProgram, kernel: c.CFunctionDef,
-    pointer_kinds: Optional[tuple] = None,
-) -> "Pipeline | str":
-    """The compiled pipeline for a kernel and the element kinds of its
-    pointer arguments (default: as declared), or the reason the lane
-    tiers refuse it: the scan's or the typing walk's.
+def get_pipeline(parsed: ParsedProgram, kernel: c.CFunctionDef) -> "Pipeline | str":
+    """The compiled pipeline for a kernel, or the reason the lane tiers
+    refuse it: the scan's or the typing walk's.
 
     Cached on the parsed program object, refusals included; the runtime
     shares parse results per source through an LRU, so each distinct
     kernel is walked once per process (under a lock — callers may launch
     from threads of their own).
     """
-    key = (kernel.name, pointer_kinds)
+    key = kernel.name
     cache = getattr(parsed, "_simt_pipelines", None)
     if cache is not None:
         entry = cache.get(key, _MISSING)
@@ -2888,7 +2848,7 @@ def get_pipeline(
 
         with span("simt_compile", kernel=kernel.name) as compile_span:
             try:
-                entry = compile_kernel_pipeline(parsed, kernel, pointer_kinds)
+                entry = compile_kernel_pipeline(parsed, kernel)
             except Untyped as exc:
                 entry = str(exc)
             else:
@@ -2902,17 +2862,6 @@ def get_pipeline(
         _compile_counter += 1
         cache[key] = entry
         return entry
-
-
-def launch_pipeline(
-    parsed: ParsedProgram, kernel: c.CFunctionDef, plan: Pipeline, base_env
-) -> "Pipeline | str":
-    """``plan`` when the launch binds buffers of the element kinds it
-    was typed for, else :func:`get_pipeline` for the ones it binds."""
-    kinds = tuple(element_kind(base_env[name].array) for name in plan.pointers)
-    if kinds == plan.pointer_kinds:
-        return plan
-    return get_pipeline(parsed, kernel, kinds)
 
 
 _MISSING = object()

@@ -11,7 +11,6 @@ from repro.types.dtypes import (
     DOUBLE,
     DataType,
     FLOAT,
-    FunType,
     INT,
     ScalarType,
     TupleType,
@@ -25,7 +24,6 @@ from repro.types.dtypes import (
     int2,
     int4,
     size_in_bytes,
-    vector,
 )
 
 __all__ = [
@@ -34,7 +32,6 @@ __all__ = [
     "DOUBLE",
     "DataType",
     "FLOAT",
-    "FunType",
     "INT",
     "ScalarType",
     "TupleType",
@@ -48,5 +45,4 @@ __all__ = [
     "int2",
     "int4",
     "size_in_bytes",
-    "vector",
 ]

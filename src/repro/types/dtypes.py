@@ -152,36 +152,13 @@ class ArrayType(DataType):
     __str__ = __repr__
 
 
-class FunType(Type):
-    """The type of a function declaration."""
-
-    __slots__ = ("ins", "out")
-
-    def __init__(self, ins: Iterable[Type], out: Type):
-        self.ins = tuple(ins)
-        self.out = out
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FunType) and other.ins == self.ins and other.out == self.out
-
-    def __hash__(self) -> int:
-        return hash(("FunType", self.ins, self.out))
-
-    def __repr__(self) -> str:
-        args = ", ".join(map(str, self.ins))
-        return f"({args}) -> {self.out}"
-
-    __str__ = __repr__
-
-
 def _mangle(t: DataType) -> str:
     if isinstance(t, (ScalarType, VectorType)):
         return t.name
     if isinstance(t, TupleType):
         return t.name
-    if isinstance(t, ArrayType):
-        return f"arr_{_mangle(t.elem)}"
-    raise TypeError(f"cannot mangle {t!r}")
+    assert isinstance(t, ArrayType), t  # the last data type
+    return f"arr_{_mangle(t.elem)}"
 
 
 def array(elem: DataType, *lengths: ArithExpr | int) -> DataType:
@@ -193,10 +170,6 @@ def array(elem: DataType, *lengths: ArithExpr | int) -> DataType:
     for length in reversed(lengths):
         result = ArrayType(result, length)
     return result
-
-
-def vector(elem: ScalarType, width: int) -> VectorType:
-    return VectorType(elem, width)
 
 
 float2 = VectorType(FLOAT, 2)
@@ -217,9 +190,8 @@ def size_in_bytes(t: DataType) -> ArithExpr:
         for e in t.elems:
             total = total + size_in_bytes(e)
         return total
-    if isinstance(t, ArrayType):
-        return t.length * size_in_bytes(t.elem)
-    raise TypeError(f"cannot size {t!r}")
+    assert isinstance(t, ArrayType), t  # the last data type
+    return t.length * size_in_bytes(t.elem)
 
 
 def element_count(t: DataType) -> ArithExpr:
@@ -233,9 +205,8 @@ def element_count(t: DataType) -> ArithExpr:
         for e in t.elems:
             total = total + element_count(e)
         return total
-    if isinstance(t, ArrayType):
-        return t.length * element_count(t.elem)
-    raise TypeError(f"cannot count elements of {t!r}")
+    assert isinstance(t, ArrayType), t  # the last data type
+    return t.length * element_count(t.elem)
 
 
 def scalar_base(t: DataType) -> ScalarType:

@@ -367,3 +367,113 @@ def test_bounds_are_sound(expr):
             assert lo.evaluate(env) <= v
         if hi is not None:
             assert v <= hi.evaluate(env)
+
+
+def _one_of_each(n):
+    """One node of every class, over the variable ``n``."""
+    from repro.arith import Log2, Pow
+    from repro.arith.expr import LoadIndex
+
+    return {
+        "Cst": Cst(3), "Var": n, "Sum": Sum([n, Cst(1)]),
+        "Prod": Prod([Cst(2), n]), "IntDiv": IntDiv(n, Cst(2)),
+        "Mod": Mod(n, Cst(2)), "Pow": Pow(n, Cst(2)), "Log2": Log2(n),
+        "LoadIndex": LoadIndex("idx", n),
+    }
+
+
+class TestEveryNodeClass:
+    """The value-object protocol of each node class: the tuning cache
+    pickles kernels that hold them."""
+
+    @pytest.mark.parametrize("name", sorted(_one_of_each(Var("N"))))
+    def test_a_pickle_round_trip_gives_the_interned_node(self, name):
+        import pickle
+
+        node = _one_of_each(var("N", 1, 64))[name]
+        back = pickle.loads(pickle.dumps(node))
+        assert back is node and hash(back) == hash(node)
+
+    @pytest.mark.parametrize("name", sorted(_one_of_each(Var("N"))))
+    def test_equality_is_structural(self, name):
+        # Same-named variables with other ranges are distinct objects
+        # that compare equal, and so are the nodes built over them.
+        a = _one_of_each(var("N", 1, 64))[name]
+        b = _one_of_each(var("N", 2, 32))[name]
+        assert a == b and hash(a) == hash(b)
+        assert a != Var("M") + 7
+
+    def test_reflected_operators_simplify(self):
+        n = Var("N")
+        assert 2 * n == n * 2 and 1 + n == n + 1
+        assert 1 - n == Cst(1) + (-n) == -n + 1
+        assert 8 // Cst(2) == Cst(4) and 9 % Cst(4) == Cst(1)
+        assert (8 // n).evaluate({"N": 3}) == 2 and (9 % n).evaluate({"N": 4}) == 1
+
+    def test_pow_and_log2(self):
+        from repro.arith import Log2, Pow
+        from repro.arith.simplify import log2
+
+        n = var("n", 0, 4)
+        p = n ** Cst(3)
+        assert isinstance(p, Pow) and repr(p) == "pow(n, 3)"
+        assert p.evaluate({"n": 2}) == 8 and set(p.children()) == {n, Cst(3)}
+        assert pow_(Cst(1), Var("k")) == Cst(1)
+        assert log2(Cst(2) ** Var("k")) == Var("k") and log2(Cst(8)) == Cst(3)
+        lg = log2(n)
+        assert isinstance(lg, Log2) and repr(lg) == "log2(n)"
+        assert lg.evaluate({"n": 8}) == 3 and tuple(lg.children()) == (n,)
+        with pytest.raises(ValueError, match="non-power-of-two"):
+            lg.evaluate({"n": 6})
+        assert simplify(Pow(Cst(2), Cst(3))) == Cst(8)
+        assert simplify(Log2(Cst(16))) == Cst(4)
+        m = Var("m")
+        assert substitute(p, {n: Cst(3)}) == Cst(27)
+        assert substitute(Log2(m), {m: Cst(32)}) == Cst(5)
+        # Bounds of a power of a positive base; a log is non-negative.
+        q = var("q", 1, 4) ** Cst(3)
+        assert bound_max(q) == Cst(27) and bound_min(q) == Cst(1)
+        assert bound_max(p) is None  # 0 ** 0 is 1: no monotone bound
+        # k ** 2 for k in [-2, 2) reaches 4, above (max k) ** 2.
+        assert bound_max(Pow(Var("k", Range.of(-2, 2)), Cst(2))) is None
+        assert bound_max(lg) is None
+        assert prove_ge_zero(lg) and prove_ge_zero(Pow(n, Var("k")))
+        assert prove_lt(Cst(0), Pow(Var("k"), Cst(2)) + 0)
+
+    def test_the_raw_constructors_check_their_arguments(self):
+        assert Cst(True) is Cst(1)
+        with pytest.raises(ValueError, match="two factors"):
+            Prod([Var("N")])
+        with pytest.raises(ZeroDivisionError, match="modulo by zero"):
+            Mod(Var("N"), Cst(0)).evaluate({"N": 3})
+
+    def test_deep_proofs_give_up(self, monkeypatch):
+        import sys
+
+        simplify_module = sys.modules["repro.arith.simplify"]
+        monkeypatch.setattr(simplify_module, "_MAX_PROOF_DEPTH", 0)
+        i = var("i", 0, 4)
+        assert not prove_lt(i, Cst(4))
+        assert bound_max(i) is None
+        assert mod(i, Cst(4)) == Mod(i, Cst(4))  # rule (3) unproved
+
+    def test_bounds_through_symbolic_ranges(self):
+        n = Var("N")
+        i = var("i", n, None)  # i >= N >= 1
+        assert prove_ge_zero(i) and prove_lt(Cst(0), i)
+        assert bound_max(n + 1) is None and bound_max(i % n) is None
+        assert bound_min(var("j", 0, 8) // n) == Cst(0)
+
+    def test_recomposition_cancels_a_term(self):
+        x = Var("x")
+        recomposed = sum_of([Prod([Cst(4), IntDiv(x, Cst(4))]), Mod(x, Cst(4)),
+                             Prod([Cst(-1), x])])
+        assert recomposed == Cst(0)
+        assert prod_of([Cst(0), x]) == Cst(0)
+
+    def test_a_zero_coefficient_guards(self):
+        from repro.arith.simplify import _exact_quotient, _from_factors
+
+        x = Var("x")
+        assert _from_factors(0, [x]) == Cst(0)
+        assert _exact_quotient(x, Cst(0)) is None

@@ -600,3 +600,52 @@ def test_the_compile_span_counts_batched_loops(tmp_path):
     (compiled,) = [e for e in events if e["name"] == "simt_compile"]
     assert compiled["args"]["batched"] == 1
     assert compiled["args"]["closed"] == 0  # two names are carried
+
+
+#: Hoisted values of every kind a chunk holds per iteration, captured
+#: whole by the carried statement (a call of a helper with control
+#: flow): a pointer, a struct and a pointer into a private array (a row
+#: per lane).
+_HOISTED_KINDS = {
+    "a pointer": (
+        "float g(float s, const global float *q, int k) {\n"
+        "  if (k > 3) { return s + q[k]; }\n  return s - q[0];\n}\n",
+        "const global float *p = y + t;", "sum = g(sum, p, i);"),
+    "a struct": (
+        "typedef struct { float a; float b; } S;\n"
+        "float g(float s, S v) {\n"
+        "  if (v.a > 0.0f) { return s + v.a * v.b; }\n  return s - v.b;\n}\n",
+        "S v; v.a = y[t]; v.b = x[i + t];", "sum = g(sum, v);"),
+    "a pointer and a number every iteration shares": (
+        "float g(float s, const global float *q, float c) {\n"
+        "  if (c > 3.0f) { return s + q[0]; }\n  return s * c - q[1];\n}\n",
+        "const global float *p = y + 1; float c = 0.5f;", "sum = g(sum, p, c);"),
+    "a pointer into a private array": (
+        "float g(float s, float *q, int k) {\n"
+        "  if (k > 3) { return s + q[0]; }\n  return s - q[0];\n}\n",
+        "float *p = buf + t % 4;", "sum = g(sum, p, i);"),
+}
+
+
+class TestHoistedKinds:
+    @pytest.mark.parametrize("name", sorted(_HOISTED_KINDS))
+    def test_a_hoisted_value_of_each_kind_agrees(self, name):
+        prelude, body, carried = _HOISTED_KINDS[name]
+        source = prelude + """
+        kernel void K(const global float * restrict x, const global float * restrict y,
+                      global float *out, int trips) {
+          int i = get_global_id(0);
+          float buf[4];
+          buf[0] = x[i]; buf[1] = 1.0f; buf[2] = -x[i]; buf[3] = 2.0f;
+          float sum = 0.0f;
+          for (int t = 0; t < trips; t += 1) {
+            %s
+            %s
+          }
+          out[i] = sum;
+        }""" % (body, carried)
+        args = dict(inputs(), trips=7)
+        assert plan(source).batched == 1
+        with chunks() as record, mock.patch.object(simt, "MAX_LANES", 3 * N):
+            check_engines(lambda e: run(source, args, e), N, LOCAL)
+        assert (3, True) in record

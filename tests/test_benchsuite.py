@@ -614,3 +614,22 @@ def test_report_leaves_placeholder_sections_out(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "_No calibration records (run `benchsuite calibrate`)._" in out
     assert "_No counters recorded._" in out
+
+    written = tmp_path / "report.md"
+    assert main(["report", "--inputs", *paths, "--output", str(written)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"[perf report written to {written}]" in captured.err
+    assert written.read_text() == "\n".join(lines) + "\n"
+
+
+def test_the_calibrate_and_explain_commands_print_their_tables(capsys):
+    from repro.benchsuite.__main__ import main
+
+    assert main(["calibrate", "--benchmarks", "nn", "--depth", "1",
+                 "--max-eval", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "nn" in out and "top1-regret" in out
+    assert main(["figure8", "--benchmarks", "nn", "--sizes", "small",
+                 "--no-cache", "--explain"]) == 0
+    out = capsys.readouterr().out
+    assert "owes" in out or "ahead by" in out

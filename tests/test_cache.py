@@ -755,3 +755,31 @@ def test_only_the_cache_module_stores_entries():
         if path.name != "cache.py" and calls.search(path.read_text())
     ]
     assert offenders == []
+
+
+class TestMalformedHeaders:
+    """Entries whose header or payload is damaged are corrupt: a miss,
+    quarantined as such."""
+
+    KEY = "cd" * 32
+
+    @pytest.mark.parametrize("header, payload", [
+        (lambda key: f"repro-cache vX {key} 00", b"{}"),
+        (lambda key: f"repro-cache {CACHE_VERSION} {key}", b"{}"),
+        (lambda key: f"repro-cache {CACHE_VERSION} {key} "
+                     + hashlib.sha256(b"\x80 not json").hexdigest(), b"\x80 not json"),
+    ], ids=["version field", "header arity", "undecodable payload"])
+    def test_a_damaged_entry_is_a_corrupt_miss(self, tmp_path, header, payload):
+        cache = TuningCache(tmp_path)
+        path = cache._path(self.KEY, "cycles.json")
+        path.write_bytes(header(self.KEY).encode() + b"\n" + payload)
+        assert cache.get_cycles(self.KEY) is None
+        assert cache.stats.corrupt_entries == 1
+        (qfile,) = cache.quarantined_entries()
+        assert qfile.name.endswith(".corrupt")
+
+    def test_the_store_follows_the_environment(self, tmp_path, monkeypatch):
+        from repro.cache import default_cache_dir
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+        assert default_cache_dir() == tmp_path / "store"

@@ -692,3 +692,185 @@ class TestTextIsAFunctionOfTheProgram:
             assert numbers == set(range(len(numbers))), numbers
         assert max(len(set(names.findall(t))) for t in first) >= 10
         assert any("int h1 = " in t for t in first)
+
+
+def _p(name, t):
+    return Param(t, name)
+
+
+def _over(t, f):
+    """``f`` applied to one parameter of type ``t``."""
+    y = _p("y", t)
+    return Lambda([y], f(y))
+
+
+def _malformed(name):
+    """A program the code generator refuses, and the reason it gives."""
+    from repro.arith import Cst
+    from repro.arith.expr import Log2, Pow
+    from repro.ir.dsl import iterate, map_seq_unroll
+    from repro.ir.nodes import Literal
+    from repro.ir.patterns import reverse_indices
+
+    n = Var("N")
+    x = _p("x", array(FLOAT, n))
+    rows = {
+        "a literal as a map body": (
+            lambda: Lambda([x], map_glb(lam(lambda a: Literal(1.0, FLOAT)))(x)),
+            "literals only appear as user-function arguments"),
+        "a tuple built outside an initializer": (
+            lambda: Lambda([x], map_glb(lam(
+                lambda a: add()(get(make_tuple(a, a), 0), a)))(x)),
+            "tuple construction only appears as a reduction initializer"),
+        "a parameter of no type": (
+            lambda: Lambda([x, Param(None, "u")], map_glb(id_fun())(x)),
+            "kernel parameter u has no type"),
+        "two user functions of one name": (
+            lambda: Lambda([x], map_glb(lam(lambda a: FunCall(
+                UserFun("f", ["p"], "return p;", [FLOAT], FLOAT),
+                [FunCall(UserFun("f", ["p"], "return p + 1;", [FLOAT], FLOAT), [a])],
+            )))(x)),
+            "two different user functions named f"),
+        "an unrolled map of a symbolic length": (
+            lambda: _over(array(array(FLOAT, n), 4),
+                          map_glb(map_seq_unroll(id_fun()))),
+            "mapSeqUnroll requires a concrete length"),
+        "a scatter of a parameter": (
+            lambda: Lambda([x], scatter(reverse_indices())(x)),
+            "scatter requires a writing producer"),
+        "an iterate whose body writes nothing": (
+            lambda: Lambda([x], iterate(2, lam(lambda a: a))(x)),
+            "iterate bodies must write memory"),
+        "an iterate of a gathered input": (
+            lambda: Lambda([x], iterate(1, map_glb(id_fun()))(
+                gather(reverse_indices())(x))),
+            "iterate input must be a contiguous buffer"),
+        "a map that only rearranges, as the result": (
+            lambda: Lambda([x], map_glb(lam(lambda a: a))(x)),
+            "cannot write through a view-only map"),
+        "an array accumulator initialised by a view": (
+            lambda: _array_reduction(lambda r: r, copied=True),
+            "need a writing initializer"),
+        "an array accumulator as the result": (
+            lambda: _array_reduction(lambda r: map_seq(id_fun())(r), copied=False),
+            "must be copied out with an explicit map(id)"),
+        "a log2 in a length": (
+            lambda: _over(array(FLOAT, Log2(n)), map_glb(id_fun())),
+            "cannot emit arithmetic node log2(N)"),
+        "a power of a symbolic exponent": (
+            lambda: _over(array(FLOAT, Pow(Cst(2), n)), map_glb(id_fun())),
+            "cannot emit power pow(2, N)"),
+    }
+    return rows[name]
+
+
+def _array_reduction(init, copied):
+    """Per row of ``x``, a reduction whose accumulator is a 4-array."""
+    x = _p("x", array(array(FLOAT, 4), Var("N")))
+    step = lam2(lambda acc, e: map_seq(id_fun())(acc))
+    reduce = lambda r: reduce_seq(step, init(r))(split(4)(r))
+    body = (lambda r: map_seq(id_fun())(join()(reduce(r)))) if copied else reduce
+    return Lambda([x], map_glb(lam(body))(x))
+
+
+_MALFORMED_NAMES = [
+    "a literal as a map body", "a tuple built outside an initializer",
+    "a parameter of no type", "two user functions of one name",
+    "an unrolled map of a symbolic length", "a scatter of a parameter",
+    "an iterate whose body writes nothing", "an iterate of a gathered input",
+    "a map that only rearranges, as the result",
+    "an array accumulator initialised by a view",
+    "an array accumulator as the result", "a log2 in a length",
+    "a power of a symbolic exponent",
+]
+
+
+class TestMalformedPrograms:
+    @pytest.mark.parametrize("name", _MALFORMED_NAMES)
+    def test_the_code_generator_names_the_fault(self, name):
+        build, reason = _malformed(name)
+        with pytest.raises(CodeGenError, match=re.escape(reason)):
+            compile_kernel(build(), CompilerOptions(local_size=(4, 1, 1)))
+
+    def test_a_parameter_bound_nowhere_is_refused_first(self):
+        x = _p("x", array(FLOAT, Var("N")))
+        y = _p("y", array(FLOAT, Var("N")))
+        with pytest.raises(ValueError, match="parameter y visited before binding"):
+            compile_kernel(Lambda([x], map_glb(id_fun())(y)))
+
+    def test_a_private_value_over_a_symbolic_length_names_the_length(self):
+        n = Var("N")
+        x = _p("x", array(array(FLOAT, n), 8))
+        prog = Lambda([x], map_glb(lam(lambda r: to_global(map_seq(id_fun()))(
+            to_private(map_glb(id_fun(), 1))(r))))(x))
+        with pytest.raises(CodeGenError, match="specialize the length"):
+            compile_kernel(prog, CompilerOptions(global_size=(8, 4, 1)))
+
+
+def _flat(value) -> list:
+    """The scalars of a nested value of the IR interpreter, in order."""
+    from repro.ir.interp import VecValue
+
+    if isinstance(value, VecValue):
+        value = value.items
+    if isinstance(value, (list, tuple)):
+        return [s for v in value for s in _flat(v)]
+    return [float(value)]
+
+
+class TestSeldomGeneratedForms:
+    """Forms no benchmark stage writes, run against the IR interpreter
+    at every optimization level."""
+
+    @staticmethod
+    def _forms():
+        from repro.arith import Cst
+        from repro.arith.expr import Pow
+        from repro.ir.dsl import as_vector
+        from repro.ir.nodes import Literal
+        from repro.ir.patterns import reverse_indices
+        from repro.types import INT
+
+        n = Var("N")
+        return {
+            # A transpose, and an asVector, hand the output on as their
+            # destination.
+            "a transposed result": (array(FLOAT, 16), lambda x: join()(transpose()(
+                map_glb(map_seq(id_fun()))(split(4)(x))))),
+            "a vectorised result": (array(FLOAT, 16), lambda x: as_vector(4)(
+                map_glb(id_fun())(x))),
+            # A scatter read by a map allocates its own buffer.
+            "a scatter read by a map": (array(array(FLOAT, 4), 16), lambda x: map_glb(
+                lam(lambda r: map_seq(id_fun())(
+                    scatter(reverse_indices())(map_seq(id_fun())(r)))))(x)),
+            "a user function of a user function": (array(FLOAT, 16), lambda x: map_glb(
+                lam(lambda a: add()(mult()(a, a), a)))(x)),
+            "an int literal": (array(INT, 16), lambda x: map_glb(
+                lam(lambda a: add(INT)(a, Literal(3, INT))))(x)),
+            "a length that is a power": (array(FLOAT, Pow(n, Cst(2))), lambda x: map_glb(
+                id_fun())(x)),
+            "a reduction of one element": (array(array(FLOAT, 1), 16), lambda x: map_glb(
+                lam(lambda r: reduce_seq(add(), f32(0.0))(r)))(x)),
+        }
+
+    @pytest.mark.parametrize("level", ALL_LEVELS)
+    @pytest.mark.parametrize("name", [
+        "a transposed result", "a vectorised result", "a scatter read by a map",
+        "a user function of a user function", "an int literal",
+        "a length that is a power", "a reduction of one element",
+    ])
+    def test_the_kernel_computes_what_the_program_means(self, name, level):
+        from repro.ir.interp import evaluate
+
+        t, body = self._forms()[name]
+        x = _p("x", t)
+        prog = Lambda([x], body(x))
+        width = 1 if not isinstance(t.elem, ArrayType) else int(t.elem.length.try_int())
+        data = np.arange(16 * width, dtype=np.int64 if "int" in name else float)
+        data = data.reshape(16, width) if width > 1 or t.elem != FLOAT and "int" not in name else data
+        want = _flat(evaluate(prog.body, {x: data.tolist()}, {"N": 4}))
+        result = compile_and_run(
+            prog, {"x": data}, {"N": 4}, global_size=16,
+            options=level(local_size=(4, 1, 1)),
+        )
+        np.testing.assert_array_equal(np.asarray(result.output).ravel(), want)

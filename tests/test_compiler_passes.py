@@ -498,6 +498,17 @@ class TestMemoryAllocator:
         with pytest.raises(NotImplementedError):
             alloc.alloc(TupleType([FLOAT, FLOAT]), AddressSpace.LOCAL)
 
+    def test_tuples_of_one_scalar_are_laid_out_interleaved(self):
+        from repro.compiler.memory import scalar_layout
+        from repro.types import INT
+
+        pair = TupleType([FLOAT, FLOAT])
+        assert scalar_layout(ArrayType(pair, 8)) == (FLOAT, Cst(16))
+        with pytest.raises(NotImplementedError, match="mixed-scalar tuple"):
+            scalar_layout(TupleType([FLOAT, INT]))
+        m = MemoryAllocator.for_param("x", ArrayType(pair, 8), AddressSpace.GLOBAL)
+        assert repr(m) == "Memory(x, global, floatx16)"
+
     def test_param_memory(self):
         m = MemoryAllocator.for_param("x", ArrayType(FLOAT, 16), AddressSpace.GLOBAL)
         assert m.is_param
@@ -537,6 +548,32 @@ class TestHoist:
             OpenCLProgram(source), items, items, args, engine="compiled"
         )
         return counters.iops, args["out"].data.copy()
+
+    def test_every_statement_and_expression_form_survives(self):
+        # Forms the code generator does not print: an early return, a
+        # cast and a negation of computed values, a vector member, an
+        # indexed pointer sum, if/else and a nested block.  Only the two
+        # invariant loads leave the loop, and the kernel computes the same.
+        from repro.compiler import cast
+        from repro.opencl.cparser import parse
+        from tests.programs import hoisted_source
+
+        source = cast.print_function(parse(self._kernel(
+            "  int g = get_global_id(0);\n"
+            "  if (g >= N) { return; }\n"
+            "  float4 v = vload4(g, a);\n"
+            "  float s = 0.0f;\n"
+            "  for (int i = 0; i < 4; i += 1) {\n"
+            "    s = s + (float)(n + i) * -x[g] + v.y + (a + 1)[i] + vload4(0, a + g).x;\n"
+            "    if (s > 100.0f) { s = s - 1.0f; } else { s = s + (float)(i); }\n"
+            "    { s = s * 0.5f; }\n"
+            "  }\n"
+            "  out[g] = s;\n"
+        )).functions["KERNEL"]) + "\n"
+        hoisted = hoisted_source(source, sizes=("N",))
+        assert "  float h1 = x[g];\n  float4 h2 = vload4(0, a + g);\n" in hoisted
+        assert hoisted.count("h1") == 2 and hoisted.count("h2") == 2
+        np.testing.assert_array_equal(self._iops(source, 8)[1], self._iops(hoisted, 8)[1])
 
     def test_invariant_index_term_leaves_the_loop_as_one_declaration(self):
         plain, hoisted = self._hoist(

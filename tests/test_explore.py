@@ -226,6 +226,23 @@ class TestToyExploration:
         assert result.stats.finish_dedup_hits > 0
         assert 0 < result.stats.dedup_hit_rate() <= 1
 
+    def test_the_ranking_is_described_with_each_derivation(self, tmp_path):
+        from repro.rewrite.explore import ExplorationError, ExplorationResult
+
+        result = explore_program(
+            _toy_program(), {"x": np.ones(64)}, {"N": 64},
+            config=ExploreConfig(depth=1, max_eval=3),
+            cache=TuningCache(tmp_path),
+        )
+        text = result.describe(top=2)
+        lines = text.splitlines()
+        assert lines[0] == "exploration ranking (fastest estimated runtime first):"
+        assert lines[1].startswith("  1. ") and " est (" in lines[1]
+        assert lines[2] == f"     derivation: {result.candidates[0].describe_trace()}"
+        assert lines[2] == "     derivation: finish:mapGlb(0)"
+        with pytest.raises(ExplorationError, match="no runnable candidate"):
+            ExplorationResult([], result.stats).best()
+
     def test_all_sequential_schedules_are_not_ranked(self, tmp_path):
         prog = _toy_program()
         result = explore_program(

@@ -330,3 +330,15 @@ def test_mutation_fuzzer_raises_only_typed_errors():
     assert all(outcomes.values()), outcomes
     assert all(plans.values()), plans
     assert slowest[0] < 0.05, slowest
+
+
+class TestSeldomSyntax:
+    def test_an_array_size_must_be_a_literal(self):
+        with pytest.raises(ParseError, match="array sizes must be integer literals, found 'n'"):
+            parse("kernel void K(global float *x, int n) { float a[n]; }")
+
+    def test_a_while_body_of_one_statement_is_a_block(self):
+        fn = parse("kernel void K(global float *x) { while (x[0] > 1.0f) x[0] = x[0] - 1.0f; }"
+                   ).functions["K"]
+        loop = fn.body.stmts[0]
+        assert isinstance(loop.body, c.CBlock) and len(loop.body.stmts) == 1

@@ -182,3 +182,136 @@ class TestCostModel:
         assert merged.flops == 4
         assert merged.barriers == 2
         assert merged.iops == 4
+
+
+_HEAD = ("kernel void K(const global float * restrict x, global float *out, int z) {\n"
+         "  int i = get_global_id(0);\n")
+
+#: Malformed kernels: each engine refuses with a typed error (the
+#: oracle's ``ExecError`` names the fault; the lane engine's is a static
+#: refusal or the same run-time error).
+_MALFORMED_KERNELS = {
+    "integer modulo by zero": ("out[i] = i % z;", "integer modulo by zero"),
+    "integer division by zero": ("out[i] = i / z;", "integer division by zero"),
+    "an undefined name": ("out[i] = q;", "undefined identifier 'q'"),
+    "an unknown function": ("out[i] = nofun(1.0f);", "unknown function 'nofun'"),
+    "an unknown size getter": ("out[i] = get_local_foo(0);",
+                               "unknown geometry builtin get_local_foo"),
+    "a float indexed": ("float f = 1.0f; out[i] = f[0];", "cannot index 1.0"),
+    "a store through an indexed float": (
+        "float f = 1.0f; f[0] = 2.0f; out[i] = f;", "indexed store into non-pointer"),
+    "a member store into a float": (
+        "float f = 1.0f; f.x = 2.0f; out[i] = f;", "member store into 1.0"),
+    "a member of a float": ("float f = 1.0f; out[i] = f.x;",
+                            "cannot take member x of 1.0"),
+    "a product of a pointer": ("out[i] = (x * 2)[i];",
+                               "unsupported pointer operation *"),
+    "a compound assignment of a pointer": (
+        "float f = 1.0f; f += x; out[i] = f;", "unsupported pointer operation +"),
+    "a comparison of a pointer": (
+        "if (x < 1.0f) { out[i] = 1.0f; }", "unsupported pointer operation <"),
+    "a vector member of no component": (
+        "float4 v = vload4(0, x); out[i] = v.q;", "cannot take member q"),
+}
+
+
+class TestMalformedKernels:
+    @pytest.mark.parametrize("engine", ["scalar", "auto"])
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_KERNELS))
+    def test_every_engine_refuses_with_a_typed_error(self, name, engine):
+        body, message = _MALFORMED_KERNELS[name]
+        args = {"x": Buffer.from_array(np.arange(40.0)), "out": Buffer.zeros(8), "z": 0}
+        with pytest.raises(ExecError) as error:
+            launch(OpenCLProgram(_HEAD + "  " + body + "\n}\n"), 8, 4, args,
+                   engine=engine)
+        if engine == "scalar":
+            assert message in str(error.value)
+
+    def test_a_local_array_of_a_helper_is_refused(self):
+        src = """
+        float g(float v) { local float t[4]; t[0] = v; return t[0]; }
+        kernel void K(global float *out) { out[get_global_id(0)] = g(1.0f); }"""
+        for engine in ("scalar", "auto"):
+            with pytest.raises(ExecError, match="local buffer t was not pre-allocated"):
+                launch(OpenCLProgram(src), 4, 4, {"out": Buffer.zeros(4)},
+                       engine=engine)
+
+    def test_a_member_of_no_hex_digits_is_no_component(self):
+        from repro.opencl.interp import vector_column
+
+        assert vector_column("sum") is None and vector_column("s1f") == 0x1f
+
+
+#: Forms no benchmark kernel writes, with C's values for ``x = 0 .. 39``.
+_SELDOM_KERNELS = {
+    "vector halves and a hex component": (
+        "float4 v = vload4(i, x); float2 l = v.lo; float2 h = v.hi;"
+        " out[i] = l.x + 10.0f * h.y + v.s2;",
+        [4 * i + 10 * (4 * i + 3) + 4 * i + 2 for i in range(8)]),
+    "a pointer difference": ("out[i] = (x + 3 - 1)[i];", [i + 2 for i in range(8)]),
+    "a dot of scalars": ("out[i] = dot(x[i], 2.0f);", [2 * i for i in range(8)]),
+    "an expression statement": ("x[i] + 1.0f; out[i] = 1.0f;", [1] * 8),
+    "a pointer into a private array moved under a mask": (
+        "float buf[2]; buf[0] = x[i]; buf[1] = 2.0f * x[i]; float *p = buf;"
+        " if (i % 2 == 1) { p = buf + 1; } out[i] = p[0];",
+        [i * (1 + i % 2) for i in range(8)]),
+    "a loop every lane returns from": (
+        "for (int t = 0; t < 4; t += 1) { if (t == 1) { out[i] = 3.0f; return; } }",
+        [3] * 8),
+    "a loop counter set by an assignment": (
+        "int t; float s = 0.0f; for (t = 0; t < 4; t += 1) { s = s + x[t + i]; }"
+        " out[i] = s;", [4 * i + 6 for i in range(8)]),
+    "a loop counting down": (
+        "float s = 0.0f; for (int t = 8; t > 0; t -= 2) { s = s + x[t + i]; }"
+        " out[i] = s;", [4 * i + 20 for i in range(8)]),
+    "a component stored under a mask": (
+        "float4 v = vload4(i, x); if (i > 2) { v.x = 1.0f; } out[i] = v.x;",
+        [0, 4, 8, 1, 1, 1, 1, 1]),
+    "a cast to size_t": ("out[i] = (size_t)(i) + 0.5f;", [i + 0.5 for i in range(8)]),
+    "a barrier in an else branch": (
+        "if (z > 0) { barrier(CLK_LOCAL_MEM_FENCE); } else"
+        " { barrier(CLK_LOCAL_MEM_FENCE); } out[i] = 2.0f;", [2] * 8),
+}
+
+
+class TestSeldomKernels:
+    @pytest.mark.parametrize("name", sorted(_SELDOM_KERNELS))
+    def test_every_engine_gives_c_values(self, name):
+        from tests.test_simt import assert_engines_agree
+
+        body, expected = _SELDOM_KERNELS[name]
+        make = lambda: {"x": Buffer.from_array(np.arange(40.0)),
+                        "out": Buffer.zeros(8), "z": 0}
+        results = assert_engines_agree(_HEAD + "  " + body + "\n}\n", 8, 4, make)
+        np.testing.assert_array_equal(results["scalar"][0]["out"], expected)
+
+
+class TestStaticCost:
+    """``static_program_cost`` beyond the explorer's candidates."""
+
+    def test_an_iterate_a_symbolic_size_and_an_overfull_launch(self):
+        from repro.arith import Var
+        from repro.ir.dsl import id_fun, map_glb
+        from repro.ir.nodes import Lambda, Param
+        from repro.ir.patterns import LiftTypeError
+        from repro.ir.typecheck import infer_types
+        from repro.opencl.cost import static_program_cost
+        from repro.types import FLOAT, array
+        from tests.programs import partial_dot
+
+        nvidia = DEVICES["nvidia"]
+        dot = partial_dot()
+        infer_types(dot.body)
+        sized = static_program_cost(dot, {"N": 1024}, nvidia, local_size=(64, 1, 1),
+                                    global_size=(1024, 1, 1))
+        # Without sizes, trip counts and widths take their defaults.
+        assert 0 < sized and 0 < static_program_cost(dot, {}, nvidia)
+        x = Param(array(FLOAT, Var("N")), "x")
+        copy = Lambda([x], map_glb(id_fun())(x))
+        with pytest.raises(LiftTypeError, match="prices a typed program"):
+            static_program_cost(copy, {"N": 4}, nvidia)
+        infer_types(copy.body)
+        fits = static_program_cost(copy, {"N": 10**4}, nvidia, global_size=(10**4, 1, 1))
+        over = static_program_cost(copy, {"N": 10**8}, nvidia, global_size=(10**8, 1, 1))
+        # Past the device's occupancy the cost grows with the overflow.
+        assert over > fits

@@ -9,7 +9,10 @@ from repro.types import ArrayType, FLOAT, INT, TupleType, VectorType, array
 from repro.ir.nodes import FunCall, Lambda, Literal, Param, UserFun
 from repro.ir.typecheck import infer_types
 from repro.ir.patterns import (
+    Filter,
     Iterate,
+    MapGlb,
+    Zip,
     LiftTypeError,
     reverse_indices,
     shift_indices,
@@ -400,3 +403,102 @@ class TestPatternProtocol:
         assert window.size == Cst(8)
         assert "(Window:8)" in canonical(special)
         assert infer_types(special.body) == ArrayType(ArrayType(FLOAT, 4), 2)
+
+
+def _typed(name, t):
+    p = Param(name)
+    p.type = t
+    return p
+
+
+def _uf(name, ins, out):
+    return UserFun(name, [f"p{i}" for i in range(len(ins))], "return p0;", ins, out)
+
+
+#: Malformed programs, each refused by the type checker with its reason.
+_MALFORMED = {
+    "a split of a scalar": (
+        lambda: split(2)(_typed("x", FLOAT)), "split expects an array"),
+    "a lambda of two parameters applied to one argument": (
+        lambda: map_seq(Lambda([Param("a"), Param("b")], Param("a")))(
+            _typed("xs", array(FLOAT, 4))),
+        "lambda of 2 parameter(s) applied to 1 argument(s)"),
+    "get of an array": (
+        lambda: get(_typed("xs", array(FLOAT, 4)), 0), "get expects a tuple"),
+    "filter by tuple indices": (
+        lambda: FunCall(Filter(), [_typed("xs", array(FLOAT, 4)),
+                                   _typed("ix", array(TupleType([INT, INT]), 2))]),
+        "filter indices must be scalars"),
+    "asVector of vectors": (
+        lambda: as_vector(4)(_typed("xs", array(VectorType(FLOAT, 4), 8))),
+        "asVector expects scalars"),
+    "asScalar of scalars": (
+        lambda: as_scalar()(_typed("xs", array(FLOAT, 8))),
+        "asScalar expects vectors"),
+    "an iterate body that changes the element type": (
+        lambda: Iterate(2, map_seq(_uf("to_int", [FLOAT], INT)))(
+            _typed("xs", array(FLOAT, 4))),
+        "iterate body must preserve the element type"),
+    "a parameter of no type": (
+        lambda: map_seq(id_fun())(Param(name="xs")), "parameter xs has no type"),
+}
+
+
+class TestMalformedPrograms:
+    @pytest.mark.parametrize("name", sorted(_MALFORMED))
+    def test_the_type_checker_names_the_fault(self, name):
+        build, reason = _MALFORMED[name]
+        with pytest.raises(LiftTypeError, match=re.escape(reason)):
+            infer_types(build())
+
+    def test_a_typed_memo_refuses_a_parameter_of_no_type(self):
+        from repro.ir.typecheck import TypeMemo
+
+        with pytest.raises(LiftTypeError, match="parameter xs has no type"):
+            TypeMemo().infer(map_seq(id_fun())(Param(name="xs")))
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: UserFun("f", ["a", "b"], "", [FLOAT], FLOAT), "differ in length"),
+        (lambda: MapGlb(id_fun(), 3), "dimensions 0, 1, 2"),
+        (lambda: Zip(1), "at least two arrays"),
+        (lambda: compose(), "at least one function"),
+    ])
+    def test_a_constructor_refuses_bad_arguments(self, build, error):
+        with pytest.raises((TypeError, ValueError), match=error):
+            build()
+
+
+class TestSmallForms:
+    def test_reprs_name_the_node(self):
+        a = Param(name="a")
+        assert repr(Literal(1.5, FLOAT)) == "Literal(1.5)"
+        assert repr(Lambda([a], a)) == "Lambda(a)"
+        assert repr(reverse_indices()) == "IndexFun(reverse)"
+
+    def test_iterate_rebuilds_with_a_new_count(self):
+        it = Iterate(2, map_seq(id_fun()))
+        again = it.with_payload(5)
+        assert type(again) is Iterate and again.n == Cst(5)
+
+    def test_join_of_a_transposed_split_is_the_whole_length(self):
+        n = Var("N")
+        xs = _typed("xs", array(FLOAT, n * 4))
+        assert infer_types(join()(transpose()(split(4)(xs)))) == array(FLOAT, n * 4)
+
+    def test_a_vectorized_user_function_keeps_its_tuple_types(self):
+        pair = TupleType([FLOAT, FLOAT])
+        vec = _uf("first", [pair], FLOAT).vectorized(4)
+        assert vec.in_types == (pair,) and vec.out_type == VectorType(FLOAT, 4)
+
+    def test_pad_prints_its_widths(self):
+        from repro.ir.printer import print_decl
+
+        assert print_decl(pad(1, 2)) == "pad(1,2)"
+
+    def test_a_user_function_maps_without_a_lambda(self):
+        from repro.ir.interp import VecValue, evaluate
+
+        xs = _typed("xs", array(FLOAT, 3))
+        assert evaluate(map_seq(id_fun())(xs), {xs: [1.0, 2.0, 3.0]}) == [1.0, 2.0, 3.0]
+        v = VecValue([1.0, 2.0])
+        assert v.width == 2 and repr(v) == "VecValue(1.0, 2.0)"

@@ -85,6 +85,9 @@ class TestReplaceMapNest:
 
 
 class TestStrategies:
+    def test_a_strategy_is_named_by_its_repr(self):
+        assert repr(global_1d()).startswith("MappingStrategy(")
+
     def test_global_1d_backs_lower_to_global(self):
         lowered = lower_to_global(_flat_program())
         glbs = [

@@ -521,34 +521,38 @@ class TestOutOfBand:
         # parsed SAXPY); launch/plan/run always fire.
         assert {"launch", "plan", "run"} <= names
 
-    @pytest.mark.parametrize("kind", ["race", "buffer kind"])
     def test_run_span_of_a_typed_error_carries_its_message(
-        self, kind, tmp_path, no_tracing
+        self, tmp_path, no_tracing
     ):
-        # A race raises mid-run; a buffer of no arithmetic dtype is
-        # refused by run() before any write (the plan was typed for the
-        # declared float).
-        if kind == "race":
-            error, args, reason = DataRace, race_args, "RACE: cross-lane "
-        else:
-            error, reason = CompileUnsupported, "kernel 'RACE' is not run"
-
-            def args():
-                return dict(race_args(), x=np.arange(8, dtype=np.uint8))
+        # A race raises mid-run.
         program = OpenCLProgram(RACE)
         path = tmp_path / "trace.json"
         obs.start_tracing(path)
-        with pytest.raises(error):
-            launch(program, 8, 4, args(), engine="auto")
-        launch(program, 8, 4, args(), engine="scalar")
+        with pytest.raises(DataRace):
+            launch(program, 8, 4, race_args(), engine="auto")
+        launch(program, 8, 4, race_args(), engine="scalar")
         obs.stop_tracing()
         runs = {
             e["args"]["backend"]: e["args"]
             for e in read_trace(path)["traceEvents"]
             if e["ph"] == "X" and e["name"] == "run"
         }
-        assert runs["compiled"]["reason"].startswith(reason)
+        assert runs["compiled"]["reason"].startswith("RACE: cross-lane ")
         assert "reason" not in runs["scalar"]  # served, nothing to explain
+
+    def test_a_buffer_of_another_kind_is_refused_before_any_span(
+        self, tmp_path, no_tracing
+    ):
+        # launch binds no buffer of another element kind than declared:
+        # the TypeError comes before the launch, plan and run spans.
+        program = OpenCLProgram(RACE)
+        path = tmp_path / "trace.json"
+        obs.start_tracing(path)
+        with pytest.raises(TypeError, match="parameter 'x'"):
+            launch(program, 8, 4, dict(race_args(), x=np.arange(8, dtype=np.uint8)))
+        obs.stop_tracing()
+        names = {e["name"] for e in read_trace(path)["traceEvents"]}
+        assert not names & {"launch", "plan", "run"}
 
     def test_plan_span_of_a_static_refusal_carries_its_reason(
         self, tmp_path, no_tracing
@@ -652,3 +656,33 @@ class TestBenchsuiteEndToEnd:
         assert "[trace written" not in err
         assert not obs.tracing_enabled()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEmptyReports:
+    """Each table says so when there is nothing to show."""
+
+    def test_no_calibration_records_and_no_profiled_launches(self):
+        from repro.obs.analysis import (
+            CalibrationLog, format_calibration, format_profile,
+        )
+
+        assert format_calibration({"workloads": {}}).endswith("  (no calibration records)")
+        # Without a document: this process's log, under the same header.
+        assert format_calibration().splitlines()[0] == format_calibration(
+            {"workloads": {}}).splitlines()[0]
+        assert format_profile([]).splitlines()[1] == "  (no profiled launches)"
+        assert CalibrationLog()._residual_rms([0.0], [1.0]) is None
+
+    def test_a_report_of_this_process_and_placeholder_sections(self):
+        from repro.benchsuite.report import _has_data, build_report
+
+        assert not _has_data({"error": "boom"}) and not _has_data({"active": False})
+        assert _has_data({"counters": 1}) and _has_data([1])
+        text = build_report()
+        assert text.startswith("# Performance report\n")
+
+    def test_starting_a_tracer_again_keeps_or_replaces_it(self, tmp_path, no_tracing):
+        first = obs.start_tracing(tmp_path / "a.json")
+        assert obs.start_tracing(tmp_path / "a.json") is first
+        second = obs.start_tracing(tmp_path / "b.json")
+        assert second is not first and (tmp_path / "a.json").exists()

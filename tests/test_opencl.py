@@ -280,3 +280,17 @@ class TestCounters:
             assert estimate_cycles(counters, profile) > estimate_cycles(
                 cheap, profile
             )
+
+
+class TestProgramsAndArguments:
+    def test_a_program_needs_a_kernel_and_a_kernel_its_name(self):
+        with pytest.raises(ValueError, match="program contains no kernel"):
+            OpenCLProgram("float f(float v) { return v; }")
+        program = OpenCLProgram("kernel void K(global float *x) { x[0] = 1.0f; }")
+        with pytest.raises(KeyError, match="no kernel named 'L'"):
+            program.kernel("L")
+
+    def test_a_pointer_parameter_needs_a_buffer(self):
+        program = OpenCLProgram("kernel void K(global float *x) { x[0] = 1.0f; }")
+        with pytest.raises(TypeError, match="buffer expected for parameter x"):
+            launch(program, 1, 1, {"x": [1.0]})

@@ -214,3 +214,28 @@ class TestLoweringRecipes:
         prog = Lambda([x], pipe(x, split(4), join()))
         with pytest.raises(ValueError):
             lower_to_global(prog)
+
+
+class TestCancellations:
+    def test_split_after_join_and_scalar_after_vector_cancel(self):
+        from repro.ir.typecheck import infer_types
+        from repro.rewrite.rules import split_join_cancel
+
+        x = Param(ArrayType(ArrayType(FLOAT, 4), Var("N")), "x")
+        call = split(4)(join()(x))
+        infer_types(call)
+        assert split_join_cancel().apply(call) is x
+        other = split(2)(join()(x))
+        infer_types(other)
+        assert split_join_cancel().apply(other) is None
+        y = Param(ArrayType(FLOAT, Var("N")), "y")
+        assert scalar_vector_cancel().apply(pat.AsScalar()(pat.AsVector(4)(y))) is y
+        assert repr(split_join_cancel()) == "Rule(split o join = id)"
+
+    def test_vectorize_refuses_a_length_it_does_not_divide(self):
+        from repro.ir.typecheck import infer_types
+
+        x = Param(ArrayType(FLOAT, 6), "x")
+        call = map_(id_fun())(x)
+        infer_types(call)
+        assert vectorize_map(4).apply(call) is None

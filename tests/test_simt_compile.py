@@ -10,6 +10,7 @@ fuzz over the shared IL programs of ``tests/programs.py``.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -440,27 +441,8 @@ class TestStaticTypes:
         with pytest.raises(CompileUnsupported, match=re.escape(reason)):
             launch(OpenCLProgram(src), 8, 4, make(), engine="compiled")
         assert_engines_agree(src, 8, 4, make, refused=reason)
-        # Refused once per (kernel, element kinds): later plans hit the cache.
+        # Refused once per kernel: later plans hit the cache.
         assert simt_compile.compile_count() == walks + 1
-
-    def test_a_buffer_of_no_arithmetic_kind_is_refused_before_any_write(self):
-        src = """
-        kernel void K(const global float * restrict x, global float *out) {
-          int i = get_global_id(0);
-          out[i] = x[i] * 2.0f;
-        }"""
-        reason = (
-            "no static type for 'x[i]' in 'K': "
-            "base pointer to a non-arithmetic dtype, index int"
-        )
-        x = np.arange(8, dtype=np.uint8)
-        out = Buffer.from_array(np.full(8, -1.0))
-        for engine in ("auto", "compiled"):
-            with pytest.raises(CompileUnsupported, match=re.escape(reason)):
-                launch(OpenCLProgram(src), 8, 4, {"x": x, "out": out}, engine=engine)
-            np.testing.assert_array_equal(out.data, np.full(8, -1.0))
-        launch(OpenCLProgram(src), 8, 4, {"x": x, "out": out}, engine="scalar")
-        np.testing.assert_array_equal(out.data, np.arange(8) * 2.0)
 
     @pytest.mark.parametrize("source, reason", [
         ("kernel void K(global float *x) { float4 v = vload4(0); x[0] = v.x; }",
@@ -772,14 +754,6 @@ _TYPED_CORNERS = {
         }""", lambda: {"x": Buffer.from_array(np.arange(12.0)),
                        "y": Buffer.from_array(np.arange(12.0) * -3.5),
                        "out": Buffer.zeros(8)}),
-    "int64 data behind a float pointer": ("""
-        kernel void K(const global float * restrict inp, global float *out,
-                      global float *half) {
-          int i = get_global_id(0);
-          out[i] = inp[i] * 2 + inp[i];
-          half[i] = inp[i] / 2;
-        }""", lambda: {"inp": np.arange(-5, 11, 2, dtype=np.int64),
-                       "out": Buffer.zeros(8), "half": Buffer.zeros(8)}),
 }
 
 
@@ -805,30 +779,6 @@ class TestTypedCorners:
         expected = want(np.arange(32.0), np.arange(8))
         for outs, _ in assert_engines_agree(source, 8, 4, make_args).values():
             np.testing.assert_array_equal(outs["out"], expected)
-
-    def test_a_float_pointer_counts_the_int64_data_it_is_bound_to(self):
-        # Loads take the kind of the launch's buffer: ``inp[i] * 2`` over
-        # int64 data is integer work, and ``inp[i] / 2`` a shift.
-        source, make_args = _TYPED_CORNERS["int64 data behind a float pointer"]
-        for outs, counters in assert_engines_agree(
-            source, 8, 4, make_args
-        ).values():
-            assert counters.flops == 0
-            assert counters.iops == 8 * 3
-            # C integer division truncates toward zero.
-            np.testing.assert_array_equal(
-                outs["half"], np.trunc(np.arange(-5, 11, 2) / 2)
-            )
-
-    def test_pipelines_are_typed_per_element_kinds(self):
-        source, make_args = _TYPED_CORNERS["int64 data behind a float pointer"]
-        program = OpenCLProgram(source)
-        launch(program, 8, 4, make_args(), engine="compiled")
-        floats = {"inp": Buffer.from_array(np.arange(8.0)),
-                  "out": Buffer.zeros(8), "half": Buffer.zeros(8)}
-        launch(program, 8, 4, floats, engine="compiled")
-        kinds = {key[1] for key in program.parsed._simt_pipelines}
-        assert kinds == {None, ("i", "f", "f")}
 
     def test_an_inlined_helper_still_charges_calls(self):
         src = """
@@ -883,6 +833,46 @@ class TestComparisonsAreInts:
             assert_engines_agree(src, 8, 4, make)
         outs, _ = run_on(src, 8, 4, make, "scalar")
         np.testing.assert_array_equal(outs["out"], expected)
+
+
+#: Buffers whose element kind is not their ``float *``'s: one ``launch``
+#: refuses with a ``TypeError`` on every engine.
+_MISTYPED = {
+    "int64 data behind a float pointer": lambda: np.arange(-5, 11, 2, dtype=np.int64),
+    "an unsigned buffer": lambda: np.arange(8, dtype=np.uint8),
+    "a bool buffer": lambda: np.ones(8, dtype=bool),
+    "a 2-D buffer": lambda: np.zeros((2, 4)),
+}
+
+
+class TestBuffersAreTypedFromTheirDeclarations:
+    @pytest.mark.parametrize("engine", ["auto", "compiled", "scalar"])
+    @pytest.mark.parametrize("name", sorted(_MISTYPED))
+    def test_a_buffer_of_another_kind_is_a_type_error_before_any_write(
+        self, name, engine
+    ):
+        src = """
+        kernel void K(const global float * restrict inp, global float *out) {
+          int i = get_global_id(0);
+          out[i] = inp[i] * 2 + inp[i];
+        }"""
+        out = Buffer.from_array(np.full(8, -1.0))
+        inp = _MISTYPED[name]()
+        message = (f"parameter 'inp' is declared float * but bound to a "
+                   f"{inp.ndim}-D {inp.dtype} buffer")
+        with pytest.raises(TypeError, match=re.escape(message)):
+            launch(OpenCLProgram(src), 8, 4, {"inp": inp, "out": out},
+                   engine=engine)
+        np.testing.assert_array_equal(out.data, np.full(8, -1.0))
+
+    def test_an_int_pointer_refuses_float_data(self):
+        src = """
+        kernel void K(const global int * restrict a, global int *out) {
+          out[get_global_id(0)] = a[get_global_id(0)];
+        }"""
+        args = {"a": Buffer.zeros(4), "out": Buffer.zeros(4, "int")}
+        with pytest.raises(TypeError, match="a 1-D signed integer buffer expected"):
+            launch(OpenCLProgram(src), 4, 4, args)
 
 
 #: Forms no benchmark kernel and no generated kernel writes, each body
@@ -951,3 +941,58 @@ class TestSeldomWrittenForms:
                         "out": Buffer.zeros(64)}
         results = assert_engines_agree(src, 64, 16, make)
         assert compactions and results["scalar"][1].cached_loads > 0
+
+
+class TestFloatDivisionByZero:
+    """C's float ``/`` by zero is IEEE's ``±inf`` or NaN on every engine,
+    uniform operands (Python floats) included, and the oracle computes
+    it, and overflow, with no numpy warning."""
+
+    SRC = """
+    kernel void K(const global float * restrict x, global float *out,
+                  float z, float nz) {
+      int i = get_global_id(0);
+      out[5 * i] = 1.0f / 0.0f;
+      out[5 * i + 1] = 1.0f / z;
+      out[5 * i + 2] = z / z;
+      out[5 * i + 3] = 1.0f / nz;
+      out[5 * i + 4] = x[i] / z;
+    }"""
+
+    @staticmethod
+    def make():
+        return {"x": Buffer.from_array(np.linspace(-1, 1, 8)),
+                "out": Buffer.zeros(40), "z": 0, "nz": -0.0}
+
+    def test_every_engine_gives_ieee_values(self):
+        results = assert_engines_agree(self.SRC, 8, 4, self.make)
+        out = results["scalar"][0]["out"].reshape(8, 5)
+        assert (out[:, 0] == np.inf).all() and (out[:, 1] == np.inf).all()
+        assert np.isnan(out[:, 2]).all()
+        assert (out[:, 3] == -np.inf).all()
+        np.testing.assert_array_equal(
+            out[:, 4], np.linspace(-1, 1, 8) * np.inf)
+
+    def test_a_float_remainder_by_zero_is_nan(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out, float z) {
+          int i = get_global_id(0);
+          out[i] = x[i] % z + 1.0f % 0.0f;
+        }"""
+        make = lambda: {"x": Buffer.from_array(np.linspace(-1, 1, 8)),
+                        "out": Buffer.zeros(8), "z": 0.0}
+        results = assert_engines_agree(src, 8, 4, make)
+        assert np.isnan(results["scalar"][0]["out"]).all()
+
+    def test_the_oracle_warns_of_nothing(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out, float d) {
+          int i = get_global_id(0);
+          out[i] = x[i] * 1e300f * 1e300f - x[i] * 1e300f * 1e300f + x[i] / d;
+        }"""
+        args = {"x": Buffer.from_array(np.linspace(-1, 1, 8)),
+                "out": Buffer.zeros(8), "d": 0.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            launch(OpenCLProgram(src), 8, 4, args, engine="scalar")
+        assert np.isnan(args["out"].data).all()

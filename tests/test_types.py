@@ -85,3 +85,15 @@ class TestArray:
         assert scalar_base(array(float4, 8)) == FLOAT
         with pytest.raises(TypeError):
             scalar_base(TupleType([FLOAT, INT]))
+
+
+class TestNestedTuples:
+    def test_a_tuple_of_a_tuple_and_an_array_is_named_counted_and_sized(self):
+        inner = TupleType([INT, FLOAT])
+        t = TupleType([inner, array(FLOAT, 4)])
+        assert t.name == "Tuple2_Tuple2_int_float_arr_float"
+        assert element_count(t) == Cst(6)
+        assert size_in_bytes(t) == Cst(24)
+
+    def test_the_scalar_base_of_a_vector_array(self):
+        assert scalar_base(array(float4, Var("N"))) == FLOAT == scalar_base(FLOAT)
