@@ -406,7 +406,8 @@ def _typed(kind: str, width: int) -> CType:
 def binop_type(op: str, lt: Optional[CType], rt: Optional[CType]) -> Optional[CType]:
     """Result type of a binary operator, mirroring the engines' values:
     a comparison's scalar result is an ``int`` operand
-    (:func:`arith_operand`); ``int / int`` and ``int % int`` are C
+    (:func:`arith_operand`); a pointer takes ``± int`` and ``int +``
+    only; ``int / int`` and ``int % int`` are C
     integer division; ``/`` on integer vectors is a true division; a
     float operand makes a float of the wider width; ``%`` without one
     stays integer (``fmod`` of integers)."""
@@ -415,8 +416,10 @@ def binop_type(op: str, lt: Optional[CType], rt: Optional[CType]) -> Optional[CT
             return _typed("b", max(lt.width, rt.width))
         return None
     lt, rt = arith_operand(lt), arith_operand(rt)
+    if op == "+" and rt is not None and rt.kind == "ptr":
+        lt, rt = rt, lt  # int + pointer is pointer + int
     if lt is not None and lt.kind == "ptr":
-        return lt if op in ("+", "-") and is_arith(rt) and rt.kind != "b" else None
+        return lt if op in ("+", "-") and rt == I else None
     if not (is_arith(lt) and is_arith(rt)) or "b" in (lt.kind, rt.kind):
         return None
     width = max(lt.width, rt.width)
@@ -958,13 +961,12 @@ class WorkItem:
 
     @staticmethod
     def _binop_value(op: str, lhs: Any, rhs: Any) -> Any:
-        if isinstance(lhs, Pointer):
-            if op == "+":
-                return lhs.plus(int(rhs))
-            if op == "-":
-                return lhs.plus(-int(rhs))
-            raise ExecError(f"unsupported pointer operation {op}")
-        if isinstance(rhs, Pointer):  # the lane engine types pointer ± int only
+        if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
+            # C's pointer arithmetic: pointer ± int and int + pointer.
+            if isinstance(lhs, Pointer) and op in ("+", "-") and _is_int(rhs):
+                return lhs.plus(int(rhs) if op == "+" else -int(rhs))
+            if isinstance(rhs, Pointer) and op == "+" and _is_int(lhs):
+                return rhs.plus(int(lhs))
             raise ExecError(f"unsupported pointer operation {op}")
         if op == "+":
             return lhs + rhs

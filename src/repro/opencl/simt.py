@@ -638,18 +638,8 @@ class _Block:
         key = id(ptr.array)
         entry = self._hazards.get(key)
         if entry is None:
-            # The packed local detector encodes lane ids below
-            # SEG_SCALE, which covers a block of MAX_LANES; only a
-            # single work-group larger than that (a block always holds
-            # at least one whole group) uses the general detector,
-            # which is sound for any buffer.
-            cls = (
-                _HazardLocal
-                if ptr.space == "local" and self.L <= _HazardLocal.SEG_SCALE
-                else _Hazard
-            )
-            entry = _acquire_hazard(ptr.array.size, cls).retarget(
-                ptr.array, self._lanes_per_group
+            entry = _acquire_hazard(ptr.array.size).retarget(
+                ptr.array, self._lanes_per_group, type(ptr) is not RowPtr
             )
             self._hazards[key] = entry
         return entry
@@ -863,12 +853,12 @@ class _Block:
         return lhs, rhs
 
     @staticmethod
-    def _int_div(a, b, m):
+    def _int_div(a, b, m, what: str = "division"):
         if _is_uniform(a) and _is_uniform(b):
             return _c_int_div(int(a), int(b))
         zero = np.equal(b, 0)
         if bool(np.any(zero & m)):
-            raise ExecError("integer division by zero")
+            raise ExecError(f"integer {what} by zero")
         safe = np.where(zero, 1, b)
         q = np.abs(a) // np.abs(safe)
         return np.where(np.greater_equal(a, 0) == np.greater_equal(safe, 0), q, -q)
@@ -877,7 +867,7 @@ class _Block:
     def _int_mod(a, b, m):
         if _is_uniform(a) and _is_uniform(b):
             return _c_int_mod(int(a), int(b))
-        q = _Block._int_div(a, b, m)
+        q = _Block._int_div(a, b, m, "modulo")
         safe = np.where(np.equal(b, 0), 1, b)
         return a - q * safe
 
@@ -1151,7 +1141,7 @@ def _rev(a: np.ndarray) -> np.ndarray:
 
 
 class _Hazard:
-    """Cross-lane data-race detector for one shared buffer.
+    """Cross-lane data-race detector for one tracked buffer.
 
     The scalar interpreter runs the work-items of a barrier-free segment
     sequentially to completion, so a later item can observe an earlier
@@ -1159,59 +1149,98 @@ class _Hazard:
     across all lanes.  The two orders agree exactly for race-free
     kernels.  This detector flags the conflicts that could differ as a
     :class:`DataRace`, so a launch the engine completes reproduces the
-    scalar result bit for bit:
+    scalar result bit for bit.  Two accesses to one address, at least
+    one a write, from different lanes conflict
 
-    * same-address accesses from *different lanes of one work-group*
-      with at least one write, within one barrier segment (a barrier
-      orders them in both engines);
-    * same-address accesses from *different work-groups* with at least
-      one write, in **any** segment of the current block — barriers do
-      not order work-groups, the scalar engine runs them sequentially,
-      so any cross-group conflict is order-dependent.  (Blocks run in
-      the scalar engine's group order, so cross-*block* conflicts agree
-      by construction.)
+    * within one barrier segment (the *segment* rule): the barrier
+      orders the accesses of one work-group's segments in both engines,
+      whatever its fence flags (the oracle, too, lets a barrier order
+      every address space);
+    * at any segment distance within the block when they come from
+      different work-groups (the *group* rule): barriers do not order
+      work-groups, and the scalar engine runs them one after another.
+      Blocks run in the scalar engine's group order, so conflicts
+      between blocks agree by construction.  A row-partitioned local
+      array (``shared`` false) needs no group rule: its flat address
+      embeds the group's row, so only one group reaches an address.
 
-    Bookkeeping is fully vectorized: per address, the writing lane and
-    the min/max reading lanes, each epoch-stamped with the barrier
-    segment.  Segments increase monotonically across blocks *and across
-    launches* (``_pool_tls.epoch``), so the stamp arrays never
-    need re-initialization: entries stamped before the current block's
-    first segment are simply stale — nothing is ever cleared, which is
-    what lets :func:`_acquire_hazard` pool the five bookkeeping arrays
-    across blocks and launches instead of re-allocating ~5x the buffer
-    size per launch.  Within a single statement all lanes are
-    simultaneous in both engines, so intra-statement duplicates are not
-    conflicts; checks run against the pre-statement state only.
+    Every entry packs an epoch above a lane or group index:
+    ``segment * SCALE + lane`` for the latest writer (``w_pack``) and
+    for the greatest reader of the latest segment (``r_hi``; ``r_lo``
+    holds the least, lane-inverted as ``SCALE-1 - lane``, so that one
+    ``np.maximum`` update serves both), and ``base * SCALE + group``
+    for the greatest and least reading group of the block (``g_hi``,
+    ``g_lo``; ``base`` is the block's first segment).  Segments
+    increase across blocks *and launches* (``_pool_tls.epoch``), so the
+    larger entry is always the later one and an entry below
+    ``segment * SCALE`` (``base * SCALE``) is from an earlier segment
+    (block): nothing is ever cleared, which is what lets
+    :func:`_acquire_hazard` pool the arrays across blocks and launches.
+    The latest writer suffices for the group rule: a write after
+    another group's in the block has already raised.
 
-    Local (row-partitioned) buffers use :class:`_HazardLocal` instead:
-    their flat addresses embed the work-group ordinal, so two accesses
-    to one address are always same-group, the cross-group terms vanish,
-    and only same-*segment* conflicts remain — which admits a packed
-    ``segment * SEG_SCALE + lane`` representation with one array per
-    access kind.
+    Within a single statement all lanes are simultaneous in both
+    engines, so duplicates within one call are not conflicts: each
+    check runs against the state before the call.  A read matters only
+    to a later write, so reads wait (``pending``) until a write of
+    their buffer, or until there are more than 16 of them; a read of a
+    finished segment then only enters the group entries.
     """
 
+    #: Above the largest lane index of any block a launch can build (a
+    #: block holds a whole work-group, and ``2**32`` lanes would need
+    #: tens of GB per lane array).
+    SCALE = 1 << 32
+    #: The epoch at which the launcher drops the pool and starts again
+    #: from 0 (:func:`_epoch`): packed entries stay inside int64 for
+    #: ``2**31`` segments, so a block would need ``2**30`` barriers to
+    #: pass the bound.
+    EPOCH_LIMIT = 1 << 30
+
     __slots__ = (
-        "array", "lanes_per_group",
-        "w_stamp", "writer", "r_stamp", "r_min", "r_max",
+        "array", "lanes_per_group", "shared",
+        "w_pack", "r_hi", "r_lo", "g_hi", "g_lo",
+        "w_seg", "r_seg", "g_seg", "pending",
     )
 
     def __init__(self, size: int):
         self.array: Optional[np.ndarray] = None
         self.lanes_per_group = 1
-        self.w_stamp = np.full(size, -1, dtype=np.int64)
-        self.writer = np.zeros(size, dtype=np.int64)
-        self.r_stamp = np.full(size, -1, dtype=np.int64)
-        self.r_min = np.zeros(size, dtype=np.int64)
-        self.r_max = np.zeros(size, dtype=np.int64)
+        self.shared = True
+        self.w_pack = np.full(size, -1, dtype=np.int64)
+        self.r_hi = np.full(size, -1, dtype=np.int64)
+        self.r_lo = np.full(size, -1, dtype=np.int64)
+        self.g_hi = np.full(size, -1, dtype=np.int64)
+        self.g_lo = np.full(size, -1, dtype=np.int64)
+        # The latest segment with a write / a recorded read / a recorded
+        # reading group: they gate the per-address scans below.
+        self.w_seg = self.r_seg = self.g_seg = -1
+        self.pending: list = []  # (addrs, lanes, segment) not recorded yet
 
-    def retarget(self, array: np.ndarray, lanes_per_group: int) -> "_Hazard":
-        """Bind a pooled detector to a buffer.  Old stamps are stale by
-        the epoch argument callers pass (always past stamps), so the
-        arrays keep whatever they contained."""
+    def retarget(self, array: np.ndarray, lanes_per_group: int, shared: bool) -> "_Hazard":
+        """Bind a pooled detector to a buffer (``shared``: every group
+        of the block reaches it).  Old entries are stale by the epoch,
+        so the arrays keep whatever they contained."""
         self.array = array
         self.lanes_per_group = lanes_per_group
+        self.shared = shared
         return self
+
+    def _writers(self, addrs, lanes, seg: int, base: int):
+        """Where a write of this block conflicts with an access of
+        ``lanes`` (``None``: no write is in reach)."""
+        shared = self.shared
+        if self.w_seg != seg and not (shared and self.w_seg >= base):
+            return None
+        thr = seg * self.SCALE
+        packed = self.w_pack[addrs]
+        conflict = (packed >= thr) & (packed != lanes + thr)
+        if shared:
+            l0 = self.lanes_per_group
+            conflict |= (packed >= base * self.SCALE) & (
+                (packed & (self.SCALE - 1)) // l0 != lanes // l0
+            )
+        return conflict
 
     def note_read(
         self, addrs: np.ndarray, lanes: np.ndarray, seg: int, base: int
@@ -1221,203 +1250,74 @@ class _Hazard:
         form broadcasts the per-lane ids instead of ``np.repeat``-ing
         them per access (row-major flattening preserves the ascending
         lane order the duplicate-address scatters rely on)."""
-        if addrs.ndim == 2:
-            lanes = lanes[:, None]
-        stamp = self.w_stamp[addrs]
-        writer = self.writer[addrs]
-        l0 = self.lanes_per_group
-        conflict = (
-            (stamp >= base)
-            & (writer != lanes)
-            & ((stamp == seg) | (writer // l0 != lanes // l0))
+        conflict = self._writers(
+            addrs, lanes[:, None] if addrs.ndim == 2 else lanes, seg, base
         )
-        if conflict.any():
+        if conflict is not None and conflict.any():
             raise DataRace(
                 "cross-lane read of an address written by another "
                 "work-item (order-dependent result)"
             )
-        # Reader min/max accumulate across the whole block (a later
-        # same-group reader must not mask an earlier cross-group one);
-        # ``r_stamp`` keeps the *latest* read segment for the same-segment
-        # write check and for staleness across blocks.
-        valid = self.r_stamp[addrs] >= base
-        new_min = np.where(valid, np.minimum(self.r_min[addrs], lanes), lanes)
-        new_max = np.where(valid, np.maximum(self.r_max[addrs], lanes), lanes)
-        # Lanes ascend, so a forward scatter keeps the max for duplicate
-        # addresses and a reversed scatter keeps the min.
-        self.r_min[_rev(addrs)] = _rev(new_min)
-        self.r_max[addrs] = new_max
-        self.r_stamp[addrs] = seg
+        self.pending.append((addrs, lanes, seg))
+        if len(self.pending) > 16:  # bounded: record them now
+            self._record(seg, base)
+
+    def _record(self, seg: int, base: int) -> None:
+        for addrs, lanes, read_seg in self.pending:
+            if addrs.ndim == 2:
+                lanes = lanes[:, None]
+            if read_seg == seg:
+                self._widen(self.r_hi, self.r_lo, addrs, lanes, seg * self.SCALE)
+                self.r_seg = seg
+            if self.shared:
+                self._widen(
+                    self.g_hi, self.g_lo, addrs, lanes // self.lanes_per_group,
+                    base * self.SCALE,
+                )
+                self.g_seg = seg
+        self.pending = []
+
+    @staticmethod
+    def _widen(hi, lo, addrs, ids, floor: int) -> None:
+        """Take ``ids`` into the greatest (``hi``) and least (``lo``,
+        inverted) entries above ``floor``.  Duplicate addresses within
+        one call: ids ascend, so the forward scatter keeps the largest
+        packed hi and the reversed scatter the largest packed lo."""
+        hi[addrs] = np.maximum(hi[addrs], ids + floor)
+        least = np.maximum(lo[addrs], (floor + _Hazard.SCALE - 1) - ids)
+        lo[_rev(addrs)] = _rev(least)
 
     def note_write(
         self, addrs: np.ndarray, lanes: np.ndarray, seg: int, base: int
     ) -> None:
-        """Accepts the same 1-D / 2-D address forms as :meth:`note_read`."""
+        """1-D or 2-D ``addrs``; see :meth:`note_read`."""
+        if self.pending:
+            self._record(seg, base)
         if addrs.ndim == 2:
             lanes = lanes[:, None]
-        w_stamp = self.w_stamp[addrs]
-        writer = self.writer[addrs]
-        r_stamp = self.r_stamp[addrs]
-        r_min = self.r_min[addrs]
-        r_max = self.r_max[addrs]
-        l0 = self.lanes_per_group
-        groups = lanes // l0
-        conflict = (
-            (w_stamp >= base)
-            & (writer != lanes)
-            & ((w_stamp == seg) | (writer // l0 != groups))
-        )
-        conflict |= (
-            (r_stamp >= base)
-            & ((r_min != lanes) | (r_max != lanes))
-            & (
-                (r_stamp == seg)
-                | (r_min // l0 != groups)
-                | (r_max // l0 != groups)
-            )
-        )
-        if conflict.any():
-            raise DataRace(
-                "cross-lane write/read conflict (order-dependent result)"
-            )
-        self.writer[addrs] = lanes
-        self.w_stamp[addrs] = seg
-
-
-class _HazardLocal:
-    """Race detector for row-partitioned local buffers.
-
-    Cross-group conflicts are structurally impossible (the flat address
-    embeds the group row), and same-group accesses in different barrier
-    segments are ordered by the barrier in both engines — so only
-    *same-segment* conflicts remain.  That admits packing each entry as
-    ``segment * SEG_SCALE + lane``: the monotonically increasing
-    segment makes ``np.maximum`` both the update rule and the staleness
-    filter (older segments always lose), and a single comparison against
-    ``segment * SEG_SCALE`` tests "touched in this segment".
-
-    ``r_hi`` keeps the packed *largest* reader lane of the latest
-    segment; ``r_lo`` the smallest, stored lane-inverted
-    (``SEG_SCALE-1 - lane``) so the same max-update applies.  Compared
-    to the block-accumulating min/max of :class:`_Hazard` this is
-    *more* precise for the write check (an earlier-segment reader is
-    barrier-ordered and raises no spurious race) and
-    equally sound: any same-segment foreign-lane access outlasts the
-    max against older entries.
-
-    Reads matter only to a later write of their own segment, so a read
-    made before any write of its segment is only kept (``pending``) and
-    recorded when such a write comes; a barrier drops them.
-    """
-
-    #: Must exceed the largest lane index of a block, ``MAX_LANES``
-    #: (asserted below).  The packed entries stay far inside int64:
-    #: 2**42 segments.
-    SEG_SCALE = 1 << 21
-
-    __slots__ = (
-        "array", "w_pack", "r_hi", "r_lo", "w_seg", "r_seg", "pending",
-        "pending_seg",
-    )
-
-    def __init__(self, size: int):
-        self.array: Optional[np.ndarray] = None
-        self.w_pack = np.full(size, -1, dtype=np.int64)
-        self.r_hi = np.full(size, -1, dtype=np.int64)
-        self.r_lo = np.full(size, -1, dtype=np.int64)
-        # Last segment with any write/read of this buffer.  Segments are
-        # globally unique (monotonic epochs), so a plain int comparison
-        # tells "was this buffer touched earlier in this segment" —
-        # which gates the per-address conflict scans below.
-        self.w_seg = -1
-        self.r_seg = -1
-        self.pending: list = []  # (addrs, lanes) read in pending_seg
-        self.pending_seg = -1
-
-    def retarget(self, array: np.ndarray, lanes_per_group: int) -> "_HazardLocal":
-        self.array = array
-        self.pending = []
-        return self
-
-    def note_read(
-        self, addrs: np.ndarray, lanes: np.ndarray, seg: int, base: int
-    ) -> None:
-        """1-D or 2-D ``addrs``; see :meth:`_Hazard.note_read`."""
-        if self.w_seg != seg:
-            # Only a write earlier in this very segment can conflict
-            # with a read, and only a later one needs it recorded.
-            if self.pending_seg != seg:
-                self.pending = []
-                self.pending_seg = seg
-            self.pending.append((addrs, lanes))
-            if len(self.pending) > 16:  # bounded: record them now
-                self._record_pending(seg)
-            return
-        if addrs.ndim == 2:
-            lanes = lanes[:, None]
-        scale = self.SEG_SCALE
+        scale = self.SCALE
+        top = scale - 1
         thr = seg * scale
-        t_hi = lanes + thr
-        packed = self.w_pack[addrs]
-        conflict = (packed >= thr) & (packed != t_hi)
-        if conflict.any():
-            raise DataRace(
-                "cross-lane read of an address written by another "
-                "work-item (order-dependent result)"
-            )
-        self._record_read(addrs, lanes, thr, t_hi)
-
-    def _record_pending(self, seg: int) -> None:
-        thr = seg * self.SEG_SCALE
-        for read, readers in self.pending:
-            readers = readers[:, None] if read.ndim == 2 else readers
-            self._record_read(read, readers, thr, readers + thr)
-        self.pending = []
-
-    def _record_read(self, addrs, lanes, thr: int, t_hi) -> None:
-        scale = self.SEG_SCALE
-        # Duplicate addresses within one call: lanes ascend, so the
-        # forward scatter keeps the largest packed hi and the reversed
-        # scatter the largest packed lo (= smallest lane).
-        self.r_hi[addrs] = np.maximum(self.r_hi[addrs], t_hi)
-        t_lo = (thr + scale - 1) - lanes
-        lo = np.maximum(self.r_lo[addrs], t_lo)
-        self.r_lo[_rev(addrs)] = _rev(lo)
-        self.r_seg = thr // scale
-
-    def note_write(
-        self, addrs: np.ndarray, lanes: np.ndarray, seg: int, base: int
-    ) -> None:
-        """1-D or 2-D ``addrs``; see :meth:`_Hazard.note_read`."""
-        scale = self.SEG_SCALE
-        thr = seg * scale
-        if self.pending_seg == seg:
-            self._record_pending(seg)
-        if addrs.ndim == 2:
-            lanes = lanes[:, None]
-        t_hi = lanes + thr
-        conflict = None
-        if self.w_seg == seg:
-            packed = self.w_pack[addrs]
-            conflict = (packed >= thr) & (packed != t_hi)
+        conflict = self._writers(addrs, lanes, seg, base)
+        readers = []
         if self.r_seg == seg:
-            t_lo = (thr + scale - 1) - lanes
-            r_hi = self.r_hi[addrs]
-            r_conflict = (r_hi >= thr) & (
-                (r_hi != t_hi) | (self.r_lo[addrs] != t_lo)
+            readers.append((self.r_hi, self.r_lo, thr, lanes))
+        if self.shared and self.g_seg >= base:
+            readers.append(
+                (self.g_hi, self.g_lo, base * scale, lanes // self.lanes_per_group)
+            )
+        for hi, lo, floor, ids in readers:
+            packed = hi[addrs]
+            r_conflict = (packed >= floor) & (
+                (packed != ids + floor) | (lo[addrs] != (floor + top) - ids)
             )
             conflict = r_conflict if conflict is None else conflict | r_conflict
         if conflict is not None and conflict.any():
             raise DataRace(
                 "cross-lane write/read conflict (order-dependent result)"
             )
-        self.w_pack[addrs] = t_hi
+        self.w_pack[addrs] = lanes + thr
         self.w_seg = seg
-
-
-assert _HazardLocal.SEG_SCALE >= MAX_LANES, (
-    "a block must fit the packed local race detector"
-)
 
 
 # -- pooled per-thread runtime state ----------------------------------------
@@ -1433,8 +1333,10 @@ _pool_tls = _threading.local()
 #: would pin too much memory between launches).
 _HAZARD_POOL_MAX_SIZE = 1 << 20
 _HAZARD_POOL_PER_SIZE = 8
-#: Total bookkeeping bytes one thread's pool may pin between launches.
+#: Total bookkeeping bytes one thread's pool may pin between launches,
+#: and what a detector pins per buffer element (five int64 arrays).
 _HAZARD_POOL_MAX_BYTES = 64 << 20
+_HAZARD_BYTES = 5 * 8
 
 #: Launch geometries with more work-items than this are recomputed per
 #: launch instead of cached.
@@ -1442,52 +1344,43 @@ _GEOMETRY_CACHE_MAX_ITEMS = 1 << 16
 _GEOMETRY_CACHE_ENTRIES = 8
 
 
-def _hazard_bytes(hz) -> int:
-    if type(hz) is _HazardLocal:
-        return 3 * 8 * hz.w_pack.size
-    return 5 * 8 * hz.w_stamp.size
-
-
-def _acquire_hazard(size: int, cls) -> "_Hazard | _HazardLocal":
-    if size > _HAZARD_POOL_MAX_SIZE:
-        return cls(size)
-    pool = getattr(_pool_tls, "hazards", None)
-    if pool is None:
-        pool = {}
-        _pool_tls.hazards = pool
-    stack = pool.get((size, cls))
+def _acquire_hazard(size: int) -> _Hazard:
+    stack = getattr(_pool_tls, "hazards", {}).get(size)
     if stack:
-        hz = stack.pop()
-        _pool_tls.hazard_bytes = (
-            getattr(_pool_tls, "hazard_bytes", 0) - _hazard_bytes(hz)
-        )
-        return hz
-    return cls(size)
+        _pool_tls.hazard_bytes -= _HAZARD_BYTES * size
+        return stack.pop()
+    return _Hazard(size)
 
 
 def _release_hazards(hazards: dict) -> None:
     pool = getattr(_pool_tls, "hazards", None)
     if pool is None:
-        pool = {}
-        _pool_tls.hazards = pool
+        pool = _pool_tls.hazards = {}
     pooled_bytes = getattr(_pool_tls, "hazard_bytes", 0)
     for hz in hazards.values():
-        array = hz.array
-        if array is None:
+        size = hz.array.size
+        hz.array, hz.pending = None, []  # pin neither the buffer nor its reads
+        cost = _HAZARD_BYTES * size
+        if size > _HAZARD_POOL_MAX_SIZE or pooled_bytes + cost > _HAZARD_POOL_MAX_BYTES:
             continue
-        size = array.size
-        hz.array = None  # do not pin the buffer
-        if size > _HAZARD_POOL_MAX_SIZE:
-            continue
-        cost = _hazard_bytes(hz)
-        if pooled_bytes + cost > _HAZARD_POOL_MAX_BYTES:
-            continue
-        stack = pool.setdefault((size, type(hz)), [])
+        stack = pool.setdefault(size, [])
         if len(stack) < _HAZARD_POOL_PER_SIZE:
             stack.append(hz)
             pooled_bytes += cost
     _pool_tls.hazard_bytes = pooled_bytes
     hazards.clear()
+
+
+def _epoch() -> int:
+    """The first segment of the thread's next block.  Past
+    :attr:`_Hazard.EPOCH_LIMIT` it restarts from 0 and the pool is
+    dropped: a pooled entry would look later than every new one."""
+    epoch = getattr(_pool_tls, "epoch", 0)
+    if epoch > _Hazard.EPOCH_LIMIT:
+        _pool_tls.hazards = {}
+        _pool_tls.hazard_bytes = 0
+        epoch = 0
+    return epoch
 
 
 class _LoadLog:
@@ -1867,7 +1760,7 @@ def _run_blocks(gsize, lsize, base_env, local_decls, counters, pipeline):
 
         block = _Block(
             counters, geo, gsize, lsize, num_groups,
-            seg_start=getattr(_pool_tls, "epoch", 0),
+            seg_start=_epoch(),
             tracked=block_tracked,
             sole_ids=block_sole,
             shape=geometry,

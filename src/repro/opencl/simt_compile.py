@@ -1089,6 +1089,8 @@ def _binop_value(op: str, lt: CType, rt: CType):
         if op == "+":
             return lambda l, r, m: l.plus(r)
         return lambda l, r, m: l.plus(-r)
+    if rt.kind == "ptr":  # ``int + pointer``
+        return lambda l, r, m: r.plus(l)
     if lt == I and rt == I and op in ("/", "%"):
         return _Block._int_div if op == "/" else _Block._int_mod
     if _needs_align(lt, rt):

@@ -10,8 +10,10 @@ uniform trip count with straight-line bodies (which the engine batches,
 some of them accumulating ``acc = acc ⊕ h``, which it closes) and
 lane-varying loops; straight-line and branching helpers; local memory
 behind a barrier, sometimes under control only a group's work-items
-agree on (``if`` on the group id, a uniform-trip loop); and a uniform
-scale that changes after an index it scaled was stored.  Every index
+agree on (``if`` on the group id, a uniform-trip loop); a uniform
+scale that changes after an index it scaled was stored; and a global
+read that a barrier orders before another work-item's
+read-modify-write of the same address.  Every index
 it builds stays inside its buffer on every lane.
 
 :func:`check` launches one kernel on ``scalar`` and on every run of
@@ -314,6 +316,22 @@ class _Gen:
             stage.append(pad + "  barrier(CLK_LOCAL_MEM_FENCE);")
         self.lines[start:stop] = [pad + head, *stage, pad + "}"]
 
+    def ordered(self) -> None:
+        """Half the time, a read of ``out2`` at its work-group's own
+        address (past what the rest of the kernel stores there) before a
+        barrier, and another work-item's read-modify-write of it after:
+        the barrier orders the two, so no engine may call it a race.
+        Drawn from ``side`` after everything else, so the rest of a
+        seed's kernel is the same with or without it."""
+        r = self.side
+        if r.random() < 0.5:
+            return
+        self.emit("int own = 4 * n + g;")
+        read = "acc = acc + out2[own];"
+        self.emit(read if r.random() < 0.5 else f"if (l == 0) {{ {read} }}")
+        self.emit("barrier(CLK_GLOBAL_MEM_FENCE);")
+        self.emit(f"if (l == {r.randrange(1, 4)}) {{ out2[own] = out2[own] * 0.5f + 1.0f; }}")
+
     def kernel(self, two_d: bool) -> str:
         r = self.rng
         ident = (
@@ -349,6 +367,7 @@ class _Gen:
         self.rescaled()
         if stage is not None:
             self.guarded(*stage)
+        self.ordered()
         self.emit(f"out[i] = {' + '.join(self.floats[-3:])};")
         if r.random() < 0.4:
             self.emit(f"vstore2((float2)(acc, {self.float_expr()}), i, out2);")

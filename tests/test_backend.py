@@ -403,12 +403,7 @@ class TestAccessFacts:
         }}
         """
         assert plan_of(src).sole_names == frozenset({"tmp", "out"})
-        notes = []
-        real = simt._HazardLocal.note_write
-        monkeypatch.setattr(
-            simt._HazardLocal, "note_write",
-            lambda self, *a: notes.append(1) or real(self, *a),
-        )
+        notes = count_race_notes(monkeypatch)
         assert_engines_agree(
             src, 64, 16,
             lambda: {"x": Buffer.from_array(np.arange(64.0)),
@@ -466,7 +461,8 @@ BIG_N = 2 * BLOCK + 192
 
 
 def count_race_notes(monkeypatch) -> list:
-    """Count the stores the general race detector checks from now on."""
+    """The buffer sizes of the stores the race detector checks from now
+    on, one per store."""
     notes = []
     real = simt._Hazard.note_write
 
@@ -578,12 +574,12 @@ class TestFactsInBothLayouts:
 
 
 class TestLauncher:
-    def test_a_full_block_reduction_uses_the_packed_local_detector(
+    def test_a_full_block_reduction_tracks_each_blocks_local_rows(
         self, monkeypatch
     ):
         # A block of MAX_LANES lanes and a ragged one of three groups:
-        # every local buffer stays on the packed detector (its SEG_SCALE
-        # covers the largest block).
+        # each block's local buffer gets a detector of its own rows (the
+        # packed entries cover any block).
         from tests.test_simt_compile import _REDUCTION
 
         local = 8
@@ -592,16 +588,32 @@ class TestLauncher:
         acquired = []
         real = simt._acquire_hazard
 
-        def acquire(size, cls):
-            acquired.append((size, cls))
-            return real(size, cls)
+        def acquire(size):
+            acquired.append(size)
+            return real(size)
 
         monkeypatch.setattr(simt, "_acquire_hazard", acquire)
         x = np.cos(np.arange(n))
         make = lambda: {"x": Buffer.from_array(x), "out": Buffer.zeros(n // local)}
         launch(OpenCLProgram(_REDUCTION), n, local, make(), engine="compiled")
-        rows = {simt.MAX_LANES, 3 * local}  # tmp's size in each block
-        assert {(size, simt._HazardLocal) for size in rows} <= set(acquired)
-        assert all(cls is simt._HazardLocal for size, cls in acquired if size in rows)
+        assert {simt.MAX_LANES, 3 * local} <= set(acquired)  # tmp's size in each block
         monkeypatch.undo()
         assert_engines_agree(_REDUCTION, n, local, make)
+
+    def test_the_epoch_restarts_with_an_empty_pool(self):
+        # Past EPOCH_LIMIT the next block starts again from segment 0.
+        # The detector pooled at the old epoch holds out[0]'s writer from
+        # group 1 as a later entry than any new one: were it served
+        # again, group 0's update of out[0] would look like a race.
+        src = """
+        kernel void K(global float *out, int s) {
+          if (get_global_id(0) == s) { out[0] = out[0] + 1.0f; }
+        }
+        """
+        out = Buffer.zeros(1)
+        simt._pool_tls.epoch = simt._Hazard.EPOCH_LIMIT
+        launch(OpenCLProgram(src), 8, 4, {"out": out, "s": 5}, engine="compiled")
+        assert simt._pool_tls.epoch > simt._Hazard.EPOCH_LIMIT
+        launch(OpenCLProgram(src), 8, 4, {"out": out, "s": 1}, engine="compiled")
+        assert simt._pool_tls.epoch < simt._Hazard.EPOCH_LIMIT
+        assert out.data[0] == 2.0

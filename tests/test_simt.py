@@ -650,6 +650,53 @@ class TestRefusalsAndRaces:
         # Group 0 runs first in the scalar engine, so it reads 0.0.
         np.testing.assert_array_equal(results["scalar"][0]["out"], np.zeros(8))
 
+    def test_a_cross_group_write_after_a_read_is_a_data_race(self):
+        # Group 1 reads a[0], a barrier, then a work-item of group 0
+        # updates it: the scalar engine ran group 0 first, so group 1
+        # read the updated value.  The reading groups of the block are
+        # kept across the barrier, and the write raises.
+        src = """
+        kernel void K(global float *a, global float *out) {
+          int l = get_local_id(0);
+          int g = get_group_id(0);
+          if (g == 1 && l == 0) { out[0] = a[0]; }
+          barrier(CLK_GLOBAL_MEM_FENCE);
+          if (g == 0 && l == 1) { float v = a[0]; a[0] = v + 1.0f; }
+        }
+        """
+        results = assert_engines_agree(
+            src, 8, 4,
+            lambda: {"a": Buffer.from_array(np.array([3.0, 0, 0, 0])),
+                     "out": Buffer.zeros(4)},
+            races=True,
+        )
+        for run in RUNS:
+            if run[1] == ONE:
+                assert str(results[run]).startswith(
+                    "K: cross-lane write/read conflict"), run
+        np.testing.assert_array_equal(results["scalar"][0]["out"], [4, 0, 0, 0])
+
+    def test_a_barrier_orders_a_global_read_before_another_items_write(self):
+        # Lane 0 reads a[0], a barrier, then lane 1 of the same group
+        # reads and updates it: the barrier orders the two on every
+        # engine (its fence flags aside), so this is no race.
+        src = """
+        kernel void K(global float *a, global float *out) {
+          int l = get_local_id(0);
+          if (l == 0) { out[0] = a[0]; }
+          barrier(CLK_GLOBAL_MEM_FENCE);
+          if (l == 1) { float v = a[0]; a[0] = v + 1.0f; }
+        }
+        """
+        results = assert_engines_agree(
+            src, 4, 4,
+            lambda: {"a": Buffer.from_array(np.array([3.0, 0, 0, 0])),
+                     "out": Buffer.zeros(4)},
+        )
+        outs = results["scalar"][0]
+        np.testing.assert_array_equal(outs["a"], [4, 0, 0, 0])
+        np.testing.assert_array_equal(outs["out"], [3, 0, 0, 0])
+
     @pytest.mark.parametrize("body, message", [
         # Every item stores tmp[0], then reads it back: the scalar order
         # reads each item's own value.
@@ -662,8 +709,8 @@ class TestRefusalsAndRaces:
          "cross-lane write/read conflict"),
     ], ids=["read", "write"])
     def test_a_local_race_is_a_data_race(self, body, message):
-        # Local memory of groups within one block: the packed detector
-        # (_HazardLocal) raises on the read, or on the write.
+        # Local memory of groups within one block: the detector's
+        # segment rule raises on the read, or on the write.
         src = """
         kernel void K(const global float * restrict x, global float *out) {
           local float tmp[8];

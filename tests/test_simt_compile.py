@@ -128,14 +128,11 @@ class TestEngineTiers:
 
 
 class TestOversizedWorkGroups:
-    def test_local_hazard_handles_groups_beyond_seg_scale(self):
-        # A single work-group larger than _HazardLocal.SEG_SCALE lanes
-        # cannot use the packed detector (lane ids would not fit the
-        # encoding); the launcher must pick the general detector and the
-        # race-free kernel must stay on the lane-batched path.
-        from repro.opencl.simt import _HazardLocal
-
-        n = _HazardLocal.SEG_SCALE * 2
+    def test_a_group_of_four_million_lanes_runs_without_a_race(self):
+        # One work-group of 2**22 lanes, a block far above MAX_LANES: its
+        # lane ids fit the detector's packed entries, and the race-free
+        # kernel runs on the lane-batched path.
+        n = 1 << 22
         src = """
         kernel void K(const global float * restrict x, global float *out) {
           local float tmp[%d];
