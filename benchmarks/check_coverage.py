@@ -18,7 +18,8 @@ session fails when
 
 * more than ``--max-unreached`` lines are unreached, or
 * an unreached line is not in the allow-list, ``coverage_allow.txt``
-  next to this file, where each kept line has its reason.
+  next to this file, where each kept line is named by its function and
+  its text, with its reason.
 
 The collector re-arms itself before every test, and names each test
 after which it had to (a test that swaps the trace function out and
@@ -112,21 +113,22 @@ class Collector:
         return sys.gettrace() == self.global_trace
 
 
-def load_allow_list(path: Path = ALLOW_LIST):
-    """``file::function`` keeps every unreached line of that function;
-    ``file::function::source`` only the lines of it with that text.
-    ``#`` starts a comment; the reason is the comment block above."""
-    whole, single = set(), set()
+def load_allow_list(path: Path = ALLOW_LIST) -> set:
+    """``(file, function, source)`` per ``file::function::source`` entry:
+    the unreached lines of that function with that text.  ``#`` starts
+    a comment; the reason is the comment block above.  An entry that
+    names no line (a whole function) is an error."""
+    entries = set()
     for raw in path.read_text().splitlines():
         entry = raw.strip()
         if not entry or entry.startswith("#"):
             continue
-        parts = [p.strip() for p in entry.split("::", 2)]
-        if len(parts) == 2:
-            whole.add(tuple(parts))
-        else:
-            single.add(tuple(parts))
-    return whole, single
+        parts = tuple(p.strip() for p in entry.split("::", 2))
+        if len(parts) != 3:
+            raise ValueError(f"{path.name}: {entry!r} names no line "
+                             "(file::function::source)")
+        entries.add(parts)
+    return entries
 
 
 def unreached(hits: dict[str, set[int]]):
@@ -149,11 +151,8 @@ def total_lines() -> int:
 def report(hits, max_unreached: int | None, write) -> bool:
     """Print the unreached lines; True when the run passes the gate."""
     rows = unreached(hits)
-    whole, single = load_allow_list()
-    listed = [
-        r for r in rows
-        if (r[0], r[2]) in whole or (r[0], r[2], r[3]) in single
-    ]
+    allowed = load_allow_list()
+    listed = [r for r in rows if (r[0], r[2], r[3]) in allowed]
     unlisted = [r for r in rows if r not in listed]
     total = total_lines()
     by_file: dict[str, int] = {}

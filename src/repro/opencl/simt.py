@@ -153,13 +153,12 @@ _LANE_DTYPE = {"f": np.float64, "i": np.int64}
 
 
 def _convert(kind, v):
-    """Lane-array twin of :func:`repro.opencl.interp.convert`; no copy
-    when the lanes already have the kind (the full-mask hot path), and
+    """Lane-array twin of :func:`repro.opencl.interp.convert`, called
+    where the static types change a scalar's kind (``"f"`` or ``"i"``):
     ``astype(int64)`` truncates toward zero, like C."""
     if type(v) is np.ndarray:
-        if v.dtype.kind != kind and v.ndim == 1 and kind in _LANE_DTYPE:
-            return v.astype(_LANE_DTYPE[kind])
-        return v
+        assert v.ndim == 1 and v.dtype.kind != kind, "the types convert scalars only"
+        return v.astype(_LANE_DTYPE[kind])
     return convert(kind, v)
 
 
@@ -217,18 +216,19 @@ class Access:
 def _flat_stride(terms: tuple, units: tuple) -> Optional[int]:
     """``s`` when ``sum(c * id)`` over a block is ``s`` times the flat
     lane index plus a constant (every varying basis element's
-    coefficient is ``s`` times its digit's unit), else ``None``."""
+    coefficient is ``s`` times its digit's unit), else ``None``.  The
+    first varying digit's unit is 1: every id before it is constant, so
+    its local size is 1, or (a group id) its group count is, since two
+    consecutive work-groups differ in the first group id whose count is
+    above 1."""
+    if not units:
+        return 0
     coefficients = dict(terms)
-    stride = None
-    for k, unit in units:
-        c = coefficients.get(k, 0)
-        if stride is None:
-            if c % unit:
-                return None
-            stride = c // unit
-        elif c != stride * unit:
+    stride = coefficients.get(units[0][0], 0)
+    for k, unit in units[1:]:
+        if coefficients.get(k, 0) != stride * unit:
             return None
-    return 0 if stride is None else stride
+    return stride
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,6 @@ class _Block:
         (``{id(array): name}``)."""
         self.counters = counters
         self.L = geo["lanes"]
-        self.group_row = geo["group_row"]
         self.lid = geo["lid"]
         self.gid = geo["gid"]
         self.group_ids = geo["group_ids"]
@@ -300,11 +299,9 @@ class _Block:
         self._sole_writes: dict = {}
         self._names = names
         self._traffic = traffic
-        # What the enclosing ``if`` bounds keep the lanes' ids within
-        # (``(terms, greatest sum)``, :meth:`_prefix`), the slices a
-        # batched loop's carried statements read this iteration, and the
-        # lane geometry of its virtual blocks (:class:`_Chunk`).
-        self._guards: list = []
+        # The slices a batched loop's carried statements read this
+        # iteration, and the lane geometry of its virtual blocks
+        # (:class:`_Chunk`).
         self._hoisted: Optional[list] = None
         self._chunks = geo["chunks"]
 
@@ -438,21 +435,8 @@ class _Block:
             aff = self._affine(addr, acc, m, n)
         size = ptr.array.shape[-1]
         if aff is None or aff[1] + aff[2][1] < 0 or aff[1] + aff[2][2] + width > size:
-            if aff is None or not self._guarded(aff, size - width):
-                self._check_bounds(addr, m, n, size, acc, width)
+            self._check_bounds(addr, m, n, size, acc, width)
         return addr, aff
-
-    def _guarded(self, aff, top: int) -> bool:
-        """Whether every address of the fact ``aff`` lies in ``[0,
-        top]`` on the lanes an enclosing ``if`` bound lets through: a
-        guard on the same terms caps their sum (:meth:`_prefix`)."""
-        terms, u, shape = aff
-        if u + shape[1] < 0:
-            return False
-        for guarded, most in self._guards:
-            if guarded == terms and u + min(most, shape[2]) <= top:
-                return True
-        return False
 
     def _check_bounds(self, addr, m, n, size, acc, width) -> None:
         """Raise :class:`OutOfBounds` unless every active lane's
@@ -665,12 +649,11 @@ class _Block:
         arr = ptr.array
         addr, aff = self._address(ptr, index, acc, m, n)
         is_row = type(ptr) is RowPtr
-        if ptr.space == "private":
+        if ptr.space == "private":  # a row per work-item: a RowPtr
             self.counters.private_loads += n
             if _is_uniform(addr):
-                return arr[ptr.rows, int(addr)] if is_row else arr[int(addr)]
-            safe = addr if n == self.L else np.where(m, addr, 0)
-            return arr[ptr.rows, safe] if is_row else arr[safe]
+                return arr[ptr.rows, int(addr)]
+            return arr[ptr.rows, addr if n == self.L else np.where(m, addr, 0)]
         tracked = self._tracked is None or id(arr) in self._tracked
         # Shared buffer: the flattened addresses are computed once and
         # shared between the load log, the race detector and the gather.
@@ -713,17 +696,12 @@ class _Block:
         addr, aff = self._address(ptr, index, acc, m, n)
         values = self._lanes(value)
         is_row = type(ptr) is RowPtr
-        if ptr.space == "private":
+        if ptr.space == "private":  # a row per work-item: a RowPtr
             addr = self._lanes(addr)
-            if is_row:
-                if n == self.L:
-                    arr[ptr.rows, addr] = values
-                else:
-                    arr[ptr.rows[m], addr[m]] = values[m]
-            elif n == self.L:
-                arr[addr] = values
+            if n == self.L:
+                arr[ptr.rows, addr] = values
             else:
-                arr[addr[m]] = values[m]
+                arr[ptr.rows[m], addr[m]] = values[m]
             self._count_stores(ptr, ptr.space, n)
             return
         # The plan's ``written`` holds the root of every store site's
@@ -815,25 +793,6 @@ class _Block:
             else:
                 arr[(start[:, None] + cols).ravel()] = value.ravel()
         self._count_stores(ptr, ptr.space, n * width)
-
-    def _prefix(self, value, bound, inclusive: bool, acc, m, n) -> tuple:
-        """``(k, guard)`` of the test ``value < bound`` (``<=`` when
-        ``inclusive``) where ``value`` has a fact: ``k`` such that it
-        holds on exactly the active lanes below ``k`` when the fact
-        increases along the flat lane index (else ``None``), and
-        ``guard``, ``(terms, most)``: on the lanes it lets through,
-        ``sum(c * id)`` over the fact's terms is at most ``most``.
-        ``(None, None)`` without a fact."""
-        if type(value) is not np.ndarray or not isinstance(bound, (int, np.integer)):
-            return None, None
-        aff = self._affine(value, acc, m, n)
-        if aff is None:
-            return None, None
-        terms, u, (at0, _, _, stride) = aff
-        guard = (terms, int(bound) + inclusive - 1 - u)
-        if not stride or stride < 0:
-            return None, guard
-        return -(-(int(bound) + inclusive - u - at0) // stride), guard  # ceil
 
     # -- operators -------------------------------------------------------
     def _as_bool(self, v, m) -> np.ndarray:
@@ -936,28 +895,23 @@ class _Chunk(_Block):
         self._seg_base = block._seg_base
         self._segment = block._segment
         self._lanes_per_group = block._lanes_per_group
-        self._guards = []
         self._hoisted = None
         self._traffic = None
 
-    def _repeated(self, field: str):
-        """The real block's lane array (or tuple of them) ``field``,
-        each lane's value repeated for its iterations."""
+    def _repeated(self, field: str) -> tuple:
+        """The real block's tuple of lane arrays ``field``, each lane's
+        value repeated for its iterations."""
         geo = self._geo
         value = geo.get(field)
         if value is None:
-            real = getattr(self.real, field)
-            if type(real) is tuple:
-                value = tuple(np.repeat(a, self.count) for a in real)
-            else:
-                value = np.repeat(real, self.count)
-            geo[field] = value
+            value = geo[field] = tuple(
+                np.repeat(a, self.count) for a in getattr(self.real, field)
+            )
         return value
 
     lid = property(lambda self: self._repeated("lid"))
     gid = property(lambda self: self._repeated("gid"))
     group_ids = property(lambda self: self._repeated("group_ids"))
-    group_row = property(lambda self: self._repeated("group_row"))
     _basis = property(lambda self: self._repeated("_basis"))
 
     def _load_log_of(self, ptr, width) -> "_LoadLog":
@@ -997,8 +951,8 @@ class _Chunk(_Block):
         shape = real._shapes.get(terms) or real._shape_of(terms)
         mask = None if n == self.L else m.reshape(-1, count)
         if type(addr) is not np.ndarray:
-            if terms:
-                return None
+            # An address with an id term is computed from lane arrays.
+            assert not terms, "a uniform address with id terms"
             us = np.full(count, int(addr), dtype=np.int64)
             live = us
         elif mask is None:  # lane 0 is active in every iteration
@@ -1069,9 +1023,8 @@ class _Chunk(_Block):
             return arr[ptr.rows, int(addr)] if is_row else arr[int(addr)]
         if flat is not None and self._each(aff, is_row):
             return np.tile(arr[aff[1]], self.real.L)
-        if flat is None:
-            safe = addr if n == self.L else np.where(m, addr, 0)
-            return arr[ptr.rows, safe] if is_row else arr[safe]
+        if flat is None:  # private: a RowPtr
+            return arr[ptr.rows, addr if n == self.L else np.where(m, addr, 0)]
         # Inactive lanes read the buffer's first element, as in the
         # real block.
         safe = flat if n == self.L else np.where(m, flat, 0)
@@ -1474,17 +1427,12 @@ class _LoadLog:
             self.chunks.append((aa.ravel(), np.tile(block._lane_ids, len(us))))
             self.repeats = self.repeats or len(us) > 1
         for (terms, u, _), m, rows, flat in self.affine:
-            if flat is None and m is None:
-                continue
             if flat is not None:
                 self.chunks.append(flat)
-                continue
-            aa = block._values(terms, u)
-            if rows is not None:
-                aa = rows * self.array.shape[1] + aa
-            if m is None:
-                self.chunks.append((aa, block._lane_ids))
-            else:
+            elif m is not None:  # the every-lane chunks are in already
+                aa = block._values(terms, u)
+                if rows is not None:
+                    aa = rows * self.array.shape[1] + aa
                 self.chunks.append((aa[m], block._lane_ids[m]))
         self.affine = []
 
@@ -1502,8 +1450,7 @@ class _LoadLog:
                 if distinct is not None:
                     return self.events, distinct
             self._materialize(block)
-        if not self.chunks:
-            return 0, 0
+        assert self.chunks, "a log is made by its first load"
         if len(self.chunks) == 1 and not self.repeats:
             # One chunk means one execution of one load site: the
             # ``addr * L + lane`` encoding is injective over the
@@ -1515,10 +1462,9 @@ class _LoadLog:
 
 
 def _distinct_sorted(values: np.ndarray) -> np.ndarray:
-    """Sorted unique values (plain sort beats hash-based ``np.unique``
-    for the int64 address codes the load log stores)."""
-    if values.size == 0:
-        return values
+    """Sorted unique values of a non-empty array (a compaction holds
+    more than ``COMPACT_AT`` codes; plain sort beats hash-based
+    ``np.unique`` for the int64 address codes the load log stores)."""
     values = np.sort(values)
     keep = np.empty(values.size, dtype=bool)
     keep[0] = True

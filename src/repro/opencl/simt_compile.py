@@ -26,9 +26,9 @@ does the rest:
   load and store site carries its address's fact to the runtime
   (:class:`~repro.opencl.simt.Access`): a lane-uniform load is one
   scalar read, a full-mask access linear in the flat lane index a
-  slice, load accounting and bounds checks take closed form, a buffer's
-  sole lane-injective store skips the race detector, and ``if (i < n)``
-  on an affine ``i`` a lane prefix;
+  slice, load accounting and bounds checks take closed form, and a
+  buffer's sole lane-injective store skips the race detector (an ``if``
+  is always a mask over its condition's lanes);
 * geometry builtins, ``vload``/``vstore`` widths, math builtins and
   their flop costs, struct member templates, declaration dtypes;
 * helper functions: a **straight-line** helper (every Lift user
@@ -2560,82 +2560,19 @@ def _iterations(body_c: StmtFn, slots: list, count: int) -> StmtFn:
 
 
 def _compile_if(s: c.CIf, ctx: _Ctx, has_returns: bool) -> StmtFn:
-    cond_c, bound = _compile_bound(s.cond, ctx)
+    cond_c = _condition(s.cond, ctx)
     then_c = _scoped(_compile_stmt, s.then, ctx, has_returns)
     else_c = (
         _scoped(_compile_stmt, s.otherwise, ctx, has_returns)
         if s.otherwise is not None
         else None
     )
-    if bound is not None:
-        return _prefix_if(*bound, then_c, else_c)
 
     def run_if(b, m, n, frame):
         b.counters.branches += n
         _branch(b, m, n, frame, cond_c(b, m, n), then_c, else_c)
 
     return run_if
-
-
-def _compile_bound(cond, ctx: _Ctx) -> tuple:
-    """``(closure, bound)`` of a branch condition: ``bound`` is ``(i, n,
-    inclusive, comparison, access)`` when it is ``i < n`` or ``i <= n``
-    with ``i`` affine in the ids and ``n`` uniform (a prefix mask), else
-    ``None``."""
-    if type(cond) is not c.CBinOp or cond.op not in ("<", "<="):
-        return _condition(cond, ctx), None
-    lhs = _compile_expr(cond.lhs, ctx)
-    rhs = _compile_expr(cond.rhs, ctx)
-    lt, rt = ctx.typed[id(cond.lhs)], ctx.typed[id(cond.rhs)]
-    ctx.typed[id(cond)] = binop_type(cond.op, lt, rt)
-    if ctx.typed[id(cond)] is None:
-        raise ctx.refuse(cond, _operands(cond, ctx))
-    cond_c = _binop(cond.op, lhs, rhs, lt, rt, None)
-    fact = ctx.fact(cond.lhs)
-    if lt != I or rt != I or fact is None or fact == _ZERO \
-            or ctx.fact(cond.rhs) != _ZERO:
-        return cond_c, None
-    acc = _access(ctx, cond.lhs, cond.lhs)
-    return cond_c, (lhs, rhs, cond.op == "<=", COMPARE[cond.op], acc)
-
-
-def _prefix_if(lhs: ExprFn, rhs: ExprFn, inclusive: bool, cmp, acc: Access,
-               then_c: StmtFn, else_c: Optional[StmtFn]) -> StmtFn:
-    """An ``if`` on an affine bound: where its lanes are linear in the
-    flat lane index, the first ``k`` pass, and ``k`` takes a division."""
-
-    def run_bound(b, m, n, frame):
-        b.counters.branches += n
-        l = lhs(b, m, n)
-        r = rhs(b, m, n)
-        b.counters.iops += n
-        k, guard = b._prefix(l, r, inclusive, acc, m, n)
-        then = then_c if guard is None else _guarded(then_c, guard)
-        if k is None:
-            _branch(b, m, n, frame, cmp(l, r), then, else_c)
-        elif k >= b.L:
-            then(b, m, n, frame)
-        elif k <= 0:
-            if else_c is not None:
-                else_c(b, m, n, frame)
-        else:
-            _branch(b, m, n, frame, b._lane_ids < k, then, else_c)
-
-    return run_bound
-
-
-def _guarded(then_c: StmtFn, guard: tuple) -> StmtFn:
-    """``then_c`` with the bound its ``if`` puts on the lanes' ids in
-    force (``_Block._guarded``)."""
-
-    def guarded(b, m, n, frame):
-        b._guards.append(guard)
-        try:
-            then_c(b, m, n, frame)
-        finally:
-            b._guards.pop()
-
-    return guarded
 
 
 def _branch(b, m, n, frame, cv, then_c, else_c) -> None:

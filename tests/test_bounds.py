@@ -35,6 +35,10 @@ CASES = [
        global float *p = out + 2;
        p[i] = x[i];
      }""", "p", N),
+    ("uniform load past the end", """
+     kernel void K(const global float * restrict x, global float *out) {
+       out[get_global_id(0)] = x[64];
+     }""", "x", N),
     ("data-dependent load", """
      kernel void K(const global int * restrict idx, const global float * restrict x,
                    global float *out) {

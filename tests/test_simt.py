@@ -200,6 +200,24 @@ class TestDivergentControlFlow:
                      "out": Buffer.zeros(16), "k": k},
         )
 
+    def test_void_helper_with_control_flow(self):
+        # A helper whose body may end without a ``return``.
+        src = """
+        void put(global float *o, int i, float v) {
+          if (v > 0.5f) { o[i] = v; } else { o[i] = -v; }
+        }
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          put(out, i, x[i]);
+        }
+        """
+        x = np.random.default_rng(13).random(32)
+        results = assert_engines_agree(
+            src, 32, 8,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(32)},
+        )
+        np.testing.assert_array_equal(results["scalar"][0]["out"], np.where(x > 0.5, x, -x))
+
     def test_kernel_early_return(self):
         src = """
         kernel void K(global float *out, int n) {
@@ -231,6 +249,136 @@ class TestDivergentControlFlow:
                      "out": Buffer.zeros(16), "n": 3},
         )
         assert results["scalar"][1].cached_loads > 0
+
+
+class TestIfShapes:
+    """An ``if`` on a bound over a value affine in the ids, in each
+    shape: the branch runs on exactly the lanes the comparison passes,
+    and its accesses, in bounds on those lanes only, raise nothing."""
+
+    SRC = """
+    kernel void K(const global float * restrict x, global float *out,
+                  global float *miss, int n) {
+      int i = get_global_id(0);
+      int j = INDEX;
+      if (OUTER) {
+        if (j CMP n) { out[j] = x[j] * 2.0f; } else { miss[i] = (float) j; }
+      }
+    }"""
+
+    @pytest.mark.parametrize("index, cmp, outer, n, size, taken", [
+        ("i", "<=", "1", 40, 41, 41),
+        ("63 - i", "<", "1", 24, 24, 24),
+        ("i", "<", "1", -5, 64, 0),
+        ("i", "<", "1", 64, 64, 64),
+        ("i", "<", "get_local_id(0) % 3 != 0", 40, 40, 25),
+    ], ids=["inclusive", "decreasing", "no-lane", "every-lane", "partial-mask"])
+    def test_engines_agree(self, index, cmp, outer, n, size, taken):
+        src = (self.SRC.replace("INDEX", index).replace("CMP", cmp)
+               .replace("OUTER", outer))
+        x = np.arange(size, dtype=float) + 0.5
+        results = assert_engines_agree(
+            src, 64, 16,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(64),
+                     "miss": Buffer.zeros(64), "n": n},
+        )
+        outs, counters = results["scalar"]
+        assert np.count_nonzero(outs["out"]) == taken
+        # One store per lane the outer mask keeps: six of each group's
+        # sixteen have a local id divisible by three.
+        assert counters.global_stores == (64 if outer == "1" else 64 - 4 * 6)
+
+
+class TestLaneLayouts:
+    """Valid kernels that take the lane engine's rarer memory layouts:
+    a private array stored under a partial mask and read by ``vload``,
+    a local array read by ``vload`` under a partial mask, addresses
+    loaded from a 32-bit index buffer, and a uniform index as a lane
+    array."""
+
+    def test_private_array_stored_under_a_partial_mask(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          float p[4];
+          p[0] = x[i]; p[1] = 1.0f; p[2] = 2.0f; p[3] = 3.0f;
+          if (i % 3 != 0) { p[i % 4] = x[i] * 2.0f; }
+          out[i] = p[0] + p[1] + p[2] + p[3];
+        }"""
+        x = np.arange(64, dtype=float) + 0.25
+        results = assert_engines_agree(
+            src, 64, 16,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(64)},
+        )
+        assert results["scalar"][1].private_stores == 4 * 64 + 64 - 22
+
+    def test_vload_from_a_private_array(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          float p[8];
+          p[0] = x[i]; p[1] = 1.0f; p[2] = 2.0f; p[3] = 3.0f;
+          p[4] = x[i] * 0.5f; p[5] = 5.0f; p[6] = 6.0f; p[7] = x[i] + 7.0f;
+          float4 v = vload4(i % 2, p);
+          float4 w = (float4)(0.0f, 0.0f, 0.0f, 0.0f);
+          if (i % 3 == 0) { w = vload4((i / 3) % 2, p); }
+          out[i] = v.x + v.w + w.y * w.z;
+        }"""
+        x = np.arange(64, dtype=float) - 7.5
+        results = assert_engines_agree(
+            src, 64, 16,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(64)},
+        )
+        assert results["scalar"][1].private_loads == 4 * 64 + 4 * 22
+
+    def test_vload_from_a_local_array_under_a_partial_mask(self):
+        src = """
+        kernel void K(const global float * restrict x, global float *out) {
+          local float tmp[20];
+          int l = get_local_id(0);
+          tmp[l] = x[get_global_id(0)];
+          if (l < 4) { tmp[16 + l] = (float) l; }
+          barrier(CLK_LOCAL_MEM_FENCE);
+          float4 v = (float4)(0.0f, 0.0f, 0.0f, 0.0f);
+          if (l % 2 == 1) { v = vload4(l / 4, tmp); }
+          out[get_global_id(0)] = v.x - v.w;
+        }"""
+        x = np.arange(64, dtype=float) * 1.5
+        assert_engines_agree(
+            src, 64, 16,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(64)},
+        )
+
+    def test_addresses_loaded_from_an_int32_buffer(self):
+        # A 32-bit signed buffer binds to an ``int *``; the addresses
+        # loaded from it are checked as 64-bit ones.
+        src = """
+        kernel void K(const global int * restrict idx,
+                      const global float * restrict x, global float *out) {
+          int i = get_global_id(0);
+          out[i] = x[idx[i]];
+        }"""
+        idx = (np.arange(64, dtype=np.int32) * 7) % 64
+        x = np.arange(64, dtype=float) + 0.5
+        assert_engines_agree(
+            src, 64, 16,
+            lambda: {"idx": Buffer(idx.copy()), "x": Buffer.from_array(x.copy()),
+                     "out": Buffer.zeros(64)},
+        )
+
+    def test_an_index_whose_id_coefficient_is_zero(self):
+        # ``k * l`` with ``k`` 0: a lane array whose fact has no id term.
+        src = """
+        kernel void K(const global float * restrict x, global float *out, int k) {
+          int i = get_global_id(0);
+          out[i] = x[k * get_local_id(0) + 3] + x[i];
+        }"""
+        x = np.arange(64, dtype=float) + 0.5
+        results = assert_engines_agree(
+            src, 64, 16,
+            lambda: {"x": Buffer.from_array(x.copy()), "out": Buffer.zeros(64), "k": 0},
+        )
+        np.testing.assert_array_equal(results["scalar"][0]["out"], x + 3.5)
 
 
 def assert_typed_everywhere(source, global_size, local_size, make_args):
@@ -315,6 +463,18 @@ class TestDeclaredTypes:
         even = np.arange(16) % 2 == 0
         np.testing.assert_array_equal(outs["out"], np.where(even, -2, 2))
         np.testing.assert_array_equal(outs["half"], np.where(even, -1.0, 1.0))
+
+    def test_an_int_cast_of_a_uniform_float(self):
+        src = """
+        kernel void K(global float *out, float f) {
+          int g = get_global_id(0);
+          out[g] = (float) ((int) f + g);
+        }
+        """
+        make = lambda: {"out": Buffer.zeros(16), "f": -2.7}
+        assert_typed_everywhere(src, 16, 8, make)
+        outs, _ = run_on(src, 16, 8, make, "scalar")
+        np.testing.assert_array_equal(outs["out"], np.arange(16) - 2.0)
 
     def test_helper_parameter_and_return_convert(self):
         src = """
