@@ -12,7 +12,10 @@ or, the same run, ``PYTHONPATH=src python benchmarks/check_coverage.py
 The executable lines of a module are the lines ``co_lines()`` gives for
 every function, lambda and comprehension body in it (module and class
 bodies run at import and are left out).  A function's first line counts
-as run when the function is entered.  After the run the plugin prints
+as run when the function is entered.  It counts lines, not branches: a
+line counts as run when any part of it runs, so each arm of a
+conditional expression (``a if c else b``) or of a one-line ``if`` needs
+a line of its own to be seen.  After the run the plugin prints
 the unreached lines per file (``file:line  function  source``) and the
 session fails when
 

@@ -45,13 +45,21 @@ recorded on one box, CI runners are another), so the gate compares
   sides are simulated cycles, so there is no machine-speed tolerance: a
   lower bar is a compiler or stage change, and a deliberate one
   re-records the file.
+* **cost-model calibration** — given ``--calibration-json``, the
+  ``--metrics-json`` snapshot of ``benchsuite explore --no-cache``
+  (``--benchmarks nn gemv mm --depth 3 --max-eval 12``): each search's
+  Spearman rank correlation between static cost and modeled runtime
+  must stay at or above its floor in ``calibration_floor.json``, and
+  its top-5 regret under the file's ceiling.  Both sides are cost-model
+  figures, so they are machine-independent.
 
 Exit status 0 = pass, 1 = regression (with a report on stdout).
 
 Usage::
 
     python benchmarks/check_perf_regression.py [--explore-json PATH]
-        [--frontend-json PATH] [--baseline-dir benchmarks]
+        [--calibration-json PATH] [--frontend-json PATH]
+        [--baseline-dir benchmarks]
 """
 
 from __future__ import annotations
@@ -469,8 +477,8 @@ def check_calibration(metrics_path: Path, floor_path: Path) -> list:
     """Gate the cost model's rank quality on the benchmark menus.
 
     ``metrics_path`` is a ``--metrics-json`` snapshot from a
-    ``benchsuite calibrate`` run; its ``calibration.workloads`` section
-    carries per-workload Spearman rank correlation between the static
+    ``benchsuite explore --no-cache`` run; its ``calibration.workloads``
+    section carries, per benchmark searched, the Spearman rank correlation between the static
     prediction and the measured-counter runtime.  The checked-in floors
     (``calibration_floor.json``) are set well below the recorded values
     (~0.9) so noise cannot fire the gate, but a cost-model change that
@@ -487,7 +495,7 @@ def check_calibration(metrics_path: Path, floor_path: Path) -> list:
         if entry is None or entry.get("spearman") is None:
             failures.append(
                 f"calibration[{name}]: no calibration records in "
-                f"{metrics_path} — did the calibrate run cover it?"
+                f"{metrics_path} — did the explore run cover it?"
             )
             continue
         rho = entry["spearman"]
@@ -537,8 +545,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--calibration-json", default=None, type=Path,
-        help="metrics snapshot from a `benchsuite calibrate` run; the "
-             "calibration gate is skipped when absent",
+        help="metrics snapshot from a `benchsuite explore --no-cache` "
+             "run; the calibration gate is skipped when absent",
     )
     parser.add_argument(
         "--frontend-json", default=None, type=Path,

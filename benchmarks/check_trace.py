@@ -10,7 +10,7 @@ trace job notices when an instrumented call site is silently removed.
 
 Span *args* can be validated too: ``--require-args NAME:key1,key2``
 asserts every event named ``NAME`` carries those keys under ``args``,
-so the trace stays joinable with the calibration log
+so each candidate's spans stay joinable by label and structural hash
 (``explore.evaluate`` carries engine/workload, ``explore.compile``
 carries structural_hash).
 

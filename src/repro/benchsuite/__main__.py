@@ -4,7 +4,6 @@
     python -m repro.benchsuite figure6
     python -m repro.benchsuite figure8 [--sizes small large] [--benchmarks nn gemv ...] [--explain]
     python -m repro.benchsuite explore [--benchmarks nn gemv ...] [--depth 3] [--cache-dir DIR]
-    python -m repro.benchsuite calibrate [--benchmarks nn gemv mm] [--depth 3]
     python -m repro.benchsuite report --inputs m1.json m2.json --output perf-report.md
     python -m repro.benchsuite all
 """
@@ -22,8 +21,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=["table1", "figure6", "figure8", "explore", "calibrate",
-                 "report", "all"],
+        choices=["table1", "figure6", "figure8", "explore", "report",
+                 "all"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     problem = None
-    if args.experiment in ("explore", "calibrate"):
+    if args.experiment == "explore":
         from repro.benchsuite.explore import request_error
 
         problem = request_error(args.benchmarks, args.depth, args.max_eval)
@@ -175,19 +174,6 @@ def main(argv=None) -> int:
                 f"[tuning cache: {s.run_hits} run hits / "
                 f"{s.run_misses} misses, {s.kernel_hits} kernel hits]"
             )
-
-    if args.experiment == "calibrate":
-        from repro.benchsuite.calibrate import format_calibrate, run_calibrate
-
-        data = run_calibrate(
-            args.benchmarks,
-            depth=args.depth,
-            max_eval=args.max_eval,
-            size=args.sizes[0],
-            device=args.device,
-            engine=args.engine,
-        )
-        print(format_calibrate(data))
 
     if args.experiment == "report":
         from repro.benchsuite.report import build_report

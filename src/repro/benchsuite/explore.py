@@ -10,7 +10,10 @@ parallelism-aware estimated runtime
 (:func:`repro.opencl.cost.runtime_from_cycles`); the report also records
 where the measured winner sat in the *static* pre-execution ranking —
 the acceptance bar is that the parallelism-aware static model puts the
-derived schedule ahead before anything runs.  The same entry points
+derived schedule ahead before anything runs.  How well that static model
+ranks each search's candidates is its calibration
+(:func:`repro.obs.analysis.calibration`), one table row per benchmark and
+the metrics snapshot's ``calibration`` section.  The same entry points
 feed ``benchmarks/bench_explore.py`` (``BENCH_explore.json``).
 """
 
@@ -34,7 +37,7 @@ EXPLORABLE = ("nn", "gemv", "mm")
 def request_error(
     names: Optional[Sequence[str]], depth: int, max_eval: int
 ) -> Optional[str]:
-    """Why an ``explore`` / ``calibrate`` request cannot be served, or
+    """Why an ``explore`` request cannot be served, or
     ``None``: benchmarks outside :data:`EXPLORABLE` (multi-stage programs
     have no single-kernel schedule to derive), negative search depths and
     evaluation budgets that leave nothing to rank are refused before any
@@ -87,7 +90,12 @@ def explore_benchmark(
         )[0]
 
     best = result.best()
-    static_order = sorted(result.candidates, key=lambda c: c.static_cost)
+    # The search's own static order (``explore_program``'s prune), so
+    # ties in static cost fall the way the search broke them.
+    static_order = sorted(
+        result.candidates,
+        key=lambda c: (c.static_cost, len(c.trace), c.trace),
+    )
     return {
         "benchmark": name,
         "size": size,
@@ -107,10 +115,15 @@ def explore_benchmark(
         "explore_seconds": round(explore_span.elapsed, 3),
         "menu_seconds": round(menu_span.elapsed, 3),
         "stats": result.stats.as_dict(),
+        "calibration": obs.analysis.calibration(
+            [c.static_cost for c in static_order],
+            [c.runtime for c in static_order],
+        ),
         "ranking": [
             {
                 "label": c.label,
                 "runtime": c.runtime,
+                "static_cost": c.static_cost,
                 "cycles": c.cycles,
                 "trace": list(c.trace),
             }
@@ -129,7 +142,9 @@ def run_explore(
     engine: Optional[str] = None,
 ) -> dict:
     """Explore ``names``; ``cache=None`` runs without a tuning cache
-    (nothing is read from or written to disk)."""
+    (nothing is read from or written to disk).  The latest run owns the
+    metrics snapshot's ``calibration`` section: one row per benchmark,
+    each from its own search."""
     entries = [
         explore_benchmark(
             name, depth=depth, max_eval=max_eval, size=size, cache=cache,
@@ -137,6 +152,10 @@ def run_explore(
         )
         for name in (names or EXPLORABLE)
     ]
+    calibration = {
+        "workloads": {e["benchmark"]: e["calibration"] for e in entries}
+    }
+    obs.register_provider("calibration", lambda: calibration)
     return {
         "config": {
             "depth": depth,
@@ -146,6 +165,7 @@ def run_explore(
             "cache_dir": str(cache.root) if cache is not None else "off",
         },
         "benchmarks": entries,
+        "calibration": calibration,
     }
 
 
@@ -189,4 +209,5 @@ def format_explore(data: dict) -> str:
             f"menu {entry['menu_seconds']:.2f}s"
         )
         lines.append("")
+    lines.append(obs.analysis.format_calibration(data["calibration"]))
     return "\n".join(lines)

@@ -2,7 +2,7 @@
 
 ``python -m repro.benchsuite report --inputs m1.json t1.json --output
 perf-report.md`` merges one or more ``--metrics-json`` snapshots (from
-``calibrate``, ``figure8``, ``explore``, ...) and ``--trace`` files into
+``explore``, ``figure8``, ...) and ``--trace`` files into
 a single markdown document with three sections — cost-model
 calibration, roofline attribution and headline benchsuite counters —
 which CI uploads as a workflow artifact, so every run leaves one
@@ -101,7 +101,9 @@ def build_report(
                 f"| {fmt(s['residual_rms'])} |"
             )
     else:
-        lines.append("_No calibration records (run `benchsuite calibrate`)._")
+        lines.append(
+            "_No calibration records (run `benchsuite explore --no-cache`)._"
+        )
     lines.append("")
 
     # -- roofline -------------------------------------------------------

@@ -132,6 +132,9 @@ class CompiledKernel:
     options: CompilerOptions
 
 
+#: The name of every generated kernel function.
+KERNEL_NAME = "KERNEL"
+
 _MAP_KINDS = {pat.MapGlb: "glb", pat.MapWrg: "wrg", pat.MapLcl: "lcl"}
 
 
@@ -274,7 +277,7 @@ class KernelGenerator:
         self._collect_declarations()
         source = self._render(params, hoist(body_block, params))
         return CompiledKernel(
-            name=self.opts.kernel_name,
+            name=KERNEL_NAME,
             source=source,
             params=params,
             out_type=out_type,
@@ -1255,7 +1258,7 @@ class KernelGenerator:
                 c_params.append(c.CParam(p.scalar_type, p.name))
 
         full_body = c.CBlock(list(self.pre_block.stmts) + list(body.stmts))
-        kernel = c.CFunctionDef("void", self.opts.kernel_name, c_params, full_body, True)
+        kernel = c.CFunctionDef("void", KERNEL_NAME, c_params, full_body, True)
         pieces.append(c.print_function(kernel))
         return "\n\n".join(pieces) + "\n"
 

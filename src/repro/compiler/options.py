@@ -22,7 +22,7 @@ once per iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -42,7 +42,6 @@ class CompilerOptions:
     barrier_elimination: bool = True
     control_flow_simplification: bool = True
     array_access_simplification: bool = True
-    kernel_name: str = "KERNEL"
 
     @staticmethod
     def none(**kw) -> "CompilerOptions":
@@ -60,9 +59,6 @@ class CompilerOptions:
     @staticmethod
     def all(**kw) -> "CompilerOptions":
         return CompilerOptions(**kw)
-
-    def with_(self, **kw) -> "CompilerOptions":
-        return replace(self, **kw)
 
 
 #: The three optimization levels of Figure 8, in plotting order.

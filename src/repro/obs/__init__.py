@@ -10,9 +10,9 @@ Three parts (see ``src/repro/OBSERVABILITY.md`` for the full design):
   each stats owner registers for itself, all merged by ``snapshot()``
   (``benchsuite --metrics-json``).
 * :mod:`repro.obs.analysis` — attribution over the other two:
-  cost-model calibration (Spearman/regret per workload), and the
-  segment table and per-segment roofline classification read from a
-  trace (``benchsuite calibrate`` / ``--profile`` / ``report``).
+  cost-model calibration (Spearman/regret of one search's candidates),
+  and the segment table and per-segment roofline classification read
+  from a trace (``benchsuite explore`` / ``--profile`` / ``report``).
 
 This package is a *leaf*: it imports nothing from the rest of
 ``repro`` at module level, so every subsystem may import it freely.

@@ -6,14 +6,15 @@ rewrite*, which the explorer does by ranking candidates with the cost
 model — so the model itself needs an instrument.  Two analyses share
 this module because they answer the same question at two levels:
 
-* **Calibration** (:class:`CalibrationLog`): does the pre-execution
+* **Calibration** (:func:`calibration`): does the pre-execution
   prediction (``static_program_cost``) rank candidates the way the
-  measured-counter model (``runtime_from_cycles``) does?  Every candidate
-  the explorer evaluates is recorded as ``(structural hash, derivation
-  trace, static cost, modeled runtime, measured cycles, wall seconds)``
-  and summarized per workload as Spearman rank correlation, top-1/top-5
-  regret, and scale-aligned residuals.  CI gates on the correlation
-  floor (``benchmarks/check_perf_regression.py --calibration-json``).
+  measured-counter model (``runtime_from_cycles``) does?  One search's
+  evaluated candidates are summarized as Spearman rank correlation,
+  top-1/top-5 regret, and scale-aligned residuals;
+  ``benchsuite explore`` reports a row per benchmark and publishes the
+  rows as the snapshot's ``calibration`` section.  CI gates on the
+  correlation floor (``benchmarks/check_perf_regression.py
+  --calibration-json``).
 
 * **Roofline attribution** (:func:`roofline_segments`): which barrier
   segment is memory-bound and which compute-bound?  Reads the traced
@@ -27,27 +28,19 @@ the ``benchsuite --profile`` table (:func:`format_profile`).  Every
 view takes trace events: a loaded document's ``traceEvents`` or a
 live ``Tracer.events()``.
 
-Everything here is out-of-band: analyses only *read* counters and
-trace events; recording a calibration tuple appends to a bounded
-in-memory list.  Nothing feeds back into execution.
+Everything here is out-of-band: analyses only *read* a search's
+results and trace events.  Nothing feeds back into execution.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import threading
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from . import metrics
+from typing import List, Optional, Sequence
 
 __all__ = [
-    "CalibrationRecord",
-    "CalibrationLog",
-    "LOG",
-    "record_candidate",
+    "calibration",
     "format_calibration",
     "spearman",
     "topk_regret",
@@ -60,8 +53,8 @@ __all__ = [
 
 
 def short_hash(canonical_text: str) -> str:
-    """Stable short digest of a canonical program form — the join key
-    between calibration records, trace span args, and cache keys."""
+    """Stable short digest of a canonical program form — the
+    ``structural_hash`` argument of the explorer's trace spans."""
     return hashlib.sha1(canonical_text.encode()).hexdigest()[:12]
 
 
@@ -131,166 +124,46 @@ def topk_regret(
 
 
 # ---------------------------------------------------------------------------
-# calibration log
+# calibration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CalibrationRecord:
-    """One evaluated candidate: prediction next to measurement."""
+def _residual_rms(preds: Sequence[float], meas: Sequence[float]):
+    """RMS of log-residuals after scale alignment.
 
-    workload: str
-    label: str
-    structural_hash: str
-    trace: Tuple[str, ...]
-    #: Pre-execution prediction (:func:`~repro.opencl.cost.
-    #: static_program_cost`) — what the explorer pruned and ranked by
-    #: *before* paying for compilation.
-    static_cost: float
-    #: The measured-counter model's runtime estimate
-    #: (:func:`~repro.opencl.cost.runtime_from_cycles`) — the quantity the
-    #: final ranking uses, and calibration's ground truth.
-    modeled_runtime: float
-    #: Weighted cycle total over measured Counters.
-    measured_cycles: float
-    #: Wall-clock seconds of this candidate's evaluation (simulation
-    #: time, not device time); ``None`` when served from the cycle cache.
-    wall_seconds: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "label": self.label,
-            "structural_hash": self.structural_hash,
-            "trace": list(self.trace),
-            "static_cost": self.static_cost,
-            "modeled_runtime": self.modeled_runtime,
-            "measured_cycles": self.measured_cycles,
-            "wall_seconds": self.wall_seconds,
-        }
+    Static cost and modeled runtime live on different scales (only
+    ordering is meaningful), so residuals are computed on
+    ``log(measured) - log(scale * predicted)`` with ``scale`` the
+    geometric-mean ratio — i.e. how far each candidate deviates
+    from the best monotone scaling, in log space."""
+    pairs = [(p, m) for p, m in zip(preds, meas) if p > 0 and m > 0]
+    if not pairs:
+        return None
+    logs = [math.log(m) - math.log(p) for p, m in pairs]
+    shift = sum(logs) / len(logs)  # log of the geometric-mean ratio
+    return math.sqrt(sum((x - shift) ** 2 for x in logs) / len(logs))
 
 
-class CalibrationLog:
-    """Thread-safe, bounded, per-workload log of calibration records.
+def calibration(
+    static_costs: Sequence[float], runtimes: Sequence[float]
+) -> dict:
+    """How well one search's pre-execution prediction
+    (``static_program_cost``) ranks its evaluated candidates against
+    the measured-counter model (``runtime_from_cycles``).
 
-    The explorer appends one record per successfully evaluated
-    candidate; :meth:`summary` computes the per-workload statistics the
-    ``benchsuite calibrate`` command prints and CI gates on."""
-
-    #: Per-workload record cap (drop-oldest) so a process that runs many
-    #: searches cannot grow the log without bound.
-    MAX_RECORDS = 512
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: Dict[str, List[CalibrationRecord]] = {}
-
-    def record(self, rec: CalibrationRecord) -> None:
-        with self._lock:
-            bucket = self._records.setdefault(rec.workload, [])
-            bucket.append(rec)
-            if len(bucket) > self.MAX_RECORDS:
-                del bucket[0]
-
-    def records(self, workload: Optional[str] = None) -> List[CalibrationRecord]:
-        with self._lock:
-            if workload is not None:
-                return list(self._records.get(workload, ()))
-            return [r for bucket in self._records.values() for r in bucket]
-
-    def workloads(self) -> List[str]:
-        with self._lock:
-            return sorted(self._records)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._records.clear()
-
-    # -- statistics ------------------------------------------------------
-    def summary(self, workload: str) -> dict:
-        """Calibration statistics for one workload's candidate menu."""
-        recs = self.records(workload)
-        n = len(recs)
-        if n == 0:
-            return {
-                "candidates": 0,
-                "spearman": None,
-                "top1_regret": None,
-                "top5_regret": None,
-                "residual_rms": None,
-            }
-        preds = [r.static_cost for r in recs]
-        meas = [r.modeled_runtime for r in recs]
-        return {
-            "candidates": n,
-            "spearman": spearman(preds, meas),
-            "top1_regret": topk_regret(preds, meas, 1),
-            "top5_regret": topk_regret(preds, meas, 5),
-            "residual_rms": self._residual_rms(preds, meas),
-        }
-
-    @staticmethod
-    def _residual_rms(preds: Sequence[float], meas: Sequence[float]):
-        """RMS of log-residuals after scale alignment.
-
-        Static cost and modeled runtime live on different scales (only
-        ordering is meaningful), so residuals are computed on
-        ``log(measured) - log(scale * predicted)`` with ``scale`` the
-        geometric-mean ratio — i.e. how far each candidate deviates
-        from the best monotone scaling, in log space."""
-        pairs = [
-            (p, m) for p, m in zip(preds, meas) if p > 0 and m > 0
-        ]
-        if not pairs:
-            return None
-        logs = [math.log(m) - math.log(p) for p, m in pairs]
-        shift = sum(logs) / len(logs)  # log of the geometric-mean ratio
-        return math.sqrt(
-            sum((x - shift) ** 2 for x in logs) / len(logs)
-        )
-
-    def as_dict(self) -> dict:
-        """Provider view for the metrics snapshot (``"calibration"``)."""
-        workloads = self.workloads()
-        return {
-            "workloads": {w: self.summary(w) for w in workloads},
-            "records": [r.as_dict() for r in self.records()],
-        }
+    Pass the candidates in the search's static order: ``topk_regret``
+    breaks ties in static cost by position."""
+    return {
+        "candidates": len(static_costs),
+        "spearman": spearman(static_costs, runtimes),
+        "top1_regret": topk_regret(static_costs, runtimes, 1),
+        "top5_regret": topk_regret(static_costs, runtimes, 5),
+        "residual_rms": _residual_rms(static_costs, runtimes),
+    }
 
 
-#: The process-global calibration log the explorer records into.
-LOG = CalibrationLog()
-metrics.register_provider("calibration", LOG.as_dict)
-
-
-def record_candidate(
-    workload: str,
-    label: str,
-    canonical_text: str,
-    trace: Tuple[str, ...],
-    static_cost: float,
-    modeled_runtime: float,
-    measured_cycles: float,
-    wall_seconds: Optional[float] = None,
-) -> None:
-    """Convenience wrapper used by the explorer's evaluation loop."""
-    LOG.record(
-        CalibrationRecord(
-            workload=workload,
-            label=label,
-            structural_hash=short_hash(canonical_text),
-            trace=tuple(trace),
-            static_cost=static_cost,
-            modeled_runtime=modeled_runtime,
-            measured_cycles=measured_cycles,
-            wall_seconds=wall_seconds,
-        )
-    )
-
-
-def format_calibration(doc: Optional[dict] = None) -> str:
-    """The ``benchsuite calibrate`` table."""
-    if doc is None:
-        doc = LOG.as_dict()
+def format_calibration(doc: dict) -> str:
+    """The calibration table of a ``{"workloads": {name: row}}``
+    document (:func:`calibration` rows)."""
     workloads = doc.get("workloads", {})
     lines = [
         "cost-model calibration (static prediction vs measured-counter "

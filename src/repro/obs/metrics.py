@@ -3,8 +3,8 @@ views, all merged into one ``snapshot()`` document.
 
 Events are counted once, at the call site that sees them, with
 :func:`inc` (``launch.total``, ``explore.reference``...).  An object with
-its own accounting (``CacheStats``, ``ExploreStats``,
-``CalibrationLog``) registers an ``as_dict()``-style view under
+its own accounting (``CacheStats``, ``ExploreStats``, a
+``benchsuite explore`` run's calibration rows) registers a view under
 a top-level key with :func:`register_provider` itself: process-wide
 owners when their module is imported, object-scoped ones when the
 object is built.  :func:`snapshot` merges every view with the
@@ -17,7 +17,7 @@ Snapshot layout::
       "counters":   {"launch.total": 12, "launch.served.compiled": 12, ...},
       "cache":      {...CacheStats...},
       "explore":    {"stats": {...}, "failures": [...]},
-      "calibration": {...CalibrationLog...},
+      "calibration": {"workloads": {"nn": {...Spearman, regrets...}}},
       "counters.kernel": {...interp Counters of the last launch...},
     }
 
@@ -43,10 +43,12 @@ __all__ = [
 
 #: What :func:`snapshot` shows for a section whose owner has not
 #: registered: the owner's view, empty.  Each registers when a
-#: ``TuningCache`` or an ``explore_program`` search exists.
+#: ``TuningCache``, an ``explore_program`` search or a ``benchsuite
+#: explore`` run exists.
 PLACEHOLDERS = {
     "cache": {"active": False},
     "explore": {"stats": {}, "failures": []},
+    "calibration": {"workloads": {}},
 }
 
 

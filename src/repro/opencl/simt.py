@@ -382,7 +382,9 @@ class _Block:
                 return None
         shape = self._shapes.get(terms) or self._shape_of(terms)
         if type(addr) is not np.ndarray:
-            return (terms, int(addr), shape) if not terms else None
+            # An address with an id term is computed from lane arrays.
+            assert not terms, "a uniform address with id terms"
+            return terms, int(addr), shape
         if not terms:  # a uniform name merged into lanes under a mask
             return None
         if n == self.L:

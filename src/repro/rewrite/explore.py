@@ -208,9 +208,8 @@ class ExploreConfig:
     max_eval: int = 16
     device: str = "nvidia"
     engine: Optional[str] = None
-    #: Label under which evaluated candidates are recorded in the
-    #: cost-model calibration log (:mod:`repro.obs.analysis`); the
-    #: benchsuite passes the benchmark name.  ``None`` records under
+    #: The ``workload`` argument of the ``explore.evaluate`` span; the
+    #: benchsuite passes the benchmark name.  ``None`` traces as
     #: ``"adhoc"``.
     workload: Optional[str] = None
 
@@ -286,13 +285,11 @@ class ExploredCandidate:
     #: quantity candidates are ranked by.
     runtime: Optional[float] = None
     kernel_source: Optional[str] = None
-    #: Wall-clock seconds of the successful evaluation.
-    eval_seconds: Optional[float] = None
 
     @property
     def canonical_form(self) -> str:
         """Canonical (alpha-equivalence) text of ``program`` — the
-        calibration/trace join key.  Printed when first asked for, then
+        trace join key.  Printed when first asked for, then
         a read of the program's structural key."""
         return canonical(self.program)
 
@@ -971,8 +968,8 @@ def evaluate_candidates(
     array or an :class:`Oracle`, which is forced by the first candidate
     that actually launched — a failing oracle fails the whole call with
     its own exception, it is not a candidate's fault.  Successful
-    candidates get ``cycles`` / ``runtime`` / ``kernel_source`` /
-    ``eval_seconds`` filled in.
+    candidates get ``cycles`` / ``runtime`` / ``kernel_source`` filled
+    in.
 
     Returns ``(ranked, failures, events)``: the verified candidates best
     first (stable on ``(runtime, len(trace), trace)``, so ties keep the
@@ -1081,7 +1078,6 @@ def evaluate_candidates(
             return fail(exc.kind, exc.message)
         except Exception as exc:  # unexpected
             return fail("infra", f"unexpected {type(exc).__name__}: {exc}")
-        result.eval_seconds = time.monotonic() - start
         return result, events, None
 
     ranked: list = []
@@ -1173,22 +1169,6 @@ def explore_program(
     stats.cycle_cache_hits = after.cycle_hits - cache_before.cycle_hits
     stats.cycle_cache_misses = after.cycle_misses - cache_before.cycle_misses
 
-    # Out-of-band calibration records, in static-rank order: prediction
-    # (static cost) next to measurement (counter-model runtime) — what
-    # ``benchsuite calibrate`` summarizes and CI gates on.
-    verified = {id(c) for c in evaluated}
-    for cand in survivors:
-        if id(cand) in verified:
-            obs.analysis.record_candidate(
-                workload=config.workload or "adhoc",
-                label=cand.label,
-                canonical_text=cand.canonical_form,
-                trace=cand.trace,
-                static_cost=cand.static_cost,
-                modeled_runtime=cand.runtime,
-                measured_cycles=cand.cycles,
-                wall_seconds=cand.eval_seconds,
-            )
     # The latest search owns the metrics snapshot's "explore" slot.
     reports = list(failures)
     obs.register_provider("explore", lambda: {

@@ -1,11 +1,11 @@
 """Tests for the performance-attribution layer (repro.obs.analysis).
 
 Covers the calibration math (Spearman with tie handling, top-k regret,
-scale-aligned residuals) on synthetic menus with known orderings, the
-CalibrationLog (bounds, reset, empty-log edge case, snapshot shape),
-roofline classification against synthetic segment counters, and the
-explorer integration (records land in the log with
-join-key hashes).
+scale-aligned residuals) on synthetic menus with known orderings,
+``analysis.calibration`` (empty menu, one candidate, tied costs), roofline
+classification against synthetic segment counters, and the explorer
+integration (each ``explore_benchmark`` entry carries its own search's
+calibration).
 """
 
 import json
@@ -14,13 +14,7 @@ import math
 import pytest
 
 from repro.obs import analysis
-from repro.obs.analysis import (
-    CalibrationLog,
-    CalibrationRecord,
-    short_hash,
-    spearman,
-    topk_regret,
-)
+from repro.obs.analysis import calibration, short_hash, spearman, topk_regret
 
 
 # ---------------------------------------------------------------------------
@@ -86,101 +80,65 @@ class TestTopkRegret:
 
 
 # ---------------------------------------------------------------------------
-# calibration log
+# calibration of one search
 # ---------------------------------------------------------------------------
 
-def make_record(workload="mm", label="c0", static=1.0, modeled=1.0):
-    return CalibrationRecord(
-        workload=workload,
-        label=label,
-        structural_hash=short_hash(label),
-        trace=("rule-a", "rule-b"),
-        static_cost=static,
-        modeled_runtime=modeled,
-        measured_cycles=modeled * 1e3,
-        wall_seconds=0.01,
-    )
-
-
-class TestCalibrationLog:
-    def test_empty_log_summary(self):
-        log = CalibrationLog()
-        s = log.summary("mm")
-        assert s == {
+class TestCalibration:
+    def test_empty_menu(self):
+        assert calibration([], []) == {
             "candidates": 0,
             "spearman": None,
             "top1_regret": None,
             "top5_regret": None,
             "residual_rms": None,
         }
-        assert log.as_dict() == {"workloads": {}, "records": []}
+
+    def test_one_candidate(self):
+        # A one-candidate menu has no rank variance: spearman is None
+        # and the formatter must render it, not crash.
+        row = calibration([3.0], [6.0])
+        assert row == {
+            "candidates": 1,
+            "spearman": None,
+            "top1_regret": 0.0,
+            "top5_regret": 0.0,
+            "residual_rms": 0.0,
+        }
+        assert "n/a" in analysis.format_calibration({"workloads": {"mm": row}})
 
     def test_known_menu_statistics(self):
-        log = CalibrationLog()
         # Static cost ranks candidates exactly as the modeled runtime
         # does, and modeled = 2 * static, so residuals vanish after
         # the geometric-mean scale alignment.
-        for i, static in enumerate([3.0, 1.0, 2.0, 4.0]):
-            log.record(make_record(label=f"c{i}", static=static,
-                                   modeled=2.0 * static))
-        s = log.summary("mm")
-        assert s["candidates"] == 4
-        assert s["spearman"] == pytest.approx(1.0)
-        assert s["top1_regret"] == pytest.approx(0.0)
-        assert s["top5_regret"] == pytest.approx(0.0)
-        assert s["residual_rms"] == pytest.approx(0.0, abs=1e-12)
+        statics = [3.0, 1.0, 2.0, 4.0]
+        row = calibration(statics, [2.0 * p for p in statics])
+        assert row["candidates"] == 4
+        assert row["spearman"] == pytest.approx(1.0)
+        assert row["top1_regret"] == pytest.approx(0.0)
+        assert row["top5_regret"] == pytest.approx(0.0)
+        assert row["residual_rms"] == pytest.approx(0.0, abs=1e-12)
 
     def test_anticorrelated_menu(self):
-        log = CalibrationLog()
         # Static cost ranks candidates exactly backwards.
-        statics = [1.0, 2.0, 3.0, 4.0]
-        modeled = [4.0, 3.0, 2.0, 1.0]
-        for i, (p, m) in enumerate(zip(statics, modeled)):
-            log.record(make_record(label=f"c{i}", static=p, modeled=m))
-        s = log.summary("mm")
-        assert s["spearman"] == pytest.approx(-1.0)
+        row = calibration([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0])
+        assert row["spearman"] == pytest.approx(-1.0)
         # Model's top-1 pick (static 1.0) measures 4.0 vs true best 1.0.
-        assert s["top1_regret"] == pytest.approx(3.0)
+        assert row["top1_regret"] == pytest.approx(3.0)
 
-    def test_per_workload_isolation(self):
-        log = CalibrationLog()
-        log.record(make_record(workload="mm", label="a"))
-        log.record(make_record(workload="nn", label="b"))
-        assert log.workloads() == ["mm", "nn"]
-        assert len(log.records("mm")) == 1
-        assert len(log.records()) == 2
+    def test_tied_costs_keep_the_search_order(self):
+        # Two candidates tie on static cost: their ranks are averaged
+        # for Spearman, and the top-1 pick is the one listed first,
+        # the one the search's static order put first.
+        row = calibration([1.0, 1.0, 2.0], [2.0, 1.0, 3.0])
+        assert row["spearman"] == pytest.approx(math.sqrt(3) / 2)
+        assert row["top1_regret"] == pytest.approx(1.0)
+        assert calibration([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])[
+            "top1_regret"] == pytest.approx(0.0)
+        assert calibration([5.0] * 3, [1.0, 2.0, 3.0])["spearman"] is None
 
-    def test_bounded_drop_oldest(self):
-        log = CalibrationLog()
-        for i in range(log.MAX_RECORDS + 10):
-            log.record(make_record(label=f"c{i}", static=float(i + 1),
-                                   modeled=float(i + 1)))
-        recs = log.records("mm")
-        assert len(recs) == log.MAX_RECORDS
-        assert recs[0].label == "c10"  # the first ten were dropped
-
-    def test_reset(self):
-        log = CalibrationLog()
-        log.record(make_record())
-        log.reset()
-        assert log.records() == []
-
-    def test_as_dict_shape(self):
-        log = CalibrationLog()
-        log.record(make_record(label="c0"))
-        doc = log.as_dict()
-        (rec,) = doc["records"]
-        assert set(rec) == {
-            "workload", "label", "structural_hash", "trace",
-            "static_cost", "modeled_runtime", "measured_cycles",
-            "wall_seconds",
-        }
-        assert rec["structural_hash"] == short_hash("c0")
-        assert doc["workloads"]["mm"]["candidates"] == 1
-        # A one-candidate menu has no rank variance: spearman is None
-        # and the formatter must render it, not crash.
-        assert doc["workloads"]["mm"]["spearman"] is None
-        assert "n/a" in analysis.format_calibration(doc)
+    def test_residuals_skip_nonpositive_pairs(self):
+        assert calibration([0.0, 1.0, 2.0], [5.0, 1.0, 2.0])[
+            "residual_rms"] == pytest.approx(0.0, abs=1e-12)
 
     def test_short_hash_is_stable_join_key(self):
         assert short_hash("abc") == short_hash("abc")
@@ -252,41 +210,58 @@ class TestRoofline:
 # ---------------------------------------------------------------------------
 
 class TestExplorerIntegration:
-    def test_calibrate_populates_log(self):
-        from repro.benchsuite.calibrate import format_calibrate, run_calibrate
+    def test_an_entry_reports_its_own_search(self, monkeypatch):
+        import repro.benchsuite.explore as benchsuite_explore
 
-        # Four candidates: the first three tie on measured cycles (no
-        # barrier is left in any of them), which leaves Spearman undefined.
-        data = run_calibrate(["gemv"], depth=2, max_eval=4)
-        s = data["workloads"]["gemv"]
-        assert s["candidates"] >= 2
-        assert s["spearman"] is not None
-        # Records carry the 12-hex join key that the trace span args
-        # and the tuning-cache structural keys also use.
-        for rec in data["records"]:
-            assert rec["workload"] == "gemv"
-            assert len(rec["structural_hash"]) == 12
-            int(rec["structural_hash"], 16)
-            assert rec["static_cost"] > 0
-            assert rec["modeled_runtime"] > 0
-        text = format_calibrate(data)
-        assert "gemv" in text and "spearman" in text
+        searches = []
+        real = benchsuite_explore.explore_program
+
+        def keep(*args, **kwargs):
+            searches.append(real(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(benchsuite_explore, "explore_program", keep)
+        entry = benchsuite_explore.explore_benchmark("gemv", depth=2, max_eval=4)
+        (result,) = searches
+        static = sorted(
+            result.candidates,
+            key=lambda c: (c.static_cost, len(c.trace), c.trace),
+        )
+        assert entry["calibration"] == calibration(
+            [c.static_cost for c in static], [c.runtime for c in static]
+        )
+        assert entry["calibration"]["candidates"] == len(result.candidates)
+        assert [r["static_cost"] for r in entry["ranking"]] == [
+            c.static_cost for c in result.candidates[:5]
+        ]
+
+    def test_two_searches_of_one_workload_do_not_pool(self):
+        """Each search reports its own twelve candidates.  A
+        process-wide log pooled them: the second ``nn`` search read 24
+        candidates and a top-5 regret of 103.2 %."""
+        from repro.benchsuite.explore import explore_benchmark
+
+        for _ in range(2):
+            row = explore_benchmark("nn", depth=3, max_eval=12)["calibration"]
+            assert row["candidates"] == 12
+            assert row["top5_regret"] == 0.0
 
     def test_calibration_in_metrics_snapshot(self):
         from repro import obs
+        from repro.benchsuite.explore import format_explore, run_explore
 
-        analysis.LOG.reset()
-        analysis.record_candidate(
-            workload="synthetic", label="c0", canonical_text="prog",
-            trace=("r1",), static_cost=1.0, modeled_runtime=2.0,
-            measured_cycles=2000.0,
+        data = run_explore(["gemv"], depth=1, max_eval=2)
+        doc = obs.snapshot()
+        assert doc["calibration"] == data["calibration"]
+        assert list(doc["calibration"]["workloads"]) == ["gemv"]
+        assert doc["calibration"]["workloads"]["gemv"] == (
+            data["benchmarks"][0]["calibration"]
         )
-        try:
-            doc = obs.snapshot()
-            assert "calibration" in doc
-            assert "synthetic" in doc["calibration"]["workloads"]
-        finally:
-            analysis.LOG.reset()
+        (row,) = [
+            line for line in format_explore(data).splitlines()
+            if line.split()[:1] == ["gemv"]
+        ]
+        assert row.split()[1] == "2"
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,6 @@ def test_explore_cli_reports_a_malformed_cache_cap(monkeypatch, capsys):
     assert "'10MB'" in message
 
 
-@pytest.mark.parametrize("command", ["explore", "calibrate"])
 @pytest.mark.parametrize(
     "flags, needle",
     [
@@ -455,7 +454,7 @@ def test_explore_cli_reports_a_malformed_cache_cap(monkeypatch, capsys):
     ],
 )
 def test_explore_cli_rejects_bad_requests_before_searching(
-    command, flags, needle, monkeypatch, capsys
+    flags, needle, monkeypatch, capsys
 ):
     """atax has no single-kernel schedule to derive, a negative depth is
     no search and a zero budget leaves nothing to rank: exit status 2 and
@@ -468,11 +467,11 @@ def test_explore_cli_rejects_bad_requests_before_searching(
         raise AssertionError("a search started")
 
     monkeypatch.setattr(benchsuite_explore, "explore_program", no_search)
-    assert main([command, "--no-cache"] + flags) == 2
+    assert main(["explore", "--no-cache"] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     message, = captured.err.splitlines()
-    assert needle in message and f"{command}: error:" in message
+    assert needle in message and "explore: error:" in message
 
 
 @pytest.mark.parametrize(
@@ -524,7 +523,7 @@ def test_the_cli_names_the_valid_values_of_a_bad_argument(
 def test_request_error_names_the_first_problem(
     names, depth, max_eval, expected
 ):
-    """What ``explore`` / ``calibrate`` refuse before searching, checked
+    """What ``explore`` refuses before searching, checked
     in order: the benchmarks, then the depth, then the budget."""
     from repro.benchsuite.explore import request_error
 
@@ -552,6 +551,18 @@ def test_the_command_line_has_no_service_surface(argv, needle, capsys):
         main(argv)
     assert exited.value.code == 2
     assert needle in capsys.readouterr().err
+
+
+def test_calibrate_is_an_unknown_command(capsys):
+    """Calibration is what ``explore --no-cache`` reports per search;
+    the ``calibrate`` command that re-ran the searches into a
+    process-wide log is gone."""
+    from repro.benchsuite.__main__ import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["calibrate", "--benchmarks", "nn"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 def test_table1_and_figure6_print_through_the_cli(capsys):
@@ -612,7 +623,10 @@ def test_report_leaves_placeholder_sections_out(tmp_path, capsys):
 
     assert main(["report", "--inputs", *paths[1:]]) == 0
     out = capsys.readouterr().out
-    assert "_No calibration records (run `benchsuite calibrate`)._" in out
+    assert (
+        "_No calibration records (run `benchsuite explore --no-cache`)._"
+        in out
+    )
     assert "_No counters recorded._" in out
 
     written = tmp_path / "report.md"
@@ -622,13 +636,18 @@ def test_report_leaves_placeholder_sections_out(tmp_path, capsys):
     assert written.read_text() == "\n".join(lines) + "\n"
 
 
-def test_the_calibrate_and_explain_commands_print_their_tables(capsys):
+def test_the_explore_and_explain_commands_print_their_tables(capsys):
     from repro.benchsuite.__main__ import main
 
-    assert main(["calibrate", "--benchmarks", "nn", "--depth", "1",
-                 "--max-eval", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "nn" in out and "top1-regret" in out
+    assert main(["explore", "--no-cache", "--benchmarks", "nn", "--depth",
+                 "1", "--max-eval", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    header = out.index(
+        "cost-model calibration (static prediction vs measured-counter "
+        "runtime):"
+    )
+    assert "top1-regret" in out[header + 1]
+    assert out[header + 2].split()[:2] == ["nn", "2"]
     assert main(["figure8", "--benchmarks", "nn", "--sizes", "small",
                  "--no-cache", "--explain"]) == 0
     out = capsys.readouterr().out

@@ -274,8 +274,9 @@ class TestMetricsRegistry:
     def test_snapshot_merges_all_four_stats_objects(self, tmp_path):
         """One document holds the views the owners registered
         themselves: figure8's kernel Counters, a TuningCache's
-        CacheStats, a search's ExploreStats + FailureReports and the
-        calibration log."""
+        CacheStats, a search's ExploreStats + FailureReports, and the
+        calibration section (its placeholder until a ``benchsuite
+        explore`` run registers its rows)."""
         from repro.arith import Var
         from repro.benchsuite.figure8 import run_figure8
         from repro.cache import TuningCache
@@ -330,6 +331,7 @@ class TestMetricsRegistry:
         assert set(fresh) == set(SECTIONS)
         assert fresh["cache"] == {"active": False}
         assert fresh["explore"] == {"stats": {}, "failures": []}
+        assert fresh["calibration"] == {"workloads": {}}
 
     @pytest.mark.parametrize("section", sorted(metrics_mod.PLACEHOLDERS))
     def test_an_unowned_section_is_a_fresh_copy_of_its_placeholder(
@@ -347,7 +349,9 @@ class TestMetricsRegistry:
     def test_every_placeholder_has_a_live_owner(self):
         """A section whose owner is gone (the in-process tuning service's
         ``service``) leaves no placeholder behind."""
-        assert set(metrics_mod.PLACEHOLDERS) == {"cache", "explore"}
+        assert set(metrics_mod.PLACEHOLDERS) == {
+            "cache", "explore", "calibration",
+        }
         assert "service" not in obs.snapshot()
 
 
@@ -663,15 +667,15 @@ class TestEmptyReports:
 
     def test_no_calibration_records_and_no_profiled_launches(self):
         from repro.obs.analysis import (
-            CalibrationLog, format_calibration, format_profile,
+            calibration, format_calibration, format_profile,
         )
 
         assert format_calibration({"workloads": {}}).endswith("  (no calibration records)")
-        # Without a document: this process's log, under the same header.
-        assert format_calibration().splitlines()[0] == format_calibration(
-            {"workloads": {}}).splitlines()[0]
+        # A document is required: there is no process-wide log to read.
+        with pytest.raises(TypeError):
+            format_calibration()
         assert format_profile([]).splitlines()[1] == "  (no profiled launches)"
-        assert CalibrationLog()._residual_rms([0.0], [1.0]) is None
+        assert calibration([0.0], [1.0])["residual_rms"] is None
 
     def test_a_report_of_this_process_and_placeholder_sections(self):
         from repro.benchsuite.report import _has_data, build_report

@@ -182,7 +182,7 @@ class TestKeyDependsOnStructureOnly:
 
 class TestKeyFormat:
     """The canonical string is an on-disk key format (tuning cache,
-    calibration log): one literal per payload shape, so it cannot drift
+    trace span args): one literal per payload shape, so it cannot drift
     silently."""
 
     ID = "(uf id [x] 'return x;' [float]->float)"
@@ -331,7 +331,7 @@ class TestOneNotionOfEquality:
                 pass
             assert key(clone) == k and key(prog) == k
         assert 100 < len(by_text) == len(by_key) < len(corpus)
-        # The text is an on-disk key (tuning cache, calibration log):
+        # The text is an on-disk key (tuning cache, trace span args):
         # this is the digest of the corpus as the previous, whole-program
         # canonicalizer printed it.
         digest = hashlib.sha256(

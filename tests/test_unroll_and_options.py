@@ -102,10 +102,26 @@ class TestCompilerOptions:
         assert not none.control_flow_simplification
         assert not none.barrier_elimination
 
-    def test_with_override(self):
-        opts = CompilerOptions().with_(local_size=(32, 1, 1))
+    def test_an_override_keeps_the_other_knobs(self):
+        opts = CompilerOptions(local_size=(32, 1, 1))
         assert opts.local_size == (32, 1, 1)
         assert opts.array_access_simplification
+
+    def test_every_kernel_is_named_by_the_codegen_constant(self):
+        """The kernel name is not an option: ``KERNEL_NAME`` names every
+        compiled kernel at every level, so it is no part of a cache key."""
+        from dataclasses import fields
+
+        from repro.compiler.codegen import KERNEL_NAME
+
+        assert "kernel_name" not in {f.name for f in fields(CompilerOptions)}
+        x = Param(ArrayType(FLOAT, 64), "x")
+        for level in (CompilerOptions.none, CompilerOptions.all):
+            kernel = compile_kernel(
+                Lambda([x], map_glb(id_fun())(x)), level(), memo=False
+            )
+            assert kernel.name == KERNEL_NAME == "KERNEL"
+            assert f"kernel void {KERNEL_NAME}(" in kernel.source
 
     def test_options_are_frozen(self):
         opts = CompilerOptions()
